@@ -1,7 +1,14 @@
 #!/usr/bin/env bash
-# Repo CI gate: format, lints, locked release build, tests, artifact
-# schema validation, and the fast-mode gates (scheduling speedup, fault
-# recovery, scale, trace determinism, streaming service).
+# Repo CI gate, in stage order:
+#   1. cargo fmt --check
+#   2. cargo clippy (workspace, all targets, -D warnings)
+#   3. locked release build
+#   4. cargo test --workspace (every crate's unit, integration and
+#      prop_* suites plus the shims)
+#   5. BENCH_*.json artifact schema validation
+#   6. the fast-mode gates: sched speedup, fault recovery, durable
+#      recovery, scale, stream, fuzz, data-aware (all --quick) and trace
+#      determinism (--all)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -64,7 +71,7 @@ stage() {
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings
 stage "cargo build --release --locked" cargo build --release --locked
-stage "cargo test" cargo test -q
+stage "cargo test --workspace" cargo test --workspace -q
 # Artifact schema gate: every checked-in BENCH_*.json must validate
 # against the vdce-obs RunArtifact schema. Runs before the
 # baseline-relative gates below, which deserialize these artifacts to

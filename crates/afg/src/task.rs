@@ -145,12 +145,6 @@ impl IoSpec {
         IoSpec::File { path: path.into(), size }
     }
 
-    /// Compatibility constructor for a file spec.
-    #[deprecated(since = "0.1.0", note = "use `IoSpec::inline_file` (same semantics)")]
-    pub fn file(path: impl Into<String>, size: u64) -> Self {
-        IoSpec::File { path: path.into(), size }
-    }
-
     /// Convenience constructor for a URL spec.
     pub fn url(url: impl Into<String>, size: u64) -> Self {
         IoSpec::Url { url: url.into(), size }
@@ -334,12 +328,6 @@ mod tests {
         assert_eq!(d.to_string(), "dataset d7");
         assert_eq!(IoSpec::Dataflow.dataset_id(), None);
         assert_eq!(IoSpec::inline_file("/a", 1).dataset_id(), None);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_file_constructor_matches_inline_file() {
-        assert_eq!(IoSpec::file("/a", 124_880), IoSpec::inline_file("/a", 124_880));
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //! scheduler over DAG size × federation size × worker threads, plus the
 //! O(changed) incremental-rescheduling path against a full re-walk.
 //!
-//! Three measurements per run:
+//! Two measurements per run:
 //!
 //! - **configs** — `site_schedule` (class-batched host selection + heap
 //!   ready list + SoA walk) timed over tasks × sites at 1 worker thread
 //!   and at full parallelism (`RAYON_NUM_THREADS`, which the rayon shim
-//!   reads per parallel stage).
-//! - **prepr** — the same 10k-task config through the pre-existing
-//!   per-task path (`batch_classes: false`, i.e. one memoised prediction
-//!   probe per (task, host) instead of one pick per task class). The
-//!   class-batched speedup over it lands in the artifact meta.
+//!   reads per parallel stage). The 10k-task / 8-site / 1-thread row's
+//!   speedup over the recorded wall-clock of the seed scheduler lands in
+//!   the artifact meta.
 //! - **incremental** — a single monitor event (one host marked Down, its
 //!   site's host selection recomputed) absorbed by
 //!   [`IncrementalSchedule::apply`] vs a full Figure 2 re-walk over the
@@ -30,7 +28,6 @@
 //! rewriting the recorded artifact).
 
 use std::time::Instant;
-use vdce_afg::level::level_map;
 use vdce_bench::{bench_dag, bench_federation, shape_palette_workload, split_views};
 use vdce_net::topology::SiteId;
 use vdce_obs::{MetricsRegistry, Report, RunArtifact, Table};
@@ -41,7 +38,7 @@ use vdce_repository::resources::HostStatus;
 use vdce_sched::allocation::AllocationTable;
 use vdce_sched::host_selection::host_selection_classed;
 use vdce_sched::site_scheduler::{
-    schedule_with_outputs_opts, site_schedule, site_schedule_observed, SchedulerConfig,
+    schedule_with_outputs_data, site_schedule, site_schedule_observed, SchedulerConfig,
 };
 use vdce_sched::view::SiteView;
 use vdce_sched::{HostSelectionOutput, IncrementalSchedule};
@@ -250,12 +247,19 @@ fn measure_incremental(tasks: usize, sites: usize) -> IncrementalRow {
     let local_view = SiteView::capture(SiteId(0), &fed.repos[0]);
     let reps = reps_for(tasks);
     let (full_s, rewalk) = time_run(reps, || {
-        let levels = level_map(&afg, |t| {
-            local_view.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0)
-        })
-        .expect("acyclic");
-        schedule_with_outputs_opts(&afg, &levels, SiteId(0), &new_outputs, &fed.net, false)
-            .expect("schedulable after event")
+        let levels = local_view.levels(&afg).expect("acyclic");
+        schedule_with_outputs_data(
+            &afg,
+            &levels,
+            SiteId(0),
+            &new_outputs,
+            &fed.net,
+            false,
+            false,
+            None,
+            None,
+        )
+        .expect("schedulable after event")
     });
 
     // Incremental absorb: clone the pre-event schedule each rep (outside
@@ -312,33 +316,6 @@ fn seed_baseline_ms() -> f64 {
     std::env::var("VDCE_SEED_BASELINE_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(SEED_10K_MS)
 }
 
-/// The in-binary comparator: same config, `batch_classes: false` (one
-/// memoised prediction probe per (task, host) instead of one batched
-/// kernel call per class). This understates the full PR win — it still
-/// shares the Arc'd choices and batched kernels' other plumbing — so it
-/// is recorded alongside the seed baseline, not instead of it.
-/// Returns (scalar_ms, classed_ms, speedup).
-fn measure_prepr_speedup(tasks: usize, sites: usize) -> (f64, f64, f64) {
-    let fed = bench_federation(sites, 8);
-    let views = fed.views();
-    let (local, remotes) = split_views(&views);
-    let mut afg = bench_dag(tasks, 42);
-    shape_palette_workload(&mut afg);
-    let reps = reps_for(tasks);
-
-    let cfg_new = SchedulerConfig { k_neighbours: K, ..SchedulerConfig::default() };
-    let cfg_old =
-        SchedulerConfig { k_neighbours: K, batch_classes: false, ..SchedulerConfig::default() };
-    let (new_s, new_table) = time_run(reps, || {
-        site_schedule(&afg, local, remotes, &fed.net, &cfg_new).expect("schedulable")
-    });
-    let (old_s, old_table) = time_run(reps, || {
-        site_schedule(&afg, local, remotes, &fed.net, &cfg_old).expect("schedulable")
-    });
-    assert_eq!(new_table, old_table, "class-batched path must be bit-identical");
-    (old_s * 1e3, new_s * 1e3, old_s / new_s)
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     if quick {
@@ -372,9 +349,13 @@ fn main() {
         }
     }
 
-    // Pre-PR comparator at 10k tasks (the acceptance config) and the
+    // Seed comparator at 10k tasks (the acceptance config) and the
     // incremental-rescheduling section.
-    let (scalar_ms, new_ms, scalar_speedup) = measure_prepr_speedup(10_000, 8);
+    let new_ms = rows
+        .iter()
+        .find(|r| r.tasks == 10_000 && r.sites == 8 && r.threads == 1)
+        .expect("the grid holds the acceptance config")
+        .wall_ms;
     let prepr_ms = seed_baseline_ms();
     let speedup = prepr_ms / new_ms;
     let inc_rows: Vec<IncrementalRow> = [(10_000usize, 8usize), (100_000, 64)]
@@ -408,9 +389,6 @@ fn main() {
         .meta("prepr_10k_ms", prepr_ms)
         .meta("classed_10k_ms", new_ms)
         .meta("speedup_10k_vs_prepr", speedup)
-        .meta("scalar_path", "in-binary batch_classes=false: per-task memoised host selection")
-        .meta("scalar_10k_ms", scalar_ms)
-        .meta("speedup_10k_vs_scalar", scalar_speedup)
         .section("configs", &rows)
         .section("incremental", &inc_rows);
     if let Some(s) = snapshot {
@@ -423,8 +401,7 @@ fn main() {
         .table(it)
         .note(format!(
             "10k-task speedup vs pre-PR seed path: {speedup:.2}x \
-             ({prepr_ms:.1} ms -> {new_ms:.1} ms); vs in-binary scalar \
-             path: {scalar_speedup:.2}x ({scalar_ms:.1} ms); incremental \
+             ({prepr_ms:.1} ms -> {new_ms:.1} ms); incremental \
              tables asserted bit-identical to the full re-walk"
         ))
         .note("wrote BENCH_scale.json")

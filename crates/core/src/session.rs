@@ -20,7 +20,6 @@ use crate::report::RunReport;
 use crossbeam::channel::unbounded;
 use std::fmt;
 use vdce_afg::document::AfgDocument;
-use vdce_afg::level::level_map;
 use vdce_net::clock::{Clock, RealClock};
 use vdce_net::topology::SiteId;
 use vdce_repository::accounts::{AccessDomain, UserAccount};
@@ -210,10 +209,8 @@ impl<'v> Session<'v> {
 
         // Predicted schedule (for the report's predicted-vs-measured
         // comparison).
-        let db = &local_view.tasks;
         let levels =
-            level_map(afg, |t| db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-                .map_err(|_| SubmitError::Scheduling(SchedulingError::Cyclic))?;
+            local_view.levels(afg).map_err(|_| SubmitError::Scheduling(SchedulingError::Cyclic))?;
         let predicted = evaluate(afg, &table, self.vdce.net(), &levels).ok();
 
         // --- QoS admission control --------------------------------------

@@ -31,7 +31,7 @@ use crate::view::SiteView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use vdce_afg::level::{blevel_map, level_map};
+use vdce_afg::level::blevel_map;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
 use vdce_net::cache::TransferCache;
 use vdce_net::model::NetworkModel;
@@ -645,22 +645,16 @@ pub enum PriorityOrder {
 pub fn priorities(afg: &Afg, order: PriorityOrder, views: &[&SiteView]) -> Vec<f64> {
     let n = afg.task_count();
     match order {
-        PriorityOrder::Level => {
-            let db = &views[0].tasks;
-            level_map(afg, |t| db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-                .unwrap_or_else(|_| vec![0.0; n])
-        }
+        PriorityOrder::Level => views[0].levels(afg).unwrap_or_else(|_| vec![0.0; n]),
         PriorityOrder::Fifo => (0..n).map(|i| (n - i) as f64).collect(),
         PriorityOrder::Random(seed) => {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..n).map(|_| rng.gen::<f64>()).collect()
         }
-        PriorityOrder::ReverseLevel => {
-            let db = &views[0].tasks;
-            level_map(afg, |t| db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-                .map(|v| v.into_iter().map(|x| -x).collect())
-                .unwrap_or_else(|_| vec![0.0; n])
-        }
+        PriorityOrder::ReverseLevel => views[0]
+            .levels(afg)
+            .map(|v| v.into_iter().map(|x| -x).collect())
+            .unwrap_or_else(|_| vec![0.0; n]),
     }
 }
 

@@ -13,16 +13,18 @@
 //! can report scheduling traffic.
 
 use crate::allocation::AllocationTable;
-use crate::host_selection::{host_selection_opts, HostSelectionOutput};
-use crate::site_scheduler::{schedule_with_outputs, SchedulerConfig, SchedulingError};
+use crate::host_selection::HostSelectionOutput;
+use crate::site_scheduler::{
+    host_selection_for, schedule_with_outputs_data, SchedulerConfig, SchedulingError,
+};
 use crate::view::SiteView;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-use vdce_afg::level::level_map;
 use vdce_afg::Afg;
 use vdce_net::bus::{Endpoint, MessageBus};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_predict::cache::PredictCache;
 
 /// Messages exchanged between Application Schedulers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,7 +67,7 @@ pub fn serve_one(
     let Ok(delivery) = endpoint.recv_timeout(timeout) else { return false };
     match delivery.msg {
         SchedMessage::HostSelectionRequest { request_id, afg } => {
-            let output = host_selection(&afg, view, config);
+            let output = host_selection_for(view, &afg, config, &PredictCache::new());
             let reply = SchedMessage::HostSelectionReply { request_id, output };
             let bytes = reply.wire_bytes();
             let _ = bus.send(endpoint.site, delivery.from, reply, bytes);
@@ -165,7 +167,7 @@ pub fn federated_schedule_reachable(
     let expected = neighbours.len() - unreachable.len();
 
     // Step 4 (local half): host selection on the local site.
-    let mut outputs = vec![host_selection(afg, local, config)];
+    let mut outputs = vec![host_selection_for(local, afg, config, &PredictCache::new())];
 
     // Step 5: collect replies.
     let deadline = Instant::now() + reply_timeout;
@@ -186,18 +188,19 @@ pub fn federated_schedule_reachable(
         }
     }
 
-    // Steps 6–7.
-    let db = &local.tasks;
-    let levels = level_map(afg, |t| db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-        .map_err(|_| SchedulingError::Cyclic)?;
-    schedule_with_outputs(afg, &levels, local.site, &outputs, net)
-}
-
-/// Host selection with a [`SchedulerConfig`] (argument-order helper so
-/// `federated_schedule` reads like the figure). Honours the config's
-/// `sequential` reference-path knob.
-fn host_selection(afg: &Afg, view: &SiteView, config: &SchedulerConfig) -> HostSelectionOutput {
-    host_selection_opts(view, afg, &config.predictor, &config.parallel, config.sequential)
+    // Steps 6–7, with every walk option the config carries.
+    let levels = local.levels(afg)?;
+    schedule_with_outputs_data(
+        afg,
+        &levels,
+        local.site,
+        &outputs,
+        net,
+        config.ignore_transfer_time,
+        config.sequential,
+        config.spread_critical.then_some(config.spread),
+        None,
+    )
 }
 
 #[cfg(test)]

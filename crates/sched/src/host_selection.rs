@@ -105,81 +105,37 @@ pub fn eligible(view: &SiteView, afg: &Afg, task: TaskId, host: &ResourceRecord)
 /// against the resources of `view`.
 ///
 /// This is the *reference* implementation: one task after another, every
-/// prediction evaluated directly. [`host_selection_opts`] with
-/// `sequential = false` is the optimised fan-out path; the two produce
-/// bit-identical outputs (enforced by the `prop_sched` property tests).
+/// prediction evaluated directly. [`host_selection_classed`] is the
+/// optimised path; the two produce bit-identical outputs (enforced by the
+/// unit test below and the `prop_sched` property tests).
 pub fn host_selection(
     view: &SiteView,
     afg: &Afg,
     predictor: &Predictor,
     parallel: &ParallelModel,
 ) -> HostSelectionOutput {
-    host_selection_opts(view, afg, predictor, parallel, true)
-}
-
-/// [`host_selection`] with the execution-strategy knob.
-///
-/// `sequential = true` runs the reference path. `sequential = false`
-/// fans the per-task argmin out across worker threads (the tasks of
-/// Figure 3's queue are independent) and shares one [`PredictCache`]
-/// across them, so each `(library task, problem size, host)` triple is
-/// evaluated once per site instead of once per prefix per task. Both
-/// paths return identical choices: the cache memoises a deterministic
-/// function and the fan-out reassembles results in task order.
-pub fn host_selection_opts(
-    view: &SiteView,
-    afg: &Afg,
-    predictor: &Predictor,
-    parallel: &ParallelModel,
-    sequential: bool,
-) -> HostSelectionOutput {
-    host_selection_cached(view, afg, predictor, parallel, sequential, &PredictCache::new())
-}
-
-/// [`host_selection_opts`] against a caller-owned [`PredictCache`].
-///
-/// Host names are unique across a federation, so one cache may be shared
-/// across every site of a scheduling round (and across rounds): sharing
-/// never changes the choices, only how often the predictor is invoked.
-/// The caller can read `cache.hits()`/`cache.misses()` afterwards — this
-/// is how `site_schedule_observed` exports cache statistics.
-pub fn host_selection_cached(
-    view: &SiteView,
-    afg: &Afg,
-    predictor: &Predictor,
-    parallel: &ParallelModel,
-    sequential: bool,
-    cache: &PredictCache,
-) -> HostSelectionOutput {
     // Collect the site's candidate resource set R once (step 2).
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-
-    let pick = |task: TaskId| -> Option<(TaskId, Arc<TaskHostChoice>)> {
-        pick_choice(view, afg, task, predictor, parallel, sequential, cache, &all_hosts)
-            .map(|c| (task, Arc::new(c)))
-    };
-
-    let tasks: Vec<TaskId> = afg.task_ids().collect();
-    let picked: Vec<Option<(TaskId, Arc<TaskHostChoice>)>> = if sequential || tasks.len() < 2 {
-        tasks.into_iter().map(pick).collect()
-    } else {
-        tasks.into_par_iter().map(pick).collect()
-    };
-    let choices: BTreeMap<TaskId, Arc<TaskHostChoice>> = picked.into_iter().flatten().collect();
+    let choices = afg
+        .task_ids()
+        .filter_map(|task| {
+            pick_choice(view, afg, task, predictor, parallel, None, &all_hosts)
+                .map(|c| (task, Arc::new(c)))
+        })
+        .collect();
     HostSelectionOutput { site: view.site, choices }
 }
 
-/// The per-task argmin of Figure 3, shared by the reference/fan-out path
-/// and the class-batched path.
-#[allow(clippy::too_many_arguments)]
+/// The per-task argmin of Figure 3, shared by the reference and the
+/// class-batched path. `cache: None` evaluates every prediction directly
+/// (the reference); `Some` memoises them.
 fn pick_choice(
     view: &SiteView,
     afg: &Afg,
     task: TaskId,
     predictor: &Predictor,
     parallel: &ParallelModel,
-    sequential: bool,
-    cache: &PredictCache,
+    cache: Option<&PredictCache>,
     all_hosts: &[&ResourceRecord],
 ) -> Option<TaskHostChoice> {
     let node = afg.task(task);
@@ -192,8 +148,8 @@ fn pick_choice(
         ComputationMode::Sequential => 1,
         ComputationMode::Parallel => node.props.effective_nodes(),
     };
-    let selected = if sequential {
-        best_node_count(
+    let selected = match cache {
+        None => best_node_count(
             predictor,
             parallel,
             &view.tasks,
@@ -201,9 +157,8 @@ fn pick_choice(
             node.problem_size,
             requested,
             &candidates,
-        )
-    } else {
-        best_node_count_cached(
+        ),
+        Some(cache) => best_node_count_cached(
             predictor,
             parallel,
             cache,
@@ -212,7 +167,7 @@ fn pick_choice(
             node.problem_size,
             requested,
             &candidates,
-        )
+        ),
     };
     match selected {
         Ok((hosts, secs)) => Some(TaskHostChoice {
@@ -259,16 +214,21 @@ impl<'a> ClassKey<'a> {
     }
 }
 
-/// [`host_selection_cached`] (fan-out flavour) that evaluates the argmin
-/// **once per task class** instead of once per task.
+/// The optimised [`host_selection`]: evaluates the argmin **once per task
+/// class** instead of once per task, memoising predictions in `cache`.
 ///
 /// Big AFGs are built from a small task library, so a 100k-task graph
 /// typically has a few hundred distinct [`ClassKey`]s; every other task
 /// is a clone of one of them. The class representative's choice is
-/// computed by the exact same [`pick_choice`] the per-task path runs,
-/// then cloned onto the rest of the class — bit-identical by
-/// construction. Classes fan out across worker threads when there are
-/// at least two.
+/// computed by the exact same [`pick_choice`] the reference runs, then
+/// cloned onto the rest of the class — bit-identical by construction.
+/// Classes fan out across worker threads when there are at least two.
+///
+/// Host names are unique across a federation, so one cache may be shared
+/// across every site of a scheduling round (and across rounds): sharing
+/// never changes the choices, only how often the predictor is invoked.
+/// The caller can read `cache.hits()`/`cache.misses()` afterwards — this
+/// is how `site_schedule_observed` exports cache statistics.
 pub fn host_selection_classed(
     view: &SiteView,
     afg: &Afg,
@@ -293,7 +253,7 @@ pub fn host_selection_classed(
     }
 
     let pick = |members: &Vec<TaskId>| -> Option<Arc<TaskHostChoice>> {
-        pick_choice(view, afg, members[0], predictor, parallel, false, cache, &all_hosts)
+        pick_choice(view, afg, members[0], predictor, parallel, Some(cache), &all_hosts)
             .map(Arc::new)
     };
     let picked: Vec<Option<Arc<TaskHostChoice>>> = if classes.len() < 2 {
@@ -489,49 +449,12 @@ mod tests {
         assert!(choice.hosts.len() > 1 && choice.hosts.len() <= 4);
     }
 
+    /// The class-batched path must reproduce the reference bit-for-bit on
+    /// a graph with repeated classes, a pinned task, a
+    /// machine-type-filtered task, an infeasible task and a 4-node
+    /// parallel task.
     #[test]
-    fn parallel_fanout_matches_reference_bit_for_bit() {
-        let lib = TaskLibrary::standard();
-        let mut b = AfgBuilder::new("mix", &lib);
-        let src = b.add_task("Source", "src", 5000).unwrap();
-        let lu = b.add_task("LU_Decomposition", "lu", 1024).unwrap();
-        b.set_mode(lu, vdce_afg::ComputationMode::Parallel).unwrap();
-        b.set_num_nodes(lu, 4).unwrap();
-        let snk = b.add_task("Sink", "snk", 5000).unwrap();
-        b.connect(src, 0, lu, 0).unwrap();
-        b.connect(lu, 0, snk, 0).unwrap();
-        let afg = b.build().unwrap();
-        let view = view_with(
-            (0..6)
-                .map(|i| record(&format!("h{i}"), MachineType::LinuxPc, 1.0 + 0.3 * i as f64))
-                .collect(),
-        );
-        let reference = host_selection_opts(
-            &view,
-            &afg,
-            &Predictor::default(),
-            &ParallelModel::default(),
-            true,
-        );
-        let fanned = host_selection_opts(
-            &view,
-            &afg,
-            &Predictor::default(),
-            &ParallelModel::default(),
-            false,
-        );
-        assert_eq!(reference, fanned);
-        for (t, c) in &reference.choices {
-            let f = &fanned.choices[t];
-            assert_eq!(c.predicted_seconds.to_bits(), f.predicted_seconds.to_bits());
-        }
-    }
-
-    /// The class-batched path must reproduce the per-task path
-    /// bit-for-bit on a graph with repeated classes, a pinned task, a
-    /// machine-type-filtered task, and an infeasible task.
-    #[test]
-    fn classed_selection_matches_per_task_bit_for_bit() {
+    fn classed_selection_matches_reference_bit_for_bit() {
         let lib = TaskLibrary::standard();
         let mut b = AfgBuilder::new("classy", &lib);
         let src = b.add_task("Source", "src", 5000).unwrap();
@@ -551,21 +474,26 @@ mod tests {
         let lost = b.add_task("Sort", "lost", 9000).unwrap();
         b.set_preferred_host(lost, "no_such_host").unwrap();
         b.connect(sun, 0, lost, 0).unwrap();
+        let lu = b.add_task("LU_Decomposition", "lu", 1024).unwrap();
+        b.set_mode(lu, vdce_afg::ComputationMode::Parallel).unwrap();
+        b.set_num_nodes(lu, 4).unwrap();
+        b.connect(lost, 0, lu, 0).unwrap();
         let afg = b.build().unwrap();
 
-        let mut hosts: Vec<ResourceRecord> = (0..4)
-            .map(|i| record(&format!("h{i}"), MachineType::LinuxPc, 1.0 + 0.5 * i as f64))
+        let mut hosts: Vec<ResourceRecord> = (0..6)
+            .map(|i| record(&format!("h{i}"), MachineType::LinuxPc, 1.0 + 0.3 * i as f64))
             .collect();
         hosts.push(record("sun0", MachineType::SunSolaris, 2.0));
         let view = view_with(hosts);
 
         let p = Predictor::default();
         let pm = ParallelModel::default();
-        let per_task = host_selection_cached(&view, &afg, &p, &pm, false, &PredictCache::new());
+        let reference = host_selection(&view, &afg, &p, &pm);
         let classed = host_selection_classed(&view, &afg, &p, &pm, &PredictCache::new());
-        assert_eq!(per_task, classed);
+        assert_eq!(reference, classed);
         assert!(classed.choice(lost).is_none());
-        for (t, c) in &per_task.choices {
+        assert!(classed.choice(lu).unwrap().hosts.len() > 1);
+        for (t, c) in &reference.choices {
             let cc = &classed.choices[t];
             assert_eq!(c.predicted_seconds.to_bits(), cc.predicted_seconds.to_bits());
         }

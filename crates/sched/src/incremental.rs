@@ -359,7 +359,6 @@ mod tests {
     use crate::host_selection::host_selection;
     use crate::site_scheduler::schedule_with_outputs;
     use crate::view::SiteView;
-    use vdce_afg::level::level_map;
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_predict::model::Predictor;
     use vdce_predict::parallel::ParallelModel;
@@ -412,9 +411,7 @@ mod tests {
         let net = NetworkModel::with_defaults(2);
         let outputs = outputs_for(&[&v0, &v1], &afg);
 
-        let levels =
-            level_map(&afg, |t| v0.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-                .unwrap();
+        let levels = v0.levels(&afg).unwrap();
         let full = schedule_with_outputs(&afg, &levels, SiteId(0), &outputs, &net).unwrap();
 
         let inc = IncrementalSchedule::new(&afg, SiteId(0), outputs, &net, false).unwrap();
@@ -458,9 +455,7 @@ mod tests {
         assert!(delta.replaced <= afg.task_count());
         assert!(delta.dirty > 0, "killing the chosen host must dirty something");
 
-        let levels =
-            level_map(&afg, |t| v0.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-                .unwrap();
+        let levels = v0.levels(&afg).unwrap();
         let full = schedule_with_outputs(&afg, &levels, SiteId(0), &new_outputs, &net).unwrap();
         assert_eq!(*inc.table(), full);
         for (a, b) in inc.table().iter().zip(full.iter()) {

@@ -63,8 +63,7 @@ pub use service::{
     StreamService, SubmissionId, SubmissionRequest, TenantRegistry, TenantRow,
 };
 pub use site_scheduler::{
-    site_schedule, site_schedule_observed, site_schedule_observed_with_data,
-    site_schedule_with_data, validate_dataset_outputs, SchedError, SchedulerConfig,
-    SchedulingError, SpreadPolicy,
+    site_schedule, site_schedule_observed, site_schedule_with_data, validate_dataset_outputs,
+    SchedError, SchedulerConfig, SchedulingError, SpreadPolicy,
 };
 pub use view::SiteView;

@@ -60,7 +60,6 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
-use vdce_afg::level::level_map;
 use vdce_afg::Afg;
 use vdce_data::DataView;
 use vdce_net::model::NetworkModel;
@@ -72,6 +71,7 @@ use vdce_predict::parallel::ParallelModel;
 use vdce_repository::accounts::{AccessDomain, AuthError, UserId};
 use vdce_repository::resources::HostStatus;
 use vdce_repository::SiteRepository;
+use vdce_store::Fnv1a;
 
 /// Identifier of one submission, assigned by the service in arrival
 /// order.
@@ -352,18 +352,8 @@ pub struct StreamService {
     restarts: u64,
     rejected: BTreeMap<&'static str, u64>,
     ttp: Vec<f64>,
-    digest: u64,
+    digest: Fnv1a,
     counters: BTreeMap<UserId, TenantCounters>,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_mix(h: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *h ^= u64::from(*b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
 }
 
 impl StreamService {
@@ -402,7 +392,7 @@ impl StreamService {
             restarts: 0,
             rejected: BTreeMap::new(),
             ttp: Vec::new(),
-            digest: FNV_OFFSET,
+            digest: Fnv1a::new(),
             counters: BTreeMap::new(),
         }
     }
@@ -519,8 +509,7 @@ impl StreamService {
             self.levels_view = Some(SiteView::capture(SiteId(0), &self.repos[0]));
         }
         let view = self.levels_view.as_ref().expect("filled above");
-        level_map(afg, |t| view.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-            .expect("submissions are validated acyclic AFGs")
+        view.levels(afg).expect("submissions are validated acyclic AFGs")
     }
 
     // -- admission ----------------------------------------------------
@@ -742,17 +731,17 @@ impl StreamService {
         }
 
         // Digest: dispatch decision, placement by placement.
-        fnv_mix(&mut self.digest, b"dispatch");
-        fnv_mix(&mut self.digest, &id.0.to_le_bytes());
-        fnv_mix(&mut self.digest, &now.to_bits().to_le_bytes());
-        fnv_mix(&mut self.digest, &finish.to_bits().to_le_bytes());
+        self.digest.update(b"dispatch");
+        self.digest.update(&id.0.to_le_bytes());
+        self.digest.update(&now.to_bits().to_le_bytes());
+        self.digest.update(&finish.to_bits().to_le_bytes());
         let mut hosts: BTreeSet<(SiteId, String)> = BTreeSet::new();
         for pl in inc.table().iter() {
-            fnv_mix(&mut self.digest, &pl.task.0.to_le_bytes());
-            fnv_mix(&mut self.digest, &pl.site.0.to_le_bytes());
-            fnv_mix(&mut self.digest, &pl.predicted_seconds.to_bits().to_le_bytes());
+            self.digest.update(&pl.task.0.to_le_bytes());
+            self.digest.update(&pl.site.0.to_le_bytes());
+            self.digest.update(&pl.predicted_seconds.to_bits().to_le_bytes());
             for h in pl.hosts.iter() {
-                fnv_mix(&mut self.digest, h.as_bytes());
+                self.digest.update(h.as_bytes());
                 hosts.insert((pl.site, h.clone()));
             }
         }
@@ -866,9 +855,9 @@ impl StreamService {
             self.bump_host_load(*site, host, -1);
             changed.insert(*site);
         }
-        fnv_mix(&mut self.digest, b"complete");
-        fnv_mix(&mut self.digest, &run.0.to_le_bytes());
-        fnv_mix(&mut self.digest, &a.finish_s.to_bits().to_le_bytes());
+        self.digest.update(b"complete");
+        self.digest.update(&run.0.to_le_bytes());
+        self.digest.update(&a.finish_s.to_bits().to_le_bytes());
         {
             let c = self.counters.entry(a.req.tenant).or_default();
             c.completed += 1;
@@ -908,8 +897,8 @@ impl StreamService {
             }
             self.restarts += 1;
             self.counters.entry(a.req.tenant).or_default().restarts += 1;
-            fnv_mix(&mut self.digest, b"restart");
-            fnv_mix(&mut self.digest, &id.0.to_le_bytes());
+            self.digest.update(b"restart");
+            self.digest.update(&id.0.to_le_bytes());
             let outputs: Vec<HostSelectionOutput> =
                 a.sites.iter().map(|&s| self.output_for(s, &a.req.afg)).collect();
             let inc = IncrementalSchedule::new_with_data(
@@ -1042,7 +1031,7 @@ impl StreamService {
             ttp_p50_s: pct(0.50),
             ttp_p99_s: pct(0.99),
             ttp_max_s: ttp.last().copied().unwrap_or(0.0),
-            placements_digest: self.digest,
+            placements_digest: self.digest.finish(),
             starved_tenants,
             tenants,
         }

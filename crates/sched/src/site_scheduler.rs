@@ -28,15 +28,14 @@ use crate::allocation::{AllocationTable, DataSource, TaskPlacement};
 use crate::arena::ReadyKey;
 use crate::data_inputs::{DatasetInputs, DsInput};
 use crate::host_selection::{
-    host_selection_cached, host_selection_classed, host_selection_opts, HostSelectionOutput,
-    TaskHostChoice,
+    host_selection, host_selection_classed, HostSelectionOutput, TaskHostChoice,
 };
 use crate::view::SiteView;
 use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::fmt;
-use vdce_afg::level::{level_map, LevelError};
+use vdce_afg::level::LevelError;
 use vdce_afg::{Afg, DatasetId, TaskId};
 use vdce_data::DataView;
 use vdce_net::cache::TransferCache;
@@ -63,10 +62,11 @@ pub struct SchedulerConfig {
     pub ignore_transfer_time: bool,
     /// Force the sequential *reference* path: no thread fan-out, no
     /// memoised predict/transfer caches, linear ready-list scan. `false`
-    /// (the default) runs the optimised parallel path, which is specified
-    /// to produce a bit-identical [`AllocationTable`] (see DESIGN.md,
-    /// "Parallel scheduling architecture", and the `prop_sched`
-    /// determinism property test).
+    /// (the default) runs the optimised path (class-batched host
+    /// selection fanned out across sites, shared predict cache, heap
+    /// ready list), which is specified to produce a bit-identical
+    /// [`AllocationTable`] (see DESIGN.md, "Parallel scheduling
+    /// architecture", and the `prop_sched` determinism property test).
     pub sequential: bool,
     /// Recovery-aware placement (DESIGN.md §11): spread *critical-path*
     /// tasks (level ≥ 0.75 × max level) across distinct hosts when a
@@ -79,22 +79,6 @@ pub struct SchedulerConfig {
     /// Cost tolerance of the spreading decision above; only consulted
     /// when `spread_critical` is on.
     pub spread: SpreadPolicy,
-    /// Run host selection **once per task class** instead of once per
-    /// task on the optimised path
-    /// ([`crate::host_selection::host_selection_classed`]). Big AFGs are
-    /// built from a small task library, so this turns the 100k-task
-    /// selection into a few hundred argmins. Bit-identical to the
-    /// per-task path by construction; only consulted when `sequential`
-    /// is off. Default `true` — set `false` to measure the pre-batching
-    /// path.
-    pub batch_classes: bool,
-    /// Bound on the shared [`PredictCache`]'s entry count. `None` (the
-    /// default) keeps the cache unbounded; `Some(n)` caps it at `n`
-    /// memoised predictions with deterministic FIFO eviction (see the
-    /// cache's type docs for the determinism contract under parallel
-    /// fan-out). Either way the resulting tables are identical — the
-    /// cache memoises a pure function — only predictor work changes.
-    pub predict_cache_capacity: Option<usize>,
 }
 
 /// Tunables of recovery-aware critical-path spreading.
@@ -123,17 +107,25 @@ impl Default for SchedulerConfig {
             sequential: false,
             spread_critical: false,
             spread: SpreadPolicy::default(),
-            batch_classes: true,
-            predict_cache_capacity: None,
         }
     }
 }
 
-/// The shared predict cache a config asks for.
-fn make_cache(config: &SchedulerConfig) -> PredictCache {
-    match config.predict_cache_capacity {
-        Some(n) => PredictCache::with_capacity(n),
-        None => PredictCache::new(),
+/// Host selection the way `config` asks for it — the one place the
+/// strategy is chosen, shared by the in-process site scheduler and both
+/// sides of the [`crate::federation`] protocol: `config.sequential` runs
+/// the [`host_selection`] reference (which never touches `cache`),
+/// otherwise [`host_selection_classed`] memoises into `cache`.
+pub(crate) fn host_selection_for(
+    view: &SiteView,
+    afg: &Afg,
+    config: &SchedulerConfig,
+    cache: &PredictCache,
+) -> HostSelectionOutput {
+    if config.sequential {
+        host_selection(view, afg, &config.predictor, &config.parallel)
+    } else {
+        host_selection_classed(view, afg, &config.predictor, &config.parallel, cache)
     }
 }
 
@@ -250,11 +242,32 @@ pub fn site_schedule_with_data(
     config: &SchedulerConfig,
     data: Option<&DataView>,
 ) -> Result<AllocationTable, SchedError> {
+    schedule_pipeline(afg, local, remotes, net, config, data, None)
+}
+
+/// Figure 2 end to end — the one body behind [`site_schedule`],
+/// [`site_schedule_with_data`] and [`site_schedule_observed`]. `metrics`
+/// only adds exports; the table is the same either way.
+fn schedule_pipeline(
+    afg: &Afg,
+    local: &SiteView,
+    remotes: &[SiteView],
+    net: &NetworkModel,
+    config: &SchedulerConfig,
+    data: Option<&DataView>,
+    metrics: Option<&MetricsRegistry>,
+) -> Result<AllocationTable, SchedError> {
+    let phase_done = |timer: PhaseTimer, name: &str| {
+        if let Some(m) = metrics {
+            timer.stop(m, name);
+        }
+    };
+
     // Priorities: level of each node on base-processor execution times
     // (task-performance DB of the local site).
-    let tasks_db = &local.tasks;
-    let levels =
-        level_map(afg, |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))?;
+    let timer = PhaseTimer::start();
+    let levels = local.levels(afg)?;
+    phase_done(timer, "sched.levels");
 
     // Step 2: k nearest neighbour sites that actually sent views.
     let neighbours = net.nearest_neighbours(local.site, config.k_neighbours);
@@ -268,27 +281,36 @@ pub fn site_schedule_with_data(
     // Steps 3–5: host selection at every involved site. The sites'
     // selections are independent (each runs against its own frozen
     // view), so the optimised path fans them out across worker threads —
-    // and, inside each site, across tasks or task classes
-    // (`config.batch_classes`). One predict cache is shared across every
-    // site (host names are federation-unique). Outputs are reassembled
-    // in `involved` order, so every path hands steps 6–7 the same input.
-    let cache = make_cache(config);
-    let run_one = |v: &&SiteView| -> HostSelectionOutput {
-        if config.sequential {
-            host_selection_opts(v, afg, &config.predictor, &config.parallel, true)
-        } else if config.batch_classes {
-            host_selection_classed(v, afg, &config.predictor, &config.parallel, &cache)
-        } else {
-            host_selection_cached(v, afg, &config.predictor, &config.parallel, false, &cache)
-        }
-    };
+    // and, inside each site, across task classes. One predict cache is
+    // shared across every site (host names are federation-unique).
+    // Outputs are reassembled in `involved` order, so every path hands
+    // steps 6–7 the same input.
+    let cache = PredictCache::new();
+    let timer = PhaseTimer::start();
+    let run_one = |v: &&SiteView| host_selection_for(v, afg, config, &cache);
     let outputs: Vec<HostSelectionOutput> = if config.sequential || involved.len() < 2 {
         involved.iter().map(run_one).collect()
     } else {
         involved.par_iter().map(run_one).collect()
     };
+    phase_done(timer, "sched.host_selection");
 
-    schedule_walk(
+    if let Some(m) = metrics {
+        m.counter_add("sched.sites_involved", involved.len() as u64);
+        let (hits, misses) = (cache.hits(), cache.misses());
+        m.counter_add("sched.predict_cache.entries", cache.len() as u64);
+        m.counter_add("sched.predict_cache.lookups", hits + misses);
+        // Always 0 (the scheduler's own cache is unbounded); exported so
+        // recorded metric snapshots keep their name set.
+        m.counter_add("sched.predict_cache.evictions", cache.evictions());
+        m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hits"), hits as f64);
+        m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.misses"), misses as f64);
+        let rate = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
+        m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hit_rate"), rate);
+    }
+
+    let timer = PhaseTimer::start();
+    let table = schedule_walk(
         afg,
         &levels,
         local.site,
@@ -298,8 +320,13 @@ pub fn site_schedule_with_data(
         config.sequential,
         config.spread_critical.then_some(config.spread),
         data,
-        None,
-    )
+        metrics,
+    )?;
+    phase_done(timer, "sched.dag_walk");
+    if let Some(m) = metrics {
+        m.counter_add("sched.tasks_placed", table.len() as u64);
+    }
+    Ok(table)
 }
 
 /// Admission-time storage check for dataset *outputs*: every placement
@@ -371,84 +398,7 @@ pub fn site_schedule_observed(
     config: &SchedulerConfig,
     metrics: &MetricsRegistry,
 ) -> Result<AllocationTable, SchedError> {
-    site_schedule_observed_with_data(afg, local, remotes, net, config, None, metrics)
-}
-
-/// [`site_schedule_observed`] with a dataset catalog view — the
-/// data-aware counterpart, with the same metric names (dataset replica
-/// probes count into `sched.transfer_cache.lookups`, which stays a pure
-/// function of the inputs because the walk is sequential).
-pub fn site_schedule_observed_with_data(
-    afg: &Afg,
-    local: &SiteView,
-    remotes: &[SiteView],
-    net: &NetworkModel,
-    config: &SchedulerConfig,
-    data: Option<&DataView>,
-    metrics: &MetricsRegistry,
-) -> Result<AllocationTable, SchedError> {
-    let timer = PhaseTimer::start();
-    let tasks_db = &local.tasks;
-    let levels =
-        level_map(afg, |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))?;
-    timer.stop(metrics, "sched.levels");
-
-    let neighbours = net.nearest_neighbours(local.site, config.k_neighbours);
-    let mut involved: Vec<&SiteView> = vec![local];
-    for n in neighbours {
-        if let Some(v) = remotes.iter().find(|v| v.site == n) {
-            involved.push(v);
-        }
-    }
-    metrics.counter_add("sched.sites_involved", involved.len() as u64);
-
-    // One cache across every involved site (see the metric notes above).
-    let cache = make_cache(config);
-    let timer = PhaseTimer::start();
-    let run_one = |v: &&SiteView| -> HostSelectionOutput {
-        if config.sequential {
-            host_selection_cached(v, afg, &config.predictor, &config.parallel, true, &cache)
-        } else if config.batch_classes {
-            host_selection_classed(v, afg, &config.predictor, &config.parallel, &cache)
-        } else {
-            host_selection_cached(v, afg, &config.predictor, &config.parallel, false, &cache)
-        }
-    };
-    let outputs: Vec<HostSelectionOutput> = if config.sequential || involved.len() < 2 {
-        involved.iter().map(run_one).collect()
-    } else {
-        involved.par_iter().map(run_one).collect()
-    };
-    timer.stop(metrics, "sched.host_selection");
-
-    let (hits, misses) = (cache.hits(), cache.misses());
-    metrics.counter_add("sched.predict_cache.entries", cache.len() as u64);
-    metrics.counter_add("sched.predict_cache.lookups", hits + misses);
-    // Deterministic under the default unbounded cache (always 0); with a
-    // capacity bound this is the FIFO eviction count, which is only
-    // deterministic for sequential fills (see the cache type docs).
-    metrics.counter_add("sched.predict_cache.evictions", cache.evictions());
-    metrics.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hits"), hits as f64);
-    metrics.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.misses"), misses as f64);
-    let rate = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
-    metrics.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hit_rate"), rate);
-
-    let timer = PhaseTimer::start();
-    let table = schedule_walk(
-        afg,
-        &levels,
-        local.site,
-        &outputs,
-        net,
-        config.ignore_transfer_time,
-        config.sequential,
-        config.spread_critical.then_some(config.spread),
-        data,
-        Some(metrics),
-    )?;
-    timer.stop(metrics, "sched.dag_walk");
-    metrics.counter_add("sched.tasks_placed", table.len() as u64);
-    Ok(table)
+    schedule_pipeline(afg, local, remotes, net, config, None, Some(metrics))
 }
 
 /// Steps 6–7 of Figure 2, given the collected host-selection outputs.
@@ -461,33 +411,15 @@ pub fn schedule_with_outputs(
     outputs: &[HostSelectionOutput],
     net: &NetworkModel,
 ) -> Result<AllocationTable, SchedError> {
-    schedule_with_outputs_full(afg, levels, local_site, outputs, net, false, false, None)
+    schedule_walk(afg, levels, local_site, outputs, net, false, false, None, None, None)
 }
 
-/// [`schedule_with_outputs`] with the transfer-term ablation knob.
-pub fn schedule_with_outputs_opts(
-    afg: &Afg,
-    levels: &[f64],
-    local_site: SiteId,
-    outputs: &[HostSelectionOutput],
-    net: &NetworkModel,
-    ignore_transfer_time: bool,
-) -> Result<AllocationTable, SchedError> {
-    schedule_with_outputs_full(
-        afg,
-        levels,
-        local_site,
-        outputs,
-        net,
-        ignore_transfer_time,
-        false,
-        None,
-    )
-}
-
-/// [`schedule_with_outputs_full`] plus a dataset catalog view — the
-/// walk-level entry point of data-aware scheduling (see
-/// [`site_schedule_with_data`] for the cost model).
+/// [`schedule_with_outputs`] with every option: the transfer-term
+/// ablation, the sequential-reference switch, recovery-aware
+/// critical-path spreading, and a dataset catalog view (see
+/// [`site_schedule_with_data`] for the cost model). Both the sequential
+/// and the optimised scheduler path funnel through the same walk, so the
+/// spreading decision is bit-identical across the two.
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_with_outputs_data(
     afg: &Afg,
@@ -560,36 +492,6 @@ impl ReadyList {
             ReadyList::Heap(h) => h.pop().map(|k| k.task),
         }
     }
-}
-
-/// [`schedule_with_outputs`] with every knob: the transfer-term ablation,
-/// the sequential-reference switch, and recovery-aware critical-path
-/// spreading. Both the sequential and the parallel scheduler path funnel
-/// through this function, so the spreading decision is bit-identical
-/// across the two.
-#[allow(clippy::too_many_arguments)]
-pub fn schedule_with_outputs_full(
-    afg: &Afg,
-    levels: &[f64],
-    local_site: SiteId,
-    outputs: &[HostSelectionOutput],
-    net: &NetworkModel,
-    ignore_transfer_time: bool,
-    sequential: bool,
-    spread: Option<SpreadPolicy>,
-) -> Result<AllocationTable, SchedError> {
-    schedule_walk(
-        afg,
-        levels,
-        local_site,
-        outputs,
-        net,
-        ignore_transfer_time,
-        sequential,
-        spread,
-        None,
-        None,
-    )
 }
 
 /// The DAG walk of steps 6–7, optionally metered. With `metrics` set it

@@ -8,6 +8,8 @@
 //! scheduler threads and to ship over the inter-site bus.
 
 use serde::{Deserialize, Serialize};
+use vdce_afg::level::{level_map, LevelError};
+use vdce_afg::Afg;
 use vdce_net::topology::SiteId;
 use vdce_repository::constraints::TaskConstraintsDb;
 use vdce_repository::resources::ResourcePerfDb;
@@ -42,6 +44,13 @@ impl SiteView {
     /// Number of up hosts in the view.
     pub fn up_host_count(&self) -> usize {
         self.resources.up_hosts().count()
+    }
+
+    /// Level priority of every task of `afg` on this site's
+    /// base-processor execution times (the task-performance database);
+    /// tasks the database does not know cost 0.
+    pub fn levels(&self, afg: &Afg) -> Result<Vec<f64>, LevelError> {
+        level_map(afg, |t| self.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
     }
 }
 

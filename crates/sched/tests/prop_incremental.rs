@@ -20,7 +20,7 @@ use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::{HostStatus, ResourceRecord};
 use vdce_repository::SiteRepository;
 use vdce_sched::host_selection::host_selection_classed;
-use vdce_sched::site_scheduler::schedule_with_outputs_opts;
+use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::view::SiteView;
 use vdce_sched::{HostSelectionOutput, IncrementalSchedule};
 
@@ -170,8 +170,8 @@ proptest! {
         let levels = levels_for(&afg, &repos[0]);
 
         // Construction matches the full walk bit-for-bit.
-        let full = schedule_with_outputs_opts(
-            &afg, &levels, SiteId(0), &outputs, &net, ignore_transfer,
+        let full = schedule_with_outputs_data(
+            &afg, &levels, SiteId(0), &outputs, &net, ignore_transfer, false, None, None,
         ).unwrap();
         let mut inc = IncrementalSchedule::new(
             &afg, SiteId(0), outputs.clone(), &net, ignore_transfer,
@@ -189,8 +189,8 @@ proptest! {
         repos[ks].resources_mut(|db| db.set_status(&format!("s{ks}h{kh}"), HostStatus::Down));
         let new_outputs = capture_outputs(&repos, &afg);
 
-        let rewalk = schedule_with_outputs_opts(
-            &afg, &levels, SiteId(0), &new_outputs, &net, ignore_transfer,
+        let rewalk = schedule_with_outputs_data(
+            &afg, &levels, SiteId(0), &new_outputs, &net, ignore_transfer, false, None, None,
         );
         let applied = inc.apply(&afg, new_outputs.clone());
         match (rewalk, applied) {

@@ -41,7 +41,7 @@ use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use vdce_afg::{level_map, Afg, TaskId};
+use vdce_afg::{Afg, TaskId};
 use vdce_net::model::SharedNetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_net::PartitionState;
@@ -345,10 +345,7 @@ fn replay_inner(
         &obs.metrics,
     )
     .expect("replay requires a schedulable AFG");
-    let levels = level_map(afg, |t| {
-        views[0].tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0)
-    })
-    .expect("AFG is a DAG");
+    let levels = views[0].levels(afg).expect("AFG is a DAG");
 
     // Current placement per task: (site, hosts, predicted seconds).
     let mut placement: Vec<(SiteId, Vec<String>, f64)> = afg
@@ -1635,10 +1632,7 @@ mod tests {
         let views = f.views();
         let cfg = SchedulerConfig::default();
         let table = site_schedule(afg, &views[0], &views[1..], &f.net, &cfg).unwrap();
-        let levels = level_map(afg, |t| {
-            views[0].tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0)
-        })
-        .unwrap();
+        let levels = views[0].levels(afg).unwrap();
         evaluate(afg, &table, &f.net, &levels).unwrap().makespan
     }
 

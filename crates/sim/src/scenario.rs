@@ -11,7 +11,6 @@ use crate::metrics::RecoveryReport;
 use crate::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
 use crate::replay::{run_fault_scenario, ReplayConfig};
 use std::collections::BTreeMap;
-use vdce_afg::level::level_map;
 use vdce_afg::Afg;
 use vdce_runtime::CheckpointPolicy;
 use vdce_sched::{evaluate, site_schedule, SchedulerConfig};
@@ -152,10 +151,7 @@ pub fn schedule_estimate(s: &Scenario) -> (f64, String) {
     let cfg = SchedulerConfig::default();
     let table = site_schedule(&s.afg, &views[0], &views[1..], &s.federation.net, &cfg)
         .expect("named scenarios schedule");
-    let levels = level_map(&s.afg, |t| {
-        views[0].tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0)
-    })
-    .expect("named scenarios are DAGs");
+    let levels = views[0].levels(&s.afg).expect("named scenarios are DAGs");
     let makespan = evaluate(&s.afg, &table, &s.federation.net, &levels)
         .expect("complete tables evaluate")
         .makespan;

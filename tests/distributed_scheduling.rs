@@ -19,10 +19,24 @@ fn bus_protocol_reproduces_in_process_schedules_across_workloads() {
         ..FederationSpec::default()
     });
     let views = fed.views();
-    let config = SchedulerConfig { k_neighbours: 3, ..SchedulerConfig::default() };
+    let local_host = views[0].resources.iter().next().unwrap().host_name.clone();
+    let paper = SchedulerConfig { k_neighbours: 3, ..SchedulerConfig::default() };
+    // The protocol must honour every walk option the config carries, not
+    // only the paper defaults.
+    let configs = [
+        paper,
+        SchedulerConfig { ignore_transfer_time: true, ..paper },
+        SchedulerConfig { spread_critical: true, ..paper },
+    ];
 
-    for seed in 0..3u64 {
-        let afg = layered_random(&DagSpec { tasks: 25, ..DagSpec::default() }, seed);
+    for (seed, config) in (0..3u64).flat_map(|seed| configs.map(|c| (seed, c))) {
+        // One entry task pinned to a local host and heavy edges: whether
+        // its children follow it or chase a faster remote host then hangs
+        // on the transfer term.
+        let spec = DagSpec { tasks: 25, max_bytes: 200_000_000, ..DagSpec::default() };
+        let mut afg = layered_random(&spec, seed);
+        let entry = afg.entry_nodes()[0];
+        afg.tasks[entry.index()].props.preferred_host = Some(local_host.clone());
         let reference = site_schedule(&afg, &views[0], &views[1..], &fed.net, &config).unwrap();
 
         let bus: MessageBus<SchedMessage> = MessageBus::new();
@@ -33,7 +47,7 @@ fn bus_protocol_reproduces_in_process_schedules_across_workloads() {
             let bus2 = bus.clone();
             servers.push(thread::spawn(move || {
                 let rs = RemoteScheduler { view, config };
-                rs.serve_until(&bus2, &ep, Instant::now() + Duration::from_secs(5))
+                rs.serve_until(&bus2, &ep, Instant::now() + Duration::from_secs(2))
             }));
         }
         let table = federated_schedule(
@@ -43,10 +57,10 @@ fn bus_protocol_reproduces_in_process_schedules_across_workloads() {
             &local_ep,
             &fed.net,
             &config,
-            Duration::from_secs(5),
+            Duration::from_secs(2),
         )
         .unwrap();
-        assert_eq!(table, reference, "seed {seed}: protocol and in-process must agree");
+        assert_eq!(table, reference, "seed {seed}, {config:?}: protocol and in-process must agree");
         for s in servers {
             assert_eq!(s.join().unwrap(), 1);
         }
