@@ -9,6 +9,7 @@
 #   6. the fast-mode gates: sched speedup, fault recovery, durable
 #      recovery, scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all)
+#   7. the vdce_perf smoke (perf/run.sh --quick)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -123,3 +124,9 @@ stage "data-aware gate (--quick)" \
 # bit-identical across the two runs.
 stage "trace determinism gate (--all)" \
     cargo run -q --release -p vdce-bench --bin exp_trace -- --all
+# Benchmark smoke: perf/ is a package of its own that nothing above
+# compiles, and it imports library entry points by name. Building it and
+# running every workload's output checks on small inputs here means a
+# renamed entry point or a wrong result breaks CI, not the next
+# benchmark run.
+stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick

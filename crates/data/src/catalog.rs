@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use vdce_afg::DatasetId;
 use vdce_net::{NetworkModel, SiteId};
-use vdce_store::{fnv1a, Journal};
+use vdce_store::{fnv1a_json, Journal};
 
 /// Typed failure of a catalog operation or replica lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,8 +111,7 @@ impl DatasetCatalog {
 
     /// Deterministic FNV-1a fingerprint of the serialized state.
     pub fn state_hash(&self) -> u64 {
-        let json = serde_json::to_string(&self.state).expect("catalog state always serialises");
-        fnv1a(json.as_bytes())
+        fnv1a_json(&self.state)
     }
 
     /// Storage-capacity rejections observed so far (not part of the

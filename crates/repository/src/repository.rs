@@ -16,7 +16,7 @@ use crate::tasks::TaskPerfDb;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use vdce_store::{fnv1a, Journal};
+use vdce_store::{fnv1a_json, Journal};
 
 /// A point-in-time snapshot of a site repository (serialisable).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,8 +107,7 @@ impl SiteRepository {
     /// Deterministic fingerprint of the repository's current state —
     /// the hash compared between a leader and its deputy replica.
     pub fn state_hash(&self) -> u64 {
-        let json = serde_json::to_string(&self.snapshot()).expect("snapshot always serialises");
-        fnv1a(json.as_bytes())
+        fnv1a_json(&self.snapshot())
     }
 
     /// Read access to the user-accounts database.

@@ -31,7 +31,8 @@ use vdce_repository::events::JournaledRepoEvent;
 use vdce_repository::repository::RepositorySnapshot;
 use vdce_repository::SiteRepository;
 use vdce_store::{
-    fnv1a, Journal, Replica, ReplicationError, ReplicationStats, Replicator, SnapshotPolicy,
+    fnv1a, fnv1a_json, Journal, Replica, ReplicationError, ReplicationStats, Replicator,
+    SnapshotPolicy,
 };
 
 /// The `site`-tagged journal payload: a liveness transition plus the
@@ -189,7 +190,15 @@ impl ControlState {
 
     /// Canonical serialized form (the snapshot / seal byte format).
     pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_string(self).expect("control state always serialises").into_bytes()
+        serde_json::to_vec(self).expect("control state always serialises")
+    }
+
+    /// [`ControlState::to_bytes`] with [`ControlState::hash`], from one
+    /// serialisation — what a snapshot or a seal stores.
+    pub fn to_hashed_bytes(&self) -> (Vec<u8>, u64) {
+        let bytes = self.to_bytes();
+        let hash = fnv1a(&bytes);
+        (bytes, hash)
     }
 
     /// Parse a serialized [`ControlState`].
@@ -197,9 +206,10 @@ impl ControlState {
         serde_json::from_slice(bytes)
     }
 
-    /// Deterministic fingerprint of the serialized state.
+    /// Deterministic fingerprint of the serialized state: FNV-1a of
+    /// [`ControlState::to_bytes`], streamed rather than buffered.
     pub fn hash(&self) -> u64 {
-        fnv1a(&self.to_bytes())
+        fnv1a_json(self)
     }
 }
 
@@ -259,8 +269,7 @@ impl Replica for RepoReplica {
     }
 
     fn state_hash(&self) -> u64 {
-        let json = serde_json::to_string(&self.state).expect("snapshot always serialises");
-        fnv1a(json.as_bytes())
+        fnv1a_json(&self.state)
     }
 }
 
@@ -390,7 +399,9 @@ mod tests {
 
         let initial =
             ControlState::capture(std::slice::from_ref(&repo), &store, &sites, &EventLog::new());
-        journal.install_snapshot(initial.to_bytes(), initial.hash());
+        let (bytes, hash) = initial.to_hashed_bytes();
+        assert_eq!(hash, initial.hash(), "streamed hash is the hash of the bytes");
+        journal.install_snapshot(bytes, hash);
 
         // Mutations, each through its journaled write path.
         repo.apply_event(&RepoEvent::RecordSample {

@@ -24,8 +24,9 @@
 //! `exp_recovery` gate runs this at several seed-derived kill points
 //! per named fault scenario.
 
-use vdce_runtime::ControlState;
-use vdce_store::{encode_record, recover, Journal, SnapshotRecord, StoreImage, WalWriter};
+use std::ops::Range;
+use vdce_runtime::{ControlEvent, ControlState};
+use vdce_store::{encode_record, recover, Journal, JournalView, StoreImage, WalWriter};
 
 /// What one simulated kill-and-restart observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,50 +64,55 @@ fn next_rand(x: &mut u64) -> u64 {
     v ^ (v >> 31)
 }
 
-/// Newest installed snapshot at or before record `cut`.
-fn snapshot_before(journal: &Journal, cut: u64) -> Option<SnapshotRecord> {
-    journal.snapshots().into_iter().rfind(|s| s.seq <= cut)
-}
-
 /// Simulate a process death after `cut` complete journal records (plus,
 /// when `torn_seed != 0` and a record follows, a torn byte-prefix of
 /// that next record) and verify recovery end to end. See the module
 /// docs for the four checks; returns what the kill observed, or a
 /// failure description.
 pub fn verify_kill(journal: &Journal, cut: u64, torn_seed: u64) -> Result<KillReport, String> {
-    let history = journal.history();
+    journal.read(|view| verify_kill_in(view, cut, torn_seed))
+}
+
+fn verify_kill_in(
+    journal: JournalView<'_>,
+    cut: u64,
+    torn_seed: u64,
+) -> Result<KillReport, String> {
+    let history = journal.history;
     let total = history.len() as u64;
     if cut > total {
         return Err(format!("cut {cut} beyond journal length {total}"));
     }
     let sealed = journal
-        .final_state()
+        .final_state
         .ok_or_else(|| "journal is not sealed (run a durable replay first)".to_string())?;
 
     // 1. Damaged image: snapshot <= cut, complete records after it, and
     // optionally a strict byte-prefix of the record being written.
-    let snapshot = snapshot_before(journal, cut);
-    let snap_seq = snapshot.as_ref().map_or(0, |s| s.seq);
+    let snapshot = journal.snapshots.iter().rfind(|s| s.seq <= cut);
+    let snap_seq = snapshot.map_or(0, |s| s.seq);
+    let (snap_at, cut_at) = (snap_seq as usize, cut as usize);
     let mut w = WalWriter::new();
-    for (tag, payload) in &history[snap_seq as usize..cut as usize] {
+    for (tag, payload) in &history[snap_at..cut_at] {
         w.append(&encode_record(tag, payload));
     }
     let prefix_len = w.byte_len();
     let mut expected_torn = 0u64;
     let wal = if torn_seed != 0 && cut < total {
-        let (tag, payload) = &history[cut as usize];
+        let (tag, payload) = &history[cut_at];
         w.append(&encode_record(tag, payload));
-        let full = w.into_bytes();
+        let mut full = w.into_bytes();
         let framed = full.len() - prefix_len;
         // A strict prefix: at least 1 byte written, at least 1 missing.
         let keep = 1 + (torn_seed as usize % (framed - 1));
         expected_torn = keep as u64;
-        full[..prefix_len + keep].to_vec()
+        full.truncate(prefix_len + keep);
+        full
     } else {
         w.into_bytes()
     };
     let wal_bytes = wal.len() as u64;
-    let image = StoreImage { snapshot, wal };
+    let image = StoreImage { snapshot: snapshot.cloned(), wal };
 
     // 2. Recover: exact torn-tail accounting, exact record list.
     let recovered = recover(&image).map_err(|e| format!("kill at {cut}: {e}"))?;
@@ -123,6 +129,36 @@ pub fn verify_kill(journal: &Journal, cut: u64, torn_seed: u64) -> Result<KillRe
             cut - snap_seq
         ));
     }
+    if recovered.events != history[snap_at..cut_at] {
+        return Err(format!(
+            "kill at {cut}: records recovered after snapshot seq {snap_seq} are not the \
+             records journaled"
+        ));
+    }
+
+    // The recovered records being the journaled ones byte for byte, one
+    // decode of the history serves every leg below. A record that does
+    // not decode fails the first leg that reaches it.
+    let initial = journal.snapshots.first().filter(|s| s.seq == 0);
+    // With the seq-0 snapshot as the recovery point the pure replay *is*
+    // the recovered one, so there is nothing to cross-check.
+    let cross_check = initial.filter(|_| snap_seq > 0);
+    let decoded_from = if cross_check.is_some() { 0 } else { snap_at };
+    let events: Vec<_> = history[decoded_from..]
+        .iter()
+        .map(|(tag, payload)| ControlEvent::decode(tag, payload))
+        .collect();
+    let apply = |state: &mut ControlState, records: Range<usize>, leg: &str| {
+        for i in records {
+            match &events[i - decoded_from] {
+                Ok(event) => state.apply(event),
+                Err(e) => {
+                    return Err(format!("kill at {cut}: {leg} `{}` record: {e}", history[i].0))
+                }
+            }
+        }
+        Ok(())
+    };
 
     // 3. Replay onto the snapshot; cross-check against a pure replay of
     // the full history from the initial (seq-0) snapshot when one
@@ -132,19 +168,11 @@ pub fn verify_kill(journal: &Journal, cut: u64, torn_seed: u64) -> Result<KillRe
             .map_err(|e| format!("kill at {cut}: snapshot does not parse: {e}"))?,
         None => ControlState::default(),
     };
-    for (tag, payload) in &recovered.events {
-        state
-            .apply_record(tag, payload)
-            .map_err(|e| format!("kill at {cut}: replaying `{tag}` record: {e}"))?;
-    }
-    let snapshots = journal.snapshots();
-    if let Some(initial) = snapshots.first().filter(|s| s.seq == 0) {
+    apply(&mut state, snap_at..cut_at, "replaying")?;
+    if let Some(initial) = cross_check {
         let mut pure = ControlState::from_bytes(&initial.state)
             .map_err(|e| format!("initial snapshot does not parse: {e}"))?;
-        for (tag, payload) in &history[..cut as usize] {
-            pure.apply_record(tag, payload)
-                .map_err(|e| format!("kill at {cut}: pure replay of `{tag}` record: {e}"))?;
-        }
+        apply(&mut pure, 0..cut_at, "pure replay of")?;
         if pure != state {
             return Err(format!(
                 "kill at {cut}: recovered state (snapshot seq {snap_seq} + {} events) \
@@ -156,12 +184,9 @@ pub fn verify_kill(journal: &Journal, cut: u64, torn_seed: u64) -> Result<KillRe
 
     // 4. Resume past the kill: the journaled suffix must carry the
     // restarted process to the sealed final state, bit for bit.
-    for (tag, payload) in &history[cut as usize..] {
-        state
-            .apply_record(tag, payload)
-            .map_err(|e| format!("kill at {cut}: resuming `{tag}` record: {e}"))?;
-    }
-    if state.to_bytes() != sealed.state || state.hash() != sealed.hash {
+    apply(&mut state, cut_at..history.len(), "resuming")?;
+    let (bytes, hash) = state.to_hashed_bytes();
+    if bytes != sealed.state || hash != sealed.hash {
         return Err(format!(
             "kill at {cut}: resumed state is not bit-identical to the sealed final state"
         ));

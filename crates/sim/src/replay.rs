@@ -492,7 +492,8 @@ fn replay_inner(
     // journal attaches and are only restored through this snapshot).
     if durable.is_some() {
         let initial = ControlState::capture(&repos, &store, &failover, &log);
-        journal.install_snapshot(initial.to_bytes(), initial.hash());
+        let (bytes, hash) = initial.to_hashed_bytes();
+        journal.install_snapshot(bytes, hash);
     }
     let mut site_failovers = 0u64;
     let mut mtbf = MtbfEstimator::new(0.5);
@@ -1339,7 +1340,8 @@ fn replay_inner(
         // recovery replays a bounded suffix instead of the whole run.
         if journal.snapshot_due() {
             let snap = ControlState::capture(&repos, &store, &failover, &log);
-            journal.install_snapshot(snap.to_bytes(), snap.hash());
+            let (bytes, hash) = snap.to_hashed_bytes();
+            journal.install_snapshot(bytes, hash);
         }
 
         t += cfg.tick;
@@ -1453,7 +1455,8 @@ fn replay_inner(
         // Seal the final control-plane state: the recovery harness
         // asserts kill-and-restart reaches these exact bytes.
         let fin = ControlState::capture(&repos, &store, &failover, &log);
-        journal.seal(fin.to_bytes(), fin.hash());
+        let (bytes, hash) = fin.to_hashed_bytes();
+        journal.seal(bytes, hash);
         let js = journal.stats();
         obs.metrics.counter_add("store.journal.records", js.records);
         obs.metrics.counter_add("store.journal.snapshots", js.snapshots);

@@ -17,6 +17,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Hash the canonical (compact) JSON of `value` — the state fingerprint
+/// every control-plane component uses — streamed through the hasher, so
+/// it equals [`fnv1a`] of the serialised bytes without building them.
+pub fn fnv1a_json<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
+    let mut h = Fnv1a::new();
+    serde_json::to_writer(&mut h, value).expect("hashing cannot fail to write");
+    h.finish()
+}
+
 /// Incremental FNV-1a-64 hasher, for chaining multiple state sections
 /// into one fingerprint without concatenating them first.
 #[derive(Debug, Clone, Copy)]
@@ -44,6 +53,18 @@ impl Fnv1a {
     }
 }
 
+/// A hasher is a byte sink: writing folds the bytes in.
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
@@ -68,6 +89,15 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.finish(), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn streamed_json_hash_equals_hash_of_the_bytes() {
+        let value = vec![
+            ("site-0".to_string(), 1.5f64, Some(u64::MAX)),
+            ("\"q\"\n".to_string(), -0.0, None),
+        ];
+        assert_eq!(fnv1a_json(&value), fnv1a(&serde_json::to_vec(&value).unwrap()));
     }
 
     #[test]

@@ -92,6 +92,20 @@ pub struct Recovered {
     pub torn_bytes: usize,
 }
 
+/// Everything a journal holds, borrowed for the length of one
+/// [`Journal::read`]: the recovery harness walks whole histories and
+/// snapshot lists per kill point, which the cloning accessors would copy
+/// each time.
+#[derive(Debug, Clone, Copy)]
+pub struct JournalView<'a> {
+    /// Every record ever appended, in order (pre-compaction view).
+    pub history: &'a [(String, String)],
+    /// Every snapshot installed, oldest first.
+    pub snapshots: &'a [SnapshotRecord],
+    /// The sealed final state, if [`Journal::seal`] was called.
+    pub final_state: Option<&'a SnapshotRecord>,
+}
+
 /// Why a [`StoreImage`] could not be recovered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
@@ -289,6 +303,24 @@ impl Journal {
         }
     }
 
+    /// Run `f` over a borrowed view of the journal's contents — the
+    /// non-cloning counterpart of [`Journal::history`],
+    /// [`Journal::snapshots`] and [`Journal::final_state`]. The journal is
+    /// locked for the duration, so `f` must not write to it.
+    pub fn read<R>(&self, f: impl FnOnce(JournalView<'_>) -> R) -> R {
+        match &self.inner {
+            None => f(JournalView { history: &[], snapshots: &[], final_state: None }),
+            Some(inner) => {
+                let g = inner.lock();
+                f(JournalView {
+                    history: &g.history,
+                    snapshots: &g.snapshots,
+                    final_state: g.final_state.as_ref(),
+                })
+            }
+        }
+    }
+
     /// Every record ever appended, in order (pre-compaction view).
     pub fn history(&self) -> Vec<(String, String)> {
         self.inner.as_ref().map_or_else(Vec::new, |i| i.lock().history.clone())
@@ -376,6 +408,26 @@ mod tests {
         j.append("log", r#"{"reason": "host a died, tasks moved"}"#);
         let rec = recover(&j.image()).unwrap();
         assert_eq!(rec.events[0].1, r#"{"reason": "host a died, tasks moved"}"#);
+    }
+
+    #[test]
+    fn read_borrows_what_the_cloning_accessors_copy() {
+        let j = Journal::enabled(SnapshotPolicy::manual());
+        j.append("a", "1");
+        j.install_snapshot(b"s".to_vec(), fnv1a(b"s"));
+        j.append("a", "2");
+        j.seal(b"final".to_vec(), fnv1a(b"final"));
+        let (history, snapshots, sealed) = j.read(|view| {
+            (view.history.to_vec(), view.snapshots.to_vec(), view.final_state.cloned())
+        });
+        assert_eq!(history, j.history());
+        assert_eq!(snapshots, j.snapshots());
+        assert_eq!(sealed, j.final_state());
+        assert_eq!((history.len(), snapshots.len()), (2, 1));
+        Journal::disabled().read(|view| {
+            assert!(view.history.is_empty() && view.snapshots.is_empty());
+            assert!(view.final_state.is_none());
+        });
     }
 
     #[test]

@@ -42,10 +42,10 @@ pub mod replication;
 pub mod wal;
 
 pub use file_wal::{FileWal, FileWalError};
-pub use hash::{fnv1a, Fnv1a};
+pub use hash::{fnv1a, fnv1a_json, Fnv1a};
 pub use journal::{
-    decode_record, encode_record, recover, Journal, JournalError, JournalStats, Recovered,
-    SnapshotPolicy, SnapshotRecord, StoreImage,
+    decode_record, encode_record, recover, Journal, JournalError, JournalStats, JournalView,
+    Recovered, SnapshotPolicy, SnapshotRecord, StoreImage,
 };
 pub use log::AppendLog;
 pub use replication::{Replica, ReplicationError, ReplicationStats, Replicator};

@@ -1,16 +1,34 @@
-//! Offline shim for `serde`: `Serialize`/`Deserialize` defined directly
-//! over an owned JSON [`Value`] tree (no visitor machinery). The
-//! `serde_derive` shim generates impls of these traits; the `serde_json`
-//! shim renders/parses the `Value` tree as JSON text.
+//! Offline shim for `serde`: `Serialize`/`Deserialize` without the visitor
+//! machinery. The `serde_derive` shim generates impls of these traits; the
+//! `serde_json` shim is the front door (`to_string`, `from_str`, …).
 //!
-//! The design trades serde's zero-copy streaming for simplicity: every
-//! (de)serialisation goes through `Value`. That is plenty for the
-//! workspace's uses (wire-size accounting, repository snapshots, config
-//! round-trips) and keeps the whole stack ~700 lines and offline.
+//! Each trait has two halves. The streaming half is the path every typed
+//! value travels: `write_json` emits tokens straight into a
+//! [`JsonWriter`] text sink and `read_json` pulls them straight out of a
+//! [`JsonReader`], so no intermediate tree, key `String` or number `String`
+//! is built. The [`Value`] half (`to_value` / `from_value`) converts to and
+//! from the owned JSON data model for callers that want the tree itself
+//! (`json!`, hand-assembled artifacts). Both halves describe the same JSON:
+//! `shims/serde_json/tests/differential.rs` holds them to it.
 
+mod reader;
+mod writer;
+
+pub use reader::JsonReader;
+pub use writer::JsonWriter;
+
+/// An open array or object, on either side: whether its next entry is the
+/// first one. Generated code holds one per container it has open.
+#[derive(Debug)]
+pub struct Seq {
+    first: bool,
+}
+
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::Hash;
+use std::io::Write;
 use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -46,7 +64,32 @@ pub enum Number {
     F(f64),
 }
 
+impl From<u64> for Number {
+    fn from(u: u64) -> Self {
+        Number::U(u)
+    }
+}
+
+impl From<i64> for Number {
+    /// Non-negative values are `U` whatever the source type.
+    fn from(i: i64) -> Self {
+        u64::try_from(i).map_or(Number::I(i), Number::U)
+    }
+}
+
 impl Number {
+    /// The number a map key spells, in whatever form Rust parses (so also
+    /// `+1`, `inf`): `u64`, else `i64`, else `f64`.
+    pub(crate) fn from_key(s: &str) -> Option<Number> {
+        if let Ok(u) = s.parse::<u64>() {
+            Some(Number::U(u))
+        } else if let Ok(i) = s.parse::<i64>() {
+            Some(Number::I(i))
+        } else {
+            s.parse::<f64>().ok().map(Number::F)
+        }
+    }
+
     /// Lossy conversion to `f64`.
     pub fn as_f64(self) -> f64 {
         match self {
@@ -100,16 +143,23 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves into a [`Value`].
+/// Types that can render themselves as JSON.
 pub trait Serialize {
     /// Convert to the JSON data model.
     fn to_value(&self) -> Value;
+
+    /// Stream as JSON text: the same document `to_value` describes.
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>);
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types reconstructible from JSON.
 pub trait Deserialize: Sized {
     /// Parse from the JSON data model.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Parse the next value of the text: accepts what `from_value` accepts
+    /// of the parsed tree, with the same result.
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error>;
 }
 
 // ---------------------------------------------------------------------------
@@ -142,8 +192,13 @@ pub fn __field<T: Deserialize>(obj: &[(String, Value)], name: &str, ty: &str) ->
         Some((_, v)) => {
             T::from_value(v).map_err(|e| Error::msg(format!("field `{ty}.{name}`: {e}")))
         }
-        None => Err(Error::msg(format!("missing field `{name}` of {ty}"))),
+        None => Err(__missing_field(name, ty)),
     }
+}
+
+/// The error for a struct field the input does not have.
+pub fn __missing_field(name: &str, ty: &str) -> Error {
+    Error::msg(format!("missing field `{name}` of {ty}"))
 }
 
 /// Externally-tagged variant wrapper: `{"Variant": inner}`.
@@ -187,89 +242,71 @@ pub fn __key_to_string(v: Value) -> String {
     }
 }
 
-/// Reverse of [`__key_to_string`]: try string form first, then numeric.
+/// Reverse of [`__key_to_string`]: the key as a string, else as the number
+/// it spells (`u64`, else `i64`, else `f64`), else as a bool — what a typed
+/// key's `read_json` finds by asking for the one it wants.
 pub fn __key_from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    if let Ok(v) = T::from_value(&Value::String(s.to_string())) {
-        return Ok(v);
-    }
-    if let Ok(u) = s.parse::<u64>() {
-        if let Ok(v) = T::from_value(&Value::Number(Number::U(u))) {
-            return Ok(v);
-        }
-    }
-    if let Ok(i) = s.parse::<i64>() {
-        if let Ok(v) = T::from_value(&Value::Number(Number::I(i))) {
-            return Ok(v);
-        }
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        if let Ok(v) = T::from_value(&Value::Number(Number::F(f))) {
-            return Ok(v);
-        }
-    }
-    if s == "true" || s == "false" {
-        if let Ok(v) = T::from_value(&Value::Bool(s == "true")) {
-            return Ok(v);
-        }
-    }
-    Err(Error::msg(format!("cannot deserialise map key from `{s}`")))
+    let readings = [
+        Some(Value::String(s.to_string())),
+        Number::from_key(s).map(Value::Number),
+        s.parse::<bool>().ok().map(Value::Bool),
+    ];
+    readings
+        .iter()
+        .flatten()
+        .find_map(|v| T::from_value(v).ok())
+        .ok_or_else(|| Error::msg(format!("cannot deserialise map key from `{s}`")))
 }
 
 // ---------------------------------------------------------------------------
 // Serialize/Deserialize for std types.
 // ---------------------------------------------------------------------------
 
-macro_rules! impl_ser_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Number(Number::U(*self as u64)) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Number(n) => n
-                        .as_u64()
-                        .and_then(|u| <$t>::try_from(u).ok())
-                        .ok_or_else(|| Error::msg(concat!("number out of range for ", stringify!($t)))),
-                    other => Err(Error::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {}"), __kind(other)))),
-                }
-            }
-        }
-    )*};
-}
-
-impl_ser_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_ser_int {
-    ($($t:ty),*) => {$(
+macro_rules! impl_ser_integer {
+    ($as:ident, $write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::Number(Number::U(v as u64)) } else { Value::Number(Number::I(v)) }
+                Value::Number(Number::from(*self as $wide))
+            }
+            fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+                w.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
                 match v {
-                    Value::Number(n) => n
-                        .as_i64()
-                        .and_then(|i| <$t>::try_from(i).ok())
-                        .ok_or_else(|| Error::msg(concat!("number out of range for ", stringify!($t)))),
+                    Value::Number(n) => Self::read_json_number(*n),
                     other => Err(Error::msg(format!(
                         concat!("expected ", stringify!($t), ", got {}"), __kind(other)))),
                 }
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                Self::read_json_number(r.read_number(stringify!($t))?)
+            }
+        }
+        impl FromNumber for $t {
+            fn read_json_number(n: Number) -> Result<Self, Error> {
+                n.$as()
+                    .and_then(|x| <$t>::try_from(x).ok())
+                    .ok_or_else(|| Error::msg(concat!("number out of range for ", stringify!($t))))
             }
         }
     )*};
 }
 
-impl_ser_int!(i8, i16, i32, i64, isize);
+/// The `Number` → numeric type step both halves of `Deserialize` share.
+trait FromNumber: Sized {
+    fn read_json_number(n: Number) -> Result<Self, Error>;
+}
+
+impl_ser_integer!(as_u64, u64 as u64: u8, u16, u32, u64, usize);
+impl_ser_integer!(as_i64, i64 as i64: i8, i16, i32, i64, isize);
 
 macro_rules! impl_ser_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Number(Number::F(*self as f64)) }
+            fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) { w.f64(*self as f64); }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -278,6 +315,9 @@ macro_rules! impl_ser_float {
                     other => Err(Error::msg(format!(
                         concat!("expected ", stringify!($t), ", got {}"), __kind(other)))),
                 }
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                Ok(r.read_number(stringify!($t))?.as_f64() as $t)
             }
         }
     )*};
@@ -289,6 +329,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.bool(*self);
+    }
 }
 
 impl Deserialize for bool {
@@ -298,11 +341,17 @@ impl Deserialize for bool {
             other => Err(Error::msg(format!("expected bool, got {}", __kind(other)))),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.read_bool()
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.str(self);
     }
 }
 
@@ -313,11 +362,17 @@ impl Deserialize for String {
             other => Err(Error::msg(format!("expected string, got {}", __kind(other)))),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.read_str("string").map(Cow::into_owned)
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.str(self);
     }
 }
 
@@ -325,28 +380,57 @@ impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
     }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.str(self.encode_utf8(&mut [0; 4]));
+    }
+}
+
+fn single_char(s: &str) -> Option<char> {
+    let mut chars = s.chars();
+    chars.next().filter(|_| chars.next().is_none())
 }
 
 impl Deserialize for char {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().expect("one char")),
-            other => Err(Error::msg(format!("expected single-char string, got {}", __kind(other)))),
+            Value::String(s) => single_char(s),
+            _ => None,
         }
+        .ok_or_else(|| Error::msg(format!("expected single-char string, got {}", __kind(v))))
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        single_char(&r.read_str("single-char string")?)
+            .ok_or_else(|| Error::msg("expected single-char string, got string"))
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
+/// Pointer-like wrappers serialise as what they point to.
+macro_rules! impl_ser_deref {
+    ($($ptr:ty),*) => {$(
+        impl<T: Serialize + ?Sized> Serialize for $ptr {
+            fn to_value(&self) -> Value {
+                (**self).to_value()
+            }
+            fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+                (**self).write_json(w);
+            }
+        }
+    )*};
 }
+
+impl_ser_deref!(&T, Box<T>, Arc<T>);
 
 impl<T: Serialize> Serialize for Option<T> {
     fn to_value(&self) -> Value {
         match self {
             Some(t) => t.to_value(),
             None => Value::Null,
+        }
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        match self {
+            Some(t) => t.write_json(w),
+            None => w.null(),
         }
     }
 }
@@ -358,74 +442,142 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => Ok(Some(T::from_value(other)?)),
         }
     }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(a) => a.iter().map(T::from_value).collect(),
-            other => Err(Error::msg(format!("expected array, got {}", __kind(other)))),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        if r.eat_null() {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
         }
     }
+}
+
+fn array_to_value<'a, T: Serialize + 'a>(items: impl Iterator<Item = &'a T>) -> Value {
+    Value::Array(items.map(Serialize::to_value).collect())
+}
+
+fn write_array<'a, T: Serialize + 'a, W: Write>(
+    items: impl Iterator<Item = &'a T>,
+    w: &mut JsonWriter<W>,
+) {
+    let mut seq = w.begin_array();
+    for item in items {
+        w.elem(&mut seq);
+        item.write_json(w);
+    }
+    w.end_array(seq);
+}
+
+fn array_from_value<T: Deserialize, C: FromIterator<T>>(v: &Value) -> Result<C, Error> {
+    match v {
+        Value::Array(a) => a.iter().map(T::from_value).collect(),
+        other => Err(Error::msg(format!("expected array, got {}", __kind(other)))),
+    }
+}
+
+fn read_array<T: Deserialize, C: Default + Extend<T>>(r: &mut JsonReader<'_>) -> Result<C, Error> {
+    let mut seq = r.begin_array("array")?;
+    let mut out = C::default();
+    while r.next_elem(&mut seq)? {
+        out.extend(Some(T::read_json(r)?));
+    }
+    Ok(out)
+}
+
+/// Sequence containers: a JSON array in iteration order.
+macro_rules! impl_ser_seq {
+    ($($c:ident: $($bound:ident),*;)*) => {$(
+        impl<T: Serialize $(+ $bound)*> Serialize for $c<T> {
+            fn to_value(&self) -> Value {
+                array_to_value(self.iter())
+            }
+            fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+                write_array(self.iter(), w);
+            }
+        }
+        impl<T: Deserialize $(+ $bound)*> Deserialize for $c<T> {
+            fn from_value(v: &Value) -> Result<Self, Error> {
+                array_from_value(v)
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                read_array(r)
+            }
+        }
+    )*};
+}
+
+impl_ser_seq! {
+    Vec: ;
+    VecDeque: ;
+    BTreeSet: Ord;
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        array_to_value(self.iter())
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        write_array(self.iter(), w);
     }
 }
 
-impl<T: Serialize> Serialize for VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(a) => a.iter().map(T::from_value).collect(),
-            other => Err(Error::msg(format!("expected array, got {}", __kind(other)))),
-        }
-    }
-}
-
-impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(a) => a.iter().map(T::from_value).collect(),
-            other => Err(Error::msg(format!("expected array, got {}", __kind(other)))),
-        }
-    }
+/// A hash set's elements in `Ord` order, for deterministic output.
+fn sorted<T: Ord>(set: &HashSet<T>) -> Vec<&T> {
+    let mut items: Vec<&T> = set.iter().collect();
+    items.sort();
+    items
 }
 
 impl<T: Serialize + Ord + Hash> Serialize for HashSet<T> {
     fn to_value(&self) -> Value {
-        let mut items: Vec<&T> = self.iter().collect();
-        items.sort();
-        Value::Array(items.into_iter().map(Serialize::to_value).collect())
+        array_to_value(sorted(self).into_iter())
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        write_array(sorted(self).into_iter(), w);
     }
 }
 
 impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(a) => a.iter().map(T::from_value).collect(),
-            other => Err(Error::msg(format!("expected array, got {}", __kind(other)))),
-        }
+        array_from_value(v)
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        read_array(r)
+    }
+}
+
+fn write_map<'a, K: Serialize + 'a, V: Serialize + 'a, W: Write>(
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+    w: &mut JsonWriter<W>,
+) {
+    let mut seq = w.begin_object();
+    for (k, v) in entries {
+        w.map_key(&mut seq, k);
+        v.write_json(w);
+    }
+    w.end_object(seq);
+}
+
+fn map_from_value<K: Deserialize, V: Deserialize, C: FromIterator<(K, V)>>(
+    v: &Value,
+) -> Result<C, Error> {
+    match v {
+        Value::Object(o) => {
+            o.iter().map(|(k, v)| Ok((__key_from_str::<K>(k)?, V::from_value(v)?))).collect()
+        }
+        other => Err(Error::msg(format!("expected object, got {}", __kind(other)))),
+    }
+}
+
+/// Later duplicates of a key overwrite earlier ones, as `collect` does.
+fn read_map<K: Deserialize, V: Deserialize, C: Default + Extend<(K, V)>>(
+    r: &mut JsonReader<'_>,
+) -> Result<C, Error> {
+    let mut seq = r.begin_object("object")?;
+    let mut out = C::default();
+    while let Some(k) = r.next_map_key::<K>(&mut seq)? {
+        out.extend(Some((k, V::read_json(r)?)));
+    }
+    Ok(out)
 }
 
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
@@ -434,62 +586,64 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
             self.iter().map(|(k, v)| (__key_to_string(k.to_value()), v.to_value())).collect(),
         )
     }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        write_map(self.iter(), w);
+    }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(o) => {
-                o.iter().map(|(k, v)| Ok((__key_from_str::<K>(k)?, V::from_value(v)?))).collect()
-            }
-            other => Err(Error::msg(format!("expected object, got {}", __kind(other)))),
-        }
+        map_from_value(v)
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        read_map(r)
+    }
+}
+
+/// A hash map's entries ordered by rendered key (serde_json would use
+/// iteration order; sorted is strictly more stable).
+fn sorted_by_key_text<K: Serialize, V>(map: &HashMap<K, V>) -> Vec<(String, &K, &V)> {
+    let mut entries: Vec<_> =
+        map.iter().map(|(k, v)| (__key_to_string(k.to_value()), k, v)).collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries
 }
 
 impl<K: Serialize + Ord + Hash, V: Serialize> Serialize for HashMap<K, V> {
     fn to_value(&self) -> Value {
-        // Sort for deterministic output (serde_json would use iteration
-        // order; sorted is strictly more stable).
-        let mut pairs: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (__key_to_string(k.to_value()), v.to_value())).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(pairs)
+        Value::Object(
+            sorted_by_key_text(self).into_iter().map(|(text, _, v)| (text, v.to_value())).collect(),
+        )
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        write_map(sorted_by_key_text(self).into_iter().map(|(_, k, v)| (k, v)), w);
     }
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(o) => {
-                o.iter().map(|(k, v)| Ok((__key_from_str::<K>(k)?, V::from_value(v)?))).collect()
-            }
-            other => Err(Error::msg(format!("expected object, got {}", __kind(other)))),
-        }
+        map_from_value(v)
     }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        read_map(r)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::from_value(v)?))
+        T::from_value(v).map(Box::new)
     }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        T::read_json(r).map(Box::new)
     }
 }
 
 impl<T: Deserialize> Deserialize for Arc<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Arc::new(T::from_value(v)?))
+        T::from_value(v).map(Arc::new)
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        T::read_json(r).map(Arc::new)
     }
 }
 
@@ -500,11 +654,17 @@ impl Deserialize for Arc<str> {
             other => Err(Error::msg(format!("expected string, got {}", __kind(other)))),
         }
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.read_str("string").map(|s| Arc::from(&*s))
+    }
 }
 
 impl<T: Deserialize> Deserialize for Arc<[T]> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(Vec::<T>::from_value(v)?.into())
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        Ok(Vec::<T>::read_json(r)?.into())
     }
 }
 
@@ -514,12 +674,24 @@ macro_rules! impl_ser_tuple {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$n.to_value()),+])
             }
+            fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+                let mut seq = w.begin_array();
+                $(w.elem(&mut seq); self.$n.write_json(w);)+
+                w.end_array(seq);
+            }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
             fn from_value(v: &Value) -> Result<Self, Error> {
                 const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
                 let a = __expect_array(v, LEN, "tuple")?;
                 Ok(($($t::from_value(&a[$n])?,)+))
+            }
+            fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+                const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
+                let mut seq = r.begin_array("array for tuple")?;
+                let out = ($({ r.tuple_elem(&mut seq, LEN, "tuple")?; $t::read_json(r)? },)+);
+                r.end_tuple(&mut seq, LEN, "tuple")?;
+                Ok(out)
             }
         }
     )*};
@@ -581,17 +753,59 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::Number(Number::U(u)) => w.u64(*u),
+            Value::Number(Number::I(i)) => w.i64(*i),
+            Value::Number(Number::F(f)) => w.f64(*f),
+            Value::String(s) => w.str(s),
+            Value::Array(items) => write_array(items.iter(), w),
+            Value::Object(pairs) => {
+                let mut seq = w.begin_object();
+                for (k, v) in pairs {
+                    w.field(&mut seq, k);
+                    v.write_json(w);
+                }
+                w.end_object(seq);
+            }
+        }
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
     }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        Ok(match r.kind()? {
+            "null" => {
+                r.read_null()?;
+                Value::Null
+            }
+            "bool" => Value::Bool(r.read_bool()?),
+            "number" => Value::Number(r.read_number("number")?),
+            "string" => Value::String(r.read_str("string")?.into_owned()),
+            "array" => Value::Array(read_array(r)?),
+            _ => {
+                let mut seq = r.begin_object("object")?;
+                let mut pairs = Vec::new();
+                while let Some(k) = r.next_key(&mut seq)? {
+                    pairs.push((k.into_owned(), Value::read_json(r)?));
+                }
+                Value::Object(pairs)
+            }
+        })
+    }
 }
 
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
+    }
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        w.null();
     }
 }
 
@@ -601,5 +815,8 @@ impl Deserialize for () {
             Value::Null => Ok(()),
             other => Err(Error::msg(format!("expected null, got {}", __kind(other)))),
         }
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
+        r.read_null()
     }
 }

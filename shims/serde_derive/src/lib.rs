@@ -12,6 +12,12 @@
 //!
 //! Generics are intentionally unsupported (the workspace derives on
 //! concrete types only); a `compile_error!` fires if one slips in.
+//!
+//! Every shape is generated twice, once per half of the serde shim's
+//! traits: the streaming half (`write_json` / `read_json`, tokens straight
+//! to and from text) and the `Value` half (`to_value` / `from_value`). The
+//! two must describe the same JSON; `shims/serde_json/tests/differential.rs`
+//! checks every shape.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -293,6 +299,18 @@ fn compile_err(msg: &str) -> TokenStream {
 // Serialize
 // ---------------------------------------------------------------------------
 
+/// Generated code for one shape, once per half of the trait.
+///
+/// Serialising: `value` is an expression building the `Value`, `stream` is
+/// statements writing the same JSON into `__w`. Deserialising: each is a
+/// block evaluating to the finished value (leaving by `?` / `return Err`
+/// on bad input), read from a `&Value` the caller names and from the
+/// reader `__r`.
+struct Halves {
+    value: String,
+    stream: String,
+}
+
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let input = match parse_input(input) {
@@ -301,113 +319,131 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     let name = &input.name;
     let body = match &input.kind {
-        Kind::UnitStruct => "::serde::Value::Null".to_string(),
-        Kind::TupleStruct { arity } => ser_tuple_body("self", *arity),
+        Kind::UnitStruct => ser_null(),
+        Kind::TupleStruct { arity: 0 } => ser_null(),
+        Kind::TupleStruct { arity } => {
+            ser_tuple(&(0..*arity).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
+        }
         Kind::NamedStruct { fields, transparent } => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
             if *transparent && live.len() == 1 {
-                format!("::serde::Serialize::to_value(&self.{})", live[0].name)
+                ser_tuple(&[format!("&self.{}", live[0].name)])
             } else {
-                let mut s = String::from(
-                    "{ let mut __o: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                     ::std::vec::Vec::new();\n",
-                );
-                for f in &live {
-                    let push = format!(
-                        "__o.push((::std::string::String::from({:?}), \
-                         ::serde::Serialize::to_value(&self.{})));\n",
-                        f.name, f.name
-                    );
-                    match &f.skip_ser_if {
-                        Some(pred) => {
-                            s.push_str(&format!("if !{pred}(&self.{}) {{ {push} }}\n", f.name))
-                        }
-                        None => s.push_str(&push),
-                    }
-                }
-                s.push_str("::serde::Value::Object(__o) }");
-                s
+                ser_named(fields, |f| format!("&self.{}", f.name))
             }
         }
         Kind::Enum { variants } => {
-            let mut arms = String::new();
+            let (mut value_arms, mut stream_arms) = (String::new(), String::new());
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::String(::std::string::String::from({vn:?})),\n"
-                    )),
-                    VariantKind::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vn}(__f0) => ::serde::__variant({vn:?}, \
-                         ::serde::Serialize::to_value(__f0)),\n"
-                    )),
+                let (pattern, payload) = match &v.kind {
+                    VariantKind::Unit => {
+                        value_arms.push_str(&format!(
+                            "{name}::{vn} => ::serde::Value::String(::std::string::String::from({vn:?})),\n"
+                        ));
+                        stream_arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
+                        continue;
+                    }
                     VariantKind::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let elems: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::__variant({vn:?}, \
-                             ::serde::Value::Array(vec![{}])),\n",
-                            binds.join(", "),
-                            elems.join(", ")
-                        ));
+                        (format!("({})", binds.join(", ")), ser_tuple(&binds))
                     }
                     VariantKind::Named(fields) => {
                         let binds: Vec<String> =
                             fields.iter().map(|f| format!("{}: __b_{}", f.name, f.name)).collect();
-                        let mut inner = String::from(
-                            "{ let mut __o: ::std::vec::Vec<(::std::string::String, \
-                             ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        for f in fields.iter().filter(|f| !f.skip) {
-                            let push = format!(
-                                "__o.push((::std::string::String::from({:?}), \
-                                 ::serde::Serialize::to_value(__b_{})));\n",
-                                f.name, f.name
-                            );
-                            match &f.skip_ser_if {
-                                Some(pred) => inner.push_str(&format!(
-                                    "if !{pred}(__b_{}) {{ {push} }}\n",
-                                    f.name
-                                )),
-                                None => inner.push_str(&push),
-                            }
-                        }
-                        inner.push_str("::serde::Value::Object(__o) }");
+                        // Skipped fields are bound too; `let _` keeps them used.
                         let ignore: String = fields
                             .iter()
                             .filter(|f| f.skip)
                             .map(|f| format!("let _ = __b_{};\n", f.name))
                             .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{ {ignore}::serde::__variant({vn:?}, {inner}) }},\n",
-                            binds.join(", ")
-                        ));
+                        let Halves { value, stream } =
+                            ser_named(fields, |f| format!("__b_{}", f.name));
+                        (
+                            format!("{{ {} }}", binds.join(", ")),
+                            Halves {
+                                value: format!("{{ {ignore}{value} }}"),
+                                stream: format!("{ignore}{stream}"),
+                            },
+                        )
                     }
-                }
+                };
+                value_arms.push_str(&format!(
+                    "{name}::{vn}{pattern} => ::serde::__variant({vn:?}, {}),\n",
+                    payload.value
+                ));
+                stream_arms.push_str(&format!(
+                    "{name}::{vn}{pattern} => {{ let __t = __w.begin_variant({vn:?});\n\
+                     {}\n__w.end_object(__t); }}\n",
+                    payload.stream
+                ));
             }
-            format!("match self {{\n{arms}}}")
+            Halves {
+                value: format!("match self {{\n{value_arms}}}"),
+                stream: format!("match self {{\n{stream_arms}}}"),
+            }
         }
     };
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}\n"
+         fn to_value(&self) -> ::serde::Value {{\n{}\n}}\n\
+         fn write_json<__W: ::std::io::Write>(&self, __w: &mut ::serde::JsonWriter<__W>) {{\n{}\n}}\n\
+         }}\n",
+        body.value, body.stream
     );
     out.parse().unwrap_or_else(|_| compile_err("serde shim: generated Serialize failed to parse"))
 }
 
-fn ser_tuple_body(recv: &str, arity: usize) -> String {
-    match arity {
-        0 => "::serde::Value::Null".to_string(),
-        1 => format!("::serde::Serialize::to_value(&{recv}.0)"),
-        n => {
-            let elems: Vec<String> =
-                (0..n).map(|i| format!("::serde::Serialize::to_value(&{recv}.{i})")).collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-        }
+fn ser_null() -> Halves {
+    Halves { value: "::serde::Value::Null".to_string(), stream: "__w.null();".to_string() }
+}
+
+/// Positional fields, each given as an expression for a reference to it:
+/// one delegates to it (newtype, like serde), otherwise an array.
+fn ser_tuple(refs: &[String]) -> Halves {
+    if let [only] = refs {
+        return Halves {
+            value: format!("::serde::Serialize::to_value({only})"),
+            stream: format!("::serde::Serialize::write_json({only}, __w);"),
+        };
     }
+    let values: Vec<String> =
+        refs.iter().map(|r| format!("::serde::Serialize::to_value({r})")).collect();
+    let writes: String = refs
+        .iter()
+        .map(|r| format!("__w.elem(&mut __a); ::serde::Serialize::write_json({r}, __w);\n"))
+        .collect();
+    Halves {
+        value: format!("::serde::Value::Array(vec![{}])", values.join(", ")),
+        stream: format!("let mut __a = __w.begin_array();\n{writes}__w.end_array(__a);"),
+    }
+}
+
+/// Named fields as an object in declaration order; `access` gives the
+/// expression for a reference to a field.
+fn ser_named(fields: &[Field], access: impl Fn(&Field) -> String) -> Halves {
+    let mut value = String::from(
+        "{ let mut __o: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
+         ::std::vec::Vec::new();\n",
+    );
+    let mut stream = String::from("let mut __s = __w.begin_object();\n");
+    for f in fields.iter().filter(|f| !f.skip) {
+        let (n, r) = (&f.name, access(f));
+        let mut push = format!(
+            "__o.push((::std::string::String::from({n:?}), ::serde::Serialize::to_value({r})));\n"
+        );
+        let mut write =
+            format!("__w.field(&mut __s, {n:?}); ::serde::Serialize::write_json({r}, __w);\n");
+        if let Some(pred) = &f.skip_ser_if {
+            push = format!("if !{pred}({r}) {{ {push} }}\n");
+            write = format!("if !{pred}({r}) {{ {write} }}\n");
+        }
+        value.push_str(&push);
+        stream.push_str(&write);
+    }
+    value.push_str("::serde::Value::Object(__o) }");
+    stream.push_str("__w.end_object(__s);");
+    Halves { value, stream }
 }
 
 // ---------------------------------------------------------------------------
@@ -422,129 +458,191 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     };
     let name = &input.name;
     let body = match &input.kind {
-        Kind::UnitStruct => format!("{{ let _ = __v; Ok({name}) }}"),
-        Kind::TupleStruct { arity } => de_tuple_body(name, name, *arity, "__v"),
+        Kind::UnitStruct => de_tuple(name, name, 0, "__v"),
+        Kind::TupleStruct { arity: 0 } => de_tuple(&format!("{name}()"), name, 0, "__v"),
+        Kind::TupleStruct { arity } => de_tuple(name, name, *arity, "__v"),
         Kind::NamedStruct { fields, transparent } => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
             if *transparent && live.len() == 1 {
-                let mut inits = String::new();
-                for f in fields {
-                    if f.skip {
-                        inits.push_str(&format!(
-                            "{}: ::std::default::Default::default(),\n",
-                            f.name
-                        ));
-                    } else {
-                        inits.push_str(&format!(
-                            "{}: ::serde::Deserialize::from_value(__v)?,\n",
-                            f.name
-                        ));
-                    }
+                let inits = |read: &str| -> String {
+                    fields
+                        .iter()
+                        .map(|f| match f.skip {
+                            true => format!("{}: ::std::default::Default::default(),\n", f.name),
+                            false => format!("{}: {read}?,\n", f.name),
+                        })
+                        .collect()
+                };
+                Halves {
+                    value: format!(
+                        "{name} {{\n{}}}",
+                        inits("::serde::Deserialize::from_value(__v)")
+                    ),
+                    stream: format!(
+                        "{name} {{\n{}}}",
+                        inits("::serde::Deserialize::read_json(__r)")
+                    ),
                 }
-                format!("Ok({name} {{\n{inits}}})")
             } else {
-                de_named_body(name, name, name, fields)
+                de_named(name, name, fields, "__v")
             }
         }
         Kind::Enum { variants } => {
             let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            let mut has_data = false;
+            let (mut value_arms, mut stream_arms) = (String::new(), String::new());
             for v in variants {
                 let vn = &v.name;
-                match &v.kind {
+                let ctor = format!("{name}::{vn}");
+                let body = match &v.kind {
                     VariantKind::Unit => {
-                        unit_arms.push_str(&format!("{vn:?} => return Ok({name}::{vn}),\n"))
+                        unit_arms.push_str(&format!("{vn:?} => return Ok({ctor}),\n"));
+                        continue;
                     }
-                    VariantKind::Tuple(n) => {
-                        has_data = true;
-                        let body = de_tuple_body(
-                            &format!("{name}::{vn}"),
-                            &format!("{name}::{vn}"),
-                            *n,
-                            "__inner",
-                        );
-                        data_arms.push_str(&format!("{vn:?} => {{ {body} }},\n"));
-                    }
-                    VariantKind::Named(fields) => {
-                        has_data = true;
-                        let body = de_named_body(
-                            &format!("{name}::{vn}"),
-                            &format!("{name}::{vn}"),
-                            "__inner",
-                            fields,
-                        );
-                        data_arms.push_str(&format!("{vn:?} => {{ {body} }},\n"));
-                    }
-                }
+                    VariantKind::Tuple(0) => de_tuple(&format!("{ctor}()"), &ctor, 0, "__inner"),
+                    VariantKind::Tuple(n) => de_tuple(&ctor, &ctor, *n, "__inner"),
+                    VariantKind::Named(fields) => de_named(&ctor, &ctor, fields, "__inner"),
+                };
+                value_arms.push_str(&format!("{vn:?} => {},\n", body.value));
+                stream_arms.push_str(&format!("{vn:?} => {},\n", body.stream));
             }
-            let data_path = if has_data {
-                format!(
-                    "let (__tag, __inner) = ::serde::__expect_variant(__v, {name:?})?;\n\
-                     match __tag {{\n{data_arms}\
-                     __other => Err(::serde::Error::msg(format!(\
-                     \"unknown variant `{{}}` of {name}\", __other))),\n}}"
+            let unknown = format!(
+                "__other => return Err(::serde::Error::msg(format!(\
+                 \"unknown variant `{{}}` of {name}\", __other))),\n"
+            );
+            let (value_data, stream_data) = if value_arms.is_empty() {
+                // `Err(..)?` rather than `return Err(..)`: the block still
+                // has the value's type, so `Ok(block)` is not dead code.
+                (
+                    format!(
+                        "Err(::serde::Error::msg(format!(\
+                         \"unknown variant for {name}: {{:?}}\", __v)))?"
+                    ),
+                    format!("Err(__r.mismatch(\"variant of {name}\"))?"),
                 )
             } else {
-                format!(
-                    "Err(::serde::Error::msg(format!(\
-                     \"unknown variant for {name}: {{:?}}\", __v)))"
+                (
+                    format!(
+                        "let (__tag, __inner) = ::serde::__expect_variant(__v, {name:?})?;\n\
+                         match __tag {{\n{value_arms}{unknown}}}"
+                    ),
+                    format!(
+                        "let __tag = __r.begin_variant({name:?})?;\n\
+                         let __out = match &*__tag {{\n{stream_arms}{unknown}}};\n\
+                         __r.end_variant({name:?})?;\n__out"
+                    ),
                 )
             };
-            format!(
-                "{{ if let ::serde::Value::String(__s) = __v {{\n\
-                 match __s.as_str() {{\n{unit_arms}_ => {{}}\n}}\n}}\n\
-                 {data_path} }}"
-            )
+            Halves {
+                value: format!(
+                    "{{ if let ::serde::Value::String(__s) = __v {{\n\
+                     match __s.as_str() {{\n{unit_arms}_ => {{}}\n}}\n}}\n{value_data} }}"
+                ),
+                stream: format!(
+                    "{{ if __r.at_string() {{\n\
+                     match &*__r.read_str(\"string\")? {{\n{unit_arms}{unknown}}}\n}}\n{stream_data} }}"
+                ),
+            }
         }
     };
     let out = format!(
         "impl ::serde::Deserialize for {name} {{\n\
          fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         {body}\n}}\n}}\n"
+         Ok({})\n}}\n\
+         fn read_json(__r: &mut ::serde::JsonReader<'_>) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         Ok({})\n}}\n\
+         }}\n",
+        body.value, body.stream
     );
     out.parse().unwrap_or_else(|_| compile_err("serde shim: generated Deserialize failed to parse"))
 }
 
-/// Body deserialising a tuple struct/variant from `src` (a `&Value`).
-/// `ctor` is the constructor path, `label` the name used in errors.
-fn de_tuple_body(ctor: &str, label: &str, arity: usize, src: &str) -> String {
+/// Positional fields into `ctor` (for arity 0, the finished value, which
+/// any JSON value satisfies). `label` names the type in errors; `src` is
+/// the `&Value` the tree half reads.
+fn de_tuple(ctor: &str, label: &str, arity: usize, src: &str) -> Halves {
     match arity {
-        0 => format!("{{ let _ = {src}; Ok({ctor}()) }}"),
-        1 => format!("Ok({ctor}(::serde::Deserialize::from_value({src})?))"),
+        0 => Halves {
+            value: format!("{{ let _ = {src}; {ctor} }}"),
+            stream: format!("{{ __r.skip_value()?; {ctor} }}"),
+        },
+        1 => Halves {
+            value: format!("{ctor}(::serde::Deserialize::from_value({src})?)"),
+            stream: format!("{ctor}(::serde::Deserialize::read_json(__r)?)"),
+        },
         n => {
-            let elems: Vec<String> =
+            let values: Vec<String> =
                 (0..n).map(|i| format!("::serde::Deserialize::from_value(&__a[{i}])?")).collect();
-            format!(
-                "{{ let __a = ::serde::__expect_array({src}, {n}, {label:?})?;\n\
-                 Ok({ctor}({})) }}",
-                elems.join(", ")
-            )
+            let reads: Vec<String> = (0..n)
+                .map(|_| {
+                    format!(
+                        "{{ __r.tuple_elem(&mut __a, {n}, {label:?})?; \
+                         ::serde::Deserialize::read_json(__r)? }}"
+                    )
+                })
+                .collect();
+            Halves {
+                value: format!(
+                    "{{ let __a = ::serde::__expect_array({src}, {n}, {label:?})?;\n\
+                     {ctor}({}) }}",
+                    values.join(", ")
+                ),
+                stream: format!(
+                    "{{ let mut __a = __r.begin_array(\"array for {label}\")?;\n\
+                     let __out = {ctor}({});\n\
+                     __r.end_tuple(&mut __a, {n}, {label:?})?;\n__out }}",
+                    reads.join(", ")
+                ),
+            }
         }
     }
 }
 
-/// Body deserialising named fields from `src` (a `&Value`) into `ctor`.
-fn de_named_body(ctor: &str, label: &str, src_expr: &str, fields: &[Field]) -> String {
-    let src = if src_expr == "__inner" { "__inner" } else { "__v" };
-    let mut inits = String::new();
+/// Named fields into `ctor`: unknown keys are skipped and the first of a
+/// duplicated key wins.
+fn de_named(ctor: &str, label: &str, fields: &[Field], src: &str) -> Halves {
+    let (mut value_inits, mut stream_inits) = (String::new(), String::new());
+    let (mut slots, mut arms) = (String::new(), String::new());
     for f in fields {
+        let n = &f.name;
         if f.skip {
-            inits.push_str(&format!("{}: ::std::default::Default::default(),\n", f.name));
-        } else if f.default {
-            inits.push_str(&format!(
+            let init = format!("{n}: ::std::default::Default::default(),\n");
+            value_inits.push_str(&init);
+            stream_inits.push_str(&init);
+            continue;
+        }
+        slots.push_str(&format!("let mut __f_{n} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "{n:?} if __f_{n}.is_none() => __f_{n} = \
+             ::std::option::Option::Some(__r.field({label:?}, {n:?})?),\n"
+        ));
+        if f.default {
+            value_inits.push_str(&format!(
                 "{n}: match __o.iter().find(|(__k, _)| __k == {n:?}) {{\n\
                  Some((_, __fv)) => ::serde::Deserialize::from_value(__fv)?,\n\
-                 None => ::std::default::Default::default(),\n}},\n",
-                n = f.name
+                 None => ::std::default::Default::default(),\n}},\n"
             ));
+            stream_inits.push_str(&format!("{n}: __f_{n}.unwrap_or_default(),\n"));
         } else {
-            inits
-                .push_str(&format!("{n}: ::serde::__field(__o, {n:?}, {label:?})?,\n", n = f.name));
+            value_inits.push_str(&format!("{n}: ::serde::__field(__o, {n:?}, {label:?})?,\n"));
+            stream_inits.push_str(&format!(
+                "{n}: match __f_{n} {{\n\
+                 ::std::option::Option::Some(__fv) => __fv,\n\
+                 ::std::option::Option::None => \
+                 return Err(::serde::__missing_field({n:?}, {label:?})),\n}},\n"
+            ));
         }
     }
-    format!(
-        "{{ let __o = ::serde::__expect_object({src}, {label:?})?;\n\
-         Ok({ctor} {{\n{inits}}}) }}"
-    )
+    Halves {
+        value: format!(
+            "{{ let __o = ::serde::__expect_object({src}, {label:?})?;\n\
+             {ctor} {{\n{value_inits}}} }}"
+        ),
+        stream: format!(
+            "{{ {slots}let mut __s = __r.begin_object(\"object for {label}\")?;\n\
+             while let ::std::option::Option::Some(__k) = __r.next_key(&mut __s)? {{\n\
+             match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n}}\n\
+             {ctor} {{\n{stream_inits}}} }}"
+        ),
+    }
 }

@@ -1,13 +1,18 @@
-//! Offline shim for `serde_json`: renders/parses the serde shim's
-//! [`Value`] model as JSON text.
+//! Offline shim for `serde_json`: the front door to the serde shim's
+//! streaming JSON writer and pull parser.
+//!
+//! Typed values stream straight to and from text (`Serialize::write_json`
+//! / `Deserialize::read_json`); a [`Value`] tree is built only when a
+//! `Value` is what the caller asks for.
 //!
 //! Floats print via Rust's shortest-roundtrip `{}` formatting (what the
 //! upstream `float_roundtrip` feature guarantees); integral floats print
 //! without a fractional part and reparse as integers, which the serde
-//! shim's numeric `from_value` impls accept interchangeably.
+//! shim's numeric readers accept interchangeably.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 pub use serde::{Error, Number, Value};
+use std::io;
 
 /// `json!` expansion helper: serialise any expression to a [`Value`].
 pub fn __to_value<T: Serialize>(v: &T) -> Value {
@@ -27,382 +32,52 @@ macro_rules! json {
     ($other:expr) => { $crate::__to_value(&$other) };
 }
 
+fn write<W: io::Write, T: Serialize + ?Sized>(
+    out: W,
+    indent: Option<usize>,
+    value: &T,
+) -> Result<W, Error> {
+    let mut w = JsonWriter::new(out, indent);
+    value.write_json(&mut w);
+    w.finish().map_err(|e| Error::msg(format!("write failed: {e}")))
+}
+
+fn into_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the writer emits UTF-8: escapes, digits and whole `str`s")
+}
+
 /// Serialise any `Serialize` type to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    to_vec(value).map(into_string)
 }
 
 /// Serialise to pretty-printed JSON (2-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    write(Vec::new(), Some(2), value).map(into_string)
 }
 
 /// Serialise to a UTF-8 byte vector.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    to_string(value).map(String::into_bytes)
+    write(Vec::new(), None, value)
 }
 
-/// Parse JSON text into any `Deserialize` type.
+/// Serialise as compact JSON into any byte sink — a file, or a running
+/// hash that fingerprints the document without buffering it.
+pub fn to_writer<W: io::Write, T: Serialize + ?Sized>(writer: W, value: &T) -> Result<(), Error> {
+    write(writer, None, value).map(drop)
+}
+
+/// Parse JSON text into any `Deserialize` type (rejecting trailing
+/// garbage).
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let v = parse_value(s)?;
-    T::from_value(&v)
+    let mut r = JsonReader::new(s);
+    let value = T::read_json(&mut r)?;
+    r.end()?;
+    Ok(value)
 }
 
 /// Parse JSON bytes into any `Deserialize` type.
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error::msg(format!("invalid UTF-8: {e}")))?;
     from_str(s)
-}
-
-// ---------------------------------------------------------------------------
-// Printer
-// ---------------------------------------------------------------------------
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(*n, out),
-        Value::String(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            if pairs.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_number(n: Number, out: &mut String) {
-    match n {
-        Number::U(u) => out.push_str(&u.to_string()),
-        Number::I(i) => out.push_str(&i.to_string()),
-        Number::F(f) => {
-            if f.is_finite() {
-                // Shortest-roundtrip decimal; "1" rather than "1.0" is
-                // fine because numeric from_value accepts either form.
-                let s = format!("{f}");
-                out.push_str(&s);
-            } else {
-                // JSON has no Inf/NaN; serde_json emits null.
-                out.push_str("null");
-            }
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Parse a complete JSON document (rejecting trailing garbage).
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::msg(format!(
-                "expected `{}` at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            )))
-        }
-    }
-
-    fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek() {
-            Some(b'n') if self.eat_lit("null") => Ok(Value::Null),
-            Some(b't') if self.eat_lit("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_lit("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(Error::msg(format!(
-                "unexpected character `{}` at byte {}",
-                b as char, self.pos
-            ))),
-            None => Err(Error::msg("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::msg(format!("expected `,` or `]` at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => return Err(Error::msg(format!("expected `,` or `}}` at byte {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| Error::msg(format!("invalid UTF-8 in string: {e}")))?,
-                );
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::msg("unexpected end of input in escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require \uXXXX low half.
-                                if !self.eat_lit("\\u") {
-                                    return Err(Error::msg("unpaired surrogate in string"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error::msg("invalid low surrogate"));
-                                }
-                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error::msg("invalid surrogate pair"))?
-                            } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| Error::msg("invalid \\u escape"))?
-                            };
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(Error::msg(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(Error::msg("unescaped control character in string"))
-                }
-                _ => return Err(Error::msg("unexpected end of input in string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::msg("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::msg("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error::msg("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut integral = true;
-        if self.peek() == Some(b'.') {
-            integral = false;
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            integral = false;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
-        if integral {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::U(u)));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::I(i)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|f| Value::Number(Number::F(f)))
-            .map_err(|_| Error::msg(format!("invalid number `{text}`")))
-    }
 }
