@@ -19,7 +19,9 @@ use vdce_repository::SiteRepository;
 use vdce_runtime::app_controller::ThresholdGate;
 use vdce_runtime::data_manager::{DataManager, Transport};
 use vdce_runtime::events::{EventKind, EventLog};
-use vdce_runtime::executor::{execute, AlwaysProceed, ExecutorConfig, StartGate};
+use vdce_runtime::executor::{
+    execute, AlwaysProceed, Execution, ExecutorConfig, HostLockRegistry, StartGate,
+};
 use vdce_runtime::services::{ConsoleService, IoService};
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
@@ -110,18 +112,23 @@ fn run(gated: bool) -> (f64, usize, usize) {
     // kernel level — here we keep kernels real and count placement
     // instead; wall time differences come from contention on two hosts
     // vs spreading over six.
-    let outcome = execute(
-        &afg,
-        &table,
-        &dm,
-        &io,
-        &console,
-        gate_box.as_ref(),
-        &log,
-        &clock,
-        None,
-        &ExecutorConfig { input_timeout: Duration::from_secs(30), ..ExecutorConfig::default() },
-    );
+    let outcome = execute(&Execution {
+        afg: &afg,
+        table: &table,
+        dm: &dm,
+        io: &io,
+        console: &console,
+        gate: gate_box.as_ref(),
+        log: &log,
+        clock: &clock,
+        completions: None,
+        config: &ExecutorConfig {
+            input_timeout: Duration::from_secs(30),
+            ..ExecutorConfig::default()
+        },
+        registry: &HostLockRegistry::new(),
+        checkpoint: None,
+    });
     assert!(outcome.success);
     let rescheds = log.query(EventKind::RescheduleRequested).count();
     let on_fast =

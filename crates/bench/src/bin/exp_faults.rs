@@ -106,10 +106,10 @@ fn main() {
     let mut reports: Vec<RecoveryReport> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for fs in &scenarios {
-        let report = fs.run_observed(&obs);
+        let report = fs.run(&obs, None);
         // Determinism gate: the same (scenario, plan, config) triple must
         // replay into a bit-identical report.
-        let again = fs.run();
+        let again = fs.run(&Observer::disabled(), None);
         let j1 = serde_json::to_string(&report).expect("serialise report");
         let j2 = serde_json::to_string(&again).expect("serialise report");
         if j1 != j2 {

@@ -26,7 +26,7 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
-use vdce_obs::{Report, RunArtifact, Table};
+use vdce_obs::{Observer, Report, RunArtifact, Table};
 use vdce_sim::fuzz::{
     check_case, check_invariant, shrink, CaseOutcome, FaultClass, FuzzCase, Invariant,
     InvariantProfile,
@@ -118,8 +118,8 @@ fn main() {
     // the recovery gates.
     let promoted = fuzz_regression_scenarios();
     for fs in &promoted {
-        let a = fs.run();
-        let b = fs.run();
+        let a = fs.run(&Observer::disabled(), None);
+        let b = fs.run(&Observer::disabled(), None);
         let ja = serde_json::to_string(&a).expect("serialise report");
         let jb = serde_json::to_string(&b).expect("serialise report");
         if ja != jb {
@@ -298,7 +298,7 @@ fn hunt_mode() {
         }
         let out = shrink(&case, Invariant::InflationCeiling, &profile, SHRINK_BUDGET);
         let fs = out.shrunk.to_fault_scenario("hunt");
-        let report = fs.run();
+        let report = fs.run(&Observer::disabled(), None);
         // Promotion gates: lossless, fully recovered, and inside the
         // 4.5x regression bound fuzz-promoted scenarios are pinned to
         // (the hand-written 2.0x crash bound only covers crash faults).

@@ -112,7 +112,7 @@ fn main() {
     for (i, fs) in scenarios.iter().enumerate() {
         let metered = Observer::enabled();
         let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-        let durable_report = fs.run_durable(&metered, &opts);
+        let durable_report = fs.run(&metered, Some(&opts));
         if fs.name == "weibull-churn" {
             // Clones share the underlying store: keep a handle to the
             // longest-history journal for the damaged-WAL fixture.
@@ -120,7 +120,7 @@ fn main() {
         }
 
         // Gate 1: durability only observes.
-        let plain_report = fs.run_observed(&obs);
+        let plain_report = fs.run(&obs, None);
         let jd = serde_json::to_string(&durable_report).expect("serialise report");
         let jp = serde_json::to_string(&plain_report).expect("serialise report");
         if jd != jp {
@@ -226,7 +226,7 @@ fn churn_journal(policy: SnapshotPolicy, check_every: u64) -> (DurableOptions, O
         journal: vdce_store::Journal::enabled(policy),
         deputy_check_every: check_every,
     };
-    fs.run_durable(&metered, &opts);
+    fs.run(&metered, Some(&opts));
     (opts, metered)
 }
 

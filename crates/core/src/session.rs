@@ -27,7 +27,7 @@ use vdce_repository::SiteRepository;
 use vdce_runtime::app_controller::ThresholdGate;
 use vdce_runtime::data_manager::DataManager;
 use vdce_runtime::events::{EventLog, RuntimeEvent};
-use vdce_runtime::executor::{execute_with_locks, ExecutorConfig};
+use vdce_runtime::executor::{execute, Execution, ExecutorConfig};
 use vdce_runtime::services::{ConsoleService, IoService, VisualizationService};
 use vdce_sched::makespan::evaluate;
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig, SchedulingError};
@@ -239,19 +239,20 @@ impl<'v> Session<'v> {
         let clock = RealClock::new();
         self.log.emit(clock.now(), RuntimeEvent::StartupSignal);
         let (tx, rx) = unbounded();
-        let outcome = execute_with_locks(
+        let outcome = execute(&Execution {
             afg,
-            &table,
-            &dm,
-            &self.io,
-            &self.console,
-            &gate,
-            &self.log,
-            &clock,
-            Some(tx),
-            &ExecutorConfig::default(),
-            self.vdce.host_locks(),
-        );
+            table: &table,
+            dm: &dm,
+            io: &self.io,
+            console: &self.console,
+            gate: &gate,
+            log: &self.log,
+            clock: &clock,
+            completions: Some(tx),
+            config: &ExecutorConfig::default(),
+            registry: self.vdce.host_locks(),
+            checkpoint: None,
+        });
 
         // --- Write-back phase ------------------------------------------
         // Route each measured execution time to the owning site's

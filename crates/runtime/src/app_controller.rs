@@ -26,7 +26,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::data_manager::{DataManager, Transport};
 use crate::events::{EventKind, EventLog, RuntimeEvent};
 use crate::executor::{
-    execute_full, CheckpointContext, ExecutionOutcome, ExecutorConfig, GateDecision,
+    execute, CheckpointContext, Execution, ExecutionOutcome, ExecutorConfig, GateDecision,
     HostLockRegistry, StartGate,
 };
 use crate::recovery::Quarantine;
@@ -264,20 +264,20 @@ impl AppController {
             reachable: &reachable,
             replicate_to: self.config.checkpoint_replica_host.clone(),
         });
-        let outcome = execute_full(
+        let outcome = execute(&Execution {
             afg,
             table,
-            &dm,
+            dm: &dm,
             io,
             console,
-            &gate,
-            &self.log,
-            &clock,
-            Some(tx),
-            &self.config.executor,
-            &HostLockRegistry::new(),
-            ctx.as_ref(),
-        );
+            gate: &gate,
+            log: &self.log,
+            clock: &clock,
+            completions: Some(tx),
+            config: &self.config.executor,
+            registry: &HostLockRegistry::new(),
+            checkpoint: ctx.as_ref(),
+        });
         // Write measured execution times back into the repository.
         self.site_manager.drain(&rx);
 

@@ -154,81 +154,48 @@ pub struct CheckpointContext<'a> {
     pub replicate_to: Option<String>,
 }
 
+/// Everything one application execution runs against.
+pub struct Execution<'a> {
+    /// The application.
+    pub afg: &'a Afg,
+    /// Where the scheduler placed each task.
+    pub table: &'a AllocationTable,
+    /// Opens the per-edge channels.
+    pub dm: &'a DataManager,
+    /// File/URL inputs and outputs.
+    pub io: &'a IoService,
+    /// Suspend/abort control.
+    pub console: &'a ConsoleService,
+    /// Consulted before each task launches.
+    pub gate: &'a dyn StartGate,
+    /// Receives every runtime event.
+    pub log: &'a EventLog,
+    /// Timestamps records and events.
+    pub clock: &'a dyn Clock,
+    /// Receives one [`ControlMessage::ExecutionCompleted`] per host of
+    /// each successful task.
+    pub completions: Option<Sender<ControlMessage>>,
+    /// Timeouts, retry and checkpoint cadence.
+    pub config: &'a ExecutorConfig,
+    /// Host locks. Share one registry federation-wide so concurrent
+    /// application executions serialise on shared hosts.
+    pub registry: &'a HostLockRegistry,
+    /// Checkpoint-restart wiring: with a context, each task first consults
+    /// the store for its newest valid checkpoint (a fully checkpointed task
+    /// re-delivers its recorded outputs instead of re-executing), and
+    /// successful kernel runs are checkpointed when `config.checkpoint` is
+    /// enabled.
+    pub checkpoint: Option<&'a CheckpointContext<'a>>,
+}
+
 /// Execute a scheduled application. See the module docs for semantics.
-///
-/// `completions` (if given) receives one
-/// [`ControlMessage::ExecutionCompleted`] per successful task.
-#[allow(clippy::too_many_arguments)]
-pub fn execute(
-    afg: &Afg,
-    table: &AllocationTable,
-    dm: &DataManager,
-    io: &IoService,
-    console: &ConsoleService,
-    gate: &dyn StartGate,
-    log: &EventLog,
-    clock: &dyn Clock,
-    completions: Option<Sender<ControlMessage>>,
-    config: &ExecutorConfig,
-) -> ExecutionOutcome {
-    execute_with_locks(
-        afg,
-        table,
-        dm,
-        io,
-        console,
-        gate,
-        log,
-        clock,
-        completions,
-        config,
-        &HostLockRegistry::new(),
-    )
-}
-
-/// [`execute`] with an external, federation-wide [`HostLockRegistry`], so
-/// concurrent application executions serialise on shared hosts.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_locks(
-    afg: &Afg,
-    table: &AllocationTable,
-    dm: &DataManager,
-    io: &IoService,
-    console: &ConsoleService,
-    gate: &dyn StartGate,
-    log: &EventLog,
-    clock: &dyn Clock,
-    completions: Option<Sender<ControlMessage>>,
-    config: &ExecutorConfig,
-    registry: &HostLockRegistry,
-) -> ExecutionOutcome {
-    execute_full(afg, table, dm, io, console, gate, log, clock, completions, config, registry, None)
-}
-
-/// [`execute_with_locks`] plus optional checkpoint-restart wiring: with a
-/// [`CheckpointContext`], each task first consults the store for its
-/// newest valid checkpoint (a fully checkpointed task re-delivers its
-/// recorded outputs instead of re-executing), and successful kernel runs
-/// are checkpointed when `config.checkpoint` is enabled.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_full(
-    afg: &Afg,
-    table: &AllocationTable,
-    dm: &DataManager,
-    io: &IoService,
-    console: &ConsoleService,
-    gate: &dyn StartGate,
-    log: &EventLog,
-    clock: &dyn Clock,
-    completions: Option<Sender<ControlMessage>>,
-    config: &ExecutorConfig,
-    registry: &HostLockRegistry,
-    checkpoint: Option<&CheckpointContext<'_>>,
-) -> ExecutionOutcome {
+pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
+    let afg = exec.afg;
     let n = afg.task_count();
-    let app_id = table as *const _ as u64;
+    let app_id = exec.table as *const _ as u64;
     // Data-Manager channels, one per edge.
-    let (senders, receivers) = dm
+    let (senders, receivers) = exec
+        .dm
         .open_all(app_id, afg.edge_count())
         .expect("channel setup (in-proc/loopback) cannot fail here");
 
@@ -240,42 +207,16 @@ pub fn execute_full(
         task_in[e.to.index()].push((idx, r));
     }
 
-    // One lock per host (host runs one task at a time), taken from the
-    // shared registry so other concurrent applications contend too.
-    let host_locks = registry.clone();
-
     let records: Vec<Mutex<Option<TaskRunRecord>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     crossbeam::thread::scope(|scope| {
         // Move each task's channel halves into its worker.
-        let mut ins = task_in;
-        let mut outs = task_out;
-        for task in afg.task_ids().rev_vec() {
-            let my_in = std::mem::take(&mut ins[task.index()]);
-            let my_out = std::mem::take(&mut outs[task.index()]);
-            let placement = table.placement(task).expect("complete table").clone();
+        for task in afg.task_ids() {
+            let my_in = std::mem::take(&mut task_in[task.index()]);
+            let my_out = std::mem::take(&mut task_out[task.index()]);
             let records = &records;
-            let host_locks = host_locks.clone();
-            let completions = completions.clone();
             scope.spawn(move |_| {
-                let record = run_task(
-                    afg,
-                    task,
-                    placement,
-                    my_in,
-                    my_out,
-                    io,
-                    console,
-                    gate,
-                    log,
-                    clock,
-                    host_locks,
-                    completions,
-                    config,
-                    dm,
-                    app_id,
-                    checkpoint,
-                );
+                let record = run_task(exec, app_id, task, my_in, my_out);
                 *records[task.index()].lock() = Some(record);
             });
         }
@@ -296,38 +237,36 @@ pub fn execute_full(
     }
 }
 
-/// Small helper: collect task ids into a Vec (used to move ids into the
-/// thread scope without borrowing `afg` mutably).
-trait RevVec: Iterator + Sized {
-    fn rev_vec(self) -> Vec<Self::Item> {
-        self.collect()
-    }
-}
-impl<I: Iterator> RevVec for I {}
-
-#[allow(clippy::too_many_arguments)]
 fn run_task(
-    afg: &Afg,
+    exec: &Execution<'_>,
+    app_id: u64,
     task: TaskId,
-    placement: vdce_sched::allocation::TaskPlacement,
     inputs: Vec<(usize, DataReceiver)>,
     outputs: Vec<(usize, DataSender)>,
-    io: &IoService,
-    console: &ConsoleService,
-    gate: &dyn StartGate,
-    log: &EventLog,
-    clock: &dyn Clock,
-    host_locks: HostLockRegistry,
-    completions: Option<Sender<ControlMessage>>,
-    config: &ExecutorConfig,
-    dm: &DataManager,
-    app_id: u64,
-    checkpoint: Option<&CheckpointContext<'_>>,
 ) -> TaskRunRecord {
+    let Execution { afg, dm, io, console, gate, log, clock, config, checkpoint, .. } = *exec;
+    let placement = exec.table.placement(task).expect("complete table");
     let node = afg.task(task);
     let fail = |start: f64, finish: f64, hosts: Vec<String>, why: String| {
         log.emit(finish, RuntimeEvent::TaskFailed { task, reason: why.clone() });
         TaskRunRecord { task, hosts, start, finish, ok: false, error: Some(why) }
+    };
+    // Deliver the task's outputs, `port` giving each port's payload:
+    // dataflow frames per out-edge (marked as produced in the Data
+    // Manager), file/URL stores.
+    let deliver = |port: &dyn Fn(usize) -> Option<Bytes>| {
+        for (edge_idx, tx) in &outputs {
+            let payload = port(afg.edges[*edge_idx].from_port.index()).unwrap_or_default();
+            if tx.send(payload).is_err() {
+                // Consumer died; its own record will say why.
+            }
+            dm.mark_produced(ChannelId { app: app_id, edge: *edge_idx });
+        }
+        for (i, spec) in node.props.outputs.iter().enumerate() {
+            if let Some(data) = port(i) {
+                io.store_output(spec, &data);
+            }
+        }
     };
 
     // 0. Checkpoint-restart: a fully checkpointed task never re-executes.
@@ -347,20 +286,7 @@ fn run_task(
                         host: cp.stored_on.first().cloned().unwrap_or_default(),
                     },
                 );
-                for (edge_idx, tx) in &outputs {
-                    let edge = &afg.edges[*edge_idx];
-                    let payload =
-                        cp.outputs.get(&edge.from_port.index()).cloned().unwrap_or_default();
-                    if tx.send(payload).is_err() {
-                        // Consumer died; its own record will say why.
-                    }
-                    dm.mark_produced(ChannelId { app: app_id, edge: *edge_idx });
-                }
-                for (i, spec) in node.props.outputs.iter().enumerate() {
-                    if let Some(data) = cp.outputs.get(&i) {
-                        io.store_output(spec, data);
-                    }
-                }
+                deliver(&|i| cp.outputs.get(&i).cloned());
                 let finish = clock.now();
                 log.emit(finish, RuntimeEvent::TaskFinished { task, seconds: 0.0 });
                 return TaskRunRecord {
@@ -455,7 +381,7 @@ fn run_task(
         let mut sorted = hosts.clone();
         sorted.sort();
         sorted.dedup();
-        let locks: Vec<Arc<Mutex<()>>> = sorted.iter().map(|h| host_locks.lock_for(h)).collect();
+        let locks: Vec<Arc<Mutex<()>>> = sorted.iter().map(|h| exec.registry.lock_for(h)).collect();
         let guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
 
         // 5. Run the kernel.
@@ -483,21 +409,8 @@ fn run_task(
             }
         };
 
-        // 6. Deliver outputs: dataflow frames per out-edge (marked as
-        //    produced in the Data Manager), file/URL stores.
-        for (edge_idx, tx) in &outputs {
-            let edge = &afg.edges[*edge_idx];
-            let payload = out_payloads.get(edge.from_port.index()).cloned().unwrap_or_default();
-            if tx.send(payload).is_err() {
-                // Consumer died; its own record will say why.
-            }
-            dm.mark_produced(ChannelId { app: app_id, edge: *edge_idx });
-        }
-        for (i, spec) in node.props.outputs.iter().enumerate() {
-            if let Some(data) = out_payloads.get(i) {
-                io.store_output(spec, data);
-            }
-        }
+        // 6. Deliver outputs.
+        deliver(&|i| out_payloads.get(i).cloned());
 
         // 6b. Checkpoint the completed run: progress 1.0 plus the
         //     produced outputs, stored on the hosts that ran the task, so
@@ -533,7 +446,7 @@ fn run_task(
         // 7. Report the measured execution time for task-perf write-back.
         let seconds = (finish - start).max(0.0);
         log.emit(finish, RuntimeEvent::TaskFinished { task, seconds });
-        if let Some(tx) = &completions {
+        if let Some(tx) = &exec.completions {
             for host in &hosts {
                 let _ = tx.send(ControlMessage::ExecutionCompleted {
                     library_task: node.library_task.clone(),
@@ -574,30 +487,64 @@ mod tests {
         t
     }
 
+    /// The services one test execution runs against.
+    struct Rig {
+        log: EventLog,
+        dm: DataManager,
+        io: IoService,
+        console: ConsoleService,
+        clock: RealClock,
+        registry: HostLockRegistry,
+        config: ExecutorConfig,
+    }
+
+    impl Rig {
+        fn new(transport: Transport, config: ExecutorConfig) -> Rig {
+            let log = EventLog::new();
+            Rig {
+                dm: DataManager::new(transport, log.clone()),
+                io: IoService::new(),
+                console: ConsoleService::new(log.clone()),
+                clock: RealClock::new(),
+                registry: HostLockRegistry::new(),
+                config,
+                log,
+            }
+        }
+
+        /// An ungated, un-checkpointed execution of `afg` on this rig;
+        /// tests override fields with struct-update syntax.
+        fn execution<'a>(&'a self, afg: &'a Afg, table: &'a AllocationTable) -> Execution<'a> {
+            Execution {
+                afg,
+                table,
+                dm: &self.dm,
+                io: &self.io,
+                console: &self.console,
+                gate: &AlwaysProceed,
+                log: &self.log,
+                clock: &self.clock,
+                completions: None,
+                config: &self.config,
+                registry: &self.registry,
+                checkpoint: None,
+            }
+        }
+    }
+
+    fn timeout(input_timeout: Duration) -> ExecutorConfig {
+        ExecutorConfig { input_timeout, ..ExecutorConfig::default() }
+    }
+
     fn run(
         afg: &Afg,
         table: &AllocationTable,
         transport: Transport,
         gate: &dyn StartGate,
     ) -> (ExecutionOutcome, EventLog, IoService) {
-        let log = EventLog::new();
-        let dm = DataManager::new(transport, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
-        let outcome = execute(
-            afg,
-            table,
-            &dm,
-            &io,
-            &console,
-            gate,
-            &log,
-            &clock,
-            None,
-            &ExecutorConfig { input_timeout: Duration::from_secs(5), ..ExecutorConfig::default() },
-        );
-        (outcome, log, io)
+        let rig = Rig::new(transport, timeout(Duration::from_secs(5)));
+        let outcome = execute(&Execution { gate, ..rig.execution(afg, table) });
+        (outcome, rig.log, rig.io)
     }
 
     fn chain() -> Afg {
@@ -673,32 +620,14 @@ mod tests {
         let afg = b.build().unwrap();
         let table = single_host_table(&afg, "h0");
 
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
-        let out = execute(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &AlwaysProceed,
-            &log,
-            &clock,
-            None,
-            &ExecutorConfig {
-                input_timeout: Duration::from_millis(300),
-                ..ExecutorConfig::default()
-            },
-        );
+        let rig = Rig::new(Transport::InProc, timeout(Duration::from_millis(300)));
+        rig.io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
+        let out = execute(&rig.execution(&afg, &table));
         assert!(!out.success);
         assert!(!out.records[0].ok);
         assert!(out.records[0].error.as_deref().unwrap().contains("pivot"));
         assert!(!out.records[1].ok, "sink must fail once its producer died");
-        assert_eq!(log.query(EventKind::TaskFailed).count(), 2);
+        assert_eq!(rig.log.query(EventKind::TaskFailed).count(), 2);
     }
 
     #[test]
@@ -759,32 +688,19 @@ mod tests {
         let afg = b.build().unwrap();
         let table = single_host_table(&afg, "h0");
 
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
-        let gate = AbortTwice(AtomicU32::new(0));
-        let out = execute(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &gate,
-            &log,
-            &clock,
-            None,
-            &ExecutorConfig {
-                input_timeout: Duration::from_secs(5),
+        let rig = Rig::new(
+            Transport::InProc,
+            ExecutorConfig {
                 retry: BackoffPolicy { base_s: 0.001, factor: 1.0, max_s: 0.001, max_retries: 4 },
-                ..ExecutorConfig::default()
+                ..timeout(Duration::from_secs(5))
             },
         );
+        let gate = AbortTwice(AtomicU32::new(0));
+        let out = execute(&Execution { gate: &gate, ..rig.execution(&afg, &table) });
         assert!(out.success, "{:?}", out.records);
         // Only the first task hits the aborting window (the gate counter
         // is global), but at least its retries must be in the log.
-        assert!(log.query(EventKind::TaskRetried).count() >= 2);
+        assert!(rig.log.query(EventKind::TaskRetried).count() >= 2);
     }
 
     #[test]
@@ -797,31 +713,18 @@ mod tests {
         }
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
-        let out = execute(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &AbortAll,
-            &log,
-            &clock,
-            None,
-            &ExecutorConfig {
-                input_timeout: Duration::from_millis(200),
+        let rig = Rig::new(
+            Transport::InProc,
+            ExecutorConfig {
                 retry: BackoffPolicy { base_s: 0.001, factor: 1.0, max_s: 0.001, max_retries: 2 },
-                ..ExecutorConfig::default()
+                ..timeout(Duration::from_millis(200))
             },
         );
+        let out = execute(&Execution { gate: &AbortAll, ..rig.execution(&afg, &table) });
         assert!(!out.success);
         assert!(out.records.iter().any(|r| r.error.as_deref() == Some("still down")));
         // Each task burned its full retry budget before failing.
-        assert!(log.query(EventKind::TaskRetried).count() >= 2);
+        assert!(rig.log.query(EventKind::TaskRetried).count() >= 2);
     }
 
     #[test]
@@ -843,31 +746,19 @@ mod tests {
         b.set_input(lu, 0, IoSpec::inline_file("/singular.dat", 0)).unwrap();
         let afg = b.build().unwrap();
         let table = single_host_table(&afg, "h0");
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
-        let out = execute(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &Hop(AtomicU32::new(0)),
-            &log,
-            &clock,
-            None,
-            &ExecutorConfig {
-                input_timeout: Duration::from_millis(200),
+        let rig = Rig::new(
+            Transport::InProc,
+            ExecutorConfig {
                 retry: BackoffPolicy { base_s: 0.001, factor: 1.0, max_s: 0.001, max_retries: 1 },
-                ..ExecutorConfig::default()
+                ..timeout(Duration::from_millis(200))
             },
         );
+        rig.io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
+        let gate = Hop(AtomicU32::new(0));
+        let out = execute(&Execution { gate: &gate, ..rig.execution(&afg, &table) });
         assert!(!out.success, "singular LU fails on every host");
         assert_eq!(
-            log.query(EventKind::TaskMigrated).count(),
+            rig.log.query(EventKind::TaskMigrated).count(),
             1,
             "one retry on a different host → one migration event"
         );
@@ -877,24 +768,9 @@ mod tests {
     fn completions_are_reported_per_host() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
+        let rig = Rig::new(Transport::InProc, ExecutorConfig::default());
         let (tx, rx) = unbounded();
-        let out = execute(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &AlwaysProceed,
-            &log,
-            &clock,
-            Some(tx),
-            &ExecutorConfig::default(),
-        );
+        let out = execute(&Execution { completions: Some(tx), ..rig.execution(&afg, &table) });
         assert!(out.success);
         let msgs: Vec<ControlMessage> = rx.try_iter().collect();
         assert_eq!(msgs.len(), 3);
@@ -908,33 +784,25 @@ mod tests {
     fn suspended_application_waits_for_resume() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let log = EventLog::new();
-        let console = ConsoleService::new(log.clone());
-        console.suspend();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let clock = RealClock::new();
-        let console2 = console.clone();
+        let rig = Rig::new(Transport::InProc, ExecutorConfig::default());
+        rig.console.suspend();
+        let console2 = rig.console.clone();
         let resumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(80));
             console2.resume();
         });
-        let out = execute(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &AlwaysProceed,
-            &log,
-            &clock,
-            None,
-            &ExecutorConfig::default(),
-        );
+        let out = execute(&rig.execution(&afg, &table));
         resumer.join().unwrap();
         assert!(out.success);
         assert!(out.wall_seconds >= 0.0);
-        assert_eq!(log.query(EventKind::Resumed).count(), 1);
+        assert_eq!(rig.log.query(EventKind::Resumed).count(), 1);
+    }
+
+    fn checkpointing() -> ExecutorConfig {
+        ExecutorConfig {
+            checkpoint: CheckpointPolicy::every(0.5, 0.0),
+            ..ExecutorConfig::default()
+        }
     }
 
     #[test]
@@ -944,62 +812,26 @@ mod tests {
         let store = CheckpointStore::new();
         let reachable = |_: &str| true;
         let ctx = CheckpointContext { store: &store, reachable: &reachable, replicate_to: None };
-        let config = ExecutorConfig {
-            checkpoint: CheckpointPolicy::every(0.5, 0.0),
-            ..ExecutorConfig::default()
-        };
 
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
-        let out = execute_full(
-            &afg,
-            &table,
-            &dm,
-            &io,
-            &console,
-            &AlwaysProceed,
-            &log,
-            &clock,
-            None,
-            &config,
-            &HostLockRegistry::new(),
-            Some(&ctx),
-        );
+        let rig = Rig::new(Transport::InProc, checkpointing());
+        let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
         assert!(out.success, "{:?}", out.records);
         assert_eq!(store.taken_total(), 3, "every completed task checkpointed");
-        assert_eq!(log.query(EventKind::CheckpointTaken).count(), 3);
-        assert_eq!(dm.produced_count(), 2, "both edges marked produced");
+        assert_eq!(rig.log.query(EventKind::CheckpointTaken).count(), 3);
+        assert_eq!(rig.dm.produced_count(), 2, "both edges marked produced");
 
         // Second execution with the same store: no completed work is
         // re-executed — every task resumes from its full checkpoint.
-        let log2 = EventLog::new();
-        let dm2 = DataManager::new(Transport::InProc, log2.clone());
-        let console2 = ConsoleService::new(log2.clone());
-        let out2 = execute_full(
-            &afg,
-            &table,
-            &dm2,
-            &io,
-            &console2,
-            &AlwaysProceed,
-            &log2,
-            &clock,
-            None,
-            &config,
-            &HostLockRegistry::new(),
-            Some(&ctx),
-        );
+        let rig2 = Rig::new(Transport::InProc, checkpointing());
+        let out2 = execute(&Execution { checkpoint: Some(&ctx), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
         assert_eq!(
-            log2.query(EventKind::TaskStarted).count(),
+            rig2.log.query(EventKind::TaskStarted).count(),
             0,
             "no kernel re-executed past its checkpoint"
         );
-        assert_eq!(log2.query(EventKind::TaskResumed).count(), 3);
-        assert_eq!(dm2.produced_count(), 2, "resumed tasks re-deliver produced outputs");
+        assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 3);
+        assert_eq!(rig2.dm.produced_count(), 2, "resumed tasks re-deliver produced outputs");
     }
 
     #[test]
@@ -1007,66 +839,28 @@ mod tests {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
         let store = CheckpointStore::new();
-        let config = ExecutorConfig {
-            checkpoint: CheckpointPolicy::every(0.5, 0.0),
-            ..ExecutorConfig::default()
-        };
 
         // First run replicates every checkpoint to the off-site host r1.
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
+        let rig = Rig::new(Transport::InProc, checkpointing());
         let reachable = |_: &str| true;
         let ctx = CheckpointContext {
             store: &store,
             reachable: &reachable,
             replicate_to: Some("r1".into()),
         };
-        assert!(
-            execute_full(
-                &afg,
-                &table,
-                &dm,
-                &io,
-                &console,
-                &AlwaysProceed,
-                &log,
-                &clock,
-                None,
-                &config,
-                &HostLockRegistry::new(),
-                Some(&ctx),
-            )
-            .success
-        );
-        assert_eq!(log.query(EventKind::CheckpointReplicated).count(), 3);
+        let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
+        assert!(out.success);
+        assert_eq!(rig.log.query(EventKind::CheckpointReplicated).count(), 3);
 
         // h0 crashed, but the replicas on r1 keep every checkpoint valid:
         // the rerun resumes everything instead of re-executing.
-        let log2 = EventLog::new();
-        let dm2 = DataManager::new(Transport::InProc, log2.clone());
-        let console2 = ConsoleService::new(log2.clone());
+        let rig2 = Rig::new(Transport::InProc, checkpointing());
         let h0_down = |h: &str| h != "h0";
         let ctx2 = CheckpointContext { store: &store, reachable: &h0_down, replicate_to: None };
-        let out2 = execute_full(
-            &afg,
-            &table,
-            &dm2,
-            &io,
-            &console2,
-            &AlwaysProceed,
-            &log2,
-            &clock,
-            None,
-            &config,
-            &HostLockRegistry::new(),
-            Some(&ctx2),
-        );
+        let out2 = execute(&Execution { checkpoint: Some(&ctx2), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(log2.query(EventKind::TaskStarted).count(), 0);
-        assert_eq!(log2.query(EventKind::TaskResumed).count(), 3);
+        assert_eq!(rig2.log.query(EventKind::TaskStarted).count(), 0);
+        assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 3);
     }
 
     #[test]
@@ -1074,61 +868,23 @@ mod tests {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
         let store = CheckpointStore::new();
-        let config = ExecutorConfig {
-            checkpoint: CheckpointPolicy::every(0.5, 0.0),
-            ..ExecutorConfig::default()
-        };
 
         // First run checkpoints everything on h0.
-        let log = EventLog::new();
-        let dm = DataManager::new(Transport::InProc, log.clone());
-        let io = IoService::new();
-        let console = ConsoleService::new(log.clone());
-        let clock = RealClock::new();
+        let rig = Rig::new(Transport::InProc, checkpointing());
         let reachable = |_: &str| true;
         let ctx = CheckpointContext { store: &store, reachable: &reachable, replicate_to: None };
-        assert!(
-            execute_full(
-                &afg,
-                &table,
-                &dm,
-                &io,
-                &console,
-                &AlwaysProceed,
-                &log,
-                &clock,
-                None,
-                &config,
-                &HostLockRegistry::new(),
-                Some(&ctx),
-            )
-            .success
-        );
+        let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
+        assert!(out.success);
 
         // h0 "crashed": its checkpoints are unusable, so the rerun
         // executes every task from scratch.
-        let log2 = EventLog::new();
-        let dm2 = DataManager::new(Transport::InProc, log2.clone());
-        let console2 = ConsoleService::new(log2.clone());
+        let rig2 = Rig::new(Transport::InProc, checkpointing());
         let h0_down = |h: &str| h != "h0";
         let ctx2 = CheckpointContext { store: &store, reachable: &h0_down, replicate_to: None };
-        let out2 = execute_full(
-            &afg,
-            &table,
-            &dm2,
-            &io,
-            &console2,
-            &AlwaysProceed,
-            &log2,
-            &clock,
-            None,
-            &config,
-            &HostLockRegistry::new(),
-            Some(&ctx2),
-        );
+        let out2 = execute(&Execution { checkpoint: Some(&ctx2), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(log2.query(EventKind::TaskResumed).count(), 0);
-        assert_eq!(log2.query(EventKind::TaskStarted).count(), 3);
+        assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 0);
+        assert_eq!(rig2.log.query(EventKind::TaskStarted).count(), 3);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use durable::{
     RepoReplica,
 };
 pub use events::{EventLog, LogRecord, RuntimeEvent, WorkLedger};
-pub use executor::{execute_full, execute_with_locks, HostLockRegistry};
+pub use executor::{execute, Execution, HostLockRegistry};
 pub use kernels::run_kernel;
 pub use monitor::{LoadProbe, MonitorDaemon, MonitorReport, SyntheticProbe};
 pub use net_monitor::{LinkProbe, NetworkMonitor, SyntheticLinkProbe};

@@ -39,9 +39,7 @@ use crate::faults::{Fault, FaultPlan, WeibullArrivalSpec};
 use crate::metrics::RecoveryReport;
 use crate::pool_gen::{FederationSpec, WanShape};
 use crate::recovery::verify_recovery;
-use crate::replay::{
-    run_fault_scenario, run_fault_scenario_durable, run_fault_scenario_observed, ReplayConfig,
-};
+use crate::replay::{run_fault_scenario, ReplayConfig};
 use crate::scenario::{self, schedule_estimate, FaultScenario, Scenario};
 use crate::stream::{run_stream, StreamScenario};
 
@@ -604,13 +602,14 @@ fn prepare(case: &FuzzCase) -> Prepared {
 }
 
 fn replay_case(case: &FuzzCase, p: &Prepared, obs: &Observer) -> RecoveryReport {
-    run_fault_scenario_observed(
+    run_fault_scenario(
         "fuzz",
         &p.scenario.federation,
         &p.scenario.afg,
         &case.plan,
         &p.cfg,
         obs,
+        None,
     )
 }
 
@@ -728,8 +727,7 @@ pub fn check_case(case: &FuzzCase, profile: &InvariantProfile) -> CaseOutcome {
         }
     }
 
-    let again =
-        run_fault_scenario("fuzz", &p.scenario.federation, &p.scenario.afg, &case.plan, &p.cfg);
+    let again = replay_case(case, &p, &Observer::disabled());
     if report_json(&again) != report_json(&report) {
         violations.push(Violation {
             invariant: Invariant::ReplayDeterminism,
@@ -756,14 +754,14 @@ pub fn check_case(case: &FuzzCase, profile: &InvariantProfile) -> CaseOutcome {
 fn check_durable(case: &FuzzCase, p: &Prepared, plain: &RecoveryReport) -> Option<Violation> {
     let v = |detail: String| Some(Violation { invariant: Invariant::DurableRecovery, detail });
     let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-    let durable = run_fault_scenario_durable(
+    let durable = run_fault_scenario(
         "fuzz",
         &p.scenario.federation,
         &p.scenario.afg,
         &case.plan,
         &p.cfg,
         &Observer::disabled(),
-        &opts,
+        Some(&opts),
     );
     if report_json(&durable) != report_json(plain) {
         return v("durable replay diverged from the plain replay".to_string());

@@ -21,7 +21,10 @@
 //!   (crashes, outages, spikes, degraded/flaky links);
 //! - [`replay`] — deterministic replay of a fault plan against the real
 //!   runtime control plane, with mid-execution recovery
-//!   (detect → quarantine → re-select → migrate → retry) and the
+//!   (detect → quarantine → re-select → migrate → retry): one `Replay`
+//!   state machine, one method per tick step, behind [`replay()`] /
+//!   `replay_observed` / [`replay_durable`], and [`run_fault_scenario`]
+//!   folding a faulty replay and its fault-free twin into the
 //!   [`metrics::RecoveryReport`] the `exp_faults` binary emits;
 //! - [`arrivals`] — seeded Poisson submission traces for the streaming
 //!   scheduler service;
@@ -69,9 +72,6 @@ pub use harness::{compare_schedulers, SchedulerKind};
 pub use metrics::{summarise, RecoveryReport, Summary, Table};
 pub use pool_gen::{build_federation, Federation, FederationSpec};
 pub use recovery::{verify_kill, verify_recovery, KillReport, RecoverySummary};
-pub use replay::{
-    replay, replay_durable, run_fault_scenario, run_fault_scenario_durable, ReplayConfig,
-    ReplayOutcome,
-};
+pub use replay::{replay, replay_durable, run_fault_scenario, ReplayConfig, ReplayOutcome};
 pub use scenario::Scenario;
 pub use stream::{run_stream, run_stream_observed, StreamScenario};

@@ -12,7 +12,8 @@ use crate::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
 use crate::replay::{run_fault_scenario, ReplayConfig};
 use std::collections::BTreeMap;
 use vdce_afg::Afg;
-use vdce_runtime::CheckpointPolicy;
+use vdce_obs::Observer;
+use vdce_runtime::{CheckpointPolicy, DurableOptions};
 use vdce_sched::{evaluate, site_schedule, SchedulerConfig};
 
 /// A named, reproducible experiment setup.
@@ -182,41 +183,14 @@ pub struct FaultScenario {
 }
 
 impl FaultScenario {
-    /// Replay the plan (and its fault-free twin) into a report.
-    pub fn run(&self) -> RecoveryReport {
+    /// Replay the plan (and its fault-free twin) into a report. The
+    /// faulty replay is traced into `obs.trace` and metered into
+    /// `obs.metrics`; with `durable` its control plane is journaled
+    /// (DESIGN.md §16) and afterwards `durable.journal` holds the sealed
+    /// event history for [`crate::recovery::verify_recovery`]. The report
+    /// is the same bit for bit whatever `obs` and `durable` are.
+    pub fn run(&self, obs: &Observer, durable: Option<&DurableOptions>) -> RecoveryReport {
         run_fault_scenario(
-            self.name,
-            &self.scenario.federation,
-            &self.scenario.afg,
-            &self.plan,
-            &self.config,
-        )
-    }
-
-    /// [`run`](FaultScenario::run) with observability: the faulty replay
-    /// is traced into `obs.trace` and metered into `obs.metrics`. Same
-    /// report bit for bit.
-    pub fn run_observed(&self, obs: &vdce_obs::Observer) -> RecoveryReport {
-        crate::replay::run_fault_scenario_observed(
-            self.name,
-            &self.scenario.federation,
-            &self.scenario.afg,
-            &self.plan,
-            &self.config,
-            obs,
-        )
-    }
-
-    /// [`run_observed`](FaultScenario::run_observed) with the durable
-    /// control plane on for the faulty replay (DESIGN.md §16): same
-    /// report bit for bit; afterwards `durable.journal` holds the
-    /// sealed event history for [`crate::recovery::verify_recovery`].
-    pub fn run_durable(
-        &self,
-        obs: &vdce_obs::Observer,
-        durable: &vdce_runtime::DurableOptions,
-    ) -> RecoveryReport {
-        crate::replay::run_fault_scenario_durable(
             self.name,
             &self.scenario.federation,
             &self.scenario.afg,
@@ -739,7 +713,7 @@ mod tests {
     #[test]
     fn quick_fault_scenarios_recover() {
         for fs in quick_fault_scenarios() {
-            let report = fs.run();
+            let report = fs.run(&Observer::disabled(), None);
             assert_eq!(report.tasks_failed, 0, "{}: tasks failed", fs.name);
             assert!(report.recovered_all(), "{}: not recovered: {:?}", fs.name, report.faults);
             // Hand-written scenarios stay under 2x; fuzzer-promoted
@@ -758,8 +732,8 @@ mod tests {
     #[test]
     fn fuzz_regressions_replay_bit_identically() {
         for fs in fuzz_regression_scenarios() {
-            let a = fs.run();
-            let b = fs.run();
+            let a = fs.run(&Observer::disabled(), None);
+            let b = fs.run(&Observer::disabled(), None);
             assert_eq!(a, b, "{}: two replays differ", fs.name);
             assert!(a.inflation > 1.0, "{}: promoted reproducer no longer bites", fs.name);
         }

@@ -2,10 +2,15 @@
 //!
 //! *Golden bytes*: every journal payload, snapshot and seal is JSON text, and
 //! the state hash is a hash of that text — so a serialiser that moved one
-//! byte would still pass every replay-against-replay check. The constants
-//! below were recorded at commit `b9fda64` (the last one whose serialiser
-//! went through the `Value` tree); they hold the format to that commit, not
-//! to itself.
+//! byte, or a replay step that moved one control-plane mutation ahead of
+//! another, would still pass every replay-against-replay check. The table
+//! below was recorded at commit `cdffc53`, the parent of the commit that made
+//! the replay engine a state machine with one method per tick step; it holds
+//! the format, the order of every journaled mutation and the outcome of all
+//! 17 fault scenarios to that commit, not to themselves. (The
+//! `site-crash-ckpt-replica` and `manager-failover` journal rows go back
+//! further, to `b9fda64`, the last commit whose serialiser went through the
+//! `Value` tree.)
 //!
 //! *Malformed input*: whatever a torn or corrupted store hands the decoders
 //! — any strict prefix, any flipped byte, absurd nesting — they return a
@@ -13,16 +18,16 @@
 
 use vdce_obs::Observer;
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState, DurableOptions};
-use vdce_sim::replay::replay_durable;
+use vdce_sim::replay::{replay, replay_durable, ReplayOutcome};
 use vdce_sim::scenario::{
-    crash_mid_run_checkpointed, manager_failover, site_crash_ckpt_replica, FaultScenario,
+    all_fault_scenarios, crash_mid_run_checkpointed, site_crash_ckpt_replica, FaultScenario,
 };
 use vdce_store::{fnv1a, Fnv1a, SnapshotPolicy};
 
 /// The scenario's durable replay as `exp_recovery` configures it.
-fn sealed(fs: &FaultScenario) -> DurableOptions {
+fn sealed(fs: &FaultScenario) -> (DurableOptions, ReplayOutcome) {
     let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-    replay_durable(
+    let outcome = replay_durable(
         &fs.scenario.federation,
         &fs.scenario.afg,
         &fs.plan,
@@ -30,10 +35,11 @@ fn sealed(fs: &FaultScenario) -> DurableOptions {
         &Observer::disabled(),
         &opts,
     );
-    opts
+    (opts, outcome)
 }
 
 struct Golden {
+    name: &'static str,
     records: u64,
     wal_bytes_total: u64,
     snapshots: u64,
@@ -41,10 +47,207 @@ struct Golden {
     sealed_hash: u64,
     /// FNV-1a of every history payload, concatenated in order.
     payloads_fnv: u64,
+    /// FNV-1a of `format!("{:?}", ReplayOutcome)`, plain and durable alike.
+    outcome_fnv: u64,
+    /// FNV-1a of the `RecoveryReport` JSON.
+    report_fnv: u64,
 }
 
+/// `all_fault_scenarios()` in order.
+const GOLDEN: [Golden; 17] = [
+    Golden {
+        name: "crash-mid-run",
+        records: 233,
+        wal_bytes_total: 24_155,
+        snapshots: 1,
+        sealed_len: 27_422,
+        sealed_hash: 0x62dc_cc82_9e6c_b162,
+        payloads_fnv: 0x0349_2b85_fd7c_98a6,
+        outcome_fnv: 0x54ad_60ca_e282_3d38,
+        report_fnv: 0xd688_655a_eba1_9c5e,
+    },
+    Golden {
+        name: "crash-mid-run-ckpt",
+        records: 382,
+        wal_bytes_total: 44_669,
+        snapshots: 2,
+        sealed_len: 43_999,
+        sealed_hash: 0x4834_4658_6f18_7079,
+        payloads_fnv: 0x8528_bb1d_bf19_e1da,
+        outcome_fnv: 0x9aba_5e81_97e1_c6fa,
+        report_fnv: 0xaa67_26b4_4527_b234,
+    },
+    Golden {
+        name: "crash-two-campus",
+        records: 524,
+        wal_bytes_total: 53_195,
+        snapshots: 3,
+        sealed_len: 61_479,
+        sealed_hash: 0x0e55_9823_7c1e_8f7e,
+        payloads_fnv: 0xbfac_b6ea_ca73_919d,
+        outcome_fnv: 0x6365_0ac2_0e97_855b,
+        report_fnv: 0x0f58_8ac2_410d_29a2,
+    },
+    Golden {
+        name: "crash-spread-ckpt",
+        records: 525,
+        wal_bytes_total: 58_880,
+        snapshots: 3,
+        sealed_len: 64_927,
+        sealed_hash: 0x04bf_015f_9cc2_6c7c,
+        payloads_fnv: 0x0087_ad26_8de1_089f,
+        outcome_fnv: 0x00d9_7bb1_157f_bc50,
+        report_fnv: 0xa144_276d_2dea_2ca7,
+    },
+    Golden {
+        name: "transient-outage",
+        records: 585,
+        wal_bytes_total: 58_742,
+        snapshots: 3,
+        sealed_len: 75_505,
+        sealed_hash: 0x1c9c_a5b4_f5e2_e6ab,
+        payloads_fnv: 0xadfb_0d23_8868_c8ef,
+        outcome_fnv: 0x442d_f3c3_b749_f9e2,
+        report_fnv: 0xb821_b407_2d73_9503,
+    },
+    Golden {
+        name: "load-spike-eviction",
+        records: 258,
+        wal_bytes_total: 26_786,
+        snapshots: 2,
+        sealed_len: 29_688,
+        sealed_hash: 0x946d_2384_b093_7277,
+        payloads_fnv: 0xe3a3_5da7_6d41_8b4d,
+        outcome_fnv: 0xbffd_4407_9017_f215,
+        report_fnv: 0x4ee8_ab02_b700_ebac,
+    },
+    Golden {
+        name: "degraded-wan",
+        records: 1_628,
+        wal_bytes_total: 165_427,
+        snapshots: 6,
+        sealed_len: 188_600,
+        sealed_hash: 0x499e_407a_eb61_9eb6,
+        payloads_fnv: 0x8399_b770_a1fb_c66b,
+        outcome_fnv: 0xee38_96a6_f349_6c40,
+        report_fnv: 0x4ab9_1284_e356_8d52,
+    },
+    Golden {
+        name: "flaky-wan",
+        records: 804,
+        wal_bytes_total: 81_776,
+        snapshots: 4,
+        sealed_len: 101_400,
+        sealed_hash: 0x4864_a489_c88a_4f04,
+        payloads_fnv: 0x1e1c_41af_7619_8d64,
+        outcome_fnv: 0xef2c_617f_5b54_92f9,
+        report_fnv: 0xc77b_73f8_cd21_05fe,
+    },
+    Golden {
+        name: "weibull-churn",
+        records: 981,
+        wal_bytes_total: 101_795,
+        snapshots: 4,
+        sealed_len: 94_613,
+        sealed_hash: 0x77c8_c52d_c0ba_cb0c,
+        payloads_fnv: 0x0b27_f1ec_37b9_2bf1,
+        outcome_fnv: 0xd816_4b3b_7c79_67fa,
+        report_fnv: 0xbbd2_18c7_fc07_d766,
+    },
+    Golden {
+        name: "manager-failover",
+        records: 427,
+        wal_bytes_total: 43_004,
+        snapshots: 2,
+        sealed_len: 61_589,
+        sealed_hash: 0xc0be_3380_c94d_4f63,
+        payloads_fnv: 0x42ee_7b6a_96dc_8ff0,
+        outcome_fnv: 0x85af_f418_d3e6_944c,
+        report_fnv: 0x3ce7_cb7d_e4e8_c42c,
+    },
+    Golden {
+        name: "site-crash",
+        records: 608,
+        wal_bytes_total: 61_693,
+        snapshots: 3,
+        sealed_len: 75_632,
+        sealed_hash: 0xa3c0_2f91_b958_7a32,
+        payloads_fnv: 0xa48c_dfcf_90cb_8628,
+        outcome_fnv: 0x6c0c_e417_07a2_0863,
+        report_fnv: 0xaa5b_3d11_bb10_adc4,
+    },
+    Golden {
+        name: "site-crash-ckpt-local",
+        records: 1_005,
+        wal_bytes_total: 111_584,
+        snapshots: 4,
+        sealed_len: 116_179,
+        sealed_hash: 0xf8da_e858_a0fb_ffab,
+        payloads_fnv: 0x04cf_b904_24dd_393c,
+        outcome_fnv: 0xe5f2_962c_b2ae_ee3a,
+        report_fnv: 0xeb43_557c_a326_64b5,
+    },
+    Golden {
+        name: "site-crash-ckpt-replica",
+        records: 1_677,
+        wal_bytes_total: 172_087,
+        snapshots: 7,
+        sealed_len: 154_043,
+        sealed_hash: 0x0553_b784_6752_6b78,
+        payloads_fnv: 0xbc6a_0c4e_92d3_5953,
+        outcome_fnv: 0x647e_11e4_e503_53c1,
+        report_fnv: 0x79bb_cefa_6eff_90c3,
+    },
+    Golden {
+        name: "partition-heal",
+        records: 388,
+        wal_bytes_total: 39_584,
+        snapshots: 2,
+        sealed_len: 49_554,
+        sealed_hash: 0x7f09_2380_5d92_1124,
+        payloads_fnv: 0x95cb_3e6f_d6b3_9765,
+        outcome_fnv: 0xdd26_3700_0c10_787d,
+        report_fnv: 0x4f5c_f242_e506_5f2b,
+    },
+    Golden {
+        name: "fuzz-outage-hotspot",
+        records: 1_633,
+        wal_bytes_total: 164_507,
+        snapshots: 7,
+        sealed_len: 174_820,
+        sealed_hash: 0x19c4_2812_22a6_8b7e,
+        payloads_fnv: 0x89ee_1f06_65d0_cf92,
+        outcome_fnv: 0x3da3_9399_e1f8_d75b,
+        report_fnv: 0x13ef_81ab_fa4c_5166,
+    },
+    Golden {
+        name: "fuzz-spike-pileup",
+        records: 719,
+        wal_bytes_total: 72_834,
+        snapshots: 3,
+        sealed_len: 78_884,
+        sealed_hash: 0xe664_e976_380a_3d2a,
+        payloads_fnv: 0xcb99_1ba9_8a79_13b0,
+        outcome_fnv: 0x478a_c070_3d03_6ac6,
+        report_fnv: 0xe72f_2c63_79f1_f2e5,
+    },
+    Golden {
+        name: "fuzz-site-blink",
+        records: 749,
+        wal_bytes_total: 75_098,
+        snapshots: 3,
+        sealed_len: 79_976,
+        sealed_hash: 0xcfe4_541a_f32e_bbf5,
+        payloads_fnv: 0x3d08_5220_9afa_7b70,
+        outcome_fnv: 0xe016_c8f6_fe9c_5175,
+        report_fnv: 0x1f44_82fe_f663_22f6,
+    },
+];
+
 fn assert_golden(fs: &FaultScenario, want: &Golden) {
-    let opts = sealed(fs);
+    let name = fs.name;
+    assert_eq!(name, want.name, "the table follows `all_fault_scenarios()`");
+    let (opts, durable) = sealed(fs);
     let journal = &opts.journal;
     let stats = journal.stats();
     let seal = journal.final_state().expect("durable replays seal");
@@ -52,7 +255,6 @@ fn assert_golden(fs: &FaultScenario, want: &Golden) {
     for (_, payload) in journal.history() {
         payloads.update(payload.as_bytes());
     }
-    let name = fs.name;
     assert_eq!(journal.len(), want.records, "{name}: journal records");
     assert_eq!(stats.wal_bytes_total, want.wal_bytes_total, "{name}: WAL bytes");
     assert_eq!(stats.snapshots, want.snapshots, "{name}: snapshots");
@@ -64,33 +266,23 @@ fn assert_golden(fs: &FaultScenario, want: &Golden) {
     let state = ControlState::from_bytes(&seal.state).expect("the seal parses");
     assert_eq!(state.hash(), want.sealed_hash, "{name}: streamed hash of the reparsed seal");
     assert_eq!(state.to_bytes(), seal.state, "{name}: reserialised seal");
+
+    let plain = replay(&fs.scenario.federation, &fs.scenario.afg, &fs.plan, &fs.config);
+    let outcome_fnv = |o: &ReplayOutcome| fnv1a(format!("{o:?}").as_bytes());
+    assert_eq!(outcome_fnv(&plain), want.outcome_fnv, "{name}: plain outcome");
+    assert_eq!(outcome_fnv(&durable), want.outcome_fnv, "{name}: durable outcome");
+    let report =
+        serde_json::to_string(&fs.run(&Observer::disabled(), None)).expect("reports serialise");
+    assert_eq!(fnv1a(report.as_bytes()), want.report_fnv, "{name}: recovery report");
 }
 
 #[test]
-fn journal_snapshot_and_seal_bytes_are_the_parents() {
-    // All four tags (`repo`, `ckpt`, `site`, `log`) and seven snapshots.
-    assert_golden(
-        &site_crash_ckpt_replica(),
-        &Golden {
-            records: 1677,
-            wal_bytes_total: 172_087,
-            snapshots: 7,
-            sealed_len: 154_043,
-            sealed_hash: 0x0553_b784_6752_6b78,
-            payloads_fnv: 0xbc6a_0c4e_92d3_5953,
-        },
-    );
-    assert_golden(
-        &manager_failover(),
-        &Golden {
-            records: 427,
-            wal_bytes_total: 43_004,
-            snapshots: 2,
-            sealed_len: 61_589,
-            sealed_hash: 0xc0be_3380_c94d_4f63,
-            payloads_fnv: 0x42ee_7b6a_96dc_8ff0,
-        },
-    );
+fn every_fault_scenario_replays_to_the_parents_bytes() {
+    let scenarios = all_fault_scenarios();
+    assert_eq!(scenarios.len(), GOLDEN.len());
+    for (fs, want) in scenarios.iter().zip(&GOLDEN) {
+        assert_golden(fs, want);
+    }
 }
 
 /// Deterministic stream for flip positions (SplitMix64).
@@ -115,11 +307,11 @@ fn flips(bytes: &[u8], n: usize, seed: u64) -> impl Iterator<Item = Vec<u8>> + '
 
 #[test]
 fn damaged_snapshots_and_payloads_are_typed_errors() {
-    let opts = sealed(&site_crash_ckpt_replica());
+    let opts = sealed(&site_crash_ckpt_replica()).0;
     // Every prefix of a snapshot is quadratic work, so take a small one:
     // the seq-0 state of the smoke campus. A strict prefix of a JSON
     // object is never a JSON document.
-    let small = sealed(&crash_mid_run_checkpointed()).journal.snapshots().remove(0).state;
+    let small = sealed(&crash_mid_run_checkpointed()).0.journal.snapshots().remove(0).state;
     assert!(ControlState::from_bytes(&small).is_ok());
     for cut in 0..small.len() {
         assert!(ControlState::from_bytes(&small[..cut]).is_err(), "prefix of {cut} bytes");

@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 use vdce_dsm::DsmRegion;
+use vdce_obs::Observer;
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::faults::{Fault, FaultPlan};
@@ -18,6 +19,24 @@ use vdce_sim::metrics::RecoveryReport;
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
 use vdce_sim::replay::{run_fault_scenario, ReplayConfig};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
+
+/// The recovery report of `plan` on `scenario`, unobserved and un-journaled.
+fn recovery_report(
+    name: &str,
+    scenario: &Scenario,
+    plan: &FaultPlan,
+    cfg: &ReplayConfig,
+) -> RecoveryReport {
+    run_fault_scenario(
+        name,
+        &scenario.federation,
+        &scenario.afg,
+        plan,
+        cfg,
+        &Observer::disabled(),
+        None,
+    )
+}
 
 fn fed(sites: usize, hosts: usize, seed: u64) -> Federation {
     build_federation(&FederationSpec {
@@ -97,8 +116,7 @@ proptest! {
         let plan =
             crash_plan(&scenario, est, cfg.tick, 7, f64::from(crash_pct) / 100.0);
 
-        let report: RecoveryReport =
-            run_fault_scenario("prop-ckpt", &scenario.federation, &scenario.afg, &plan, &cfg);
+        let report = recovery_report("prop-ckpt", &scenario, &plan, &cfg);
         prop_assert_eq!(report.tasks_failed, 0, "no task may fail with checkpointing on");
         prop_assert_eq!(report.tasks_completed, scenario.afg.tasks.len() as u64);
         for r in &report.resumed_progress {
@@ -170,8 +188,8 @@ proptest! {
         let plan =
             crash_plan(&scenario, est, cfg.tick, 11, f64::from(crash_pct) / 100.0);
 
-        let a = run_fault_scenario("prop-ckpt-det", &scenario.federation, &scenario.afg, &plan, &cfg);
-        let b = run_fault_scenario("prop-ckpt-det", &scenario.federation, &scenario.afg, &plan, &cfg);
+        let a = recovery_report("prop-ckpt-det", &scenario, &plan, &cfg);
+        let b = recovery_report("prop-ckpt-det", &scenario, &plan, &cfg);
         prop_assert_eq!(
             serde_json::to_string(&a).expect("serialise"),
             serde_json::to_string(&b).expect("serialise"),

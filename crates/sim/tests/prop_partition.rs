@@ -9,6 +9,7 @@
 //!     still has a ground-truth-reachable copy.
 
 use proptest::prelude::*;
+use vdce_obs::Observer;
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::faults::{Fault, FaultPlan};
@@ -16,6 +17,24 @@ use vdce_sim::metrics::RecoveryReport;
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
 use vdce_sim::replay::{replay, run_fault_scenario, ReplayConfig};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
+
+/// The recovery report of `plan` on `scenario`, unobserved and un-journaled.
+fn recovery_report(
+    name: &str,
+    scenario: &Scenario,
+    plan: &FaultPlan,
+    cfg: &ReplayConfig,
+) -> RecoveryReport {
+    run_fault_scenario(
+        name,
+        &scenario.federation,
+        &scenario.afg,
+        plan,
+        cfg,
+        &Observer::disabled(),
+        None,
+    )
+}
 
 fn fed(sites: usize, hosts: usize, seed: u64) -> Federation {
     build_federation(&FederationSpec {
@@ -62,8 +81,7 @@ proptest! {
             }],
         };
 
-        let report: RecoveryReport =
-            run_fault_scenario("prop-partition", &scenario.federation, &scenario.afg, &plan, &cfg);
+        let report = recovery_report("prop-partition", &scenario, &plan, &cfg);
         prop_assert_eq!(report.tasks_failed, 0, "a healed partition may not lose tasks");
         prop_assert_eq!(report.tasks_completed, scenario.afg.tasks.len() as u64);
         prop_assert_eq!(
@@ -71,8 +89,7 @@ proptest! {
             "both sides stayed alive; nothing to quarantine"
         );
 
-        let again =
-            run_fault_scenario("prop-partition", &scenario.federation, &scenario.afg, &plan, &cfg);
+        let again = recovery_report("prop-partition", &scenario, &plan, &cfg);
         let j1 = serde_json::to_string(&report).unwrap();
         let j2 = serde_json::to_string(&again).unwrap();
         prop_assert_eq!(j1, j2, "partition replay must be bit-identical");

@@ -4,7 +4,10 @@
 //!
 //! - **No shrinking.** A failing case panics with the generated inputs'
 //!   `Debug` rendering (tests bind inputs by name, and assertion messages
-//!   include them), but is not minimised.
+//!   include them), but is not minimised. As the panic unwinds the runner
+//!   prints one line naming the test, the case index, the case count and
+//!   the effective `PROPTEST_SEED`; `PROPTEST_CASES=<index + 1>` replays
+//!   up to exactly that case.
 //! - Generation is deterministic: each test derives its RNG seed from the
 //!   test name, so reruns reproduce the same cases. Set `PROPTEST_SEED`
 //!   to explore a different stream, `PROPTEST_CASES` to change volume.
@@ -90,6 +93,44 @@ impl RngCore for TestRng {
 /// Resolve the effective case count (`PROPTEST_CASES` overrides config).
 pub fn resolved_cases(cfg: &ProptestConfig) -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(cfg.cases)
+}
+
+/// Names the case a property test is in. The runner holds one per case;
+/// dropped during a panic — a failed `prop_assert!`, an `Err` return or a
+/// strategy that panicked — it prints the line that replays the case.
+pub struct CaseGuard {
+    /// The test function's name.
+    pub test: &'static str,
+    /// Index of the running case.
+    pub case: u32,
+    /// Cases the run was going to draw.
+    pub cases: u32,
+}
+
+impl CaseGuard {
+    /// The replay line: the first `case + 1` cases of the same seed end on
+    /// this one, because each test draws all its inputs from one stream.
+    pub fn replay_hint(&self) -> String {
+        let seed = std::env::var("PROPTEST_SEED").unwrap_or_else(|_| "unset".into());
+        format!(
+            "proptest: {} failed at case {} of {} (PROPTEST_SEED {seed}); \
+             PROPTEST_CASES={} replays it",
+            self.test,
+            self.case,
+            self.cases,
+            self.case + 1
+        )
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            use std::io::Write;
+            // A drop that runs during a panic must not panic itself.
+            let _ = writeln!(std::io::stderr(), "{}", self.replay_hint());
+        }
+    }
 }
 
 /// A value generator. Unlike upstream there is no `ValueTree`/shrinking
@@ -508,6 +549,8 @@ macro_rules! proptest {
                 let __cases = $crate::resolved_cases(&__cfg);
                 let mut __rng = $crate::TestRng::for_test(stringify!($name));
                 for __case in 0..__cases {
+                    let _guard =
+                        $crate::CaseGuard { test: stringify!($name), case: __case, cases: __cases };
                     $(
                         let $arg = $crate::Strategy::gen(&($strat), &mut __rng);
                     )+
@@ -555,4 +598,28 @@ macro_rules! prop_oneof {
     ($($s:expr),+ $(,)?) => {
         $crate::Union::new(vec![$($crate::Strategy::boxed($s)),+])
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replay_hint_names_test_case_count_and_the_replaying_case_count() {
+        let hint = CaseGuard { test: "prop_x", case: 6, cases: 64 }.replay_hint();
+        assert!(hint.contains("prop_x failed at case 6 of 64"), "{hint}");
+        assert!(hint.contains("PROPTEST_SEED"), "{hint}");
+        assert!(hint.ends_with("PROPTEST_CASES=7 replays it"), "{hint}");
+        assert!(!hint.contains('\n'), "one line: {hint}");
+    }
+
+    #[test]
+    fn a_panicking_case_still_unwinds_through_the_guard() {
+        let died = std::thread::spawn(|| {
+            let _guard = CaseGuard { test: "prop_unwinds", case: 0, cases: 1 };
+            panic!("the property failed");
+        })
+        .join();
+        assert!(died.is_err(), "the guard reports, it does not swallow the panic");
+    }
 }
