@@ -11,6 +11,8 @@
 #      recovery, scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all)
 #   7. the vdce_perf smoke (perf/run.sh --quick)
+#   8. the frozen benchmark's full-size stream checks (stream_backlog
+#      seed 2, stream_steady seed 1)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -131,3 +133,13 @@ stage "trace determinism gate (--all)" \
 # renamed entry point or a wrong result breaks CI, not the next
 # benchmark run.
 stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
+# Full-size stream checks: the smoke above runs the stream workloads
+# scaled down, where their sizing contract (pending_max <= 8 steady,
+# >= 100 backlog) is not checked. A drift in how the service prices or
+# queues submissions shows first as that contract failing at full size —
+# stream_backlog seed 2 sits closest to its edge. perf is already built
+# by the smoke; a non-zero exit fails the stage.
+stage "vdce_perf stream_backlog (seed 2)" \
+    bash perf/bench.sh --workload stream_backlog --seed 2 --seconds 1 --trace 0
+stage "vdce_perf stream_steady (seed 1)" \
+    bash perf/bench.sh --workload stream_steady --seed 1 --seconds 1 --trace 0

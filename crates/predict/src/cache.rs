@@ -1,26 +1,40 @@
-//! Memoised `Predict(task, R)` evaluations for one scheduling run.
+//! Memoised `Predict(task, R)` evaluations.
 //!
-//! A scheduling run evaluates the same `(library task, problem size,
-//! host)` triple many times: host selection ranks every candidate host
-//! per task, node-count selection re-evaluates prefixes of the ranking,
-//! and the completion-time baselines (min-min/max-min) recompute their
-//! option sets every round. Within one run the inputs are frozen — the
-//! [`TaskPerfDb`] and [`ResourceRecord`]s come from an immutable
-//! `SiteView` snapshot — so `Predict` is a pure function of that triple
-//! and its results can be memoised.
+//! A scheduler evaluates the same prediction many times: re-selection
+//! after a failure re-ranks hosts it ranked before, node-count selection
+//! re-evaluates prefixes of the ranking, and the completion-time
+//! baselines (min-min/max-min) recompute their option sets every round.
+//! [`PredictCache`] memoises at two granularities:
 //!
-//! [`PredictCache`] is `Sync` (interior `RwLock`) so the rayon fan-out
-//! across tasks can share one cache per site. Two workers racing on the
-//! same key both compute the same value (the function is deterministic),
-//! so the cache never changes *what* is returned, only how often the
-//! model is evaluated — this is the determinism contract the parallel
-//! scheduling path is specified against.
+//! - whole predictions, keyed on `(library task, problem size, host)` —
+//!   [`PredictCache::predict`] / [`PredictCache::predict_many`], used by
+//!   re-selection and the baselines, where the same triple recurs;
+//! - host-side terms, keyed on `(library task, host)` —
+//!   [`PredictCache::host_terms`], used by class-batched host selection,
+//!   where problem sizes are continuous and a triple never recurs but a
+//!   term prices every size of a task on its host.
 //!
-//! A cache must not outlive the view snapshot it was filled from: build
-//! one per scheduling run and drop it with the run.
+//! The contract: **a memo pins what it has seen for as long as it
+//! lives.** Nothing is evicted or invalidated, so a host whose load or
+//! measured rate changes after its first lookup keeps its first price.
+//! The memo's owner therefore chooses the scope that pinning is meant to
+//! have:
+//!
+//! - one scheduling run (batch): inputs are a frozen `SiteView` snapshot,
+//!   so the memo never changes *what* is returned, only how often the
+//!   model is evaluated;
+//! - one pending submission (stream): a queued submission deliberately
+//!   stays priced at its admission-time loads until it is dispatched;
+//! - one replay (sim): re-selections late in a fault replay see loads
+//!   from the first lookup — a known staleness, recorded in ROADMAP
+//!   item 1, not a property anything relies on.
+//!
+//! [`PredictCache`] is `Sync` (interior `RwLock`) so the per-site
+//! fan-out can share one memo. Two workers racing on the same key both
+//! compute the same value (the model is deterministic).
 
-use crate::model::{PredictError, Predictor};
-use std::collections::{HashMap, VecDeque};
+use crate::model::{HostTerm, PredictError, Predictor};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -82,35 +96,21 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Memo table over [`Predictor::predict`], keyed on
-/// `(library task, problem size, host name)`.
+/// Memo table over [`Predictor::predict`] and [`Predictor::host_term`];
+/// see the module docs for the two key spaces and the scope contract.
 ///
-/// The two string components are **interned** to small integer ids so
-/// the hot lookup path allocates nothing: a hit costs two borrowed-str
-/// map probes plus one small-key probe under a read lock. Host names
-/// are unique across a federation ([`Topology::add_site`] and the site
-/// generators enforce this), so a cache may be shared across sites.
-///
-/// The memo table can be **capacity-bounded**: construct with
-/// [`PredictCache::with_capacity`] to cap the number of resident
-/// `(task, size, host)` entries. Eviction is deterministic
-/// insertion-order FIFO — the oldest-inserted entry goes first — so a
-/// bounded sequential run always holds (and evicts) the same entries.
-/// (Under the parallel fan-out, insertion *order* depends on thread
-/// interleaving, so eviction victims — and therefore the hit/miss and
-/// eviction counts — can vary run to run; the cached *values* are still
-/// a pure function of the key either way.) The default is unbounded,
-/// which keeps every counter deterministic.
+/// Task and host names are **interned** to small integer ids so the hot
+/// lookup path allocates nothing: a hit costs two borrowed-str map
+/// probes plus one small-key probe. Host names are unique across a
+/// federation ([`Topology::add_site`] and the site generators enforce
+/// this), so a memo may be shared across sites.
 ///
 /// [`Topology::add_site`]: vdce_net::topology::Topology::add_site
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PredictCache {
     inner: RwLock<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    /// Max resident entries; `usize::MAX` means unbounded.
-    max_entries: usize,
 }
 
 #[derive(Debug, Default)]
@@ -118,36 +118,7 @@ struct Inner {
     task_ids: FxMap<String, u32>,
     host_ids: FxMap<String, u32>,
     map: FxMap<(u32, u64, u32), Result<f64, PredictError>>,
-    /// Keys in insertion order, for FIFO eviction. May contain stale
-    /// keys (evicted then re-inserted); [`Inner::enforce_cap`] skips
-    /// those. Interned name ids are never evicted, only map entries.
-    fifo: VecDeque<(u32, u64, u32)>,
-}
-
-impl Inner {
-    /// Record `key → value`; on a fresh insert enqueue the key and evict
-    /// oldest-first down to `cap`, counting evictions into `evicted`.
-    fn insert_bounded(
-        &mut self,
-        key: (u32, u64, u32),
-        value: Result<f64, PredictError>,
-        cap: usize,
-        evicted: &AtomicU64,
-    ) {
-        if self.map.insert(key, value).is_none() {
-            self.fifo.push_back(key);
-            self.enforce_cap(cap, evicted);
-        }
-    }
-
-    fn enforce_cap(&mut self, cap: usize, evicted: &AtomicU64) {
-        while self.map.len() > cap {
-            let Some(old) = self.fifo.pop_front() else { break };
-            if self.map.remove(&old).is_some() {
-                evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
+    terms: FxMap<(u32, u32), HostTerm>,
 }
 
 fn intern(ids: &mut FxMap<String, u32>, name: &str) -> u32 {
@@ -159,36 +130,10 @@ fn intern(ids: &mut FxMap<String, u32>, name: &str) -> u32 {
     id
 }
 
-impl Default for PredictCache {
-    /// Same as [`PredictCache::new`]: empty and unbounded.
-    fn default() -> Self {
-        PredictCache::new()
-    }
-}
-
 impl PredictCache {
-    /// An empty, unbounded cache.
+    /// An empty memo.
     pub fn new() -> Self {
-        PredictCache::with_capacity(usize::MAX)
-    }
-
-    /// An empty cache holding at most `max_entries` memoised triples
-    /// (clamped to at least 1). Once full, the oldest-inserted entry is
-    /// evicted to make room — see the type docs for the determinism
-    /// contract.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        PredictCache {
-            inner: RwLock::new(Inner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            max_entries: max_entries.max(1),
-        }
-    }
-
-    /// The max-entries bound, or `None` if unbounded.
-    pub fn max_entries(&self) -> Option<usize> {
-        (self.max_entries != usize::MAX).then_some(self.max_entries)
+        PredictCache::default()
     }
 
     /// `Predict(task, R)` through the memo table. Errors are cached too:
@@ -218,12 +163,7 @@ impl PredictCache {
         let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
         let t = intern(&mut guard.task_ids, task);
         let h = intern(&mut guard.host_ids, &host.host_name);
-        guard.insert_bounded(
-            (t, problem_size, h),
-            computed.clone(),
-            self.max_entries,
-            &self.evictions,
-        );
+        guard.map.insert((t, problem_size, h), computed.clone());
         computed
     }
 
@@ -283,21 +223,46 @@ impl PredictCache {
             let t = intern(&mut guard.task_ids, task);
             for (&i, value) in miss_idx.iter().zip(computed) {
                 let hid = intern(&mut guard.host_ids, &hosts[i as usize].host_name);
-                guard.insert_bounded(
-                    (t, problem_size, hid),
-                    value.clone(),
-                    self.max_entries,
-                    &self.evictions,
-                );
+                guard.map.insert((t, problem_size, hid), value.clone());
                 out[i as usize] = value;
             }
         }
         out
     }
 
-    /// Number of distinct `(task, size, host)` triples evaluated.
+    /// The host-side term of `task` (a known library task) on each of
+    /// `hosts`, in `hosts` order, through the term memo: a `(task, host)`
+    /// pair seen before returns the term it was first given, a new one
+    /// is computed with [`Predictor::host_term`] and kept.
+    pub fn host_terms<'a>(
+        &self,
+        predictor: &Predictor,
+        tasks: &TaskPerfDb,
+        task: &str,
+        hosts: impl IntoIterator<Item = &'a ResourceRecord>,
+    ) -> Vec<HostTerm> {
+        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        let t = intern(&mut inner.task_ids, task);
+        let before = inner.terms.len();
+        let out: Vec<HostTerm> = hosts
+            .into_iter()
+            .map(|host| {
+                let h = intern(&mut inner.host_ids, &host.host_name);
+                *inner.terms.entry((t, h)).or_insert_with(|| predictor.host_term(tasks, task, host))
+            })
+            .collect();
+        let missed = (inner.terms.len() - before) as u64;
+        self.misses.fetch_add(missed, Ordering::Relaxed);
+        self.hits.fetch_add(out.len() as u64 - missed, Ordering::Relaxed);
+        out
+    }
+
+    /// Number of distinct entries memoised: `(task, size, host)`
+    /// predictions plus `(task, host)` terms.
     pub fn len(&self) -> usize {
-        self.inner.read().unwrap_or_else(|e| e.into_inner()).map.len()
+        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        inner.map.len() + inner.terms.len()
     }
 
     /// Has nothing been evaluated yet?
@@ -315,10 +280,11 @@ impl PredictCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted to stay under the max-entries bound. Always 0 for
-    /// an unbounded cache.
+    /// Always 0: a memo never evicts (its owner bounds it by scope, see
+    /// the module docs). Kept because the `vdce_perf` layer trace reads
+    /// it by name.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        0
     }
 }
 
@@ -402,50 +368,25 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_fifo_and_counts() {
+    fn host_terms_pin_the_first_load_seen() {
         let db = TaskPerfDb::standard();
         let p = Predictor::default();
-        let cache = PredictCache::with_capacity(2);
-        assert_eq!(cache.max_entries(), Some(2));
-        let (a, b, c) = (host("a", 1.0), host("b", 2.0), host("c", 3.0));
-        cache.predict(&p, &db, "Sort", 1000, &a).unwrap();
-        cache.predict(&p, &db, "Sort", 1000, &b).unwrap();
+        let cache = PredictCache::new();
+        let (mut a, b) = (host("a", 1.0), host("b", 2.0));
+        let first = cache.host_terms(&p, &db, "Sort", [&a, &b]);
+        assert_eq!(first, vec![p.host_term(&db, "Sort", &a), p.host_term(&db, "Sort", &b)]);
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 0, 2));
+        // A load change after the first lookup is not seen through the
+        // same memo (that is the scope contract), but a fresh memo and a
+        // different task on the same memo both see it.
+        a.workload = 3.0;
+        assert_eq!(cache.host_terms(&p, &db, "Sort", [&a]), first[..1]);
+        assert_eq!((cache.misses(), cache.hits()), (2, 1));
+        let fresh = p.host_term(&db, "Sort", &a);
+        assert_eq!(fresh.load_mult, 4.0);
+        assert_eq!(PredictCache::new().host_terms(&p, &db, "Sort", [&a]), vec![fresh]);
+        assert_eq!(cache.host_terms(&p, &db, "Map", [&a])[0].load_mult, 4.0);
         assert_eq!(cache.evictions(), 0);
-        // Third insert evicts the oldest entry (host a).
-        cache.predict(&p, &db, "Sort", 1000, &c).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        // b and c are still resident; a must recompute (a miss)...
-        let misses = cache.misses();
-        cache.predict(&p, &db, "Sort", 1000, &b).unwrap();
-        cache.predict(&p, &db, "Sort", 1000, &c).unwrap();
-        assert_eq!(cache.misses(), misses);
-        let direct = p.predict(&db, "Sort", 1000, &a).unwrap();
-        let refilled = cache.predict(&p, &db, "Sort", 1000, &a).unwrap();
-        assert_eq!(cache.misses(), misses + 1);
-        // ...and refills bit-identically, evicting b in FIFO turn.
-        assert_eq!(direct.to_bits(), refilled.to_bits());
-        assert_eq!(cache.evictions(), 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn bounded_cache_batch_inserts_respect_cap() {
-        let db = TaskPerfDb::standard();
-        let p = Predictor::default();
-        let cache = PredictCache::with_capacity(3);
-        let hosts: Vec<ResourceRecord> = (0..8).map(|i| host(&format!("h{i}"), 1.0)).collect();
-        let refs: Vec<&ResourceRecord> = hosts.iter().collect();
-        let out = cache.predict_many(&p, &db, "Sort", 1000, &refs);
-        assert!(out.iter().all(Result::is_ok));
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 5);
-    }
-
-    #[test]
-    fn unbounded_cache_reports_no_bound() {
-        assert_eq!(PredictCache::new().max_entries(), None);
-        assert_eq!(PredictCache::default().max_entries(), None);
     }
 
     #[test]

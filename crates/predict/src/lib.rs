@@ -19,7 +19,8 @@
 //! Modules: [`model`] (the `Predict(task, R)` function), [`parallel`]
 //! (multi-node execution times and node-count selection), [`comm`]
 //! (transfer-time prediction), [`calibrate`] (fitting rates from
-//! measurements), [`cache`] (per-run memoisation of `Predict`).
+//! measurements), [`cache`] (owner-scoped memoisation of `Predict` and of
+//! its host-side terms).
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]

@@ -59,27 +59,17 @@ impl Default for Predictor {
     }
 }
 
-/// Task-side inputs of `Predict(task, R)` that do not depend on the
-/// host: one library-entry lookup, the memory requirement, the
-/// computation size and the base-processor rate. Gathering these once
-/// per `(task, problem size)` is what makes the batched kernel flat —
-/// the per-host loop is left with arithmetic over the host record only.
-#[derive(Debug, Clone, Copy)]
-struct TaskSide {
-    required: u64,
-    flops: f64,
-    base_rate: f64,
-}
-
-impl TaskSide {
-    fn gather(tasks: &TaskPerfDb, task: &str, problem_size: u64) -> Option<TaskSide> {
-        let entry = tasks.entry(task)?;
-        Some(TaskSide {
-            required: entry.required_memory(problem_size),
-            flops: entry.computation_size(problem_size),
-            base_rate: tasks.base_rate(task),
-        })
-    }
+/// The host-side half of `Predict(task, R)`: everything that depends on
+/// the host's speed, load and measured rates but not on the problem
+/// size. One term prices every size of a library task on its host.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HostTerm {
+    /// Seconds per flop of the task on this host: the analytic rate,
+    /// blended with the measured one by sample confidence.
+    pub rate: f64,
+    /// Time-sharing multiplier: with w runnable processes the task gets
+    /// 1/(1+w) of the CPU.
+    pub load_mult: f64,
 }
 
 impl Predictor {
@@ -93,19 +83,18 @@ impl Predictor {
         problem_size: u64,
         host: &ResourceRecord,
     ) -> Result<f64, PredictError> {
-        let side = TaskSide::gather(tasks, task, problem_size)
-            .ok_or_else(|| PredictError::UnknownTask(task.to_string()))?;
-        self.predict_host(&side, tasks, task, host)
+        let entry = tasks.entry(task).ok_or_else(|| PredictError::UnknownTask(task.to_string()))?;
+        self.eval(
+            entry.computation_size(problem_size),
+            entry.required_memory(problem_size),
+            self.host_term(tasks, task, host),
+            host,
+        )
     }
 
-    /// Batched `Predict(task, R)` over many candidate hosts of one
+    /// [`Predictor::predict`] over many candidate hosts of one
     /// `(task, problem size)` class, appending one result per host to
-    /// `out` (in `hosts` order). Element `i` is bit-identical to
-    /// `self.predict(tasks, task, problem_size, hosts[i])` — batching
-    /// hoists the task-side gather ([`TaskSide`]) out of the loop and,
-    /// when the task has no measured rates at all, skips the per-host
-    /// measurement probes entirely, leaving a flat multiply-add lane per
-    /// host row.
+    /// `out` (in `hosts` order) after a single library-entry lookup.
     pub fn predict_batch(
         &self,
         tasks: &TaskPerfDb,
@@ -114,38 +103,21 @@ impl Predictor {
         hosts: &[&ResourceRecord],
         out: &mut Vec<Result<f64, PredictError>>,
     ) {
-        out.reserve(hosts.len());
-        let Some(side) = TaskSide::gather(tasks, task, problem_size) else {
+        let Some(entry) = tasks.entry(task) else {
             out.extend(hosts.iter().map(|_| Err(PredictError::UnknownTask(task.to_string()))));
             return;
         };
-        if tasks.has_measurements(task) {
-            for host in hosts {
-                out.push(self.predict_host(&side, tasks, task, host));
-            }
-        } else {
-            // Fast lane: no measurement table to probe, so each host row
-            // reduces to feasibility checks plus four multiplies.
-            for host in hosts {
-                out.push(self.predict_unmeasured(&side, host));
-            }
-        }
+        let (flops, required) =
+            (entry.computation_size(problem_size), entry.required_memory(problem_size));
+        out.extend(
+            hosts.iter().map(|h| self.eval(flops, required, self.host_term(tasks, task, h), h)),
+        );
     }
 
-    /// Per-host core shared by the scalar and batched entry points. The
-    /// floating-point expressions here are the single source of truth
-    /// for the model — both paths run exactly this op sequence.
-    fn predict_host(
-        &self,
-        side: &TaskSide,
-        tasks: &TaskPerfDb,
-        task: &str,
-        host: &ResourceRecord,
-    ) -> Result<f64, PredictError> {
-        let (required, flops) = self.feasible(side, host)?;
-
+    /// The host-side term of `task` (a known library task) on `host`.
+    pub fn host_term(&self, tasks: &TaskPerfDb, task: &str, host: &ResourceRecord) -> HostTerm {
         // Analytic rate: base-processor seconds/flop scaled by host speed.
-        let analytic_rate = side.base_rate / host.relative_speed.max(1e-9);
+        let analytic_rate = tasks.base_rate(task) / host.relative_speed.max(1e-9);
 
         // Measured rate (already host-specific) blended in by confidence.
         let rate = match tasks.measured_rate(task, &host.host_name) {
@@ -156,27 +128,24 @@ impl Predictor {
             }
             None => analytic_rate,
         };
-
-        Ok(flops * rate * self.load_mult(host) * self.mem_mult(required, host))
+        HostTerm { rate, load_mult: 1.0 + host.smoothed_workload().max(0.0) }
     }
 
-    /// [`Predictor::predict_host`] minus the measurement probes, for
-    /// tasks known to have no measured rates anywhere.
-    fn predict_unmeasured(
+    /// The size-dependent half: feasibility of `required` bytes on
+    /// `host`, then `flops` priced through `term` and the paging penalty.
+    /// Every prediction in the workspace is this product, in this
+    /// operation order, over a [`Predictor::host_term`] — which is what
+    /// makes the scalar, batched and lane-wise paths bit-identical.
+    pub fn eval(
         &self,
-        side: &TaskSide,
+        flops: f64,
+        required: u64,
+        term: HostTerm,
         host: &ResourceRecord,
     ) -> Result<f64, PredictError> {
-        let (required, flops) = self.feasible(side, host)?;
-        let rate = side.base_rate / host.relative_speed.max(1e-9);
-        Ok(flops * rate * self.load_mult(host) * self.mem_mult(required, host))
-    }
-
-    fn feasible(&self, side: &TaskSide, host: &ResourceRecord) -> Result<(u64, f64), PredictError> {
         if !host.is_up() {
             return Err(PredictError::HostDown(host.host_name.clone()));
         }
-        let required = side.required;
         if required > host.total_memory {
             return Err(PredictError::Infeasible {
                 host: host.host_name.clone(),
@@ -186,26 +155,14 @@ impl Predictor {
                 ),
             });
         }
-        Ok((required, side.flops))
-    }
-
-    /// Time sharing: with w runnable processes the task gets 1/(1+w)
-    /// of the CPU.
-    #[inline]
-    fn load_mult(&self, host: &ResourceRecord) -> f64 {
-        1.0 + host.smoothed_workload().max(0.0)
-    }
-
-    /// Paging penalty: quadratic in the overcommit ratio.
-    #[inline]
-    fn mem_mult(&self, required: u64, host: &ResourceRecord) -> f64 {
-        if required > host.available_memory {
-            let avail = host.available_memory.max(1) as f64;
-            let ratio = required as f64 / avail;
+        // Paging penalty: quadratic in the overcommit ratio.
+        let mem_mult = if required > host.available_memory {
+            let ratio = required as f64 / host.available_memory.max(1) as f64;
             1.0 + self.paging_factor * (ratio - 1.0) * ratio
         } else {
             1.0
-        }
+        };
+        Ok(flops * term.rate * term.load_mult * mem_mult)
     }
 }
 
@@ -382,6 +339,41 @@ mod tests {
             match (&want, got) {
                 (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "host {}", h.host_name),
                 _ => assert_eq!(&want, got, "host {}", h.host_name),
+            }
+        }
+    }
+
+    /// `predict` is `eval` over `host_term` by construction; this pins
+    /// that the split is usable from outside — one term per host, reused
+    /// across sizes — on every lane, with and without measured rates.
+    #[test]
+    fn host_term_and_eval_match_predict_bit_for_bit() {
+        let mut measured = TaskPerfDb::standard();
+        measured.record_execution("Sort", "h0", 10_000, 3.0);
+        measured.record_execution("Sort", "h5", 10_000, 0.5);
+        measured.record_execution("Sort", "h5", 10_000, 0.7);
+        let p = Predictor::default();
+        for db in [TaskPerfDb::standard(), measured] {
+            for task in ["Sort", "LU_Decomposition"] {
+                let entry = db.entry(task).unwrap();
+                for h in &mixed_hosts() {
+                    let term = p.host_term(&db, task, h);
+                    for size in [64u64, 1024, 10_000] {
+                        let want = p.predict(&db, task, size, h);
+                        let got = p.eval(
+                            entry.computation_size(size),
+                            entry.required_memory(size),
+                            term,
+                            h,
+                        );
+                        assert_eq!(
+                            want.clone().map(f64::to_bits),
+                            got.map(f64::to_bits),
+                            "{task} n={size} on {}: {want:?}",
+                            h.host_name
+                        );
+                    }
+                }
             }
         }
     }

@@ -124,16 +124,51 @@ pub fn best_node_count<'a>(
     Ok((ranked[..p].iter().map(|(r, _)| *r).collect(), t))
 }
 
-/// [`best_node_count`] with two optimisations that leave the result
-/// bit-identical:
-///
-/// - per-node predictions go through `cache`, so repeated evaluations of
-///   the same `(task, size, host)` triple within a scheduling run are
-///   free;
-/// - prefix times reuse the per-node times the ranking was built from
-///   (prediction is deterministic, so re-predicting a ranked node would
-///   return exactly the ranked time), dropping the `O(p²)` re-prediction
-///   of the reference path to `O(p)` arithmetic.
+/// The node-count search of [`best_node_count`] over already-predicted
+/// times. `feasible` holds `(candidate index, seconds)` of every candidate
+/// that can run the task, in candidate order; on `Some((p, seconds))` its
+/// first `p` entries are the chosen nodes, fastest first. `None` iff it is
+/// empty. Bit-identical to the reference because prediction is
+/// deterministic: re-predicting a ranked node (which the reference does
+/// per prefix, `O(p²)`) returns exactly the ranked time.
+pub fn rank_nodes(
+    model: &ParallelModel,
+    requested: u32,
+    feasible: &mut [(u32, f64)],
+) -> Option<(usize, f64)> {
+    if feasible.is_empty() {
+        return None;
+    }
+    if requested <= 1 {
+        // `p` is forced to 1, so the ranking collapses to an argmin. The
+        // reference's stable sort keeps the *first-seen* host among equal
+        // times, which a strict `<` scan reproduces, and
+        // `combine_node_times` of a singleton is the time itself.
+        let mut best = 0;
+        for (i, c) in feasible.iter().enumerate().skip(1) {
+            if c.1 < feasible[best].1 {
+                best = i;
+            }
+        }
+        feasible.swap(0, best);
+        return Some((1, feasible[0].1));
+    }
+    feasible.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    let times: Vec<f64> = feasible.iter().map(|c| c.1).collect();
+    let mut best: Option<(usize, f64)> = None;
+    for p in 1..=(requested as usize).min(times.len()) {
+        let t = combine_node_times(model, &times[..p]);
+        if best.is_none_or(|(_, bt)| t < bt) {
+            best = Some((p, t));
+        }
+    }
+    best
+}
+
+/// [`best_node_count`] with per-node predictions going through `cache`
+/// (repeated evaluations of the same `(task, size, host)` triple are
+/// free) and the prefix search through [`rank_nodes`]; the result is
+/// bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn best_node_count_cached<'a>(
     predictor: &Predictor,
@@ -145,56 +180,20 @@ pub fn best_node_count_cached<'a>(
     requested: u32,
     candidates: &[&'a ResourceRecord],
 ) -> Result<(Vec<&'a ResourceRecord>, f64), PredictError> {
-    let predictions = cache.predict_many(predictor, tasks, task, problem_size, candidates);
-
-    if requested.max(1) == 1 {
-        // Single-node fast path: `p` is forced to 1, so the whole ranking
-        // collapses to an argmin and the sort/prefix machinery can be
-        // skipped. The reference's stable sort keeps the *first-seen*
-        // host among equal times, which a strict `<` scan reproduces, and
-        // `combine_node_times` of a singleton is the time itself.
-        let mut first_err = None;
-        let mut best: Option<(&ResourceRecord, f64)> = None;
-        for (&c, r) in candidates.iter().zip(predictions) {
-            match r {
-                Ok(t) => {
-                    if best.is_none_or(|(_, bt)| t < bt) {
-                        best = Some((c, t));
-                    }
-                }
-                Err(e) => first_err = Some(first_err.unwrap_or(e)),
-            }
-        }
-        return match best {
-            Some((c, t)) => Ok((vec![c], t)),
-            None => Err(first_err.unwrap_or_else(|| PredictError::UnknownTask(task.to_string()))),
-        };
-    }
-
-    let mut ranked: Vec<(&ResourceRecord, f64)> = Vec::new();
+    let mut feasible: Vec<(u32, f64)> = Vec::new();
     let mut first_err = None;
-    for (&c, r) in candidates.iter().zip(predictions) {
+    for (i, r) in
+        cache.predict_many(predictor, tasks, task, problem_size, candidates).into_iter().enumerate()
+    {
         match r {
-            Ok(t) => ranked.push((c, t)),
+            Ok(t) => feasible.push((i as u32, t)),
             Err(e) => first_err = Some(first_err.unwrap_or(e)),
         }
     }
-    if ranked.is_empty() {
-        return Err(first_err.unwrap_or_else(|| PredictError::UnknownTask(task.to_string())));
+    match rank_nodes(model, requested, &mut feasible) {
+        Some((p, t)) => Ok((feasible[..p].iter().map(|c| candidates[c.0 as usize]).collect(), t)),
+        None => Err(first_err.unwrap_or_else(|| PredictError::UnknownTask(task.to_string()))),
     }
-    ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-
-    let times: Vec<f64> = ranked.iter().map(|(_, t)| *t).collect();
-    let max_p = (requested.max(1) as usize).min(ranked.len());
-    let mut best: Option<(usize, f64)> = None;
-    for p in 1..=max_p {
-        let t = combine_node_times(model, &times[..p]);
-        if best.is_none_or(|(_, bt)| t < bt) {
-            best = Some((p, t));
-        }
-    }
-    let (p, t) = best.expect("at least p=1 evaluated");
-    Ok((ranked[..p].iter().map(|(r, _)| *r).collect(), t))
 }
 
 #[cfg(test)]

@@ -27,15 +27,14 @@
 //! output; the site scheduler then tries other sites.
 
 use crate::view::SiteView;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use vdce_afg::{Afg, ComputationMode, MachineType, TaskId};
+use vdce_afg::{Afg, LibraryEntry, MachineType, TaskId};
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
-use vdce_predict::model::Predictor;
-use vdce_predict::parallel::{best_node_count, best_node_count_cached, ParallelModel};
+use vdce_predict::model::{HostTerm, Predictor};
+use vdce_predict::parallel::{best_node_count, rank_nodes, ParallelModel};
 use vdce_repository::resources::ResourceRecord;
 
 /// The hosts chosen for one task at one site, with the minimised
@@ -119,116 +118,110 @@ pub fn host_selection(
     let choices = afg
         .task_ids()
         .filter_map(|task| {
-            pick_choice(view, afg, task, predictor, parallel, None, &all_hosts)
-                .map(|c| (task, Arc::new(c)))
+            let node = afg.task(task);
+            let candidates: Vec<&ResourceRecord> =
+                all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
+            if candidates.is_empty() {
+                return None;
+            }
+            let (hosts, secs) = best_node_count(
+                predictor,
+                parallel,
+                &view.tasks,
+                &node.library_task,
+                node.problem_size,
+                node.props.effective_nodes(),
+                &candidates,
+            )
+            .ok()?; // infeasible at this site
+            let hosts = hosts.iter().map(|h| h.host_name.clone()).collect();
+            Some((task, Arc::new(TaskHostChoice { hosts, predicted_seconds: secs })))
         })
         .collect();
     HostSelectionOutput { site: view.site, choices }
 }
 
-/// The per-task argmin of Figure 3, shared by the reference and the
-/// class-batched path. `cache: None` evaluates every prediction directly
-/// (the reference); `Some` memoises them.
-fn pick_choice(
-    view: &SiteView,
-    afg: &Afg,
-    task: TaskId,
-    predictor: &Predictor,
-    parallel: &ParallelModel,
-    cache: Option<&PredictCache>,
-    all_hosts: &[&ResourceRecord],
-) -> Option<TaskHostChoice> {
-    let node = afg.task(task);
-    let candidates: Vec<&ResourceRecord> =
-        all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let requested = match node.props.mode {
-        ComputationMode::Sequential => 1,
-        ComputationMode::Parallel => node.props.effective_nodes(),
-    };
-    let selected = match cache {
-        None => best_node_count(
-            predictor,
-            parallel,
-            &view.tasks,
-            &node.library_task,
-            node.problem_size,
-            requested,
-            &candidates,
-        ),
-        Some(cache) => best_node_count_cached(
-            predictor,
-            parallel,
-            cache,
-            &view.tasks,
-            &node.library_task,
-            node.problem_size,
-            requested,
-            &candidates,
-        ),
-    };
-    match selected {
-        Ok((hosts, secs)) => Some(TaskHostChoice {
-            hosts: hosts.iter().map(|h| h.host_name.clone()).collect(),
-            predicted_seconds: secs,
-        }),
-        Err(_) => None, // infeasible at this site
-    }
-}
-
-/// Everything the Figure 3 argmin for one task depends on besides the
-/// frozen view: two tasks with equal keys see identical candidate sets
-/// and identical predictions, hence make identical choices.
-///
-/// - `library_task` + `problem_size` determine the prediction and the
-///   constraints-database rows;
-/// - `requested` (the effective node count, 1 for sequential) determines
-///   the parallel search space;
-/// - `machine_type` and `preferred_host` determine the eligibility
-///   filter (the remaining filters depend only on the host and the
-///   library task).
+/// What the eligibility filter of one task depends on besides the host:
+/// tasks with equal keys see the same candidate set and the same
+/// host-side prediction terms.
 #[derive(PartialEq, Eq, Hash)]
-struct ClassKey<'a> {
+struct EligibilityKey<'a> {
     library_task: &'a str,
-    problem_size: u64,
-    requested: u32,
     machine_type: MachineType,
     preferred_host: Option<&'a str>,
 }
 
-impl<'a> ClassKey<'a> {
-    fn of(afg: &'a Afg, task: TaskId) -> Self {
-        let node = afg.task(task);
-        ClassKey {
-            library_task: &node.library_task,
-            problem_size: node.problem_size,
-            requested: match node.props.mode {
-                ComputationMode::Sequential => 1,
-                ComputationMode::Parallel => node.props.effective_nodes(),
-            },
-            machine_type: node.props.machine_type,
-            preferred_host: node.props.preferred_host.as_deref(),
-        }
+/// One eligible host of a [`Group`], with everything `Predict` needs
+/// from it that does not depend on the problem size.
+struct Lane<'a> {
+    host: &'a ResourceRecord,
+    /// Position of `host` in the view, indexing the shared singletons.
+    slot: usize,
+    term: HostTerm,
+}
+
+/// The tasks of one [`EligibilityKey`]: their library entry and their
+/// candidate lanes, built once per call.
+struct Group<'a> {
+    entry: &'a LibraryEntry,
+    lanes: Vec<Lane<'a>>,
+}
+
+impl<'a> Group<'a> {
+    /// The group `task` belongs to; `None` when the site's task library
+    /// does not know its library task (nothing can be predicted).
+    fn of(
+        view: &'a SiteView,
+        afg: &Afg,
+        task: TaskId,
+        all_hosts: &[&'a ResourceRecord],
+        predictor: &Predictor,
+        cache: &PredictCache,
+    ) -> Option<Self> {
+        let library_task = &afg.task(task).library_task;
+        let entry = view.tasks.entry(library_task)?;
+        let candidates: Vec<(usize, &ResourceRecord)> = all_hosts
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, h)| eligible(view, afg, task, h))
+            .collect();
+        let terms = cache.host_terms(
+            predictor,
+            &view.tasks,
+            library_task,
+            candidates.iter().map(|&(_, host)| host),
+        );
+        let lanes = candidates
+            .into_iter()
+            .zip(terms)
+            .map(|((slot, host), term)| Lane { host, slot, term })
+            .collect();
+        Some(Group { entry, lanes })
     }
 }
 
-/// The optimised [`host_selection`]: evaluates the argmin **once per task
-/// class** instead of once per task, memoising predictions in `cache`.
+/// The optimised [`host_selection`]: tasks are grouped by
+/// [`EligibilityKey`] and each group's candidate lanes — eligibility
+/// filter, library entry, one host-side prediction term per candidate
+/// ([`Predictor::host_term`]) — are built once. Within a group the
+/// argmin depends only on `(problem size, requested nodes)`; each such
+/// *class* runs one multiply chain per lane ([`Predictor::eval`]) and
+/// the reference's node-count search ([`rank_nodes`]) once, and every
+/// member of the class shares the decision. The terms and the chain are
+/// the same code the reference's `predict` runs, so the outputs are
+/// bit-identical by construction.
 ///
-/// Big AFGs are built from a small task library, so a 100k-task graph
-/// typically has a few hundred distinct [`ClassKey`]s; every other task
-/// is a clone of one of them. The class representative's choice is
-/// computed by the exact same [`pick_choice`] the reference runs, then
-/// cloned onto the rest of the class — bit-identical by construction.
-/// Classes fan out across worker threads when there are at least two.
+/// Big AFGs built from a small task library have a few hundred classes;
+/// AFGs with continuous problem sizes have one class per task, and then
+/// a task costs a few multiplies per candidate host.
 ///
-/// Host names are unique across a federation, so one cache may be shared
-/// across every site of a scheduling round (and across rounds): sharing
-/// never changes the choices, only how often the predictor is invoked.
-/// The caller can read `cache.hits()`/`cache.misses()` afterwards — this
-/// is how `site_schedule_observed` exports cache statistics.
+/// The terms go through `cache`'s `(library task, host)` memo. Within
+/// one call that only counts them (`cache.hits()` / `cache.misses()`, how
+/// `site_schedule_observed` exports cache statistics); across calls it
+/// pins a host's term to the load it was first seen at — see
+/// [`vdce_predict::cache`] for choosing that scope. Host names are unique
+/// across a federation, so one memo may be shared across sites.
 pub fn host_selection_classed(
     view: &SiteView,
     afg: &Afg,
@@ -237,47 +230,54 @@ pub fn host_selection_classed(
     cache: &PredictCache,
 ) -> HostSelectionOutput {
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
+    // One shared host list per singleton choice, made on first use.
+    let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; all_hosts.len()];
+    let mut groups: Vec<Option<Group<'_>>> = Vec::new();
+    let mut group_of: HashMap<EligibilityKey<'_>, u32> = HashMap::new();
+    let mut classes: HashMap<(u32, u64, u32), Option<Arc<TaskHostChoice>>> = HashMap::new();
+    let mut feasible: Vec<(u32, f64)> = Vec::new();
 
-    // Group tasks by class, preserving first-seen (task id) order.
-    let mut classes: Vec<Vec<TaskId>> = Vec::new();
-    let mut index: HashMap<ClassKey<'_>, usize> = HashMap::new();
-    for task in afg.task_ids() {
-        let key = ClassKey::of(afg, task);
-        match index.get(&key) {
-            Some(&i) => classes[i].push(task),
-            None => {
-                index.insert(key, classes.len());
-                classes.push(vec![task]);
-            }
-        }
-    }
-
-    let pick = |members: &Vec<TaskId>| -> Option<Arc<TaskHostChoice>> {
-        pick_choice(view, afg, members[0], predictor, parallel, Some(cache), &all_hosts)
-            .map(Arc::new)
-    };
-    let picked: Vec<Option<Arc<TaskHostChoice>>> = if classes.len() < 2 {
-        classes.iter().map(pick).collect()
-    } else {
-        classes.par_iter().map(pick).collect()
-    };
-
-    // Scatter each class decision onto its members: one shared
-    // allocation per class, a pointer bump per task. The dense scratch
-    // restores ascending task order so the map is bulk-built from a
-    // sorted stream instead of point-inserted.
-    let mut by_task: Vec<Option<&Arc<TaskHostChoice>>> = vec![None; afg.task_count()];
-    for (members, choice) in classes.iter().zip(&picked) {
-        if let Some(c) = choice {
-            for &t in members {
-                by_task[t.index()] = Some(c);
-            }
-        }
-    }
-    let choices: BTreeMap<TaskId, Arc<TaskHostChoice>> = by_task
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, c)| c.map(|c| (TaskId(i as u32), Arc::clone(c))))
+    let choices = afg
+        .task_ids()
+        .filter_map(|task| {
+            let node = afg.task(task);
+            let key = EligibilityKey {
+                library_task: &node.library_task,
+                machine_type: node.props.machine_type,
+                preferred_host: node.props.preferred_host.as_deref(),
+            };
+            let g = *group_of.entry(key).or_insert_with(|| {
+                groups.push(Group::of(view, afg, task, &all_hosts, predictor, cache));
+                groups.len() as u32 - 1
+            });
+            let requested = node.props.effective_nodes();
+            classes
+                .entry((g, node.problem_size, requested))
+                .or_insert_with(|| {
+                    let Group { entry, lanes } = groups[g as usize].as_ref()?;
+                    let flops = entry.computation_size(node.problem_size);
+                    let required = entry.required_memory(node.problem_size);
+                    feasible.clear();
+                    for (i, lane) in lanes.iter().enumerate() {
+                        if let Ok(t) = predictor.eval(flops, required, lane.term, lane.host) {
+                            feasible.push((i as u32, t));
+                        }
+                    }
+                    let (p, predicted_seconds) = rank_nodes(parallel, requested, &mut feasible)?;
+                    let lane = |c: &(u32, f64)| &lanes[c.0 as usize];
+                    let hosts = if p == 1 {
+                        let best = lane(&feasible[0]);
+                        singletons[best.slot]
+                            .get_or_insert_with(|| Arc::new([best.host.host_name.clone()]))
+                            .clone()
+                    } else {
+                        feasible[..p].iter().map(|c| lane(c).host.host_name.clone()).collect()
+                    };
+                    Some(Arc::new(TaskHostChoice { hosts, predicted_seconds }))
+                })
+                .clone()
+                .map(|choice| (task, choice))
+        })
         .collect();
     HostSelectionOutput { site: view.site, choices }
 }

@@ -43,9 +43,13 @@
 //! Load feedback: a dispatched run bumps its hosts' workload samples in
 //! the site repository, and prediction inflates linearly with smoothed
 //! workload — so the next arrival's host selection steers around busy
-//! hosts. Completion decays the same samples. Execution itself is
-//! simulated (predicted makespan under the network model): the service
-//! models scheduling and queueing dynamics, not kernel execution.
+//! hosts. Completion decays the same samples. A submission already in
+//! the queue keeps the prices of its admission: it owns the prediction
+//! memo that admission filled and is re-selected through it, so while
+//! it waits only host up/down edges move it (see `PendingSub::memo`).
+//! Execution itself is simulated (predicted makespan under the network
+//! model): the service models scheduling and queueing dynamics, not
+//! kernel execution.
 
 use crate::host_selection::{host_selection_classed, HostSelectionOutput};
 use crate::incremental::IncrementalSchedule;
@@ -182,6 +186,12 @@ struct PendingSub {
     sites: Arc<[SiteId]>,
     /// Cached per-site host-selection outputs, parallel to `sites`.
     outputs: Vec<HostSelectionOutput>,
+    /// The prediction memo this admission filled. Every re-selection of
+    /// this submission goes through it, so while it waits it stays priced
+    /// at the host loads it was admitted under; it is dropped with the
+    /// submission's place in the queue (dispatch, or a fault restart,
+    /// which starts a fresh one).
+    memo: PredictCache,
     /// Current incremental placement; `None` while infeasible (every
     /// candidate host down).
     inc: Option<IncrementalSchedule>,
@@ -331,7 +341,6 @@ pub struct StreamService {
     tenants: TenantRegistry,
     predictor: Predictor,
     parallel: ParallelModel,
-    cache: PredictCache,
 
     clock: f64,
     next_seq: u64,
@@ -344,7 +353,7 @@ pub struct StreamService {
     site_capacity: Vec<u32>,
     site_inflight: Vec<u32>,
     host_inflight: Vec<BTreeMap<String, u32>>,
-    views: Vec<Option<SiteView>>,
+    views: Vec<Option<Arc<SiteView>>>,
     levels_view: Option<SiteView>,
 
     events_processed: u64,
@@ -374,7 +383,6 @@ impl StreamService {
             tenants: TenantRegistry::new(),
             predictor: Predictor::default(),
             parallel: ParallelModel::default(),
-            cache: PredictCache::new(),
             clock: 0.0,
             next_seq: 0,
             next_submission: 0,
@@ -469,12 +477,17 @@ impl StreamService {
 
     // -- views and outputs --------------------------------------------
 
-    fn view(&mut self, site: SiteId) -> SiteView {
-        let slot = &mut self.views[site.index()];
-        if slot.is_none() {
-            *slot = Some(SiteView::capture(site, &self.repos[site.index()]));
-        }
-        slot.clone().expect("filled above")
+    /// The shared view of `site`, re-captured after [`Self::dirty_site`].
+    /// Takes the two fields rather than `&mut self` so `refresh_pending`
+    /// can call it while it walks `self.pending`.
+    fn view(
+        views: &mut [Option<Arc<SiteView>>],
+        repos: &[SiteRepository],
+        site: SiteId,
+    ) -> Arc<SiteView> {
+        views[site.index()]
+            .get_or_insert_with(|| Arc::new(SiteView::capture(site, &repos[site.index()])))
+            .clone()
     }
 
     fn dirty_site(&mut self, site: SiteId) {
@@ -496,9 +509,9 @@ impl StreamService {
         sites.into()
     }
 
-    fn output_for(&mut self, site: SiteId, afg: &Afg) -> HostSelectionOutput {
-        let view = self.view(site);
-        host_selection_classed(&view, afg, &self.predictor, &self.parallel, &self.cache)
+    fn output_for(&mut self, site: SiteId, afg: &Afg, memo: &PredictCache) -> HostSelectionOutput {
+        let view = Self::view(&mut self.views, &self.repos, site);
+        host_selection_classed(&view, afg, &self.predictor, &self.parallel, memo)
     }
 
     /// Levels for makespan evaluation: base-processor costs from the
@@ -573,8 +586,9 @@ impl StreamService {
 
         // Trial placement with the real scheduler.
         let sites = self.domain_sites(domain);
+        let memo = PredictCache::new();
         let outputs: Vec<HostSelectionOutput> =
-            sites.iter().map(|&s| self.output_for(s, &req.afg)).collect();
+            sites.iter().map(|&s| self.output_for(s, &req.afg, &memo)).collect();
         let inc = match IncrementalSchedule::new_with_data(
             &req.afg,
             SiteId(0),
@@ -625,6 +639,7 @@ impl StreamService {
                 base_priority,
                 sites,
                 outputs,
+                memo,
                 inc: Some(inc),
                 generation: 0,
             },
@@ -795,38 +810,38 @@ impl StreamService {
     /// affected pending submission absorb the delta in O(changed) via
     /// [`IncrementalSchedule::apply`].
     fn refresh_pending(&mut self, changed: &BTreeSet<SiteId>) {
-        if changed.is_empty() || self.pending.is_empty() {
+        if changed.is_empty() {
             return;
         }
-        let ids: Vec<SubmissionId> = self.pending.keys().copied().collect();
-        for id in ids {
-            let (sites, afg) = {
-                let p = self.pending.get(&id).expect("still pending");
-                if !p.sites.iter().any(|s| changed.contains(s)) {
-                    continue;
-                }
-                (p.sites.clone(), p.req.afg.clone())
-            };
-            let mut new_outputs = Vec::with_capacity(sites.len());
-            for (i, &s) in sites.iter().enumerate() {
-                if changed.contains(&s) {
-                    new_outputs.push(self.output_for(s, &afg));
-                } else {
-                    // Unchanged site: reuse the shared choices so the
-                    // apply diff takes the Arc pointer fast path.
-                    new_outputs.push(self.pending[&id].outputs[i].clone());
-                }
+        for p in self.pending.values_mut() {
+            if !p.sites.iter().any(|s| changed.contains(s)) {
+                continue;
             }
-            let p = self.pending.get_mut(&id).expect("still pending");
+            let afg = &p.req.afg;
+            let new_outputs: Vec<HostSelectionOutput> = p
+                .sites
+                .iter()
+                .zip(&p.outputs)
+                .map(|(&s, old)| {
+                    if changed.contains(&s) {
+                        let view = Self::view(&mut self.views, &self.repos, s);
+                        host_selection_classed(&view, afg, &self.predictor, &self.parallel, &p.memo)
+                    } else {
+                        // Unchanged site: reuse the shared choices so the
+                        // apply diff takes the Arc pointer fast path.
+                        old.clone()
+                    }
+                })
+                .collect();
             let applied = match p.inc.as_mut() {
-                Some(inc) => inc.apply(&afg, new_outputs.clone()).is_ok(),
+                Some(inc) => inc.apply(afg, new_outputs.clone()).is_ok(),
                 None => false,
             };
             if !applied {
                 // Poisoned or previously infeasible: rebuild from the
                 // fresh outputs (stays `None` while still infeasible).
                 p.inc = IncrementalSchedule::new_with_data(
-                    &afg,
+                    afg,
                     SiteId(0),
                     new_outputs.clone(),
                     &self.net,
@@ -899,8 +914,9 @@ impl StreamService {
             self.counters.entry(a.req.tenant).or_default().restarts += 1;
             self.digest.update(b"restart");
             self.digest.update(&id.0.to_le_bytes());
+            let memo = PredictCache::new();
             let outputs: Vec<HostSelectionOutput> =
-                a.sites.iter().map(|&s| self.output_for(s, &a.req.afg)).collect();
+                a.sites.iter().map(|&s| self.output_for(s, &a.req.afg, &memo)).collect();
             let inc = IncrementalSchedule::new_with_data(
                 &a.req.afg,
                 SiteId(0),
@@ -918,6 +934,7 @@ impl StreamService {
                     base_priority: a.base_priority,
                     sites: a.sites,
                     outputs,
+                    memo,
                     inc,
                     // Bumped past the victim's dispatch generation so
                     // the old run's in-flight completion event goes
@@ -1363,6 +1380,73 @@ mod tests {
              (horizon {} vs old finish {control_m})",
             report.horizon_s
         );
+    }
+
+    /// The prediction memo is scoped to the pending submission: a queued
+    /// submission stays priced at its admission-time loads across
+    /// `refresh_pending`, a later arrival of the very same AFG is priced
+    /// at the loads of its own admission, and nothing outlives the queue.
+    #[test]
+    fn queued_submission_keeps_admission_prices_and_later_arrival_sees_new_load() {
+        let solo = || {
+            let mut svc = StreamService::new(
+                vec![repo(&[("only", 1.0)])],
+                NetworkModel::with_defaults(1),
+                ServiceConfig::default(),
+            );
+            let t = svc
+                .register_tenant("gil", "pw", 5, AccessDomain::Global, Quota::default())
+                .unwrap();
+            (svc, t)
+        };
+        let sub = |tenant, n| SubmissionRequest {
+            tenant,
+            afg: chain_afg(n),
+            deadline_s: 1e9,
+            budget: f64::INFINITY,
+        };
+        // Makespan of the first run alone, to aim events around its end.
+        let first_m = {
+            let (mut svc, t) = solo();
+            svc.submit_at(0.0, sub(t, 10_000));
+            svc.drain().horizon_s
+        };
+        let priced = |svc: &StreamService, id: SubmissionId| -> Vec<u64> {
+            let inc = svc.pending[&id].inc.as_ref().expect("feasible");
+            inc.table().iter().map(|p| p.predicted_seconds.to_bits()).collect()
+        };
+        let memo_entries =
+            |svc: &StreamService| svc.pending.values().map(|p| p.memo.len()).sum::<usize>();
+
+        // One host, one slot: `a` runs, `b` and `c` queue behind it, both
+        // priced with `a`'s load on the host (history [1]).
+        let (mut svc, t) = solo();
+        svc.submit_at(0.0, sub(t, 10_000));
+        let b = svc.submit_at(0.1 * first_m, sub(t, 11_000));
+        let c = svc.submit_at(0.2 * first_m, sub(t, 12_000));
+        svc.run_until(0.2 * first_m);
+        assert_eq!((svc.active_count(), svc.pending_count()), (1, 2));
+        let c_at_admission = priced(&svc, c);
+        assert!(memo_entries(&svc) > 0);
+
+        // `a` completes (load sample 0), `b` starts (load sample 1): two
+        // load changes, each followed by a `refresh_pending` of `c`. Then
+        // `d`, the same AFG as `c`, arrives under history [1, 0, 1].
+        let d = svc.submit_at(1.01 * first_m, sub(t, 12_000));
+        svc.run_until(1.01 * first_m);
+        assert_eq!(svc.active_count(), 1);
+        assert!(!svc.pending.contains_key(&b), "b was dispatched when a completed");
+        assert_eq!(priced(&svc, c), c_at_admission, "c keeps its admission-time prices");
+        let (c_secs, d_secs) = (priced(&svc, c), priced(&svc, d));
+        for (c_bits, d_bits) in c_secs.iter().zip(&d_secs) {
+            let (c_s, d_s) = (f64::from_bits(*c_bits), f64::from_bits(*d_bits));
+            // Load multipliers: c 1 + 1, d 1 + 2/3.
+            assert!((c_s / d_s - 1.2).abs() < 1e-9, "d is priced at the new load: {c_s} vs {d_s}");
+        }
+
+        let report = svc.drain();
+        assert_eq!(report.completed, 4);
+        assert_eq!((svc.pending_count(), memo_entries(&svc)), (0, 0));
     }
 
     #[test]

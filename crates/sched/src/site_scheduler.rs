@@ -280,11 +280,10 @@ fn schedule_pipeline(
 
     // Steps 3–5: host selection at every involved site. The sites'
     // selections are independent (each runs against its own frozen
-    // view), so the optimised path fans them out across worker threads —
-    // and, inside each site, across task classes. One predict cache is
-    // shared across every site (host names are federation-unique).
-    // Outputs are reassembled in `involved` order, so every path hands
-    // steps 6–7 the same input.
+    // view), so the optimised path fans them out across worker threads.
+    // One predict cache is shared across every site (host names are
+    // federation-unique). Outputs are reassembled in `involved` order,
+    // so every path hands steps 6–7 the same input.
     let cache = PredictCache::new();
     let timer = PhaseTimer::start();
     let run_one = |v: &&SiteView| host_selection_for(v, afg, config, &cache);
@@ -300,8 +299,8 @@ fn schedule_pipeline(
         let (hits, misses) = (cache.hits(), cache.misses());
         m.counter_add("sched.predict_cache.entries", cache.len() as u64);
         m.counter_add("sched.predict_cache.lookups", hits + misses);
-        // Always 0 (the scheduler's own cache is unbounded); exported so
-        // recorded metric snapshots keep their name set.
+        // Always 0 (a memo never evicts); exported so recorded metric
+        // snapshots keep their name set.
         m.counter_add("sched.predict_cache.evictions", cache.evictions());
         m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hits"), hits as f64);
         m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.misses"), misses as f64);
@@ -378,17 +377,19 @@ pub fn validate_dataset_outputs(
 /// - `sched.sites_involved`, `sched.tasks_placed` — counters, pure
 ///   functions of the inputs.
 /// - `sched.predict_cache.entries` / `sched.predict_cache.lookups` —
-///   deterministic cache statistics: distinct memoised predictions and
-///   total predict calls. Host names are unique across the federation,
-///   so one [`PredictCache`] is shared across every involved site's
-///   host selection without changing any prediction.
+///   deterministic cache statistics: distinct `(library task, host)`
+///   prediction terms memoised, and term lookups (one per eligibility
+///   group and candidate host, see [`host_selection_classed`]). Host
+///   names are unique across the federation, so one [`PredictCache`] is
+///   shared across every involved site's host selection without
+///   changing any prediction.
 /// - `sched.transfer_cache.lookups` — transfer-time consultations in
 ///   the DAG walk (deterministic: the walk is sequential).
 /// - `profile.sched.predict_cache.hits` / `.misses` / `.hit_rate` —
-///   the raw hit/miss split. Under the parallel fan-out two workers
-///   can race to fill the same key, so the split is *not* a pure
-///   function of the inputs; it therefore lives in the
-///   [`PROFILE_PREFIX`] namespace, which
+///   the raw hit/miss split of those term lookups. A pair of sites
+///   sharing a host name (which the topology forbids) would race to
+///   fill the same key under the per-site fan-out, so the split is kept
+///   in the [`PROFILE_PREFIX`] namespace, which
 ///   [`MetricsRegistry::snapshot_deterministic`] excludes.
 pub fn site_schedule_observed(
     afg: &Afg,

@@ -10,10 +10,13 @@ use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
 use vdce_afg::{level::level_map, ComputationMode, MachineType};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
+use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
 use vdce_sched::baselines;
+use vdce_sched::host_selection::{host_selection, host_selection_classed};
 use vdce_sched::makespan::evaluate;
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
@@ -243,6 +246,80 @@ proptest! {
                 a.task
             );
         }
+    }
+
+    // Class-batched host selection (candidate lanes + host-side terms)
+    // must reproduce the per-task reference on everything the
+    // eligibility filter and the model can see: continuous problem
+    // sizes, measured rates on some hosts, paging / infeasible / loaded /
+    // down hosts, pinned and machine-type-filtered tasks, parallel tasks
+    // asking for 1–8 nodes, and an unknown library task.
+    #[test]
+    fn classed_host_selection_is_bit_identical_to_reference(
+        widths in proptest::collection::vec(1u8..6, 1..5),
+        picks in proptest::collection::vec(any::<u8>(), 1..16),
+        sizes in proptest::collection::vec(any::<u32>(), 1..32),
+        hosts in 1usize..9,
+        host_quirks in proptest::collection::vec(any::<u8>(), 1..9),
+        task_quirks in proptest::collection::vec(any::<u8>(), 1..12),
+        measured in proptest::collection::vec((any::<u8>(), 1u32..5000), 0..6),
+    ) {
+        let mut afg = gen_afg(&widths, &picks, &sizes);
+        for (i, t) in afg.tasks.iter_mut().enumerate() {
+            let q = task_quirks[i % task_quirks.len()];
+            match q % 7 {
+                1 => t.props.preferred_host = Some(format!("h{}", q as usize % (hosts + 1))),
+                2 => t.props.machine_type = MachineType::SunSolaris,
+                3 => {
+                    t.props.mode = ComputationMode::Parallel;
+                    t.props.num_nodes = 1 + u32::from(q % 8);
+                }
+                4 => t.library_task = "Nope".into(),
+                _ => {}
+            }
+        }
+        let repo = SiteRepository::new();
+        repo.resources_mut(|db| {
+            for h in 0..hosts {
+                let q = host_quirks[h % host_quirks.len()];
+                let machine =
+                    if q & 0x40 == 0 { MachineType::LinuxPc } else { MachineType::SunSolaris };
+                let name = format!("h{h}");
+                let speed = 1.0 + f64::from(q >> 4);
+                db.upsert(ResourceRecord::new(&name, "10.0.0.1", machine, speed, 1, 1 << 30, "g0"));
+                match q % 6 {
+                    1 => drop(db.set_status(&name, vdce_repository::resources::HostStatus::Down)),
+                    // Map needs 16 n bytes: 1 MiB total turns big sizes infeasible.
+                    2 => db.upsert(ResourceRecord::new(&name, "10.0.0.1", machine, speed, 1, 1 << 20, "g0")),
+                    3 => drop(db.record_sample(&name, 0.0, 1 << 18)), // pages above n = 16k
+                    4 => drop(db.record_sample(&name, f64::from(q) / 16.0, 1 << 30)),
+                    _ => {}
+                }
+            }
+        });
+        repo.tasks_mut(|db| {
+            for &(h, millis) in &measured {
+                db.record_execution("Map", &format!("h{}", h as usize % hosts), 50_000, f64::from(millis) / 1e3);
+            }
+        });
+        let view = SiteView::capture(SiteId(0), &repo);
+        let (p, pm) = (Predictor::default(), ParallelModel::default());
+        let reference = host_selection(&view, &afg, &p, &pm);
+        let cache = PredictCache::new();
+        let classed = host_selection_classed(&view, &afg, &p, &pm, &cache);
+        prop_assert_eq!(&reference, &classed);
+        for (t, c) in &reference.choices {
+            prop_assert_eq!(
+                c.predicted_seconds.to_bits(),
+                classed.choices[t].predicted_seconds.to_bits(),
+                "task {}", t
+            );
+        }
+        // A second call through the same memo is all term hits and the
+        // same answer.
+        let misses = cache.misses();
+        prop_assert_eq!(&host_selection_classed(&view, &afg, &p, &pm, &cache), &classed);
+        prop_assert_eq!(cache.misses(), misses);
     }
 
     #[test]

@@ -87,6 +87,8 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Afg::new(format!("layered-{}t-s{seed}", spec.tasks));
     let mut layers: Vec<Vec<TaskId>> = Vec::new();
+    // Every task of `layers`, flat: the pool second parents are drawn from.
+    let mut all_earlier: Vec<TaskId> = Vec::new();
     let interior_budget = spec.tasks.saturating_sub(1).max(1);
 
     let mut made = 0usize;
@@ -109,8 +111,7 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
             made += 1;
         }
         if !is_first {
-            let prev = layers.last().expect("not first").clone();
-            let all_earlier: Vec<TaskId> = layers.iter().flatten().copied().collect();
+            let prev = layers.last().expect("not first");
             for &t in &layer {
                 let p = prev[rng.gen_range(0..prev.len())];
                 let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
@@ -137,12 +138,16 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
                 }
             }
         }
+        all_earlier.extend_from_slice(&layer);
         layers.push(layer);
     }
 
     // Join every current leaf into one sink.
-    let leaves: Vec<TaskId> =
-        g.task_ids().filter(|&t| !g.edges.iter().any(|e| e.from == t)).collect();
+    let mut has_child = vec![false; g.tasks.len()];
+    for e in &g.edges {
+        has_child[e.from.index()] = true;
+    }
+    let leaves: Vec<TaskId> = g.task_ids().filter(|t| !has_child[t.index()]).collect();
     let sink_id = g.tasks.len() as u32;
     let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
     g.tasks.push(node(sink_id, format!("n{sink_id}"), KernelKind::Sink, size, leaves.len(), 0));
@@ -355,6 +360,43 @@ mod tests {
         assert_eq!(a, b);
         let c = layered_random(&DagSpec::default(), 43);
         assert_ne!(a, c);
+    }
+
+    /// FNV-1a over everything `layered_random` decides: each task's kind,
+    /// size and port counts, each edge's endpoints, ports and bytes.
+    fn fingerprint(g: &Afg) -> u64 {
+        let mut h = vdce_store::Fnv1a::new();
+        for t in &g.tasks {
+            h.update(t.library_task.as_bytes());
+            h.update(&t.problem_size.to_le_bytes());
+            h.update(&(t.props.inputs.len() as u32).to_le_bytes());
+            h.update(&(t.props.outputs.len() as u32).to_le_bytes());
+        }
+        for e in &g.edges {
+            h.update(&e.from.0.to_le_bytes());
+            h.update(&e.from_port.0.to_le_bytes());
+            h.update(&e.to.0.to_le_bytes());
+            h.update(&e.to_port.0.to_le_bytes());
+            h.update(&e.data_size.to_le_bytes());
+        }
+        h.finish()
+    }
+
+    /// Fingerprints recorded at `b239980`, before the leaf join and
+    /// `all_earlier` became incremental: same RNG draws, same graph.
+    #[test]
+    fn layered_random_graphs_are_pinned() {
+        let wide = DagSpec { tasks: 2000, width: 40, extra_edge_p: 0.5, ..DagSpec::default() };
+        let tiny = DagSpec { tasks: 2, width: 1, ..DagSpec::default() };
+        for (spec, seed, tasks, edges, want) in [
+            (DagSpec::default(), 42u64, 50usize, 72usize, 0x181f_4421_274f_fdb1u64),
+            (wide, 7, 2000, 3520, 0x0538_7862_9abc_7ded),
+            (tiny, 0, 2, 1, 0xe19e_f853_5739_031c),
+        ] {
+            let g = layered_random(&spec, seed);
+            assert_eq!((g.task_count(), g.edges.len()), (tasks, edges), "seed {seed}");
+            assert_eq!(fingerprint(&g), want, "seed {seed}");
+        }
     }
 
     #[test]

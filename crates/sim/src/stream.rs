@@ -224,6 +224,27 @@ mod tests {
         assert_eq!(a.placements_digest, b.placements_digest);
     }
 
+    /// `placements_digest` of two no-fault scenarios, recorded at
+    /// `b239980` (service-lifetime prediction memo): scoping the memo to
+    /// the pending submission must not move a placement. `queued` offers
+    /// more than two 2-host sites drain, so its submissions wait and are
+    /// re-selected by `refresh_pending` on every load change. (Trace seeds
+    /// 4 and 5 of `queued` would not do: there two submissions share a
+    /// `(library task, problem size)` pair, which the service-lifetime
+    /// memo priced at the earlier one's load.)
+    #[test]
+    fn no_fault_placements_are_pinned() {
+        let mut queued = small();
+        queued.fed.hosts_per_site = 2;
+        queued.trace.rate_per_s = 2.0;
+        queued.trace.seed = 3;
+        for (sc, want) in [(small(), 0x43b8_1bd0_411f_914cu64), (queued, 0x3c8a_4205_9b6a_30bc)] {
+            let report = run_stream(&sc);
+            assert!(report.admitted > 0);
+            assert_eq!(report.placements_digest, want, "{:#018x}", report.placements_digest);
+        }
+    }
+
     #[test]
     fn different_trace_seed_changes_the_run() {
         let sc = small();
