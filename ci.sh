@@ -11,8 +11,8 @@
 #      recovery, scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all)
 #   7. the vdce_perf smoke (perf/run.sh --quick)
-#   8. the frozen benchmark's full-size stream checks (stream_backlog
-#      seed 2, stream_steady seed 1)
+#   8. the frozen benchmark's full-size checks the smoke scales away
+#      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -143,3 +143,10 @@ stage "vdce_perf stream_backlog (seed 2)" \
     bash perf/bench.sh --workload stream_backlog --seed 2 --seconds 1 --trace 0
 stage "vdce_perf stream_steady (seed 1)" \
     bash perf/bench.sh --workload stream_steady --seed 1 --seconds 1 --trace 0
+# Full-size batch check: batch_wide's bit-identity checks (every op's
+# table and makespan against the one-call reference, optimised ==
+# sequential on the 2k down-scale) likewise run only scaled down in the
+# smoke; the 40k-task graph is where a reordered walk, table fill or
+# simulation would first show.
+stage "vdce_perf batch_wide (seed 1)" \
+    bash perf/bench.sh --workload batch_wide --seed 1 --seconds 1 --trace 0

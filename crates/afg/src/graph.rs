@@ -10,6 +10,8 @@
 use crate::ids::{PortIndex, TaskId};
 use crate::task::TaskNode;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A dataflow edge between an output port of one task and an input port of
 /// another.
@@ -155,20 +157,18 @@ impl Afg {
     pub fn topo_order_with(&self, idx: &EdgeIndex) -> Option<Vec<TaskId>> {
         let n = self.tasks.len();
         let mut deg = self.in_degrees();
-        // Min-id-first frontier kept as a sorted stack (small graphs; the
-        // scheduler re-sorts by level anyway).
-        let mut frontier: Vec<TaskId> =
-            (0..n as u32).map(TaskId).filter(|t| deg[t.index()] == 0).collect();
-        frontier.sort_unstable_by(|a, b| b.cmp(a)); // pop() yields min id
+        // Min-id-first frontier as a min-heap: `O(log f)` per task however
+        // wide the ready frontier gets (a 25k-wide layer is routine at
+        // scale), and the pop order is the order a sorted list would give.
+        let mut frontier: BinaryHeap<Reverse<TaskId>> =
+            self.task_ids().filter(|t| deg[t.index()] == 0).map(Reverse).collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(t) = frontier.pop() {
+        while let Some(Reverse(t)) = frontier.pop() {
             order.push(t);
             for e in idx.out_edges(self, t) {
                 deg[e.to.index()] -= 1;
                 if deg[e.to.index()] == 0 {
-                    // insert keeping frontier sorted descending
-                    let pos = frontier.binary_search_by(|x| e.to.cmp(x)).unwrap_or_else(|p| p);
-                    frontier.insert(pos, e.to);
+                    frontier.push(Reverse(e.to));
                 }
             }
         }

@@ -1,7 +1,8 @@
 //! `EdgeIndex` (and the level machinery built on it) on pathological
-//! graph shapes: the empty AFG, a 10k-node chain, and a wide star
-//! fan-out. These are the shapes where an off-by-one in the CSR offsets
-//! or an accidental O(E) scan per task would show up first.
+//! graph shapes: the empty AFG, a 10k-node chain, a wide star fan-out
+//! and two 25k-wide layers. These are the shapes where an off-by-one in
+//! the CSR offsets, an accidental O(E) scan per task or an O(frontier)
+//! step per ready task would show up first.
 
 use vdce_afg::graph::{Afg, Edge};
 use vdce_afg::ids::{PortIndex, TaskId};
@@ -53,6 +54,21 @@ fn star(leaves: u32) -> Afg {
     for i in 1..=leaves {
         g.tasks.push(node(i, false));
         g.edges.push(edge(0, i, u64::from(i)));
+    }
+    g
+}
+
+/// Two layers of `width` tasks, child `i` fed by entries `i` and
+/// `i + 1` (wrapping). `children_first` gives the children the low ids.
+fn wide_layers(width: u32, children_first: bool) -> Afg {
+    let (entry0, child0) = if children_first { (width, 0) } else { (0, width) };
+    let mut g = Afg::new("wide");
+    for i in 0..2 * width {
+        g.tasks.push(node(i, (i >= width) == children_first));
+    }
+    for i in 0..width {
+        g.edges.push(edge(entry0 + i, child0 + i, 64));
+        g.edges.push(edge(entry0 + (i + 1) % width, child0 + i, 64));
     }
     g
 }
@@ -143,6 +159,34 @@ fn star_fan_out_preserves_edge_order_and_degrees() {
     for (a, b) in tracker.levels().iter().zip(&full) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+}
+
+#[test]
+fn wide_frontier_pops_the_lowest_ready_id() {
+    let w = 25_000u32;
+    // Children above the entries: each is ready long before its turn and
+    // joins a frontier of ~25k lower ids, so the order is plain ascending.
+    let g = wide_layers(w, false);
+    let idx = g.edge_index();
+    for i in 0..w {
+        assert_eq!((idx.in_degree(TaskId(i)), idx.out_degree(TaskId(i))), (0, 2));
+        assert_eq!((idx.in_degree(TaskId(w + i)), idx.out_degree(TaskId(w + i))), (2, 0));
+    }
+    let order = g.topo_order_with(&idx).expect("layers are acyclic");
+    assert_eq!(order, (0..2 * w).map(TaskId).collect::<Vec<_>>());
+    let levels = level_map(&g, |_| 1.0).unwrap();
+    assert!(levels[..w as usize].iter().all(|&l| l == 2.0));
+    assert!(levels[w as usize..].iter().all(|&l| l == 1.0));
+
+    // Children below the entries: a child jumps the queue the moment its
+    // second parent is out.
+    let g = wide_layers(w, true);
+    let mut want = vec![TaskId(w)];
+    for i in 1..w {
+        want.extend([TaskId(w + i), TaskId(i - 1)]);
+    }
+    want.push(TaskId(w - 1));
+    assert_eq!(g.topo_order().expect("layers are acyclic"), want);
 }
 
 #[test]

@@ -72,6 +72,46 @@ proptest! {
         }
     }
 
+    // The order is specified, not just valid: of the tasks whose parents
+    // are all out, the lowest id goes next — on any labelling, not only
+    // the builder's layer-ascending one.
+    #[test]
+    fn topo_order_takes_the_lowest_ready_id_under_any_labelling(
+        widths in proptest::collection::vec(1u8..6, 1..6),
+        seeds in proptest::collection::vec(any::<u8>(), 1..32),
+        keys in proptest::collection::vec(any::<u32>(), 25),
+    ) {
+        let mut g = layered_afg(&widths, &seeds);
+        let n = g.task_count();
+        // Task `old` becomes task `new_id[old]`.
+        let mut by_key: Vec<usize> = (0..n).collect();
+        by_key.sort_by_key(|&i| (keys[i], i));
+        let mut new_id = vec![0u32; n];
+        for (new, &old) in by_key.iter().enumerate() {
+            new_id[old] = new as u32;
+        }
+        for t in &mut g.tasks {
+            t.id = vdce_afg::TaskId(new_id[t.id.index()]);
+        }
+        g.tasks.sort_by_key(|t| t.id);
+        for e in &mut g.edges {
+            e.from = vdce_afg::TaskId(new_id[e.from.index()]);
+            e.to = vdce_afg::TaskId(new_id[e.to.index()]);
+        }
+
+        let mut deg = g.in_degrees();
+        let mut out = vec![false; n];
+        let mut want = Vec::new();
+        while let Some(t) = g.task_ids().find(|t| !out[t.index()] && deg[t.index()] == 0) {
+            out[t.index()] = true;
+            want.push(t);
+            for e in g.out_edges(t) {
+                deg[e.to.index()] -= 1;
+            }
+        }
+        prop_assert_eq!(g.topo_order(), Some(want));
+    }
+
     #[test]
     fn levels_strictly_decrease_along_edges_for_positive_costs(
         widths in proptest::collection::vec(1u8..6, 1..6),

@@ -16,12 +16,13 @@
 //!   runtime's dispatch order);
 //! - **duration**: the placement's predicted execution time.
 
-use crate::allocation::AllocationTable;
+use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::arena::{HostArena, ReadyKey};
 use crate::data_inputs::DatasetInputs;
 use crate::site_scheduler::SchedError;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 use vdce_afg::level::LevelError;
 use vdce_afg::{Afg, DatasetId, TaskId};
 use vdce_data::DataView;
@@ -35,8 +36,8 @@ pub struct TimedTask {
     pub task: TaskId,
     /// Site it runs at.
     pub site: SiteId,
-    /// Hosts it occupies.
-    pub hosts: Vec<String>,
+    /// Hosts it occupies — the placement's own list, shared, not copied.
+    pub hosts: Arc<[String]>,
     /// Simulated start time (s).
     pub start: f64,
     /// Simulated finish time (s).
@@ -86,6 +87,14 @@ pub enum EvalError {
     UnknownDataset(TaskId, DatasetId),
     /// A task reads a dataset with no live replica.
     NoLiveReplica(TaskId, DatasetId),
+    /// `levels` is not one priority per task of the AFG — most likely the
+    /// levels of another graph.
+    LevelsLength {
+        /// Tasks in the AFG.
+        expected: usize,
+        /// Length of the `levels` slice passed.
+        got: usize,
+    },
 }
 
 impl fmt::Display for EvalError {
@@ -98,6 +107,12 @@ impl fmt::Display for EvalError {
             }
             EvalError::NoLiveReplica(t, d) => {
                 write!(f, "task {t} reads dataset {d} which has no live replica")
+            }
+            EvalError::LevelsLength { expected, got } => {
+                write!(
+                    f,
+                    "levels has {got} entries for an application flow graph of {expected} tasks"
+                )
             }
         }
     }
@@ -114,15 +129,16 @@ impl From<LevelError> for EvalError {
 /// Simulate `table` for `afg` under `net`. `levels` orders contending
 /// ready tasks (highest first) — pass the same levels the scheduler used.
 ///
-/// The walk runs on flat struct-of-arrays state: placements are
-/// pre-resolved from the table into per-task site/duration arrays and a
-/// CSR slice of interned host ids, host-free times live in a dense
-/// `Vec<f64>` indexed by host id, and the ready set is an indexed
-/// max-heap whose pop order provably matches the former linear scan
-/// (highest level first, ties by ascending task id). Per pick that
-/// turns two `BTreeMap` probes, a borrowed-str hash probe per host and
-/// an `O(ready)` scan into array indexing plus an `O(log ready)` heap
-/// pop, without changing a single float.
+/// One resolved pass, then one level-ordered walk. The table is merged
+/// against the AFG's task ids once, in order, into a dense
+/// `Vec<&TaskPlacement>`; site, duration, recorded data sources and the
+/// host list are read through that borrow, and each [`TimedTask`] shares
+/// its placement's `Arc<[String]>` — no host string is copied and the
+/// `BTreeMap` is never probed. Host names become dense ids once per
+/// distinct host list (see `resolve_hosts`), host-free times live in
+/// a flat `Vec<f64>` indexed by id, and the ready set is a max-heap whose
+/// pop order is "highest level first, ties by ascending task id". A
+/// task the walk never reaches means the AFG has a cycle.
 pub fn evaluate(
     afg: &Afg,
     table: &AllocationTable,
@@ -141,6 +157,178 @@ pub fn evaluate(
 /// present — replays charge the *same* replica the scheduler priced —
 /// falling back to the cheapest live replica otherwise.
 pub fn evaluate_with_data(
+    afg: &Afg,
+    table: &AllocationTable,
+    net: &NetworkModel,
+    levels: &[f64],
+    data: Option<&DataView>,
+) -> Result<Schedule, EvalError> {
+    let n = afg.task_count();
+    if levels.len() != n {
+        return Err(EvalError::LevelsLength { expected: n, got: levels.len() });
+    }
+    let dsi = DatasetInputs::resolve(afg, data).map_err(|e| match e {
+        SchedError::UnknownDataset { task, dataset } => EvalError::UnknownDataset(task, dataset),
+        SchedError::NoFeasibleReplica { task, dataset } => EvalError::NoLiveReplica(task, dataset),
+        // `resolve` reports dataset errors only. The placement-time
+        // variants are named, not wildcarded, so a new `SchedError`
+        // variant has to be placed here on purpose instead of silently
+        // reading as "cyclic".
+        SchedError::Cyclic
+        | SchedError::NoFeasibleSite { .. }
+        | SchedError::StorageCapacityExceeded { .. } => {
+            unreachable!("DatasetInputs::resolve reports dataset errors only, got: {e}")
+        }
+    })?;
+
+    // Resolve the table once: both sides ascend by task id, so one merge
+    // finds every placement (rows for tasks the AFG lacks are skipped).
+    let mut placed: Vec<&TaskPlacement> = Vec::with_capacity(n);
+    let mut rows = table.iter();
+    for t in afg.task_ids() {
+        match rows.find(|p| p.task >= t) {
+            Some(p) if p.task == t => placed.push(p),
+            _ => return Err(EvalError::MissingPlacement(t)),
+        }
+    }
+    let hosts = resolve_hosts(&placed);
+
+    // Every timing starts out unset; the walk fills start and finish in
+    // place, so a parent's site and finish time are read from here too.
+    let mut tasks: Vec<TimedTask> = placed
+        .iter()
+        .map(|p| TimedTask {
+            task: p.task,
+            site: p.site,
+            hosts: Arc::clone(&p.hosts),
+            start: 0.0,
+            finish: 0.0,
+        })
+        .collect();
+    let mut host_free = vec![0.0f64; hosts.count];
+
+    let edge_idx = afg.edge_index();
+    let mut remaining = afg.in_degrees();
+    let mut ready: BinaryHeap<ReadyKey> = afg
+        .task_ids()
+        .filter(|t| remaining[t.index()] == 0)
+        .map(|t| ReadyKey { level: levels[t.index()], task: t })
+        .collect();
+
+    let mut timed = 0usize;
+    while let Some(ReadyKey { task, .. }) = ready.pop() {
+        let my_hosts = hosts.of(task);
+        let my_site = tasks[task.index()].site;
+        let p = placed[task.index()];
+
+        // Data-ready time: all inputs arrived.
+        let mut data_ready = 0.0f64;
+        for e in edge_idx.in_edges(afg, task) {
+            let from = &tasks[e.from.index()];
+            let same_host = hosts.of(e.from).iter().any(|h| my_hosts.contains(h));
+            let xfer =
+                if same_host { 0.0 } else { net.transfer_time(from.site, my_site, e.data_size) };
+            data_ready = data_ready.max(from.finish + xfer);
+        }
+        // Dataset inputs: the replica exists at t = 0, so arrival is the
+        // bare transfer from the serving site (recorded source first).
+        for d in dsi.for_task(task) {
+            let src =
+                p.data_sources.iter().find(|s| s.dataset == d.id).map(|s| s.source).unwrap_or_else(
+                    || {
+                        vdce_predict::cheapest_source_seconds(net, my_site, &d.sites, d.size)
+                            .expect("resolve guarantees a live replica")
+                            .0
+                    },
+                );
+            data_ready = data_ready.max(net.transfer_time(src, my_site, d.size));
+        }
+
+        // Host availability: every assigned host must be free.
+        let hosts_ready = my_hosts.iter().map(|&h| host_free[h as usize]).fold(0.0f64, f64::max);
+
+        let start = data_ready.max(hosts_ready);
+        let end = start + p.predicted_seconds.max(0.0);
+        for &h in my_hosts {
+            host_free[h as usize] = end;
+        }
+        let t = &mut tasks[task.index()];
+        t.start = start;
+        t.finish = end;
+        timed += 1;
+
+        for e in edge_idx.out_edges(afg, task) {
+            debug_assert!(
+                remaining[e.to.index()] > 0,
+                "in-degree underflow: task {} readied twice",
+                e.to
+            );
+            remaining[e.to.index()] -= 1;
+            if remaining[e.to.index()] == 0 {
+                ready.push(ReadyKey { level: levels[e.to.index()], task: e.to });
+            }
+        }
+    }
+    // A task on or behind a cycle never reaches in-degree zero.
+    if timed != n {
+        return Err(EvalError::Cyclic);
+    }
+
+    let makespan = tasks.iter().map(|t| t.finish).fold(0.0, f64::max);
+    Ok(Schedule { tasks, makespan })
+}
+
+/// Every placed task's hosts as dense ids: `ids[range_of_task]`.
+struct ResolvedHosts {
+    /// `(start, end)` into `ids`, indexed by task.
+    ranges: Vec<(u32, u32)>,
+    ids: Vec<u32>,
+    /// Distinct host names seen — the length an id-indexed array needs.
+    count: usize,
+}
+
+impl ResolvedHosts {
+    fn of(&self, t: TaskId) -> &[u32] {
+        let (a, b) = self.ranges[t.index()];
+        &self.ids[a as usize..b as usize]
+    }
+}
+
+/// Intern the host names of `placed` (task order) into dense ids, by
+/// name, borrowing the names from the placements. A pointer memo in
+/// front skips the string hashing: the scheduler hands every task that
+/// picked a host the *same* `Arc<[String]>`, and all placements are alive
+/// for the whole call, so an allocation seen before is the same host list
+/// and reuses its id range. The converse is not assumed — distinct
+/// allocations with equal names still meet in the name map and get equal
+/// ids, which is all the `same_host` rule and host exclusivity compare.
+/// Ids are assigned in first-seen task order, with or without the memo.
+fn resolve_hosts(placed: &[&TaskPlacement]) -> ResolvedHosts {
+    let mut by_name: HashMap<&str, u32> = HashMap::new();
+    let mut by_list: HashMap<*const [String], (u32, u32)> = HashMap::new();
+    let mut ranges = Vec::with_capacity(placed.len());
+    let mut ids: Vec<u32> = Vec::new();
+    for p in placed {
+        let range = *by_list.entry(Arc::as_ptr(&p.hosts)).or_insert_with(|| {
+            let start = ids.len() as u32;
+            for h in p.hosts.iter() {
+                let next = by_name.len() as u32;
+                ids.push(*by_name.entry(h.as_str()).or_insert(next));
+            }
+            (start, ids.len() as u32)
+        });
+        ranges.push(range);
+    }
+    ResolvedHosts { ranges, ids, count: by_name.len() }
+}
+
+/// The body of [`evaluate_with_data`] as it was before the resolved-pass
+/// rewrite, kept verbatim (but for the `hosts` field's type) as the
+/// differential oracle of `tests/prop_sched.rs`: three `BTreeMap` probes
+/// per task, a separate `is_dag` pass, every host name interned by value.
+/// Test support only — nothing in the workspace calls it.
+#[doc(hidden)]
+pub fn evaluate_reference(
     afg: &Afg,
     table: &AllocationTable,
     net: &NetworkModel,
@@ -237,7 +425,7 @@ pub fn evaluate_with_data(
             host_free[h as usize] = end;
         }
         timed[task.index()] =
-            Some(TimedTask { task, site: my_site, hosts: p.hosts.to_vec(), start, finish: end });
+            Some(TimedTask { task, site: my_site, hosts: p.hosts.clone(), start, finish: end });
 
         for e in edge_idx.out_edges(afg, task) {
             debug_assert!(
@@ -376,6 +564,39 @@ mod tests {
         let net = NetworkModel::with_defaults(1);
         assert_eq!(
             evaluate(&afg, &table, &net, &unit_levels(&afg)),
+            Err(EvalError::MissingPlacement(TaskId(2)))
+        );
+    }
+
+    #[test]
+    fn levels_of_another_graph_are_a_typed_error() {
+        let afg = chain();
+        let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0), ("h", 0, 1.0)]);
+        let net = NetworkModel::with_defaults(1);
+        for wrong in [vec![], vec![1.0; 2], vec![1.0; 4]] {
+            let err = evaluate(&afg, &table, &net, &wrong).unwrap_err();
+            assert_eq!(err, EvalError::LevelsLength { expected: 3, got: wrong.len() });
+            assert!(err.to_string().contains(&format!("{} entries", wrong.len())), "{err}");
+        }
+        // Checked before the table is looked at.
+        let empty = AllocationTable::new(&afg.name);
+        assert_eq!(
+            evaluate(&afg, &empty, &net, &[]),
+            Err(EvalError::LevelsLength { expected: 3, got: 0 })
+        );
+    }
+
+    #[test]
+    fn a_cycle_is_reported_after_a_missing_placement() {
+        let mut afg = chain();
+        let back = vdce_afg::graph::Edge { from: TaskId(2), to: TaskId(1), ..afg.edges[0] };
+        afg.edges.push(back);
+        let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0), ("h", 0, 1.0)]);
+        let net = NetworkModel::with_defaults(1);
+        assert_eq!(evaluate(&afg, &table, &net, &[3.0, 2.0, 1.0]), Err(EvalError::Cyclic));
+        let partial = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0)]);
+        assert_eq!(
+            evaluate(&afg, &partial, &net, &[3.0, 2.0, 1.0]),
             Err(EvalError::MissingPlacement(TaskId(2)))
         );
     }

@@ -520,8 +520,11 @@ fn schedule_walk(
     // contract).
     let dsi = DatasetInputs::resolve(afg, data)?;
     let mut xfer_lookups = 0u64;
-    let mut table = AllocationTable::new(afg.name.clone());
     let mut site_of_task: Vec<Option<SiteId>> = vec![None; afg.task_count()];
+    // The decision per task, beside its site: the winning choice
+    // (borrowed from the outputs) and the replicas it reads from. The
+    // table is filled from these after the walk, in task order.
+    let mut decided: Vec<Option<(&TaskHostChoice, Vec<DataSource>)>> = vec![None; afg.task_count()];
 
     // Critical-path spreading (DESIGN.md §11): a task is *critical* when
     // its level is within the top quarter of the level range; the hosts
@@ -555,7 +558,8 @@ fn schedule_walk(
 
     // Step 6: ready set = entry nodes.
     let mut remaining_parents = afg.in_degrees();
-    let mut ready = ReadyList::new(sequential, afg.entry_nodes(), levels);
+    let entries = afg.task_ids().filter(|t| remaining_parents[t.index()] == 0).collect();
+    let mut ready = ReadyList::new(sequential, entries, levels);
 
     // (parent site, bytes) per in-edge of the current task, in edge
     // order — resolved once per task instead of once per candidate site.
@@ -605,15 +609,7 @@ fn schedule_walk(
             critical_hosts.extend(choice.hosts.iter().map(String::as_str));
         }
         site_of_task[task.index()] = Some(site);
-        let data_sources = dataset_sources_for_site(ds, site, &mut xfer_time);
-        table.insert(TaskPlacement {
-            task,
-            task_name: node.name.clone(),
-            site,
-            hosts: choice.hosts.clone(),
-            predicted_seconds: choice.predicted_seconds,
-            data_sources,
-        });
+        decided[task.index()] = Some((choice, dataset_sources_for_site(ds, site, &mut xfer_time)));
         placed += 1;
 
         // Update the ready set with children whose parents are all placed.
@@ -628,6 +624,22 @@ fn schedule_walk(
     debug_assert_eq!(placed, afg.task_count(), "DAG walk must reach every task");
     if let Some(m) = metrics {
         m.counter_add("sched.transfer_cache.lookups", xfer_lookups);
+    }
+
+    // Fill the table in ascending task order: every insert lands on the
+    // map's rightmost leaf, where the walk's level order would scatter
+    // them over the whole tree.
+    let mut table = AllocationTable::new(afg.name.clone());
+    for (task, (site, decision)) in afg.task_ids().zip(site_of_task.into_iter().zip(decided)) {
+        let (Some(site), Some((choice, data_sources))) = (site, decision) else { continue };
+        table.insert(TaskPlacement {
+            task,
+            task_name: afg.task(task).name.clone(),
+            site,
+            hosts: choice.hosts.clone(),
+            predicted_seconds: choice.predicted_seconds,
+            data_sources,
+        });
     }
     Ok(table)
 }

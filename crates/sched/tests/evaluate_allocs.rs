@@ -1,0 +1,201 @@
+//! Allocation counts of the batch path's graph passes, held in tier-1.
+//!
+//! `evaluate` borrows everything it reads from the table and shares each
+//! placement's host list, so the number of allocations it makes is a
+//! handful of arrays — independent of how many tasks the AFG has (it
+//! used to copy every placement's host names: ~2.5 allocations per
+//! task). `Afg::topo_order` keeps its frontier in a heap, so a 25k-wide
+//! layer costs `O(log f)` per task, in the same order as before.
+//!
+//! The file installs a counting allocator and holds exactly one `#[test]`,
+//! so no other test allocates beside the measured regions.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use vdce_afg::graph::{Afg, Edge};
+use vdce_afg::ids::{PortIndex, TaskId};
+use vdce_afg::level::level_map;
+use vdce_afg::library::KernelKind;
+use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
+use vdce_afg::{ComputationMode, MachineType};
+use vdce_net::model::NetworkModel;
+use vdce_net::topology::SiteId;
+use vdce_repository::resources::ResourceRecord;
+use vdce_repository::SiteRepository;
+use vdce_sched::{evaluate, site_schedule, SchedulerConfig, SiteView};
+
+struct Counting;
+
+// A statistic only: it publishes no other data, so `Relaxed` is enough.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counter touches no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocation calls `f` makes (its result is dropped after the reading).
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (out, CALLS.load(Ordering::Relaxed) - before)
+}
+
+/// Layers of `width` tasks; every task below the first layer is fed by
+/// two pseudo-random tasks of the layer above. With `scramble` the ids
+/// within a layer are handed out in a stride order, so the ready
+/// frontier receives ids in no particular order.
+fn layered(tasks: usize, width: usize, scramble: bool) -> Afg {
+    let mut g = Afg::new("layered");
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (rng >> 33) as usize
+    };
+    for i in 0..tasks {
+        let entry = i < width;
+        g.tasks.push(TaskNode {
+            id: TaskId(i as u32),
+            name: format!("n{i}"),
+            library_task: if entry { "Source" } else { "Map" }.into(),
+            kernel: if entry { KernelKind::Source } else { KernelKind::Map },
+            problem_size: [64_000, 128_000, 256_000, 512_000][i % 4],
+            props: TaskProperties {
+                inputs: vec![IoSpec::Dataflow; if entry { 0 } else { 2 }],
+                outputs: vec![IoSpec::Dataflow],
+                ..TaskProperties::default()
+            },
+        });
+    }
+    // 7919 is prime and divides no layer size used here, so
+    // `k * 7919 % in_layer` is a permutation of the layer.
+    let slot = |layer: usize, k: usize| {
+        let in_layer = (tasks - layer * width).min(width);
+        layer * width + if scramble { k * 7919 % in_layer } else { k }
+    };
+    for layer in 1..tasks.div_ceil(width) {
+        for k in 0..(tasks - layer * width).min(width) {
+            for port in 0..2u16 {
+                g.edges.push(Edge {
+                    from: TaskId(slot(layer - 1, next() % width) as u32),
+                    from_port: PortIndex(0),
+                    to: TaskId(slot(layer, k) as u32),
+                    to_port: PortIndex(port),
+                    data_size: 1_000 + (next() % 1_000_000) as u64,
+                });
+            }
+        }
+    }
+    g
+}
+
+/// The order `topo_order` is specified to return, the slow way: of the
+/// tasks whose parents are all out, always the one with the lowest id.
+fn min_ready_scan(g: &Afg) -> Vec<TaskId> {
+    let mut deg = g.in_degrees();
+    let mut out = vec![false; g.task_count()];
+    let mut order = Vec::new();
+    while let Some(t) = g.task_ids().find(|t| !out[t.index()] && deg[t.index()] == 0) {
+        out[t.index()] = true;
+        order.push(t);
+        for e in g.out_edges(t) {
+            deg[e.to.index()] -= 1;
+        }
+    }
+    order
+}
+
+fn federation(sites: usize, hosts: usize) -> (Vec<SiteView>, NetworkModel) {
+    let views = (0..sites)
+        .map(|s| {
+            let repo = SiteRepository::new();
+            repo.resources_mut(|db| {
+                for h in 0..hosts {
+                    let speed = 2.0 + s as f64; // equal within a site: wide node sets pay off
+                    let name = format!("s{s}h{h}");
+                    let rec = ResourceRecord::new(
+                        name,
+                        "10.0.0.1",
+                        MachineType::LinuxPc,
+                        speed,
+                        1,
+                        1 << 30,
+                        "g0",
+                    );
+                    db.upsert(rec);
+                }
+            });
+            SiteView::capture(SiteId(s as u16), &repo)
+        })
+        .collect();
+    (views, NetworkModel::with_defaults(sites))
+}
+
+/// Allocations of one `evaluate` over a palette AFG of `tasks` tasks,
+/// every third one a parallel task asking for 8 nodes, scheduled on
+/// 4 × 12 hosts.
+fn evaluate_allocs(tasks: usize) -> u64 {
+    let mut afg = layered(tasks, tasks / 8, false);
+    for t in afg.tasks.iter_mut().step_by(3) {
+        t.props.mode = ComputationMode::Parallel;
+        t.props.num_nodes = 8;
+    }
+    let (views, net) = federation(4, 12);
+    let table = site_schedule(&afg, &views[0], &views[1..], &net, &SchedulerConfig::default())
+        .expect("the palette AFG schedules");
+    let widest = table.iter().map(|p| p.hosts.len()).max();
+    assert!(widest >= Some(4), "parallel tasks got at most {widest:?} hosts");
+    let levels = level_map(&afg, |t| t.problem_size as f64).expect("layered graphs are acyclic");
+    let (schedule, allocs) = allocs_of(|| evaluate(&afg, &table, &net, &levels));
+    let schedule = schedule.expect("complete tables evaluate");
+    assert_eq!(schedule.tasks.len(), tasks);
+    assert!(schedule.makespan > 0.0);
+    allocs
+}
+
+#[test]
+fn graph_passes_allocate_per_call_not_per_task() {
+    // `evaluate`: a fixed set of arrays (a few of them grown by
+    // doubling), so twice the tasks may add a couple of regrowths — not
+    // the ~5,000 allocations 2,000 more tasks used to cost.
+    let (small, large) = (evaluate_allocs(2_000), evaluate_allocs(4_000));
+    assert!(small <= 64, "evaluate made {small} allocations on 2k tasks");
+    assert!(large <= small + 4, "evaluate: {small} allocations on 2k tasks, {large} on 4k");
+
+    // `topo_order`: the specified order on a 500-task down-scale …
+    let down = layered(500, 250, true);
+    assert_eq!(down.topo_order().expect("acyclic"), min_ready_scan(&down));
+    // … and a valid order of all 50k tasks under a 25k-wide frontier,
+    // from three arrays grown by doubling at most.
+    let wide = layered(50_000, 25_000, true);
+    let idx = wide.edge_index();
+    let (order, allocs) = allocs_of(|| wide.topo_order_with(&idx));
+    let order = order.expect("acyclic");
+    assert!(allocs <= 40, "topo_order made {allocs} allocations");
+    let mut position = vec![usize::MAX; wide.task_count()];
+    for (i, t) in order.iter().enumerate() {
+        position[t.index()] = i;
+    }
+    assert!(position.iter().all(|&p| p != usize::MAX), "a task is missing from the order");
+    assert!(wide.edges.iter().all(|e| position[e.from.index()] < position[e.to.index()]));
+}

@@ -2,13 +2,15 @@
 //! mapper must satisfy regardless of workload or federation.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use vdce_afg::graph::{Afg, Edge};
 use vdce_afg::ids::{PortIndex, TaskId};
 use vdce_afg::library::KernelKind;
 use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
-use vdce_afg::{level::level_map, ComputationMode, MachineType};
-use vdce_net::model::NetworkModel;
+use vdce_afg::{level::level_map, ComputationMode, DatasetId, MachineType};
+use vdce_data::{DataView, DatasetSpec};
+use vdce_net::model::{LinkParams, NetworkModel};
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
@@ -17,9 +19,10 @@ use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
 use vdce_sched::baselines;
 use vdce_sched::host_selection::{host_selection, host_selection_classed};
-use vdce_sched::makespan::evaluate;
+use vdce_sched::makespan::{evaluate, evaluate_reference, evaluate_with_data, EvalError, Schedule};
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
+use vdce_sched::{AllocationTable, DataSource, TaskPlacement};
 
 /// Random layered DAG built directly (Source/Map/Sink kernels).
 fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32]) -> Afg {
@@ -93,6 +96,17 @@ fn levels_for(afg: &Afg, view: &SiteView) -> Vec<f64> {
         .unwrap()
 }
 
+/// Flip one task per pick to a parallel implementation asking for one to
+/// six nodes.
+fn flip_to_parallel(afg: &mut Afg, par_picks: &[u8]) {
+    let n = afg.tasks.len();
+    for (i, &p) in par_picks.iter().enumerate() {
+        let t = &mut afg.tasks[(i * 7 + p as usize) % n];
+        t.props.mode = ComputationMode::Parallel;
+        t.props.num_nodes = 1 + u32::from(p % 6);
+    }
+}
+
 /// Shared validity check for any allocation table.
 fn check_table_valid(
     afg: &Afg,
@@ -131,7 +145,7 @@ fn check_schedule_valid(
     // Host exclusivity: intervals on one host never overlap.
     let mut per_host: HashMap<&str, Vec<(f64, f64)>> = HashMap::new();
     for t in &schedule.tasks {
-        for h in &t.hosts {
+        for h in t.hosts.iter() {
             per_host.entry(h.as_str()).or_default().push((t.start, t.finish));
         }
     }
@@ -146,6 +160,77 @@ fn check_schedule_valid(
     prop_assert!((schedule.makespan - max_fin).abs() < 1e-9);
     let _ = table;
     Ok(())
+}
+
+/// `evaluate` against its differential oracle: the same `Result`, and on
+/// success the same schedule field by field, every time bit for bit, with
+/// each timed task sharing its placement's host list.
+fn check_same_as_reference(
+    table: &AllocationTable,
+    got: &Result<Schedule, EvalError>,
+    want: &Result<Schedule, EvalError>,
+) -> Result<(), TestCaseError> {
+    let (Ok(got), Ok(want)) = (got, want) else {
+        prop_assert_eq!(got, want);
+        return Ok(());
+    };
+    prop_assert_eq!(got.tasks.len(), want.tasks.len());
+    for (g, w) in got.tasks.iter().zip(&want.tasks) {
+        prop_assert_eq!(g.task, w.task);
+        prop_assert_eq!(g.site, w.site, "site of {}", g.task);
+        prop_assert_eq!(&g.hosts, &w.hosts, "hosts of {}", g.task);
+        prop_assert_eq!(g.start.to_bits(), w.start.to_bits(), "start of {}", g.task);
+        prop_assert_eq!(g.finish.to_bits(), w.finish.to_bits(), "finish of {}", g.task);
+        let placed = &table.placement(g.task).expect("evaluated tasks are placed").hosts;
+        prop_assert!(Arc::ptr_eq(&g.hosts, placed), "hosts of {} were copied", g.task);
+    }
+    prop_assert_eq!(got.makespan.to_bits(), want.makespan.to_bits());
+    Ok(())
+}
+
+/// A table built by hand for `afg`, one row per task from four `draws`:
+/// a site, one to three hosts out of that site's pool of three (so
+/// children keep landing on their parents' hosts — the free-transfer
+/// rule), a duration (negative ones included), and whether the host list
+/// is a fresh `Arc` or the one every earlier row with that list holds.
+/// Readers of a dataset record a source on odd draws only.
+fn hand_built_table(afg: &Afg, sites: usize, draws: &[u8]) -> AllocationTable {
+    let mut draw = draws.iter().copied().cycle();
+    let mut shared: HashMap<Vec<String>, Arc<[String]>> = HashMap::new();
+    let mut table = AllocationTable::new(&afg.name);
+    for t in &afg.tasks {
+        let site = draw.next().unwrap() as usize % sites;
+        let (pick, secs, flags) =
+            (draw.next().unwrap(), draw.next().unwrap(), draw.next().unwrap());
+        let names: Vec<String> = (0..1 + pick as usize % 3)
+            .map(|i| format!("s{site}h{}", (pick as usize / 3 + i) % 3))
+            .collect();
+        let hosts: Arc<[String]> = if flags & 1 == 0 {
+            names.into()
+        } else {
+            shared.entry(names.clone()).or_insert_with(|| names.into()).clone()
+        };
+        let data_sources = if flags & 2 == 0 {
+            vec![]
+        } else {
+            let source = SiteId((flags as usize / 4 % sites) as u16);
+            t.props
+                .inputs
+                .iter()
+                .filter_map(|i| i.dataset_id())
+                .map(|dataset| DataSource { dataset, source })
+                .collect()
+        };
+        table.insert(TaskPlacement {
+            task: t.id,
+            task_name: t.name.clone(),
+            site: SiteId(site as u16),
+            hosts,
+            predicted_seconds: f64::from(secs) * 0.37 - 3.0,
+            data_sources,
+        });
+    }
+    table
 }
 
 proptest! {
@@ -220,12 +305,7 @@ proptest! {
         par_picks in proptest::collection::vec(any::<u8>(), 0..8),
     ) {
         let mut afg = gen_afg(&widths, &picks, &sizes);
-        let n = afg.tasks.len();
-        for (i, &p) in par_picks.iter().enumerate() {
-            let t = &mut afg.tasks[(i * 7 + p as usize) % n];
-            t.props.mode = ComputationMode::Parallel;
-            t.props.num_nodes = 1 + u32::from(p % 6);
-        }
+        flip_to_parallel(&mut afg, &par_picks);
         let (views, net) = gen_views(sites, hosts, &speeds);
         let mk = |sequential: bool| {
             let cfg = SchedulerConfig {
@@ -320,6 +400,114 @@ proptest! {
         let misses = cache.misses();
         prop_assert_eq!(&host_selection_classed(&view, &afg, &p, &pm, &cache), &classed);
         prop_assert_eq!(cache.misses(), misses);
+    }
+
+    // The resolved-pass `evaluate` against the body it replaced, on
+    // tables no scheduler would build: rows sharing hosts with their
+    // parents, equal host lists held in distinct `Arc`s beside shared
+    // ones, recorded and unrecorded replica sources, unknown and
+    // replica-less datasets, and — a quarter of the time each — a missing
+    // row and a back edge, half the time rows for tasks the AFG lacks.
+    // Levels are arbitrary and full of ties; both walks must break them
+    // alike.
+    #[test]
+    fn evaluate_is_bit_identical_to_the_reference_on_hand_built_tables(
+        widths in proptest::collection::vec(1u8..5, 1..5),
+        picks in proptest::collection::vec(any::<u8>(), 1..16),
+        sizes in proptest::collection::vec(any::<u32>(), 1..16),
+        sites in 1usize..4,
+        draws in proptest::collection::vec(any::<u8>(), 4..40),
+        readers in proptest::collection::vec(any::<u8>(), 0..6),
+        missing_row in 0u8..4,
+        extra_rows in any::<bool>(),
+        back_edge in 0u8..4,
+    ) {
+        let mut afg = gen_afg(&widths, &picks, &sizes);
+        let n = afg.tasks.len();
+        // Datasets 1–3 have replicas, 4 has none, 5 is not in the view.
+        for &r in &readers {
+            let id = match r % 32 { 30 => 4, 31 => 5, k => 1 + u64::from(k % 3) };
+            afg.tasks[r as usize % n].props.inputs.push(IoSpec::dataset(DatasetId(id)));
+        }
+        let last = SiteId(sites as u16 - 1);
+        let everywhere = (0..sites as u16).map(SiteId).collect();
+        let replicas = [everywhere, vec![last], vec![SiteId(0)], vec![]];
+        let specs: BTreeMap<DatasetId, DatasetSpec> = replicas
+            .into_iter()
+            .enumerate()
+            .map(|(i, sites)| {
+                let size = (1 << 20) + u64::from(sizes[i % sizes.len()]);
+                (DatasetId(i as u64 + 1), DatasetSpec { size, home: sites.first().copied(), sites })
+            })
+            .collect();
+        let view = DataView::from_specs(specs);
+        let data = (!readers.is_empty()).then_some(&view);
+
+        let mut net = NetworkModel::with_defaults(sites);
+        for a in 0..sites {
+            for b in a + 1..sites {
+                let d = f64::from(draws[(a * 3 + b) % draws.len()]);
+                let link = LinkParams::new(0.001 + d / 500.0, 1e6 * (1.0 + d));
+                net.set_link(SiteId(a as u16), SiteId(b as u16), link);
+            }
+        }
+
+        let mut table = hand_built_table(&afg, sites, &draws);
+        if missing_row == 0 {
+            let gone = TaskId(u32::from(draws[0]) % n as u32);
+            let mut kept = AllocationTable::new(&afg.name);
+            for p in table.iter().filter(|p| p.task != gone) {
+                kept.insert(p.clone());
+            }
+            table = kept;
+        }
+        if extra_rows {
+            let row = table.iter().last().cloned();
+            for extra in [n as u32, n as u32 + 5] {
+                if let Some(mut row) = row.clone() {
+                    row.task = TaskId(extra);
+                    table.insert(row);
+                }
+            }
+        }
+        if back_edge == 0 {
+            // Reverse an edge (or loop a lone task on itself): a cycle.
+            let (from, to) = afg.edges.first().map_or((TaskId(0), TaskId(0)), |e| (e.to, e.from));
+            let (from_port, to_port) = (PortIndex(0), PortIndex(0));
+            afg.edges.push(Edge { from, from_port, to, to_port, data_size: 1 });
+        }
+
+        let levels: Vec<f64> = (0..n).map(|i| f64::from(sizes[i % sizes.len()] % 5)).collect();
+        let got = evaluate_with_data(&afg, &table, &net, &levels, data);
+        let want = evaluate_reference(&afg, &table, &net, &levels, data);
+        prop_assert!(back_edge != 0 || want.is_err(), "a cyclic AFG evaluated");
+        check_same_as_reference(&table, &got, &want)?;
+    }
+
+    // The same comparison on tables the scheduler builds, where every
+    // task that picked a host set shares one `Arc` with the others and
+    // parallel tasks occupy up to six hosts their parents may sit on.
+    #[test]
+    fn evaluate_is_bit_identical_to_the_reference_on_scheduled_tables(
+        widths in proptest::collection::vec(1u8..5, 1..5),
+        picks in proptest::collection::vec(any::<u8>(), 1..16),
+        sizes in proptest::collection::vec(any::<u32>(), 1..16),
+        sites in 1u8..4,
+        hosts in 1u8..5,
+        speeds in proptest::collection::vec(any::<u8>(), 1..8),
+        k in 0usize..4,
+        par_picks in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let mut afg = gen_afg(&widths, &picks, &sizes);
+        flip_to_parallel(&mut afg, &par_picks);
+        let (views, net) = gen_views(sites, hosts, &speeds);
+        let cfg = SchedulerConfig { k_neighbours: k, ..SchedulerConfig::default() };
+        let table = site_schedule(&afg, &views[0], &views[1..], &net, &cfg).unwrap();
+        let levels = levels_for(&afg, &views[0]);
+        let got = evaluate(&afg, &table, &net, &levels);
+        prop_assert!(got.is_ok());
+        let want = evaluate_reference(&afg, &table, &net, &levels, None);
+        check_same_as_reference(&table, &got, &want)?;
     }
 
     #[test]
