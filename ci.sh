@@ -4,14 +4,15 @@
 #   2. cargo clippy (workspace, all targets, -D warnings, plus
 #      clippy::too_many_lines at clippy.toml's 200-line threshold)
 #   3. locked release build
-#   4. cargo test --workspace (every crate's unit, integration and
+#   4. every package under shims/ is still a dependency of something
+#   5. cargo test --workspace (every crate's unit, integration and
 #      prop_* suites plus the shims)
-#   5. BENCH_*.json artifact schema validation
-#   6. the fast-mode gates: sched speedup, fault recovery, durable
-#      recovery, scale, stream, fuzz, data-aware (all --quick) and trace
-#      determinism (--all)
-#   7. the vdce_perf smoke (perf/run.sh --quick)
-#   8. the frozen benchmark's full-size checks the smoke scales away
+#   6. BENCH_*.json artifact schema validation
+#   7-13. the correctness gates: fault recovery, durable recovery,
+#      scale, stream, fuzz, data-aware (all --quick) and trace
+#      determinism (--all) — none of them times anything
+#   14. the vdce_perf smoke (perf/run.sh --quick)
+#   15-17. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
@@ -75,19 +76,30 @@ stage() {
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings -W clippy::too_many_lines
 stage "cargo build --release --locked" cargo build --release --locked
+# Orphaned-shim gate: a shim nothing depends on still builds, tests and
+# lints as a workspace member, so it lingers unnoticed. Every package
+# under shims/ must show up below some other package (depth >= 1) in
+# the workspace dependency tree.
+shims_in_use() {
+    local deps name orphans=0
+    deps=$(cargo tree --workspace --offline --prefix depth | sed -n 's/^[1-9][0-9]*\([^ ]*\) .*/\1/p' | sort -u)
+    for manifest in shims/*/Cargo.toml; do
+        name=$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)
+        if ! grep -qx "$name" <<<"$deps"; then
+            echo "shim \`$name\` ($(dirname "$manifest")) is a dependency of no package: delete it"
+            orphans=1
+        fi
+    done
+    return $orphans
+}
+stage "shims in use" shims_in_use
 stage "cargo test --workspace" cargo test --workspace -q
 # Artifact schema gate: every checked-in BENCH_*.json must validate
-# against the vdce-obs RunArtifact schema. Runs before the
-# baseline-relative gates below, which deserialize these artifacts to
-# compute their regression floors — a corrupt artifact silently
-# downgrades a gate to absolute-floor-only, so make it loud first.
+# against the vdce-obs RunArtifact schema, and none may be missing.
 stage "artifact schema validation" \
     cargo run -q --release -p vdce-bench --bin exp_artifacts
-# Fast-mode smoke gates: the optimized scheduler must stay ahead of the
-# sequential reference (within tolerance of the recorded baseline), and
-# every quick fault scenario must replay deterministically and recover.
-stage "sched speedup gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_sched_speedup -- --quick
+# Fault recovery gate: every quick fault scenario must replay
+# deterministically and recover.
 stage "fault recovery gate (--quick)" \
     cargo run -q --release -p vdce-bench --bin exp_faults -- --quick
 # Durable control-plane gate: every named fault scenario is replayed
@@ -97,15 +109,14 @@ stage "fault recovery gate (--quick)" \
 # lose zero control-plane state, and no deputy may diverge.
 stage "durable recovery gate (--quick)" \
     cargo run -q --release -p vdce-bench --bin exp_recovery -- --quick
-# Scale gate: the 10k-task hot path must hold its placements/sec floor
-# (absolute and relative to the recorded BENCH_scale.json) and the
-# incremental reschedule must stay bit-identical to a full re-walk.
+# Scale gate: on the 10k-task / 8-site config the incremental
+# reschedule of one monitor event must stay bit-identical to a full
+# re-walk.
 stage "scale gate (--quick)" \
     cargo run -q --release -p vdce-bench --bin exp_scale -- --quick
 # Streaming service gate: the acceptance cell must replay bit-identically
-# twice, sustain its submissions/sec floor (absolute and relative to the
-# recorded BENCH_stream.json), keep p99 time-to-placement under the
-# ceiling, and starve no tenant past the aging bound.
+# twice, keep p99 time-to-placement (logical time) under the ceiling,
+# and starve no tenant past the aging bound.
 stage "stream gate (--quick)" \
     cargo run -q --release -p vdce-bench --bin exp_stream -- --quick
 # Fuzz gate: a fixed seed block of generated adversarial cases must pass

@@ -2,14 +2,12 @@
 //! RunArtifact schema (see `vdce_obs::artifact::validate`), and require
 //! the full published set to be present.
 //!
-//! The baseline-relative `--quick` gates deserialize the recorded
-//! artifacts to compute regression floors; a hand-edited, truncated or
-//! stale-schema artifact would silently weaken those gates (a parse
-//! failure downgrades a gate to absolute-floor-only). This stage makes
-//! that corruption loud: any schema violation in any artifact fails
-//! CI before the gates run. Likewise a *missing* artifact — a bench
-//! that stopped publishing, or one deleted without retiring its gate —
-//! fails here instead of quietly shrinking the baseline set.
+//! The recorded artifacts are the repo's published numbers (README,
+//! DESIGN.md and external diff tooling read them), and no gate parses
+//! them any more, so nothing else would notice a hand-edited, truncated
+//! or stale-schema file. Any schema violation in any artifact fails CI
+//! here. Likewise a *missing* artifact — a bench that stopped
+//! publishing — fails here instead of quietly shrinking the set.
 //!
 //! Scans the working directory (the repo root in CI) for files named
 //! `BENCH_*.json`. Exits 1 if any file fails validation or any
@@ -28,7 +26,6 @@ const REQUIRED: &[&str] = &[
     "BENCH_fuzz.json",
     "BENCH_recovery.json",
     "BENCH_scale.json",
-    "BENCH_sched.json",
     "BENCH_stream.json",
 ];
 

@@ -35,12 +35,13 @@ fn main() {
     let mut t = Table::new(&["dispatch_priority", "geomean_makespan_s", "vs_level"]);
     let mut level_base = None;
     let predictor = vdce_predict::model::Predictor::default();
+    let cache = vdce_predict::cache::PredictCache::new();
     for (name, order) in orders {
         let mut spans = Vec::new();
         for &seed in &seeds {
             let afg = bench_dag(60, seed);
-            let table =
-                vdce_sched::baselines::round_robin_schedule(&afg, &all, &predictor).unwrap();
+            let table = vdce_sched::baselines::round_robin_schedule(&afg, &all, &predictor, &cache)
+                .unwrap();
             let prios = priorities(&afg, order, &all);
             let sched = evaluate(&afg, &table, &fed.net, &prios).unwrap();
             spans.push(sched.makespan);

@@ -1,5 +1,5 @@
 //! Fault-injection replay: every named [`FaultScenario`] (plus a
-//! palette-workload crash mirroring the `exp_sched_speedup` workload
+//! palette-workload crash mirroring the `exp_scale` workload
 //! shape) is replayed against its fault-free twin, producing one
 //! [`RecoveryReport`] per scenario.
 //!
@@ -39,7 +39,7 @@ use vdce_sim::scenario::{
 };
 
 /// The acceptance workload: crash the busiest host of a palette-shaped
-/// DAG (the `exp_sched_speedup` workload family) a quarter into the run.
+/// DAG (the `exp_scale` workload family) a quarter into the run.
 fn palette_crash() -> FaultScenario {
     let federation = bench_federation(2, 4);
     let mut afg = bench_dag(24, 7);

@@ -21,11 +21,9 @@
 //!
 //! `--quick` runs the CI gate instead, on the 8-site acceptance cell:
 //! two full replays must produce byte-identical deterministic
-//! sections, zero starved tenants, a sustained submissions/sec floor
-//! (absolute + relative to the recorded artifact, best of three
-//! replays), and a p99
-//! time-to-placement ceiling. Exits 1 on failure; never rewrites the
-//! recorded artifact.
+//! sections, zero starved tenants, and a p99 time-to-placement ceiling
+//! (logical time). Exits 1 on failure; writes nothing. Regressions in
+//! speed are `vdce_perf`'s to catch (`perf/`), which controls for noise.
 
 use std::time::Instant;
 use vdce_obs::{MetricsRegistry, Report, RunArtifact, Table};
@@ -35,11 +33,6 @@ use vdce_sim::dag_gen::DagSpec;
 use vdce_sim::pool_gen::FederationSpec;
 use vdce_sim::stream::{run_stream, StreamScenario};
 
-/// Quick-gate absolute floor on sustained wall-clock submissions/sec.
-/// A developer machine sustains two orders of magnitude more; the floor
-/// catches the service loop falling off a cliff, not jitter.
-const QUICK_FLOOR_SUBS_PER_SEC: f64 = 20.0;
-
 /// Quick-gate ceiling on p99 time-to-placement (logical seconds) at the
 /// acceptance cell. The cell runs just past saturation on the front-end
 /// site, so the observed p99 (~132s logical) is the queueing delay of
@@ -48,25 +41,6 @@ const QUICK_FLOOR_SUBS_PER_SEC: f64 = 20.0;
 /// ceiling means dispatch ordering or aging regressed — a wait headed
 /// for the starvation bound (915s for the lowest priority class).
 const QUICK_P99_TTP_CEILING_S: f64 = 300.0;
-
-/// Relative throughput tolerance against the recorded artifact.
-const TOLERANCE: f64 = 0.4;
-
-/// The recorded `BENCH_stream.json` fields the `--quick` gate compares
-/// against (unknown fields ignored on deserialize).
-#[derive(serde::Deserialize)]
-struct RecordedReport {
-    throughput: Vec<RecordedThroughput>,
-}
-
-/// One recorded throughput row.
-#[derive(serde::Deserialize)]
-struct RecordedThroughput {
-    sites: usize,
-    tenants: usize,
-    rate_per_s: f64,
-    submissions_per_sec: f64,
-}
 
 /// Deterministic outcome of one swept cell (identical across replays).
 #[derive(serde::Serialize)]
@@ -91,7 +65,7 @@ struct ThroughputRow {
 
 /// The acceptance / CI-gate cell: 8 sites, enough tenants to exercise
 /// every priority class and domain, a rate that keeps the service busy
-/// without saturating the quick wall-clock budget.
+/// without saturating the quick gate's time budget.
 fn quick_scenario() -> StreamScenario {
     scenario(8, 64, 2.0, 40.0)
 }
@@ -221,21 +195,10 @@ fn run_quick_gate() {
     let mut failures: Vec<String> = Vec::new();
     let sc = quick_scenario();
 
-    // Full replays of the same scenario; byte-identity of the
-    // deterministic payload is the whole point. The wall-clock figure is
-    // the best of three: on a shared two-core runner a single shot taken
-    // right after the test stage measures the neighbours, not the service
-    // (it failed the relative floor 2 runs in 3 with the code unchanged).
-    let mut wall = f64::INFINITY;
-    let mut timed_replay = || {
-        let t0 = Instant::now();
-        let report = run_stream(&sc);
-        wall = wall.min(t0.elapsed().as_secs_f64());
-        report
-    };
-    let first = timed_replay();
-    let second = timed_replay();
-    timed_replay();
+    // Two full replays of the same scenario; byte-identity of the
+    // deterministic payload is the whole point.
+    let first = run_stream(&sc);
+    let second = run_stream(&sc);
 
     let bytes_a = serde_json::to_string(&first).expect("report serialises");
     let bytes_b = serde_json::to_string(&second).expect("report serialises");
@@ -249,16 +212,9 @@ fn run_quick_gate() {
         ));
     }
 
-    let subs_per_sec = first.submitted as f64 / wall.max(1e-9);
     println!(
-        "quick: 8 sites / {} tenants / rate {}: {} submitted, {} admitted, {} completed in {:.0} ms ({:.0} subs/s)",
-        sc.trace.tenants,
-        sc.trace.rate_per_s,
-        first.submitted,
-        first.admitted,
-        first.completed,
-        wall * 1e3,
-        subs_per_sec
+        "quick: 8 sites / {} tenants / rate {}: {} submitted, {} admitted, {} completed",
+        sc.trace.tenants, sc.trace.rate_per_s, first.submitted, first.admitted, first.completed
     );
     println!(
         "quick: ttp p50 {:.2}s p99 {:.2}s max {:.2}s (logical); digest {:#x}",
@@ -267,12 +223,6 @@ fn run_quick_gate() {
 
     if first.submitted == 0 || first.admitted == 0 {
         failures.push("gate scenario admitted nothing — workload misconfigured".to_string());
-    }
-    if subs_per_sec < QUICK_FLOOR_SUBS_PER_SEC {
-        failures.push(format!(
-            "sustained {subs_per_sec:.0} submissions/s below absolute floor \
-             {QUICK_FLOOR_SUBS_PER_SEC}/s"
-        ));
     }
     if first.ttp_p99_s > QUICK_P99_TTP_CEILING_S {
         failures.push(format!(
@@ -297,30 +247,6 @@ fn run_quick_gate() {
             "{} tenant(s) starved past the aging bound: {worst}",
             first.starved_tenants
         ));
-    }
-
-    // Relative throughput floor against the recorded artifact.
-    let recorded: Option<RecordedReport> = std::fs::read_to_string("BENCH_stream.json")
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    match recorded.as_ref().and_then(|r| {
-        r.throughput.iter().find(|t| {
-            t.sites == sc.fed.sites
-                && t.tenants == sc.trace.tenants
-                && t.rate_per_s == sc.trace.rate_per_s
-        })
-    }) {
-        Some(rec) => {
-            let floor = rec.submissions_per_sec * TOLERANCE;
-            if subs_per_sec < floor {
-                failures.push(format!(
-                    "sustained {subs_per_sec:.0} subs/s below {floor:.0}/s \
-                     ({TOLERANCE}x of recorded {:.0}/s)",
-                    rec.submissions_per_sec
-                ));
-            }
-        }
-        None => println!("note: no matching BENCH_stream.json baseline cell; absolute floor only"),
     }
 
     if failures.is_empty() {

@@ -66,7 +66,7 @@ pub const GRANULARITIES: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
 
 /// Quantise problem sizes to the granularity palette and flip every
 /// third task to an 8-node parallel implementation. Shared by
-/// `exp_sched_speedup` and `exp_faults` so both benchmark the same
+/// `exp_faults` and the `palette_identity` test so both run the same
 /// workload shape.
 pub fn shape_palette_workload(afg: &mut vdce_afg::Afg) {
     for (i, t) in afg.tasks.iter_mut().enumerate() {

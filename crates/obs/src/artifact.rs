@@ -5,7 +5,7 @@
 //! ```text
 //! {
 //!   "schema_version": 1,
-//!   "bench": "exp_sched_speedup",
+//!   "bench": "exp_scale",
 //!   "meta": { ... scenario knobs ... },
 //!   "metrics": { ... MetricsSnapshot ... },
 //!   <one top-level key per section, e.g. "configs": [...]>
@@ -13,10 +13,9 @@
 //! ```
 //!
 //! Sections keep their pre-redesign top-level position (`configs`,
-//! `scenarios`) so existing consumers — the `--quick` regression gates
-//! and external diff tooling — keep parsing the files unchanged; the
-//! migration test in `crates/bench/tests/artifact_migration.rs` pins
-//! that coverage.
+//! `scenarios`) so existing consumers (external diff tooling) keep
+//! parsing the files unchanged; the migration test in
+//! `crates/bench/tests/artifact_migration.rs` pins that coverage.
 
 use crate::metrics::MetricsSnapshot;
 use serde::Serialize;
@@ -112,9 +111,8 @@ fn is_number(v: &Value) -> bool {
 }
 
 /// Validate a parsed `BENCH_*.json` against the schema-v1 envelope.
-/// Returns every problem found (empty = valid). This is the fail-fast
-/// CI check: a hand-edited or stale artifact trips here instead of
-/// silently corrupting a baseline-relative regression gate.
+/// Returns every problem found (empty = valid). This is the CI check
+/// a hand-edited or stale artifact trips.
 pub fn validate(v: &Value) -> Vec<String> {
     let mut problems = Vec::new();
     let Some(top) = obj(v) else {

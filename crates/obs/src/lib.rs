@@ -9,31 +9,26 @@
 //!    keyed by **logical sim time** (never wall clock) and serialise to
 //!    JSONL that is bit-identical across replays of the same scenario.
 //! 2. [`metrics::MetricsRegistry`] — counters, gauges, and fixed-bucket
-//!    histograms, threaded through the scheduler fan-out, the runtime
+//!    histograms, threaded through the scheduler, the runtime
 //!    executor/monitors, DSM, and the fault-replay engine.
 //! 3. [`artifact::RunArtifact`] — the single way `exp_*` binaries emit
 //!    `BENCH_*.json`: schema-versioned, with embedded metric snapshots
 //!    and scenario metadata.
 //!
-//! Wall-clock profiling ([`profile::PhaseTimer`]) is feature-gated
-//! (`wall-profiling`) and lives **outside** the deterministic trace: its
-//! values land in the `profile.` metric namespace, which
-//! [`metrics::MetricsRegistry::snapshot_deterministic`] excludes. The
-//! same namespace also holds metrics whose values depend on thread
-//! interleaving (e.g. the predict-cache hit/miss split under the rayon
-//! fan-out, where two workers can race to fill the same key).
+//! Nothing in this crate reads the wall clock. Values that are not part
+//! of the replay contract (e.g. the predict-cache hit/miss split) go
+//! under the `profile.` metric namespace, which
+//! [`metrics::MetricsRegistry::snapshot_deterministic`] excludes.
 
 #![deny(clippy::print_stdout)]
 
 pub mod artifact;
 pub mod metrics;
-pub mod profile;
 pub mod report;
 pub mod trace;
 
 pub use artifact::{validate as validate_artifact, RunArtifact, ARTIFACT_SCHEMA_VERSION};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, PROFILE_PREFIX};
-pub use profile::PhaseTimer;
 pub use report::{Report, Table};
 pub use trace::{validate_jsonl, FieldValue, TraceRecord, TraceSink, TraceStats};
 

@@ -4,9 +4,8 @@
 //! outside the [`PROFILE_PREFIX`] namespace must be a pure function of
 //! the run's logical inputs — that is what lets
 //! [`MetricsRegistry::snapshot_deterministic`] participate in the
-//! bit-identical-replay property test. Wall-clock timings and
-//! thread-interleaving-dependent values (e.g. the predict-cache
-//! hit/miss split under the rayon fan-out) go under `profile.`.
+//! bit-identical-replay property test. Values outside that contract
+//! (e.g. the predict-cache hit/miss split) go under `profile.`.
 //!
 //! Histogram bucketing is platform-independent by construction: bucket
 //! boundaries are caller-supplied `f64` constants, assignment is a pure
@@ -17,7 +16,7 @@ use parking_lot::Mutex;
 use serde_json::{Number, Value};
 use std::collections::BTreeMap;
 
-/// Metric-name prefix for wall-clock / nondeterministic values,
+/// Metric-name prefix for values outside the replay contract,
 /// excluded from [`MetricsRegistry::snapshot_deterministic`].
 pub const PROFILE_PREFIX: &str = "profile.";
 

@@ -30,7 +30,6 @@ use crate::site_scheduler::SchedulingError;
 use crate::view::SiteView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use vdce_afg::level::blevel_map;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
 use vdce_net::cache::TransferCache;
@@ -89,14 +88,12 @@ fn options<'a>(
     out
 }
 
-/// Option sets for every task, fanned out across worker threads.
+/// Option sets for every task.
 ///
 /// A task's options depend only on the frozen views — never on previous
 /// placements — so every baseline can enumerate them up front instead of
 /// re-predicting inside its placement loop (min-min/max-min recomputed
-/// them every round in the reference formulation). Order-preserving fan
-/// out plus the memoised, deterministic `Predict` keep the result
-/// bit-identical to the sequential enumeration.
+/// them every round in the reference formulation).
 fn all_options<'a>(
     afg: &Afg,
     views: &'a [&'a SiteView],
@@ -104,8 +101,7 @@ fn all_options<'a>(
     cache: &PredictCache,
     arena: &HostArena,
 ) -> Vec<Vec<Option_<'a>>> {
-    let ids: Vec<TaskId> = afg.task_ids().collect();
-    ids.into_par_iter().map(|t| options(afg, t, views, predictor, cache, arena)).collect()
+    afg.task_ids().map(|t| options(afg, t, views, predictor, cache, arena)).collect()
 }
 
 fn placement(afg: &Afg, task: TaskId, opt: &Option_<'_>) -> TaskPlacement {
@@ -124,19 +120,12 @@ fn no_feasible(afg: &Afg, task: TaskId) -> SchedulingError {
 }
 
 /// Uniform-random feasible placement (seeded).
+///
+/// Like every baseline here it predicts through a caller-supplied
+/// [`PredictCache`], so a comparison harness can share one memo table
+/// across every algorithm it runs (they all probe the same
+/// (task, size, host) keys); a fresh cache gives the same table.
 pub fn random_schedule(
-    afg: &Afg,
-    views: &[&SiteView],
-    predictor: &Predictor,
-    seed: u64,
-) -> Result<AllocationTable, SchedulingError> {
-    random_schedule_cached(afg, views, predictor, seed, &PredictCache::new())
-}
-
-/// [`random_schedule`] against a caller-supplied [`PredictCache`], so a
-/// comparison harness can share one memo table across every algorithm it
-/// runs (they all probe the same (task, size, host) keys).
-pub fn random_schedule_cached(
     afg: &Afg,
     views: &[&SiteView],
     predictor: &Predictor,
@@ -161,15 +150,6 @@ pub fn random_schedule_cached(
 /// Round-robin over the federation's hosts (name-ordered within site
 /// order), skipping hosts infeasible for the task at hand.
 pub fn round_robin_schedule(
-    afg: &Afg,
-    views: &[&SiteView],
-    predictor: &Predictor,
-) -> Result<AllocationTable, SchedulingError> {
-    round_robin_schedule_cached(afg, views, predictor, &PredictCache::new())
-}
-
-/// [`round_robin_schedule`] against a caller-supplied [`PredictCache`].
-pub fn round_robin_schedule_cached(
     afg: &Afg,
     views: &[&SiteView],
     predictor: &Predictor,
@@ -227,15 +207,6 @@ pub fn round_robin_schedule_cached(
 /// disabled) — the "what you'd get without VDCE's wide-area scheduling"
 /// baseline.
 pub fn local_only_schedule(
-    afg: &Afg,
-    local: &SiteView,
-    predictor: &Predictor,
-) -> Result<AllocationTable, SchedulingError> {
-    local_only_schedule_cached(afg, local, predictor, &PredictCache::new())
-}
-
-/// [`local_only_schedule`] against a caller-supplied [`PredictCache`].
-pub fn local_only_schedule_cached(
     afg: &Afg,
     local: &SiteView,
     predictor: &Predictor,
@@ -311,28 +282,20 @@ fn completion_time_schedule(
     let mut ready: Vec<TaskId> = afg.entry_nodes();
 
     while !ready.is_empty() {
-        // For every ready task find its best option's completion time.
-        // The per-task scans are independent given this round's frozen
-        // placement state, so fan them out; results come back in ready
-        // order, which keeps error reporting and tie-breaks unchanged.
-        let bests: Vec<Option<(&Option_<'_>, f64)>> = ready
-            .par_iter()
-            .map(|&task| {
-                let mut best: Option<(&Option_<'_>, f64)> = None;
-                for opt in &all[task.index()] {
-                    let ct = completion_time(
-                        afg, &edge_idx, task, opt, &xfer, &finish, &site_of, &host_of, &host_free,
-                    );
-                    if best.as_ref().is_none_or(|(_, b)| ct < *b) {
-                        best = Some((opt, ct));
-                    }
-                }
-                best
-            })
-            .collect();
+        // For every ready task find its best option's completion time,
+        // against this round's frozen placement state.
         let mut per_task: Vec<(usize, &Option_<'_>, f64)> = Vec::with_capacity(ready.len());
-        for (ri, best) in bests.into_iter().enumerate() {
-            let (opt, ct) = best.ok_or_else(|| no_feasible(afg, ready[ri]))?;
+        for (ri, &task) in ready.iter().enumerate() {
+            let mut best: Option<(&Option_<'_>, f64)> = None;
+            for opt in &all[task.index()] {
+                let ct = completion_time(
+                    afg, &edge_idx, task, opt, &xfer, &finish, &site_of, &host_of, &host_free,
+                );
+                if best.as_ref().is_none_or(|(_, b)| ct < *b) {
+                    best = Some((opt, ct));
+                }
+            }
+            let (opt, ct) = best.ok_or_else(|| no_feasible(afg, task))?;
             per_task.push((ri, opt, ct));
         }
         // min-min: smallest best-CT first; max-min: largest best-CT first.
@@ -377,16 +340,6 @@ pub fn min_min_schedule(
     views: &[&SiteView],
     net: &NetworkModel,
     predictor: &Predictor,
-) -> Result<AllocationTable, SchedulingError> {
-    completion_time_schedule(afg, views, net, predictor, false, &PredictCache::new())
-}
-
-/// [`min_min_schedule`] against a caller-supplied [`PredictCache`].
-pub fn min_min_schedule_cached(
-    afg: &Afg,
-    views: &[&SiteView],
-    net: &NetworkModel,
-    predictor: &Predictor,
     cache: &PredictCache,
 ) -> Result<AllocationTable, SchedulingError> {
     completion_time_schedule(afg, views, net, predictor, false, cache)
@@ -394,16 +347,6 @@ pub fn min_min_schedule_cached(
 
 /// Max-min completion-time heuristic.
 pub fn max_min_schedule(
-    afg: &Afg,
-    views: &[&SiteView],
-    net: &NetworkModel,
-    predictor: &Predictor,
-) -> Result<AllocationTable, SchedulingError> {
-    completion_time_schedule(afg, views, net, predictor, true, &PredictCache::new())
-}
-
-/// [`max_min_schedule`] against a caller-supplied [`PredictCache`].
-pub fn max_min_schedule_cached(
     afg: &Afg,
     views: &[&SiteView],
     net: &NetworkModel,
@@ -417,16 +360,6 @@ pub fn max_min_schedule_cached(
 /// communication along the path to an exit), then assign each task, in
 /// rank order, to the host with the earliest finish time.
 pub fn heft_schedule(
-    afg: &Afg,
-    views: &[&SiteView],
-    net: &NetworkModel,
-    predictor: &Predictor,
-) -> Result<AllocationTable, SchedulingError> {
-    heft_schedule_cached(afg, views, net, predictor, &PredictCache::new())
-}
-
-/// [`heft_schedule`] against a caller-supplied [`PredictCache`].
-pub fn heft_schedule_cached(
     afg: &Afg,
     views: &[&SiteView],
     net: &NetworkModel,
@@ -506,16 +439,6 @@ pub fn heft_schedule_cached(
 /// the authors' TPDS 2002 paper, as a second-stage ablation over the
 /// no-insertion variant.
 pub fn heft_insertion_schedule(
-    afg: &Afg,
-    views: &[&SiteView],
-    net: &NetworkModel,
-    predictor: &Predictor,
-) -> Result<AllocationTable, SchedulingError> {
-    heft_insertion_schedule_cached(afg, views, net, predictor, &PredictCache::new())
-}
-
-/// [`heft_insertion_schedule`] against a caller-supplied [`PredictCache`].
-pub fn heft_insertion_schedule_cached(
     afg: &Afg,
     views: &[&SiteView],
     net: &NetworkModel,
@@ -732,13 +655,14 @@ mod tests {
     #[test]
     fn diamond_join_is_placed_exactly_once() {
         let (_, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let afg = diamond_afg();
         let views = [&local, &remote];
         for table in [
-            min_min_schedule(&afg, &views, &net, &p).unwrap(),
-            max_min_schedule(&afg, &views, &net, &p).unwrap(),
-            heft_schedule(&afg, &views, &net, &p).unwrap(),
-            heft_insertion_schedule(&afg, &views, &net, &p).unwrap(),
+            min_min_schedule(&afg, &views, &net, &p, &c).unwrap(),
+            max_min_schedule(&afg, &views, &net, &p, &c).unwrap(),
+            heft_schedule(&afg, &views, &net, &p, &c).unwrap(),
+            heft_insertion_schedule(&afg, &views, &net, &p, &c).unwrap(),
         ] {
             assert!(table.is_complete_for(&afg));
             assert_eq!(table.len(), afg.task_count());
@@ -748,14 +672,15 @@ mod tests {
     #[test]
     fn every_baseline_produces_a_complete_table() {
         let (afg, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
         for table in [
-            random_schedule(&afg, &views, &p, 7).unwrap(),
-            round_robin_schedule(&afg, &views, &p).unwrap(),
-            local_only_schedule(&afg, &local, &p).unwrap(),
-            min_min_schedule(&afg, &views, &net, &p).unwrap(),
-            max_min_schedule(&afg, &views, &net, &p).unwrap(),
-            heft_schedule(&afg, &views, &net, &p).unwrap(),
+            random_schedule(&afg, &views, &p, 7, &c).unwrap(),
+            round_robin_schedule(&afg, &views, &p, &c).unwrap(),
+            local_only_schedule(&afg, &local, &p, &c).unwrap(),
+            min_min_schedule(&afg, &views, &net, &p, &c).unwrap(),
+            max_min_schedule(&afg, &views, &net, &p, &c).unwrap(),
+            heft_schedule(&afg, &views, &net, &p, &c).unwrap(),
         ] {
             assert!(table.is_complete_for(&afg));
         }
@@ -764,17 +689,19 @@ mod tests {
     #[test]
     fn local_only_never_uses_remote_sites() {
         let (afg, local, _remote, _net, p) = setup();
-        let table = local_only_schedule(&afg, &local, &p).unwrap();
+        let c = PredictCache::new();
+        let table = local_only_schedule(&afg, &local, &p, &c).unwrap();
         assert_eq!(table.sites_used(), vec![SiteId(0)]);
     }
 
     #[test]
     fn random_is_deterministic_in_seed() {
         let (afg, local, remote, _net, p) = setup();
+        let cache = PredictCache::new();
         let views = [&local, &remote];
-        let a = random_schedule(&afg, &views, &p, 1).unwrap();
-        let b = random_schedule(&afg, &views, &p, 1).unwrap();
-        let c = random_schedule(&afg, &views, &p, 2).unwrap();
+        let a = random_schedule(&afg, &views, &p, 1, &cache).unwrap();
+        let b = random_schedule(&afg, &views, &p, 1, &cache).unwrap();
+        let c = random_schedule(&afg, &views, &p, 2, &cache).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -782,24 +709,31 @@ mod tests {
     #[test]
     fn round_robin_spreads_across_hosts() {
         let (afg, local, remote, _net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
-        let table = round_robin_schedule(&afg, &views, &p).unwrap();
+        let table = round_robin_schedule(&afg, &views, &p, &c).unwrap();
         assert!(table.hosts_used().len() >= 4, "RR must touch most hosts");
     }
 
     #[test]
     fn min_min_beats_random_on_makespan() {
         let (afg, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
-        let mm = evaluate(&afg, &min_min_schedule(&afg, &views, &net, &p).unwrap(), &net, &levels)
-            .unwrap();
+        let mm =
+            evaluate(&afg, &min_min_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
+                .unwrap();
         // Average a few random seeds.
         let mut rnd_sum = 0.0;
         for seed in 0..5 {
-            let r =
-                evaluate(&afg, &random_schedule(&afg, &views, &p, seed).unwrap(), &net, &levels)
-                    .unwrap();
+            let r = evaluate(
+                &afg,
+                &random_schedule(&afg, &views, &p, seed, &c).unwrap(),
+                &net,
+                &levels,
+            )
+            .unwrap();
             rnd_sum += r.makespan;
         }
         assert!(mm.makespan <= rnd_sum / 5.0 * 1.05, "min-min should not lose to random");
@@ -808,6 +742,7 @@ mod tests {
     #[test]
     fn vdce_beats_local_only_with_fast_remote_site() {
         let (afg, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
         let cfg = SchedulerConfig::default();
@@ -818,8 +753,8 @@ mod tests {
             &levels,
         )
         .unwrap();
-        let lo =
-            evaluate(&afg, &local_only_schedule(&afg, &local, &p).unwrap(), &net, &levels).unwrap();
+        let lo = evaluate(&afg, &local_only_schedule(&afg, &local, &p, &c).unwrap(), &net, &levels)
+            .unwrap();
         assert!(
             vdce.makespan <= lo.makespan,
             "federation must not hurt: vdce {} vs local {}",
@@ -831,25 +766,30 @@ mod tests {
     #[test]
     fn heft_is_competitive_with_min_min() {
         let (afg, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
         let heft =
-            evaluate(&afg, &heft_schedule(&afg, &views, &net, &p).unwrap(), &net, &levels).unwrap();
-        let mm = evaluate(&afg, &min_min_schedule(&afg, &views, &net, &p).unwrap(), &net, &levels)
-            .unwrap();
+            evaluate(&afg, &heft_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
+                .unwrap();
+        let mm =
+            evaluate(&afg, &min_min_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
+                .unwrap();
         assert!(heft.makespan <= mm.makespan * 1.5);
     }
 
     #[test]
     fn heft_insertion_never_loses_to_no_insertion_here() {
         let (afg, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
         let plain =
-            evaluate(&afg, &heft_schedule(&afg, &views, &net, &p).unwrap(), &net, &levels).unwrap();
+            evaluate(&afg, &heft_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
+                .unwrap();
         let ins = evaluate(
             &afg,
-            &heft_insertion_schedule(&afg, &views, &net, &p).unwrap(),
+            &heft_insertion_schedule(&afg, &views, &net, &p, &c).unwrap(),
             &net,
             &levels,
         )
@@ -867,8 +807,9 @@ mod tests {
     #[test]
     fn heft_insertion_produces_complete_tables() {
         let (afg, local, remote, net, p) = setup();
+        let c = PredictCache::new();
         let views = [&local, &remote];
-        let t = heft_insertion_schedule(&afg, &views, &net, &p).unwrap();
+        let t = heft_insertion_schedule(&afg, &views, &net, &p, &c).unwrap();
         assert!(t.is_complete_for(&afg));
     }
 
@@ -898,42 +839,43 @@ mod tests {
         let views = [&local, &remote];
         let shared = PredictCache::new();
         assert_eq!(
-            random_schedule(&afg, &views, &p, 7).unwrap(),
-            random_schedule_cached(&afg, &views, &p, 7, &shared).unwrap()
+            random_schedule(&afg, &views, &p, 7, &PredictCache::new()).unwrap(),
+            random_schedule(&afg, &views, &p, 7, &shared).unwrap()
         );
         assert_eq!(
-            round_robin_schedule(&afg, &views, &p).unwrap(),
-            round_robin_schedule_cached(&afg, &views, &p, &shared).unwrap()
+            round_robin_schedule(&afg, &views, &p, &PredictCache::new()).unwrap(),
+            round_robin_schedule(&afg, &views, &p, &shared).unwrap()
         );
         assert_eq!(
-            local_only_schedule(&afg, &local, &p).unwrap(),
-            local_only_schedule_cached(&afg, &local, &p, &shared).unwrap()
+            local_only_schedule(&afg, &local, &p, &PredictCache::new()).unwrap(),
+            local_only_schedule(&afg, &local, &p, &shared).unwrap()
         );
         assert_eq!(
-            min_min_schedule(&afg, &views, &net, &p).unwrap(),
-            min_min_schedule_cached(&afg, &views, &net, &p, &shared).unwrap()
+            min_min_schedule(&afg, &views, &net, &p, &PredictCache::new()).unwrap(),
+            min_min_schedule(&afg, &views, &net, &p, &shared).unwrap()
         );
         assert_eq!(
-            max_min_schedule(&afg, &views, &net, &p).unwrap(),
-            max_min_schedule_cached(&afg, &views, &net, &p, &shared).unwrap()
+            max_min_schedule(&afg, &views, &net, &p, &PredictCache::new()).unwrap(),
+            max_min_schedule(&afg, &views, &net, &p, &shared).unwrap()
         );
         assert_eq!(
-            heft_schedule(&afg, &views, &net, &p).unwrap(),
-            heft_schedule_cached(&afg, &views, &net, &p, &shared).unwrap()
+            heft_schedule(&afg, &views, &net, &p, &PredictCache::new()).unwrap(),
+            heft_schedule(&afg, &views, &net, &p, &shared).unwrap()
         );
         assert_eq!(
-            heft_insertion_schedule(&afg, &views, &net, &p).unwrap(),
-            heft_insertion_schedule_cached(&afg, &views, &net, &p, &shared).unwrap()
+            heft_insertion_schedule(&afg, &views, &net, &p, &PredictCache::new()).unwrap(),
+            heft_insertion_schedule(&afg, &views, &net, &p, &shared).unwrap()
         );
     }
 
     #[test]
     fn empty_views_error_cleanly() {
         let (afg, _, _, net, p) = setup();
+        let c = PredictCache::new();
         let views: [&SiteView; 0] = [];
-        assert!(round_robin_schedule(&afg, &views, &p).is_err());
-        assert!(min_min_schedule(&afg, &views, &net, &p).is_err());
-        assert!(heft_schedule(&afg, &views, &net, &p).is_err());
+        assert!(round_robin_schedule(&afg, &views, &p, &c).is_err());
+        assert!(min_min_schedule(&afg, &views, &net, &p, &c).is_err());
+        assert!(heft_schedule(&afg, &views, &net, &p, &c).is_err());
     }
 
     #[test]

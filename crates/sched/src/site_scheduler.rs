@@ -31,7 +31,6 @@ use crate::host_selection::{
     host_selection, host_selection_classed, HostSelectionOutput, TaskHostChoice,
 };
 use crate::view::SiteView;
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::fmt;
@@ -41,7 +40,7 @@ use vdce_data::DataView;
 use vdce_net::cache::TransferCache;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
-use vdce_obs::{MetricsRegistry, PhaseTimer, PROFILE_PREFIX};
+use vdce_obs::{MetricsRegistry, PROFILE_PREFIX};
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
@@ -60,13 +59,13 @@ pub struct SchedulerConfig {
     /// `Timetotal` and place purely on `Predict(task, R)` (DESIGN.md §7,
     /// decision 4). The paper's algorithm has this `false`.
     pub ignore_transfer_time: bool,
-    /// Force the sequential *reference* path: no thread fan-out, no
-    /// memoised predict/transfer caches, linear ready-list scan. `false`
-    /// (the default) runs the optimised path (class-batched host
-    /// selection fanned out across sites, shared predict cache, heap
-    /// ready list), which is specified to produce a bit-identical
-    /// [`AllocationTable`] (see DESIGN.md, "Parallel scheduling
-    /// architecture", and the `prop_sched` determinism property test).
+    /// Run the uncached *reference* strategy: per-task
+    /// [`host_selection`], no memoised predict/transfer caches, linear
+    /// ready-list scan. `false` (the default) runs the classed strategy
+    /// (class-batched host selection, shared predict cache, heap ready
+    /// list), which is specified to produce a bit-identical
+    /// [`AllocationTable`] (see DESIGN.md, "Reference vs classed
+    /// strategy", and the `prop_sched` determinism property test).
     pub sequential: bool,
     /// Recovery-aware placement (DESIGN.md §11): spread *critical-path*
     /// tasks (level ≥ 0.75 × max level) across distinct hosts when a
@@ -257,17 +256,9 @@ fn schedule_pipeline(
     data: Option<&DataView>,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<AllocationTable, SchedError> {
-    let phase_done = |timer: PhaseTimer, name: &str| {
-        if let Some(m) = metrics {
-            timer.stop(m, name);
-        }
-    };
-
     // Priorities: level of each node on base-processor execution times
     // (task-performance DB of the local site).
-    let timer = PhaseTimer::start();
     let levels = local.levels(afg)?;
-    phase_done(timer, "sched.levels");
 
     // Step 2: k nearest neighbour sites that actually sent views.
     let neighbours = net.nearest_neighbours(local.site, config.k_neighbours);
@@ -278,21 +269,12 @@ fn schedule_pipeline(
         }
     }
 
-    // Steps 3–5: host selection at every involved site. The sites'
-    // selections are independent (each runs against its own frozen
-    // view), so the optimised path fans them out across worker threads.
-    // One predict cache is shared across every site (host names are
-    // federation-unique). Outputs are reassembled in `involved` order,
-    // so every path hands steps 6–7 the same input.
+    // Steps 3–5: host selection at every involved site, each against
+    // its own frozen view. One predict cache is shared across every site
+    // (host names are federation-unique).
     let cache = PredictCache::new();
-    let timer = PhaseTimer::start();
-    let run_one = |v: &&SiteView| host_selection_for(v, afg, config, &cache);
-    let outputs: Vec<HostSelectionOutput> = if config.sequential || involved.len() < 2 {
-        involved.iter().map(run_one).collect()
-    } else {
-        involved.par_iter().map(run_one).collect()
-    };
-    phase_done(timer, "sched.host_selection");
+    let outputs: Vec<HostSelectionOutput> =
+        involved.iter().map(|v| host_selection_for(v, afg, config, &cache)).collect();
 
     if let Some(m) = metrics {
         m.counter_add("sched.sites_involved", involved.len() as u64);
@@ -308,7 +290,6 @@ fn schedule_pipeline(
         m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hit_rate"), rate);
     }
 
-    let timer = PhaseTimer::start();
     let table = schedule_walk(
         afg,
         &levels,
@@ -321,7 +302,6 @@ fn schedule_pipeline(
         data,
         metrics,
     )?;
-    phase_done(timer, "sched.dag_walk");
     if let Some(m) = metrics {
         m.counter_add("sched.tasks_placed", table.len() as u64);
     }
@@ -369,8 +349,7 @@ pub fn validate_dataset_outputs(
 
 /// [`site_schedule`] with observability: identical algorithm and a
 /// bit-identical [`AllocationTable`], plus metrics exported into
-/// `metrics` and (with the `wall-profiling` feature of `vdce-obs`)
-/// per-phase wall-clock timings.
+/// `metrics`.
 ///
 /// Exported metric names:
 ///
@@ -386,11 +365,10 @@ pub fn validate_dataset_outputs(
 /// - `sched.transfer_cache.lookups` — transfer-time consultations in
 ///   the DAG walk (deterministic: the walk is sequential).
 /// - `profile.sched.predict_cache.hits` / `.misses` / `.hit_rate` —
-///   the raw hit/miss split of those term lookups. A pair of sites
-///   sharing a host name (which the topology forbids) would race to
-///   fill the same key under the per-site fan-out, so the split is kept
-///   in the [`PROFILE_PREFIX`] namespace, which
-///   [`MetricsRegistry::snapshot_deterministic`] excludes.
+///   the raw hit/miss split of those term lookups, kept in the
+///   [`PROFILE_PREFIX`] namespace, which
+///   [`MetricsRegistry::snapshot_deterministic`] excludes, so recorded
+///   deterministic snapshots keep their name set.
 pub fn site_schedule_observed(
     afg: &Afg,
     local: &SiteView,
@@ -976,10 +954,10 @@ mod tests {
     }
 
     #[test]
-    fn sequential_reference_and_parallel_path_agree_bit_for_bit() {
-        // Two sites, a diamond plus a chain, both knob settings: the
-        // optimised path (fan-out + caches + heap) must reproduce the
-        // reference tables exactly. The prop_sched property test covers
+    fn reference_and_classed_strategy_agree_bit_for_bit() {
+        // Two sites, a chain at three task sizes, every knob setting: the
+        // classed strategy (class batching + caches + heap) must reproduce
+        // the reference tables exactly. The prop_sched property test covers
         // the same contract over random inputs.
         let local = site_view(0, &[("l0", 1.0), ("l1", 2.5)]);
         let remote = site_view(1, &[("r0", 3.0), ("r1", 0.5)]);
@@ -994,11 +972,11 @@ mod tests {
                     spread_critical: spread,
                     ..SchedulerConfig::default()
                 };
-                let par = SchedulerConfig { sequential: false, ..seq };
+                let classed = SchedulerConfig { sequential: false, ..seq };
                 let a =
                     site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &seq).unwrap();
-                let b =
-                    site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &par).unwrap();
+                let b = site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &classed)
+                    .unwrap();
                 assert_eq!(a, b, "tasks={tasks} ignore={ignore} spread={spread}");
                 for (pa, pb) in a.iter().zip(b.iter()) {
                     assert_eq!(
@@ -1047,7 +1025,7 @@ mod tests {
         assert_eq!(metrics.counter("sched.transfer_cache.lookups"), 4);
         assert!(metrics.gauge("profile.sched.predict_cache.hit_rate").is_some());
 
-        // The deterministic snapshot excludes the racy profile namespace.
+        // The deterministic snapshot excludes the profile namespace.
         let det = metrics.snapshot_deterministic();
         assert!(det.iter().all(|(name, _)| !name.starts_with(PROFILE_PREFIX)));
         assert!(det.get("sched.tasks_placed").is_some());

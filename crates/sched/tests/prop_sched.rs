@@ -270,14 +270,15 @@ proptest! {
         let (views, net) = gen_views(sites, hosts, &speeds);
         let refs: Vec<&SiteView> = views.iter().collect();
         let p = Predictor::default();
+        let c = PredictCache::new();
         let tables = vec![
-            baselines::random_schedule(&afg, &refs, &p, seed).unwrap(),
-            baselines::round_robin_schedule(&afg, &refs, &p).unwrap(),
-            baselines::local_only_schedule(&afg, &views[0], &p).unwrap(),
-            baselines::min_min_schedule(&afg, &refs, &net, &p).unwrap(),
-            baselines::max_min_schedule(&afg, &refs, &net, &p).unwrap(),
-            baselines::heft_schedule(&afg, &refs, &net, &p).unwrap(),
-            baselines::heft_insertion_schedule(&afg, &refs, &net, &p).unwrap(),
+            baselines::random_schedule(&afg, &refs, &p, seed, &c).unwrap(),
+            baselines::round_robin_schedule(&afg, &refs, &p, &c).unwrap(),
+            baselines::local_only_schedule(&afg, &views[0], &p, &c).unwrap(),
+            baselines::min_min_schedule(&afg, &refs, &net, &p, &c).unwrap(),
+            baselines::max_min_schedule(&afg, &refs, &net, &p, &c).unwrap(),
+            baselines::heft_schedule(&afg, &refs, &net, &p, &c).unwrap(),
+            baselines::heft_insertion_schedule(&afg, &refs, &net, &p, &c).unwrap(),
         ];
         let levels = levels_for(&afg, &views[0]);
         for table in tables {
@@ -287,11 +288,11 @@ proptest! {
         }
     }
 
-    // The optimized scheduler path (rayon fan-out + heap ready list +
-    // predict/transfer memoization, `sequential: false`) must produce a
-    // bit-identical allocation table to the uncached sequential
-    // reference path (`sequential: true`) on arbitrary DAGs and
-    // federations. A random subset of tasks is flipped to parallel mode
+    // The classed scheduler strategy (class-batched host selection +
+    // heap ready list + predict/transfer memoization, `sequential:
+    // false`) must produce a bit-identical allocation table to the
+    // uncached reference strategy (`sequential: true`) on arbitrary DAGs
+    // and federations. A random subset of tasks is flipped to parallel mode
     // so the cached multi-node selection path is exercised too.
     #[test]
     fn optimized_path_is_bit_identical_to_sequential_reference(

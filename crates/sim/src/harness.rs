@@ -1,5 +1,5 @@
-//! Canned experiments shared by the `exp_*` binaries, the Criterion
-//! benches, and the integration tests.
+//! Canned experiments shared by the `exp_*` binaries and the
+//! integration tests.
 
 use crate::metrics::Table;
 use crate::trace;
@@ -121,25 +121,25 @@ pub fn compare_schedulers(
                 site_schedule(afg, local, remotes, net, &cfg)
             }
             SchedulerKind::LocalOnly => {
-                baselines::local_only_schedule_cached(afg, local, &predictor, &cache)
+                baselines::local_only_schedule(afg, local, &predictor, &cache)
             }
             SchedulerKind::Random(seed) => {
-                baselines::random_schedule_cached(afg, &all_views, &predictor, *seed, &cache)
+                baselines::random_schedule(afg, &all_views, &predictor, *seed, &cache)
             }
             SchedulerKind::RoundRobin => {
-                baselines::round_robin_schedule_cached(afg, &all_views, &predictor, &cache)
+                baselines::round_robin_schedule(afg, &all_views, &predictor, &cache)
             }
             SchedulerKind::MinMin => {
-                baselines::min_min_schedule_cached(afg, &all_views, net, &predictor, &cache)
+                baselines::min_min_schedule(afg, &all_views, net, &predictor, &cache)
             }
             SchedulerKind::MaxMin => {
-                baselines::max_min_schedule_cached(afg, &all_views, net, &predictor, &cache)
+                baselines::max_min_schedule(afg, &all_views, net, &predictor, &cache)
             }
             SchedulerKind::Heft => {
-                baselines::heft_schedule_cached(afg, &all_views, net, &predictor, &cache)
+                baselines::heft_schedule(afg, &all_views, net, &predictor, &cache)
             }
             SchedulerKind::HeftInsertion => {
-                baselines::heft_insertion_schedule_cached(afg, &all_views, net, &predictor, &cache)
+                baselines::heft_insertion_schedule(afg, &all_views, net, &predictor, &cache)
             }
             SchedulerKind::VdceNoTransfer { k } => {
                 let cfg = SchedulerConfig {

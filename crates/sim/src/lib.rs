@@ -3,7 +3,7 @@
 //! The paper's evaluation is a campus-wide proof of concept with no
 //! numeric tables; EXPERIMENTS.md reconstructs quantitative experiments
 //! around its four figures. This crate provides everything those
-//! experiments (and the Criterion benches) share:
+//! experiments share:
 //!
 //! - [`dag_gen`] — reproducible application-flow-graph families (layered
 //!   random DAGs, fork-join, Gaussian elimination, FFT butterflies,

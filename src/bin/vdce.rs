@@ -191,11 +191,19 @@ fn main() -> ExitCode {
             Some(p) => cmd_submit(p, args.get(2).map(String::as_str)),
             None => usage(),
         },
-        Some("solve") => {
-            let n = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
-            cmd_solve(n)
-        }
+        Some("solve") => match args.get(1).map(|s| s.parse::<u64>()) {
+            None => cmd_solve(64),
+            Some(Ok(n)) if n > 0 => cmd_solve(n),
+            Some(_) => {
+                eprintln!("error: solve: `{}` is not a positive integer", args[1]);
+                ExitCode::FAILURE
+            }
+        },
         Some("demo") => cmd_demo(),
-        _ => usage(),
+        Some(other) => {
+            eprintln!("error: unknown command `{other}` (run `vdce` with no arguments for usage)");
+            ExitCode::FAILURE
+        }
+        None => usage(),
     }
 }
