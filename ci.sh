@@ -12,8 +12,9 @@
 #      scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all) — none of them times anything
 #   14. the vdce_perf smoke (perf/run.sh --quick)
-#   15-17. the frozen benchmark's full-size checks the smoke scales away
-#      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1)
+#   15-18. the frozen benchmark's full-size checks the smoke scales away
+#      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
+#      incr_churn seed 1)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -161,3 +162,10 @@ stage "vdce_perf stream_steady (seed 1)" \
 # simulation would first show.
 stage "vdce_perf batch_wide (seed 1)" \
     bash perf/bench.sh --workload batch_wide --seed 1 --seconds 1 --trace 0
+# Full-size incremental check: incr_churn compares the standing table
+# with a full re-walk on every 64th event, and with the initial table
+# once every host has healed. The smoke absorbs a twentieth of the
+# events into a twentieth of the tasks; the 10k-task, 512-event pass is
+# where a diff that misses a slot or a row rewritten wrongly would show.
+stage "vdce_perf incr_churn (seed 1)" \
+    bash perf/bench.sh --workload incr_churn --seed 1 --seconds 1 --trace 0

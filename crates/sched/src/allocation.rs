@@ -76,6 +76,12 @@ impl AllocationTable {
         self.placements.get(&task)
     }
 
+    /// The row of one task, to rewrite its decision in place (incremental
+    /// rescheduling). The row stays under its key: `task` is not to change.
+    pub(crate) fn placement_mut(&mut self, task: TaskId) -> Option<&mut TaskPlacement> {
+        self.placements.get_mut(&task)
+    }
+
     /// All placements in task order.
     pub fn iter(&self) -> impl Iterator<Item = &TaskPlacement> {
         self.placements.values()

@@ -27,8 +27,9 @@
 //! output; the site scheduler then tries other sites.
 
 use crate::view::SiteView;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize, Value};
+use std::collections::HashMap;
+use std::io::Write;
 use std::sync::Arc;
 use vdce_afg::{Afg, LibraryEntry, MachineType, TaskId};
 use vdce_net::topology::SiteId;
@@ -51,6 +52,122 @@ pub struct TaskHostChoice {
     pub predicted_seconds: f64,
 }
 
+/// One site's choices for every task of an AFG: slot `i` holds the choice
+/// for `TaskId(i)`, `None` where the task is infeasible at the site.
+///
+/// Immutable and reference-counted as a whole: cloning a table (to absorb
+/// a monitor event incrementally, to keep a pending submission's outputs)
+/// is one pointer bump, and two clones are recognisably the same table
+/// ([`ChoiceTable::ptr_eq`]) without looking at a slot. The choices inside
+/// are shared too, so the class-batched path hands one decision to every
+/// member of a task class without copying host strings. Build a new table
+/// to change one.
+///
+/// Serialises as the JSON object `{"<task id>": {choice}, ..}` over the
+/// feasible tasks in id order, so equality ignores trailing empty slots:
+/// they do not survive a round trip.
+#[derive(Debug, Clone, Default)]
+pub struct ChoiceTable(Arc<[Option<Arc<TaskHostChoice>>]>);
+
+/// Most slots a deserialised [`ChoiceTable`] may have: the table is dense,
+/// so the highest task id in the input sizes the allocation.
+const MAX_WIRE_SLOTS: usize = 1 << 24;
+
+impl ChoiceTable {
+    /// The choice for `task`, if feasible at this site.
+    pub fn get(&self, task: TaskId) -> Option<&Arc<TaskHostChoice>> {
+        self.0.get(task.index())?.as_ref()
+    }
+
+    /// The feasible tasks with their choices, in task-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Arc<TaskHostChoice>)> {
+        self.0.iter().enumerate().filter_map(|(i, c)| Some((TaskId(i as u32), c.as_ref()?)))
+    }
+
+    /// The choices of the feasible tasks, in task-id order.
+    pub fn values(&self) -> impl Iterator<Item = &Arc<TaskHostChoice>> {
+        self.0.iter().flatten()
+    }
+
+    /// Is no task feasible at this site?
+    pub fn is_empty(&self) -> bool {
+        self.values().next().is_none()
+    }
+
+    /// Are `self` and `other` the same allocation — clones of one table?
+    /// `true` implies equal; `false` says nothing.
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// Slot `i` of the table is the `i`-th item: the choice for `TaskId(i)`.
+/// An iterator of known length (a map over the task ids) fills the shared
+/// allocation directly.
+impl FromIterator<Option<Arc<TaskHostChoice>>> for ChoiceTable {
+    fn from_iter<I: IntoIterator<Item = Option<Arc<TaskHostChoice>>>>(slots: I) -> Self {
+        ChoiceTable(slots.into_iter().collect())
+    }
+}
+
+impl PartialEq for ChoiceTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.ptr_eq(other) || self.iter().eq(other.iter())
+    }
+}
+
+impl Serialize for ChoiceTable {
+    fn to_value(&self) -> Value {
+        Value::Object(self.iter().map(|(t, c)| (t.0.to_string(), c.to_value())).collect())
+    }
+
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        let mut seq = w.begin_object();
+        for (task, choice) in self.iter() {
+            w.map_key(&mut seq, &task);
+            choice.write_json(w);
+        }
+        w.end_object(seq);
+    }
+}
+
+/// Keys may come in any order; a repeated key keeps its last value.
+impl Deserialize for ChoiceTable {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let mut slots = Vec::new();
+        for (key, choice) in serde::__expect_object(v, "ChoiceTable")? {
+            set_wire_slot(&mut slots, serde::__key_from_str(key)?, Arc::from_value(choice)?)?;
+        }
+        Ok(slots.into_iter().collect())
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
+        let mut slots = Vec::new();
+        let mut seq = r.begin_object("ChoiceTable")?;
+        while let Some(task) = r.next_map_key::<TaskId>(&mut seq)? {
+            set_wire_slot(&mut slots, task, Arc::read_json(r)?)?;
+        }
+        Ok(slots.into_iter().collect())
+    }
+}
+
+/// Put a choice read from the wire into slot `task`, growing the table
+/// under construction as needed — up to [`MAX_WIRE_SLOTS`].
+fn set_wire_slot(
+    slots: &mut Vec<Option<Arc<TaskHostChoice>>>,
+    task: TaskId,
+    choice: Arc<TaskHostChoice>,
+) -> Result<(), serde::Error> {
+    if task.index() >= MAX_WIRE_SLOTS {
+        return Err(serde::Error::msg(format!("task id {} is beyond any choice table", task.0)));
+    }
+    if slots.len() <= task.index() {
+        slots.resize(task.index() + 1, None);
+    }
+    slots[task.index()] = Some(choice);
+    Ok(())
+}
+
 /// Output of one site's host-selection run: "each site sends the mapping
 /// information of each task, i.e., machine name and predicted execution
 /// time, to the local site" (§3).
@@ -58,20 +175,14 @@ pub struct TaskHostChoice {
 pub struct HostSelectionOutput {
     /// The answering site.
     pub site: SiteId,
-    /// Best choice per task; tasks infeasible at this site are absent.
-    ///
-    /// Choices are reference-counted so the class-batched path can hand
-    /// one decision to every member of a task class without copying host
-    /// strings, and so cloning an output (e.g. to absorb a monitor event
-    /// incrementally) is O(tasks) pointer bumps. Shared, not mutable:
-    /// replace an entry to change it.
-    pub choices: BTreeMap<TaskId, Arc<TaskHostChoice>>,
+    /// Best choice per task, one slot per task of the AFG.
+    pub choices: ChoiceTable,
 }
 
 impl HostSelectionOutput {
     /// Best choice for `task` at this site, if feasible.
     pub fn choice(&self, task: TaskId) -> Option<&TaskHostChoice> {
-        self.choices.get(&task).map(Arc::as_ref)
+        self.choices.get(task).map(Arc::as_ref)
     }
 }
 
@@ -117,7 +228,7 @@ pub fn host_selection(
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
     let choices = afg
         .task_ids()
-        .filter_map(|task| {
+        .map(|task| {
             let node = afg.task(task);
             let candidates: Vec<&ResourceRecord> =
                 all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
@@ -135,7 +246,7 @@ pub fn host_selection(
             )
             .ok()?; // infeasible at this site
             let hosts = hosts.iter().map(|h| h.host_name.clone()).collect();
-            Some((task, Arc::new(TaskHostChoice { hosts, predicted_seconds: secs })))
+            Some(Arc::new(TaskHostChoice { hosts, predicted_seconds: secs }))
         })
         .collect();
     HostSelectionOutput { site: view.site, choices }
@@ -239,7 +350,7 @@ pub fn host_selection_classed(
 
     let choices = afg
         .task_ids()
-        .filter_map(|task| {
+        .map(|task| {
             let node = afg.task(task);
             let key = EligibilityKey {
                 library_task: &node.library_task,
@@ -276,7 +387,6 @@ pub fn host_selection_classed(
                     Some(Arc::new(TaskHostChoice { hosts, predicted_seconds }))
                 })
                 .clone()
-                .map(|choice| (task, choice))
         })
         .collect();
     HostSelectionOutput { site: view.site, choices }
@@ -493,12 +603,13 @@ mod tests {
         assert_eq!(reference, classed);
         assert!(classed.choice(lost).is_none());
         assert!(classed.choice(lu).unwrap().hosts.len() > 1);
-        for (t, c) in &reference.choices {
-            let cc = &classed.choices[t];
+        for (t, c) in reference.choices.iter() {
+            let cc = classed.choice(t).unwrap();
             assert_eq!(c.predicted_seconds.to_bits(), cc.predicted_seconds.to_bits());
         }
-        // The three same-size Sorts really are one class.
-        assert_eq!(classed.choices[&TaskId(1)], classed.choices[&TaskId(3)]);
+        // The three same-size Sorts really are one class: one shared choice.
+        let (a, b) = (classed.choices.get(TaskId(1)), classed.choices.get(TaskId(3)));
+        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
     }
 
     #[test]
@@ -506,5 +617,61 @@ mod tests {
         let view = view_with(vec![]);
         let out = run(&view, &two_task_afg());
         assert!(out.choices.is_empty());
+        assert_eq!(serde_json::to_string(&out).unwrap(), r#"{"site":0,"choices":{}}"#);
+    }
+
+    /// `SchedMessage::wire_bytes` feeds bus-traffic accounting, so the
+    /// serialised form is pinned to what the `BTreeMap`-backed output of
+    /// PR 19 produced for the same inputs: feasible tasks only, keyed by
+    /// task id, in id order.
+    #[test]
+    fn wire_form_is_pinned() {
+        let lib = TaskLibrary::standard();
+        let mut b = AfgBuilder::new("wire", &lib);
+        let src = b.add_task("Source", "src", 1000).unwrap();
+        let lost = b.add_task("Sort", "lost", 1000).unwrap();
+        b.set_preferred_host(lost, "elsewhere").unwrap();
+        let sort = b.add_task("Sort", "sort", 1000).unwrap();
+        let snk = b.add_task("Sink", "snk", 1000).unwrap();
+        b.set_preferred_host(snk, "elsewhere").unwrap();
+        b.connect(src, 0, lost, 0).unwrap();
+        b.connect(lost, 0, sort, 0).unwrap();
+        b.connect(sort, 0, snk, 0).unwrap();
+        let afg = b.build().unwrap();
+        let view = view_with(vec![
+            record("h0", MachineType::LinuxPc, 2.0),
+            record("h1", MachineType::LinuxPc, 1.0),
+        ]);
+        let out = run(&view, &afg);
+        assert!(out.choice(lost).is_none() && out.choice(snk).is_none());
+
+        let json = serde_json::to_string(&out).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"site":0,"choices":{"#,
+                r#""0":{"hosts":["h0"],"predicted_seconds":0.000049999999999999996},"#,
+                r#""2":{"hosts":["h0"],"predicted_seconds":0.0019931568569324177}}}"#
+            )
+        );
+        // The tree form describes the same document.
+        assert_eq!(serde_json::to_string(&out.to_value()).unwrap(), json);
+
+        // The trailing empty slot does not survive the trip; equality
+        // does not see it.
+        let back: HostSelectionOutput = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, out);
+        assert_eq!(back.choices.iter().map(|(t, _)| t.0).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(HostSelectionOutput::from_value(&out.to_value()).unwrap(), out);
+
+        let reply =
+            crate::federation::SchedMessage::HostSelectionReply { request_id: 7, output: out };
+        assert_eq!(reply.wire_bytes(), 199);
+    }
+
+    #[test]
+    fn a_task_id_beyond_any_table_is_refused_not_allocated() {
+        let json = r#"{"site":0,"choices":{"4294967295":{"hosts":["h"],"predicted_seconds":1.0}}}"#;
+        assert!(serde_json::from_str::<HostSelectionOutput>(json).is_err());
     }
 }

@@ -22,8 +22,11 @@
 //!
 //! ## Dirty propagation
 //!
-//! A task is dirty when its own choices changed (diff of old vs new
-//! outputs) or a parent's chosen **site** changed. Tasks are
+//! A task is dirty when its own choices changed or a parent's chosen
+//! **site** changed. The first is a diff of old against new outputs: a
+//! site whose table is the same allocation as before (every site a
+//! monitor event did not touch) is skipped on one pointer compare, the
+//! others are compared slot by slot. Tasks are
 //! re-decided in topological order via a min-heap on topo position;
 //! a child is enqueued only when its parent's site actually moved, so
 //! an event whose effects dampen out touches O(changed) tasks, not
@@ -33,7 +36,7 @@ use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::data_inputs::{DatasetInputs, DsInput};
 use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
 use crate::site_scheduler::{choose_site_for_task, dataset_sources_for_site, SchedError};
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
@@ -62,9 +65,9 @@ pub struct ReschedulingDelta {
 /// it updated outputs with [`apply`](IncrementalSchedule::apply) after
 /// each monitor event.
 ///
-/// If `apply` returns an error (a task became infeasible everywhere),
-/// the internal state is **poisoned** — partially updated — and the
-/// schedule must be rebuilt with `new` from scratch.
+/// If `apply` fails because a task became infeasible everywhere, the
+/// internal state is **poisoned** — partially updated — and the schedule
+/// must be rebuilt with `new` from scratch.
 #[derive(Debug, Clone)]
 pub struct IncrementalSchedule {
     local_site: SiteId,
@@ -83,9 +86,9 @@ pub struct IncrementalSchedule {
 
 /// Same placement content? `to_bits` on the prediction so a `-0.0`/NaN
 /// quirk can never make "changed" and "unchanged" disagree with the
-/// bit-identity contract. The pointer fast path covers the common
-/// monitor-event shape: only the event site's output is recomputed, so
-/// every other site's choices are the same shared allocations.
+/// bit-identity contract. The pointer fast path covers the members of a
+/// task class that kept their shared decision across a re-selection
+/// through the same memo.
 fn choice_eq(a: &Arc<TaskHostChoice>, b: &Arc<TaskHostChoice>) -> bool {
     Arc::ptr_eq(a, b)
         || (a.hosts == b.hosts && a.predicted_seconds.to_bits() == b.predicted_seconds.to_bits())
@@ -105,21 +108,9 @@ fn enqueue(
     }
 }
 
-/// Dense per-site choice index, as in the full walk.
-fn per_site_index(
-    outputs: &[HostSelectionOutput],
-    n: usize,
-) -> Vec<(SiteId, Vec<Option<&TaskHostChoice>>)> {
-    outputs
-        .iter()
-        .map(|out| {
-            let mut by_task: Vec<Option<&TaskHostChoice>> = vec![None; n];
-            for (t, c) in &out.choices {
-                by_task[t.index()] = Some(c.as_ref());
-            }
-            (out.site, by_task)
-        })
-        .collect()
+/// The answering sites of `outputs`, in order.
+fn sites(outputs: &[HostSelectionOutput]) -> impl Iterator<Item = SiteId> + '_ {
+    outputs.iter().map(|o| o.site)
 }
 
 impl IncrementalSchedule {
@@ -162,7 +153,6 @@ impl IncrementalSchedule {
         }
 
         let xfer = TransferCache::new(net);
-        let per_site = per_site_index(&outputs, n);
 
         let mut table = AllocationTable::new(afg.name.clone());
         // Entry value never read: every task is decided before any child
@@ -180,7 +170,7 @@ impl IncrementalSchedule {
             let ds_cost: &[DsInput] = if ignore_transfer_time { &[] } else { ds };
             let best = choose_site_for_task(
                 task,
-                &per_site,
+                &outputs,
                 &parents,
                 ds_cost,
                 local_site,
@@ -232,64 +222,45 @@ impl IncrementalSchedule {
     /// same order as construction (a changed federation means a changed
     /// problem — rebuild instead).
     ///
-    /// Returns how much work the delta caused. On error the schedule is
-    /// poisoned (see the type docs).
+    /// Returns how much work the delta caused. Outputs for other sites or
+    /// another site order are refused with
+    /// [`SchedError::SiteOrderMismatch`] before anything is touched; on
+    /// any other error the schedule is poisoned (see the type docs).
     pub fn apply(
         &mut self,
         afg: &Afg,
         new_outputs: Vec<HostSelectionOutput>,
     ) -> Result<ReschedulingDelta, SchedError> {
-        assert_eq!(
-            self.outputs.iter().map(|o| o.site).collect::<Vec<_>>(),
-            new_outputs.iter().map(|o| o.site).collect::<Vec<_>>(),
-            "apply requires the same sites in the same order as construction"
-        );
-        let n = afg.task_count();
+        if !sites(&self.outputs).eq(sites(&new_outputs)) {
+            return Err(SchedError::SiteOrderMismatch {
+                expected: sites(&self.outputs).collect(),
+                got: sites(&new_outputs).collect(),
+            });
+        }
 
         // Seed the dirty set: tasks whose own choice changed at any site.
-        // Both choice maps are ordered by task id, so a linear merge walk
-        // diffs them in O(n) instead of O(n log n) point lookups.
+        // A monitor event re-selects one site and hands back clones of
+        // the other tables, which one pointer compare recognises; the
+        // rest are diffed slot by slot.
         let mut heap: BinaryHeap<Reverse<(u32, TaskId)>> = BinaryHeap::new();
-        let mut queued = vec![false; n];
+        let mut queued = vec![false; afg.task_count()];
         for (old, new) in self.outputs.iter().zip(&new_outputs) {
-            let mut a = old.choices.iter().peekable();
-            let mut b = new.choices.iter().peekable();
-            loop {
-                let changed = match (a.peek(), b.peek()) {
-                    (Some(&(&ta, ca)), Some(&(&tb, cb))) => match ta.cmp(&tb) {
-                        Ordering::Equal => {
-                            let hit = (!choice_eq(ca, cb)).then_some(ta);
-                            a.next();
-                            b.next();
-                            hit
-                        }
-                        Ordering::Less => {
-                            a.next();
-                            Some(ta)
-                        }
-                        Ordering::Greater => {
-                            b.next();
-                            Some(tb)
-                        }
-                    },
-                    (Some(&(&ta, _)), None) => {
-                        a.next();
-                        Some(ta)
-                    }
-                    (None, Some(&(&tb, _))) => {
-                        b.next();
-                        Some(tb)
-                    }
-                    (None, None) => break,
+            if old.choices.ptr_eq(&new.choices) {
+                continue;
+            }
+            for task in afg.task_ids() {
+                let same = match (old.choices.get(task), new.choices.get(task)) {
+                    (Some(a), Some(b)) => choice_eq(a, b),
+                    (None, None) => true,
+                    _ => false,
                 };
-                if let Some(task) = changed {
+                if !same {
                     enqueue(&self.topo_pos, &mut heap, &mut queued, task);
                 }
             }
         }
         let dirty = heap.len();
 
-        let per_site = per_site_index(&new_outputs, n);
         let mut parents: Vec<(SiteId, u64)> = Vec::new();
         let mut replaced = 0usize;
         let mut moved = 0usize;
@@ -308,7 +279,7 @@ impl IncrementalSchedule {
             let ds_cost: &[DsInput] = if self.ignore_transfer_time { &[] } else { ds };
             let best = choose_site_for_task(
                 task,
-                &per_site,
+                &new_outputs,
                 &parents,
                 ds_cost,
                 self.local_site,
@@ -320,23 +291,19 @@ impl IncrementalSchedule {
                 best.ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.clone() })?;
 
             let site_changed = self.site_of[task.index()] != site;
-            let prev = self.table.placement(task).expect("constructed complete");
+            let row = self.table.placement_mut(task).expect("constructed complete");
             if site_changed
-                || prev.hosts != choice.hosts
-                || prev.predicted_seconds.to_bits() != choice.predicted_seconds.to_bits()
+                || row.hosts != choice.hosts
+                || row.predicted_seconds.to_bits() != choice.predicted_seconds.to_bits()
             {
                 moved += 1;
                 self.site_of[task.index()] = site;
-                let data_sources = dataset_sources_for_site(ds, site, &mut |a, b, bytes| {
+                // The row keeps its key and name; only the decision moves.
+                row.site = site;
+                row.hosts = choice.hosts.clone();
+                row.predicted_seconds = choice.predicted_seconds;
+                row.data_sources = dataset_sources_for_site(ds, site, &mut |a, b, bytes| {
                     xfer.transfer_time(a, b, bytes)
-                });
-                self.table.insert(TaskPlacement {
-                    task,
-                    task_name: node.name.clone(),
-                    site,
-                    hosts: choice.hosts.clone(),
-                    predicted_seconds: choice.predicted_seconds,
-                    data_sources,
                 });
             }
             // A child's decision reads only this task's *site*; its own
@@ -421,6 +388,8 @@ mod tests {
         }
     }
 
+    /// Clones of the current outputs are the same tables: every site is
+    /// skipped on the pointer compare.
     #[test]
     fn unchanged_outputs_touch_nothing() {
         let afg = chain_afg(50_000);
@@ -430,10 +399,34 @@ mod tests {
         let v1 = SiteView::capture(SiteId(1), &r1);
         let net = NetworkModel::with_defaults(2);
         let outputs = outputs_for(&[&v0, &v1], &afg);
-        let mut inc =
-            IncrementalSchedule::new(&afg, SiteId(0), outputs.clone(), &net, false).unwrap();
-        let delta = inc.apply(&afg, outputs).unwrap();
+        let clones = outputs.clone();
+        assert!(outputs.iter().zip(&clones).all(|(a, b)| a.choices.ptr_eq(&b.choices)));
+        let mut inc = IncrementalSchedule::new(&afg, SiteId(0), outputs, &net, false).unwrap();
+        let before = inc.table().clone();
+        let delta = inc.apply(&afg, clones).unwrap();
         assert_eq!(delta, ReschedulingDelta::default());
+        assert_eq!(*inc.table(), before);
+    }
+
+    /// Equal tables built separately share nothing, so every slot is
+    /// compared by value — and none differs.
+    #[test]
+    fn equal_valued_outputs_touch_nothing() {
+        let afg = chain_afg(50_000);
+        let r0 = repo(&[("l0", 1.0)]);
+        let r1 = repo(&[("r0", 3.0)]);
+        let v0 = SiteView::capture(SiteId(0), &r0);
+        let v1 = SiteView::capture(SiteId(1), &r1);
+        let net = NetworkModel::with_defaults(2);
+        let outputs = outputs_for(&[&v0, &v1], &afg);
+        let rebuilt = outputs_for(&[&v0, &v1], &afg);
+        assert!(outputs.iter().zip(&rebuilt).all(|(a, b)| !a.choices.ptr_eq(&b.choices)));
+        assert_eq!(outputs, rebuilt);
+        let mut inc = IncrementalSchedule::new(&afg, SiteId(0), outputs, &net, false).unwrap();
+        let before = inc.table().clone();
+        let delta = inc.apply(&afg, rebuilt).unwrap();
+        assert_eq!(delta, ReschedulingDelta::default());
+        assert_eq!(*inc.table(), before);
     }
 
     #[test]
@@ -474,9 +467,17 @@ mod tests {
         let outputs = outputs_for(&[&v0, &v1], &afg);
         let swapped = outputs_for(&[&v1, &v0], &afg);
         let mut inc = IncrementalSchedule::new(&afg, SiteId(0), outputs, &net, false).unwrap();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = inc.apply(&afg, swapped);
-        }));
-        assert!(r.is_err(), "site order mismatch must be rejected");
+        let before = inc.table().clone();
+        assert_eq!(
+            inc.apply(&afg, swapped),
+            Err(SchedError::SiteOrderMismatch {
+                expected: vec![SiteId(0), SiteId(1)],
+                got: vec![SiteId(1), SiteId(0)],
+            })
+        );
+        // Refused before anything was touched: the schedule still works.
+        assert_eq!(*inc.table(), before);
+        let again = outputs_for(&[&v0, &v1], &afg);
+        assert_eq!(inc.apply(&afg, again), Ok(ReschedulingDelta::default()));
     }
 }

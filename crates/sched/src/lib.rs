@@ -53,7 +53,7 @@ pub mod view;
 
 pub use allocation::{AllocationTable, DataSource, TaskPlacement};
 pub use host_selection::{
-    host_selection, host_selection_classed, HostSelectionOutput, TaskHostChoice,
+    host_selection, host_selection_classed, ChoiceTable, HostSelectionOutput, TaskHostChoice,
 };
 pub use incremental::{IncrementalSchedule, ReschedulingDelta};
 pub use makespan::{evaluate, evaluate_with_data, Schedule, TimedTask};

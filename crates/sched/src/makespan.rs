@@ -176,7 +176,8 @@ pub fn evaluate_with_data(
         // reading as "cyclic".
         SchedError::Cyclic
         | SchedError::NoFeasibleSite { .. }
-        | SchedError::StorageCapacityExceeded { .. } => {
+        | SchedError::StorageCapacityExceeded { .. }
+        | SchedError::SiteOrderMismatch { .. } => {
             unreachable!("DatasetInputs::resolve reports dataset errors only, got: {e}")
         }
     })?;

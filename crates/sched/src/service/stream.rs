@@ -535,9 +535,9 @@ impl StreamService {
             SchedError::UnknownDataset { .. } => RejectReason::UnknownDataset,
             SchedError::NoFeasibleReplica { .. } => RejectReason::NoFeasibleReplica,
             SchedError::StorageCapacityExceeded { .. } => RejectReason::StorageExhausted,
-            SchedError::Cyclic | SchedError::NoFeasibleSite { .. } => {
-                RejectReason::NoFeasiblePlacement
-            }
+            SchedError::Cyclic
+            | SchedError::NoFeasibleSite { .. }
+            | SchedError::SiteOrderMismatch { .. } => RejectReason::NoFeasiblePlacement,
         }
     }
 
@@ -827,8 +827,8 @@ impl StreamService {
                         let view = Self::view(&mut self.views, &self.repos, s);
                         host_selection_classed(&view, afg, &self.predictor, &self.parallel, &p.memo)
                     } else {
-                        // Unchanged site: reuse the shared choices so the
-                        // apply diff takes the Arc pointer fast path.
+                        // Unchanged site: the same table again (a
+                        // pointer bump), which the apply diff skips.
                         old.clone()
                     }
                 })

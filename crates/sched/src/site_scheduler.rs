@@ -171,6 +171,15 @@ pub enum SchedError {
         /// Bytes the site has left.
         capacity: u64,
     },
+    /// [`IncrementalSchedule::apply`](crate::IncrementalSchedule::apply)
+    /// was handed outputs for other sites, or the same sites in another
+    /// order, than the schedule was built from. Nothing was applied.
+    SiteOrderMismatch {
+        /// The sites of construction, in order.
+        expected: Vec<SiteId>,
+        /// The sites of the refused outputs, in order.
+        got: Vec<SiteId>,
+    },
 }
 
 /// Pre-PR-10 name of [`SchedError`], kept as an alias so existing
@@ -196,6 +205,9 @@ impl fmt::Display for SchedError {
                     "dataset {dataset} needs {needed} bytes on site {site} \
                      but only {capacity} remain"
                 )
+            }
+            SchedError::SiteOrderMismatch { expected, got } => {
+                write!(f, "outputs cover sites {got:?}, the schedule was built from {expected:?}")
             }
         }
     }
@@ -516,20 +528,6 @@ fn schedule_walk(
     // the snapshot is bit-identical to the model's.
     let xfer_cache = if sequential { None } else { Some(TransferCache::new(net)) };
 
-    // Dense per-site choice index: the candidate loop below probes every
-    // involved site for every task, so trade one `O(s·n)` pass here for
-    // `O(1)` lookups there (the `BTreeMap` probe was on the hot path).
-    let per_site: Vec<(SiteId, Vec<Option<&TaskHostChoice>>)> = outputs
-        .iter()
-        .map(|out| {
-            let mut by_task: Vec<Option<&TaskHostChoice>> = vec![None; afg.task_count()];
-            for (t, c) in &out.choices {
-                by_task[t.index()] = Some(c.as_ref());
-            }
-            (out.site, by_task)
-        })
-        .collect();
-
     // Adjacency index: the walk below touches every task's in- and
     // out-edges once; through the scanning accessors that is `O(n·e)`.
     let edge_idx = afg.edge_index();
@@ -573,7 +571,7 @@ fn schedule_walk(
         };
         let best = choose_site_for_task(
             task,
-            &per_site,
+            outputs,
             &parents,
             ds_cost,
             local_site,
@@ -623,7 +621,7 @@ fn schedule_walk(
 }
 
 /// The argmin of step 7 for one task: probe every involved site's choice
-/// (dense `per_site` index), add the parents' transfer times via
+/// table, add the parents' transfer times via
 /// `xfer_time`, and pick the minimum `Timetotal` with the
 /// local-first/ascending-site-id tie-break. With `spread` set it
 /// additionally tracks the best candidate whose hosts are disjoint from
@@ -634,7 +632,7 @@ fn schedule_walk(
 /// makes the incremental path bit-identical per task.
 pub(crate) fn choose_site_for_task<'a>(
     task: TaskId,
-    per_site: &[(SiteId, Vec<Option<&'a TaskHostChoice>>)],
+    outputs: &'a [HostSelectionOutput],
     parents: &[(SiteId, u64)],
     datasets: &[DsInput],
     local_site: SiteId,
@@ -646,18 +644,19 @@ pub(crate) fn choose_site_for_task<'a>(
     // critical task's hosts.
     let mut best: Option<(SiteId, &'a TaskHostChoice, f64)> = None;
     let mut best_spread: Option<(SiteId, &'a TaskHostChoice, f64)> = None;
-    for (site, by_task) in per_site {
-        let Some(choice) = by_task[task.index()] else { continue };
+    for out in outputs {
+        let Some(choice) = out.choice(task) else { continue };
+        let site = out.site;
         // Σ over in-edges of transfer from the parent's site (empty for
         // entry tasks and under the ablation: pure Predict).
         let mut xfer = 0.0;
         for &(parent_site, bytes) in parents {
-            xfer += xfer_time(parent_site, *site, bytes);
+            xfer += xfer_time(parent_site, site, bytes);
         }
         // Plus, per dataset input, the *cheapest* live replica's
         // transfer — the data-aware extension of Timetotal.
         for d in datasets {
-            xfer += cheapest_ds_source(d, *site, xfer_time).1;
+            xfer += cheapest_ds_source(d, site, xfer_time).1;
         }
         let total = xfer + choice.predicted_seconds;
         let better = |prev: &Option<(SiteId, &'a TaskHostChoice, f64)>| match prev {
@@ -665,17 +664,17 @@ pub(crate) fn choose_site_for_task<'a>(
             Some((bsite, _, btotal)) => {
                 total < btotal - 1e-15
                     || ((total - btotal).abs() <= 1e-15
-                        && site_rank(*site, local_site) < site_rank(*bsite, local_site))
+                        && site_rank(site, local_site) < site_rank(*bsite, local_site))
             }
         };
         if better(&best) {
-            best = Some((*site, choice, total));
+            best = Some((site, choice, total));
         }
         if let Some((_, critical_hosts)) = spread {
             if choice.hosts.iter().all(|h| !critical_hosts.contains(h.as_str()))
                 && better(&best_spread)
             {
-                best_spread = Some((*site, choice, total));
+                best_spread = Some((site, choice, total));
             }
         }
     }

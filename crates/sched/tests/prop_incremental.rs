@@ -3,6 +3,11 @@
 //! a table bit-identical to a full Figure 2 re-walk over the updated
 //! host-selection outputs, while re-deciding no more than the affected
 //! set (the dirty seeds plus their descendants).
+//!
+//! Every site has Linux hosts and one Sun host, and a few tasks — always
+//! the first and the last — run on Sun only. An event that takes a Sun
+//! host down, or brings one up, makes those tasks feasible at its site
+//! only before, or only after: one side of the diff has an empty slot.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -24,8 +29,9 @@ use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::view::SiteView;
 use vdce_sched::{HostSelectionOutput, IncrementalSchedule};
 
-/// Random layered DAG built directly (Source/Map kernels).
-fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32]) -> Afg {
+/// Random layered DAG built directly (Source/Map kernels). Task 0, the
+/// last task and task `sun_extra % n` accept only [`MachineType::SunSolaris`].
+fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32], sun_extra: u8) -> Afg {
     let mut g = Afg::new("prop");
     let mut prev: Vec<TaskId> = Vec::new();
     let mut pick_iter = picks.iter().copied().cycle();
@@ -63,25 +69,44 @@ fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32]) -> Afg {
         }
         prev = layer;
     }
+    let n = g.tasks.len();
+    for t in [0, n - 1, sun_extra as usize % n] {
+        g.tasks[t].props.machine_type = MachineType::SunSolaris;
+    }
     g
 }
 
-fn gen_repos(sites: usize, hosts: usize, speeds: &[u8]) -> (Vec<SiteRepository>, NetworkModel) {
+fn sun_host(site: usize) -> String {
+    format!("s{site}sun")
+}
+
+/// `hosts` Linux hosts and one Sun host per site; the Sun host of site
+/// `sun_down` (if there is such a site) starts out Down.
+fn gen_repos(
+    sites: usize,
+    hosts: usize,
+    speeds: &[u8],
+    sun_down: usize,
+) -> (Vec<SiteRepository>, NetworkModel) {
     let mut speed_iter = speeds.iter().copied().cycle();
     let mut repos = Vec::new();
     for s in 0..sites {
         let repo = SiteRepository::new();
         repo.resources_mut(|db| {
-            for h in 0..hosts {
+            let linux = (0..hosts).map(|h| (format!("s{s}h{h}"), MachineType::LinuxPc));
+            for (name, machine) in linux.chain([(sun_host(s), MachineType::SunSolaris)]) {
                 db.upsert(ResourceRecord::new(
-                    format!("s{s}h{h}"),
+                    name,
                     "10.0.0.1",
-                    MachineType::LinuxPc,
+                    machine,
                     1.0 + f64::from(speed_iter.next().unwrap() % 8),
                     1,
                     1 << 30,
                     "g0",
                 ));
+            }
+            if s == sun_down {
+                db.set_status(&sun_host(s), HostStatus::Down);
             }
         });
         repos.push(repo);
@@ -122,7 +147,7 @@ fn affected_closure(
     let mut seeds: Vec<TaskId> = Vec::new();
     for (o, n) in old.iter().zip(new) {
         for t in afg.task_ids() {
-            let changed = match (o.choices.get(&t), n.choices.get(&t)) {
+            let changed = match (o.choices.get(t), n.choices.get(t)) {
                 (Some(a), Some(b)) => {
                     a.hosts != b.hosts
                         || a.predicted_seconds.to_bits() != b.predicted_seconds.to_bits()
@@ -158,24 +183,41 @@ proptest! {
         sites in 1u8..4,
         hosts in 1u8..4,
         speeds in proptest::collection::vec(any::<u8>(), 1..8),
+        sun_extra in any::<u8>(),
+        sun_down in 0u8..4,
+        event in 0u8..3,
         kill_site in any::<u8>(),
         kill_host in any::<u8>(),
         ignore_transfer in any::<bool>(),
     ) {
-        let afg = gen_afg(&widths, &picks, &sizes);
+        let afg = gen_afg(&widths, &picks, &sizes, sun_extra);
         let sites = sites.clamp(1, 4) as usize;
         let hosts = hosts.clamp(1, 4) as usize;
-        let (repos, net) = gen_repos(sites, hosts, &speeds);
+        // `sun_down >= sites`: every Sun host starts Up.
+        let sun_down = sun_down as usize;
+        let (repos, net) = gen_repos(sites, hosts, &speeds, sun_down);
         let outputs = capture_outputs(&repos, &afg);
         let levels = levels_for(&afg, &repos[0]);
 
         // Construction matches the full walk bit-for-bit.
         let full = schedule_with_outputs_data(
             &afg, &levels, SiteId(0), &outputs, &net, ignore_transfer, false, None, None,
-        ).unwrap();
-        let mut inc = IncrementalSchedule::new(
+        );
+        let inc = IncrementalSchedule::new(
             &afg, SiteId(0), outputs.clone(), &net, ignore_transfer,
-        ).unwrap();
+        );
+        let (full, mut inc) = match (full, inc) {
+            (Ok(full), Ok(inc)) => (full, inc),
+            // The only Sun host is Down: unschedulable on both paths.
+            (full, inc) => {
+                prop_assert!(
+                    full.is_err() && inc.is_err(),
+                    "construction disagrees: full={full:?} incremental={inc:?}"
+                );
+                prop_assert!(sites == 1 && sun_down == 0);
+                return Ok(());
+            }
+        };
         prop_assert_eq!(inc.table(), &full);
 
         // Applying unchanged outputs replaces nothing.
@@ -183,11 +225,32 @@ proptest! {
         prop_assert_eq!(delta.replaced, 0);
         prop_assert_eq!(delta.moved, 0);
 
-        // Monitor event: one host dies; its site reselects.
+        // Monitor event; its site reselects. 0: a Linux host dies. 1: a
+        // Sun host dies — the Sun-only tasks (task 0 and the last among
+        // them) lose their slot at that site. 2: the Sun host that began
+        // Down comes up — they gain one.
         let ks = kill_site as usize % sites;
         let kh = kill_host as usize % hosts;
-        repos[ks].resources_mut(|db| db.set_status(&format!("s{ks}h{kh}"), HostStatus::Down));
+        let (site, host, status) = match event {
+            1 => (ks, sun_host(ks), HostStatus::Down),
+            2 if sun_down < sites => (sun_down, sun_host(sun_down), HostStatus::Up),
+            _ => (ks, format!("s{ks}h{kh}"), HostStatus::Down),
+        };
+        repos[site].resources_mut(|db| db.set_status(&host, status));
         let new_outputs = capture_outputs(&repos, &afg);
+        let last = TaskId(afg.task_count() as u32 - 1);
+        if host == sun_host(site) && site != sun_down {
+            // One-sided at both ends of the table.
+            for t in [TaskId(0), last] {
+                prop_assert!(outputs[site].choice(t).is_some());
+                prop_assert!(new_outputs[site].choice(t).is_none());
+            }
+        } else if status == HostStatus::Up {
+            for t in [TaskId(0), last] {
+                prop_assert!(outputs[site].choice(t).is_none());
+                prop_assert!(new_outputs[site].choice(t).is_some());
+            }
+        }
 
         let rewalk = schedule_with_outputs_data(
             &afg, &levels, SiteId(0), &new_outputs, &net, ignore_transfer, false, None, None,

@@ -389,10 +389,10 @@ proptest! {
         let cache = PredictCache::new();
         let classed = host_selection_classed(&view, &afg, &p, &pm, &cache);
         prop_assert_eq!(&reference, &classed);
-        for (t, c) in &reference.choices {
+        for (t, c) in reference.choices.iter() {
             prop_assert_eq!(
                 c.predicted_seconds.to_bits(),
-                classed.choices[t].predicted_seconds.to_bits(),
+                classed.choice(t).unwrap().predicted_seconds.to_bits(),
                 "task {}", t
             );
         }
