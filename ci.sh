@@ -5,16 +5,17 @@
 #      clippy::too_many_lines at clippy.toml's 200-line threshold)
 #   3. locked release build
 #   4. every package under shims/ is still a dependency of something
-#   5. cargo test --workspace (every crate's unit, integration and
-#      prop_* suites plus the shims)
-#   6. BENCH_*.json artifact schema validation
-#   7-13. the correctness gates: fault recovery, durable recovery,
+#   5. cargo test --workspace --no-fail-fast (every crate's unit,
+#      integration and prop_* suites plus the shims)
+#   6. the threaded vdce-dsm tests, four copies at a time, 50 times
+#   7. BENCH_*.json artifact schema validation
+#   8-14. the correctness gates: fault recovery, durable recovery,
 #      scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all) — none of them times anything
-#   14. the vdce_perf smoke (perf/run.sh --quick)
-#   15-18. the frozen benchmark's full-size checks the smoke scales away
+#   15. the vdce_perf smoke (perf/run.sh --quick)
+#   16-20. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
-#      incr_churn seed 1)
+#      incr_churn seed 1, durable_faults seed 1)
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -94,7 +95,43 @@ shims_in_use() {
     return $orphans
 }
 stage "shims in use" shims_in_use
-stage "cargo test --workspace" cargo test --workspace -q
+# --no-fail-fast: one failing suite must not hide the suites after it.
+stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
+# DSM race stress: the coherence protocol's miss paths once released the
+# directory before installing the page, and lost an invalidation only
+# when a loaded machine preempted a thread inside that window — one run
+# of the suite above almost never did. Four copies of the threaded
+# `vdce-dsm` tests at a time on however few cores there are, 50 times
+# over, failed most batches with that bug in.
+dsm_stress() {
+    local bin batch pid failed
+    local threaded=(concurrent_siege_converges disjoint_pages_do_not_interfere
+        lock_serialises_read_modify_write_on_dsm barrier_releases_all_and_counts_generations
+        exactly_one_leader_per_generation)
+    bin=$(cargo test -p vdce-dsm --lib --no-run --offline 2>&1 |
+        sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+    if [[ ! -x "$bin" ]]; then
+        echo "could not find the vdce-dsm unit-test binary (got \`$bin\`)"
+        return 1
+    fi
+    for batch in $(seq 1 50); do
+        local pids=()
+        for _ in 1 2 3 4; do
+            "$bin" -q "${threaded[@]}" >/dev/null 2>&1 &
+            pids+=($!)
+        done
+        failed=0
+        for pid in "${pids[@]}"; do
+            wait "$pid" || failed=1
+        done
+        if ((failed)); then
+            echo "batch $batch of 50: a threaded vdce-dsm test failed; rerun with"
+            echo "  $bin ${threaded[*]}"
+            return 1
+        fi
+    done
+}
+stage "dsm race stress (4 x 50)" dsm_stress
 # Artifact schema gate: every checked-in BENCH_*.json must validate
 # against the vdce-obs RunArtifact schema, and none may be missing.
 stage "artifact schema validation" \
@@ -169,3 +206,11 @@ stage "vdce_perf batch_wide (seed 1)" \
 # where a diff that misses a slot or a row rewritten wrongly would show.
 stage "vdce_perf incr_churn (seed 1)" \
     bash perf/bench.sh --workload incr_churn --seed 1 --seconds 1 --trace 0
+# Full-size durable check: durable_faults asserts, per fault scenario,
+# durable replay == plain replay, zero deputy divergences, and that four
+# kills (three with a torn tail) each recover, replay and resume to the
+# sealed bytes — which is also the one place the live snapshot writer
+# and the typed `ControlState` writer are held to the same bytes. The
+# smoke runs 3 of the 17 scenarios.
+stage "vdce_perf durable_faults (seed 1)" \
+    bash perf/bench.sh --workload durable_faults --seed 1 --seconds 1 --trace 0

@@ -263,8 +263,13 @@ impl Inner {
         entry.sharers.insert(node);
         let data = entry.data.clone();
         StatCounters::bump(&self.stats.page_transfers);
+        // Install before releasing the directory: once `node` is listed as
+        // a sharer a writer may invalidate it, and an invalidation that
+        // ran ahead of the install would leave a copy nobody knows about.
+        let mut cache = self.caches[node].lock();
+        cache.insert(page, CachedPage { state: PageState::Shared, data });
+        drop(cache);
         drop(dir);
-        self.caches[node].lock().insert(page, CachedPage { state: PageState::Shared, data });
     }
 
     /// Serve a write miss/upgrade: make `node` the exclusive owner.
@@ -296,7 +301,8 @@ impl Inner {
         entry.owner = Some(node);
         let data = entry.data.clone();
         StatCounters::bump(&self.stats.page_transfers);
-        drop(dir);
+        // Install before releasing the directory, as in `read_miss`: the
+        // next writer must find the copy it is told to pull and invalidate.
         let mut cache = self.caches[node].lock();
         match cache.get_mut(&page) {
             // Upgrade in place keeps locally visible bytes (we were a
@@ -306,6 +312,8 @@ impl Inner {
                 cache.insert(page, CachedPage { state: PageState::Modified, data });
             }
         }
+        drop(cache);
+        drop(dir);
     }
 }
 

@@ -14,9 +14,10 @@ use crate::events::{JournaledRepoEvent, RepoEvent};
 use crate::resources::ResourcePerfDb;
 use crate::tasks::TaskPerfDb;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
+use std::io::Write;
 use std::sync::Arc;
-use vdce_store::{fnv1a_json, Journal};
+use vdce_store::{Fnv1a, Journal};
 
 /// A point-in-time snapshot of a site repository (serialisable).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -107,7 +108,26 @@ impl SiteRepository {
     /// Deterministic fingerprint of the repository's current state —
     /// the hash compared between a leader and its deputy replica.
     pub fn state_hash(&self) -> u64 {
-        fnv1a_json(&self.snapshot())
+        let mut w = JsonWriter::new(Fnv1a::new(), None);
+        self.write_snapshot_json(&mut w);
+        w.finish().expect("hashing cannot fail to write").finish()
+    }
+
+    /// Stream the JSON of [`SiteRepository::snapshot`] — the
+    /// [`RepositorySnapshot`] derive's text, byte for byte — from the live
+    /// databases, each under its read lock in turn, cloning none of them.
+    pub fn write_snapshot_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        let inner = &*self.inner;
+        let mut obj = w.begin_object();
+        w.field(&mut obj, "accounts");
+        inner.accounts.read().write_json(w);
+        w.field(&mut obj, "resources");
+        inner.resources.read().write_json(w);
+        w.field(&mut obj, "tasks");
+        inner.tasks.read().write_json(w);
+        w.field(&mut obj, "constraints");
+        inner.constraints.read().write_json(w);
+        w.end_object(obj);
     }
 
     /// Read access to the user-accounts database.
@@ -226,6 +246,22 @@ mod tests {
         assert_eq!(back.snapshot(), repo.snapshot());
         // Restored repository still authenticates.
         assert!(back.accounts(|db| db.authenticate("user_k", "pw").is_ok()));
+    }
+
+    #[test]
+    fn live_writer_emits_the_snapshot_derive_text() {
+        let repo = populated();
+        repo.tasks_mut(|db| db.record_execution("Map", "serval", 100, 0.5));
+        repo.resources_mut(|db| db.record_sample("serval", 0.1 + 0.2, 1 << 20));
+        let typed = serde_json::to_vec(&repo.snapshot()).unwrap();
+        let mut w = JsonWriter::new(Vec::new(), None);
+        repo.write_snapshot_json(&mut w);
+        assert_eq!(w.finish().unwrap(), typed);
+        assert_eq!(repo.state_hash(), vdce_store::fnv1a(&typed));
+        // The pretty form differs only in whitespace, so it parses back.
+        let mut w = JsonWriter::new(Vec::new(), Some(2));
+        repo.write_snapshot_json(&mut w);
+        assert_eq!(w.finish().unwrap(), repo.to_json().into_bytes());
     }
 
     #[test]

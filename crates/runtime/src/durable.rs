@@ -18,6 +18,13 @@
 //! record after it — bit-identical to the state an uninterrupted run
 //! reaches, which the recovery harness asserts byte-for-byte.
 //!
+//! The bytes have two writers. A live run never builds a
+//! [`ControlState`]: [`write_snapshot`] streams the same JSON from the
+//! components by reference. Recovery parses it with the typed derive,
+//! replays, and re-serialises with the typed derive; the harness's
+//! "resumed ≡ sealed, bit for bit" check is therefore also the check
+//! that the two writers agree.
+//!
 //! [`DeputyLink`] is the replication half: the leader Site Manager
 //! ships each repository event to its deputy's [`RepoReplica`] and the
 //! channel compares state hashes on a cadence, latching a typed
@@ -26,7 +33,7 @@
 use crate::checkpoint::{CheckpointEvent, CheckpointState, CheckpointStore};
 use crate::events::{EventLog, LogRecord};
 use crate::site_manager::{SiteFailover, SiteTableEvent};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 use vdce_repository::events::JournaledRepoEvent;
 use vdce_repository::repository::RepositorySnapshot;
 use vdce_repository::SiteRepository;
@@ -144,23 +151,58 @@ pub struct ControlState {
     pub log: Vec<LogRecord>,
 }
 
-impl ControlState {
-    /// Capture the live control plane (the leader's view of its own
-    /// state, used for snapshots, sealing and hash checks).
-    pub fn capture(
-        repos: &[SiteRepository],
-        store: &CheckpointStore,
-        sites: &[SiteFailover],
-        log: &EventLog,
-    ) -> Self {
-        ControlState {
-            repos: repos.iter().map(|r| r.snapshot()).collect(),
-            checkpoints: store.control_state(),
-            sites: sites.to_vec(),
-            log: log.snapshot().into_iter().map(|(t, event)| LogRecord { t, event }).collect(),
-        }
-    }
+/// Room left for the part of a snapshot outside its log to outgrow the
+/// previous snapshot's: about what one compaction interval of checkpoint
+/// records adds. Reserved, not touched, and given back by the final
+/// `shrink_to_fit`.
+const HEAD_SLACK: usize = 32 << 10;
 
+/// Serialise the live control plane into the bytes of its
+/// [`ControlState`] and their [`fnv1a`] hash — what a snapshot installs
+/// and a seal pins — without building the state: every repository streams
+/// from under its own read locks, and the event log splices the JSON it
+/// already wrote for the journal. [`ControlState::from_bytes`] is the
+/// reader of this format and [`ControlState::to_hashed_bytes`] its typed
+/// writer; recovery holds the two writers to the same bytes.
+///
+/// `head_hint` is the expected size of everything outside the log (the
+/// previous snapshot's, say): with it the buffer is allocated once and
+/// never doubled, which is what keeps a snapshot from costing twice its
+/// size at the peak. Only sizing depends on it.
+pub fn write_snapshot(
+    repos: &[SiteRepository],
+    store: &CheckpointStore,
+    sites: &[SiteFailover],
+    log: &EventLog,
+    head_hint: usize,
+) -> (Vec<u8>, u64) {
+    let capacity = head_hint + HEAD_SLACK + log.with_journaled_json(<[u8]>::len);
+    let mut w = JsonWriter::new(Vec::with_capacity(capacity), None);
+    let mut obj = w.begin_object();
+    w.field(&mut obj, "repos");
+    let mut arr = w.begin_array();
+    for repo in repos {
+        w.elem(&mut arr);
+        repo.write_snapshot_json(&mut w);
+    }
+    w.end_array(arr);
+    w.field(&mut obj, "checkpoints");
+    store.control_state().write_json(&mut w);
+    w.field(&mut obj, "sites");
+    sites.write_json(&mut w);
+    w.field(&mut obj, "log");
+    let arr = w.begin_array();
+    log.with_journaled_json(|json| w.raw_json(json));
+    w.end_array(arr);
+    w.end_object(obj);
+    let mut bytes = w.finish().expect("writing to a Vec cannot fail");
+    // Snapshots outlive the run in the journal: keep no slack.
+    bytes.shrink_to_fit();
+    let hash = fnv1a(&bytes);
+    (bytes, hash)
+}
+
+impl ControlState {
     /// Apply one decoded event — the pure transition WAL replay runs.
     /// Events naming a site index the state does not have are dropped
     /// (deterministically; they cannot occur in well-formed journals).
@@ -178,6 +220,15 @@ impl ControlState {
                 }
             }
             ControlEvent::Log(e) => self.log.push(e.clone()),
+        }
+    }
+
+    /// [`ControlState::apply`] of an event the caller is done with: a
+    /// `log` record is moved into the state, not cloned.
+    pub fn apply_owned(&mut self, event: ControlEvent) {
+        match event {
+            ControlEvent::Log(e) => self.log.push(e),
+            other => self.apply(&other),
         }
     }
 
@@ -397,9 +448,9 @@ mod tests {
         let mut sites =
             vec![SiteFailover::new(SiteId(0), "h", std::slice::from_ref(&"h".to_string()))];
 
-        let initial =
-            ControlState::capture(std::slice::from_ref(&repo), &store, &sites, &EventLog::new());
-        let (bytes, hash) = initial.to_hashed_bytes();
+        let (bytes, hash) =
+            write_snapshot(std::slice::from_ref(&repo), &store, &sites, &EventLog::new(), 0);
+        let initial = ControlState::from_bytes(&bytes).unwrap();
         assert_eq!(hash, initial.hash(), "streamed hash is the hash of the bytes");
         journal.install_snapshot(bytes, hash);
 
@@ -417,19 +468,103 @@ mod tests {
         sites[0].apply(&site_event.event);
         repo.apply_event(&RepoEvent::SetStatus { host: "h".into(), status: HostStatus::Down });
 
-        let live = ControlState::capture(&[repo], &store, &sites, &log);
-        journal.seal(live.to_bytes(), live.hash());
+        // The by-reference writer and the typed one agree on the live
+        // state, bytes and hash.
+        let sealed = write_snapshot(&[repo], &store, &sites, &log, 0);
+        let live = ControlState::from_bytes(&sealed.0).unwrap();
+        assert_eq!(live.to_hashed_bytes(), sealed);
+        assert_eq!(live.hash(), sealed.1);
+        assert_eq!(live.log.len(), 1);
+        journal.seal(sealed.0, sealed.1);
 
         // Recover: snapshot + replay of the WAL after it.
         let recovered = vdce_store::recover(&journal.image()).unwrap();
+        assert_eq!(recovered.events.len(), 5);
         let snap = recovered.snapshot.expect("initial snapshot installed");
         let mut state = ControlState::from_bytes(&snap.state).unwrap();
+        let mut owned = state.clone();
         for (tag, payload) in &recovered.events {
             state.apply_record(tag, payload).unwrap();
+            owned.apply_owned(ControlEvent::decode(tag, payload).unwrap());
         }
         assert_eq!(state, live, "replayed state equals the live state");
+        assert_eq!(owned, live, "moving the events in changes nothing");
         assert_eq!(state.to_bytes(), journal.final_state().unwrap().state, "bit-identical");
         assert_eq!(state.hash(), journal.final_state().unwrap().hash);
+    }
+
+    /// The `log` array of a snapshot of `log` alone, as text.
+    fn log_json(log: &EventLog) -> String {
+        let (bytes, hash) = write_snapshot(&[], &CheckpointStore::new(), &[], log, 0);
+        assert_eq!(hash, fnv1a(&bytes));
+        let text = String::from_utf8(bytes).unwrap();
+        let head = r#"{"repos":[],"checkpoints":{"by_task":{},"taken":0},"sites":[],"log":"#;
+        text.strip_prefix(head).and_then(|t| t.strip_suffix('}')).expect("snapshot shape").into()
+    }
+
+    #[test]
+    fn log_text_is_kept_for_a_journal_only_and_shared_by_clones() {
+        let journaled = || EventLog::new().with_journal(Journal::enabled(SnapshotPolicy::manual()));
+        assert_eq!(log_json(&journaled()), "[]");
+
+        // Without a journal nothing is retained — nothing would be replayed.
+        let plain = EventLog::new();
+        plain.emit(0.0, RuntimeEvent::Resumed);
+        assert!(plain.with_journaled_json(<[u8]>::is_empty));
+        assert!(plain.with_journal(Journal::disabled()).with_journaled_json(<[u8]>::is_empty));
+
+        // A clone taken before the emits writes into the same text.
+        let log = journaled();
+        let clone = log.clone();
+        clone.emit(1.0, RuntimeEvent::Suspended);
+        log.emit(2.0, RuntimeEvent::Resumed);
+        let both = r#"[{"t":1,"event":"Suspended"},{"t":2,"event":"Resumed"}]"#;
+        assert_eq!(log_json(&log), both);
+        assert_eq!(log_json(&clone), both);
+    }
+
+    /// Entries a log held before its journal was attached are in no WAL,
+    /// but a snapshot's `log` is the whole log all the same.
+    #[test]
+    fn attaching_a_journal_to_a_log_with_entries_keeps_them_in_snapshots() {
+        let journal = Journal::enabled(SnapshotPolicy::manual());
+        let log = EventLog::new();
+        log.emit(0.5, RuntimeEvent::StartupSignal);
+        log.emit(1.25, RuntimeEvent::TaskStarted { task: TaskId(3), host: "h".into() });
+        let log = log.with_journal(journal.clone());
+        log.emit(2.0, RuntimeEvent::HostFailed { host: "h".into() });
+        assert_eq!(
+            log_json(&log),
+            r#"[{"t":0.5,"event":"StartupSignal"},{"t":1.25,"event":{"TaskStarted":{"task":3,"host":"h"}}},{"t":2,"event":{"HostFailed":{"host":"h"}}}]"#
+        );
+        let only = r#"{"t":2,"event":{"HostFailed":{"host":"h"}}}"#;
+        assert_eq!(journal.history(), vec![("log".to_string(), only.to_string())]);
+    }
+
+    #[test]
+    fn spliced_records_are_the_bytes_the_derive_writes() {
+        let log = EventLog::new().with_journal(Journal::enabled(SnapshotPolicy::manual()));
+        let records = [
+            LogRecord {
+                t: f64::INFINITY,
+                event: RuntimeEvent::TaskFailed {
+                    task: TaskId(1),
+                    reason: "a \"q\" \\ \u{1} z".into(),
+                },
+            },
+            LogRecord { t: f64::NAN, event: RuntimeEvent::StartupSignal },
+            LogRecord {
+                t: 0.1 + 0.2,
+                event: RuntimeEvent::MonitorSample { host: "s0h0".into(), workload: 1e-7 },
+            },
+        ];
+        for r in &records {
+            log.emit(r.t, r.event.clone());
+        }
+        assert_eq!(log_json(&log), serde_json::to_string(&records.to_vec()).unwrap());
+        assert!(log_json(&log).starts_with(
+            r#"[{"t":null,"event":{"TaskFailed":{"task":1,"reason":"a \"q\" \\ \u0001 z"}}},"#
+        ));
     }
 
     #[test]

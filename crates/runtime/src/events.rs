@@ -14,9 +14,13 @@
 //! `vdce_store` append-only substrate and [`EventLog::emit`] is the
 //! *only* write path: a log built with [`EventLog::with_journal`]
 //! write-ahead-journals every entry (tag `log`) before buffering it, so
-//! a restarted Site Manager replays the exact same event history.
+//! a restarted Site Manager replays the exact same event history. The
+//! JSON written for the journal is also kept, comma-joined, as the body
+//! of a snapshot's `log` array: each record is serialised once.
 
-use serde::{Deserialize, Serialize};
+use parking_lot::Mutex;
+use serde::{Deserialize, JsonWriter, Serialize};
+use std::sync::Arc;
 use vdce_afg::TaskId;
 use vdce_obs::trace::{FieldValue, TraceSink};
 use vdce_store::{AppendLog, Journal};
@@ -395,18 +399,33 @@ pub struct LogRecord {
     pub event: RuntimeEvent,
 }
 
+/// Append the JSON of `LogRecord { t, event }` to `out` without building
+/// the record: the derive has no borrowed-field form.
+fn write_log_record(out: &mut Vec<u8>, t: f64, event: &RuntimeEvent) {
+    let mut w = JsonWriter::new(out, None);
+    let mut obj = w.begin_object();
+    w.field(&mut obj, "t");
+    w.f64(t);
+    w.field(&mut obj, "event");
+    event.write_json(&mut w);
+    w.end_object(obj);
+}
+
 /// Shared, timestamped, append-only event log on the `vdce_store`
 /// substrate.
 ///
-/// Cloning shares the entry buffer, the attached trace sink and the
-/// attached journal. [`EventLog::emit`] is the single write path: it
-/// write-ahead-journals (when a journal is attached), mirrors into the
-/// trace sink (when tracing), then buffers the entry.
+/// Cloning shares the entry buffer, the journaled text, the attached
+/// trace sink and the attached journal. [`EventLog::emit`] is the single
+/// write path: it write-ahead-journals (when a journal is attached),
+/// mirrors into the trace sink (when tracing), then buffers the entry.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     entries: AppendLog<(f64, RuntimeEvent)>,
     trace: TraceSink,
     journal: Journal,
+    /// The `log` payload of every journaled entry, comma-joined: what a
+    /// snapshot splices between `[` and `]`. Empty without a journal.
+    journaled: Arc<Mutex<Vec<u8>>>,
 }
 
 impl EventLog {
@@ -418,13 +437,26 @@ impl EventLog {
     /// Empty log that mirrors every [`EventLog::emit`] into `trace` as
     /// a logical-time trace event.
     pub fn traced(trace: TraceSink) -> Self {
-        EventLog { entries: AppendLog::new(), trace, journal: Journal::disabled() }
+        EventLog { trace, ..Self::default() }
     }
 
     /// This log with a write-ahead journal attached: every subsequent
     /// [`EventLog::emit`] appends a [`LogRecord`] under the `log` tag
-    /// before buffering.
+    /// before buffering. Entries the log already holds are not journaled
+    /// after the fact, but a snapshot's `log` is still the whole log.
     pub fn with_journal(mut self, journal: Journal) -> Self {
+        let mut text = Vec::new();
+        if journal.is_enabled() {
+            self.entries.with(|entries| {
+                for (i, (t, event)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        text.push(b',');
+                    }
+                    write_log_record(&mut text, *t, event);
+                }
+            });
+        }
+        self.journaled = Arc::new(Mutex::new(text));
         self.journal = journal;
         self
     }
@@ -439,9 +471,17 @@ impl EventLog {
     /// (write-ahead), mirror into the attached trace sink, then buffer.
     pub fn emit(&self, t: f64, event: RuntimeEvent) {
         if self.journal.is_enabled() {
-            let wire = LogRecord { t, event: event.clone() };
-            let payload = serde_json::to_string(&wire).expect("runtime events always serialize");
-            self.journal.append("log", &payload);
+            // Serialised once, in place: the journal frames the new tail
+            // of the text a snapshot will splice. Holding the lock across
+            // the append keeps the text in journal order.
+            let mut text = self.journaled.lock();
+            if !text.is_empty() {
+                text.push(b',');
+            }
+            let start = text.len();
+            write_log_record(&mut text, t, &event);
+            let payload = std::str::from_utf8(&text[start..]).expect("the writer emits UTF-8");
+            self.journal.append("log", payload);
         }
         if self.trace.is_enabled() {
             // Monitor ticks are the one cadence-driven firehose; route
@@ -455,6 +495,13 @@ impl EventLog {
             }
         }
         self.entries.push((t, event));
+    }
+
+    /// Run `f` over the comma-joined JSON of every [`LogRecord`] this log
+    /// holds for its journal (empty when none is attached): the body of a
+    /// control-plane snapshot's `log` array. Emits block while `f` runs.
+    pub fn with_journaled_json<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.journaled.lock())
     }
 
     /// Snapshot of all entries in append order.

@@ -62,8 +62,8 @@ pub use checkpoint::{
 };
 pub use data_manager::{ChannelId, DataManager, Transport};
 pub use durable::{
-    ControlEvent, ControlEventError, ControlState, DeputyLink, DurableOptions, JournaledSiteEvent,
-    RepoReplica,
+    write_snapshot, ControlEvent, ControlEventError, ControlState, DeputyLink, DurableOptions,
+    JournaledSiteEvent, RepoReplica,
 };
 pub use events::{EventLog, LogRecord, RuntimeEvent, WorkLedger};
 pub use executor::{execute, Execution, HostLockRegistry};

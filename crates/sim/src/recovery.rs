@@ -24,9 +24,9 @@
 //! `exp_recovery` gate runs this at several seed-derived kill points
 //! per named fault scenario.
 
-use std::ops::Range;
-use vdce_runtime::{ControlEvent, ControlState};
-use vdce_store::{encode_record, recover, Journal, JournalView, StoreImage, WalWriter};
+use std::vec::Drain;
+use vdce_runtime::{ControlEvent, ControlEventError, ControlState};
+use vdce_store::{recover, Journal, JournalView, StoreImage, WalWriter};
 
 /// What one simulated kill-and-restart observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,15 +92,17 @@ fn verify_kill_in(
     let snapshot = journal.snapshots.iter().rfind(|s| s.seq <= cut);
     let snap_seq = snapshot.map_or(0, |s| s.seq);
     let (snap_at, cut_at) = (snap_seq as usize, cut as usize);
+    let frame = |w: &mut WalWriter, (tag, payload): &(String, String)| {
+        w.append_parts(&[tag.as_bytes(), b" ", payload.as_bytes()]);
+    };
     let mut w = WalWriter::new();
-    for (tag, payload) in &history[snap_at..cut_at] {
-        w.append(&encode_record(tag, payload));
+    for record in &history[snap_at..cut_at] {
+        frame(&mut w, record);
     }
     let prefix_len = w.byte_len();
     let mut expected_torn = 0u64;
     let wal = if torn_seed != 0 && cut < total {
-        let (tag, payload) = &history[cut_at];
-        w.append(&encode_record(tag, payload));
+        frame(&mut w, &history[cut_at]);
         let mut full = w.into_bytes();
         let framed = full.len() - prefix_len;
         // A strict prefix: at least 1 byte written, at least 1 missing.
@@ -144,17 +146,19 @@ fn verify_kill_in(
     // the recovered one, so there is nothing to cross-check.
     let cross_check = initial.filter(|_| snap_seq > 0);
     let decoded_from = if cross_check.is_some() { 0 } else { snap_at };
-    let events: Vec<_> = history[decoded_from..]
+    let mut events: Vec<_> = history[decoded_from..]
         .iter()
         .map(|(tag, payload)| ControlEvent::decode(tag, payload))
         .collect();
-    let apply = |state: &mut ControlState, records: Range<usize>, leg: &str| {
-        for i in records {
-            match &events[i - decoded_from] {
-                Ok(event) => state.apply(event),
-                Err(e) => {
-                    return Err(format!("kill at {cut}: {leg} `{}` record: {e}", history[i].0))
-                }
+    let undecodable = |i: usize, leg: &str, e: &ControlEventError| {
+        format!("kill at {cut}: {leg} `{}` record: {e}", history[i].0)
+    };
+    // Move `events`, the decoded records from `first` on, into `state`.
+    let apply_owned = |state: &mut ControlState, events: Drain<'_, _>, first: usize, leg: &str| {
+        for (i, event) in events.enumerate() {
+            match event {
+                Ok(event) => state.apply_owned(event),
+                Err(e) => return Err(undecodable(first + i, leg, &e)),
             }
         }
         Ok(())
@@ -162,17 +166,24 @@ fn verify_kill_in(
 
     // 3. Replay onto the snapshot; cross-check against a pure replay of
     // the full history from the initial (seq-0) snapshot when one
-    // exists — proving compaction never changed the state machine.
+    // exists — proving compaction never changed the state machine. Only
+    // then is `snap..cut` applied twice, so only then is it borrowed:
+    // every other record is moved into the one state that applies it.
     let mut state = match &recovered.snapshot {
         Some(s) => ControlState::from_bytes(&s.state)
             .map_err(|e| format!("kill at {cut}: snapshot does not parse: {e}"))?,
         None => ControlState::default(),
     };
-    apply(&mut state, snap_at..cut_at, "replaying")?;
     if let Some(initial) = cross_check {
+        for (i, event) in events[snap_at..cut_at].iter().enumerate() {
+            match event {
+                Ok(event) => state.apply(event),
+                Err(e) => return Err(undecodable(snap_at + i, "replaying", e)),
+            }
+        }
         let mut pure = ControlState::from_bytes(&initial.state)
             .map_err(|e| format!("initial snapshot does not parse: {e}"))?;
-        apply(&mut pure, 0..cut_at, "pure replay of")?;
+        apply_owned(&mut pure, events.drain(..cut_at), 0, "pure replay of")?;
         if pure != state {
             return Err(format!(
                 "kill at {cut}: recovered state (snapshot seq {snap_seq} + {} events) \
@@ -180,11 +191,13 @@ fn verify_kill_in(
                 recovered.events.len()
             ));
         }
+    } else {
+        apply_owned(&mut state, events.drain(..cut_at - snap_at), snap_at, "replaying")?;
     }
 
     // 4. Resume past the kill: the journaled suffix must carry the
     // restarted process to the sealed final state, bit for bit.
-    apply(&mut state, cut_at..history.len(), "resuming")?;
+    apply_owned(&mut state, events.drain(..), cut_at, "resuming")?;
     let (bytes, hash) = state.to_hashed_bytes();
     if bytes != sealed.state || hash != sealed.hash {
         return Err(format!(
@@ -284,6 +297,74 @@ mod tests {
         let report = verify_kill(&opts.journal, total, 0).expect("clean-shutdown kill");
         assert_eq!(report.snapshot_seq, 0);
         assert_eq!(report.replayed, total);
+    }
+
+    #[test]
+    fn moving_events_in_reaches_the_state_borrowing_them_does() {
+        let opts = sealed_journal(64);
+        let (mut borrowed, sealed) = opts.journal.read(|view| {
+            let first = ControlState::from_bytes(&view.snapshots[0].state).unwrap();
+            (first, view.final_state.unwrap().clone())
+        });
+        let mut owned = borrowed.clone();
+        for (tag, payload) in opts.journal.history() {
+            let event = ControlEvent::decode(&tag, &payload).unwrap();
+            borrowed.apply(&event);
+            owned.apply_owned(event);
+            assert_eq!(owned, borrowed, "after a `{tag}` record");
+        }
+        assert_eq!(owned.to_hashed_bytes(), (sealed.state, sealed.hash));
+    }
+
+    /// `src` with record `bad`'s payload replaced by text no tag decodes.
+    fn with_undecodable_record(src: &Journal, bad: usize) -> Journal {
+        let copy = Journal::enabled(SnapshotPolicy::manual());
+        src.read(|view| {
+            let mut snapshots = view.snapshots.iter().peekable();
+            for (i, (tag, payload)) in view.history.iter().enumerate() {
+                while let Some(s) = snapshots.next_if(|s| s.seq == i as u64) {
+                    copy.install_snapshot(s.state.clone(), s.hash);
+                }
+                copy.append(tag, if i == bad { "not json" } else { payload });
+            }
+            let sealed = view.final_state.expect("sealed");
+            copy.seal(sealed.state.clone(), sealed.hash);
+        });
+        copy
+    }
+
+    #[test]
+    fn an_undecodable_record_fails_the_first_leg_that_reaches_it() {
+        let opts = sealed_journal(64);
+        let total = opts.journal.len() as usize;
+        // A cut half-way between the first compacting snapshot and the next.
+        let seqs: Vec<usize> = opts.journal.snapshots().iter().map(|s| s.seq as usize).collect();
+        let (snap, next) = (seqs[1], seqs[2]);
+        let cut = (snap + next) / 2;
+        assert!(0 < snap && snap + 1 < cut && cut < next && next < total, "{seqs:?} of {total}");
+        let message = |cut: usize, leg: &str, bad: usize| {
+            let tag = &opts.journal.history()[bad].0;
+            let e = ControlEvent::decode(tag, "not json").unwrap_err();
+            format!("kill at {cut}: {leg} `{tag}` record: {e}")
+        };
+        // Recovery from a compacting snapshot: the pure replay alone reads
+        // the records before it.
+        for (bad, leg) in [
+            (snap / 2, "pure replay of"),
+            ((snap + cut) / 2, "replaying"),
+            (cut - 1, "replaying"),
+            (cut, "resuming"),
+            (total - 1, "resuming"),
+        ] {
+            let err = verify_kill(&with_undecodable_record(&opts.journal, bad), cut as u64, 0);
+            assert_eq!(err.unwrap_err(), message(cut, leg, bad), "record {bad}");
+        }
+        // Recovery from the seq-0 snapshot: no cross-check, two legs.
+        let early = snap / 2;
+        for (bad, leg) in [(0, "replaying"), (early - 1, "replaying"), (early, "resuming")] {
+            let err = verify_kill(&with_undecodable_record(&opts.journal, bad), early as u64, 7);
+            assert_eq!(err.unwrap_err(), message(early, leg, bad), "record {bad}");
+        }
     }
 
     #[test]

@@ -7,12 +7,13 @@ use super::engine::Inputs;
 use crate::faults::Fault;
 use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::sync::Arc;
 use vdce_net::model::SharedNetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_repository::SiteRepository;
-use vdce_runtime::durable::{ControlEvent, ControlState, DeputyLink, JournaledSiteEvent};
+use vdce_runtime::durable::{write_snapshot, ControlEvent, DeputyLink, JournaledSiteEvent};
 use vdce_runtime::events::EventLog;
 use vdce_runtime::group::{FlagEcho, GroupManager};
 use vdce_runtime::monitor::{MonitorDaemon, MonitorReport, SyntheticProbe};
@@ -49,6 +50,9 @@ pub(super) struct ControlPlane {
     /// Shared by every re-selection of the run.
     pub(super) cache: PredictCache,
     pub(super) store: CheckpointStore,
+    /// Bytes of the latest snapshot outside its log: the next one's
+    /// buffer is sized from it.
+    snapshot_head: Cell<usize>,
 }
 
 impl ControlPlane {
@@ -130,13 +134,19 @@ impl ControlPlane {
             net_mon,
             cache: PredictCache::new(),
             store,
+            snapshot_head: Cell::new(0),
         }
     }
 
-    /// The whole control-plane state, serialised once, with its hash —
-    /// what a snapshot installs and what the final seal pins.
+    /// The whole control-plane state, serialised once from the live
+    /// components, with its hash — what a snapshot installs and what the
+    /// final seal pins.
     pub(super) fn capture_state(&self, failover: &[SiteFailover]) -> (Vec<u8>, u64) {
-        ControlState::capture(&self.repos, &self.store, failover, &self.log).to_hashed_bytes()
+        let (bytes, hash) =
+            write_snapshot(&self.repos, &self.store, failover, &self.log, self.snapshot_head.get());
+        let log_bytes = self.log.with_journaled_json(<[u8]>::len);
+        self.snapshot_head.set(bytes.len().saturating_sub(log_bytes));
+        (bytes, hash)
     }
 
     /// Journal a site-table liveness transition (`site` tag) ahead of

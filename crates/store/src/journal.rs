@@ -233,8 +233,10 @@ impl Journal {
     pub fn append(&self, tag: &str, payload: &str) -> Option<u64> {
         let inner = self.inner.as_ref()?;
         let mut g = inner.lock();
+        debug_assert!(!tag.contains(' '), "journal tags must not contain spaces");
         let before = g.wal.byte_len();
-        g.wal.append(&encode_record(tag, payload));
+        // The frame `encode_record` builds, without building it.
+        g.wal.append_parts(&[tag.as_bytes(), b" ", payload.as_bytes()]);
         let added = (g.wal.byte_len() - before) as u64;
         g.wal_bytes_total += added;
         g.history.push((tag.to_string(), payload.to_string()));
@@ -400,6 +402,18 @@ mod tests {
         assert_eq!(stats.records, 3);
         assert_eq!(stats.snapshots, 1);
         assert!(stats.wal_bytes < stats.wal_bytes_total);
+    }
+
+    #[test]
+    fn append_frames_what_encode_record_builds() {
+        let records = [("repo", r#"{"site":0}"#), ("log", ""), ("ckpt", "a b  c")];
+        let j = Journal::enabled(SnapshotPolicy::manual());
+        let mut w = WalWriter::new();
+        for (tag, payload) in records {
+            j.append(tag, payload);
+            w.append(&encode_record(tag, payload));
+        }
+        assert_eq!(j.image().wal, w.into_bytes());
     }
 
     #[test]

@@ -163,6 +163,16 @@ impl<W: Write> JsonWriter<W> {
         self.raw(b"\"");
     }
 
+    /// JSON text the caller serialised earlier, copied through verbatim: a
+    /// whole value, or — between [`JsonWriter::begin_array`] and
+    /// [`JsonWriter::end_array`] of a compact writer — a comma-joined run
+    /// of elements. The caller vouches that it is what this writer would
+    /// have produced; nothing here parses or re-indents it.
+    pub fn raw_json(&mut self, json: &[u8]) {
+        self.not_a_key("raw JSON");
+        self.raw(json);
+    }
+
     fn open(&mut self, kind: &str, bracket: &[u8]) -> Seq {
         self.not_a_key(kind);
         self.raw(bracket);
@@ -237,5 +247,46 @@ impl<W: Write> JsonWriter<W> {
         let mut seq = self.begin_object();
         self.field(&mut seq, tag);
         seq
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Serialize;
+
+    #[test]
+    fn raw_json_splices_a_value_or_a_run_of_elements() {
+        let mut w = JsonWriter::new(Vec::new(), None);
+        let mut obj = w.begin_object();
+        w.field(&mut obj, "one");
+        w.raw_json(br#"{"t":1.5}"#);
+        w.field(&mut obj, "many");
+        let arr = w.begin_array();
+        w.raw_json(b"1,[2],3");
+        w.end_array(arr);
+        w.field(&mut obj, "none");
+        let arr = w.begin_array();
+        w.raw_json(b"");
+        w.end_array(arr);
+        w.end_object(obj);
+        assert_eq!(w.finish().unwrap(), br#"{"one":{"t":1.5},"many":[1,[2],3],"none":[]}"#);
+    }
+
+    #[test]
+    #[should_panic(expected = "map key must serialise to a string or number, got raw JSON")]
+    fn raw_json_is_not_a_map_key() {
+        struct Raw;
+        impl Serialize for Raw {
+            fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+                w.raw_json(b"\"k\"");
+            }
+            fn to_value(&self) -> crate::Value {
+                crate::Value::Null
+            }
+        }
+        let mut w = JsonWriter::new(Vec::new(), None);
+        let mut obj = w.begin_object();
+        w.map_key(&mut obj, &Raw);
     }
 }
