@@ -7,7 +7,8 @@
 #   4. every package under shims/ is still a dependency of something
 #   5. cargo test --workspace --no-fail-fast (every crate's unit,
 #      integration and prop_* suites plus the shims)
-#   6. the threaded vdce-dsm tests, four copies at a time, 50 times
+#   6. the thread-based tests, four copies at a time: vdce-dsm's 50
+#      times, tests/concurrency.rs once, vdce-repository's 50 times
 #   7. BENCH_*.json artifact schema validation
 #   8-14. the correctness gates: fault recovery, durable recovery,
 #      scale, stream, fuzz, data-aware (all --quick) and trace
@@ -97,27 +98,37 @@ shims_in_use() {
 stage "shims in use" shims_in_use
 # --no-fail-fast: one failing suite must not hide the suites after it.
 stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
-# DSM race stress: the coherence protocol's miss paths once released the
+# Race stress: the DSM coherence protocol's miss paths once released the
 # directory before installing the page, and lost an invalidation only
 # when a loaded machine preempted a thread inside that window — one run
-# of the suite above almost never did. Four copies of the threaded
-# `vdce-dsm` tests at a time on however few cores there are, 50 times
-# over, failed most batches with that bug in.
-dsm_stress() {
-    local bin batch pid failed
-    local threaded=(concurrent_siege_converges disjoint_pages_do_not_interfere
-        lock_serialises_read_modify_write_on_dsm barrier_releases_all_and_counts_generations
-        exactly_one_leader_per_generation)
-    bin=$(cargo test -p vdce-dsm --lib --no-run --offline 2>&1 |
+# of the suite above almost never did. Four copies of the threaded tests
+# at a time on however few cores there are failed most of 50 batches
+# with that bug in. The other thread-based tests get the same treatment:
+# `tests/concurrency.rs` (one batch: its four copies keep two cores busy
+# for ~3 s) and the repository's parallel sample writers.
+#   race_stress <batches> <cargo test selector...> -- <test names...>
+race_stress() {
+    local batches=$1 selector=() bin batch pid failed
+    shift
+    while [[ $1 != -- ]]; do
+        selector+=("$1")
+        shift
+    done
+    shift
+    bin=$(cargo test "${selector[@]}" --no-run --offline 2>&1 |
         sed -n 's/.*Executable.*(\(.*\))$/\1/p')
     if [[ ! -x "$bin" ]]; then
-        echo "could not find the vdce-dsm unit-test binary (got \`$bin\`)"
+        echo "could not find the test binary of \`${selector[*]}\` (got \`$bin\`)"
         return 1
     fi
-    for batch in $(seq 1 50); do
+    if [[ $("$bin" --list "$@" 2>/dev/null | grep -c ': test$') -ne $# ]]; then
+        echo "$bin does not list exactly the $# tests named: $*"
+        return 1
+    fi
+    for batch in $(seq 1 "$batches"); do
         local pids=()
         for _ in 1 2 3 4; do
-            "$bin" -q "${threaded[@]}" >/dev/null 2>&1 &
+            "$bin" -q "$@" >/dev/null 2>&1 &
             pids+=($!)
         done
         failed=0
@@ -125,13 +136,22 @@ dsm_stress() {
             wait "$pid" || failed=1
         done
         if ((failed)); then
-            echo "batch $batch of 50: a threaded vdce-dsm test failed; rerun with"
-            echo "  $bin ${threaded[*]}"
+            echo "batch $batch of $batches: a threaded test failed; rerun with"
+            echo "  $bin $*"
             return 1
         fi
     done
 }
-stage "dsm race stress (4 x 50)" dsm_stress
+thread_stress() {
+    race_stress 50 -p vdce-dsm --lib -- \
+        concurrent_siege_converges disjoint_pages_do_not_interfere \
+        lock_serialises_read_modify_write_on_dsm barrier_releases_all_and_counts_generations \
+        exactly_one_leader_per_generation
+    race_stress 1 -p vdce --test concurrency -- concurrent_submissions_all_succeed \
+        concurrent_apps_contend_for_the_single_host monitoring_during_submissions
+    race_stress 50 -p vdce-repository --lib -- concurrent_samples_are_all_applied
+}
+stage "thread race stress (3 binaries)" thread_stress
 # Artifact schema gate: every checked-in BENCH_*.json must validate
 # against the vdce-obs RunArtifact schema, and none may be missing.
 stage "artifact schema validation" \

@@ -30,7 +30,7 @@ use vdce_runtime::events::{EventLog, RuntimeEvent};
 use vdce_runtime::executor::{execute, Execution, ExecutorConfig};
 use vdce_runtime::services::{ConsoleService, IoService, VisualizationService};
 use vdce_sched::makespan::evaluate;
-use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig, SchedulingError};
+use vdce_sched::site_scheduler::{site_schedule, SchedError, SchedulerConfig};
 use vdce_sched::view::SiteView;
 
 /// Login failures.
@@ -64,7 +64,7 @@ pub enum SubmitError {
         user: String,
     },
     /// The scheduler could not place the application.
-    Scheduling(SchedulingError),
+    Scheduling(SchedError),
     /// QoS admission control rejected the run: the predicted makespan
     /// exceeds the requested deadline (§1's "managing the Quality of
     /// Service (QoS) requirements").
@@ -210,7 +210,7 @@ impl<'v> Session<'v> {
         // Predicted schedule (for the report's predicted-vs-measured
         // comparison).
         let levels =
-            local_view.levels(afg).map_err(|_| SubmitError::Scheduling(SchedulingError::Cyclic))?;
+            local_view.levels(afg).map_err(|_| SubmitError::Scheduling(SchedError::Cyclic))?;
         let predicted = evaluate(afg, &table, self.vdce.net(), &levels).ok();
 
         // --- QoS admission control --------------------------------------

@@ -45,7 +45,8 @@ impl RunArtifact {
 
     /// Attach one scenario-metadata entry (insertion order preserved).
     pub fn meta(mut self, key: &str, value: impl Serialize) -> Self {
-        self.meta.push((key.to_string(), value.to_value()));
+        let value = serde_json::to_value(&value).expect("artifact meta serialises");
+        self.meta.push((key.to_string(), value));
         self
     }
 
@@ -63,7 +64,8 @@ impl RunArtifact {
             !matches!(key, "schema_version" | "bench" | "meta" | "metrics"),
             "section key `{key}` collides with the artifact envelope"
         );
-        self.sections.push((key.to_string(), value.to_value()));
+        let value = serde_json::to_value(value).expect("artifact section serialises");
+        self.sections.push((key.to_string(), value));
         self
     }
 

@@ -16,6 +16,7 @@
 //! interior-mutable: the gate borrows it read-only while the controller's
 //! monitoring loop mutates it.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -69,62 +70,71 @@ impl BackoffPolicy {
     }
 }
 
-/// The set of hosts currently considered dead.
+/// A set of members currently considered dead, with lifetime counts of
+/// admissions and re-admissions: the one body behind [`Quarantine`] and
+/// [`SiteQuarantine`].
 ///
 /// Interior-mutable so the monitoring path can mutate it while gates and
-/// re-selection hold shared references. Counters record lifetime
-/// admissions/re-admissions for the [`RecoveryReport`] rollup.
-///
-/// [`RecoveryReport`]: https://docs.rs/vdce-sim
+/// re-selection hold shared references.
 #[derive(Debug, Default)]
-pub struct Quarantine {
-    hosts: RwLock<BTreeSet<String>>,
+pub struct QuarantineSet<T> {
+    members: RwLock<BTreeSet<T>>,
     quarantined_total: AtomicU64,
     readmitted_total: AtomicU64,
 }
 
-impl Quarantine {
+/// The set of hosts currently considered dead. Counters record lifetime
+/// admissions/re-admissions for the [`RecoveryReport`] rollup.
+///
+/// [`RecoveryReport`]: https://docs.rs/vdce-sim
+pub type Quarantine = QuarantineSet<String>;
+
+/// The set of *sites* currently unreachable as a whole — the
+/// federation-level analogue of [`Quarantine`] (DESIGN.md §12). A site
+/// enters when its last host stops answering (see
+/// `SiteFailover::on_host_down`) and is re-admitted when any host
+/// returns; while quarantined its views are excluded from scheduling and
+/// re-selection, and its checkpoint replicas count as unreachable.
+pub type SiteQuarantine = QuarantineSet<u16>;
+
+impl<T: Ord + Clone + Default> QuarantineSet<T> {
     /// Empty quarantine.
     pub fn new() -> Self {
-        Quarantine::default()
+        Self::default()
     }
 
-    /// Record a host failure. Returns `true` if the host was newly
-    /// quarantined (false if already present).
-    pub fn quarantine(&self, host: &str) -> bool {
-        let fresh = self.hosts.write().unwrap().insert(host.to_string());
+    /// Admit `member`, counting it if it was not already in.
+    fn insert(&self, member: T) -> bool {
+        let fresh = self.members.write().unwrap().insert(member);
         if fresh {
             self.quarantined_total.fetch_add(1, Ordering::Relaxed);
         }
         fresh
     }
 
-    /// Record a host recovery. Returns `true` if the host was present
-    /// and has been re-admitted.
-    pub fn readmit(&self, host: &str) -> bool {
-        let was_in = self.hosts.write().unwrap().remove(host);
+    /// Release `member`, counting it if it was in.
+    fn remove<Q: Ord + ?Sized>(&self, member: &Q) -> bool
+    where
+        T: Borrow<Q>,
+    {
+        let was_in = self.members.write().unwrap().remove(member);
         if was_in {
             self.readmitted_total.fetch_add(1, Ordering::Relaxed);
         }
         was_in
     }
 
-    /// Is `host` currently quarantined?
-    pub fn contains(&self, host: &str) -> bool {
-        self.hosts.read().unwrap().contains(host)
-    }
-
     /// Snapshot of the current membership (sorted).
-    pub fn snapshot(&self) -> BTreeSet<String> {
-        self.hosts.read().unwrap().clone()
+    pub fn snapshot(&self) -> BTreeSet<T> {
+        self.members.read().unwrap().clone()
     }
 
-    /// Number of hosts currently quarantined.
+    /// Number of members currently quarantined.
     pub fn len(&self) -> usize {
-        self.hosts.read().unwrap().len()
+        self.members.read().unwrap().len()
     }
 
-    /// True when no host is quarantined.
+    /// True when nothing is quarantined.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -140,73 +150,41 @@ impl Quarantine {
     }
 }
 
-/// The set of *sites* currently unreachable as a whole — the
-/// federation-level analogue of [`Quarantine`] (DESIGN.md §12). A site
-/// enters when its last host stops answering (see
-/// `SiteFailover::on_host_down`) and is re-admitted when any host
-/// returns; while quarantined its views are excluded from scheduling and
-/// re-selection, and its checkpoint replicas count as unreachable.
-#[derive(Debug, Default)]
-pub struct SiteQuarantine {
-    sites: RwLock<BTreeSet<u16>>,
-    quarantined_total: AtomicU64,
-    readmitted_total: AtomicU64,
+impl Quarantine {
+    /// Record a host failure. Returns `true` if the host was newly
+    /// quarantined (false if already present).
+    pub fn quarantine(&self, host: &str) -> bool {
+        self.insert(host.to_string())
+    }
+
+    /// Record a host recovery. Returns `true` if the host was present
+    /// and has been re-admitted.
+    pub fn readmit(&self, host: &str) -> bool {
+        self.remove(host)
+    }
+
+    /// Is `host` currently quarantined?
+    pub fn contains(&self, host: &str) -> bool {
+        self.members.read().unwrap().contains(host)
+    }
 }
 
 impl SiteQuarantine {
-    /// Empty quarantine.
-    pub fn new() -> Self {
-        SiteQuarantine::default()
-    }
-
     /// Record a whole-site failure. Returns `true` if the site was newly
     /// quarantined.
     pub fn quarantine(&self, site: SiteId) -> bool {
-        let fresh = self.sites.write().unwrap().insert(site.0);
-        if fresh {
-            self.quarantined_total.fetch_add(1, Ordering::Relaxed);
-        }
-        fresh
+        self.insert(site.0)
     }
 
     /// Record a site rejoining. Returns `true` if the site was present
     /// and has been re-admitted.
     pub fn readmit(&self, site: SiteId) -> bool {
-        let was_in = self.sites.write().unwrap().remove(&site.0);
-        if was_in {
-            self.readmitted_total.fetch_add(1, Ordering::Relaxed);
-        }
-        was_in
+        self.remove(&site.0)
     }
 
     /// Is `site` currently quarantined?
     pub fn contains(&self, site: SiteId) -> bool {
-        self.sites.read().unwrap().contains(&site.0)
-    }
-
-    /// Snapshot of the current membership (sorted).
-    pub fn snapshot(&self) -> BTreeSet<u16> {
-        self.sites.read().unwrap().clone()
-    }
-
-    /// Number of sites currently quarantined.
-    pub fn len(&self) -> usize {
-        self.sites.read().unwrap().len()
-    }
-
-    /// True when no site is quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime count of site quarantine admissions.
-    pub fn quarantined_total(&self) -> u64 {
-        self.quarantined_total.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of site re-admissions.
-    pub fn readmitted_total(&self) -> u64 {
-        self.readmitted_total.load(Ordering::Relaxed)
+        self.members.read().unwrap().contains(&site.0)
     }
 }
 

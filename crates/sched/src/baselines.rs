@@ -26,7 +26,7 @@
 use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::arena::{HostArena, NO_HOST};
 use crate::host_selection::eligible;
-use crate::site_scheduler::SchedulingError;
+use crate::site_scheduler::SchedError;
 use crate::view::SiteView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,8 +115,8 @@ fn placement(afg: &Afg, task: TaskId, opt: &Option_<'_>) -> TaskPlacement {
     }
 }
 
-fn no_feasible(afg: &Afg, task: TaskId) -> SchedulingError {
-    SchedulingError::NoFeasibleSite { task, name: afg.task(task).name.clone() }
+fn no_feasible(afg: &Afg, task: TaskId) -> SchedError {
+    SchedError::NoFeasibleSite { task, name: afg.task(task).name.clone() }
 }
 
 /// Uniform-random feasible placement (seeded).
@@ -131,7 +131,7 @@ pub fn random_schedule(
     predictor: &Predictor,
     seed: u64,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut table = AllocationTable::new(afg.name.clone());
     let arena = host_arena(views);
@@ -154,7 +154,7 @@ pub fn round_robin_schedule(
     views: &[&SiteView],
     predictor: &Predictor,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     let mut table = AllocationTable::new(afg.name.clone());
     let mut cursor = 0usize;
     // Stable global host order: (view order, host name order).
@@ -211,7 +211,7 @@ pub fn local_only_schedule(
     local: &SiteView,
     predictor: &Predictor,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     let views = [local];
     let mut table = AllocationTable::new(afg.name.clone());
     let arena = host_arena(&views);
@@ -263,7 +263,7 @@ fn completion_time_schedule(
     predictor: &Predictor,
     pick_max: bool,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     // Options are placement-independent: enumerate them once up front
     // instead of re-predicting for every ready task on every round.
     let arena = host_arena(views);
@@ -341,7 +341,7 @@ pub fn min_min_schedule(
     net: &NetworkModel,
     predictor: &Predictor,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     completion_time_schedule(afg, views, net, predictor, false, cache)
 }
 
@@ -352,7 +352,7 @@ pub fn max_min_schedule(
     net: &NetworkModel,
     predictor: &Predictor,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     completion_time_schedule(afg, views, net, predictor, true, cache)
 }
 
@@ -365,7 +365,7 @@ pub fn heft_schedule(
     net: &NetworkModel,
     predictor: &Predictor,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     // Mean computation cost across all feasible hosts approximates the
     // host-independent cost HEFT ranks on; we reuse base times.
     let tasks_db = &views.first().ok_or_else(|| no_feasible(afg, TaskId(0)))?.tasks;
@@ -387,12 +387,12 @@ pub fn heft_schedule(
         |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0),
         |bytes| bytes as f64 * per_byte,
     )
-    .map_err(|_| SchedulingError::Cyclic)?;
+    .map_err(|_| SchedError::Cyclic)?;
 
     // Rank order (descending b-level) is a valid topological order for
     // positive costs; guard against zero-cost ties by stable re-sorting a
     // topological order.
-    let mut order = afg.topo_order().ok_or(SchedulingError::Cyclic)?;
+    let mut order = afg.topo_order().ok_or(SchedError::Cyclic)?;
     order.sort_by(|a, b| {
         ranks[b.index()].partial_cmp(&ranks[a.index()]).unwrap_or(std::cmp::Ordering::Equal)
     });
@@ -444,7 +444,7 @@ pub fn heft_insertion_schedule(
     net: &NetworkModel,
     predictor: &Predictor,
     cache: &PredictCache,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     let tasks_db = &views.first().ok_or_else(|| no_feasible(afg, TaskId(0)))?.tasks;
     let sites = net.site_count();
     let mut mean_rate = 0.0;
@@ -461,8 +461,8 @@ pub fn heft_insertion_schedule(
         |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0),
         |bytes| bytes as f64 * per_byte,
     )
-    .map_err(|_| SchedulingError::Cyclic)?;
-    let mut order = afg.topo_order().ok_or(SchedulingError::Cyclic)?;
+    .map_err(|_| SchedError::Cyclic)?;
+    let mut order = afg.topo_order().ok_or(SchedError::Cyclic)?;
     order.sort_by(|a, b| {
         ranks[b.index()].partial_cmp(&ranks[a.index()]).unwrap_or(std::cmp::Ordering::Equal)
     });

@@ -15,7 +15,7 @@
 use crate::allocation::AllocationTable;
 use crate::host_selection::HostSelectionOutput;
 use crate::site_scheduler::{
-    host_selection_for, schedule_with_outputs_data, SchedulerConfig, SchedulingError,
+    host_selection_for, schedule_with_outputs_data, SchedError, SchedulerConfig,
 };
 use crate::view::SiteView;
 use serde::{Deserialize, Serialize};
@@ -120,7 +120,7 @@ pub fn federated_schedule(
     net: &NetworkModel,
     config: &SchedulerConfig,
     reply_timeout: Duration,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     federated_schedule_reachable(
         afg,
         local,
@@ -149,7 +149,7 @@ pub fn federated_schedule_reachable(
     config: &SchedulerConfig,
     reply_timeout: Duration,
     reachable: impl Fn(SiteId) -> bool,
-) -> Result<AllocationTable, SchedulingError> {
+) -> Result<AllocationTable, SchedError> {
     let request_id = {
         // Unique-enough id per call: address of the afg + task count.
         (afg as *const Afg as u64).wrapping_mul(31).wrapping_add(afg.task_count() as u64)

@@ -27,7 +27,7 @@
 //! output; the site scheduler then tries other sites.
 
 use crate::view::SiteView;
-use serde::{Deserialize, JsonReader, JsonWriter, Serialize, Value};
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::Arc;
@@ -117,10 +117,6 @@ impl PartialEq for ChoiceTable {
 }
 
 impl Serialize for ChoiceTable {
-    fn to_value(&self) -> Value {
-        Value::Object(self.iter().map(|(t, c)| (t.0.to_string(), c.to_value())).collect())
-    }
-
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         let mut seq = w.begin_object();
         for (task, choice) in self.iter() {
@@ -133,14 +129,6 @@ impl Serialize for ChoiceTable {
 
 /// Keys may come in any order; a repeated key keeps its last value.
 impl Deserialize for ChoiceTable {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let mut slots = Vec::new();
-        for (key, choice) in serde::__expect_object(v, "ChoiceTable")? {
-            set_wire_slot(&mut slots, serde::__key_from_str(key)?, Arc::from_value(choice)?)?;
-        }
-        Ok(slots.into_iter().collect())
-    }
-
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
         let mut slots = Vec::new();
         let mut seq = r.begin_object("ChoiceTable")?;
@@ -654,15 +642,11 @@ mod tests {
                 r#""2":{"hosts":["h0"],"predicted_seconds":0.0019931568569324177}}}"#
             )
         );
-        // The tree form describes the same document.
-        assert_eq!(serde_json::to_string(&out.to_value()).unwrap(), json);
-
         // The trailing empty slot does not survive the trip; equality
         // does not see it.
         let back: HostSelectionOutput = serde_json::from_str(&json).unwrap();
         assert_eq!(back, out);
         assert_eq!(back.choices.iter().map(|(t, _)| t.0).collect::<Vec<_>>(), [0, 2]);
-        assert_eq!(HostSelectionOutput::from_value(&out.to_value()).unwrap(), out);
 
         let reply =
             crate::federation::SchedMessage::HostSelectionReply { request_id: 7, output: out };

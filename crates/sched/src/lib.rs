@@ -64,6 +64,6 @@ pub use service::{
 };
 pub use site_scheduler::{
     site_schedule, site_schedule_observed, site_schedule_with_data, validate_dataset_outputs,
-    SchedError, SchedulerConfig, SchedulingError, SpreadPolicy,
+    SchedError, SchedulerConfig, SpreadPolicy,
 };
 pub use view::SiteView;

@@ -182,10 +182,6 @@ pub enum SchedError {
     },
 }
 
-/// Pre-PR-10 name of [`SchedError`], kept as an alias so existing
-/// `SchedulingError::...` paths (including patterns) keep compiling.
-pub type SchedulingError = SchedError;
-
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -856,7 +852,7 @@ mod tests {
         let local = site_view(0, &[("h", 1.0)]);
         let net = NetworkModel::with_defaults(1);
         let err = site_schedule(&afg, &local, &[], &net, &cfg(0)).unwrap_err();
-        assert!(matches!(err, SchedulingError::NoFeasibleSite { task, .. } if task == t));
+        assert!(matches!(err, SchedError::NoFeasibleSite { task, .. } if task == t));
         assert!(err.to_string().contains("`s`"));
     }
 

@@ -139,9 +139,6 @@ pub struct RecoveryReport {
     pub faults: Vec<FaultOutcome>,
 }
 
-// Only referenced by the `serde(default = "one")` attribute above, which
-// the dead-code lint cannot see through.
-#[allow(dead_code)]
 fn one() -> f64 {
     1.0
 }
@@ -243,6 +240,24 @@ mod tests {
         assert!(geomean(&[]).is_none());
         assert!(geomean(&[0.0]).is_none());
         assert!(geomean(&[-1.0]).is_none());
+    }
+
+    /// A report written before checkpoints existed lost nothing a
+    /// checkpoint could have recovered: the absent fraction reads as the
+    /// `default = "one"` path says, the absent counters as `Default`.
+    #[test]
+    fn report_predating_checkpoints_reads_its_defaults() {
+        let old = r#"{"scenario":"s","seed":1,"baseline_makespan":2,"makespan":3,
+            "inflation":1.5,"migrations":0,"retries":0,"quarantined":0,"readmitted":0,
+            "quarantined_at_end":0,"tasks_completed":4,"tasks_failed":0,"faults":[]}"#;
+        let report: RecoveryReport = serde_json::from_str(old).unwrap();
+        assert_eq!(report.recovered_work_fraction, 1.0);
+        assert_eq!(report.checkpoints_taken, 0);
+        assert_eq!(report.checkpoint_overhead, 0.0);
+        assert!(report.resumed_progress.is_empty());
+        let given = old.replacen('{', r#"{"recovered_work_fraction":0.25,"#, 1);
+        let report: RecoveryReport = serde_json::from_str(&given).unwrap();
+        assert_eq!(report.recovered_work_fraction, 0.25);
     }
 
     /// `Table` moved to `vdce_obs`; the old path keeps working.

@@ -13,8 +13,8 @@
 //! `Value` tree.)
 //!
 //! *Malformed input*: whatever a torn or corrupted store hands the decoders
-//! — any strict prefix, any flipped byte, absurd nesting — they return a
-//! typed error and never panic.
+//! — any strict prefix, any flipped byte, a span written twice, absurd
+//! nesting — they return a typed error and never panic.
 
 use vdce_obs::Observer;
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState, DurableOptions};
@@ -305,6 +305,16 @@ fn flips(bytes: &[u8], n: usize, seed: u64) -> impl Iterator<Item = Vec<u8>> + '
     })
 }
 
+/// `bytes` with one span repeated in place, `n` times over.
+fn repeats(bytes: &[u8], n: usize, seed: u64) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let mut rng = seed;
+    (0..n).map(move |_| {
+        let at = next_rand(&mut rng) as usize % bytes.len();
+        let end = at + next_rand(&mut rng) as usize % (bytes.len() - at);
+        [&bytes[..end], &bytes[at..end], &bytes[end..]].concat()
+    })
+}
+
 #[test]
 fn damaged_snapshots_and_payloads_are_typed_errors() {
     let opts = sealed(&site_crash_ckpt_replica()).0;
@@ -316,14 +326,18 @@ fn damaged_snapshots_and_payloads_are_typed_errors() {
     for cut in 0..small.len() {
         assert!(ControlState::from_bytes(&small[..cut]).is_err(), "prefix of {cut} bytes");
     }
-    // Flips go to the newest snapshot, where checkpoints and the event log
-    // are populated too. A flipped byte may still parse (a digit for a
-    // digit); it must not panic.
+    // Flips and repeated spans go to the newest snapshot, where
+    // checkpoints and the event log are populated too. Either may still
+    // parse (a digit for a digit, a digit twice, a member twice); it must
+    // not panic.
     let snapshot = opts.journal.snapshots().pop().expect("a snapshot was installed").state;
     assert!(ControlState::from_bytes(&snapshot).is_ok());
     let refused =
         flips(&snapshot, 400, 0xf11b).filter(|d| ControlState::from_bytes(d).is_err()).count();
     assert!(refused > 100, "only {refused} of 400 flips were refused");
+    let refused =
+        repeats(&snapshot, 400, 0x5ba2).filter(|d| ControlState::from_bytes(d).is_err()).count();
+    assert!(refused > 100, "only {refused} of 400 repeated spans were refused");
 
     // One payload per tag: the longest, so every field shape is in it.
     let history = opts.journal.history();

@@ -2,14 +2,14 @@
 //! machinery. The `serde_derive` shim generates impls of these traits; the
 //! `serde_json` shim is the front door (`to_string`, `from_str`, …).
 //!
-//! Each trait has two halves. The streaming half is the path every typed
-//! value travels: `write_json` emits tokens straight into a
+//! Each trait has one method. `write_json` emits tokens straight into a
 //! [`JsonWriter`] text sink and `read_json` pulls them straight out of a
 //! [`JsonReader`], so no intermediate tree, key `String` or number `String`
-//! is built. The [`Value`] half (`to_value` / `from_value`) converts to and
-//! from the owned JSON data model for callers that want the tree itself
-//! (`json!`, hand-assembled artifacts). Both halves describe the same JSON:
-//! `shims/serde_json/tests/differential.rs` holds them to it.
+//! is built. [`Value`] is the owned JSON data model (`json!`,
+//! hand-assembled artifacts) and reads and writes itself like any other
+//! type; a typed value becomes a `Value` only through text
+//! (`serde_json::to_value` / `from_value`), so no type describes its JSON
+//! twice.
 
 mod reader;
 mod writer;
@@ -62,19 +62,6 @@ pub enum Number {
     I(i64),
     /// Float.
     F(f64),
-}
-
-impl From<u64> for Number {
-    fn from(u: u64) -> Self {
-        Number::U(u)
-    }
-}
-
-impl From<i64> for Number {
-    /// Non-negative values are `U` whatever the source type.
-    fn from(i: i64) -> Self {
-        u64::try_from(i).map_or(Number::I(i), Number::U)
-    }
 }
 
 impl Number {
@@ -145,117 +132,20 @@ impl std::error::Error for Error {}
 
 /// Types that can render themselves as JSON.
 pub trait Serialize {
-    /// Convert to the JSON data model.
-    fn to_value(&self) -> Value;
-
-    /// Stream as JSON text: the same document `to_value` describes.
+    /// Stream as JSON text.
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>);
 }
 
 /// Types reconstructible from JSON.
 pub trait Deserialize: Sized {
-    /// Parse from the JSON data model.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-
-    /// Parse the next value of the text: accepts what `from_value` accepts
-    /// of the parsed tree, with the same result.
+    /// Parse the next value of the text.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error>;
 }
 
-// ---------------------------------------------------------------------------
-// Helpers used by generated code (stable names, __ prefixed).
-// ---------------------------------------------------------------------------
-
-/// Expect an object, naming `ty` in the error.
-pub fn __expect_object<'a>(v: &'a Value, ty: &str) -> Result<&'a [(String, Value)], Error> {
-    match v {
-        Value::Object(o) => Ok(o),
-        other => Err(Error::msg(format!("expected object for {ty}, got {}", __kind(other)))),
-    }
-}
-
-/// Expect an array of exactly `len` elements.
-pub fn __expect_array<'a>(v: &'a Value, len: usize, ty: &str) -> Result<&'a [Value], Error> {
-    match v {
-        Value::Array(a) if a.len() == len => Ok(a),
-        Value::Array(a) => Err(Error::msg(format!(
-            "expected {len}-element array for {ty}, got {} elements",
-            a.len()
-        ))),
-        other => Err(Error::msg(format!("expected array for {ty}, got {}", __kind(other)))),
-    }
-}
-
-/// Look up and deserialise a struct field.
-pub fn __field<T: Deserialize>(obj: &[(String, Value)], name: &str, ty: &str) -> Result<T, Error> {
-    match obj.iter().find(|(k, _)| k == name) {
-        Some((_, v)) => {
-            T::from_value(v).map_err(|e| Error::msg(format!("field `{ty}.{name}`: {e}")))
-        }
-        None => Err(__missing_field(name, ty)),
-    }
-}
-
-/// The error for a struct field the input does not have.
+/// The error for a struct field the input does not have (generated code
+/// calls this; stable name, `__` prefixed).
 pub fn __missing_field(name: &str, ty: &str) -> Error {
     Error::msg(format!("missing field `{name}` of {ty}"))
-}
-
-/// Externally-tagged variant wrapper: `{"Variant": inner}`.
-pub fn __variant(tag: &str, inner: Value) -> Value {
-    Value::Object(vec![(tag.to_string(), inner)])
-}
-
-/// Unwrap an externally-tagged variant object into `(tag, inner)`.
-pub fn __expect_variant<'a>(v: &'a Value, ty: &str) -> Result<(&'a str, &'a Value), Error> {
-    match v {
-        Value::Object(o) if o.len() == 1 => Ok((o[0].0.as_str(), &o[0].1)),
-        other => Err(Error::msg(format!(
-            "expected single-key variant object for {ty}, got {}",
-            __kind(other)
-        ))),
-    }
-}
-
-/// Human-readable kind of a value (for error messages).
-pub fn __kind(v: &Value) -> &'static str {
-    match v {
-        Value::Null => "null",
-        Value::Bool(_) => "bool",
-        Value::Number(_) => "number",
-        Value::String(_) => "string",
-        Value::Array(_) => "array",
-        Value::Object(_) => "object",
-    }
-}
-
-/// Render a map key: strings pass through, numbers stringify (matching
-/// serde_json's integer-keyed-map behaviour).
-pub fn __key_to_string(v: Value) -> String {
-    match v {
-        Value::String(s) => s,
-        Value::Number(Number::U(u)) => u.to_string(),
-        Value::Number(Number::I(i)) => i.to_string(),
-        Value::Number(Number::F(f)) => format!("{f}"),
-        Value::Bool(b) => b.to_string(),
-        other => panic!("map key must serialise to a string or number, got {}", __kind(&other)),
-    }
-}
-
-/// Reverse of [`__key_to_string`]: the key as a string, else as the number
-/// it spells (`u64`, else `i64`, else `f64`), else as a bool — what a typed
-/// key's `read_json` finds by asking for the one it wants.
-pub fn __key_from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let readings = [
-        Some(Value::String(s.to_string())),
-        Number::from_key(s).map(Value::Number),
-        s.parse::<bool>().ok().map(Value::Bool),
-    ];
-    readings
-        .iter()
-        .flatten()
-        .find_map(|v| T::from_value(v).ok())
-        .ok_or_else(|| Error::msg(format!("cannot deserialise map key from `{s}`")))
 }
 
 // ---------------------------------------------------------------------------
@@ -265,38 +155,19 @@ pub fn __key_from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 macro_rules! impl_ser_integer {
     ($as:ident, $write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::from(*self as $wide))
-            }
             fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
                 w.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Number(n) => Self::read_json_number(*n),
-                    other => Err(Error::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {}"), __kind(other)))),
-                }
-            }
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
-                Self::read_json_number(r.read_number(stringify!($t))?)
-            }
-        }
-        impl FromNumber for $t {
-            fn read_json_number(n: Number) -> Result<Self, Error> {
-                n.$as()
+                r.read_number(stringify!($t))?
+                    .$as()
                     .and_then(|x| <$t>::try_from(x).ok())
                     .ok_or_else(|| Error::msg(concat!("number out of range for ", stringify!($t))))
             }
         }
     )*};
-}
-
-/// The `Number` → numeric type step both halves of `Deserialize` share.
-trait FromNumber: Sized {
-    fn read_json_number(n: Number) -> Result<Self, Error>;
 }
 
 impl_ser_integer!(as_u64, u64 as u64: u8, u16, u32, u64, usize);
@@ -305,17 +176,9 @@ impl_ser_integer!(as_i64, i64 as i64: i8, i16, i32, i64, isize);
 macro_rules! impl_ser_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Number(Number::F(*self as f64)) }
             fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) { w.f64(*self as f64); }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Number(n) => Ok(n.as_f64() as $t),
-                    other => Err(Error::msg(format!(
-                        concat!("expected ", stringify!($t), ", got {}"), __kind(other)))),
-                }
-            }
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
                 Ok(r.read_number(stringify!($t))?.as_f64() as $t)
             }
@@ -326,60 +189,36 @@ macro_rules! impl_ser_float {
 impl_ser_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         w.bool(*self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::msg(format!("expected bool, got {}", __kind(other)))),
-        }
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         r.read_bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         w.str(self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::msg(format!("expected string, got {}", __kind(other)))),
-        }
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         r.read_str("string").map(Cow::into_owned)
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         w.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         w.str(self.encode_utf8(&mut [0; 4]));
     }
@@ -391,13 +230,6 @@ fn single_char(s: &str) -> Option<char> {
 }
 
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => single_char(s),
-            _ => None,
-        }
-        .ok_or_else(|| Error::msg(format!("expected single-char string, got {}", __kind(v))))
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         single_char(&r.read_str("single-char string")?)
             .ok_or_else(|| Error::msg("expected single-char string, got string"))
@@ -408,9 +240,6 @@ impl Deserialize for char {
 macro_rules! impl_ser_deref {
     ($($ptr:ty),*) => {$(
         impl<T: Serialize + ?Sized> Serialize for $ptr {
-            fn to_value(&self) -> Value {
-                (**self).to_value()
-            }
             fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
                 (**self).write_json(w);
             }
@@ -421,12 +250,6 @@ macro_rules! impl_ser_deref {
 impl_ser_deref!(&T, Box<T>, Arc<T>);
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
-        }
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         match self {
             Some(t) => t.write_json(w),
@@ -436,12 +259,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         if r.eat_null() {
             Ok(None)
@@ -449,10 +266,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
             T::read_json(r).map(Some)
         }
     }
-}
-
-fn array_to_value<'a, T: Serialize + 'a>(items: impl Iterator<Item = &'a T>) -> Value {
-    Value::Array(items.map(Serialize::to_value).collect())
 }
 
 fn write_array<'a, T: Serialize + 'a, W: Write>(
@@ -465,13 +278,6 @@ fn write_array<'a, T: Serialize + 'a, W: Write>(
         item.write_json(w);
     }
     w.end_array(seq);
-}
-
-fn array_from_value<T: Deserialize, C: FromIterator<T>>(v: &Value) -> Result<C, Error> {
-    match v {
-        Value::Array(a) => a.iter().map(T::from_value).collect(),
-        other => Err(Error::msg(format!("expected array, got {}", __kind(other)))),
-    }
 }
 
 fn read_array<T: Deserialize, C: Default + Extend<T>>(r: &mut JsonReader<'_>) -> Result<C, Error> {
@@ -487,17 +293,11 @@ fn read_array<T: Deserialize, C: Default + Extend<T>>(r: &mut JsonReader<'_>) ->
 macro_rules! impl_ser_seq {
     ($($c:ident: $($bound:ident),*;)*) => {$(
         impl<T: Serialize $(+ $bound)*> Serialize for $c<T> {
-            fn to_value(&self) -> Value {
-                array_to_value(self.iter())
-            }
             fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
                 write_array(self.iter(), w);
             }
         }
         impl<T: Deserialize $(+ $bound)*> Deserialize for $c<T> {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                array_from_value(v)
-            }
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
                 read_array(r)
             }
@@ -512,9 +312,6 @@ impl_ser_seq! {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        array_to_value(self.iter())
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         write_array(self.iter(), w);
     }
@@ -528,18 +325,12 @@ fn sorted<T: Ord>(set: &HashSet<T>) -> Vec<&T> {
 }
 
 impl<T: Serialize + Ord + Hash> Serialize for HashSet<T> {
-    fn to_value(&self) -> Value {
-        array_to_value(sorted(self).into_iter())
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         write_array(sorted(self).into_iter(), w);
     }
 }
 
 impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        array_from_value(v)
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         read_array(r)
     }
@@ -557,17 +348,6 @@ fn write_map<'a, K: Serialize + 'a, V: Serialize + 'a, W: Write>(
     w.end_object(seq);
 }
 
-fn map_from_value<K: Deserialize, V: Deserialize, C: FromIterator<(K, V)>>(
-    v: &Value,
-) -> Result<C, Error> {
-    match v {
-        Value::Object(o) => {
-            o.iter().map(|(k, v)| Ok((__key_from_str::<K>(k)?, V::from_value(v)?))).collect()
-        }
-        other => Err(Error::msg(format!("expected object, got {}", __kind(other)))),
-    }
-}
-
 /// Later duplicates of a key overwrite earlier ones, as `collect` does.
 fn read_map<K: Deserialize, V: Deserialize, C: Default + Extend<(K, V)>>(
     r: &mut JsonReader<'_>,
@@ -581,88 +361,56 @@ fn read_map<K: Deserialize, V: Deserialize, C: Default + Extend<(K, V)>>(
 }
 
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter().map(|(k, v)| (__key_to_string(k.to_value()), v.to_value())).collect(),
-        )
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         write_map(self.iter(), w);
     }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_from_value(v)
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         read_map(r)
     }
 }
 
-/// A hash map's entries ordered by rendered key (serde_json would use
-/// iteration order; sorted is strictly more stable).
+/// A hash map's entries ordered by the text each key spells (serde_json
+/// would use iteration order; sorted is strictly more stable).
 fn sorted_by_key_text<K: Serialize, V>(map: &HashMap<K, V>) -> Vec<(String, &K, &V)> {
-    let mut entries: Vec<_> =
-        map.iter().map(|(k, v)| (__key_to_string(k.to_value()), k, v)).collect();
+    let mut entries: Vec<_> = map.iter().map(|(k, v)| (writer::key_text(k), k, v)).collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
     entries
 }
 
 impl<K: Serialize + Ord + Hash, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            sorted_by_key_text(self).into_iter().map(|(text, _, v)| (text, v.to_value())).collect(),
-        )
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         write_map(sorted_by_key_text(self).into_iter().map(|(_, k, v)| (k, v)), w);
     }
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        map_from_value(v)
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         read_map(r)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         T::read_json(r).map(Box::new)
     }
 }
 
 impl<T: Deserialize> Deserialize for Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Arc::new)
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         T::read_json(r).map(Arc::new)
     }
 }
 
 impl Deserialize for Arc<str> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(Arc::from(s.as_str())),
-            other => Err(Error::msg(format!("expected string, got {}", __kind(other)))),
-        }
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         r.read_str("string").map(|s| Arc::from(&*s))
     }
 }
 
 impl<T: Deserialize> Deserialize for Arc<[T]> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(Vec::<T>::from_value(v)?.into())
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         Ok(Vec::<T>::read_json(r)?.into())
     }
@@ -671,9 +419,6 @@ impl<T: Deserialize> Deserialize for Arc<[T]> {
 macro_rules! impl_ser_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
             fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
                 let mut seq = w.begin_array();
                 $(w.elem(&mut seq); self.$n.write_json(w);)+
@@ -681,11 +426,6 @@ macro_rules! impl_ser_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
-                let a = __expect_array(v, LEN, "tuple")?;
-                Ok(($($t::from_value(&a[$n])?,)+))
-            }
             fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
                 const LEN: usize = 0 $(+ { let _ = $n; 1 })+;
                 let mut seq = r.begin_array("array for tuple")?;
@@ -750,9 +490,6 @@ impl std::ops::Index<usize> for Value {
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         match self {
             Value::Null => w.null(),
@@ -775,9 +512,6 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         Ok(match r.kind()? {
             "null" => {
@@ -801,21 +535,12 @@ impl Deserialize for Value {
 }
 
 impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         w.null();
     }
 }
 
 impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(Error::msg(format!("expected null, got {}", __kind(other)))),
-        }
-    }
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, Error> {
         r.read_null()
     }

@@ -2,9 +2,9 @@
 //!
 //! Generated and std `Deserialize::read_json` impls ask for the token they
 //! expect; strings and object keys come back borrowed from the input unless
-//! they contain escapes. The grammar is exactly the one `Value` parses with
-//! (it is the same code), so a typed read accepts a document if and only if
-//! parsing it to a `Value` and converting with `from_value` would.
+//! they contain escapes. `Value` reads itself through the same methods, so
+//! there is one grammar: a typed read accepts a document if and only if
+//! reading it as a `Value` and that `Value`'s text as the type would.
 
 use crate::{Error, Number, Seq};
 use std::borrow::Cow;
@@ -178,13 +178,19 @@ impl<'a> JsonReader<'a> {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Number::U(u));
             }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Number::I(i));
+            // `-0` stays a float: as an integer it would lose its sign.
+            match text.parse::<i64>() {
+                Ok(i) if i != 0 => return Ok(Number::I(i)),
+                _ => {}
             }
         }
-        text.parse::<f64>()
-            .map(Number::F)
-            .map_err(|_| Error::msg(format!("invalid number `{text}`")))
+        // Digits too many for an `f64` parse to infinity, which no writer
+        // could spell back.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Number::F(f)),
+            Ok(_) => Err(Error::msg(format!("number `{text}` out of range"))),
+            Err(_) => Err(Error::msg(format!("invalid number `{text}`"))),
+        }
     }
 
     fn skip_digits(&mut self) {

@@ -250,6 +250,18 @@ impl<W: Write> JsonWriter<W> {
     }
 }
 
+/// The text `key` spells as a map key — a string's content, a number's or
+/// bool's digits — rendered by the writer's key mode and unescaped by the
+/// reader: what a hash map's entries are ordered by.
+pub(crate) fn key_text<K: crate::Serialize + ?Sized>(key: &K) -> String {
+    let mut w = JsonWriter::new(Vec::new(), None);
+    w.key = true;
+    key.write_json(&mut w);
+    let quoted = String::from_utf8(w.out).expect("the writer emits UTF-8");
+    let text = crate::JsonReader::new(&quoted).read_str("map key");
+    text.expect("a key-mode scalar is one JSON string").into_owned()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,9 +292,6 @@ mod tests {
         impl Serialize for Raw {
             fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
                 w.raw_json(b"\"k\"");
-            }
-            fn to_value(&self) -> crate::Value {
-                crate::Value::Null
             }
         }
         let mut w = JsonWriter::new(Vec::new(), None);

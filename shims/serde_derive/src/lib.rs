@@ -3,7 +3,8 @@
 //! shapes this workspace actually derives on:
 //!
 //! - named structs (with `#[serde(skip)]` / `#[serde(default)]` /
-//!   `#[serde(skip_serializing_if = "path")]` fields)
+//!   `#[serde(default = "path")]` / `#[serde(skip_serializing_if = "path")]`
+//!   fields)
 //! - tuple structs (newtypes delegate to the inner value, like serde)
 //! - unit structs
 //! - `#[serde(transparent)]`
@@ -13,19 +14,29 @@
 //! Generics are intentionally unsupported (the workspace derives on
 //! concrete types only); a `compile_error!` fires if one slips in.
 //!
-//! Every shape is generated twice, once per half of the serde shim's
-//! traits: the streaming half (`write_json` / `read_json`, tokens straight
-//! to and from text) and the `Value` half (`to_value` / `from_value`). The
-//! two must describe the same JSON; `shims/serde_json/tests/differential.rs`
-//! checks every shape.
+//! Each derive emits one method: `write_json` (tokens straight into a
+//! `JsonWriter`) or `read_json` (straight out of a `JsonReader`).
+//! `shims/serde_json/tests/differential.rs` checks every shape.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[derive(Default, Clone)]
+/// What a field becomes when the input does not have its key.
+#[derive(Default)]
+enum Missing {
+    /// A missing-field error.
+    #[default]
+    Error,
+    /// `Default::default()`, from `#[serde(default)]`.
+    Default,
+    /// The result of calling the path in `#[serde(default = "path")]`.
+    Call(String),
+}
+
+#[derive(Default)]
 struct Attrs {
     transparent: bool,
     skip: bool,
-    default: bool,
+    missing: Missing,
     /// Predicate path from `skip_serializing_if = "path"`, called with a
     /// reference to the field exactly like real serde.
     skip_ser_if: Option<String>,
@@ -34,7 +45,7 @@ struct Attrs {
 struct Field {
     name: String,
     skip: bool,
-    default: bool,
+    missing: Missing,
     skip_ser_if: Option<String>,
 }
 
@@ -104,28 +115,26 @@ impl Cursor {
             }
             if let Some(TokenTree::Group(args)) = inner.get(1) {
                 let toks: Vec<TokenTree> = args.stream().into_iter().collect();
-                let mut i = 0usize;
-                while i < toks.len() {
-                    if let TokenTree::Ident(w) = &toks[i] {
+                for (i, tok) in toks.iter().enumerate() {
+                    // The path in `word = "path"`, if that is how `word` is
+                    // followed (the literal itself matches no arm below).
+                    let path = match (toks.get(i + 1), toks.get(i + 2)) {
+                        (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit)))
+                            if eq.as_char() == '=' =>
+                        {
+                            Some(lit.to_string().trim_matches('"').to_string())
+                        }
+                        _ => None,
+                    };
+                    if let TokenTree::Ident(w) = tok {
                         match w.to_string().as_str() {
                             "transparent" => a.transparent = true,
                             "skip" | "skip_serializing" | "skip_deserializing" => a.skip = true,
-                            "default" => a.default = true,
-                            "skip_serializing_if" => {
-                                if let (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit))) =
-                                    (toks.get(i + 1), toks.get(i + 2))
-                                {
-                                    if eq.as_char() == '=' {
-                                        let s = lit.to_string();
-                                        a.skip_ser_if = Some(s.trim_matches('"').to_string());
-                                        i += 2;
-                                    }
-                                }
-                            }
+                            "default" => a.missing = path.map_or(Missing::Default, Missing::Call),
+                            "skip_serializing_if" => a.skip_ser_if = path,
                             _ => {}
                         }
                     }
-                    i += 1;
                 }
             }
         }
@@ -226,7 +235,7 @@ fn parse_named_fields(ts: TokenStream) -> Result<Vec<Field>, String> {
         out.push(Field {
             name: fname.to_string(),
             skip: a.skip,
-            default: a.default,
+            missing: a.missing,
             skip_ser_if: a.skip_ser_if,
         });
     }
@@ -299,18 +308,6 @@ fn compile_err(msg: &str) -> TokenStream {
 // Serialize
 // ---------------------------------------------------------------------------
 
-/// Generated code for one shape, once per half of the trait.
-///
-/// Serialising: `value` is an expression building the `Value`, `stream` is
-/// statements writing the same JSON into `__w`. Deserialising: each is a
-/// block evaluating to the finished value (leaving by `?` / `return Err`
-/// on bad input), read from a `&Value` the caller names and from the
-/// reader `__r`.
-struct Halves {
-    value: String,
-    stream: String,
-}
-
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let input = match parse_input(input) {
@@ -319,8 +316,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     let name = &input.name;
     let body = match &input.kind {
-        Kind::UnitStruct => ser_null(),
-        Kind::TupleStruct { arity: 0 } => ser_null(),
+        Kind::UnitStruct | Kind::TupleStruct { arity: 0 } => "__w.null();".to_string(),
         Kind::TupleStruct { arity } => {
             ser_tuple(&(0..*arity).map(|i| format!("&self.{i}")).collect::<Vec<_>>())
         }
@@ -333,15 +329,12 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
             }
         }
         Kind::Enum { variants } => {
-            let (mut value_arms, mut stream_arms) = (String::new(), String::new());
+            let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
                 let (pattern, payload) = match &v.kind {
                     VariantKind::Unit => {
-                        value_arms.push_str(&format!(
-                            "{name}::{vn} => ::serde::Value::String(::std::string::String::from({vn:?})),\n"
-                        ));
-                        stream_arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
+                        arms.push_str(&format!("{name}::{vn} => __w.str({vn:?}),\n"));
                         continue;
                     }
                     VariantKind::Tuple(n) => {
@@ -357,93 +350,55 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                             .filter(|f| f.skip)
                             .map(|f| format!("let _ = __b_{};\n", f.name))
                             .collect();
-                        let Halves { value, stream } =
-                            ser_named(fields, |f| format!("__b_{}", f.name));
-                        (
-                            format!("{{ {} }}", binds.join(", ")),
-                            Halves {
-                                value: format!("{{ {ignore}{value} }}"),
-                                stream: format!("{ignore}{stream}"),
-                            },
-                        )
+                        let write = ser_named(fields, |f| format!("__b_{}", f.name));
+                        (format!("{{ {} }}", binds.join(", ")), format!("{ignore}{write}"))
                     }
                 };
-                value_arms.push_str(&format!(
-                    "{name}::{vn}{pattern} => ::serde::__variant({vn:?}, {}),\n",
-                    payload.value
-                ));
-                stream_arms.push_str(&format!(
+                arms.push_str(&format!(
                     "{name}::{vn}{pattern} => {{ let __t = __w.begin_variant({vn:?});\n\
-                     {}\n__w.end_object(__t); }}\n",
-                    payload.stream
+                     {payload}\n__w.end_object(__t); }}\n"
                 ));
             }
-            Halves {
-                value: format!("match self {{\n{value_arms}}}"),
-                stream: format!("match self {{\n{stream_arms}}}"),
-            }
+            format!("match self {{\n{arms}}}")
         }
     };
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn to_value(&self) -> ::serde::Value {{\n{}\n}}\n\
-         fn write_json<__W: ::std::io::Write>(&self, __w: &mut ::serde::JsonWriter<__W>) {{\n{}\n}}\n\
-         }}\n",
-        body.value, body.stream
+         fn write_json<__W: ::std::io::Write>(&self, __w: &mut ::serde::JsonWriter<__W>) {{\n{body}\n}}\n\
+         }}\n"
     );
     out.parse().unwrap_or_else(|_| compile_err("serde shim: generated Serialize failed to parse"))
 }
 
-fn ser_null() -> Halves {
-    Halves { value: "::serde::Value::Null".to_string(), stream: "__w.null();".to_string() }
-}
-
-/// Positional fields, each given as an expression for a reference to it:
-/// one delegates to it (newtype, like serde), otherwise an array.
-fn ser_tuple(refs: &[String]) -> Halves {
+/// Statements writing positional fields, each given as an expression for a
+/// reference to it: one delegates to it (newtype, like serde), otherwise
+/// an array.
+fn ser_tuple(refs: &[String]) -> String {
     if let [only] = refs {
-        return Halves {
-            value: format!("::serde::Serialize::to_value({only})"),
-            stream: format!("::serde::Serialize::write_json({only}, __w);"),
-        };
+        return format!("::serde::Serialize::write_json({only}, __w);");
     }
-    let values: Vec<String> =
-        refs.iter().map(|r| format!("::serde::Serialize::to_value({r})")).collect();
     let writes: String = refs
         .iter()
         .map(|r| format!("__w.elem(&mut __a); ::serde::Serialize::write_json({r}, __w);\n"))
         .collect();
-    Halves {
-        value: format!("::serde::Value::Array(vec![{}])", values.join(", ")),
-        stream: format!("let mut __a = __w.begin_array();\n{writes}__w.end_array(__a);"),
-    }
+    format!("let mut __a = __w.begin_array();\n{writes}__w.end_array(__a);")
 }
 
-/// Named fields as an object in declaration order; `access` gives the
-/// expression for a reference to a field.
-fn ser_named(fields: &[Field], access: impl Fn(&Field) -> String) -> Halves {
-    let mut value = String::from(
-        "{ let mut __o: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-         ::std::vec::Vec::new();\n",
-    );
-    let mut stream = String::from("let mut __s = __w.begin_object();\n");
+/// Statements writing named fields as an object in declaration order;
+/// `access` gives the expression for a reference to a field.
+fn ser_named(fields: &[Field], access: impl Fn(&Field) -> String) -> String {
+    let mut out = String::from("let mut __s = __w.begin_object();\n");
     for f in fields.iter().filter(|f| !f.skip) {
         let (n, r) = (&f.name, access(f));
-        let mut push = format!(
-            "__o.push((::std::string::String::from({n:?}), ::serde::Serialize::to_value({r})));\n"
-        );
-        let mut write =
+        let write =
             format!("__w.field(&mut __s, {n:?}); ::serde::Serialize::write_json({r}, __w);\n");
-        if let Some(pred) = &f.skip_ser_if {
-            push = format!("if !{pred}({r}) {{ {push} }}\n");
-            write = format!("if !{pred}({r}) {{ {write} }}\n");
+        match &f.skip_ser_if {
+            Some(pred) => out.push_str(&format!("if !{pred}({r}) {{ {write} }}\n")),
+            None => out.push_str(&write),
         }
-        value.push_str(&push);
-        stream.push_str(&write);
     }
-    value.push_str("::serde::Value::Object(__o) }");
-    stream.push_str("__w.end_object(__s);");
-    Halves { value, stream }
+    out.push_str("__w.end_object(__s);");
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -458,38 +413,26 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     };
     let name = &input.name;
     let body = match &input.kind {
-        Kind::UnitStruct => de_tuple(name, name, 0, "__v"),
-        Kind::TupleStruct { arity: 0 } => de_tuple(&format!("{name}()"), name, 0, "__v"),
-        Kind::TupleStruct { arity } => de_tuple(name, name, *arity, "__v"),
+        Kind::UnitStruct => de_tuple(name, 0),
+        Kind::TupleStruct { arity: 0 } => de_tuple(&format!("{name}()"), 0),
+        Kind::TupleStruct { arity } => de_tuple(name, *arity),
         Kind::NamedStruct { fields, transparent } => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
             if *transparent && live.len() == 1 {
-                let inits = |read: &str| -> String {
-                    fields
-                        .iter()
-                        .map(|f| match f.skip {
-                            true => format!("{}: ::std::default::Default::default(),\n", f.name),
-                            false => format!("{}: {read}?,\n", f.name),
-                        })
-                        .collect()
-                };
-                Halves {
-                    value: format!(
-                        "{name} {{\n{}}}",
-                        inits("::serde::Deserialize::from_value(__v)")
-                    ),
-                    stream: format!(
-                        "{name} {{\n{}}}",
-                        inits("::serde::Deserialize::read_json(__r)")
-                    ),
-                }
+                let inits: String = fields
+                    .iter()
+                    .map(|f| match f.skip {
+                        true => format!("{}: ::std::default::Default::default(),\n", f.name),
+                        false => format!("{}: ::serde::Deserialize::read_json(__r)?,\n", f.name),
+                    })
+                    .collect();
+                format!("{name} {{\n{inits}}}")
             } else {
-                de_named(name, name, fields, "__v")
+                de_named(name, fields)
             }
         }
         Kind::Enum { variants } => {
-            let mut unit_arms = String::new();
-            let (mut value_arms, mut stream_arms) = (String::new(), String::new());
+            let (mut unit_arms, mut data_arms) = (String::new(), String::new());
             for v in variants {
                 let vn = &v.name;
                 let ctor = format!("{name}::{vn}");
@@ -498,151 +441,99 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                         unit_arms.push_str(&format!("{vn:?} => return Ok({ctor}),\n"));
                         continue;
                     }
-                    VariantKind::Tuple(0) => de_tuple(&format!("{ctor}()"), &ctor, 0, "__inner"),
-                    VariantKind::Tuple(n) => de_tuple(&ctor, &ctor, *n, "__inner"),
-                    VariantKind::Named(fields) => de_named(&ctor, &ctor, fields, "__inner"),
+                    VariantKind::Tuple(0) => de_tuple(&format!("{ctor}()"), 0),
+                    VariantKind::Tuple(n) => de_tuple(&ctor, *n),
+                    VariantKind::Named(fields) => de_named(&ctor, fields),
                 };
-                value_arms.push_str(&format!("{vn:?} => {},\n", body.value));
-                stream_arms.push_str(&format!("{vn:?} => {},\n", body.stream));
+                data_arms.push_str(&format!("{vn:?} => {body},\n"));
             }
             let unknown = format!(
                 "__other => return Err(::serde::Error::msg(format!(\
                  \"unknown variant `{{}}` of {name}\", __other))),\n"
             );
-            let (value_data, stream_data) = if value_arms.is_empty() {
+            let data = if data_arms.is_empty() {
                 // `Err(..)?` rather than `return Err(..)`: the block still
                 // has the value's type, so `Ok(block)` is not dead code.
-                (
-                    format!(
-                        "Err(::serde::Error::msg(format!(\
-                         \"unknown variant for {name}: {{:?}}\", __v)))?"
-                    ),
-                    format!("Err(__r.mismatch(\"variant of {name}\"))?"),
-                )
+                format!("Err(__r.mismatch(\"variant of {name}\"))?")
             } else {
-                (
-                    format!(
-                        "let (__tag, __inner) = ::serde::__expect_variant(__v, {name:?})?;\n\
-                         match __tag {{\n{value_arms}{unknown}}}"
-                    ),
-                    format!(
-                        "let __tag = __r.begin_variant({name:?})?;\n\
-                         let __out = match &*__tag {{\n{stream_arms}{unknown}}};\n\
-                         __r.end_variant({name:?})?;\n__out"
-                    ),
+                format!(
+                    "let __tag = __r.begin_variant({name:?})?;\n\
+                     let __out = match &*__tag {{\n{data_arms}{unknown}}};\n\
+                     __r.end_variant({name:?})?;\n__out"
                 )
             };
-            Halves {
-                value: format!(
-                    "{{ if let ::serde::Value::String(__s) = __v {{\n\
-                     match __s.as_str() {{\n{unit_arms}_ => {{}}\n}}\n}}\n{value_data} }}"
-                ),
-                stream: format!(
-                    "{{ if __r.at_string() {{\n\
-                     match &*__r.read_str(\"string\")? {{\n{unit_arms}{unknown}}}\n}}\n{stream_data} }}"
-                ),
-            }
+            format!(
+                "{{ if __r.at_string() {{\n\
+                 match &*__r.read_str(\"string\")? {{\n{unit_arms}{unknown}}}\n}}\n{data} }}"
+            )
         }
     };
     let out = format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         Ok({})\n}}\n\
          fn read_json(__r: &mut ::serde::JsonReader<'_>) \
          -> ::std::result::Result<Self, ::serde::Error> {{\n\
-         Ok({})\n}}\n\
-         }}\n",
-        body.value, body.stream
+         Ok({body})\n}}\n\
+         }}\n"
     );
     out.parse().unwrap_or_else(|_| compile_err("serde shim: generated Deserialize failed to parse"))
 }
 
-/// Positional fields into `ctor` (for arity 0, the finished value, which
-/// any JSON value satisfies). `label` names the type in errors; `src` is
-/// the `&Value` the tree half reads.
-fn de_tuple(ctor: &str, label: &str, arity: usize, src: &str) -> Halves {
+/// A block reading positional fields into `ctor` (for arity 0, the
+/// finished value, which any JSON value satisfies) and evaluating to it,
+/// leaving by `?` on bad input. Errors name the type by `ctor`.
+fn de_tuple(ctor: &str, arity: usize) -> String {
     match arity {
-        0 => Halves {
-            value: format!("{{ let _ = {src}; {ctor} }}"),
-            stream: format!("{{ __r.skip_value()?; {ctor} }}"),
-        },
-        1 => Halves {
-            value: format!("{ctor}(::serde::Deserialize::from_value({src})?)"),
-            stream: format!("{ctor}(::serde::Deserialize::read_json(__r)?)"),
-        },
+        0 => format!("{{ __r.skip_value()?; {ctor} }}"),
+        1 => format!("{ctor}(::serde::Deserialize::read_json(__r)?)"),
         n => {
-            let values: Vec<String> =
-                (0..n).map(|i| format!("::serde::Deserialize::from_value(&__a[{i}])?")).collect();
             let reads: Vec<String> = (0..n)
                 .map(|_| {
                     format!(
-                        "{{ __r.tuple_elem(&mut __a, {n}, {label:?})?; \
+                        "{{ __r.tuple_elem(&mut __a, {n}, {ctor:?})?; \
                          ::serde::Deserialize::read_json(__r)? }}"
                     )
                 })
                 .collect();
-            Halves {
-                value: format!(
-                    "{{ let __a = ::serde::__expect_array({src}, {n}, {label:?})?;\n\
-                     {ctor}({}) }}",
-                    values.join(", ")
-                ),
-                stream: format!(
-                    "{{ let mut __a = __r.begin_array(\"array for {label}\")?;\n\
-                     let __out = {ctor}({});\n\
-                     __r.end_tuple(&mut __a, {n}, {label:?})?;\n__out }}",
-                    reads.join(", ")
-                ),
-            }
+            format!(
+                "{{ let mut __a = __r.begin_array(\"array for {ctor}\")?;\n\
+                 let __out = {ctor}({});\n\
+                 __r.end_tuple(&mut __a, {n}, {ctor:?})?;\n__out }}",
+                reads.join(", ")
+            )
         }
     }
 }
 
-/// Named fields into `ctor`: unknown keys are skipped and the first of a
-/// duplicated key wins.
-fn de_named(ctor: &str, label: &str, fields: &[Field], src: &str) -> Halves {
-    let (mut value_inits, mut stream_inits) = (String::new(), String::new());
-    let (mut slots, mut arms) = (String::new(), String::new());
+/// A block reading named fields into `ctor`: unknown keys are skipped and
+/// the first of a duplicated key wins. Errors name the type by `ctor`.
+fn de_named(ctor: &str, fields: &[Field]) -> String {
+    let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
     for f in fields {
         let n = &f.name;
         if f.skip {
-            let init = format!("{n}: ::std::default::Default::default(),\n");
-            value_inits.push_str(&init);
-            stream_inits.push_str(&init);
+            inits.push_str(&format!("{n}: ::std::default::Default::default(),\n"));
             continue;
         }
         slots.push_str(&format!("let mut __f_{n} = ::std::option::Option::None;\n"));
         arms.push_str(&format!(
             "{n:?} if __f_{n}.is_none() => __f_{n} = \
-             ::std::option::Option::Some(__r.field({label:?}, {n:?})?),\n"
+             ::std::option::Option::Some(__r.field({ctor:?}, {n:?})?),\n"
         ));
-        if f.default {
-            value_inits.push_str(&format!(
-                "{n}: match __o.iter().find(|(__k, _)| __k == {n:?}) {{\n\
-                 Some((_, __fv)) => ::serde::Deserialize::from_value(__fv)?,\n\
-                 None => ::std::default::Default::default(),\n}},\n"
-            ));
-            stream_inits.push_str(&format!("{n}: __f_{n}.unwrap_or_default(),\n"));
-        } else {
-            value_inits.push_str(&format!("{n}: ::serde::__field(__o, {n:?}, {label:?})?,\n"));
-            stream_inits.push_str(&format!(
+        inits.push_str(&match &f.missing {
+            Missing::Default => format!("{n}: __f_{n}.unwrap_or_default(),\n"),
+            Missing::Call(path) => format!("{n}: __f_{n}.unwrap_or_else({path}),\n"),
+            Missing::Error => format!(
                 "{n}: match __f_{n} {{\n\
                  ::std::option::Option::Some(__fv) => __fv,\n\
                  ::std::option::Option::None => \
-                 return Err(::serde::__missing_field({n:?}, {label:?})),\n}},\n"
-            ));
-        }
+                 return Err(::serde::__missing_field({n:?}, {ctor:?})),\n}},\n"
+            ),
+        });
     }
-    Halves {
-        value: format!(
-            "{{ let __o = ::serde::__expect_object({src}, {label:?})?;\n\
-             {ctor} {{\n{value_inits}}} }}"
-        ),
-        stream: format!(
-            "{{ {slots}let mut __s = __r.begin_object(\"object for {label}\")?;\n\
-             while let ::std::option::Option::Some(__k) = __r.next_key(&mut __s)? {{\n\
-             match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n}}\n\
-             {ctor} {{\n{stream_inits}}} }}"
-        ),
-    }
+    format!(
+        "{{ {slots}let mut __s = __r.begin_object(\"object for {ctor}\")?;\n\
+         while let ::std::option::Option::Some(__k) = __r.next_key(&mut __s)? {{\n\
+         match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n}}\n\
+         {ctor} {{\n{inits}}} }}"
+    )
 }

@@ -3,7 +3,8 @@
 //!
 //! Typed values stream straight to and from text (`Serialize::write_json`
 //! / `Deserialize::read_json`); a [`Value`] tree is built only when a
-//! `Value` is what the caller asks for.
+//! `Value` is what the caller asks for, and then out of that text
+//! ([`to_value`], [`from_value`]): no type implements a second conversion.
 //!
 //! Floats print via Rust's shortest-roundtrip `{}` formatting (what the
 //! upstream `float_roundtrip` feature guarantees); integral floats print
@@ -13,11 +14,6 @@
 use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 pub use serde::{Error, Number, Value};
 use std::io;
-
-/// `json!` expansion helper: serialise any expression to a [`Value`].
-pub fn __to_value<T: Serialize>(v: &T) -> Value {
-    v.to_value()
-}
 
 /// Shim `serde_json::json!`: literal JSON construction.
 #[macro_export]
@@ -29,7 +25,7 @@ macro_rules! json {
     ({ $($key:tt : $val:tt),* $(,)? }) => {
         $crate::Value::Object(vec![ $(($key.to_string(), $crate::json!($val))),* ])
     };
-    ($other:expr) => { $crate::__to_value(&$other) };
+    ($other:expr) => { $crate::to_value(&$other).expect("a `json!` operand is a JSON value") };
 }
 
 fn write<W: io::Write, T: Serialize + ?Sized>(
@@ -80,4 +76,17 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error::msg(format!("invalid UTF-8: {e}")))?;
     from_str(s)
+}
+
+/// Any `Serialize` value as a [`Value`]: its compact text, read back. The
+/// tree is therefore what a reader of the document sees — an integral float
+/// is an integer [`Number`], a non-finite one `Null` — and a value nested
+/// deeper than the reader allows is an error.
+pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
+    from_slice(&to_vec(value)?)
+}
+
+/// Read a `Deserialize` type out of a [`Value`], by way of its text.
+pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
+    from_slice(&to_vec(value)?)
 }

@@ -1,7 +1,9 @@
-//! Differential property suite: the streaming half of the serde shim
-//! (`write_json` / `read_json`, what `to_string` and `from_str` run) against
-//! its `Value` half (`to_value` / `from_value`), over every derive shape and
-//! std container the workspace serialises.
+//! Differential property suite for the serde shim, over every derive shape
+//! and std container the workspace serialises: the writer (`write_json`,
+//! what `to_string` runs) against an independent reference renderer, the
+//! direct typed read (`read_json`, what `from_str` runs) against the read
+//! by way of a `Value`, `from_str(to_string(x)) == x`, and the reader
+//! against damaged bytes.
 //!
 //! Every case is generated from its own fixed seed, so a failure repeats on
 //! every run and prints the seed that replays it alone.
@@ -14,6 +16,8 @@ use std::sync::Arc;
 
 const CASES: u64 = 400;
 const SEED_BASE: u64 = 0x5eed_0000;
+/// The reader's nesting limit.
+const MAX_DEPTH: usize = 128;
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Unit;
@@ -199,6 +203,33 @@ fn gen_record(rng: &mut StdRng, finite: bool, depth: u32) -> Record {
     }
 }
 
+/// A tree of every kind of node, or (one case in four) a chain of
+/// containers as deep as the reader allows around a scalar.
+fn gen_value(rng: &mut StdRng, depth: usize) -> Value {
+    if depth == 0 && rng.gen_bool(0.25) {
+        return (0..rng.gen_range(120..=MAX_DEPTH)).fold(Value::Null, |inner, _| {
+            match rng.gen_bool(0.5) {
+                true => Value::Array(vec![inner]),
+                false => Value::Object(vec![(gen_string(rng), inner)]),
+            }
+        });
+    }
+    match rng.gen_range(0..if depth < 3 { 8 } else { 6 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen()),
+        2 => Value::Number(Number::U(gen_u64(rng))),
+        3 => Value::Number(Number::I(gen_i64(rng).min(-1))),
+        4 => Value::Number(Number::F(gen_f64(rng, true) + 0.5)),
+        5 => Value::String(gen_string(rng)),
+        6 => Value::Array((0..rng.gen_range(0..4)).map(|_| gen_value(rng, depth + 1)).collect()),
+        _ => Value::Object(
+            (0..rng.gen_range(0..4))
+                .map(|_| (gen_string(rng), gen_value(rng, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Oracles
 // ---------------------------------------------------------------------------
@@ -275,17 +306,39 @@ fn render(v: &Value, indent: Option<usize>) -> String {
     out
 }
 
+/// The tree a reader of `x`'s text sees.
+fn tree_of<T: Serialize>(x: &T) -> Value {
+    serde_json::to_value(x).unwrap()
+}
+
 /// Parse by way of the tree: text → `Value` → `from_value`.
 fn tree_parse<T: Deserialize>(text: &[u8]) -> Option<T> {
     let v: Value = serde_json::from_slice(text).ok()?;
-    T::from_value(&v).ok()
+    serde_json::from_value(&v).ok()
+}
+
+/// Does `text` hold, in float syntax, a whole number of 2^53 or more? The
+/// writer spells such a float as its shortest digits padded with zeros
+/// (2^63 is `9223372036854776000`), so an integer slot reads one number
+/// from `text` and another from the tree's text: the one input, reachable
+/// only by damage, on which the two parse paths may differ.
+fn spells_a_float_inexactly(text: &[u8]) -> bool {
+    fn inexact(v: &Value) -> bool {
+        match v {
+            Value::Number(Number::F(f)) => f.fract() == 0.0 && f.abs() >= (1u64 << 53) as f64,
+            Value::Array(items) => items.iter().any(inexact),
+            Value::Object(pairs) => pairs.iter().any(|(_, v)| inexact(v)),
+            _ => false,
+        }
+    }
+    serde_json::from_slice::<Value>(text).is_ok_and(|v| inexact(&v))
 }
 
 /// Both parse paths must agree on `text`: the same value, or both refuse.
 fn parses_agree(text: &[u8], what: &str) -> Result<Option<Record>, String> {
     let streamed = serde_json::from_slice::<Record>(text);
     let tree = tree_parse::<Record>(text);
-    if streamed.as_ref().ok() != tree.as_ref() {
+    if streamed.as_ref().ok() != tree.as_ref() && !spells_a_float_inexactly(text) {
         return Err(format!(
             "{what}: streamed parse {:?} != tree parse {:?}\ninput: {}",
             streamed.map_err(|e| e.to_string()),
@@ -333,30 +386,31 @@ fn perturb(v: &mut Value, rng: &mut StdRng) {
 fn check_case(seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
 
-    // 1. Streamed text is the tree's text, byte for byte, in both layouts
-    // and into any sink — non-finite floats included.
+    // 1. The writer's text is the reference renderer's, byte for byte, in
+    // both layouts and into any sink — non-finite floats included — whether
+    // the typed value or its tree is what is written.
     let any = gen_record(&mut rng, false, 0);
-    for (indent, streamed) in [
-        (None, serde_json::to_string(&any).unwrap()),
-        (Some(2), serde_json::to_string_pretty(&any).unwrap()),
+    let tree = tree_of(&any);
+    for (indent, streamed, by_value) in [
+        (None, serde_json::to_string(&any).unwrap(), serde_json::to_string(&tree).unwrap()),
+        (
+            Some(2),
+            serde_json::to_string_pretty(&any).unwrap(),
+            serde_json::to_string_pretty(&tree).unwrap(),
+        ),
     ] {
-        let tree = render(&any.to_value(), indent);
-        if streamed != tree {
-            return Err(format!("indent {indent:?}: streamed {streamed}\n!= tree {tree}"));
+        let reference = render(&tree, indent);
+        if streamed != reference {
+            return Err(format!("indent {indent:?}: streamed {streamed}\n!= {reference}"));
         }
-        let by_value = match indent {
-            None => serde_json::to_string(&any.to_value()).unwrap(),
-            Some(_) => serde_json::to_string_pretty(&any.to_value()).unwrap(),
-        };
-        if by_value != tree {
-            return Err(format!("indent {indent:?}: Value streamed {by_value}\n!= tree {tree}"));
+        if by_value != reference {
+            return Err(format!("indent {indent:?}: Value streamed {by_value}\n!= {reference}"));
         }
     }
     let mut sink = Vec::new();
     serde_json::to_writer(&mut sink, &any).unwrap();
-    if sink != serde_json::to_vec(&any).unwrap() || sink != render(&any.to_value(), None).as_bytes()
-    {
-        return Err("to_writer / to_vec differ from the tree's text".into());
+    if sink != serde_json::to_vec(&any).unwrap() || sink != render(&tree, None).as_bytes() {
+        return Err("to_writer / to_vec differ from the reference text".into());
     }
 
     // 2. Round trip, compact and pretty, through both parse paths.
@@ -373,7 +427,7 @@ fn check_case(seed: u64) -> Result<(), String> {
     // keys. Structs read the same value; maps and variants may refuse, but
     // both paths must do the same.
     for _ in 0..4 {
-        let mut v = x.to_value();
+        let mut v = tree_of(&x);
         perturb(&mut v, &mut rng);
         let indent = rng.gen_bool(0.5).then_some(2);
         parses_agree(render(&v, indent).as_bytes(), "perturbed")?;
@@ -391,13 +445,134 @@ fn check_case(seed: u64) -> Result<(), String> {
 }
 
 #[test]
-fn streaming_and_value_halves_agree() {
+fn writer_matches_reference_and_both_reads_agree() {
     for case in 0..CASES {
         let seed = SEED_BASE + case;
         if let Err(e) = check_case(seed) {
             panic!("case {case} failed; `check_case({seed:#x})` replays it alone\n{e}");
         }
     }
+}
+
+/// One damaged copy of `doc`: a flipped bit, a strict prefix, or a span
+/// repeated in place.
+fn mutate(doc: &[u8], rng: &mut StdRng) -> Vec<u8> {
+    let (i, j) = (rng.gen_range(0..doc.len()), rng.gen_range(0..doc.len()));
+    let (a, b) = (i.min(j), i.max(j));
+    match rng.gen_range(0..3) {
+        0 => {
+            let mut flipped = doc.to_vec();
+            flipped[a] ^= 1u8 << rng.gen_range(0..8u32);
+            flipped
+        }
+        1 => doc[..a].to_vec(),
+        _ => [&doc[..b], &doc[a..b], &doc[b..]].concat(),
+    }
+}
+
+fn depth(v: &Value) -> usize {
+    match v {
+        Value::Array(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+        Value::Object(pairs) => 1 + pairs.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Read `bytes` as `T` and as a `Value`: whether they are still JSON. Any
+/// outcome will do but a panic or a tree deeper than the reader's limit,
+/// which are `None`.
+fn read_damaged<T: Deserialize>(bytes: &[u8]) -> Option<bool> {
+    std::panic::catch_unwind(|| {
+        let _ = serde_json::from_slice::<T>(bytes);
+        match serde_json::from_slice::<Value>(bytes) {
+            Ok(v) => (depth(&v) <= MAX_DEPTH).then_some(true),
+            Err(_) => Some(false),
+        }
+    })
+    .unwrap_or(None)
+}
+
+#[test]
+fn damaged_documents_are_an_error_or_a_value_never_a_panic() {
+    let (mut mutants, mut still_json, mut failures) = (0u32, 0u32, Vec::new());
+    for case in 0..CASES / 2 {
+        let seed = SEED_BASE + 0x1000 + case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let record = gen_record(&mut rng, false, 0);
+        let value = gen_value(&mut rng, 0);
+        let mut attack = |doc: Vec<u8>, read: fn(&[u8]) -> Option<bool>| {
+            assert_eq!(read(&doc), Some(true), "seed {seed:#x}: undamaged");
+            for _ in 0..6 {
+                let mutant = mutate(&doc, &mut rng);
+                mutants += 1;
+                match read(&mutant) {
+                    Some(json) => still_json += u32::from(json),
+                    None => failures
+                        .push(format!("seed {seed:#x}: {}", String::from_utf8_lossy(&mutant))),
+                }
+            }
+        };
+        attack(serde_json::to_vec(&record).unwrap(), read_damaged::<Record>);
+        attack(serde_json::to_vec(&record.scalars).unwrap(), read_damaged::<Scalars>);
+        attack(serde_json::to_vec(&value).unwrap(), read_damaged::<Value>);
+    }
+    assert!(failures.is_empty(), "{} of {mutants} mutants: {failures:#?}", failures.len());
+    // Not vacuous in either direction: most damage is refused, some still reads.
+    assert!(still_json > 0 && still_json < mutants / 2, "{still_json} of {mutants} still JSON");
+    println!("{mutants} mutants, {still_json} still JSON, 0 panics");
+}
+
+#[test]
+fn text_is_pinned() {
+    // One literal per rule the reference renderer cannot vouch for, since
+    // it renders the tree the reader made of the writer's own text: field
+    // and variant spelling, omitted fields, and a hash map in order of the
+    // text its keys spell (`"` sorts before `#`, its escape would not).
+    let by_text: HashMap<String, Shape> = [
+        ("a#b".to_string(), Shape::Tuple(7, None)),
+        ("a\"b".to_string(), Shape::Named { a: -1, b: vec![2], cache: 9 }),
+        ("a".to_string(), Shape::Unit),
+    ]
+    .into();
+    assert_eq!(
+        serde_json::to_string(&by_text).unwrap(),
+        r#"{"a":"Unit","a\"b":{"Named":{"a":-1,"b":[2]}},"a#b":{"Tuple":[7,null]}}"#
+    );
+    let by_number: HashMap<Transparent, Pair> = [
+        (Transparent { raw: -20 }, Pair(-0, "x".into())),
+        (Transparent { raw: 3 }, Pair(1, "".into())),
+    ]
+    .into();
+    assert_eq!(serde_json::to_string(&by_number).unwrap(), r#"{"-20":[0,"x"],"3":[1,""]}"#);
+    assert_eq!(
+        serde_json::to_string(&(Unit, Newtype(5), -0.0f64, 2.0f32, f64::NAN)).unwrap(),
+        "[null,5,-0,2,null]"
+    );
+    assert_eq!(serde_json::from_str::<f64>("-0").unwrap().to_bits(), (-0.0f64).to_bits());
+    let built = serde_json::json!({"n": 2.0, "list": [(Newtype(5)), null, "s"]});
+    assert_eq!(serde_json::to_string(&built).unwrap(), r#"{"n":2,"list":[5,null,"s"]}"#);
+}
+
+#[test]
+fn absent_fields_take_their_declared_default() {
+    #[derive(Debug, PartialEq, Deserialize)]
+    struct Defaults {
+        required: u8,
+        #[serde(default)]
+        plain: u32,
+        #[serde(default = "seven")]
+        pathed: u32,
+    }
+    fn seven() -> u32 {
+        7
+    }
+    let read = serde_json::from_str::<Defaults>;
+    assert_eq!(read(r#"{"required":1}"#).unwrap(), Defaults { required: 1, plain: 0, pathed: 7 });
+    assert_eq!(
+        read(r#"{"pathed":2,"plain":3,"required":1}"#).unwrap(),
+        Defaults { required: 1, plain: 3, pathed: 2 }
+    );
+    assert!(read(r#"{"plain":3,"pathed":2}"#).is_err());
 }
 
 #[test]
@@ -414,7 +589,7 @@ fn perturbed_structs_still_parse() {
             ch: '😀',
             ..Scalars::default()
         };
-        let mut v = x.to_value();
+        let mut v = tree_of(&x);
         perturb(&mut v, &mut rng);
         let text = render(&v, Some(2));
         assert_eq!(serde_json::from_str::<Scalars>(&text).unwrap(), x, "{text}");
