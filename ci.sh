@@ -16,7 +16,11 @@
 #   15. the vdce_perf smoke (perf/run.sh --quick)
 #   16-20. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
-#      incr_churn seed 1, durable_faults seed 1)
+#      incr_churn seed 1, durable_faults seed 1). The batch_wide and
+#      incr_churn stages also hold `allocs_per_op` — an exact count,
+#      identical in every pass and run — under a ceiling (1,000 and 250).
+#      ROADMAP item 2's committed BENCH_perf.json equality gate supersedes
+#      these two ceilings when the `[benchmark]` window opens.
 # Run from the repo root: ./ci.sh
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -217,15 +221,39 @@ stage "vdce_perf stream_steady (seed 1)" \
 # sequential on the 2k down-scale) likewise run only scaled down in the
 # smoke; the 40k-task graph is where a reordered walk, table fill or
 # simulation would first show.
-stage "vdce_perf batch_wide (seed 1)" \
-    bash perf/bench.sh --workload batch_wide --seed 1 --seconds 1 --trace 0
+#
+# Both this stage and incr_churn's also read `allocs_per_op` off the
+# run's JSON result line. The count is the benchmark's own allocator's,
+# identical in every pass and run, so a ceiling on it has no noise to
+# allow for: batch_wide makes 416 calls per 40k-task op with the
+# allocation table as dense rows sharing their names with the AFG (a name
+# and a share of a tree node per task made it 47,081), incr_churn 182 per
+# monitor event with host-selection outputs as shared dense tables (a
+# per-site re-index made it 8,232).
+#   perf_allocs_at_most <ceiling> <workload>
+perf_allocs_at_most() {
+    local ceiling=$1 workload=$2 out allocs
+    out=$(bash perf/bench.sh --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    echo "$out"
+    allocs=$(tail -n 1 <<<"$out" |
+        sed -n 's/.*"allocs_per_op": {"value": \([0-9.eE+-]*\),.*/\1/p')
+    if [[ -z "$allocs" ]]; then
+        echo "$workload: no metrics.allocs_per_op.value in the result line"
+        return 1
+    fi
+    if ! awk -v a="$allocs" -v c="$ceiling" 'BEGIN { exit !(a <= c) }'; then
+        echo "$workload: allocs_per_op $allocs is above the ceiling of $ceiling"
+        return 1
+    fi
+    echo "$workload: allocs_per_op $allocs <= $ceiling"
+}
+stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 1000 batch_wide
 # Full-size incremental check: incr_churn compares the standing table
 # with a full re-walk on every 64th event, and with the initial table
 # once every host has healed. The smoke absorbs a twentieth of the
 # events into a twentieth of the tasks; the 10k-task, 512-event pass is
 # where a diff that misses a slot or a row rewritten wrongly would show.
-stage "vdce_perf incr_churn (seed 1)" \
-    bash perf/bench.sh --workload incr_churn --seed 1 --seconds 1 --trace 0
+stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
 # Full-size durable check: durable_faults asserts, per fault scenario,
 # durable replay == plain replay, zero deputy divergences, and that four
 # kills (three with a torn tail) each recover, replay and resume to the

@@ -121,7 +121,7 @@ impl<'lib> AfgBuilder<'lib> {
         let id = TaskId(self.afg.tasks.len() as u32);
         self.afg.tasks.push(TaskNode {
             id,
-            name: instance_name.to_string(),
+            name: instance_name.into(),
             library_task: entry.name.clone(),
             kernel: entry.kernel,
             problem_size,

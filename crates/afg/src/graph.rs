@@ -79,7 +79,7 @@ impl Afg {
 
     /// Find a task by instance name.
     pub fn task_by_name(&self, name: &str) -> Option<&TaskNode> {
-        self.tasks.iter().find(|t| t.name == name)
+        self.tasks.iter().find(|t| &*t.name == name)
     }
 
     /// All task ids in insertion order.

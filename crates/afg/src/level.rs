@@ -262,7 +262,7 @@ mod tests {
         bd.connect(b, 0, d, 0).unwrap();
         bd.connect(c, 0, d, 1).unwrap();
         let g = bd.build_unchecked();
-        let cost = |t: &TaskNode| match t.name.as_str() {
+        let cost = |t: &TaskNode| match &*t.name {
             "b" => 10.0,
             "c" => 1.0,
             _ => 2.0,
@@ -323,7 +323,7 @@ mod tests {
         let idx = g.edge_index();
         let mut tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
         // Cost of the middle task changes; only it and its ancestors move.
-        let new_cost = |t: &TaskNode| if t.name == "m" { 7.5 } else { 1.0 };
+        let new_cost = |t: &TaskNode| if &*t.name == "m" { 7.5 } else { 1.0 };
         let touched = tracker.update(&g, &idx, &[TaskId(1)], new_cost);
         let full = level_map(&g, new_cost).unwrap();
         for (a, b) in tracker.levels().iter().zip(&full) {

@@ -13,6 +13,7 @@ use crate::ids::{DatasetId, TaskId};
 use crate::library::KernelKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Computational mode of a task (§2): either a sequential implementation on
 /// one host, or a parallel implementation across `num_nodes` hosts of one
@@ -256,8 +257,10 @@ pub struct TaskNode {
     /// Identifier within the owning AFG.
     pub id: TaskId,
     /// Instance name shown in the editor (unique within the AFG), e.g.
-    /// `LU_Decomposition`.
-    pub name: String,
+    /// `LU_Decomposition`. Shared, immutable: the scheduler's allocation
+    /// table names every task it places, and sharing makes each of those
+    /// rows a pointer copy instead of a string clone.
+    pub name: Arc<str>,
     /// Name of the library entry this icon was dragged from; keys into the
     /// task-performance and task-constraints databases.
     pub library_task: String,

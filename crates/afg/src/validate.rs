@@ -115,8 +115,8 @@ pub fn validate(afg: &Afg) -> Result<(), ValidationError> {
     // Unique names.
     let mut names = HashSet::with_capacity(afg.tasks.len());
     for t in &afg.tasks {
-        if !names.insert(t.name.as_str()) {
-            return Err(ValidationError::DuplicateName(t.name.clone()));
+        if !names.insert(&*t.name) {
+            return Err(ValidationError::DuplicateName(t.name.to_string()));
         }
     }
     // Node counts.

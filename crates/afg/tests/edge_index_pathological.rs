@@ -13,7 +13,7 @@ use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
 fn node(id: u32, entry: bool) -> TaskNode {
     TaskNode {
         id: TaskId(id),
-        name: format!("n{id}"),
+        name: format!("n{id}").into(),
         library_task: if entry { "Source" } else { "Map" }.into(),
         kernel: if entry { KernelKind::Source } else { KernelKind::Map },
         problem_size: 1000,

@@ -69,7 +69,7 @@ fn main() {
             let rec = &report.outcome.records[p.task.index()];
             table.row(&[
                 n.to_string(),
-                p.task_name.clone(),
+                p.task_name.to_string(),
                 if p.hosts.len() > 1 { "parallel".into() } else { "sequential".into() },
                 p.hosts.join("+"),
                 format!("{:.5}", p.predicted_seconds),

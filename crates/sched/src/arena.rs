@@ -63,8 +63,9 @@ impl HostArena {
 
 /// Key of the heap-based ready list: pop order is "highest level first,
 /// ties by ascending task id" — exactly the order the reference path's
-/// linear scan selects. Levels are finite by construction (`level_map`
-/// sums finite base times), which makes this `Ord` a total order.
+/// linear scan selects. `total_cmp` makes this `Ord` a total order
+/// whatever the levels; the site-scheduler walk refuses a non-finite
+/// level at its entry, so there the order is also the numeric one.
 pub(crate) struct ReadyKey {
     pub(crate) level: f64,
     pub(crate) task: TaskId,
@@ -86,10 +87,7 @@ impl PartialOrd for ReadyKey {
 
 impl Ord for ReadyKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.level
-            .partial_cmp(&other.level)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.task.cmp(&self.task))
+        self.level.total_cmp(&other.level).then_with(|| other.task.cmp(&self.task))
     }
 }
 
@@ -116,5 +114,16 @@ mod tests {
         h.push(ReadyKey { level: 5.0, task: TaskId(1) });
         let order: Vec<TaskId> = std::iter::from_fn(|| h.pop().map(|k| k.task)).collect();
         assert_eq!(order, vec![TaskId(1), TaskId(3), TaskId(7)]);
+    }
+
+    #[test]
+    fn ready_key_order_stays_total_under_nan() {
+        // `evaluate` takes caller levels unchecked: a NaN must sort
+        // somewhere definite (above every number), not compare equal to
+        // everything and leave the heap's order to its insertion history.
+        let key = |level, task| ReadyKey { level, task: TaskId(task) };
+        assert_eq!(key(f64::NAN, 0).cmp(&key(5.0, 1)), Ordering::Greater);
+        assert_eq!(key(5.0, 1).cmp(&key(f64::NAN, 0)), Ordering::Less);
+        assert_eq!(key(1.0, 2).cmp(&key(5.0, 1)), Ordering::Less);
     }
 }

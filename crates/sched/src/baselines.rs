@@ -116,7 +116,7 @@ fn placement(afg: &Afg, task: TaskId, opt: &Option_<'_>) -> TaskPlacement {
 }
 
 fn no_feasible(afg: &Afg, task: TaskId) -> SchedError {
-    SchedError::NoFeasibleSite { task, name: afg.task(task).name.clone() }
+    SchedError::NoFeasibleSite { task, name: afg.task(task).name.to_string() }
 }
 
 /// Uniform-random feasible placement (seeded).

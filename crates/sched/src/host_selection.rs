@@ -69,8 +69,9 @@ pub struct TaskHostChoice {
 #[derive(Debug, Clone, Default)]
 pub struct ChoiceTable(Arc<[Option<Arc<TaskHostChoice>>]>);
 
-/// Most slots a deserialised [`ChoiceTable`] may have: the table is dense,
-/// so the highest task id in the input sizes the allocation.
+/// Most slots a table deserialised from the wire may have — a
+/// [`ChoiceTable`] or an [`AllocationTable`](crate::AllocationTable): both
+/// are dense, so the highest task id in the input sizes the allocation.
 const MAX_WIRE_SLOTS: usize = 1 << 24;
 
 impl ChoiceTable {
@@ -139,20 +140,27 @@ impl Deserialize for ChoiceTable {
     }
 }
 
+/// The slot of `task` in a dense table read from the wire: its index,
+/// refused at or beyond [`MAX_WIRE_SLOTS`] before anything is sized by it.
+pub(crate) fn wire_slot(task: TaskId) -> Result<usize, serde::Error> {
+    if task.index() >= MAX_WIRE_SLOTS {
+        return Err(serde::Error::msg(format!("task id {} is beyond any dense table", task.0)));
+    }
+    Ok(task.index())
+}
+
 /// Put a choice read from the wire into slot `task`, growing the table
-/// under construction as needed — up to [`MAX_WIRE_SLOTS`].
+/// under construction as needed.
 fn set_wire_slot(
     slots: &mut Vec<Option<Arc<TaskHostChoice>>>,
     task: TaskId,
     choice: Arc<TaskHostChoice>,
 ) -> Result<(), serde::Error> {
-    if task.index() >= MAX_WIRE_SLOTS {
-        return Err(serde::Error::msg(format!("task id {} is beyond any choice table", task.0)));
+    let slot = wire_slot(task)?;
+    if slots.len() <= slot {
+        slots.resize(slot + 1, None);
     }
-    if slots.len() <= task.index() {
-        slots.resize(task.index() + 1, None);
-    }
-    slots[task.index()] = Some(choice);
+    slots[slot] = Some(choice);
     Ok(())
 }
 

@@ -154,7 +154,7 @@ impl IncrementalSchedule {
 
         let xfer = TransferCache::new(net);
 
-        let mut table = AllocationTable::new(afg.name.clone());
+        let mut table = AllocationTable::with_capacity(afg.name.clone(), n);
         // Entry value never read: every task is decided before any child
         // reads it (topological order).
         let mut site_of = vec![SiteId(0); n];
@@ -178,8 +178,8 @@ impl IncrementalSchedule {
                 None,
             );
             let node = afg.task(task);
-            let (site, choice, _) =
-                best.ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.clone() })?;
+            let (site, choice, _) = best
+                .ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
             site_of[task.index()] = site;
             let data_sources = dataset_sources_for_site(ds, site, &mut |a, b, bytes| {
                 xfer.transfer_time(a, b, bytes)
@@ -287,8 +287,8 @@ impl IncrementalSchedule {
                 None,
             );
             let node = afg.task(task);
-            let (site, choice, _) =
-                best.ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.clone() })?;
+            let (site, choice, _) = best
+                .ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
 
             let site_changed = self.site_of[task.index()] != site;
             let row = self.table.placement_mut(task).expect("constructed complete");
@@ -298,7 +298,7 @@ impl IncrementalSchedule {
             {
                 moved += 1;
                 self.site_of[task.index()] = site;
-                // The row keeps its key and name; only the decision moves.
+                // The row keeps its slot and name; only the decision moves.
                 row.site = site;
                 row.hosts = choice.hosts.clone();
                 row.predicted_seconds = choice.predicted_seconds;

@@ -129,16 +129,15 @@ impl From<LevelError> for EvalError {
 /// Simulate `table` for `afg` under `net`. `levels` orders contending
 /// ready tasks (highest first) — pass the same levels the scheduler used.
 ///
-/// One resolved pass, then one level-ordered walk. The table is merged
-/// against the AFG's task ids once, in order, into a dense
-/// `Vec<&TaskPlacement>`; site, duration, recorded data sources and the
-/// host list are read through that borrow, and each [`TimedTask`] shares
-/// its placement's `Arc<[String]>` — no host string is copied and the
-/// `BTreeMap` is never probed. Host names become dense ids once per
-/// distinct host list (see `resolve_hosts`), host-free times live in
-/// a flat `Vec<f64>` indexed by id, and the ready set is a max-heap whose
-/// pop order is "highest level first, ties by ascending task id". A
-/// task the walk never reaches means the AFG has a cycle.
+/// One resolved pass, then one level-ordered walk. The table's rows are
+/// looked up once per task of the AFG into a dense `Vec<&TaskPlacement>`;
+/// site, duration, recorded data sources and the host list are read
+/// through that borrow, and each [`TimedTask`] shares its placement's
+/// `Arc<[String]>` — no host string is copied. Host names become dense
+/// ids once per distinct host list (see `resolve_hosts`), host-free times
+/// live in a flat `Vec<f64>` indexed by id, and the ready set is a
+/// max-heap whose pop order is "highest level first, ties by ascending
+/// task id". A task the walk never reaches means the AFG has a cycle.
 pub fn evaluate(
     afg: &Afg,
     table: &AllocationTable,
@@ -177,20 +176,17 @@ pub fn evaluate_with_data(
         SchedError::Cyclic
         | SchedError::NoFeasibleSite { .. }
         | SchedError::StorageCapacityExceeded { .. }
-        | SchedError::SiteOrderMismatch { .. } => {
+        | SchedError::SiteOrderMismatch { .. }
+        | SchedError::InvalidLevels { .. } => {
             unreachable!("DatasetInputs::resolve reports dataset errors only, got: {e}")
         }
     })?;
 
-    // Resolve the table once: both sides ascend by task id, so one merge
-    // finds every placement (rows for tasks the AFG lacks are skipped).
+    // Resolve the table once: one indexed pass, so the lowest task without
+    // a row is the one reported (rows for tasks the AFG lacks are skipped).
     let mut placed: Vec<&TaskPlacement> = Vec::with_capacity(n);
-    let mut rows = table.iter();
     for t in afg.task_ids() {
-        match rows.find(|p| p.task >= t) {
-            Some(p) if p.task == t => placed.push(p),
-            _ => return Err(EvalError::MissingPlacement(t)),
-        }
+        placed.push(table.placement(t).ok_or(EvalError::MissingPlacement(t))?);
     }
     let hosts = resolve_hosts(&placed);
 
@@ -325,7 +321,7 @@ fn resolve_hosts(placed: &[&TaskPlacement]) -> ResolvedHosts {
 
 /// The body of [`evaluate_with_data`] as it was before the resolved-pass
 /// rewrite, kept verbatim (but for the `hosts` field's type) as the
-/// differential oracle of `tests/prop_sched.rs`: three `BTreeMap` probes
+/// differential oracle of `tests/prop_sched.rs`: three table lookups
 /// per task, a separate `is_dag` pass, every host name interned by value.
 /// Test support only — nothing in the workspace calls it.
 #[doc(hidden)]

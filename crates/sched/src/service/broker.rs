@@ -142,7 +142,7 @@ mod tests {
         for &(id, site, hosts, secs) in rows {
             t.insert(TaskPlacement {
                 task: TaskId(id),
-                task_name: format!("t{id}"),
+                task_name: format!("t{id}").into(),
                 site: SiteId(site),
                 hosts: (0..hosts).map(|h| format!("h{h}")).collect::<Vec<_>>().into(),
                 predicted_seconds: secs,

@@ -537,7 +537,8 @@ impl StreamService {
             SchedError::StorageCapacityExceeded { .. } => RejectReason::StorageExhausted,
             SchedError::Cyclic
             | SchedError::NoFeasibleSite { .. }
-            | SchedError::SiteOrderMismatch { .. } => RejectReason::NoFeasiblePlacement,
+            | SchedError::SiteOrderMismatch { .. }
+            | SchedError::InvalidLevels { .. } => RejectReason::NoFeasiblePlacement,
         }
     }
 

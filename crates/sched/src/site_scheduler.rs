@@ -31,7 +31,6 @@ use crate::host_selection::{
     host_selection, host_selection_classed, HostSelectionOutput, TaskHostChoice,
 };
 use crate::view::SiteView;
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::fmt;
 use vdce_afg::level::LevelError;
@@ -180,6 +179,18 @@ pub enum SchedError {
         /// The sites of the refused outputs, in order.
         got: Vec<SiteId>,
     },
+    /// The `levels` handed to the walk are not one finite, non-negative
+    /// priority per task of the AFG — most likely the levels of another
+    /// graph, or computed from a NaN cost. Nothing was placed.
+    InvalidLevels {
+        /// Tasks in the AFG.
+        tasks: usize,
+        /// Length of the `levels` slice passed.
+        levels: usize,
+        /// The lowest task whose level is NaN, infinite or negative, when
+        /// the length is right.
+        bad: Option<TaskId>,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -204,6 +215,15 @@ impl fmt::Display for SchedError {
             }
             SchedError::SiteOrderMismatch { expected, got } => {
                 write!(f, "outputs cover sites {got:?}, the schedule was built from {expected:?}")
+            }
+            SchedError::InvalidLevels { bad: Some(task), .. } => {
+                write!(f, "the level of task {task} is not a finite, non-negative number")
+            }
+            SchedError::InvalidLevels { tasks, levels, bad: None } => {
+                write!(
+                    f,
+                    "levels has {levels} entries for an application flow graph of {tasks} tasks"
+                )
             }
         }
     }
@@ -469,15 +489,28 @@ impl ReadyList {
             ReadyList::Scan(v) => {
                 // Highest level first; ties by ascending id.
                 let (pos, _) = v.iter().enumerate().max_by(|(_, a), (_, b)| {
-                    levels[a.index()]
-                        .partial_cmp(&levels[b.index()])
-                        .unwrap_or(Ordering::Equal)
-                        .then(b.cmp(a))
+                    levels[a.index()].total_cmp(&levels[b.index()]).then(b.cmp(a))
                 })?;
                 Some(v.swap_remove(pos))
             }
             ReadyList::Heap(h) => h.pop().map(|k| k.task),
         }
+    }
+}
+
+/// The levels are the caller's ([`schedule_with_outputs_data`] is public):
+/// the ready list indexes them by task and orders by them, so a slice of
+/// the wrong length or a NaN, infinite or negative level is refused before
+/// the walk starts.
+fn check_levels(afg: &Afg, levels: &[f64]) -> Result<(), SchedError> {
+    let tasks = afg.task_count();
+    let invalid = |bad| SchedError::InvalidLevels { tasks, levels: levels.len(), bad };
+    if levels.len() != tasks {
+        return Err(invalid(None));
+    }
+    match levels.iter().position(|l| !(l.is_finite() && *l >= 0.0)) {
+        Some(i) => Err(invalid(Some(TaskId(i as u32)))),
+        None => Ok(()),
     }
 }
 
@@ -500,17 +533,18 @@ fn schedule_walk(
     data: Option<&DataView>,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<AllocationTable, SchedError> {
+    check_levels(afg, levels)?;
     // Freeze the catalog view into per-task dataset inputs up front:
     // typed errors surface before any placement, and every task decides
     // against the same snapshot (the incremental order-independence
     // contract).
     let dsi = DatasetInputs::resolve(afg, data)?;
     let mut xfer_lookups = 0u64;
+    // Compact beside the table's rows: the in-edge loop below reads a
+    // parent's site several times per task.
     let mut site_of_task: Vec<Option<SiteId>> = vec![None; afg.task_count()];
-    // The decision per task, beside its site: the winning choice
-    // (borrowed from the outputs) and the replicas it reads from. The
-    // table is filled from these after the walk, in task order.
-    let mut decided: Vec<Option<(&TaskHostChoice, Vec<DataSource>)>> = vec![None; afg.task_count()];
+    // One slot per task, each row written once, as its task is decided.
+    let mut table = AllocationTable::with_capacity(afg.name.clone(), afg.task_count());
 
     // Critical-path spreading (DESIGN.md §11): a task is *critical* when
     // its level is within the top quarter of the level range; the hosts
@@ -537,7 +571,6 @@ fn schedule_walk(
     // order — resolved once per task instead of once per candidate site.
     let mut parents: Vec<(SiteId, u64)> = Vec::new();
 
-    let mut placed = 0usize;
     while let Some(task) = ready.pop(levels) {
         let node = afg.task(task);
 
@@ -576,13 +609,19 @@ fn schedule_walk(
         );
 
         let (site, choice, _) =
-            best.ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.clone() })?;
+            best.ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
         if is_critical {
             critical_hosts.extend(choice.hosts.iter().map(String::as_str));
         }
         site_of_task[task.index()] = Some(site);
-        decided[task.index()] = Some((choice, dataset_sources_for_site(ds, site, &mut xfer_time)));
-        placed += 1;
+        table.insert(TaskPlacement {
+            task,
+            task_name: node.name.clone(),
+            site,
+            hosts: choice.hosts.clone(),
+            predicted_seconds: choice.predicted_seconds,
+            data_sources: dataset_sources_for_site(ds, site, &mut xfer_time),
+        });
 
         // Update the ready set with children whose parents are all placed.
         for e in edge_idx.out_edges(afg, task) {
@@ -593,25 +632,9 @@ fn schedule_walk(
         }
     }
 
-    debug_assert_eq!(placed, afg.task_count(), "DAG walk must reach every task");
+    debug_assert_eq!(table.len(), afg.task_count(), "DAG walk must reach every task");
     if let Some(m) = metrics {
         m.counter_add("sched.transfer_cache.lookups", xfer_lookups);
-    }
-
-    // Fill the table in ascending task order: every insert lands on the
-    // map's rightmost leaf, where the walk's level order would scatter
-    // them over the whole tree.
-    let mut table = AllocationTable::new(afg.name.clone());
-    for (task, (site, decision)) in afg.task_ids().zip(site_of_task.into_iter().zip(decided)) {
-        let (Some(site), Some((choice, data_sources))) = (site, decision) else { continue };
-        table.insert(TaskPlacement {
-            task,
-            task_name: afg.task(task).name.clone(),
-            site,
-            hosts: choice.hosts.clone(),
-            predicted_seconds: choice.predicted_seconds,
-            data_sources,
-        });
     }
     Ok(table)
 }
@@ -854,6 +877,52 @@ mod tests {
         let err = site_schedule(&afg, &local, &[], &net, &cfg(0)).unwrap_err();
         assert!(matches!(err, SchedError::NoFeasibleSite { task, .. } if task == t));
         assert!(err.to_string().contains("`s`"));
+    }
+
+    /// The walk takes its levels from the caller. One per task, finite and
+    /// non-negative, or a typed error — in both ready-list implementations,
+    /// which index the slice by task and order by its values.
+    #[test]
+    fn levels_of_the_wrong_length_or_not_finite_are_refused() {
+        let local = site_view(0, &[("h0", 1.0), ("h1", 2.0)]);
+        let net = NetworkModel::with_defaults(1);
+        let afg = chain_afg(10_000);
+        let config = cfg(0);
+        let outputs = [host_selection_for(&local, &afg, &config, &PredictCache::new())];
+        let walk = |levels: &[f64], sequential: bool| {
+            schedule_with_outputs_data(
+                &afg,
+                levels,
+                SiteId(0),
+                &outputs,
+                &net,
+                false,
+                sequential,
+                None,
+                None,
+            )
+        };
+        let good = local.levels(&afg).unwrap();
+        for sequential in [false, true] {
+            assert!(walk(&good, sequential).unwrap().is_complete_for(&afg));
+            // Short (the ready list would index past its end) and long.
+            for wrong in [&good[..2], &[good.as_slice(), &[0.0]].concat()] {
+                let err = walk(wrong, sequential).unwrap_err();
+                let expect = SchedError::InvalidLevels { tasks: 3, levels: wrong.len(), bad: None };
+                assert_eq!(err, expect);
+                assert!(err.to_string().contains(&format!("{} entries", wrong.len())));
+            }
+            // NaN (no numeric order for the ready list), infinite,
+            // negative: the lowest offending task is named.
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                let levels = [good[0], bad, bad];
+                let err = walk(&levels, sequential).unwrap_err();
+                let expect =
+                    SchedError::InvalidLevels { tasks: 3, levels: 3, bad: Some(TaskId(1)) };
+                assert_eq!(err, expect, "level {bad}");
+                assert!(err.to_string().contains("task t1"), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! placement's host list, so the number of allocations it makes is a
 //! handful of arrays — independent of how many tasks the AFG has (it
 //! used to copy every placement's host names: ~2.5 allocations per
-//! task). `Afg::topo_order` keeps its frontier in a heap, so a 25k-wide
-//! layer costs `O(log f)` per task, in the same order as before.
+//! task). `site_schedule` writes one dense row per task that shares its
+//! name with the AFG node and its hosts with the choice, so it too
+//! allocates per call (it used to clone a name and grow a tree per task).
+//! `Afg::topo_order` keeps its frontier in a heap, so a 25k-wide layer
+//! costs `O(log f)` per task, in the same order as before.
 //!
 //! The file installs a counting allocator and holds exactly one `#[test]`,
 //! so no other test allocates beside the measured regions.
@@ -22,7 +25,7 @@ use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
-use vdce_sched::{evaluate, site_schedule, SchedulerConfig, SiteView};
+use vdce_sched::{evaluate, site_schedule, AllocationTable, SchedulerConfig, SiteView};
 
 struct Counting;
 
@@ -76,7 +79,7 @@ fn layered(tasks: usize, width: usize, scramble: bool) -> Afg {
         let entry = i < width;
         g.tasks.push(TaskNode {
             id: TaskId(i as u32),
-            name: format!("n{i}"),
+            name: format!("n{i}").into(),
             library_task: if entry { "Source" } else { "Map" }.into(),
             kernel: if entry { KernelKind::Source } else { KernelKind::Map },
             problem_size: [64_000, 128_000, 256_000, 512_000][i % 4],
@@ -151,20 +154,28 @@ fn federation(sites: usize, hosts: usize) -> (Vec<SiteView>, NetworkModel) {
     (views, NetworkModel::with_defaults(sites))
 }
 
-/// Allocations of one `evaluate` over a palette AFG of `tasks` tasks,
-/// every third one a parallel task asking for 8 nodes, scheduled on
-/// 4 × 12 hosts.
-fn evaluate_allocs(tasks: usize) -> u64 {
+/// A palette AFG of `tasks` tasks, every third one a parallel task asking
+/// for 8 nodes, scheduled on 4 × 12 hosts: the table, and the allocation
+/// calls `site_schedule` made to produce it.
+fn scheduled(tasks: usize) -> (Afg, NetworkModel, AllocationTable, u64) {
     let mut afg = layered(tasks, tasks / 8, false);
     for t in afg.tasks.iter_mut().step_by(3) {
         t.props.mode = ComputationMode::Parallel;
         t.props.num_nodes = 8;
     }
     let (views, net) = federation(4, 12);
-    let table = site_schedule(&afg, &views[0], &views[1..], &net, &SchedulerConfig::default())
-        .expect("the palette AFG schedules");
+    let (table, allocs) = allocs_of(|| {
+        site_schedule(&afg, &views[0], &views[1..], &net, &SchedulerConfig::default())
+    });
+    let table = table.expect("the palette AFG schedules");
     let widest = table.iter().map(|p| p.hosts.len()).max();
     assert!(widest >= Some(4), "parallel tasks got at most {widest:?} hosts");
+    (afg, net, table, allocs)
+}
+
+/// Allocations of one `evaluate` over the scheduled palette AFG.
+fn evaluate_allocs(tasks: usize) -> u64 {
+    let (afg, net, table, _) = scheduled(tasks);
     let levels = level_map(&afg, |t| t.problem_size as f64).expect("layered graphs are acyclic");
     let (schedule, allocs) = allocs_of(|| evaluate(&afg, &table, &net, &levels));
     let schedule = schedule.expect("complete tables evaluate");
@@ -181,6 +192,23 @@ fn graph_passes_allocate_per_call_not_per_task() {
     let (small, large) = (evaluate_allocs(2_000), evaluate_allocs(4_000));
     assert!(small <= 64, "evaluate made {small} allocations on 2k tasks");
     assert!(large <= small + 4, "evaluate: {small} allocations on 2k tasks, {large} on 4k");
+
+    // `site_schedule`: levels, one choice per task class and site, the
+    // walk's arrays and the table's one row vector — a row shares its name
+    // with the AFG and its hosts with the choice, so four times the tasks
+    // add buffer doublings, not a name and a share of a tree node each.
+    let (_, _, _, small) = scheduled(2_000);
+    let (_, _, table, large) = scheduled(8_000);
+    assert!(large < 1_000, "site_schedule made {large} allocations on 8k tasks");
+    assert!(large <= small + 16, "site_schedule: {small} allocations on 2k tasks, {large} on 8k");
+
+    // The table's iterator knows its length, so collecting it sizes the
+    // target once; a clone copies the application name and the row vector
+    // and bumps the reference counts inside the rows.
+    let (sites, allocs) = allocs_of(|| table.iter().map(|p| p.site).collect::<Vec<_>>());
+    assert_eq!((sites.len(), allocs), (8_000, 1));
+    let (copy, allocs) = allocs_of(|| table.clone());
+    assert_eq!((copy == table, allocs), (true, 2));
 
     // `topo_order`: the specified order on a 500-task down-scale …
     let down = layered(500, 250, true);

@@ -41,7 +41,7 @@ fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32], n_datasets: usize) -> Afg
             };
             g.tasks.push(TaskNode {
                 id,
-                name: format!("n{li}_{i}"),
+                name: format!("n{li}_{i}").into(),
                 library_task: "Map".into(),
                 kernel: KernelKind::Map,
                 problem_size: size,

@@ -45,7 +45,7 @@ fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32], sun_extra: u8) -> Afg {
             let size = 1000 + size_iter.next().unwrap() as u64 % 100_000;
             g.tasks.push(TaskNode {
                 id,
-                name: format!("n{li}_{i}"),
+                name: format!("n{li}_{i}").into(),
                 library_task: if entry { "Source" } else { "Map" }.into(),
                 kernel: if entry { KernelKind::Source } else { KernelKind::Map },
                 problem_size: size,

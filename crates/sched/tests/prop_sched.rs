@@ -39,7 +39,7 @@ fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32]) -> Afg {
             let size = 1000 + size_iter.next().unwrap() as u64 % 100_000;
             g.tasks.push(TaskNode {
                 id,
-                name: format!("n{li}_{i}"),
+                name: format!("n{li}_{i}").into(),
                 library_task: if entry { "Source" } else { "Map" }.into(),
                 kernel: if entry { KernelKind::Source } else { KernelKind::Map },
                 problem_size: size,
@@ -233,8 +233,68 @@ fn hand_built_table(afg: &Afg, sites: usize, draws: &[u8]) -> AllocationTable {
     table
 }
 
+/// What the allocation table was before it became dense rows, kept as the
+/// model its every answer is checked against — JSON included.
+#[derive(serde::Serialize)]
+struct TableModel {
+    application: String,
+    placements: BTreeMap<TaskId, TaskPlacement>,
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dense_table_agrees_with_a_btreemap_model(
+        ops in proptest::collection::vec((0u32..24, any::<u8>()), 0..48),
+    ) {
+        let mut table = AllocationTable::new("prop");
+        let mut model = TableModel { application: "prop".into(), placements: BTreeMap::new() };
+        for (i, &(task, draw)) in ops.iter().enumerate() {
+            let site = u16::from(draw % 4);
+            let row = TaskPlacement {
+                task: TaskId(task),
+                task_name: format!("n{task}").into(),
+                site: SiteId(site),
+                hosts: (0..1 + draw / 4 % 3).map(|h| format!("s{site}h{h}")).collect(),
+                predicted_seconds: f64::from(draw) * 0.25,
+                data_sources: if draw & 64 == 0 {
+                    vec![]
+                } else {
+                    vec![DataSource { dataset: DatasetId(i as u64), source: SiteId(site) }]
+                },
+            };
+            table.insert(row.clone());
+            model.placements.insert(row.task, row);
+
+            prop_assert_eq!(table.len(), model.placements.len());
+            prop_assert_eq!(table.is_empty(), model.placements.is_empty());
+            prop_assert_eq!(table.iter().len(), model.placements.len());
+            prop_assert!(table.iter().eq(model.placements.values()));
+            for t in (0..26).map(TaskId) {
+                prop_assert_eq!(table.placement(t), model.placements.get(&t));
+            }
+        }
+        let rows = || model.placements.values();
+        let mut sites: Vec<SiteId> = rows().map(|p| p.site).collect();
+        sites.sort_unstable();
+        sites.dedup();
+        prop_assert_eq!(table.sites_used(), sites);
+        let mut hosts: Vec<&str> = rows().flat_map(|p| p.hosts.iter().map(String::as_str)).collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        prop_assert_eq!(table.hosts_used(), hosts);
+        for site in (0..5).map(SiteId) {
+            let portion: Vec<&TaskPlacement> = rows().filter(|p| p.site == site).collect();
+            prop_assert_eq!(table.portion_for_site(site), portion);
+        }
+        prop_assert_eq!(table.to_json(), serde_json::to_string_pretty(&model).unwrap());
+        prop_assert_eq!(
+            serde_json::to_string(&table).unwrap(),
+            serde_json::to_string(&model).unwrap()
+        );
+        prop_assert_eq!(&AllocationTable::from_json(&table.to_json()).unwrap(), &table);
+    }
 
     #[test]
     fn vdce_schedules_are_valid_and_evaluable(

@@ -10,6 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 use vdce_afg::graph::{Afg, Edge};
 use vdce_afg::ids::{PortIndex, TaskId};
 use vdce_afg::library::KernelKind;
@@ -49,7 +51,38 @@ impl Default for DagSpec {
     }
 }
 
-fn node(id: u32, name: String, kernel: KernelKind, size: u64, ins: usize, outs: usize) -> TaskNode {
+/// A short formatted task name, written straight into the shared
+/// allocation a [`TaskNode`] stores: `format!(..).into()` would build a
+/// `String` first and copy it out, an allocation and a free per task of
+/// every generated graph.
+pub(crate) fn task_name(args: fmt::Arguments<'_>) -> Arc<str> {
+    struct Stack {
+        bytes: [u8; 40],
+        len: usize,
+    }
+    impl fmt::Write for Stack {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let end = self.len + s.len();
+            self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?.copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut name = Stack { bytes: [0; 40], len: 0 };
+    match fmt::Write::write_fmt(&mut name, args) {
+        Ok(()) => std::str::from_utf8(&name.bytes[..name.len]).expect("whole strs went in").into(),
+        Err(fmt::Error) => args.to_string().into(),
+    }
+}
+
+fn node(
+    id: u32,
+    name: fmt::Arguments<'_>,
+    kernel: KernelKind,
+    size: u64,
+    ins: usize,
+    outs: usize,
+) -> TaskNode {
     let library_task = match kernel {
         KernelKind::Source => "Source",
         KernelKind::Sink => "Sink",
@@ -57,7 +90,7 @@ fn node(id: u32, name: String, kernel: KernelKind, size: u64, ins: usize, outs: 
     };
     TaskNode {
         id: TaskId(id),
-        name,
+        name: task_name(name),
         library_task: library_task.into(),
         kernel,
         problem_size: size,
@@ -86,34 +119,33 @@ fn log_uniform(rng: &mut StdRng, lo: u64, hi: u64) -> u64 {
 pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Afg::new(format!("layered-{}t-s{seed}", spec.tasks));
-    let mut layers: Vec<Vec<TaskId>> = Vec::new();
-    // Every task of `layers`, flat: the pool second parents are drawn from.
-    let mut all_earlier: Vec<TaskId> = Vec::new();
     let interior_budget = spec.tasks.saturating_sub(1).max(1);
+    // Every interior task and the sink: known now, so the nodes are never
+    // moved by a regrowth.
+    g.tasks.reserve_exact(interior_budget + 1);
 
+    // Ids are handed out in order, so a layer is a range of ids and every
+    // earlier task — the pool second parents are drawn from — is `0..made`.
+    let mut prev = 0..0u32;
     let mut made = 0usize;
     while made < interior_budget {
         let lo = (spec.width / 2).max(1);
         let hi = (spec.width + spec.width / 2).max(lo + 1);
         let w = rng.gen_range(lo..=hi).min(interior_budget - made).max(1);
-        let is_first = layers.is_empty();
-        let mut layer = Vec::with_capacity(w);
-        for _ in 0..w {
-            let id = g.tasks.len() as u32;
+        let is_first = made == 0;
+        let layer = made as u32..(made + w) as u32;
+        for id in layer.clone() {
             let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
             if is_first {
-                g.tasks.push(node(id, format!("n{id}"), KernelKind::Source, size, 0, 1));
+                g.tasks.push(node(id, format_args!("n{id}"), KernelKind::Source, size, 0, 1));
             } else {
                 // Up to 2 parents: ports sized below after edges chosen.
-                g.tasks.push(node(id, format!("n{id}"), KernelKind::Map, size, 1, 1));
+                g.tasks.push(node(id, format_args!("n{id}"), KernelKind::Map, size, 1, 1));
             }
-            layer.push(TaskId(id));
-            made += 1;
         }
         if !is_first {
-            let prev = layers.last().expect("not first");
-            for &t in &layer {
-                let p = prev[rng.gen_range(0..prev.len())];
+            for t in layer.clone().map(TaskId) {
+                let p = TaskId(prev.start + rng.gen_range(0..prev.len()) as u32);
                 let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
                 g.edges.push(Edge {
                     from: p,
@@ -122,8 +154,8 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
                     to_port: PortIndex(0),
                     data_size: bytes,
                 });
-                if rng.gen_bool(spec.extra_edge_p) && all_earlier.len() > 1 {
-                    let p2 = all_earlier[rng.gen_range(0..all_earlier.len())];
+                if rng.gen_bool(spec.extra_edge_p) && made > 1 {
+                    let p2 = TaskId(rng.gen_range(0..made) as u32);
                     if p2 != p {
                         g.tasks[t.index()].props.inputs.push(IoSpec::Dataflow);
                         let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
@@ -138,8 +170,8 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
                 }
             }
         }
-        all_earlier.extend_from_slice(&layer);
-        layers.push(layer);
+        made += w;
+        prev = layer;
     }
 
     // Join every current leaf into one sink.
@@ -150,7 +182,14 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
     let leaves: Vec<TaskId> = g.task_ids().filter(|t| !has_child[t.index()]).collect();
     let sink_id = g.tasks.len() as u32;
     let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
-    g.tasks.push(node(sink_id, format!("n{sink_id}"), KernelKind::Sink, size, leaves.len(), 0));
+    g.tasks.push(node(
+        sink_id,
+        format_args!("n{sink_id}"),
+        KernelKind::Sink,
+        size,
+        leaves.len(),
+        0,
+    ));
     for (i, leaf) in leaves.iter().enumerate() {
         let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
         g.edges.push(Edge {
@@ -172,14 +211,14 @@ pub fn fork_join(branches: usize, depth: usize, spec: &DagSpec, seed: u64) -> Af
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Afg::new(format!("forkjoin-{branches}x{depth}-s{seed}"));
     let src_size = log_uniform(&mut rng, spec.min_size, spec.max_size);
-    g.tasks.push(node(0, "src".into(), KernelKind::Source, src_size, 0, 1));
+    g.tasks.push(node(0, format_args!("src"), KernelKind::Source, src_size, 0, 1));
     let mut leaves = Vec::with_capacity(branches);
     for b in 0..branches {
         let mut prev = TaskId(0);
         for d in 0..depth {
             let id = g.tasks.len() as u32;
             let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
-            g.tasks.push(node(id, format!("b{b}d{d}"), KernelKind::Map, size, 1, 1));
+            g.tasks.push(node(id, format_args!("b{b}d{d}"), KernelKind::Map, size, 1, 1));
             let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
             g.edges.push(Edge {
                 from: prev,
@@ -194,7 +233,7 @@ pub fn fork_join(branches: usize, depth: usize, spec: &DagSpec, seed: u64) -> Af
     }
     let sink = g.tasks.len() as u32;
     let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
-    g.tasks.push(node(sink, "join".into(), KernelKind::Sink, size, branches, 0));
+    g.tasks.push(node(sink, format_args!("join"), KernelKind::Sink, size, branches, 0));
     for (i, leaf) in leaves.iter().enumerate() {
         let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
         g.edges.push(Edge {
@@ -224,7 +263,7 @@ pub fn gauss_elim(n: usize, spec: &DagSpec, seed: u64) -> Afg {
         let ins = if entry { 0 } else { 1 };
         g.tasks.push(node(
             pid,
-            format!("p{k}"),
+            format_args!("p{k}"),
             if entry { KernelKind::Source } else { KernelKind::Map },
             size,
             ins,
@@ -248,7 +287,7 @@ pub fn gauss_elim(n: usize, spec: &DagSpec, seed: u64) -> Afg {
             // the same-column update of the previous step (port 1).
             let prev_u = prev_updates.get(j - k).copied();
             let ins = if prev_u.is_some() { 2 } else { 1 };
-            g.tasks.push(node(uid, format!("u{k}_{j}"), KernelKind::Map, size, ins, 1));
+            g.tasks.push(node(uid, format_args!("u{k}_{j}"), KernelKind::Map, size, ins, 1));
             let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
             g.edges.push(Edge {
                 from: TaskId(pid),
@@ -280,7 +319,7 @@ pub fn gauss_elim(n: usize, spec: &DagSpec, seed: u64) -> Afg {
         g.task_ids().filter(|&t| !g.edges.iter().any(|e| e.from == t)).collect();
     let sink = g.tasks.len() as u32;
     let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
-    g.tasks.push(node(sink, "out".into(), KernelKind::Sink, size, leaves.len(), 0));
+    g.tasks.push(node(sink, format_args!("out"), KernelKind::Sink, size, leaves.len(), 0));
     for (i, leaf) in leaves.iter().enumerate() {
         let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
         g.edges.push(Edge {
@@ -306,7 +345,7 @@ pub fn fft_butterfly(points: usize, spec: &DagSpec, seed: u64) -> Afg {
     let mut prev: Vec<TaskId> = Vec::with_capacity(points);
     for i in 0..points {
         let size = log_uniform(&mut rng, spec.min_size, spec.max_size);
-        g.tasks.push(node(i as u32, format!("in{i}"), KernelKind::Source, size, 0, 1));
+        g.tasks.push(node(i as u32, format_args!("in{i}"), KernelKind::Source, size, 0, 1));
         prev.push(TaskId(i as u32));
     }
     for r in 0..ranks {
@@ -319,7 +358,7 @@ pub fn fft_butterfly(points: usize, spec: &DagSpec, seed: u64) -> Afg {
             let ins = 2;
             let outs = if r + 1 == ranks { 0 } else { 1 };
             let kernel = if r + 1 == ranks { KernelKind::Sink } else { KernelKind::Map };
-            g.tasks.push(node(id, format!("r{r}_{i}"), kernel, size, ins, outs));
+            g.tasks.push(node(id, format_args!("r{r}_{i}"), kernel, size, ins, outs));
             for (port, src) in [(0u16, prev[i]), (1u16, prev[partner])] {
                 let bytes = log_uniform(&mut rng, spec.min_bytes, spec.max_bytes);
                 g.edges.push(Edge {
@@ -342,6 +381,19 @@ pub fn fft_butterfly(points: usize, spec: &DagSpec, seed: u64) -> Afg {
 mod tests {
     use super::*;
     use vdce_afg::validate::validate;
+
+    #[test]
+    fn task_names_are_the_formatted_text_whatever_their_length() {
+        assert_eq!(&*task_name(format_args!("n{}", 12_345)), "n12345");
+        assert_eq!(&*task_name(format_args!("join")), "join");
+        assert_eq!(&*task_name(format_args!("")), "");
+        // Up to the stack buffer and past it (the fallback formats again).
+        for len in [39, 40, 41, 200] {
+            let long = "é".repeat(len / 2) + &"x".repeat(len % 2);
+            assert_eq!(&*task_name(format_args!("{long}")), long);
+            assert_eq!(&*task_name(format_args!("u{}_{long}", 7)), format!("u7_{long}"));
+        }
+    }
 
     #[test]
     fn layered_random_is_valid_and_sized() {

@@ -20,8 +20,10 @@
 //! Both generators are deterministic in their seed: same seed, same
 //! AFG, same catalog state, same journal history.
 
+use crate::dag_gen::task_name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use vdce_afg::graph::{Afg, Edge};
 use vdce_afg::ids::{PortIndex, TaskId};
 use vdce_afg::library::KernelKind;
@@ -78,10 +80,10 @@ fn capture_views(repos: &[SiteRepository]) -> Vec<SiteView> {
     repos.iter().enumerate().map(|(i, r)| SiteView::capture(SiteId(i as u16), r)).collect()
 }
 
-fn reader(id: u32, name: String, size: u64, dataset: DatasetId) -> TaskNode {
+fn reader(id: u32, name: fmt::Arguments<'_>, size: u64, dataset: DatasetId) -> TaskNode {
     TaskNode {
         id: TaskId(id),
-        name,
+        name: task_name(name),
         library_task: "Map".into(),
         kernel: KernelKind::Map,
         problem_size: size,
@@ -93,10 +95,10 @@ fn reader(id: u32, name: String, size: u64, dataset: DatasetId) -> TaskNode {
     }
 }
 
-fn map_node(id: u32, name: String, size: u64, ins: usize, outs: usize) -> TaskNode {
+fn map_node(id: u32, name: fmt::Arguments<'_>, size: u64, ins: usize, outs: usize) -> TaskNode {
     TaskNode {
         id: TaskId(id),
-        name,
+        name: task_name(name),
         library_task: if outs == 0 { "Sink".into() } else { "Map".into() },
         kernel: if outs == 0 { KernelKind::Sink } else { KernelKind::Map },
         problem_size: size,
@@ -140,7 +142,7 @@ pub fn sweep_workload(tasks: usize, dataset_bytes: u64, seed: u64) -> DataScenar
     let mut g = Afg::new(format!("sweep-{tasks}t-s{seed}"));
     for i in 0..tasks {
         let size = log_uniform(&mut rng, 50_000, 500_000);
-        g.tasks.push(reader(i as u32, format!("p{i}"), size, DatasetId(1)));
+        g.tasks.push(reader(i as u32, format_args!("p{i}"), size, DatasetId(1)));
     }
     debug_assert!(validate::validate(&g).is_ok(), "sweep generator must emit valid AFGs");
 
@@ -181,10 +183,10 @@ pub fn pipeline_workload(chains: usize, dataset_bytes: u64, seed: u64) -> DataSc
 
         let rid = g.tasks.len() as u32;
         let read_size = log_uniform(&mut rng, 2_000_000, 4_000_000);
-        g.tasks.push(reader(rid, format!("read{c}"), read_size, id));
+        g.tasks.push(reader(rid, format_args!("read{c}"), read_size, id));
         let tid = g.tasks.len() as u32;
         let t_size = log_uniform(&mut rng, 50_000, 100_000);
-        g.tasks.push(map_node(tid, format!("xform{c}"), t_size, 1, 1));
+        g.tasks.push(map_node(tid, format_args!("xform{c}"), t_size, 1, 1));
         g.edges.push(Edge {
             from: TaskId(rid),
             from_port: PortIndex(0),
@@ -195,7 +197,7 @@ pub fn pipeline_workload(chains: usize, dataset_bytes: u64, seed: u64) -> DataSc
         leaves.push(TaskId(tid));
     }
     let sink = g.tasks.len() as u32;
-    g.tasks.push(map_node(sink, "collect".into(), 50_000, chains, 0));
+    g.tasks.push(map_node(sink, format_args!("collect"), 50_000, chains, 0));
     for (i, leaf) in leaves.iter().enumerate() {
         g.edges.push(Edge {
             from: *leaf,

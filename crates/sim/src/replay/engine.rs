@@ -11,6 +11,7 @@ use crate::pool_gen::Federation;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use vdce_afg::graph::EdgeIndex;
+use vdce_afg::level::priority_list;
 use vdce_afg::{Afg, TaskId};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
@@ -80,13 +81,7 @@ impl<'a> Inputs<'a> {
         )
         .expect("replay requires a schedulable AFG");
         let levels = views[0].levels(afg).expect("AFG is a DAG");
-        let mut by_priority: Vec<TaskId> = afg.task_ids().collect();
-        by_priority.sort_by(|a, b| {
-            levels[b.index()]
-                .partial_cmp(&levels[a.index()])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
+        let by_priority = priority_list(&levels);
 
         let timeline = plan.timeline(cfg.tick);
         let last_event = timeline.iter().map(|e| e.t).fold(0.0f64, f64::max);
@@ -388,7 +383,7 @@ impl<'a> Replay<'a> {
                 end,
                 "task_run",
                 vec![
-                    ("task".to_string(), node.name.clone().into()),
+                    ("task".to_string(), (&*node.name).into()),
                     ("site".to_string(), run.site.0.into()),
                     ("hosts".to_string(), run.hosts.join("+").into()),
                 ],

@@ -91,7 +91,7 @@ fn main() {
 
     // The Back_Substitution task honoured the preferred machine.
     let back_placement =
-        report.allocation.iter().find(|p| p.task_name == "Back_Substitution").unwrap();
+        report.allocation.iter().find(|p| &*p.task_name == "Back_Substitution").unwrap();
     assert_eq!(back_placement.hosts.to_vec(), vec!["hunding.top.cis.syr.edu".to_string()]);
     println!("\npreferred-machine pin honoured: Back_Substitution @ {}", back_placement.hosts[0]);
 }
