@@ -245,6 +245,55 @@ mod tests {
         }
     }
 
+    /// `placements_digest` of the faulted paths — host down and up, the
+    /// restart of every run on a dead host, the release of its slots and
+    /// host loads — recorded at `2e9eb9a`, before the service kept one
+    /// record per submission. Each plan crashes a site-0 host for good,
+    /// takes a site-1 host down for a while, and then all of site 1,
+    /// once for a while and once for good.
+    #[test]
+    fn fault_placements_are_pinned() {
+        let mut queued = small();
+        queued.fed.hosts_per_site = 2;
+        queued.trace.rate_per_s = 2.0;
+        queued.trace.seed = 3;
+        // Each fault lands on an arrival's instant, after the arrival
+        // (faults are injected last), so the run it just started is live.
+        let plan = |sc: &StreamScenario, site_down_for| {
+            let fed = build_federation(&sc.fed);
+            let at: Vec<f64> = poisson_trace(&sc.trace).iter().map(|a| a.at_s).collect();
+            FaultPlan {
+                seed: 1,
+                faults: vec![
+                    Fault::HostCrash { host: fed.hosts(SiteId(0))[0].clone(), at: at[0] },
+                    Fault::TransientOutage {
+                        host: fed.hosts(SiteId(1))[1].clone(),
+                        at: at[1],
+                        down_for: 10.0,
+                    },
+                    Fault::SiteOutage { site: 1, at: at[5], down_for: site_down_for },
+                ],
+            }
+        };
+        let mut got = Vec::new();
+        for base in [small(), queued] {
+            for site_down_for in [Some(8.0), None] {
+                let mut sc = base.clone();
+                sc.faults = plan(&sc, site_down_for);
+                let report = run_stream(&sc);
+                assert!(report.restarts > 0, "the plan must hit a running submission");
+                got.push(report.placements_digest);
+            }
+        }
+        let want: [u64; 4] = [
+            0xf47c_d244_03a0_24d4,
+            0x473a_a320_6027_b145,
+            0x645f_089f_be71_a28b,
+            0xb181_8691_5201_c2c5,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+    }
+
     #[test]
     fn different_trace_seed_changes_the_run() {
         let sc = small();
