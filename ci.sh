@@ -177,8 +177,10 @@ stage "durable recovery gate (--quick)" \
 stage "scale gate (--quick)" \
     cargo run -q --release -p vdce-bench --bin exp_scale -- --quick
 # Streaming service gate: the acceptance cell must replay bit-identically
-# twice, keep p99 time-to-placement (logical time) under the ceiling,
-# and starve no tenant past the aging bound.
+# twice, reproduce the placements digest recorded in exp_stream.rs
+# (`QUICK_PLACEMENTS_DIGEST`; a change that moves placements on purpose
+# re-records it), keep p99 time-to-placement (logical time) under the
+# ceiling, and starve no tenant past the aging bound.
 stage "stream gate (--quick)" \
     cargo run -q --release -p vdce-bench --bin exp_stream -- --quick
 # Fuzz gate: a fixed seed block of generated adversarial cases must pass

@@ -21,8 +21,8 @@
 //!
 //! `--quick` runs the CI gate instead, on the 8-site acceptance cell:
 //! two full replays must produce byte-identical deterministic
-//! sections, zero starved tenants, and a p99 time-to-placement ceiling
-//! (logical time). Exits 1 on failure; writes nothing. Regressions in
+//! sections, the recorded placements digest, zero starved tenants, and
+//! a p99 time-to-placement ceiling (logical time). Exits 1 on failure; writes nothing. Regressions in
 //! speed are `vdce_perf`'s to catch (`perf/`), which controls for noise.
 
 use std::time::Instant;
@@ -41,6 +41,14 @@ use vdce_sim::stream::{run_stream, StreamScenario};
 /// ceiling means dispatch ordering or aging regressed — a wait headed
 /// for the starvation bound (915s for the lowest priority class).
 const QUICK_P99_TTP_CEILING_S: f64 = 300.0;
+
+/// `placements_digest` of the acceptance cell: every dispatch and
+/// completion of the quick scenario, placement by placement. A change
+/// that should not move a placement must leave it here. ROADMAP item 3's
+/// staleness fix (re-selecting a queued submission at current loads)
+/// moves placements on purpose; it re-records this value in a commit of
+/// its own.
+const QUICK_PLACEMENTS_DIGEST: u64 = 0xb219_4d83_7ddb_8c41;
 
 /// Deterministic outcome of one swept cell (identical across replays).
 #[derive(serde::Serialize)]
@@ -87,7 +95,7 @@ fn scenario(sites: usize, tenants: usize, rate_per_s: f64, horizon_s: f64) -> St
 /// Run one cell: returns its deterministic row and wall-clock row.
 fn measure(sc: &StreamScenario) -> (ScenarioRow, ThroughputRow) {
     let t0 = Instant::now();
-    let report = run_stream(sc);
+    let report = run_stream(sc, None);
     let wall = t0.elapsed().as_secs_f64();
     let (sites, tenants, rate) = (sc.fed.sites, sc.trace.tenants, sc.trace.rate_per_s);
     (
@@ -164,7 +172,7 @@ fn main() {
     // Export the acceptance cell's service counters as the embedded
     // metric snapshot (deterministic: no profile.* entries are set).
     let metrics = MetricsRegistry::new();
-    vdce_sim::stream::run_stream_observed(&quick_scenario(), &metrics);
+    run_stream(&quick_scenario(), Some(&metrics));
 
     let artifact = RunArtifact::new("exp_stream")
         .meta("hosts_per_site", 8usize)
@@ -197,8 +205,8 @@ fn run_quick_gate() {
 
     // Two full replays of the same scenario; byte-identity of the
     // deterministic payload is the whole point.
-    let first = run_stream(&sc);
-    let second = run_stream(&sc);
+    let first = run_stream(&sc, None);
+    let second = run_stream(&sc, None);
 
     let bytes_a = serde_json::to_string(&first).expect("report serialises");
     let bytes_b = serde_json::to_string(&second).expect("report serialises");
@@ -221,6 +229,13 @@ fn run_quick_gate() {
         first.ttp_p50_s, first.ttp_p99_s, first.ttp_max_s, first.placements_digest
     );
 
+    if first.placements_digest != QUICK_PLACEMENTS_DIGEST {
+        failures.push(format!(
+            "placements digest {:#x} is not the recorded {QUICK_PLACEMENTS_DIGEST:#x}: \
+             a placement moved",
+            first.placements_digest
+        ));
+    }
     if first.submitted == 0 || first.admitted == 0 {
         failures.push("gate scenario admitted nothing — workload misconfigured".to_string());
     }

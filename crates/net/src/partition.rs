@@ -140,11 +140,6 @@ impl PartitionState {
     pub fn is_whole(&self) -> bool {
         self.severed.is_empty()
     }
-
-    /// The severed pairs in normalised `(min, max)` order.
-    pub fn severed_pairs(&self) -> impl Iterator<Item = (SiteId, SiteId)> + '_ {
-        self.severed.iter().map(|&(a, b)| (SiteId(a), SiteId(b)))
-    }
 }
 
 #[cfg(test)]

@@ -155,14 +155,6 @@ impl TaskPerfDb {
     pub fn measured_hosts(&self, task: &str) -> Vec<&str> {
         self.measured.get(task).map(|m| m.keys().map(String::as_str).collect()).unwrap_or_default()
     }
-
-    /// Does any host have a measured rate for `task`? Cheaper than
-    /// [`TaskPerfDb::measured_hosts`] (no allocation) — the batched
-    /// prediction kernel uses this to pick its measurement-free fast
-    /// path.
-    pub fn has_measurements(&self, task: &str) -> bool {
-        self.measured.get(task).is_some_and(|m| !m.is_empty())
-    }
 }
 
 #[cfg(test)]

@@ -22,10 +22,9 @@
 //!   one (or nothing, which means restart-from-zero).
 //!
 //! Dataflow tasks persist their completed fraction plus produced-output
-//! payloads (so a resumed consumer can re-deliver without re-executing);
-//! DSM-mode tasks attach a [`vdce_dsm::DsmSnapshot`] captured under the
-//! directory lock. Policies default to **disabled** so every
-//! pre-checkpoint baseline keeps its exact behaviour.
+//! payloads (so a resumed consumer can re-deliver without re-executing).
+//! Policies default to **disabled** so every pre-checkpoint baseline
+//! keeps its exact behaviour.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -34,7 +33,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use vdce_afg::{DatasetId, TaskId};
 use vdce_data::DatasetCatalog;
-use vdce_dsm::DsmSnapshot;
 use vdce_net::topology::SiteId;
 use vdce_store::Journal;
 
@@ -289,23 +287,13 @@ pub struct TaskCheckpoint {
     /// Produced-output payloads by out-port index (dataflow tasks), so a
     /// fully checkpointed task can re-deliver without re-executing.
     pub outputs: BTreeMap<usize, Bytes>,
-    /// Consistent DSM page capture (DSM-mode tasks).
-    pub dsm: Option<DsmSnapshot>,
 }
 
 impl TaskCheckpoint {
     /// Checkpoint of `task` at `progress`, written at `taken_at` with
     /// copies on `stored_on`.
     pub fn new(task: TaskId, progress: f64, taken_at: f64, stored_on: Vec<String>) -> Self {
-        TaskCheckpoint {
-            task,
-            seq: 0,
-            progress,
-            taken_at,
-            stored_on,
-            outputs: BTreeMap::new(),
-            dsm: None,
-        }
+        TaskCheckpoint { task, seq: 0, progress, taken_at, stored_on, outputs: BTreeMap::new() }
     }
 
     /// Attach produced-output payloads.
@@ -313,19 +301,12 @@ impl TaskCheckpoint {
         self.outputs = outputs;
         self
     }
-
-    /// Attach a DSM snapshot.
-    pub fn with_dsm(mut self, snap: DsmSnapshot) -> Self {
-        self.dsm = Some(snap);
-        self
-    }
 }
 
 /// One journaled mutation of the checkpoint store (the `ckpt` journal
 /// tag). Only *control* fields are journaled: produced-output payloads
-/// and DSM page captures are data-plane state, re-derivable from task
-/// re-execution, and the shimmed `Bytes`/`DsmSnapshot` types do not
-/// serialize.
+/// are data-plane state, re-derivable from task re-execution, and the
+/// shimmed `Bytes` type does not serialize.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CheckpointEvent {
     /// [`CheckpointStore::record`]: a new checkpoint was persisted.
@@ -534,11 +515,6 @@ impl CheckpointStore {
         }
         cp.stored_on.push(host.to_string());
         true
-    }
-
-    /// Every checkpoint of `task`, in sequence order.
-    pub fn checkpoints_for(&self, task: TaskId) -> Vec<TaskCheckpoint> {
-        self.inner.lock().by_task.get(&task).cloned().unwrap_or_default()
     }
 
     /// Drop every checkpoint of `task` (e.g. after final completion).

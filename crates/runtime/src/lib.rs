@@ -73,4 +73,4 @@ pub use net_monitor::{LinkProbe, NetworkMonitor, SyntheticLinkProbe};
 pub use recovery::{BackoffPolicy, Quarantine, SiteQuarantine};
 pub use services::{ConsoleService, IoService, VisualizationService};
 pub use site_manager::{ControlMessage, FailoverEvent, SiteFailover, SiteManager, SiteTableEvent};
-pub use submission::{gateway, SubmissionError, SubmissionGateway};
+pub use submission::{SubmissionError, SubmissionGateway};

@@ -16,9 +16,7 @@
 use std::sync::Arc;
 use vdce_afg::Afg;
 use vdce_repository::accounts::{AccessDomain, AuthError, UserId};
-use vdce_sched::service::stream::{
-    ServiceConfig, StreamReport, StreamService, SubmissionId, SubmissionRequest,
-};
+use vdce_sched::service::stream::{StreamReport, StreamService, SubmissionId, SubmissionRequest};
 use vdce_sched::service::tenant::Quota;
 
 /// Why the gateway refused a submission.
@@ -105,15 +103,6 @@ impl SubmissionGateway {
     }
 }
 
-/// Convenience: gateway over a fresh service on `repos` + `net`.
-pub fn gateway(
-    repos: Vec<vdce_repository::SiteRepository>,
-    net: vdce_net::model::NetworkModel,
-    cfg: ServiceConfig,
-) -> SubmissionGateway {
-    SubmissionGateway::new(StreamService::new(repos, net, cfg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +110,7 @@ mod tests {
     use vdce_net::model::NetworkModel;
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
+    use vdce_sched::service::stream::ServiceConfig;
 
     fn fixture() -> SubmissionGateway {
         let repo = SiteRepository::new();
@@ -135,7 +125,8 @@ mod tests {
                 "g0",
             ));
         });
-        gateway(vec![repo], NetworkModel::with_defaults(1), ServiceConfig::default())
+        let net = NetworkModel::with_defaults(1);
+        SubmissionGateway::new(StreamService::new(vec![repo], net, ServiceConfig::default()))
     }
 
     fn afg() -> Arc<Afg> {

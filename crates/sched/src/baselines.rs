@@ -219,9 +219,7 @@ pub fn local_only_schedule(
     for task in afg.task_ids() {
         let best = all[task.index()]
             .iter()
-            .min_by(|a, b| {
-                a.predicted.partial_cmp(&b.predicted).unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .min_by(|a, b| a.predicted.total_cmp(&b.predicted))
             .ok_or_else(|| no_feasible(afg, task))?;
         table.insert(placement(afg, task, best));
     }
@@ -300,13 +298,9 @@ fn completion_time_schedule(
         }
         // min-min: smallest best-CT first; max-min: largest best-CT first.
         let chosen = if pick_max {
-            per_task
-                .into_iter()
-                .max_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
+            per_task.into_iter().max_by(|a, b| a.2.total_cmp(&b.2))
         } else {
-            per_task
-                .into_iter()
-                .min_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
+            per_task.into_iter().min_by(|a, b| a.2.total_cmp(&b.2))
         }
         .expect("ready not empty");
         let (ri, opt, ct) = chosen;
@@ -366,39 +360,7 @@ pub fn heft_schedule(
     predictor: &Predictor,
     cache: &PredictCache,
 ) -> Result<AllocationTable, SchedError> {
-    // Mean computation cost across all feasible hosts approximates the
-    // host-independent cost HEFT ranks on; we reuse base times.
-    let tasks_db = &views.first().ok_or_else(|| no_feasible(afg, TaskId(0)))?.tasks;
-    // Mean link transfer rate for the rank's communication term.
-    let sites = net.site_count();
-    let mut mean_rate = 0.0;
-    let mut pairs = 0usize;
-    for a in 0..sites as u16 {
-        for b in a..sites as u16 {
-            let l = net.link(SiteId(a), SiteId(b));
-            mean_rate += 1.0 / l.bandwidth_bps;
-            pairs += 1;
-        }
-    }
-    let per_byte = if pairs > 0 { mean_rate / pairs as f64 } else { 0.0 };
-
-    let ranks = blevel_map(
-        afg,
-        |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0),
-        |bytes| bytes as f64 * per_byte,
-    )
-    .map_err(|_| SchedError::Cyclic)?;
-
-    // Rank order (descending b-level) is a valid topological order for
-    // positive costs; guard against zero-cost ties by stable re-sorting a
-    // topological order.
-    let mut order = afg.topo_order().ok_or(SchedError::Cyclic)?;
-    order.sort_by(|a, b| {
-        ranks[b.index()].partial_cmp(&ranks[a.index()]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // Re-fix topological consistency (stable sort may reorder equal-rank
-    // parent/child pairs): walk and push parents before children.
-    let order = topo_consistent(afg, order);
+    let order = heft_order(afg, views, net)?;
 
     let arena = host_arena(views);
     let all = all_options(afg, views, predictor, cache, &arena);
@@ -445,28 +407,7 @@ pub fn heft_insertion_schedule(
     predictor: &Predictor,
     cache: &PredictCache,
 ) -> Result<AllocationTable, SchedError> {
-    let tasks_db = &views.first().ok_or_else(|| no_feasible(afg, TaskId(0)))?.tasks;
-    let sites = net.site_count();
-    let mut mean_rate = 0.0;
-    let mut pairs = 0usize;
-    for a in 0..sites as u16 {
-        for b in a..sites as u16 {
-            mean_rate += 1.0 / net.link(SiteId(a), SiteId(b)).bandwidth_bps;
-            pairs += 1;
-        }
-    }
-    let per_byte = if pairs > 0 { mean_rate / pairs as f64 } else { 0.0 };
-    let ranks = blevel_map(
-        afg,
-        |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0),
-        |bytes| bytes as f64 * per_byte,
-    )
-    .map_err(|_| SchedError::Cyclic)?;
-    let mut order = afg.topo_order().ok_or(SchedError::Cyclic)?;
-    order.sort_by(|a, b| {
-        ranks[b.index()].partial_cmp(&ranks[a.index()]).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let order = topo_consistent(afg, order);
+    let order = heft_order(afg, views, net)?;
 
     let arena = host_arena(views);
     let all = all_options(afg, views, predictor, cache, &arena);
@@ -514,13 +455,51 @@ pub fn heft_insertion_schedule(
         site_of[task.index()] = Some(opt.site);
         host_of[task.index()] = opt.host_id;
         let slots = &mut busy[opt.host_id as usize];
-        let pos = slots
-            .binary_search_by(|(s, _)| s.partial_cmp(&start).unwrap_or(std::cmp::Ordering::Equal))
-            .unwrap_or_else(|p| p);
+        let pos = slots.binary_search_by(|(s, _)| s.total_cmp(&start)).unwrap_or_else(|p| p);
         slots.insert(pos, (start, eft));
         table.insert(placement(afg, task, opt));
     }
     Ok(table)
+}
+
+/// HEFT's task order, shared by both variants: descending *b-level*
+/// (computation plus mean communication along the path to an exit),
+/// repaired to be topological.
+fn heft_order(
+    afg: &Afg,
+    views: &[&SiteView],
+    net: &NetworkModel,
+) -> Result<Vec<TaskId>, SchedError> {
+    // Mean computation cost across all feasible hosts approximates the
+    // host-independent cost HEFT ranks on; we reuse base times.
+    let tasks_db = &views.first().ok_or_else(|| no_feasible(afg, TaskId(0)))?.tasks;
+    // Mean link transfer rate for the rank's communication term.
+    let sites = net.site_count();
+    let mut mean_rate = 0.0;
+    let mut pairs = 0usize;
+    for a in 0..sites as u16 {
+        for b in a..sites as u16 {
+            mean_rate += 1.0 / net.link(SiteId(a), SiteId(b)).bandwidth_bps;
+            pairs += 1;
+        }
+    }
+    let per_byte = if pairs > 0 { mean_rate / pairs as f64 } else { 0.0 };
+
+    let ranks = blevel_map(
+        afg,
+        |t| tasks_db.base_time(&t.library_task, t.problem_size).unwrap_or(0.0),
+        |bytes| bytes as f64 * per_byte,
+    )
+    .map_err(|_| SchedError::Cyclic)?;
+
+    // Rank order (descending b-level) is a valid topological order for
+    // positive costs; guard against zero-cost ties by stable re-sorting a
+    // topological order.
+    let mut order = afg.topo_order().ok_or(SchedError::Cyclic)?;
+    order.sort_by(|a, b| ranks[b.index()].total_cmp(&ranks[a.index()]));
+    // Re-fix topological consistency (stable sort may reorder equal-rank
+    // parent/child pairs): walk and push parents before children.
+    Ok(topo_consistent(afg, order))
 }
 
 /// Restore topological consistency of a priority order (parents before

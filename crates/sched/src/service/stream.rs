@@ -22,6 +22,11 @@
 //! 3. the dispatcher starts as many pending submissions as capacity
 //!    allows, in weighted-fair order.
 //!
+//! An admitted submission is one record (`Admitted`) for the rest of its
+//! life: it waits in the pending queue beside its placement state, moves
+//! whole into a run when dispatched, and moves back into the queue if a
+//! host failure restarts that run.
+//!
 //! ## Admission
 //!
 //! An arrival is authenticated against the tenant registry (the
@@ -104,18 +109,19 @@ pub struct SubmissionRequest {
     pub budget: f64,
 }
 
+/// Concurrent runs a site sustains per host: its slot capacity is
+/// `hosts × SLOTS_PER_HOST`.
+const SLOTS_PER_HOST: u32 = 1;
+/// Delay before an over-quota arrival is retried.
+const DEFER_DELAY_S: f64 = 2.0;
+/// Retries an over-quota arrival gets before it is rejected.
+const MAX_DEFERS: u32 = 3;
+
 /// Service knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServiceConfig {
     /// Neighbour-site count for `AccessDomain::Neighbours` tenants.
     pub k_neighbours: usize,
-    /// Concurrent runs a site sustains per host (its slot capacity is
-    /// `hosts × slots_per_host`).
-    pub slots_per_host: u32,
-    /// Delay before retrying an over-quota arrival.
-    pub defer_delay_s: f64,
-    /// Defer attempts before an over-quota arrival is rejected.
-    pub max_defers: u32,
     /// Anti-starvation aging policy.
     pub aging: AgingPolicy,
     /// Deadline-and-budget admission policy.
@@ -126,9 +132,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             k_neighbours: 3,
-            slots_per_host: 1,
-            defer_delay_s: 2.0,
-            max_defers: 3,
             aging: AgingPolicy::default(),
             broker: BrokerPolicy::default(),
         }
@@ -139,12 +142,13 @@ impl Default for ServiceConfig {
 // Events
 // ---------------------------------------------------------------------
 
+/// What happens at an event's instant. An arrival carries its request
+/// and how many times it has been deferred so far.
 #[derive(Debug, Clone)]
 enum EventKind {
-    Arrival(SubmissionId),
+    Arrival { id: SubmissionId, req: SubmissionRequest, defers: u32 },
     Completion { run: SubmissionId, generation: u32 },
-    HostDown { site: SiteId, host: String },
-    HostUp { site: SiteId, host: String },
+    Host { site: SiteId, host: String, status: HostStatus },
 }
 
 /// Heap entry: total order on (logical time, sequence).
@@ -176,15 +180,29 @@ impl Ord for QueuedEvent {
 // Internal state
 // ---------------------------------------------------------------------
 
-/// An admitted submission waiting for capacity.
-struct PendingSub {
+/// An admitted submission: the record that moves whole from the pending
+/// queue into a run and, on a fault restart, back.
+struct Admitted {
     req: SubmissionRequest,
     arrival_s: f64,
     base_priority: u8,
     /// Sites this tenant's domain may use (local first, then by
     /// distance) — the fixed site order of its outputs.
     sites: Arc<[SiteId]>,
-    /// Cached per-site host-selection outputs, parallel to `sites`.
+    /// Level of every task on the front-end site's base-processor
+    /// costs, computed once at admission: they read only the
+    /// task-performance database, which the service never writes.
+    levels: Vec<f64>,
+    /// Dispatch generation the next start will run as: 0 on first
+    /// admission, incremented by every fault restart so the victim's
+    /// stale in-flight completion event cannot complete the re-run.
+    generation: u32,
+}
+
+/// An admitted submission waiting for capacity.
+struct PendingSub {
+    sub: Admitted,
+    /// Cached per-site host-selection outputs, parallel to `sub.sites`.
     outputs: Vec<HostSelectionOutput>,
     /// The prediction memo this admission filled. Every re-selection of
     /// this submission goes through it, so while it waits it stays priced
@@ -195,24 +213,16 @@ struct PendingSub {
     /// Current incremental placement; `None` while infeasible (every
     /// candidate host down).
     inc: Option<IncrementalSchedule>,
-    /// Dispatch generation the next start will run as: 0 on first
-    /// admission, incremented by every fault restart so the victim's
-    /// stale in-flight completion event cannot complete the re-run.
-    generation: u32,
 }
 
 /// A dispatched run occupying capacity until its completion event.
 struct ActiveRun {
-    req: SubmissionRequest,
-    arrival_s: f64,
-    base_priority: u8,
-    sites: Arc<[SiteId]>,
+    sub: Admitted,
     /// Every site the placement touches — each one was charged a slot
     /// at dispatch and is released on completion or restart.
     charged: Vec<SiteId>,
     hosts: Vec<(SiteId, String)>,
     finish_s: f64,
-    generation: u32,
 }
 
 #[derive(Default)]
@@ -220,14 +230,10 @@ struct TenantCounters {
     priority: u8,
     submitted: u64,
     admitted: u64,
-    deferred: u64,
-    rejected: u64,
     completed: u64,
     restarts: u64,
     deadline_met: u64,
     max_wait_s: f64,
-    sum_wait_s: f64,
-    waits: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -321,7 +327,7 @@ impl StreamReport {
             .iter()
             .filter(|t| t.starved)
             .map(|t| (t.tenant, t.max_wait_s - t.wait_bound_s))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 
@@ -346,7 +352,6 @@ pub struct StreamService {
     next_seq: u64,
     next_submission: u64,
     events: BinaryHeap<Reverse<QueuedEvent>>,
-    inbox: BTreeMap<SubmissionId, (SubmissionRequest, u32)>,
     pending: BTreeMap<SubmissionId, PendingSub>,
     active: BTreeMap<SubmissionId, ActiveRun>,
 
@@ -354,7 +359,6 @@ pub struct StreamService {
     site_inflight: Vec<u32>,
     host_inflight: Vec<BTreeMap<String, u32>>,
     views: Vec<Option<Arc<SiteView>>>,
-    levels_view: Option<SiteView>,
 
     events_processed: u64,
     deferred: u64,
@@ -370,10 +374,8 @@ impl StreamService {
     /// connected by `net`.
     pub fn new(repos: Vec<SiteRepository>, net: NetworkModel, cfg: ServiceConfig) -> Self {
         assert!(!repos.is_empty(), "a federation needs at least the local site");
-        let site_capacity: Vec<u32> = repos
-            .iter()
-            .map(|r| r.resources(|db| db.len()) as u32 * cfg.slots_per_host.max(1))
-            .collect();
+        let site_capacity: Vec<u32> =
+            repos.iter().map(|r| r.resources(|db| db.len()) as u32 * SLOTS_PER_HOST).collect();
         let n = repos.len();
         StreamService {
             cfg,
@@ -387,14 +389,12 @@ impl StreamService {
             next_seq: 0,
             next_submission: 0,
             events: BinaryHeap::new(),
-            inbox: BTreeMap::new(),
             pending: BTreeMap::new(),
             active: BTreeMap::new(),
             site_capacity,
             site_inflight: vec![0; n],
             host_inflight: vec![BTreeMap::new(); n],
             views: vec![None; n],
-            levels_view: None,
             events_processed: 0,
             deferred: 0,
             restarts: 0,
@@ -434,11 +434,6 @@ impl StreamService {
         &self.tenants
     }
 
-    /// Current logical time.
-    pub fn now(&self) -> f64 {
-        self.clock
-    }
-
     /// Admitted-but-unstarted submissions.
     pub fn pending_count(&self) -> usize {
         self.pending.len()
@@ -459,34 +454,30 @@ impl StreamService {
     pub fn submit_at(&mut self, t: f64, req: SubmissionRequest) -> SubmissionId {
         let id = SubmissionId(self.next_submission);
         self.next_submission += 1;
-        self.inbox.insert(id, (req, 0));
-        self.push_event(t, EventKind::Arrival(id));
+        self.push_event(t, EventKind::Arrival { id, req, defers: 0 });
         id
     }
 
     /// Inject a host failure at logical time `t` (a monitor down event;
     /// the host stays down until [`StreamService::inject_host_up_at`]).
     pub fn inject_host_down_at(&mut self, t: f64, site: SiteId, host: &str) {
-        self.push_event(t, EventKind::HostDown { site, host: host.to_string() });
+        let host = host.to_string();
+        self.push_event(t, EventKind::Host { site, host, status: HostStatus::Down });
     }
 
     /// Inject a host recovery at logical time `t`.
     pub fn inject_host_up_at(&mut self, t: f64, site: SiteId, host: &str) {
-        self.push_event(t, EventKind::HostUp { site, host: host.to_string() });
+        let host = host.to_string();
+        self.push_event(t, EventKind::Host { site, host, status: HostStatus::Up });
     }
 
     // -- views and outputs --------------------------------------------
 
     /// The shared view of `site`, re-captured after [`Self::dirty_site`].
-    /// Takes the two fields rather than `&mut self` so `refresh_pending`
-    /// can call it while it walks `self.pending`.
-    fn view(
-        views: &mut [Option<Arc<SiteView>>],
-        repos: &[SiteRepository],
-        site: SiteId,
-    ) -> Arc<SiteView> {
-        views[site.index()]
-            .get_or_insert_with(|| Arc::new(SiteView::capture(site, &repos[site.index()])))
+    fn view(&mut self, site: SiteId) -> Arc<SiteView> {
+        let repo = &self.repos[site.index()];
+        self.views[site.index()]
+            .get_or_insert_with(|| Arc::new(SiteView::capture(site, repo)))
             .clone()
     }
 
@@ -510,19 +501,33 @@ impl StreamService {
     }
 
     fn output_for(&mut self, site: SiteId, afg: &Afg, memo: &PredictCache) -> HostSelectionOutput {
-        let view = Self::view(&mut self.views, &self.repos, site);
+        let view = self.view(site);
         host_selection_classed(&view, afg, &self.predictor, &self.parallel, memo)
     }
 
-    /// Levels for makespan evaluation: base-processor costs from the
-    /// front-end site's task-performance database (load-independent, so
-    /// cached once).
-    fn levels_for(&mut self, afg: &Afg) -> Vec<f64> {
-        if self.levels_view.is_none() {
-            self.levels_view = Some(SiteView::capture(SiteId(0), &self.repos[0]));
-        }
-        let view = self.levels_view.as_ref().expect("filled above");
-        view.levels(afg).expect("submissions are validated acyclic AFGs")
+    /// The incremental placement of `afg` over per-site `outputs`.
+    fn schedule(
+        &self,
+        afg: &Afg,
+        outputs: Vec<HostSelectionOutput>,
+    ) -> Result<IncrementalSchedule, SchedError> {
+        let data = self.data.as_ref();
+        IncrementalSchedule::new_with_data(afg, SiteId(0), outputs, &self.net, false, data)
+    }
+
+    /// What a submission enters the queue with, on admission and on a
+    /// fault restart: a fresh memo, host selection through it at each of
+    /// `sites`, and the placement over those outputs.
+    fn place(
+        &mut self,
+        afg: &Afg,
+        sites: &[SiteId],
+    ) -> (PredictCache, Vec<HostSelectionOutput>, Result<IncrementalSchedule, SchedError>) {
+        let memo = PredictCache::new();
+        let outputs: Vec<HostSelectionOutput> =
+            sites.iter().map(|&s| self.output_for(s, afg, &memo)).collect();
+        let inc = self.schedule(afg, outputs.clone());
+        (memo, outputs, inc)
     }
 
     // -- admission ----------------------------------------------------
@@ -542,20 +547,17 @@ impl StreamService {
         }
     }
 
-    fn reject(&mut self, tenant: UserId, reason: RejectReason) {
+    fn reject(&mut self, reason: RejectReason) {
         *self.rejected.entry(reason.label()).or_insert(0) += 1;
-        let c = self.counters.entry(tenant).or_default();
-        c.rejected += 1;
     }
 
     fn tenant_inflight(&self, tenant: UserId) -> u32 {
-        let p = self.pending.values().filter(|p| p.req.tenant == tenant).count();
-        let a = self.active.values().filter(|a| a.req.tenant == tenant).count();
+        let p = self.pending.values().filter(|p| p.sub.req.tenant == tenant).count();
+        let a = self.active.values().filter(|a| a.sub.req.tenant == tenant).count();
         (p + a) as u32
     }
 
-    fn handle_arrival(&mut self, id: SubmissionId) {
-        let Some((req, defers)) = self.inbox.remove(&id) else { return };
+    fn handle_arrival(&mut self, id: SubmissionId, req: SubmissionRequest, defers: u32) {
         let now = self.clock;
         let tenant = req.tenant;
         if defers == 0 {
@@ -566,41 +568,30 @@ impl StreamService {
         }
 
         let Some(acct) = self.tenants.account(tenant) else {
-            self.reject(tenant, RejectReason::UnknownTenant);
+            self.reject(RejectReason::UnknownTenant);
             return;
         };
         let (base_priority, domain) = (acct.priority, acct.domain);
 
         // Quota: defer a bounded number of times, then reject.
         if self.tenant_inflight(tenant) >= self.tenants.quota(tenant).max_inflight {
-            if defers < self.cfg.max_defers {
+            if defers < MAX_DEFERS {
                 self.deferred += 1;
-                self.counters.entry(tenant).or_default().deferred += 1;
-                let retry = now + self.cfg.defer_delay_s;
-                self.inbox.insert(id, (req, defers + 1));
-                self.push_event(retry, EventKind::Arrival(id));
+                let retry = EventKind::Arrival { id, req, defers: defers + 1 };
+                self.push_event(now + DEFER_DELAY_S, retry);
             } else {
-                self.reject(tenant, RejectReason::QuotaExhausted);
+                self.reject(RejectReason::QuotaExhausted);
             }
             return;
         }
 
         // Trial placement with the real scheduler.
         let sites = self.domain_sites(domain);
-        let memo = PredictCache::new();
-        let outputs: Vec<HostSelectionOutput> =
-            sites.iter().map(|&s| self.output_for(s, &req.afg, &memo)).collect();
-        let inc = match IncrementalSchedule::new_with_data(
-            &req.afg,
-            SiteId(0),
-            outputs.clone(),
-            &self.net,
-            false,
-            self.data.as_ref(),
-        ) {
+        let (memo, outputs, inc) = self.place(&req.afg, &sites);
+        let inc = match inc {
             Ok(inc) => inc,
             Err(e) => {
-                self.reject(tenant, Self::reject_reason_for(&e));
+                self.reject(Self::reject_reason_for(&e));
                 return;
             }
         };
@@ -609,44 +600,33 @@ impl StreamService {
         // snapshot reports at their chosen sites.
         if let Some(view) = &self.data {
             if let Err(e) = validate_dataset_outputs(&req.afg, inc.table(), view) {
-                self.reject(tenant, Self::reject_reason_for(&e));
+                self.reject(Self::reject_reason_for(&e));
                 return;
             }
         }
 
-        // Broker verdict on the trial placement.
-        let levels = self.levels_for(&req.afg);
+        // Broker verdict on the trial placement. Site 0's view is the
+        // one host selection just captured.
+        let levels =
+            self.view(SiteId(0)).levels(&req.afg).expect("submissions are validated acyclic AFGs");
         let Ok(sched) =
             evaluate_with_data(&req.afg, inc.table(), &self.net, &levels, self.data.as_ref())
         else {
-            self.reject(tenant, RejectReason::NoFeasiblePlacement);
+            self.reject(RejectReason::NoFeasiblePlacement);
             return;
         };
         let est_cost = estimate_cost(inc.table(), SiteId(0), &self.cfg.broker);
-        match self.cfg.broker.decide(now, req.deadline_s, req.budget, sched.makespan, est_cost) {
-            BrokerDecision::Reject(reason) => {
-                self.reject(tenant, reason);
-                return;
-            }
-            BrokerDecision::Admit { .. } => {}
+        let decision =
+            self.cfg.broker.decide(now, req.deadline_s, req.budget, sched.makespan, est_cost);
+        if let BrokerDecision::Reject(reason) = decision {
+            self.reject(reason);
+            return;
         }
 
         self.counters.entry(tenant).or_default().admitted += 1;
-        self.pending.insert(
-            id,
-            PendingSub {
-                req,
-                arrival_s: now,
-                base_priority,
-                sites,
-                outputs,
-                memo,
-                inc: Some(inc),
-                generation: 0,
-            },
-        );
-        let changed = self.dispatch();
-        self.refresh_pending(&changed);
+        let sub = Admitted { req, arrival_s: now, base_priority, sites, levels, generation: 0 };
+        self.pending.insert(id, PendingSub { sub, outputs, memo, inc: Some(inc) });
+        self.settle(BTreeSet::new());
     }
 
     // -- dispatch -----------------------------------------------------
@@ -680,11 +660,12 @@ impl StreamService {
             .pending
             .iter()
             .filter_map(|(&id, p)| {
+                let (prio, waited) = (p.sub.base_priority, now - p.sub.arrival_s);
                 p.inc.as_ref().map(|inc| Cand {
-                    eff: self.cfg.aging.effective_priority(p.base_priority, now - p.arrival_s),
-                    deadline_bits: p.req.deadline_s.to_bits(),
+                    eff: self.cfg.aging.effective_priority(prio, waited),
+                    deadline_bits: p.sub.req.deadline_s.to_bits(),
                     id,
-                    urgent: self.cfg.aging.is_urgent(p.base_priority, now - p.arrival_s),
+                    urgent: self.cfg.aging.is_urgent(prio, waited),
                     sites: Self::placement_sites(inc),
                     started: false,
                 })
@@ -726,25 +707,25 @@ impl StreamService {
 
     fn start_run(&mut self, id: SubmissionId, changed: &mut BTreeSet<SiteId>) {
         let p = self.pending.remove(&id).expect("dispatch picked a pending id");
-        let inc = p.inc.expect("dispatch only picks feasible submissions");
+        let (sub, inc) = (p.sub, p.inc.expect("dispatch only picks feasible submissions"));
         let now = self.clock;
 
         // Timing: simulate the table as-is (before this run's own load
         // feedback — its predictions already include everyone else's).
-        let levels = self.levels_for(&p.req.afg);
-        let sched =
-            evaluate_with_data(&p.req.afg, inc.table(), &self.net, &levels, self.data.as_ref())
-                .expect("placed submissions evaluate");
+        let sched = evaluate_with_data(
+            &sub.req.afg,
+            inc.table(),
+            &self.net,
+            &sub.levels,
+            self.data.as_ref(),
+        )
+        .expect("placed submissions evaluate");
         let finish = now + sched.makespan;
 
-        let wait = now - p.arrival_s;
+        let wait = now - sub.arrival_s;
         self.ttp.push(wait);
-        {
-            let c = self.counters.entry(p.req.tenant).or_default();
-            c.max_wait_s = c.max_wait_s.max(wait);
-            c.sum_wait_s += wait;
-            c.waits += 1;
-        }
+        let c = self.counters.entry(sub.req.tenant).or_default();
+        c.max_wait_s = c.max_wait_s.max(wait);
 
         // Digest: dispatch decision, placement by placement.
         self.digest.update(b"dispatch");
@@ -772,24 +753,11 @@ impl StreamService {
             changed.insert(*site);
         }
 
-        // The generation carried through PendingSub: 0 on first admit,
-        // bumped by each restart, so a restarted run's stale completion
-        // event can never complete the re-run early.
-        let generation = p.generation;
+        // The run's generation tags its completion event, so a restarted
+        // run's stale completion can never complete the re-run early.
+        let generation = sub.generation;
         self.push_event(finish, EventKind::Completion { run: id, generation });
-        self.active.insert(
-            id,
-            ActiveRun {
-                req: p.req,
-                arrival_s: p.arrival_s,
-                base_priority: p.base_priority,
-                sites: p.sites,
-                charged,
-                hosts,
-                finish_s: finish,
-                generation,
-            },
-        );
+        self.active.insert(id, ActiveRun { sub, charged, hosts, finish_s: finish });
     }
 
     /// Add `delta` running tasks to a host's load and publish the new
@@ -805,6 +773,19 @@ impl StreamService {
         self.dirty_site(site);
     }
 
+    /// Give back a finished or restarted run's slot on every site it was
+    /// charged and its load on every host it held; those hosts' sites
+    /// join `changed`.
+    fn release(&mut self, run: &ActiveRun, changed: &mut BTreeSet<SiteId>) {
+        for site in &run.charged {
+            self.site_inflight[site.index()] -= 1;
+        }
+        for (site, host) in &run.hosts {
+            self.bump_host_load(*site, host, -1);
+            changed.insert(*site);
+        }
+    }
+
     // -- incremental refresh ------------------------------------------
 
     /// Recompute host selection for `changed` sites and let every
@@ -814,19 +795,22 @@ impl StreamService {
         if changed.is_empty() {
             return;
         }
-        for p in self.pending.values_mut() {
-            if !p.sites.iter().any(|s| changed.contains(s)) {
+        // Out of `self` while it is walked, so each entry can be
+        // re-selected through `&mut self`.
+        let mut pending = std::mem::take(&mut self.pending);
+        for p in pending.values_mut() {
+            if !p.sub.sites.iter().any(|s| changed.contains(s)) {
                 continue;
             }
-            let afg = &p.req.afg;
+            let afg = &p.sub.req.afg;
             let new_outputs: Vec<HostSelectionOutput> = p
+                .sub
                 .sites
                 .iter()
                 .zip(&p.outputs)
                 .map(|(&s, old)| {
                     if changed.contains(&s) {
-                        let view = Self::view(&mut self.views, &self.repos, s);
-                        host_selection_classed(&view, afg, &self.predictor, &self.parallel, &p.memo)
+                        self.output_for(s, afg, &p.memo)
                     } else {
                         // Unchanged site: the same table again (a
                         // pointer bump), which the apply diff skips.
@@ -841,123 +825,80 @@ impl StreamService {
             if !applied {
                 // Poisoned or previously infeasible: rebuild from the
                 // fresh outputs (stays `None` while still infeasible).
-                p.inc = IncrementalSchedule::new_with_data(
-                    afg,
-                    SiteId(0),
-                    new_outputs.clone(),
-                    &self.net,
-                    false,
-                    self.data.as_ref(),
-                )
-                .ok();
+                p.inc = self.schedule(afg, new_outputs.clone()).ok();
             }
             p.outputs = new_outputs;
         }
+        self.pending = pending;
+    }
+
+    /// The tail of every event that admits, frees or moves capacity: the
+    /// queue absorbs the changes at `changed`, the dispatcher starts what
+    /// now fits, and the queue absorbs the loads those starts added.
+    fn settle(&mut self, changed: BTreeSet<SiteId>) {
+        self.refresh_pending(&changed);
+        let started = self.dispatch();
+        self.refresh_pending(&started);
     }
 
     // -- completions and faults ---------------------------------------
 
     fn handle_completion(&mut self, run: SubmissionId, generation: u32) {
-        let stale = self.active.get(&run).map(|a| a.generation != generation).unwrap_or(true);
-        if stale {
+        // A generation this run has moved past: the completion of a run
+        // a fault restarted.
+        if self.active.get(&run).is_none_or(|a| a.sub.generation != generation) {
             return;
         }
         let a = self.active.remove(&run).expect("checked above");
-        for site in &a.charged {
-            self.site_inflight[site.index()] -= 1;
-        }
         let mut changed = BTreeSet::new();
-        for (site, host) in &a.hosts {
-            self.bump_host_load(*site, host, -1);
-            changed.insert(*site);
-        }
+        self.release(&a, &mut changed);
         self.digest.update(b"complete");
         self.digest.update(&run.0.to_le_bytes());
         self.digest.update(&a.finish_s.to_bits().to_le_bytes());
         {
-            let c = self.counters.entry(a.req.tenant).or_default();
+            let c = self.counters.entry(a.sub.req.tenant).or_default();
             c.completed += 1;
-            if a.finish_s <= a.req.deadline_s {
+            if a.finish_s <= a.sub.req.deadline_s {
                 c.deadline_met += 1;
             }
         }
-        self.refresh_pending(&changed);
-        let changed = self.dispatch();
-        self.refresh_pending(&changed);
+        self.settle(changed);
     }
 
-    fn handle_host_down(&mut self, site: SiteId, host: String) {
-        self.repos[site.index()].resources_mut(|db| db.set_status(&host, HostStatus::Down));
+    fn handle_host_status(&mut self, site: SiteId, host: &str, status: HostStatus) {
+        self.repos[site.index()].resources_mut(|db| db.set_status(host, status));
         self.dirty_site(site);
-        let mut changed = BTreeSet::new();
-        changed.insert(site);
+        let mut changed = BTreeSet::from([site]);
 
-        // Restart every run that used the dead host: free its capacity
-        // and re-enter the pending queue with the *original* arrival
-        // time, so the aging credit (and thus the starvation bound)
-        // survives the fault. Admitted work is never lost.
-        let victims: Vec<SubmissionId> = self
-            .active
-            .iter()
-            .filter(|(_, a)| a.hosts.iter().any(|(s, h)| *s == site && *h == host))
-            .map(|(&id, _)| id)
-            .collect();
+        // A host going down restarts every run that used it: free its
+        // capacity and re-enter the pending queue with the *original*
+        // arrival time, so the aging credit (and thus the starvation
+        // bound) survives the fault. Admitted work is never lost.
+        let victims: Vec<SubmissionId> = match status {
+            HostStatus::Up => Vec::new(),
+            HostStatus::Down => self
+                .active
+                .iter()
+                .filter(|(_, a)| a.hosts.iter().any(|(s, h)| *s == site && h == host))
+                .map(|(&id, _)| id)
+                .collect(),
+        };
         for id in victims {
-            let a = self.active.remove(&id).expect("listed above");
-            for s in &a.charged {
-                self.site_inflight[s.index()] -= 1;
-            }
-            for (s, h) in &a.hosts {
-                self.bump_host_load(*s, h, -1);
-                changed.insert(*s);
-            }
+            let run = self.active.remove(&id).expect("listed above");
+            self.release(&run, &mut changed);
             self.restarts += 1;
-            self.counters.entry(a.req.tenant).or_default().restarts += 1;
+            self.counters.entry(run.sub.req.tenant).or_default().restarts += 1;
             self.digest.update(b"restart");
             self.digest.update(&id.0.to_le_bytes());
-            let memo = PredictCache::new();
-            let outputs: Vec<HostSelectionOutput> =
-                a.sites.iter().map(|&s| self.output_for(s, &a.req.afg, &memo)).collect();
-            let inc = IncrementalSchedule::new_with_data(
-                &a.req.afg,
-                SiteId(0),
-                outputs.clone(),
-                &self.net,
-                false,
-                self.data.as_ref(),
-            )
-            .ok();
-            self.pending.insert(
-                id,
-                PendingSub {
-                    req: a.req,
-                    arrival_s: a.arrival_s,
-                    base_priority: a.base_priority,
-                    sites: a.sites,
-                    outputs,
-                    memo,
-                    inc,
-                    // Bumped past the victim's dispatch generation so
-                    // the old run's in-flight completion event goes
-                    // stale the moment this re-dispatches.
-                    generation: a.generation + 1,
-                },
-            );
+            let mut sub = run.sub;
+            // Bumped past the victim's dispatch generation so the old
+            // run's in-flight completion event goes stale the moment
+            // this re-dispatches.
+            sub.generation += 1;
+            let (memo, outputs, inc) = self.place(&sub.req.afg, &sub.sites);
+            self.pending.insert(id, PendingSub { sub, outputs, memo, inc: inc.ok() });
         }
-
-        self.refresh_pending(&changed);
-        let changed = self.dispatch();
-        self.refresh_pending(&changed);
-    }
-
-    fn handle_host_up(&mut self, site: SiteId, host: String) {
-        self.repos[site.index()].resources_mut(|db| db.set_status(&host, HostStatus::Up));
-        self.dirty_site(site);
-        let mut changed = BTreeSet::new();
-        changed.insert(site);
-        self.refresh_pending(&changed);
-        let changed = self.dispatch();
-        self.refresh_pending(&changed);
+        self.settle(changed);
     }
 
     // -- the loop -----------------------------------------------------
@@ -967,10 +908,9 @@ impl StreamService {
         self.clock = ev.t.max(self.clock);
         self.events_processed += 1;
         match ev.kind {
-            EventKind::Arrival(id) => self.handle_arrival(id),
+            EventKind::Arrival { id, req, defers } => self.handle_arrival(id, req, defers),
             EventKind::Completion { run, generation } => self.handle_completion(run, generation),
-            EventKind::HostDown { site, host } => self.handle_host_down(site, host),
-            EventKind::HostUp { site, host } => self.handle_host_up(site, host),
+            EventKind::Host { site, host, status } => self.handle_host_status(site, &host, status),
         }
     }
 
@@ -994,8 +934,8 @@ impl StreamService {
         }
     }
 
-    /// Build the outcome report for the events processed so far.
-    pub fn report(&self) -> StreamReport {
+    /// The outcome report for the events processed so far.
+    fn report(&self) -> StreamReport {
         let mut ttp = self.ttp.clone();
         ttp.sort_by(f64::total_cmp);
         let pct = |q: f64| -> f64 {
@@ -1014,8 +954,8 @@ impl StreamService {
             // fold it into the tenant's maximum so starvation cannot
             // hide behind "never dispatched".
             let mut max_wait = c.max_wait_s;
-            for p in self.pending.values().filter(|p| p.req.tenant == id) {
-                max_wait = max_wait.max(self.clock - p.arrival_s);
+            for p in self.pending.values().filter(|p| p.sub.req.tenant == id) {
+                max_wait = max_wait.max(self.clock - p.sub.arrival_s);
             }
             let bound = self.cfg.aging.starvation_bound_s(c.priority);
             let starved = max_wait > bound;

@@ -689,7 +689,7 @@ pub fn check_case(case: &FuzzCase, profile: &InvariantProfile) -> CaseOutcome {
     // second the determinism check.
     let stream_reports = case.stream.as_ref().map(|leg| {
         let sc = leg.to_scenario();
-        (run_stream(&sc), run_stream(&sc))
+        (run_stream(&sc, None), run_stream(&sc, None))
     });
 
     check_no_lost_tasks(
@@ -785,7 +785,8 @@ pub fn check_invariant(
             let obs = Observer::enabled();
             let report = replay_case(case, &p, &obs);
             let ledger = ledger_from_observer(&obs);
-            let stream_report = case.stream.as_ref().map(|leg| run_stream(&leg.to_scenario()));
+            let stream_report =
+                case.stream.as_ref().map(|leg| run_stream(&leg.to_scenario(), None));
             let mut out = Vec::new();
             check_no_lost_tasks(case, &report, &ledger, stream_report.as_ref(), &mut out);
             out.into_iter().next()
@@ -804,7 +805,7 @@ pub fn check_invariant(
         }
         Invariant::StarvationBound => {
             let leg = case.stream.as_ref()?;
-            let sr = run_stream(&leg.to_scenario());
+            let sr = run_stream(&leg.to_scenario(), None);
             (sr.starved_tenants > 0).then(|| Violation {
                 invariant: Invariant::StarvationBound,
                 detail: sr
@@ -825,7 +826,7 @@ pub fn check_invariant(
             }
             let leg = case.stream.as_ref()?;
             let sc = leg.to_scenario();
-            let (x, y) = (run_stream(&sc), run_stream(&sc));
+            let (x, y) = (run_stream(&sc, None), run_stream(&sc, None));
             (x != y).then(|| Violation {
                 invariant: Invariant::ReplayDeterminism,
                 detail: format!(

@@ -74,4 +74,4 @@ pub use pool_gen::{build_federation, Federation, FederationSpec};
 pub use recovery::{verify_kill, verify_recovery, KillReport, RecoverySummary};
 pub use replay::{replay, replay_durable, run_fault_scenario, ReplayConfig, ReplayOutcome};
 pub use scenario::Scenario;
-pub use stream::{run_stream, run_stream_observed, StreamScenario};
+pub use stream::{run_stream, StreamScenario};

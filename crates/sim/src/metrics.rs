@@ -154,12 +154,6 @@ impl RecoveryReport {
         let detected: Vec<f64> = self.faults.iter().filter_map(|f| f.detection_latency).collect();
         summarise(&detected).map(|s| s.mean)
     }
-
-    /// Mean progress fraction migration restarts resumed from; `None`
-    /// when nothing was ever restarted.
-    pub fn mean_resumed_progress(&self) -> Option<f64> {
-        summarise(&self.resumed_progress).map(|s| s.mean)
-    }
 }
 
 /// Render recovery reports as a table (one row per report).

@@ -26,6 +26,7 @@ use crate::faults::{Fault, FaultPlan};
 use crate::pool_gen::{build_federation, FederationSpec};
 use std::sync::Arc;
 use vdce_net::topology::SiteId;
+use vdce_obs::MetricsRegistry;
 use vdce_repository::accounts::AccessDomain;
 use vdce_runtime::submission::SubmissionGateway;
 use vdce_sched::service::stream::{ServiceConfig, StreamReport, StreamService};
@@ -96,20 +97,10 @@ pub fn nominal_seconds(view: &SiteView, afg: &vdce_afg::Afg) -> f64 {
 }
 
 /// Run a streaming scenario end to end. Deterministic in the scenario.
-pub fn run_stream(sc: &StreamScenario) -> StreamReport {
-    run_stream_inner(sc).0
-}
-
-/// [`run_stream`], then export the drained service's counters into
-/// `reg` (per-class aggregates, rejection reasons, the
-/// time-to-placement histogram). The report is unchanged.
-pub fn run_stream_observed(sc: &StreamScenario, reg: &vdce_obs::MetricsRegistry) -> StreamReport {
-    let (report, svc) = run_stream_inner(sc);
-    svc.export_metrics(reg);
-    report
-}
-
-fn run_stream_inner(sc: &StreamScenario) -> (StreamReport, StreamService) {
+/// With `metrics`, the drained service's counters are exported into it
+/// (per-class aggregates, rejection reasons, the time-to-placement
+/// histogram); the report is the same either way.
+pub fn run_stream(sc: &StreamScenario, metrics: Option<&MetricsRegistry>) -> StreamReport {
     let fed = build_federation(&sc.fed);
     let front_view = fed.view(SiteId(0));
     let topology = fed.topology.clone();
@@ -144,7 +135,10 @@ fn run_stream_inner(sc: &StreamScenario) -> (StreamReport, StreamService) {
 
     inject_host_faults(gw.service_mut(), &topology, &sc.faults);
     let report = gw.drain();
-    (report, gw.into_service())
+    if let Some(reg) = metrics {
+        gw.service().export_metrics(reg);
+    }
+    report
 }
 
 /// Translate a fault plan's host outages into service down/up events.
@@ -209,7 +203,7 @@ mod tests {
 
     #[test]
     fn scenario_runs_and_admits_work() {
-        let report = run_stream(&small());
+        let report = run_stream(&small(), None);
         assert!(report.submitted > 0);
         assert!(report.admitted > 0, "a sane scenario admits something");
         assert_eq!(report.admitted, report.completed + report.unplaced);
@@ -218,8 +212,8 @@ mod tests {
     #[test]
     fn replay_is_bit_identical() {
         let sc = small();
-        let a = run_stream(&sc);
-        let b = run_stream(&sc);
+        let a = run_stream(&sc, None);
+        let b = run_stream(&sc, None);
         assert_eq!(a, b);
         assert_eq!(a.placements_digest, b.placements_digest);
     }
@@ -239,7 +233,7 @@ mod tests {
         queued.trace.rate_per_s = 2.0;
         queued.trace.seed = 3;
         for (sc, want) in [(small(), 0x43b8_1bd0_411f_914cu64), (queued, 0x3c8a_4205_9b6a_30bc)] {
-            let report = run_stream(&sc);
+            let report = run_stream(&sc, None);
             assert!(report.admitted > 0);
             assert_eq!(report.placements_digest, want, "{:#018x}", report.placements_digest);
         }
@@ -280,7 +274,7 @@ mod tests {
             for site_down_for in [Some(8.0), None] {
                 let mut sc = base.clone();
                 sc.faults = plan(&sc, site_down_for);
-                let report = run_stream(&sc);
+                let report = run_stream(&sc, None);
                 assert!(report.restarts > 0, "the plan must hit a running submission");
                 got.push(report.placements_digest);
             }
@@ -300,8 +294,8 @@ mod tests {
         let mut sc2 = sc.clone();
         sc2.trace.seed += 1;
         assert_ne!(
-            run_stream(&sc).placements_digest,
-            run_stream(&sc2).placements_digest,
+            run_stream(&sc, None).placements_digest,
+            run_stream(&sc2, None).placements_digest,
             "the digest must be sensitive to the trace"
         );
     }
@@ -317,7 +311,7 @@ mod tests {
             seed: 1,
             faults: vec![Fault::TransientOutage { host, at: 5.0, down_for: 20.0 }],
         };
-        let report = run_stream(&sc);
+        let report = run_stream(&sc, None);
         assert_eq!(
             report.admitted,
             report.completed + report.unplaced,

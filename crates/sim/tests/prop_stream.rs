@@ -56,8 +56,8 @@ proptest! {
         seed in 1u64..10_000,
     ) {
         let sc = scenario(sites, hosts_per_site, tenants, f64::from(rate_centi) / 100.0, seed);
-        let a = run_stream(&sc);
-        let b = run_stream(&sc);
+        let a = run_stream(&sc, None);
+        let b = run_stream(&sc, None);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(a.placements_digest, b.placements_digest);
         let bytes_a = serde_json::to_string(&a).expect("report serialises");
@@ -101,7 +101,7 @@ proptest! {
             .collect();
         sc.faults = FaultPlan { seed, faults };
 
-        let report = run_stream(&sc);
+        let report = run_stream(&sc, None);
         prop_assert_eq!(
             report.admitted,
             report.completed + report.unplaced,
