@@ -10,11 +10,13 @@
 #   6. the thread-based tests, four copies at a time: vdce-dsm's 50
 #      times, tests/concurrency.rs once, vdce-repository's 50 times
 #   7. BENCH_*.json artifact schema validation
-#   8-14. the correctness gates: fault recovery, durable recovery,
+#   8. the deterministic paper tables (exp_fig2, exp_fig4, exp_e5,
+#      exp_e9) byte-equal to their golden text in crates/bench/golden/
+#   9-15. the correctness gates: fault recovery, durable recovery,
 #      scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all) — none of them times anything
-#   15. the vdce_perf smoke (perf/run.sh --quick)
-#   16-20. the frozen benchmark's full-size checks the smoke scales away
+#   16. the vdce_perf smoke (perf/run.sh --quick)
+#   17-21. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      incr_churn seed 1, durable_faults seed 1). The batch_wide and
 #      incr_churn stages also hold `allocs_per_op` — an exact count,
@@ -160,6 +162,22 @@ stage "thread race stress (3 binaries)" thread_stress
 # against the vdce-obs RunArtifact schema, and none may be missing.
 stage "artifact schema validation" \
     cargo run -q --release -p vdce-bench --bin exp_artifacts
+# Paper-table gate: exp_fig2, exp_fig4, exp_e5 and exp_e9 read no clock,
+# so they print the same bytes on every run. Their stdout is pinned under
+# crates/bench/golden/; a change that moves one of their numbers on
+# purpose re-records the file in the same commit.
+paper_golden() {
+    local bin failed=0
+    for bin in exp_fig2 exp_fig4 exp_e5 exp_e9; do
+        if ! cargo run -q --release -p vdce-bench --bin "$bin" |
+            diff -u "crates/bench/golden/$bin.txt" -; then
+            echo "$bin: stdout differs from crates/bench/golden/$bin.txt"
+            failed=1
+        fi
+    done
+    return $failed
+}
+stage "paper tables (golden)" paper_golden
 # Fault recovery gate: every quick fault scenario must replay
 # deterministically and recover.
 stage "fault recovery gate (--quick)" \
