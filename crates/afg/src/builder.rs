@@ -279,13 +279,9 @@ impl<'lib> AfgBuilder<'lib> {
     }
 
     /// Finish without validation (for tests constructing invalid graphs).
-    pub fn build_unchecked(self) -> Afg {
+    #[cfg(test)]
+    pub(crate) fn build_unchecked(self) -> Afg {
         self.afg
-    }
-
-    /// Peek at the graph under construction.
-    pub fn current(&self) -> &Afg {
-        &self.afg
     }
 }
 
@@ -377,7 +373,7 @@ mod tests {
         let k2 = b.add_task("Sink", "k2", 10).unwrap();
         b.connect(s, 0, k1, 0).unwrap();
         b.connect(s, 0, k2, 0).unwrap();
-        assert_eq!(b.current().edge_count(), 2);
+        assert_eq!(b.afg.edge_count(), 2);
     }
 
     #[test]
@@ -412,7 +408,7 @@ mod tests {
         let lu = b.add_task("LU_Decomposition", "lu", 64).unwrap();
         b.set_mode(lu, ComputationMode::Parallel).unwrap();
         b.set_num_nodes(lu, 2).unwrap();
-        assert_eq!(b.current().task(lu).props.effective_nodes(), 2);
+        assert_eq!(b.afg.task(lu).props.effective_nodes(), 2);
     }
 
     #[test]

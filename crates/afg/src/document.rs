@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Current document format version.
-pub const DOCUMENT_VERSION: u32 = 1;
+pub(crate) const DOCUMENT_VERSION: u32 = 1;
 
 /// Runtime services a user can request at design time (§4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -29,7 +29,7 @@ pub enum ServiceRequest {
 /// Versioned, serialisable envelope around an [`Afg`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AfgDocument {
-    /// Format version (currently [`DOCUMENT_VERSION`]).
+    /// Format version (currently `DOCUMENT_VERSION`, 1).
     pub version: u32,
     /// VDCE user name of the author (matched against the user-accounts
     /// database at submission).

@@ -77,22 +77,9 @@ impl Afg {
         self.tasks.get(id.index())
     }
 
-    /// Find a task by instance name.
-    pub fn task_by_name(&self, name: &str) -> Option<&TaskNode> {
-        self.tasks.iter().find(|t| &*t.name == name)
-    }
-
     /// All task ids in insertion order.
     pub fn task_ids(&self) -> impl Iterator<Item = TaskId> + '_ {
         (0..self.tasks.len() as u32).map(TaskId)
-    }
-
-    /// Ids of tasks that feed `id` (deduplicated, in ascending id order).
-    pub fn parents(&self, id: TaskId) -> Vec<TaskId> {
-        let mut v: Vec<TaskId> = self.edges.iter().filter(|e| e.to == id).map(|e| e.from).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// Ids of tasks fed by `id` (deduplicated, in ascending id order).
@@ -188,16 +175,6 @@ impl Afg {
     pub fn total_traffic(&self) -> u64 {
         self.edges.iter().map(|e| e.data_size).sum()
     }
-
-    /// Communication-to-computation ratio proxy: total edge bytes divided
-    /// by total computation size under `cost` (abstract flops).
-    pub fn ccr(&self, cost: impl Fn(&TaskNode) -> f64) -> f64 {
-        let comp: f64 = self.tasks.iter().map(cost).sum();
-        if comp == 0.0 {
-            return 0.0;
-        }
-        self.total_traffic() as f64 / comp
-    }
 }
 
 /// CSR-style adjacency index over an [`Afg`]'s edge list.
@@ -229,7 +206,7 @@ pub struct EdgeIndex {
 impl EdgeIndex {
     /// Index `afg`'s edges by source and by target (counting sort, so
     /// grouping is stable: edge-list order is preserved per task).
-    pub fn new(afg: &Afg) -> Self {
+    pub(crate) fn new(afg: &Afg) -> Self {
         let n = afg.task_count();
         let e = afg.edge_count();
         let mut in_off = vec![0u32; n + 1];
@@ -328,9 +305,7 @@ mod tests {
     #[test]
     fn parents_and_children() {
         let g = diamond();
-        assert_eq!(g.parents(TaskId(3)), vec![TaskId(1), TaskId(2)]);
         assert_eq!(g.children(TaskId(0)), vec![TaskId(1), TaskId(2)]);
-        assert!(g.parents(TaskId(0)).is_empty());
         assert!(g.children(TaskId(3)).is_empty());
     }
 
@@ -387,7 +362,6 @@ mod tests {
         let mut g = Afg::new("multi");
         g.tasks = vec![node(0, "a", 0, 2), node(1, "b", 2, 0)];
         g.edges = vec![edge(0, 0, 1, 0, 10), edge(0, 1, 1, 1, 20)];
-        assert_eq!(g.parents(TaskId(1)), vec![TaskId(0)]);
         assert_eq!(g.in_edges(TaskId(1)).count(), 2);
         assert!(g.is_dag());
     }
@@ -396,16 +370,6 @@ mod tests {
     fn traffic_and_ccr() {
         let g = diamond();
         assert_eq!(g.total_traffic(), 1000);
-        let ccr = g.ccr(|_| 250.0); // 4 tasks * 250 flops = 1000
-        assert!((ccr - 1.0).abs() < 1e-12);
-        assert_eq!(g.ccr(|_| 0.0), 0.0, "zero computation must not divide by zero");
-    }
-
-    #[test]
-    fn task_lookup_by_name() {
-        let g = diamond();
-        assert_eq!(g.task_by_name("c").unwrap().id, TaskId(2));
-        assert!(g.task_by_name("zzz").is_none());
     }
 
     #[test]

@@ -47,14 +47,6 @@ impl From<u32> for TaskId {
 #[serde(transparent)]
 pub struct DatasetId(pub u64);
 
-impl DatasetId {
-    /// Returns the raw id value.
-    #[inline]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for DatasetId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "d{}", self.0)
@@ -120,7 +112,6 @@ mod tests {
     fn dataset_id_display_and_raw() {
         let d = DatasetId(9);
         assert_eq!(d.to_string(), "d9");
-        assert_eq!(d.raw(), 9);
         assert_eq!(DatasetId::from(9u64), d);
         let s = serde_json::to_string(&d).unwrap();
         assert_eq!(s, "9");

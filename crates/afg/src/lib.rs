@@ -11,45 +11,48 @@
 //!
 //! This crate models that output faithfully:
 //!
-//! - [`graph::Afg`] — the application flow graph itself;
-//! - [`task::TaskNode`] / [`task::TaskProperties`] — the property sheet of
+//! - [`Afg`] — the application flow graph itself;
+//! - [`TaskNode`] / [`TaskProperties`] — the property sheet of
 //!   Figure 1 (computation mode, number of nodes, preferred machine type,
 //!   preferred machine, inputs, outputs);
-//! - [`builder::AfgBuilder`] — the editor-equivalent construction DSL;
-//! - [`library`] — menu-driven task libraries (matrix algebra, C3I, signal
+//! - [`AfgBuilder`] — the editor-equivalent construction DSL;
+//! - [`TaskLibrary`] — menu-driven task libraries (matrix algebra, C3I, signal
 //!   processing, generic), each entry carrying the task-performance
 //!   parameters (computation size, communication size, required memory) the
 //!   paper stores in the site repository;
 //! - [`level`] — the *level* priority function of §3 (largest sum of
 //!   computation costs along any path from a node to an exit node);
-//! - [`validate`](validate::validate) — structural validation (acyclicity, port wiring,
+//! - [`validate()`] — structural validation (acyclicity, port wiring,
 //!   dataflow consistency);
-//! - [`document`] — a versioned, serialisable AFG document format (what the
+//! - [`AfgDocument`] — a versioned, serialisable AFG document format (what the
 //!   web editor would upload to the VDCE server);
-//! - [`render`] — text rendering of the editor's task-properties window and
-//!   of the flow graph (reproduces Figure 1 as text).
+//! - [`render_all_properties`] / [`render_flow_graph`] — text rendering of
+//!   the editor's task-properties window and of the flow graph (reproduces
+//!   Figure 1 as text).
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod builder;
-pub mod document;
-pub mod graph;
-pub mod ids;
+mod builder;
+mod document;
+mod graph;
+mod ids;
 pub mod level;
-pub mod library;
-pub mod render;
-pub mod stats;
-pub mod task;
-pub mod validate;
+mod library;
+mod render;
+mod stats;
+mod task;
+mod validate;
 
 pub use builder::AfgBuilder;
-pub use document::AfgDocument;
+pub use document::{AfgDocument, ServiceRequest};
 pub use graph::{Afg, Edge, EdgeIndex};
 pub use ids::{DatasetId, PortIndex, TaskId};
 pub use level::{blevel_map, level_map, LevelError, LevelTracker};
 pub use library::{KernelKind, LibraryEntry, LibraryGroup, TaskLibrary};
+pub use render::{render_all_properties, render_flow_graph};
 pub use stats::{shape, GraphShape};
 pub use task::{ComputationMode, IoSpec, MachineType, TaskNode, TaskProperties};
 pub use validate::{validate, ValidationError};

@@ -134,31 +134,31 @@ impl fmt::Display for LibraryGroup {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostPoly {
     /// Multiplicative coefficient.
-    pub coeff: f64,
+    pub(crate) coeff: f64,
     /// Exponent applied to the problem size.
     pub exp: f64,
     /// If true, an extra `log2(n)` factor is applied (for n ≥ 2).
-    pub log_factor: bool,
+    pub(crate) log_factor: bool,
 }
 
 impl CostPoly {
     /// A cost of exactly `c`, independent of the problem size.
-    pub const fn constant(c: f64) -> Self {
+    pub(crate) const fn constant(c: f64) -> Self {
         CostPoly { coeff: c, exp: 0.0, log_factor: false }
     }
 
     /// `coeff · n^exp`.
-    pub const fn poly(coeff: f64, exp: f64) -> Self {
+    pub(crate) const fn poly(coeff: f64, exp: f64) -> Self {
         CostPoly { coeff, exp, log_factor: false }
     }
 
     /// `coeff · n^exp · log2(n)`.
-    pub const fn poly_log(coeff: f64, exp: f64) -> Self {
+    pub(crate) const fn poly_log(coeff: f64, exp: f64) -> Self {
         CostPoly { coeff, exp, log_factor: true }
     }
 
     /// Evaluate the model at problem size `n`.
-    pub fn eval(&self, n: u64) -> f64 {
+    pub(crate) fn eval(&self, n: u64) -> f64 {
         let nf = n as f64;
         let mut v = self.coeff * nf.powf(self.exp);
         if self.log_factor {
@@ -188,12 +188,12 @@ pub struct LibraryEntry {
     pub computation: CostPoly,
     /// Bytes produced on *each* output port as a function of the problem
     /// size (task-performance DB: "communication size").
-    pub output_bytes: CostPoly,
+    pub(crate) output_bytes: CostPoly,
     /// Required memory in bytes as a function of the problem size
     /// (task-performance DB: "required memory size").
-    pub memory_bytes: CostPoly,
+    pub(crate) memory_bytes: CostPoly,
     /// Whether a parallel (multi-node) implementation exists.
-    pub parallelizable: bool,
+    pub(crate) parallelizable: bool,
     /// One-line human description shown in the editor menu.
     pub description: String,
 }
@@ -207,7 +207,7 @@ impl LibraryEntry {
 
     /// Bytes emitted per output port at problem size `n`.
     #[inline]
-    pub fn output_size(&self, n: u64) -> u64 {
+    pub(crate) fn output_size(&self, n: u64) -> u64 {
         self.output_bytes.eval(n).max(0.0) as u64
     }
 
@@ -226,12 +226,12 @@ pub struct TaskLibrary {
 
 impl TaskLibrary {
     /// Empty library.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Insert an entry, replacing any previous entry of the same name.
-    pub fn insert(&mut self, entry: LibraryEntry) {
+    pub(crate) fn insert(&mut self, entry: LibraryEntry) {
         self.entries.insert(entry.name.clone(), entry);
     }
 
@@ -240,33 +240,18 @@ impl TaskLibrary {
         self.entries.get(name)
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the library empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterate entries in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &LibraryEntry> {
-        self.entries.values()
-    }
-
     /// Entries of one menu group, in name order.
     pub fn group(&self, group: LibraryGroup) -> Vec<&LibraryEntry> {
         self.entries.values().filter(|e| e.group == group).collect()
     }
 
     /// Merge `other` into `self` (entries of `other` win on name clash).
-    pub fn merge(&mut self, other: TaskLibrary) {
+    pub(crate) fn merge(&mut self, other: TaskLibrary) {
         self.entries.extend(other.entries);
     }
 
     /// The matrix-algebra library of the paper's Figure 1.
-    pub fn matrix_algebra() -> Self {
+    pub(crate) fn matrix_algebra() -> Self {
         let mut lib = Self::new();
         let e = |name: &str, kernel, inp, outp, comp, out, mem, par, desc: &str| LibraryEntry {
             name: name.into(),
@@ -373,7 +358,7 @@ impl TaskLibrary {
 
     /// The C3I (command-and-control) library motivated by the paper's Rome
     /// Laboratory funding context.
-    pub fn c3i() -> Self {
+    pub(crate) fn c3i() -> Self {
         let mut lib = Self::new();
         let e = |name: &str, kernel, inp, outp, comp, out, mem, par, desc: &str| LibraryEntry {
             name: name.into(),
@@ -446,7 +431,7 @@ impl TaskLibrary {
     }
 
     /// DSP-style streaming kernels.
-    pub fn signal_processing() -> Self {
+    pub(crate) fn signal_processing() -> Self {
         let mut lib = Self::new();
         let e = |name: &str, kernel, inp, outp, comp, out, mem, par, desc: &str| LibraryEntry {
             name: name.into(),
@@ -497,7 +482,7 @@ impl TaskLibrary {
     }
 
     /// Structure-free helper tasks.
-    pub fn generic() -> Self {
+    pub(crate) fn generic() -> Self {
         let mut lib = Self::new();
         let e = |name: &str, kernel, inp, outp, comp, out, mem, par, desc: &str| LibraryEntry {
             name: name.into(),
@@ -612,13 +597,13 @@ mod tests {
         assert!(!lib.group(LibraryGroup::C3i).is_empty());
         assert!(!lib.group(LibraryGroup::SignalProcessing).is_empty());
         assert!(!lib.group(LibraryGroup::Generic).is_empty());
-        assert_eq!(lib.len(), KernelKind::ALL.len());
+        assert_eq!(lib.entries.len(), KernelKind::ALL.len());
     }
 
     #[test]
     fn standard_library_covers_every_kernel_exactly_once() {
         let lib = TaskLibrary::standard();
-        let mut kernels: Vec<KernelKind> = lib.iter().map(|e| e.kernel).collect();
+        let mut kernels: Vec<KernelKind> = lib.entries.values().map(|e| e.kernel).collect();
         kernels.sort();
         kernels.dedup();
         assert_eq!(kernels.len(), KernelKind::ALL.len());
@@ -649,7 +634,7 @@ mod tests {
     #[test]
     fn output_and_memory_sizes_are_nonnegative_integers() {
         let lib = TaskLibrary::standard();
-        for e in lib.iter() {
+        for e in lib.entries.values() {
             for n in [1u64, 16, 1024] {
                 let _ = e.output_size(n);
                 assert!(e.required_memory(n) < u64::MAX / 2);
@@ -686,7 +671,7 @@ mod tests {
             description: "new".into(),
         });
         a.merge(b);
-        assert_eq!(a.len(), 1);
+        assert_eq!(a.entries.len(), 1);
         assert_eq!(a.get("X").unwrap().description, "new");
     }
 

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 ///   Input: <1> </users/VDCE/user_k/matrix_A.dat, SIZE=124880>
 ///   Output: <2> <dataflow, dataflow>
 /// ```
-pub fn render_task_properties(afg: &Afg, id: TaskId) -> String {
+pub(crate) fn render_task_properties(afg: &Afg, id: TaskId) -> String {
     let t = afg.task(id);
     let mut s = String::new();
     let _ = writeln!(s, "Task <{}>", t.name);
@@ -111,7 +111,7 @@ mod tests {
     #[test]
     fn properties_window_contains_figure1_fields() {
         let g = figure1_like();
-        let lu = g.task_by_name("LU_Decomposition").unwrap().id;
+        let lu = TaskId(0);
         let out = render_task_properties(&g, lu);
         assert!(out.contains("Task <LU_Decomposition>"));
         assert!(out.contains("Computation Type: <Parallel>"));
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn properties_window_shows_preferred_host() {
         let g = figure1_like();
-        let mm = g.task_by_name("Matrix_Multiplication").unwrap().id;
+        let mm = TaskId(1);
         let out = render_task_properties(&g, mm);
         assert!(out.contains("Preferred Machine: <hunding.top.cis.syr.edu>"));
         assert!(out.contains("Preferred Machine Type: <SUN solaris>"));

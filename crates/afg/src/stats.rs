@@ -5,7 +5,6 @@
 //! sanity-check editor output.
 
 use crate::graph::Afg;
-use crate::ids::TaskId;
 
 /// Shape summary of an AFG.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,20 +23,9 @@ pub struct GraphShape {
     /// level population.
     pub width: usize,
     /// Mean in-degree over non-entry tasks (0 if none).
-    pub mean_in_degree: f64,
+    pub(crate) mean_in_degree: f64,
     /// Total dataflow bytes.
     pub traffic: u64,
-}
-
-impl GraphShape {
-    /// Average parallelism proxy: tasks / depth.
-    pub fn parallelism(&self) -> f64 {
-        if self.depth == 0 {
-            0.0
-        } else {
-            self.tasks as f64 / self.depth as f64
-        }
-    }
 }
 
 /// Compute the shape of `afg`. Returns `None` for cyclic graphs.
@@ -75,37 +63,11 @@ pub fn shape(afg: &Afg) -> Option<GraphShape> {
     })
 }
 
-/// The tasks on one longest (hop-count) path, entry to exit.
-pub fn longest_path(afg: &Afg) -> Option<Vec<TaskId>> {
-    let order = afg.topo_order()?;
-    let n = afg.task_count();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    let mut depth = vec![1usize; n];
-    let mut pred: Vec<Option<TaskId>> = vec![None; n];
-    for &t in &order {
-        for e in afg.in_edges(t) {
-            if depth[e.from.index()] + 1 > depth[t.index()] {
-                depth[t.index()] = depth[e.from.index()] + 1;
-                pred[t.index()] = Some(e.from);
-            }
-        }
-    }
-    let mut cur = TaskId((0..n as u32).max_by_key(|i| depth[*i as usize]).expect("non-empty"));
-    let mut path = vec![cur];
-    while let Some(p) = pred[cur.index()] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::AfgBuilder;
+    use crate::ids::TaskId;
     use crate::library::TaskLibrary;
 
     fn diamond() -> Afg {
@@ -132,7 +94,6 @@ mod tests {
         assert_eq!(s.depth, 3);
         assert_eq!(s.width, 2, "the middle level has two tasks");
         assert!((s.mean_in_degree - 4.0 / 3.0).abs() < 1e-12);
-        assert!((s.parallelism() - 4.0 / 3.0).abs() < 1e-12);
         assert!(s.traffic > 0);
     }
 
@@ -146,25 +107,9 @@ mod tests {
             b.connect(prev, 0, t, 0).unwrap();
             prev = t;
         }
-        let g = b.build_unchecked();
-        let s = shape(&g).unwrap();
+        let s = shape(&b.build().unwrap()).unwrap();
         assert_eq!(s.depth, 6);
         assert_eq!(s.width, 1);
-        assert_eq!(s.parallelism(), 1.0);
-        let path = longest_path(&g).unwrap();
-        assert_eq!(path.len(), 6);
-        assert_eq!(path[0], TaskId(0));
-        assert_eq!(path[5], TaskId(5));
-    }
-
-    #[test]
-    fn longest_path_is_a_real_path() {
-        let g = diamond();
-        let path = longest_path(&g).unwrap();
-        assert_eq!(path.len(), 3);
-        for w in path.windows(2) {
-            assert!(g.children(w[0]).contains(&w[1]), "{:?} not an edge", w);
-        }
     }
 
     #[test]
@@ -178,7 +123,6 @@ mod tests {
             data_size: 1,
         });
         assert!(shape(&g).is_none());
-        assert!(longest_path(&g).is_none());
     }
 
     #[test]
@@ -187,7 +131,5 @@ mod tests {
         let s = shape(&g).unwrap();
         assert_eq!(s.tasks, 0);
         assert_eq!(s.depth, 0);
-        assert_eq!(s.parallelism(), 0.0);
-        assert_eq!(longest_path(&g).unwrap(), Vec::<TaskId>::new());
     }
 }

@@ -158,14 +158,8 @@ impl IoSpec {
 
     /// Returns `true` for [`IoSpec::Dataflow`].
     #[inline]
-    pub fn is_dataflow(&self) -> bool {
+    pub(crate) fn is_dataflow(&self) -> bool {
         matches!(self, IoSpec::Dataflow)
-    }
-
-    /// Returns `true` for [`IoSpec::Dataset`].
-    #[inline]
-    pub fn is_dataset(&self) -> bool {
-        matches!(self, IoSpec::Dataset { .. })
     }
 
     /// The referenced catalog dataset, if this entry is one.
@@ -174,22 +168,6 @@ impl IoSpec {
         match self {
             IoSpec::Dataset { id } => Some(*id),
             _ => None,
-        }
-    }
-
-    /// Size in bytes of the datum, if statically known (0 counts as
-    /// unknown). Dataset sizes live in the catalog, so `Dataset` returns
-    /// `None` here.
-    pub fn size(&self) -> Option<u64> {
-        match self {
-            IoSpec::Dataflow | IoSpec::Dataset { .. } => None,
-            IoSpec::File { size, .. } | IoSpec::Url { size, .. } => {
-                if *size == 0 {
-                    None
-                } else {
-                    Some(*size)
-                }
-            }
         }
     }
 }
@@ -282,7 +260,7 @@ impl TaskNode {
 
     /// Number of declared output ports.
     #[inline]
-    pub fn out_ports(&self) -> usize {
+    pub(crate) fn out_ports(&self) -> usize {
         self.props.outputs.len()
     }
 }
@@ -313,24 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn io_spec_size_semantics() {
-        assert_eq!(IoSpec::Dataflow.size(), None);
-        assert_eq!(IoSpec::inline_file("/a", 0).size(), None);
-        assert_eq!(IoSpec::inline_file("/a", 124_880).size(), Some(124_880));
-        assert_eq!(IoSpec::url("http://x/a", 9).size(), Some(9));
-        assert_eq!(IoSpec::dataset(4u64).size(), None, "dataset size lives in the catalog");
-        assert!(IoSpec::Dataflow.is_dataflow());
-        assert!(!IoSpec::inline_file("/a", 1).is_dataflow());
-    }
-
-    #[test]
     fn io_spec_dataset_accessors() {
         let d = IoSpec::dataset(DatasetId(7));
-        assert!(d.is_dataset());
         assert_eq!(d.dataset_id(), Some(DatasetId(7)));
         assert_eq!(d.to_string(), "dataset d7");
         assert_eq!(IoSpec::Dataflow.dataset_id(), None);
         assert_eq!(IoSpec::inline_file("/a", 1).dataset_id(), None);
+        assert!(IoSpec::Dataflow.is_dataflow());
+        assert!(!IoSpec::inline_file("/a", 1).is_dataflow());
     }
 
     #[test]

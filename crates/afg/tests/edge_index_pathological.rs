@@ -4,11 +4,8 @@
 //! the CSR offsets, an accidental O(E) scan per task or an O(frontier)
 //! step per ready task would show up first.
 
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
 use vdce_afg::level::{level_map, LevelTracker};
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
+use vdce_afg::{Afg, Edge, IoSpec, KernelKind, PortIndex, TaskId, TaskNode, TaskProperties};
 
 fn node(id: u32, entry: bool) -> TaskNode {
     TaskNode {

@@ -1,5 +1,5 @@
 //! Validate every checked-in `BENCH_*.json` against the `vdce-obs`
-//! RunArtifact schema (see `vdce_obs::artifact::validate`), and require
+//! RunArtifact schema (see `vdce_obs::validate`), and require
 //! the full published set to be present.
 //!
 //! The recorded artifacts are the repo's published numbers (README,

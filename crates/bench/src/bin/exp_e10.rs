@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::thread;
 use vdce_dsm::{DsmBarrier, DsmRegion, DsmStats};
 use vdce_obs::{MetricsRegistry, Report};
-use vdce_sim::metrics::Table;
+use vdce_sim::Table;
 
 const CELLS: usize = 512;
 const NODES: usize = 4;

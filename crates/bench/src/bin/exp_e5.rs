@@ -8,11 +8,10 @@
 use vdce_bench::{bench_dag, bench_federation, split_views};
 use vdce_obs::Report;
 use vdce_sched::baselines::{priorities, PriorityOrder};
-use vdce_sched::makespan::evaluate;
+use vdce_sched::evaluate;
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
-use vdce_sim::harness::{compare_schedulers, comparison_table, SchedulerKind};
-use vdce_sim::metrics::{geomean, Table};
+use vdce_sim::{compare_schedulers, comparison_table, geomean, SchedulerKind, Table};
 
 fn main() {
     let fed = bench_federation(3, 4);

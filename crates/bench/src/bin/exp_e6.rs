@@ -8,9 +8,8 @@
 use bytes::Bytes;
 use std::time::Instant;
 use vdce_obs::Report;
-use vdce_runtime::data_manager::{ChannelId, DataManager, Transport};
-use vdce_runtime::events::EventLog;
-use vdce_sim::metrics::Table;
+use vdce_runtime::{ChannelId, DataManager, EventLog, Transport};
+use vdce_sim::Table;
 
 fn main() {
     let mut t =

@@ -11,21 +11,18 @@
 
 use std::time::Duration;
 use vdce_afg::{Afg, AfgBuilder, MachineType, TaskLibrary};
-use vdce_net::clock::RealClock;
 use vdce_net::topology::SiteId;
+use vdce_net::RealClock;
 use vdce_obs::Report;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
-use vdce_runtime::app_controller::ThresholdGate;
-use vdce_runtime::data_manager::{DataManager, Transport};
-use vdce_runtime::events::{EventKind, EventLog};
-use vdce_runtime::executor::{
-    execute, AlwaysProceed, Execution, ExecutorConfig, HostLockRegistry, StartGate,
+use vdce_runtime::{
+    execute, AlwaysProceed, ConsoleService, DataManager, EventKind, EventLog, Execution,
+    ExecutorConfig, HostLockRegistry, IoService, StartGate, ThresholdGate, Transport,
 };
-use vdce_runtime::services::{ConsoleService, IoService};
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
-use vdce_sim::metrics::Table;
+use vdce_sim::Table;
 
 fn repo() -> SiteRepository {
     let repo = SiteRepository::new();

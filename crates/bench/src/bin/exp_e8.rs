@@ -9,15 +9,14 @@
 //! drive placement.
 
 use std::time::Instant;
-use vdce_afg::KernelKind;
-use vdce_afg::MachineType;
+use vdce_afg::{KernelKind, MachineType};
 use vdce_obs::Report;
-use vdce_predict::calibrate::mean_prediction_error;
+use vdce_predict::mean_prediction_error;
 use vdce_predict::model::Predictor;
 use vdce_repository::resources::ResourceRecord;
-use vdce_repository::tasks::TaskPerfDb;
-use vdce_runtime::kernels::{encode_f64s, run_kernel, synth_matrix, synth_values};
-use vdce_sim::metrics::Table;
+use vdce_repository::TaskPerfDb;
+use vdce_runtime::{encode_f64s, run_kernel, synth_matrix, synth_values};
+use vdce_sim::Table;
 
 fn measure(kernel: KernelKind, task: &str, n: u64) -> f64 {
     let inputs = match kernel {

@@ -10,8 +10,7 @@
 use vdce_bench::{bench_federation, split_views};
 use vdce_obs::Report;
 use vdce_sim::dag_gen::{fft_butterfly, fork_join, gauss_elim, layered_random, DagSpec};
-use vdce_sim::harness::{compare_schedulers, SchedulerKind};
-use vdce_sim::metrics::{geomean, Table};
+use vdce_sim::{compare_schedulers, geomean, SchedulerKind, Table};
 
 fn main() {
     let fed = bench_federation(3, 6);

@@ -26,17 +26,16 @@
 //! run writes `BENCH_faults.json`; quick runs leave it untouched.
 //!
 //! [`FaultScenario`]: vdce_sim::scenario::FaultScenario
-//! [`RecoveryReport`]: vdce_sim::metrics::RecoveryReport
+//! [`RecoveryReport`]: vdce_sim::RecoveryReport
 
 use vdce_bench::{bench_dag, bench_federation, shape_palette_workload};
 use vdce_obs::{Observer, Report, RunArtifact};
 use vdce_runtime::CheckpointPolicy;
-use vdce_sim::faults::{Fault, FaultPlan};
-use vdce_sim::metrics::{recovery_table, RecoveryReport};
 use vdce_sim::replay::ReplayConfig;
 use vdce_sim::scenario::{
     all_fault_scenarios, quick_fault_scenarios, schedule_estimate, FaultScenario, Scenario,
 };
+use vdce_sim::{recovery_table, Fault, FaultPlan, RecoveryReport};
 
 /// The acceptance workload: crash the busiest host of a palette-shaped
 /// DAG (the `exp_scale` workload family) a quarter into the run.

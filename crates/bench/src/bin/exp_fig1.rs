@@ -5,12 +5,14 @@
 //! the application, printing predicted vs measured execution times per
 //! task — the quantitative companion the paper omits.
 
-use vdce_afg::render::{render_all_properties, render_flow_graph};
-use vdce_afg::{AfgBuilder, AfgDocument, ComputationMode, IoSpec, MachineType, TaskLibrary};
+use vdce_afg::{
+    render_all_properties, render_flow_graph, AfgBuilder, AfgDocument, ComputationMode, IoSpec,
+    MachineType, TaskLibrary,
+};
 use vdce_core::Vdce;
 use vdce_obs::Report;
 use vdce_repository::AccessDomain;
-use vdce_sim::metrics::Table;
+use vdce_sim::Table;
 
 fn main() {
     let mut b = Vdce::builder();

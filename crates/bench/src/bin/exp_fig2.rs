@@ -8,8 +8,7 @@
 
 use vdce_bench::{bench_dag_ccr, bench_federation, split_views};
 use vdce_obs::Report;
-use vdce_sim::harness::{compare_schedulers, SchedulerKind};
-use vdce_sim::metrics::{geomean, Table};
+use vdce_sim::{compare_schedulers, geomean, SchedulerKind, Table};
 
 fn main() {
     let seeds = [1u64, 2, 3, 4, 5];

@@ -12,9 +12,9 @@ use vdce_bench::bench_dag;
 use vdce_obs::Report;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
-use vdce_sched::host_selection::host_selection;
-use vdce_sim::metrics::Table;
+use vdce_sched::host_selection;
 use vdce_sim::pool_gen::{build_federation, FederationSpec};
+use vdce_sim::Table;
 
 fn main() {
     let afg = bench_dag(60, 9);

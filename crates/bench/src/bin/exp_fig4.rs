@@ -7,8 +7,7 @@
 //! detects failures within one probe period.
 
 use vdce_obs::Report;
-use vdce_sim::harness::run_monitoring_experiment;
-use vdce_sim::metrics::Table;
+use vdce_sim::{run_monitoring_experiment, Table};
 
 fn main() {
     // --- Significant-change filter: threshold sweep --------------------

@@ -27,11 +27,11 @@
 use serde::Serialize;
 use std::collections::BTreeMap;
 use vdce_obs::{Observer, Report, RunArtifact, Table};
-use vdce_sim::fuzz::{
+use vdce_sim::scenario::fuzz_regression_scenarios;
+use vdce_sim::{
     check_case, check_invariant, shrink, CaseOutcome, FaultClass, FuzzCase, Invariant,
     InvariantProfile,
 };
-use vdce_sim::scenario::fuzz_regression_scenarios;
 
 /// The fixed CI seed block: must run clean under the standard profile.
 const QUICK_SEEDS: [u64; 6] = [0, 3, 7, 11, 19, 29];

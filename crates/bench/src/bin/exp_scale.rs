@@ -29,13 +29,13 @@ use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::HostStatus;
-use vdce_sched::allocation::AllocationTable;
-use vdce_sched::host_selection::host_selection_classed;
 use vdce_sched::site_scheduler::{
     schedule_with_outputs_data, site_schedule, site_schedule_observed, SchedulerConfig,
 };
 use vdce_sched::view::SiteView;
-use vdce_sched::{HostSelectionOutput, IncrementalSchedule};
+use vdce_sched::{
+    host_selection_classed, AllocationTable, HostSelectionOutput, IncrementalSchedule,
+};
 use vdce_sim::pool_gen::Federation;
 
 /// k nearest neighbour sites, every config (the acceptance setting).

@@ -13,9 +13,7 @@ use vdce_net::topology::{SiteId, Topology};
 use vdce_repository::accounts::AccessDomain;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
-use vdce_runtime::data_manager::Transport;
-use vdce_runtime::executor::HostLockRegistry;
-use vdce_runtime::site_manager::SiteManager;
+use vdce_runtime::{HostLockRegistry, SiteManager, Transport};
 
 /// Environment-wide tunables.
 #[derive(Debug, Clone, Copy)]
@@ -36,8 +34,6 @@ impl Default for VdceConfig {
 }
 
 struct SiteState {
-    #[allow(dead_code)]
-    name: String,
     repo: SiteRepository,
     manager: SiteManager,
 }
@@ -73,22 +69,22 @@ impl Vdce {
     }
 
     /// Federation topology.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
     /// Inter-site network model.
-    pub fn net(&self) -> &NetworkModel {
+    pub(crate) fn net(&self) -> &NetworkModel {
         &self.net
     }
 
     /// Environment configuration.
-    pub fn config(&self) -> &VdceConfig {
+    pub(crate) fn config(&self) -> &VdceConfig {
         &self.config
     }
 
     /// Number of sites.
-    pub fn site_count(&self) -> usize {
+    pub(crate) fn site_count(&self) -> usize {
         self.sites.len()
     }
 
@@ -105,68 +101,8 @@ impl Vdce {
     /// The federation-wide host lock registry: all executions share it,
     /// so concurrent applications contend for hosts like concurrent VDCE
     /// users would.
-    pub fn host_locks(&self) -> &HostLockRegistry {
+    pub(crate) fn host_locks(&self) -> &HostLockRegistry {
         &self.locks
-    }
-
-    /// Live administration: add a host to a running federation. The host
-    /// joins the site's topology and resource-performance database and is
-    /// schedulable from the next submission on. Returns `false` on name
-    /// collision or unknown site.
-    pub fn admin_add_host(
-        &mut self,
-        site: SiteId,
-        name: impl Into<String>,
-        machine: MachineType,
-        relative_speed: f64,
-        memory: u64,
-    ) -> bool {
-        let name = name.into();
-        if site.index() >= self.sites.len() || !self.topology.add_host(site, name.clone()) {
-            return false;
-        }
-        let n = self.topology.site(site).map(|s| s.hosts.len()).unwrap_or(1);
-        self.sites[site.index()].repo.resources_mut(|db| {
-            db.upsert(ResourceRecord::new(
-                name,
-                format!("10.{}.9.{}", site.0, n),
-                machine,
-                relative_speed,
-                1,
-                memory,
-                format!("{}-live", self.sites[site.index()].name),
-            ));
-        });
-        true
-    }
-
-    /// Live administration: drain a host — mark it down and purge its
-    /// task-constraints records so nothing new is scheduled there.
-    /// Returns `false` for unknown hosts.
-    pub fn admin_drain_host(&self, host: &str) -> bool {
-        let Some(site) = self.topology.site_of_host(host) else { return false };
-        let repo = &self.sites[site.index()].repo;
-        let ok = repo
-            .resources_mut(|db| db.set_status(host, vdce_repository::resources::HostStatus::Down));
-        repo.constraints_mut(|db| {
-            db.purge_host(host);
-        });
-        ok
-    }
-
-    /// Live administration: remove a host entirely (topology + resource
-    /// rows + constraints). The site's server host cannot be removed.
-    pub fn admin_remove_host(&mut self, host: &str) -> bool {
-        let Some(site) = self.topology.site_of_host(host) else { return false };
-        if !self.topology.remove_host(host) {
-            return false;
-        }
-        let repo = &self.sites[site.index()].repo;
-        repo.resources_mut(|db| db.remove(host));
-        repo.constraints_mut(|db| {
-            db.purge_host(host);
-        });
-        true
     }
 
     /// Authenticate against `site`'s user-accounts database and open a
@@ -271,7 +207,7 @@ impl VdceBuilder {
                 }
             });
             let manager = SiteManager::new(id, repo.clone());
-            sites.push(SiteState { name: name.clone(), repo, manager });
+            sites.push(SiteState { repo, manager });
         }
         let mut net = NetworkModel::with_defaults(self.site_names.len().max(1));
         for (a, b, params) in self.links {
@@ -329,44 +265,6 @@ mod tests {
         b.set_link(s0, s1, LinkParams::new(9.0, 1.0));
         let v = b.build();
         assert_eq!(v.net().link(s0, s1).latency_s, 9.0);
-    }
-
-    #[test]
-    fn admin_add_drain_remove_host() {
-        let mut v = small();
-        assert!(v.admin_add_host(SiteId(0), "late0", MachineType::LinuxPc, 9.0, 1 << 30));
-        assert_eq!(v.topology().site_of_host("late0"), Some(SiteId(0)));
-        assert_eq!(v.repository(SiteId(0)).resources(|db| db.len()), 3);
-        // Name collision and bad site rejected.
-        assert!(!v.admin_add_host(SiteId(0), "late0", MachineType::LinuxPc, 1.0, 1));
-        assert!(!v.admin_add_host(SiteId(9), "x", MachineType::LinuxPc, 1.0, 1));
-        // Drain: down + unschedulable, but still present.
-        assert!(v.admin_drain_host("late0"));
-        assert!(v.repository(SiteId(0)).resources(|db| !db.get("late0").unwrap().is_up()));
-        // Remove entirely.
-        assert!(v.admin_remove_host("late0"));
-        assert_eq!(v.topology().site_of_host("late0"), None);
-        assert_eq!(v.repository(SiteId(0)).resources(|db| db.len()), 2);
-        // Server host is protected.
-        assert!(!v.admin_remove_host("a0"));
-        assert!(!v.admin_drain_host("ghost"));
-    }
-
-    #[test]
-    fn added_host_is_used_by_next_submission() {
-        use vdce_afg::{AfgBuilder, AfgDocument, TaskLibrary};
-        let mut v = small();
-        assert!(v.admin_add_host(SiteId(0), "rocket", MachineType::LinuxPc, 50.0, 1 << 30));
-        let session = v.login(SiteId(0), "u", "p").unwrap();
-        let lib = TaskLibrary::standard();
-        let mut b = AfgBuilder::new("t", &lib);
-        let s = b.add_task("Source", "s", 100_000).unwrap();
-        let k = b.add_task("Sink", "k", 100_000).unwrap();
-        b.connect(s, 0, k, 0).unwrap();
-        let doc = AfgDocument::new("u", b.build().unwrap()).unwrap();
-        let report = session.submit(&doc).unwrap();
-        assert_eq!(report.allocation.hosts_used(), vec!["rocket"]);
-        assert!(report.outcome.success);
     }
 
     #[test]

@@ -37,10 +37,11 @@
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod env;
-pub mod report;
-pub mod session;
+mod env;
+mod report;
+mod session;
 
 pub use env::{Vdce, VdceBuilder, VdceConfig};
 pub use report::RunReport;

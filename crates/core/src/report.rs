@@ -1,9 +1,8 @@
 //! Run reports: everything a submission returns.
 
 use std::fmt::Write as _;
-use vdce_runtime::executor::ExecutionOutcome;
-use vdce_sched::allocation::AllocationTable;
-use vdce_sched::makespan::Schedule;
+use vdce_runtime::ExecutionOutcome;
+use vdce_sched::{AllocationTable, Schedule};
 
 /// The result of one application submission.
 #[derive(Debug, Clone)]
@@ -74,8 +73,8 @@ mod tests {
     use super::*;
     use vdce_afg::TaskId;
     use vdce_net::topology::SiteId;
-    use vdce_runtime::executor::TaskRunRecord;
-    use vdce_sched::allocation::TaskPlacement;
+    use vdce_runtime::TaskRunRecord;
+    use vdce_sched::TaskPlacement;
 
     fn sample() -> RunReport {
         let mut allocation = AllocationTable::new("demo");

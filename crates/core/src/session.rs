@@ -19,17 +19,16 @@ use crate::env::Vdce;
 use crate::report::RunReport;
 use crossbeam::channel::unbounded;
 use std::fmt;
-use vdce_afg::document::AfgDocument;
-use vdce_net::clock::{Clock, RealClock};
+use vdce_afg::AfgDocument;
 use vdce_net::topology::SiteId;
+use vdce_net::{Clock, RealClock};
 use vdce_repository::accounts::{AccessDomain, UserAccount};
 use vdce_repository::SiteRepository;
-use vdce_runtime::app_controller::ThresholdGate;
-use vdce_runtime::data_manager::DataManager;
-use vdce_runtime::events::{EventLog, RuntimeEvent};
-use vdce_runtime::executor::{execute, Execution, ExecutorConfig};
-use vdce_runtime::services::{ConsoleService, IoService, VisualizationService};
-use vdce_sched::makespan::evaluate;
+use vdce_runtime::{
+    execute, ConsoleService, DataManager, EventLog, Execution, ExecutorConfig, IoService,
+    RuntimeEvent, ThresholdGate, VisualizationService,
+};
+use vdce_sched::evaluate;
 use vdce_sched::site_scheduler::{site_schedule, SchedError, SchedulerConfig};
 use vdce_sched::view::SiteView;
 
@@ -65,15 +64,6 @@ pub enum SubmitError {
     },
     /// The scheduler could not place the application.
     Scheduling(SchedError),
-    /// QoS admission control rejected the run: the predicted makespan
-    /// exceeds the requested deadline (§1's "managing the Quality of
-    /// Service (QoS) requirements").
-    QosRejected {
-        /// Requested deadline in seconds.
-        deadline: f64,
-        /// Predicted makespan in seconds.
-        predicted: f64,
-    },
 }
 
 impl fmt::Display for SubmitError {
@@ -83,10 +73,6 @@ impl fmt::Display for SubmitError {
                 write!(f, "document author `{author}` is not the session user `{user}`")
             }
             SubmitError::Scheduling(e) => write!(f, "scheduling failed: {e}"),
-            SubmitError::QosRejected { deadline, predicted } => write!(
-                f,
-                "QoS admission rejected: predicted {predicted:.3}s exceeds deadline {deadline:.3}s"
-            ),
         }
     }
 }
@@ -143,15 +129,10 @@ impl<'v> Session<'v> {
         &self.io
     }
 
-    /// The session's console service (suspend/resume/abort running
+    /// The session's console service (suspend/resume running
     /// applications).
     pub fn console(&self) -> &ConsoleService {
         &self.console
-    }
-
-    /// The session's event log.
-    pub fn log(&self) -> &EventLog {
-        &self.log
     }
 
     /// Effective neighbour count for this user: the access-domain type of
@@ -164,29 +145,9 @@ impl<'v> Session<'v> {
         }
     }
 
-    /// Submit with a QoS deadline: the run is admitted only if the
-    /// predicted makespan meets `deadline_s`. Higher-priority users (the
-    /// 5-tuple's fourth element) get proportionally more slack before
-    /// rejection: effective deadline = `deadline_s × (1 + priority/10)`.
-    pub fn submit_with_deadline(
-        &self,
-        doc: &AfgDocument,
-        deadline_s: f64,
-    ) -> Result<RunReport, SubmitError> {
-        self.submit_inner(doc, Some(deadline_s))
-    }
-
     /// Submit an application document: schedule it across the federation
     /// and execute it (see the module docs).
     pub fn submit(&self, doc: &AfgDocument) -> Result<RunReport, SubmitError> {
-        self.submit_inner(doc, None)
-    }
-
-    fn submit_inner(
-        &self,
-        doc: &AfgDocument,
-        deadline_s: Option<f64>,
-    ) -> Result<RunReport, SubmitError> {
         if doc.author != self.account.user_name {
             return Err(SubmitError::NotAuthor {
                 author: doc.author.clone(),
@@ -212,14 +173,6 @@ impl<'v> Session<'v> {
         let levels =
             local_view.levels(afg).map_err(|_| SubmitError::Scheduling(SchedError::Cyclic))?;
         let predicted = evaluate(afg, &table, self.vdce.net(), &levels).ok();
-
-        // --- QoS admission control --------------------------------------
-        if let (Some(deadline), Some(p)) = (deadline_s, predicted.as_ref()) {
-            let slack = 1.0 + f64::from(self.account.priority) / 10.0;
-            if p.makespan > deadline * slack {
-                return Err(SubmitError::QosRejected { deadline, predicted: p.makespan });
-            }
-        }
 
         // --- Execution phase ------------------------------------------
         // Merged repository: the Application Controller's threshold gate
@@ -259,9 +212,7 @@ impl<'v> Session<'v> {
         // Site Manager (matching §4.1's post-run task-perf update).
         while let Ok(msg) = rx.try_recv() {
             let host = match &msg {
-                vdce_runtime::site_manager::ControlMessage::ExecutionCompleted { host, .. } => {
-                    host.clone()
-                }
+                vdce_runtime::ControlMessage::ExecutionCompleted { host, .. } => host.clone(),
                 _ => continue,
             };
             if let Some(site) = self.vdce.topology().site_of_host(&host) {
@@ -362,54 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_admission_rejects_impossible_deadlines_and_admits_loose_ones() {
-        let v = federation();
-        let session = v.login(SiteId(0), "user_k", "pw").unwrap();
-        // Predicted makespan is well above a microsecond deadline.
-        let err = session.submit_with_deadline(&chain_doc("user_k"), 1e-6).unwrap_err();
-        match err {
-            SubmitError::QosRejected { deadline, predicted } => {
-                assert_eq!(deadline, 1e-6);
-                assert!(predicted > deadline);
-            }
-            other => panic!("expected QosRejected, got {other:?}"),
-        }
-        // A generous deadline admits and runs.
-        let report = session.submit_with_deadline(&chain_doc("user_k"), 1e6).unwrap();
-        assert!(report.outcome.success);
-    }
-
-    #[test]
-    fn qos_priority_buys_slack() {
-        let mut b = Vdce::builder();
-        let s0 = b.add_site("solo");
-        b.add_host(s0, "h", vdce_afg::MachineType::LinuxPc, 1.0, 1 << 30);
-        b.add_user("vip", "pw", 9, AccessDomain::LocalSite);
-        b.add_user("pleb", "pw", 0, AccessDomain::LocalSite);
-        let v = b.build();
-        // Learn the predicted makespan via a rejected probe (a rejection
-        // does not execute, so it does not recalibrate the databases).
-        let vip = v.login(s0, "vip", "pw").unwrap();
-        let predicted = match vip.submit_with_deadline(&chain_doc("vip"), 1e-9) {
-            Err(SubmitError::QosRejected { predicted, .. }) => predicted,
-            other => panic!("probe must be rejected, got {other:?}"),
-        };
-        let deadline = predicted / 1.5; // predicted = 1.5 × deadline
-        let pleb = v.login(s0, "pleb", "pw").unwrap();
-        assert!(
-            matches!(
-                pleb.submit_with_deadline(&chain_doc("pleb"), deadline),
-                Err(SubmitError::QosRejected { .. })
-            ),
-            "1.0x slack rejects a 1.5x overrun"
-        );
-        assert!(
-            vip.submit_with_deadline(&chain_doc("vip"), deadline).is_ok(),
-            "1.9x slack admits a 1.5x overrun"
-        );
-    }
-
-    #[test]
     fn submit_rejects_foreign_documents() {
         let v = federation();
         let session = v.login(SiteId(0), "user_k", "pw").unwrap();
@@ -444,8 +347,8 @@ mod tests {
         b.connect(lu, 0, k, 0).unwrap();
         let doc = AfgDocument::new("user_k", b.build().unwrap()).unwrap();
         // Upload an identity-ish diagonally dominant matrix.
-        let m = vdce_runtime::kernels::synth_matrix(1, 4);
-        session.io().put("/users/VDCE/user_k/matrix_A.dat", vdce_runtime::kernels::encode_f64s(&m));
+        let m = vdce_runtime::synth_matrix(1, 4);
+        session.io().put("/users/VDCE/user_k/matrix_A.dat", vdce_runtime::encode_f64s(&m));
         let report = session.submit(&doc).unwrap();
         assert!(report.outcome.success);
     }

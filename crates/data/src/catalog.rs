@@ -1,24 +1,19 @@
 //! The mutable, journaled dataset catalog.
 
-use crate::events::{CatalogState, DataEvent, DatasetRecord, DATA_JOURNAL_TAG};
+use crate::events::{CatalogState, DataEvent, DATA_JOURNAL_TAG};
 use crate::view::{DataView, DatasetSpec};
 use std::collections::BTreeMap;
 use std::fmt;
 use vdce_afg::DatasetId;
-use vdce_net::{NetworkModel, SiteId};
+use vdce_net::SiteId;
 use vdce_store::{fnv1a_json, Journal};
 
-/// Typed failure of a catalog operation or replica lookup.
+/// Typed failure of a catalog operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataError {
     /// The dataset id is not registered.
     UnknownDataset {
         /// The id looked up.
-        id: DatasetId,
-    },
-    /// The dataset is registered but has no live replica to read from.
-    NoLiveReplica {
-        /// The dataset.
         id: DatasetId,
     },
     /// The dataset is already registered.
@@ -57,7 +52,6 @@ impl fmt::Display for DataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DataError::UnknownDataset { id } => write!(f, "unknown dataset {id}"),
-            DataError::NoLiveReplica { id } => write!(f, "dataset {id} has no live replica"),
             DataError::AlreadyRegistered { id } => write!(f, "dataset {id} already registered"),
             DataError::DuplicateReplica { id, site } => {
                 write!(f, "site {site} already holds a replica of {id}")
@@ -130,16 +124,6 @@ impl DatasetCatalog {
         self.state.datasets.is_empty()
     }
 
-    /// The record for `id`, if registered.
-    pub fn dataset(&self, id: DatasetId) -> Option<&DatasetRecord> {
-        self.state.datasets.get(&id)
-    }
-
-    /// Bytes still free at `site` (`None` = uncapped).
-    pub fn capacity_left(&self, site: SiteId) -> Option<u64> {
-        self.state.capacity_left(site)
-    }
-
     fn commit(&mut self, event: DataEvent) {
         if self.journal.is_enabled() {
             let payload = serde_json::to_string(&event).expect("data events always serialize");
@@ -155,7 +139,7 @@ impl DatasetCatalog {
     }
 
     /// Register a new dataset of `size` bytes (no replicas yet).
-    pub fn register_dataset(&mut self, id: DatasetId, size: u64) -> Result<(), DataError> {
+    pub(crate) fn register_dataset(&mut self, id: DatasetId, size: u64) -> Result<(), DataError> {
         if self.state.datasets.contains_key(&id) {
             return Err(DataError::AlreadyRegistered { id });
         }
@@ -166,7 +150,7 @@ impl DatasetCatalog {
     /// Add a replica of `id` at `site`, charging the dataset size
     /// against the site's capacity. A capacity rejection increments
     /// [`DatasetCatalog::violations`].
-    pub fn add_replica(
+    pub(crate) fn add_replica(
         &mut self,
         id: DatasetId,
         site: SiteId,
@@ -204,28 +188,6 @@ impl DatasetCatalog {
         }
         self.commit(DataEvent::Invalidate { id, site });
         Ok(())
-    }
-
-    /// The cheapest live replica of `id` to read from site `to`:
-    /// minimal `net.transfer_time(source, to, size)`, ties broken
-    /// toward the lowest source site id.
-    pub fn cheapest_replica(
-        &self,
-        net: &NetworkModel,
-        id: DatasetId,
-        to: SiteId,
-    ) -> Result<(SiteId, f64), DataError> {
-        let record = self.state.datasets.get(&id).ok_or(DataError::UnknownDataset { id })?;
-        let mut sources: Vec<SiteId> = record.replicas.iter().map(|r| r.site).collect();
-        sources.sort_unstable();
-        let mut best: Option<(SiteId, f64)> = None;
-        for src in sources {
-            let t = net.transfer_time(src, to, record.size);
-            if best.is_none_or(|(_, bt)| t < bt) {
-                best = Some((src, t));
-            }
-        }
-        best.ok_or(DataError::NoLiveReplica { id })
     }
 
     /// Immutable scheduler-facing snapshot: per dataset its size, live
@@ -286,41 +248,7 @@ pub fn seed_dataset(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdce_net::LinkParams;
     use vdce_store::SnapshotPolicy;
-
-    fn three_site_net() -> NetworkModel {
-        // S0—S1 fast, S0—S2 and S1—S2 slow.
-        let mut net = NetworkModel::with_defaults(3);
-        net.set_link(SiteId(0), SiteId(1), LinkParams::new(0.001, 100e6));
-        net.set_link(SiteId(0), SiteId(2), LinkParams::new(0.050, 5e6));
-        net.set_link(SiteId(1), SiteId(2), LinkParams::new(0.050, 5e6));
-        net
-    }
-
-    #[test]
-    fn cheapest_replica_follows_link_bandwidth() {
-        let net = three_site_net();
-        let mut cat = DatasetCatalog::new();
-        seed_dataset(&mut cat, DatasetId(1), 10 << 20, &[SiteId(0), SiteId(2)]).unwrap();
-        // Reading from S1: the S0 replica rides the fast link.
-        let (src, t) = cat.cheapest_replica(&net, DatasetId(1), SiteId(1)).unwrap();
-        assert_eq!(src, SiteId(0));
-        assert!(t < net.transfer_time(SiteId(2), SiteId(1), 10 << 20));
-        // Reading from S2: the local replica is free-ish (intra-site link).
-        let (src, _) = cat.cheapest_replica(&net, DatasetId(1), SiteId(2)).unwrap();
-        assert_eq!(src, SiteId(2));
-    }
-
-    #[test]
-    fn cheapest_replica_ties_break_to_lowest_site_id() {
-        let net = NetworkModel::with_defaults(3);
-        let mut cat = DatasetCatalog::new();
-        // Both replicas are remote over identical default WAN links.
-        seed_dataset(&mut cat, DatasetId(4), 1 << 20, &[SiteId(2), SiteId(1)]).unwrap();
-        let (src, _) = cat.cheapest_replica(&net, DatasetId(4), SiteId(0)).unwrap();
-        assert_eq!(src, SiteId(1), "equal-cost sources resolve to the lowest site id");
-    }
 
     #[test]
     fn typed_errors_cover_every_rejection() {
@@ -334,11 +262,6 @@ mod tests {
         assert_eq!(
             cat.register_dataset(DatasetId(9), 80),
             Err(DataError::AlreadyRegistered { id: DatasetId(9) })
-        );
-        let net = NetworkModel::with_defaults(1);
-        assert_eq!(
-            cat.cheapest_replica(&net, DatasetId(9), SiteId(0)),
-            Err(DataError::NoLiveReplica { id: DatasetId(9) })
         );
         cat.add_replica(DatasetId(9), SiteId(0), 1.0).unwrap();
         assert_eq!(

@@ -12,7 +12,7 @@ use vdce_afg::DatasetId;
 use vdce_net::topology::SiteId;
 
 /// Journal tag every catalog event is framed under.
-pub const DATA_JOURNAL_TAG: &str = "data";
+pub(crate) const DATA_JOURNAL_TAG: &str = "data";
 
 /// One copy of a dataset at a site.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -21,7 +21,7 @@ pub struct Replica {
     pub site: SiteId,
     /// Storage cost weight for holding the copy there (relative units;
     /// the broker reports it, placement does not price it yet).
-    pub storage_cost: f64,
+    pub(crate) storage_cost: f64,
 }
 
 /// Catalog entry for one dataset.
@@ -84,7 +84,7 @@ pub struct CatalogState {
 
 impl CatalogState {
     /// Bytes still free at `site`, `None` if the site is uncapped.
-    pub fn capacity_left(&self, site: SiteId) -> Option<u64> {
+    pub(crate) fn capacity_left(&self, site: SiteId) -> Option<u64> {
         let cap = *self.capacity.get(&site)?;
         Some(cap.saturating_sub(self.used.get(&site).copied().unwrap_or(0)))
     }
@@ -97,7 +97,7 @@ impl DataEvent {
     /// replica, capacity overflow, or invalidating a replica that is
     /// not there. Pure and deterministic — replaying a journal yields
     /// the same verdicts in the same order.
-    pub fn apply(&self, state: &mut CatalogState) -> bool {
+    pub(crate) fn apply(&self, state: &mut CatalogState) -> bool {
         match self {
             DataEvent::SetCapacity { site, bytes } => {
                 state.capacity.insert(*site, *bytes);

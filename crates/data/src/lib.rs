@@ -17,9 +17,6 @@
 //!   [`DataView::primary_only`] degrades every dataset to its home
 //!   replica, which is exactly the paper's parent-site-only model and
 //!   serves as the ablation baseline in `exp_data`.
-//! - [`DatasetCatalog::cheapest_replica`] — link-bandwidth-aware
-//!   cheapest-source lookup through the existing
-//!   [`NetworkModel`](vdce_net::model::NetworkModel).
 //!
 //! Checkpoints are wired in as just another replicated dataset (replica
 //! fan-out > 1) by `vdce_runtime::checkpoint`.
@@ -27,13 +24,14 @@
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod catalog;
-pub mod events;
-pub mod view;
+mod events;
+mod view;
 
 pub use catalog::{DataError, DatasetCatalog};
-pub use events::{CatalogState, DataEvent, DatasetRecord, Replica, DATA_JOURNAL_TAG};
+pub use events::{CatalogState, DataEvent, DatasetRecord, Replica};
 pub use view::{DataView, DatasetSpec};
 
 pub use vdce_afg::DatasetId;

@@ -40,14 +40,15 @@ pub struct DataView {
 impl DataView {
     /// View over the given specs (catalog-internal constructor; tests
     /// and workload generators may also build views directly). Every
-    /// site starts uncapped; see [`DataView::set_free`].
+    /// site starts uncapped; the catalog records free space when taking a
+    /// view.
     pub fn from_specs(datasets: BTreeMap<DatasetId, DatasetSpec>) -> Self {
         DataView { datasets, free: BTreeMap::new() }
     }
 
     /// Record that `site` has `bytes` of storage left. The catalog
     /// fills this from its capacity accounting when taking a view.
-    pub fn set_free(&mut self, site: SiteId, bytes: u64) {
+    pub(crate) fn set_free(&mut self, site: SiteId, bytes: u64) {
         self.free.insert(site, bytes);
     }
 
@@ -59,21 +60,6 @@ impl DataView {
     /// The spec for `id`, if the dataset is registered.
     pub fn get(&self, id: DatasetId) -> Option<&DatasetSpec> {
         self.datasets.get(&id)
-    }
-
-    /// Iterate all datasets in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (DatasetId, &DatasetSpec)> {
-        self.datasets.iter().map(|(id, s)| (*id, s))
-    }
-
-    /// Number of datasets in the view.
-    pub fn len(&self) -> usize {
-        self.datasets.len()
-    }
-
-    /// Is the view empty?
-    pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
     }
 
     /// Degrade every dataset to its home replica only — the paper's
@@ -109,7 +95,6 @@ mod tests {
         m.insert(DatasetId(1), spec(10, &[0, 1, 2], Some(1)));
         m.insert(DatasetId(2), spec(20, &[], None));
         let view = DataView::from_specs(m);
-        assert_eq!(view.len(), 2);
         let primary = view.primary_only();
         assert_eq!(primary.get(DatasetId(1)).unwrap().sites, vec![SiteId(1)]);
         assert!(primary.get(DatasetId(2)).unwrap().sites.is_empty());

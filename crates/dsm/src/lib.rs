@@ -17,7 +17,7 @@
 //!   set, serving read misses (owner writes back, readers share) and
 //!   write misses (sharers invalidated, requester becomes exclusive
 //!   owner) — the classic write-invalidate protocol;
-//! - [`sync`] provides the barrier and lock primitives shared-memory VDCE
+//! - [`DsmBarrier`] and [`DsmLock`] are the barrier and lock primitives shared-memory VDCE
 //!   applications need;
 //! - every protocol action is counted ([`DsmStats`]) so experiments can
 //!   report page traffic, invalidations and hit rates.
@@ -42,10 +42,11 @@
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod region;
-pub mod stats;
-pub mod sync;
+mod region;
+mod stats;
+mod sync;
 
 pub use region::{DsmHandle, DsmRegion, DsmSnapshot};
 pub use stats::DsmStats;

@@ -65,21 +65,6 @@ pub struct DsmSnapshot {
 }
 
 impl DsmSnapshot {
-    /// Region size in bytes this snapshot covers.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Page size of the snapshotted region.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Number of captured pages.
-    pub fn pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Bytes `offset..offset + len`, assembled across pages.
     ///
     /// # Panics
@@ -131,18 +116,8 @@ impl DsmRegion {
     }
 
     /// Number of participating nodes.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.inner.caches.len()
-    }
-
-    /// Region size in bytes.
-    pub fn size(&self) -> usize {
-        self.inner.size
-    }
-
-    /// Page size in bytes.
-    pub fn page_size(&self) -> usize {
-        self.inner.page_size
     }
 
     /// Obtain node `node`'s handle.
@@ -189,17 +164,6 @@ impl DsmRegion {
         StatCounters::bump(&inner.stats.snapshots);
         StatCounters::add(&inner.stats.snapshot_page_copies, dirty_pulls);
         DsmSnapshot { page_size: inner.page_size, size: inner.size, pages }
-    }
-
-    /// Account a snapshot shipped off-site as a checkpoint replica
-    /// (DESIGN.md §12): returns the byte count the caller charges
-    /// through the network model and adds it to
-    /// [`DsmStats::replica_bytes`]. The region itself is untouched — the
-    /// replica lives wherever the caller stored it.
-    pub fn record_replication(&self, snap: &DsmSnapshot) -> u64 {
-        let bytes = snap.size() as u64;
-        StatCounters::add(&self.inner.stats.replica_bytes, bytes);
-        bytes
     }
 
     /// Rewind the region to `snap`.
@@ -318,11 +282,6 @@ impl Inner {
 }
 
 impl DsmHandle {
-    /// This handle's node id.
-    pub fn node(&self) -> usize {
-        self.node
-    }
-
     fn check_range(&self, offset: usize, len: usize) {
         assert!(
             offset + len <= self.inner.size,
@@ -551,7 +510,7 @@ mod tests {
         let a = dsm.handle(0);
         a.write_u64(0, 42); // page 0 owned dirty by node 0
         let snap = dsm.snapshot();
-        assert_eq!(snap.pages(), 4);
+        assert_eq!(snap.pages.len(), 4);
         assert_eq!(u64::from_le_bytes(snap.read(0, 8).try_into().unwrap()), 42);
         // Snapshot is a pure reader: node 0 still owns the page, so the
         // next local write is a hit, not a miss.
@@ -614,15 +573,6 @@ mod tests {
         let s = dsm.stats();
         assert_eq!(s.restores, 1);
         assert_eq!(s.snapshot_page_copies, 1 + 4, "restore writes back all 4 pages");
-    }
-
-    #[test]
-    fn replication_accounts_snapshot_bytes() {
-        let dsm = DsmRegion::new(256, 64, 2);
-        let snap = dsm.snapshot();
-        assert_eq!(dsm.record_replication(&snap), 256);
-        assert_eq!(dsm.record_replication(&snap), 256, "each shipment is charged");
-        assert_eq!(dsm.stats().replica_bytes, 512);
     }
 
     #[test]

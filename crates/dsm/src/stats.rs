@@ -23,11 +23,7 @@ pub struct DsmStats {
     pub restores: u64,
     /// Pages copied by snapshot/restore traffic (dirty-owner pulls on
     /// snapshot plus every page written back on restore).
-    pub snapshot_page_copies: u64,
-    /// Bytes of snapshot state replicated off-site (cross-site checkpoint
-    /// replication, DESIGN.md §12) — the traffic the network model
-    /// charges for shipping a region snapshot to another site.
-    pub replica_bytes: u64,
+    pub(crate) snapshot_page_copies: u64,
 }
 
 #[derive(Debug, Default)]
@@ -40,12 +36,11 @@ pub(crate) struct StatCounters {
     pub page_transfers: AtomicU64,
     pub snapshots: AtomicU64,
     pub restores: AtomicU64,
-    pub snapshot_page_copies: AtomicU64,
-    pub replica_bytes: AtomicU64,
+    pub(crate) snapshot_page_copies: AtomicU64,
 }
 
 impl StatCounters {
-    pub fn snapshot(&self) -> DsmStats {
+    pub(crate) fn snapshot(&self) -> DsmStats {
         DsmStats {
             read_hits: self.read_hits.load(Ordering::Relaxed),
             read_misses: self.read_misses.load(Ordering::Relaxed),
@@ -56,17 +51,16 @@ impl StatCounters {
             snapshots: self.snapshots.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
             snapshot_page_copies: self.snapshot_page_copies.load(Ordering::Relaxed),
-            replica_bytes: self.replica_bytes.load(Ordering::Relaxed),
         }
     }
 
     #[inline]
-    pub fn bump(counter: &AtomicU64) {
+    pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 }
@@ -87,7 +81,6 @@ impl DsmStats {
             ("snapshots", self.snapshots),
             ("restores", self.restores),
             ("snapshot_page_copies", self.snapshot_page_copies),
-            ("replica_bytes", self.replica_bytes),
         ];
         for (name, v) in c {
             m.counter_add(&format!("dsm.{region}.{name}"), v);
@@ -130,14 +123,6 @@ mod tests {
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.reads(), 2);
         assert_eq!(s.read_hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn replica_bytes_accumulate() {
-        let c = StatCounters::default();
-        StatCounters::add(&c.replica_bytes, 4096);
-        StatCounters::add(&c.replica_bytes, 4096);
-        assert_eq!(c.snapshot().replica_bytes, 8192);
     }
 
     #[test]

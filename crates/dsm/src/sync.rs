@@ -70,7 +70,7 @@ pub struct BarrierResult {
     /// The generation index that completed.
     pub generation: u64,
     /// Whether this caller was the last to arrive.
-    pub is_leader: bool,
+    pub(crate) is_leader: bool,
 }
 
 /// A DSM-wide mutual-exclusion lock (centralised lock manager, as the
@@ -84,7 +84,6 @@ pub struct DsmLock {
 struct LockInner {
     locked: Mutex<bool>,
     cond: Condvar,
-    acquisitions: Mutex<u64>,
 }
 
 /// RAII guard for [`DsmLock`].
@@ -105,25 +104,7 @@ impl DsmLock {
             self.inner.cond.wait(&mut l);
         }
         *l = true;
-        *self.inner.acquisitions.lock() += 1;
         DsmLockGuard { lock: self }
-    }
-
-    /// Try to acquire without blocking.
-    pub fn try_acquire(&self) -> Option<DsmLockGuard<'_>> {
-        let mut l = self.inner.locked.lock();
-        if *l {
-            None
-        } else {
-            *l = true;
-            *self.inner.acquisitions.lock() += 1;
-            Some(DsmLockGuard { lock: self })
-        }
-    }
-
-    /// Total successful acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        *self.inner.acquisitions.lock()
     }
 }
 
@@ -203,15 +184,5 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(dsm.handle(0).read_u64(0), 1000);
-        assert_eq!(lock.acquisitions(), 1000);
-    }
-
-    #[test]
-    fn try_acquire_respects_holders() {
-        let lock = DsmLock::new();
-        let g = lock.acquire();
-        assert!(lock.try_acquire().is_none());
-        drop(g);
-        assert!(lock.try_acquire().is_some());
     }
 }

@@ -154,25 +154,15 @@ impl<M: Send + Clone> MessageBus<M> {
         }
         sum
     }
-
-    /// Registered site count.
-    pub fn site_count(&self) -> usize {
-        self.shared.senders.lock().len()
-    }
 }
 
 impl<M> Endpoint<M> {
     /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Delivery<M>> {
+    pub(crate) fn try_recv(&self) -> Option<Delivery<M>> {
         match self.rx.try_recv() {
             Ok(d) => Some(d),
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
-    }
-
-    /// Blocking receive.
-    pub fn recv(&self) -> Option<Delivery<M>> {
-        self.rx.recv().ok()
     }
 
     /// Blocking receive with timeout.
@@ -292,6 +282,5 @@ mod tests {
         bus.send(SiteId(0), SiteId(0), 5, 0).unwrap();
         assert!(old.try_recv().is_none(), "old endpoint is detached");
         assert_eq!(new.try_recv().unwrap().msg, 5);
-        assert_eq!(bus.site_count(), 1);
     }
 }

@@ -1,12 +1,9 @@
-//! Clocks: one trait, real and virtual implementations.
+//! Clocks: one trait and its wall-clock implementation.
 //!
-//! The runtime daemons (monitors, group managers) run on wall-clock time;
-//! the scheduler benchmarks and the Figure-4 experiments run on a
-//! [`VirtualClock`] so monitoring periods, echo timeouts and failure-
-//! detection latencies are measured deterministically.
+//! The executor and the Application Controller read wall-clock time
+//! through [`Clock`]; the monitors, group managers and the deterministic
+//! experiments take logical times as arguments instead.
 
-use parking_lot::RwLock;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A monotonic clock measured in seconds since an arbitrary epoch.
@@ -40,85 +37,9 @@ impl Clock for RealClock {
     }
 }
 
-/// Shared, manually advanced virtual clock.
-///
-/// Cloning shares the underlying time; tests advance it explicitly.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
-    nanos: Arc<RwLock<u64>>,
-}
-
-impl VirtualClock {
-    /// A virtual clock at t = 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance by `seconds` (must be non-negative; NaN and negative
-    /// values are ignored).
-    pub fn advance(&self, seconds: f64) {
-        if seconds.is_finite() && seconds > 0.0 {
-            let mut t = self.nanos.write();
-            *t += (seconds * 1e9) as u64;
-        }
-    }
-
-    /// Set the absolute time in seconds (only forward jumps are applied;
-    /// a monotonic clock never goes backwards).
-    pub fn set(&self, seconds: f64) {
-        if seconds.is_finite() && seconds >= 0.0 {
-            let mut t = self.nanos.write();
-            let new = (seconds * 1e9) as u64;
-            if new > *t {
-                *t = new;
-            }
-        }
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> f64 {
-        *self.nanos.read() as f64 / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtual_clock_starts_at_zero_and_advances() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance(1.5);
-        assert!((c.now() - 1.5).abs() < 1e-9);
-        c.advance(0.5);
-        assert!((c.now() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clones_share_time() {
-        let c = VirtualClock::new();
-        let c2 = c.clone();
-        c.advance(3.0);
-        assert!((c2.now() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn negative_and_nan_advances_are_ignored() {
-        let c = VirtualClock::new();
-        c.advance(-5.0);
-        c.advance(f64::NAN);
-        assert_eq!(c.now(), 0.0);
-    }
-
-    #[test]
-    fn set_never_goes_backwards() {
-        let c = VirtualClock::new();
-        c.set(10.0);
-        c.set(5.0);
-        assert!((c.now() - 10.0).abs() < 1e-9);
-    }
 
     #[test]
     fn real_clock_is_monotonic_nondecreasing() {
@@ -130,10 +51,7 @@ mod tests {
 
     #[test]
     fn clock_trait_objects_work() {
-        let clocks: Vec<Box<dyn Clock>> =
-            vec![Box::new(RealClock::new()), Box::new(VirtualClock::new())];
-        for c in &clocks {
-            assert!(c.now() >= 0.0);
-        }
+        let c: Box<dyn Clock> = Box::new(RealClock::new());
+        assert!(c.now() >= 0.0);
     }
 }

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Canonical host name of host `h` at site `s`.
-pub fn host_name(site: usize, host: usize) -> String {
+pub(crate) fn host_name(site: usize, host: usize) -> String {
     format!("s{site}h{host}.vdce.org")
 }
 

@@ -10,32 +10,33 @@
 //! The authors had ATM and Fast Ethernet between real machines; this crate
 //! substitutes a deterministic model (see DESIGN.md §3):
 //!
-//! - [`topology::Topology`] — named sites and their host lists;
-//! - [`model::NetworkModel`] — per-site-pair latency and bandwidth, the
+//! - [`Topology`] — named sites and their host lists;
+//! - [`NetworkModel`] — per-site-pair latency and bandwidth, the
 //!   `transfer_time` function, and k-nearest-site queries;
-//! - [`cache::TransferCache`] — a dense per-run snapshot of the link
+//! - [`TransferCache`] — a dense per-run snapshot of the link
 //!   matrix for the schedulers' hot transfer-time loop;
 //! - [`gen`] — reproducible topology generators (star, ring, metro
 //!   clusters, uniform random);
-//! - [`clock`] — virtual and real clocks behind one trait;
-//! - [`bus`] — an in-memory, multicast-capable message bus connecting the
-//!   per-site endpoints, with per-link traffic accounting.
+//! - [`Clock`] — the clock trait, with the wall-clock [`RealClock`];
+//! - [`MessageBus`] — an in-memory, multicast-capable message bus
+//!   connecting the per-site endpoints, with per-link traffic accounting.
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod bus;
-pub mod cache;
-pub mod clock;
+mod bus;
+mod cache;
+mod clock;
 pub mod gen;
 pub mod model;
-pub mod partition;
+mod partition;
 pub mod topology;
 
 pub use bus::{BusError, Endpoint, MessageBus};
 pub use cache::TransferCache;
-pub use clock::{Clock, RealClock, VirtualClock};
+pub use clock::{Clock, RealClock};
 pub use model::{LinkParams, NetworkModel, SharedNetworkModel};
 pub use partition::PartitionState;
 pub use topology::{SiteId, SiteInfo, Topology};

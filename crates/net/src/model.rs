@@ -31,18 +31,18 @@ impl LinkParams {
     }
 
     /// Campus Fast-Ethernet-class intra-site default: 0.3 ms, 100 Mbit/s.
-    pub const fn intra_site_default() -> Self {
+    pub(crate) const fn intra_site_default() -> Self {
         LinkParams::new(0.000_3, 12_500_000.0)
     }
 
     /// Mid-90s WAN-class inter-site default: 20 ms, 10 Mbit/s.
-    pub const fn wan_default() -> Self {
+    pub(crate) const fn wan_default() -> Self {
         LinkParams::new(0.020, 1_250_000.0)
     }
 
     /// Time to move `bytes` over this link.
     #[inline]
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
 }

@@ -89,11 +89,6 @@ impl PartitionState {
         self.severed.retain(|&(x, y)| x != site.0 && y != site.0);
     }
 
-    /// Restore every link: the network is whole again.
-    pub fn heal_all(&mut self) {
-        self.severed.clear();
-    }
-
     /// Is the *direct* link between `a` and `b` severed?
     pub fn is_severed(&self, a: SiteId, b: SiteId) -> bool {
         a != b && self.severed.contains(&key(a, b))
@@ -131,11 +126,6 @@ impl PartitionState {
         false
     }
 
-    /// Number of severed direct links.
-    pub fn severed_count(&self) -> usize {
-        self.severed.len()
-    }
-
     /// Is the network whole (nothing severed)?
     pub fn is_whole(&self) -> bool {
         self.severed.is_empty()
@@ -166,7 +156,6 @@ mod tests {
         assert!(!p.sever(SiteId(1), SiteId(2)), "same link, other direction");
         assert!(p.is_severed(SiteId(1), SiteId(2)));
         assert!(p.is_severed(SiteId(2), SiteId(1)));
-        assert_eq!(p.severed_count(), 1);
         assert!(p.restore(SiteId(1), SiteId(2)));
         assert!(p.is_whole());
     }
@@ -193,7 +182,6 @@ mod tests {
         let a = [SiteId(0), SiteId(1)];
         let b = [SiteId(2), SiteId(3)];
         p.sever_groups(&a, &b);
-        assert_eq!(p.severed_count(), 4);
         for &x in &a {
             for &y in &b {
                 assert!(!p.reachable(x, y, N), "{x:?} must not reach {y:?}");

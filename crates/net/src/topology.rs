@@ -43,10 +43,9 @@ pub struct SiteInfo {
 }
 
 /// The federation topology: all sites, with host → site reverse lookup.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     sites: Vec<SiteInfo>,
-    #[serde(skip)]
     host_index: BTreeMap<String, SiteId>,
 }
 
@@ -92,68 +91,14 @@ impl Topology {
         &self.sites
     }
 
-    /// All site ids.
-    pub fn site_ids(&self) -> impl Iterator<Item = SiteId> + '_ {
-        (0..self.sites.len() as u16).map(SiteId)
-    }
-
     /// Which site does `host` belong to?
     pub fn site_of_host(&self, host: &str) -> Option<SiteId> {
         self.host_index.get(host).copied()
     }
 
-    /// Add a host to an existing site (live administration). Returns
-    /// `false` if the site does not exist or the host name is taken.
-    pub fn add_host(&mut self, site: SiteId, host: impl Into<String>) -> bool {
-        let host = host.into();
-        if self.host_index.contains_key(&host) {
-            return false;
-        }
-        let Some(info) = self.sites.get_mut(site.index()) else { return false };
-        info.hosts.push(host.clone());
-        self.host_index.insert(host, site);
-        true
-    }
-
-    /// Remove a host from the federation (live administration). Returns
-    /// `false` if unknown. The site's server host cannot be removed.
-    pub fn remove_host(&mut self, host: &str) -> bool {
-        let Some(site) = self.host_index.get(host).copied() else { return false };
-        let info = &mut self.sites[site.index()];
-        if info.server_host == host {
-            return false;
-        }
-        info.hosts.retain(|h| h != host);
-        self.host_index.remove(host);
-        true
-    }
-
     /// Total number of hosts across the federation.
     pub fn host_count(&self) -> usize {
         self.sites.iter().map(|s| s.hosts.len()).sum()
-    }
-
-    /// Rebuild the reverse index (needed after deserialisation, which
-    /// skips it).
-    pub fn rebuild_index(&mut self) {
-        self.host_index.clear();
-        for s in &self.sites {
-            for h in &s.hosts {
-                self.host_index.insert(h.clone(), s.id);
-            }
-        }
-    }
-
-    /// Deserialise from JSON, restoring the reverse index.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let mut t: Topology = serde_json::from_str(json)?;
-        t.rebuild_index();
-        Ok(t)
-    }
-
-    /// Serialise to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("topologies always serialise")
     }
 }
 
@@ -196,27 +141,6 @@ mod tests {
         let mut t = sample();
         assert!(t.add_site("dup", "x", vec!["serval.syr.edu".into()]).is_none());
         assert_eq!(t.site_count(), 2, "failed add must not leave a site behind");
-    }
-
-    #[test]
-    fn json_round_trip_restores_reverse_index() {
-        let t = sample();
-        let back = Topology::from_json(&t.to_json()).unwrap();
-        assert_eq!(back.sites(), t.sites());
-        assert_eq!(back.site_of_host("serval.syr.edu"), Some(SiteId(0)));
-    }
-
-    #[test]
-    fn live_host_administration() {
-        let mut t = sample();
-        assert!(t.add_host(SiteId(1), "newbie.syr.edu"));
-        assert_eq!(t.site_of_host("newbie.syr.edu"), Some(SiteId(1)));
-        assert!(!t.add_host(SiteId(1), "newbie.syr.edu"), "duplicate rejected");
-        assert!(!t.add_host(SiteId(9), "ghost"), "unknown site rejected");
-        assert!(t.remove_host("newbie.syr.edu"));
-        assert_eq!(t.site_of_host("newbie.syr.edu"), None);
-        assert!(!t.remove_host("vdce1.syr.edu"), "server host protected");
-        assert!(!t.remove_host("nope"));
     }
 
     #[test]

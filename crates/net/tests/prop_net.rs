@@ -1,10 +1,9 @@
 //! Property tests for the network model and message bus.
 
 use proptest::prelude::*;
-use vdce_net::bus::MessageBus;
-use vdce_net::gen;
 use vdce_net::model::{LinkParams, NetworkModel};
 use vdce_net::topology::SiteId;
+use vdce_net::{gen, MessageBus};
 
 proptest! {
     #[test]

@@ -22,7 +22,7 @@ use serde::Serialize;
 use serde_json::{Number, Value};
 
 /// Version of the artifact envelope; bump on breaking shape changes.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 1;
+pub(crate) const ARTIFACT_SCHEMA_VERSION: u32 = 1;
 
 /// Builder for one schema-versioned benchmark artifact.
 pub struct RunArtifact {
@@ -70,7 +70,7 @@ impl RunArtifact {
     }
 
     /// The full artifact as a JSON value.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let mut obj = vec![
             (
                 "schema_version".to_string(),
@@ -87,7 +87,7 @@ impl RunArtifact {
     }
 
     /// Pretty-printed JSON (what lands on disk).
-    pub fn to_json_pretty(&self) -> String {
+    pub(crate) fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(&self.to_value()).expect("artifact serialises")
     }
 

@@ -21,13 +21,16 @@
 //! [`metrics::MetricsRegistry::snapshot_deterministic`] excludes.
 
 #![deny(clippy::print_stdout)]
+#![warn(missing_docs)]
+#![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod artifact;
-pub mod metrics;
-pub mod report;
-pub mod trace;
+mod artifact;
+mod metrics;
+mod report;
+mod trace;
 
-pub use artifact::{validate as validate_artifact, RunArtifact, ARTIFACT_SCHEMA_VERSION};
+pub use artifact::{validate as validate_artifact, RunArtifact};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, PROFILE_PREFIX};
 pub use report::{Report, Table};
 pub use trace::{validate_jsonl, FieldValue, TraceRecord, TraceSink, TraceStats};
@@ -46,14 +49,6 @@ impl Observer {
     /// Observer with tracing enabled.
     pub fn enabled() -> Self {
         Observer { trace: TraceSink::new(), metrics: MetricsRegistry::new() }
-    }
-
-    /// Observer whose trace keeps only 1-in-`n` high-frequency events
-    /// (monitor ticks), deterministically by logical time — see
-    /// [`TraceSink::sampled`]. `n <= 1` is identical to
-    /// [`Observer::enabled`].
-    pub fn enabled_sampled(n: u32) -> Self {
-        Observer { trace: TraceSink::sampled(n), metrics: MetricsRegistry::new() }
     }
 
     /// Observer whose trace sink drops everything (metrics still work —

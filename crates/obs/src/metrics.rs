@@ -33,7 +33,7 @@ pub struct Histogram {
 impl Histogram {
     /// Histogram with the given upper bucket bounds (must be finite and
     /// strictly increasing).
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
         for w in bounds.windows(2) {
             assert!(w[0] < w[1], "histogram bounds must be strictly increasing");
@@ -44,7 +44,7 @@ impl Histogram {
 
     /// Index of the bucket `v` falls into. NaN and +inf land in the
     /// overflow bucket; -inf lands in the first.
-    pub fn bucket_for(&self, v: f64) -> usize {
+    pub(crate) fn bucket_for(&self, v: f64) -> usize {
         // The predicate holds for `v > b` *and* for incomparable (NaN)
         // values, sending NaN past every bound into the overflow bucket.
         self.bounds.partition_point(|b| {
@@ -54,34 +54,13 @@ impl Histogram {
 
     /// Record one observation. Non-finite values count but do not
     /// contribute to `sum`.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         let idx = self.bucket_for(v);
         self.counts[idx] += 1;
         self.count += 1;
         if v.is_finite() {
             self.sum += v;
         }
-    }
-
-    /// Upper bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket observation counts (`bounds().len() + 1` slots; the
-    /// last is overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of finite observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     fn to_value(&self) -> Value {
@@ -155,11 +134,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Increment a counter by one.
-    pub fn counter_inc(&self, name: &str) {
-        self.counter_add(name, 1);
-    }
-
     /// Set a gauge.
     ///
     /// Panics if `name` is already registered as a different kind.
@@ -196,14 +170,6 @@ impl MetricsRegistry {
     pub fn gauge(&self, name: &str) -> Option<f64> {
         match self.inner.lock().get(name) {
             Some(Metric::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
-    /// Clone of a histogram.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        match self.inner.lock().get(name) {
-            Some(Metric::Histogram(h)) => Some(h.clone()),
             _ => None,
         }
     }
@@ -261,7 +227,7 @@ impl MetricsSnapshot {
 
     /// JSON object keyed by metric name (name-sorted, so byte-stable
     /// for equal contents).
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::Object(self.entries.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
     }
 
@@ -278,7 +244,7 @@ mod tests {
     #[test]
     fn counters_gauges_histograms() {
         let r = MetricsRegistry::new();
-        r.counter_inc("a.hits");
+        r.counter_add("a.hits", 1);
         r.counter_add("a.hits", 4);
         r.gauge_set("a.rate", 0.8);
         r.gauge_set("a.rate", 0.9);
@@ -287,10 +253,13 @@ mod tests {
         r.observe("a.lat", &[1.0, 2.0], 9.0);
         assert_eq!(r.counter("a.hits"), 5);
         assert_eq!(r.gauge("a.rate"), Some(0.9));
-        let h = r.histogram("a.lat").unwrap();
-        assert_eq!(h.counts(), &[1, 1, 1]);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 11.0);
+        let Some(Metric::Histogram(h)) = r.snapshot().get("a.lat").cloned() else {
+            panic!("a.lat is a histogram");
+        };
+        assert_eq!(
+            serde_json::to_string(&h.to_value()).unwrap(),
+            "{\"type\":\"histogram\",\"bounds\":[1,2],\"counts\":[1,1,1],\"count\":3,\"sum\":11}"
+        );
     }
 
     /// Bucket assignment must not depend on platform float quirks:
@@ -312,9 +281,7 @@ mod tests {
         for v in [-0.0, 0.0, 1.0, 10.0, 10.5, f64::NAN, f64::INFINITY] {
             h.observe(v);
         }
-        assert_eq!(h.counts(), &[2, 1, 1, 3]);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 21.5, "non-finite observations stay out of sum");
+        // Non-finite observations count but stay out of `sum`.
         let json = serde_json::to_string(&h.to_value()).unwrap();
         assert_eq!(
             json,
@@ -326,7 +293,7 @@ mod tests {
     #[test]
     fn deterministic_snapshot_excludes_profile_namespace() {
         let r = MetricsRegistry::new();
-        r.counter_inc("sched.tasks_placed");
+        r.counter_add("sched.tasks_placed", 1);
         r.gauge_set("profile.sched.host_selection_ms", 12.3);
         let full = r.snapshot();
         let det = r.snapshot_deterministic();
@@ -341,7 +308,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let r = MetricsRegistry::new();
         r.gauge_set("x", 1.0);
-        r.counter_inc("x");
+        r.counter_add("x", 1);
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! Replaces the pre-redesign pattern of ad-hoc `Table::render()` +
 //! scattered `println!` calls per binary: a report is built once from
-//! tables, notes, and preformatted text blocks, then either rendered
-//! for the terminal ([`Report::render`] / [`Report::print`]) or
-//! serialised ([`Report::to_json`]).
-
-use serde_json::Value;
+//! tables, notes, and preformatted text blocks, then rendered for the
+//! terminal ([`Report::render`] / [`Report::print`]).
 
 /// A fixed-width text table ([`Report`]'s tabular building block).
 ///
@@ -28,12 +25,6 @@ impl Table {
     pub fn row(&mut self, cells: &[String]) {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
-    }
-
-    /// Convenience: append a row of display-ables.
-    pub fn rowd(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
     }
 
     /// Number of data rows.
@@ -79,25 +70,6 @@ impl Table {
         }
         out
     }
-
-    /// `{"header": [...], "rows": [[...]]}` for [`Report::to_json`].
-    pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            (
-                "header".to_string(),
-                Value::Array(self.header.iter().map(|h| Value::String(h.clone())).collect()),
-            ),
-            (
-                "rows".to_string(),
-                Value::Array(
-                    self.rows
-                        .iter()
-                        .map(|r| Value::Array(r.iter().map(|c| Value::String(c.clone())).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 enum Item {
@@ -137,7 +109,7 @@ impl Report {
     }
 
     /// Render the whole report for the terminal.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!("=== {} ===\n", self.title);
         for item in &self.items {
             match item {
@@ -160,7 +132,7 @@ impl Report {
         out
     }
 
-    /// Print [`Report::render`] to stdout.
+    /// Print the rendered report to stdout.
     ///
     /// The one sanctioned stdout sink for experiment binaries (library
     /// crates deny `clippy::print_stdout`; this method carries the
@@ -168,26 +140,6 @@ impl Report {
     #[allow(clippy::print_stdout)]
     pub fn print(&self) {
         print!("{}", self.render());
-    }
-
-    /// `{"title": ..., "tables": [...], "notes": [...], "text": [...]}`.
-    pub fn to_json(&self) -> Value {
-        let mut tables = Vec::new();
-        let mut notes = Vec::new();
-        let mut text = Vec::new();
-        for item in &self.items {
-            match item {
-                Item::Table(t) => tables.push(t.to_json()),
-                Item::Note(n) => notes.push(Value::String(n.clone())),
-                Item::Text(t) => text.push(Value::String(t.clone())),
-            }
-        }
-        Value::Object(vec![
-            ("title".to_string(), Value::String(self.title.clone())),
-            ("tables".to_string(), Value::Array(tables)),
-            ("notes".to_string(), Value::Array(notes)),
-            ("text".to_string(), Value::Array(text)),
-        ])
     }
 }
 
@@ -199,7 +151,7 @@ mod tests {
     fn render_aligns_columns() {
         let mut t = Table::new(&["algo", "makespan"]);
         t.row(&["vdce".to_string(), "1.25".to_string()]);
-        t.rowd(&[&"min-min", &2.5]);
+        t.row(&["min-min".to_string(), "2.5".to_string()]);
         let r = t.render();
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines[0], "algo     makespan");
@@ -215,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn report_render_and_json() {
+    fn report_renders_every_item() {
         let mut t = Table::new(&["k", "v"]);
         t.row(&["x".to_string(), "1".to_string()]);
         let r = Report::new("demo").table(t).note("a footnote").text("block");
@@ -224,9 +176,5 @@ mod tests {
         assert!(s.contains("k  v\n"));
         assert!(s.contains("(a footnote)\n"));
         assert!(s.contains("block\n"));
-        let j = r.to_json();
-        assert_eq!(j["title"], Value::String("demo".to_string()));
-        assert_eq!(j["tables"][0]["rows"][0][1], Value::String("1".to_string()));
-        assert_eq!(j["notes"][0], Value::String("a footnote".to_string()));
     }
 }

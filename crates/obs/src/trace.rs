@@ -7,8 +7,9 @@
 //! that property is CI-gated (`exp_trace`) and property-tested across
 //! every named `FaultScenario`.
 //!
-//! The JSONL schema (one object per line, `schema` version
-//! [`TRACE_SCHEMA_VERSION`]):
+//! The JSONL schema, version 2 (one object per line; v2 added the
+//! optional top-level `sample_n` key on sampled high-frequency events, and
+//! a breaking shape change bumps the version):
 //!
 //! ```json
 //! {"t":12.5,"kind":"event","name":"task_started","fields":{"task":3,"host":"s0h1"}}
@@ -35,11 +36,6 @@
 
 use serde_json::{Number, Value};
 use vdce_store::{fnv1a, AppendLog};
-
-/// Version of the JSONL trace schema; bump on breaking shape changes.
-/// v2 added the optional top-level `sample_n` key on sampled
-/// high-frequency events (absent records are unchanged from v1).
-pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// A scalar field value attached to a trace record.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,7 +136,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// JSON object for one JSONL line.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let mut obj = vec![("t".to_string(), Value::Number(Number::F(self.t)))];
         if let Some(end) = self.end {
             obj.push(("end".to_string(), Value::Number(Number::F(end))));
@@ -162,7 +158,7 @@ impl TraceRecord {
 /// shared [`AppendLog`] substrate (the same buffer shape the runtime
 /// `EventLog` and checkpoint store use — DESIGN.md §16).
 ///
-/// A disabled sink ([`TraceSink::disabled`], also [`Default`]) drops
+/// A disabled sink ([`Default`]) drops
 /// records without locking, so tracing costs one branch when off.
 #[derive(Clone)]
 pub struct TraceSink {
@@ -200,18 +196,13 @@ impl TraceSink {
     }
 
     /// A sink that drops everything.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         TraceSink { inner: None, sample_n: 1 }
     }
 
     /// Is this sink recording?
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// The inverse sampling rate applied to high-frequency events.
-    pub fn sample_n(&self) -> u32 {
-        self.sample_n
     }
 
     /// Record a point event at logical time `t`.
@@ -439,7 +430,6 @@ mod tests {
             a.event(t, "monitor_sample", vec![("workload".into(), (i as f64).into())]);
             b.hf_event(t, "monitor_sample", vec![("workload".into(), (i as f64).into())]);
         }
-        assert_eq!(a.sample_n(), 1);
         assert_eq!(a.to_jsonl(), b.to_jsonl());
     }
 

@@ -7,7 +7,7 @@
 //! [`PredictCache`] memoises at two granularities:
 //!
 //! - whole predictions, keyed on `(library task, problem size, host)` —
-//!   [`PredictCache::predict`] / [`PredictCache::predict_many`], used by
+//!   [`PredictCache::predict`] / `PredictCache::predict_many`, used by
 //!   re-selection and the baselines, where the same triple recurs;
 //! - host-side terms, keyed on `(library task, host)` —
 //!   [`PredictCache::host_terms`], used by class-batched host selection,
@@ -39,7 +39,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 use vdce_repository::resources::ResourceRecord;
-use vdce_repository::tasks::TaskPerfDb;
+use vdce_repository::TaskPerfDb;
 
 /// Multiply-rotate hasher (the rustc "Fx" construction). The memo maps
 /// sit on the scheduler's innermost loop, where SipHash's per-call fixed
@@ -96,7 +96,7 @@ impl Hasher for FxHasher {
 
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Memo table over [`Predictor::predict`] and [`Predictor::host_term`];
+/// Memo table over [`Predictor::predict`] and `Predictor::host_term`;
 /// see the module docs for the two key spaces and the scope contract.
 ///
 /// Task and host names are **interned** to small integer ids so the hot
@@ -176,7 +176,7 @@ impl PredictCache {
     /// Results come back in `hosts` order and are element-wise identical
     /// to per-host `predict` calls — the batching only amortises the
     /// locks, the task-name probes, and the task-side model gather.
-    pub fn predict_many(
+    pub(crate) fn predict_many(
         &self,
         predictor: &Predictor,
         tasks: &TaskPerfDb,
@@ -233,7 +233,7 @@ impl PredictCache {
     /// The host-side term of `task` (a known library task) on each of
     /// `hosts`, in `hosts` order, through the term memo: a `(task, host)`
     /// pair seen before returns the term it was first given, a new one
-    /// is computed with [`Predictor::host_term`] and kept.
+    /// is computed with `Predictor::host_term` and kept.
     pub fn host_terms<'a>(
         &self,
         predictor: &Predictor,

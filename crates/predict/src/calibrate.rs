@@ -10,7 +10,7 @@
 //!   paired measurements against the base processor;
 //! - [`prediction_error`] — relative error metric used by experiment E8.
 
-use vdce_repository::tasks::TaskPerfDb;
+use vdce_repository::TaskPerfDb;
 
 /// Least-squares fit (through the origin) of seconds-per-flop for `task`
 /// from `(problem_size, measured_seconds)` samples: minimises
@@ -50,7 +50,7 @@ pub fn fit_relative_speed(pairs: &[(f64, f64)]) -> Option<f64> {
 }
 
 /// Relative prediction error `|predicted − actual| / actual`.
-pub fn prediction_error(predicted: f64, actual: f64) -> f64 {
+pub(crate) fn prediction_error(predicted: f64, actual: f64) -> f64 {
     if actual <= 0.0 {
         return f64::INFINITY;
     }

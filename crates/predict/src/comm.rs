@@ -5,8 +5,7 @@
 //! `Predict(task, R_j)` (Figure 2). The paper's phrasing multiplies a
 //! per-byte transfer time by the file size; with a latency term this is
 //! exactly [`vdce_net::LinkParams::transfer_time`]. This module adds the
-//! task-level helpers: predicting the arrival time of *all* of a task's
-//! inputs given where its parents ran.
+//! cheapest-replica helper for dataset inputs.
 //!
 //! **Where the bytes come from.** Dataflow edges and legacy *inline
 //! file* inputs (`IoSpec::File`) are charged from the **parent's site
@@ -24,28 +23,12 @@ use vdce_net::topology::SiteId;
 
 /// Predicted seconds to move `bytes` from `from` to `to` under `net`.
 #[inline]
-pub fn transfer_seconds(net: &NetworkModel, from: SiteId, to: SiteId, bytes: u64) -> f64 {
+pub(crate) fn transfer_seconds(net: &NetworkModel, from: SiteId, to: SiteId, bytes: u64) -> f64 {
     net.transfer_time(from, to, bytes)
 }
 
-/// Predicted time until the *last* input of a task has arrived at `to`,
-/// given `(parent site, bytes)` pairs for each incoming edge. Edges are
-/// independent point-to-point channels (the Data Manager opens one socket
-/// per edge), so the slowest edge dominates.
-pub fn inputs_arrival_seconds(net: &NetworkModel, to: SiteId, inputs: &[(SiteId, u64)]) -> f64 {
-    inputs.iter().map(|&(from, bytes)| transfer_seconds(net, from, to, bytes)).fold(0.0, f64::max)
-}
-
-/// Sum of input transfer times (the paper's conservative serial
-/// formulation in Figure 2: `transfer_time(S_parent, S_j) × file_size`
-/// accumulated per parent). Used by the classic site-scheduler; the
-/// max-based [`inputs_arrival_seconds`] is benchmarked as an ablation.
-pub fn inputs_serial_seconds(net: &NetworkModel, to: SiteId, inputs: &[(SiteId, u64)]) -> f64 {
-    inputs.iter().map(|&(from, bytes)| transfer_seconds(net, from, to, bytes)).sum()
-}
-
 /// Cheapest source for a replicated dataset read at `to`: the minimal
-/// [`transfer_seconds`] over the candidate `sources`, ties broken
+/// `transfer_seconds` over the candidate `sources`, ties broken
 /// toward the earliest listed source (the scheduler passes replica
 /// sites in ascending id order, making the tie-break the lowest site
 /// id). Returns `None` when there is no source — the caller turns that
@@ -86,32 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn arrival_is_max_over_edges() {
-        let n = net();
-        let t = inputs_arrival_seconds(
-            &n,
-            SiteId(0),
-            &[(SiteId(1), 1_000_000), (SiteId(2), 1_000_000)],
-        );
-        assert!((t - 2.05).abs() < 1e-9, "slowest edge dominates, got {t}");
-    }
-
-    #[test]
-    fn serial_is_sum_over_edges() {
-        let n = net();
-        let t =
-            inputs_serial_seconds(&n, SiteId(0), &[(SiteId(1), 1_000_000), (SiteId(2), 1_000_000)]);
-        assert!((t - (1.01 + 2.05)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn no_inputs_arrive_immediately() {
-        let n = net();
-        assert_eq!(inputs_arrival_seconds(&n, SiteId(0), &[]), 0.0);
-        assert_eq!(inputs_serial_seconds(&n, SiteId(0), &[]), 0.0);
-    }
-
-    #[test]
     fn cheapest_source_picks_the_best_link_and_breaks_ties_low() {
         let n = net();
         // S1 is the fast source for a read at S0.
@@ -135,8 +92,8 @@ mod tests {
     #[test]
     fn local_inputs_are_cheap_but_not_free() {
         let n = net();
-        let local = inputs_arrival_seconds(&n, SiteId(1), &[(SiteId(1), 1 << 20)]);
-        let remote = inputs_arrival_seconds(&n, SiteId(0), &[(SiteId(1), 1 << 20)]);
+        let local = transfer_seconds(&n, SiteId(1), SiteId(1), 1 << 20);
+        let remote = transfer_seconds(&n, SiteId(1), SiteId(0), 1 << 20);
         assert!(local > 0.0);
         assert!(local < remote);
     }

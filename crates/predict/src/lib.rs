@@ -17,22 +17,25 @@
 //!    Site Manager after previous runs, which dominate the analytic model.
 //!
 //! Modules: [`model`] (the `Predict(task, R)` function), [`parallel`]
-//! (multi-node execution times and node-count selection), [`comm`]
-//! (transfer-time prediction), [`calibrate`] (fitting rates from
-//! measurements), [`cache`] (owner-scoped memoisation of `Predict` and of
-//! its host-side terms).
+//! (multi-node execution times and node-count selection), and [`cache`]
+//! (owner-scoped memoisation of `Predict` and of its host-side terms);
+//! [`cheapest_source_seconds`] predicts transfer times and
+//! [`fit_base_rate`] / [`fit_relative_speed`] fit rates from
+//! measurements.
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
-pub mod calibrate;
-pub mod comm;
+mod calibrate;
+mod comm;
 pub mod model;
 pub mod parallel;
 
 pub use cache::PredictCache;
-pub use comm::{cheapest_source_seconds, transfer_seconds};
+pub use calibrate::{fit_base_rate, fit_relative_speed, mean_prediction_error};
+pub use comm::cheapest_source_seconds;
 pub use model::{predict_seconds, PredictError, Predictor};
 pub use parallel::{best_node_count, best_node_count_cached, parallel_seconds, ParallelModel};

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vdce_repository::resources::ResourceRecord;
-use vdce_repository::tasks::TaskPerfDb;
+use vdce_repository::TaskPerfDb;
 
 /// Why a prediction could not be produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,10 +47,10 @@ pub struct Predictor {
     /// Weight of the measured `(task, host)` rate once at least
     /// `confidence_samples` samples exist (blended with the analytic
     /// model below that).
-    pub confidence_samples: u64,
+    pub(crate) confidence_samples: u64,
     /// Quadratic paging penalty factor applied when required memory
     /// exceeds available memory.
-    pub paging_factor: f64,
+    pub(crate) paging_factor: f64,
 }
 
 impl Default for Predictor {
@@ -69,7 +69,7 @@ pub struct HostTerm {
     pub rate: f64,
     /// Time-sharing multiplier: with w runnable processes the task gets
     /// 1/(1+w) of the CPU.
-    pub load_mult: f64,
+    pub(crate) load_mult: f64,
 }
 
 impl Predictor {
@@ -95,7 +95,7 @@ impl Predictor {
     /// [`Predictor::predict`] over many candidate hosts of one
     /// `(task, problem size)` class, appending one result per host to
     /// `out` (in `hosts` order) after a single library-entry lookup.
-    pub fn predict_batch(
+    pub(crate) fn predict_batch(
         &self,
         tasks: &TaskPerfDb,
         task: &str,
@@ -115,7 +115,12 @@ impl Predictor {
     }
 
     /// The host-side term of `task` (a known library task) on `host`.
-    pub fn host_term(&self, tasks: &TaskPerfDb, task: &str, host: &ResourceRecord) -> HostTerm {
+    pub(crate) fn host_term(
+        &self,
+        tasks: &TaskPerfDb,
+        task: &str,
+        host: &ResourceRecord,
+    ) -> HostTerm {
         // Analytic rate: base-processor seconds/flop scaled by host speed.
         let analytic_rate = tasks.base_rate(task) / host.relative_speed.max(1e-9);
 
@@ -134,7 +139,7 @@ impl Predictor {
     /// The size-dependent half: feasibility of `required` bytes on
     /// `host`, then `flops` priced through `term` and the paging penalty.
     /// Every prediction in the workspace is this product, in this
-    /// operation order, over a [`Predictor::host_term`] — which is what
+    /// operation order, over a `Predictor::host_term` — which is what
     /// makes the scalar, batched and lane-wise paths bit-identical.
     pub fn eval(
         &self,

@@ -18,13 +18,13 @@ use crate::cache::PredictCache;
 use crate::model::{PredictError, Predictor};
 use serde::{Deserialize, Serialize};
 use vdce_repository::resources::ResourceRecord;
-use vdce_repository::tasks::TaskPerfDb;
+use vdce_repository::TaskPerfDb;
 
 /// Parameters of the parallel-execution model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ParallelModel {
     /// Parallel fraction `f` of the computation (Amdahl).
-    pub parallel_fraction: f64,
+    pub(crate) parallel_fraction: f64,
     /// Per-extra-node synchronisation cost σ, in seconds.
     pub sync_cost_s: f64,
 }

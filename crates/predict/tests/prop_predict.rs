@@ -3,11 +3,11 @@
 
 use proptest::prelude::*;
 use vdce_afg::MachineType;
-use vdce_predict::calibrate::{fit_base_rate, fit_relative_speed};
 use vdce_predict::model::{predict_seconds, Predictor};
 use vdce_predict::parallel::{best_node_count, parallel_seconds, ParallelModel};
+use vdce_predict::{fit_base_rate, fit_relative_speed};
 use vdce_repository::resources::ResourceRecord;
-use vdce_repository::tasks::TaskPerfDb;
+use vdce_repository::TaskPerfDb;
 
 fn host(name: &str, speed: f64, workload: f64, mem: u64) -> ResourceRecord {
     let mut r = ResourceRecord::new(name, "10.0.0.1", MachineType::LinuxPc, speed, 1, mem, "g");

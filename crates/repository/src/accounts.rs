@@ -37,22 +37,15 @@ pub enum AccessDomain {
     Global,
 }
 
-impl AccessDomain {
-    /// May a user of this domain use remote sites at all?
-    pub fn allows_remote(self) -> bool {
-        !matches!(self, AccessDomain::LocalSite)
-    }
-}
-
 /// One account: the paper's 5-tuple with the password held as a digest.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UserAccount {
     /// Login name (first element).
     pub user_name: String,
     /// Salted password digest (second element, stored hashed).
-    pub password_digest: u64,
+    pub(crate) password_digest: u64,
     /// Per-account salt.
-    pub salt: u64,
+    pub(crate) salt: u64,
     /// Numeric id (third element).
     pub user_id: UserId,
     /// Scheduling priority, higher = more important (fourth element).
@@ -88,7 +81,7 @@ impl std::error::Error for AuthError {}
 
 /// Iterated salted FNV-1a digest of a password. Deterministic across
 /// platforms; see the module docs for the (non-)security disclaimer.
-pub fn digest_password(password: &str, salt: u64) -> u64 {
+pub(crate) fn digest_password(password: &str, salt: u64) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET ^ salt;
@@ -158,37 +151,9 @@ impl UserAccountsDb {
         self.users.get(user_name)
     }
 
-    /// Change a user's password (requires the old one).
-    pub fn change_password(
-        &mut self,
-        user_name: &str,
-        old: &str,
-        new: &str,
-    ) -> Result<(), AuthError> {
-        self.authenticate(user_name, old)?;
-        let acct = self.users.get_mut(user_name).expect("authenticated above");
-        acct.password_digest = digest_password(new, acct.salt);
-        Ok(())
-    }
-
-    /// Remove an account; returns whether it existed.
-    pub fn remove_user(&mut self, user_name: &str) -> bool {
-        self.users.remove(user_name).is_some()
-    }
-
     /// Number of accounts.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.users.len()
-    }
-
-    /// Is the database empty?
-    pub fn is_empty(&self) -> bool {
-        self.users.is_empty()
-    }
-
-    /// Iterate accounts in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &UserAccount> {
-        self.users.values()
     }
 }
 
@@ -250,30 +215,6 @@ mod tests {
         db.add_user("a", "p", 1, AccessDomain::Global).unwrap();
         db.add_user("b", "p", 1, AccessDomain::Global).unwrap();
         assert_ne!(db.get("a").unwrap().password_digest, db.get("b").unwrap().password_digest);
-    }
-
-    #[test]
-    fn change_password_requires_old_password() {
-        let mut db = db_with_user();
-        assert_eq!(db.change_password("user_k", "nope", "new"), Err(AuthError::BadPassword));
-        db.change_password("user_k", "hunter2", "new").unwrap();
-        assert!(db.authenticate("user_k", "hunter2").is_err());
-        assert!(db.authenticate("user_k", "new").is_ok());
-    }
-
-    #[test]
-    fn remove_user_works() {
-        let mut db = db_with_user();
-        assert!(db.remove_user("user_k"));
-        assert!(!db.remove_user("user_k"));
-        assert!(db.is_empty());
-    }
-
-    #[test]
-    fn access_domain_remote_policy() {
-        assert!(!AccessDomain::LocalSite.allows_remote());
-        assert!(AccessDomain::Neighbours.allows_remote());
-        assert!(AccessDomain::Global.allows_remote());
     }
 
     #[test]

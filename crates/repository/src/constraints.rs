@@ -6,7 +6,7 @@
 //!
 //! A task can only be scheduled onto hosts that actually have its
 //! executable installed; the host-selection algorithm filters its
-//! candidate set through [`TaskConstraintsDb::hosts_for`].
+//! candidate set through [`TaskConstraintsDb::is_installed`].
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -30,32 +30,14 @@ impl TaskConstraintsDb {
         self.locations.entry(task.to_string()).or_default().insert(host.to_string(), path.into());
     }
 
-    /// Register `task` as installed on every host of `hosts`, under a
-    /// conventional per-host path — the bulk operation a site admin runs
-    /// after installing a task library.
-    pub fn register_everywhere<'a>(
-        &mut self,
-        task: &str,
-        hosts: impl IntoIterator<Item = &'a str>,
-    ) {
-        for h in hosts {
-            self.register(task, h, format!("/usr/vdce/tasks/{task}"));
-        }
-    }
-
     /// Absolute path of `task`'s executable on `host`, if installed.
-    pub fn location(&self, task: &str, host: &str) -> Option<&str> {
+    pub(crate) fn location(&self, task: &str, host: &str) -> Option<&str> {
         self.locations.get(task).and_then(|m| m.get(host)).map(String::as_str)
     }
 
     /// Does `host` have `task` installed?
     pub fn is_installed(&self, task: &str, host: &str) -> bool {
         self.location(task, host).is_some()
-    }
-
-    /// Hosts (name-ordered) on which `task` is installed.
-    pub fn hosts_for(&self, task: &str) -> Vec<&str> {
-        self.locations.get(task).map(|m| m.keys().map(String::as_str).collect()).unwrap_or_default()
     }
 
     /// Remove a single installation record; returns whether it existed.
@@ -66,19 +48,6 @@ impl TaskConstraintsDb {
             self.locations.remove(task);
         }
         removed
-    }
-
-    /// Remove every record for `host` (e.g. decommissioned machine);
-    /// returns how many were dropped.
-    pub fn purge_host(&mut self, host: &str) -> usize {
-        let mut n = 0;
-        self.locations.retain(|_, m| {
-            if m.remove(host).is_some() {
-                n += 1;
-            }
-            !m.is_empty()
-        });
-        n
     }
 
     /// Number of (task, host) records.
@@ -107,15 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn register_everywhere_covers_all_hosts() {
-        let mut db = TaskConstraintsDb::new();
-        db.register_everywhere("FFT", ["a", "b", "c"]);
-        assert_eq!(db.hosts_for("FFT"), vec!["a", "b", "c"]);
-        assert_eq!(db.location("FFT", "b"), Some("/usr/vdce/tasks/FFT"));
-        assert_eq!(db.len(), 3);
-    }
-
-    #[test]
     fn reregistering_replaces_path() {
         let mut db = TaskConstraintsDb::new();
         db.register("Map", "h", "/old");
@@ -134,19 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn purge_host_drops_every_task_on_that_host() {
-        let mut db = TaskConstraintsDb::new();
-        db.register_everywhere("Map", ["h1", "h2"]);
-        db.register_everywhere("Sort", ["h1"]);
-        assert_eq!(db.purge_host("h1"), 2);
-        assert_eq!(db.hosts_for("Map"), vec!["h2"]);
-        assert!(db.hosts_for("Sort").is_empty());
-    }
-
-    #[test]
     fn serde_round_trip() {
         let mut db = TaskConstraintsDb::new();
-        db.register_everywhere("Map", ["h1", "h2"]);
+        db.register("Map", "h1", "/p");
+        db.register("Map", "h2", "/p");
         let json = serde_json::to_string(&db).unwrap();
         let back: TaskConstraintsDb = serde_json::from_str(&json).unwrap();
         assert_eq!(back, db);

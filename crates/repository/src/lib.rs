@@ -24,17 +24,18 @@
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod accounts;
-pub mod constraints;
-pub mod events;
-pub mod repository;
+mod constraints;
+mod events;
+mod repository;
 pub mod resources;
-pub mod tasks;
+mod tasks;
 
 pub use accounts::{AccessDomain, AuthError, UserAccount, UserAccountsDb, UserId};
 pub use constraints::TaskConstraintsDb;
 pub use events::{JournaledRepoEvent, RepoEvent};
-pub use repository::SiteRepository;
+pub use repository::{RepositorySnapshot, SiteRepository};
 pub use resources::{HostStatus, ResourcePerfDb, ResourceRecord};
 pub use tasks::TaskPerfDb;

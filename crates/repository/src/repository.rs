@@ -160,11 +160,6 @@ impl SiteRepository {
         f(&mut self.inner.tasks.write())
     }
 
-    /// Read access to the task-constraints database.
-    pub fn constraints<R>(&self, f: impl FnOnce(&TaskConstraintsDb) -> R) -> R {
-        f(&self.inner.constraints.read())
-    }
-
     /// Write access to the task-constraints database.
     pub fn constraints_mut<R>(&self, f: impl FnOnce(&mut TaskConstraintsDb) -> R) -> R {
         f(&mut self.inner.constraints.write())
@@ -216,7 +211,7 @@ mod tests {
                 "g0",
             ))
         });
-        repo.constraints_mut(|db| db.register_everywhere("Map", ["serval"]));
+        repo.constraints_mut(|db| db.register("Map", "serval", "/usr/vdce/tasks/Map"));
         repo
     }
 
@@ -226,7 +221,7 @@ mod tests {
         assert_eq!(repo.accounts(|db| db.len()), 1);
         assert_eq!(repo.resources(|db| db.len()), 1);
         assert!(repo.tasks(|db| db.entry("Map").is_some()));
-        assert!(repo.constraints(|db| db.is_installed("Map", "serval")));
+        assert!(repo.snapshot().constraints.is_installed("Map", "serval"));
     }
 
     #[test]

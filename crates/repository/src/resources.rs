@@ -33,7 +33,7 @@ pub struct ResourceRecord {
     /// Fully-qualified host name, e.g. `serval.cat.syr.edu`.
     pub host_name: String,
     /// Dotted-quad IP address.
-    pub ip: String,
+    pub(crate) ip: String,
     /// Architecture + OS class.
     pub machine: MachineType,
     /// Relative speed of this host w.r.t. the *base processor* (1.0 =
@@ -41,7 +41,7 @@ pub struct ResourceRecord {
     /// prediction divides by this factor.
     pub relative_speed: f64,
     /// Number of CPUs.
-    pub cpus: u32,
+    pub(crate) cpus: u32,
     /// Total physical memory in bytes.
     pub total_memory: u64,
     /// Currently available memory in bytes.
@@ -190,11 +190,6 @@ impl ResourcePerfDb {
     pub fn is_empty(&self) -> bool {
         self.hosts.is_empty()
     }
-
-    /// Remove a host row entirely; returns whether it existed.
-    pub fn remove(&mut self, host: &str) -> bool {
-        self.hosts.remove(host).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -273,14 +268,6 @@ mod tests {
         assert_eq!(db.groups(), vec!["g0".to_string(), "g1".to_string()]);
         assert_eq!(db.group_hosts("g0").count(), 2);
         assert_eq!(db.group_hosts("g1").count(), 1);
-    }
-
-    #[test]
-    fn remove_host() {
-        let mut db = sample_db();
-        assert!(db.remove("bobcat.cat.syr.edu"));
-        assert!(!db.remove("bobcat.cat.syr.edu"));
-        assert_eq!(db.len(), 2);
     }
 
     #[test]

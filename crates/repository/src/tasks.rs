@@ -20,20 +20,20 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vdce_afg::library::{LibraryEntry, TaskLibrary};
+use vdce_afg::{LibraryEntry, TaskLibrary};
 
 /// Seconds one abstract flop takes on the *base processor* before any
 /// measurement has calibrated it. The base processor is the mid-90s
 /// reference machine all relative speeds are expressed against.
-pub const DEFAULT_BASE_RATE: f64 = 1.0e-7;
+pub(crate) const DEFAULT_BASE_RATE: f64 = 1.0e-7;
 
 /// Decay factor of the exponential moving average of measured rates
 /// (weight of the *new* sample).
-pub const MEASUREMENT_ALPHA: f64 = 0.25;
+pub(crate) const MEASUREMENT_ALPHA: f64 = 0.25;
 
 /// An exponentially-decayed average with a sample counter.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DecayAvg {
+pub(crate) struct DecayAvg {
     /// Current average value.
     pub value: f64,
     /// Number of samples folded in.
@@ -65,7 +65,7 @@ pub struct TaskPerfDb {
 
 impl TaskPerfDb {
     /// Database over the given task library.
-    pub fn new(library: TaskLibrary) -> Self {
+    pub(crate) fn new(library: TaskLibrary) -> Self {
         TaskPerfDb { library, measured: BTreeMap::new(), base_rate: BTreeMap::new() }
     }
 
@@ -77,11 +77,6 @@ impl TaskPerfDb {
     /// Implementation parameters of a task.
     pub fn entry(&self, task: &str) -> Option<&LibraryEntry> {
         self.library.get(task)
-    }
-
-    /// The library backing this database.
-    pub fn library(&self) -> &TaskLibrary {
-        &self.library
     }
 
     /// Computation size (abstract flops) of `task` at `problem_size`, if
@@ -139,7 +134,7 @@ impl TaskPerfDb {
     }
 
     /// Seconds-per-flop of `task` on the base processor: calibrated value
-    /// if present, [`DEFAULT_BASE_RATE`] otherwise.
+    /// if present, `DEFAULT_BASE_RATE` otherwise.
     pub fn base_rate(&self, task: &str) -> f64 {
         self.base_rate.get(task).map(|d| d.value).unwrap_or(DEFAULT_BASE_RATE)
     }

@@ -3,9 +3,8 @@
 use proptest::prelude::*;
 use vdce_afg::MachineType;
 use vdce_repository::accounts::{AccessDomain, UserAccountsDb};
-use vdce_repository::constraints::TaskConstraintsDb;
 use vdce_repository::resources::{ResourcePerfDb, ResourceRecord, WORKLOAD_HISTORY};
-use vdce_repository::tasks::TaskPerfDb;
+use vdce_repository::{TaskConstraintsDb, TaskPerfDb};
 
 proptest! {
     #[test]

@@ -31,21 +31,8 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vdce_afg::{DatasetId, TaskId};
-use vdce_data::DatasetCatalog;
-use vdce_net::topology::SiteId;
+use vdce_afg::TaskId;
 use vdce_store::Journal;
-
-/// Namespace bit of checkpoint-backed dataset ids: user datasets live
-/// below `1 << 32` (task ids are `u32`), checkpoint datasets above it,
-/// so [`checkpoint_dataset_id`] can never collide with a user dataset.
-pub const CHECKPOINT_NS: u64 = 1 << 32;
-
-/// The catalog id under which `task`'s checkpoint state is published as
-/// a replicated dataset (see [`CheckpointStore::export_datasets`]).
-pub fn checkpoint_dataset_id(task: TaskId) -> DatasetId {
-    DatasetId(CHECKPOINT_NS | u64::from(task.0))
-}
 
 /// When checkpoints are taken and what each write costs, both expressed
 /// as fractions of the task's full work so the policy is
@@ -54,9 +41,9 @@ pub fn checkpoint_dataset_id(task: TaskId) -> DatasetId {
 pub struct CheckpointPolicy {
     /// Fraction of the task's full work between consecutive checkpoints.
     /// `0` (or `>= 1`) disables checkpointing.
-    pub interval_fraction: f64,
+    pub(crate) interval_fraction: f64,
     /// Fraction of the task's full work one checkpoint write costs.
-    pub overhead_fraction: f64,
+    pub(crate) overhead_fraction: f64,
     /// Adapt the interval to the observed failure rate: when an MTBF
     /// estimate is available (see [`MtbfEstimator`]), the effective
     /// interval follows Young's approximation `T_opt = √(2·C·MTBF)`
@@ -108,12 +95,6 @@ impl CheckpointPolicy {
         self
     }
 
-    /// This policy with MTBF-adaptive interval selection turned on.
-    pub fn with_adaptive_interval(mut self) -> Self {
-        self.adaptive = true;
-        self
-    }
-
     /// Does this policy take checkpoints at all?
     pub fn is_enabled(&self) -> bool {
         self.interval_fraction > 0.0 && self.interval_fraction < 1.0
@@ -152,7 +133,7 @@ impl CheckpointPolicy {
     /// the per-write cost in seconds; the result is clamped to
     /// `[0.02, 0.9]` of the task so a noisy estimate can neither thrash
     /// (checkpoint storms) nor disable checkpointing outright.
-    pub fn effective_interval(&self, mtbf: Option<f64>, full_work: f64) -> f64 {
+    pub(crate) fn effective_interval(&self, mtbf: Option<f64>, full_work: f64) -> f64 {
         if !self.adaptive || !self.is_enabled() {
             return self.interval_fraction;
         }
@@ -219,15 +200,14 @@ pub struct RunPlan {
 /// [`MtbfEstimator::record_failure`]; the estimator tracks the gaps
 /// between consecutive *distinct* failure times. Zero gaps (several
 /// hosts dying at the same instant, e.g. a whole-site outage) are one
-/// correlated event, not evidence of a zero MTBF, and are folded into
-/// the failure count without touching the average.
+/// correlated event, not evidence of a zero MTBF, and leave the average
+/// untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtbfEstimator {
     /// EWMA smoothing factor in `(0, 1]`: weight of the newest gap.
     alpha: f64,
     last_failure: Option<f64>,
     ewma: Option<f64>,
-    failures: u64,
 }
 
 impl MtbfEstimator {
@@ -235,14 +215,13 @@ impl MtbfEstimator {
     /// inter-failure gap; `1.0` tracks only the latest gap).
     pub fn new(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        MtbfEstimator { alpha, last_failure: None, ewma: None, failures: 0 }
+        MtbfEstimator { alpha, last_failure: None, ewma: None }
     }
 
     /// Record a failure observed at absolute time `t` (seconds). Out of
     /// order observations are tolerated: the gap is measured from the
     /// latest failure seen so far.
     pub fn record_failure(&mut self, t: f64) {
-        self.failures += 1;
         match self.last_failure {
             None => self.last_failure = Some(t),
             Some(prev) => {
@@ -262,11 +241,6 @@ impl MtbfEstimator {
     /// times have been observed.
     pub fn mtbf(&self) -> Option<f64> {
         self.ewma
-    }
-
-    /// Total failures recorded (simultaneous ones included).
-    pub fn failures(&self) -> u64 {
-        self.failures
     }
 }
 
@@ -297,7 +271,7 @@ impl TaskCheckpoint {
     }
 
     /// Attach produced-output payloads.
-    pub fn with_outputs(mut self, outputs: BTreeMap<usize, Bytes>) -> Self {
+    pub(crate) fn with_outputs(mut self, outputs: BTreeMap<usize, Bytes>) -> Self {
         self.outputs = outputs;
         self
     }
@@ -329,12 +303,6 @@ pub enum CheckpointEvent {
         /// Host now holding a copy.
         host: String,
     },
-    /// [`CheckpointStore::forget`]: a completed task's checkpoints were
-    /// dropped.
-    Forget {
-        /// The task.
-        task: TaskId,
-    },
 }
 
 /// The control-plane fields of one checkpoint — what the journal can
@@ -357,15 +325,15 @@ pub struct ControlCheckpoint {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CheckpointState {
     /// Live checkpoints by task.
-    pub by_task: BTreeMap<TaskId, Vec<ControlCheckpoint>>,
-    /// Lifetime checkpoints recorded (survives forget).
+    pub(crate) by_task: BTreeMap<TaskId, Vec<ControlCheckpoint>>,
+    /// Lifetime checkpoints recorded.
     pub taken: u64,
 }
 
 impl CheckpointState {
     /// Apply one event — the same transition [`CheckpointStore`]'s
     /// mutating methods perform on their control fields.
-    pub fn apply(&mut self, event: &CheckpointEvent) {
+    pub(crate) fn apply(&mut self, event: &CheckpointEvent) {
         match event {
             CheckpointEvent::Record { task, progress, taken_at, stored_on } => {
                 let seqs = self.by_task.entry(*task).or_default();
@@ -388,9 +356,6 @@ impl CheckpointState {
                         cp.stored_on.push(host.clone());
                     }
                 }
-            }
-            CheckpointEvent::Forget { task } => {
-                self.by_task.remove(task);
             }
         }
     }
@@ -432,7 +397,7 @@ impl CheckpointStore {
 
     /// The control-plane projection of the store's current state (what
     /// recovery and replicas compare against).
-    pub fn control_state(&self) -> CheckpointState {
+    pub(crate) fn control_state(&self) -> CheckpointState {
         let inner = self.inner.lock();
         CheckpointState {
             by_task: inner
@@ -476,11 +441,6 @@ impl CheckpointStore {
         seq
     }
 
-    /// The newest checkpoint of `task`, regardless of reachability.
-    pub fn latest(&self, task: TaskId) -> Option<TaskCheckpoint> {
-        self.inner.lock().by_task.get(&task).and_then(|v| v.last().cloned())
-    }
-
     /// The newest checkpoint of `task` with at least one reachable
     /// replica. A checkpoint stored only on unreachable (crashed or
     /// quarantined) hosts is skipped and the next-newest is considered —
@@ -515,64 +475,6 @@ impl CheckpointStore {
         }
         cp.stored_on.push(host.to_string());
         true
-    }
-
-    /// Drop every checkpoint of `task` (e.g. after final completion).
-    pub fn forget(&self, task: TaskId) {
-        let mut inner = self.inner.lock();
-        Self::journal_event(&inner, &CheckpointEvent::Forget { task });
-        inner.by_task.remove(&task);
-    }
-
-    /// Checkpoints recorded over the store's lifetime (survives
-    /// [`CheckpointStore::forget`]).
-    pub fn taken_total(&self) -> u64 {
-        self.inner.lock().taken
-    }
-
-    /// Tasks currently holding at least one checkpoint.
-    pub fn tasks_with_checkpoints(&self) -> usize {
-        self.inner.lock().by_task.len()
-    }
-
-    /// Publish every task's *newest* checkpoint into `catalog` as a
-    /// replicated dataset (ROADMAP's replica fan-out lever): the
-    /// dataset id is [`checkpoint_dataset_id`], its size `state_bytes`
-    /// (the policy's serialized-checkpoint size), and each host in
-    /// `stored_on` that `site_of` can place contributes a replica at
-    /// its site — so a resumed task is scheduled like any other
-    /// dataset reader, pulling from the cheapest surviving replica.
-    ///
-    /// Re-exporting is idempotent: already-registered ids and
-    /// already-present replicas are skipped, and a capacity rejection
-    /// leaves that replica out (counted by the catalog's violation
-    /// counter). Returns the number of tasks whose checkpoint dataset
-    /// now exists in the catalog.
-    pub fn export_datasets(
-        &self,
-        catalog: &mut DatasetCatalog,
-        state_bytes: u64,
-        site_of: impl Fn(&str) -> Option<SiteId>,
-    ) -> usize {
-        let inner = self.inner.lock();
-        let mut exported = 0;
-        for (&task, cps) in &inner.by_task {
-            let Some(newest) = cps.last() else { continue };
-            let id = checkpoint_dataset_id(task);
-            let _ = catalog.register_dataset(id, state_bytes);
-            if catalog.dataset(id).is_none() {
-                continue;
-            }
-            exported += 1;
-            let mut sites: Vec<SiteId> =
-                newest.stored_on.iter().filter_map(|h| site_of(h)).collect();
-            sites.sort_unstable();
-            sites.dedup();
-            for site in sites {
-                let _ = catalog.add_replica(id, site, 1.0);
-            }
-        }
-        exported
     }
 }
 
@@ -629,12 +531,10 @@ mod tests {
         let s1 = store.record(TaskCheckpoint::new(tid(0), 0.5, 2.0, vec!["a".into()]));
         let s2 = store.record(TaskCheckpoint::new(tid(1), 0.25, 1.0, vec!["b".into()]));
         assert_eq!((s0, s1, s2), (0, 1, 0));
-        assert_eq!(store.taken_total(), 3);
-        assert_eq!(store.tasks_with_checkpoints(), 2);
-        assert_eq!(store.latest(tid(0)).unwrap().progress, 0.5);
-        store.forget(tid(0));
-        assert_eq!(store.tasks_with_checkpoints(), 1);
-        assert_eq!(store.taken_total(), 3, "lifetime counter survives forget");
+        let state = store.control_state();
+        assert_eq!(state.taken, 3);
+        assert_eq!(state.by_task.len(), 2);
+        assert_eq!(store.latest_valid(tid(0), |_| true).unwrap().progress, 0.5);
     }
 
     #[test]
@@ -664,7 +564,6 @@ mod tests {
         e.record_failure(70.0);
         // 0.5 × 40 + 0.5 × 20 = 30.
         assert!((e.mtbf().unwrap() - 30.0).abs() < 1e-12);
-        assert_eq!(e.failures(), 3);
     }
 
     #[test]
@@ -674,7 +573,6 @@ mod tests {
         e.record_failure(5.0);
         e.record_failure(5.0);
         assert_eq!(e.mtbf(), None, "a correlated burst is one event");
-        assert_eq!(e.failures(), 3);
         e.record_failure(25.0);
         assert_eq!(e.mtbf(), Some(20.0));
     }
@@ -687,7 +585,7 @@ mod tests {
 
     #[test]
     fn adaptive_interval_follows_youngs_approximation() {
-        let p = CheckpointPolicy::every(0.25, 0.02).with_adaptive_interval();
+        let p = CheckpointPolicy { adaptive: true, ..CheckpointPolicy::every(0.25, 0.02) };
         // No estimate yet: the fixed interval is used.
         assert_eq!(p.effective_interval(None, 100.0), 0.25);
         assert_eq!(p.run_plan_adaptive(100.0, 0.0, None), p.run_plan(100.0, 0.0));
@@ -707,7 +605,7 @@ mod tests {
 
     #[test]
     fn adaptive_plan_spaces_checkpoints_by_the_effective_interval() {
-        let p = CheckpointPolicy::every(0.25, 0.02).with_adaptive_interval();
+        let p = CheckpointPolicy { adaptive: true, ..CheckpointPolicy::every(0.25, 0.02) };
         let plan = p.run_plan_adaptive(100.0, 0.0, Some(100.0));
         // Effective interval 0.2 → boundaries at 20/40/60/80%.
         assert_eq!(plan.checkpoints.len(), 4);
@@ -725,7 +623,7 @@ mod tests {
         assert!(!store.add_replica(tid(0), seq, "remote"), "duplicate replica refused");
         assert!(!store.add_replica(tid(0), 99, "remote"), "unknown sequence refused");
         assert!(!store.add_replica(tid(7), 0, "remote"), "unknown task refused");
-        let cp = store.latest(tid(0)).unwrap();
+        let cp = store.latest_valid(tid(0), |_| true).unwrap();
         assert_eq!(cp.stored_on, vec!["home".to_string(), "remote".to_string()]);
         // The replica keeps the checkpoint valid when home is dead.
         let valid = store.latest_valid(tid(0), |h| h != "home").unwrap();
@@ -752,15 +650,14 @@ mod tests {
         let store = CheckpointStore::new();
         let clone = store.clone();
         clone.record(TaskCheckpoint::new(tid(3), 1.0, 4.0, vec!["h".into()]));
-        assert_eq!(store.taken_total(), 1);
-        assert!(store.latest(tid(3)).is_some());
+        assert_eq!(store.control_state().taken, 1);
+        assert!(store.latest_valid(tid(3), |_| true).is_some());
     }
 
     #[test]
     fn mtbf_estimator_with_zero_failures_is_empty() {
         let e = MtbfEstimator::new(0.5);
         assert_eq!(e.mtbf(), None);
-        assert_eq!(e.failures(), 0);
     }
 
     #[test]
@@ -768,7 +665,6 @@ mod tests {
         let mut e = MtbfEstimator::new(0.3);
         e.record_failure(42.0);
         assert_eq!(e.mtbf(), None, "a gap needs two distinct failure times");
-        assert_eq!(e.failures(), 1);
     }
 
     #[test]
@@ -776,20 +672,18 @@ mod tests {
         let mut e = MtbfEstimator::new(0.5);
         e.record_failure(100.0);
         // An observation from the past (clock skew between group
-        // managers): counted as a failure, but a negative gap is not
-        // evidence about the failure rate and must not poison the EWMA
-        // or move the latest-failure watermark backwards.
+        // managers): a negative gap is not evidence about the failure
+        // rate and must not poison the EWMA or move the latest-failure
+        // watermark backwards.
         e.record_failure(40.0);
         assert_eq!(e.mtbf(), None);
-        assert_eq!(e.failures(), 2);
         // The next in-order failure measures its gap from 100, not 40.
         e.record_failure(130.0);
         assert_eq!(e.mtbf(), Some(30.0));
         // A late straggler after an estimate exists: ignored by the
-        // average, still counted.
+        // average.
         e.record_failure(10.0);
         assert_eq!(e.mtbf(), Some(30.0));
-        assert_eq!(e.failures(), 4);
     }
 
     #[test]
@@ -800,8 +694,7 @@ mod tests {
         let seq = store.record(TaskCheckpoint::new(tid(0), 0.5, 1.0, vec!["home".into()]));
         store.add_replica(tid(0), seq, "remote");
         store.record(TaskCheckpoint::new(tid(1), 0.25, 2.0, vec!["b".into()]));
-        store.forget(tid(1));
-        assert_eq!(journal.len(), 4, "every mutation journaled");
+        assert_eq!(journal.len(), 3, "every mutation journaled");
 
         // Replaying the journal onto a fresh state reproduces the
         // store's control-plane projection exactly.
@@ -813,7 +706,7 @@ mod tests {
         }
         assert_eq!(replayed, store.control_state());
         assert_eq!(replayed.taken, 2);
-        assert_eq!(replayed.by_task.len(), 1);
+        assert_eq!(replayed.by_task.len(), 2);
         assert_eq!(
             replayed.by_task[&tid(0)][0].stored_on,
             vec!["home".to_string(), "remote".to_string()]
@@ -830,58 +723,11 @@ mod tests {
         let seq = store.record(TaskCheckpoint::new(tid(0), 0.5, 1.0, vec!["h".into()]));
         assert!(!store.add_replica(tid(0), seq, "h"), "duplicate host");
         assert!(!store.add_replica(tid(9), 0, "x"), "unknown task");
-        store.forget(tid(9));
         let mut replayed = CheckpointState::default();
         for (_, payload) in journal.history() {
             replayed.apply(&serde_json::from_str(&payload).unwrap());
         }
         assert_eq!(replayed, store.control_state());
-    }
-
-    #[test]
-    fn checkpoints_export_as_replicated_datasets() {
-        let store = CheckpointStore::new();
-        // Task 0: two checkpoints; only the newest (replicated to two
-        // sites) is exported. Task 1: one single-host checkpoint.
-        store.record(TaskCheckpoint::new(tid(0), 0.25, 1.0, vec!["s0h0".into()]));
-        store.record(TaskCheckpoint::new(
-            tid(0),
-            0.75,
-            2.0,
-            vec!["s0h0".into(), "s1h0".into(), "ghost".into()],
-        ));
-        store.record(TaskCheckpoint::new(tid(1), 0.5, 2.0, vec!["s1h0".into()]));
-        let site_of = |h: &str| match h {
-            "s0h0" => Some(SiteId(0)),
-            "s1h0" => Some(SiteId(1)),
-            _ => None,
-        };
-        let mut catalog = DatasetCatalog::new();
-        let exported = store.export_datasets(&mut catalog, 1 << 20, site_of);
-        assert_eq!(exported, 2);
-
-        let view = catalog.view();
-        let d0 = view.get(checkpoint_dataset_id(tid(0))).unwrap();
-        assert_eq!(d0.sites, vec![SiteId(0), SiteId(1)], "newest checkpoint's replica fan-out");
-        assert_eq!(d0.size, 1 << 20);
-        let d1 = view.get(checkpoint_dataset_id(tid(1))).unwrap();
-        assert_eq!(d1.sites, vec![SiteId(1)]);
-
-        // Ids live above the user-dataset namespace and never collide.
-        assert!(checkpoint_dataset_id(tid(0)).0 >= CHECKPOINT_NS);
-        assert_ne!(checkpoint_dataset_id(tid(0)), checkpoint_dataset_id(tid(1)));
-
-        // Re-exporting after another checkpoint is idempotent on the
-        // existing replicas and picks up new ones.
-        store.record(TaskCheckpoint::new(tid(1), 0.9, 3.0, vec!["s1h0".into(), "s0h0".into()]));
-        let exported = store.export_datasets(&mut catalog, 1 << 20, site_of);
-        assert_eq!(exported, 2);
-        let view = catalog.view();
-        assert_eq!(
-            view.get(checkpoint_dataset_id(tid(1))).unwrap().sites,
-            vec![SiteId(0), SiteId(1)]
-        );
-        assert_eq!(catalog.violations(), 0);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl DataReceiver {
     }
 
     /// Receive with timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DataError> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DataError> {
         self.rx.recv_timeout(timeout).map_err(|e| match e {
             crossbeam::channel::RecvTimeoutError::Timeout => DataError::Timeout,
             crossbeam::channel::RecvTimeoutError::Disconnected => DataError::Closed,
@@ -124,40 +124,12 @@ pub struct DataManager {
     transport: Transport,
     log: EventLog,
     acks: Mutex<usize>,
-    produced: Mutex<std::collections::BTreeSet<ChannelId>>,
 }
 
 impl DataManager {
     /// Manager using `transport` for every channel.
     pub fn new(transport: Transport, log: EventLog) -> Self {
-        DataManager {
-            transport,
-            log,
-            acks: Mutex::new(0),
-            produced: Mutex::new(std::collections::BTreeSet::new()),
-        }
-    }
-
-    /// Mark the producer-side payload of `id` as delivered — the
-    /// produced-output marker checkpoint restart consults to know which
-    /// edges already carried their data.
-    pub fn mark_produced(&self, id: ChannelId) {
-        self.produced.lock().insert(id);
-    }
-
-    /// Has the producer of `id` delivered its payload?
-    pub fn was_produced(&self, id: ChannelId) -> bool {
-        self.produced.lock().contains(&id)
-    }
-
-    /// Number of edges whose payload has been delivered.
-    pub fn produced_count(&self) -> usize {
-        self.produced.lock().len()
-    }
-
-    /// The transport in use.
-    pub fn transport(&self) -> Transport {
-        self.transport
+        DataManager { transport, log, acks: Mutex::new(0) }
     }
 
     /// Number of channel-setup acknowledgments received so far — what the
@@ -324,18 +296,6 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(sum, (0..50).sum::<u64>());
-    }
-
-    #[test]
-    fn produced_markers_round_trip() {
-        let dm = DataManager::new(Transport::InProc, EventLog::new());
-        let id = ChannelId { app: 1, edge: 2 };
-        assert!(!dm.was_produced(id));
-        dm.mark_produced(id);
-        dm.mark_produced(id); // idempotent
-        assert!(dm.was_produced(id));
-        assert!(!dm.was_produced(ChannelId { app: 1, edge: 3 }));
-        assert_eq!(dm.produced_count(), 1);
     }
 
     #[test]

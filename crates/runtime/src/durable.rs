@@ -34,9 +34,7 @@ use crate::checkpoint::{CheckpointEvent, CheckpointState, CheckpointStore};
 use crate::events::{EventLog, LogRecord};
 use crate::site_manager::{SiteFailover, SiteTableEvent};
 use serde::{Deserialize, JsonWriter, Serialize};
-use vdce_repository::events::JournaledRepoEvent;
-use vdce_repository::repository::RepositorySnapshot;
-use vdce_repository::SiteRepository;
+use vdce_repository::{JournaledRepoEvent, RepositorySnapshot, SiteRepository};
 use vdce_store::{
     fnv1a, fnv1a_json, Journal, Replica, ReplicationError, ReplicationStats, Replicator,
     SnapshotPolicy,
@@ -232,13 +230,6 @@ impl ControlState {
         }
     }
 
-    /// Decode and apply one raw `(tag, payload)` journal record.
-    pub fn apply_record(&mut self, tag: &str, payload: &str) -> Result<(), ControlEventError> {
-        let event = ControlEvent::decode(tag, payload)?;
-        self.apply(&event);
-        Ok(())
-    }
-
     /// Canonical serialized form (the snapshot / seal byte format).
     pub fn to_bytes(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("control state always serialises")
@@ -291,20 +282,16 @@ pub struct RepoReplica {
 
 impl RepoReplica {
     /// Replica starting from the leader's current state.
-    pub fn new(state: RepositorySnapshot) -> Self {
+    pub(crate) fn new(state: RepositorySnapshot) -> Self {
         RepoReplica { state }
-    }
-
-    /// The replica's current state (read side).
-    pub fn state(&self) -> &RepositorySnapshot {
-        &self.state
     }
 
     /// Mutable access to the replica state. Exists so divergence
     /// injection (tests, fault drills) can corrupt the follower; the
     /// replication channel must then detect the corruption at its next
     /// hash check.
-    pub fn state_mut(&mut self) -> &mut RepositorySnapshot {
+    #[cfg(test)]
+    pub(crate) fn state_mut(&mut self) -> &mut RepositorySnapshot {
         &mut self.state
     }
 }
@@ -341,7 +328,7 @@ impl DeputyLink {
 
     /// Ship one repository event to the replica. `leader_hash` is only
     /// evaluated on hash-check frames.
-    pub fn ship(
+    pub(crate) fn ship(
         &mut self,
         event: &JournaledRepoEvent,
         leader_hash: impl FnOnce() -> u64,
@@ -358,18 +345,14 @@ impl DeputyLink {
 
     /// The replica (e.g. to promote it on leader death, or to inject
     /// divergence in drills).
-    pub fn replica_mut(&mut self) -> &mut RepoReplica {
+    #[cfg(test)]
+    pub(crate) fn replica_mut(&mut self) -> &mut RepoReplica {
         &mut self.replica
     }
 
     /// Channel counters.
     pub fn stats(&self) -> ReplicationStats {
         self.channel.stats()
-    }
-
-    /// The first divergence detected, if any (sticky).
-    pub fn divergence(&self) -> Option<&ReplicationError> {
-        self.channel.divergence()
     }
 }
 
@@ -379,9 +362,8 @@ mod tests {
     use crate::events::RuntimeEvent;
     use vdce_afg::{MachineType, TaskId};
     use vdce_net::topology::SiteId;
-    use vdce_repository::events::RepoEvent;
     use vdce_repository::resources::{HostStatus, ResourceRecord};
-    use vdce_repository::SiteRepository;
+    use vdce_repository::{RepoEvent, SiteRepository};
 
     fn seeded_repo(host: &str) -> SiteRepository {
         let repo = SiteRepository::new();
@@ -414,7 +396,11 @@ mod tests {
     fn control_events_round_trip_through_tag_payload() {
         let events = [
             ControlEvent::Repo(sample("h", 1.5)),
-            ControlEvent::Checkpoint(CheckpointEvent::Forget { task: TaskId(3) }),
+            ControlEvent::Checkpoint(CheckpointEvent::AddReplica {
+                task: TaskId(3),
+                seq: 0,
+                host: "h".into(),
+            }),
             ControlEvent::Site(JournaledSiteEvent {
                 site: 2,
                 event: SiteTableEvent::HostDown { host: "h".into() },
@@ -484,7 +470,7 @@ mod tests {
         let mut state = ControlState::from_bytes(&snap.state).unwrap();
         let mut owned = state.clone();
         for (tag, payload) in &recovered.events {
-            state.apply_record(tag, payload).unwrap();
+            state.apply(&ControlEvent::decode(tag, payload).unwrap());
             owned.apply_owned(ControlEvent::decode(tag, payload).unwrap());
         }
         assert_eq!(state, live, "replayed state equals the live state");
@@ -591,6 +577,5 @@ mod tests {
         };
         assert!(matches!(err, ReplicationError::Divergence { .. }));
         assert_eq!(link.stats().divergences, 1, "sticky error counted once");
-        assert!(link.divergence().is_some());
     }
 }

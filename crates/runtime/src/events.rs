@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, JsonWriter, Serialize};
 use std::sync::Arc;
 use vdce_afg::TaskId;
-use vdce_obs::trace::{FieldValue, TraceSink};
+use vdce_obs::{FieldValue, TraceSink};
 use vdce_store::{AppendLog, Journal};
 
 /// Something that happened at runtime.
@@ -225,7 +225,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// snake_case name, used as the trace-record name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::MonitorSample => "monitor_sample",
             EventKind::WorkloadForwarded => "workload_forwarded",
@@ -255,7 +255,7 @@ impl EventKind {
 
 impl RuntimeEvent {
     /// The event's kind (discriminant).
-    pub fn kind(&self) -> EventKind {
+    pub(crate) fn kind(&self) -> EventKind {
         match self {
             RuntimeEvent::MonitorSample { .. } => EventKind::MonitorSample,
             RuntimeEvent::WorkloadForwarded { .. } => EventKind::WorkloadForwarded,
@@ -282,56 +282,9 @@ impl RuntimeEvent {
         }
     }
 
-    /// The host named by the event, if any (migrations report the
-    /// destination host; failovers the new role holder).
-    pub fn host(&self) -> Option<&str> {
-        match self {
-            RuntimeEvent::MonitorSample { host, .. }
-            | RuntimeEvent::WorkloadForwarded { host, .. }
-            | RuntimeEvent::HostFailed { host }
-            | RuntimeEvent::HostRecovered { host }
-            | RuntimeEvent::TaskStarted { host, .. }
-            | RuntimeEvent::RescheduleRequested { host, .. }
-            | RuntimeEvent::CheckpointTaken { host, .. }
-            | RuntimeEvent::TaskResumed { host, .. }
-            | RuntimeEvent::HostQuarantined { host }
-            | RuntimeEvent::HostReadmitted { host }
-            | RuntimeEvent::CheckpointReplicated { host, .. } => Some(host),
-            RuntimeEvent::TaskMigrated { to_host, .. } => Some(to_host),
-            RuntimeEvent::SiteManagerFailedOver { to, .. } => Some(to),
-            _ => None,
-        }
-    }
-
-    /// The task named by the event, if any.
-    pub fn task(&self) -> Option<TaskId> {
-        match self {
-            RuntimeEvent::TaskStarted { task, .. }
-            | RuntimeEvent::TaskFinished { task, .. }
-            | RuntimeEvent::TaskFailed { task, .. }
-            | RuntimeEvent::RescheduleRequested { task, .. }
-            | RuntimeEvent::TaskMigrated { task, .. }
-            | RuntimeEvent::TaskRetried { task, .. }
-            | RuntimeEvent::CheckpointTaken { task, .. }
-            | RuntimeEvent::TaskResumed { task, .. }
-            | RuntimeEvent::CheckpointReplicated { task, .. } => Some(*task),
-            _ => None,
-        }
-    }
-
-    /// The site named by the event, if any.
-    pub fn site(&self) -> Option<u16> {
-        match self {
-            RuntimeEvent::SiteManagerFailedOver { site, .. }
-            | RuntimeEvent::SiteQuarantined { site }
-            | RuntimeEvent::SiteRejoined { site } => Some(*site),
-            _ => None,
-        }
-    }
-
     /// Trace-record payload: every variant field as a scalar, in
     /// declaration order (deterministic serialisation relies on this).
-    pub fn trace_fields(&self) -> Vec<(String, FieldValue)> {
+    pub(crate) fn trace_fields(&self) -> Vec<(String, FieldValue)> {
         fn f(k: &str, v: impl Into<FieldValue>) -> (String, FieldValue) {
             (k.to_string(), v.into())
         }
@@ -461,12 +414,6 @@ impl EventLog {
         self
     }
 
-    /// The attached trace sink (disabled unless built via
-    /// [`EventLog::traced`]).
-    pub fn trace(&self) -> &TraceSink {
-        &self.trace
-    }
-
     /// Append an event at logical time `t` (seconds): journal first
     /// (write-ahead), mirror into the attached trace sink, then buffer.
     pub fn emit(&self, t: f64, event: RuntimeEvent) {
@@ -485,8 +432,8 @@ impl EventLog {
         }
         if self.trace.is_enabled() {
             // Monitor ticks are the one cadence-driven firehose; route
-            // them through the sampled path so an `Observer` built with
-            // `enabled_sampled(n)` can thin them. Everything else (and
+            // them through the sampled path so a `TraceSink::sampled(n)`
+            // sink can thin them. Everything else (and
             // the journal above) is always kept.
             if matches!(event.kind(), EventKind::MonitorSample) {
                 self.trace.hf_event(t, event.kind().name(), event.trace_fields());
@@ -505,93 +452,35 @@ impl EventLog {
     }
 
     /// Snapshot of all entries in append order.
-    pub fn snapshot(&self) -> Vec<(f64, RuntimeEvent)> {
+    pub(crate) fn snapshot(&self) -> Vec<(f64, RuntimeEvent)> {
         self.entries.snapshot()
     }
 
     /// Typed query over events of one [`EventKind`].
     pub fn query(&self, kind: EventKind) -> EventQuery<'_> {
-        EventQuery { log: self, kind: Some(kind), host: None, task: None }
-    }
-
-    /// Typed query over every event.
-    pub fn query_all(&self) -> EventQuery<'_> {
-        EventQuery { log: self, kind: None, host: None, task: None }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        EventQuery { log: self, kind }
     }
 }
 
-/// A typed filter over an [`EventLog`], replacing the closure-based
-/// `count`/`first_time` queries.
+/// The events of one [`EventKind`] in an [`EventLog`].
 ///
 /// ```
-/// # use vdce_runtime::events::{EventKind, EventLog, RuntimeEvent};
+/// # use vdce_runtime::{EventKind, EventLog, RuntimeEvent};
 /// let log = EventLog::new();
 /// log.emit(1.5, RuntimeEvent::HostFailed { host: "s0h1".into() });
 /// assert_eq!(log.query(EventKind::HostFailed).count(), 1);
-/// assert_eq!(log.query(EventKind::HostFailed).for_host("s0h1").first_time(), Some(1.5));
+/// assert_eq!(log.query(EventKind::HostRecovered).count(), 0);
 /// ```
 #[derive(Clone)]
 pub struct EventQuery<'a> {
     log: &'a EventLog,
-    kind: Option<EventKind>,
-    host: Option<String>,
-    task: Option<TaskId>,
+    kind: EventKind,
 }
 
 impl EventQuery<'_> {
-    /// Keep only events naming this host (see [`RuntimeEvent::host`]).
-    pub fn for_host(mut self, host: &str) -> Self {
-        self.host = Some(host.to_string());
-        self
-    }
-
-    /// Keep only events naming this task.
-    pub fn for_task(mut self, task: TaskId) -> Self {
-        self.task = Some(task);
-        self
-    }
-
-    fn matches(&self, e: &RuntimeEvent) -> bool {
-        self.kind.is_none_or(|k| e.kind() == k)
-            && self.host.as_deref().is_none_or(|h| e.host() == Some(h))
-            && self.task.is_none_or(|t| e.task() == Some(t))
-    }
-
     /// Number of matching events.
     pub fn count(&self) -> usize {
-        self.log.entries.with(|v| v.iter().filter(|(_, e)| self.matches(e)).count())
-    }
-
-    /// Timestamp of the first match.
-    pub fn first_time(&self) -> Option<f64> {
-        self.log.entries.with(|v| v.iter().find(|(_, e)| self.matches(e)).map(|(t, _)| *t))
-    }
-
-    /// Timestamp of the last match.
-    pub fn last_time(&self) -> Option<f64> {
-        self.log.entries.with(|v| v.iter().rev().find(|(_, e)| self.matches(e)).map(|(t, _)| *t))
-    }
-
-    /// Timestamps of every match, in append order.
-    pub fn times(&self) -> Vec<f64> {
-        self.log
-            .entries
-            .with(|v| v.iter().filter(|(_, e)| self.matches(e)).map(|(t, _)| *t).collect())
-    }
-
-    /// Every matching `(time, event)` pair, in append order.
-    pub fn events(&self) -> Vec<(f64, RuntimeEvent)> {
-        self.log.entries.with(|v| v.iter().filter(|(_, e)| self.matches(e)).cloned().collect())
+        self.log.entries.with(|v| v.iter().filter(|(_, e)| e.kind() == self.kind).count())
     }
 }
 
@@ -606,10 +495,9 @@ impl EventQuery<'_> {
 /// [`WorkLedger::lost`] means the control plane dropped admitted work
 /// on the floor without even recording a terminal failure.
 ///
-/// Built either from an [`EventLog`] ([`EventLog::ledger`]) or from
-/// the trace-record stream an `Observer` captured during the run
-/// ([`WorkLedger::from_trace_names`]), so out-of-process consumers can
-/// audit a run from its JSONL trace alone.
+/// Built from the trace-record stream an `Observer` captured during the
+/// run ([`WorkLedger::from_trace_names`]), so out-of-process consumers
+/// can audit a run from its JSONL trace alone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkLedger {
     /// Distinct tasks that ever started.
@@ -620,7 +508,7 @@ pub struct WorkLedger {
     pub lost: usize,
     /// Transient failure events observed (each should be followed by a
     /// retry or migration, not a loss).
-    pub failure_events: usize,
+    pub(crate) failure_events: usize,
     /// Migration events observed.
     pub migrations: usize,
     /// Retry events observed.
@@ -628,57 +516,15 @@ pub struct WorkLedger {
 }
 
 impl WorkLedger {
-    /// Fold a `(started, finished)` task-id stream plus failure /
-    /// migration / retry counts into a ledger.
-    fn from_sets(
-        started: std::collections::BTreeSet<u64>,
-        finished: std::collections::BTreeSet<u64>,
-        failure_events: usize,
-        migrations: usize,
-        retries: usize,
-    ) -> Self {
-        let lost = started.difference(&finished).count();
-        WorkLedger {
-            started: started.len(),
-            finished: finished.len(),
-            lost,
-            failure_events,
-            migrations,
-            retries,
-        }
-    }
-
-    /// Build the ledger from raw `(time, event)` entries.
-    pub fn from_events(entries: &[(f64, RuntimeEvent)]) -> Self {
-        let mut started = std::collections::BTreeSet::new();
-        let mut finished = std::collections::BTreeSet::new();
-        let (mut failures, mut migrations, mut retries) = (0, 0, 0);
-        for (_, e) in entries {
-            match e {
-                RuntimeEvent::TaskStarted { task, .. } => {
-                    started.insert(task.0 as u64);
-                }
-                RuntimeEvent::TaskFinished { task, .. } => {
-                    finished.insert(task.0 as u64);
-                }
-                RuntimeEvent::TaskFailed { .. } => failures += 1,
-                RuntimeEvent::TaskMigrated { .. } => migrations += 1,
-                RuntimeEvent::TaskRetried { .. } => retries += 1,
-                _ => {}
-            }
-        }
-        Self::from_sets(started, finished, failures, migrations, retries)
-    }
-
     /// Build the ledger from a trace-record stream: `(name, task-id)`
-    /// pairs where `name` is the [`EventKind::name`] snake_case label
+    /// pairs where `name` is the `EventKind::name` snake_case label
     /// and the id is the record's `task` field (ignored for names that
     /// carry none). This is the out-of-process path — a consumer
     /// holding only the Observer's captured records can audit the run.
     pub fn from_trace_names<'a>(records: impl Iterator<Item = (&'a str, Option<u64>)>) -> Self {
         let mut started = std::collections::BTreeSet::new();
         let mut finished = std::collections::BTreeSet::new();
-        let (mut failures, mut migrations, mut retries) = (0, 0, 0);
+        let mut ledger = WorkLedger::default();
         for (name, task) in records {
             match (name, task) {
                 ("task_started", Some(id)) => {
@@ -687,20 +533,16 @@ impl WorkLedger {
                 ("task_finished", Some(id)) => {
                     finished.insert(id);
                 }
-                ("task_failed", _) => failures += 1,
-                ("task_migrated", _) => migrations += 1,
-                ("task_retried", _) => retries += 1,
+                ("task_failed", _) => ledger.failure_events += 1,
+                ("task_migrated", _) => ledger.migrations += 1,
+                ("task_retried", _) => ledger.retries += 1,
                 _ => {}
             }
         }
-        Self::from_sets(started, finished, failures, migrations, retries)
-    }
-}
-
-impl EventLog {
-    /// Lost-work ledger over everything emitted so far.
-    pub fn ledger(&self) -> WorkLedger {
-        WorkLedger::from_events(&self.snapshot())
+        ledger.started = started.len();
+        ledger.finished = finished.len();
+        ledger.lost = started.difference(&finished).count();
+        ledger
     }
 }
 
@@ -720,31 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_counts_lost_tasks_from_events_and_trace_names() {
-        let log = EventLog::new();
-        log.emit(1.0, RuntimeEvent::TaskStarted { task: TaskId(1), host: "a".into() });
-        log.emit(2.0, RuntimeEvent::TaskFailed { task: TaskId(1), reason: "host down".into() });
-        log.emit(3.0, RuntimeEvent::TaskRetried { task: TaskId(1), attempt: 1 });
-        log.emit(
-            4.0,
-            RuntimeEvent::TaskMigrated {
-                task: TaskId(1),
-                from_host: "a".into(),
-                to_host: "b".into(),
-            },
-        );
-        log.emit(5.0, RuntimeEvent::TaskFinished { task: TaskId(1), seconds: 4.0 });
-        log.emit(6.0, RuntimeEvent::TaskStarted { task: TaskId(2), host: "b".into() });
-        let ledger = log.ledger();
-        assert_eq!(ledger.started, 2);
-        assert_eq!(ledger.finished, 1);
-        assert_eq!(ledger.lost, 1, "task 2 started but never finished");
-        assert_eq!(ledger.failure_events, 1);
-        assert_eq!(ledger.migrations, 1);
-        assert_eq!(ledger.retries, 1);
-
-        // The trace-name path sees the same history through the
-        // Observer's records and must agree.
+    fn ledger_counts_lost_tasks_from_trace_names() {
         let names: Vec<(&str, Option<u64>)> = vec![
             ("task_started", Some(1)),
             ("task_failed", Some(1)),
@@ -754,7 +572,13 @@ mod tests {
             ("task_started", Some(2)),
             ("monitor_sample", None),
         ];
-        assert_eq!(WorkLedger::from_trace_names(names.into_iter()), ledger);
+        let ledger = WorkLedger::from_trace_names(names.into_iter());
+        assert_eq!(ledger.started, 2);
+        assert_eq!(ledger.finished, 1);
+        assert_eq!(ledger.lost, 1, "task 2 started but never finished");
+        assert_eq!(ledger.failure_events, 1);
+        assert_eq!(ledger.migrations, 1);
+        assert_eq!(ledger.retries, 1);
     }
 
     #[test]
@@ -762,26 +586,19 @@ mod tests {
         let log = EventLog::new();
         let log2 = log.clone();
         log2.emit(0.5, RuntimeEvent::Resumed);
-        assert_eq!(log.len(), 1);
-        assert!(!log.is_empty());
+        assert_eq!(log.snapshot().len(), 1);
     }
 
     #[test]
-    fn typed_queries_filter_by_kind_host_and_task() {
+    fn typed_queries_filter_by_kind() {
         let log = EventLog::new();
         log.emit(1.0, RuntimeEvent::HostFailed { host: "a".into() });
         log.emit(2.0, RuntimeEvent::HostFailed { host: "b".into() });
         log.emit(3.0, RuntimeEvent::HostRecovered { host: "a".into() });
         log.emit(4.0, RuntimeEvent::TaskStarted { task: TaskId(7), host: "b".into() });
         assert_eq!(log.query(EventKind::HostFailed).count(), 2);
-        assert_eq!(log.query(EventKind::HostFailed).for_host("b").count(), 1);
-        assert_eq!(log.query(EventKind::HostRecovered).first_time(), Some(3.0));
-        assert_eq!(log.query(EventKind::StartupSignal).first_time(), None);
-        assert_eq!(log.query(EventKind::HostFailed).last_time(), Some(2.0));
-        assert_eq!(log.query(EventKind::HostFailed).times(), vec![1.0, 2.0]);
-        assert_eq!(log.query_all().for_host("b").count(), 2);
-        assert_eq!(log.query_all().for_task(TaskId(7)).count(), 1);
-        assert_eq!(log.query(EventKind::TaskStarted).events().len(), 1);
+        assert_eq!(log.query(EventKind::StartupSignal).count(), 0);
+        assert_eq!(log.query(EventKind::TaskStarted).count(), 1);
     }
 
     /// A journaled log write-ahead-journals every emit under the `log`
@@ -800,7 +617,7 @@ mod tests {
         // The un-journaled default appends nothing anywhere but the buffer.
         let plain = EventLog::new();
         plain.emit(0.0, RuntimeEvent::Resumed);
-        assert_eq!(plain.len(), 1);
+        assert_eq!(plain.snapshot().len(), 1);
     }
 
     #[test]
@@ -819,8 +636,8 @@ mod tests {
         // The untraced default drops nothing into a sink but keeps entries.
         let plain = EventLog::new();
         plain.emit(0.0, RuntimeEvent::Resumed);
-        assert!(!plain.trace().is_enabled());
-        assert_eq!(plain.len(), 1);
+        assert!(!plain.trace.is_enabled());
+        assert_eq!(plain.snapshot().len(), 1);
     }
 
     #[test]
@@ -835,7 +652,7 @@ mod tests {
         }
         // The in-process buffer (and any journal) is complete; only the
         // trace mirror of the monitor firehose is thinned.
-        assert_eq!(log.len(), 2 * ticks);
+        assert_eq!(log.snapshot().len(), 2 * ticks);
         let records = sink.records();
         let monitor = records.iter().filter(|r| r.name == "monitor_sample").count();
         assert!(monitor > 0 && monitor < ticks / 2, "kept {monitor} of {ticks}");
@@ -889,6 +706,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(log.len(), 800);
+        assert_eq!(log.snapshot().len(), 800);
     }
 }

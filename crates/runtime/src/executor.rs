@@ -21,7 +21,7 @@
 //! abort it.
 
 use crate::checkpoint::{CheckpointPolicy, CheckpointStore, TaskCheckpoint};
-use crate::data_manager::{ChannelId, DataManager, DataReceiver, DataSender};
+use crate::data_manager::{DataManager, DataReceiver, DataSender};
 use crate::events::{EventLog, RuntimeEvent};
 use crate::kernels::run_kernel_parallel;
 use crate::recovery::BackoffPolicy;
@@ -34,8 +34,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 use vdce_afg::{Afg, TaskId};
-use vdce_net::clock::Clock;
-use vdce_sched::allocation::AllocationTable;
+use vdce_net::Clock;
+use vdce_sched::AllocationTable;
 
 /// Decision of the start gate for one task about to launch.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +71,7 @@ impl HostLockRegistry {
     }
 
     /// The lock for `host`, created on first use.
-    pub fn lock_for(&self, host: &str) -> Arc<Mutex<()>> {
+    pub(crate) fn lock_for(&self, host: &str) -> Arc<Mutex<()>> {
         let mut map = self.locks.lock();
         Arc::clone(map.entry(host.to_string()).or_insert_with(|| Arc::new(Mutex::new(()))))
     }
@@ -124,7 +124,7 @@ pub struct ExecutorConfig {
     /// semantics; recovery-aware callers opt in.
     pub retry: BackoffPolicy,
     /// Checkpoint cadence. Disabled by default; has effect only when an
-    /// execution also supplies a [`CheckpointContext`].
+    /// execution also supplies a `CheckpointContext`.
     pub checkpoint: CheckpointPolicy,
 }
 
@@ -151,7 +151,7 @@ pub struct CheckpointContext<'a> {
     /// checkpoint this execution records is also stored on this host, so
     /// the checkpoint survives the loss of the entire site that ran the
     /// task. `None` keeps checkpoints site-local.
-    pub replicate_to: Option<String>,
+    pub(crate) replicate_to: Option<String>,
 }
 
 /// Everything one application execution runs against.
@@ -164,7 +164,7 @@ pub struct Execution<'a> {
     pub dm: &'a DataManager,
     /// File/URL inputs and outputs.
     pub io: &'a IoService,
-    /// Suspend/abort control.
+    /// Suspend/resume control.
     pub console: &'a ConsoleService,
     /// Consulted before each task launches.
     pub gate: &'a dyn StartGate,
@@ -216,7 +216,7 @@ pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
             let my_out = std::mem::take(&mut task_out[task.index()]);
             let records = &records;
             scope.spawn(move |_| {
-                let record = run_task(exec, app_id, task, my_in, my_out);
+                let record = run_task(exec, task, my_in, my_out);
                 *records[task.index()].lock() = Some(record);
             });
         }
@@ -239,12 +239,11 @@ pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
 
 fn run_task(
     exec: &Execution<'_>,
-    app_id: u64,
     task: TaskId,
     inputs: Vec<(usize, DataReceiver)>,
     outputs: Vec<(usize, DataSender)>,
 ) -> TaskRunRecord {
-    let Execution { afg, dm, io, console, gate, log, clock, config, checkpoint, .. } = *exec;
+    let Execution { afg, io, console, gate, log, clock, config, checkpoint, .. } = *exec;
     let placement = exec.table.placement(task).expect("complete table");
     let node = afg.task(task);
     let fail = |start: f64, finish: f64, hosts: Vec<String>, why: String| {
@@ -252,15 +251,13 @@ fn run_task(
         TaskRunRecord { task, hosts, start, finish, ok: false, error: Some(why) }
     };
     // Deliver the task's outputs, `port` giving each port's payload:
-    // dataflow frames per out-edge (marked as produced in the Data
-    // Manager), file/URL stores.
+    // dataflow frames per out-edge, file/URL stores.
     let deliver = |port: &dyn Fn(usize) -> Option<Bytes>| {
         for (edge_idx, tx) in &outputs {
             let payload = port(afg.edges[*edge_idx].from_port.index()).unwrap_or_default();
             if tx.send(payload).is_err() {
                 // Consumer died; its own record will say why.
             }
-            dm.mark_produced(ChannelId { app: app_id, edge: *edge_idx });
         }
         for (i, spec) in node.props.outputs.iter().enumerate() {
             if let Some(data) = port(i) {
@@ -335,10 +332,8 @@ fn run_task(
     let mut attempt: u32 = 0;
     let mut prev_hosts: Option<Vec<String>> = None;
     loop {
-        // 2. Console checkpoint (suspend/abort) before launching.
-        if !console.checkpoint() {
-            return fail(t_wait, clock.now(), placement.hosts.to_vec(), "aborted".into());
-        }
+        // 2. Console checkpoint (suspend) before launching.
+        console.checkpoint();
 
         // 3. Application-Controller start gate (threshold rescheduling).
         let hosts = match gate.check(task, &placement.hosts) {
@@ -468,9 +463,9 @@ mod tests {
     use crate::kernels::decode_f64s;
     use crossbeam::channel::unbounded;
     use vdce_afg::{AfgBuilder, IoSpec, TaskLibrary};
-    use vdce_net::clock::RealClock;
     use vdce_net::topology::SiteId;
-    use vdce_sched::allocation::TaskPlacement;
+    use vdce_net::RealClock;
+    use vdce_sched::TaskPlacement;
 
     fn single_host_table(afg: &Afg, host: &str) -> AllocationTable {
         let mut t = AllocationTable::new(&afg.name);
@@ -816,9 +811,8 @@ mod tests {
         let rig = Rig::new(Transport::InProc, checkpointing());
         let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
         assert!(out.success, "{:?}", out.records);
-        assert_eq!(store.taken_total(), 3, "every completed task checkpointed");
+        assert_eq!(store.control_state().taken, 3, "every completed task checkpointed");
         assert_eq!(rig.log.query(EventKind::CheckpointTaken).count(), 3);
-        assert_eq!(rig.dm.produced_count(), 2, "both edges marked produced");
 
         // Second execution with the same store: no completed work is
         // re-executed — every task resumes from its full checkpoint.
@@ -831,7 +825,6 @@ mod tests {
             "no kernel re-executed past its checkpoint"
         );
         assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 3);
-        assert_eq!(rig2.dm.produced_count(), 2, "resumed tasks re-deliver produced outputs");
     }
 
     #[test]

@@ -67,11 +67,11 @@ pub struct GroupStats {
     /// Reports forwarded to the Site Manager (significant changes).
     pub reports_forwarded: u64,
     /// Echo rounds performed.
-    pub echo_rounds: u64,
+    pub(crate) echo_rounds: u64,
     /// Failures detected.
     pub failures_detected: u64,
     /// Recoveries detected.
-    pub recoveries_detected: u64,
+    pub(crate) recoveries_detected: u64,
 }
 
 /// The Group Manager for one host group.
@@ -111,16 +111,6 @@ impl GroupManager {
             log,
             stats: GroupStats::default(),
         }
-    }
-
-    /// The configured significance threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Hosts of this group.
-    pub fn hosts(&self) -> &[String] {
-        &self.hosts
     }
 
     /// Statistics so far.
@@ -179,47 +169,6 @@ impl GroupManager {
             }
         }
         changed
-    }
-
-    /// Hosts currently believed down by this group manager.
-    pub fn down_hosts(&self) -> Vec<&str> {
-        self.down.iter().map(String::as_str).collect()
-    }
-
-    /// Run the Group Manager as a real daemon thread: drain monitor
-    /// reports from `reports` continuously and echo-probe every
-    /// `echo_period`, until `stop` becomes true. Returns the final
-    /// statistics. Timestamps are wall-clock seconds from spawn.
-    pub fn spawn(
-        mut self,
-        reports: crossbeam::channel::Receiver<MonitorReport>,
-        echo_period: std::time::Duration,
-        stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    ) -> std::thread::JoinHandle<GroupStats> {
-        std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            let mut next_echo = std::time::Instant::now();
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let now = start.elapsed().as_secs_f64();
-                // Drain whatever monitors produced, waiting briefly so the
-                // loop does not spin.
-                match reports.recv_timeout(std::time::Duration::from_millis(5)) {
-                    Ok(r) => {
-                        self.handle_report(now, &r);
-                        while let Ok(r) = reports.try_recv() {
-                            self.handle_report(now, &r);
-                        }
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
-                if std::time::Instant::now() >= next_echo {
-                    self.probe_hosts(start.elapsed().as_secs_f64());
-                    next_echo += echo_period;
-                }
-            }
-            self.stats()
-        })
     }
 }
 
@@ -306,7 +255,7 @@ mod tests {
         assert!(
             matches!(rx.try_recv().unwrap(), ControlMessage::HostFailure { host } if host == "a")
         );
-        assert_eq!(gm.down_hosts(), vec!["a"]);
+        assert!(gm.down.contains("a"));
         // Still down: no duplicate message.
         assert!(gm.probe_hosts(2.0).is_empty());
         assert!(rx.try_recv().is_err());
@@ -317,48 +266,11 @@ mod tests {
         assert!(
             matches!(rx.try_recv().unwrap(), ControlMessage::HostRecovered { host } if host == "a")
         );
-        assert!(gm.down_hosts().is_empty());
+        assert!(gm.down.is_empty());
         let s = gm.stats();
         assert_eq!(s.failures_detected, 1);
         assert_eq!(s.recoveries_detected, 1);
         assert_eq!(s.echo_rounds, 4);
-    }
-
-    #[test]
-    fn spawned_group_manager_filters_and_detects_live() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc as StdArc;
-        use std::time::Duration;
-        let (report_tx, report_rx) = unbounded();
-        let (to_site, from_group) = unbounded();
-        let echo = Arc::new(FlagEcho::new());
-        let gm = GroupManager::new(
-            "g0",
-            vec!["a".into(), "b".into()],
-            1.0,
-            echo.clone(),
-            to_site,
-            EventLog::new(),
-        );
-        let stop = StdArc::new(AtomicBool::new(false));
-        let handle = gm.spawn(report_rx, Duration::from_millis(10), stop.clone());
-        // Feed reports: big change, then jitter below threshold.
-        report_tx.send(report("a", 0.0)).unwrap();
-        report_tx.send(report("a", 0.1)).unwrap();
-        report_tx.send(report("a", 5.0)).unwrap();
-        // Kill a host; the echo loop must notice within a few periods.
-        echo.kill("a");
-        std::thread::sleep(Duration::from_millis(80));
-        stop.store(true, Ordering::Relaxed);
-        let stats = handle.join().unwrap();
-        assert_eq!(stats.reports_received, 3);
-        assert_eq!(stats.reports_forwarded, 2, "0.0 baseline + 5.0 jump");
-        assert!(stats.failures_detected >= 1);
-        assert!(stats.echo_rounds >= 2);
-        let msgs: Vec<ControlMessage> = from_group.try_iter().collect();
-        assert!(msgs
-            .iter()
-            .any(|m| matches!(m, ControlMessage::HostFailure { host } if host == "a")));
     }
 
     #[test]
@@ -371,6 +283,6 @@ mod tests {
         echo.kill("a");
         gm.probe_hosts(1.0);
         assert_eq!(log.query(EventKind::WorkloadForwarded).count(), 1);
-        assert_eq!(log.query(EventKind::HostFailed).first_time(), Some(1.0));
+        assert_eq!(log.snapshot()[1], (1.0, RuntimeEvent::HostFailed { host: "a".into() }));
     }
 }

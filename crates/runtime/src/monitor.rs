@@ -6,18 +6,14 @@
 //!
 //! Measurement is behind the [`LoadProbe`] trait: [`SyntheticProbe`]
 //! replays injected load traces deterministically (used by tests and the
-//! Figure-4 experiments), [`ProcProbe`] reads `/proc` on Linux for live
-//! runs. A daemon can be driven manually ([`MonitorDaemon::tick`], with a
+//! Figure-4 experiments). A daemon can be driven manually ([`MonitorDaemon::tick`], with a
 //! virtual clock) or as a real thread ([`MonitorDaemon::spawn`]).
 
 use crate::events::{EventLog, RuntimeEvent};
 use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// One measurement of a host.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +43,6 @@ pub trait LoadProbe: Send + Sync {
 #[derive(Debug, Default)]
 pub struct SyntheticProbe {
     traces: RwLock<BTreeMap<String, Vec<(f64, f64)>>>,
-    memory: RwLock<BTreeMap<String, u64>>,
     time: RwLock<f64>,
     default_load: RwLock<f64>,
     default_memory: RwLock<u64>,
@@ -65,11 +60,6 @@ impl SyntheticProbe {
     /// Install a step trace for one host.
     pub fn set_trace(&self, host: impl Into<String>, steps: Vec<(f64, f64)>) {
         self.traces.write().insert(host.into(), steps);
-    }
-
-    /// Fix a host's available memory.
-    pub fn set_memory(&self, host: impl Into<String>, bytes: u64) {
-        self.memory.write().insert(host.into(), bytes);
     }
 
     /// Advance (or set) the probe's notion of time.
@@ -124,32 +114,7 @@ impl LoadProbe for SyntheticProbe {
                     .unwrap_or(*self.default_load.read())
             })
             .unwrap_or(*self.default_load.read());
-        let mem = self.memory.read().get(host).copied().unwrap_or(*self.default_memory.read());
-        (load, mem)
-    }
-}
-
-/// Best-effort live probe reading `/proc/loadavg` and `/proc/meminfo`
-/// (Linux). Reports zeros elsewhere.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ProcProbe;
-
-impl LoadProbe for ProcProbe {
-    fn sample(&self, _host: &str) -> (f64, u64) {
-        let load = std::fs::read_to_string("/proc/loadavg")
-            .ok()
-            .and_then(|s| s.split_whitespace().next().and_then(|x| x.parse().ok()))
-            .unwrap_or(0.0);
-        let mem = std::fs::read_to_string("/proc/meminfo")
-            .ok()
-            .and_then(|s| {
-                s.lines()
-                    .find(|l| l.starts_with("MemAvailable:"))
-                    .and_then(|l| l.split_whitespace().nth(1).and_then(|kb| kb.parse::<u64>().ok()))
-            })
-            .map(|kb| kb * 1024)
-            .unwrap_or(0);
-        (load, mem)
+        (load, *self.default_memory.read())
     }
 }
 
@@ -181,21 +146,6 @@ impl MonitorDaemon {
         self.log.emit(t, RuntimeEvent::MonitorSample { host: self.host.clone(), workload });
         let _ = self.tx.send(report.clone());
         report
-    }
-
-    /// Run the daemon on a thread with a wall-clock `period`, until `stop`
-    /// becomes true. Returns the join handle.
-    pub fn spawn(self, period: Duration, stop: Arc<AtomicBool>) -> JoinHandle<u64> {
-        std::thread::spawn(move || {
-            let mut ticks = 0u64;
-            let start = std::time::Instant::now();
-            while !stop.load(Ordering::Relaxed) {
-                self.tick(start.elapsed().as_secs_f64());
-                ticks += 1;
-                std::thread::sleep(period);
-            }
-            ticks
-        })
     }
 }
 
@@ -253,14 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_probe_memory_per_host() {
-        let p = SyntheticProbe::new(0.0, 100);
-        p.set_memory("big", 1 << 30);
-        assert_eq!(p.sample("big").1, 1 << 30);
-        assert_eq!(p.sample("small").1, 100);
-    }
-
-    #[test]
     fn daemon_tick_sends_report_and_logs() {
         let probe = Arc::new(SyntheticProbe::new(2.0, 77));
         let (tx, rx) = unbounded();
@@ -280,27 +222,5 @@ mod tests {
         let d = MonitorDaemon::new("h0", probe, tx, EventLog::new());
         let r = d.tick(0.0); // must not panic
         assert_eq!(r.workload, 1.0);
-    }
-
-    #[test]
-    fn spawned_daemon_ticks_until_stopped() {
-        let probe = Arc::new(SyntheticProbe::new(1.0, 1));
-        let (tx, rx) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let d = MonitorDaemon::new("h0", probe, tx, EventLog::new());
-        let h = d.spawn(Duration::from_millis(5), stop.clone());
-        std::thread::sleep(Duration::from_millis(40));
-        stop.store(true, Ordering::Relaxed);
-        let ticks = h.join().unwrap();
-        assert!(ticks >= 2, "expected several ticks, got {ticks}");
-        assert!(rx.len() as u64 == ticks);
-    }
-
-    #[test]
-    fn proc_probe_reports_something_sane() {
-        let (load, mem) = ProcProbe.sample("localhost");
-        assert!(load >= 0.0);
-        // On Linux CI this is positive; elsewhere zero is acceptable.
-        let _ = mem;
     }
 }

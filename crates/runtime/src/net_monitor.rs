@@ -17,10 +17,7 @@
 //! probe restores it. Schedulers consult [`NetworkMonitor::reachability`]
 //! to avoid placing tasks across links that are currently down.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 use vdce_net::model::SharedNetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_net::PartitionState;
@@ -57,13 +54,6 @@ impl SyntheticLinkProbe {
     pub fn set(&self, a: SiteId, b: SiteId, latency_s: f64, bandwidth_bps: f64) {
         let key = (a.0.min(b.0), a.0.max(b.0));
         self.overrides.write().insert(key, (latency_s, bandwidth_bps));
-    }
-
-    /// Drop the override for one (symmetric) pair — the link reverts to
-    /// the default. Used when an injected link fault's window ends.
-    pub fn clear(&self, a: SiteId, b: SiteId) {
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        self.overrides.write().remove(&key);
     }
 
     /// Sever one (symmetric) pair: probes on it time out until
@@ -137,20 +127,6 @@ impl NetworkMonitor {
     pub fn reachability(&self) -> PartitionState {
         self.detected.read().clone()
     }
-
-    /// Run as a daemon thread with wall-clock `period` until `stop`.
-    /// Returns the number of completed rounds.
-    pub fn spawn(self, period: Duration, stop: Arc<AtomicBool>) -> JoinHandle<u64> {
-        std::thread::spawn(move || {
-            let mut rounds = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                self.tick();
-                rounds += 1;
-                std::thread::sleep(period);
-            }
-            rounds
-        })
-    }
 }
 
 #[cfg(test)]
@@ -183,19 +159,6 @@ mod tests {
         assert!((model.link(SiteId(0), SiteId(0)).latency_s - 0.01).abs() < 1e-12);
         // Congestion clears; with EMA weight 1.0 the model snaps back.
         probe.set(SiteId(0), SiteId(1), 0.01, 1e7);
-        mon.tick();
-        assert!((model.link(SiteId(0), SiteId(1)).latency_s - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_reverts_to_the_default() {
-        let model = SharedNetworkModel::new(NetworkModel::with_defaults(2), 1.0);
-        let probe = Arc::new(SyntheticLinkProbe::new(0.01, 1e7));
-        probe.set(SiteId(1), SiteId(0), 3.0, 1.0);
-        let mon = NetworkMonitor::new(model.clone(), probe.clone(), 2);
-        mon.tick();
-        assert!((model.link(SiteId(0), SiteId(1)).latency_s - 3.0).abs() < 1e-12);
-        probe.clear(SiteId(0), SiteId(1)); // symmetric key matches either order
         mon.tick();
         assert!((model.link(SiteId(0), SiteId(1)).latency_s - 0.01).abs() < 1e-12);
     }
@@ -236,21 +199,5 @@ mod tests {
         assert!(!det.reachable(SiteId(2), SiteId(0), 3));
         assert!(!det.reachable(SiteId(2), SiteId(1), 3));
         assert!(det.reachable(SiteId(0), SiteId(1), 3), "survivors stay connected");
-    }
-
-    #[test]
-    fn spawned_monitor_rounds_until_stopped() {
-        let model = SharedNetworkModel::new(NetworkModel::with_defaults(2), 0.5);
-        let probe = Arc::new(SyntheticLinkProbe::new(0.02, 1e6));
-        let mon = NetworkMonitor::new(model.clone(), probe, 2);
-        let stop = Arc::new(AtomicBool::new(false));
-        let h = mon.spawn(Duration::from_millis(5), stop.clone());
-        std::thread::sleep(Duration::from_millis(40));
-        stop.store(true, Ordering::Relaxed);
-        let rounds = h.join().unwrap();
-        assert!(rounds >= 2, "expected several rounds, got {rounds}");
-        // EMA converged towards the probed values.
-        let l = model.link(SiteId(0), SiteId(1));
-        assert!((l.latency_s - 0.02).abs() < 0.01);
     }
 }

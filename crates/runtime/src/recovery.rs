@@ -49,7 +49,7 @@ impl Default for BackoffPolicy {
 
 impl BackoffPolicy {
     /// A policy that never retries.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         BackoffPolicy { max_retries: 0, ..BackoffPolicy::default() }
     }
 
@@ -60,13 +60,8 @@ impl BackoffPolicy {
     }
 
     /// [`delay`](Self::delay) as a [`Duration`] for wall-clock sleeps.
-    pub fn delay_duration(&self, attempt: u32) -> Duration {
+    pub(crate) fn delay_duration(&self, attempt: u32) -> Duration {
         Duration::from_secs_f64(self.delay(attempt).max(0.0))
-    }
-
-    /// Total virtual time spent sleeping if every allowed retry is used.
-    pub fn worst_case_total(&self) -> f64 {
-        (0..self.max_retries).map(|a| self.delay(a)).sum()
     }
 }
 
@@ -212,13 +207,11 @@ mod tests {
             assert!(d >= p.base_s, "delay never below base");
             assert!(d <= p.max_s, "delay never above cap");
         }
-        assert!(p.worst_case_total() <= p.max_s * p.max_retries as f64);
     }
 
     #[test]
     fn none_policy_allows_no_retries() {
         assert_eq!(BackoffPolicy::none().max_retries, 0);
-        assert_eq!(BackoffPolicy::none().worst_case_total(), 0.0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl IoService {
     /// synthetic payload shaped for `kernel`'s input `port` at
     /// `problem_size` (matrix ports get an n×n diagonally-dominant
     /// matrix, everything else an n-vector).
-    pub fn resolve_input(
+    pub(crate) fn resolve_input(
         &self,
         spec: &IoSpec,
         kernel: KernelKind,
@@ -107,7 +107,7 @@ impl IoService {
 
     /// Store a task output declared as file/URL. Returns `true` if the
     /// spec named a destination.
-    pub fn store_output(&self, spec: &IoSpec, data: &Bytes) -> bool {
+    pub(crate) fn store_output(&self, spec: &IoSpec, data: &Bytes) -> bool {
         match spec {
             IoSpec::Dataflow => false,
             IoSpec::File { path, .. } => {
@@ -125,16 +125,6 @@ impl IoService {
             _ => false,
         }
     }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.store.lock().len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.store.lock().is_empty()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -145,7 +135,6 @@ impl IoService {
 enum ConsoleState {
     Running,
     Suspended,
-    Aborted,
 }
 
 struct ConsoleInner {
@@ -153,7 +142,7 @@ struct ConsoleInner {
     cond: Condvar,
 }
 
-/// Suspend/restart (and abort) control over a running application.
+/// Suspend/restart control over a running application.
 #[derive(Clone)]
 pub struct ConsoleService {
     inner: Arc<ConsoleInner>,
@@ -191,26 +180,12 @@ impl ConsoleService {
         }
     }
 
-    /// Abort the application: blocked and future checkpoints fail.
-    pub fn abort(&self) {
-        let mut s = self.inner.state.lock();
-        *s = ConsoleState::Aborted;
-        self.inner.cond.notify_all();
-    }
-
-    /// Is the application currently suspended?
-    pub fn is_suspended(&self) -> bool {
-        *self.inner.state.lock() == ConsoleState::Suspended
-    }
-
-    /// Task-side checkpoint: blocks while suspended; returns `false` if
-    /// the application was aborted.
-    pub fn checkpoint(&self) -> bool {
+    /// Task-side checkpoint: blocks while suspended.
+    pub(crate) fn checkpoint(&self) {
         let mut s = self.inner.state.lock();
         while *s == ConsoleState::Suspended {
             self.inner.cond.wait(&mut s);
         }
-        *s != ConsoleState::Aborted
     }
 }
 
@@ -287,59 +262,6 @@ impl VisualizationService {
         out
     }
 
-    /// Per-host workload chart from the monitor samples in the log: one
-    /// row per host, each column the mean workload of that time bucket
-    /// rendered as a 0–9 digit (`.` = no sample). The "workload
-    /// visualization" half of §4.2's visualization service.
-    pub fn workload_chart(&self, width: usize) -> String {
-        let snap = self.log.snapshot();
-        let samples: Vec<(f64, &str, f64)> = snap
-            .iter()
-            .filter_map(|(t, e)| match e {
-                RuntimeEvent::MonitorSample { host, workload } => {
-                    Some((*t, host.as_str(), *workload))
-                }
-                _ => None,
-            })
-            .collect();
-        let mut out = String::new();
-        if samples.is_empty() {
-            let _ = writeln!(out, "WORKLOAD (no samples)");
-            return out;
-        }
-        let t0 = samples.iter().map(|(t, ..)| *t).fold(f64::INFINITY, f64::min);
-        let t1 = samples.iter().map(|(t, ..)| *t).fold(0.0f64, f64::max);
-        let span = (t1 - t0).max(1e-9);
-        let max_w = samples.iter().map(|(.., w)| *w).fold(0.0f64, f64::max).max(1e-9);
-        let mut hosts: Vec<&str> = samples.iter().map(|(_, h, _)| *h).collect();
-        hosts.sort();
-        hosts.dedup();
-        let _ = writeln!(out, "WORKLOAD ({t0:.1}s .. {t1:.1}s, peak load {max_w:.2})");
-        for host in hosts {
-            let mut sum = vec![0.0f64; width];
-            let mut cnt = vec![0u32; width];
-            for (t, _h, w) in samples.iter().filter(|(_, h, _)| *h == host) {
-                let b = (((t - t0) / span) * (width as f64 - 1.0)) as usize;
-                sum[b] += w;
-                cnt[b] += 1;
-            }
-            let row: String = sum
-                .iter()
-                .zip(cnt.iter())
-                .map(|(s, c)| {
-                    if *c == 0 {
-                        '.'
-                    } else {
-                        let level = ((s / *c as f64) / max_w * 9.0).round() as u32;
-                        char::from_digit(level.min(9), 10).expect("0..=9")
-                    }
-                })
-                .collect();
-            let _ = writeln!(out, "{host:<20} |{row}|");
-        }
-        out
-    }
-
     /// Text Gantt chart of task executions (one row per task, `#` marks
     /// the running interval), scaled to `width` columns.
     pub fn gantt(&self, width: usize) -> String {
@@ -388,7 +310,7 @@ mod tests {
         assert!(io.get("/x").is_none());
         io.put("/x", Bytes::from_static(b"abc"));
         assert_eq!(io.get("/x").unwrap(), Bytes::from_static(b"abc"));
-        assert_eq!(io.len(), 1);
+        assert_eq!(io.store.lock().len(), 1);
     }
 
     #[test]
@@ -442,24 +364,15 @@ mod tests {
     fn console_suspend_resume_cycle() {
         let log = EventLog::new();
         let console = ConsoleService::new(log.clone());
-        assert!(!console.is_suspended());
         console.suspend();
-        assert!(console.is_suspended());
         // A blocked checkpoint unblocks on resume.
         let c2 = console.clone();
         let h = std::thread::spawn(move || c2.checkpoint());
         std::thread::sleep(std::time::Duration::from_millis(30));
         console.resume();
-        assert!(h.join().unwrap(), "checkpoint returns true after resume");
+        h.join().unwrap();
         assert_eq!(log.query(EventKind::Suspended).count(), 1);
         assert_eq!(log.query(EventKind::Resumed).count(), 1);
-    }
-
-    #[test]
-    fn console_abort_fails_checkpoints() {
-        let console = ConsoleService::new(EventLog::new());
-        console.abort();
-        assert!(!console.checkpoint());
     }
 
     #[test]
@@ -484,29 +397,6 @@ mod tests {
         assert!(csv.starts_with("time_s,event,detail\n"));
         assert!(csv.contains("task_started,t0@h0"));
         assert!(csv.contains("task_finished,t0:1.0000"));
-    }
-
-    #[test]
-    fn workload_chart_scales_and_buckets() {
-        let log = EventLog::new();
-        for t in 0..10 {
-            log.emit(t as f64, RuntimeEvent::MonitorSample { host: "busy".into(), workload: 8.0 });
-            log.emit(t as f64, RuntimeEvent::MonitorSample { host: "idle".into(), workload: 0.0 });
-        }
-        let viz = VisualizationService::new(log);
-        let chart = viz.workload_chart(20);
-        assert!(chart.contains("peak load 8.00"));
-        let busy_row = chart.lines().find(|l| l.starts_with("busy")).unwrap();
-        let idle_row = chart.lines().find(|l| l.starts_with("idle")).unwrap();
-        assert!(busy_row.contains('9'), "busy host renders at peak: {busy_row}");
-        assert!(!idle_row.contains('9'));
-        assert!(idle_row.contains('0'));
-    }
-
-    #[test]
-    fn workload_chart_without_samples() {
-        let viz = VisualizationService::new(EventLog::new());
-        assert!(viz.workload_chart(10).contains("no samples"));
     }
 
     #[test]

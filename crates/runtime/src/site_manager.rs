@@ -11,8 +11,8 @@
 //!    after an application execution is completed" — the
 //!    [`ControlMessage::ExecutionCompleted`] path;
 //! 3. "multicast\[s\] the resource allocation table to the Group Managers
-//!    that will be involved in the execution" —
-//!    [`SiteManager::distribute_allocation`];
+//!    that will be involved in the execution" — not modelled: the
+//!    executor reads each placement from the table itself;
 //! 4. "the inter-site coordination and message transfer (for scheduling
 //!    and monitoring purposes) are handled by Site Managers" — the
 //!    scheduling half lives in `vdce_sched::federation`
@@ -30,13 +30,11 @@ use crate::durable::DeputyLink;
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use vdce_net::topology::SiteId;
-use vdce_repository::events::{JournaledRepoEvent, RepoEvent};
 use vdce_repository::resources::HostStatus;
-use vdce_repository::SiteRepository;
-use vdce_sched::allocation::{AllocationTable, TaskPlacement};
+use vdce_repository::{JournaledRepoEvent, RepoEvent, SiteRepository};
 use vdce_sched::view::SiteView;
 
 /// Control-plane messages flowing up from Group Managers (and from the
@@ -176,34 +174,6 @@ impl SiteManager {
         applied
     }
 
-    /// Split the local-site portion of an allocation table by host group —
-    /// what gets multicast to each Group Manager. Placements at other
-    /// sites are ignored (their own Site Managers handle them); hosts
-    /// missing from the repository land in the `""` group.
-    pub fn distribute_allocation(
-        &self,
-        table: &AllocationTable,
-    ) -> BTreeMap<String, Vec<TaskPlacement>> {
-        let mut out: BTreeMap<String, Vec<TaskPlacement>> = BTreeMap::new();
-        for p in table.portion_for_site(self.site) {
-            // A multi-host placement may span groups; deliver to each
-            // involved group once.
-            let mut groups: Vec<String> = p
-                .hosts
-                .iter()
-                .map(|h| {
-                    self.repo.resources(|db| db.get(h).map(|r| r.group.clone())).unwrap_or_default()
-                })
-                .collect();
-            groups.sort();
-            groups.dedup();
-            for g in groups {
-                out.entry(g).or_default().push(p.clone());
-            }
-        }
-        out
-    }
-
     /// Snapshot the repository as the scheduling view served to the
     /// federation protocol.
     pub fn view(&self) -> SiteView {
@@ -340,37 +310,16 @@ impl SiteFailover {
     /// Apply one journaled liveness transition — the replay-side
     /// counterpart of [`SiteFailover::on_host_down`] /
     /// [`SiteFailover::on_host_up`].
-    pub fn apply(&mut self, event: &SiteTableEvent) -> Option<FailoverEvent> {
+    pub(crate) fn apply(&mut self, event: &SiteTableEvent) -> Option<FailoverEvent> {
         match event {
             SiteTableEvent::HostDown { host } => self.on_host_down(host),
             SiteTableEvent::HostUp { host } => self.on_host_up(host),
         }
     }
 
-    /// The host currently acting as Site Manager; `None` while the site
-    /// is quarantined.
-    pub fn manager_host(&self) -> Option<&str> {
-        self.manager.as_deref()
-    }
-
-    /// The configured VDCE server host.
-    pub fn primary(&self) -> &str {
-        &self.primary
-    }
-
     /// Is the whole site down (no manager electable)?
     pub fn is_quarantined(&self) -> bool {
         self.manager.is_none()
-    }
-
-    /// Lifetime count of deputy promotions.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
-    /// Number of hosts currently considered down.
-    pub fn down_count(&self) -> usize {
-        self.down.len()
     }
 }
 
@@ -379,7 +328,6 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
     use vdce_afg::MachineType;
-    use vdce_afg::TaskId;
     use vdce_repository::resources::ResourceRecord;
 
     fn manager() -> SiteManager {
@@ -505,59 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn distribute_allocation_groups_by_group_manager() {
-        let sm = manager();
-        let mut table = AllocationTable::new("app");
-        table.insert(TaskPlacement {
-            task: TaskId(0),
-            task_name: "t0".into(),
-            site: SiteId(0),
-            hosts: vec!["a".into()].into(),
-            predicted_seconds: 1.0,
-            data_sources: vec![],
-        });
-        table.insert(TaskPlacement {
-            task: TaskId(1),
-            task_name: "t1".into(),
-            site: SiteId(0),
-            hosts: vec!["b".into()].into(),
-            predicted_seconds: 1.0,
-            data_sources: vec![],
-        });
-        table.insert(TaskPlacement {
-            task: TaskId(2),
-            task_name: "remote".into(),
-            site: SiteId(1),
-            hosts: vec!["elsewhere".into()].into(),
-            predicted_seconds: 1.0,
-            data_sources: vec![],
-        });
-        let portions = sm.distribute_allocation(&table);
-        assert_eq!(portions.len(), 2);
-        assert_eq!(portions["g0"].len(), 1);
-        assert_eq!(portions["g0"][0].task, TaskId(0));
-        assert_eq!(portions["g1"][0].task, TaskId(1));
-        // The remote placement is not ours to distribute.
-        assert!(portions.values().all(|v| v.iter().all(|p| p.site == SiteId(0))));
-    }
-
-    #[test]
-    fn multi_group_parallel_placement_reaches_both_groups() {
-        let sm = manager();
-        let mut table = AllocationTable::new("app");
-        table.insert(TaskPlacement {
-            task: TaskId(0),
-            task_name: "wide".into(),
-            site: SiteId(0),
-            hosts: vec!["a".into(), "b".into()].into(),
-            predicted_seconds: 1.0,
-            data_sources: vec![],
-        });
-        let portions = sm.distribute_allocation(&table);
-        assert!(portions.contains_key("g0") && portions.contains_key("g1"));
-    }
-
-    #[test]
     fn view_snapshot_matches_repo() {
         let sm = manager();
         let v = sm.view();
@@ -576,15 +471,15 @@ mod tests {
     #[test]
     fn primary_holds_the_role_until_it_dies() {
         let mut fo = failover();
-        assert_eq!(fo.manager_host(), Some("server"));
+        assert_eq!(fo.manager.as_deref(), Some("server"));
         assert!(fo.on_host_down("a").is_none(), "non-manager death changes nothing");
         assert_eq!(
             fo.on_host_down("server"),
             Some(FailoverEvent::DeputyPromoted { from: "server".into(), to: "b".into() }),
             "deputy = lexicographically smallest live host"
         );
-        assert_eq!(fo.failovers(), 1);
-        assert_eq!(fo.manager_host(), Some("b"));
+        assert_eq!(fo.failovers, 1);
+        assert_eq!(fo.manager.as_deref(), Some("b"));
     }
 
     #[test]
@@ -594,7 +489,7 @@ mod tests {
         fo.on_host_down("a");
         assert_eq!(fo.on_host_down("b"), Some(FailoverEvent::SiteQuarantined));
         assert!(fo.is_quarantined());
-        assert_eq!(fo.manager_host(), None);
+        assert_eq!(fo.manager.as_deref(), None);
         assert_eq!(fo.on_host_up("a"), Some(FailoverEvent::SiteRejoined { manager: "a".into() }));
         assert!(!fo.is_quarantined());
     }
@@ -603,13 +498,13 @@ mod tests {
     fn primary_reclaims_the_role_on_recovery() {
         let mut fo = failover();
         fo.on_host_down("server");
-        assert_eq!(fo.manager_host(), Some("a"));
+        assert_eq!(fo.manager.as_deref(), Some("a"));
         assert_eq!(
             fo.on_host_up("server"),
             Some(FailoverEvent::ManagerRestored { host: "server".into() })
         );
-        assert_eq!(fo.manager_host(), Some("server"));
-        assert_eq!(fo.failovers(), 1, "restoration is not a failover");
+        assert_eq!(fo.manager.as_deref(), Some("server"));
+        assert_eq!(fo.failovers, 1, "restoration is not a failover");
     }
 
     #[test]
@@ -617,13 +512,13 @@ mod tests {
         let mut fo = failover();
         fo.on_host_down("server");
         fo.on_host_down("a");
-        assert_eq!(fo.manager_host(), Some("b"));
+        assert_eq!(fo.manager.as_deref(), Some("b"));
         // "a" (smaller than "b") comes back while the primary stays dead.
         assert_eq!(
             fo.on_host_up("a"),
             Some(FailoverEvent::DeputyPromoted { from: "b".into(), to: "a".into() })
         );
-        assert_eq!(fo.failovers(), 3, "server→a, a→b, b→a");
+        assert_eq!(fo.failovers, 3, "server→a, a→b, b→a");
     }
 
     #[test]
@@ -633,6 +528,6 @@ mod tests {
         assert!(fo.on_host_up("a").is_none(), "already up");
         fo.on_host_down("a");
         assert!(fo.on_host_down("a").is_none(), "already down");
-        assert_eq!(fo.down_count(), 1);
+        assert_eq!(fo.down.len(), 1);
     }
 }

@@ -96,11 +96,6 @@ impl SubmissionGateway {
     pub fn service_mut(&mut self) -> &mut StreamService {
         &mut self.service
     }
-
-    /// Unwrap the service.
-    pub fn into_service(self) -> StreamService {
-        self.service
-    }
 }
 
 #[cfg(test)]

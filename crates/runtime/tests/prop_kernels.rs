@@ -4,9 +4,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use vdce_afg::KernelKind;
-use vdce_runtime::kernels::{
-    decode_f64s, encode_f64s, run_kernel, run_kernel_parallel, synth_matrix,
-};
+use vdce_runtime::{decode_f64s, encode_f64s, run_kernel, run_kernel_parallel, synth_matrix};
 
 fn payload(values: &[f64]) -> Bytes {
     encode_f64s(values)

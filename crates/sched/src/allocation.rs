@@ -178,7 +178,7 @@ impl AllocationTable {
 
     /// Empty table with room for the placements of tasks `0..tasks`, so
     /// filling it in any order never reallocates.
-    pub fn with_capacity(application: impl Into<String>, tasks: usize) -> Self {
+    pub(crate) fn with_capacity(application: impl Into<String>, tasks: usize) -> Self {
         AllocationTable {
             application: application.into(),
             placements: Rows { slots: Vec::with_capacity(tasks), occupied: 0 },

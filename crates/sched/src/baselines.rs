@@ -32,9 +32,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vdce_afg::level::blevel_map;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
-use vdce_net::cache::TransferCache;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_net::TransferCache;
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_repository::resources::ResourceRecord;
@@ -565,8 +565,7 @@ mod tests {
     use super::*;
     use crate::makespan::evaluate;
     use crate::site_scheduler::{site_schedule, SchedulerConfig};
-    use vdce_afg::MachineType;
-    use vdce_afg::{AfgBuilder, TaskLibrary};
+    use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
 

@@ -37,7 +37,7 @@ impl DatasetInputs {
     /// `None` resolves like an empty view: any dataset reference is an
     /// [`SchedError::UnknownDataset`] — legacy entry points without a
     /// catalog cannot silently schedule dataset reads for free.
-    pub fn resolve(afg: &Afg, data: Option<&DataView>) -> Result<Self, SchedError> {
+    pub(crate) fn resolve(afg: &Afg, data: Option<&DataView>) -> Result<Self, SchedError> {
         let empty = DataView::default();
         let view = data.unwrap_or(&empty);
         let n = afg.task_count();
@@ -61,7 +61,7 @@ impl DatasetInputs {
     }
 
     /// The resolved dataset inputs of `task`.
-    pub fn for_task(&self, task: TaskId) -> &[DsInput] {
+    pub(crate) fn for_task(&self, task: TaskId) -> &[DsInput] {
         let i = task.index();
         &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }

@@ -21,9 +21,9 @@ use crate::view::SiteView;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use vdce_afg::Afg;
-use vdce_net::bus::{Endpoint, MessageBus};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_net::{Endpoint, MessageBus};
 use vdce_predict::cache::PredictCache;
 
 /// Messages exchanged between Application Schedulers.
@@ -47,7 +47,7 @@ pub enum SchedMessage {
 
 impl SchedMessage {
     /// Serialized payload size, for bus traffic accounting.
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         serde_json::to_string(self).map(|s| s.len() as u64).unwrap_or(0)
     }
 }
@@ -57,7 +57,7 @@ impl SchedMessage {
 ///
 /// This is what a remote site's Application Scheduler does when the AFG
 /// multicast arrives.
-pub fn serve_one(
+pub(crate) fn serve_one(
     bus: &MessageBus<SchedMessage>,
     endpoint: &Endpoint<SchedMessage>,
     view: &SiteView,
@@ -140,7 +140,7 @@ pub fn federated_schedule(
 /// so the protocol does not burn its reply window waiting on sites that
 /// cannot answer (DESIGN.md §12).
 #[allow(clippy::too_many_arguments)]
-pub fn federated_schedule_reachable(
+pub(crate) fn federated_schedule_reachable(
     afg: &Afg,
     local: &SiteView,
     bus: &MessageBus<SchedMessage>,

@@ -58,7 +58,7 @@ pub struct TaskHostChoice {
 /// Immutable and reference-counted as a whole: cloning a table (to absorb
 /// a monitor event incrementally, to keep a pending submission's outputs)
 /// is one pointer bump, and two clones are recognisably the same table
-/// ([`ChoiceTable::ptr_eq`]) without looking at a slot. The choices inside
+/// (`ChoiceTable::ptr_eq`) without looking at a slot. The choices inside
 /// are shared too, so the class-batched path hands one decision to every
 /// member of a task class without copying host strings. Build a new table
 /// to change one.
@@ -90,14 +90,9 @@ impl ChoiceTable {
         self.0.iter().flatten()
     }
 
-    /// Is no task feasible at this site?
-    pub fn is_empty(&self) -> bool {
-        self.values().next().is_none()
-    }
-
     /// Are `self` and `other` the same allocation — clones of one table?
     /// `true` implies equal; `false` says nothing.
-    pub fn ptr_eq(&self, other: &Self) -> bool {
+    pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
 }
@@ -185,7 +180,7 @@ impl HostSelectionOutput {
 /// Does `host` pass the static filters for `task` in `afg`?
 /// (Shared with the baseline schedulers so every algorithm sees the same
 /// candidate sets.)
-pub fn eligible(view: &SiteView, afg: &Afg, task: TaskId, host: &ResourceRecord) -> bool {
+pub(crate) fn eligible(view: &SiteView, afg: &Afg, task: TaskId, host: &ResourceRecord) -> bool {
     let t = afg.task(task);
     if !host.is_up() {
         return false;
@@ -309,7 +304,7 @@ impl<'a> Group<'a> {
 }
 
 /// The optimised [`host_selection`]: tasks are grouped by
-/// [`EligibilityKey`] and each group's candidate lanes — eligibility
+/// `EligibilityKey` and each group's candidate lanes — eligibility
 /// filter, library entry, one host-side prediction term per candidate
 /// ([`Predictor::host_term`]) — are built once. Within a group the
 /// argmin depends only on `(problem size, requested nodes)`; each such
@@ -612,7 +607,7 @@ mod tests {
     fn empty_site_yields_empty_output() {
         let view = view_with(vec![]);
         let out = run(&view, &two_task_afg());
-        assert!(out.choices.is_empty());
+        assert_eq!(out.choices.values().count(), 0);
         assert_eq!(serde_json::to_string(&out).unwrap(), r#"{"site":0,"choices":{}}"#);
     }
 

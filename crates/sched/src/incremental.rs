@@ -40,10 +40,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
-use vdce_data::DataView;
-use vdce_net::cache::TransferCache;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_net::TransferCache;
 
 /// What one [`IncrementalSchedule::apply`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,7 +59,7 @@ pub struct ReschedulingDelta {
 ///
 /// Build one with [`IncrementalSchedule::new`] from the collected
 /// host-selection outputs (the same inputs
-/// [`crate::site_scheduler::schedule_with_outputs`] takes, minus the
+/// [`crate::site_scheduler::schedule_with_outputs_data`] takes, minus the
 /// levels — see the module docs for why levels don't matter), then feed
 /// it updated outputs with [`apply`](IncrementalSchedule::apply) after
 /// each monitor event.
@@ -126,24 +125,7 @@ impl IncrementalSchedule {
         net: &NetworkModel,
         ignore_transfer_time: bool,
     ) -> Result<Self, SchedError> {
-        Self::new_with_data(afg, local_site, outputs, net, ignore_transfer_time, None)
-    }
-
-    /// [`IncrementalSchedule::new`] with a dataset catalog view, the
-    /// incremental counterpart of
-    /// [`site_schedule_with_data`](crate::site_schedule_with_data). The
-    /// view is frozen for the lifetime of the schedule: `apply` keeps
-    /// pricing replicas against the construction-time snapshot, so a
-    /// catalog change (like a changed federation) means a rebuild.
-    pub fn new_with_data(
-        afg: &Afg,
-        local_site: SiteId,
-        outputs: Vec<HostSelectionOutput>,
-        net: &NetworkModel,
-        ignore_transfer_time: bool,
-        data: Option<&DataView>,
-    ) -> Result<Self, SchedError> {
-        let dsi = DatasetInputs::resolve(afg, data)?;
+        let dsi = DatasetInputs::resolve(afg, None)?;
         let idx = afg.edge_index();
         let order = afg.topo_order_with(&idx).ok_or(SchedError::Cyclic)?;
         let n = afg.task_count();
@@ -210,11 +192,6 @@ impl IncrementalSchedule {
     /// The current allocation table.
     pub fn table(&self) -> &AllocationTable {
         &self.table
-    }
-
-    /// The current chosen site per task.
-    pub fn site_of(&self, task: TaskId) -> SiteId {
-        self.site_of[task.index()]
     }
 
     /// Absorb updated host-selection outputs, re-deciding only the
@@ -324,7 +301,7 @@ impl IncrementalSchedule {
 mod tests {
     use super::*;
     use crate::host_selection::host_selection;
-    use crate::site_scheduler::schedule_with_outputs;
+    use crate::site_scheduler::schedule_with_outputs_data;
     use crate::view::SiteView;
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_predict::model::Predictor;
@@ -368,6 +345,17 @@ mod tests {
             .collect()
     }
 
+    /// The from-scratch walk `new` and `apply` must agree with.
+    fn full_walk(
+        afg: &Afg,
+        levels: &[f64],
+        outputs: &[HostSelectionOutput],
+        net: &NetworkModel,
+    ) -> AllocationTable {
+        schedule_with_outputs_data(afg, levels, SiteId(0), outputs, net, false, false, None, None)
+            .unwrap()
+    }
+
     #[test]
     fn construction_matches_the_full_walk_bitwise() {
         let afg = chain_afg(100_000);
@@ -379,7 +367,7 @@ mod tests {
         let outputs = outputs_for(&[&v0, &v1], &afg);
 
         let levels = v0.levels(&afg).unwrap();
-        let full = schedule_with_outputs(&afg, &levels, SiteId(0), &outputs, &net).unwrap();
+        let full = full_walk(&afg, &levels, &outputs, &net);
 
         let inc = IncrementalSchedule::new(&afg, SiteId(0), outputs, &net, false).unwrap();
         assert_eq!(*inc.table(), full);
@@ -449,7 +437,7 @@ mod tests {
         assert!(delta.dirty > 0, "killing the chosen host must dirty something");
 
         let levels = v0.levels(&afg).unwrap();
-        let full = schedule_with_outputs(&afg, &levels, SiteId(0), &new_outputs, &net).unwrap();
+        let full = full_walk(&afg, &levels, &new_outputs, &net);
         assert_eq!(*inc.table(), full);
         for (a, b) in inc.table().iter().zip(full.iter()) {
             assert_eq!(a.predicted_seconds.to_bits(), b.predicted_seconds.to_bits());

@@ -11,7 +11,7 @@
 //! to an exit node, `vdce-afg::level`), and two built-in algorithms do the
 //! mapping:
 //!
-//! - [`host_selection`](host_selection::host_selection) — Figure 3: per site, pick for each task the
+//! - [`host_selection()`] — Figure 3: per site, pick for each task the
 //!   resource (or, for parallel tasks, the set of resources) minimising
 //!   the predicted execution time;
 //! - [`site_scheduler`](site_scheduler::site_schedule) — Figure 2: pick the k nearest neighbour sites,
@@ -20,15 +20,15 @@
 //!   non-entry tasks to the site minimising *input transfer time +
 //!   predicted execution time*.
 //!
-//! Supporting modules: [`view`] (snapshots of a site's databases, i.e.
-//! what the AFG multicast carries back), [`allocation`] (the resource
-//! allocation table handed to the Site Manager), [`makespan`] (schedule
-//! simulation / evaluation), [`baselines`] (random, round-robin, min-min,
+//! Supporting pieces: [`view`] (snapshots of a site's databases, i.e.
+//! what the AFG multicast carries back), [`AllocationTable`] (the resource
+//! allocation table handed to the Site Manager), [`evaluate`] (schedule
+//! simulation), [`baselines`] (random, round-robin, min-min,
 //! max-min, local-only and HEFT comparators for the benchmarks),
-//! [`federation`] (the multicast protocol over the inter-site message
-//! bus), [`reselect`] (single-task re-selection for mid-execution
-//! recovery — the scheduler side of a rescheduling request),
-//! [`incremental`] (O(changed) re-placement after monitor events,
+//! [`federated_schedule`] (the multicast protocol over the inter-site
+//! message bus), [`reselect_task`] (single-task re-selection for
+//! mid-execution recovery — the scheduler side of a rescheduling request),
+//! [`IncrementalSchedule`] (O(changed) re-placement after monitor events,
 //! bit-identical to a full re-walk), and [`service`] (the streaming
 //! multi-tenant admission + scheduling service layered on top:
 //! tenant accounts and quotas, deadline-and-budget brokering, and
@@ -37,26 +37,30 @@
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
-pub mod allocation;
+mod allocation;
 mod arena;
 pub mod baselines;
 mod data_inputs;
-pub mod federation;
-pub mod host_selection;
-pub mod incremental;
-pub mod makespan;
-pub mod reselect;
+mod federation;
+mod host_selection;
+mod incremental;
+mod makespan;
+mod reselect;
 pub mod service;
 pub mod site_scheduler;
 pub mod view;
 
 pub use allocation::{AllocationTable, DataSource, TaskPlacement};
+pub use federation::{federated_schedule, RemoteScheduler, SchedMessage};
 pub use host_selection::{
     host_selection, host_selection_classed, ChoiceTable, HostSelectionOutput, TaskHostChoice,
 };
 pub use incremental::{IncrementalSchedule, ReschedulingDelta};
-pub use makespan::{evaluate, evaluate_with_data, Schedule, TimedTask};
+pub use makespan::{
+    evaluate, evaluate_reference, evaluate_with_data, EvalError, Schedule, TimedTask,
+};
 pub use reselect::reselect_task;
 pub use service::{
     AgingPolicy, BrokerDecision, BrokerPolicy, Quota, RejectReason, ServiceConfig, StreamReport,

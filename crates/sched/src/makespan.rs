@@ -63,17 +63,6 @@ impl Schedule {
             f64::INFINITY
         }
     }
-
-    /// Average host utilisation over `hosts` during the makespan: busy
-    /// time divided by `hosts × makespan`.
-    pub fn utilisation(&self, host_count: usize) -> f64 {
-        if host_count == 0 || self.makespan <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 =
-            self.tasks.iter().map(|t| (t.finish - t.start) * t.hosts.len() as f64).sum();
-        busy / (host_count as f64 * self.makespan)
-    }
 }
 
 /// Why evaluation failed.
@@ -586,7 +575,7 @@ mod tests {
     #[test]
     fn a_cycle_is_reported_after_a_missing_placement() {
         let mut afg = chain();
-        let back = vdce_afg::graph::Edge { from: TaskId(2), to: TaskId(1), ..afg.edges[0] };
+        let back = vdce_afg::Edge { from: TaskId(2), to: TaskId(1), ..afg.edges[0] };
         afg.edges.push(back);
         let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0), ("h", 0, 1.0)]);
         let net = NetworkModel::with_defaults(1);
@@ -606,10 +595,6 @@ mod tests {
         let s = evaluate(&afg, &table, &net, &unit_levels(&afg)).unwrap();
         assert!((s.slr(3.0) - 1.0).abs() < 1e-12);
         assert!(s.slr(0.0).is_infinite());
-        // One host busy the whole time.
-        assert!((s.utilisation(1) - 1.0).abs() < 1e-12);
-        assert!((s.utilisation(2) - 0.5).abs() < 1e-12);
-        assert_eq!(s.utilisation(0), 0.0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use vdce_repository::resources::ResourceRecord;
 /// earlier view, so callers should put the task's current (or home) site
 /// first — the same local-first preference the site scheduler applies.
 /// `banned` hosts are excluded outright, on top of the standard
-/// [`eligible`] filters (down hosts, machine type, preferred host,
+/// `eligible` filters (down hosts, machine type, preferred host,
 /// constraints).
 ///
 /// Returns the best `(site, choice)` or `None` when no site can run the

@@ -53,7 +53,7 @@ impl Default for AgingPolicy {
 impl AgingPolicy {
     /// Effective priority after waiting `waited_s` from base priority
     /// `base` (the 5-tuple's fourth element).
-    pub fn effective_priority(&self, base: u8, waited_s: f64) -> u32 {
+    pub(crate) fn effective_priority(&self, base: u8, waited_s: f64) -> u32 {
         let steps = if self.step_s > 0.0 && waited_s > 0.0 {
             (waited_s / self.step_s).floor() as u32
         } else {
@@ -64,13 +64,13 @@ impl AgingPolicy {
 
     /// Has a submission of `base` priority waited long enough to be
     /// urgent (backfill-blocking)?
-    pub fn is_urgent(&self, base: u8, waited_s: f64) -> bool {
+    pub(crate) fn is_urgent(&self, base: u8, waited_s: f64) -> bool {
         self.effective_priority(base, waited_s) >= self.ceiling
     }
 
     /// Waiting time at which `base` reaches the ceiling (the aging
     /// ramp). Zero when the base already sits at or above the ceiling.
-    pub fn ramp_s(&self, base: u8) -> f64 {
+    pub(crate) fn ramp_s(&self, base: u8) -> f64 {
         let base = u32::from(base);
         if base >= self.ceiling || self.boost == 0 {
             return 0.0;
@@ -83,7 +83,7 @@ impl AgingPolicy {
     /// The gated wait bound for a tenant of `base` priority: aging ramp
     /// plus the drain grace. A tenant whose submission waits longer than
     /// this has starved (a gate failure).
-    pub fn starvation_bound_s(&self, base: u8) -> f64 {
+    pub(crate) fn starvation_bound_s(&self, base: u8) -> f64 {
         self.ramp_s(base) + self.drain_grace_s
     }
 }

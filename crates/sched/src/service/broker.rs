@@ -55,17 +55,13 @@ pub enum RejectReason {
     UnknownTenant,
     /// Tenant quota exhausted and the defer allowance used up.
     QuotaExhausted,
-    /// The AFG reads a dataset the service's catalog view doesn't know.
+    /// The AFG reads a dataset, and the service holds no dataset catalog.
     UnknownDataset,
-    /// The AFG reads a dataset with no live replica.
-    NoFeasibleReplica,
-    /// A dataset output would overflow a site's storage capacity.
-    StorageExhausted,
 }
 
 impl RejectReason {
     /// Stable snake_case label for metrics and artifacts.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RejectReason::OverBudget => "over_budget",
             RejectReason::DeadlineInfeasible => "deadline_infeasible",
@@ -74,8 +70,6 @@ impl RejectReason {
             RejectReason::UnknownTenant => "unknown_tenant",
             RejectReason::QuotaExhausted => "quota_exhausted",
             RejectReason::UnknownDataset => "unknown_dataset",
-            RejectReason::NoFeasibleReplica => "no_feasible_replica",
-            RejectReason::StorageExhausted => "storage_exhausted",
         }
     }
 }
@@ -98,7 +92,7 @@ pub enum BrokerDecision {
 /// `local`: predicted CPU-seconds metered per placement, remote sites
 /// at the remote factor. Deterministic: placements iterate in task-id
 /// order, so the float sum has a fixed association order.
-pub fn estimate_cost(table: &AllocationTable, local: SiteId, policy: &BrokerPolicy) -> f64 {
+pub(crate) fn estimate_cost(table: &AllocationTable, local: SiteId, policy: &BrokerPolicy) -> f64 {
     let mut cost = 0.0;
     for p in table.iter() {
         let factor = if p.site == local { 1.0 } else { policy.remote_cost_factor };
@@ -110,7 +104,7 @@ pub fn estimate_cost(table: &AllocationTable, local: SiteId, policy: &BrokerPoli
 impl BrokerPolicy {
     /// Decide one submission. `now` is the logical arrival time,
     /// `est_makespan_s` the simulated makespan of the trial placement.
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         now: f64,
         deadline: f64,

@@ -10,10 +10,10 @@
 //! Four parts:
 //!
 //! - [`tenant`] — the account registry (5-tuple + per-tenant quota);
-//! - [`broker`] — the deadline-and-budget admission decision;
-//! - [`aging`] — effective-priority aging and the starvation bound;
+//! - `broker` — the deadline-and-budget admission decision;
+//! - `aging` — effective-priority aging and the starvation bound;
 //! - [`stream`] — the deterministic logical-time event loop that ties
-//!   them to [`IncrementalSchedule`](crate::incremental): every
+//!   them to [`IncrementalSchedule`](crate::IncrementalSchedule): every
 //!   arrival, completion, and host event re-places only the affected
 //!   ready set.
 //!
@@ -22,13 +22,13 @@
 //! placements, times, and reports ([`StreamReport::placements_digest`]
 //! is the fingerprint CI compares across replays).
 
-pub mod aging;
-pub mod broker;
+mod aging;
+mod broker;
 pub mod stream;
 pub mod tenant;
 
 pub use aging::AgingPolicy;
-pub use broker::{estimate_cost, BrokerDecision, BrokerPolicy, RejectReason};
+pub use broker::{BrokerDecision, BrokerPolicy, RejectReason};
 pub use stream::{
     ServiceConfig, StreamReport, StreamService, SubmissionId, SubmissionRequest, TenantRow,
 };

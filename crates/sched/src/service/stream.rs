@@ -33,14 +33,14 @@
 //! paper's 5-tuple), quota-checked (over-quota arrivals are deferred a
 //! bounded number of times, then rejected), trial-placed with the real
 //! scheduler, and judged by the Nimrod/G-style deadline-and-budget
-//! broker ([`super::broker`]). Admitted submissions are never dropped:
+//! broker (`service::broker`). Admitted submissions are never dropped:
 //! a host failure mid-run restarts the run (counted, never lost), and
 //! an infeasible pending submission waits for capacity to return.
 //!
 //! ## Fairness
 //!
 //! The pending queue orders on *effective* priority — the account's
-//! base priority plus the aging boost ([`super::aging`]). A fully aged
+//! base priority plus the aging boost (`service::aging`). A fully aged
 //! submission is **urgent**: the dispatcher will not backfill younger
 //! work past it, so its wait is bounded by the aging ramp plus the
 //! drain of running work (which the broker's makespan cap bounds).
@@ -58,11 +58,11 @@
 
 use crate::host_selection::{host_selection_classed, HostSelectionOutput};
 use crate::incremental::IncrementalSchedule;
-use crate::makespan::evaluate_with_data;
+use crate::makespan::evaluate;
 use crate::service::aging::AgingPolicy;
 use crate::service::broker::{estimate_cost, BrokerDecision, BrokerPolicy, RejectReason};
 use crate::service::tenant::{Quota, TenantRegistry};
-use crate::site_scheduler::{validate_dataset_outputs, SchedError};
+use crate::site_scheduler::SchedError;
 use crate::view::SiteView;
 use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
@@ -70,7 +70,6 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 use vdce_afg::Afg;
-use vdce_data::DataView;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_obs::MetricsRegistry;
@@ -340,10 +339,6 @@ pub struct StreamService {
     cfg: ServiceConfig,
     repos: Vec<SiteRepository>,
     net: NetworkModel,
-    /// Dataset-catalog snapshot admissions are trial-placed against.
-    /// `None` means no catalog is attached: dataset-free AFGs schedule
-    /// as before, dataset-reading ones reject as `unknown_dataset`.
-    data: Option<DataView>,
     tenants: TenantRegistry,
     predictor: Predictor,
     parallel: ParallelModel,
@@ -381,7 +376,6 @@ impl StreamService {
             cfg,
             repos,
             net,
-            data: None,
             tenants: TenantRegistry::new(),
             predictor: Predictor::default(),
             parallel: ParallelModel::default(),
@@ -405,19 +399,8 @@ impl StreamService {
         }
     }
 
-    /// Attach a dataset-catalog snapshot ([`DatasetCatalog::view`]).
-    /// Every subsequent admission trial-places and prices
-    /// dataset-reading AFGs against this view; typed placement failures
-    /// surface as the matching broker rejection labels
-    /// (`unknown_dataset`, `no_feasible_replica`, `storage_exhausted`).
-    ///
-    /// [`DatasetCatalog::view`]: vdce_data::DatasetCatalog::view
-    pub fn set_data_view(&mut self, view: DataView) {
-        self.data = Some(view);
-    }
-
     /// Register a tenant account (5-tuple + quota). See
-    /// [`TenantRegistry::register`].
+    /// `TenantRegistry::register`.
     pub fn register_tenant(
         &mut self,
         user_name: &str,
@@ -511,8 +494,7 @@ impl StreamService {
         afg: &Afg,
         outputs: Vec<HostSelectionOutput>,
     ) -> Result<IncrementalSchedule, SchedError> {
-        let data = self.data.as_ref();
-        IncrementalSchedule::new_with_data(afg, SiteId(0), outputs, &self.net, false, data)
+        IncrementalSchedule::new(afg, SiteId(0), outputs, &self.net, false)
     }
 
     /// What a submission enters the queue with, on admission and on a
@@ -532,18 +514,14 @@ impl StreamService {
 
     // -- admission ----------------------------------------------------
 
-    /// The broker rejection label for a typed placement failure: the
-    /// dataset-specific variants map one-to-one, anything else is the
-    /// generic no-feasible-placement.
+    /// The broker rejection label for a typed placement failure. The
+    /// service holds no dataset catalog, so an AFG reading a dataset is
+    /// `unknown_dataset`; anything else is the generic
+    /// no-feasible-placement.
     fn reject_reason_for(err: &SchedError) -> RejectReason {
         match err {
             SchedError::UnknownDataset { .. } => RejectReason::UnknownDataset,
-            SchedError::NoFeasibleReplica { .. } => RejectReason::NoFeasibleReplica,
-            SchedError::StorageCapacityExceeded { .. } => RejectReason::StorageExhausted,
-            SchedError::Cyclic
-            | SchedError::NoFeasibleSite { .. }
-            | SchedError::SiteOrderMismatch { .. }
-            | SchedError::InvalidLevels { .. } => RejectReason::NoFeasiblePlacement,
+            _ => RejectReason::NoFeasiblePlacement,
         }
     }
 
@@ -596,22 +574,11 @@ impl StreamService {
             }
         };
 
-        // Dataset outputs must fit the free storage the catalog
-        // snapshot reports at their chosen sites.
-        if let Some(view) = &self.data {
-            if let Err(e) = validate_dataset_outputs(&req.afg, inc.table(), view) {
-                self.reject(Self::reject_reason_for(&e));
-                return;
-            }
-        }
-
         // Broker verdict on the trial placement. Site 0's view is the
         // one host selection just captured.
         let levels =
             self.view(SiteId(0)).levels(&req.afg).expect("submissions are validated acyclic AFGs");
-        let Ok(sched) =
-            evaluate_with_data(&req.afg, inc.table(), &self.net, &levels, self.data.as_ref())
-        else {
+        let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels) else {
             self.reject(RejectReason::NoFeasiblePlacement);
             return;
         };
@@ -712,14 +679,8 @@ impl StreamService {
 
         // Timing: simulate the table as-is (before this run's own load
         // feedback — its predictions already include everyone else's).
-        let sched = evaluate_with_data(
-            &sub.req.afg,
-            inc.table(),
-            &self.net,
-            &sub.levels,
-            self.data.as_ref(),
-        )
-        .expect("placed submissions evaluate");
+        let sched = evaluate(&sub.req.afg, inc.table(), &self.net, &sub.levels)
+            .expect("placed submissions evaluate");
         let finish = now + sched.makespan;
 
         let wait = now - sub.arrival_s;
@@ -1078,87 +1039,25 @@ mod tests {
         SubmissionRequest { tenant, afg: chain_afg(10_000), deadline_s: 1e9, budget: f64::INFINITY }
     }
 
-    /// One Map task reading dataset `input`, optionally writing dataset
-    /// `output` on its (unconnected) out port.
-    fn dataset_afg(input: u64, output: Option<u64>) -> Arc<Afg> {
+    #[test]
+    fn dataset_failures_reject_with_typed_labels() {
         use vdce_afg::{DatasetId, IoSpec};
+        // One Map task reading a dataset: the service holds no catalog,
+        // so the read is unknown.
         let lib = TaskLibrary::standard();
         let mut b = AfgBuilder::new("data", &lib);
         let m = b.add_task("Map", "m", 10_000).unwrap();
-        b.set_input(m, 0, IoSpec::dataset(DatasetId(input))).unwrap();
-        if let Some(o) = output {
-            b.set_output(m, 0, IoSpec::dataset(DatasetId(o))).unwrap();
-        }
-        Arc::new(b.build().unwrap())
-    }
-
-    fn dataset_req(tenant: UserId, input: u64, output: Option<u64>) -> SubmissionRequest {
-        SubmissionRequest {
-            tenant,
-            afg: dataset_afg(input, output),
-            deadline_s: 1e9,
-            budget: f64::INFINITY,
-        }
-    }
-
-    fn data_tenant(svc: &mut StreamService) -> UserId {
-        svc.register_tenant("eve", "pw", 5, AccessDomain::Global, Quota::default()).unwrap()
-    }
-
-    #[test]
-    fn dataset_failures_reject_with_typed_labels() {
-        use std::collections::BTreeMap as Map;
-        use vdce_afg::DatasetId;
-        use vdce_data::DatasetSpec;
-
-        // No catalog view attached: any dataset read is unknown.
+        b.set_input(m, 0, IoSpec::dataset(DatasetId(1))).unwrap();
+        let afg = Arc::new(b.build().unwrap());
         let mut svc = service();
-        let t = data_tenant(&mut svc);
-        svc.submit_at(0.0, dataset_req(t, 1, None));
+        let t =
+            svc.register_tenant("eve", "pw", 5, AccessDomain::Global, Quota::default()).unwrap();
+        svc.submit_at(
+            0.0,
+            SubmissionRequest { tenant: t, afg, deadline_s: 1e9, budget: f64::INFINITY },
+        );
         let report = svc.drain();
         assert_eq!(report.rejected, vec![("unknown_dataset".to_string(), 1)]);
-
-        // Known dataset without a live replica.
-        let mut svc = service();
-        let t = data_tenant(&mut svc);
-        let mut specs = Map::new();
-        specs.insert(DatasetId(1), DatasetSpec { size: 64, sites: vec![], home: None });
-        svc.set_data_view(DataView::from_specs(specs));
-        svc.submit_at(0.0, dataset_req(t, 1, None));
-        let report = svc.drain();
-        assert_eq!(report.rejected, vec![("no_feasible_replica".to_string(), 1)]);
-
-        // A dataset output too big for any site's free storage.
-        let mut svc = service();
-        let t = data_tenant(&mut svc);
-        let mut specs = Map::new();
-        specs.insert(
-            DatasetId(1),
-            DatasetSpec { size: 64, sites: vec![SiteId(0)], home: Some(SiteId(0)) },
-        );
-        specs.insert(DatasetId(9), DatasetSpec { size: 1 << 40, sites: vec![], home: None });
-        let mut view = DataView::from_specs(specs);
-        view.set_free(SiteId(0), 1 << 30);
-        view.set_free(SiteId(1), 1 << 30);
-        svc.set_data_view(view);
-        svc.submit_at(0.0, dataset_req(t, 1, Some(9)));
-        let report = svc.drain();
-        assert_eq!(report.rejected, vec![("storage_exhausted".to_string(), 1)]);
-
-        // With a live replica and room, the same shape admits and runs.
-        let mut svc = service();
-        let t = data_tenant(&mut svc);
-        let mut specs = Map::new();
-        specs.insert(
-            DatasetId(1),
-            DatasetSpec { size: 64, sites: vec![SiteId(0)], home: Some(SiteId(0)) },
-        );
-        svc.set_data_view(DataView::from_specs(specs));
-        svc.submit_at(0.0, dataset_req(t, 1, None));
-        let report = svc.drain();
-        assert!(report.rejected.is_empty(), "unexpected rejections: {:?}", report.rejected);
-        assert_eq!(report.admitted, 1);
-        assert_eq!(report.completed, 1);
     }
 
     #[test]

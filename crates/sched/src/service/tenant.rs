@@ -39,13 +39,13 @@ pub struct TenantRegistry {
 
 impl TenantRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a tenant: creates the 5-tuple account and records the
     /// quota. Returns the assigned user id.
-    pub fn register(
+    pub(crate) fn register(
         &mut self,
         user_name: &str,
         password: &str,
@@ -67,12 +67,12 @@ impl TenantRegistry {
 
     /// Account by user id (the form the service loop uses — submissions
     /// carry ids, not names).
-    pub fn account(&self, id: UserId) -> Option<&UserAccount> {
+    pub(crate) fn account(&self, id: UserId) -> Option<&UserAccount> {
         self.names.get(&id).and_then(|n| self.accounts.get(n))
     }
 
     /// Quota for a tenant (default quota when never set explicitly).
-    pub fn quota(&self, id: UserId) -> Quota {
+    pub(crate) fn quota(&self, id: UserId) -> Quota {
         self.quotas.get(&id).copied().unwrap_or_default()
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! This module is the *algorithm*; the multicast of steps 3–5 is executed
 //! in-process here (each site's view is already available) and over the
-//! inter-site message bus in [`crate::federation`].
+//! inter-site message bus in [`federated_schedule`](crate::federated_schedule).
 
 use crate::allocation::{AllocationTable, DataSource, TaskPlacement};
 use crate::arena::ReadyKey;
@@ -36,9 +36,9 @@ use std::fmt;
 use vdce_afg::level::LevelError;
 use vdce_afg::{Afg, DatasetId, TaskId};
 use vdce_data::DataView;
-use vdce_net::cache::TransferCache;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_net::TransferCache;
 use vdce_obs::{MetricsRegistry, PROFILE_PREFIX};
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
@@ -410,18 +410,7 @@ pub fn site_schedule_observed(
 
 /// Steps 6–7 of Figure 2, given the collected host-selection outputs.
 /// Shared by the in-process scheduler above and the bus-based federation
-/// protocol.
-pub fn schedule_with_outputs(
-    afg: &Afg,
-    levels: &[f64],
-    local_site: SiteId,
-    outputs: &[HostSelectionOutput],
-    net: &NetworkModel,
-) -> Result<AllocationTable, SchedError> {
-    schedule_walk(afg, levels, local_site, outputs, net, false, false, None, None, None)
-}
-
-/// [`schedule_with_outputs`] with every option: the transfer-term
+/// protocol. Takes every option: the transfer-term
 /// ablation, the sequential-reference switch, recovery-aware
 /// critical-path spreading, and a dataset catalog view (see
 /// [`site_schedule_with_data`] for the cost model). Both the sequential

@@ -11,10 +11,8 @@ use serde::{Deserialize, Serialize};
 use vdce_afg::level::{level_map, LevelError};
 use vdce_afg::Afg;
 use vdce_net::topology::SiteId;
-use vdce_repository::constraints::TaskConstraintsDb;
 use vdce_repository::resources::ResourcePerfDb;
-use vdce_repository::tasks::TaskPerfDb;
-use vdce_repository::SiteRepository;
+use vdce_repository::{SiteRepository, TaskConstraintsDb, TaskPerfDb};
 
 /// Snapshot of one site's scheduler-relevant state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

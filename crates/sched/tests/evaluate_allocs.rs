@@ -15,12 +15,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
 use vdce_afg::level::level_map;
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
-use vdce_afg::{ComputationMode, MachineType};
+use vdce_afg::{
+    Afg, ComputationMode, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId, TaskNode,
+    TaskProperties,
+};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;

@@ -5,11 +5,10 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
-use vdce_afg::{DatasetId, MachineType};
+use vdce_afg::{
+    Afg, DatasetId, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId, TaskNode,
+    TaskProperties,
+};
 use vdce_data::{DataView, DatasetSpec};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;

@@ -11,12 +11,10 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
 use vdce_afg::level::level_map;
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
-use vdce_afg::MachineType;
+use vdce_afg::{
+    Afg, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId, TaskNode, TaskProperties,
+};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
@@ -24,10 +22,9 @@ use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::{HostStatus, ResourceRecord};
 use vdce_repository::SiteRepository;
-use vdce_sched::host_selection::host_selection_classed;
 use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::view::SiteView;
-use vdce_sched::{HostSelectionOutput, IncrementalSchedule};
+use vdce_sched::{host_selection_classed, HostSelectionOutput, IncrementalSchedule};
 
 /// Random layered DAG built directly (Source/Map kernels). Task 0, the
 /// last task and task `sun_extra % n` accept only [`MachineType::SunSolaris`].

@@ -4,11 +4,8 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
 use vdce_afg::{level::level_map, ComputationMode, DatasetId, MachineType};
+use vdce_afg::{Afg, Edge, IoSpec, KernelKind, PortIndex, TaskId, TaskNode, TaskProperties};
 use vdce_data::{DataView, DatasetSpec};
 use vdce_net::model::{LinkParams, NetworkModel};
 use vdce_net::topology::SiteId;
@@ -17,12 +14,12 @@ use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
-use vdce_sched::baselines;
-use vdce_sched::host_selection::{host_selection, host_selection_classed};
-use vdce_sched::makespan::{evaluate, evaluate_reference, evaluate_with_data, EvalError, Schedule};
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
-use vdce_sched::{AllocationTable, DataSource, TaskPlacement};
+use vdce_sched::{
+    baselines, evaluate, evaluate_reference, evaluate_with_data, host_selection,
+    host_selection_classed, AllocationTable, DataSource, EvalError, Schedule, TaskPlacement,
+};
 
 /// Random layered DAG built directly (Source/Map/Sink kernels).
 fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32]) -> Afg {
@@ -111,7 +108,7 @@ fn flip_to_parallel(afg: &mut Afg, par_picks: &[u8]) {
 fn check_table_valid(
     afg: &Afg,
     views: &[SiteView],
-    table: &vdce_sched::allocation::AllocationTable,
+    table: &vdce_sched::AllocationTable,
 ) -> Result<(), TestCaseError> {
     prop_assert!(table.is_complete_for(afg));
     for p in table.iter() {
@@ -130,8 +127,8 @@ fn check_table_valid(
 /// exclusivity.
 fn check_schedule_valid(
     afg: &Afg,
-    table: &vdce_sched::allocation::AllocationTable,
-    schedule: &vdce_sched::makespan::Schedule,
+    table: &vdce_sched::AllocationTable,
+    schedule: &vdce_sched::Schedule,
 ) -> Result<(), TestCaseError> {
     // Precedence: child starts at/after parent finish.
     for e in &afg.edges {

@@ -5,18 +5,16 @@
 //! kernels whose problem sizes carry the computation weight — and set
 //! edge transfer sizes explicitly, so computation scale and
 //! communication scale (and hence CCR) are independent knobs. Every
-//! generated graph passes [`vdce_afg::validate::validate`].
+//! generated graph passes [`vdce_afg::validate`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
-use vdce_afg::validate;
+use vdce_afg::{
+    validate, Afg, Edge, IoSpec, KernelKind, PortIndex, TaskId, TaskNode, TaskProperties,
+};
 
 /// Parameters of the layered random DAG family.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -200,7 +198,7 @@ pub fn layered_random(spec: &DagSpec, seed: u64) -> Afg {
             data_size: bytes,
         });
     }
-    debug_assert!(validate::validate(&g).is_ok(), "generator must emit valid AFGs");
+    debug_assert!(validate(&g).is_ok(), "generator must emit valid AFGs");
     g
 }
 
@@ -244,7 +242,7 @@ pub fn fork_join(branches: usize, depth: usize, spec: &DagSpec, seed: u64) -> Af
             data_size: bytes,
         });
     }
-    debug_assert!(validate::validate(&g).is_ok());
+    debug_assert!(validate(&g).is_ok());
     g
 }
 
@@ -330,7 +328,7 @@ pub fn gauss_elim(n: usize, spec: &DagSpec, seed: u64) -> Afg {
             data_size: bytes,
         });
     }
-    debug_assert!(validate::validate(&g).is_ok());
+    debug_assert!(validate(&g).is_ok());
     g
 }
 
@@ -373,14 +371,14 @@ pub fn fft_butterfly(points: usize, spec: &DagSpec, seed: u64) -> Afg {
         }
         prev = cur;
     }
-    debug_assert!(validate::validate(&g).is_ok());
+    debug_assert!(validate(&g).is_ok());
     g
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdce_afg::validate::validate;
+    use vdce_afg::validate;
 
     #[test]
     fn task_names_are_the_formatted_text_whatever_their_length() {

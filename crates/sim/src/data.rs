@@ -12,7 +12,7 @@
 //!   *archive* site holds the home replica of every stage-input
 //!   dataset, fast compute sites hold cached replicas. Data-aware
 //!   placement reads the co-located replica at a fast site;
-//!   parent-site-only placement (the [`DataView::primary_only`]
+//!   parent-site-only placement (the [`DataView::primary_only`](vdce_data::DataView::primary_only)
 //!   ablation) must either compute at the slow archive or pull the
 //!   dataset over the WAN — which is exactly the margin `exp_data`
 //!   gates on.
@@ -24,13 +24,12 @@ use crate::dag_gen::task_name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use vdce_afg::graph::{Afg, Edge};
-use vdce_afg::ids::{PortIndex, TaskId};
-use vdce_afg::library::KernelKind;
-use vdce_afg::task::{IoSpec, TaskNode, TaskProperties};
-use vdce_afg::{validate, DatasetId, MachineType};
+use vdce_afg::{
+    validate, Afg, DatasetId, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId, TaskNode,
+    TaskProperties,
+};
 use vdce_data::catalog::seed_dataset;
-use vdce_data::{DataView, DatasetCatalog};
+use vdce_data::DatasetCatalog;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;
@@ -144,7 +143,7 @@ pub fn sweep_workload(tasks: usize, dataset_bytes: u64, seed: u64) -> DataScenar
         let size = log_uniform(&mut rng, 50_000, 500_000);
         g.tasks.push(reader(i as u32, format_args!("p{i}"), size, DatasetId(1)));
     }
-    debug_assert!(validate::validate(&g).is_ok(), "sweep generator must emit valid AFGs");
+    debug_assert!(validate(&g).is_ok(), "sweep generator must emit valid AFGs");
 
     DataScenario { net, repos, views, afg: g, catalog, journal }
 }
@@ -155,7 +154,7 @@ pub fn sweep_workload(tasks: usize, dataset_bytes: u64, seed: u64) -> DataScenar
 /// chain's input dataset, with a cached replica at compute site
 /// `chain % 3`. Under the full catalog view a reader computes at a fast
 /// site next to its cached replica; under
-/// [`DataView::primary_only`] only the archive replica exists, so the
+/// [`DataView::primary_only`](vdce_data::DataView::primary_only) only the archive replica exists, so the
 /// reader pays slow compute or a WAN-scale transfer of `dataset_bytes`.
 pub fn pipeline_workload(chains: usize, dataset_bytes: u64, seed: u64) -> DataScenario {
     let mut repos: Vec<SiteRepository> = (0..3).map(|s| site_repo(s, 4, 4.0)).collect();
@@ -207,20 +206,15 @@ pub fn pipeline_workload(chains: usize, dataset_bytes: u64, seed: u64) -> DataSc
             data_size: 64 << 10,
         });
     }
-    debug_assert!(validate::validate(&g).is_ok(), "pipeline generator must emit valid AFGs");
+    debug_assert!(validate(&g).is_ok(), "pipeline generator must emit valid AFGs");
 
     DataScenario { net, repos, views, afg: g, catalog, journal }
-}
-
-/// Degrade a catalog view to the paper's parent-site-only data model —
-/// a thin alias of [`DataView::primary_only`] so benches read naturally.
-pub fn primary_only(view: &DataView) -> DataView {
-    view.primary_only()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdce_data::DataView;
     use vdce_sched::{evaluate_with_data, site_schedule_with_data, SchedulerConfig};
 
     fn schedule_and_makespan(sc: &DataScenario, view: &DataView) -> (Vec<u64>, f64) {
@@ -250,7 +244,7 @@ mod tests {
     fn sweep_is_deterministic_and_valid() {
         let a = sweep_workload(40, 8 << 20, 7);
         let b = sweep_workload(40, 8 << 20, 7);
-        assert!(validate::validate(&a.afg).is_ok());
+        assert!(validate(&a.afg).is_ok());
         assert_eq!(a.afg, b.afg);
         assert_eq!(a.catalog.state_hash(), b.catalog.state_hash());
         assert_eq!(a.journal.history(), b.journal.history());

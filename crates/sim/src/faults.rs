@@ -18,9 +18,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Latency multiplier a flaky link jumps to while dropping traffic.
-pub const FLAKY_LATENCY_FACTOR: f64 = 50.0;
+pub(crate) const FLAKY_LATENCY_FACTOR: f64 = 50.0;
 /// Bandwidth multiplier a flaky link falls to while dropping traffic.
-pub const FLAKY_BANDWIDTH_FACTOR: f64 = 0.02;
+pub(crate) const FLAKY_BANDWIDTH_FACTOR: f64 = 0.02;
 
 /// One injected fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,7 +72,7 @@ pub enum Fault {
         bandwidth_factor: f64,
     },
     /// Flaky link: during `[at, at + duration)` the link drops to
-    /// [`FLAKY_LATENCY_FACTOR`]/[`FLAKY_BANDWIDTH_FACTOR`] with
+    /// `FLAKY_LATENCY_FACTOR`/`FLAKY_BANDWIDTH_FACTOR` with
     /// probability `drop_probability` per replay tick, seeded from the
     /// plan seed — deterministic across replays.
     FlakyLink {
@@ -118,7 +118,7 @@ pub enum Fault {
 
 impl Fault {
     /// Injection time of this fault.
-    pub fn at(&self) -> f64 {
+    pub(crate) fn at(&self) -> f64 {
         match self {
             Fault::HostCrash { at, .. }
             | Fault::TransientOutage { at, .. }
@@ -138,7 +138,7 @@ impl Fault {
     }
 
     /// Short stable label used in reports (`crash:s0h1.vdce.org`, …).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             Fault::HostCrash { host, .. } => format!("crash:{host}"),
             Fault::TransientOutage { host, .. } => format!("outage:{host}"),
@@ -165,7 +165,7 @@ pub struct FaultPlan {
 
 /// One expanded, timed event of a plan.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TimedFaultEvent {
+pub(crate) struct TimedFaultEvent {
     /// Virtual time to apply the event.
     pub t: f64,
     /// Index of the fault (into [`FaultPlan::faults`]) this event
@@ -177,7 +177,7 @@ pub struct TimedFaultEvent {
 
 /// The primitive state changes faults expand into.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
+pub(crate) enum FaultEvent {
     /// Host stops answering echoes.
     HostDown {
         /// Host name.
@@ -241,7 +241,7 @@ pub enum FaultEvent {
 /// wear-out clustering). Serializable so long-trace churn scenarios can
 /// be stored and diffed next to their plans.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WeibullArrivalSpec {
+pub(crate) struct WeibullArrivalSpec {
     /// Weibull shape parameter `k` (> 0).
     pub shape: f64,
     /// Weibull scale parameter `λ` in virtual seconds (> 0).
@@ -251,12 +251,12 @@ pub struct WeibullArrivalSpec {
     /// Outage length of each generated fault, virtual seconds.
     pub down_for: f64,
     /// Hard cap on the number of generated faults.
-    pub max_faults: usize,
+    pub(crate) max_faults: usize,
 }
 
 impl FaultPlan {
     /// Plan with no faults.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         FaultPlan { seed: 0, faults: Vec::new() }
     }
 
@@ -265,7 +265,7 @@ impl FaultPlan {
     /// sampling), with victims drawn round-robin-with-jitter from
     /// `hosts`. Pure function of `(seed, hosts, spec)` — the returned
     /// plan replays bit-identically.
-    pub fn weibull_arrivals(seed: u64, hosts: &[String], spec: &WeibullArrivalSpec) -> Self {
+    pub(crate) fn weibull_arrivals(seed: u64, hosts: &[String], spec: &WeibullArrivalSpec) -> Self {
         assert!(spec.shape > 0.0 && spec.scale > 0.0, "Weibull parameters must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut faults = Vec::new();
@@ -284,7 +284,7 @@ impl FaultPlan {
 
     /// True when every fault clears on its own (no permanent crashes) —
     /// the precondition of the full-recovery property test.
-    pub fn is_all_transient(&self) -> bool {
+    pub(crate) fn is_all_transient(&self) -> bool {
         self.faults.iter().all(Fault::is_transient)
     }
 
@@ -294,7 +294,7 @@ impl FaultPlan {
     /// is a pure function of `(plan, tick)`. Load spikes produce no
     /// events — the replay bakes them into the monitoring probe.
     /// Events are sorted by `(t, fault index)`.
-    pub fn timeline(&self, tick: f64) -> Vec<TimedFaultEvent> {
+    pub(crate) fn timeline(&self, tick: f64) -> Vec<TimedFaultEvent> {
         assert!(tick > 0.0, "tick must be positive");
         let mut out = Vec::new();
         for (i, fault) in self.faults.iter().enumerate() {

@@ -26,11 +26,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use vdce_obs::trace::FieldValue;
-use vdce_obs::Observer;
-use vdce_runtime::checkpoint::CheckpointPolicy;
-use vdce_runtime::durable::DurableOptions;
-use vdce_runtime::events::WorkLedger;
+use vdce_obs::{FieldValue, Observer};
+use vdce_runtime::{CheckpointPolicy, DurableOptions, WorkLedger};
 use vdce_store::SnapshotPolicy;
 
 use crate::arrivals::TraceSpec;
@@ -44,7 +41,7 @@ use crate::scenario::{self, schedule_estimate, FaultScenario, Scenario};
 use crate::stream::{run_stream, StreamScenario};
 
 /// Reproducer schema version stamped into every [`FuzzCase`].
-pub const FUZZ_CASE_VERSION: u32 = 1;
+pub(crate) const FUZZ_CASE_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------
 // Case shape
@@ -68,7 +65,7 @@ pub enum BaseScenario {
 
 impl BaseScenario {
     /// Every base the generator can pick.
-    pub const PALETTE: [BaseScenario; 5] = [
+    pub(crate) const PALETTE: [BaseScenario; 5] = [
         BaseScenario::CampusSmoke,
         BaseScenario::TwoCampus,
         BaseScenario::MetroTrio,
@@ -77,7 +74,7 @@ impl BaseScenario {
     ];
 
     /// Build the underlying named scenario.
-    pub fn build(self) -> Scenario {
+    pub(crate) fn build(self) -> Scenario {
         match self {
             BaseScenario::CampusSmoke => scenario::campus_smoke(),
             BaseScenario::TwoCampus => scenario::two_campus(),
@@ -171,7 +168,7 @@ pub struct StreamLeg {
 
 impl StreamLeg {
     /// Materialise the full scenario (default service config / quota).
-    pub fn to_scenario(&self) -> StreamScenario {
+    pub(crate) fn to_scenario(&self) -> StreamScenario {
         StreamScenario {
             fed: self.fed,
             trace: self.trace,
@@ -187,7 +184,7 @@ impl StreamLeg {
 /// replay one adversarial composition bit-identically, anywhere.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FuzzCase {
-    /// Reproducer schema version ([`FUZZ_CASE_VERSION`]).
+    /// Reproducer schema version (`FUZZ_CASE_VERSION`).
     pub version: u32,
     /// The generator seed this case came from.
     pub seed: u64,
@@ -212,7 +209,7 @@ pub struct FuzzCase {
 impl FuzzCase {
     /// Replay config for this case: clock-scaled to the base scenario's
     /// estimated makespan, checkpointing per the case flag.
-    pub fn replay_config(&self, est: f64) -> ReplayConfig {
+    pub(crate) fn replay_config(&self, est: f64) -> ReplayConfig {
         let mut cfg = ReplayConfig::scaled_to(est);
         if self.checkpoint {
             cfg.checkpoint = CheckpointPolicy::every(0.1, 0.002);
@@ -518,7 +515,7 @@ pub struct Violation {
 pub struct InvariantProfile {
     /// Scale on the headroom above 1.0× of every per-class inflation
     /// ceiling (1.0 = calibrated ceilings, 0.0 = no headroom at all).
-    pub inflation_scale: f64,
+    pub(crate) inflation_scale: f64,
 }
 
 impl InvariantProfile {
@@ -541,7 +538,7 @@ impl InvariantProfile {
 /// up to 3.9× alone, 5.7× composed), a lone busiest-host outage under
 /// the scaled backoff already costs up to 3.9× (the FlashCrowd /
 /// ProcessKill fallback perturbation), link noise stays cheap.
-pub fn class_ceiling(class: FaultClass) -> f64 {
+pub(crate) fn class_ceiling(class: FaultClass) -> f64 {
     match class {
         FaultClass::Churn => 4.5,
         FaultClass::CorrelatedOutage => 4.5,
@@ -555,7 +552,7 @@ pub fn class_ceiling(class: FaultClass) -> f64 {
 
 /// Inflation ceiling of a composition: the worst single-class ceiling
 /// plus 0.75× headroom per extra composed class, scaled by the profile.
-pub fn inflation_ceiling(classes: &[FaultClass], profile: &InvariantProfile) -> f64 {
+pub(crate) fn inflation_ceiling(classes: &[FaultClass], profile: &InvariantProfile) -> f64 {
     let worst = classes.iter().map(|c| class_ceiling(*c)).fold(4.2f64, f64::max);
     let compose = 0.75 * classes.len().saturating_sub(1) as f64;
     1.0 + (worst + compose - 1.0) * profile.inflation_scale
@@ -619,7 +616,7 @@ fn report_json(r: &RecoveryReport) -> String {
 
 /// Rebuild the runtime work ledger from an Observer's captured trace —
 /// the out-of-process lost-work audit.
-pub fn ledger_from_observer(obs: &Observer) -> WorkLedger {
+pub(crate) fn ledger_from_observer(obs: &Observer) -> WorkLedger {
     let records = obs.trace.records();
     WorkLedger::from_trace_names(records.iter().map(|r| {
         let task = r.fields.iter().find(|(k, _)| k == "task").and_then(|(_, v)| match v {

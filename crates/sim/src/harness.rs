@@ -12,14 +12,12 @@ use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_repository::SiteRepository;
-use vdce_runtime::group::{FlagEcho, GroupManager};
-use vdce_runtime::monitor::{LoadProbe, MonitorDaemon, SyntheticProbe};
-use vdce_runtime::site_manager::SiteManager;
-use vdce_runtime::EventLog;
-use vdce_sched::baselines;
-use vdce_sched::makespan::evaluate;
+use vdce_runtime::{
+    EventLog, FlagEcho, GroupManager, LoadProbe, MonitorDaemon, SiteManager, SyntheticProbe,
+};
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
+use vdce_sched::{baselines, evaluate};
 
 /// The scheduling algorithms compared in experiments E2/E5/E9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,7 +85,7 @@ pub struct ComparisonRow {
 }
 
 /// Schedule `afg` with each algorithm and evaluate every table with the
-/// same simulator (`vdce_sched::makespan::evaluate`) and the same level
+/// same simulator (`vdce_sched::evaluate`) and the same level
 /// priorities, so makespans are directly comparable. Algorithms that fail
 /// (e.g. local-only when a task is locally infeasible) are skipped.
 pub fn compare_schedulers(

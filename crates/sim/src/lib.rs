@@ -11,21 +11,21 @@
 //!   scales;
 //! - [`pool_gen`] — reproducible federations: per-site repositories with
 //!   heterogeneous hosts plus the matching topology and network model;
-//! - [`trace`] — synthetic load traces for the Monitor daemons (constant,
-//!   spike, random walk);
-//! - [`metrics`] — summary statistics and aligned table rendering for the
-//!   `exp_*` binaries;
-//! - [`harness`] — canned scheduler-comparison and monitoring experiments
-//!   shared by benches, examples and EXPERIMENTS.md;
-//! - [`faults`] — the seeded, serializable fault-injection plan DSL
+//! - [`Summary`], [`geomean`] and [`Table`] — summary statistics and
+//!   aligned table rendering for the `exp_*` binaries;
+//! - [`compare_schedulers`] and [`run_monitoring_experiment`] — canned
+//!   scheduler-comparison and monitoring experiments (the latter drives
+//!   the Monitor daemons with a synthetic random-walk load trace) shared
+//!   by examples and EXPERIMENTS.md;
+//! - [`FaultPlan`] — the seeded, serializable fault-injection plan DSL
 //!   (crashes, outages, spikes, degraded/flaky links);
-//! - [`replay`] — deterministic replay of a fault plan against the real
+//! - [`mod@replay`] — deterministic replay of a fault plan against the real
 //!   runtime control plane, with mid-execution recovery
 //!   (detect → quarantine → re-select → migrate → retry): one `Replay`
 //!   state machine, one method per tick step, behind [`replay()`] /
 //!   `replay_observed` / [`replay_durable`], and [`run_fault_scenario`]
 //!   folding a faulty replay and its fault-free twin into the
-//!   [`metrics::RecoveryReport`] the `exp_faults` binary emits;
+//!   [`RecoveryReport`] the `exp_faults` binary emits;
 //! - [`arrivals`] — seeded Poisson submission traces for the streaming
 //!   scheduler service;
 //! - [`stream`] — the streaming-service harness: trace + federation +
@@ -34,7 +34,7 @@
 //!   control plane (DESIGN.md §16): damaged-WAL construction at
 //!   arbitrary kill points, snapshot + replay recovery, and
 //!   bit-identical resume against the sealed final state;
-//! - [`fuzz`] — the seeded scenario fuzzer (DESIGN.md §17): adversarial
+//! - [`FuzzCase`] — the seeded scenario fuzzer (DESIGN.md §17): adversarial
 //!   fault-plan generation over the named scenarios, the end-to-end
 //!   invariant engine, and the delta-debugging shrinker that minimises
 //!   violating seeds into committable reproducers;
@@ -45,20 +45,21 @@
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 
 pub mod arrivals;
 pub mod dag_gen;
 pub mod data;
-pub mod faults;
-pub mod fuzz;
-pub mod harness;
-pub mod metrics;
+mod faults;
+mod fuzz;
+mod harness;
+mod metrics;
 pub mod pool_gen;
 pub mod recovery;
 pub mod replay;
 pub mod scenario;
 pub mod stream;
-pub mod trace;
+mod trace;
 
 pub use arrivals::{poisson_trace, Arrival, TraceSpec};
 pub use dag_gen::DagSpec;
@@ -68,8 +69,8 @@ pub use fuzz::{
     check_case, check_invariant, shrink, CaseOutcome, FaultClass, FuzzCase, Invariant,
     InvariantProfile, ShrinkOutcome, Violation,
 };
-pub use harness::{compare_schedulers, SchedulerKind};
-pub use metrics::{summarise, RecoveryReport, Summary, Table};
+pub use harness::{compare_schedulers, comparison_table, run_monitoring_experiment, SchedulerKind};
+pub use metrics::{geomean, recovery_table, RecoveryReport, Summary, Table};
 pub use pool_gen::{build_federation, Federation, FederationSpec};
 pub use recovery::{verify_kill, verify_recovery, KillReport, RecoverySummary};
 pub use replay::{replay, replay_durable, run_fault_scenario, ReplayConfig, ReplayOutcome};

@@ -13,7 +13,7 @@ pub struct Summary {
     /// Median (50th percentile).
     pub median: f64,
     /// 95th percentile (nearest-rank).
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// Minimum.
     pub min: f64,
     /// Maximum.
@@ -21,7 +21,7 @@ pub struct Summary {
 }
 
 /// Summarise a sample; `None` if empty or containing non-finite values.
-pub fn summarise(values: &[f64]) -> Option<Summary> {
+pub(crate) fn summarise(values: &[f64]) -> Option<Summary> {
     if values.is_empty() || values.iter().any(|v| !v.is_finite()) {
         return None;
     }
@@ -56,7 +56,7 @@ pub struct FaultOutcome {
     /// Stable fault label (`crash:<host>`, `spike:<host>`, …).
     pub fault: String,
     /// Virtual injection time.
-    pub injected_at: f64,
+    pub(crate) injected_at: f64,
     /// Virtual seconds from injection to detection by the monitoring
     /// plane; `None` if the fault produced no observable change (e.g. a
     /// flaky link that never dropped, an outage between echo rounds).
@@ -94,7 +94,7 @@ pub struct RecoveryReport {
     /// Hosts that entered quarantine (lifetime count).
     pub quarantined: u64,
     /// Hosts re-admitted from quarantine on recovery.
-    pub readmitted: u64,
+    pub(crate) readmitted: u64,
     /// Hosts still quarantined when the replay ended.
     pub quarantined_at_end: u64,
     /// Tasks that completed.
@@ -150,7 +150,7 @@ impl RecoveryReport {
     }
 
     /// Mean detection latency over the faults that were detected.
-    pub fn mean_detection_latency(&self) -> Option<f64> {
+    pub(crate) fn mean_detection_latency(&self) -> Option<f64> {
         let detected: Vec<f64> = self.faults.iter().filter_map(|f| f.detection_latency).collect();
         summarise(&detected).map(|s| s.mean)
     }
@@ -198,7 +198,7 @@ pub fn recovery_table(reports: &[RecoveryReport]) -> Table {
 /// Re-export of the aligned text table, which moved to `vdce_obs` in
 /// the observability redesign (it is now a [`vdce_obs::Report`]
 /// building block shared by every experiment binary).
-pub use vdce_obs::report::Table;
+pub use vdce_obs::Table;
 
 #[cfg(test)]
 mod tests {

@@ -81,7 +81,7 @@ impl Federation {
     }
 
     /// Snapshot one site's view.
-    pub fn view(&self, site: SiteId) -> SiteView {
+    pub(crate) fn view(&self, site: SiteId) -> SiteView {
         SiteView::capture(site, &self.repos[site.index()])
     }
 

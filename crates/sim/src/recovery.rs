@@ -32,11 +32,11 @@ use vdce_store::{recover, Journal, JournalView, StoreImage, WalWriter};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillReport {
     /// Journal records fully on disk when the process died.
-    pub cut_record: u64,
+    pub(crate) cut_record: u64,
     /// Bytes of the torn (partially written) record at the tail.
     pub torn_bytes: u64,
     /// Sequence number of the snapshot recovery started from.
-    pub snapshot_seq: u64,
+    pub(crate) snapshot_seq: u64,
     /// Events replayed on top of the snapshot during recovery.
     pub replayed: u64,
     /// Bytes of the damaged WAL image read back.

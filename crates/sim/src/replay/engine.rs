@@ -10,16 +10,16 @@ use crate::faults::{Fault, FaultEvent, FaultPlan, TimedFaultEvent};
 use crate::pool_gen::Federation;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
-use vdce_afg::graph::EdgeIndex;
 use vdce_afg::level::priority_list;
-use vdce_afg::{Afg, TaskId};
+use vdce_afg::{Afg, EdgeIndex, TaskId};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_net::PartitionState;
 use vdce_obs::Observer;
-use vdce_runtime::events::RuntimeEvent;
-use vdce_runtime::site_manager::{ControlMessage, FailoverEvent, SiteFailover, SiteTableEvent};
-use vdce_runtime::{DurableOptions, MtbfEstimator, Quarantine, SiteQuarantine, TaskCheckpoint};
+use vdce_runtime::{
+    ControlMessage, DurableOptions, FailoverEvent, MtbfEstimator, Quarantine, RuntimeEvent,
+    SiteFailover, SiteQuarantine, SiteTableEvent, TaskCheckpoint,
+};
 use vdce_sched::{
     reselect_task, site_schedule_observed, AllocationTable, SiteView, TaskHostChoice,
 };

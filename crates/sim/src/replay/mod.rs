@@ -137,7 +137,7 @@ pub struct ReplayOutcome {
     /// Per-fault recovery verdict (plan order).
     pub recovered: Vec<bool>,
     /// Hosts each task last ran on (empty when it never ran).
-    pub final_hosts: Vec<Vec<String>>,
+    pub(crate) final_hosts: Vec<Vec<String>>,
     /// Checkpoints recorded (0 under a disabled policy).
     pub checkpoints_taken: u64,
     /// Virtual seconds spent on checkpoint writes across all runs.
@@ -169,7 +169,7 @@ pub struct ReplayOutcome {
 /// Fixed detection-latency histogram bounds (virtual seconds). Fixed at
 /// compile time so bucket counts are comparable across runs and
 /// platforms.
-pub const DETECTION_LATENCY_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 120.0];
+pub(crate) const DETECTION_LATENCY_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 120.0];
 
 impl ReplayOutcome {
     /// Export the outcome into `m` under the `replay.` namespace. Every
@@ -177,7 +177,7 @@ impl ReplayOutcome {
     /// the same scenario export identical deterministic snapshots.
     /// Counters *add*, so exporting several outcomes into one registry
     /// accumulates across runs.
-    pub fn export_metrics(&self, m: &MetricsRegistry) {
+    pub(crate) fn export_metrics(&self, m: &MetricsRegistry) {
         m.counter_add("replay.tasks_completed", self.tasks_completed);
         m.counter_add("replay.tasks_failed", self.tasks_failed);
         m.counter_add("replay.migrations", self.migrations);
@@ -213,7 +213,7 @@ pub fn replay(
 /// every runtime event mirrored into `obs.trace` at its virtual
 /// timestamp, scheduler metrics from the initial allocation, and the
 /// outcome exported into `obs.metrics` via
-/// [`ReplayOutcome::export_metrics`]. With a disabled trace sink this
+/// `ReplayOutcome::export_metrics`. With a disabled trace sink this
 /// *is* [`replay`] — the mirroring short-circuits.
 pub fn replay_observed(
     federation: &Federation,
@@ -321,7 +321,7 @@ mod tests {
     use crate::pool_gen::{build_federation, FederationSpec, WanShape};
     use std::collections::BTreeMap;
     use vdce_net::topology::SiteId;
-    use vdce_runtime::durable::ControlState;
+    use vdce_runtime::ControlState;
     use vdce_sched::{evaluate, site_schedule};
 
     fn small_federation() -> Federation {

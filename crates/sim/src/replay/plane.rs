@@ -13,13 +13,11 @@ use vdce_net::model::SharedNetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_repository::SiteRepository;
-use vdce_runtime::durable::{write_snapshot, ControlEvent, DeputyLink, JournaledSiteEvent};
-use vdce_runtime::events::EventLog;
-use vdce_runtime::group::{FlagEcho, GroupManager};
-use vdce_runtime::monitor::{MonitorDaemon, MonitorReport, SyntheticProbe};
-use vdce_runtime::net_monitor::{NetworkMonitor, SyntheticLinkProbe};
-use vdce_runtime::site_manager::{ControlMessage, SiteFailover, SiteManager, SiteTableEvent};
-use vdce_runtime::{CheckpointStore, DurableOptions};
+use vdce_runtime::{
+    write_snapshot, CheckpointStore, ControlEvent, ControlMessage, DeputyLink, DurableOptions,
+    EventLog, FlagEcho, GroupManager, JournaledSiteEvent, MonitorDaemon, MonitorReport,
+    NetworkMonitor, SiteFailover, SiteManager, SiteTableEvent, SyntheticLinkProbe, SyntheticProbe,
+};
 use vdce_store::Journal;
 
 /// One site's control-plane stack inside the replay.

@@ -28,7 +28,7 @@ pub struct Scenario {
 
 /// Single campus site, 4 hosts, small layered DAG — the smoke-test
 /// scenario.
-pub fn campus_smoke() -> Scenario {
+pub(crate) fn campus_smoke() -> Scenario {
     Scenario {
         name: "campus-smoke",
         federation: build_federation(&FederationSpec {
@@ -46,7 +46,7 @@ pub fn campus_smoke() -> Scenario {
 /// workload as [`campus_smoke`] — the federation where cross-site
 /// placements genuinely tie, so recovery-aware critical-path spreading
 /// ([`SchedulerConfig::spread_critical`]) has real choices to make.
-pub fn two_campus() -> Scenario {
+pub(crate) fn two_campus() -> Scenario {
     Scenario {
         name: "two-campus",
         federation: build_federation(&FederationSpec {
@@ -63,7 +63,7 @@ pub fn two_campus() -> Scenario {
 
 /// Six metro-clustered sites, 80-task layered DAG — the wide-area
 /// scheduling scenario of `examples/multi_site.rs`.
-pub fn wide_area() -> Scenario {
+pub(crate) fn wide_area() -> Scenario {
     Scenario {
         name: "wide-area",
         federation: build_federation(&FederationSpec {
@@ -80,7 +80,7 @@ pub fn wide_area() -> Scenario {
 
 /// Three sites (two sensor, one command), fork-join surveillance
 /// pipeline — the Rome-Laboratory-flavoured scenario.
-pub fn c3i_surveillance() -> Scenario {
+pub(crate) fn c3i_surveillance() -> Scenario {
     Scenario {
         name: "c3i-surveillance",
         federation: build_federation(&FederationSpec {
@@ -99,7 +99,7 @@ pub fn c3i_surveillance() -> Scenario {
 /// scenario: speeds are close enough that losing a whole site costs
 /// capacity rather than the only fast host, and the metro links are
 /// cheap enough that cross-site checkpoint replicas land quickly.
-pub fn metro_trio() -> Scenario {
+pub(crate) fn metro_trio() -> Scenario {
     Scenario {
         name: "metro-trio",
         federation: build_federation(&FederationSpec {
@@ -116,7 +116,7 @@ pub fn metro_trio() -> Scenario {
 
 /// Gaussian-elimination task graph on a ring federation — the classic
 /// dependency-heavy scheduling benchmark.
-pub fn gauss_benchmark() -> Scenario {
+pub(crate) fn gauss_benchmark() -> Scenario {
     Scenario {
         name: "gauss-benchmark",
         federation: build_federation(&FederationSpec {
@@ -129,18 +129,6 @@ pub fn gauss_benchmark() -> Scenario {
         }),
         afg: gauss_elim(8, &DagSpec::default(), 7),
     }
-}
-
-/// All named scenarios.
-pub fn all() -> Vec<Scenario> {
-    vec![
-        campus_smoke(),
-        two_campus(),
-        wide_area(),
-        c3i_surveillance(),
-        metro_trio(),
-        gauss_benchmark(),
-    ]
 }
 
 /// Schedule a scenario once and return `(estimated fault-free makespan,
@@ -242,7 +230,7 @@ pub fn crash_mid_run_checkpointed() -> FaultScenario {
 
 /// Crash the busiest host of the [`two_campus`] federation a quarter in
 /// — the restart-from-zero twin of [`crash_spread_checkpointed`].
-pub fn crash_two_campus() -> FaultScenario {
+pub(crate) fn crash_two_campus() -> FaultScenario {
     let scenario = two_campus();
     let (est, victim) = schedule_estimate(&scenario);
     FaultScenario {
@@ -261,7 +249,7 @@ pub fn crash_two_campus() -> FaultScenario {
 /// (the flat two-site federation actually has near-tied alternatives to
 /// spread over), so the crash of any single host intersects less of the
 /// critical path.
-pub fn crash_spread_checkpointed() -> FaultScenario {
+pub(crate) fn crash_spread_checkpointed() -> FaultScenario {
     let scenario = two_campus();
     let (est, victim) = schedule_estimate(&scenario);
     let mut config = ReplayConfig {
@@ -285,7 +273,7 @@ pub fn crash_spread_checkpointed() -> FaultScenario {
 /// federation's hosts for three estimated makespans, under
 /// checkpointing. All faults are transient, so full recovery is
 /// required.
-pub fn weibull_churn() -> FaultScenario {
+pub(crate) fn weibull_churn() -> FaultScenario {
     let scenario = campus_smoke();
     let (est, _) = schedule_estimate(&scenario);
     let config = ReplayConfig {
@@ -311,7 +299,7 @@ pub fn weibull_churn() -> FaultScenario {
 
 /// A transient outage on the surveillance pipeline's busiest host: the
 /// host must be quarantined while down and re-admitted after.
-pub fn transient_outage() -> FaultScenario {
+pub(crate) fn transient_outage() -> FaultScenario {
     let scenario = c3i_surveillance();
     let (est, victim) = schedule_estimate(&scenario);
     let config = ReplayConfig::scaled_to(est);
@@ -333,7 +321,7 @@ pub fn transient_outage() -> FaultScenario {
 /// A load spike past the eviction threshold on the smoke workload's
 /// busiest host — exercises the terminate-and-migrate path without any
 /// host dying.
-pub fn load_spike_eviction() -> FaultScenario {
+pub(crate) fn load_spike_eviction() -> FaultScenario {
     let scenario = campus_smoke();
     let (est, victim) = schedule_estimate(&scenario);
     FaultScenario {
@@ -354,7 +342,7 @@ pub fn load_spike_eviction() -> FaultScenario {
 
 /// A degraded metro link in the wide-area scenario: latency ×20,
 /// bandwidth ÷20 for 40% of the run.
-pub fn degraded_wan() -> FaultScenario {
+pub(crate) fn degraded_wan() -> FaultScenario {
     let scenario = wide_area();
     let (est, _) = schedule_estimate(&scenario);
     FaultScenario {
@@ -377,7 +365,7 @@ pub fn degraded_wan() -> FaultScenario {
 
 /// A flaky ring link under the Gaussian-elimination benchmark, dropping
 /// with p=0.3 per tick for 60% of the run.
-pub fn flaky_wan() -> FaultScenario {
+pub(crate) fn flaky_wan() -> FaultScenario {
     let scenario = gauss_benchmark();
     let (est, _) = schedule_estimate(&scenario);
     FaultScenario {
@@ -401,7 +389,7 @@ pub fn flaky_wan() -> FaultScenario {
 /// the surveillance pipeline while the site's other hosts stay up — the
 /// failover scenario: a deputy host must take over the Site Manager role
 /// (`site_failovers >= 1`) and the run must complete.
-pub fn manager_failover() -> FaultScenario {
+pub(crate) fn manager_failover() -> FaultScenario {
     let scenario = c3i_surveillance();
     let (est, busiest) = schedule_estimate(&scenario);
     let site =
@@ -449,7 +437,7 @@ fn site_crash_base(name: &'static str, checkpoint: CheckpointPolicy) -> FaultSce
 
 /// A whole site dies permanently, no checkpointing: surviving sites must
 /// absorb the orphaned work from scratch, with bounded inflation.
-pub fn site_crash() -> FaultScenario {
+pub(crate) fn site_crash() -> FaultScenario {
     site_crash_base("site-crash", CheckpointPolicy::disabled())
 }
 
@@ -457,15 +445,15 @@ pub fn site_crash() -> FaultScenario {
 /// every checkpoint is stored on the host that wrote it, so the site
 /// outage takes the checkpoints down with the tasks and recovery still
 /// restarts from zero. The control for [`site_crash_ckpt_replica`].
-pub fn site_crash_ckpt_local() -> FaultScenario {
+pub(crate) fn site_crash_ckpt_local() -> FaultScenario {
     site_crash_base("site-crash-ckpt-local", CheckpointPolicy::every(0.08, 0.002))
 }
 
-/// [`site_crash`] with checkpointing *and* cross-site replicas: each
+/// `site_crash` with checkpointing *and* cross-site replicas: each
 /// checkpoint is pushed (charged through the network model) to the
 /// nearest surviving site, so tasks orphaned by the outage resume from
 /// remote replicas instead of restarting — this must strictly beat
-/// [`site_crash_ckpt_local`] on the same trace.
+/// `site_crash_ckpt_local` on the same trace.
 pub fn site_crash_ckpt_replica() -> FaultScenario {
     site_crash_base(
         "site-crash-ckpt-replica",
@@ -477,7 +465,7 @@ pub fn site_crash_ckpt_replica() -> FaultScenario {
 /// estimated run, then heals: both sides keep executing tasks whose
 /// inputs are local, cross-cut tasks wait out the cut, and after the heal
 /// the run completes with zero lost tasks.
-pub fn partition_heal() -> FaultScenario {
+pub(crate) fn partition_heal() -> FaultScenario {
     let scenario = two_campus();
     let (est, _) = schedule_estimate(&scenario);
     // Spread the critical path so placements genuinely straddle the cut
@@ -520,7 +508,7 @@ pub fn partition_heal() -> FaultScenario {
 /// the busiest host, timed mid-run, is alone worth 3.86× inflation —
 /// every Gauss pivot row serialises behind the backoff window of the
 /// host everything was packed onto.
-pub fn fuzz_outage_hotspot() -> FaultScenario {
+pub(crate) fn fuzz_outage_hotspot() -> FaultScenario {
     let scenario = gauss_benchmark();
     let (est, _) = schedule_estimate(&scenario);
     FaultScenario {
@@ -543,7 +531,7 @@ pub fn fuzz_outage_hotspot() -> FaultScenario {
 /// a single late load spike on `s1h1` explains the whole 2.57×
 /// inflation — eviction of the tail task onto the slower campus at the
 /// worst possible moment.
-pub fn fuzz_spike_pileup() -> FaultScenario {
+pub(crate) fn fuzz_spike_pileup() -> FaultScenario {
     let scenario = two_campus();
     let (est, _) = schedule_estimate(&scenario);
     FaultScenario {
@@ -567,7 +555,7 @@ pub fn fuzz_spike_pileup() -> FaultScenario {
 /// whole-site blink of campus 1 — shorter than a tenth of the
 /// estimated makespan — costs 2.57× once failover, quarantine and
 /// re-admission round-trips are paid.
-pub fn fuzz_site_blink() -> FaultScenario {
+pub(crate) fn fuzz_site_blink() -> FaultScenario {
     let scenario = two_campus();
     let (est, _) = schedule_estimate(&scenario);
     FaultScenario {
@@ -641,7 +629,19 @@ pub fn quick_fault_scenarios() -> Vec<FaultScenario> {
 mod tests {
     use super::*;
     use crate::harness::{compare_schedulers, SchedulerKind};
-    use vdce_afg::validate::validate;
+    use vdce_afg::validate;
+
+    /// All named scenarios.
+    fn all() -> Vec<Scenario> {
+        vec![
+            campus_smoke(),
+            two_campus(),
+            wide_area(),
+            c3i_surveillance(),
+            metro_trio(),
+            gauss_benchmark(),
+        ]
+    }
 
     #[test]
     fn every_scenario_is_well_formed() {

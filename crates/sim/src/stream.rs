@@ -144,7 +144,7 @@ pub fn run_stream(sc: &StreamScenario, metrics: Option<&MetricsRegistry>) -> Str
 /// Translate a fault plan's host outages into service down/up events.
 /// Only host-level faults apply — the streaming service models hosts,
 /// not links; site outages expand to every host of the site.
-pub fn inject_host_faults(
+pub(crate) fn inject_host_faults(
     svc: &mut StreamService,
     topology: &vdce_net::topology::Topology,
     plan: &FaultPlan,

@@ -1,26 +1,21 @@
 //! Synthetic load traces for the Monitor daemons.
 //!
 //! A trace is a list of `(from_time, workload)` steps consumed by
-//! [`vdce_runtime::monitor::SyntheticProbe`]. These generators drive the
-//! Figure-4 monitoring experiments and the E7 rescheduling experiment.
+//! [`vdce_runtime::SyntheticProbe`]. The random walk drives the Figure-4
+//! monitoring experiment.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Constant load.
-pub fn constant(load: f64) -> Vec<(f64, f64)> {
-    vec![(0.0, load)]
-}
-
-/// Idle until `at`, then a spike of `height` lasting `duration`, then
-/// back to `base`.
-pub fn spike(base: f64, at: f64, height: f64, duration: f64) -> Vec<(f64, f64)> {
-    vec![(0.0, base), (at, base + height), (at + duration, base)]
-}
-
 /// Bounded random walk sampled every `period` seconds for `steps` steps:
 /// load moves by ±`step` and is clamped to `[0, max]`.
-pub fn random_walk(seed: u64, period: f64, steps: usize, step: f64, max: f64) -> Vec<(f64, f64)> {
+pub(crate) fn random_walk(
+    seed: u64,
+    period: f64,
+    steps: usize,
+    step: f64,
+    max: f64,
+) -> Vec<(f64, f64)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut load = rng.gen_range(0.0..max / 2.0);
     let mut out = Vec::with_capacity(steps);
@@ -32,51 +27,9 @@ pub fn random_walk(seed: u64, period: f64, steps: usize, step: f64, max: f64) ->
     out
 }
 
-/// Several disjoint spikes over a base load: each `(at, height,
-/// duration)` raises the load to `base + height` for its window. Windows
-/// must be given in order and must not overlap — the step-trace
-/// equivalent of stacking [`Fault::LoadSpike`]s onto one host.
-///
-/// [`Fault::LoadSpike`]: crate::faults::Fault::LoadSpike
-pub fn multi_spike(base: f64, spikes: &[(f64, f64, f64)]) -> Vec<(f64, f64)> {
-    let mut out = vec![(0.0, base)];
-    for (at, height, duration) in spikes {
-        let prev_end = out.last().expect("non-empty").0;
-        assert!(*at >= prev_end, "spike windows must be ordered and disjoint: {at} < {prev_end}");
-        out.push((*at, base + height));
-        out.push((at + duration, base));
-    }
-    out
-}
-
-/// Diurnal-style slow sine wave: mean ± amplitude over `period_s`,
-/// sampled `samples` times.
-pub fn sine(mean: f64, amplitude: f64, period_s: f64, samples: usize) -> Vec<(f64, f64)> {
-    (0..samples)
-        .map(|i| {
-            let t = i as f64 * period_s / samples as f64;
-            let w = mean + amplitude * (2.0 * std::f64::consts::PI * t / period_s).sin();
-            (t, w.max(0.0))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_is_one_step() {
-        assert_eq!(constant(2.0), vec![(0.0, 2.0)]);
-    }
-
-    #[test]
-    fn spike_returns_to_base() {
-        let t = spike(0.5, 10.0, 8.0, 5.0);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t[1], (10.0, 8.5));
-        assert_eq!(t[2], (15.0, 0.5));
-    }
 
     #[test]
     fn random_walk_is_bounded_and_deterministic() {
@@ -88,30 +41,5 @@ mod tests {
         for w in a.windows(2) {
             assert!(w[1].0 > w[0].0);
         }
-    }
-
-    #[test]
-    fn multi_spike_builds_ordered_steps() {
-        let t = multi_spike(1.0, &[(5.0, 4.0, 2.0), (10.0, 2.0, 3.0)]);
-        assert_eq!(t, vec![(0.0, 1.0), (5.0, 5.0), (7.0, 1.0), (10.0, 3.0), (13.0, 1.0)]);
-        for w in t.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "ordered and disjoint")]
-    fn multi_spike_rejects_overlap() {
-        multi_spike(0.0, &[(5.0, 1.0, 10.0), (8.0, 1.0, 1.0)]);
-    }
-
-    #[test]
-    fn sine_stays_nonnegative() {
-        let t = sine(1.0, 3.0, 60.0, 50);
-        assert_eq!(t.len(), 50);
-        assert!(t.iter().all(|(_, l)| *l >= 0.0));
-        // It actually oscillates.
-        let max = t.iter().map(|(_, l)| *l).fold(0.0f64, f64::max);
-        assert!(max > 2.0);
     }
 }

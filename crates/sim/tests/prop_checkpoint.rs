@@ -14,11 +14,10 @@ use vdce_dsm::DsmRegion;
 use vdce_obs::Observer;
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
-use vdce_sim::faults::{Fault, FaultPlan};
-use vdce_sim::metrics::RecoveryReport;
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
 use vdce_sim::replay::{run_fault_scenario, ReplayConfig};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
+use vdce_sim::{Fault, FaultPlan, RecoveryReport};
 
 /// The recovery report of `plan` on `scenario`, unobserved and un-journaled.
 fn recovery_report(

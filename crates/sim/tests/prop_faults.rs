@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
-use vdce_sim::faults::{Fault, FaultPlan};
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
 use vdce_sim::replay::{replay, ReplayConfig};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
+use vdce_sim::{Fault, FaultPlan};
 
 fn fed(sites: usize, hosts: usize, seed: u64) -> Federation {
     build_federation(&FederationSpec {

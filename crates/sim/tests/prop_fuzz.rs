@@ -7,7 +7,7 @@
 //! committed to `scenario.rs` can be regenerated from its seed alone.
 
 use proptest::prelude::*;
-use vdce_sim::fuzz::{check_case, check_invariant, shrink, FuzzCase, InvariantProfile};
+use vdce_sim::{check_case, check_invariant, shrink, FuzzCase, InvariantProfile};
 
 /// Shrink oracle budget per property case; generated plans are ≤ ~20
 /// faults so the pass pipeline converges well inside this.

@@ -18,9 +18,9 @@ use vdce_sched::service::stream::{ServiceConfig, StreamService, SubmissionReques
 use vdce_sched::{AgingPolicy, BrokerPolicy, Quota};
 use vdce_sim::arrivals::TraceSpec;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
-use vdce_sim::faults::{Fault, FaultPlan};
 use vdce_sim::pool_gen::{build_federation, FederationSpec};
 use vdce_sim::stream::{run_stream, StreamScenario};
+use vdce_sim::{Fault, FaultPlan};
 
 /// A scenario small enough that a proptest case drains in milliseconds
 /// but large enough to queue: several sites, every priority class and

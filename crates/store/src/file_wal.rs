@@ -15,24 +15,18 @@
 //! maps to `fdatasync(2)`. This is the classic group-commit split: a
 //! batch of appends costs one fsync, and a crash between `append` and
 //! `sync` loses at most the unsynced suffix — which the recovery path
-//! already models as a torn tail. [`FileWal::is_dirty`] reports whether
-//! unsynced appends exist, so tests (and callers with stricter
-//! policies) can assert the discipline.
+//! already models as a torn tail.
 //!
 //! ## Recovery
 //!
 //! [`FileWal::open`] reads the whole file, runs [`read_wal`] over it,
 //! and — crucially — truncates the file itself (`set_len`) to the valid
 //! prefix, so a torn tail is physically removed before new appends land.
-//! Recovered payloads are mirrored into an [`AppendLog`] so in-process
-//! consumers see the same append-only substrate the rest of the control
-//! plane is built on.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::log::AppendLog;
 use crate::wal::{crc32, read_wal, WalError, WalRecovery, WAL_HEADER_LEN, WAL_MAGIC};
 
 /// Why a [`FileWal`] could not be opened.
@@ -80,11 +74,7 @@ impl From<WalError> for FileWalError {
 #[derive(Debug)]
 pub struct FileWal {
     file: File,
-    path: PathBuf,
     records: u64,
-    byte_len: u64,
-    dirty: bool,
-    mirror: AppendLog<Vec<u8>>,
 }
 
 impl FileWal {
@@ -92,19 +82,11 @@ impl FileWal {
     /// The magic header is written and fsynced before returning, so an
     /// immediately-crashing process still leaves a valid empty image.
     pub fn create(path: impl AsRef<Path>) -> Result<Self, FileWalError> {
-        let path = path.as_ref().to_path_buf();
         let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         file.write_all(&WAL_MAGIC)?;
         file.sync_data()?;
-        Ok(FileWal {
-            file,
-            path,
-            records: 0,
-            byte_len: WAL_HEADER_LEN as u64,
-            dirty: false,
-            mirror: AppendLog::new(),
-        })
+        Ok(FileWal { file, records: 0 })
     }
 
     /// Open (or create) the WAL at `path`, recovering every intact
@@ -138,18 +120,7 @@ impl FileWal {
         }
         file.seek(SeekFrom::End(0))?;
 
-        let mirror = AppendLog::new();
-        for payload in &recovery.records {
-            mirror.push(payload.clone());
-        }
-        let wal = FileWal {
-            file,
-            path: path.to_path_buf(),
-            records: recovery.records.len() as u64,
-            byte_len: recovery.valid_len.max(WAL_HEADER_LEN) as u64,
-            dirty: false,
-            mirror,
-        };
+        let wal = FileWal { file, records: recovery.records.len() as u64 };
         Ok((wal, recovery))
     }
 
@@ -162,45 +133,15 @@ impl FileWal {
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
-        self.byte_len += frame.len() as u64;
-        self.mirror.push(payload.to_vec());
         let idx = self.records;
         self.records += 1;
-        self.dirty = true;
         Ok(idx)
     }
 
     /// Force every appended record to stable storage (`fdatasync`).
     pub fn sync(&mut self) -> Result<(), FileWalError> {
         self.file.sync_data()?;
-        self.dirty = false;
         Ok(())
-    }
-
-    /// Records in the log (recovered + appended).
-    pub fn record_count(&self) -> u64 {
-        self.records
-    }
-
-    /// Bytes of the valid image (header + framed records).
-    pub fn byte_len(&self) -> u64 {
-        self.byte_len
-    }
-
-    /// Are there appends not yet covered by a [`FileWal::sync`]?
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Path this WAL lives at.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The in-memory [`AppendLog`] mirror of every payload (recovered
-    /// and appended), for in-process consumers.
-    pub fn records(&self) -> &AppendLog<Vec<u8>> {
-        &self.mirror
     }
 }
 
@@ -208,6 +149,7 @@ impl FileWal {
 mod tests {
     use super::*;
     use crate::wal::WalWriter;
+    use std::path::PathBuf;
 
     /// Unique-ish temp path per test; tests clean up after themselves.
     fn tmp(name: &str) -> PathBuf {
@@ -223,10 +165,7 @@ mod tests {
             for p in &payloads {
                 wal.append(p).unwrap();
             }
-            assert!(wal.is_dirty());
             wal.sync().unwrap();
-            assert!(!wal.is_dirty());
-            assert_eq!(wal.record_count(), 3);
         }
 
         // Byte-for-byte compatible with the in-memory WalWriter image.
@@ -236,11 +175,9 @@ mod tests {
         }
         assert_eq!(std::fs::read(&path).unwrap(), expect.bytes());
 
-        let (wal, rec) = FileWal::open(&path).unwrap();
+        let (_, rec) = FileWal::open(&path).unwrap();
         assert_eq!(rec.torn_bytes, 0);
         assert_eq!(rec.records, payloads.iter().map(|p| p.to_vec()).collect::<Vec<_>>());
-        assert_eq!(wal.record_count(), 3);
-        wal.records().with(|r| assert_eq!(r.len(), 3));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -301,8 +238,7 @@ mod tests {
     fn open_on_a_missing_path_creates_a_fresh_image() {
         let path = tmp("fresh");
         let _ = std::fs::remove_file(&path);
-        let (wal, rec) = FileWal::open(&path).unwrap();
-        assert_eq!(wal.record_count(), 0);
+        let (_wal, rec) = FileWal::open(&path).unwrap();
         assert!(rec.records.is_empty());
         assert_eq!(std::fs::read(&path).unwrap(), WAL_MAGIC);
         std::fs::remove_file(&path).unwrap();

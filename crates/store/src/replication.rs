@@ -68,14 +68,13 @@ pub struct Replicator {
     seq: u64,
     check_every: u64,
     stats: ReplicationStats,
-    error: Option<ReplicationError>,
 }
 
 impl Replicator {
     /// Channel comparing state hashes every `check_every` frames
     /// (`0` = only on [`Replicator::check`]).
     pub fn new(check_every: u64) -> Self {
-        Replicator { seq: 0, check_every, stats: ReplicationStats::default(), error: None }
+        Replicator { seq: 0, check_every, stats: ReplicationStats::default() }
     }
 
     /// Ship one event: apply it to the replica and, when the check
@@ -113,27 +112,15 @@ impl Replicator {
         if leader == follower {
             return Ok(());
         }
-        let err = ReplicationError::Divergence { seq: self.seq, leader, follower };
-        if self.error.is_none() {
-            self.stats.divergences += 1;
-            self.error = Some(err.clone());
-        }
-        Err(err)
-    }
-
-    /// Frames shipped so far.
-    pub fn frames(&self) -> u64 {
-        self.stats.frames
+        // Sticky: the first divergence latches, later ones are only
+        // reported.
+        self.stats.divergences = 1;
+        Err(ReplicationError::Divergence { seq: self.seq, leader, follower })
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> ReplicationStats {
         self.stats
-    }
-
-    /// The first divergence detected, if any (sticky).
-    pub fn divergence(&self) -> Option<&ReplicationError> {
-        self.error.as_ref()
     }
 }
 
@@ -172,7 +159,6 @@ mod tests {
         assert_eq!(stats.frames, 10);
         assert_eq!(stats.hash_checks, 5, "every second frame checks");
         assert_eq!(stats.divergences, 0);
-        assert!(ch.divergence().is_none());
         ch.check(&follower, leader.state_hash()).unwrap();
     }
 
@@ -199,7 +185,6 @@ mod tests {
         let err = caught.expect("divergence detected within one cadence window");
         assert!(matches!(err, ReplicationError::Divergence { seq: 8, .. }));
         assert_eq!(ch.stats().divergences, 1, "sticky: counted once");
-        assert!(ch.divergence().is_some());
         assert!(err.to_string().contains("diverged at frame 8"));
     }
 

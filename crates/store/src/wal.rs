@@ -22,7 +22,7 @@
 //!   [`WalError::CorruptRecord`] — a typed error, not a panic.
 
 /// Magic + format version, the first 8 bytes of every WAL image.
-pub const WAL_MAGIC: [u8; 8] = *b"VDCEWAL1";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"VDCEWAL1";
 
 /// Bytes of the image header (the magic).
 pub const WAL_HEADER_LEN: usize = 8;
@@ -92,7 +92,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// A WAL image that cannot be recovered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
-    /// The image does not start with [`WAL_MAGIC`] (and is long enough
+    /// The image does not start with `WAL_MAGIC` (and is long enough
     /// that a torn header cannot explain it).
     BadMagic {
         /// The first bytes actually found.
@@ -164,13 +164,8 @@ impl WalWriter {
         idx
     }
 
-    /// Records appended to this image.
-    pub fn record_count(&self) -> u64 {
-        self.records
-    }
-
     /// The current image.
-    pub fn bytes(&self) -> &[u8] {
+    pub(crate) fn bytes(&self) -> &[u8] {
         &self.buf
     }
 
@@ -358,7 +353,6 @@ mod tests {
             let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
             assert_eq!(parted.append_parts(&refs), joined.append(&parts.concat()));
         }
-        assert_eq!(parted.record_count(), 64);
         assert_eq!(parted.bytes(), joined.bytes());
         assert_eq!(read_wal(parted.bytes()).unwrap().records.len(), 64);
     }

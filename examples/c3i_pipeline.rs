@@ -69,7 +69,7 @@ fn main() {
     afg.connect(threat, 0, dispatch, 0).unwrap();
     let graph = afg.build().unwrap();
 
-    println!("{}", vdce_afg::render::render_flow_graph(&graph));
+    println!("{}", vdce_afg::render_flow_graph(&graph));
 
     // --- Submit ---------------------------------------------------------
     let doc = AfgDocument::new("watch_officer", graph).unwrap();

@@ -7,9 +7,10 @@
 //! cargo run --example editor_roundtrip
 //! ```
 
-use vdce_afg::document::ServiceRequest;
-use vdce_afg::render::{render_all_properties, render_flow_graph};
-use vdce_afg::{AfgBuilder, AfgDocument, ComputationMode, IoSpec, MachineType, TaskLibrary};
+use vdce_afg::{
+    render_all_properties, render_flow_graph, AfgBuilder, AfgDocument, ComputationMode, IoSpec,
+    MachineType, ServiceRequest, TaskLibrary,
+};
 
 fn main() {
     let lib = TaskLibrary::standard();

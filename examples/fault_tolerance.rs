@@ -27,8 +27,7 @@ use std::sync::Arc;
 use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
 use vdce_repository::AccessDomain;
-use vdce_runtime::events::EventLog;
-use vdce_runtime::group::{FlagEcho, GroupManager};
+use vdce_runtime::{EventLog, FlagEcho, GroupManager};
 
 fn doc(author: &str) -> AfgDocument {
     let lib = TaskLibrary::standard();

@@ -12,11 +12,13 @@
 //! cargo run --example linear_solver
 //! ```
 
-use vdce_afg::render::{render_all_properties, render_flow_graph};
-use vdce_afg::{AfgBuilder, AfgDocument, ComputationMode, IoSpec, MachineType, TaskLibrary};
+use vdce_afg::{
+    render_all_properties, render_flow_graph, AfgBuilder, AfgDocument, ComputationMode, IoSpec,
+    MachineType, TaskLibrary,
+};
 use vdce_core::Vdce;
 use vdce_repository::AccessDomain;
-use vdce_runtime::kernels::{decode_f64s, encode_f64s, synth_matrix, synth_values};
+use vdce_runtime::{decode_f64s, encode_f64s, synth_matrix, synth_values};
 
 const N: u64 = 64; // matrix dimension
 

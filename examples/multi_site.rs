@@ -7,8 +7,8 @@
 //! ```
 
 use vdce_sim::dag_gen::{layered_random, DagSpec};
-use vdce_sim::harness::{compare_schedulers, comparison_table, SchedulerKind};
 use vdce_sim::pool_gen::{build_federation, FederationSpec, WanShape};
+use vdce_sim::{compare_schedulers, comparison_table, SchedulerKind};
 
 fn main() {
     let spec = FederationSpec {

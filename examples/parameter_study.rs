@@ -11,7 +11,7 @@ use vdce_afg::{AfgBuilder, AfgDocument, IoSpec, MachineType, TaskLibrary};
 use vdce_core::Vdce;
 use vdce_net::topology::SiteId;
 use vdce_repository::AccessDomain;
-use vdce_sim::metrics::Table;
+use vdce_sim::Table;
 
 fn solver_doc(n: u64) -> AfgDocument {
     let lib = TaskLibrary::standard();

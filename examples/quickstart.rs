@@ -45,7 +45,7 @@ fn main() {
     afg.connect(right, 0, join, 1).unwrap();
     let graph = afg.build().expect("valid application flow graph");
 
-    println!("\n{}", vdce_afg::render::render_flow_graph(&graph));
+    println!("\n{}", vdce_afg::render_flow_graph(&graph));
 
     // --- 4. Submit: schedule + execute --------------------------------
     let doc = AfgDocument::new("user_k", graph).unwrap();

@@ -9,8 +9,10 @@
 //! ```
 
 use std::process::ExitCode;
-use vdce_afg::render::{render_all_properties, render_flow_graph};
-use vdce_afg::{AfgBuilder, AfgDocument, IoSpec, LibraryGroup, MachineType, TaskLibrary};
+use vdce_afg::{
+    render_all_properties, render_flow_graph, AfgBuilder, AfgDocument, IoSpec, LibraryGroup,
+    MachineType, TaskLibrary,
+};
 use vdce_core::Vdce;
 use vdce_net::topology::SiteId;
 use vdce_repository::AccessDomain;

@@ -8,10 +8,8 @@ use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
 use vdce_net::topology::SiteId;
 use vdce_repository::AccessDomain;
-use vdce_runtime::events::EventLog;
-use vdce_runtime::group::{FlagEcho, GroupManager};
-use vdce_runtime::monitor::{LoadProbe, MonitorDaemon, SyntheticProbe};
-use vdce_sim::harness::run_monitoring_experiment;
+use vdce_runtime::{EventLog, FlagEcho, GroupManager, LoadProbe, MonitorDaemon, SyntheticProbe};
+use vdce_sim::run_monitoring_experiment;
 
 fn two_host_env() -> Vdce {
     let mut b = Vdce::builder();
@@ -125,7 +123,7 @@ fn network_monitoring_redirects_site_choice() {
     use vdce_net::model::{NetworkModel, SharedNetworkModel};
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
-    use vdce_runtime::net_monitor::{NetworkMonitor, SyntheticLinkProbe};
+    use vdce_runtime::{NetworkMonitor, SyntheticLinkProbe};
     use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
     use vdce_sched::view::SiteView;
 

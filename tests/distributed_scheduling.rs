@@ -4,10 +4,10 @@
 
 use std::thread;
 use std::time::{Duration, Instant};
-use vdce_net::bus::MessageBus;
 use vdce_net::topology::SiteId;
-use vdce_sched::federation::{federated_schedule, RemoteScheduler, SchedMessage};
+use vdce_net::MessageBus;
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
+use vdce_sched::{federated_schedule, RemoteScheduler, SchedMessage};
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::pool_gen::{build_federation, FederationSpec};
 

@@ -5,8 +5,7 @@ use vdce_afg::{AfgBuilder, AfgDocument, ComputationMode, IoSpec, MachineType, Ta
 use vdce_core::{Vdce, VdceConfig};
 use vdce_net::topology::SiteId;
 use vdce_repository::AccessDomain;
-use vdce_runtime::data_manager::Transport;
-use vdce_runtime::kernels::{decode_f64s, encode_f64s, synth_matrix, synth_values};
+use vdce_runtime::{decode_f64s, encode_f64s, synth_matrix, synth_values, Transport};
 
 fn federation(transport: Transport) -> Vdce {
     let mut b = Vdce::builder();
