@@ -114,6 +114,28 @@ mod tests {
         assert_eq!(back.free_at(SiteId(1)), None, "unrecorded sites are uncapped");
     }
 
+    /// The view travels inside journaled and hashed state, so its JSON
+    /// text is pinned, not just its round trip: an object keyed by
+    /// dataset id in id order, then the capped sites' free bytes.
+    #[test]
+    fn view_json_text_is_pinned() {
+        let mut m = BTreeMap::new();
+        m.insert(DatasetId(7), spec(4096, &[1, 3], Some(3)));
+        m.insert(DatasetId(2), spec(1 << 20, &[0], None));
+        let mut view = DataView::from_specs(m);
+        view.set_free(SiteId(1), 500);
+        let json = serde_json::to_string(&view).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"datasets":{"2":{"size":1048576,"sites":[0],"home":null},"#,
+                r#""7":{"size":4096,"sites":[1,3],"home":3}},"free":{"1":500}}"#
+            )
+        );
+        let back: DataView = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, view);
+    }
+
     #[test]
     fn uncapped_view_json_has_no_free_key_and_primary_only_keeps_free() {
         let mut m = BTreeMap::new();

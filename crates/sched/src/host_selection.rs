@@ -598,9 +598,78 @@ mod tests {
             let cc = classed.choice(t).unwrap();
             assert_eq!(c.predicted_seconds.to_bits(), cc.predicted_seconds.to_bits());
         }
-        // The three same-size Sorts really are one class: one shared choice.
-        let (a, b) = (classed.choices.get(TaskId(1)), classed.choices.get(TaskId(3)));
-        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
+        // The three same-size Sorts really are one class: one shared host list.
+        let (a, b) = (classed.choice(TaskId(1)).unwrap(), classed.choice(TaskId(3)).unwrap());
+        assert!(Arc::ptr_eq(&a.hosts, &b.hosts));
+    }
+
+    /// Parameter-sweep shape: every task its own class (all problem sizes
+    /// distinct), with 1-, 4- and 8-node parallel tasks, a pinned task and
+    /// an infeasible one. The classed path must still match the reference
+    /// bit for bit, and singleton choices on one host share one host list.
+    #[test]
+    fn all_distinct_sizes_match_reference_and_share_singletons() {
+        let lib = TaskLibrary::standard();
+        let mut b = AfgBuilder::new("sweep", &lib);
+        let mut prev = b.add_task("Source", "src", 5000).unwrap();
+        for i in 0..24u64 {
+            let s = b.add_task("Sort", &format!("s{i}"), 3000 + 137 * i).unwrap();
+            b.connect(prev, 0, s, 0).unwrap();
+            prev = s;
+        }
+        let mut parallel = Vec::new();
+        for (i, nodes) in [1u32, 4, 8].into_iter().enumerate() {
+            let lu = b.add_task("LU_Decomposition", &format!("lu{nodes}"), 1024 + 64 * i as u64);
+            let lu = lu.unwrap();
+            b.set_mode(lu, vdce_afg::ComputationMode::Parallel).unwrap();
+            b.set_num_nodes(lu, nodes).unwrap();
+            b.connect(prev, 0, lu, 0).unwrap();
+            parallel.push(lu);
+        }
+        let pinned = b.add_task("Sort", "pinned", 7777).unwrap();
+        b.set_preferred_host(pinned, "h5").unwrap();
+        b.connect(prev, 0, pinned, 0).unwrap();
+        let lost = b.add_task("Sort", "lost", 8888).unwrap();
+        b.set_preferred_host(lost, "no_such_host").unwrap();
+        b.connect(pinned, 0, lost, 0).unwrap();
+        let afg = b.build().unwrap();
+
+        let hosts =
+            (0..10).map(|i| record(&format!("h{i}"), MachineType::LinuxPc, 1.0 + 0.2 * i as f64));
+        let view = view_with(hosts.collect());
+        let p = Predictor::default();
+        let pm = ParallelModel::default();
+        let reference = host_selection(&view, &afg, &p, &pm);
+        let classed = host_selection_classed(&view, &afg, &p, &pm, &PredictCache::new());
+        assert_eq!(reference, classed);
+        for t in afg.task_ids() {
+            match (reference.choice(t), classed.choice(t)) {
+                (Some(r), Some(c)) => {
+                    assert_eq!(r.hosts, c.hosts);
+                    assert_eq!(r.predicted_seconds.to_bits(), c.predicted_seconds.to_bits());
+                }
+                (None, None) => {}
+                _ => panic!("feasibility of {t:?} differs"),
+            }
+        }
+        assert!(classed.choice(lost).is_none());
+        assert_eq!(classed.choice(pinned).unwrap().hosts.to_vec(), vec!["h5".to_string()]);
+        assert!(classed.choice(parallel[2]).unwrap().hosts.len() > 1);
+
+        let mut singleton: HashMap<&str, &Arc<[String]>> = HashMap::new();
+        let mut shared = 0;
+        for c in classed.choices.values().filter(|c| c.hosts.len() == 1) {
+            match singleton.get(c.hosts[0].as_str()) {
+                Some(first) => {
+                    assert!(Arc::ptr_eq(first, &c.hosts), "{} copied", c.hosts[0]);
+                    shared += 1;
+                }
+                None => {
+                    singleton.insert(&c.hosts[0], &c.hosts);
+                }
+            }
+        }
+        assert!(shared > 0, "no two singleton choices landed on one host");
     }
 
     #[test]
