@@ -245,11 +245,14 @@ stage "vdce_perf stream_steady (seed 1)" \
 # Both this stage and incr_churn's also read `allocs_per_op` off the
 # run's JSON result line. The count is the benchmark's own allocator's,
 # identical in every pass and run, so a ceiling on it has no noise to
-# allow for: batch_wide makes 416 calls per 40k-task op with the
+# allow for: batch_wide makes 356 calls per 40k-task op with the
 # allocation table as dense rows sharing their names with the AFG (a name
-# and a share of a tree node per task made it 47,081), incr_churn 182 per
+# and a share of a tree node per task made it 47,081), incr_churn 167 per
 # monitor event with host-selection outputs as shared dense tables (a
-# per-site re-index made it 8,232).
+# per-site re-index made it 8,232). batch_data, whose 4k tasks each form
+# their own task class, makes 8,273 with one choice list per site table
+# and dataset replica lists borrowed from the catalog view; a heap object
+# per class, or a replica-list clone per dataset input, made it 48,240.
 #   perf_allocs_at_most <ceiling> <workload>
 perf_allocs_at_most() {
     local ceiling=$1 workload=$2 out allocs
@@ -267,7 +270,8 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 1000 batch_wide
+stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 500 batch_wide
+stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 10000 batch_data
 # Full-size incremental check: incr_churn compares the standing table
 # with a full re-walk on every 64th event, and with the initial table
 # once every host has healed. The smoke absorbs a twentieth of the

@@ -2,7 +2,6 @@
 
 use crate::events::{CatalogState, DataEvent, DATA_JOURNAL_TAG};
 use crate::view::{DataView, DatasetSpec};
-use std::collections::BTreeMap;
 use std::fmt;
 use vdce_afg::DatasetId;
 use vdce_net::SiteId;
@@ -194,15 +193,15 @@ impl DatasetCatalog {
     /// replica sites (ascending, deduplicated) and home site, plus the
     /// bytes left at every capacity-capped site.
     pub fn view(&self) -> DataView {
-        let mut datasets = BTreeMap::new();
+        let mut datasets = Vec::with_capacity(self.state.datasets.len());
         for (id, record) in &self.state.datasets {
             let mut sites: Vec<SiteId> = record.replicas.iter().map(|r| r.site).collect();
             sites.sort_unstable();
             sites.dedup();
             let home = record.replicas.first().map(|r| r.site);
-            datasets.insert(*id, DatasetSpec { size: record.size, sites, home });
+            datasets.push((*id, DatasetSpec { size: record.size, sites, home }));
         }
-        let mut view = DataView::from_specs(datasets);
+        let mut view = DataView::from_sorted(datasets);
         for &site in self.state.capacity.keys() {
             if let Some(left) = self.state.capacity_left(site) {
                 view.set_free(site, left);

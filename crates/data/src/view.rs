@@ -7,8 +7,9 @@
 //! view. [`DataView`] is that static input: taken once per scheduling
 //! run, never mutated mid-walk.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::collections::BTreeMap;
+use std::io::Write;
 use vdce_afg::DatasetId;
 use vdce_net::SiteId;
 
@@ -28,12 +29,17 @@ pub struct DatasetSpec {
 
 /// Immutable catalog snapshot: `DatasetId → DatasetSpec`, plus the
 /// bytes still free at capacity-capped sites.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// The datasets are one vector sorted by id, filled once per view and
+/// searched by bisection: a view is built per scheduling run and read,
+/// never edited. Serialises as `{"datasets": {"<id>": spec, ..}, "free":
+/// {"<site>": bytes, ..}}` in id order, `free` left out when empty.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataView {
-    datasets: BTreeMap<DatasetId, DatasetSpec>,
+    /// Ascending by id, one entry per id.
+    datasets: Vec<(DatasetId, DatasetSpec)>,
     /// Bytes still free per capacity-capped site. Sites absent here are
     /// uncapped; admission-time dataset-output storage checks read this.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     free: BTreeMap<SiteId, u64>,
 }
 
@@ -43,6 +49,13 @@ impl DataView {
     /// site starts uncapped; the catalog records free space when taking a
     /// view.
     pub fn from_specs(datasets: BTreeMap<DatasetId, DatasetSpec>) -> Self {
+        Self::from_sorted(datasets.into_iter().collect())
+    }
+
+    /// View over `datasets`, which must be ascending by id without
+    /// repeats; every site starts uncapped.
+    pub(crate) fn from_sorted(datasets: Vec<(DatasetId, DatasetSpec)>) -> Self {
+        debug_assert!(datasets.windows(2).all(|w| w[0].0 < w[1].0), "ids not ascending");
         DataView { datasets, free: BTreeMap::new() }
     }
 
@@ -59,7 +72,8 @@ impl DataView {
 
     /// The spec for `id`, if the dataset is registered.
     pub fn get(&self, id: DatasetId) -> Option<&DatasetSpec> {
-        self.datasets.get(&id)
+        let i = self.datasets.binary_search_by_key(&id, |(d, _)| *d).ok()?;
+        Some(&self.datasets[i].1)
     }
 
     /// Degrade every dataset to its home replica only — the paper's
@@ -74,6 +88,46 @@ impl DataView {
             })
             .collect();
         DataView { datasets, free: self.free.clone() }
+    }
+}
+
+impl Serialize for DataView {
+    fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
+        let mut obj = w.begin_object();
+        w.field(&mut obj, "datasets");
+        let mut map = w.begin_object();
+        for (id, spec) in &self.datasets {
+            w.map_key(&mut map, id);
+            spec.write_json(w);
+        }
+        w.end_object(map);
+        if !self.free.is_empty() {
+            w.field(&mut obj, "free");
+            self.free.write_json(w);
+        }
+        w.end_object(obj);
+    }
+}
+
+/// Reads what the writer writes, the way a derived reader would: unknown
+/// keys are skipped, the first of a repeated field wins, `free` defaults
+/// to empty, and a repeated dataset id keeps its last spec.
+impl Deserialize for DataView {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
+        let mut datasets: Option<BTreeMap<DatasetId, DatasetSpec>> = None;
+        let mut free = None;
+        let mut obj = r.begin_object("object for DataView")?;
+        while let Some(key) = r.next_key(&mut obj)? {
+            match &*key {
+                "datasets" if datasets.is_none() => {
+                    datasets = Some(r.field("DataView", "datasets")?);
+                }
+                "free" if free.is_none() => free = Some(r.field("DataView", "free")?),
+                _ => r.skip_value()?,
+            }
+        }
+        let datasets = datasets.ok_or_else(|| serde::__missing_field("datasets", "DataView"))?;
+        Ok(DataView { free: free.unwrap_or_default(), ..DataView::from_specs(datasets) })
     }
 }
 

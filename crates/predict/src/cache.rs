@@ -47,7 +47,7 @@ use vdce_repository::TaskPerfDb;
 /// short host/task names and 16-byte triple keys hash in a few cycles
 /// here. Not DoS-resistant — fine for keys the scheduler itself makes.
 #[derive(Debug, Default)]
-struct FxHasher {
+pub struct FxHasher {
     hash: u64,
 }
 
@@ -94,7 +94,8 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// A `HashMap` hashing with [`FxHasher`]; create one with `FxMap::default()`.
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Memo table over [`Predictor::predict`] and `Predictor::host_term`;
 /// see the module docs for the two key spaces and the scope contract.

@@ -153,7 +153,7 @@ pub fn rank_nodes(
         feasible.swap(0, best);
         return Some((1, feasible[0].1));
     }
-    feasible.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+    feasible.sort_by(|a, b| a.1.total_cmp(&b.1));
     let times: Vec<f64> = feasible.iter().map(|c| c.1).collect();
     let mut best: Option<(usize, f64)> = None;
     for p in 1..=(requested as usize).min(times.len()) {

@@ -14,32 +14,33 @@ use vdce_afg::{Afg, DatasetId, TaskId};
 use vdce_data::DataView;
 use vdce_net::SiteId;
 
-/// One resolved dataset input of a task.
+/// One resolved dataset input of a task, borrowing its replica list from
+/// the [`DataView`] it was resolved against.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct DsInput {
+pub(crate) struct DsInput<'a> {
     /// The dataset.
     pub id: DatasetId,
     /// Transfer size in bytes (from the catalog, not the property sheet).
     pub size: u64,
     /// Live replica sites, ascending and non-empty.
-    pub sites: Vec<SiteId>,
+    pub sites: &'a [SiteId],
 }
 
 /// Per-task dataset inputs in CSR form (input-port order within a task).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct DatasetInputs {
+pub(crate) struct DatasetInputs<'a> {
     offsets: Vec<u32>,
-    items: Vec<DsInput>,
+    items: Vec<DsInput<'a>>,
 }
 
-impl DatasetInputs {
+impl<'a> DatasetInputs<'a> {
     /// Resolve every `IoSpec::Dataset` input of `afg` against `data`.
     /// `None` resolves like an empty view: any dataset reference is an
     /// [`SchedError::UnknownDataset`] — legacy entry points without a
-    /// catalog cannot silently schedule dataset reads for free.
-    pub(crate) fn resolve(afg: &Afg, data: Option<&DataView>) -> Result<Self, SchedError> {
-        let empty = DataView::default();
-        let view = data.unwrap_or(&empty);
+    /// catalog cannot silently schedule dataset reads for free — so a
+    /// schedule that keeps its inputs resolves against `None` and holds
+    /// `DatasetInputs<'static>`.
+    pub(crate) fn resolve(afg: &Afg, data: Option<&'a DataView>) -> Result<Self, SchedError> {
         let n = afg.task_count();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut items = Vec::new();
@@ -47,13 +48,13 @@ impl DatasetInputs {
         for t in afg.task_ids() {
             for spec in &afg.task(t).props.inputs {
                 let Some(id) = spec.dataset_id() else { continue };
-                let Some(spec) = view.get(id) else {
+                let Some(spec) = data.and_then(|view| view.get(id)) else {
                     return Err(SchedError::UnknownDataset { task: t, dataset: id });
                 };
                 if spec.sites.is_empty() {
                     return Err(SchedError::NoFeasibleReplica { task: t, dataset: id });
                 }
-                items.push(DsInput { id, size: spec.size, sites: spec.sites.clone() });
+                items.push(DsInput { id, size: spec.size, sites: &spec.sites });
             }
             offsets.push(items.len() as u32);
         }
@@ -61,7 +62,7 @@ impl DatasetInputs {
     }
 
     /// The resolved dataset inputs of `task`.
-    pub(crate) fn for_task(&self, task: TaskId) -> &[DsInput] {
+    pub(crate) fn for_task(&self, task: TaskId) -> &[DsInput<'a>] {
         let i = task.index();
         &self.items[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
@@ -108,7 +109,7 @@ mod tests {
         assert_eq!(ds.len(), 1);
         assert_eq!(ds[0].id, DatasetId(1));
         assert_eq!(ds[0].size, 4096);
-        assert_eq!(ds[0].sites, vec![SiteId(2), SiteId(0)]);
+        assert_eq!(ds[0].sites, [SiteId(2), SiteId(0)]);
         assert!(dsi.for_task(TaskId(1)).is_empty());
     }
 

@@ -28,12 +28,11 @@
 
 use crate::view::SiteView;
 use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
-use std::collections::HashMap;
 use std::io::Write;
 use std::sync::Arc;
 use vdce_afg::{Afg, LibraryEntry, MachineType, TaskId};
 use vdce_net::topology::SiteId;
-use vdce_predict::cache::PredictCache;
+use vdce_predict::cache::{FxMap, PredictCache};
 use vdce_predict::model::{HostTerm, Predictor};
 use vdce_predict::parallel::{best_node_count, rank_nodes, ParallelModel};
 use vdce_repository::resources::ResourceRecord;
@@ -52,22 +51,35 @@ pub struct TaskHostChoice {
     pub predicted_seconds: f64,
 }
 
-/// One site's choices for every task of an AFG: slot `i` holds the choice
-/// for `TaskId(i)`, `None` where the task is infeasible at the site.
+/// One site's choices for every task of an AFG: slot `i` names the
+/// choice for `TaskId(i)` in the table's own choice list, or is
+/// `u32::MAX` where the task cannot run at the site.
 ///
 /// Immutable and reference-counted as a whole: cloning a table (to absorb
 /// a monitor event incrementally, to keep a pending submission's outputs)
 /// is one pointer bump, and two clones are recognisably the same table
-/// (`ChoiceTable::ptr_eq`) without looking at a slot. The choices inside
-/// are shared too, so the class-batched path hands one decision to every
-/// member of a task class without copying host strings. Build a new table
-/// to change one.
+/// (`ChoiceTable::ptr_eq`) without looking at a slot. The members of a
+/// task class share one entry of the choice list, so the class-batched
+/// path stores one decision per class and no heap object of its own; the
+/// host lists inside are `Arc`s, so placements still share them. Build a
+/// new table to change one.
 ///
 /// Serialises as the JSON object `{"<task id>": {choice}, ..}` over the
 /// feasible tasks in id order, so equality ignores trailing empty slots:
 /// they do not survive a round trip.
 #[derive(Debug, Clone, Default)]
-pub struct ChoiceTable(Arc<[Option<Arc<TaskHostChoice>>]>);
+pub struct ChoiceTable(Arc<Choices>);
+
+/// The shared body of a [`ChoiceTable`].
+#[derive(Debug, Default)]
+struct Choices {
+    /// Per task, an index into `choices` or [`INFEASIBLE`].
+    slots: Vec<u32>,
+    choices: Vec<TaskHostChoice>,
+}
+
+/// The slot of a task no host of the site can run.
+const INFEASIBLE: u32 = u32::MAX;
 
 /// Most slots a table deserialised from the wire may have — a
 /// [`ChoiceTable`] or an [`AllocationTable`](crate::AllocationTable): both
@@ -76,33 +88,30 @@ const MAX_WIRE_SLOTS: usize = 1 << 24;
 
 impl ChoiceTable {
     /// The choice for `task`, if feasible at this site.
-    pub fn get(&self, task: TaskId) -> Option<&Arc<TaskHostChoice>> {
-        self.0.get(task.index())?.as_ref()
+    pub fn get(&self, task: TaskId) -> Option<&TaskHostChoice> {
+        self.choice_at(*self.0.slots.get(task.index())?)
     }
 
     /// The feasible tasks with their choices, in task-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &Arc<TaskHostChoice>)> {
-        self.0.iter().enumerate().filter_map(|(i, c)| Some((TaskId(i as u32), c.as_ref()?)))
+    pub fn iter(&self) -> impl Iterator<Item = (TaskId, &TaskHostChoice)> {
+        let slots = self.0.slots.iter().enumerate();
+        slots.filter_map(|(i, &c)| Some((TaskId(i as u32), self.choice_at(c)?)))
     }
 
     /// The choices of the feasible tasks, in task-id order.
-    pub fn values(&self) -> impl Iterator<Item = &Arc<TaskHostChoice>> {
-        self.0.iter().flatten()
+    pub fn values(&self) -> impl Iterator<Item = &TaskHostChoice> {
+        self.iter().map(|(_, c)| c)
+    }
+
+    /// The entry a slot names; [`INFEASIBLE`] is past the end of any list.
+    fn choice_at(&self, slot: u32) -> Option<&TaskHostChoice> {
+        self.0.choices.get(slot as usize)
     }
 
     /// Are `self` and `other` the same allocation — clones of one table?
     /// `true` implies equal; `false` says nothing.
     pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-/// Slot `i` of the table is the `i`-th item: the choice for `TaskId(i)`.
-/// An iterator of known length (a map over the task ids) fills the shared
-/// allocation directly.
-impl FromIterator<Option<Arc<TaskHostChoice>>> for ChoiceTable {
-    fn from_iter<I: IntoIterator<Item = Option<Arc<TaskHostChoice>>>>(slots: I) -> Self {
-        ChoiceTable(slots.into_iter().collect())
     }
 }
 
@@ -126,12 +135,23 @@ impl Serialize for ChoiceTable {
 /// Keys may come in any order; a repeated key keeps its last value.
 impl Deserialize for ChoiceTable {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
-        let mut slots = Vec::new();
+        let mut table = Choices::default();
         let mut seq = r.begin_object("ChoiceTable")?;
         while let Some(task) = r.next_map_key::<TaskId>(&mut seq)? {
-            set_wire_slot(&mut slots, task, Arc::read_json(r)?)?;
+            let slot = wire_slot(task)?;
+            let choice = TaskHostChoice::read_json(r)?;
+            if table.slots.len() <= slot {
+                table.slots.resize(slot + 1, INFEASIBLE);
+            }
+            match table.slots[slot] {
+                INFEASIBLE => {
+                    table.slots[slot] = table.choices.len() as u32;
+                    table.choices.push(choice);
+                }
+                c => table.choices[c as usize] = choice,
+            }
         }
-        Ok(slots.into_iter().collect())
+        Ok(ChoiceTable(Arc::new(table)))
     }
 }
 
@@ -142,21 +162,6 @@ pub(crate) fn wire_slot(task: TaskId) -> Result<usize, serde::Error> {
         return Err(serde::Error::msg(format!("task id {} is beyond any dense table", task.0)));
     }
     Ok(task.index())
-}
-
-/// Put a choice read from the wire into slot `task`, growing the table
-/// under construction as needed.
-fn set_wire_slot(
-    slots: &mut Vec<Option<Arc<TaskHostChoice>>>,
-    task: TaskId,
-    choice: Arc<TaskHostChoice>,
-) -> Result<(), serde::Error> {
-    let slot = wire_slot(task)?;
-    if slots.len() <= slot {
-        slots.resize(slot + 1, None);
-    }
-    slots[slot] = Some(choice);
-    Ok(())
 }
 
 /// Output of one site's host-selection run: "each site sends the mapping
@@ -173,7 +178,7 @@ pub struct HostSelectionOutput {
 impl HostSelectionOutput {
     /// Best choice for `task` at this site, if feasible.
     pub fn choice(&self, task: TaskId) -> Option<&TaskHostChoice> {
-        self.choices.get(task).map(Arc::as_ref)
+        self.choices.get(task)
     }
 }
 
@@ -217,16 +222,15 @@ pub fn host_selection(
 ) -> HostSelectionOutput {
     // Collect the site's candidate resource set R once (step 2).
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-    let choices = afg
-        .task_ids()
-        .map(|task| {
-            let node = afg.task(task);
-            let candidates: Vec<&ResourceRecord> =
-                all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            let (hosts, secs) = best_node_count(
+    let mut table = Choices::for_afg(afg);
+    for task in afg.task_ids() {
+        let node = afg.task(task);
+        let candidates: Vec<&ResourceRecord> =
+            all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
+        let choice = if candidates.is_empty() {
+            None
+        } else {
+            best_node_count(
                 predictor,
                 parallel,
                 &view.tasks,
@@ -235,12 +239,33 @@ pub fn host_selection(
                 node.props.effective_nodes(),
                 &candidates,
             )
-            .ok()?; // infeasible at this site
-            let hosts = hosts.iter().map(|h| h.host_name.clone()).collect();
-            Some(Arc::new(TaskHostChoice { hosts, predicted_seconds: secs }))
-        })
-        .collect();
-    HostSelectionOutput { site: view.site, choices }
+            .ok() // infeasible at this site
+            .map(|(hosts, secs)| TaskHostChoice {
+                hosts: hosts.iter().map(|h| h.host_name.clone()).collect(),
+                predicted_seconds: secs,
+            })
+        };
+        let slot = table.push(choice);
+        table.slots.push(slot);
+    }
+    HostSelectionOutput { site: view.site, choices: ChoiceTable(Arc::new(table)) }
+}
+
+impl Choices {
+    /// An empty table sized for one slot per task of `afg`. The choice
+    /// list starts at up to 256 entries: big AFGs grow it a few times,
+    /// small ones (a stream submission's ten tasks) never regrow it.
+    fn for_afg(afg: &Afg) -> Self {
+        let n = afg.task_count();
+        Choices { slots: Vec::with_capacity(n), choices: Vec::with_capacity(n.min(256)) }
+    }
+
+    /// Append `choice` to the choice list; the slot value naming it.
+    fn push(&mut self, choice: Option<TaskHostChoice>) -> u32 {
+        let Some(choice) = choice else { return INFEASIBLE };
+        self.choices.push(choice);
+        self.choices.len() as u32 - 1
+    }
 }
 
 /// What the eligibility filter of one task depends on besides the host:
@@ -335,57 +360,57 @@ pub fn host_selection_classed(
     // One shared host list per singleton choice, made on first use.
     let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; all_hosts.len()];
     let mut groups: Vec<Option<Group<'_>>> = Vec::new();
-    let mut group_of: HashMap<EligibilityKey<'_>, u32> = HashMap::new();
-    let mut classes: HashMap<(u32, u64, u32), Option<Arc<TaskHostChoice>>> = HashMap::new();
+    let mut group_of: FxMap<EligibilityKey<'_>, u32> = FxMap::default();
+    // Class → slot value: its entry in the choice list, or `INFEASIBLE`.
+    let mut classes: FxMap<(u32, u64, u32), u32> = FxMap::default();
     let mut feasible: Vec<(u32, f64)> = Vec::new();
+    let mut table = Choices::for_afg(afg);
 
-    let choices = afg
-        .task_ids()
-        .map(|task| {
-            let node = afg.task(task);
-            let key = EligibilityKey {
-                library_task: &node.library_task,
-                machine_type: node.props.machine_type,
-                preferred_host: node.props.preferred_host.as_deref(),
-            };
-            let g = *group_of.entry(key).or_insert_with(|| {
-                groups.push(Group::of(view, afg, task, &all_hosts, predictor, cache));
-                groups.len() as u32 - 1
-            });
-            let requested = node.props.effective_nodes();
-            classes
-                .entry((g, node.problem_size, requested))
-                .or_insert_with(|| {
-                    let Group { entry, lanes } = groups[g as usize].as_ref()?;
-                    let flops = entry.computation_size(node.problem_size);
-                    let required = entry.required_memory(node.problem_size);
-                    feasible.clear();
-                    for (i, lane) in lanes.iter().enumerate() {
-                        if let Ok(t) = predictor.eval(flops, required, lane.term, lane.host) {
-                            feasible.push((i as u32, t));
-                        }
+    for task in afg.task_ids() {
+        let node = afg.task(task);
+        let key = EligibilityKey {
+            library_task: &node.library_task,
+            machine_type: node.props.machine_type,
+            preferred_host: node.props.preferred_host.as_deref(),
+        };
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Group::of(view, afg, task, &all_hosts, predictor, cache));
+            groups.len() as u32 - 1
+        });
+        let requested = node.props.effective_nodes();
+        let slot = *classes.entry((g, node.problem_size, requested)).or_insert_with(|| {
+            let choice = groups[g as usize].as_ref().and_then(|Group { entry, lanes }| {
+                let flops = entry.computation_size(node.problem_size);
+                let required = entry.required_memory(node.problem_size);
+                feasible.clear();
+                for (i, lane) in lanes.iter().enumerate() {
+                    if let Ok(t) = predictor.eval(flops, required, lane.term, lane.host) {
+                        feasible.push((i as u32, t));
                     }
-                    let (p, predicted_seconds) = rank_nodes(parallel, requested, &mut feasible)?;
-                    let lane = |c: &(u32, f64)| &lanes[c.0 as usize];
-                    let hosts = if p == 1 {
-                        let best = lane(&feasible[0]);
-                        singletons[best.slot]
-                            .get_or_insert_with(|| Arc::new([best.host.host_name.clone()]))
-                            .clone()
-                    } else {
-                        feasible[..p].iter().map(|c| lane(c).host.host_name.clone()).collect()
-                    };
-                    Some(Arc::new(TaskHostChoice { hosts, predicted_seconds }))
-                })
-                .clone()
-        })
-        .collect();
-    HostSelectionOutput { site: view.site, choices }
+                }
+                let (p, predicted_seconds) = rank_nodes(parallel, requested, &mut feasible)?;
+                let lane = |c: &(u32, f64)| &lanes[c.0 as usize];
+                let hosts = if p == 1 {
+                    let best = lane(&feasible[0]);
+                    singletons[best.slot]
+                        .get_or_insert_with(|| Arc::new([best.host.host_name.clone()]))
+                        .clone()
+                } else {
+                    feasible[..p].iter().map(|c| lane(c).host.host_name.clone()).collect()
+                };
+                Some(TaskHostChoice { hosts, predicted_seconds })
+            });
+            table.push(choice)
+        });
+        table.slots.push(slot);
+    }
+    HostSelectionOutput { site: view.site, choices: ChoiceTable(Arc::new(table)) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use vdce_afg::{AfgBuilder, IoSpec, MachineType, TaskLibrary};
     use vdce_repository::resources::{HostStatus, ResourceRecord};
     use vdce_repository::SiteRepository;

@@ -38,7 +38,6 @@ use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
 use crate::site_scheduler::{choose_site_for_task, dataset_sources_for_site, SchedError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
@@ -79,18 +78,17 @@ pub struct IncrementalSchedule {
     // Frozen at construction: the dataset replica term is a pure
     // function of (task, candidate site, this snapshot), so it cannot
     // break the order-independence invariant above.
-    dsi: DatasetInputs,
+    dsi: DatasetInputs<'static>,
     table: AllocationTable,
 }
 
 /// Same placement content? `to_bits` on the prediction so a `-0.0`/NaN
 /// quirk can never make "changed" and "unchanged" disagree with the
-/// bit-identity contract. The pointer fast path covers the members of a
-/// task class that kept their shared decision across a re-selection
-/// through the same memo.
-fn choice_eq(a: &Arc<TaskHostChoice>, b: &Arc<TaskHostChoice>) -> bool {
-    Arc::ptr_eq(a, b)
-        || (a.hosts == b.hosts && a.predicted_seconds.to_bits() == b.predicted_seconds.to_bits())
+/// bit-identity contract. `Arc`'s `==` on the host lists is a pointer
+/// compare first, which covers the choices that kept their shared host
+/// list across a re-selection.
+fn choice_eq(a: &TaskHostChoice, b: &TaskHostChoice) -> bool {
+    a.hosts == b.hosts && a.predicted_seconds.to_bits() == b.predicted_seconds.to_bits()
 }
 
 /// Push `t` unless already queued (dedup bitvec; never reset — a popped
@@ -149,7 +147,7 @@ impl IncrementalSchedule {
                 }
             }
             let ds = dsi.for_task(task);
-            let ds_cost: &[DsInput] = if ignore_transfer_time { &[] } else { ds };
+            let ds_cost: &[DsInput<'_>] = if ignore_transfer_time { &[] } else { ds };
             let best = choose_site_for_task(
                 task,
                 &outputs,
@@ -253,7 +251,7 @@ impl IncrementalSchedule {
             }
             let xfer = &self.xfer;
             let ds = self.dsi.for_task(task);
-            let ds_cost: &[DsInput] = if self.ignore_transfer_time { &[] } else { ds };
+            let ds_cost: &[DsInput<'_>] = if self.ignore_transfer_time { &[] } else { ds };
             let best = choose_site_for_task(
                 task,
                 &new_outputs,

@@ -222,7 +222,7 @@ pub fn evaluate_with_data(
             let src =
                 p.data_sources.iter().find(|s| s.dataset == d.id).map(|s| s.source).unwrap_or_else(
                     || {
-                        vdce_predict::cheapest_source_seconds(net, my_site, &d.sites, d.size)
+                        vdce_predict::cheapest_source_seconds(net, my_site, d.sites, d.size)
                             .expect("resolve guarantees a live replica")
                             .0
                     },
@@ -393,7 +393,7 @@ pub fn evaluate_reference(
             let src =
                 p.data_sources.iter().find(|s| s.dataset == d.id).map(|s| s.source).unwrap_or_else(
                     || {
-                        vdce_predict::cheapest_source_seconds(net, my_site, &d.sites, d.size)
+                        vdce_predict::cheapest_source_seconds(net, my_site, d.sites, d.size)
                             .expect("resolve guarantees a live replica")
                             .0
                     },

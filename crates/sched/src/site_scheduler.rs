@@ -578,7 +578,7 @@ fn schedule_walk(
         // replica term is excluded from the cost (like the parent term),
         // but the chosen source is still recorded for replay.
         let ds = dsi.for_task(task);
-        let ds_cost: &[DsInput] = if ignore_transfer_time { &[] } else { ds };
+        let ds_cost: &[DsInput<'_>] = if ignore_transfer_time { &[] } else { ds };
 
         let mut xfer_time = |from: SiteId, to: SiteId, bytes: u64| {
             xfer_lookups += 1;
@@ -642,7 +642,7 @@ pub(crate) fn choose_site_for_task<'a>(
     task: TaskId,
     outputs: &'a [HostSelectionOutput],
     parents: &[(SiteId, u64)],
-    datasets: &[DsInput],
+    datasets: &[DsInput<'_>],
     local_site: SiteId,
     xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
     spread: Option<(&SpreadPolicy, &HashSet<&str>)>,
@@ -705,7 +705,7 @@ pub(crate) fn choose_site_for_task<'a>(
 /// and the recording in [`dataset_sources_for_site`] so the recorded
 /// source is exactly the one the argmin priced.
 fn cheapest_ds_source(
-    d: &DsInput,
+    d: &DsInput<'_>,
     to: SiteId,
     xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
 ) -> (SiteId, f64) {
@@ -723,7 +723,7 @@ fn cheapest_ds_source(
 /// the argmin — what gets recorded in
 /// [`data_sources`](crate::TaskPlacement::data_sources).
 pub(crate) fn dataset_sources_for_site(
-    datasets: &[DsInput],
+    datasets: &[DsInput<'_>],
     site: SiteId,
     xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
 ) -> Vec<DataSource> {
