@@ -697,6 +697,234 @@ mod tests {
         assert!(shared > 0, "no two singleton choices landed on one host");
     }
 
+    fn site(hosts: &[(&str, f64)]) -> SiteRepository {
+        let repo = SiteRepository::new();
+        repo.resources_mut(|db| {
+            for &(name, speed) in hosts {
+                db.upsert(record(name, MachineType::LinuxPc, speed));
+            }
+        });
+        repo
+    }
+
+    /// Source → Sort → a 2-node LU → Sink: four eligibility groups, one
+    /// of them choosing a host pair.
+    fn memo_afg() -> Afg {
+        let lib = TaskLibrary::standard();
+        let mut b = AfgBuilder::new("memo", &lib);
+        let src = b.add_task("Source", "src", 1000).unwrap();
+        let sort = b.add_task("Sort", "sort", 9000).unwrap();
+        let lu = b.add_task("LU_Decomposition", "lu", 1024).unwrap();
+        b.set_mode(lu, vdce_afg::ComputationMode::Parallel).unwrap();
+        b.set_num_nodes(lu, 2).unwrap();
+        let snk = b.add_task("Sink", "snk", 1000).unwrap();
+        b.connect(src, 0, sort, 0).unwrap();
+        b.connect(sort, 0, lu, 0).unwrap();
+        b.connect(lu, 0, snk, 0).unwrap();
+        b.build().unwrap()
+    }
+
+    /// `host_selection_classed` on a fresh capture of `repo` as `site`.
+    fn classed(repo: &SiteRepository, site: u16, memo: &PredictCache) -> HostSelectionOutput {
+        let view = SiteView::capture(SiteId(site), repo);
+        let (p, pm) = (Predictor::default(), ParallelModel::default());
+        host_selection_classed(&view, &memo_afg(), &p, &pm, memo)
+    }
+
+    /// Every feasible choice as `"<task> <host+host> <prediction bits>"`.
+    fn lines(out: &HostSelectionOutput) -> Vec<String> {
+        let line = |(t, c): (TaskId, &TaskHostChoice)| {
+            format!("{} {} {:#018x}", t.0, c.hosts.join("+"), c.predicted_seconds.to_bits())
+        };
+        out.choices.iter().map(line).collect()
+    }
+
+    /// `(len, hits, misses)` of a memo.
+    fn counts(memo: &PredictCache) -> (usize, u64, u64) {
+        (memo.len(), memo.hits(), memo.misses())
+    }
+
+    fn sample(repo: &SiteRepository, loads: &[(&str, f64)]) {
+        repo.resources_mut(|db| {
+            for &(host, load) in loads {
+                assert!(db.record_sample(host, load, 1 << 30));
+            }
+        });
+    }
+
+    fn set_status(repo: &SiteRepository, host: &str, status: HostStatus) {
+        repo.resources_mut(|db| assert!(db.set_status(host, status)));
+    }
+
+    /// A memo that lives across captures prices every host at the load
+    /// of its first lookup: a load sample on every host moves nothing.
+    #[test]
+    fn a_long_lived_memo_keeps_its_first_prices_across_load_samples() {
+        let repo = site(&[("h1", 1.0), ("h2", 2.0), ("h3", 3.0)]);
+        let memo = PredictCache::new();
+        let first = classed(&repo, 0, &memo);
+        assert_eq!(
+            lines(&first),
+            [
+                "0 h3 0x3f0179ec9cbd821e",
+                "1 h3 0x3f902423089bf415",
+                "2 h3+h2 0x402d9b888f3f7984",
+                "3 h3 0x3f0179ec9cbd821e"
+            ]
+        );
+        assert_eq!(counts(&memo), (12, 0, 12));
+
+        sample(&repo, &[("h1", 0.5), ("h2", 4.0), ("h3", 2.0)]);
+        let again = classed(&repo, 0, &memo);
+        assert_eq!(lines(&again), lines(&first));
+        assert_eq!(again, first);
+        assert_eq!(counts(&memo), (12, 12, 12));
+        // The samples are real: a fresh memo prices them.
+        let fresh = classed(&repo, 0, &PredictCache::new());
+        assert_eq!(
+            lines(&fresh),
+            [
+                "0 h3 0x3f1a36e2eb1c432d",
+                "1 h3 0x3fa836348ce9ee20",
+                "2 h3+h1 0x404632170f46a561",
+                "3 h3 0x3f1a36e2eb1c432d"
+            ]
+        );
+    }
+
+    /// A host down at the memo's first call gets its term at the first
+    /// call that finds it up, and keeps it; a host up at the first call
+    /// keeps its first term through a Down/Up cycle and a new load.
+    #[test]
+    fn a_host_is_pinned_at_the_first_call_that_finds_it_up() {
+        let repo = site(&[("h1", 6.0), ("h2", 3.0), ("h3", 2.0)]);
+        set_status(&repo, "h1", HostStatus::Down);
+        let memo = PredictCache::new();
+        assert_eq!(
+            lines(&classed(&repo, 0, &memo)),
+            [
+                "0 h2 0x3f0179ec9cbd821e",
+                "1 h2 0x3f902423089bf415",
+                "2 h2+h3 0x402d9b888f3f7984",
+                "3 h2 0x3f0179ec9cbd821e"
+            ]
+        );
+        assert_eq!(counts(&memo), (8, 0, 8));
+
+        // h1 comes up at load 0.5 and is priced there...
+        set_status(&repo, "h1", HostStatus::Up);
+        sample(&repo, &[("h1", 0.5)]);
+        let up = classed(&repo, 0, &memo);
+        assert_eq!(
+            lines(&up),
+            [
+                "0 h1 0x3efa36e2eb1c432d",
+                "1 h1 0x3f8836348ce9ee20",
+                "2 h1+h2 0x40253d3b2401e3ca",
+                "3 h1 0x3efa36e2eb1c432d"
+            ]
+        );
+        assert_eq!(counts(&memo), (12, 8, 12));
+
+        // ...and stays there.
+        sample(&repo, &[("h1", 3.0)]);
+        assert_eq!(lines(&classed(&repo, 0, &memo)), lines(&up));
+        assert_eq!(counts(&memo), (12, 20, 12));
+
+        // h2 leaves, then returns at a load that would lose it the pair.
+        set_status(&repo, "h2", HostStatus::Down);
+        assert_eq!(
+            lines(&classed(&repo, 0, &memo)),
+            [
+                "0 h1 0x3efa36e2eb1c432d",
+                "1 h1 0x3f8836348ce9ee20",
+                "2 h1+h3 0x40287a3a565e8b38",
+                "3 h1 0x3efa36e2eb1c432d"
+            ]
+        );
+        assert_eq!(counts(&memo), (12, 28, 12));
+
+        set_status(&repo, "h2", HostStatus::Up);
+        sample(&repo, &[("h2", 5.0)]);
+        assert_eq!(lines(&classed(&repo, 0, &memo)), lines(&up));
+        assert_eq!(counts(&memo), (12, 40, 12));
+    }
+
+    /// A host whose name sorts first shifts every position of the view;
+    /// it is priced at its own load, the others at their first ones.
+    #[test]
+    fn an_inserted_host_shifts_every_position_and_the_rest_stay_pinned() {
+        let repo = site(&[("m1", 1.0), ("m2", 2.0)]);
+        let memo = PredictCache::new();
+        let first = classed(&repo, 0, &memo);
+        assert_eq!(
+            lines(&first),
+            [
+                "0 m2 0x3f0a36e2eb1c432c",
+                "1 m2 0x3f9836348ce9ee1f",
+                "2 m2+m1 0x403877aafa359576",
+                "3 m2 0x3f0a36e2eb1c432c"
+            ]
+        );
+        assert_eq!(counts(&memo), (8, 0, 8));
+
+        sample(&repo, &[("m1", 2.0), ("m2", 2.0)]);
+        repo.resources_mut(|db| db.upsert(record("a0", MachineType::LinuxPc, 5.0)));
+        sample(&repo, &[("a0", 1.0)]);
+        let shifted = classed(&repo, 0, &memo);
+        assert_eq!(
+            lines(&shifted),
+            [
+                "0 a0 0x3f04f8b588e368f1",
+                "1 a0 0x3f935e9070bb24e6",
+                "2 a0+m2 0x40308db74531ea52",
+                "3 a0 0x3f04f8b588e368f1"
+            ]
+        );
+        assert_eq!(counts(&memo), (12, 8, 12));
+
+        // The same as a fresh memo over the first loads plus `a0`.
+        let pinned = site(&[("a0", 5.0), ("m1", 1.0), ("m2", 2.0)]);
+        sample(&pinned, &[("a0", 1.0)]);
+        assert_eq!(lines(&classed(&pinned, 0, &PredictCache::new())), lines(&shifted));
+    }
+
+    /// One memo serves two sites; each keeps its own first prices.
+    #[test]
+    fn one_memo_prices_two_sites() {
+        let sites = [site(&[("s0a", 1.0), ("s0b", 2.0)]), site(&[("s1a", 3.0), ("s1b", 0.5)])];
+        let memo = PredictCache::new();
+        let first0 = classed(&sites[0], 0, &memo);
+        assert_eq!(
+            lines(&first0),
+            [
+                "0 s0b 0x3f0a36e2eb1c432c",
+                "1 s0b 0x3f9836348ce9ee1f",
+                "2 s0b+s0a 0x403877aafa359576",
+                "3 s0b 0x3f0a36e2eb1c432c"
+            ]
+        );
+        assert_eq!(counts(&memo), (8, 0, 8));
+        let first1 = classed(&sites[1], 1, &memo);
+        assert_eq!(
+            lines(&first1),
+            [
+                "0 s1a 0x3f0179ec9cbd821e",
+                "1 s1a 0x3f902423089bf415",
+                "2 s1a+s1b 0x4034a1f608acea23",
+                "3 s1a 0x3f0179ec9cbd821e"
+            ]
+        );
+        assert_eq!(counts(&memo), (16, 0, 16));
+
+        sample(&sites[0], &[("s0a", 3.0), ("s0b", 1.0)]);
+        sample(&sites[1], &[("s1a", 2.0), ("s1b", 0.0)]);
+        assert_eq!(lines(&classed(&sites[1], 1, &memo)), lines(&first1));
+        assert_eq!(counts(&memo), (16, 8, 16));
+        assert_eq!(lines(&classed(&sites[0], 0, &memo)), lines(&first0));
+        assert_eq!(counts(&memo), (16, 16, 16));
+    }
+
     #[test]
     fn empty_site_yields_empty_output() {
         let view = view_with(vec![]);
