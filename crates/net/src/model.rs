@@ -117,10 +117,7 @@ impl NetworkModel {
         let mut others: Vec<SiteId> =
             (0..self.sites as u16).map(SiteId).filter(|&s| s != local).collect();
         others.sort_by(|&x, &y| {
-            self.distance(local, x)
-                .partial_cmp(&self.distance(local, y))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(x.cmp(&y))
+            self.distance(local, x).total_cmp(&self.distance(local, y)).then(x.cmp(&y))
         });
         others.truncate(k);
         others

@@ -9,8 +9,9 @@
 //! - whole predictions, keyed on `(library task, problem size, host)` —
 //!   [`PredictCache::predict`] / `PredictCache::predict_many`, used by
 //!   re-selection and the baselines, where the same triple recurs;
-//! - host-side terms, keyed on `(library task, host)` —
-//!   [`PredictCache::host_terms`], used by class-batched host selection,
+//! - host-side terms, keyed on `(site, library task, host)` and held as
+//!   one dense row per site and library task in the site's host order —
+//!   [`PredictCache::site_terms`], used by class-batched host selection,
 //!   where problem sizes are continuous and a triple never recurs but a
 //!   term prices every size of a task on its host.
 //!
@@ -37,7 +38,8 @@ use crate::model::{HostTerm, PredictError, Predictor};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockWriteGuard};
+use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::TaskPerfDb;
 
@@ -100,13 +102,10 @@ pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// Memo table over [`Predictor::predict`] and `Predictor::host_term`;
 /// see the module docs for the two key spaces and the scope contract.
 ///
-/// Task and host names are **interned** to small integer ids so the hot
-/// lookup path allocates nothing: a hit costs two borrowed-str map
-/// probes plus one small-key probe. Host names are unique across a
-/// federation ([`Topology::add_site`] and the site generators enforce
-/// this), so a memo may be shared across sites.
-///
-/// [`Topology::add_site`]: vdce_net::topology::Topology::add_site
+/// Task names, and the host names of whole predictions, are **interned**
+/// to small integer ids so the hot lookup path allocates nothing: a
+/// prediction hit costs two borrowed-str map probes plus one small-key
+/// probe, a term hit one vector index.
 #[derive(Debug, Default)]
 pub struct PredictCache {
     inner: RwLock<Inner>,
@@ -119,7 +118,152 @@ struct Inner {
     task_ids: FxMap<String, u32>,
     host_ids: FxMap<String, u32>,
     map: FxMap<(u32, u64, u32), Result<f64, PredictError>>,
-    terms: FxMap<(u32, u32), HostTerm>,
+    /// Every host name a term row is keyed on, back to back.
+    names: String,
+    /// Term rows per site, indexed by `SiteId::index()`. Keying terms on
+    /// the site as well as the host changes nothing a caller sees because
+    /// host names are unique across a federation ([`Topology::add_site`]
+    /// and the site generators enforce this): a memo shared across sites
+    /// still holds one term per `(library task, host)`.
+    ///
+    /// [`Topology::add_site`]: vdce_net::topology::Topology::add_site
+    sites: Vec<TermSite>,
+}
+
+/// One site's host-side terms: one row per interned library task, one
+/// slot per host the site has shown the memo.
+#[derive(Debug, Default)]
+struct TermSite {
+    /// The byte range in `Inner::names` of each host the site has shown:
+    /// the hosts of the last view that did not lead this list, in view
+    /// order, then any host that view lacked, in their earlier order.
+    hosts: Vec<(u32, u32)>,
+    /// `rows[task * hosts.len() + host]`: the term of interned task `task`
+    /// on host `host`, once looked up.
+    rows: Vec<Option<HostTerm>>,
+}
+
+impl TermSite {
+    /// Does `view` list the first of `hosts`, position for position?
+    fn leads_with(&self, names: &str, view: &[&ResourceRecord]) -> bool {
+        view.len() <= self.hosts.len()
+            && view
+                .iter()
+                .zip(&self.hosts)
+                .all(|(h, &(start, end))| names[start as usize..end as usize] == *h.host_name)
+    }
+
+    /// Reorder the hosts, terms and all, so that `view` leads them; names
+    /// this site has not shown before are appended to `names`.
+    fn realign(&mut self, names: &mut String, view: &[&ResourceRecord]) {
+        if self.hosts.is_empty() {
+            // The site's first view: no terms to carry over.
+            self.hosts = view.iter().map(|h| append(names, &h.host_name)).collect();
+            return;
+        }
+        let mut known: FxMap<&str, usize> = self
+            .hosts
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, end))| (&names[start as usize..end as usize], i))
+            .collect();
+        // Old position of each new one; `None` for a name new to the site.
+        let mut order: Vec<Option<usize>> =
+            view.iter().map(|h| known.remove(h.host_name.as_str())).collect();
+        let mut rest: Vec<usize> = known.into_values().collect();
+        rest.sort_unstable();
+        order.extend(rest.into_iter().map(Some));
+        // Only view positions are new.
+        let hosts: Vec<(u32, u32)> = order
+            .iter()
+            .enumerate()
+            .map(|(pos, old)| match *old {
+                Some(i) => self.hosts[i],
+                None => append(names, &view[pos].host_name),
+            })
+            .collect();
+        let stride = self.hosts.len();
+        let tasks = self.rows.len().checked_div(stride).unwrap_or(0);
+        let mut rows = Vec::with_capacity(tasks * hosts.len());
+        for t in 0..tasks {
+            let row = &self.rows[t * stride..][..stride];
+            rows.extend(order.iter().map(|old| old.and_then(|i| row[i])));
+        }
+        self.hosts = hosts;
+        self.rows = rows;
+    }
+}
+
+/// Append `name` to the arena `names`; its byte range there.
+fn append(names: &mut String, name: &str) -> (u32, u32) {
+    let offset = |at: usize| u32::try_from(at).expect("host names under 4 GiB");
+    let start = offset(names.len());
+    names.push_str(name);
+    (start, offset(names.len()))
+}
+
+/// The term rows of one site, aligned with that site's view of its hosts
+/// and write-locked for as long as this lives — one host-selection call.
+/// Made by [`PredictCache::site_terms`]; its lookups count into the
+/// memo's hits and misses when it is dropped.
+pub struct SiteTerms<'a> {
+    cache: &'a PredictCache,
+    inner: RwLockWriteGuard<'a, Inner>,
+    predictor: &'a Predictor,
+    tasks: &'a TaskPerfDb,
+    hosts: &'a [&'a ResourceRecord],
+    site: usize,
+    hits: u64,
+    misses: u64,
+}
+
+/// A library task's row in a [`SiteTerms`], from [`SiteTerms::row`].
+#[derive(Debug, Clone, Copy)]
+pub struct TermRow<'t> {
+    task: &'t str,
+    /// Index in the site's rows of the task's term on the view's first host.
+    start: usize,
+}
+
+impl SiteTerms<'_> {
+    /// The row of `task`, a library task the task-performance database
+    /// knows.
+    pub fn row<'t>(&mut self, task: &'t str) -> TermRow<'t> {
+        let inner = &mut *self.inner;
+        let id = intern(&mut inner.task_ids, task) as usize;
+        let tasks = inner.task_ids.len();
+        let site = &mut inner.sites[self.site];
+        let stride = site.hosts.len();
+        if site.rows.len() < (id + 1) * stride {
+            // A site's first row makes room for every task interned so
+            // far, which every other site of a shared memo already knows.
+            if site.rows.capacity() == 0 {
+                site.rows.reserve_exact(tasks * stride);
+            }
+            site.rows.resize((id + 1) * stride, None);
+        }
+        TermRow { task, start: id * stride }
+    }
+
+    /// The term of `row`'s task on the view's host at position `pos`: the
+    /// one this memo gave that pair first, else `Predictor::host_term` of
+    /// the host as the view shows it, kept from now on.
+    pub fn term(&mut self, row: TermRow<'_>, pos: usize) -> HostTerm {
+        let slot = &mut self.inner.sites[self.site].rows[row.start + pos];
+        if let Some(term) = *slot {
+            self.hits += 1;
+            return term;
+        }
+        self.misses += 1;
+        *slot.insert(self.predictor.host_term(self.tasks, row.task, self.hosts[pos]))
+    }
+}
+
+impl Drop for SiteTerms<'_> {
+    fn drop(&mut self) {
+        self.cache.hits.fetch_add(self.hits, Ordering::Relaxed);
+        self.cache.misses.fetch_add(self.misses, Ordering::Relaxed);
+    }
 }
 
 fn intern(ids: &mut FxMap<String, u32>, name: &str) -> u32 {
@@ -231,39 +375,47 @@ impl PredictCache {
         out
     }
 
-    /// The host-side term of `task` (a known library task) on each of
-    /// `hosts`, in `hosts` order, through the term memo: a `(task, host)`
-    /// pair seen before returns the term it was first given, a new one
-    /// is computed with `Predictor::host_term` and kept.
-    pub fn host_terms<'a>(
-        &self,
-        predictor: &Predictor,
-        tasks: &TaskPerfDb,
-        task: &str,
-        hosts: impl IntoIterator<Item = &'a ResourceRecord>,
-    ) -> Vec<HostTerm> {
-        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        let inner = &mut *guard;
-        let t = intern(&mut inner.task_ids, task);
-        let before = inner.terms.len();
-        let out: Vec<HostTerm> = hosts
-            .into_iter()
-            .map(|host| {
-                let h = intern(&mut inner.host_ids, &host.host_name);
-                *inner.terms.entry((t, h)).or_insert_with(|| predictor.host_term(tasks, task, host))
-            })
-            .collect();
-        let missed = (inner.terms.len() - before) as u64;
-        self.misses.fetch_add(missed, Ordering::Relaxed);
-        self.hits.fetch_add(out.len() as u64 - missed, Ordering::Relaxed);
-        out
+    /// The host-side terms of `site` for one host-selection call over
+    /// `hosts`, the site's view of its hosts in view order. When `hosts`
+    /// lists the hosts the memo last saw at `site`, position for position
+    /// — the normal case, as captures change loads and statuses, not host
+    /// sets — a term is one vector index; otherwise the site's rows are
+    /// first realigned to `hosts` by name. Holds the memo's write lock
+    /// until it is dropped.
+    pub fn site_terms<'a>(
+        &'a self,
+        predictor: &'a Predictor,
+        tasks: &'a TaskPerfDb,
+        site: SiteId,
+        hosts: &'a [&'a ResourceRecord],
+    ) -> SiteTerms<'a> {
+        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let Inner { names, sites, .. } = &mut *inner;
+        if sites.len() <= site.index() {
+            sites.resize_with(site.index() + 1, TermSite::default);
+        }
+        let entry = &mut sites[site.index()];
+        if !entry.leads_with(names, hosts) {
+            entry.realign(names, hosts);
+        }
+        SiteTerms {
+            cache: self,
+            inner,
+            predictor,
+            tasks,
+            hosts,
+            site: site.index(),
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Number of distinct entries memoised: `(task, size, host)`
     /// predictions plus `(task, host)` terms.
     pub fn len(&self) -> usize {
         let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        inner.map.len() + inner.terms.len()
+        let terms = inner.sites.iter().flat_map(|s| &s.rows).filter(|t| t.is_some()).count();
+        inner.map.len() + terms
     }
 
     /// Has nothing been evaluated yet?
@@ -368,25 +520,38 @@ mod tests {
         assert_eq!(batched, again);
     }
 
+    /// `task`'s term on each of `hosts` through one [`SiteTerms`] of site 0.
+    fn host_terms(
+        cache: &PredictCache,
+        p: &Predictor,
+        db: &TaskPerfDb,
+        task: &str,
+        hosts: &[&ResourceRecord],
+    ) -> Vec<HostTerm> {
+        let mut terms = cache.site_terms(p, db, SiteId(0), hosts);
+        let row = terms.row(task);
+        (0..hosts.len()).map(|pos| terms.term(row, pos)).collect()
+    }
+
     #[test]
     fn host_terms_pin_the_first_load_seen() {
         let db = TaskPerfDb::standard();
         let p = Predictor::default();
         let cache = PredictCache::new();
         let (mut a, b) = (host("a", 1.0), host("b", 2.0));
-        let first = cache.host_terms(&p, &db, "Sort", [&a, &b]);
+        let first = host_terms(&cache, &p, &db, "Sort", &[&a, &b]);
         assert_eq!(first, vec![p.host_term(&db, "Sort", &a), p.host_term(&db, "Sort", &b)]);
         assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 0, 2));
         // A load change after the first lookup is not seen through the
         // same memo (that is the scope contract), but a fresh memo and a
         // different task on the same memo both see it.
         a.workload = 3.0;
-        assert_eq!(cache.host_terms(&p, &db, "Sort", [&a]), first[..1]);
+        assert_eq!(host_terms(&cache, &p, &db, "Sort", &[&a]), first[..1]);
         assert_eq!((cache.misses(), cache.hits()), (2, 1));
         let fresh = p.host_term(&db, "Sort", &a);
         assert_eq!(fresh.load_mult, 4.0);
-        assert_eq!(PredictCache::new().host_terms(&p, &db, "Sort", [&a]), vec![fresh]);
-        assert_eq!(cache.host_terms(&p, &db, "Map", [&a])[0].load_mult, 4.0);
+        assert_eq!(host_terms(&PredictCache::new(), &p, &db, "Sort", &[&a]), vec![fresh]);
+        assert_eq!(host_terms(&cache, &p, &db, "Map", &[&a])[0].load_mult, 4.0);
         assert_eq!(cache.evictions(), 0);
     }
 

@@ -29,6 +29,7 @@
 use crate::view::SiteView;
 use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::io::Write;
+use std::ops::Range;
 use std::sync::Arc;
 use vdce_afg::{Afg, LibraryEntry, MachineType, TaskId};
 use vdce_net::topology::SiteId;
@@ -278,8 +279,8 @@ struct EligibilityKey<'a> {
     preferred_host: Option<&'a str>,
 }
 
-/// One eligible host of a [`Group`], with everything `Predict` needs
-/// from it that does not depend on the problem size.
+/// One eligible host of an eligibility group, with everything `Predict`
+/// needs from it that does not depend on the problem size.
 struct Lane<'a> {
     host: &'a ResourceRecord,
     /// Position of `host` in the view, indexing the shared singletons.
@@ -287,68 +288,27 @@ struct Lane<'a> {
     term: HostTerm,
 }
 
-/// The tasks of one [`EligibilityKey`]: their library entry and their
-/// candidate lanes, built once per call.
-struct Group<'a> {
-    entry: &'a LibraryEntry,
-    lanes: Vec<Lane<'a>>,
-}
-
-impl<'a> Group<'a> {
-    /// The group `task` belongs to; `None` when the site's task library
-    /// does not know its library task (nothing can be predicted).
-    fn of(
-        view: &'a SiteView,
-        afg: &Afg,
-        task: TaskId,
-        all_hosts: &[&'a ResourceRecord],
-        predictor: &Predictor,
-        cache: &PredictCache,
-    ) -> Option<Self> {
-        let library_task = &afg.task(task).library_task;
-        let entry = view.tasks.entry(library_task)?;
-        let candidates: Vec<(usize, &ResourceRecord)> = all_hosts
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(_, h)| eligible(view, afg, task, h))
-            .collect();
-        let terms = cache.host_terms(
-            predictor,
-            &view.tasks,
-            library_task,
-            candidates.iter().map(|&(_, host)| host),
-        );
-        let lanes = candidates
-            .into_iter()
-            .zip(terms)
-            .map(|((slot, host), term)| Lane { host, slot, term })
-            .collect();
-        Some(Group { entry, lanes })
-    }
-}
-
 /// The optimised [`host_selection`]: tasks are grouped by
 /// `EligibilityKey` and each group's candidate lanes — eligibility
 /// filter, library entry, one host-side prediction term per candidate
-/// ([`Predictor::host_term`]) — are built once. Within a group the
-/// argmin depends only on `(problem size, requested nodes)`; each such
-/// *class* runs one multiply chain per lane ([`Predictor::eval`]) and
-/// the reference's node-count search ([`rank_nodes`]) once, and every
-/// member of the class shares the decision. The terms and the chain are
-/// the same code the reference's `predict` runs, so the outputs are
-/// bit-identical by construction.
+/// ([`Predictor::host_term`]) — are built once, back to back in one lane
+/// list per call. Within a group the argmin depends only on
+/// `(problem size, requested nodes)`; each such *class* runs one multiply
+/// chain per lane ([`Predictor::eval`]) and the reference's node-count
+/// search ([`rank_nodes`]) once, and every member of the class shares the
+/// decision. The terms and the chain are the same code the reference's
+/// `predict` runs, so the outputs are bit-identical by construction.
 ///
 /// Big AFGs built from a small task library have a few hundred classes;
 /// AFGs with continuous problem sizes have one class per task, and then
 /// a task costs a few multiplies per candidate host.
 ///
-/// The terms go through `cache`'s `(library task, host)` memo. Within
-/// one call that only counts them (`cache.hits()` / `cache.misses()`, how
-/// `site_schedule_observed` exports cache statistics); across calls it
-/// pins a host's term to the load it was first seen at — see
-/// [`vdce_predict::cache`] for choosing that scope. Host names are unique
-/// across a federation, so one memo may be shared across sites.
+/// The terms go through `cache`'s term rows for `view.site`
+/// ([`PredictCache::site_terms`]). Within one call that only counts them
+/// (`cache.hits()` / `cache.misses()`, how `site_schedule_observed`
+/// exports cache statistics); across calls it pins a host's term to the
+/// load it was first seen at — see [`vdce_predict::cache`] for choosing
+/// that scope. One memo may be shared across sites.
 pub fn host_selection_classed(
     view: &SiteView,
     afg: &Afg,
@@ -357,13 +317,22 @@ pub fn host_selection_classed(
     cache: &PredictCache,
 ) -> HostSelectionOutput {
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
+    let mut terms = cache.site_terms(predictor, &view.tasks, view.site, &all_hosts);
     // One shared host list per singleton choice, made on first use.
     let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; all_hosts.len()];
-    let mut groups: Vec<Option<Group<'_>>> = Vec::new();
+    // Every group's lanes, back to back. Room for four groups: a stream
+    // submission draws on three library tasks and never regrows it.
+    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(all_hosts.len() * afg.task_count().min(4));
+    // Per group, its library entry and its range of `lanes`; `None` when
+    // the site's task library does not know the library task (nothing can
+    // be predicted).
+    let mut groups: Vec<Option<(&LibraryEntry, Range<usize>)>> = Vec::new();
     let mut group_of: FxMap<EligibilityKey<'_>, u32> = FxMap::default();
     // Class → slot value: its entry in the choice list, or `INFEASIBLE`.
-    let mut classes: FxMap<(u32, u64, u32), u32> = FxMap::default();
-    let mut feasible: Vec<(u32, f64)> = Vec::new();
+    // A stream submission's ten classes never regrow it.
+    let mut classes: FxMap<(u32, u64, u32), u32> =
+        FxMap::with_capacity_and_hasher(afg.task_count().min(16), Default::default());
+    let mut feasible: Vec<(u32, f64)> = Vec::with_capacity(all_hosts.len());
     let mut table = Choices::for_afg(afg);
 
     for task in afg.task_ids() {
@@ -374,12 +343,22 @@ pub fn host_selection_classed(
             preferred_host: node.props.preferred_host.as_deref(),
         };
         let g = *group_of.entry(key).or_insert_with(|| {
-            groups.push(Group::of(view, afg, task, &all_hosts, predictor, cache));
+            groups.push(view.tasks.entry(&node.library_task).map(|entry| {
+                let row = terms.row(&node.library_task);
+                let start = lanes.len();
+                for (slot, &host) in all_hosts.iter().enumerate() {
+                    if eligible(view, afg, task, host) {
+                        lanes.push(Lane { host, slot, term: terms.term(row, slot) });
+                    }
+                }
+                (entry, start..lanes.len())
+            }));
             groups.len() as u32 - 1
         });
         let requested = node.props.effective_nodes();
         let slot = *classes.entry((g, node.problem_size, requested)).or_insert_with(|| {
-            let choice = groups[g as usize].as_ref().and_then(|Group { entry, lanes }| {
+            let choice = groups[g as usize].as_ref().and_then(|(entry, range)| {
+                let lanes = &lanes[range.clone()];
                 let flops = entry.computation_size(node.problem_size);
                 let required = entry.required_memory(node.problem_size);
                 feasible.clear();

@@ -339,6 +339,10 @@ pub struct StreamService {
     cfg: ServiceConfig,
     repos: Vec<SiteRepository>,
     net: NetworkModel,
+    /// The sites of each access domain, local first, then by distance:
+    /// `LocalSite`, `Neighbours`, `Global`. The network model is fixed for
+    /// the service's life, so they are ranked once.
+    domains: [Arc<[SiteId]>; 3],
     tenants: TenantRegistry,
     predictor: Predictor,
     parallel: ParallelModel,
@@ -372,10 +376,16 @@ impl StreamService {
         let site_capacity: Vec<u32> =
             repos.iter().map(|r| r.resources(|db| db.len()) as u32 * SLOTS_PER_HOST).collect();
         let n = repos.len();
+        let local = SiteId(0);
+        let domain = |k: usize| -> Arc<[SiteId]> {
+            std::iter::once(local).chain(net.nearest_neighbours(local, k)).collect()
+        };
+        let domains = [domain(0), domain(cfg.k_neighbours), domain(n - 1)];
         StreamService {
             cfg,
             repos,
             net,
+            domains,
             tenants: TenantRegistry::new(),
             predictor: Predictor::default(),
             parallel: ParallelModel::default(),
@@ -469,18 +479,12 @@ impl StreamService {
     }
 
     fn domain_sites(&self, domain: AccessDomain) -> Arc<[SiteId]> {
-        let local = SiteId(0);
-        let mut sites = vec![local];
-        match domain {
-            AccessDomain::LocalSite => {}
-            AccessDomain::Neighbours => {
-                sites.extend(self.net.nearest_neighbours(local, self.cfg.k_neighbours));
-            }
-            AccessDomain::Global => {
-                sites.extend(self.net.nearest_neighbours(local, self.repos.len() - 1));
-            }
-        }
-        sites.into()
+        let i = match domain {
+            AccessDomain::LocalSite => 0,
+            AccessDomain::Neighbours => 1,
+            AccessDomain::Global => 2,
+        };
+        self.domains[i].clone()
     }
 
     fn output_for(&mut self, site: SiteId, afg: &Afg, memo: &PredictCache) -> HostSelectionOutput {
@@ -724,9 +728,20 @@ impl StreamService {
     /// Add `delta` running tasks to a host's load and publish the new
     /// level as a monitor workload sample.
     fn bump_host_load(&mut self, site: SiteId, host: &str, delta: i64) {
-        let entry = self.host_inflight[site.index()].entry(host.to_string()).or_insert(0);
-        *entry = (*entry as i64 + delta).max(0) as u32;
-        let load = f64::from(*entry);
+        let inflight = &mut self.host_inflight[site.index()];
+        let bumped = |n: u32| (i64::from(n) + delta).max(0) as u32;
+        let n = match inflight.get_mut(host) {
+            Some(n) => {
+                *n = bumped(*n);
+                *n
+            }
+            // A host's first bump is the only one that copies its name.
+            None => {
+                inflight.insert(host.to_string(), bumped(0));
+                bumped(0)
+            }
+        };
+        let load = f64::from(n);
         self.repos[site.index()].resources_mut(|db| {
             let mem = db.get(host).map(|r| r.available_memory).unwrap_or(0);
             db.record_sample(host, load, mem);

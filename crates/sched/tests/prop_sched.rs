@@ -2,7 +2,7 @@
 //! mapper must satisfy regardless of workload or federation.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 use vdce_afg::{level::level_map, ComputationMode, DatasetId, MachineType};
 use vdce_afg::{Afg, Edge, IoSpec, KernelKind, PortIndex, TaskId, TaskNode, TaskProperties};
@@ -12,8 +12,8 @@ use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
-use vdce_repository::resources::ResourceRecord;
-use vdce_repository::SiteRepository;
+use vdce_repository::resources::{HostStatus, ResourcePerfDb, ResourceRecord};
+use vdce_repository::{SiteRepository, TaskConstraintsDb, TaskPerfDb};
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
 use vdce_sched::{
@@ -458,6 +458,102 @@ proptest! {
         let misses = cache.misses();
         prop_assert_eq!(&host_selection_classed(&view, &afg, &p, &pm, &cache), &classed);
         prop_assert_eq!(cache.misses(), misses);
+    }
+
+    // One memo kept across a run of views of two sites — load samples
+    // (some with paging memory), status flips, hosts inserted anywhere in
+    // the name order, hosts removed — must answer each call like the
+    // reference on the *pinned view*: the current view with every host's
+    // load taken from the first call that found it up. No task filters,
+    // so every up host is a candidate of every group and the first call
+    // that finds a host up is the one that prices it.
+    #[test]
+    fn a_long_lived_memo_matches_the_reference_on_pinned_views(
+        widths in proptest::collection::vec(1u8..6, 1..5),
+        picks in proptest::collection::vec(any::<u8>(), 1..16),
+        sizes in proptest::collection::vec(any::<u32>(), 1..32),
+        par_picks in proptest::collection::vec(any::<u8>(), 0..8),
+        speeds in proptest::collection::vec(any::<u8>(), 4..10),
+        steps in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..32),
+    ) {
+        let mut afg = gen_afg(&widths, &picks, &sizes);
+        let n = afg.tasks.len();
+        for (i, &q) in par_picks.iter().enumerate() {
+            let t = &mut afg.tasks[(i * 7 + q as usize) % n];
+            t.props.mode = ComputationMode::Parallel;
+            t.props.num_nodes = 1 + u32::from(q % 8);
+        }
+        let library_tasks = afg.tasks.iter().map(|t| &t.library_task).collect::<BTreeSet<_>>().len();
+        let record = |name: String, speed: u8| {
+            let speed = 1.0 + f64::from(speed % 8);
+            ResourceRecord::new(name, "10.0.0.1", MachineType::LinuxPc, speed, 1, 1 << 30, "g0")
+        };
+        // Two to five hosts a site, `s<site>h<i>`.
+        let mut sites: Vec<ResourcePerfDb> = (0..2)
+            .map(|s| {
+                let mut db = ResourcePerfDb::new();
+                for (h, &speed) in speeds.iter().enumerate().filter(|&(h, _)| h % 2 == s) {
+                    db.upsert(record(format!("s{s}h{h}"), speed));
+                }
+                db
+            })
+            .collect();
+        let (p, pm) = (Predictor::default(), ParallelModel::default());
+        let memo = PredictCache::new();
+        let mut first_up: HashMap<String, (f64, VecDeque<f64>)> = HashMap::new();
+        for (k, &(what, pick, value)) in steps.iter().enumerate() {
+            let s = usize::from(what & 1);
+            let db = &mut sites[s];
+            let names: Vec<String> = db.iter().map(|r| r.host_name.clone()).collect();
+            let host = &names[usize::from(pick) % names.len()];
+            match what >> 1 & 7 {
+                0..=3 => {
+                    let memory = if value & 0x80 == 0 { 1 << 30 } else { 1 << 16 };
+                    db.record_sample(host, f64::from(value % 16) / 4.0, memory);
+                }
+                4 | 5 => {
+                    let up = db.get(host).unwrap().is_up();
+                    db.set_status(host, if up { HostStatus::Down } else { HostStatus::Up });
+                }
+                // Fresh names that sort first, among or after the others.
+                6 => db.upsert(record(format!("s{s}{}{}", ['a', 'h', 'z'][usize::from(pick) % 3], 10 + k), value)),
+                _ if names.len() > 1 => {
+                    let mut kept = ResourcePerfDb::new();
+                    for r in db.iter().filter(|r| r.host_name != *host) {
+                        kept.upsert(r.clone());
+                    }
+                    *db = kept;
+                }
+                _ => {}
+            }
+            let view = SiteView {
+                site: SiteId(s as u16),
+                resources: sites[s].clone(),
+                tasks: TaskPerfDb::standard(),
+                constraints: TaskConstraintsDb::new(),
+            };
+            let classed = host_selection_classed(&view, &afg, &p, &pm, &memo);
+            for r in view.resources.up_hosts() {
+                first_up.entry(r.host_name.clone()).or_insert_with(|| (r.workload, r.workload_history.clone()));
+            }
+            let mut pinned = ResourcePerfDb::new();
+            for r in view.resources.iter() {
+                let mut r = r.clone();
+                if let Some((workload, history)) = first_up.get(&r.host_name) {
+                    (r.workload, r.workload_history) = (*workload, history.clone());
+                }
+                pinned.upsert(r);
+            }
+            let reference = host_selection(&SiteView { resources: pinned, ..view }, &afg, &p, &pm);
+            prop_assert_eq!(&reference, &classed, "step {}", k);
+            for (t, c) in reference.choices.iter() {
+                let got = classed.choice(t).unwrap().predicted_seconds;
+                prop_assert_eq!(c.predicted_seconds.to_bits(), got.to_bits(), "step {} task {}", k, t);
+            }
+            // One term per library task and host ever found up.
+            prop_assert_eq!(memo.misses(), (library_tasks * first_up.len()) as u64);
+            prop_assert_eq!(memo.len(), library_tasks * first_up.len());
+        }
     }
 
     // The resolved-pass `evaluate` against the body it replaced, on
