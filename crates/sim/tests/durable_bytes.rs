@@ -10,7 +10,9 @@
 //! 17 fault scenarios to that commit, not to themselves. (The
 //! `site-crash-ckpt-replica` and `manager-failover` journal rows go back
 //! further, to `b9fda64`, the last commit whose serialiser went through the
-//! `Value` tree.)
+//! `Value` tree.) The `image_fnv` and `kills_fnv` columns were recorded at
+//! `a68110a`, the last commit whose journal kept each record twice: a
+//! `(tag, payload)` history beside a WAL image it reset at every snapshot.
 //!
 //! *Malformed input*: whatever a torn or corrupted store hands the decoders
 //! — any strict prefix, any flipped byte, a span written twice, absurd
@@ -18,6 +20,7 @@
 
 use vdce_obs::Observer;
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState, DurableOptions};
+use vdce_sim::recovery::verify_recovery;
 use vdce_sim::replay::{replay, replay_durable, ReplayOutcome};
 use vdce_sim::scenario::{
     all_fault_scenarios, crash_mid_run_checkpointed, site_crash_ckpt_replica, FaultScenario,
@@ -51,6 +54,11 @@ struct Golden {
     outcome_fnv: u64,
     /// FNV-1a of the `RecoveryReport` JSON.
     report_fnv: u64,
+    /// FNV-1a of the durable image's WAL bytes at shutdown.
+    image_fnv: u64,
+    /// FNV-1a of `format!("{:?}", verify_recovery(..))` at `exp_recovery
+    /// --quick`'s kill points.
+    kills_fnv: u64,
 }
 
 /// `all_fault_scenarios()` in order.
@@ -65,6 +73,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x0349_2b85_fd7c_98a6,
         outcome_fnv: 0x54ad_60ca_e282_3d38,
         report_fnv: 0xd688_655a_eba1_9c5e,
+        image_fnv: 0x52d3_ada8_ad79_3fc5,
+        kills_fnv: 0xf6ac_bcc7_469f_47dd,
     },
     Golden {
         name: "crash-mid-run-ckpt",
@@ -76,6 +86,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x8528_bb1d_bf19_e1da,
         outcome_fnv: 0x9aba_5e81_97e1_c6fa,
         report_fnv: 0xaa67_26b4_4527_b234,
+        image_fnv: 0x2f4b_268e_929e_90fe,
+        kills_fnv: 0x24cb_240f_7327_ee6f,
     },
     Golden {
         name: "crash-two-campus",
@@ -87,6 +99,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0xbfac_b6ea_ca73_919d,
         outcome_fnv: 0x6365_0ac2_0e97_855b,
         report_fnv: 0x0f58_8ac2_410d_29a2,
+        image_fnv: 0xaaef_a3dc_ab79_9b36,
+        kills_fnv: 0x9714_460c_9b75_ae52,
     },
     Golden {
         name: "crash-spread-ckpt",
@@ -98,6 +112,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x0087_ad26_8de1_089f,
         outcome_fnv: 0x00d9_7bb1_157f_bc50,
         report_fnv: 0xa144_276d_2dea_2ca7,
+        image_fnv: 0x4ba7_4681_6cc5_41c8,
+        kills_fnv: 0x9993_4545_9dce_7116,
     },
     Golden {
         name: "transient-outage",
@@ -109,6 +125,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0xadfb_0d23_8868_c8ef,
         outcome_fnv: 0x442d_f3c3_b749_f9e2,
         report_fnv: 0xb821_b407_2d73_9503,
+        image_fnv: 0x280d_daab_45dc_4f93,
+        kills_fnv: 0xf153_fa97_45dd_f9f1,
     },
     Golden {
         name: "load-spike-eviction",
@@ -120,6 +138,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0xe3a3_5da7_6d41_8b4d,
         outcome_fnv: 0xbffd_4407_9017_f215,
         report_fnv: 0x4ee8_ab02_b700_ebac,
+        image_fnv: 0x4ba7_4681_6cc5_41c8,
+        kills_fnv: 0xf369_d9bf_d644_20bb,
     },
     Golden {
         name: "degraded-wan",
@@ -131,6 +151,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x8399_b770_a1fb_c66b,
         outcome_fnv: 0xee38_96a6_f349_6c40,
         report_fnv: 0x4ab9_1284_e356_8d52,
+        image_fnv: 0x84fc_8f19_92b1_e4ec,
+        kills_fnv: 0x602c_98b5_99c1_e2ab,
     },
     Golden {
         name: "flaky-wan",
@@ -142,6 +164,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x1e1c_41af_7619_8d64,
         outcome_fnv: 0xef2c_617f_5b54_92f9,
         report_fnv: 0xc77b_73f8_cd21_05fe,
+        image_fnv: 0xfa49_0c31_de16_ea28,
+        kills_fnv: 0xa6a1_fd1e_b94d_c3c8,
     },
     Golden {
         name: "weibull-churn",
@@ -153,6 +177,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x0b27_f1ec_37b9_2bf1,
         outcome_fnv: 0xd816_4b3b_7c79_67fa,
         report_fnv: 0xbbd2_18c7_fc07_d766,
+        image_fnv: 0x6b60_e749_340a_5c7a,
+        kills_fnv: 0x61df_95e9_087b_0cff,
     },
     Golden {
         name: "manager-failover",
@@ -164,6 +190,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x42ee_7b6a_96dc_8ff0,
         outcome_fnv: 0x85af_f418_d3e6_944c,
         report_fnv: 0x3ce7_cb7d_e4e8_c42c,
+        image_fnv: 0xa9cc_2d1a_2a25_45b5,
+        kills_fnv: 0x4450_a444_758a_a7c3,
     },
     Golden {
         name: "site-crash",
@@ -175,6 +203,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0xa48c_dfcf_90cb_8628,
         outcome_fnv: 0x6c0c_e417_07a2_0863,
         report_fnv: 0xaa5b_3d11_bb10_adc4,
+        image_fnv: 0x13c9_944a_5f6c_0f09,
+        kills_fnv: 0x3e2c_7c64_8914_712f,
     },
     Golden {
         name: "site-crash-ckpt-local",
@@ -186,6 +216,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x04cf_b904_24dd_393c,
         outcome_fnv: 0xe5f2_962c_b2ae_ee3a,
         report_fnv: 0xeb43_557c_a326_64b5,
+        image_fnv: 0xa7fb_8180_04f0_bce4,
+        kills_fnv: 0x98d7_df09_8fdd_943c,
     },
     Golden {
         name: "site-crash-ckpt-replica",
@@ -197,6 +229,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0xbc6a_0c4e_92d3_5953,
         outcome_fnv: 0x647e_11e4_e503_53c1,
         report_fnv: 0x79bb_cefa_6eff_90c3,
+        image_fnv: 0x4ba7_4681_6cc5_41c8,
+        kills_fnv: 0x8448_6767_cbd7_6199,
     },
     Golden {
         name: "partition-heal",
@@ -208,6 +242,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x95cb_3e6f_d6b3_9765,
         outcome_fnv: 0xdd26_3700_0c10_787d,
         report_fnv: 0x4f5c_f242_e506_5f2b,
+        image_fnv: 0xc064_b749_23e6_6f7a,
+        kills_fnv: 0xd02a_484a_6600_1ead,
     },
     Golden {
         name: "fuzz-outage-hotspot",
@@ -219,6 +255,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x89ee_1f06_65d0_cf92,
         outcome_fnv: 0x3da3_9399_e1f8_d75b,
         report_fnv: 0x13ef_81ab_fa4c_5166,
+        image_fnv: 0x3c57_17d3_cf50_9c45,
+        kills_fnv: 0x6dba_84bc_0f8b_e0ae,
     },
     Golden {
         name: "fuzz-spike-pileup",
@@ -230,6 +268,8 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0xcb99_1ba9_8a79_13b0,
         outcome_fnv: 0x478a_c070_3d03_6ac6,
         report_fnv: 0xe72f_2c63_79f1_f2e5,
+        image_fnv: 0xe842_dc4c_6459_f481,
+        kills_fnv: 0xf55c_1080_72e9_5775,
     },
     Golden {
         name: "fuzz-site-blink",
@@ -241,10 +281,12 @@ const GOLDEN: [Golden; 17] = [
         payloads_fnv: 0x3d08_5220_9afa_7b70,
         outcome_fnv: 0xe016_c8f6_fe9c_5175,
         report_fnv: 0x1f44_82fe_f663_22f6,
+        image_fnv: 0xe9cb_3402_6de6_0edc,
+        kills_fnv: 0x5ab8_7732_e7b0_0a74,
     },
 ];
 
-fn assert_golden(fs: &FaultScenario, want: &Golden) {
+fn assert_golden(fs: &FaultScenario, want: &Golden, index: usize) {
     let name = fs.name;
     assert_eq!(name, want.name, "the table follows `all_fault_scenarios()`");
     let (opts, durable) = sealed(fs);
@@ -274,14 +316,20 @@ fn assert_golden(fs: &FaultScenario, want: &Golden) {
     let report =
         serde_json::to_string(&fs.run(&Observer::disabled(), None)).expect("reports serialise");
     assert_eq!(fnv1a(report.as_bytes()), want.report_fnv, "{name}: recovery report");
+
+    // The durable image a restart reads, and every kill report at the
+    // kill points `exp_recovery --quick` draws for this scenario.
+    let kills = verify_recovery(journal, 4, 0x5EED_0000 + index as u64);
+    assert_eq!(fnv1a(&journal.image().wal), want.image_fnv, "{name}: durable image WAL");
+    assert_eq!(fnv1a(format!("{kills:?}").as_bytes()), want.kills_fnv, "{name}: kill reports");
 }
 
 #[test]
 fn every_fault_scenario_replays_to_the_parents_bytes() {
     let scenarios = all_fault_scenarios();
     assert_eq!(scenarios.len(), GOLDEN.len());
-    for (fs, want) in scenarios.iter().zip(&GOLDEN) {
-        assert_golden(fs, want);
+    for (index, (fs, want)) in scenarios.iter().zip(&GOLDEN).enumerate() {
+        assert_golden(fs, want, index);
     }
 }
 
