@@ -18,10 +18,10 @@
 #   16. the vdce_perf smoke (perf/run.sh --quick)
 #   17-22. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
-#      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). All
-#      but durable_faults also hold `allocs_per_op` — an exact count,
-#      identical in every pass and run — under a ceiling (1,500, 1,250,
-#      500, 10,000 and 250). ROADMAP item 2's committed BENCH_perf.json
+#      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
+#      also holds `allocs_per_op` — an exact count, identical in every
+#      pass and run — under a ceiling (1,500, 1,250, 500, 10,000, 250 and
+#      418,000). ROADMAP item 2's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -240,8 +240,8 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # smoke; the 40k-task graph is where a reordered walk, table fill or
 # simulation would first show.
 #
-# These stages, the stream ones above and incr_churn's also read
-# `allocs_per_op` off the run's JSON result line. The count is the
+# These stages, the stream ones above, incr_churn's and durable_faults'
+# also read `allocs_per_op` off the run's JSON result line. The count is the
 # benchmark's own allocator's, identical in every pass and run, so a
 # ceiling on it has no noise to allow for: batch_wide makes 272 calls per
 # 40k-task op with the allocation table as dense rows sharing their names
@@ -259,6 +259,11 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # dense rows per site and one lane list per host-selection call. A
 # host-name `String` per memoised term and a lane vector per eligibility
 # group made them 1,616 and 1,896; each ceiling sits about halfway.
+# durable_faults counts one 17-scenario sweep (~13.1k journal records):
+# 404,546 with each record framed once into the journal's log, against
+# 431,736 when the journal also kept it as a `(String, String)` pair and
+# regrew its WAL from empty after every snapshot; the ceiling sits
+# about halfway.
 #   perf_allocs_at_most <ceiling> <workload> [seed, default 1]
 perf_allocs_at_most() {
     local ceiling=$1 workload=$2 seed=${3:-1} out allocs
@@ -292,5 +297,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" \
-    bash perf/bench.sh --workload durable_faults --seed 1 --seconds 1 --trace 0
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 418000 durable_faults

@@ -31,7 +31,7 @@ use vdce_obs::{Observer, Report, RunArtifact, Table};
 use vdce_runtime::DurableOptions;
 use vdce_sim::recovery::{verify_kill, verify_recovery};
 use vdce_sim::scenario::all_fault_scenarios;
-use vdce_store::{encode_record, read_wal, FileWal, SnapshotPolicy, WalWriter};
+use vdce_store::{read_wal, FileWal, SnapshotPolicy};
 
 /// Kill points per scenario in the sweep (`--quick` uses fewer).
 const KILLS_FULL: usize = 12;
@@ -256,22 +256,12 @@ fn latency_sweep(failures: &mut Vec<String>) -> (Vec<LatencyCell>, vdce_obs::Met
     (cells, metered.metrics.snapshot_deterministic())
 }
 
-/// Re-frame a mid-history kill of `journal` into a standalone WAL
-/// image with a torn final record and persist it for CI upload.
+/// Cut a standalone WAL image out of `journal`'s log — every record
+/// before the middle one, then half of that one's frame (a torn tail) —
+/// and persist it for CI upload.
 fn write_fixture(journal: &vdce_store::Journal, failures: &mut Vec<String>) -> String {
-    let history = journal.history();
-    let cut = history.len() / 2;
-    let mut w = WalWriter::new();
-    for (tag, payload) in &history[..cut] {
-        w.append(&encode_record(tag, payload));
-    }
-    let complete = w.byte_len();
-    let mut bytes = {
-        let (tag, payload) = &history[cut];
-        w.append(&encode_record(tag, payload));
-        w.into_bytes()
-    };
-    bytes.truncate(complete + (bytes.len() - complete) / 2); // torn mid-record
+    let cut = journal.len() as usize / 2;
+    let bytes = journal.read(|view| view.wal(0..cut, view.frame(cut).len() / 2));
     match read_wal(&bytes) {
         Ok(wal) if wal.records.len() == cut && wal.torn_bytes > 0 => {}
         Ok(wal) => {

@@ -8,10 +8,10 @@
 //! of that run — including mid-write, with a torn final WAL record —
 //! and proves the crash lost nothing:
 //!
-//! 1. **Build the damaged image**: re-frame the WAL a restarted process
-//!    would find at the kill point — the newest snapshot at or before
-//!    the cut, every complete record after it, and (for mid-write
-//!    kills) a torn byte-prefix of the record being written.
+//! 1. **Build the damaged image**: the newest snapshot at or before the
+//!    cut, and the WAL a restarted process would find — every complete
+//!    record after it, for mid-write kills a torn byte-prefix of the next
+//!    one — as one byte range of the journal's log ([`JournalView::wal`]).
 //! 2. **Recover**: [`vdce_store::recover`] must truncate exactly the
 //!    torn tail and hand back exactly the records before the cut.
 //! 3. **Replay**: applying those records to the snapshot must equal the
@@ -26,7 +26,7 @@
 
 use std::vec::Drain;
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState};
-use vdce_store::{recover, Journal, JournalView, StoreImage, WalWriter};
+use vdce_store::{recover, Journal, JournalView, StoreImage};
 
 /// What one simulated kill-and-restart observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,52 +73,33 @@ pub fn verify_kill(journal: &Journal, cut: u64, torn_seed: u64) -> Result<KillRe
     journal.read(|view| verify_kill_in(view, cut, torn_seed))
 }
 
-fn verify_kill_in(
-    journal: JournalView<'_>,
-    cut: u64,
-    torn_seed: u64,
-) -> Result<KillReport, String> {
-    let history = journal.history;
-    let total = history.len() as u64;
+fn verify_kill_in(view: JournalView<'_>, cut: u64, torn_seed: u64) -> Result<KillReport, String> {
+    let total = view.len() as u64;
     if cut > total {
         return Err(format!("cut {cut} beyond journal length {total}"));
     }
-    let sealed = journal
+    let sealed = view
         .final_state
         .ok_or_else(|| "journal is not sealed (run a durable replay first)".to_string())?;
 
     // 1. Damaged image: snapshot <= cut, complete records after it, and
     // optionally a strict byte-prefix of the record being written.
-    let snapshot = journal.snapshots.iter().rfind(|s| s.seq <= cut);
+    let snapshot = view.snapshots.iter().rfind(|s| s.seq <= cut);
     let snap_seq = snapshot.map_or(0, |s| s.seq);
     let (snap_at, cut_at) = (snap_seq as usize, cut as usize);
-    let frame = |w: &mut WalWriter, (tag, payload): &(String, String)| {
-        w.append_parts(&[tag.as_bytes(), b" ", payload.as_bytes()]);
-    };
-    let mut w = WalWriter::new();
-    for record in &history[snap_at..cut_at] {
-        frame(&mut w, record);
-    }
-    let prefix_len = w.byte_len();
-    let mut expected_torn = 0u64;
-    let wal = if torn_seed != 0 && cut < total {
-        frame(&mut w, &history[cut_at]);
-        let mut full = w.into_bytes();
-        let framed = full.len() - prefix_len;
+    let expected_torn = if torn_seed != 0 && cut < total {
         // A strict prefix: at least 1 byte written, at least 1 missing.
-        let keep = 1 + (torn_seed as usize % (framed - 1));
-        expected_torn = keep as u64;
-        full.truncate(prefix_len + keep);
-        full
+        1 + (torn_seed as usize % (view.frame(cut_at).len() - 1))
     } else {
-        w.into_bytes()
+        0
     };
+    let wal = view.wal(snap_at..cut_at, expected_torn);
     let wal_bytes = wal.len() as u64;
     let image = StoreImage { snapshot: snapshot.cloned(), wal };
 
     // 2. Recover: exact torn-tail accounting, exact record list.
     let recovered = recover(&image).map_err(|e| format!("kill at {cut}: {e}"))?;
-    if recovered.torn_bytes as u64 != expected_torn {
+    if recovered.torn_bytes != expected_torn {
         return Err(format!(
             "kill at {cut}: recovery dropped {} torn bytes, expected {expected_torn}",
             recovered.torn_bytes
@@ -131,7 +112,8 @@ fn verify_kill_in(
             cut - snap_seq
         ));
     }
-    if recovered.events != history[snap_at..cut_at] {
+    let journaled = (snap_at..cut_at).map(|i| view.record(i));
+    if !recovered.events.iter().map(|(t, p)| (t.as_str(), p.as_str())).eq(journaled) {
         return Err(format!(
             "kill at {cut}: records recovered after snapshot seq {snap_seq} are not the \
              records journaled"
@@ -141,17 +123,17 @@ fn verify_kill_in(
     // The recovered records being the journaled ones byte for byte, one
     // decode of the history serves every leg below. A record that does
     // not decode fails the first leg that reaches it.
-    let initial = journal.snapshots.first().filter(|s| s.seq == 0);
+    let initial = view.snapshots.first().filter(|s| s.seq == 0);
     // With the seq-0 snapshot as the recovery point the pure replay *is*
     // the recovered one, so there is nothing to cross-check.
     let cross_check = initial.filter(|_| snap_seq > 0);
     let decoded_from = if cross_check.is_some() { 0 } else { snap_at };
-    let mut events: Vec<_> = history[decoded_from..]
-        .iter()
+    let mut events: Vec<_> = (decoded_from..view.len())
+        .map(|i| view.record(i))
         .map(|(tag, payload)| ControlEvent::decode(tag, payload))
         .collect();
     let undecodable = |i: usize, leg: &str, e: &ControlEventError| {
-        format!("kill at {cut}: {leg} `{}` record: {e}", history[i].0)
+        format!("kill at {cut}: {leg} `{}` record: {e}", view.record(i).0)
     };
     // Move `events`, the decoded records from `first` on, into `state`.
     let apply_owned = |state: &mut ControlState, events: Drain<'_, _>, first: usize, leg: &str| {
@@ -207,7 +189,7 @@ fn verify_kill_in(
 
     Ok(KillReport {
         cut_record: cut,
-        torn_bytes: expected_torn,
+        torn_bytes: expected_torn as u64,
         snapshot_seq: snap_seq,
         replayed: cut - snap_seq,
         wal_bytes,
@@ -289,6 +271,20 @@ mod tests {
     }
 
     #[test]
+    fn every_record_boundary_recovers_clean_and_torn() {
+        let opts = sealed_journal(64);
+        let total = opts.journal.len();
+        for cut in 0..=total {
+            let clean = verify_kill(&opts.journal, cut, 0).expect("clean kill");
+            assert_eq!((clean.cut_record, clean.torn_bytes), (cut, 0));
+            if cut < total {
+                let torn = verify_kill(&opts.journal, cut, 2 * cut + 1).expect("torn kill");
+                assert!(torn.torn_bytes > 0 && torn.wal_bytes > clean.wal_bytes, "cut {cut}");
+            }
+        }
+    }
+
+    #[test]
     fn manual_snapshot_policy_replays_the_whole_history() {
         // every_records = 0: only the initial seq-0 snapshot exists, so
         // every kill recovers by full replay — the worst-case log length.
@@ -321,7 +317,8 @@ mod tests {
         let copy = Journal::enabled(SnapshotPolicy::manual());
         src.read(|view| {
             let mut snapshots = view.snapshots.iter().peekable();
-            for (i, (tag, payload)) in view.history.iter().enumerate() {
+            for i in 0..view.len() {
+                let (tag, payload) = view.record(i);
                 while let Some(s) = snapshots.next_if(|s| s.seq == i as u64) {
                     copy.install_snapshot(s.state.clone(), s.hash);
                 }

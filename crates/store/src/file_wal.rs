@@ -5,8 +5,9 @@
 //! image; everything durable in the repo so far round-trips that image
 //! through byte slices. [`FileWal`] keeps the exact same on-disk layout
 //! (`VDCEWAL1` magic, then `[len u32 LE][crc32 u32 LE][payload]` per
-//! record) but writes it through a real [`std::fs::File`], so a WAL
-//! produced by either side is readable by the other.
+//! record, framed by the code [`crate::wal::WalWriter`] frames with) but
+//! writes it through a real [`std::fs::File`], so a WAL produced by either
+//! side is readable by the other.
 //!
 //! ## Fsync discipline
 //!
@@ -27,7 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::wal::{crc32, read_wal, WalError, WalRecovery, WAL_HEADER_LEN, WAL_MAGIC};
+use crate::wal::{frame_into, read_wal, WalError, WalRecovery, WAL_HEADER_LEN, WAL_MAGIC};
 
 /// Why a [`FileWal`] could not be opened.
 #[derive(Debug)]
@@ -128,10 +129,8 @@ impl FileWal {
     /// written but **not** fsynced — call [`FileWal::sync`] at the next
     /// commit point.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, FileWalError> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let mut frame = Vec::new();
+        frame_into(&mut frame, &[payload]);
         self.file.write_all(&frame)?;
         let idx = self.records;
         self.records += 1;

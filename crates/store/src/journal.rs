@@ -5,27 +5,27 @@
 //! record, a site-table transition, a runtime log entry — is serialized
 //! by its owning component and appended here as a `(tag, payload)`
 //! record *before* it is applied (write-ahead discipline). The journal
-//! frames each record into a [`WalWriter`] image and, on a configurable
-//! cadence, compacts the image behind a state snapshot: recovery is
-//! "load the newest snapshot, replay the WAL records after it".
+//! frames each record once, into one [`WalWriter`] log it never resets,
+//! and notes where each frame starts. Recovery is "load the newest
+//! snapshot, replay the WAL records after it".
 //!
 //! Like the obs `TraceSink`, a journal is cheap to thread everywhere:
 //! [`Journal::disabled`] is a `None` branch per append, so un-journaled
 //! replays keep their exact pre-PR behaviour. Clones share the journal.
 //!
-//! Two views coexist on purpose:
-//!
-//! - the **durable image** ([`Journal::image`]) — newest snapshot +
-//!   WAL-since-snapshot, what a restarted Site Manager would read;
-//! - the **full history** ([`Journal::history`]) — every record ever
-//!   appended, which the recovery harness uses to build damaged WAL
-//!   images at arbitrary kill points and to resume past them.
+//! The log is the only copy of a record, read two ways: the **durable
+//! image** ([`Journal::image`]) — the newest snapshot plus the WAL magic
+//! and the frames after it, what a restarted Site Manager would read —
+//! and **every record** ([`JournalView::record`], [`Journal::history`])
+//! with the WAL a kill at any record boundary leaves behind
+//! ([`JournalView::wal`]), which the recovery harness replays and resumes.
 
-use crate::wal::{read_wal, WalError, WalWriter};
+use crate::wal::{read_wal, WalError, WalWriter, RECORD_HEADER_LEN, WAL_HEADER_LEN, WAL_MAGIC};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// When the journal compacts its WAL behind a snapshot.
+/// When a snapshot comes due; the durable image starts at the newest one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotPolicy {
     /// Install a snapshot every this many appended records; `0` never
@@ -71,9 +71,9 @@ pub struct StoreImage {
 pub struct JournalStats {
     /// Records appended over the journal's lifetime.
     pub records: u64,
-    /// Bytes of the current (post-compaction) WAL image.
+    /// Bytes of the durable image's WAL: magic + frames since the newest snapshot.
     pub wal_bytes: u64,
-    /// Bytes appended across all WAL images, pre-compaction.
+    /// Bytes of every record's frame, the whole log less its magic.
     pub wal_bytes_total: u64,
     /// Snapshots installed.
     pub snapshots: u64,
@@ -98,12 +98,55 @@ pub struct Recovered {
 /// each time.
 #[derive(Debug, Clone, Copy)]
 pub struct JournalView<'a> {
-    /// Every record ever appended, in order (pre-compaction view).
-    pub history: &'a [(String, String)],
+    /// The framed log: the WAL magic, then every record's frame in order.
+    log: &'a [u8],
+    /// Byte offset in `log` where each record's frame starts.
+    starts: &'a [usize],
     /// Every snapshot installed, oldest first.
     pub snapshots: &'a [SnapshotRecord],
     /// The sealed final state, if [`Journal::seal`] was called.
     pub final_state: Option<&'a SnapshotRecord>,
+}
+
+impl<'a> JournalView<'a> {
+    /// Records ever appended.
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Has nothing been appended?
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Records the newest snapshot covers (0 before any).
+    fn snapshot_seq(&self) -> usize {
+        self.snapshots.last().map_or(0, |s| s.seq as usize)
+    }
+
+    /// Where record `i`'s frame starts; `len()` gives the end of the log.
+    fn start(&self, i: usize) -> usize {
+        self.starts.get(i).copied().unwrap_or(self.log.len())
+    }
+
+    /// Record `i`'s frame, header included.
+    pub fn frame(&self, i: usize) -> &'a [u8] {
+        &self.log[self.starts[i]..self.start(i + 1)]
+    }
+
+    /// Record `i` as `(tag, payload)`, borrowed out of its frame.
+    pub fn record(&self, i: usize) -> (&'a str, &'a str) {
+        let payload = &self.frame(i)[RECORD_HEADER_LEN..];
+        decode_record(payload).expect("the journal frames `tag payload` text")
+    }
+
+    /// The WAL of `records` plus `torn` bytes of the next one's frame, as a
+    /// process that last snapshotted at `records.start` leaves it when it
+    /// dies there: the WAL magic and one byte range of the log.
+    pub fn wal(&self, records: Range<usize>, torn: usize) -> Vec<u8> {
+        let end = self.start(records.end) + torn;
+        [&WAL_MAGIC[..], &self.log[self.start(records.start)..end]].concat()
+    }
 }
 
 /// Why a [`StoreImage`] could not be recovered.
@@ -141,18 +184,12 @@ impl From<WalError> for JournalError {
 /// Frame one journal record: the tag, one space, the payload.
 pub fn encode_record(tag: &str, payload: &str) -> Vec<u8> {
     debug_assert!(!tag.contains(' '), "journal tags must not contain spaces");
-    let mut out = Vec::with_capacity(tag.len() + 1 + payload.len());
-    out.extend_from_slice(tag.as_bytes());
-    out.push(b' ');
-    out.extend_from_slice(payload.as_bytes());
-    out
+    [tag.as_bytes(), b" ", payload.as_bytes()].concat()
 }
 
 /// Split a record back into `(tag, payload)`.
-pub fn decode_record(bytes: &[u8]) -> Option<(String, String)> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let (tag, payload) = text.split_once(' ')?;
-    Some((tag.to_string(), payload.to_string()))
+fn decode_record(bytes: &[u8]) -> Option<(&str, &str)> {
+    std::str::from_utf8(bytes).ok()?.split_once(' ')
 }
 
 /// Recover a [`StoreImage`]: read the WAL (truncating a torn tail),
@@ -161,23 +198,22 @@ pub fn recover(image: &StoreImage) -> Result<Recovered, JournalError> {
     let wal = read_wal(&image.wal)?;
     let mut events = Vec::with_capacity(wal.records.len());
     for (index, rec) in wal.records.iter().enumerate() {
-        let Some(decoded) = decode_record(rec) else {
+        let Some((tag, payload)) = decode_record(rec) else {
             return Err(JournalError::MalformedRecord { index });
         };
-        events.push(decoded);
+        events.push((tag.to_string(), payload.to_string()));
     }
     Ok(Recovered { snapshot: image.snapshot.clone(), events, torn_bytes: wal.torn_bytes })
 }
 
 #[derive(Debug)]
 struct JournalInner {
-    history: Vec<(String, String)>,
-    wal: WalWriter,
+    /// Every record's frame, in append order; never reset.
+    log: WalWriter,
+    /// Byte offset in `log` where each record's frame starts.
+    starts: Vec<usize>,
     snapshots: Vec<SnapshotRecord>,
     policy: SnapshotPolicy,
-    since_snapshot: u64,
-    seq: u64,
-    wal_bytes_total: u64,
     final_state: Option<SnapshotRecord>,
 }
 
@@ -194,7 +230,7 @@ impl std::fmt::Debug for Journal {
             None => write!(f, "Journal(disabled)"),
             Some(inner) => {
                 let g = inner.lock();
-                write!(f, "Journal(records: {}, snapshots: {})", g.seq, g.snapshots.len())
+                write!(f, "Journal(records: {}, snapshots: {})", g.starts.len(), g.snapshots.len())
             }
         }
     }
@@ -211,13 +247,10 @@ impl Journal {
     pub fn enabled(policy: SnapshotPolicy) -> Self {
         Journal {
             inner: Some(Arc::new(Mutex::new(JournalInner {
-                history: Vec::new(),
-                wal: WalWriter::new(),
+                log: WalWriter::new(),
+                starts: Vec::new(),
                 snapshots: Vec::new(),
                 policy,
-                since_snapshot: 0,
-                seq: 0,
-                wal_bytes_total: 0,
                 final_state: None,
             }))),
         }
@@ -234,16 +267,10 @@ impl Journal {
         let inner = self.inner.as_ref()?;
         let mut g = inner.lock();
         debug_assert!(!tag.contains(' '), "journal tags must not contain spaces");
-        let before = g.wal.byte_len();
+        let start = g.log.byte_len();
+        g.starts.push(start);
         // The frame `encode_record` builds, without building it.
-        g.wal.append_parts(&[tag.as_bytes(), b" ", payload.as_bytes()]);
-        let added = (g.wal.byte_len() - before) as u64;
-        g.wal_bytes_total += added;
-        g.history.push((tag.to_string(), payload.to_string()));
-        let seq = g.seq;
-        g.seq += 1;
-        g.since_snapshot += 1;
-        Some(seq)
+        Some(g.log.append_parts(&[tag.as_bytes(), b" ", payload.as_bytes()]))
     }
 
     /// Has the snapshot policy come due? (Always `false` when disabled
@@ -251,18 +278,17 @@ impl Journal {
     pub fn snapshot_due(&self) -> bool {
         let Some(inner) = self.inner.as_ref() else { return false };
         let g = inner.lock();
-        g.policy.every_records > 0 && g.since_snapshot >= g.policy.every_records
+        let since = g.starts.len() as u64 - g.snapshots.last().map_or(0, |s| s.seq);
+        g.policy.every_records > 0 && since >= g.policy.every_records
     }
 
-    /// Install a snapshot of the owning state machine's current state
-    /// and compact the WAL behind it. No-op when disabled.
+    /// Install a snapshot of the owning state machine's current state;
+    /// the durable image starts at it from now on. No-op when disabled.
     pub fn install_snapshot(&self, state: Vec<u8>, hash: u64) {
         let Some(inner) = self.inner.as_ref() else { return };
         let mut g = inner.lock();
-        let seq = g.seq;
+        let seq = g.starts.len() as u64;
         g.snapshots.push(SnapshotRecord { seq, state, hash });
-        g.wal = WalWriter::new();
-        g.since_snapshot = 0;
     }
 
     /// Pin the final state at shutdown (the recovery harness compares
@@ -270,7 +296,7 @@ impl Journal {
     pub fn seal(&self, state: Vec<u8>, hash: u64) {
         let Some(inner) = self.inner.as_ref() else { return };
         let mut g = inner.lock();
-        let seq = g.seq;
+        let seq = g.starts.len() as u64;
         g.final_state = Some(SnapshotRecord { seq, state, hash });
     }
 
@@ -281,7 +307,7 @@ impl Journal {
 
     /// Records appended over the journal's lifetime.
     pub fn len(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock().seq)
+        self.inner.as_ref().map_or(0, |i| i.lock().starts.len() as u64)
     }
 
     /// Has nothing been appended?
@@ -291,18 +317,15 @@ impl Journal {
 
     /// Lifetime activity counters.
     pub fn stats(&self) -> JournalStats {
-        match &self.inner {
-            None => JournalStats::default(),
-            Some(inner) => {
-                let g = inner.lock();
-                JournalStats {
-                    records: g.seq,
-                    wal_bytes: g.wal.byte_len() as u64,
-                    wal_bytes_total: g.wal_bytes_total,
-                    snapshots: g.snapshots.len() as u64,
-                }
-            }
+        if !self.is_enabled() {
+            return JournalStats::default();
         }
+        self.read(|view| JournalStats {
+            records: view.len() as u64,
+            wal_bytes: (WAL_HEADER_LEN + view.log.len() - view.start(view.snapshot_seq())) as u64,
+            wal_bytes_total: (view.log.len() - WAL_HEADER_LEN) as u64,
+            snapshots: view.snapshots.len() as u64,
+        })
     }
 
     /// Run `f` over a borrowed view of the journal's contents — the
@@ -310,22 +333,18 @@ impl Journal {
     /// [`Journal::snapshots`] and [`Journal::final_state`]. The journal is
     /// locked for the duration, so `f` must not write to it.
     pub fn read<R>(&self, f: impl FnOnce(JournalView<'_>) -> R) -> R {
-        match &self.inner {
-            None => f(JournalView { history: &[], snapshots: &[], final_state: None }),
-            Some(inner) => {
-                let g = inner.lock();
-                f(JournalView {
-                    history: &g.history,
-                    snapshots: &g.snapshots,
-                    final_state: g.final_state.as_ref(),
-                })
-            }
-        }
+        let Some(inner) = &self.inner else {
+            return f(JournalView { log: &[], starts: &[], snapshots: &[], final_state: None });
+        };
+        let g = inner.lock();
+        let (log, starts, snapshots) = (g.log.bytes(), &g.starts[..], &g.snapshots[..]);
+        f(JournalView { log, starts, snapshots, final_state: g.final_state.as_ref() })
     }
 
-    /// Every record ever appended, in order (pre-compaction view).
+    /// Every record ever appended, in order, decoded out of the log.
     pub fn history(&self) -> Vec<(String, String)> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.lock().history.clone())
+        let owned = |(tag, payload): (&str, &str)| (tag.to_string(), payload.to_string());
+        self.read(|view| (0..view.len()).map(|i| owned(view.record(i))).collect())
     }
 
     /// Every snapshot installed, oldest first.
@@ -335,13 +354,10 @@ impl Journal {
 
     /// The durable image as of now: newest snapshot + WAL since it.
     pub fn image(&self) -> StoreImage {
-        match &self.inner {
-            None => StoreImage { snapshot: None, wal: WalWriter::new().into_bytes() },
-            Some(inner) => {
-                let g = inner.lock();
-                StoreImage { snapshot: g.snapshots.last().cloned(), wal: g.wal.bytes().to_vec() }
-            }
-        }
+        self.read(|view| StoreImage {
+            snapshot: view.snapshots.last().cloned(),
+            wal: view.wal(view.snapshot_seq()..view.len(), 0),
+        })
     }
 }
 
@@ -431,15 +447,17 @@ mod tests {
         j.install_snapshot(b"s".to_vec(), fnv1a(b"s"));
         j.append("a", "2");
         j.seal(b"final".to_vec(), fnv1a(b"final"));
-        let (history, snapshots, sealed) = j.read(|view| {
-            (view.history.to_vec(), view.snapshots.to_vec(), view.final_state.cloned())
+        let (snapshots, sealed) = j.read(|view| {
+            assert_eq!((view.record(0), view.record(1)), (("a", "1"), ("a", "2")));
+            assert_eq!(view.len(), 2);
+            (view.snapshots.to_vec(), view.final_state.cloned())
         });
-        assert_eq!(history, j.history());
         assert_eq!(snapshots, j.snapshots());
         assert_eq!(sealed, j.final_state());
-        assert_eq!((history.len(), snapshots.len()), (2, 1));
+        assert_eq!(snapshots.len(), 1);
         Journal::disabled().read(|view| {
-            assert!(view.history.is_empty() && view.snapshots.is_empty());
+            assert!(view.is_empty() && view.snapshots.is_empty());
+            assert_eq!(view.wal(0..0, 0), WAL_MAGIC);
             assert!(view.final_state.is_none());
         });
     }

@@ -19,12 +19,14 @@
 //!   the cheap fingerprint behind snapshot integrity and replica
 //!   divergence detection.
 //! - [`AppendLog`] — the shared in-memory append-only
-//!   buffer that `EventLog`, the obs trace sink and the journal all
-//!   sit on (one substrate, one write path).
+//!   buffer that `EventLog` and the obs trace sink sit on (one
+//!   substrate, one write path).
 //! - [`Journal`] — the tagged event journal the
-//!   event-sourced control plane writes through, with periodic
-//!   snapshot + WAL compaction and recovery from a
-//!   [`StoreImage`].
+//!   event-sourced control plane writes through. Each record is framed
+//!   once, into one log the journal never resets; the durable
+//!   [`StoreImage`] (newest snapshot + the frames after it), the record
+//!   history and the WAL of any kill point ([`JournalView::wal`]) are
+//!   byte ranges of that log.
 //! - [`Replicator`] — the leader-follower
 //!   channel that ships each journaled event to a deputy replica and
 //!   compares state hashes on a fixed cadence; a mismatch surfaces as
@@ -45,8 +47,8 @@ mod wal;
 pub use file_wal::{FileWal, FileWalError};
 pub use hash::{fnv1a, fnv1a_json, Fnv1a};
 pub use journal::{
-    decode_record, encode_record, recover, Journal, JournalError, JournalStats, JournalView,
-    Recovered, SnapshotPolicy, SnapshotRecord, StoreImage,
+    encode_record, recover, Journal, JournalError, JournalStats, JournalView, Recovered,
+    SnapshotPolicy, SnapshotRecord, StoreImage,
 };
 pub use log::AppendLog;
 pub use replication::{Replica, ReplicationError, ReplicationStats, Replicator};

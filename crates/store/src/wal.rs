@@ -28,7 +28,7 @@ pub(crate) const WAL_MAGIC: [u8; 8] = *b"VDCEWAL1";
 pub const WAL_HEADER_LEN: usize = 8;
 
 /// Bytes of one record header (`len` + `crc`).
-const RECORD_HEADER_LEN: usize = 8;
+pub(crate) const RECORD_HEADER_LEN: usize = 8;
 
 /// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC of byte `b` followed
 /// by `k` zero bytes, so eight input bytes fold in with eight independent
@@ -87,6 +87,19 @@ fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
 /// CRC-32 (IEEE 802.3) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// Frame one record whose payload is the concatenation of `parts` onto the
+/// end of `buf`. The one place a record header is written.
+pub(crate) fn frame_into(buf: &mut Vec<u8>, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    let crc = parts.iter().fold(0xFFFF_FFFF, |c, p| crc32_update(c, p)) ^ 0xFFFF_FFFF;
+    buf.reserve(RECORD_HEADER_LEN + len);
+    buf.extend_from_slice(&(len as u32).to_le_bytes());
+    buf.extend_from_slice(&crc.to_le_bytes());
+    for p in parts {
+        buf.extend_from_slice(p);
+    }
 }
 
 /// A WAL image that cannot be recovered.
@@ -151,14 +164,7 @@ impl WalWriter {
     /// without the caller building that concatenation first: the same
     /// image bytes as [`WalWriter::append`] of the joined payload.
     pub fn append_parts(&mut self, parts: &[&[u8]]) -> u64 {
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        let crc = parts.iter().fold(0xFFFF_FFFF, |c, p| crc32_update(c, p)) ^ 0xFFFF_FFFF;
-        self.buf.reserve(RECORD_HEADER_LEN + len);
-        self.buf.extend_from_slice(&(len as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        for p in parts {
-            self.buf.extend_from_slice(p);
-        }
+        frame_into(&mut self.buf, parts);
         let idx = self.records;
         self.records += 1;
         idx

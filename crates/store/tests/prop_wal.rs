@@ -6,9 +6,17 @@
 //! arbitrary kill offsets, and separately check that a checksum flip —
 //! which the crash model can never produce — is rejected with a typed
 //! error instead of a panic.
+//!
+//! The journal is held to a model of the design it replaced, which kept
+//! each record twice: a `(tag, payload)` history beside a WAL image it
+//! reset at every snapshot. Every count, image, recovery and kill WAL the
+//! one-log journal derives must equal what the model stored.
 
 use proptest::prelude::*;
-use vdce_store::{crc32, read_wal, WalError, WalWriter, WAL_HEADER_LEN};
+use vdce_store::{
+    crc32, encode_record, fnv1a, read_wal, recover, Journal, JournalStats, SnapshotPolicy,
+    SnapshotRecord, StoreImage, WalError, WalWriter, WAL_HEADER_LEN,
+};
 
 // Arbitrary record payloads: any bytes, including empty and spaces.
 fn payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -125,5 +133,144 @@ proptest! {
         let at = at_seed as usize % bytes.len();
         bytes[at] ^= flip;
         prop_assert_ne!(crc32(&bytes), before);
+    }
+}
+
+/// One step of a journal's life.
+#[derive(Debug, Clone)]
+enum Step {
+    Append(String, String),
+    Snapshot,
+}
+
+// Tags without spaces; payloads with spaces, non-ASCII text, or empty.
+fn steps() -> impl Strategy<Value = Vec<Step>> {
+    let step =
+        (0u8..5, "[a-z_]{1,6}", "[a-z0-9 é漢{}\":,]{0,24}").prop_map(|(kind, tag, payload)| {
+            if kind == 0 {
+                Step::Snapshot
+            } else {
+                Step::Append(tag, payload)
+            }
+        });
+    proptest::collection::vec(step, 0..32)
+}
+
+/// The journal that kept each record twice, as a model.
+#[derive(Default)]
+struct TwoCopyJournal {
+    history: Vec<(String, String)>,
+    wal: WalWriter,
+    snapshots: Vec<SnapshotRecord>,
+    since_snapshot: u64,
+    wal_bytes_total: u64,
+}
+
+impl TwoCopyJournal {
+    fn append(&mut self, tag: &str, payload: &str) {
+        let before = self.wal.byte_len();
+        self.wal.append(&encode_record(tag, payload));
+        self.wal_bytes_total += (self.wal.byte_len() - before) as u64;
+        self.history.push((tag.to_string(), payload.to_string()));
+        self.since_snapshot += 1;
+    }
+
+    fn install_snapshot(&mut self, state: Vec<u8>, hash: u64) {
+        let seq = self.history.len() as u64;
+        self.snapshots.push(SnapshotRecord { seq, state, hash });
+        self.wal = WalWriter::new();
+        self.since_snapshot = 0;
+    }
+
+    fn image(&self) -> StoreImage {
+        StoreImage { snapshot: self.snapshots.last().cloned(), wal: self.wal.clone().into_bytes() }
+    }
+
+    fn stats(&self) -> JournalStats {
+        JournalStats {
+            records: self.history.len() as u64,
+            wal_bytes: self.wal.byte_len() as u64,
+            wal_bytes_total: self.wal_bytes_total,
+            snapshots: self.snapshots.len() as u64,
+        }
+    }
+
+    /// The WAL of records `from..cut`, re-framed, plus the first `torn`
+    /// bytes of record `cut`'s frame.
+    fn kill_wal(&self, from: usize, cut: usize, torn: usize) -> Vec<u8> {
+        let mut w = WalWriter::new();
+        for (tag, payload) in &self.history[from..cut] {
+            w.append(&encode_record(tag, payload));
+        }
+        let clean = w.byte_len();
+        if let Some((tag, payload)) = self.history.get(cut) {
+            w.append(&encode_record(tag, payload));
+        }
+        let mut bytes = w.into_bytes();
+        bytes.truncate(clean + torn);
+        bytes
+    }
+}
+
+fn assert_journal_is_the_model(j: &Journal, m: &TwoCopyJournal, every: u64) {
+    assert_eq!(j.len(), m.history.len() as u64);
+    assert_eq!(j.history(), m.history);
+    assert_eq!(j.image(), m.image());
+    assert_eq!(j.stats(), m.stats());
+    assert_eq!(j.snapshot_due(), every > 0 && m.since_snapshot >= every);
+    let from = m.history.len() - m.since_snapshot as usize;
+    assert_eq!(recover(&j.image()).unwrap().events, m.history[from..]);
+}
+
+proptest! {
+    // The one-log journal derives, after every step, exactly what the
+    // two-copy journal stored; after the seal its view borrows every
+    // record and cuts every kill WAL — every cut, every torn length, from
+    // record 0 and from the newest snapshot — byte for byte.
+    #[test]
+    fn one_log_journal_equals_the_two_copy_model(steps in steps(), every in 0u64..4) {
+        let j = Journal::enabled(SnapshotPolicy::every(every));
+        let mut m = TwoCopyJournal::default();
+        assert_journal_is_the_model(&j, &m, every);
+        for (i, step) in steps.iter().enumerate() {
+            match step {
+                Step::Append(tag, payload) => {
+                    prop_assert_eq!(j.append(tag, payload), Some(m.history.len() as u64));
+                    m.append(tag, payload);
+                }
+                Step::Snapshot => {
+                    let state = format!("state {i}").into_bytes();
+                    j.install_snapshot(state.clone(), fnv1a(&state));
+                    m.install_snapshot(state.clone(), fnv1a(&state));
+                }
+            }
+            assert_journal_is_the_model(&j, &m, every);
+        }
+        j.seal(b"final".to_vec(), fnv1a(b"final"));
+        assert_journal_is_the_model(&j, &m, every);
+
+        let sealed =
+            SnapshotRecord { seq: m.history.len() as u64, state: b"final".to_vec(), hash: fnv1a(b"final") };
+        j.read(|view| {
+            assert_eq!(view.final_state, Some(&sealed));
+            assert_eq!(view.snapshots, &m.snapshots[..]);
+            assert_eq!(view.len(), m.history.len());
+            for (i, (tag, payload)) in m.history.iter().enumerate() {
+                assert_eq!(view.record(i), (tag.as_str(), payload.as_str()));
+            }
+            for cut in 0..=view.len() {
+                let newest = m.snapshots.iter().rfind(|s| s.seq as usize <= cut);
+                let frame_len = if cut < view.len() { view.frame(cut).len() } else { 1 };
+                for from in [0, newest.map_or(0, |s| s.seq as usize)] {
+                    for torn in 0..frame_len {
+                        assert_eq!(
+                            view.wal(from..cut, torn),
+                            m.kill_wal(from, cut, torn),
+                            "records {from}..{cut}, {torn} torn bytes"
+                        );
+                    }
+                }
+            }
+        });
     }
 }
