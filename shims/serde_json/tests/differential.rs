@@ -617,6 +617,119 @@ fn map_keys_read_the_same_both_ways() {
     assert_eq!(serde_json::from_str::<u64>("1e2").unwrap(), 100);
 }
 
+/// An `f64` map key: ordered by bits, spelled by the writer's key mode.
+#[derive(Debug, Serialize)]
+struct FloatKey(f64);
+
+impl PartialEq for FloatKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.total_cmp(&other.0).is_eq()
+    }
+}
+impl Eq for FloatKey {}
+impl PartialOrd for FloatKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for FloatKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The floats whose printed form changes shape: signed zero, the
+/// subnormal and normal edges, the end of exact integers, the largest
+/// value, each power of ten `Display` still spells without an exponent
+/// and its two neighbours, and two sums that do not round to a short
+/// decimal.
+fn edge_floats() -> Vec<f64> {
+    let mut edges = vec![
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::from_bits(f64::MIN_POSITIVE.to_bits() - 1),
+        (1u64 << 53) as f64 - 1.0,
+        (1u64 << 53) as f64,
+        (1u64 << 53) as f64 + 2.0,
+        f64::MAX,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    for n in -8..=23 {
+        let p: f64 = format!("1e{n}").parse().unwrap();
+        edges.extend([p, p.next_up(), p.next_down()]);
+    }
+    let negated: Vec<f64> = edges.iter().map(|f| -f).collect();
+    edges.extend(negated);
+    edges
+}
+
+/// `Display`'s spelling of `f`, or `null` where JSON has no number.
+fn display_or_null(f: f64) -> String {
+    if f.is_finite() {
+        format!("{f}")
+    } else {
+        "null".into()
+    }
+}
+
+/// Check one batch of floats against `Display` three ways: alone, as the
+/// values of a map, and as its keys (quoted, non-finite ones spelled out).
+fn floats_print_as_display(batch: &[f64]) -> Result<(), String> {
+    for &f in batch {
+        let text = serde_json::to_string(&f).unwrap();
+        if text != display_or_null(f) {
+            return Err(format!("{f:e} ({:#x}): wrote {text}", f.to_bits()));
+        }
+    }
+    let values: BTreeMap<String, f64> =
+        batch.iter().enumerate().map(|(i, &f)| (format!("{i:07}"), f)).collect();
+    let expect: Vec<String> =
+        values.iter().map(|(k, &f)| format!("\"{k}\":{}", display_or_null(f))).collect();
+    if serde_json::to_string(&values).unwrap() != format!("{{{}}}", expect.join(",")) {
+        return Err("floats as map values differ from Display".into());
+    }
+    let keys: BTreeMap<FloatKey, u8> = batch.iter().map(|&f| (FloatKey(f), 0)).collect();
+    let expect: Vec<String> = keys.keys().map(|k| format!("\"{}\":0", k.0)).collect();
+    if serde_json::to_string(&keys).unwrap() != format!("{{{}}}", expect.join(",")) {
+        return Err("floats as map keys differ from Display".into());
+    }
+    Ok(())
+}
+
+#[test]
+fn floats_are_written_as_display_prints_them() {
+    floats_print_as_display(&edge_floats()).unwrap();
+    let mut rng = StdRng::seed_from_u64(SEED_BASE + 0x2000);
+    // Any bit pattern (mostly very large or very small magnitudes), then
+    // the short decimals and whole numbers a run's records carry.
+    let mut batch = Vec::with_capacity(4096);
+    for round in 0..(1 << 20) / 4096 {
+        batch.clear();
+        batch.extend((0..4096).map(|_| f64::from_bits(rng.gen::<u64>())));
+        floats_print_as_display(&batch)
+            .unwrap_or_else(|e| panic!("bit patterns, round {round}: {e}"));
+    }
+    for round in 0..64 {
+        batch.clear();
+        batch.extend((0..4096).map(|_| {
+            let mantissa = rng.gen::<u64>() >> rng.gen_range(0..64u32);
+            let scaled = mantissa as f64 / 10f64.powi(rng.gen_range(0..12));
+            if rng.gen_bool(0.5) {
+                -scaled
+            } else {
+                scaled
+            }
+        }));
+        floats_print_as_display(&batch).unwrap_or_else(|e| panic!("decimals, round {round}: {e}"));
+    }
+}
+
 #[test]
 fn deep_nesting_is_an_error_not_a_stack_overflow() {
     for open in ["[", "{\"k\":"] {
