@@ -21,7 +21,7 @@
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
 #      pass and run — under a ceiling (1,500, 1,250, 500, 10,000, 250 and
-#      418,000). ROADMAP item 2's committed BENCH_perf.json
+#      390,000). ROADMAP item 2's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -260,10 +260,12 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # host-name `String` per memoised term and a lane vector per eligibility
 # group made them 1,616 and 1,896; each ceiling sits about halfway.
 # durable_faults counts one 17-scenario sweep (~13.1k journal records):
-# 404,546 with each record framed once into the journal's log, against
-# 431,736 when the journal also kept it as a `(String, String)` pair and
-# regrew its WAL from empty after every snapshot; the ceiling sits
-# about halfway.
+# 377,373 with each record framed once into the journal's log, recovered
+# records borrowed from the kill image and the resumed state compared with
+# the seal as it streams, against 404,546 when `read_wal` / `recover`
+# copied every record into a `Vec<u8>` and a `String` pair and the resume
+# leg serialised into a buffer (431,736 when the journal also kept each
+# record as a `(String, String)` pair); the ceiling sits about halfway.
 #   perf_allocs_at_most <ceiling> <workload> [seed, default 1]
 perf_allocs_at_most() {
     local ceiling=$1 workload=$2 seed=${3:-1} out allocs
@@ -297,4 +299,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 418000 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 390000 durable_faults

@@ -160,7 +160,7 @@ const HEAD_SLACK: usize = 32 << 10;
 /// and a seal pins — without building the state: every repository streams
 /// from under its own read locks, and the event log splices the JSON it
 /// already wrote for the journal. [`ControlState::from_bytes`] is the
-/// reader of this format and [`ControlState::to_hashed_bytes`] its typed
+/// reader of this format and [`ControlState::to_bytes`] its typed
 /// writer; recovery holds the two writers to the same bytes.
 ///
 /// `head_hint` is the expected size of everything outside the log (the
@@ -233,14 +233,6 @@ impl ControlState {
     /// Canonical serialized form (the snapshot / seal byte format).
     pub fn to_bytes(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("control state always serialises")
-    }
-
-    /// [`ControlState::to_bytes`] with [`ControlState::hash`], from one
-    /// serialisation — what a snapshot or a seal stores.
-    pub fn to_hashed_bytes(&self) -> (Vec<u8>, u64) {
-        let bytes = self.to_bytes();
-        let hash = fnv1a(&bytes);
-        (bytes, hash)
     }
 
     /// Parse a serialized [`ControlState`].
@@ -458,13 +450,14 @@ mod tests {
         // state, bytes and hash.
         let sealed = write_snapshot(&[repo], &store, &sites, &log, 0);
         let live = ControlState::from_bytes(&sealed.0).unwrap();
-        assert_eq!(live.to_hashed_bytes(), sealed);
+        assert_eq!(live.to_bytes(), sealed.0);
         assert_eq!(live.hash(), sealed.1);
         assert_eq!(live.log.len(), 1);
         journal.seal(sealed.0, sealed.1);
 
         // Recover: snapshot + replay of the WAL after it.
-        let recovered = vdce_store::recover(&journal.image()).unwrap();
+        let image = journal.image();
+        let recovered = vdce_store::recover(&image).unwrap();
         assert_eq!(recovered.events.len(), 5);
         let snap = recovered.snapshot.expect("initial snapshot installed");
         let mut state = ControlState::from_bytes(&snap.state).unwrap();

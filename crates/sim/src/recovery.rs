@@ -18,15 +18,18 @@
 //!    state a pure replay of the *full* history reaches at the cut —
 //!    i.e. snapshots are consistent with event replay.
 //! 4. **Resume**: applying the remaining history must land on the
-//!    sealed final state **bit-identically** (bytes and hash).
+//!    sealed final state **bit-identically** (bytes, length and hash). The
+//!    resumed state is serialised into a sink that compares each chunk
+//!    with the seal and hashes it, so nothing is kept.
 //!
 //! Any deviation is a typed failure string naming the kill point; the
 //! `exp_recovery` gate runs this at several seed-derived kill points
 //! per named fault scenario.
 
+use std::io;
 use std::vec::Drain;
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState};
-use vdce_store::{recover, Journal, JournalView, StoreImage};
+use vdce_store::{recover, Fnv1a, Journal, JournalView, StoreImage};
 
 /// What one simulated kill-and-restart observed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,7 +116,7 @@ fn verify_kill_in(view: JournalView<'_>, cut: u64, torn_seed: u64) -> Result<Kil
         ));
     }
     let journaled = (snap_at..cut_at).map(|i| view.record(i));
-    if !recovered.events.iter().map(|(t, p)| (t.as_str(), p.as_str())).eq(journaled) {
+    if !recovered.events.iter().copied().eq(journaled) {
         return Err(format!(
             "kill at {cut}: records recovered after snapshot seq {snap_seq} are not the \
              records journaled"
@@ -151,7 +154,7 @@ fn verify_kill_in(view: JournalView<'_>, cut: u64, torn_seed: u64) -> Result<Kil
     // exists — proving compaction never changed the state machine. Only
     // then is `snap..cut` applied twice, so only then is it borrowed:
     // every other record is moved into the one state that applies it.
-    let mut state = match &recovered.snapshot {
+    let mut state = match recovered.snapshot {
         Some(s) => ControlState::from_bytes(&s.state)
             .map_err(|e| format!("kill at {cut}: snapshot does not parse: {e}"))?,
         None => ControlState::default(),
@@ -180,8 +183,9 @@ fn verify_kill_in(view: JournalView<'_>, cut: u64, torn_seed: u64) -> Result<Kil
     // 4. Resume past the kill: the journaled suffix must carry the
     // restarted process to the sealed final state, bit for bit.
     apply_owned(&mut state, events.drain(..), cut_at, "resuming")?;
-    let (bytes, hash) = state.to_hashed_bytes();
-    if bytes != sealed.state || hash != sealed.hash {
+    let mut check = SealCheck { sealed: &sealed.state, at: 0, matched: true, hash: Fnv1a::new() };
+    serde_json::to_writer(&mut check, &state).expect("comparing cannot fail to write");
+    if !check.matched || check.at != sealed.state.len() || check.hash.finish() != sealed.hash {
         return Err(format!(
             "kill at {cut}: resumed state is not bit-identical to the sealed final state"
         ));
@@ -194,6 +198,32 @@ fn verify_kill_in(view: JournalView<'_>, cut: u64, torn_seed: u64) -> Result<Kil
         replayed: cut - snap_seq,
         wal_bytes,
     })
+}
+
+/// The byte sink the resumed state is serialised into: each chunk is
+/// compared with the sealed bytes at its offset and folded into a hash,
+/// then dropped.
+struct SealCheck<'a> {
+    sealed: &'a [u8],
+    /// Bytes written so far.
+    at: usize,
+    /// Every chunk so far equalled the sealed bytes at its offset.
+    matched: bool,
+    hash: Fnv1a,
+}
+
+impl io::Write for SealCheck<'_> {
+    fn write(&mut self, chunk: &[u8]) -> io::Result<usize> {
+        let end = self.at + chunk.len();
+        self.matched = self.matched && self.sealed.get(self.at..end) == Some(chunk);
+        self.at = end;
+        self.hash.update(chunk);
+        Ok(chunk.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Sweep `kills` kill points over a sealed journal: always the two
@@ -309,11 +339,16 @@ mod tests {
             owned.apply_owned(event);
             assert_eq!(owned, borrowed, "after a `{tag}` record");
         }
-        assert_eq!(owned.to_hashed_bytes(), (sealed.state, sealed.hash));
+        assert_eq!((owned.to_bytes(), owned.hash()), (sealed.state, sealed.hash));
     }
 
-    /// `src` with record `bad`'s payload replaced by text no tag decodes.
-    fn with_undecodable_record(src: &Journal, bad: usize) -> Journal {
+    /// An edit of a seal's bytes and hash.
+    type SealEdit = fn(&mut Vec<u8>, &mut u64);
+
+    /// A copy of `src`, record by record and snapshot by snapshot, with
+    /// record `bad`'s payload (if any) replaced by text no tag decodes and
+    /// the seal's bytes and hash passed through `seal`.
+    fn copied(src: &Journal, bad: Option<usize>, seal: SealEdit) -> Journal {
         let copy = Journal::enabled(SnapshotPolicy::manual());
         src.read(|view| {
             let mut snapshots = view.snapshots.iter().peekable();
@@ -322,12 +357,53 @@ mod tests {
                 while let Some(s) = snapshots.next_if(|s| s.seq == i as u64) {
                     copy.install_snapshot(s.state.clone(), s.hash);
                 }
-                copy.append(tag, if i == bad { "not json" } else { payload });
+                copy.append(tag, if Some(i) == bad { "not json" } else { payload });
             }
             let sealed = view.final_state.expect("sealed");
-            copy.seal(sealed.state.clone(), sealed.hash);
+            let (mut state, mut hash) = (sealed.state.clone(), sealed.hash);
+            seal(&mut state, &mut hash);
+            copy.seal(state, hash);
         });
         copy
+    }
+
+    /// `src` with record `bad`'s payload replaced by text no tag decodes.
+    fn with_undecodable_record(src: &Journal, bad: usize) -> Journal {
+        copied(src, Some(bad), |_, _| {})
+    }
+
+    #[test]
+    fn a_seal_one_byte_or_one_hash_off_fails_the_resume() {
+        let opts = sealed_journal(64);
+        let total = opts.journal.len();
+        // A cut before the first compacting snapshot, a torn one after it,
+        // and a clean shutdown.
+        let kills = [(0, 0), (total / 2, 7), (total, 0)];
+        let exact = copied(&opts.journal, None, |_, _| {});
+        for (cut, torn) in kills {
+            verify_kill(&exact, cut, torn).expect("an exact copy recovers");
+        }
+        // Each seal but the last keeps the hash of the true bytes, so only
+        // its bytes or its length can give it away.
+        let seals: [(&str, SealEdit); 4] = [
+            ("one extra trailing byte", |state, _| state.push(b' ')),
+            ("one byte short", |state, _| state.truncate(state.len() - 1)),
+            ("a different last byte", |state, _| *state.last_mut().expect("sealed bytes") ^= 1),
+            ("a hash off by one", |_, hash| *hash = hash.wrapping_add(1)),
+        ];
+        for (what, seal) in seals {
+            let journal = copied(&opts.journal, None, seal);
+            for (cut, torn) in kills {
+                assert_eq!(
+                    verify_kill(&journal, cut, torn).expect_err(what),
+                    format!(
+                        "kill at {cut}: resumed state is not bit-identical to the sealed final \
+                         state"
+                    ),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

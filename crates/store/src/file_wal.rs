@@ -92,8 +92,10 @@ impl FileWal {
 
     /// Open (or create) the WAL at `path`, recovering every intact
     /// record and physically truncating a torn tail off the file. The
-    /// returned [`WalRecovery`] reports what was found and dropped.
-    pub fn open(path: impl AsRef<Path>) -> Result<(Self, WalRecovery), FileWalError> {
+    /// returned [`WalRecovery`] reports what was found and dropped; its
+    /// records are copied out of the bytes read, which do not outlive
+    /// the call.
+    pub fn open(path: impl AsRef<Path>) -> Result<(Self, WalRecovery<Vec<u8>>), FileWalError> {
         let path = path.as_ref();
         if !path.exists() {
             let wal = FileWal::create(path)?;
@@ -106,7 +108,12 @@ impl FileWal {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut image = Vec::new();
         file.read_to_end(&mut image)?;
-        let recovery = read_wal(&image)?;
+        let WalRecovery { records, valid_len, torn_bytes } = read_wal(&image)?;
+        let recovery = WalRecovery {
+            records: records.into_iter().map(<[u8]>::to_vec).collect(),
+            valid_len,
+            torn_bytes,
+        };
 
         if recovery.valid_len < WAL_HEADER_LEN {
             // Crash before the magic finished: rewrite a clean header.

@@ -80,14 +80,14 @@ pub struct JournalStats {
 }
 
 /// A recovered journal: starting snapshot plus the decoded records to
-/// replay on top of it.
+/// replay on top of it, all borrowed from the [`StoreImage`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovered {
+pub struct Recovered<'a> {
     /// Snapshot to start from (`None` = the state machine's initial
     /// state).
-    pub snapshot: Option<SnapshotRecord>,
+    pub snapshot: Option<&'a SnapshotRecord>,
     /// `(tag, payload)` records to apply after the snapshot, in order.
-    pub events: Vec<(String, String)>,
+    pub events: Vec<(&'a str, &'a str)>,
     /// Bytes of torn WAL tail dropped during recovery.
     pub torn_bytes: usize,
 }
@@ -193,17 +193,15 @@ fn decode_record(bytes: &[u8]) -> Option<(&str, &str)> {
 }
 
 /// Recover a [`StoreImage`]: read the WAL (truncating a torn tail),
-/// decode every record, and return the snapshot + replay list.
-pub fn recover(image: &StoreImage) -> Result<Recovered, JournalError> {
+/// split every record, and return the snapshot + replay list, borrowed
+/// from `image`.
+pub fn recover(image: &StoreImage) -> Result<Recovered<'_>, JournalError> {
     let wal = read_wal(&image.wal)?;
     let mut events = Vec::with_capacity(wal.records.len());
-    for (index, rec) in wal.records.iter().enumerate() {
-        let Some((tag, payload)) = decode_record(rec) else {
-            return Err(JournalError::MalformedRecord { index });
-        };
-        events.push((tag.to_string(), payload.to_string()));
+    for (index, rec) in wal.records.into_iter().enumerate() {
+        events.push(decode_record(rec).ok_or(JournalError::MalformedRecord { index })?);
     }
-    Ok(Recovered { snapshot: image.snapshot.clone(), events, torn_bytes: wal.torn_bytes })
+    Ok(Recovered { snapshot: image.snapshot.as_ref(), events, torn_bytes: wal.torn_bytes })
 }
 
 #[derive(Debug)]
@@ -382,15 +380,10 @@ mod tests {
         let j = Journal::enabled(SnapshotPolicy::manual());
         assert_eq!(j.append("repo", r#"{"site":0}"#), Some(0));
         assert_eq!(j.append("log", r#"{"t":1.5}"#), Some(1));
-        let rec = recover(&j.image()).unwrap();
+        let image = j.image();
+        let rec = recover(&image).unwrap();
         assert!(rec.snapshot.is_none());
-        assert_eq!(
-            rec.events,
-            vec![
-                ("repo".to_string(), r#"{"site":0}"#.to_string()),
-                ("log".to_string(), r#"{"t":1.5}"#.to_string()),
-            ]
-        );
+        assert_eq!(rec.events, [("repo", r#"{"site":0}"#), ("log", r#"{"t":1.5}"#)]);
         assert_eq!(rec.torn_bytes, 0);
     }
 
@@ -406,11 +399,12 @@ mod tests {
         assert!(!j.snapshot_due());
         j.append("a", "3");
 
-        let rec = recover(&j.image()).unwrap();
+        let image = j.image();
+        let rec = recover(&image).unwrap();
         let snap = rec.snapshot.expect("snapshot present");
         assert_eq!(snap.seq, 2);
         assert_eq!(snap.state, state);
-        assert_eq!(rec.events, vec![("a".to_string(), "3".to_string())]);
+        assert_eq!(rec.events, [("a", "3")]);
 
         // Full history survives compaction for the recovery harness.
         assert_eq!(j.history().len(), 3);
@@ -436,7 +430,8 @@ mod tests {
     fn payloads_with_spaces_survive_framing() {
         let j = Journal::enabled(SnapshotPolicy::manual());
         j.append("log", r#"{"reason": "host a died, tasks moved"}"#);
-        let rec = recover(&j.image()).unwrap();
+        let image = j.image();
+        let rec = recover(&image).unwrap();
         assert_eq!(rec.events[0].1, r#"{"reason": "host a died, tasks moved"}"#);
     }
 

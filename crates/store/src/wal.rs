@@ -192,11 +192,13 @@ impl Default for WalWriter {
     }
 }
 
-/// What [`read_wal`] recovered from an image.
+/// What [`read_wal`] recovered from an image: each record's payload as
+/// `R`, a slice of the image itself ([`read_wal`]) or a copy of it
+/// ([`crate::FileWal::open`], which owns the bytes it read).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecovery {
+pub struct WalRecovery<R> {
     /// Every intact record's payload, in append order.
-    pub records: Vec<Vec<u8>>,
+    pub records: Vec<R>,
     /// Length of the valid prefix (magic + intact records) in bytes.
     pub valid_len: usize,
     /// Bytes of torn tail dropped (0 for a cleanly closed image).
@@ -204,9 +206,10 @@ pub struct WalRecovery {
 }
 
 /// Recover every intact record from a WAL image, truncating a torn
-/// tail. An image that is a strict prefix of the magic (crash before
-/// the header finished) recovers as an empty log.
-pub fn read_wal(image: &[u8]) -> Result<WalRecovery, WalError> {
+/// tail; the records are borrowed out of `image`. An image that is a
+/// strict prefix of the magic (crash before the header finished)
+/// recovers as an empty log.
+pub fn read_wal(image: &[u8]) -> Result<WalRecovery<&[u8]>, WalError> {
     if image.len() < WAL_HEADER_LEN {
         return if WAL_MAGIC.starts_with(image) {
             Ok(WalRecovery { records: Vec::new(), valid_len: 0, torn_bytes: image.len() })
@@ -235,7 +238,7 @@ pub fn read_wal(image: &[u8]) -> Result<WalRecovery, WalError> {
         if computed != stored {
             return Err(WalError::CorruptRecord { index: records.len(), offset, stored, computed });
         }
-        records.push(payload.to_vec());
+        records.push(payload);
         offset += RECORD_HEADER_LEN + len;
     }
     Ok(WalRecovery { records, valid_len: offset, torn_bytes: image.len() - offset })
@@ -264,7 +267,8 @@ mod tests {
 
     #[test]
     fn empty_wal_recovers_empty() {
-        let rec = read_wal(&image(&[])).unwrap();
+        let img = image(&[]);
+        let rec = read_wal(&img).unwrap();
         assert!(rec.records.is_empty());
         assert_eq!(rec.torn_bytes, 0);
     }

@@ -11,6 +11,7 @@
 //! (`serde_json::to_value` / `from_value`), so no type describes its JSON
 //! twice.
 
+mod float;
 mod reader;
 mod writer;
 

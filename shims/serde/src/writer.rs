@@ -96,20 +96,31 @@ impl<W: Write> JsonWriter<W> {
         self.scalar(&buf[at..]);
     }
 
-    /// A float, in Rust's shortest-roundtrip decimal form (`1` rather than
-    /// `1.0`: the numeric readers accept either). JSON has no Inf/NaN, so
-    /// like serde_json a non-finite value is `null` — except as a map key,
-    /// which keeps its `inf`/`NaN` spelling.
+    /// A float, as `Display` spells it (`1` rather than `1.0`: the numeric
+    /// readers accept either), without `core::fmt`. A whole number below
+    /// 2^53 takes the integer digit loop, which spells it the same way;
+    /// above that `Display` prints the shortest round-trip digits padded
+    /// with zeros, as does every other finite value (`float.rs`).
+    /// JSON has no Inf/NaN, so like serde_json a non-finite value is `null`
+    /// — except as a map key, which keeps its `inf`/`NaN` spelling.
     pub fn f64(&mut self, f: f64) {
+        const EXACT_INTEGERS: f64 = (1u64 << 53) as f64;
+        if f.abs() < EXACT_INTEGERS && f as i64 as f64 == f {
+            return self.integer(f.is_sign_negative(), f.abs() as u64);
+        }
         if !f.is_finite() && !self.key {
             return self.raw(b"null");
+        }
+        if f.is_nan() {
+            return self.scalar(b"NaN");
+        }
+        if f.is_infinite() {
+            return self.scalar(if f > 0.0 { b"inf" } else { b"-inf" });
         }
         if self.key {
             self.raw(b"\"");
         }
-        if let Err(e) = write!(self.out, "{f}") {
-            self.err.get_or_insert(e);
-        }
+        crate::float::write_finite(f, |text| self.raw(text));
         if self.key {
             self.raw(b"\"");
         }

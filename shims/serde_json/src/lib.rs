@@ -6,10 +6,14 @@
 //! `Value` is what the caller asks for, and then out of that text
 //! ([`to_value`], [`from_value`]): no type implements a second conversion.
 //!
-//! Floats print via Rust's shortest-roundtrip `{}` formatting (what the
-//! upstream `float_roundtrip` feature guarantees); integral floats print
-//! without a fractional part and reparse as integers, which the serde
-//! shim's numeric readers accept interchangeably.
+//! Floats print as Rust's `{}` formatting prints them — shortest
+//! round-trip digits (what the upstream `float_roundtrip` feature
+//! guarantees), never an exponent — but without going through
+//! `core::fmt`: whole numbers below 2^53 take the integer digit loop and
+//! every other finite value a Ryū digit generator, and
+//! `tests/differential.rs` holds both to `Display` as the oracle. Integral
+//! floats print without a fractional part and reparse as integers, which
+//! the serde shim's numeric readers accept interchangeably.
 
 use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 pub use serde::{Error, Number, Value};
