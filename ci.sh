@@ -3,25 +3,27 @@
 #   1. cargo fmt --check
 #   2. cargo clippy (workspace, all targets, -D warnings, plus
 #      clippy::too_many_lines at clippy.toml's 200-line threshold)
-#   3. locked release build
-#   4. every package under shims/ is still a dependency of something
-#   5. cargo test --workspace --no-fail-fast (every crate's unit,
+#   3. rustdoc with broken intra-doc links denied (workspace, no deps)
+#   4. locked release build
+#   5. every package under shims/ is still a dependency of something
+#   6. cargo test --workspace --no-fail-fast (every crate's unit,
 #      integration and prop_* suites plus the shims)
-#   6. the thread-based tests, four copies at a time: vdce-dsm's 50
-#      times, tests/concurrency.rs once, vdce-repository's 50 times
-#   7. BENCH_*.json artifact schema validation
-#   8. the deterministic paper tables (exp_fig2, exp_fig4, exp_e5,
+#   7. the thread-based tests, four copies at a time: vdce-dsm's 50
+#      times, tests/concurrency.rs once, vdce-repository's, the Data
+#      Manager's and the message bus's 50 times
+#   8. BENCH_*.json artifact schema validation
+#   9. the deterministic paper tables (exp_fig2, exp_fig4, exp_e5,
 #      exp_e9) byte-equal to their golden text in crates/bench/golden/
-#   9-15. the correctness gates: fault recovery, durable recovery,
+#   10-16. the correctness gates: fault recovery, durable recovery,
 #      scale, stream, fuzz, data-aware (all --quick) and trace
 #      determinism (--all) — none of them times anything
-#   16. the vdce_perf smoke (perf/run.sh --quick)
-#   17-22. the frozen benchmark's full-size checks the smoke scales away
+#   17. the vdce_perf smoke (perf/run.sh --quick)
+#   18-23. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
 #      pass and run — under a ceiling (1,500, 1,250, 500, 10,000, 250 and
-#      390,000). ROADMAP item 2's committed BENCH_perf.json
+#      365,000). ROADMAP item 2's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -85,6 +87,13 @@ stage() {
 
 stage "cargo fmt --check" cargo fmt --check
 stage "cargo clippy" cargo clippy --workspace --all-targets -- -D warnings -W clippy::too_many_lines
+# Doc-link gate: a renamed or made-private item leaves crate docs
+# pointing at nothing, and plain `cargo doc` only warns about it.
+doc_links() {
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+        cargo doc --workspace --no-deps --offline
+}
+stage "rustdoc intra-doc links" doc_links
 stage "cargo build --release --locked" cargo build --release --locked
 # Orphaned-shim gate: a shim nothing depends on still builds, tests and
 # lints as a workspace member, so it lingers unnoticed. Every package
@@ -112,7 +121,9 @@ stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
 # at a time on however few cores there are failed most of 50 batches
 # with that bug in. The other thread-based tests get the same treatment:
 # `tests/concurrency.rs` (one batch: its four copies keep two cores busy
-# for ~3 s) and the repository's parallel sample writers.
+# for ~3 s), the repository's parallel sample writers, and the Data
+# Manager's and the message bus's cross-thread channels (std::sync::mpsc;
+# the TCP test's proxy thread pumps a bounded `sync_channel`).
 #   race_stress <batches> <cargo test selector...> -- <test names...>
 race_stress() {
     local batches=$1 selector=() bin batch pid failed
@@ -157,8 +168,13 @@ thread_stress() {
     race_stress 1 -p vdce --test concurrency -- concurrent_submissions_all_succeed \
         concurrent_apps_contend_for_the_single_host monitoring_during_submissions
     race_stress 50 -p vdce-repository --lib -- concurrent_samples_are_all_applied
+    # Qualified: a bare `dropped_sender_closes_channel` also matches
+    # `tcp_dropped_sender_closes_channel`.
+    race_stress 50 -p vdce-runtime --lib -- inproc_round_trip \
+        data_manager::tests::dropped_sender_closes_channel cross_thread_tcp_transfer
+    race_stress 50 -p vdce-net --lib -- cross_thread_delivery
 }
-stage "thread race stress (3 binaries)" thread_stress
+stage "thread race stress (5 binaries)" thread_stress
 # Artifact schema gate: every checked-in BENCH_*.json must validate
 # against the vdce-obs RunArtifact schema, and none may be missing.
 stage "artifact schema validation" \
@@ -260,12 +276,15 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # host-name `String` per memoised term and a lane vector per eligibility
 # group made them 1,616 and 1,896; each ceiling sits about halfway.
 # durable_faults counts one 17-scenario sweep (~13.1k journal records):
-# 377,373 with each record framed once into the journal's log, recovered
-# records borrowed from the kill image and the resumed state compared with
-# the seal as it streams, against 404,546 when `read_wal` / `recover`
-# copied every record into a `Vec<u8>` and a `String` pair and the resume
-# leg serialised into a buffer (431,736 when the journal also kept each
-# record as a `(String, String)` pair); the ceiling sits about halfway.
+# 352,364 with the monitoring chain passing its reports and control
+# messages by value, each record framed once into the journal's log,
+# recovered records borrowed from the kill image and the resumed state
+# compared with the seal as it streams. A Monitor daemon that also sent a
+# clone of each report down a channel to its Group Manager made it
+# 377,373; `read_wal` / `recover` copying every record into a `Vec<u8>`
+# and a `String` pair with the resume leg serialising into a buffer,
+# 404,546 (431,736 when the journal also kept each record as a
+# `(String, String)` pair); the ceiling sits about halfway.
 #   perf_allocs_at_most <ceiling> <workload> [seed, default 1]
 perf_allocs_at_most() {
     local ceiling=$1 workload=$2 seed=${3:-1} out allocs
@@ -299,4 +318,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 390000 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 365000 durable_faults

@@ -5,7 +5,7 @@
 //! Claim under test: "low-latency and high-speed communication … for
 //! inter-task communications" over socket-based point-to-point channels.
 
-use bytes::Bytes;
+use std::sync::Arc;
 use std::time::Instant;
 use vdce_obs::Report;
 use vdce_runtime::{ChannelId, DataManager, EventLog, Transport};
@@ -18,7 +18,7 @@ fn main() {
         let dm = DataManager::new(transport, EventLog::new());
         for &size in &[64usize, 1024, 65_536, 1 << 20, 4 << 20] {
             let (tx, rx) = dm.open_channel(ChannelId { app: 0, edge: size }).unwrap();
-            let payload = Bytes::from(vec![7u8; size]);
+            let payload: Arc<[u8]> = Arc::from(vec![7u8; size]);
             // Warm-up.
             for _ in 0..16 {
                 tx.send(payload.clone()).unwrap();

@@ -4,7 +4,8 @@
 //! {8, 64} sites.
 //!
 //! Each cell materialises a Poisson trace, replays it through the
-//! runtime submission gateway into a fresh [`StreamService`], and
+//! runtime submission gateway into a fresh
+//! [`StreamService`](vdce_sched::service::stream::StreamService), and
 //! records two kinds of numbers:
 //!
 //! - **deterministic outcomes** (logical time): admissions, rejections

@@ -17,7 +17,6 @@
 
 use crate::env::Vdce;
 use crate::report::RunReport;
-use crossbeam::channel::unbounded;
 use std::fmt;
 use vdce_afg::AfgDocument;
 use vdce_net::topology::SiteId;
@@ -191,7 +190,7 @@ impl<'v> Session<'v> {
         let dm = DataManager::new(self.vdce.config().transport, self.log.clone());
         let clock = RealClock::new();
         self.log.emit(clock.now(), RuntimeEvent::StartupSignal);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let outcome = execute(&Execution {
             afg,
             table: &table,

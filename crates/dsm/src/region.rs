@@ -8,9 +8,8 @@
 //! a cache lock.
 
 use crate::stats::{DsmStats, StatCounters};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// MSI state of a locally cached page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +142,7 @@ impl DsmRegion {
     /// invalidator, so it perturbs neither placement nor hit rates.
     pub fn snapshot(&self) -> DsmSnapshot {
         let inner = &self.inner;
-        let dir = inner.directory.lock();
+        let dir = inner.directory.lock().unwrap();
         let mut pages = Vec::with_capacity(dir.len());
         let mut dirty_pulls = 0u64;
         for (page, entry) in dir.iter().enumerate() {
@@ -151,7 +150,7 @@ impl DsmRegion {
                 // The directory copy is stale while owned; pull the live
                 // bytes. Safe under the lock discipline: directory ops may
                 // take cache locks.
-                let owner_cache = inner.caches[owner].lock();
+                let owner_cache = inner.caches[owner].lock().unwrap();
                 if let Some(p) = owner_cache.get(&page) {
                     pages.push(p.data.clone());
                     dirty_pulls += 1;
@@ -179,7 +178,7 @@ impl DsmRegion {
         let inner = &self.inner;
         assert_eq!(snap.size, inner.size, "snapshot size mismatch");
         assert_eq!(snap.page_size, inner.page_size, "snapshot page size mismatch");
-        let mut dir = inner.directory.lock();
+        let mut dir = inner.directory.lock().unwrap();
         assert_eq!(snap.pages.len(), dir.len(), "snapshot page count mismatch");
         let mut invalidated = 0u64;
         for (page, entry) in dir.iter_mut().enumerate() {
@@ -187,7 +186,7 @@ impl DsmRegion {
             entry.owner = None;
             entry.sharers.clear();
             for cache in &inner.caches {
-                if cache.lock().remove(&page).is_some() {
+                if cache.lock().unwrap().remove(&page).is_some() {
                     invalidated += 1;
                 }
             }
@@ -204,12 +203,12 @@ impl Inner {
     /// Serve a read miss: make `node` a sharer with current data.
     fn read_miss(&self, node: usize, page: usize) {
         StatCounters::bump(&self.stats.read_misses);
-        let mut dir = self.directory.lock();
+        let mut dir = self.directory.lock().unwrap();
         let entry = &mut dir[page];
         if let Some(owner) = entry.owner {
             if owner != node {
                 // Write-back: pull the dirty copy, downgrade owner M → S.
-                let mut owner_cache = self.caches[owner].lock();
+                let mut owner_cache = self.caches[owner].lock().unwrap();
                 if let Some(p) = owner_cache.get_mut(&page) {
                     entry.data.copy_from_slice(&p.data);
                     p.state = PageState::Shared;
@@ -230,7 +229,7 @@ impl Inner {
         // Install before releasing the directory: once `node` is listed as
         // a sharer a writer may invalidate it, and an invalidation that
         // ran ahead of the install would leave a copy nobody knows about.
-        let mut cache = self.caches[node].lock();
+        let mut cache = self.caches[node].lock().unwrap();
         cache.insert(page, CachedPage { state: PageState::Shared, data });
         drop(cache);
         drop(dir);
@@ -239,14 +238,14 @@ impl Inner {
     /// Serve a write miss/upgrade: make `node` the exclusive owner.
     fn write_miss(&self, node: usize, page: usize) {
         StatCounters::bump(&self.stats.write_misses);
-        let mut dir = self.directory.lock();
+        let mut dir = self.directory.lock().unwrap();
         let entry = &mut dir[page];
         if entry.owner == Some(node) {
             return; // raced: already exclusive
         }
         if let Some(owner) = entry.owner {
             // Pull the dirty copy and invalidate the old owner.
-            let mut owner_cache = self.caches[owner].lock();
+            let mut owner_cache = self.caches[owner].lock().unwrap();
             if let Some(p) = owner_cache.remove(&page) {
                 entry.data.copy_from_slice(&p.data);
             }
@@ -258,7 +257,7 @@ impl Inner {
         // Invalidate every other sharer.
         let sharers: Vec<usize> = entry.sharers.iter().copied().filter(|&s| s != node).collect();
         for s in sharers {
-            self.caches[s].lock().remove(&page);
+            self.caches[s].lock().unwrap().remove(&page);
             StatCounters::bump(&self.stats.invalidations);
         }
         entry.sharers.clear();
@@ -267,7 +266,7 @@ impl Inner {
         StatCounters::bump(&self.stats.page_transfers);
         // Install before releasing the directory, as in `read_miss`: the
         // next writer must find the copy it is told to pull and invalidate.
-        let mut cache = self.caches[node].lock();
+        let mut cache = self.caches[node].lock().unwrap();
         match cache.get_mut(&page) {
             // Upgrade in place keeps locally visible bytes (we were a
             // sharer with identical data).
@@ -304,7 +303,7 @@ impl DsmHandle {
             let mut missed = false;
             loop {
                 {
-                    let cache = self.inner.caches[self.node].lock();
+                    let cache = self.inner.caches[self.node].lock().unwrap();
                     if let Some(p) = cache.get(&page) {
                         if !missed {
                             StatCounters::bump(&self.inner.stats.read_hits);
@@ -335,7 +334,7 @@ impl DsmHandle {
             let mut missed = false;
             loop {
                 {
-                    let mut cache = self.inner.caches[self.node].lock();
+                    let mut cache = self.inner.caches[self.node].lock().unwrap();
                     if let Some(p) = cache.get_mut(&page) {
                         if p.state == PageState::Modified {
                             if !missed {

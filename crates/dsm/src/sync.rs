@@ -5,8 +5,7 @@
 //! and a **lock** protecting read-modify-write sequences, since the DSM
 //! itself only guarantees per-access coherence.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 /// A reusable barrier for a fixed number of DSM nodes.
 ///
@@ -42,7 +41,7 @@ impl DsmBarrier {
     /// Wait for all parties; returns the generation that just completed.
     /// Exactly one caller per generation gets `is_leader == true`.
     pub fn wait(&self) -> BarrierResult {
-        let mut s = self.inner.state.lock();
+        let mut s = self.inner.state.lock().unwrap();
         let gen = s.1;
         s.0 += 1;
         if s.0 == self.inner.parties {
@@ -51,16 +50,14 @@ impl DsmBarrier {
             self.inner.cond.notify_all();
             BarrierResult { generation: gen, is_leader: true }
         } else {
-            while s.1 == gen {
-                self.inner.cond.wait(&mut s);
-            }
+            let _released = self.inner.cond.wait_while(s, |s| s.1 == gen).unwrap();
             BarrierResult { generation: gen, is_leader: false }
         }
     }
 
     /// Completed generations so far.
     pub fn generation(&self) -> u64 {
-        self.inner.state.lock().1
+        self.inner.state.lock().unwrap().1
     }
 }
 
@@ -99,10 +96,7 @@ impl DsmLock {
 
     /// Acquire, blocking.
     pub fn acquire(&self) -> DsmLockGuard<'_> {
-        let mut l = self.inner.locked.lock();
-        while *l {
-            self.inner.cond.wait(&mut l);
-        }
+        let mut l = self.inner.cond.wait_while(self.inner.locked.lock().unwrap(), |l| *l).unwrap();
         *l = true;
         DsmLockGuard { lock: self }
     }
@@ -110,7 +104,7 @@ impl DsmLock {
 
 impl Drop for DsmLockGuard<'_> {
     fn drop(&mut self) {
-        let mut l = self.lock.inner.locked.lock();
+        let mut l = self.lock.inner.locked.lock().unwrap();
         *l = false;
         self.lock.inner.cond.notify_one();
     }

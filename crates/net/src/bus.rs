@@ -8,17 +8,16 @@
 //! Managers" (§4.1).
 //!
 //! [`MessageBus`] connects one [`Endpoint`] per site with reliable,
-//! FIFO-per-sender delivery (crossbeam channels) and counts messages and
+//! FIFO-per-sender delivery (`std::sync::mpsc` channels) and counts messages and
 //! bytes per directed site pair so experiments can report coordination
 //! traffic. Latency is modelled, not enforced: callers that want delay
 //! semantics combine the byte counts with a [`crate::model::NetworkModel`].
 
 use crate::topology::SiteId;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Errors from bus operations.
@@ -107,19 +106,19 @@ impl<M: Send + Clone> MessageBus<M> {
     /// Register `site` and obtain its endpoint. Re-registering replaces
     /// the previous endpoint (its receiver starts draining a fresh queue).
     pub fn register(&self, site: SiteId) -> Endpoint<M> {
-        let (tx, rx) = unbounded();
-        self.shared.senders.lock().insert(site, tx);
+        let (tx, rx) = channel();
+        self.shared.senders.lock().unwrap().insert(site, tx);
         Endpoint { site, rx }
     }
 
     /// Send `msg` from `from` to `to`, declaring `bytes` of payload for
     /// traffic accounting.
     pub fn send(&self, from: SiteId, to: SiteId, msg: M, bytes: u64) -> Result<(), BusError> {
-        let senders = self.shared.senders.lock();
+        let senders = self.shared.senders.lock().unwrap();
         let tx = senders.get(&to).ok_or(BusError::UnknownSite(to))?;
         tx.send(Delivery { from, msg }).map_err(|_| BusError::Disconnected(to))?;
         drop(senders);
-        let mut t = self.shared.traffic.lock();
+        let mut t = self.shared.traffic.lock().unwrap();
         let e = t.entry((from, to)).or_default();
         e.messages += 1;
         e.bytes += bytes;
@@ -141,12 +140,12 @@ impl<M: Send + Clone> MessageBus<M> {
 
     /// Traffic counters for the directed link `from → to`.
     pub fn traffic(&self, from: SiteId, to: SiteId) -> LinkTraffic {
-        self.shared.traffic.lock().get(&(from, to)).copied().unwrap_or_default()
+        self.shared.traffic.lock().unwrap().get(&(from, to)).copied().unwrap_or_default()
     }
 
     /// Total traffic across all links.
     pub fn total_traffic(&self) -> LinkTraffic {
-        let t = self.shared.traffic.lock();
+        let t = self.shared.traffic.lock().unwrap();
         let mut sum = LinkTraffic::default();
         for v in t.values() {
             sum.messages += v.messages;

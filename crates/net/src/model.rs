@@ -132,7 +132,7 @@ impl NetworkModel {
 /// take a consistent [`SharedNetworkModel::snapshot`] before each run.
 #[derive(Clone)]
 pub struct SharedNetworkModel {
-    inner: std::sync::Arc<parking_lot::RwLock<NetworkModel>>,
+    inner: std::sync::Arc<std::sync::RwLock<NetworkModel>>,
     /// EMA weight of a new sample.
     alpha: f64,
 }
@@ -142,7 +142,7 @@ impl SharedNetworkModel {
     /// `alpha` (0 < alpha ≤ 1).
     pub fn new(initial: NetworkModel, alpha: f64) -> Self {
         SharedNetworkModel {
-            inner: std::sync::Arc::new(parking_lot::RwLock::new(initial)),
+            inner: std::sync::Arc::new(std::sync::RwLock::new(initial)),
             alpha: alpha.clamp(1e-6, 1.0),
         }
     }
@@ -153,7 +153,7 @@ impl SharedNetworkModel {
         {
             return;
         }
-        let mut m = self.inner.write();
+        let mut m = self.inner.write().unwrap();
         let old = m.link(a, b);
         let blend = |old: f64, new: f64| (1.0 - self.alpha) * old + self.alpha * new;
         m.set_link(
@@ -168,12 +168,12 @@ impl SharedNetworkModel {
 
     /// A consistent copy for one scheduling run.
     pub fn snapshot(&self) -> NetworkModel {
-        self.inner.read().clone()
+        self.inner.read().unwrap().clone()
     }
 
     /// Current parameters of one link.
     pub fn link(&self, a: SiteId, b: SiteId) -> LinkParams {
-        self.inner.read().link(a, b)
+        self.inner.read().unwrap().link(a, b)
     }
 }
 

@@ -12,9 +12,9 @@
 //! `v <= bound` scan, and non-finite observations land in the overflow
 //! bucket without touching `sum` (unit-tested in this module).
 
-use parking_lot::Mutex;
 use serde_json::{Number, Value};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Metric-name prefix for values outside the replay contract,
 /// excluded from [`MetricsRegistry::snapshot_deterministic`].
@@ -127,7 +127,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter_add(&self, name: &str, n: u64) {
-        let mut m = self.inner.lock();
+        let mut m = self.inner.lock().unwrap();
         match m.entry(name.to_string()).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += n,
             other => panic!("metric `{name}` is not a counter: {other:?}"),
@@ -138,7 +138,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge_set(&self, name: &str, v: f64) {
-        let mut m = self.inner.lock();
+        let mut m = self.inner.lock().unwrap();
         match m.entry(name.to_string()).or_insert(Metric::Gauge(v)) {
             Metric::Gauge(g) => *g = v,
             other => panic!("metric `{name}` is not a gauge: {other:?}"),
@@ -150,7 +150,7 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn observe(&self, name: &str, bounds: &[f64], v: f64) {
-        let mut m = self.inner.lock();
+        let mut m = self.inner.lock().unwrap();
         match m.entry(name.to_string()).or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
         {
             Metric::Histogram(h) => h.observe(v),
@@ -160,7 +160,7 @@ impl MetricsRegistry {
 
     /// Current counter value (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        match self.inner.lock().get(name) {
+        match self.inner.lock().unwrap().get(name) {
             Some(Metric::Counter(c)) => *c,
             _ => 0,
         }
@@ -168,7 +168,7 @@ impl MetricsRegistry {
 
     /// Current gauge value.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.inner.lock().get(name) {
+        match self.inner.lock().unwrap().get(name) {
             Some(Metric::Gauge(g)) => Some(*g),
             _ => None,
         }
@@ -176,12 +176,12 @@ impl MetricsRegistry {
 
     /// Registered metric names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.inner.lock().keys().cloned().collect()
+        self.inner.lock().unwrap().keys().cloned().collect()
     }
 
     /// Point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot { entries: self.inner.lock().clone() }
+        MetricsSnapshot { entries: self.inner.lock().unwrap().clone() }
     }
 
     /// Snapshot excluding the `profile.` namespace — the subset that
@@ -190,6 +190,7 @@ impl MetricsRegistry {
         let entries = self
             .inner
             .lock()
+            .unwrap()
             .iter()
             .filter(|(k, _)| !k.starts_with(PROFILE_PREFIX))
             .map(|(k, v)| (k.clone(), v.clone()))

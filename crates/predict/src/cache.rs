@@ -293,7 +293,7 @@ impl PredictCache {
         host: &ResourceRecord,
     ) -> Result<f64, PredictError> {
         {
-            let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+            let inner = self.inner.read().unwrap();
             if let (Some(&t), Some(&h)) =
                 (inner.task_ids.get(task), inner.host_ids.get(host.host_name.as_str()))
             {
@@ -305,7 +305,7 @@ impl PredictCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let computed = predictor.predict(tasks, task, problem_size, host);
-        let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.inner.write().unwrap();
         let t = intern(&mut guard.task_ids, task);
         let h = intern(&mut guard.host_ids, &host.host_name);
         guard.map.insert((t, problem_size, h), computed.clone());
@@ -335,7 +335,7 @@ impl PredictCache {
         let mut out: Vec<Result<f64, PredictError>> = Vec::with_capacity(hosts.len());
         let mut miss_idx: Vec<u32> = Vec::new();
         {
-            let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+            let inner = self.inner.read().unwrap();
             if let Some(&t) = inner.task_ids.get(task) {
                 for (i, h) in hosts.iter().enumerate() {
                     let cached = inner
@@ -364,7 +364,7 @@ impl PredictCache {
                 miss_idx.iter().map(|&i| hosts[i as usize]).collect();
             let mut computed = Vec::new();
             predictor.predict_batch(tasks, task, problem_size, &miss_hosts, &mut computed);
-            let mut guard = self.inner.write().unwrap_or_else(|e| e.into_inner());
+            let mut guard = self.inner.write().unwrap();
             let t = intern(&mut guard.task_ids, task);
             for (&i, value) in miss_idx.iter().zip(computed) {
                 let hid = intern(&mut guard.host_ids, &hosts[i as usize].host_name);
@@ -389,7 +389,7 @@ impl PredictCache {
         site: SiteId,
         hosts: &'a [&'a ResourceRecord],
     ) -> SiteTerms<'a> {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.inner.write().unwrap();
         let Inner { names, sites, .. } = &mut *inner;
         if sites.len() <= site.index() {
             sites.resize_with(site.index() + 1, TermSite::default);
@@ -413,7 +413,7 @@ impl PredictCache {
     /// Number of distinct entries memoised: `(task, size, host)`
     /// predictions plus `(task, host)` terms.
     pub fn len(&self) -> usize {
-        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        let inner = self.inner.read().unwrap();
         let terms = inner.sites.iter().flat_map(|s| &s.rows).filter(|t| t.is_some()).count();
         inner.map.len() + terms
     }

@@ -13,10 +13,9 @@ use crate::constraints::TaskConstraintsDb;
 use crate::events::{JournaledRepoEvent, RepoEvent};
 use crate::resources::ResourcePerfDb;
 use crate::tasks::TaskPerfDb;
-use parking_lot::RwLock;
 use serde::{Deserialize, JsonWriter, Serialize};
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use vdce_store::{Fnv1a, Journal};
 
 /// A point-in-time snapshot of a site repository (serialisable).
@@ -51,8 +50,8 @@ pub struct SiteRepository {
 impl std::fmt::Debug for SiteRepository {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SiteRepository")
-            .field("users", &self.inner.accounts.read().len())
-            .field("hosts", &self.inner.resources.read().len())
+            .field("users", &self.inner.accounts.read().unwrap().len())
+            .field("hosts", &self.inner.resources.read().unwrap().len())
             .finish()
     }
 }
@@ -92,12 +91,12 @@ impl SiteRepository {
     /// `site`) before mutating the databases — the write-ahead
     /// discipline the durable control plane relies on.
     pub fn attach_journal(&self, site: u16, journal: Journal) {
-        *self.inner.journal.write() = (site, journal);
+        *self.inner.journal.write().unwrap() = (site, journal);
     }
 
     /// Append `event` to the attached journal (no-op when disabled).
     pub(crate) fn journal_event(&self, event: &RepoEvent) {
-        let g = self.inner.journal.read();
+        let g = self.inner.journal.read().unwrap();
         if g.1.is_enabled() {
             let wire = JournaledRepoEvent { site: g.0, event: event.clone() };
             let payload = serde_json::to_string(&wire).expect("repo events always serialize");
@@ -120,49 +119,49 @@ impl SiteRepository {
         let inner = &*self.inner;
         let mut obj = w.begin_object();
         w.field(&mut obj, "accounts");
-        inner.accounts.read().write_json(w);
+        inner.accounts.read().unwrap().write_json(w);
         w.field(&mut obj, "resources");
-        inner.resources.read().write_json(w);
+        inner.resources.read().unwrap().write_json(w);
         w.field(&mut obj, "tasks");
-        inner.tasks.read().write_json(w);
+        inner.tasks.read().unwrap().write_json(w);
         w.field(&mut obj, "constraints");
-        inner.constraints.read().write_json(w);
+        inner.constraints.read().unwrap().write_json(w);
         w.end_object(obj);
     }
 
     /// Read access to the user-accounts database.
     pub fn accounts<R>(&self, f: impl FnOnce(&UserAccountsDb) -> R) -> R {
-        f(&self.inner.accounts.read())
+        f(&self.inner.accounts.read().unwrap())
     }
 
     /// Write access to the user-accounts database.
     pub fn accounts_mut<R>(&self, f: impl FnOnce(&mut UserAccountsDb) -> R) -> R {
-        f(&mut self.inner.accounts.write())
+        f(&mut self.inner.accounts.write().unwrap())
     }
 
     /// Read access to the resource-performance database.
     pub fn resources<R>(&self, f: impl FnOnce(&ResourcePerfDb) -> R) -> R {
-        f(&self.inner.resources.read())
+        f(&self.inner.resources.read().unwrap())
     }
 
     /// Write access to the resource-performance database.
     pub fn resources_mut<R>(&self, f: impl FnOnce(&mut ResourcePerfDb) -> R) -> R {
-        f(&mut self.inner.resources.write())
+        f(&mut self.inner.resources.write().unwrap())
     }
 
     /// Read access to the task-performance database.
     pub fn tasks<R>(&self, f: impl FnOnce(&TaskPerfDb) -> R) -> R {
-        f(&self.inner.tasks.read())
+        f(&self.inner.tasks.read().unwrap())
     }
 
     /// Write access to the task-performance database.
     pub fn tasks_mut<R>(&self, f: impl FnOnce(&mut TaskPerfDb) -> R) -> R {
-        f(&mut self.inner.tasks.write())
+        f(&mut self.inner.tasks.write().unwrap())
     }
 
     /// Write access to the task-constraints database.
     pub fn constraints_mut<R>(&self, f: impl FnOnce(&mut TaskConstraintsDb) -> R) -> R {
-        f(&mut self.inner.constraints.write())
+        f(&mut self.inner.constraints.write().unwrap())
     }
 
     /// Capture a consistent-enough snapshot (each database is internally
@@ -171,10 +170,10 @@ impl SiteRepository {
     /// monitoring updates are themselves periodic).
     pub fn snapshot(&self) -> RepositorySnapshot {
         RepositorySnapshot {
-            accounts: self.inner.accounts.read().clone(),
-            resources: self.inner.resources.read().clone(),
-            tasks: self.inner.tasks.read().clone(),
-            constraints: self.inner.constraints.read().clone(),
+            accounts: self.inner.accounts.read().unwrap().clone(),
+            resources: self.inner.resources.read().unwrap().clone(),
+            tasks: self.inner.tasks.read().unwrap().clone(),
+            constraints: self.inner.constraints.read().unwrap().clone(),
         }
     }
 

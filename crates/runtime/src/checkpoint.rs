@@ -26,11 +26,9 @@
 //! Policies default to **disabled** so every pre-checkpoint baseline
 //! keeps its exact behaviour.
 
-use bytes::Bytes;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vdce_afg::TaskId;
 use vdce_store::Journal;
 
@@ -260,7 +258,7 @@ pub struct TaskCheckpoint {
     pub stored_on: Vec<String>,
     /// Produced-output payloads by out-port index (dataflow tasks), so a
     /// fully checkpointed task can re-deliver without re-executing.
-    pub outputs: BTreeMap<usize, Bytes>,
+    pub outputs: BTreeMap<usize, Arc<[u8]>>,
 }
 
 impl TaskCheckpoint {
@@ -271,7 +269,7 @@ impl TaskCheckpoint {
     }
 
     /// Attach produced-output payloads.
-    pub(crate) fn with_outputs(mut self, outputs: BTreeMap<usize, Bytes>) -> Self {
+    pub(crate) fn with_outputs(mut self, outputs: BTreeMap<usize, Arc<[u8]>>) -> Self {
         self.outputs = outputs;
         self
     }
@@ -279,8 +277,7 @@ impl TaskCheckpoint {
 
 /// One journaled mutation of the checkpoint store (the `ckpt` journal
 /// tag). Only *control* fields are journaled: produced-output payloads
-/// are data-plane state, re-derivable from task re-execution, and the
-/// shimmed `Bytes` type does not serialize.
+/// are data-plane state, re-derivable from task re-execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CheckpointEvent {
     /// [`CheckpointStore::record`]: a new checkpoint was persisted.
@@ -385,7 +382,7 @@ impl CheckpointStore {
     /// appended as a [`CheckpointEvent`] (tag `ckpt`) before it is
     /// applied.
     pub fn attach_journal(&self, journal: Journal) {
-        self.inner.lock().journal = journal;
+        self.inner.lock().unwrap().journal = journal;
     }
 
     fn journal_event(inner: &StoreInner, event: &CheckpointEvent) {
@@ -398,7 +395,7 @@ impl CheckpointStore {
     /// The control-plane projection of the store's current state (what
     /// recovery and replicas compare against).
     pub(crate) fn control_state(&self) -> CheckpointState {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         CheckpointState {
             by_task: inner
                 .by_task
@@ -423,7 +420,7 @@ impl CheckpointStore {
     /// Persist `cp`, assigning its per-task sequence number; returns the
     /// sequence assigned.
     pub fn record(&self, mut cp: TaskCheckpoint) -> u64 {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         Self::journal_event(
             &inner,
             &CheckpointEvent::Record {
@@ -452,6 +449,7 @@ impl CheckpointStore {
     ) -> Option<TaskCheckpoint> {
         self.inner
             .lock()
+            .unwrap()
             .by_task
             .get(&task)
             .and_then(|v| v.iter().rev().find(|cp| cp.stored_on.iter().any(|h| reachable(h))))
@@ -463,7 +461,7 @@ impl CheckpointStore {
     /// the checkpoint no longer exists (e.g. forgotten after completion)
     /// or the host already holds a copy.
     pub fn add_replica(&self, task: TaskId, seq: u64, host: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         Self::journal_event(
             &inner,
             &CheckpointEvent::AddReplica { task, seq, host: host.to_string() },

@@ -10,7 +10,7 @@
 //!
 //! Two transports behind one API:
 //!
-//! - [`Transport::InProc`] — crossbeam channels (what a co-located task
+//! - [`Transport::InProc`] — `std::sync::mpsc` channels (what a co-located task
 //!   pair would use);
 //! - [`Transport::Tcp`] — real loopback TCP sockets with length-prefixed
 //!   frames and a proxy thread per channel, reproducing the paper's
@@ -21,12 +21,11 @@
 //! acknowledgments before broadcasting the start-up signal.
 
 use crate::events::{EventLog, RuntimeEvent};
-use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver as XReceiver, Sender as XSender};
-use parking_lot::Mutex;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Identifies one dataflow channel: edge `edge` of application `app`.
@@ -41,7 +40,7 @@ pub struct ChannelId {
 /// Which wire the channel uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transport {
-    /// In-process crossbeam channel.
+    /// In-process `std::sync::mpsc` channel.
     InProc,
     /// Loopback TCP with a proxy thread (the paper's architecture).
     Tcp,
@@ -71,7 +70,7 @@ impl fmt::Display for DataError {
 impl std::error::Error for DataError {}
 
 enum TxImpl {
-    InProc(XSender<Bytes>),
+    InProc(SyncSender<Arc<[u8]>>),
     Tcp(Mutex<TcpStream>),
 }
 
@@ -82,11 +81,11 @@ pub struct DataSender {
 
 impl DataSender {
     /// Send one payload frame.
-    pub fn send(&self, payload: Bytes) -> Result<(), DataError> {
+    pub fn send(&self, payload: Arc<[u8]>) -> Result<(), DataError> {
         match &self.tx {
             TxImpl::InProc(tx) => tx.send(payload).map_err(|_| DataError::Closed),
             TxImpl::Tcp(stream) => {
-                let mut s = stream.lock();
+                let mut s = stream.lock().unwrap();
                 let len = (payload.len() as u32).to_le_bytes();
                 s.write_all(&len).and_then(|_| s.write_all(&payload)).map_err(|_| DataError::Closed)
             }
@@ -95,22 +94,22 @@ impl DataSender {
 }
 
 /// Receiving half of a channel (both transports surface frames through a
-/// crossbeam receiver; TCP has a proxy thread pumping the socket).
+/// bounded `mpsc` receiver; TCP has a proxy thread pumping the socket).
 pub struct DataReceiver {
-    rx: XReceiver<Bytes>,
+    rx: Receiver<Arc<[u8]>>,
 }
 
 impl DataReceiver {
     /// Blocking receive.
-    pub fn recv(&self) -> Result<Bytes, DataError> {
+    pub fn recv(&self) -> Result<Arc<[u8]>, DataError> {
         self.rx.recv().map_err(|_| DataError::Closed)
     }
 
     /// Receive with timeout.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, DataError> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Arc<[u8]>, DataError> {
         self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => DataError::Timeout,
-            crossbeam::channel::RecvTimeoutError::Disconnected => DataError::Closed,
+            RecvTimeoutError::Timeout => DataError::Timeout,
+            RecvTimeoutError::Disconnected => DataError::Closed,
         })
     }
 }
@@ -135,7 +134,7 @@ impl DataManager {
     /// Number of channel-setup acknowledgments received so far — what the
     /// Application Controller waits on before the start-up signal.
     pub fn setup_acks(&self) -> usize {
-        *self.acks.lock()
+        *self.acks.lock().unwrap()
     }
 
     /// Open one point-to-point channel; blocks until the setup handshake
@@ -144,7 +143,7 @@ impl DataManager {
     pub fn open_channel(&self, id: ChannelId) -> Result<(DataSender, DataReceiver), DataError> {
         let pair = match self.transport {
             Transport::InProc => {
-                let (tx, rx) = bounded(CHANNEL_DEPTH);
+                let (tx, rx) = sync_channel(CHANNEL_DEPTH);
                 (DataSender { tx: TxImpl::InProc(tx) }, DataReceiver { rx })
             }
             Transport::Tcp => {
@@ -153,7 +152,7 @@ impl DataManager {
                     .map_err(|e| DataError::Setup(e.to_string()))?;
                 let addr = listener.local_addr().map_err(|e| DataError::Setup(e.to_string()))?;
                 // ...and start the communication proxy pumping frames.
-                let (frames_tx, frames_rx) = bounded::<Bytes>(CHANNEL_DEPTH);
+                let (frames_tx, frames_rx) = sync_channel::<Arc<[u8]>>(CHANNEL_DEPTH);
                 std::thread::Builder::new()
                     .name(format!("vdce-proxy-{}-{}", id.app, id.edge))
                     .spawn(move || {
@@ -168,7 +167,7 @@ impl DataManager {
                             if conn.read_exact(&mut payload).is_err() {
                                 return;
                             }
-                            if frames_tx.send(Bytes::from(payload)).is_err() {
+                            if frames_tx.send(Arc::from(payload)).is_err() {
                                 return; // receiver dropped
                             }
                         }
@@ -183,7 +182,7 @@ impl DataManager {
             }
         };
         // Proxy acknowledgment to the Application Controller.
-        *self.acks.lock() += 1;
+        *self.acks.lock().unwrap() += 1;
         self.log.emit(0.0, RuntimeEvent::ChannelReady { channel: id.edge });
         Ok(pair)
     }
@@ -215,11 +214,11 @@ mod tests {
     fn round_trip(transport: Transport) {
         let dm = DataManager::new(transport, EventLog::new());
         let (tx, rx) = dm.open_channel(ChannelId { app: 1, edge: 0 }).unwrap();
-        tx.send(Bytes::from_static(b"hello")).unwrap();
-        tx.send(Bytes::from_static(b"")).unwrap();
-        tx.send(Bytes::from(vec![7u8; 100_000])).unwrap();
-        assert_eq!(rx.recv().unwrap(), Bytes::from_static(b"hello"));
-        assert_eq!(rx.recv().unwrap(), Bytes::from_static(b""));
+        tx.send(Arc::from(&b"hello"[..])).unwrap();
+        tx.send(Arc::from(&b""[..])).unwrap();
+        tx.send(Arc::from(vec![7u8; 100_000])).unwrap();
+        assert_eq!(rx.recv().unwrap(), Arc::from(&b"hello"[..]));
+        assert_eq!(rx.recv().unwrap(), Arc::from(&b""[..]));
         assert_eq!(rx.recv().unwrap().len(), 100_000);
     }
 
@@ -238,7 +237,7 @@ mod tests {
         let dm = DataManager::new(Transport::Tcp, EventLog::new());
         let (tx, rx) = dm.open_channel(ChannelId { app: 2, edge: 0 }).unwrap();
         for i in 0..100u32 {
-            tx.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+            tx.send(Arc::from(i.to_le_bytes().to_vec())).unwrap();
         }
         for i in 0..100u32 {
             let f = rx.recv().unwrap();
@@ -274,9 +273,9 @@ mod tests {
     fn tcp_dropped_sender_closes_channel() {
         let dm = DataManager::new(Transport::Tcp, EventLog::new());
         let (tx, rx) = dm.open_channel(ChannelId { app: 1, edge: 0 }).unwrap();
-        tx.send(Bytes::from_static(b"last")).unwrap();
+        tx.send(Arc::from(&b"last"[..])).unwrap();
         drop(tx);
-        assert_eq!(rx.recv().unwrap(), Bytes::from_static(b"last"));
+        assert_eq!(rx.recv().unwrap(), Arc::from(&b"last"[..]));
         assert_eq!(rx.recv().unwrap_err(), DataError::Closed);
     }
 
@@ -286,7 +285,7 @@ mod tests {
         let (tx, rx) = dm.open_channel(ChannelId { app: 9, edge: 0 }).unwrap();
         let producer = std::thread::spawn(move || {
             for i in 0..50u64 {
-                tx.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
+                tx.send(Arc::from(i.to_le_bytes().to_vec())).unwrap();
             }
         });
         let mut sum = 0u64;

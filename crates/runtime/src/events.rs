@@ -18,9 +18,8 @@
 //! JSON written for the journal is also kept, comma-joined, as the body
 //! of a snapshot's `log` array: each record is serialised once.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, JsonWriter, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vdce_afg::TaskId;
 use vdce_obs::{FieldValue, TraceSink};
 use vdce_store::{AppendLog, Journal};
@@ -421,7 +420,7 @@ impl EventLog {
             // Serialised once, in place: the journal frames the new tail
             // of the text a snapshot will splice. Holding the lock across
             // the append keeps the text in journal order.
-            let mut text = self.journaled.lock();
+            let mut text = self.journaled.lock().unwrap();
             if !text.is_empty() {
                 text.push(b',');
             }
@@ -448,7 +447,7 @@ impl EventLog {
     /// holds for its journal (empty when none is attached): the body of a
     /// control-plane snapshot's `log` array. Emits block while `f` runs.
     pub fn with_journaled_json<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.journaled.lock())
+        f(&self.journaled.lock().unwrap())
     }
 
     /// Snapshot of all entries in append order.

@@ -27,11 +27,9 @@ use crate::kernels::run_kernel_parallel;
 use crate::recovery::BackoffPolicy;
 use crate::services::{ConsoleService, IoService};
 use crate::site_manager::ControlMessage;
-use bytes::Bytes;
-use crossbeam::channel::Sender;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vdce_afg::{Afg, TaskId};
 use vdce_net::Clock;
@@ -72,7 +70,7 @@ impl HostLockRegistry {
 
     /// The lock for `host`, created on first use.
     pub(crate) fn lock_for(&self, host: &str) -> Arc<Mutex<()>> {
-        let mut map = self.locks.lock();
+        let mut map = self.locks.lock().unwrap();
         Arc::clone(map.entry(host.to_string()).or_insert_with(|| Arc::new(Mutex::new(()))))
     }
 }
@@ -209,23 +207,22 @@ pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
 
     let records: Vec<Mutex<Option<TaskRunRecord>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Move each task's channel halves into its worker.
         for task in afg.task_ids() {
             let my_in = std::mem::take(&mut task_in[task.index()]);
             let my_out = std::mem::take(&mut task_out[task.index()]);
             let records = &records;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let record = run_task(exec, task, my_in, my_out);
-                *records[task.index()].lock() = Some(record);
+                *records[task.index()].lock().unwrap() = Some(record);
             });
         }
-    })
-    .expect("executor scope");
+    });
 
     let records: Vec<TaskRunRecord> = records
         .into_iter()
-        .map(|m| m.into_inner().expect("every task records an outcome"))
+        .map(|m| m.into_inner().unwrap().expect("every task records an outcome"))
         .collect();
     let success = records.iter().all(|r| r.ok);
     let start = records.iter().map(|r| r.start).fold(f64::INFINITY, f64::min);
@@ -252,7 +249,7 @@ fn run_task(
     };
     // Deliver the task's outputs, `port` giving each port's payload:
     // dataflow frames per out-edge, file/URL stores.
-    let deliver = |port: &dyn Fn(usize) -> Option<Bytes>| {
+    let deliver = |port: &dyn Fn(usize) -> Option<Arc<[u8]>>| {
         for (edge_idx, tx) in &outputs {
             let payload = port(afg.edges[*edge_idx].from_port.index()).unwrap_or_default();
             if tx.send(payload).is_err() {
@@ -301,7 +298,7 @@ fn run_task(
     // 1. Gather inputs: dataflow frames from channels, file/URL payloads
     //    from the I/O service.
     let t_wait = clock.now();
-    let mut port_payloads: Vec<Option<Bytes>> = vec![None; node.in_ports()];
+    let mut port_payloads: Vec<Option<Arc<[u8]>>> = vec![None; node.in_ports()];
     for (i, spec) in node.props.inputs.iter().enumerate() {
         if let Some(data) = io.resolve_input(spec, node.kernel, i, node.problem_size) {
             port_payloads[i] = Some(data);
@@ -321,7 +318,8 @@ fn run_task(
             }
         }
     }
-    let payloads: Vec<Bytes> = port_payloads.into_iter().map(|p| p.unwrap_or_default()).collect();
+    let payloads: Vec<Arc<[u8]>> =
+        port_payloads.into_iter().map(|p| p.unwrap_or_default()).collect();
 
     // Steps 2–5 run under a bounded-retry loop (`config.retry`): a gate
     // abort or kernel error with retries remaining backs off and goes
@@ -377,7 +375,7 @@ fn run_task(
         sorted.sort();
         sorted.dedup();
         let locks: Vec<Arc<Mutex<()>>> = sorted.iter().map(|h| exec.registry.lock_for(h)).collect();
-        let guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
+        let guards: Vec<_> = locks.iter().map(|l| l.lock().unwrap()).collect();
 
         // 5. Run the kernel.
         let start = clock.now();
@@ -413,7 +411,7 @@ fn run_task(
         //     instead of re-running the kernel.
         if let Some(ctx) = checkpoint {
             if config.checkpoint.is_enabled() {
-                let outputs_map: BTreeMap<usize, Bytes> =
+                let outputs_map: BTreeMap<usize, Arc<[u8]>> =
                     out_payloads.iter().cloned().enumerate().collect();
                 let cp =
                     TaskCheckpoint::new(task, 1.0, finish, hosts.clone()).with_outputs(outputs_map);
@@ -461,7 +459,6 @@ mod tests {
     use crate::data_manager::Transport;
     use crate::events::EventKind;
     use crate::kernels::decode_f64s;
-    use crossbeam::channel::unbounded;
     use vdce_afg::{AfgBuilder, IoSpec, TaskLibrary};
     use vdce_net::topology::SiteId;
     use vdce_net::RealClock;
@@ -764,7 +761,7 @@ mod tests {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
         let rig = Rig::new(Transport::InProc, ExecutorConfig::default());
-        let (tx, rx) = unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let out = execute(&Execution { completions: Some(tx), ..rig.execution(&afg, &table) });
         assert!(out.success);
         let msgs: Vec<ControlMessage> = rx.try_iter().collect();

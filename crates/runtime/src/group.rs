@@ -18,10 +18,8 @@
 use crate::events::{EventLog, RuntimeEvent};
 use crate::monitor::MonitorReport;
 use crate::site_manager::ControlMessage;
-use crossbeam::channel::Sender;
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Echo-packet transport.
 pub trait EchoProbe: Send + Sync {
@@ -44,18 +42,18 @@ impl FlagEcho {
 
     /// Stop `host` answering echoes.
     pub fn kill(&self, host: impl Into<String>) {
-        self.down.write().insert(host.into());
+        self.down.write().unwrap().insert(host.into());
     }
 
     /// Let `host` answer echoes again.
     pub fn revive(&self, host: &str) {
-        self.down.write().remove(host);
+        self.down.write().unwrap().remove(host);
     }
 }
 
 impl EchoProbe for FlagEcho {
     fn echo(&self, host: &str) -> bool {
-        !self.down.read().contains(host)
+        !self.down.read().unwrap().contains(host)
     }
 }
 
@@ -83,7 +81,6 @@ pub struct GroupManager {
     last_forwarded: BTreeMap<String, f64>,
     down: BTreeSet<String>,
     echo: Arc<dyn EchoProbe>,
-    to_site: Sender<ControlMessage>,
     log: EventLog,
     stats: GroupStats,
 }
@@ -91,13 +88,12 @@ pub struct GroupManager {
 impl GroupManager {
     /// Manager for `hosts`, forwarding significant changes (absolute
     /// workload delta ≥ `threshold`) and failure events to the Site
-    /// Manager over `to_site`.
+    /// Manager.
     pub fn new(
         name: impl Into<String>,
         hosts: Vec<String>,
         threshold: f64,
         echo: Arc<dyn EchoProbe>,
-        to_site: Sender<ControlMessage>,
         log: EventLog,
     ) -> Self {
         GroupManager {
@@ -107,7 +103,6 @@ impl GroupManager {
             last_forwarded: BTreeMap::new(),
             down: BTreeSet::new(),
             echo,
-            to_site,
             log,
             stats: GroupStats::default(),
         }
@@ -118,54 +113,52 @@ impl GroupManager {
         self.stats
     }
 
-    /// Handle one monitor report at logical time `t`; returns `true` if
-    /// it was forwarded to the Site Manager.
-    pub fn handle_report(&mut self, t: f64, report: &MonitorReport) -> bool {
+    /// Handle one monitor report at logical time `t`: the workload
+    /// update for the Site Manager when the change is significant.
+    pub fn handle_report(&mut self, t: f64, report: &MonitorReport) -> Option<ControlMessage> {
         self.stats.reports_received += 1;
         let significant = match self.last_forwarded.get(&report.host) {
             None => true, // first measurement always establishes a baseline
             Some(last) => (report.workload - last).abs() >= self.threshold,
         };
-        if significant {
-            self.last_forwarded.insert(report.host.clone(), report.workload);
-            self.stats.reports_forwarded += 1;
-            self.log.emit(
-                t,
-                RuntimeEvent::WorkloadForwarded {
-                    host: report.host.clone(),
-                    workload: report.workload,
-                },
-            );
-            let _ = self.to_site.send(ControlMessage::WorkloadUpdate {
+        if !significant {
+            return None;
+        }
+        self.last_forwarded.insert(report.host.clone(), report.workload);
+        self.stats.reports_forwarded += 1;
+        self.log.emit(
+            t,
+            RuntimeEvent::WorkloadForwarded {
                 host: report.host.clone(),
                 workload: report.workload,
-                available_memory: report.available_memory,
-            });
-        }
-        significant
+            },
+        );
+        Some(ControlMessage::WorkloadUpdate {
+            host: report.host.clone(),
+            workload: report.workload,
+            available_memory: report.available_memory,
+        })
     }
 
-    /// One echo round over all hosts at logical time `t`. Emits
-    /// failure/recovery messages on state transitions. Returns the hosts
-    /// that changed state this round.
-    pub fn probe_hosts(&mut self, t: f64) -> Vec<String> {
+    /// One echo round over all hosts at logical time `t`: a failure or
+    /// recovery message for the Site Manager per host that changed state,
+    /// in host order.
+    pub fn probe_hosts(&mut self, t: f64) -> Vec<ControlMessage> {
         self.stats.echo_rounds += 1;
         let mut changed = Vec::new();
-        for host in self.hosts.clone() {
-            let alive = self.echo.echo(&host);
-            let was_down = self.down.contains(&host);
+        for host in &self.hosts {
+            let alive = self.echo.echo(host);
+            let was_down = self.down.contains(host);
             if !alive && !was_down {
                 self.down.insert(host.clone());
                 self.stats.failures_detected += 1;
                 self.log.emit(t, RuntimeEvent::HostFailed { host: host.clone() });
-                let _ = self.to_site.send(ControlMessage::HostFailure { host: host.clone() });
-                changed.push(host);
+                changed.push(ControlMessage::HostFailure { host: host.clone() });
             } else if alive && was_down {
-                self.down.remove(&host);
+                self.down.remove(host);
                 self.stats.recoveries_detected += 1;
                 self.log.emit(t, RuntimeEvent::HostRecovered { host: host.clone() });
-                let _ = self.to_site.send(ControlMessage::HostRecovered { host: host.clone() });
-                changed.push(host);
+                changed.push(ControlMessage::HostRecovered { host: host.clone() });
             }
         }
         changed
@@ -176,109 +169,92 @@ impl GroupManager {
 mod tests {
     use super::*;
     use crate::events::EventKind;
-    use crossbeam::channel::unbounded;
 
-    fn mk(
-        threshold: f64,
-    ) -> (GroupManager, crossbeam::channel::Receiver<ControlMessage>, Arc<FlagEcho>) {
-        let (tx, rx) = unbounded();
+    fn mk(threshold: f64) -> (GroupManager, Arc<FlagEcho>) {
         let echo = Arc::new(FlagEcho::new());
-        let gm = GroupManager::new(
-            "g0",
-            vec!["a".into(), "b".into()],
-            threshold,
-            echo.clone(),
-            tx,
-            EventLog::new(),
-        );
-        (gm, rx, echo)
+        let hosts = vec!["a".into(), "b".into()];
+        let gm = GroupManager::new("g0", hosts, threshold, echo.clone(), EventLog::new());
+        (gm, echo)
     }
 
     fn report(host: &str, w: f64) -> MonitorReport {
         MonitorReport { host: host.into(), workload: w, available_memory: 1 << 20 }
     }
 
+    fn update(host: &str, w: f64) -> Option<ControlMessage> {
+        Some(ControlMessage::WorkloadUpdate {
+            host: host.into(),
+            workload: w,
+            available_memory: 1 << 20,
+        })
+    }
+
     #[test]
     fn first_report_always_forwards() {
-        let (mut gm, rx, _) = mk(1.0);
-        assert!(gm.handle_report(0.0, &report("a", 0.0)));
-        assert!(matches!(
-            rx.try_recv().unwrap(),
-            ControlMessage::WorkloadUpdate { workload, .. } if workload == 0.0
-        ));
+        let (mut gm, _) = mk(1.0);
+        assert_eq!(gm.handle_report(0.0, &report("a", 0.0)), update("a", 0.0));
     }
 
     #[test]
     fn small_changes_are_filtered() {
-        let (mut gm, rx, _) = mk(1.0);
-        gm.handle_report(0.0, &report("a", 2.0));
-        rx.try_recv().unwrap();
-        assert!(!gm.handle_report(1.0, &report("a", 2.5)), "Δ0.5 < 1.0 filtered");
-        assert!(!gm.handle_report(2.0, &report("a", 1.2)), "Δ0.8 < 1.0 filtered");
-        assert!(rx.try_recv().is_err());
+        let (mut gm, _) = mk(1.0);
+        assert_eq!(gm.handle_report(0.0, &report("a", 2.0)), update("a", 2.0));
+        assert_eq!(gm.handle_report(1.0, &report("a", 2.5)), None, "Δ0.5 < 1.0 filtered");
+        assert_eq!(gm.handle_report(2.0, &report("a", 1.2)), None, "Δ0.8 < 1.0 filtered");
         assert_eq!(gm.stats().reports_received, 3);
         assert_eq!(gm.stats().reports_forwarded, 1);
     }
 
     #[test]
     fn change_is_measured_against_last_forwarded_not_last_seen() {
-        let (mut gm, rx, _) = mk(1.0);
-        gm.handle_report(0.0, &report("a", 0.0));
-        rx.try_recv().unwrap();
+        let (mut gm, _) = mk(1.0);
+        assert!(gm.handle_report(0.0, &report("a", 0.0)).is_some());
         // Creep up in sub-threshold steps; the cumulative drift must
         // eventually fire (because the baseline stays at 0.0).
-        assert!(!gm.handle_report(1.0, &report("a", 0.6)));
-        assert!(gm.handle_report(2.0, &report("a", 1.2)), "drift from baseline ≥ 1.0");
+        assert_eq!(gm.handle_report(1.0, &report("a", 0.6)), None);
+        assert_eq!(gm.handle_report(2.0, &report("a", 1.2)), update("a", 1.2), "drift ≥ 1.0");
     }
 
     #[test]
     fn per_host_baselines_are_independent() {
-        let (mut gm, _rx, _) = mk(1.0);
+        let (mut gm, _) = mk(1.0);
         gm.handle_report(0.0, &report("a", 5.0));
-        assert!(gm.handle_report(0.0, &report("b", 0.0)), "first for b forwards");
+        assert_eq!(gm.handle_report(0.0, &report("b", 0.0)), update("b", 0.0), "first for b");
     }
 
     #[test]
     fn zero_threshold_forwards_everything() {
-        let (mut gm, _rx, _) = mk(0.0);
-        assert!(gm.handle_report(0.0, &report("a", 1.0)));
-        assert!(gm.handle_report(1.0, &report("a", 1.0)), "Δ0 ≥ 0 forwards");
+        let (mut gm, _) = mk(0.0);
+        assert_eq!(gm.handle_report(0.0, &report("a", 1.0)), update("a", 1.0));
+        assert_eq!(gm.handle_report(1.0, &report("a", 1.0)), update("a", 1.0), "Δ0 ≥ 0");
     }
 
     #[test]
     fn failure_and_recovery_transitions() {
-        let (mut gm, rx, echo) = mk(1.0);
+        let (mut gm, echo) = mk(1.0);
         assert!(gm.probe_hosts(0.0).is_empty(), "all up initially");
+        echo.kill("b");
         echo.kill("a");
-        let changed = gm.probe_hosts(1.0);
-        assert_eq!(changed, vec!["a".to_string()]);
-        assert!(
-            matches!(rx.try_recv().unwrap(), ControlMessage::HostFailure { host } if host == "a")
-        );
+        let failed = |h: &str| ControlMessage::HostFailure { host: h.into() };
+        assert_eq!(gm.probe_hosts(1.0), vec![failed("a"), failed("b")], "in host order");
         assert!(gm.down.contains("a"));
         // Still down: no duplicate message.
         assert!(gm.probe_hosts(2.0).is_empty());
-        assert!(rx.try_recv().is_err());
         // Recovery.
         echo.revive("a");
-        let changed = gm.probe_hosts(3.0);
-        assert_eq!(changed, vec!["a".to_string()]);
-        assert!(
-            matches!(rx.try_recv().unwrap(), ControlMessage::HostRecovered { host } if host == "a")
-        );
-        assert!(gm.down.is_empty());
+        assert_eq!(gm.probe_hosts(3.0), vec![ControlMessage::HostRecovered { host: "a".into() }]);
+        assert_eq!(gm.down.len(), 1);
         let s = gm.stats();
-        assert_eq!(s.failures_detected, 1);
+        assert_eq!(s.failures_detected, 2);
         assert_eq!(s.recoveries_detected, 1);
         assert_eq!(s.echo_rounds, 4);
     }
 
     #[test]
     fn events_are_logged() {
-        let (tx, _rx) = unbounded();
         let echo = Arc::new(FlagEcho::new());
         let log = EventLog::new();
-        let mut gm = GroupManager::new("g", vec!["a".into()], 0.5, echo.clone(), tx, log.clone());
+        let mut gm = GroupManager::new("g", vec!["a".into()], 0.5, echo.clone(), log.clone());
         gm.handle_report(0.0, &report("a", 3.0));
         echo.kill("a");
         gm.probe_hosts(1.0);

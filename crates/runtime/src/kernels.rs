@@ -19,8 +19,9 @@
 //! a parallel placement); kernels without a profitable split fall back to
 //! the sequential path.
 
-use bytes::Bytes;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 use vdce_afg::KernelKind;
 
 /// Kernel execution failures.
@@ -59,16 +60,16 @@ impl fmt::Display for KernelError {
 impl std::error::Error for KernelError {}
 
 /// Encode a slice of `f64` as a little-endian payload.
-pub fn encode_f64s(values: &[f64]) -> Bytes {
+pub fn encode_f64s(values: &[f64]) -> Arc<[u8]> {
     let mut v = Vec::with_capacity(values.len() * 8);
     for x in values {
         v.extend_from_slice(&x.to_le_bytes());
     }
-    Bytes::from(v)
+    Arc::from(v)
 }
 
 /// Decode a little-endian payload into `f64`s.
-pub fn decode_f64s(payload: &Bytes) -> Vec<f64> {
+pub fn decode_f64s(payload: &[u8]) -> Vec<f64> {
     payload.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8"))).collect()
 }
 
@@ -98,11 +99,15 @@ pub fn synth_matrix(seed: u64, n: usize) -> Vec<f64> {
     m
 }
 
-fn input(inputs: &[Bytes], port: usize) -> Result<&Bytes, KernelError> {
-    inputs.get(port).ok_or(KernelError::MissingInput { port })
+fn input(inputs: &[Arc<[u8]>], port: usize) -> Result<&[u8], KernelError> {
+    inputs.get(port).map(|p| &p[..]).ok_or(KernelError::MissingInput { port })
 }
 
-fn vector_input(inputs: &[Bytes], port: usize, expected: usize) -> Result<Vec<f64>, KernelError> {
+fn vector_input(
+    inputs: &[Arc<[u8]>],
+    port: usize,
+    expected: usize,
+) -> Result<Vec<f64>, KernelError> {
     let v = decode_f64s(input(inputs, port)?);
     if v.len() != expected {
         return Err(KernelError::BadInput { port, expected, actual: v.len() });
@@ -116,8 +121,8 @@ fn vector_input(inputs: &[Bytes], port: usize, expected: usize) -> Result<Vec<f6
 pub fn run_kernel(
     kind: KernelKind,
     problem_size: u64,
-    inputs: &[Bytes],
-) -> Result<Vec<Bytes>, KernelError> {
+    inputs: &[Arc<[u8]>],
+) -> Result<Vec<Arc<[u8]>>, KernelError> {
     run_kernel_parallel(kind, problem_size, inputs, 1)
 }
 
@@ -125,9 +130,9 @@ pub fn run_kernel(
 pub fn run_kernel_parallel(
     kind: KernelKind,
     problem_size: u64,
-    inputs: &[Bytes],
+    inputs: &[Arc<[u8]>],
     nodes: u32,
-) -> Result<Vec<Bytes>, KernelError> {
+) -> Result<Vec<Arc<[u8]>>, KernelError> {
     let n = problem_size as usize;
     let nodes = nodes.max(1) as usize;
     match kind {
@@ -160,7 +165,9 @@ pub fn run_kernel_parallel(
         }
         KernelKind::Reduce => {
             let x = decode_f64s(input(inputs, 0)?);
-            let sum = par_chunks(&x, nodes, |c| c.iter().sum::<f64>()).into_iter().sum();
+            let sum = par_ranges(x.len(), nodes, ELEMENT_CUTOFF, |r| x[r].iter().sum::<f64>())
+                .into_iter()
+                .sum();
             Ok(vec![encode_f64s(&[sum])])
         }
         KernelKind::VectorNorm => {
@@ -313,54 +320,53 @@ pub fn run_kernel_parallel(
 /// Seed of the synthetic track file used by `TrackCorrelation`.
 const TRACK_FILE_SEED: u64 = 0x7a2c_1d01;
 
-/// Split `x` into ≈equal chunks and map each chunk on its own thread.
-fn par_chunks<T: Send>(x: &[f64], nodes: usize, f: impl Fn(&[f64]) -> T + Sync) -> Vec<T> {
-    if nodes <= 1 || x.len() < 1024 {
-        return x.chunks(x.len().max(1)).map(&f).collect();
+/// Serial cutoff of the element-wise kernels, in elements.
+const ELEMENT_CUTOFF: usize = 1024;
+/// Serial cutoff of the row-parallel matmul, in rows.
+const MATMUL_ROW_CUTOFF: usize = 32;
+
+/// Split `0..len` into ranges of `len.div_ceil(nodes)` and run `f` on each
+/// range on its own thread, in range order. Below `cutoff` (or on one node)
+/// `f` runs once, here, over the whole range.
+fn par_ranges<T: Send>(
+    len: usize,
+    nodes: usize,
+    cutoff: usize,
+    f: impl Fn(Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    if nodes <= 1 || len < cutoff {
+        return vec![f(0..len)];
     }
-    let chunk = x.len().div_ceil(nodes);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = x.chunks(chunk).map(|c| s.spawn(|_| f(c))).collect();
+    let chunk = len.div_ceil(nodes);
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|start| s.spawn(move || f(start..(start + chunk).min(len))))
+            .collect();
         handles.into_iter().map(|h| h.join().expect("kernel worker")).collect()
     })
-    .expect("scope")
 }
 
-fn par_map(x: &[f64], nodes: usize, f: impl Fn(f64) -> f64 + Sync) -> Vec<f64> {
-    par_chunks(x, nodes, |c| c.iter().map(|&v| f(v)).collect::<Vec<f64>>())
+/// Parallel map over an index range, one output per index.
+fn par_index_map(len: usize, nodes: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
+    par_ranges(len, nodes, ELEMENT_CUTOFF, |r| r.map(&f).collect::<Vec<f64>>())
         .into_iter()
         .flatten()
         .collect()
 }
 
+fn par_map(x: &[f64], nodes: usize, f: impl Fn(f64) -> f64 + Sync) -> Vec<f64> {
+    par_index_map(x.len(), nodes, |i| f(x[i]))
+}
+
 fn par_map2(a: &[f64], b: &[f64], nodes: usize, f: impl Fn(f64, f64) -> f64 + Sync) -> Vec<f64> {
-    // Index-based so both slices stay in lockstep.
     par_index_map(a.len().min(b.len()), nodes, |i| f(a[i], b[i]))
 }
 
-/// Parallel map over an index range.
-fn par_index_map(len: usize, nodes: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
-    if nodes <= 1 || len < 1024 {
-        return (0..len).map(f).collect();
-    }
-    let chunk = len.div_ceil(nodes);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(len);
-                let f = &f;
-                s.spawn(move |_| (start..end).map(f).collect::<Vec<f64>>())
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("kernel worker")).collect()
-    })
-    .expect("scope")
-}
-
 fn parallel_sort(x: &mut [f64], nodes: usize) {
-    let sorted_chunks = par_chunks(x, nodes, |c| {
-        let mut v = c.to_vec();
+    let sorted_chunks = par_ranges(x.len(), nodes, ELEMENT_CUTOFF, |r| {
+        let mut v = x[r].to_vec();
         v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         v
     });
@@ -389,9 +395,10 @@ fn parallel_sort(x: &mut [f64], nodes: usize) {
 
 /// Row-parallel dense matmul.
 fn matmul(a: &[f64], b: &[f64], n: usize, nodes: usize) -> Vec<f64> {
-    let rows = par_chunks_idx(n, nodes, |i0, i1| {
-        let mut out = vec![0.0; (i1 - i0) * n];
-        for i in i0..i1 {
+    let rows = par_ranges(n, nodes, MATMUL_ROW_CUTOFF, |r| {
+        let i0 = r.start;
+        let mut out = vec![0.0; r.len() * n];
+        for i in r {
             for k in 0..n {
                 let aik = a[i * n + k];
                 let row = &b[k * n..(k + 1) * n];
@@ -404,29 +411,6 @@ fn matmul(a: &[f64], b: &[f64], n: usize, nodes: usize) -> Vec<f64> {
         out
     });
     rows.into_iter().flatten().collect()
-}
-
-fn par_chunks_idx<T: Send>(
-    len: usize,
-    nodes: usize,
-    f: impl Fn(usize, usize) -> T + Sync,
-) -> Vec<T> {
-    if nodes <= 1 || len < 32 {
-        return vec![f(0, len)];
-    }
-    let chunk = len.div_ceil(nodes);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(len);
-                let f = &f;
-                s.spawn(move |_| f(start, end))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("kernel worker")).collect()
-    })
-    .expect("scope")
 }
 
 /// Doolittle LU without pivoting: A = L·U, L unit-lower-triangular.
@@ -536,7 +520,7 @@ mod tests {
     fn encode_decode_round_trip() {
         let v = vec![1.5, -2.25, 0.0, f64::MAX];
         assert_eq!(decode_f64s(&encode_f64s(&v)), v);
-        assert!(decode_f64s(&Bytes::new()).is_empty());
+        assert!(decode_f64s(&[]).is_empty());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! **Data Manager** (§4.2): [`DataManager`] — socket-based point-to-point
 //! channels for inter-task communication, with an in-process transport
-//! (crossbeam) and a real loopback-TCP transport, both behind the same
+//! (`std::sync::mpsc`) and a real loopback-TCP transport, both behind the same
 //! acknowledged-setup protocol.
 //!
 //! **Tasks**: [`run_kernel`] implements every library task as real

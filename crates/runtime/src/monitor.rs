@@ -6,14 +6,13 @@
 //!
 //! Measurement is behind the [`LoadProbe`] trait: [`SyntheticProbe`]
 //! replays injected load traces deterministically (used by tests and the
-//! Figure-4 experiments). A daemon can be driven manually ([`MonitorDaemon::tick`], with a
-//! virtual clock) or as a real thread ([`MonitorDaemon::spawn`]).
+//! Figure-4 experiments). The caller drives a daemon with
+//! [`MonitorDaemon::tick`] at each logical time and hands the report it
+//! returns to the Group Manager.
 
 use crate::events::{EventLog, RuntimeEvent};
-use crossbeam::channel::Sender;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// One measurement of a host.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,19 +51,19 @@ impl SyntheticProbe {
     /// Probe reporting `load` / `memory` for every host until traced.
     pub fn new(load: f64, memory: u64) -> Self {
         let p = SyntheticProbe::default();
-        *p.default_load.write() = load;
-        *p.default_memory.write() = memory;
+        *p.default_load.write().unwrap() = load;
+        *p.default_memory.write().unwrap() = memory;
         p
     }
 
     /// Install a step trace for one host.
     pub fn set_trace(&self, host: impl Into<String>, steps: Vec<(f64, f64)>) {
-        self.traces.write().insert(host.into(), steps);
+        self.traces.write().unwrap().insert(host.into(), steps);
     }
 
     /// Advance (or set) the probe's notion of time.
     pub fn set_time(&self, t: f64) {
-        *self.time.write() = t;
+        *self.time.write().unwrap() = t;
     }
 
     /// Overlay a load spike of `height` on `host` for
@@ -72,8 +71,8 @@ impl SyntheticProbe {
     /// the host already has. Used by the fault-injection harness.
     pub fn add_spike(&self, host: impl Into<String>, at: f64, height: f64, duration: f64) {
         let host = host.into();
-        let default = *self.default_load.read();
-        let mut traces = self.traces.write();
+        let default = *self.default_load.read().unwrap();
+        let mut traces = self.traces.write().unwrap();
         let steps = traces.entry(host).or_default();
         let end = at + duration;
         let base = |steps: &[(f64, f64)], t: f64| {
@@ -100,10 +99,11 @@ impl SyntheticProbe {
 
 impl LoadProbe for SyntheticProbe {
     fn sample(&self, host: &str) -> (f64, u64) {
-        let t = *self.time.read();
+        let t = *self.time.read().unwrap();
         let load = self
             .traces
             .read()
+            .unwrap()
             .get(host)
             .map(|steps| {
                 steps
@@ -111,10 +111,10 @@ impl LoadProbe for SyntheticProbe {
                     .take_while(|(from, _)| *from <= t)
                     .last()
                     .map(|(_, l)| *l)
-                    .unwrap_or(*self.default_load.read())
+                    .unwrap_or(*self.default_load.read().unwrap())
             })
-            .unwrap_or(*self.default_load.read());
-        (load, *self.default_memory.read())
+            .unwrap_or(*self.default_load.read().unwrap());
+        (load, *self.default_memory.read().unwrap())
     }
 }
 
@@ -123,29 +123,21 @@ pub struct MonitorDaemon {
     /// The monitored host.
     pub host: String,
     probe: Arc<dyn LoadProbe>,
-    tx: Sender<MonitorReport>,
     log: EventLog,
 }
 
 impl MonitorDaemon {
-    /// Daemon for `host` sending reports to a Group Manager over `tx`.
-    pub fn new(
-        host: impl Into<String>,
-        probe: Arc<dyn LoadProbe>,
-        tx: Sender<MonitorReport>,
-        log: EventLog,
-    ) -> Self {
-        MonitorDaemon { host: host.into(), probe, tx, log }
+    /// Daemon for `host`, measuring through `probe`.
+    pub fn new(host: impl Into<String>, probe: Arc<dyn LoadProbe>, log: EventLog) -> Self {
+        MonitorDaemon { host: host.into(), probe, log }
     }
 
-    /// Take one measurement at logical time `t` and send it. Returns the
-    /// report (also when the Group Manager is gone).
+    /// Take one measurement at logical time `t`: the report for the
+    /// Group Manager.
     pub fn tick(&self, t: f64) -> MonitorReport {
         let (workload, available_memory) = self.probe.sample(&self.host);
-        let report = MonitorReport { host: self.host.clone(), workload, available_memory };
         self.log.emit(t, RuntimeEvent::MonitorSample { host: self.host.clone(), workload });
-        let _ = self.tx.send(report.clone());
-        report
+        MonitorReport { host: self.host.clone(), workload, available_memory }
     }
 }
 
@@ -153,7 +145,6 @@ impl MonitorDaemon {
 mod tests {
     use super::*;
     use crate::events::EventKind;
-    use crossbeam::channel::unbounded;
 
     #[test]
     fn synthetic_probe_follows_step_trace() {
@@ -205,22 +196,14 @@ mod tests {
     #[test]
     fn daemon_tick_sends_report_and_logs() {
         let probe = Arc::new(SyntheticProbe::new(2.0, 77));
-        let (tx, rx) = unbounded();
         let log = EventLog::new();
-        let d = MonitorDaemon::new("h0", probe, tx, log.clone());
+        let d = MonitorDaemon::new("h0", probe, log.clone());
         let r = d.tick(1.5);
         assert_eq!(r, MonitorReport { host: "h0".into(), workload: 2.0, available_memory: 77 });
-        assert_eq!(rx.try_recv().unwrap(), r);
+        assert_eq!(
+            log.snapshot(),
+            vec![(1.5, RuntimeEvent::MonitorSample { host: "h0".into(), workload: 2.0 })]
+        );
         assert_eq!(log.query(EventKind::MonitorSample).count(), 1);
-    }
-
-    #[test]
-    fn daemon_survives_disconnected_group_manager() {
-        let probe = Arc::new(SyntheticProbe::new(1.0, 1));
-        let (tx, rx) = unbounded();
-        drop(rx);
-        let d = MonitorDaemon::new("h0", probe, tx, EventLog::new());
-        let r = d.tick(0.0); // must not panic
-        assert_eq!(r.workload, 1.0);
     }
 }

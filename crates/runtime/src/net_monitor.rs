@@ -36,9 +36,9 @@ pub trait LinkProbe: Send + Sync {
 /// infinite latency and zero bandwidth).
 #[derive(Debug, Default)]
 pub struct SyntheticLinkProbe {
-    overrides: parking_lot::RwLock<std::collections::BTreeMap<(u16, u16), (f64, f64)>>,
-    down: parking_lot::RwLock<std::collections::BTreeSet<(u16, u16)>>,
-    default: parking_lot::RwLock<(f64, f64)>,
+    overrides: std::sync::RwLock<std::collections::BTreeMap<(u16, u16), (f64, f64)>>,
+    down: std::sync::RwLock<std::collections::BTreeSet<(u16, u16)>>,
+    default: std::sync::RwLock<(f64, f64)>,
 }
 
 impl SyntheticLinkProbe {
@@ -46,37 +46,37 @@ impl SyntheticLinkProbe {
     /// overridden.
     pub fn new(latency_s: f64, bandwidth_bps: f64) -> Self {
         let p = SyntheticLinkProbe::default();
-        *p.default.write() = (latency_s, bandwidth_bps);
+        *p.default.write().unwrap() = (latency_s, bandwidth_bps);
         p
     }
 
     /// Override one (symmetric) pair — e.g. congest a link.
     pub fn set(&self, a: SiteId, b: SiteId, latency_s: f64, bandwidth_bps: f64) {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        self.overrides.write().insert(key, (latency_s, bandwidth_bps));
+        self.overrides.write().unwrap().insert(key, (latency_s, bandwidth_bps));
     }
 
     /// Sever one (symmetric) pair: probes on it time out until
     /// [`heal`](Self::heal) is called.
     pub fn sever(&self, a: SiteId, b: SiteId) {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        self.down.write().insert(key);
+        self.down.write().unwrap().insert(key);
     }
 
     /// Heal a severed (symmetric) pair: probes succeed again.
     pub fn heal(&self, a: SiteId, b: SiteId) {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        self.down.write().remove(&key);
+        self.down.write().unwrap().remove(&key);
     }
 }
 
 impl LinkProbe for SyntheticLinkProbe {
     fn probe(&self, a: SiteId, b: SiteId) -> (f64, f64) {
         let key = (a.0.min(b.0), a.0.max(b.0));
-        if self.down.read().contains(&key) {
+        if self.down.read().unwrap().contains(&key) {
             return (f64::INFINITY, 0.0);
         }
-        self.overrides.read().get(&key).copied().unwrap_or(*self.default.read())
+        self.overrides.read().unwrap().get(&key).copied().unwrap_or(*self.default.read().unwrap())
     }
 }
 
@@ -85,7 +85,7 @@ pub struct NetworkMonitor {
     model: SharedNetworkModel,
     probe: Arc<dyn LinkProbe>,
     sites: usize,
-    detected: parking_lot::RwLock<PartitionState>,
+    detected: std::sync::RwLock<PartitionState>,
 }
 
 impl NetworkMonitor {
@@ -95,7 +95,7 @@ impl NetworkMonitor {
             model,
             probe,
             sites,
-            detected: parking_lot::RwLock::new(PartitionState::new()),
+            detected: std::sync::RwLock::new(PartitionState::new()),
         }
     }
 
@@ -110,10 +110,10 @@ impl NetworkMonitor {
             for b in a..self.sites as u16 {
                 let (lat, bw) = self.probe.probe(SiteId(a), SiteId(b));
                 if lat.is_finite() && bw.is_finite() && bw > 0.0 {
-                    self.detected.write().restore(SiteId(a), SiteId(b));
+                    self.detected.write().unwrap().restore(SiteId(a), SiteId(b));
                     self.model.observe(SiteId(a), SiteId(b), lat, bw);
                 } else {
-                    self.detected.write().sever(SiteId(a), SiteId(b));
+                    self.detected.write().unwrap().sever(SiteId(a), SiteId(b));
                 }
                 probed += 1;
             }
@@ -125,7 +125,7 @@ impl NetworkMonitor {
     /// inter-site links currently appear down. Feeds the schedulers'
     /// reachability filtering during partitions.
     pub fn reachability(&self) -> PartitionState {
-        self.detected.read().clone()
+        self.detected.read().unwrap().clone()
     }
 }
 

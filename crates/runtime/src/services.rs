@@ -15,11 +15,9 @@
 
 use crate::events::{EventLog, RuntimeEvent};
 use crate::kernels::{encode_f64s, synth_matrix, synth_values};
-use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use vdce_afg::{IoSpec, KernelKind};
 
 // ---------------------------------------------------------------------
@@ -29,7 +27,7 @@ use vdce_afg::{IoSpec, KernelKind};
 /// In-memory file/URL store with deterministic input synthesis.
 #[derive(Debug, Clone, Default)]
 pub struct IoService {
-    store: Arc<Mutex<BTreeMap<String, Bytes>>>,
+    store: Arc<Mutex<BTreeMap<String, Arc<[u8]>>>>,
 }
 
 fn path_seed(path: &str) -> u64 {
@@ -49,13 +47,13 @@ impl IoService {
     }
 
     /// Pre-load an object (e.g. the user's actual input file).
-    pub fn put(&self, path: impl Into<String>, data: Bytes) {
-        self.store.lock().insert(path.into(), data);
+    pub fn put(&self, path: impl Into<String>, data: Arc<[u8]>) {
+        self.store.lock().unwrap().insert(path.into(), data);
     }
 
     /// Fetch an object if present.
-    pub fn get(&self, path: &str) -> Option<Bytes> {
-        self.store.lock().get(path).cloned()
+    pub fn get(&self, path: &str) -> Option<Arc<[u8]>> {
+        self.store.lock().unwrap().get(path).cloned()
     }
 
     /// Resolve a task input: dataflow inputs return `None` (they arrive
@@ -70,7 +68,7 @@ impl IoService {
         kernel: KernelKind,
         port: usize,
         problem_size: u64,
-    ) -> Option<Bytes> {
+    ) -> Option<Arc<[u8]>> {
         let path = match spec {
             IoSpec::Dataflow => return None,
             IoSpec::File { path, .. } => path.clone(),
@@ -101,13 +99,13 @@ impl IoService {
             encode_f64s(&synth_values(seed, n))
         };
         // Cache so every reader of the same path sees identical bytes.
-        self.store.lock().insert(path, data.clone());
+        self.store.lock().unwrap().insert(path, data.clone());
         Some(data)
     }
 
     /// Store a task output declared as file/URL. Returns `true` if the
     /// spec named a destination.
-    pub(crate) fn store_output(&self, spec: &IoSpec, data: &Bytes) -> bool {
+    pub(crate) fn store_output(&self, spec: &IoSpec, data: &Arc<[u8]>) -> bool {
         match spec {
             IoSpec::Dataflow => false,
             IoSpec::File { path, .. } => {
@@ -163,7 +161,7 @@ impl ConsoleService {
 
     /// Suspend the application: tasks block at their next checkpoint.
     pub fn suspend(&self) {
-        let mut s = self.inner.state.lock();
+        let mut s = self.inner.state.lock().unwrap();
         if *s == ConsoleState::Running {
             *s = ConsoleState::Suspended;
             self.log.emit(0.0, RuntimeEvent::Suspended);
@@ -172,7 +170,7 @@ impl ConsoleService {
 
     /// Resume a suspended application.
     pub fn resume(&self) {
-        let mut s = self.inner.state.lock();
+        let mut s = self.inner.state.lock().unwrap();
         if *s == ConsoleState::Suspended {
             *s = ConsoleState::Running;
             self.log.emit(0.0, RuntimeEvent::Resumed);
@@ -182,10 +180,8 @@ impl ConsoleService {
 
     /// Task-side checkpoint: blocks while suspended.
     pub(crate) fn checkpoint(&self) {
-        let mut s = self.inner.state.lock();
-        while *s == ConsoleState::Suspended {
-            self.inner.cond.wait(&mut s);
-        }
+        let s = self.inner.state.lock().unwrap();
+        let _running = self.inner.cond.wait_while(s, |s| *s == ConsoleState::Suspended).unwrap();
     }
 }
 
@@ -308,9 +304,9 @@ mod tests {
     fn io_put_get_round_trip() {
         let io = IoService::new();
         assert!(io.get("/x").is_none());
-        io.put("/x", Bytes::from_static(b"abc"));
-        assert_eq!(io.get("/x").unwrap(), Bytes::from_static(b"abc"));
-        assert_eq!(io.store.lock().len(), 1);
+        io.put("/x", Arc::from(&b"abc"[..]));
+        assert_eq!(io.get("/x").unwrap(), Arc::from(&b"abc"[..]));
+        assert_eq!(io.store.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -337,10 +333,10 @@ mod tests {
     #[test]
     fn uploaded_file_wins_over_synthesis() {
         let io = IoService::new();
-        io.put("/in.dat", Bytes::from_static(b"real"));
+        io.put("/in.dat", Arc::from(&b"real"[..]));
         let got =
             io.resolve_input(&IoSpec::inline_file("/in.dat", 4), KernelKind::Map, 0, 10).unwrap();
-        assert_eq!(got, Bytes::from_static(b"real"));
+        assert_eq!(got, Arc::from(&b"real"[..]));
     }
 
     #[test]
@@ -354,7 +350,7 @@ mod tests {
     #[test]
     fn store_output_only_for_io_specs() {
         let io = IoService::new();
-        let data = Bytes::from_static(b"out");
+        let data = Arc::from(&b"out"[..]);
         assert!(!io.store_output(&IoSpec::Dataflow, &data));
         assert!(io.store_output(&IoSpec::inline_file("/o.dat", 0), &data));
         assert_eq!(io.get("/o.dat").unwrap(), data);

@@ -6,7 +6,7 @@
 //! 1. "periodically updates the resource-performance database at the site
 //!    repository with the monitoring information (i.e., the workload
 //!    measurement and failure detection information of the resources)" —
-//!    [`SiteManager::process`] / [`SiteManager::drain`];
+//!    [`SiteManager::process`], once per message a Group Manager returns;
 //! 2. "updates the task-performance database with the execution time
 //!    after an application execution is completed" — the
 //!    [`ControlMessage::ExecutionCompleted`] path;
@@ -27,11 +27,9 @@
 //! quarantined at federation level once no host answers at all.
 
 use crate::durable::DeputyLink;
-use crossbeam::channel::Receiver;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::Mutex;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::HostStatus;
 use vdce_repository::{JournaledRepoEvent, RepoEvent, SiteRepository};
@@ -79,7 +77,7 @@ pub struct SiteManager {
     /// Site this manager serves.
     pub site: SiteId,
     repo: SiteRepository,
-    deputy: Option<Arc<Mutex<DeputyLink>>>,
+    deputy: Option<Mutex<DeputyLink>>,
 }
 
 impl SiteManager {
@@ -92,13 +90,13 @@ impl SiteManager {
     /// repository event [`SiteManager::process`] applies is also shipped
     /// to the deputy's replica, with periodic state-hash divergence
     /// checks (DESIGN.md §16).
-    pub fn with_deputy(mut self, deputy: Arc<Mutex<DeputyLink>>) -> Self {
-        self.deputy = Some(deputy);
+    pub fn with_deputy(mut self, deputy: DeputyLink) -> Self {
+        self.deputy = Some(Mutex::new(deputy));
         self
     }
 
     /// The deputy replication link, if one is attached.
-    pub fn deputy(&self) -> Option<&Arc<Mutex<DeputyLink>>> {
+    pub fn deputy(&self) -> Option<&Mutex<DeputyLink>> {
         self.deputy.as_ref()
     }
 
@@ -143,35 +141,9 @@ impl SiteManager {
             // A divergence latches inside the link (surfaced as a typed
             // error there and a metric by the harness); the control
             // message itself still applied locally.
-            let _ = deputy.lock().ship(&wire, || self.repo.state_hash());
+            let _ = deputy.lock().unwrap().ship(&wire, || self.repo.state_hash());
         }
         ok
-    }
-
-    /// Drain every pending message from `rx`; returns how many were
-    /// applied successfully.
-    pub fn drain(&self, rx: &Receiver<ControlMessage>) -> usize {
-        self.drain_observed(rx, |_, _| {})
-    }
-
-    /// [`drain`](Self::drain), calling `observer` with each message and
-    /// whether it was applied. The fault-replay harness uses this to
-    /// attribute failure detections to injected faults without a second
-    /// channel tap.
-    pub fn drain_observed(
-        &self,
-        rx: &Receiver<ControlMessage>,
-        mut observer: impl FnMut(&ControlMessage, bool),
-    ) -> usize {
-        let mut applied = 0;
-        while let Ok(msg) = rx.try_recv() {
-            let ok = self.process(&msg);
-            observer(&msg, ok);
-            if ok {
-                applied += 1;
-            }
-        }
-        applied
     }
 
     /// Snapshot the repository as the scheduling view served to the
@@ -326,7 +298,6 @@ impl SiteFailover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use vdce_afg::MachineType;
     use vdce_repository::resources::ResourceRecord;
 
@@ -409,47 +380,6 @@ mod tests {
             problem_size: 100,
             seconds: 2.0,
         }));
-    }
-
-    #[test]
-    fn drain_applies_all_pending() {
-        let sm = manager();
-        let (tx, rx) = unbounded();
-        for i in 0..5 {
-            tx.send(ControlMessage::WorkloadUpdate {
-                host: "a".into(),
-                workload: i as f64,
-                available_memory: 1,
-            })
-            .unwrap();
-        }
-        tx.send(ControlMessage::WorkloadUpdate {
-            host: "ghost".into(),
-            workload: 0.0,
-            available_memory: 1,
-        })
-        .unwrap();
-        assert_eq!(sm.drain(&rx), 5, "5 applied, ghost dropped");
-        sm.repository().resources(|db| {
-            assert_eq!(db.get("a").unwrap().workload, 4.0);
-            assert_eq!(db.get("a").unwrap().workload_history.len(), 5);
-        });
-    }
-
-    #[test]
-    fn drain_observed_sees_every_message_with_outcome() {
-        let sm = manager();
-        let (tx, rx) = unbounded();
-        tx.send(ControlMessage::HostFailure { host: "a".into() }).unwrap();
-        tx.send(ControlMessage::HostFailure { host: "ghost".into() }).unwrap();
-        let mut seen = Vec::new();
-        let applied = sm.drain_observed(&rx, |msg, ok| {
-            if let ControlMessage::HostFailure { host } = msg {
-                seen.push((host.clone(), ok));
-            }
-        });
-        assert_eq!(applied, 1);
-        assert_eq!(seen, vec![("a".to_string(), true), ("ghost".to_string(), false)]);
     }
 
     #[test]

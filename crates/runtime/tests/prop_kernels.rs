@@ -1,14 +1,14 @@
 //! Property tests for the computational kernels: numerical invariants
 //! and sequential/parallel equivalence.
 
-use bytes::Bytes;
 use proptest::prelude::*;
+use std::sync::Arc;
 use vdce_afg::KernelKind;
 use vdce_runtime::{
     decode_f64s, encode_f64s, run_kernel, run_kernel_parallel, synth_matrix, synth_values,
 };
 
-fn payload(values: &[f64]) -> Bytes {
+fn payload(values: &[f64]) -> Arc<[u8]> {
     encode_f64s(values)
 }
 

@@ -3,7 +3,6 @@
 
 use crate::metrics::Table;
 use crate::trace;
-use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use vdce_afg::level::{critical_path, level_map};
 use vdce_afg::Afg;
@@ -13,7 +12,8 @@ use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
-    EventLog, FlagEcho, GroupManager, LoadProbe, MonitorDaemon, SiteManager, SyntheticProbe,
+    ControlMessage, EventLog, FlagEcho, GroupManager, LoadProbe, MonitorDaemon, MonitorReport,
+    SiteManager, SyntheticProbe,
 };
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
@@ -240,21 +240,11 @@ pub fn run_monitoring_experiment(
         );
     }
     let echo = Arc::new(FlagEcho::new());
-    let (to_site, from_groups) = unbounded();
-    let (monitor_tx, monitor_rx) = unbounded();
     let daemons: Vec<MonitorDaemon> = host_names
         .iter()
-        .map(|h| {
-            MonitorDaemon::new(
-                h.clone(),
-                probe.clone() as Arc<dyn LoadProbe>,
-                monitor_tx.clone(),
-                log.clone(),
-            )
-        })
+        .map(|h| MonitorDaemon::new(h.clone(), probe.clone() as Arc<dyn LoadProbe>, log.clone()))
         .collect();
-    let mut gm =
-        GroupManager::new("g0", host_names.clone(), threshold, echo.clone(), to_site, log.clone());
+    let mut gm = GroupManager::new("g0", host_names.clone(), threshold, echo.clone(), log.clone());
 
     let mut t = 0.0f64;
     let mut next_echo = 0.0f64;
@@ -269,16 +259,22 @@ pub fn run_monitoring_experiment(
             }
         }
         probe.set_time(t);
-        for d in &daemons {
-            d.tick(t);
-        }
-        while let Ok(report) = monitor_rx.try_recv() {
-            gm.handle_report(t, &report);
+        let reports: Vec<MonitorReport> = daemons.iter().map(|d| d.tick(t)).collect();
+        for report in &reports {
+            if let Some(msg) = gm.handle_report(t, report) {
+                site_manager.process(&msg);
+            }
         }
         if t >= next_echo {
-            for changed in gm.probe_hosts(t) {
+            for msg in gm.probe_hosts(t) {
+                site_manager.process(&msg);
+                let (ControlMessage::HostFailure { host: changed }
+                | ControlMessage::HostRecovered { host: changed }) = &msg
+                else {
+                    continue;
+                };
                 for (i, (host, fail_at)) in failures.iter().enumerate() {
-                    if applied[i] && detected[i].is_none() && host_names[*host] == changed {
+                    if applied[i] && detected[i].is_none() && host_names[*host] == *changed {
                         detected[i] = Some(t - fail_at);
                         break;
                     }
@@ -286,7 +282,6 @@ pub fn run_monitoring_experiment(
             }
             next_echo += echo_period;
         }
-        site_manager.drain(&from_groups);
         t += monitor_period;
     }
     let stats = gm.stats();

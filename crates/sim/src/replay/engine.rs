@@ -622,15 +622,17 @@ impl<'a> Replay<'a> {
         if echo_round {
             self.next_echo += cfg.echo_period;
         }
+        // Every daemon of a site samples before its Group Manager handles
+        // any report: the event log (and so the journal) holds a site's
+        // samples ahead of its forwards.
+        let mut reports = Vec::new();
         for stack in &mut self.plane.stacks {
-            for d in &stack.daemons {
-                d.tick(t);
-            }
-            while let Ok(report) = stack.monitor_rx.try_recv() {
-                stack.group.handle_report(t, &report);
+            reports.extend(stack.daemons.iter().map(|d| d.tick(t)));
+            for report in reports.drain(..) {
+                stack.outbox.extend(stack.group.handle_report(t, &report));
             }
             if echo_round {
-                stack.group.probe_hosts(t);
+                stack.outbox.extend(stack.group.probe_hosts(t));
             }
         }
         self.plane.net_mon.tick();
@@ -652,7 +654,7 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Step 4. Drain control messages into the repositories, attributing
+    /// Step 4. Drain each site's outbox into its repository, attributing
     /// observations to plan faults. Returns the hosts whose detected
     /// liveness changed: `(newly dead, newly alive)`.
     fn drain_control(&mut self) -> (Vec<String>, Vec<String>) {
@@ -661,12 +663,12 @@ impl<'a> Replay<'a> {
         let mut newly_dead: Vec<String> = Vec::new();
         let mut newly_alive: Vec<String> = Vec::new();
         let (dead, detections) = (&mut self.seen.dead, &mut self.out.detections);
-        for stack in &self.plane.stacks {
-            stack.manager.drain_observed(&stack.control_rx, |msg, ok| {
-                if !ok {
-                    return;
+        for stack in &mut self.plane.stacks {
+            for msg in stack.outbox.drain(..) {
+                if !stack.manager.process(&msg) {
+                    continue;
                 }
-                match msg {
+                match &msg {
                     ControlMessage::HostFailure { host } => {
                         if dead.insert(host.clone()) {
                             newly_dead.push(host.clone());
@@ -705,7 +707,7 @@ impl<'a> Replay<'a> {
                     }
                     ControlMessage::ExecutionCompleted { .. } => {}
                 }
-            });
+            }
         }
         (newly_dead, newly_alive)
     }
@@ -1099,7 +1101,7 @@ impl<'a> Replay<'a> {
             // channel counters surface as metrics.
             for (stack, repo) in self.plane.stacks.iter().zip(&self.plane.repos) {
                 if let Some(link) = stack.manager.deputy() {
-                    let mut link = link.lock();
+                    let mut link = link.lock().unwrap();
                     let _ = link.check(repo.state_hash());
                     let st = link.stats();
                     obs.metrics.counter_add("store.replication.frames", st.frames);

@@ -30,8 +30,9 @@
 //! whole-site loss resumes from a remote replica instead of zero.
 //!
 //! Everything is a pure function of `(federation, afg, plan, config)`:
-//! state lives in `BTree*` collections, channels are drained in creation
-//! order, and the only randomness is the plan seed — replaying twice
+//! state lives in `BTree*` collections, each site's control messages are
+//! applied in the order its Group Manager returned them, and the only
+//! randomness is the plan seed — replaying twice
 //! yields identical [`ReplayOutcome`]s (asserted by `exp_faults`).
 //!
 //! This module holds what callers see — [`ReplayConfig`],
@@ -622,6 +623,53 @@ mod tests {
         assert!(obs.metrics.counter("store.replication.hash_checks") > 0);
         assert_eq!(obs.metrics.counter("store.replication.divergences"), 0);
         assert_eq!(obs.metrics.counter("store.journal.records"), opts.journal.len());
+    }
+
+    /// In each monitoring round every daemon of a site samples before the
+    /// site's Group Manager handles any report, so the journal holds a
+    /// site's `MonitorSample` entries of a tick ahead of its
+    /// `WorkloadForwarded` entries.
+    #[test]
+    fn a_sites_samples_precede_its_forwards_within_a_tick() {
+        use std::collections::BTreeSet;
+        use vdce_runtime::{LogRecord, RuntimeEvent};
+        use vdce_store::SnapshotPolicy;
+        let f = small_federation();
+        let afg = small_afg();
+        let est = baseline_makespan(&f, &afg);
+        let cfg = ReplayConfig::scaled_to(est);
+        let host = f.hosts(SiteId(0))[0].clone();
+        let spike = Fault::LoadSpike { host, at: 0.2 * est, height: 6.0, duration: 0.3 * est };
+        let plan = FaultPlan { seed: 3, faults: vec![spike] };
+        let opts = DurableOptions::new(SnapshotPolicy::manual(), 4);
+        replay_durable(&f, &afg, &plan, &cfg, &Observer::disabled(), &opts);
+
+        // (tick, site) pairs whose Group Manager has forwarded a report.
+        let mut forwarded = BTreeSet::new();
+        let (mut samples, mut forwards) = (0, 0);
+        for (tag, payload) in opts.journal.history() {
+            if tag != "log" {
+                continue;
+            }
+            let rec: LogRecord = serde_json::from_str(&payload).unwrap();
+            match &rec.event {
+                RuntimeEvent::MonitorSample { host, .. } => {
+                    samples += 1;
+                    let key = (rec.t.to_bits(), f.topology.site_of_host(host));
+                    assert!(
+                        !forwarded.contains(&key),
+                        "{host} sampled after a forward at {}",
+                        rec.t
+                    );
+                }
+                RuntimeEvent::WorkloadForwarded { host, .. } => {
+                    forwards += 1;
+                    forwarded.insert((rec.t.to_bits(), f.topology.site_of_host(host)));
+                }
+                _ => {}
+            }
+        }
+        assert!(forwards > 6 && samples > forwards, "{samples} samples, {forwards} forwards");
     }
 
     #[test]

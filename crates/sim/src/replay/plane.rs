@@ -5,8 +5,6 @@
 
 use super::engine::Inputs;
 use crate::faults::Fault;
-use crossbeam::channel::{unbounded, Receiver};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::sync::Arc;
 use vdce_net::model::SharedNetworkModel;
@@ -15,8 +13,8 @@ use vdce_predict::cache::PredictCache;
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
     write_snapshot, CheckpointStore, ControlEvent, ControlMessage, DeputyLink, DurableOptions,
-    EventLog, FlagEcho, GroupManager, JournaledSiteEvent, MonitorDaemon, MonitorReport,
-    NetworkMonitor, SiteFailover, SiteManager, SiteTableEvent, SyntheticLinkProbe, SyntheticProbe,
+    EventLog, FlagEcho, GroupManager, JournaledSiteEvent, MonitorDaemon, NetworkMonitor,
+    SiteFailover, SiteManager, SiteTableEvent, SyntheticLinkProbe, SyntheticProbe,
 };
 use vdce_store::Journal;
 
@@ -25,14 +23,15 @@ pub(super) struct SiteStack {
     pub(super) manager: SiteManager,
     pub(super) group: GroupManager,
     pub(super) daemons: Vec<MonitorDaemon>,
-    pub(super) monitor_rx: Receiver<MonitorReport>,
-    pub(super) control_rx: Receiver<ControlMessage>,
+    /// What the Group Manager sent the Site Manager this tick, in order:
+    /// filled by the monitoring round, drained into the repository after.
+    pub(super) outbox: Vec<ControlMessage>,
 }
 
 /// Everything the replay drives rather than models. Faults enter through
 /// `echo` (host liveness), `link_probe` (link quality and cuts) and
 /// `probe` (load); what the plane makes of them comes back out through
-/// the stacks' control channels and `net_mon`.
+/// the stacks' outboxes and `net_mon`.
 pub(super) struct ControlPlane {
     /// Disabled unless the replay is durable.
     pub(super) journal: Journal,
@@ -78,31 +77,26 @@ impl ControlPlane {
         let mut stacks: Vec<SiteStack> = Vec::with_capacity(sites);
         for (i, repo) in repos.iter().enumerate() {
             let site = SiteId(i as u16);
-            let (ctl_tx, control_rx) = unbounded();
-            let (mon_tx, monitor_rx) = unbounded();
             let hosts = federation.hosts(site);
             let daemons: Vec<MonitorDaemon> = hosts
                 .iter()
-                .map(|h| MonitorDaemon::new(h.clone(), probe.clone(), mon_tx.clone(), log.clone()))
+                .map(|h| MonitorDaemon::new(h.clone(), probe.clone(), log.clone()))
                 .collect();
             let mut manager = SiteManager::new(site, repo.clone());
             if let Some(d) = durable {
                 // The deputy's replica starts from the leader's state at
                 // attach time — before any tick mutates the repository.
-                manager = manager.with_deputy(Arc::new(Mutex::new(DeputyLink::new(
-                    repo.snapshot(),
-                    d.deputy_check_every,
-                ))));
+                manager =
+                    manager.with_deputy(DeputyLink::new(repo.snapshot(), d.deputy_check_every));
             }
             let group = GroupManager::new(
                 format!("s{i}-gm"),
                 hosts,
                 cfg.significance_threshold,
                 echo.clone(),
-                ctl_tx,
                 log.clone(),
             );
-            stacks.push(SiteStack { manager, group, daemons, monitor_rx, control_rx });
+            stacks.push(SiteStack { manager, group, daemons, outbox: Vec::new() });
         }
 
         // Network plane: EMA weight 1.0 so the model tracks the probe

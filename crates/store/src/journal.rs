@@ -21,9 +21,8 @@
 //! ([`JournalView::wal`]), which the recovery harness replays and resumes.
 
 use crate::wal::{read_wal, WalError, WalWriter, RECORD_HEADER_LEN, WAL_HEADER_LEN, WAL_MAGIC};
-use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// When a snapshot comes due; the durable image starts at the newest one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,7 +226,7 @@ impl std::fmt::Debug for Journal {
         match &self.inner {
             None => write!(f, "Journal(disabled)"),
             Some(inner) => {
-                let g = inner.lock();
+                let g = inner.lock().unwrap();
                 write!(f, "Journal(records: {}, snapshots: {})", g.starts.len(), g.snapshots.len())
             }
         }
@@ -263,7 +262,7 @@ impl Journal {
     /// sequence number, or `None` when disabled.
     pub fn append(&self, tag: &str, payload: &str) -> Option<u64> {
         let inner = self.inner.as_ref()?;
-        let mut g = inner.lock();
+        let mut g = inner.lock().unwrap();
         debug_assert!(!tag.contains(' '), "journal tags must not contain spaces");
         let start = g.log.byte_len();
         g.starts.push(start);
@@ -275,7 +274,7 @@ impl Journal {
     /// or under a manual policy.)
     pub fn snapshot_due(&self) -> bool {
         let Some(inner) = self.inner.as_ref() else { return false };
-        let g = inner.lock();
+        let g = inner.lock().unwrap();
         let since = g.starts.len() as u64 - g.snapshots.last().map_or(0, |s| s.seq);
         g.policy.every_records > 0 && since >= g.policy.every_records
     }
@@ -284,7 +283,7 @@ impl Journal {
     /// the durable image starts at it from now on. No-op when disabled.
     pub fn install_snapshot(&self, state: Vec<u8>, hash: u64) {
         let Some(inner) = self.inner.as_ref() else { return };
-        let mut g = inner.lock();
+        let mut g = inner.lock().unwrap();
         let seq = g.starts.len() as u64;
         g.snapshots.push(SnapshotRecord { seq, state, hash });
     }
@@ -293,19 +292,19 @@ impl Journal {
     /// recovered state against this). Does not compact.
     pub fn seal(&self, state: Vec<u8>, hash: u64) {
         let Some(inner) = self.inner.as_ref() else { return };
-        let mut g = inner.lock();
+        let mut g = inner.lock().unwrap();
         let seq = g.starts.len() as u64;
         g.final_state = Some(SnapshotRecord { seq, state, hash });
     }
 
     /// The sealed final state, if [`Journal::seal`] was called.
     pub fn final_state(&self) -> Option<SnapshotRecord> {
-        self.inner.as_ref().and_then(|i| i.lock().final_state.clone())
+        self.inner.as_ref().and_then(|i| i.lock().unwrap().final_state.clone())
     }
 
     /// Records appended over the journal's lifetime.
     pub fn len(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock().starts.len() as u64)
+        self.inner.as_ref().map_or(0, |i| i.lock().unwrap().starts.len() as u64)
     }
 
     /// Has nothing been appended?
@@ -334,7 +333,7 @@ impl Journal {
         let Some(inner) = &self.inner else {
             return f(JournalView { log: &[], starts: &[], snapshots: &[], final_state: None });
         };
-        let g = inner.lock();
+        let g = inner.lock().unwrap();
         let (log, starts, snapshots) = (g.log.bytes(), &g.starts[..], &g.snapshots[..]);
         f(JournalView { log, starts, snapshots, final_state: g.final_state.as_ref() })
     }
@@ -347,7 +346,7 @@ impl Journal {
 
     /// Every snapshot installed, oldest first.
     pub fn snapshots(&self) -> Vec<SnapshotRecord> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.lock().snapshots.clone())
+        self.inner.as_ref().map_or_else(Vec::new, |i| i.lock().unwrap().snapshots.clone())
     }
 
     /// The durable image as of now: newest snapshot + WAL since it.

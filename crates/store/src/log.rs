@@ -6,8 +6,7 @@
 //! shape, once — clones share the buffer, appends never reorder, and
 //! there is exactly one write path ([`AppendLog::push`]).
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A shared append-only buffer. Cloning shares the underlying storage.
 #[derive(Debug)]
@@ -35,31 +34,31 @@ impl<T> AppendLog<T> {
 
     /// Append one entry; returns its 0-based index.
     pub fn push(&self, entry: T) -> usize {
-        let mut v = self.inner.lock();
+        let mut v = self.inner.lock().unwrap();
         v.push(entry);
         v.len() - 1
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().unwrap().len()
     }
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().unwrap().is_empty()
     }
 
     /// Run `f` over the entries under the lock (read-only view).
     pub fn with<R>(&self, f: impl FnOnce(&[T]) -> R) -> R {
-        f(&self.inner.lock())
+        f(&self.inner.lock().unwrap())
     }
 }
 
 impl<T: Clone> AppendLog<T> {
     /// Clone of every entry, in append order.
     pub fn snapshot(&self) -> Vec<T> {
-        self.inner.lock().clone()
+        self.inner.lock().unwrap().clone()
     }
 }
 

@@ -22,7 +22,6 @@
 //! cargo run --example fault_tolerance
 //! ```
 
-use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
@@ -58,18 +57,13 @@ fn main() {
     // --- The fast host dies; a Group Manager detects it ---------------
     let echo = Arc::new(FlagEcho::new());
     echo.kill("fast_but_doomed");
-    let (to_site, from_group) = unbounded();
-    let mut gm = GroupManager::new(
-        "campus-g0",
-        vec!["fast_but_doomed".into(), "steady".into()],
-        1.0,
-        echo,
-        to_site,
-        EventLog::new(),
-    );
+    let hosts = vec!["fast_but_doomed".into(), "steady".into()];
+    let mut gm = GroupManager::new("campus-g0", hosts, 1.0, echo, EventLog::new());
     let changed = gm.probe_hosts(0.0);
     println!("\necho round detected failures: {changed:?}");
-    vdce.site_manager(site).drain(&from_group);
+    for msg in &changed {
+        vdce.site_manager(site).process(msg);
+    }
 
     // --- Next submission avoids the dead host --------------------------
     let r2 = session.submit(&doc("operator")).unwrap();

@@ -481,7 +481,7 @@ pub mod collection {
     use std::fmt;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`].
+    /// Element-count specification for [`vec()`].
     pub trait IntoSizeRange {
         /// Lower/upper bound (upper exclusive).
         fn bounds(self) -> (usize, usize);

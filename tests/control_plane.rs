@@ -2,7 +2,6 @@
 //! daemons → group managers → site manager → site repository →
 //! scheduler decisions.
 
-use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
@@ -46,29 +45,21 @@ fn workload_pipeline_redirects_scheduling() {
     let log = EventLog::new();
     let probe = Arc::new(SyntheticProbe::new(0.0, 1 << 30));
     probe.set_trace("fast", vec![(0.0, 9.0)]);
-    let (mon_tx, mon_rx) = unbounded();
-    let daemon_fast = MonitorDaemon::new(
-        "fast",
-        probe.clone() as Arc<dyn LoadProbe>,
-        mon_tx.clone(),
-        log.clone(),
-    );
-    let daemon_slow =
-        MonitorDaemon::new("slow", probe.clone() as Arc<dyn LoadProbe>, mon_tx, log.clone());
+    let daemons = ["fast", "slow"]
+        .map(|h| MonitorDaemon::new(h, probe.clone() as Arc<dyn LoadProbe>, log.clone()));
     let echo = Arc::new(FlagEcho::new());
-    let (to_site, from_group) = unbounded();
-    let mut gm =
-        GroupManager::new("campus-g0", vec!["fast".into(), "slow".into()], 0.5, echo, to_site, log);
+    let mut gm = GroupManager::new("campus-g0", vec!["fast".into(), "slow".into()], 0.5, echo, log);
     // Several monitoring rounds (smoothed workload needs history).
+    let mut applied = 0;
     for t in 0..6 {
         probe.set_time(t as f64);
-        daemon_fast.tick(t as f64);
-        daemon_slow.tick(t as f64);
-        while let Ok(rep) = mon_rx.try_recv() {
-            gm.handle_report(t as f64, &rep);
+        for d in &daemons {
+            if let Some(msg) = gm.handle_report(t as f64, &d.tick(t as f64)) {
+                applied += usize::from(v.site_manager(site).process(&msg));
+            }
         }
     }
-    assert!(v.site_manager(site).drain(&from_group) >= 2);
+    assert!(applied >= 2);
 
     // The repository now shows the load...
     v.repository(site).resources(|db| {
@@ -91,25 +82,20 @@ fn failure_detection_cycles_host_availability() {
     let session = v.login(site, "u", "p").unwrap();
 
     let echo = Arc::new(FlagEcho::new());
-    let (to_site, from_group) = unbounded();
-    let mut gm = GroupManager::new(
-        "campus-g0",
-        vec!["fast".into(), "slow".into()],
-        1.0,
-        echo.clone(),
-        to_site,
-        EventLog::new(),
-    );
+    let hosts = vec!["fast".into(), "slow".into()];
+    let mut gm = GroupManager::new("campus-g0", hosts, 1.0, echo.clone(), EventLog::new());
 
     echo.kill("fast");
-    gm.probe_hosts(1.0);
-    v.site_manager(site).drain(&from_group);
+    for msg in gm.probe_hosts(1.0) {
+        assert!(v.site_manager(site).process(&msg));
+    }
     let r = session.submit(&simple_doc()).unwrap();
     assert_eq!(r.allocation.hosts_used(), vec!["slow"]);
 
     echo.revive("fast");
-    gm.probe_hosts(2.0);
-    v.site_manager(site).drain(&from_group);
+    for msg in gm.probe_hosts(2.0) {
+        assert!(v.site_manager(site).process(&msg));
+    }
     let r = session.submit(&simple_doc()).unwrap();
     assert_eq!(r.allocation.hosts_used(), vec!["fast"]);
 }
