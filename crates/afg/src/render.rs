@@ -2,8 +2,8 @@
 //!
 //! Reproduces Figure 1 of the paper as text: the *task properties window*
 //! for any task, and an indented flow-graph listing of the whole
-//! application. Used by `examples/linear_solver.rs` and the `exp_fig1`
-//! harness binary.
+//! application. Used by experiment E1 (`exp_paper fig1`) and the `vdce`
+//! CLI.
 
 use crate::graph::Afg;
 use crate::ids::TaskId;

@@ -1,23 +1,10 @@
-//! Shared fixtures for the VDCE benchmarks and `exp_*` experiment
-//! binaries.
-//!
-//! One binary per paper artefact regenerates the corresponding
-//! EXPERIMENTS.md table:
-//!
-//! | binary     | paper artefact | what it prints |
-//! |------------|----------------|----------------|
-//! | `exp_fig1` | Figure 1       | Linear Equation Solver AFG + property sheets + end-to-end run |
-//! | `exp_fig2` | Figure 2       | site-scheduler makespan vs k and vs CCR |
-//! | `exp_fig3` | Figure 3       | host-selection quality vs pool size and heterogeneity |
-//! | `exp_fig4` | Figure 4       | monitoring traffic reduction + failure-detection latency |
-//! | `exp_e5`   | §3 claim       | priority-order and algorithm ablation |
-//! | `exp_e6`   | §4.2 claim     | Data-Manager latency/throughput, in-proc vs TCP |
-//! | `exp_e7`   | §4.1 claim     | threshold rescheduling under load spikes |
-//! | `exp_e8`   | §3 claim       | prediction accuracy and placement regret |
-//! | `exp_e9`   | future work    | HEFT vs VDCE greedy |
+//! Shared fixtures for the VDCE benchmarks and `exp_*` binaries, and the
+//! ten paper experiments ([`paper`]) the `exp_paper` binary runs.
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
+
+pub mod paper;
 
 use vdce_sched::view::SiteView;
 use vdce_sim::dag_gen::{layered_random, DagSpec};

@@ -8,6 +8,7 @@
 //! pages amortise transfers for sequential access but false-share under
 //! fine-grained writes.
 
+use super::Claims;
 use std::sync::Arc;
 use std::thread;
 use vdce_dsm::{DsmBarrier, DsmRegion, DsmStats};
@@ -18,15 +19,31 @@ const CELLS: usize = 512;
 const NODES: usize = 4;
 const STEPS: usize = 30;
 
-/// Run the double-buffered stencil; return its protocol counters.
-fn stencil(page_size: usize) -> DsmStats {
+/// The initial field: a hot band in a cold bar.
+fn initial(i: usize) -> f64 {
+    if (200..220).contains(&i) {
+        100.0
+    } else {
+        0.0
+    }
+}
+
+/// Cell `i`'s next value, reading the current field through `at`.
+fn diffuse(i: usize, at: impl Fn(usize) -> f64) -> f64 {
+    let c = at(i);
+    let l = if i == 0 { c } else { at(i - 1) };
+    let r = if i == CELLS - 1 { c } else { at(i + 1) };
+    c + 0.25 * (l - 2.0 * c + r)
+}
+
+/// Run the double-buffered stencil; return its protocol counters and the
+/// largest difference between its final field and a sequential run's.
+fn stencil(page_size: usize) -> (DsmStats, f64) {
     let dsm = Arc::new(DsmRegion::new(2 * CELLS * 8, page_size, NODES));
     let barrier = DsmBarrier::new(NODES);
-    {
-        let h = dsm.handle(0);
-        for i in 0..CELLS {
-            h.write_f64(i * 8, if (200..220).contains(&i) { 100.0 } else { 0.0 });
-        }
+    let h0 = dsm.handle(0);
+    for i in 0..CELLS {
+        h0.write_f64(i * 8, initial(i));
     }
     let buf_off = |phase: usize, i: usize| ((phase % 2) * CELLS + i) * 8;
     let chunk = CELLS / NODES;
@@ -36,13 +53,10 @@ fn stencil(page_size: usize) -> DsmStats {
             let barrier = barrier.clone();
             thread::spawn(move || {
                 barrier.wait();
-                let (lo, hi) = (n * chunk, (n + 1) * chunk);
                 for step in 0..STEPS {
-                    for i in lo..hi {
-                        let c = h.read_f64(buf_off(step, i));
-                        let l = if i == 0 { c } else { h.read_f64(buf_off(step, i - 1)) };
-                        let r = if i == CELLS - 1 { c } else { h.read_f64(buf_off(step, i + 1)) };
-                        h.write_f64(buf_off(step + 1, i), c + 0.25 * (l - 2.0 * c + r));
+                    for i in n * chunk..(n + 1) * chunk {
+                        let next = diffuse(i, |j| h.read_f64(buf_off(step, j)));
+                        h.write_f64(buf_off(step + 1, i), next);
                     }
                     barrier.wait();
                 }
@@ -52,7 +66,14 @@ fn stencil(page_size: usize) -> DsmStats {
     for w in workers {
         w.join().unwrap();
     }
-    dsm.stats()
+    // Counted before node 0 reads the result back.
+    let stats = dsm.stats();
+    let mut field: Vec<f64> = (0..CELLS).map(initial).collect();
+    for _ in 0..STEPS {
+        field = (0..CELLS).map(|i| diffuse(i, |j| field[j])).collect();
+    }
+    let err = (0..CELLS).map(|i| (h0.read_f64(buf_off(STEPS, i)) - field[i]).abs());
+    (stats, err.fold(0.0, f64::max))
 }
 
 /// Interleaved counters: node n increments slot n, slots adjacent in
@@ -80,7 +101,7 @@ fn false_sharing(page_size: usize) -> (u64, u64) {
     (s.page_transfers, s.invalidations)
 }
 
-fn main() {
+pub(super) fn run(claims: &mut Claims) -> String {
     let metrics = MetricsRegistry::new();
     let mut t = Table::new(&[
         "page_bytes",
@@ -89,19 +110,31 @@ fn main() {
         "stencil_read_hit",
     ]);
     for &ps in &[32usize, 64, 128, 256, 1024, 4096] {
-        let s = stencil(ps);
+        let (s, err) = stencil(ps);
         s.export_metrics(&metrics, &format!("stencil_p{ps}"));
+        let hits = s.read_hit_rate();
+        claims.check(err == 0.0 && hits >= 0.99, || {
+            format!(
+                "e10: the stencil equals a sequential run and hits >= 99% of its reads \
+                 (page {ps}: max error {err:e}, read hit rate {hits:.4})"
+            )
+        });
         t.row(&[
             ps.to_string(),
             s.page_transfers.to_string(),
             s.invalidations.to_string(),
-            format!("{:.2}%", s.read_hit_rate() * 100.0),
+            format!("{:.2}%", hits * 100.0),
         ]);
     }
 
     let mut t2 = Table::new(&["page_bytes", "fs_transfers", "fs_invalidations"]);
     for &ps in &[8usize, 16, 32] {
         let (xfers, invals) = false_sharing(ps);
+        // One counter per page never invalidates; two or more on a page
+        // ping-pong it between their writers.
+        claims.check((invals == 0) == (ps == 8), || {
+            format!("e10: false sharing invalidates from page 16 on (page {ps}: {invals})")
+        });
         t2.row(&[ps.to_string(), xfers.to_string(), invals.to_string()]);
     }
     Report::new("E10: DSM page-size sweep (paper §5 future work)")
@@ -116,5 +149,5 @@ fn main() {
             "{} dsm.* metrics exported to the run's registry (per page size)",
             metrics.names().len()
         ))
-        .print();
+        .render()
 }

@@ -5,20 +5,19 @@
 //! Claim under test: "the node (task) with a higher level value will
 //! have a higher priority for scheduling" minimises schedule length.
 
-use vdce_bench::{bench_dag, bench_federation, split_views};
+use super::{geomean_makespans, Claims};
+use crate::{bench_dag, bench_federation, split_views};
 use vdce_obs::Report;
 use vdce_sched::baselines::{priorities, PriorityOrder};
 use vdce_sched::evaluate;
-use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
 use vdce_sim::{compare_schedulers, comparison_table, geomean, SchedulerKind, Table};
 
-fn main() {
+pub(super) fn run(_: &mut Claims) -> String {
     let fed = bench_federation(3, 4);
     let views = fed.views();
     let (local, remotes) = split_views(&views);
     let all: Vec<&SiteView> = views.iter().collect();
-    let cfg = SchedulerConfig::default();
     let seeds = [1u64, 2, 3, 4, 5, 6, 7, 8];
 
     let orders = [
@@ -49,14 +48,13 @@ fn main() {
         let base = *level_base.get_or_insert(g);
         t.row(&[name.to_string(), format!("{g:.4}"), format!("{:.3}x", g / base)]);
     }
-    Report::new("E5: priority-order ablation")
+    let ablation = Report::new("E5: priority-order ablation")
         .table(t)
         .note(
             "same spread placement, different ready-task dispatch orders; \
              vs_level > 1 ⇒ that dispatch order lengthens the schedule",
         )
-        .print();
-    let _ = site_schedule(&bench_dag(10, 0), local, remotes, &fed.net, &cfg);
+        .render();
 
     // Aggregate the per-seed comparisons.
     let kinds = [
@@ -68,25 +66,20 @@ fn main() {
         SchedulerKind::MaxMin,
         SchedulerKind::Heft,
     ];
-    let mut sums: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
-    for &seed in &seeds {
-        let afg = bench_dag(60, seed);
-        let rows = compare_schedulers(&afg, local, remotes, &fed.net, &kinds);
-        for (i, r) in rows.iter().enumerate() {
-            sums[i].push(r.makespan);
-        }
-    }
+    let dags = seeds.iter().map(|&seed| bench_dag(60, seed));
     let mut agg = Table::new(&["algorithm", "geomean_makespan_s"]);
-    for (i, kind) in kinds.iter().enumerate() {
-        agg.row(&[kind.name(), format!("{:.4}", geomean(&sums[i]).unwrap())]);
+    for (kind, g) in kinds.iter().zip(geomean_makespans(dags, (local, remotes), &fed.net, &kinds)) {
+        agg.row(&[kind.name(), format!("{g:.4}")]);
     }
 
     // One representative single-seed table with sites/hosts columns.
     let afg = bench_dag(60, 1);
     let rows = compare_schedulers(&afg, local, remotes, &fed.net, &kinds);
-    Report::new(&format!("E5b: full algorithm comparison (geomean over {} DAGs)", seeds.len()))
-        .table(agg)
-        .text("single seed detail:")
-        .table(comparison_table(&rows))
-        .print();
+    let comparison =
+        Report::new(&format!("E5b: full algorithm comparison (geomean over {} DAGs)", seeds.len()))
+            .table(agg)
+            .text("single seed detail:")
+            .table(comparison_table(&rows))
+            .render();
+    ablation + &comparison
 }

@@ -5,13 +5,14 @@
 //! Claim under test: "low-latency and high-speed communication … for
 //! inter-task communications" over socket-based point-to-point channels.
 
+use super::Claims;
 use std::sync::Arc;
 use std::time::Instant;
 use vdce_obs::Report;
 use vdce_runtime::{ChannelId, DataManager, EventLog, Transport};
 use vdce_sim::Table;
 
-fn main() {
+pub(super) fn run(claims: &mut Claims) -> String {
     let mut t =
         Table::new(&["transport", "msg_bytes", "round_trips", "latency_us", "throughput_MBps"]);
     for &transport in &[Transport::InProc, Transport::Tcp] {
@@ -48,6 +49,9 @@ fn main() {
             let t0 = Instant::now();
             let (_s, _r) = dm.open_all(1, channels).unwrap();
             let ms = t0.elapsed().as_secs_f64() * 1e3;
+            claims.check(dm.setup_acks() == channels, || {
+                format!("e6: {transport:?}: {} acks for {channels} channels", dm.setup_acks())
+            });
             t2.row(&[
                 format!("{transport:?}"),
                 channels.to_string(),
@@ -60,5 +64,5 @@ fn main() {
         .table(t)
         .text("channel-setup (ack protocol) cost:")
         .table(t2)
-        .print();
+        .render()
 }

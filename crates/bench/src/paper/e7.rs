@@ -9,6 +9,7 @@
 //! terminates the task execution … and sends a task rescheduling
 //! request."
 
+use super::Claims;
 use std::time::Duration;
 use vdce_afg::{Afg, AfgBuilder, MachineType, TaskLibrary};
 use vdce_net::topology::SiteId;
@@ -26,35 +27,12 @@ use vdce_sim::Table;
 
 fn repo() -> SiteRepository {
     let repo = SiteRepository::new();
+    let fast = (0..2).map(|i| (format!("fast{i}"), format!("10.0.0.{}", i + 1), 4.0, "g0"));
+    let steady = (0..4).map(|i| (format!("steady{i}"), format!("10.0.1.{i}"), 1.0, "g1"));
     repo.resources_mut(|db| {
-        db.upsert(ResourceRecord::new(
-            "fast0",
-            "10.0.0.1",
-            MachineType::LinuxPc,
-            4.0,
-            1,
-            1 << 30,
-            "g0",
-        ));
-        db.upsert(ResourceRecord::new(
-            "fast1",
-            "10.0.0.2",
-            MachineType::LinuxPc,
-            4.0,
-            1,
-            1 << 30,
-            "g0",
-        ));
-        for i in 0..4 {
-            db.upsert(ResourceRecord::new(
-                format!("steady{i}"),
-                format!("10.0.1.{i}"),
-                MachineType::LinuxPc,
-                1.0,
-                1,
-                1 << 30,
-                "g1",
-            ));
+        for (name, ip, speed, group) in fast.chain(steady) {
+            let linux = MachineType::LinuxPc;
+            db.upsert(ResourceRecord::new(name, ip, linux, speed, 1, 1 << 30, group));
         }
     });
     repo
@@ -73,7 +51,7 @@ fn fan_afg() -> Afg {
 }
 
 /// Returns (wall seconds, reschedules, tasks executed on spiked hosts).
-fn run(gated: bool) -> (f64, usize, usize) {
+fn spiked_run(gated: bool) -> (f64, usize, usize) {
     let repo = repo();
     let afg = fan_afg();
 
@@ -133,11 +111,18 @@ fn run(gated: bool) -> (f64, usize, usize) {
     (outcome.wall_seconds, rescheds, on_fast)
 }
 
-fn main() {
+pub(super) fn run(claims: &mut Claims) -> String {
     let mut t =
         Table::new(&["application_controller", "wall_s", "reschedules", "tasks_on_spiked_hosts"]);
     for &(label, gated) in &[("active (threshold 4)", true), ("disabled", false)] {
-        let (wall, rescheds, on_fast) = run(gated);
+        let (wall, rescheds, on_fast) = spiked_run(gated);
+        // Active, every task placed on a spiked host migrates; disabled,
+        // they all stay there.
+        let migrated = rescheds > 0 && on_fast == 0;
+        let stayed = rescheds == 0 && on_fast > 0;
+        claims.check(if gated { migrated } else { stayed }, || {
+            format!("e7: {label}: {rescheds} reschedules, {on_fast} tasks on spiked hosts")
+        });
         t.row(&[
             label.to_string(),
             format!("{wall:.4}"),
@@ -148,5 +133,5 @@ fn main() {
     Report::new("E7: threshold rescheduling under a post-schedule load spike")
         .table(t)
         .note("active: tasks are relocated off the spiked fast hosts at launch time")
-        .print();
+        .render()
 }

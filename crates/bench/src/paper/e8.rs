@@ -8,6 +8,7 @@
 //! function evaluations of each task on each resource" is good enough to
 //! drive placement.
 
+use super::Claims;
 use std::time::Instant;
 use vdce_afg::{KernelKind, MachineType};
 use vdce_obs::Report;
@@ -18,7 +19,7 @@ use vdce_repository::TaskPerfDb;
 use vdce_runtime::{encode_f64s, run_kernel, synth_matrix, synth_values};
 use vdce_sim::Table;
 
-fn measure(kernel: KernelKind, task: &str, n: u64) -> f64 {
+fn measure(kernel: KernelKind, n: u64) -> f64 {
     let inputs = match kernel {
         KernelKind::MatrixMultiply => vec![
             encode_f64s(&synth_matrix(1, n as usize)),
@@ -30,13 +31,12 @@ fn measure(kernel: KernelKind, task: &str, n: u64) -> f64 {
         }
         _ => vec![],
     };
-    let _ = task;
     let t0 = Instant::now();
     run_kernel(kernel, n, &inputs).unwrap();
     t0.elapsed().as_secs_f64()
 }
 
-fn main() {
+pub(super) fn run(claims: &mut Claims) -> String {
     // This machine *is* the base processor: relative speed 1, idle.
     let host = ResourceRecord::new(
         "this-machine",
@@ -58,12 +58,13 @@ fn main() {
 
     let mut db = TaskPerfDb::standard();
     let mut t = Table::new(&["round", "mean_rel_error", "pairs"]);
+    let mut uncalibrated = None;
     for round in 0..4 {
         let mut pairs = Vec::new();
         for (task, kernel, sizes) in cases {
             for &n in *sizes {
                 let predicted = predictor.predict(&db, task, n, &host).unwrap();
-                let actual = measure(*kernel, task, n);
+                let actual = measure(*kernel, n);
                 pairs.push((predicted, actual));
                 // Site-Manager write-back (§4.1) plus base-processor
                 // calibration (this machine IS the base processor).
@@ -72,6 +73,10 @@ fn main() {
             }
         }
         let err = mean_prediction_error(&pairs).unwrap();
+        let before = *uncalibrated.get_or_insert(err);
+        claims.check(round == 0 || err < before, || {
+            format!("e8: round {round}'s error {err:.3} is below the uncalibrated {before:.3}")
+        });
         t.row(&[round.to_string(), format!("{:.1}%", err * 100.0), pairs.len().to_string()]);
     }
     // Placement regret: rank two synthetic hosts by prediction vs by a
@@ -86,6 +91,7 @@ fn main() {
         let ps = predictor.predict(&db, task, n, &slow).unwrap();
         let pf = predictor.predict(&db, task, n, &fast).unwrap();
         let predicted_pick = if pf < ps { "fast" } else { "slow" };
+        claims.check(pf < ps, || format!("e8: prediction picks the 2x-speed host for {task}"));
         // Oracle: the 2×-speed host is always genuinely faster.
         t2.row(&[
             task.to_string(),
@@ -100,5 +106,5 @@ fn main() {
         .note("round 0 = uncalibrated analytic model; later rounds use measured rates")
         .text("placement regret (predicted pick vs 2x-speed oracle):")
         .table(t2)
-        .print();
+        .render()
 }

@@ -7,15 +7,15 @@
 //! at placement time), increasingly so on wider graphs — this is exactly
 //! the gap the authors' own future work closed.
 
-use vdce_bench::{bench_federation, split_views};
+use super::{geomean_makespans, Claims};
+use crate::{bench_federation, split_views};
 use vdce_obs::Report;
 use vdce_sim::dag_gen::{fft_butterfly, fork_join, gauss_elim, layered_random, DagSpec};
-use vdce_sim::{compare_schedulers, geomean, SchedulerKind, Table};
+use vdce_sim::{SchedulerKind, Table};
 
-fn main() {
+pub(super) fn run(_: &mut Claims) -> String {
     let fed = bench_federation(3, 6);
     let views = fed.views();
-    let (local, remotes) = split_views(&views);
     let spec = DagSpec::default();
 
     let suites: Vec<(&str, Vec<vdce_afg::Afg>)> = vec![
@@ -34,14 +34,7 @@ fn main() {
     let mut t =
         Table::new(&["dag_family", "vdce_s", "heft_s", "heft_ins_s", "min_min_s", "heft_speedup"]);
     for (name, dags) in suites {
-        let mut per_kind: Vec<Vec<f64>> = vec![Vec::new(); kinds.len()];
-        for afg in &dags {
-            let rows = compare_schedulers(afg, local, remotes, &fed.net, &kinds);
-            for (i, r) in rows.iter().enumerate() {
-                per_kind[i].push(r.makespan);
-            }
-        }
-        let g: Vec<f64> = per_kind.iter().map(|v| geomean(v).unwrap()).collect();
+        let g = geomean_makespans(dags, split_views(&views), &fed.net, &kinds);
         t.row(&[
             name.to_string(),
             format!("{:.4}", g[0]),
@@ -54,5 +47,5 @@ fn main() {
     Report::new("E9: HEFT vs VDCE greedy level scheduler")
         .table(t)
         .note("heft_speedup > 1 ⇒ HEFT shortens the schedule vs the paper's greedy algorithm")
-        .print();
+        .render()
 }

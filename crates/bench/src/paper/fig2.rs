@@ -6,11 +6,13 @@
 //! neighbour sites shortens the schedule, and transfer-aware placement
 //! keeps children near parents when communication dominates.
 
-use vdce_bench::{bench_dag_ccr, bench_federation, split_views};
+use super::{geomean_makespans, Claims};
+use crate::{bench_dag_ccr, bench_federation, split_views};
+use vdce_net::topology::SiteId;
 use vdce_obs::Report;
-use vdce_sim::{compare_schedulers, geomean, SchedulerKind, Table};
+use vdce_sim::{SchedulerKind, Table};
 
-fn main() {
+pub(super) fn run(claims: &mut Claims) -> String {
     let seeds = [1u64, 2, 3, 4, 5];
 
     // --- Sweep k for several federation sizes -------------------------
@@ -18,23 +20,27 @@ fn main() {
     for &sites in &[2usize, 4, 8] {
         let fed = bench_federation(sites, 6);
         let views = fed.views();
-        let (local, remotes) = split_views(&views);
+        let local = &views[0];
         let mut base = None;
         for k in 0..sites {
-            let mut spans = Vec::new();
-            for &seed in &seeds {
-                let afg = bench_dag_ccr(60, 1.0, seed);
-                let rows = compare_schedulers(
-                    &afg,
-                    local,
-                    remotes,
-                    &fed.net,
-                    &[SchedulerKind::Vdce { k }],
-                );
-                spans.push(rows[0].makespan);
-            }
-            let g = geomean(&spans).unwrap();
+            let dags = seeds.iter().map(|&seed| bench_dag_ccr(60, 1.0, seed));
+            let kind = [SchedulerKind::Vdce { k }];
+            let g = geomean_makespans(dags, split_views(&views), &fed.net, &kind)[0];
             let base_v = *base.get_or_insert(g);
+            let fastest = |site: SiteId| {
+                views[site.index()].resources.iter().map(|r| r.relative_speed).fold(0.0, f64::max)
+            };
+            let reach = fed.net.nearest_neighbours(local.site, k).into_iter().map(fastest);
+            let speedup = reach.fold(fastest(local.site), f64::max) / fastest(local.site);
+            // The greedy argmin runs the whole application on the fastest
+            // reachable host, so the gain is that host's speed advantage.
+            claims.check((base_v / g / speedup - 1.0).abs() < 1e-3, || {
+                format!(
+                    "fig2: vs_k0 is the best reachable host's speed advantage \
+                     ({sites} sites, k = {k}: {:.4}x against {speedup:.4}x)",
+                    base_v / g
+                )
+            });
             t1.row(&[
                 sites.to_string(),
                 k.to_string(),
@@ -54,23 +60,11 @@ fn main() {
         Table::new(&["ccr_scale", "vdce_k3_s", "min_min_s", "local_only_s", "federation_gain"]);
     let fed = bench_federation(4, 6);
     let views = fed.views();
-    let (local, remotes) = split_views(&views);
+    let kinds = [SchedulerKind::Vdce { k: 3 }, SchedulerKind::MinMin, SchedulerKind::LocalOnly];
     for &ccr in &[0.1f64, 1.0, 10.0, 100.0] {
-        let (mut v, mut m, mut l) = (Vec::new(), Vec::new(), Vec::new());
-        for &seed in &seeds {
-            let afg = bench_dag_ccr(60, ccr, seed);
-            let rows = compare_schedulers(
-                &afg,
-                local,
-                remotes,
-                &fed.net,
-                &[SchedulerKind::Vdce { k: 3 }, SchedulerKind::MinMin, SchedulerKind::LocalOnly],
-            );
-            v.push(rows[0].makespan);
-            m.push(rows[1].makespan);
-            l.push(rows[2].makespan);
-        }
-        let (gv, gm, gl) = (geomean(&v).unwrap(), geomean(&m).unwrap(), geomean(&l).unwrap());
+        let dags = seeds.iter().map(|&seed| bench_dag_ccr(60, ccr, seed));
+        let g = geomean_makespans(dags, split_views(&views), &fed.net, &kinds);
+        let (gv, gm, gl) = (g[0], g[1], g[2]);
         t2.row(&[
             format!("{ccr}"),
             format!("{gv:.4}"),
@@ -88,5 +82,5 @@ fn main() {
              vdce is CCR-flat because greedy argmin placement concentrates on one \
              host — min-min spreads work and rises with CCR",
         )
-        .print();
+        .render()
 }

@@ -5,10 +5,11 @@
 //! `Predict(task, R)` beats naive choices, and the advantage grows with
 //! pool heterogeneity.
 
+use super::Claims;
+use crate::bench_dag;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
-use vdce_bench::bench_dag;
 use vdce_obs::Report;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
@@ -16,7 +17,7 @@ use vdce_sched::host_selection;
 use vdce_sim::pool_gen::{build_federation, FederationSpec};
 use vdce_sim::Table;
 
-fn main() {
+pub(super) fn run(claims: &mut Claims) -> String {
     let afg = bench_dag(60, 9);
     let mut table = Table::new(&[
         "hosts",
@@ -53,6 +54,13 @@ fn main() {
                     random_sum += t;
                 }
             }
+            claims.check(random_sum >= chosen_sum, || {
+                format!(
+                    "fig3: the argmin's advantage over a random host is >= 1 \
+                     ({hosts} hosts, heterogeneity {het}: {:.4}x)",
+                    random_sum / chosen_sum
+                )
+            });
             table.row(&[
                 hosts.to_string(),
                 format!("{het}"),
@@ -66,5 +74,5 @@ fn main() {
     Report::new("E3 / Figure 3: host-selection sweep")
         .table(table)
         .note("advantage = Σ predicted time of random choice / Σ predicted time of Figure-3 argmin")
-        .print();
+        .render()
 }

@@ -6,10 +6,11 @@
 //! workload changes cuts repository-update traffic, and echo probing
 //! detects failures within one probe period.
 
+use super::Claims;
 use vdce_obs::Report;
 use vdce_sim::{run_monitoring_experiment, Table};
 
-fn main() {
+pub(super) fn run(_: &mut Claims) -> String {
     // --- Significant-change filter: threshold sweep --------------------
     let mut t1 = Table::new(&["hosts", "threshold", "samples", "forwarded", "traffic_reduction"]);
     for &hosts in &[8usize, 32] {
@@ -52,5 +53,5 @@ fn main() {
         .text("failure detection: echo-period sweep:")
         .table(t2)
         .note("detection latency is bounded by the echo period, as §4.1 implies")
-        .print();
+        .render()
 }

@@ -109,7 +109,7 @@ impl Report {
     }
 
     /// Render the whole report for the terminal.
-    pub(crate) fn render(&self) -> String {
+    pub fn render(&self) -> String {
         let mut out = format!("=== {} ===\n", self.title);
         for item in &self.items {
             match item {

@@ -61,8 +61,8 @@ pub(crate) fn two_campus() -> Scenario {
     }
 }
 
-/// Six metro-clustered sites, 80-task layered DAG — the wide-area
-/// scheduling scenario of `examples/multi_site.rs`.
+/// Six metro-clustered sites, 80-task layered DAG — a wide-area
+/// scheduling scenario.
 pub(crate) fn wide_area() -> Scenario {
     Scenario {
         name: "wide-area",
