@@ -11,20 +11,18 @@
 #   7. the thread-based tests, four copies at a time: vdce-dsm's 50
 #      times, tests/concurrency.rs once, vdce-repository's, the Data
 #      Manager's and the message bus's 50 times
-#   8. BENCH_*.json artifact schema validation
-#   9. the ten paper experiments (exp_paper --check): the deterministic
-#      tables (E2, E4, E5, E9) byte-equal to their EXPERIMENTS.md blocks,
-#      and the shape claims of all ten
-#   10-16. the correctness gates: fault recovery, durable recovery,
-#      scale, stream, fuzz, data-aware (all --quick) and trace
-#      determinism (--all) — none of them times anything
-#   17. the vdce_perf smoke (perf/run.sh --quick)
-#   18-23. the frozen benchmark's full-size checks the smoke scales away
+#   8. every experiment (exp --check): the deterministic paper tables
+#      (E2, E4, E5, E9) byte-equal to their EXPERIMENTS.md blocks, every
+#      committed BENCH_*.json schema-valid and equal to a fresh run
+#      outside its `wall_clock` section, none missing or stray, and the
+#      claims of every experiment, the correctness gates included
+#   9. the vdce_perf smoke (perf/run.sh --quick)
+#   10-15. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
 #      pass and run — under a ceiling (1,500, 1,250, 500, 10,000, 250 and
-#      365,000). ROADMAP item 2's committed BENCH_perf.json
+#      365,000). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -176,60 +174,30 @@ thread_stress() {
     race_stress 50 -p vdce-net --lib -- cross_thread_delivery
 }
 stage "thread race stress (5 binaries)" thread_stress
-# Artifact schema gate: every checked-in BENCH_*.json must validate
-# against the vdce-obs RunArtifact schema, and none may be missing.
-stage "artifact schema validation" \
-    cargo run -q --release -p vdce-bench --bin exp_artifacts
-# Paper gate: E2, E4, E5 and E9 read no clock, so they print the same
-# bytes on every run, and EXPERIMENTS.md holds them as golden text (the
-# `paper_tables` test checks the same under the bare `cargo test -q`).
-# The other six measure real work; each checks the shape EXPERIMENTS.md
-# claims for it. A change that moves a golden number on purpose
-# re-records its block with `exp_paper --markdown <name>`.
-stage "paper experiments (--check)" \
-    cargo run -q --release -p vdce-bench --bin exp_paper -- --check
-# Fault recovery gate: every quick fault scenario must replay
-# deterministically and recover.
-stage "fault recovery gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_faults -- --quick
-# Durable control-plane gate: every named fault scenario is replayed
-# with WAL journaling + deputy replication on, then killed and
-# restarted at several points (including mid-write, torn tail). The
-# durable report must be bit-identical to the plain run, recovery must
-# lose zero control-plane state, and no deputy may diverge.
-stage "durable recovery gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_recovery -- --quick
-# Scale gate: on the 10k-task / 8-site config the incremental
-# reschedule of one monitor event must stay bit-identical to a full
-# re-walk.
-stage "scale gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_scale -- --quick
-# Streaming service gate: the acceptance cell must replay bit-identically
-# twice, reproduce the placements digest recorded in exp_stream.rs
-# (`QUICK_PLACEMENTS_DIGEST`; a change that moves placements on purpose
-# re-records it), keep p99 time-to-placement (logical time) under the
-# ceiling, and starve no tenant past the aging bound.
-stage "stream gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_stream -- --quick
-# Fuzz gate: a fixed seed block of generated adversarial cases must pass
-# every invariant; the injected-violation self-tests must shrink to
-# 1-minimal reproducers deterministically; and the three promoted fuzz
-# regression scenarios must replay bit-identically twice.
-stage "fuzz gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_fuzz -- --quick
-# Data-aware scheduling gate: joint compute+transfer placement must beat
-# the parent-site-only ablation on the pipeline scenario by the fixed
-# margin, degrade bit-identically when every dataset has one co-located
-# replica, replay bit-identically (allocation tables and catalog WAL),
-# and trip zero storage-capacity violations.
-stage "data-aware gate (--quick)" \
-    cargo run -q --release -p vdce-bench --bin exp_data -- --quick
-# Observability gate: replay every quick scenario twice with tracing on;
-# the JSONL trace must validate against the schema and the trace,
-# deterministic metric snapshot, and recovery report must all be
-# bit-identical across the two runs.
-stage "trace determinism gate (--all)" \
-    cargo run -q --release -p vdce-bench --bin exp_trace -- --all
+# Experiment gate: `exp --check` runs every experiment once, in memory,
+# and writes nothing it compares against.
+# - E2, E4, E5 and E9 read no clock, so EXPERIMENTS.md holds them as
+#   golden text (the `paper_tables` test checks the same under the bare
+#   `cargo test -q`); the other six paper experiments check the shape
+#   claims EXPERIMENTS.md makes for them.
+# - data, faults, fuzz, recovery, scale and stream regenerate their
+#   BENCH_*.json: each committed file must be schema-valid and equal to
+#   the fresh artifact everywhere outside its `wall_clock` section, and
+#   a missing or stray BENCH_*.json fails the stage.
+# - Every experiment's gates are claims, checked on its full sweep: fault
+#   replay determinism, recovery, the 2x crash bound, the checkpoint
+#   pairs and failover/replica (faults); durable == plain, 12 kills per
+#   scenario, no divergence and the FileWal fixture (recovery);
+#   incremental == re-walk at 10k/8 and 100k/64 (scale); the pinned
+#   placements digest, double replay, p99 time-to-placement and no
+#   starved tenant (stream); all 48 seeds, the shrinker self-tests and
+#   the promoted scenarios (fuzz); the data-aware margin, co-located
+#   replica identity, replay and zero violations (data); and trace schema
+#   and double-replay identity over all 17 fault scenarios (trace).
+# A change that moves a committed number on purpose re-records it with
+# `exp --write <name>`.
+stage "experiments (exp --check)" \
+    cargo run -q --release -p vdce-bench --bin exp -- --check
 # Benchmark smoke: perf/ is a package of its own that nothing above
 # compiles, and it imports library entry points by name. Building it and
 # running every workload's output checks on small inputs here means a

@@ -2,7 +2,7 @@
 //!
 //! Reproduces Figure 1 of the paper as text: the *task properties window*
 //! for any task, and an indented flow-graph listing of the whole
-//! application. Used by experiment E1 (`exp_paper fig1`) and the `vdce`
+//! application. Used by experiment E1 (`exp fig1`) and the `vdce`
 //! CLI.
 
 use crate::graph::Afg;

@@ -1,7 +1,8 @@
-//! Data-aware scheduling gate (DESIGN.md §18): schedule the replicated-
-//! dataset workloads and hold the Dataset/Replica API to its contract.
+//! Data-aware scheduling (DESIGN.md §18): schedule the replicated-dataset
+//! workloads and hold the Dataset/Replica API to its contract. Records
+//! `BENCH_data.json` (makespans, margins, journal lengths).
 //!
-//! Gated properties (`--quick`, the CI stage):
+//! Claims, each a row of the artifact's `gates` section:
 //!
 //! 1. **Data-aware placement wins** — on the data-intensive pipeline
 //!    (slow archive site holds every home replica, fast compute sites
@@ -18,12 +19,10 @@
 //!    catalog's WAL journal reconstructs the same `state_hash`;
 //! 4. **Zero storage violations** — no scenario run may trip a
 //!    capacity rejection in the catalog.
-//!
-//! The full run repeats the gates at larger sizes and publishes
-//! `BENCH_data.json` (makespans, margins, placement digests, journal
-//! lengths) for the artifact-schema gate and CI upload.
 
+use crate::exp::Claims;
 use serde::Serialize;
+use serde_json::{json, Value};
 use vdce_data::{DataView, DatasetCatalog};
 use vdce_obs::{Report, RunArtifact, Table};
 use vdce_sched::{evaluate_with_data, site_schedule_with_data, SchedulerConfig};
@@ -32,6 +31,11 @@ use vdce_sim::data::{pipeline_workload, sweep_workload, DataScenario};
 /// Required pipeline advantage: data-aware makespan × MARGIN must stay
 /// below the parent-site-only makespan.
 const MARGIN: f64 = 1.2;
+
+/// Pipeline chains, their dataset size, and the sweep's task count.
+const CHAINS: usize = 12;
+const DATASET_BYTES: u64 = 64 << 20;
+const SWEEP_TASKS: usize = 600;
 
 /// One gate row in the report and `BENCH_data.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -42,15 +46,13 @@ struct GateRow {
     ok: bool,
 }
 
-/// One scheduled-scenario measurement in `BENCH_data.json`.
-#[derive(Debug, Clone, Serialize)]
-struct RunRow {
-    scenario: String,
-    tasks: usize,
-    datasets: usize,
-    makespan_s: f64,
-    journal_records: usize,
-    violations: u64,
+/// One scheduled-scenario row of `BENCH_data.json`.
+fn run_row(scenario: &str, sc: &DataScenario, makespan_s: f64) -> Value {
+    json!({
+        "scenario": scenario, "tasks": (sc.afg.tasks.len()), "datasets": (sc.catalog.len()),
+        "makespan_s": makespan_s, "journal_records": (sc.journal.history().len()),
+        "violations": (sc.catalog.violations())
+    })
 }
 
 /// Schedule `sc` against `view` and return the serialized allocation
@@ -73,19 +75,14 @@ fn schedule(sc: &DataScenario, view: &DataView) -> (String, f64) {
     (json, sched.makespan)
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (chains, dataset_bytes, sweep_tasks) =
-        if quick { (6usize, 32u64 << 20, 120usize) } else { (12, 64 << 20, 600) };
-
+pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
     let mut gates: Vec<GateRow> = Vec::new();
-    let mut runs: Vec<RunRow> = Vec::new();
     let mut gate = |name: &str, observed: String, required: String, ok: bool| {
         gates.push(GateRow { gate: name.into(), observed, required, ok });
     };
 
     // Gate 1: data-aware beats parent-site-only on the pipeline.
-    let pipeline = pipeline_workload(chains, dataset_bytes, 5);
+    let pipeline = pipeline_workload(CHAINS, DATASET_BYTES, 5);
     let view = pipeline.catalog.view();
     let (_, data_aware) = schedule(&pipeline, &view);
     let (_, primary) = schedule(&pipeline, &view.primary_only());
@@ -95,29 +92,13 @@ fn main() {
         format!(">= {MARGIN:.2}x"),
         data_aware * MARGIN < primary,
     );
-    runs.push(RunRow {
-        scenario: "pipeline(data-aware)".into(),
-        tasks: pipeline.afg.tasks.len(),
-        datasets: pipeline.catalog.len(),
-        makespan_s: data_aware,
-        journal_records: pipeline.journal.history().len(),
-        violations: pipeline.catalog.violations(),
-    });
-    runs.push(RunRow {
-        scenario: "pipeline(primary-only)".into(),
-        tasks: pipeline.afg.tasks.len(),
-        datasets: pipeline.catalog.len(),
-        makespan_s: primary,
-        journal_records: pipeline.journal.history().len(),
-        violations: pipeline.catalog.violations(),
-    });
 
     // Gate 2: with exactly one replica per dataset, co-located with the
     // parent site, the data-aware schedule degrades bit-identically to
     // the parent-site-only one. The sweep's home replica lives at the
     // parent site (site 0); dropping the cache at site 1 leaves a
     // single co-located replica.
-    let mut single = sweep_workload(sweep_tasks, 8 << 20, 11);
+    let mut single = sweep_workload(SWEEP_TASKS, 8 << 20, 11);
     single
         .catalog
         .invalidate_replica(vdce_afg::DatasetId(1), vdce_net::topology::SiteId(1))
@@ -125,54 +106,41 @@ fn main() {
     let sview = single.catalog.view();
     let (full_json, full_mk) = schedule(&single, &sview);
     let (primary_json, primary_mk) = schedule(&single, &sview.primary_only());
+    let identical = full_json == primary_json && full_mk.to_bits() == primary_mk.to_bits();
     gate(
         "single co-located replica equivalence",
-        if full_json == primary_json && full_mk.to_bits() == primary_mk.to_bits() {
+        if identical {
             "bit-identical".into()
         } else {
             format!("tables differ ({:.4}s vs {:.4}s)", full_mk, primary_mk)
         },
         "bit-identical".into(),
-        full_json == primary_json && full_mk.to_bits() == primary_mk.to_bits(),
+        identical,
     );
 
     // Gate 3a: double sweep schedule is bit-identical.
-    let sweep = sweep_workload(sweep_tasks, 8 << 20, 7);
+    let sweep = sweep_workload(SWEEP_TASKS, 8 << 20, 7);
     let wview = sweep.catalog.view();
     let (a_json, a_mk) = schedule(&sweep, &wview);
     let (b_json, b_mk) = schedule(&sweep, &wview);
+    let identical = a_json == b_json && a_mk.to_bits() == b_mk.to_bits();
     gate(
         "sweep double replay",
-        if a_json == b_json && a_mk.to_bits() == b_mk.to_bits() {
-            "bit-identical".into()
-        } else {
-            "DIVERGED".into()
-        },
+        if identical { "bit-identical".into() } else { "DIVERGED".into() },
         "bit-identical".into(),
-        a_json == b_json && a_mk.to_bits() == b_mk.to_bits(),
+        identical,
     );
-    runs.push(RunRow {
-        scenario: "sweep".into(),
-        tasks: sweep.afg.tasks.len(),
-        datasets: sweep.catalog.len(),
-        makespan_s: a_mk,
-        journal_records: sweep.journal.history().len(),
-        violations: sweep.catalog.violations(),
-    });
 
     // Gate 3b: replaying the catalog's WAL journal reconstructs the
     // exact catalog state the run used.
     let history = sweep.journal.history();
     let replayed = DatasetCatalog::replay(history.iter().map(|(t, p)| (t.as_str(), p.as_str())));
+    let equal = replayed.state_hash() == sweep.catalog.state_hash();
     gate(
         "catalog journal replay",
-        format!(
-            "{} record(s), hash {}",
-            history.len(),
-            if replayed.state_hash() == sweep.catalog.state_hash() { "equal" } else { "DIFFERS" }
-        ),
+        format!("{} record(s), hash {}", history.len(), if equal { "equal" } else { "DIFFERS" }),
         "state_hash equal".into(),
-        replayed.state_hash() == sweep.catalog.state_hash(),
+        equal,
     );
 
     // Gate 4: zero storage-capacity violations across every run.
@@ -188,46 +156,31 @@ fn main() {
             g.required.clone(),
             if g.ok { "yes".into() } else { "NO".into() },
         ]);
+        claims.check(g.ok, || {
+            format!("{} — observed {}, required {}", g.gate, g.observed, g.required)
+        });
     }
+    let runs = vec![
+        run_row("pipeline(data-aware)", &pipeline, data_aware),
+        run_row("pipeline(primary-only)", &pipeline, primary),
+        run_row("sweep", &sweep, a_mk),
+    ];
     let failed = gates.iter().filter(|g| !g.ok).count();
-    let report = Report::new(&format!(
-        "data-aware scheduling over replicated datasets{}",
-        if quick { " [quick]" } else { "" }
-    ))
-    .table(table)
-    .note(format!(
-        "{} chain(s), {} MiB dataset(s), {} sweep task(s); {} gate(s), {failed} failing",
-        chains,
-        dataset_bytes >> 20,
-        sweep_tasks,
-        gates.len(),
-    ));
-
-    if !quick && failed == 0 {
-        RunArtifact::new("exp_data")
-            .meta("chains", chains)
-            .meta("dataset_bytes", dataset_bytes)
-            .meta("sweep_tasks", sweep_tasks)
-            .meta("required_margin", MARGIN)
-            .meta("observed_margin", primary / data_aware)
-            .meta("violations", violations)
-            .section("gates", &gates)
-            .section("runs", &runs)
-            .write("BENCH_data.json")
-            .expect("write BENCH_data.json");
-        println!("wrote BENCH_data.json");
-    }
-    report.print();
-
-    if failed == 0 {
-        println!("\ndata-aware gate OK");
-    } else {
-        for g in gates.iter().filter(|g| !g.ok) {
-            eprintln!(
-                "GATE FAILURE: {} — observed {}, required {}",
-                g.gate, g.observed, g.required
-            );
-        }
-        std::process::exit(1);
-    }
+    let report = Report::new("data-aware scheduling over replicated datasets")
+        .table(table)
+        .note(format!(
+            "{CHAINS} chain(s), {} MiB dataset(s), {SWEEP_TASKS} sweep task(s); {} gate(s), {failed} failing",
+            DATASET_BYTES >> 20,
+            gates.len(),
+        ));
+    let artifact = RunArtifact::new("exp_data")
+        .meta("chains", CHAINS)
+        .meta("dataset_bytes", DATASET_BYTES)
+        .meta("sweep_tasks", SWEEP_TASKS)
+        .meta("required_margin", MARGIN)
+        .meta("observed_margin", primary / data_aware)
+        .meta("violations", violations)
+        .section("gates", &gates)
+        .section("runs", &runs);
+    (report.render(), artifact)
 }

@@ -1,9 +1,9 @@
 //! Fault-injection replay: every named [`FaultScenario`] (plus a
-//! palette-workload crash mirroring the `exp_scale` workload
-//! shape) is replayed against its fault-free twin, producing one
-//! [`RecoveryReport`] per scenario.
+//! palette-workload crash mirroring the `scale` workload shape) is
+//! replayed against its fault-free twin, producing one
+//! [`RecoveryReport`] per scenario. Records `BENCH_faults.json`.
 //!
-//! Three properties are enforced, not just measured:
+//! Claims:
 //!
 //! 1. **Determinism** — each scenario is replayed twice and the two
 //!    reports must serialise bit-identically;
@@ -14,31 +14,27 @@
 //!    scenarios must finish in under 2× the fault-free makespan.
 //! 4. **Checkpointing pays for itself** — each checkpointed crash
 //!    scenario must inflate strictly less than its restart-from-zero
-//!    twin, and stay at or below 1.25×.
+//!    twin, and stay at or below its pair bound.
 //! 5. **Site-level fault tolerance** (DESIGN.md §12) — the Site Manager
 //!    crash must fail over to a deputy, a permanent site outage must end
 //!    with the site quarantined, a healed partition must quarantine
 //!    nothing, and cross-site checkpoint replicas must strictly beat
 //!    local-only checkpoints on the same site-crash trace.
 //!
-//! A violated property exits non-zero, which is what lets `ci.sh` use
-//! `--quick` (the cheap scenario subset) as a regression gate. The full
-//! run writes `BENCH_faults.json`; quick runs leave it untouched.
-//!
 //! [`FaultScenario`]: vdce_sim::scenario::FaultScenario
 //! [`RecoveryReport`]: vdce_sim::RecoveryReport
 
-use vdce_bench::{bench_dag, bench_federation, shape_palette_workload};
+use super::same_json;
+use crate::exp::Claims;
+use crate::{bench_dag, bench_federation, shape_palette_workload};
 use vdce_obs::{Observer, Report, RunArtifact};
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::replay::ReplayConfig;
-use vdce_sim::scenario::{
-    all_fault_scenarios, quick_fault_scenarios, schedule_estimate, FaultScenario, Scenario,
-};
+use vdce_sim::scenario::{all_fault_scenarios, schedule_estimate, FaultScenario, Scenario};
 use vdce_sim::{recovery_table, Fault, FaultPlan, RecoveryReport};
 
 /// The acceptance workload: crash the busiest host of a palette-shaped
-/// DAG (the `exp_scale` workload family) a quarter into the run.
+/// DAG (the `scale` workload family) a quarter into the run.
 fn palette_crash() -> FaultScenario {
     let federation = bench_federation(2, 4);
     let mut afg = bench_dag(24, 7);
@@ -56,19 +52,8 @@ fn palette_crash() -> FaultScenario {
     }
 }
 
-/// [`palette_crash`]'s twin with checkpointing on — same crash, same
-/// victim; only the [`CheckpointPolicy`] differs.
-fn palette_crash_checkpointed() -> FaultScenario {
-    let mut fs = palette_crash();
-    fs.name = "palette-crash-ckpt";
-    fs.config.checkpoint = CheckpointPolicy::every(0.1, 0.002);
-    fs
-}
-
 /// `(restart-from-zero scenario, checkpointed twin, inflation bound)`
-/// triples the checkpoint gate compares. Pairs whose members are absent
-/// from the current run (e.g. `crash-spread-ckpt` under `--quick`) are
-/// skipped.
+/// triples the checkpoint gate compares.
 ///
 /// The campus pairs are bounded at 1.25× — there, re-executed work
 /// dominates the crash cost and checkpointing removes most of it. The
@@ -90,44 +75,43 @@ const CHECKPOINT_PAIRS: &[(&str, &str, f64)] = &[
     ("site-crash-ckpt-local", "site-crash-ckpt-replica", 1.45),
 ];
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-
-    let mut scenarios = if quick { quick_fault_scenarios() } else { all_fault_scenarios() };
-    scenarios.push(palette_crash());
-    scenarios.push(palette_crash_checkpointed());
+pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
+    // The palette crash's twin with checkpointing on: same crash, same
+    // victim; only the [`CheckpointPolicy`] differs.
+    let mut checkpointed = palette_crash();
+    checkpointed.name = "palette-crash-ckpt";
+    checkpointed.config.checkpoint = CheckpointPolicy::every(0.1, 0.002);
+    let mut scenarios = all_fault_scenarios();
+    scenarios.extend([palette_crash(), checkpointed]);
 
     // One registry accumulates recovery metrics across every scenario
-    // (counters add); tracing stays off — `exp_trace` owns the traced
-    // single-scenario run that the determinism CI stage checks.
+    // (counters add); tracing stays off — the `trace` experiment owns
+    // the traced runs.
     let obs = Observer::disabled();
 
     let mut reports: Vec<RecoveryReport> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
     for fs in &scenarios {
         let report = fs.run(&obs, None);
         // Determinism gate: the same (scenario, plan, config) triple must
         // replay into a bit-identical report.
         let again = fs.run(&Observer::disabled(), None);
-        let j1 = serde_json::to_string(&report).expect("serialise report");
-        let j2 = serde_json::to_string(&again).expect("serialise report");
-        if j1 != j2 {
-            failures.push(format!("{}: replay is not deterministic", fs.name));
-        }
+        claims.check(same_json(&report, &again), || {
+            format!("{}: replay is not deterministic", fs.name)
+        });
 
         if report.tasks_failed > 0 {
-            failures.push(format!("{}: {} task(s) failed", fs.name, report.tasks_failed));
+            claims.fail(format!("{}: {} task(s) failed", fs.name, report.tasks_failed));
         }
         if !report.recovered_all() {
             let bad: Vec<&str> =
                 report.faults.iter().filter(|f| !f.recovered).map(|f| f.fault.as_str()).collect();
-            failures.push(format!("{}: non-recovered fault(s): {}", fs.name, bad.join(", ")));
+            claims.fail(format!("{}: non-recovered fault(s): {}", fs.name, bad.join(", ")));
         }
         let is_crash = fs.plan.faults.iter().any(|f| {
             matches!(f, Fault::HostCrash { .. } | Fault::SiteOutage { down_for: None, .. })
         });
         if is_crash && report.inflation >= 2.0 {
-            failures.push(format!(
+            claims.fail(format!(
                 "{}: makespan inflation {:.2}x exceeds the 2x bound",
                 fs.name, report.inflation
             ));
@@ -138,12 +122,12 @@ fn main() {
         let permanent_site_outage =
             fs.plan.faults.iter().any(|f| matches!(f, Fault::SiteOutage { down_for: None, .. }));
         if permanent_site_outage && report.sites_quarantined_at_end == 0 {
-            failures.push(format!("{}: dead site never quarantined", fs.name));
+            claims.fail(format!("{}: dead site never quarantined", fs.name));
         }
         let partition_only =
             fs.plan.faults.iter().all(|f| matches!(f, Fault::SitePartition { .. }));
         if partition_only && !fs.plan.faults.is_empty() && report.sites_quarantined > 0 {
-            failures.push(format!(
+            claims.fail(format!(
                 "{}: a healed partition quarantined {} site(s)",
                 fs.name, report.sites_quarantined
             ));
@@ -157,66 +141,47 @@ fn main() {
     // pair bound, versus the 1.34-1.48x the plain twins land at.
     let find = |name: &str| reports.iter().find(|r| r.scenario == name);
     for (plain_name, ckpt_name, bound) in CHECKPOINT_PAIRS {
-        let (Some(plain), Some(ckpt)) = (find(plain_name), find(ckpt_name)) else { continue };
+        let (Some(plain), Some(ckpt)) = (find(plain_name), find(ckpt_name)) else {
+            claims.fail(format!("checkpoint pair {plain_name} / {ckpt_name} did not run"));
+            continue;
+        };
         if plain.inflation > 1.0 + 1e-9 && ckpt.inflation >= plain.inflation {
-            failures.push(format!(
+            claims.fail(format!(
                 "{ckpt_name}: inflation {:.3}x does not beat restart-from-zero twin {plain_name} ({:.3}x)",
                 ckpt.inflation, plain.inflation
             ));
         }
         if ckpt.inflation > bound + 1e-9 {
-            failures.push(format!(
+            claims.fail(format!(
                 "{ckpt_name}: inflation {:.3}x exceeds the {bound}x checkpointed-crash bound",
                 ckpt.inflation
             ));
         }
         if ckpt.checkpoints_taken == 0 {
-            failures.push(format!("{ckpt_name}: checkpointing enabled but none taken"));
+            claims.fail(format!("{ckpt_name}: checkpointing enabled but none taken"));
         }
     }
 
     // Failover gate: the Site Manager crash must promote a deputy, and
     // the replica scenario must actually push state across sites.
-    if let Some(r) = find("manager-failover") {
-        if r.site_failovers == 0 {
-            failures.push("manager-failover: no deputy promotion recorded".into());
-        }
-    }
-    if let Some(r) = find("site-crash-ckpt-replica") {
-        if r.replica_transfers == 0 {
-            failures.push("site-crash-ckpt-replica: no replica transfer completed".into());
-        }
-        if r.resumed_progress.iter().all(|p| *p <= 0.0) {
-            failures
-                .push("site-crash-ckpt-replica: no restart resumed from a remote replica".into());
-        }
-    }
+    claims.check(find("manager-failover").is_some_and(|r| r.site_failovers > 0), || {
+        "manager-failover: no deputy promotion recorded".into()
+    });
+    let replica = find("site-crash-ckpt-replica");
+    claims.check(replica.is_some_and(|r| r.replica_transfers > 0), || {
+        "site-crash-ckpt-replica: no replica transfer completed".into()
+    });
+    claims.check(replica.is_some_and(|r| !r.resumed_progress.iter().all(|p| *p <= 0.0)), || {
+        "site-crash-ckpt-replica: no restart resumed from a remote replica".into()
+    });
 
-    let mut report_out = Report::new(&format!(
-        "fault-injection replay: detection, recovery, makespan inflation{}",
-        if quick { " [quick]" } else { "" }
-    ))
-    .table(recovery_table(&reports))
-    .note("each scenario replayed twice; reports asserted bit-identical");
-
-    if !quick {
-        RunArtifact::new("exp_faults")
-            .meta("scenario_count", reports.len())
-            .meta("checkpoint_pairs", CHECKPOINT_PAIRS.len())
-            .metrics(obs.metrics.snapshot())
-            .section("scenarios", &reports)
-            .write("BENCH_faults.json")
-            .expect("write BENCH_faults.json");
-        report_out = report_out.note("wrote BENCH_faults.json");
-    }
-    report_out.print();
-
-    if failures.is_empty() {
-        println!("\nfault gate OK");
-    } else {
-        for f in &failures {
-            eprintln!("GATE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
+    let report = Report::new("fault-injection replay: detection, recovery, makespan inflation")
+        .table(recovery_table(&reports))
+        .note("each scenario replayed twice; reports asserted bit-identical");
+    let artifact = RunArtifact::new("exp_faults")
+        .meta("scenario_count", reports.len())
+        .meta("checkpoint_pairs", CHECKPOINT_PAIRS.len())
+        .metrics(obs.metrics.snapshot())
+        .section("scenarios", &reports);
+    (report.render(), artifact)
 }

@@ -1,30 +1,33 @@
-//! Seeded scenario-fuzzer gate (DESIGN.md §17): generate adversarial
-//! fault compositions from fixed seeds, property-check each run against
-//! the full invariant catalogue, and prove the delta-debugging shrinker
-//! turns violations into minimal, committable reproducers.
+//! Seeded scenario fuzzer (DESIGN.md §17): generate adversarial fault
+//! compositions from fixed seeds, property-check each run against the
+//! full invariant catalogue, and prove the delta-debugging shrinker
+//! turns violations into minimal, committable reproducers. Records
+//! `BENCH_fuzz.json`: per-seed outcomes, per-fault-class invariant
+//! coverage, shrink sizes, and the self-test table.
 //!
-//! Gated properties (`--quick`, the CI stage):
+//! Claims:
 //!
-//! 1. **Fixed seed block runs clean** — every quick seed passes all
-//!    five invariants under the calibrated
-//!    [`InvariantProfile::standard`] ceilings;
+//! 1. **The seed sweep runs clean** — every seed passes all five
+//!    invariants under the calibrated [`InvariantProfile::standard`]
+//!    ceilings;
 //! 2. **Injected violations shrink** — under the zero-headroom
 //!    [`InvariantProfile::adversarial`] profile every self-test seed
 //!    violates the inflation ceiling, the shrinker minimises it to a
 //!    1-minimal plan *preserving that same invariant*, shrinking is
 //!    deterministic, and the reproducer round-trips through JSON
-//!    (written to `target/fuzz_repro/` for CI upload);
+//!    (written to `target/fuzz_repro/`);
 //! 3. **Promoted scenarios stay frozen** — the fuzzer-promoted
 //!    regression scenarios replay bit-identically twice and still meet
 //!    the recovery gates.
 //!
-//! The full run sweeps a larger seed range and writes
-//! `BENCH_fuzz.json`: per-seed outcomes, per-fault-class invariant
-//! coverage, shrink sizes, and the self-test table. `--hunt` is the
-//! promotion workflow: it ranks shrunk adversarial seeds by observed
-//! inflation and prints promotable reproducers for `scenario.rs`.
+//! [`hunt`] is the promotion workflow: it ranks shrunk adversarial seeds
+//! by observed inflation and prints promotable reproducers for
+//! `scenario.rs`.
 
+use super::same_json;
+use crate::exp::{write_file, Claims};
 use serde::Serialize;
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use vdce_obs::{Observer, Report, RunArtifact, Table};
 use vdce_sim::scenario::fuzz_regression_scenarios;
@@ -33,11 +36,9 @@ use vdce_sim::{
     InvariantProfile,
 };
 
-/// The fixed CI seed block: must run clean under the standard profile.
-const QUICK_SEEDS: [u64; 6] = [0, 3, 7, 11, 19, 29];
-
-/// Full-sweep seed range.
-const FULL_SEEDS: u64 = 48;
+/// The seed sweep: seeds `0..SEEDS` must run clean under the standard
+/// profile.
+const SEEDS: u64 = 48;
 
 /// Seeds of the injected-violation shrinker self-tests (chosen so the
 /// generated plan measurably perturbs the makespan — the adversarial
@@ -46,18 +47,6 @@ const SELF_TEST_SEEDS: [u64; 2] = [5, 21];
 
 /// Shrinker oracle-evaluation budget.
 const SHRINK_BUDGET: u32 = 200;
-
-/// One row of the self-test table in `BENCH_fuzz.json`.
-#[derive(Debug, Clone, Serialize)]
-struct SelfTestRow {
-    seed: u64,
-    invariant: String,
-    original_faults: usize,
-    shrunk_faults: usize,
-    evals: u32,
-    passes: u32,
-    one_minimal: bool,
-}
 
 /// Per-fault-class invariant coverage in `BENCH_fuzz.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -72,24 +61,13 @@ struct CoverageRow {
     violations: u64,
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let hunt = std::env::args().any(|a| a == "--hunt");
-    if hunt {
-        hunt_mode();
-        return;
-    }
-
+pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
     let profile = InvariantProfile::standard();
-    let seeds: Vec<u64> = if quick { QUICK_SEEDS.to_vec() } else { (0..FULL_SEEDS).collect() };
-    let mut failures: Vec<String> = Vec::new();
     let mut outcomes: Vec<CaseOutcome> = Vec::new();
     let mut shrink_sizes: Vec<(u64, usize, usize)> = Vec::new();
 
-    std::fs::create_dir_all("target/fuzz_repro").expect("create target/fuzz_repro");
-
     // Gate 1: the seed sweep runs clean.
-    for &seed in &seeds {
+    for seed in 0..SEEDS {
         let case = FuzzCase::generate(seed);
         let outcome = check_case(&case, &profile);
         if !outcome.ok() {
@@ -98,9 +76,11 @@ fn main() {
             let inv = outcome.violations[0].invariant;
             let shrunk = shrink(&case, inv, &profile, SHRINK_BUDGET);
             let path = format!("target/fuzz_repro/seed_{seed}.json");
-            std::fs::write(&path, shrunk.shrunk.to_json()).expect("write reproducer");
+            if let Err(e) = write_file(&path, shrunk.shrunk.to_json()) {
+                claims.fail(e);
+            }
             shrink_sizes.push((seed, shrunk.original_faults, shrunk.shrunk_faults));
-            failures.push(format!(
+            claims.fail(format!(
                 "seed {seed}: {} — {} (reproducer: {path}, {} → {} faults)",
                 outcome.violations[0].invariant.label(),
                 outcome.violations[0].detail,
@@ -112,7 +92,7 @@ fn main() {
     }
 
     // Gate 2: injected violations shrink to minimal reproducers.
-    let self_tests = run_self_tests(&mut failures);
+    let self_tests = run_self_tests(claims);
 
     // Gate 3: promoted scenarios replay bit-identically and still pass
     // the recovery gates.
@@ -120,17 +100,11 @@ fn main() {
     for fs in &promoted {
         let a = fs.run(&Observer::disabled(), None);
         let b = fs.run(&Observer::disabled(), None);
-        let ja = serde_json::to_string(&a).expect("serialise report");
-        let jb = serde_json::to_string(&b).expect("serialise report");
-        if ja != jb {
-            failures.push(format!("{}: two replays differ", fs.name));
-        }
-        if a.tasks_failed > 0 {
-            failures.push(format!("{}: {} task(s) failed", fs.name, a.tasks_failed));
-        }
-        if !a.recovered_all() {
-            failures.push(format!("{}: not all faults recovered", fs.name));
-        }
+        claims.check(same_json(&a, &b), || format!("{}: two replays differ", fs.name));
+        claims.check(a.tasks_failed == 0, || {
+            format!("{}: {} task(s) failed", fs.name, a.tasks_failed)
+        });
+        claims.check(a.recovered_all(), || format!("{}: not all faults recovered", fs.name));
     }
 
     let mut table =
@@ -146,59 +120,39 @@ fn main() {
             if o.ok() { "yes".into() } else { "NO".into() },
         ]);
     }
-    let report = Report::new(&format!(
-        "scenario fuzzer: seed sweep + shrinker self-test{}",
-        if quick { " [quick]" } else { "" }
-    ))
-    .table(table)
-    .note(format!(
-        "{} seed(s), {} violation(s); {} self-test(s) shrunk; {} promoted scenario(s) gated",
-        outcomes.len(),
-        outcomes.iter().filter(|o| !o.ok()).count(),
-        self_tests.len(),
-        promoted.len(),
-    ));
-
-    if !quick && failures.is_empty() {
-        let coverage = coverage_rows(&outcomes);
-        RunArtifact::new("exp_fuzz")
-            .meta("seeds_run", outcomes.len())
-            .meta("quick_seed_block", QUICK_SEEDS.as_slice())
-            .meta("violations", outcomes.iter().filter(|o| !o.ok()).count())
-            .meta("self_test_seeds", SELF_TEST_SEEDS.as_slice())
-            .meta("shrink_budget_evals", SHRINK_BUDGET)
-            .meta("promoted_scenarios", promoted.len())
-            .section("outcomes", &outcomes)
-            .section("coverage", &coverage)
-            .section("self_tests", &self_tests)
-            .section("shrink_sizes", &shrink_sizes)
-            .write("BENCH_fuzz.json")
-            .expect("write BENCH_fuzz.json");
-        println!("wrote BENCH_fuzz.json");
-    }
-    report.print();
-
-    if failures.is_empty() {
-        println!("\nfuzz gate OK");
-    } else {
-        for f in &failures {
-            eprintln!("GATE FAILURE: {f}");
-        }
-        std::process::exit(1);
-    }
+    let violations = outcomes.iter().filter(|o| !o.ok()).count();
+    let report = Report::new("scenario fuzzer: seed sweep + shrinker self-test")
+        .table(table)
+        .note(format!(
+            "{} seed(s), {violations} violation(s); {} self-test(s) shrunk; {} promoted scenario(s) gated",
+            outcomes.len(),
+            self_tests.len(),
+            promoted.len(),
+        ));
+    let artifact = RunArtifact::new("exp_fuzz")
+        .meta("seeds_run", outcomes.len())
+        .meta("violations", violations)
+        .meta("self_test_seeds", SELF_TEST_SEEDS.as_slice())
+        .meta("shrink_budget_evals", SHRINK_BUDGET)
+        .meta("promoted_scenarios", promoted.len())
+        .section("outcomes", &outcomes)
+        .section("coverage", &coverage_rows(&outcomes))
+        .section("self_tests", &self_tests)
+        .section("shrink_sizes", &shrink_sizes);
+    (report.render(), artifact)
 }
 
 /// The injected-violation self-test: under zero-headroom ceilings every
 /// perturbed run violates [`Invariant::InflationCeiling`], so the
 /// shrinker always has a real violation to minimise — without planting
 /// a bug in the control plane.
-fn run_self_tests(failures: &mut Vec<String>) -> Vec<SelfTestRow> {
+fn run_self_tests(claims: &mut Claims) -> Vec<Value> {
     let profile = InvariantProfile::adversarial();
     let mut rows = Vec::new();
     for &seed in &SELF_TEST_SEEDS {
         let case = FuzzCase::generate(seed);
         let Some(violation) = check_invariant(&case, Invariant::InflationCeiling, &profile) else {
-            failures.push(format!(
+            claims.fail(format!(
                 "self-test seed {seed}: adversarial profile failed to inject a violation"
             ));
             continue;
@@ -208,14 +162,14 @@ fn run_self_tests(failures: &mut Vec<String>) -> Vec<SelfTestRow> {
         // The shrunk case must still violate the same invariant...
         let preserved = check_invariant(&out.shrunk, violation.invariant, &profile);
         if preserved.is_none() {
-            failures.push(format!(
+            claims.fail(format!(
                 "self-test seed {seed}: shrinking lost the {} violation",
                 violation.invariant.label()
             ));
         }
         // ...be no larger than the original...
         if out.shrunk_faults > out.original_faults {
-            failures.push(format!("self-test seed {seed}: shrinking grew the plan"));
+            claims.fail(format!("self-test seed {seed}: shrinking grew the plan"));
         }
         // ...be 1-minimal (dropping any single fault loses the
         // violation)...
@@ -225,7 +179,7 @@ fn run_self_tests(failures: &mut Vec<String>) -> Vec<SelfTestRow> {
             cand.plan.faults.remove(i);
             if check_invariant(&cand, violation.invariant, &profile).is_some() {
                 one_minimal = false;
-                failures.push(format!(
+                claims.fail(format!(
                     "self-test seed {seed}: dropping fault {i} still violates — not minimal"
                 ));
             }
@@ -233,28 +187,24 @@ fn run_self_tests(failures: &mut Vec<String>) -> Vec<SelfTestRow> {
         // ...shrink deterministically...
         let again = shrink(&case, violation.invariant, &profile, SHRINK_BUDGET);
         if again.shrunk != out.shrunk {
-            failures.push(format!("self-test seed {seed}: shrinking is not deterministic"));
+            claims.fail(format!("self-test seed {seed}: shrinking is not deterministic"));
         }
         // ...and round-trip through the JSON reproducer.
         let path = format!("target/fuzz_repro/selftest_seed_{seed}.json");
-        std::fs::write(&path, out.shrunk.to_json()).expect("write reproducer");
-        let json = std::fs::read_to_string(&path).expect("read reproducer back");
-        match FuzzCase::from_json(&json) {
+        let json = write_file(&path, out.shrunk.to_json())
+            .and_then(|()| std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}")));
+        match json.and_then(|json| FuzzCase::from_json(&json).map_err(|e| e.to_string())) {
             Ok(back) if back == out.shrunk => {}
-            Ok(_) => failures
-                .push(format!("self-test seed {seed}: reproducer round-trip changed the case")),
-            Err(e) => failures.push(format!("self-test seed {seed}: reproducer unparseable: {e}")),
+            Ok(_) => claims
+                .fail(format!("self-test seed {seed}: reproducer round-trip changed the case")),
+            Err(e) => claims.fail(format!("self-test seed {seed}: reproducer unparseable: {e}")),
         }
 
-        rows.push(SelfTestRow {
-            seed,
-            invariant: violation.invariant.label().to_string(),
-            original_faults: out.original_faults,
-            shrunk_faults: out.shrunk_faults,
-            evals: out.evals,
-            passes: out.passes,
-            one_minimal,
-        });
+        rows.push(json!({
+            "seed": seed, "invariant": (violation.invariant.label()),
+            "original_faults": (out.original_faults), "shrunk_faults": (out.shrunk_faults),
+            "evals": (out.evals), "passes": (out.passes), "one_minimal": one_minimal
+        }));
     }
     rows
 }
@@ -287,8 +237,8 @@ fn coverage_rows(outcomes: &[CaseOutcome]) -> Vec<CoverageRow> {
 
 /// The promotion workflow: shrink every violating adversarial seed,
 /// replay the shrunk case, and rank promotable reproducers (those that
-/// would pass the `exp_faults` recovery gates) by observed inflation.
-fn hunt_mode() {
+/// would pass the `faults` recovery gates) by observed inflation.
+pub(super) fn hunt(_: &mut Claims) -> String {
     let profile = InvariantProfile::adversarial();
     let mut candidates = Vec::new();
     for seed in 0..64u64 {
@@ -307,12 +257,12 @@ fn hunt_mode() {
         candidates.push((report.inflation, promotable, out));
     }
     candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
-    println!("hunt: {} violating seed(s) shrunk", candidates.len());
+    let mut text = format!("hunt: {} violating seed(s) shrunk\n", candidates.len());
     for (inflation, promotable, out) in candidates.iter().take(8) {
         let c = &out.shrunk;
-        println!(
+        text += &format!(
             "\nseed {} base {} classes {:?} checkpoint {} kills {} stream {} \
-             faults {}→{} inflation {:.3}x promotable {}",
+             faults {}→{} inflation {:.3}x promotable {}\n{}\n",
             c.seed,
             c.base.label(),
             c.classes.iter().map(|x| x.label()).collect::<Vec<_>>(),
@@ -323,7 +273,8 @@ fn hunt_mode() {
             out.shrunk_faults,
             inflation,
             promotable,
+            c.to_json(),
         );
-        println!("{}", c.to_json());
     }
+    text
 }

@@ -1,9 +1,12 @@
-//! Shared fixtures for the VDCE benchmarks and `exp_*` binaries, and the
-//! ten paper experiments ([`paper`]) the `exp_paper` binary runs.
+//! The VDCE experiments and their shared fixtures: one registry
+//! ([`exp`]) of the ten paper experiments ([`paper`]) and the ones behind
+//! the committed `BENCH_*.json` files, run by the `exp` binary.
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
 
+pub mod exp;
+mod gates;
 pub mod paper;
 
 use vdce_sched::view::SiteView;
@@ -52,9 +55,9 @@ pub fn split_views(views: &[SiteView]) -> (&SiteView, &[SiteView]) {
 pub const GRANULARITIES: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
 
 /// Quantise problem sizes to the granularity palette and flip every
-/// third task to an 8-node parallel implementation. Shared by
-/// `exp_faults` and the `palette_identity` test so both run the same
-/// workload shape.
+/// third task to an 8-node parallel implementation. Shared by the
+/// `faults` and `scale` experiments and the `palette_identity` test so
+/// they run the same workload shape.
 pub fn shape_palette_workload(afg: &mut vdce_afg::Afg) {
     for (i, t) in afg.tasks.iter_mut().enumerate() {
         t.problem_size = GRANULARITIES[t.problem_size as usize % GRANULARITIES.len()];

@@ -1,5 +1,5 @@
-//! The ten paper experiments, one function each, run by the `exp_paper`
-//! binary.
+//! The ten paper experiments, one function each: the first entries of
+//! the [experiment registry](crate::exp).
 //!
 //! | name   | paper artefact | what it prints |
 //! |--------|----------------|----------------|
@@ -19,7 +19,10 @@
 //! experiment prints the same bytes on every run, so its block is golden
 //! text. The others measure real work; what EXPERIMENTS.md claims about
 //! their shape is checked on every run as [`Outcome::broken_claims`].
+//!
+//! [`Outcome::broken_claims`]: crate::exp::Outcome::broken_claims
 
+use crate::exp::{Claims, Experiment, Output};
 use vdce_afg::Afg;
 use vdce_net::model::NetworkModel;
 use vdce_sched::view::SiteView;
@@ -36,66 +39,19 @@ mod fig2;
 mod fig3;
 mod fig4;
 
-/// One paper experiment.
-pub struct Experiment {
-    /// Its command-line name: `fig1`…`fig4`, `e5`…`e10`.
-    pub name: &'static str,
-    /// Reads no clock and starts no thread: renders the same bytes on
-    /// every run.
-    pub deterministic: bool,
-    run: fn(&mut Claims) -> String,
-}
-
-/// Every experiment, in EXPERIMENTS.md order.
+/// The ten paper experiments, in EXPERIMENTS.md order.
 pub static EXPERIMENTS: [Experiment; 10] = [
-    Experiment { name: "fig1", deterministic: false, run: fig1::run },
-    Experiment { name: "fig2", deterministic: true, run: fig2::run },
-    Experiment { name: "fig3", deterministic: false, run: fig3::run },
-    Experiment { name: "fig4", deterministic: true, run: fig4::run },
-    Experiment { name: "e5", deterministic: true, run: e5::run },
-    Experiment { name: "e6", deterministic: false, run: e6::run },
-    Experiment { name: "e7", deterministic: false, run: e7::run },
-    Experiment { name: "e8", deterministic: false, run: e8::run },
-    Experiment { name: "e9", deterministic: true, run: e9::run },
-    Experiment { name: "e10", deterministic: false, run: e10::run },
+    Experiment { name: "fig1", deterministic: false, output: Output::Block(fig1::run) },
+    Experiment { name: "fig2", deterministic: true, output: Output::Block(fig2::run) },
+    Experiment { name: "fig3", deterministic: false, output: Output::Block(fig3::run) },
+    Experiment { name: "fig4", deterministic: true, output: Output::Block(fig4::run) },
+    Experiment { name: "e5", deterministic: true, output: Output::Block(e5::run) },
+    Experiment { name: "e6", deterministic: false, output: Output::Block(e6::run) },
+    Experiment { name: "e7", deterministic: false, output: Output::Block(e7::run) },
+    Experiment { name: "e8", deterministic: false, output: Output::Block(e8::run) },
+    Experiment { name: "e9", deterministic: true, output: Output::Block(e9::run) },
+    Experiment { name: "e10", deterministic: false, output: Output::Block(e10::run) },
 ];
-
-/// The experiment called `name`.
-pub fn find(name: &str) -> Option<&'static Experiment> {
-    EXPERIMENTS.iter().find(|e| e.name == name)
-}
-
-/// What one run of an experiment printed and which of its claims failed.
-pub struct Outcome {
-    /// The rendered report.
-    pub text: String,
-    /// One line per shape claim that did not hold on this run.
-    pub broken_claims: Vec<String>,
-}
-
-impl Experiment {
-    /// Run the experiment.
-    pub fn run(&self) -> Outcome {
-        let mut claims = Claims::default();
-        let text = (self.run)(&mut claims);
-        Outcome { text, broken_claims: claims.broken }
-    }
-}
-
-/// The shape claims an experiment checks while it runs.
-#[derive(Default)]
-struct Claims {
-    broken: Vec<String>,
-}
-
-impl Claims {
-    /// Record `claim` as broken unless it `holds`.
-    fn check(&mut self, holds: bool, claim: impl FnOnce() -> String) {
-        if !holds {
-            self.broken.push(claim());
-        }
-    }
-}
 
 /// The geomean makespan of each of `kinds` over `dags`, scheduled from
 /// `local` with `remotes` as the other sites.
@@ -114,10 +70,10 @@ fn geomean_makespans(
     spans.iter().map(|s| geomean(s).unwrap()).collect()
 }
 
-const BLOCK_END: &str = "<!-- /exp_paper -->";
+const BLOCK_END: &str = "<!-- /exp -->";
 
 fn block_start(name: &str) -> String {
-    format!("<!-- exp_paper {name} -->\n")
+    format!("<!-- exp {name} -->\n")
 }
 
 /// `text` as EXPERIMENTS.md holds it between an experiment's markers.
@@ -162,17 +118,16 @@ pub fn first_difference(want: &str, got: &str) -> Option<String> {
 mod tests {
     use super::*;
 
-    const DOC: &str =
-        "# doc\n<!-- exp_paper e9 -->\n```text\nold\n```\n<!-- /exp_paper -->\nafter\n";
+    const DOC: &str = "# doc\n<!-- exp e9 -->\n```text\nold\n```\n<!-- /exp -->\nafter\n";
 
     #[test]
     fn splice_replaces_one_block_and_block_reads_it_back() {
         assert_eq!(block(DOC, "e9"), Some("old\n"));
         let new = splice(DOC, "e9", "new\ntable\n").unwrap();
         assert_eq!(block(&new, "e9"), Some("new\ntable\n"));
-        assert!(new.starts_with("# doc\n") && new.ends_with("<!-- /exp_paper -->\nafter\n"));
+        assert!(new.starts_with("# doc\n") && new.ends_with("<!-- /exp -->\nafter\n"));
         assert_eq!(block(DOC, "e5"), None);
-        assert!(splice(DOC, "e5", "x\n").unwrap_err().contains("exp_paper e5"));
+        assert!(splice(DOC, "e5", "x\n").unwrap_err().contains("exp e5"));
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl std::error::Error for DataError {}
 ///
 /// Capacity rejections are additionally counted in
 /// [`DatasetCatalog::violations`], the operational counter the
-/// `exp_data` run report asserts to be zero.
+/// `data` experiment asserts to be zero.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetCatalog {
     state: CatalogState,

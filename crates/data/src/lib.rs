@@ -16,7 +16,7 @@
 //!   dataset its size, live replica sites (ascending) and home site.
 //!   [`DataView::primary_only`] degrades every dataset to its home
 //!   replica, which is exactly the paper's parent-site-only model and
-//!   serves as the ablation baseline in `exp_data`.
+//!   serves as the ablation baseline in the `data` experiment.
 //!
 //! Checkpoints are wired in as just another replicated dataset (replica
 //! fan-out > 1) by `vdce_runtime::checkpoint`.

@@ -86,8 +86,8 @@ impl RunArtifact {
         Value::Object(obj)
     }
 
-    /// Pretty-printed JSON (what lands on disk).
-    pub(crate) fn to_json_pretty(&self) -> String {
+    /// Pretty-printed JSON (what lands on disk, less the final newline).
+    pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(&self.to_value()).expect("artifact serialises")
     }
 

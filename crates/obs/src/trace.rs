@@ -4,7 +4,7 @@
 //! spans — stamped with **logical sim time** supplied by the caller.
 //! Wall-clock time never enters a record, so replaying the same
 //! `(federation, afg, plan, cfg)` tuple produces byte-identical JSONL:
-//! that property is CI-gated (`exp_trace`) and property-tested across
+//! that property is CI-gated (`exp trace`) and property-tested across
 //! every named `FaultScenario`.
 //!
 //! The JSONL schema, version 2 (one object per line; v2 added the

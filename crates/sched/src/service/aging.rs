@@ -21,7 +21,7 @@
 //! rejecting submissions whose estimated makespan exceeds its cap. The
 //! resulting end-to-end bound is [`AgingPolicy::starvation_bound_s`]:
 //! ramp time to the ceiling plus a configured drain grace. The
-//! `prop_stream` property tests and the `exp_stream --quick` CI gate
+//! `prop_stream` property tests and the `stream` experiment's gate
 //! hold every tenant's observed maximum wait under this bound.
 
 use serde::{Deserialize, Serialize};

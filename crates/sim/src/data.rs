@@ -14,7 +14,7 @@
 //!   placement reads the co-located replica at a fast site;
 //!   parent-site-only placement (the [`DataView::primary_only`](vdce_data::DataView::primary_only)
 //!   ablation) must either compute at the slow archive or pull the
-//!   dataset over the WAN — which is exactly the margin `exp_data`
+//!   dataset over the WAN — which is exactly the margin the `data` experiment
 //!   gates on.
 //!
 //! Both generators are deterministic in their seed: same seed, same

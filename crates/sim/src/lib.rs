@@ -25,7 +25,7 @@
 //!   state machine, one method per tick step, behind [`replay()`] /
 //!   `replay_observed` / [`replay_durable`], and [`run_fault_scenario`]
 //!   folding a faulty replay and its fault-free twin into the
-//!   [`RecoveryReport`] the `exp_faults` binary emits;
+//!   [`RecoveryReport`] the `faults` experiment records;
 //! - [`arrivals`] — seeded Poisson submission traces for the streaming
 //!   scheduler service;
 //! - [`stream`] — the streaming-service harness: trace + federation +
@@ -40,7 +40,7 @@
 //!   violating seeds into committable reproducers;
 //! - [`data`] — data-aware workloads over replicated datasets
 //!   (DESIGN.md §18): the parameter-sweep and data-intensive pipeline
-//!   scenarios the `exp_data` gates run against.
+//!   scenarios the `data` experiment runs against.
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]

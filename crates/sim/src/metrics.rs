@@ -74,7 +74,7 @@ pub struct FaultOutcome {
 /// What a fault-injected replay cost, versus the fault-free run of the
 /// same scenario. Every field derives deterministically from the
 /// `(scenario, plan, config)` triple — replaying twice must produce a
-/// bit-identical report (the `exp_faults` binary asserts this).
+/// bit-identical report (the `faults` experiment checks this).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// Scenario name.

@@ -23,7 +23,7 @@
 //!    with the seal and hashes it, so nothing is kept.
 //!
 //! Any deviation is a typed failure string naming the kill point; the
-//! `exp_recovery` gate runs this at several seed-derived kill points
+//! `recovery` experiment runs this at several seed-derived kill points
 //! per named fault scenario.
 
 use std::io;

@@ -33,7 +33,7 @@
 //! state lives in `BTree*` collections, each site's control messages are
 //! applied in the order its Group Manager returned them, and the only
 //! randomness is the plan seed — replaying twice
-//! yields identical [`ReplayOutcome`]s (asserted by `exp_faults`).
+//! yields identical [`ReplayOutcome`]s (checked by the `faults` experiment).
 //!
 //! This module holds what callers see — [`ReplayConfig`],
 //! [`ReplayOutcome`] and the entry points, every one of which is
@@ -248,7 +248,7 @@ pub fn replay_durable(
 }
 
 /// Replay `plan` and its fault-free twin, folding both into a
-/// [`RecoveryReport`] (the unit `exp_faults` emits per scenario).
+/// [`RecoveryReport`] (the unit the `faults` experiment records per scenario).
 ///
 /// Only the *faulty* replay is observed and, with `durable`, journaled —
 /// the fault-free twin would interleave a second run's events into the

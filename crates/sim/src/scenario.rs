@@ -1,7 +1,7 @@
 //! Named experiment scenarios: fixed (federation, workload) pairs shared
 //! by tests, examples and benches so results are comparable across runs
 //! and documentation can reference them by name — plus the named
-//! [`FaultScenario`]s `exp_faults` replays (a scenario, a [`FaultPlan`]
+//! [`FaultScenario`]s the `faults` experiment replays (a scenario, a [`FaultPlan`]
 //! whose injection times are fractions of the estimated fault-free
 //! makespan, and a clock-scaled [`ReplayConfig`]).
 
@@ -494,7 +494,7 @@ pub(crate) fn partition_heal() -> FaultScenario {
 // ---------------------------------------------------------------------
 //
 // Minimal reproducers the seeded fuzzer (`vdce_sim::fuzz`, DESIGN.md
-// §17) shrank out of its worst adversarial seeds (`exp_fuzz --hunt`,
+// §17) shrank out of its worst adversarial seeds (`exp hunt`,
 // zero-headroom inflation profile). The shrunk plans are frozen
 // verbatim — absolute times, full f64 precision — so the exact
 // composition the fuzzer found stays gated forever alongside the
@@ -578,7 +578,7 @@ pub fn fuzz_regression_scenarios() -> Vec<FaultScenario> {
     vec![fuzz_outage_hotspot(), fuzz_spike_pileup(), fuzz_site_blink()]
 }
 
-/// All named fault scenarios (the full `exp_faults` run).
+/// All named fault scenarios (the `faults` experiment's run).
 pub fn all_fault_scenarios() -> Vec<FaultScenario> {
     vec![
         crash_mid_run(),
@@ -590,30 +590,6 @@ pub fn all_fault_scenarios() -> Vec<FaultScenario> {
         degraded_wan(),
         flaky_wan(),
         weibull_churn(),
-        manager_failover(),
-        site_crash(),
-        site_crash_ckpt_local(),
-        site_crash_ckpt_replica(),
-        partition_heal(),
-        fuzz_outage_hotspot(),
-        fuzz_spike_pileup(),
-        fuzz_site_blink(),
-    ]
-}
-
-/// The cheap subset the CI fast mode replays. Keeps the
-/// crash/checkpointed-crash pair together so the fast gate still checks
-/// that checkpointing beats restart-from-zero, and the whole site-crash
-/// family together so it still checks that cross-site replicas beat
-/// local-only checkpoints. The fuzzer-promoted regressions ride along
-/// — they are single-fault minimal reproducers, so they cost next to
-/// nothing.
-pub fn quick_fault_scenarios() -> Vec<FaultScenario> {
-    vec![
-        crash_mid_run(),
-        crash_mid_run_checkpointed(),
-        transient_outage(),
-        load_spike_eviction(),
         manager_failover(),
         site_crash(),
         site_crash_ckpt_local(),
@@ -711,8 +687,8 @@ mod tests {
     }
 
     #[test]
-    fn quick_fault_scenarios_recover() {
-        for fs in quick_fault_scenarios() {
+    fn all_fault_scenarios_recover() {
+        for fs in all_fault_scenarios() {
             let report = fs.run(&Observer::disabled(), None);
             assert_eq!(report.tasks_failed, 0, "{}: tasks failed", fs.name);
             assert!(report.recovered_all(), "{}: not recovered: {:?}", fs.name, report.faults);

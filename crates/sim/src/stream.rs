@@ -1,7 +1,7 @@
 //! Streaming-service experiment harness: Poisson trace in, replayable
 //! [`StreamReport`] out.
 //!
-//! Ties the pieces together the way `exp_stream` and the property
+//! Ties the pieces together the way the `stream` experiment and the property
 //! tests need them:
 //!
 //! 1. build a seeded [`Federation`](crate::pool_gen::Federation);

@@ -56,8 +56,8 @@ struct Golden {
     report_fnv: u64,
     /// FNV-1a of the durable image's WAL bytes at shutdown.
     image_fnv: u64,
-    /// FNV-1a of `format!("{:?}", verify_recovery(..))` at `exp_recovery
-    /// --quick`'s kill points.
+    /// FNV-1a of `format!("{:?}", verify_recovery(..))` at four kill
+    /// points.
     kills_fnv: u64,
 }
 
@@ -317,8 +317,8 @@ fn assert_golden(fs: &FaultScenario, want: &Golden, index: usize) {
         serde_json::to_string(&fs.run(&Observer::disabled(), None)).expect("reports serialise");
     assert_eq!(fnv1a(report.as_bytes()), want.report_fnv, "{name}: recovery report");
 
-    // The durable image a restart reads, and every kill report at the
-    // kill points `exp_recovery --quick` draws for this scenario.
+    // The durable image a restart reads, and every kill report at four
+    // kill points drawn for this scenario.
     let kills = verify_recovery(journal, 4, 0x5EED_0000 + index as u64);
     assert_eq!(fnv1a(&journal.image().wal), want.image_fnv, "{name}: durable image WAL");
     assert_eq!(fnv1a(format!("{kills:?}").as_bytes()), want.kills_fnv, "{name}: kill reports");

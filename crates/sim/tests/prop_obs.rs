@@ -2,7 +2,7 @@
 //! traced replays of the *same* inputs must produce bit-identical
 //! trace JSONL and bit-identical deterministic metric snapshots.
 //!
-//! This is the library-level form of the `exp_trace` CI gate: it runs
+//! This is the library-level form of the `trace` experiment's gate: it runs
 //! [`replay_observed`] directly (no fault-free baseline twin), with
 //! tracing enabled, across the whole named-scenario catalogue — so the
 //! contract "spans and events are keyed by logical sim time only, and
