@@ -8,16 +8,19 @@
 #   5. every package under shims/ is still a dependency of something
 #   6. cargo test --workspace --no-fail-fast (every crate's unit,
 #      integration and prop_* suites plus the shims)
-#   7. the thread-based tests, four copies at a time: vdce-dsm's 50
+#   7. the scheduler oracle's property tests (vdce-sched's prop_sched
+#      and prop_incremental) on 1,024 cases each from a fixed
+#      PROPTEST_SEED, in release
+#   8. the thread-based tests, four copies at a time: vdce-dsm's 50
 #      times, tests/concurrency.rs once, vdce-repository's, the Data
 #      Manager's and the message bus's 50 times
-#   8. every experiment (exp --check): the deterministic paper tables
+#   9. every experiment (exp --check): the deterministic paper tables
 #      (E2, E4, E5, E9) byte-equal to their EXPERIMENTS.md blocks, every
 #      committed BENCH_*.json schema-valid and equal to a fresh run
 #      outside its `wall_clock` section, none missing or stray, and the
 #      claims of every experiment, the correctness gates included
-#   9. the vdce_perf smoke (perf/run.sh --quick)
-#   10-15. the frozen benchmark's full-size checks the smoke scales away
+#   10. the vdce_perf smoke (perf/run.sh --quick)
+#   11-16. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
@@ -113,6 +116,17 @@ shims_in_use() {
 stage "shims in use" shims_in_use
 # --no-fail-fast: one failing suite must not hide the suites after it.
 stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
+# Scheduler oracle sweep: the suite above draws 64 cases per property
+# from each test's name-derived stream; this draws 1,024 more from
+# another stream (the shim XORs PROPTEST_SEED into it), in release. All
+# but the allocation-table model test draw their cases from the oracle's
+# generator (`crates/sched/tests/common/`). A failure prints the
+# PROPTEST_CASES that replays it under this seed.
+oracle_sweep() {
+    PROPTEST_CASES=1024 PROPTEST_SEED=35 cargo test -q --release --offline \
+        -p vdce-sched --test prop_sched --test prop_incremental
+}
+stage "scheduler oracle (1,024 cases)" oracle_sweep
 # Race stress: the DSM coherence protocol's miss paths once released the
 # directory before installing the page, and lost an invalidation only
 # when a loaded machine preempted a thread inside that window — one run

@@ -56,8 +56,7 @@ pub const GRANULARITIES: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
 
 /// Quantise problem sizes to the granularity palette and flip every
 /// third task to an 8-node parallel implementation. Shared by the
-/// `faults` and `scale` experiments and the `palette_identity` test so
-/// they run the same workload shape.
+/// `faults` and `scale` experiments so they run the same workload shape.
 pub fn shape_palette_workload(afg: &mut vdce_afg::Afg) {
     for (i, t) in afg.tasks.iter_mut().enumerate() {
         t.problem_size = GRANULARITIES[t.problem_size as usize % GRANULARITIES.len()];

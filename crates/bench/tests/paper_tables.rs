@@ -1,7 +1,7 @@
 //! The deterministic paper tables are golden text: each one must equal
 //! its generated block in EXPERIMENTS.md byte for byte. A change that
 //! moves one of their numbers on purpose re-records the block with
-//! `exp_paper --markdown <name>` in the same commit.
+//! `exp --write <name>` in the same commit.
 
 use vdce_bench::paper::{block, first_difference, EXPERIMENTS};
 

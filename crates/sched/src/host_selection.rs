@@ -214,7 +214,8 @@ pub(crate) fn eligible(view: &SiteView, afg: &Afg, task: TaskId, host: &Resource
 /// This is the *reference* implementation: one task after another, every
 /// prediction evaluated directly. [`host_selection_classed`] is the
 /// optimised path; the two produce bit-identical outputs (enforced by the
-/// unit test below and the `prop_sched` property tests).
+/// unit tests below and by `tests/prop_sched.rs`, which runs the
+/// scheduler oracle).
 pub fn host_selection(
     view: &SiteView,
     afg: &Afg,

@@ -4,7 +4,8 @@
 //! one site's host-selection output; the seed response was to re-run the
 //! whole Figure 2 walk over all 100k tasks. This module re-places only
 //! the *affected set* and is property-tested bit-identical to that full
-//! re-walk (`tests/prop_incremental.rs`).
+//! re-walk (`tests/prop_incremental.rs`; construction from empty is the
+//! scheduler oracle's, `tests/common`).
 //!
 //! ## Why re-placement order does not matter
 //!
@@ -33,9 +34,9 @@
 //! O(n).
 
 use crate::allocation::{AllocationTable, TaskPlacement};
-use crate::data_inputs::{DatasetInputs, DsInput};
+use crate::data_inputs::DatasetInputs;
 use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
-use crate::site_scheduler::{choose_site_for_task, dataset_sources_for_site, SchedError};
+use crate::site_scheduler::{choose_site_for_task, SchedError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vdce_afg::{Afg, EdgeIndex, TaskId};
@@ -75,10 +76,6 @@ pub struct IncrementalSchedule {
     topo_pos: Vec<u32>,
     site_of: Vec<SiteId>,
     outputs: Vec<HostSelectionOutput>,
-    // Frozen at construction: the dataset replica term is a pure
-    // function of (task, candidate site, this snapshot), so it cannot
-    // break the order-independence invariant above.
-    dsi: DatasetInputs<'static>,
     table: AllocationTable,
 }
 
@@ -123,7 +120,9 @@ impl IncrementalSchedule {
         net: &NetworkModel,
         ignore_transfer_time: bool,
     ) -> Result<Self, SchedError> {
-        let dsi = DatasetInputs::resolve(afg, None)?;
+        // No catalog view: a dataset read is refused, as the walk refuses
+        // it with `data: None`, so no placement has a dataset term.
+        DatasetInputs::resolve(afg, None)?;
         let idx = afg.edge_index();
         let order = afg.topo_order_with(&idx).ok_or(SchedError::Cyclic)?;
         let n = afg.task_count();
@@ -146,13 +145,11 @@ impl IncrementalSchedule {
                     parents.push((site_of[e.from.index()], e.data_size));
                 }
             }
-            let ds = dsi.for_task(task);
-            let ds_cost: &[DsInput<'_>] = if ignore_transfer_time { &[] } else { ds };
             let best = choose_site_for_task(
                 task,
                 &outputs,
                 &parents,
-                ds_cost,
+                &[],
                 local_site,
                 &mut |a, b, bytes| xfer.transfer_time(a, b, bytes),
                 None,
@@ -161,16 +158,13 @@ impl IncrementalSchedule {
             let (site, choice, _) = best
                 .ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
             site_of[task.index()] = site;
-            let data_sources = dataset_sources_for_site(ds, site, &mut |a, b, bytes| {
-                xfer.transfer_time(a, b, bytes)
-            });
             table.insert(TaskPlacement {
                 task,
                 task_name: node.name.clone(),
                 site,
                 hosts: choice.hosts.clone(),
                 predicted_seconds: choice.predicted_seconds,
-                data_sources,
+                data_sources: Vec::new(),
             });
         }
 
@@ -182,7 +176,6 @@ impl IncrementalSchedule {
             topo_pos,
             site_of,
             outputs,
-            dsi,
             table,
         })
     }
@@ -250,13 +243,11 @@ impl IncrementalSchedule {
                 }
             }
             let xfer = &self.xfer;
-            let ds = self.dsi.for_task(task);
-            let ds_cost: &[DsInput<'_>] = if self.ignore_transfer_time { &[] } else { ds };
             let best = choose_site_for_task(
                 task,
                 &new_outputs,
                 &parents,
-                ds_cost,
+                &[],
                 self.local_site,
                 &mut |a, b, bytes| xfer.transfer_time(a, b, bytes),
                 None,
@@ -277,9 +268,6 @@ impl IncrementalSchedule {
                 row.site = site;
                 row.hosts = choice.hosts.clone();
                 row.predicted_seconds = choice.predicted_seconds;
-                row.data_sources = dataset_sources_for_site(ds, site, &mut |a, b, bytes| {
-                    xfer.transfer_time(a, b, bytes)
-                });
             }
             // A child's decision reads only this task's *site*; its own
             // choices were diffed in the seeding pass.

@@ -58,9 +58,7 @@ pub use host_selection::{
     host_selection, host_selection_classed, ChoiceTable, HostSelectionOutput, TaskHostChoice,
 };
 pub use incremental::{IncrementalSchedule, ReschedulingDelta};
-pub use makespan::{
-    evaluate, evaluate_reference, evaluate_with_data, EvalError, Schedule, TimedTask,
-};
+pub use makespan::{evaluate, evaluate_with_data, EvalError, Schedule, TimedTask};
 pub use reselect::reselect_task;
 pub use service::{
     AgingPolicy, BrokerDecision, BrokerPolicy, Quota, RejectReason, ServiceConfig, StreamReport,

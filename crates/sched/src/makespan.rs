@@ -17,7 +17,7 @@
 //! - **duration**: the placement's predicted execution time.
 
 use crate::allocation::{AllocationTable, TaskPlacement};
-use crate::arena::{HostArena, ReadyKey};
+use crate::arena::ReadyKey;
 use crate::data_inputs::DatasetInputs;
 use crate::site_scheduler::SchedError;
 use std::collections::{BinaryHeap, HashMap};
@@ -306,130 +306,6 @@ fn resolve_hosts(placed: &[&TaskPlacement]) -> ResolvedHosts {
         ranges.push(range);
     }
     ResolvedHosts { ranges, ids, count: by_name.len() }
-}
-
-/// The body of [`evaluate_with_data`] as it was before the resolved-pass
-/// rewrite, kept verbatim (but for the `hosts` field's type) as the
-/// differential oracle of `tests/prop_sched.rs`: three table lookups
-/// per task, a separate `is_dag` pass, every host name interned by value.
-/// Test support only — nothing in the workspace calls it.
-#[doc(hidden)]
-pub fn evaluate_reference(
-    afg: &Afg,
-    table: &AllocationTable,
-    net: &NetworkModel,
-    levels: &[f64],
-    data: Option<&DataView>,
-) -> Result<Schedule, EvalError> {
-    let dsi = DatasetInputs::resolve(afg, data).map_err(|e| match e {
-        SchedError::UnknownDataset { task, dataset } => EvalError::UnknownDataset(task, dataset),
-        SchedError::NoFeasibleReplica { task, dataset } => EvalError::NoLiveReplica(task, dataset),
-        _ => EvalError::Cyclic,
-    })?;
-    let n = afg.task_count();
-    for t in afg.task_ids() {
-        if table.placement(t).is_none() {
-            return Err(EvalError::MissingPlacement(t));
-        }
-    }
-    if !afg.is_dag() {
-        return Err(EvalError::Cyclic);
-    }
-
-    // Resolve the table once into SoA arenas: per-task site + duration,
-    // and the assigned hosts as a CSR slice of interned ids (tasks are
-    // visited in id order, so interning order — and everything indexed
-    // by it — is deterministic).
-    let mut arena = HostArena::new();
-    let mut site_arr: Vec<SiteId> = Vec::with_capacity(n);
-    let mut secs_arr: Vec<f64> = Vec::with_capacity(n);
-    let mut host_off: Vec<u32> = Vec::with_capacity(n + 1);
-    let mut host_ids: Vec<u32> = Vec::new();
-    host_off.push(0);
-    for t in afg.task_ids() {
-        let p = table.placement(t).expect("checked above");
-        site_arr.push(p.site);
-        secs_arr.push(p.predicted_seconds);
-        for h in p.hosts.iter() {
-            host_ids.push(arena.intern(h));
-        }
-        host_off.push(host_ids.len() as u32);
-    }
-    let hosts_of =
-        |t: TaskId| &host_ids[host_off[t.index()] as usize..host_off[t.index() + 1] as usize];
-
-    let mut finish = vec![0.0f64; n];
-    let mut timed: Vec<Option<TimedTask>> = vec![None; n];
-    let mut host_free = vec![0.0f64; arena.len()];
-
-    let edge_idx = afg.edge_index();
-    let mut remaining = afg.in_degrees();
-    let mut ready: BinaryHeap<ReadyKey> = afg
-        .entry_nodes()
-        .into_iter()
-        .map(|t| ReadyKey { level: levels[t.index()], task: t })
-        .collect();
-
-    while let Some(ReadyKey { task, .. }) = ready.pop() {
-        debug_assert!(timed[task.index()].is_none(), "task {task} simulated twice");
-        let my_hosts = hosts_of(task);
-        let my_site = site_arr[task.index()];
-        let p = table.placement(task).expect("checked above");
-
-        // Data-ready time: all inputs arrived.
-        let mut data_ready = 0.0f64;
-        for e in edge_idx.in_edges(afg, task) {
-            let same_host = hosts_of(e.from).iter().any(|h| my_hosts.contains(h));
-            let xfer = if same_host {
-                0.0
-            } else {
-                net.transfer_time(site_arr[e.from.index()], my_site, e.data_size)
-            };
-            data_ready = data_ready.max(finish[e.from.index()] + xfer);
-        }
-        // Dataset inputs: the replica exists at t = 0, so arrival is the
-        // bare transfer from the serving site (recorded source first).
-        for d in dsi.for_task(task) {
-            let src =
-                p.data_sources.iter().find(|s| s.dataset == d.id).map(|s| s.source).unwrap_or_else(
-                    || {
-                        vdce_predict::cheapest_source_seconds(net, my_site, d.sites, d.size)
-                            .expect("resolve guarantees a live replica")
-                            .0
-                    },
-                );
-            data_ready = data_ready.max(net.transfer_time(src, my_site, d.size));
-        }
-
-        // Host availability: every assigned host must be free.
-        let hosts_ready = my_hosts.iter().map(|&h| host_free[h as usize]).fold(0.0f64, f64::max);
-
-        let start = data_ready.max(hosts_ready);
-        let end = start + secs_arr[task.index()].max(0.0);
-        finish[task.index()] = end;
-        for &h in my_hosts {
-            host_free[h as usize] = end;
-        }
-        timed[task.index()] =
-            Some(TimedTask { task, site: my_site, hosts: p.hosts.clone(), start, finish: end });
-
-        for e in edge_idx.out_edges(afg, task) {
-            debug_assert!(
-                remaining[e.to.index()] > 0,
-                "in-degree underflow: task {} readied twice",
-                e.to
-            );
-            remaining[e.to.index()] -= 1;
-            if remaining[e.to.index()] == 0 {
-                ready.push(ReadyKey { level: levels[e.to.index()], task: e.to });
-            }
-        }
-    }
-
-    let tasks: Vec<TimedTask> =
-        timed.into_iter().map(|t| t.expect("DAG walk covers all tasks")).collect();
-    let makespan = tasks.iter().map(|t| t.finish).fold(0.0, f64::max);
-    Ok(Schedule { tasks, makespan })
 }
 
 #[cfg(test)]

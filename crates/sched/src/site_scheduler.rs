@@ -64,7 +64,8 @@ pub struct SchedulerConfig {
     /// (class-batched host selection, shared predict cache, heap ready
     /// list), which is specified to produce a bit-identical
     /// [`AllocationTable`] (see DESIGN.md, "Reference vs classed
-    /// strategy", and the `prop_sched` determinism property test).
+    /// strategy", and the scheduler oracle, `check_paths` in the crate's
+    /// `tests/common`).
     pub sequential: bool,
     /// Recovery-aware placement (DESIGN.md §11): spread *critical-path*
     /// tasks (level ≥ 0.75 × max level) across distinct hosts when a
@@ -722,7 +723,7 @@ fn cheapest_ds_source(
 /// The replica each dataset input is served from once `site` has won
 /// the argmin — what gets recorded in
 /// [`data_sources`](crate::TaskPlacement::data_sources).
-pub(crate) fn dataset_sources_for_site(
+fn dataset_sources_for_site(
     datasets: &[DsInput<'_>],
     site: SiteId,
     xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
@@ -1004,42 +1005,6 @@ mod tests {
         // with it; crucially the two differ in *why* — verify the
         // faithful one would not pay the WAN both ways for a local entry.
         assert!(faithful.is_complete_for(&afg));
-    }
-
-    #[test]
-    fn reference_and_classed_strategy_agree_bit_for_bit() {
-        // Two sites, a chain at three task sizes, every knob setting: the
-        // classed strategy (class batching + caches + heap) must reproduce
-        // the reference tables exactly. The prop_sched property test covers
-        // the same contract over random inputs.
-        let local = site_view(0, &[("l0", 1.0), ("l1", 2.5)]);
-        let remote = site_view(1, &[("r0", 3.0), ("r1", 0.5)]);
-        let net = NetworkModel::with_defaults(2);
-        for tasks in [1_000u64, 100_000, 2_000_000] {
-            let afg = chain_afg(tasks);
-            for (ignore, spread) in [(false, false), (true, false), (false, true), (true, true)] {
-                let seq = SchedulerConfig {
-                    k_neighbours: 1,
-                    ignore_transfer_time: ignore,
-                    sequential: true,
-                    spread_critical: spread,
-                    ..SchedulerConfig::default()
-                };
-                let classed = SchedulerConfig { sequential: false, ..seq };
-                let a =
-                    site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &seq).unwrap();
-                let b = site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &classed)
-                    .unwrap();
-                assert_eq!(a, b, "tasks={tasks} ignore={ignore} spread={spread}");
-                for (pa, pb) in a.iter().zip(b.iter()) {
-                    assert_eq!(
-                        pa.predicted_seconds.to_bits(),
-                        pb.predicted_seconds.to_bits(),
-                        "predicted seconds must be bit-identical"
-                    );
-                }
-            }
-        }
     }
 
     /// The observed entry point is the same algorithm: bit-identical

@@ -13,13 +13,13 @@
 //! The file installs a counting allocator and holds exactly one `#[test]`,
 //! so no other test allocates beside the measured regions.
 
+mod common;
+
+use common::{layered, palette_afg};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use vdce_afg::level::level_map;
-use vdce_afg::{
-    Afg, ComputationMode, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId, TaskNode,
-    TaskProperties,
-};
+use vdce_afg::{Afg, MachineType, TaskId};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;
@@ -61,54 +61,6 @@ fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.load(Ordering::Relaxed);
     let out = f();
     (out, CALLS.load(Ordering::Relaxed) - before)
-}
-
-/// Layers of `width` tasks; every task below the first layer is fed by
-/// two pseudo-random tasks of the layer above. With `scramble` the ids
-/// within a layer are handed out in a stride order, so the ready
-/// frontier receives ids in no particular order.
-fn layered(tasks: usize, width: usize, scramble: bool) -> Afg {
-    let mut g = Afg::new("layered");
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (rng >> 33) as usize
-    };
-    for i in 0..tasks {
-        let entry = i < width;
-        g.tasks.push(TaskNode {
-            id: TaskId(i as u32),
-            name: format!("n{i}").into(),
-            library_task: if entry { "Source" } else { "Map" }.into(),
-            kernel: if entry { KernelKind::Source } else { KernelKind::Map },
-            problem_size: [64_000, 128_000, 256_000, 512_000][i % 4],
-            props: TaskProperties {
-                inputs: vec![IoSpec::Dataflow; if entry { 0 } else { 2 }],
-                outputs: vec![IoSpec::Dataflow],
-                ..TaskProperties::default()
-            },
-        });
-    }
-    // 7919 is prime and divides no layer size used here, so
-    // `k * 7919 % in_layer` is a permutation of the layer.
-    let slot = |layer: usize, k: usize| {
-        let in_layer = (tasks - layer * width).min(width);
-        layer * width + if scramble { k * 7919 % in_layer } else { k }
-    };
-    for layer in 1..tasks.div_ceil(width) {
-        for k in 0..(tasks - layer * width).min(width) {
-            for port in 0..2u16 {
-                g.edges.push(Edge {
-                    from: TaskId(slot(layer - 1, next() % width) as u32),
-                    from_port: PortIndex(0),
-                    to: TaskId(slot(layer, k) as u32),
-                    to_port: PortIndex(port),
-                    data_size: 1_000 + (next() % 1_000_000) as u64,
-                });
-            }
-        }
-    }
-    g
 }
 
 /// The order `topo_order` is specified to return, the slow way: of the
@@ -157,11 +109,7 @@ fn federation(sites: usize, hosts: usize) -> (Vec<SiteView>, NetworkModel) {
 /// for 8 nodes, scheduled on 4 × 12 hosts: the table, and the allocation
 /// calls `site_schedule` made to produce it.
 fn scheduled(tasks: usize) -> (Afg, NetworkModel, AllocationTable, u64) {
-    let mut afg = layered(tasks, tasks / 8, false);
-    for t in afg.tasks.iter_mut().step_by(3) {
-        t.props.mode = ComputationMode::Parallel;
-        t.props.num_nodes = 8;
-    }
+    let afg = palette_afg(tasks);
     let (views, net) = federation(4, 12);
     let (table, allocs) = allocs_of(|| {
         site_schedule(&afg, &views[0], &views[1..], &net, &SchedulerConfig::default())

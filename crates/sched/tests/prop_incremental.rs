@@ -2,114 +2,30 @@
 //! arbitrary monitor event, [`IncrementalSchedule::apply`] must produce
 //! a table bit-identical to a full Figure 2 re-walk over the updated
 //! host-selection outputs, while re-deciding no more than the affected
-//! set (the dirty seeds plus their descendants).
+//! set (the dirty seeds plus their descendants). Construction from empty
+//! is the oracle's (`common::check_paths`).
 //!
-//! Every site has Linux hosts and one Sun host, and a few tasks — always
-//! the first and the last — run on Sun only. An event that takes a Sun
-//! host down, or brings one up, makes those tasks feasible at its site
-//! only before, or only after: one side of the diff has an empty slot.
+//! Every site of a generated case has Linux hosts and one Sun host, and
+//! in half the cases a few tasks — always the first and the last — run on
+//! Sun only. An event that takes a Sun host down, or brings one up, makes
+//! those tasks feasible at its site only before, or only after: one side
+//! of the diff has an empty slot.
 
+mod common;
+
+use common::{sun_host, Case};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use vdce_afg::level::level_map;
-use vdce_afg::{
-    Afg, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId, TaskNode, TaskProperties,
-};
-use vdce_net::model::NetworkModel;
+use vdce_afg::{Afg, MachineType, TaskId};
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
-use vdce_repository::resources::{HostStatus, ResourceRecord};
+use vdce_repository::resources::HostStatus;
 use vdce_repository::SiteRepository;
 use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::view::SiteView;
 use vdce_sched::{host_selection_classed, HostSelectionOutput, IncrementalSchedule};
-
-/// Random layered DAG built directly (Source/Map kernels). Task 0, the
-/// last task and task `sun_extra % n` accept only [`MachineType::SunSolaris`].
-fn gen_afg(widths: &[u8], picks: &[u8], sizes: &[u32], sun_extra: u8) -> Afg {
-    let mut g = Afg::new("prop");
-    let mut prev: Vec<TaskId> = Vec::new();
-    let mut pick_iter = picks.iter().copied().cycle();
-    let mut size_iter = sizes.iter().copied().cycle();
-    for (li, &w) in widths.iter().enumerate() {
-        let w = w.max(1) as usize;
-        let mut layer = Vec::new();
-        for i in 0..w {
-            let id = TaskId(g.tasks.len() as u32);
-            let entry = li == 0;
-            let size = 1000 + size_iter.next().unwrap() as u64 % 100_000;
-            g.tasks.push(TaskNode {
-                id,
-                name: format!("n{li}_{i}").into(),
-                library_task: if entry { "Source" } else { "Map" }.into(),
-                kernel: if entry { KernelKind::Source } else { KernelKind::Map },
-                problem_size: size,
-                props: TaskProperties {
-                    inputs: vec![IoSpec::Dataflow; usize::from(!entry)],
-                    outputs: vec![IoSpec::Dataflow],
-                    ..TaskProperties::default()
-                },
-            });
-            if !entry {
-                let p = prev[pick_iter.next().unwrap() as usize % prev.len()];
-                g.edges.push(Edge {
-                    from: p,
-                    from_port: PortIndex(0),
-                    to: id,
-                    to_port: PortIndex(0),
-                    data_size: 100 + size_iter.next().unwrap() as u64 % 1_000_000,
-                });
-            }
-            layer.push(id);
-        }
-        prev = layer;
-    }
-    let n = g.tasks.len();
-    for t in [0, n - 1, sun_extra as usize % n] {
-        g.tasks[t].props.machine_type = MachineType::SunSolaris;
-    }
-    g
-}
-
-fn sun_host(site: usize) -> String {
-    format!("s{site}sun")
-}
-
-/// `hosts` Linux hosts and one Sun host per site; the Sun host of site
-/// `sun_down` (if there is such a site) starts out Down.
-fn gen_repos(
-    sites: usize,
-    hosts: usize,
-    speeds: &[u8],
-    sun_down: usize,
-) -> (Vec<SiteRepository>, NetworkModel) {
-    let mut speed_iter = speeds.iter().copied().cycle();
-    let mut repos = Vec::new();
-    for s in 0..sites {
-        let repo = SiteRepository::new();
-        repo.resources_mut(|db| {
-            let linux = (0..hosts).map(|h| (format!("s{s}h{h}"), MachineType::LinuxPc));
-            for (name, machine) in linux.chain([(sun_host(s), MachineType::SunSolaris)]) {
-                db.upsert(ResourceRecord::new(
-                    name,
-                    "10.0.0.1",
-                    machine,
-                    1.0 + f64::from(speed_iter.next().unwrap() % 8),
-                    1,
-                    1 << 30,
-                    "g0",
-                ));
-            }
-            if s == sun_down {
-                db.set_status(&sun_host(s), HostStatus::Down);
-            }
-        });
-        repos.push(repo);
-    }
-    (repos, NetworkModel::with_defaults(sites))
-}
 
 fn capture_outputs(repos: &[SiteRepository], afg: &Afg) -> Vec<HostSelectionOutput> {
     repos
@@ -126,12 +42,6 @@ fn capture_outputs(repos: &[SiteRepository], afg: &Afg) -> Vec<HostSelectionOutp
             )
         })
         .collect()
-}
-
-fn levels_for(afg: &Afg, repo: &SiteRepository) -> Vec<f64> {
-    let view = SiteView::capture(SiteId(0), repo);
-    level_map(afg, |t| view.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
-        .unwrap()
 }
 
 /// Upper bound on the affected set: tasks whose choices differ between
@@ -174,48 +84,29 @@ proptest! {
 
     #[test]
     fn incremental_apply_is_bit_identical_to_full_rewalk(
-        widths in proptest::collection::vec(1u8..5, 1..5),
-        picks in proptest::collection::vec(any::<u8>(), 1..16),
-        sizes in proptest::collection::vec(any::<u32>(), 1..16),
-        sites in 1u8..4,
-        hosts in 1u8..4,
-        speeds in proptest::collection::vec(any::<u8>(), 1..8),
-        sun_extra in any::<u8>(),
-        sun_down in 0u8..4,
+        seed in any::<u64>(),
         event in 0u8..3,
         kill_site in any::<u8>(),
         kill_host in any::<u8>(),
-        ignore_transfer in any::<bool>(),
     ) {
-        let afg = gen_afg(&widths, &picks, &sizes, sun_extra);
-        let sites = sites.clamp(1, 4) as usize;
-        let hosts = hosts.clamp(1, 4) as usize;
-        // `sun_down >= sites`: every Sun host starts Up.
-        let sun_down = sun_down as usize;
-        let (repos, net) = gen_repos(sites, hosts, &speeds, sun_down);
+        let Case { mut afg, repos, views, net, config, .. } = Case::random(seed);
+        // Built without a catalog view, the schedule refuses dataset reads.
+        for t in &mut afg.tasks {
+            t.props.inputs.retain(|i| i.dataset_id().is_none());
+        }
+        let ignore = config.ignore_transfer_time;
+        let (sites, hosts) = (repos.len(), views[0].resources.iter().count() - 1);
+        // The site whose Sun host starts out Down, if any.
+        let sun_down = (0..sites).find(|&s| !views[s].resources.get(&sun_host(s)).unwrap().is_up());
+        let sun_only = afg.tasks[0].props.machine_type == MachineType::SunSolaris;
         let outputs = capture_outputs(&repos, &afg);
-        let levels = levels_for(&afg, &repos[0]);
-
-        // Construction matches the full walk bit-for-bit.
-        let full = schedule_with_outputs_data(
-            &afg, &levels, SiteId(0), &outputs, &net, ignore_transfer, false, None, None,
-        );
-        let inc = IncrementalSchedule::new(
-            &afg, SiteId(0), outputs.clone(), &net, ignore_transfer,
-        );
-        let (full, mut inc) = match (full, inc) {
-            (Ok(full), Ok(inc)) => (full, inc),
-            // The only Sun host is Down: unschedulable on both paths.
-            (full, inc) => {
-                prop_assert!(
-                    full.is_err() && inc.is_err(),
-                    "construction disagrees: full={full:?} incremental={inc:?}"
-                );
-                prop_assert!(sites == 1 && sun_down == 0);
-                return Ok(());
-            }
+        let levels = views[0].levels(&afg).unwrap();
+        let Ok(mut inc) = IncrementalSchedule::new(&afg, SiteId(0), outputs.clone(), &net, ignore)
+        else {
+            // The only Sun host is Down.
+            prop_assert!(sun_only && sites == 1 && sun_down == Some(0));
+            return Ok(());
         };
-        prop_assert_eq!(inc.table(), &full);
 
         // Applying unchanged outputs replaces nothing.
         let delta = inc.apply(&afg, outputs.clone()).unwrap();
@@ -228,21 +119,21 @@ proptest! {
         // Down comes up — they gain one.
         let ks = kill_site as usize % sites;
         let kh = kill_host as usize % hosts;
-        let (site, host, status) = match event {
-            1 => (ks, sun_host(ks), HostStatus::Down),
-            2 if sun_down < sites => (sun_down, sun_host(sun_down), HostStatus::Up),
+        let (site, host, status) = match (event, sun_down) {
+            (1, _) => (ks, sun_host(ks), HostStatus::Down),
+            (2, Some(down)) => (down, sun_host(down), HostStatus::Up),
             _ => (ks, format!("s{ks}h{kh}"), HostStatus::Down),
         };
         repos[site].resources_mut(|db| db.set_status(&host, status));
         let new_outputs = capture_outputs(&repos, &afg);
         let last = TaskId(afg.task_count() as u32 - 1);
-        if host == sun_host(site) && site != sun_down {
+        if sun_only && host == sun_host(site) && Some(site) != sun_down {
             // One-sided at both ends of the table.
             for t in [TaskId(0), last] {
                 prop_assert!(outputs[site].choice(t).is_some());
                 prop_assert!(new_outputs[site].choice(t).is_none());
             }
-        } else if status == HostStatus::Up {
+        } else if sun_only && status == HostStatus::Up {
             for t in [TaskId(0), last] {
                 prop_assert!(outputs[site].choice(t).is_none());
                 prop_assert!(new_outputs[site].choice(t).is_some());
@@ -250,7 +141,7 @@ proptest! {
         }
 
         let rewalk = schedule_with_outputs_data(
-            &afg, &levels, SiteId(0), &new_outputs, &net, ignore_transfer, false, None, None,
+            &afg, &levels, SiteId(0), &new_outputs, &net, ignore, false, None, None,
         );
         let applied = inc.apply(&afg, new_outputs.clone());
         match (rewalk, applied) {
