@@ -8,8 +8,8 @@
 #   5. every package under shims/ is still a dependency of something
 #   6. cargo test --workspace --no-fail-fast (every crate's unit,
 #      integration and prop_* suites plus the shims)
-#   7. the scheduler oracle's property tests (vdce-sched's prop_sched
-#      and prop_incremental) on 1,024 cases each from a fixed
+#   7. the scheduler oracle's property tests (vdce-sched's prop_sched,
+#      prop_data and prop_incremental) on 1,024 cases each from a fixed
 #      PROPTEST_SEED, in release
 #   8. the thread-based tests, four copies at a time: vdce-dsm's 50
 #      times, tests/concurrency.rs once, vdce-repository's, the Data
@@ -124,7 +124,7 @@ stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
 # PROPTEST_CASES that replays it under this seed.
 oracle_sweep() {
     PROPTEST_CASES=1024 PROPTEST_SEED=35 cargo test -q --release --offline \
-        -p vdce-sched --test prop_sched --test prop_incremental
+        -p vdce-sched --test prop_sched --test prop_data --test prop_incremental
 }
 stage "scheduler oracle (1,024 cases)" oracle_sweep
 # Race stress: the DSM coherence protocol's miss paths once released the

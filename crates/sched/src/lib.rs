@@ -52,6 +52,16 @@ pub mod service;
 pub mod site_scheduler;
 pub mod view;
 
+// The scheduler oracle of the integration tests (`tests/common`), so a
+// unit test can hold a named edge case to it. It names this crate
+// `vdce_sched`, as a test binary does.
+#[cfg(test)]
+extern crate self as vdce_sched;
+#[cfg(test)]
+#[allow(unreachable_pub)]
+#[path = "../tests/common/mod.rs"]
+mod oracle;
+
 pub use allocation::{AllocationTable, DataSource, TaskPlacement};
 pub use federation::{federated_schedule, RemoteScheduler, SchedMessage};
 pub use host_selection::{

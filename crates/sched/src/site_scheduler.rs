@@ -746,12 +746,17 @@ fn site_rank(site: SiteId, local: SiteId) -> (u8, u16) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{check_paths, Case};
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_net::model::LinkParams;
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
 
     fn site_view(site: u16, hosts: &[(&str, f64)]) -> SiteView {
+        SiteView::capture(SiteId(site), &site_repo(hosts))
+    }
+
+    fn site_repo(hosts: &[(&str, f64)]) -> SiteRepository {
         let repo = SiteRepository::new();
         repo.resources_mut(|db| {
             for (name, speed) in hosts {
@@ -766,7 +771,7 @@ mod tests {
                 ));
             }
         });
-        SiteView::capture(SiteId(site), &repo)
+        repo
     }
 
     /// source -> sort -> sink chain with large dataflow.
@@ -1005,6 +1010,33 @@ mod tests {
         // with it; crucially the two differ in *why* — verify the
         // faithful one would not pay the WAN both ways for a local entry.
         assert!(faithful.is_complete_for(&afg));
+    }
+
+    #[test]
+    fn reference_and_classed_strategy_agree_bit_for_bit() {
+        // Two sites, a chain at three task sizes, every knob setting: the
+        // classed strategy (class batching + caches + heap) must reproduce
+        // the reference tables exactly, as the oracle checks it on every
+        // path. The property tests hold random cases to the same oracle.
+        for tasks in [1_000u64, 100_000, 2_000_000] {
+            for (ignore, spread) in [(false, false), (true, false), (false, true), (true, true)] {
+                let config = SchedulerConfig {
+                    k_neighbours: 1,
+                    ignore_transfer_time: ignore,
+                    spread_critical: spread,
+                    ..SchedulerConfig::default()
+                };
+                let repos = vec![
+                    site_repo(&[("l0", 1.0), ("l1", 2.5)]),
+                    site_repo(&[("r0", 3.0), ("r1", 0.5)]),
+                ];
+                let name = format!("tasks={tasks} ignore={ignore} spread={spread}");
+                let net = NetworkModel::with_defaults(2);
+                let case =
+                    Case::new(name, chain_afg(tasks), repos, net, DataView::default(), config);
+                check_paths(&case);
+            }
+        }
     }
 
     /// The observed entry point is the same algorithm: bit-identical

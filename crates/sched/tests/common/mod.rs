@@ -7,8 +7,11 @@
 //! asserts all of that on one [`Case`], together with Figure 3's classed
 //! selection against its reference, `evaluate` against
 //! [`evaluate_reference`], and the validity of every table and schedule.
+//! Its parts, [`check_walks`], [`check_primary_only`] and
+//! [`check_evaluation`], each back a property test of their own.
 //! [`Case::random`] draws the cases the property tests feed it;
-//! [`Case::palette`] builds the fixed large ones.
+//! [`Case::palette`] builds the fixed large ones. The crate's unit tests
+//! include this module too, to hold named edge cases to the oracle.
 
 // Each test binary that includes this module uses a different part of it.
 #![allow(dead_code)]
@@ -53,7 +56,8 @@ pub struct Case {
 }
 
 impl Case {
-    fn new(
+    /// The case of these inputs; `repos` are captured into `views`.
+    pub fn new(
         name: String,
         afg: Afg,
         repos: Vec<SiteRepository>,
@@ -297,6 +301,19 @@ fn homed_at(data: &DataView, datasets: &[DatasetId], site: SiteId, only_there: b
 /// Every path of Figure 2 and Figure 3 against its reference on `case`.
 /// Each prediction, start and finish is compared with `to_bits`.
 pub fn check_paths(case: &Case) {
+    let table = check_walks(case);
+    check_primary_only(case);
+    if let Ok(table) = &table {
+        check_table_valid(case, table);
+        check_evaluation(case, table);
+    }
+}
+
+/// Figure 3's classed selection against its reference at every site, and
+/// Figure 2's classed walk, observed pipeline, walk over collected
+/// outputs and incremental construction against the reference walk.
+/// Returns the classed walk's answer.
+pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
     let Case { name, afg, views, net, data, config, .. } = case;
     let (local, remotes) = (&views[0], &views[1..]);
     let (predictor, parallel) = (&config.predictor, &config.parallel);
@@ -368,21 +385,33 @@ pub fn check_paths(case: &Case) {
         }
     }
 
-    // Data-aware with one replica per dataset, at the parent site, is the
-    // parent-site-only ablation of any view homed there.
-    if case.reads_datasets() {
-        let ids: Vec<DatasetId> =
-            afg.tasks.iter().flat_map(|t| &t.props.inputs).filter_map(IoSpec::dataset_id).collect();
-        let single = homed_at(data, &ids, local.site, true);
-        let primary = homed_at(data, &ids, local.site, false).primary_only();
-        let a = site_schedule_with_data(afg, local, remotes, net, &classed, Some(&single));
-        let b = site_schedule_with_data(afg, local, remotes, net, &classed, Some(&primary));
-        same_tables(&b, &a, name, "primary-only view");
-    }
+    got
+}
 
-    // Evaluation against the reference evaluator, and validity.
-    let Ok(table) = &got else { return };
-    check_table_valid(case, table);
+/// Data-aware with one replica per dataset, at the parent site, is the
+/// parent-site-only ablation of any view homed there, recorded sources
+/// and JSON included. A case that reads no dataset has nothing to check.
+pub fn check_primary_only(case: &Case) {
+    let Case { name, afg, views, net, data, config, .. } = case;
+    let (local, remotes) = (&views[0], &views[1..]);
+    let ids: Vec<DatasetId> =
+        afg.tasks.iter().flat_map(|t| &t.props.inputs).filter_map(IoSpec::dataset_id).collect();
+    if ids.is_empty() {
+        return;
+    }
+    let single = homed_at(data, &ids, local.site, true);
+    let primary = homed_at(data, &ids, local.site, false).primary_only();
+    let a = site_schedule_with_data(afg, local, remotes, net, config, Some(&single));
+    let b = site_schedule_with_data(afg, local, remotes, net, config, Some(&primary));
+    same_tables(&b, &a, name, "primary-only view");
+}
+
+/// `evaluate` and `evaluate_with_data` against [`evaluate_reference`] on
+/// `table`, a table scheduled for `case`, and the timed schedule's
+/// validity.
+pub fn check_evaluation(case: &Case, table: &AllocationTable) {
+    let Case { name, afg, views, net, data, .. } = case;
+    let levels = views[0].levels(afg).expect("generated graphs are acyclic");
     let timed = evaluate_with_data(afg, table, net, &levels, Some(data));
     let want = evaluate_reference(afg, table, net, &levels, Some(data));
     same_schedules(table, &timed, &want, name);
@@ -391,9 +420,15 @@ pub fn check_paths(case: &Case) {
     check_schedule_valid(afg, &timed.expect("a scheduled table evaluates"), name);
 }
 
+/// `case` scheduled by its own configuration, with its catalog view.
+pub fn schedule(case: &Case) -> Result<AllocationTable, SchedError> {
+    let (local, remotes) = (&case.views[0], &case.views[1..]);
+    site_schedule_with_data(&case.afg, local, remotes, &case.net, &case.config, Some(&case.data))
+}
+
 /// The same result, and on success the same rows, predictions compared
 /// bit for bit, and the same JSON.
-fn same_tables(
+pub fn same_tables(
     got: &Result<AllocationTable, SchedError>,
     want: &Result<AllocationTable, SchedError>,
     case: &str,

@@ -1,12 +1,14 @@
-//! The scheduler's differential oracle over random and palette cases,
-//! and the properties it does not cover: baselines, the dense table
-//! against its model, host selection on quirky sites, a long-lived memo,
-//! `evaluate` on hand-built tables, and what `k = 0` means.
+//! The scheduler's differential oracle, part by part over random cases
+//! and whole over palette cases, and the properties it does not cover:
+//! baselines, the dense table against its model, host selection on
+//! quirky sites, a long-lived memo, `evaluate` on hand-built tables, and
+//! what `k = 0` means.
 
 mod common;
 
 use common::{
-    check_paths, check_schedule_valid, check_table_valid, evaluate_reference, same_schedules, Case,
+    check_evaluation, check_paths, check_schedule_valid, check_table_valid, check_walks,
+    evaluate_reference, same_schedules, schedule, Case,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -145,10 +147,42 @@ proptest! {
         prop_assert_eq!(&AllocationTable::from_json(&table.to_json()).unwrap(), &table);
     }
 
-    // Every placement path against the reference on random cases.
+    // The classed walk, the observed pipeline, the walk over collected
+    // outputs and incremental construction against the reference walk
+    // (`sequential: true`), and classed host selection against its
+    // reference, on random cases.
     #[test]
-    fn every_scheduler_path_agrees_with_the_reference(seed in any::<u64>()) {
-        check_paths(&Case::random(seed));
+    fn optimized_path_is_bit_identical_to_sequential_reference(seed in any::<u64>()) {
+        let _ = check_walks(&Case::random(seed));
+    }
+
+    // Every table the scheduler builds places each task validly and
+    // evaluates to a valid schedule.
+    #[test]
+    fn vdce_schedules_are_valid_and_evaluable(seed in any::<u64>()) {
+        let case = Case::random(seed);
+        match schedule(&case) {
+            Ok(table) => {
+                check_table_valid(&case, &table);
+                let levels = case.views[0].levels(&case.afg).unwrap();
+                let timed = evaluate_with_data(&case.afg, &table, &case.net, &levels, Some(&case.data));
+                check_schedule_valid(&case.afg, &timed.unwrap(), &case.name);
+            }
+            // A Sun-only task finds no host where every Sun host is down.
+            Err(e) => prop_assert!(matches!(e, SchedError::NoFeasibleSite { .. }), "{}", e),
+        }
+    }
+
+    // `evaluate` against the reference evaluator on tables the scheduler
+    // builds, where every task that picked a host set shares one `Arc`
+    // with the others and parallel tasks occupy up to six hosts their
+    // parents may sit on.
+    #[test]
+    fn evaluate_is_bit_identical_to_the_reference_on_scheduled_tables(seed in any::<u64>()) {
+        let case = Case::random(seed);
+        if let Ok(table) = schedule(&case) {
+            check_evaluation(&case, &table);
+        }
     }
 
     #[test]
