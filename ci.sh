@@ -24,8 +24,8 @@
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
-#      pass and run — under a ceiling (1,500, 1,250, 500, 10,000, 250 and
-#      365,000). ROADMAP item 4's committed BENCH_perf.json
+#      pass and run — under a ceiling (1,065, 770, 269, 8,200, 250 and
+#      335,000). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -234,32 +234,40 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # These stages, the stream ones above, incr_churn's and durable_faults'
 # also read `allocs_per_op` off the run's JSON result line. The count is the
 # benchmark's own allocator's, identical in every pass and run, so a
-# ceiling on it has no noise to allow for: batch_wide makes 272 calls per
+# ceiling on it has no noise to allow for: batch_wide makes 266 calls per
 # 40k-task op with the allocation table as dense rows sharing their names
-# with the AFG (a name and a share of a tree node per task made it
-# 47,081), incr_churn 152 per monitor event with host-selection outputs
-# as shared dense tables (a per-site re-index made it 8,232). batch_data,
-# whose 4k tasks each form their own task class, makes 8,230 with one
-# choice list per site table and dataset replica lists borrowed from the
-# catalog view; a heap object per class, or a replica-list clone per
-# dataset input, made it 48,240. The stream stages count one arrival
-# (host selection at up to 64 sites, placement, dispatch) and, for
-# stream_backlog, the re-selection of every queued submission at a site
-# whose load moved: 827 for stream_steady seed 1 and 1,142 for
-# stream_backlog seed 2 with the prediction memo's host-side terms as
-# dense rows per site and one lane list per host-selection call. A
-# host-name `String` per memoised term and a lane vector per eligibility
-# group made them 1,616 and 1,896; each ceiling sits about halfway.
-# durable_faults counts one 17-scenario sweep (~13.1k journal records):
-# 352,364 with the monitoring chain passing its reports and control
-# messages by value, each record framed once into the journal's log,
-# recovered records borrowed from the kill image and the resumed state
-# compared with the seal as it streams. A Monitor daemon that also sent a
-# clone of each report down a channel to its Group Manager made it
-# 377,373; `read_wal` / `recover` copying every record into a `Vec<u8>`
-# and a `String` pair with the resume leg serialising into a buffer,
-# 404,546 (431,736 when the journal also kept each record as a
-# `(String, String)` pair); the ceiling sits about halfway.
+# with the AFG and the task classes indexed once per schedule (272 when
+# each site re-indexed them; a name and a share of a tree node per task
+# made it 47,081), incr_churn 154 per monitor event with host-selection
+# outputs as shared dense tables (a per-site re-index made it 8,232).
+# batch_data, whose 8k tasks form 7,833 task classes, makes 8,177 with
+# the classes indexed once per schedule, one per-class choice list per
+# site table and dataset replica lists borrowed from the catalog view
+# (8,230 with a re-index and a per-task slot vector per site; a heap
+# object per class, or a replica-list clone per dataset input, made it
+# 48,240). The stream stages count one arrival (host selection at up to
+# 64 sites, placement, dispatch) and, for stream_backlog, the
+# re-selection of every queued submission at a site whose load moved:
+# 716 for stream_steady seed 1 and 990 for stream_backlog seed 2 with the
+# prediction memo's host-side terms as dense rows per site, one lane list
+# per host-selection call and the task classes indexed once per queued
+# submission. Re-indexing them in every host-selection call made them
+# 827 and 1,142; a host-name `String` per memoised term and a lane vector
+# per eligibility group, 1,616 and 1,896. durable_faults counts one
+# 17-scenario sweep (~13.1k journal records): 317,738 with the
+# monitoring chain passing its reports and control messages by value,
+# each record framed once into the journal's log, recovered records
+# borrowed from the kill image, the resumed state compared with the seal
+# as it streams, re-selection borrowing the site views and the task_run
+# span's fields built only for an enabled trace sink. Cloning every view
+# per re-selection and building those fields for a disabled sink made it
+# 352,364; a Monitor daemon that also sent a clone of each report down a
+# channel to its Group Manager, 377,373; `read_wal` / `recover` copying
+# every record into a `Vec<u8>` and a `String` pair with the resume leg
+# serialising into a buffer, 404,546 (431,736 when the journal also kept
+# each record as a `(String, String)` pair). The ceilings of batch_wide,
+# batch_data, the stream stages and durable_faults sit about halfway
+# between the count and the one before it.
 #   perf_allocs_at_most <ceiling> <workload> [seed, default 1]
 perf_allocs_at_most() {
     local ceiling=$1 workload=$2 seed=${3:-1} out allocs
@@ -277,10 +285,10 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 1500 stream_backlog 2
-stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 1250 stream_steady
-stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 500 batch_wide
-stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 10000 batch_data
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 1065 stream_backlog 2
+stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 770 stream_steady
+stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 269 batch_wide
+stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8200 batch_data
 # Full-size incremental check: incr_churn compares the standing table
 # with a full re-walk on every 64th event, and with the initial table
 # once every host has healed. The smoke absorbs a twentieth of the
@@ -293,4 +301,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 365000 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 335000 durable_faults

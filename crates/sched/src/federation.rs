@@ -13,6 +13,7 @@
 //! can report scheduling traffic.
 
 use crate::allocation::AllocationTable;
+use crate::classes::TaskClasses;
 use crate::host_selection::HostSelectionOutput;
 use crate::site_scheduler::{
     host_selection_for, schedule_with_outputs_data, SchedError, SchedulerConfig,
@@ -67,7 +68,8 @@ pub(crate) fn serve_one(
     let Ok(delivery) = endpoint.recv_timeout(timeout) else { return false };
     match delivery.msg {
         SchedMessage::HostSelectionRequest { request_id, afg } => {
-            let output = host_selection_for(view, &afg, config, &PredictCache::new());
+            let classes = TaskClasses::new(&afg);
+            let output = host_selection_for(view, &afg, &classes, config, &PredictCache::new());
             let reply = SchedMessage::HostSelectionReply { request_id, output };
             let bytes = reply.wire_bytes();
             let _ = bus.send(endpoint.site, delivery.from, reply, bytes);
@@ -166,8 +168,10 @@ pub(crate) fn federated_schedule_reachable(
     let unreachable = bus.multicast(local.site, &neighbours, req, bytes);
     let expected = neighbours.len() - unreachable.len();
 
-    // Step 4 (local half): host selection on the local site.
-    let mut outputs = vec![host_selection_for(local, afg, config, &PredictCache::new())];
+    // Step 4 (local half): host selection on the local site, over the
+    // task classes the level pass below prices too.
+    let classes = TaskClasses::new(afg);
+    let mut outputs = vec![host_selection_for(local, afg, &classes, config, &PredictCache::new())];
 
     // Step 5: collect replies.
     let deadline = Instant::now() + reply_timeout;
@@ -189,7 +193,7 @@ pub(crate) fn federated_schedule_reachable(
     }
 
     // Steps 6–7, with every walk option the config carries.
-    let levels = local.levels(afg)?;
+    let levels = classes.levels(local, afg)?;
     schedule_with_outputs_data(
         afg,
         &levels,

@@ -26,14 +26,15 @@
 //! A task that no host of the site can run is simply absent from the
 //! output; the site scheduler then tries other sites.
 
+use crate::classes::TaskClasses;
 use crate::view::SiteView;
 use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
-use vdce_afg::{Afg, LibraryEntry, MachineType, TaskId};
+use vdce_afg::{Afg, LibraryEntry, TaskId};
 use vdce_net::topology::SiteId;
-use vdce_predict::cache::{FxMap, PredictCache};
+use vdce_predict::cache::PredictCache;
 use vdce_predict::model::{HostTerm, Predictor};
 use vdce_predict::parallel::{best_node_count, rank_nodes, ParallelModel};
 use vdce_repository::resources::ResourceRecord;
@@ -52,37 +53,42 @@ pub struct TaskHostChoice {
     pub predicted_seconds: f64,
 }
 
-/// One site's choices for every task of an AFG: slot `i` names the
-/// choice for `TaskId(i)` in the table's own choice list, or is
-/// `u32::MAX` where the task cannot run at the site.
+/// One site's choices for every task of an AFG: task `i`'s class, then
+/// that class's choice, or none where the task cannot run at the site.
 ///
 /// Immutable and reference-counted as a whole: cloning a table (to absorb
 /// a monitor event incrementally, to keep a pending submission's outputs)
 /// is one pointer bump, and two clones are recognisably the same table
-/// (`ChoiceTable::ptr_eq`) without looking at a slot. The members of a
-/// task class share one entry of the choice list, so the class-batched
-/// path stores one decision per class and no heap object of its own; the
-/// host lists inside are `Arc`s, so placements still share them. Build a
-/// new table to change one.
+/// (`ChoiceTable::ptr_eq`) without looking at a task. The members of a
+/// task class share one entry of the choice list, and every site's table
+/// of one schedule shares one task → class map, so a table holds one
+/// decision per class and nothing per task; the host lists inside are
+/// `Arc`s, so placements still share them. Build a new table to change
+/// one.
 ///
 /// Serialises as the JSON object `{"<task id>": {choice}, ..}` over the
-/// feasible tasks in id order, so equality ignores trailing empty slots:
-/// they do not survive a round trip.
+/// feasible tasks in id order, so equality ignores trailing infeasible
+/// tasks: they do not survive a round trip.
 #[derive(Debug, Clone, Default)]
 pub struct ChoiceTable(Arc<Choices>);
 
 /// The shared body of a [`ChoiceTable`].
 #[derive(Debug, Default)]
 struct Choices {
-    /// Per task, an index into `choices` or [`INFEASIBLE`].
-    slots: Vec<u32>,
-    choices: Vec<TaskHostChoice>,
+    /// Per task, its index into `choices`: its class in the
+    /// [`TaskClasses`] the table was selected over, or the task's own id
+    /// where every task is its own class (the reference). A table read
+    /// from the wire lists the tasks it received in arrival order and
+    /// names the others [`ABSENT`].
+    class_of: Arc<[u32]>,
+    choices: Vec<Option<TaskHostChoice>>,
 }
 
-/// The slot of a task no host of the site can run.
-const INFEASIBLE: u32 = u32::MAX;
+/// The index of a task a wire table did not list: past the end of any
+/// choice list.
+const ABSENT: u32 = u32::MAX;
 
-/// Most slots a table deserialised from the wire may have — a
+/// Most tasks a table deserialised from the wire may have — a
 /// [`ChoiceTable`] or an [`AllocationTable`](crate::AllocationTable): both
 /// are dense, so the highest task id in the input sizes the allocation.
 const MAX_WIRE_SLOTS: usize = 1 << 24;
@@ -90,13 +96,13 @@ const MAX_WIRE_SLOTS: usize = 1 << 24;
 impl ChoiceTable {
     /// The choice for `task`, if feasible at this site.
     pub fn get(&self, task: TaskId) -> Option<&TaskHostChoice> {
-        self.choice_at(*self.0.slots.get(task.index())?)
+        self.choice_at(*self.0.class_of.get(task.index())?)
     }
 
     /// The feasible tasks with their choices, in task-id order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &TaskHostChoice)> {
-        let slots = self.0.slots.iter().enumerate();
-        slots.filter_map(|(i, &c)| Some((TaskId(i as u32), self.choice_at(c)?)))
+        let classes = self.0.class_of.iter().enumerate();
+        classes.filter_map(|(i, &c)| Some((TaskId(i as u32), self.choice_at(c)?)))
     }
 
     /// The choices of the feasible tasks, in task-id order.
@@ -104,9 +110,8 @@ impl ChoiceTable {
         self.iter().map(|(_, c)| c)
     }
 
-    /// The entry a slot names; [`INFEASIBLE`] is past the end of any list.
-    fn choice_at(&self, slot: u32) -> Option<&TaskHostChoice> {
-        self.0.choices.get(slot as usize)
+    fn choice_at(&self, class: u32) -> Option<&TaskHostChoice> {
+        self.0.choices.get(class as usize)?.as_ref()
     }
 
     /// Are `self` and `other` the same allocation — clones of one table?
@@ -133,26 +138,28 @@ impl Serialize for ChoiceTable {
     }
 }
 
-/// Keys may come in any order; a repeated key keeps its last value.
+/// Keys may come in any order; a repeated key keeps its last value. An
+/// unlisted task costs four bytes, as in a table built here.
 impl Deserialize for ChoiceTable {
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, serde::Error> {
-        let mut table = Choices::default();
+        let mut class_of: Vec<u32> = Vec::new();
+        let mut choices: Vec<Option<TaskHostChoice>> = Vec::new();
         let mut seq = r.begin_object("ChoiceTable")?;
         while let Some(task) = r.next_map_key::<TaskId>(&mut seq)? {
             let slot = wire_slot(task)?;
-            let choice = TaskHostChoice::read_json(r)?;
-            if table.slots.len() <= slot {
-                table.slots.resize(slot + 1, INFEASIBLE);
+            let choice = Some(TaskHostChoice::read_json(r)?);
+            if class_of.len() <= slot {
+                class_of.resize(slot + 1, ABSENT);
             }
-            match table.slots[slot] {
-                INFEASIBLE => {
-                    table.slots[slot] = table.choices.len() as u32;
-                    table.choices.push(choice);
+            match class_of[slot] {
+                ABSENT => {
+                    class_of[slot] = choices.len() as u32;
+                    choices.push(choice);
                 }
-                c => table.choices[c as usize] = choice,
+                c => choices[c as usize] = choice,
             }
         }
-        Ok(ChoiceTable(Arc::new(table)))
+        Ok(ChoiceTable(Arc::new(Choices { class_of: class_of.into(), choices })))
     }
 }
 
@@ -224,14 +231,14 @@ pub fn host_selection(
 ) -> HostSelectionOutput {
     // Collect the site's candidate resource set R once (step 2).
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-    let mut table = Choices::for_afg(afg);
-    for task in afg.task_ids() {
-        let node = afg.task(task);
-        let candidates: Vec<&ResourceRecord> =
-            all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
-        let choice = if candidates.is_empty() {
-            None
-        } else {
+    let choices: Vec<Option<TaskHostChoice>> = (afg.task_ids())
+        .map(|task| {
+            let node = afg.task(task);
+            let candidates: Vec<&ResourceRecord> =
+                all_hosts.iter().copied().filter(|h| eligible(view, afg, task, h)).collect();
+            if candidates.is_empty() {
+                return None;
+            }
             best_node_count(
                 predictor,
                 parallel,
@@ -246,38 +253,12 @@ pub fn host_selection(
                 hosts: hosts.iter().map(|h| h.host_name.clone()).collect(),
                 predicted_seconds: secs,
             })
-        };
-        let slot = table.push(choice);
-        table.slots.push(slot);
-    }
-    HostSelectionOutput { site: view.site, choices: ChoiceTable(Arc::new(table)) }
-}
-
-impl Choices {
-    /// An empty table sized for one slot per task of `afg`. The choice
-    /// list starts at up to 256 entries: big AFGs grow it a few times,
-    /// small ones (a stream submission's ten tasks) never regrow it.
-    fn for_afg(afg: &Afg) -> Self {
-        let n = afg.task_count();
-        Choices { slots: Vec::with_capacity(n), choices: Vec::with_capacity(n.min(256)) }
-    }
-
-    /// Append `choice` to the choice list; the slot value naming it.
-    fn push(&mut self, choice: Option<TaskHostChoice>) -> u32 {
-        let Some(choice) = choice else { return INFEASIBLE };
-        self.choices.push(choice);
-        self.choices.len() as u32 - 1
-    }
-}
-
-/// What the eligibility filter of one task depends on besides the host:
-/// tasks with equal keys see the same candidate set and the same
-/// host-side prediction terms.
-#[derive(PartialEq, Eq, Hash)]
-struct EligibilityKey<'a> {
-    library_task: &'a str,
-    machine_type: MachineType,
-    preferred_host: Option<&'a str>,
+        })
+        .collect();
+    // Every task its own class.
+    let class_of = (0..choices.len() as u32).collect();
+    let choices = ChoiceTable(Arc::new(Choices { class_of, choices }));
+    HostSelectionOutput { site: view.site, choices }
 }
 
 /// One eligible host of an eligibility group, with everything `Predict`
@@ -289,20 +270,25 @@ struct Lane<'a> {
     term: HostTerm,
 }
 
-/// The optimised [`host_selection`]: tasks are grouped by
-/// `EligibilityKey` and each group's candidate lanes — eligibility
-/// filter, library entry, one host-side prediction term per candidate
-/// ([`Predictor::host_term`]) — are built once, back to back in one lane
-/// list per call. Within a group the argmin depends only on
-/// `(problem size, requested nodes)`; each such *class* runs one multiply
-/// chain per lane ([`Predictor::eval`]) and the reference's node-count
-/// search ([`rank_nodes`]) once, and every member of the class shares the
+/// The optimised [`host_selection`]: the tasks' classes (see
+/// `TaskClasses`) are indexed once, each eligibility group's candidate
+/// lanes — eligibility filter, library entry, one host-side prediction
+/// term per candidate ([`Predictor::host_term`]) — are built once, back
+/// to back in one lane list, and each class runs one multiply chain per
+/// lane of its group ([`Predictor::eval`]) and the reference's node-count
+/// search ([`rank_nodes`]) once; every member of the class shares the
 /// decision. The terms and the chain are the same code the reference's
 /// `predict` runs, so the outputs are bit-identical by construction.
 ///
-/// Big AFGs built from a small task library have a few hundred classes;
-/// AFGs with continuous problem sizes have one class per task, and then
-/// a task costs a few multiplies per candidate host.
+/// Classes are few where a task library is small: the 40k-task palette
+/// graph of `vdce_perf`'s `batch_wide` has 3 groups and 17 classes.
+/// Where problem sizes vary they are many (7,833 classes for the 8,001
+/// tasks of `batch_data`'s reader → transform chains) and a task costs a
+/// few multiplies per candidate host.
+///
+/// This call indexes `afg` itself. The site scheduler and the streaming
+/// service index an AFG once and run the same body at every site they
+/// involve.
 ///
 /// The terms go through `cache`'s term rows for `view.site`
 /// ([`PredictCache::site_terms`]). Within one call that only counts them
@@ -317,74 +303,69 @@ pub fn host_selection_classed(
     parallel: &ParallelModel,
     cache: &PredictCache,
 ) -> HostSelectionOutput {
+    select_by_class(view, afg, &TaskClasses::new(afg), predictor, parallel, cache)
+}
+
+/// [`host_selection_classed`] over `classes`, the index of `afg`.
+pub(crate) fn select_by_class(
+    view: &SiteView,
+    afg: &Afg,
+    classes: &TaskClasses,
+    predictor: &Predictor,
+    parallel: &ParallelModel,
+    cache: &PredictCache,
+) -> HostSelectionOutput {
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
     let mut terms = cache.site_terms(predictor, &view.tasks, view.site, &all_hosts);
     // One shared host list per singleton choice, made on first use.
     let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; all_hosts.len()];
     // Every group's lanes, back to back. Room for four groups: a stream
     // submission draws on three library tasks and never regrows it.
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(all_hosts.len() * afg.task_count().min(4));
+    let mut lanes: Vec<Lane<'_>> =
+        Vec::with_capacity(all_hosts.len() * classes.groups.len().min(4));
     // Per group, its library entry and its range of `lanes`; `None` when
     // the site's task library does not know the library task (nothing can
     // be predicted).
-    let mut groups: Vec<Option<(&LibraryEntry, Range<usize>)>> = Vec::new();
-    let mut group_of: FxMap<EligibilityKey<'_>, u32> = FxMap::default();
-    // Class → slot value: its entry in the choice list, or `INFEASIBLE`.
-    // A stream submission's ten classes never regrow it.
-    let mut classes: FxMap<(u32, u64, u32), u32> =
-        FxMap::with_capacity_and_hasher(afg.task_count().min(16), Default::default());
+    let groups: Vec<Option<(&LibraryEntry, Range<usize>)>> = (classes.groups.iter())
+        .map(|&task| {
+            let library_task = &afg.task(task).library_task;
+            let entry = view.tasks.entry(library_task)?;
+            let row = terms.row(library_task);
+            let start = lanes.len();
+            for (slot, &host) in all_hosts.iter().enumerate() {
+                if eligible(view, afg, task, host) {
+                    lanes.push(Lane { host, slot, term: terms.term(row, slot) });
+                }
+            }
+            Some((entry, start..lanes.len()))
+        })
+        .collect();
     let mut feasible: Vec<(u32, f64)> = Vec::with_capacity(all_hosts.len());
-    let mut table = Choices::for_afg(afg);
-
-    for task in afg.task_ids() {
-        let node = afg.task(task);
-        let key = EligibilityKey {
-            library_task: &node.library_task,
-            machine_type: node.props.machine_type,
-            preferred_host: node.props.preferred_host.as_deref(),
+    let choices = classes.classes.iter().map(|class| {
+        let (entry, range) = groups[class.group as usize].as_ref()?;
+        let lanes = &lanes[range.clone()];
+        let flops = entry.computation_size(class.problem_size);
+        let required = entry.required_memory(class.problem_size);
+        feasible.clear();
+        for (i, lane) in lanes.iter().enumerate() {
+            if let Ok(t) = predictor.eval(flops, required, lane.term, lane.host) {
+                feasible.push((i as u32, t));
+            }
+        }
+        let (p, predicted_seconds) = rank_nodes(parallel, class.requested, &mut feasible)?;
+        let lane = |c: &(u32, f64)| &lanes[c.0 as usize];
+        let hosts = if p == 1 {
+            let best = lane(&feasible[0]);
+            singletons[best.slot]
+                .get_or_insert_with(|| Arc::new([best.host.host_name.clone()]))
+                .clone()
+        } else {
+            feasible[..p].iter().map(|c| lane(c).host.host_name.clone()).collect()
         };
-        let g = *group_of.entry(key).or_insert_with(|| {
-            groups.push(view.tasks.entry(&node.library_task).map(|entry| {
-                let row = terms.row(&node.library_task);
-                let start = lanes.len();
-                for (slot, &host) in all_hosts.iter().enumerate() {
-                    if eligible(view, afg, task, host) {
-                        lanes.push(Lane { host, slot, term: terms.term(row, slot) });
-                    }
-                }
-                (entry, start..lanes.len())
-            }));
-            groups.len() as u32 - 1
-        });
-        let requested = node.props.effective_nodes();
-        let slot = *classes.entry((g, node.problem_size, requested)).or_insert_with(|| {
-            let choice = groups[g as usize].as_ref().and_then(|(entry, range)| {
-                let lanes = &lanes[range.clone()];
-                let flops = entry.computation_size(node.problem_size);
-                let required = entry.required_memory(node.problem_size);
-                feasible.clear();
-                for (i, lane) in lanes.iter().enumerate() {
-                    if let Ok(t) = predictor.eval(flops, required, lane.term, lane.host) {
-                        feasible.push((i as u32, t));
-                    }
-                }
-                let (p, predicted_seconds) = rank_nodes(parallel, requested, &mut feasible)?;
-                let lane = |c: &(u32, f64)| &lanes[c.0 as usize];
-                let hosts = if p == 1 {
-                    let best = lane(&feasible[0]);
-                    singletons[best.slot]
-                        .get_or_insert_with(|| Arc::new([best.host.host_name.clone()]))
-                        .clone()
-                } else {
-                    feasible[..p].iter().map(|c| lane(c).host.host_name.clone()).collect()
-                };
-                Some(TaskHostChoice { hosts, predicted_seconds })
-            });
-            table.push(choice)
-        });
-        table.slots.push(slot);
-    }
-    HostSelectionOutput { site: view.site, choices: ChoiceTable(Arc::new(table)) }
+        Some(TaskHostChoice { hosts, predicted_seconds })
+    });
+    let choices = Choices { class_of: classes.class_of.clone(), choices: choices.collect() };
+    HostSelectionOutput { site: view.site, choices: ChoiceTable(Arc::new(choices)) }
 }
 
 #[cfg(test)]

@@ -42,6 +42,7 @@
 mod allocation;
 mod arena;
 pub mod baselines;
+mod classes;
 mod data_inputs;
 mod federation;
 mod host_selection;

@@ -38,7 +38,7 @@ use vdce_repository::resources::ResourceRecord;
 /// Returns the best `(site, choice)` or `None` when no site can run the
 /// task right now (the caller then backs off and retries).
 pub fn reselect_task(
-    views: &[SiteView],
+    views: &[&SiteView],
     afg: &Afg,
     task: TaskId,
     banned: &BTreeSet<String>,
@@ -129,7 +129,7 @@ mod tests {
         cache: &PredictCache,
     ) -> Option<(SiteId, TaskHostChoice)> {
         reselect_task(
-            views,
+            &views.iter().collect::<Vec<_>>(),
             afg,
             task,
             banned,

@@ -56,7 +56,8 @@
 //! model): the service models scheduling and queueing dynamics, not
 //! kernel execution.
 
-use crate::host_selection::{host_selection_classed, HostSelectionOutput};
+use crate::classes::TaskClasses;
+use crate::host_selection::{select_by_class, HostSelectionOutput};
 use crate::incremental::IncrementalSchedule;
 use crate::makespan::evaluate;
 use crate::service::aging::AgingPolicy;
@@ -201,6 +202,9 @@ struct Admitted {
 /// An admitted submission waiting for capacity.
 struct PendingSub {
     sub: Admitted,
+    /// Its AFG's task classes, indexed once when it entered the queue:
+    /// every re-selection of this submission runs over them.
+    classes: TaskClasses,
     /// Cached per-site host-selection outputs, parallel to `sub.sites`.
     outputs: Vec<HostSelectionOutput>,
     /// The prediction memo this admission filled. Every re-selection of
@@ -487,9 +491,16 @@ impl StreamService {
         self.domains[i].clone()
     }
 
-    fn output_for(&mut self, site: SiteId, afg: &Afg, memo: &PredictCache) -> HostSelectionOutput {
+    /// Host selection for `afg`, indexed as `classes`, at `site`.
+    fn output_for(
+        &mut self,
+        site: SiteId,
+        afg: &Afg,
+        classes: &TaskClasses,
+        memo: &PredictCache,
+    ) -> HostSelectionOutput {
         let view = self.view(site);
-        host_selection_classed(&view, afg, &self.predictor, &self.parallel, memo)
+        select_by_class(&view, afg, classes, &self.predictor, &self.parallel, memo)
     }
 
     /// The incremental placement of `afg` over per-site `outputs`.
@@ -502,16 +513,18 @@ impl StreamService {
     }
 
     /// What a submission enters the queue with, on admission and on a
-    /// fault restart: a fresh memo, host selection through it at each of
-    /// `sites`, and the placement over those outputs.
+    /// fault restart, besides `classes` (the index of `afg`): a fresh
+    /// memo, host selection through it at each of `sites`, and the
+    /// placement over those outputs.
     fn place(
         &mut self,
         afg: &Afg,
+        classes: &TaskClasses,
         sites: &[SiteId],
     ) -> (PredictCache, Vec<HostSelectionOutput>, Result<IncrementalSchedule, SchedError>) {
         let memo = PredictCache::new();
         let outputs: Vec<HostSelectionOutput> =
-            sites.iter().map(|&s| self.output_for(s, afg, &memo)).collect();
+            sites.iter().map(|&s| self.output_for(s, afg, classes, &memo)).collect();
         let inc = self.schedule(afg, outputs.clone());
         (memo, outputs, inc)
     }
@@ -569,7 +582,8 @@ impl StreamService {
 
         // Trial placement with the real scheduler.
         let sites = self.domain_sites(domain);
-        let (memo, outputs, inc) = self.place(&req.afg, &sites);
+        let classes = TaskClasses::new(&req.afg);
+        let (memo, outputs, inc) = self.place(&req.afg, &classes, &sites);
         let inc = match inc {
             Ok(inc) => inc,
             Err(e) => {
@@ -580,8 +594,9 @@ impl StreamService {
 
         // Broker verdict on the trial placement. Site 0's view is the
         // one host selection just captured.
-        let levels =
-            self.view(SiteId(0)).levels(&req.afg).expect("submissions are validated acyclic AFGs");
+        let levels = classes
+            .levels(&self.view(SiteId(0)), &req.afg)
+            .expect("submissions are validated acyclic AFGs");
         let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels) else {
             self.reject(RejectReason::NoFeasiblePlacement);
             return;
@@ -596,7 +611,7 @@ impl StreamService {
 
         self.counters.entry(tenant).or_default().admitted += 1;
         let sub = Admitted { req, arrival_s: now, base_priority, sites, levels, generation: 0 };
-        self.pending.insert(id, PendingSub { sub, outputs, memo, inc: Some(inc) });
+        self.pending.insert(id, PendingSub { sub, classes, outputs, memo, inc: Some(inc) });
         self.settle(BTreeSet::new());
     }
 
@@ -786,7 +801,7 @@ impl StreamService {
                 .zip(&p.outputs)
                 .map(|(&s, old)| {
                     if changed.contains(&s) {
-                        self.output_for(s, afg, &p.memo)
+                        self.output_for(s, afg, &p.classes, &p.memo)
                     } else {
                         // Unchanged site: the same table again (a
                         // pointer bump), which the apply diff skips.
@@ -871,8 +886,9 @@ impl StreamService {
             // run's in-flight completion event goes stale the moment
             // this re-dispatches.
             sub.generation += 1;
-            let (memo, outputs, inc) = self.place(&sub.req.afg, &sub.sites);
-            self.pending.insert(id, PendingSub { sub, outputs, memo, inc: inc.ok() });
+            let classes = TaskClasses::new(&sub.req.afg);
+            let (memo, outputs, inc) = self.place(&sub.req.afg, &classes, &sub.sites);
+            self.pending.insert(id, PendingSub { sub, classes, outputs, memo, inc: inc.ok() });
         }
         self.settle(changed);
     }

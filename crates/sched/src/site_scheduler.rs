@@ -26,10 +26,9 @@
 
 use crate::allocation::{AllocationTable, DataSource, TaskPlacement};
 use crate::arena::ReadyKey;
+use crate::classes::TaskClasses;
 use crate::data_inputs::{DatasetInputs, DsInput};
-use crate::host_selection::{
-    host_selection, host_selection_classed, HostSelectionOutput, TaskHostChoice,
-};
+use crate::host_selection::{host_selection, select_by_class, HostSelectionOutput, TaskHostChoice};
 use crate::view::SiteView;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::fmt;
@@ -113,18 +112,21 @@ impl Default for SchedulerConfig {
 /// Host selection the way `config` asks for it — the one place the
 /// strategy is chosen, shared by the in-process site scheduler and both
 /// sides of the [`crate::federation`] protocol: `config.sequential` runs
-/// the [`host_selection`] reference (which never touches `cache`),
-/// otherwise [`host_selection_classed`] memoises into `cache`.
+/// the [`host_selection`] reference (which never touches `cache` or
+/// `classes`), otherwise
+/// [`host_selection_classed`](crate::host_selection_classed)'s body runs
+/// over `classes`, the index of `afg`, and memoises into `cache`.
 pub(crate) fn host_selection_for(
     view: &SiteView,
     afg: &Afg,
+    classes: &TaskClasses,
     config: &SchedulerConfig,
     cache: &PredictCache,
 ) -> HostSelectionOutput {
     if config.sequential {
         host_selection(view, afg, &config.predictor, &config.parallel)
     } else {
-        host_selection_classed(view, afg, &config.predictor, &config.parallel, cache)
+        select_by_class(view, afg, classes, &config.predictor, &config.parallel, cache)
     }
 }
 
@@ -285,9 +287,12 @@ fn schedule_pipeline(
     data: Option<&DataView>,
     metrics: Option<&MetricsRegistry>,
 ) -> Result<AllocationTable, SchedError> {
+    // The AFG's task classes, indexed once for the level pass and every
+    // involved site's host selection.
+    let classes = TaskClasses::new(afg);
     // Priorities: level of each node on base-processor execution times
     // (task-performance DB of the local site).
-    let levels = local.levels(afg)?;
+    let levels = classes.levels(local, afg)?;
 
     // Step 2: k nearest neighbour sites that actually sent views.
     let neighbours = net.nearest_neighbours(local.site, config.k_neighbours);
@@ -303,7 +308,7 @@ fn schedule_pipeline(
     // (host names are federation-unique).
     let cache = PredictCache::new();
     let outputs: Vec<HostSelectionOutput> =
-        involved.iter().map(|v| host_selection_for(v, afg, config, &cache)).collect();
+        involved.iter().map(|v| host_selection_for(v, afg, &classes, config, &cache)).collect();
 
     if let Some(m) = metrics {
         m.counter_add("sched.sites_involved", involved.len() as u64);
@@ -387,7 +392,8 @@ pub fn validate_dataset_outputs(
 /// - `sched.predict_cache.entries` / `sched.predict_cache.lookups` —
 ///   deterministic cache statistics: distinct `(library task, host)`
 ///   prediction terms memoised, and term lookups (one per eligibility
-///   group and candidate host, see [`host_selection_classed`]). Host
+///   group and candidate host, see
+///   [`host_selection_classed`](crate::host_selection_classed)). Host
 ///   names are unique across the federation, so one [`PredictCache`] is
 ///   shared across every involved site's host selection without
 ///   changing any prediction.
@@ -883,7 +889,8 @@ mod tests {
         let net = NetworkModel::with_defaults(1);
         let afg = chain_afg(10_000);
         let config = cfg(0);
-        let outputs = [host_selection_for(&local, &afg, &config, &PredictCache::new())];
+        let classes = TaskClasses::new(&afg);
+        let outputs = [host_selection_for(&local, &afg, &classes, &config, &PredictCache::new())];
         let walk = |levels: &[f64], sequential: bool| {
             schedule_with_outputs_data(
                 &afg,

@@ -7,8 +7,9 @@
 //! one site's scheduling-relevant databases, cheap to clone around
 //! scheduler threads and to ship over the inter-site bus.
 
+use crate::classes::TaskClasses;
 use serde::{Deserialize, Serialize};
-use vdce_afg::level::{level_map, LevelError};
+use vdce_afg::level::LevelError;
 use vdce_afg::Afg;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourcePerfDb;
@@ -46,9 +47,10 @@ impl SiteView {
 
     /// Level priority of every task of `afg` on this site's
     /// base-processor execution times (the task-performance database);
-    /// tasks the database does not know cost 0.
+    /// tasks the database does not know cost 0. Each task class is
+    /// priced once, as the site scheduler prices it.
     pub fn levels(&self, afg: &Afg) -> Result<Vec<f64>, LevelError> {
-        level_map(afg, |t| self.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
+        TaskClasses::new(afg).levels(self, afg)
     }
 }
 

@@ -5,10 +5,13 @@
 //! `IncrementalSchedule` built from empty, and the data-aware walk when
 //! every dataset has one replica at the parent site. [`check_paths`]
 //! asserts all of that on one [`Case`], together with Figure 3's classed
-//! selection against its reference, `evaluate` against
-//! [`evaluate_reference`], and the validity of every table and schedule.
-//! Its parts, [`check_walks`], [`check_primary_only`] and
-//! [`check_evaluation`], each back a property test of their own.
+//! selection and §3's class-priced level pass against their references,
+//! `evaluate` against [`evaluate_reference`], and the validity of every
+//! table and schedule. Its parts, [`check_walks`], [`check_primary_only`]
+//! and [`check_evaluation`], each back a property test of their own.
+//! [`check_shared_selection`] holds selection over one shared task-class
+//! index to the same references; the crate's unit tests run it, since
+//! only they can build an index.
 //! [`Case::random`] draws the cases the property tests feed it;
 //! [`Case::palette`] builds the fixed large ones. The crate's unit tests
 //! include this module too, to hold named edge cases to the oracle.
@@ -21,6 +24,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
+use vdce_afg::level::level_map;
 use vdce_afg::{
     Afg, ComputationMode, DatasetId, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId,
     TaskNode, TaskProperties,
@@ -36,7 +40,8 @@ use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::{
     evaluate, evaluate_with_data, host_selection, host_selection_classed, site_schedule,
     site_schedule_observed, site_schedule_with_data, AllocationTable, EvalError,
-    IncrementalSchedule, SchedError, Schedule, SchedulerConfig, SiteView, SpreadPolicy, TimedTask,
+    HostSelectionOutput, IncrementalSchedule, SchedError, Schedule, SchedulerConfig, SiteView,
+    SpreadPolicy, TimedTask,
 };
 
 /// One scheduling input: an AFG, a federation (site 0 is the local site),
@@ -309,10 +314,10 @@ pub fn check_paths(case: &Case) {
     }
 }
 
-/// Figure 3's classed selection against its reference at every site, and
-/// Figure 2's classed walk, observed pipeline, walk over collected
-/// outputs and incremental construction against the reference walk.
-/// Returns the classed walk's answer.
+/// Figure 3's classed selection and §3's class-priced level pass against
+/// their references at every site, and Figure 2's classed walk, observed
+/// pipeline, walk over collected outputs and incremental construction
+/// against the reference walk. Returns the classed walk's answer.
 pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
     let Case { name, afg, views, net, data, config, .. } = case;
     let (local, remotes) = (&views[0], &views[1..]);
@@ -324,12 +329,9 @@ pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
     for view in views {
         let want = host_selection(view, afg, predictor, parallel);
         let got = host_selection_classed(view, afg, predictor, parallel, &memo);
-        assert_eq!(got, want, "{name}: host selection at site {}", view.site);
-        for (t, c) in want.choices.iter() {
-            let bits = got.choice(t).map(|g| g.predicted_seconds.to_bits());
-            assert_eq!(bits, Some(c.predicted_seconds.to_bits()), "{name}: {t} at {}", view.site);
-        }
+        same_choices(&got, &want, name, "host selection");
     }
+    check_levels(case);
 
     // Figure 2: the reference walk, the classed walk and the observed
     // pipeline. The observed entry point takes no catalog view, so it
@@ -386,6 +388,56 @@ pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
     }
 
     got
+}
+
+/// §3's level pass at every site, which prices each task class once,
+/// against `level_map` pricing every task, bit for bit.
+pub fn check_levels(case: &Case) {
+    let Case { name, afg, views, .. } = case;
+    for view in views {
+        let cost = |t: &TaskNode| view.tasks.base_time(&t.library_task, t.problem_size);
+        let want = level_map(afg, |t| cost(t).unwrap_or(0.0));
+        let got = view.levels(afg);
+        assert_eq!(got, want, "{name}: levels at site {}", view.site);
+        let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if let (Ok(got), Ok(want)) = (&got, &want) {
+            assert_eq!(bits(got), bits(want), "{name}: level bits at site {}", view.site);
+        }
+    }
+}
+
+/// Figure 3 at every site the way the site scheduler runs it, over one
+/// task-class index shared by every site: `shared` selects at a view
+/// over that index through the memo it is given (the index is
+/// crate-private, so only the crate's own tests can build one). Each
+/// answer, and the memo's counts, are the one-shot
+/// `host_selection_classed`'s, and the answers the reference's, bit for
+/// bit.
+pub fn check_shared_selection(
+    case: &Case,
+    mut shared: impl FnMut(&SiteView, &PredictCache) -> HostSelectionOutput,
+) {
+    let Case { name, afg, views, config, .. } = case;
+    let (predictor, parallel) = (&config.predictor, &config.parallel);
+    let (memo, shared_memo) = (PredictCache::new(), PredictCache::new());
+    for view in views {
+        let want = host_selection(view, afg, predictor, parallel);
+        let one_shot = host_selection_classed(view, afg, predictor, parallel, &memo);
+        same_choices(&one_shot, &want, name, "host selection");
+        same_choices(&shared(view, &shared_memo), &want, name, "selection over a shared index");
+    }
+    let counts = |m: &PredictCache| (m.len(), m.hits(), m.misses());
+    assert_eq!(counts(&shared_memo), counts(&memo), "{name}: memo counts");
+}
+
+/// The same output, every prediction compared bit for bit.
+pub fn same_choices(got: &HostSelectionOutput, want: &HostSelectionOutput, case: &str, path: &str) {
+    let site = want.site;
+    assert_eq!(got, want, "{case}: {path} at site {site}");
+    for (t, c) in want.choices.iter() {
+        let bits = got.choice(t).map(|g| g.predicted_seconds.to_bits());
+        assert_eq!(bits, Some(c.predicted_seconds.to_bits()), "{case}: {path}: {t} at {site}");
+    }
 }
 
 /// Data-aware with one replica per dataset, at the parent site, is the

@@ -377,17 +377,20 @@ impl<'a> Replay<'a> {
             run.finish = end;
             let node = inp.afg.task(task);
             // The one place both endpoints of the task's final
-            // run are known: close its logical-time span.
-            inp.obs.trace.span(
-                start,
-                end,
-                "task_run",
-                vec![
-                    ("task".to_string(), (&*node.name).into()),
-                    ("site".to_string(), run.site.0.into()),
-                    ("hosts".to_string(), run.hosts.join("+").into()),
-                ],
-            );
+            // run are known: close its logical-time span. Its fields
+            // are built only for a sink that keeps them.
+            if inp.obs.trace.is_enabled() {
+                inp.obs.trace.span(
+                    start,
+                    end,
+                    "task_run",
+                    vec![
+                        ("task".to_string(), (&*node.name).into()),
+                        ("site".to_string(), run.site.0.into()),
+                        ("hosts".to_string(), run.hosts.join("+").into()),
+                    ],
+                );
+            }
             // Every planned checkpoint of this run lands before
             // its completion — flush any not yet processed.
             self.flush_checkpoints(task, end);
@@ -817,15 +820,15 @@ impl<'a> Replay<'a> {
         } else {
             local
         };
-        let mut ordered: Vec<SiteView> = Vec::with_capacity(views.len());
+        let mut ordered: Vec<&SiteView> = Vec::with_capacity(views.len());
         for v in views {
             if site_q.contains(v.site) || !self.seen.partition.reachable(anchor, v.site, sites) {
                 continue;
             }
             if v.site == local {
-                ordered.insert(0, v.clone());
+                ordered.insert(0, v);
             } else {
-                ordered.push(v.clone());
+                ordered.push(v);
             }
         }
         reselect_task(
