@@ -8,9 +8,11 @@
 #   5. every package under shims/ is still a dependency of something
 #   6. cargo test --workspace --no-fail-fast (every crate's unit,
 #      integration and prop_* suites plus the shims)
-#   7. the scheduler oracle's property tests (vdce-sched's prop_sched,
-#      prop_data and prop_incremental) on 1,024 cases each from a fixed
-#      PROPTEST_SEED, in release
+#   7. the oracles at depth, in release: the scheduler oracle's property
+#      tests (vdce-sched's prop_sched, prop_data and prop_incremental) on
+#      1,024 cases each from a fixed PROPTEST_SEED, and the JSON codec's
+#      differential suite (serde_json's tests/differential.rs) on 4,096
+#      cases per property (DIFFERENTIAL_CASES; 400 under a bare cargo test)
 #   8. the thread-based tests, four copies at a time: vdce-dsm's 50
 #      times, tests/concurrency.rs once, vdce-repository's, the Data
 #      Manager's and the message bus's 50 times
@@ -25,7 +27,7 @@
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
 #      pass and run — under a ceiling (1,065, 770, 269, 8,200, 250 and
-#      335,000). ROADMAP item 4's committed BENCH_perf.json
+#      312,000). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -121,12 +123,18 @@ stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
 # another stream (the shim XORs PROPTEST_SEED into it), in release. All
 # but the allocation-table model test draw their cases from the oracle's
 # generator (`crates/sched/tests/common/`). A failure prints the
-# PROPTEST_CASES that replays it under this seed.
+# PROPTEST_CASES that replays it under this seed. The codec's
+# differential suite (writer vs reference renderer, typed read vs read
+# through a `Value`, damaged documents) then runs ten times its default
+# case count; each case is its own fixed seed and a failure prints the
+# `check_case` call that replays it.
 oracle_sweep() {
     PROPTEST_CASES=1024 PROPTEST_SEED=35 cargo test -q --release --offline \
         -p vdce-sched --test prop_sched --test prop_data --test prop_incremental
+    DIFFERENTIAL_CASES=4096 cargo test -q --release --offline \
+        -p serde_json --test differential
 }
-stage "scheduler oracle (1,024 cases)" oracle_sweep
+stage "scheduler and codec oracles (1,024 / 4,096 cases)" oracle_sweep
 # Race stress: the DSM coherence protocol's miss paths once released the
 # directory before installing the page, and lost an invalidation only
 # when a loaded machine preempted a thread inside that window — one run
@@ -254,12 +262,14 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # submission. Re-indexing them in every host-selection call made them
 # 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 317,738 with the
+# 17-scenario sweep (~13.1k journal records): 306,351 with the
 # monitoring chain passing its reports and control messages by value,
 # each record framed once into the journal's log, recovered records
 # borrowed from the kill image, the resumed state compared with the seal
-# as it streams, re-selection borrowing the site views and the task_run
-# span's fields built only for an enabled trace sink. Cloning every view
+# as it streams, re-selection borrowing the site views, the task_run
+# span's fields built only for an enabled trace sink and `to_vec` /
+# `to_string` starting from a 128-byte buffer. Growing that buffer from
+# empty, as a `Vec` does, made it 317,738. Cloning every view
 # per re-selection and building those fields for a disabled sink made it
 # 352,364; a Monitor daemon that also sent a clone of each report down a
 # channel to its Group Manager, 377,373; `read_wal` / `recover` copying
@@ -301,4 +311,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 335000 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 312000 durable_faults

@@ -94,7 +94,7 @@ impl DataView {
 impl Serialize for DataView {
     fn write_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         let mut obj = w.begin_object();
-        w.field(&mut obj, "datasets");
+        w.key(&mut obj, br#""datasets":"#);
         let mut map = w.begin_object();
         for (id, spec) in &self.datasets {
             w.map_key(&mut map, id);
@@ -102,7 +102,7 @@ impl Serialize for DataView {
         }
         w.end_object(map);
         if !self.free.is_empty() {
-            w.field(&mut obj, "free");
+            w.key(&mut obj, br#""free":"#);
             self.free.write_json(w);
         }
         w.end_object(obj);

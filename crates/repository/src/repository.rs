@@ -118,13 +118,13 @@ impl SiteRepository {
     pub fn write_snapshot_json<W: Write>(&self, w: &mut JsonWriter<W>) {
         let inner = &*self.inner;
         let mut obj = w.begin_object();
-        w.field(&mut obj, "accounts");
+        w.key(&mut obj, br#""accounts":"#);
         inner.accounts.read().unwrap().write_json(w);
-        w.field(&mut obj, "resources");
+        w.key(&mut obj, br#""resources":"#);
         inner.resources.read().unwrap().write_json(w);
-        w.field(&mut obj, "tasks");
+        w.key(&mut obj, br#""tasks":"#);
         inner.tasks.read().unwrap().write_json(w);
-        w.field(&mut obj, "constraints");
+        w.key(&mut obj, br#""constraints":"#);
         inner.constraints.read().unwrap().write_json(w);
         w.end_object(obj);
     }

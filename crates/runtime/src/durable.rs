@@ -177,18 +177,18 @@ pub fn write_snapshot(
     let capacity = head_hint + HEAD_SLACK + log.with_journaled_json(<[u8]>::len);
     let mut w = JsonWriter::new(Vec::with_capacity(capacity), None);
     let mut obj = w.begin_object();
-    w.field(&mut obj, "repos");
+    w.key(&mut obj, br#""repos":"#);
     let mut arr = w.begin_array();
     for repo in repos {
         w.elem(&mut arr);
         repo.write_snapshot_json(&mut w);
     }
     w.end_array(arr);
-    w.field(&mut obj, "checkpoints");
+    w.key(&mut obj, br#""checkpoints":"#);
     store.control_state().write_json(&mut w);
-    w.field(&mut obj, "sites");
+    w.key(&mut obj, br#""sites":"#);
     sites.write_json(&mut w);
-    w.field(&mut obj, "log");
+    w.key(&mut obj, br#""log":"#);
     let arr = w.begin_array();
     log.with_journaled_json(|json| w.raw_json(json));
     w.end_array(arr);
@@ -411,6 +411,77 @@ mod tests {
             ControlEvent::decode("repo", "not json"),
             Err(ControlEventError::BadPayload { .. })
         ));
+    }
+
+    /// `v` as compact JSON with every object's members in reverse order
+    /// and key number `escape` (in document order) spelled with its first
+    /// character as a `\u00XX` escape; `seen` counts the keys written.
+    fn respell(v: &serde_json::Value, escape: usize, seen: &mut usize, out: &mut String) {
+        use serde_json::Value;
+        match v {
+            Value::Object(members) => {
+                out.push('{');
+                for (i, (k, member)) in members.iter().rev().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let mut key = serde_json::to_string(k).unwrap();
+                    if *seen == escape {
+                        let escaped = format!("\\u{:04x}", key.as_bytes()[1]);
+                        key.replace_range(1..2, &escaped);
+                    }
+                    *seen += 1;
+                    out.push_str(&key);
+                    out.push(':');
+                    respell(member, escape, seen, out);
+                }
+                out.push('}');
+            }
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    respell(item, escape, seen, out);
+                }
+                out.push(']');
+            }
+            scalar => out.push_str(&serde_json::to_string(scalar).unwrap()),
+        }
+    }
+
+    #[test]
+    fn payloads_with_members_reversed_and_a_key_escaped_decode_the_same() {
+        let events = [
+            ControlEvent::Repo(sample("h0", 0.25)),
+            ControlEvent::Checkpoint(CheckpointEvent::AddReplica {
+                task: TaskId(3),
+                seq: 7,
+                host: "h1".into(),
+            }),
+            ControlEvent::Site(JournaledSiteEvent {
+                site: 2,
+                event: SiteTableEvent::HostDown { host: "h2".into() },
+            }),
+            ControlEvent::Log(LogRecord {
+                t: 1.5,
+                event: RuntimeEvent::TaskStarted { task: TaskId(4), host: "h3".into() },
+            }),
+        ];
+        for e in &events {
+            let tree: serde_json::Value = serde_json::from_str(&e.payload()).unwrap();
+            for escape in 0.. {
+                let (mut text, mut seen) = (String::new(), 0);
+                respell(&tree, escape, &mut seen, &mut text);
+                if escape >= seen {
+                    assert!(escape >= 3, "{}: only {seen} keys", e.tag());
+                    break;
+                }
+                assert!(text.contains("\\u00"), "{text}");
+                assert_eq!(ControlEvent::decode(e.tag(), &text).as_ref(), Ok(e), "{text}");
+            }
+        }
     }
 
     #[test]

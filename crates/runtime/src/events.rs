@@ -356,9 +356,9 @@ pub struct LogRecord {
 fn write_log_record(out: &mut Vec<u8>, t: f64, event: &RuntimeEvent) {
     let mut w = JsonWriter::new(out, None);
     let mut obj = w.begin_object();
-    w.field(&mut obj, "t");
+    w.key(&mut obj, br#""t":"#);
     w.f64(t);
-    w.field(&mut obj, "event");
+    w.key(&mut obj, br#""event":"#);
     event.write_json(&mut w);
     w.end_object(obj);
 }

@@ -137,10 +137,15 @@ impl<W: Write> JsonWriter<W> {
         }
     }
 
-    /// A string, escaped; plain byte runs are copied through whole.
+    /// A string, escaped. One that needs no escape is copied through
+    /// whole; otherwise plain byte runs are.
     pub fn str(&mut self, s: &str) {
         self.raw(b"\"");
         let bytes = s.as_bytes();
+        if !bytes.iter().any(|&b| b == b'"' || b == b'\\' || b < 0x20) {
+            self.raw(bytes);
+            return self.raw(b"\"");
+        }
         let mut start = 0;
         for (i, &b) in bytes.iter().enumerate() {
             let escape: &[u8] = match b {
@@ -237,6 +242,22 @@ impl<W: Write> JsonWriter<W> {
         self.colon();
     }
 
+    /// `"name":` given as that literal, for a name that needs no escape
+    /// (a Rust identifier): compact, one optional `,` and the literal;
+    /// pretty, what [`JsonWriter::field`] writes for `name`.
+    pub fn key(&mut self, seq: &mut Seq, literal: &'static [u8]) {
+        debug_assert!(literal.starts_with(b"\"") && literal.ends_with(b"\":"));
+        if self.indent.is_some() {
+            self.elem(seq);
+            self.raw(&literal[..literal.len() - 1]);
+            return self.colon();
+        }
+        if !std::mem::replace(&mut seq.first, false) {
+            self.raw(b",");
+        }
+        self.raw(literal);
+    }
+
     /// A map entry's key: strings pass through, numbers and bools are
     /// quoted (serde_json's integer-keyed-map behaviour).
     pub fn map_key<K: crate::Serialize + ?Sized>(&mut self, seq: &mut Seq, key: &K) {
@@ -252,11 +273,12 @@ impl<W: Write> JsonWriter<W> {
         self.close(seq, b"}");
     }
 
-    /// `{"Tag":` of an externally-tagged enum variant; close it with
-    /// [`JsonWriter::end_object`] after the payload.
-    pub fn begin_variant(&mut self, tag: &str) -> Seq {
+    /// `{"Tag":` of an externally-tagged enum variant, its key given as
+    /// for [`JsonWriter::key`]; close it with [`JsonWriter::end_object`]
+    /// after the payload.
+    pub fn begin_variant(&mut self, tag: &'static [u8]) -> Seq {
         let mut seq = self.begin_object();
-        self.field(&mut seq, tag);
+        self.key(&mut seq, tag);
         seq
     }
 }

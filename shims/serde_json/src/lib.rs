@@ -56,9 +56,10 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     write(Vec::new(), Some(2), value).map(into_string)
 }
 
-/// Serialise to a UTF-8 byte vector.
+/// Serialise to a UTF-8 byte vector. It starts with room for a small
+/// document (a journal record is ~100 bytes), so that one allocates once.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
-    write(Vec::new(), None, value)
+    write(Vec::with_capacity(128), None, value)
 }
 
 /// Serialise as compact JSON into any byte sink — a file, or a running

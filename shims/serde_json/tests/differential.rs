@@ -14,7 +14,16 @@ use serde::{Deserialize, Number, Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-const CASES: u64 = 400;
+/// Cases per property: `DIFFERENTIAL_CASES` when the test is built
+/// (`DIFFERENTIAL_CASES=4096 cargo test -p serde_json --test differential`
+/// rebuilds it), else 400.
+const CASES: u64 = match option_env!("DIFFERENTIAL_CASES") {
+    Some(n) => match u64::from_str_radix(n, 10) {
+        Ok(n) => n,
+        Err(_) => panic!("DIFFERENTIAL_CASES is not a whole number"),
+    },
+    None => 400,
+};
 const SEED_BASE: u64 = 0x5eed_0000;
 /// The reader's nesting limit.
 const MAX_DEPTH: usize = 128;
@@ -300,10 +309,25 @@ fn reference_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Private-use characters `ESCAPED + c` in a key stand for the ASCII
+/// character `c` spelled as a `\u00XX` escape: [`perturb`] puts them in,
+/// [`render`] spells them out. Generated strings never contain them.
+const ESCAPED: u32 = 0xe000;
+
 fn render(v: &Value, indent: Option<usize>) -> String {
     let mut out = String::new();
     reference_render(v, &mut out, indent, 0);
-    out
+    let escaped = |c: char| (ESCAPED..ESCAPED + 0x80).contains(&(c as u32));
+    if !out.contains(escaped) {
+        return out;
+    }
+    out.chars().fold(String::new(), |mut spelled, c| {
+        match escaped(c) {
+            true => spelled.push_str(&format!("\\u{:04x}", c as u32 - ESCAPED)),
+            false => spelled.push(c),
+        }
+        spelled
+    })
 }
 
 /// The tree a reader of `x`'s text sees.
@@ -350,7 +374,8 @@ fn parses_agree(text: &[u8], what: &str) -> Result<Option<Record>, String> {
 }
 
 /// Rearrange a document without changing what a struct reads from it:
-/// shuffle members, add unknown ones, repeat one under a later duplicate.
+/// shuffle members, add unknown ones, repeat one under a later duplicate,
+/// re-spell a character of a key as a `\u00XX` escape.
 fn perturb(v: &mut Value, rng: &mut StdRng) {
     match v {
         Value::Array(items) => items.iter_mut().for_each(|item| perturb(item, rng)),
@@ -372,6 +397,20 @@ fn perturb(v: &mut Value, rng: &mut StdRng) {
                     for i in (1..pairs.len()).rev() {
                         pairs.swap(i, rng.gen_range(0..=i));
                     }
+                }
+            }
+            if rng.gen_bool(0.3) && !pairs.is_empty() {
+                // After the shuffle: an escaped key looks distinct but is not.
+                let at = rng.gen_range(0..pairs.len());
+                let key = &mut pairs[at].0;
+                let plain: Vec<(usize, char)> = key
+                    .char_indices()
+                    .filter(|&(_, c)| matches!(c, ' '..='~') && c != '"' && c != '\\')
+                    .collect();
+                if !plain.is_empty() {
+                    let (offset, c) = plain[rng.gen_range(0..plain.len())];
+                    let marker = char::from_u32(ESCAPED + c as u32).unwrap();
+                    key.replace_range(offset..offset + 1, marker.encode_utf8(&mut [0; 4]));
                 }
             }
         }
@@ -595,6 +634,72 @@ fn perturbed_structs_still_parse() {
         assert_eq!(serde_json::from_str::<Scalars>(&text).unwrap(), x, "{text}");
         assert_eq!(tree_parse::<Scalars>(text.as_bytes()).unwrap(), x, "{text}");
     }
+}
+
+#[test]
+fn near_miss_keys_are_unknown_and_escaped_keys_are_the_field() {
+    // A struct tries its next field's quoted name as raw bytes first; a
+    // key it only starts, extends, or spells with an escape is read whole.
+    let x = Scalars { text: "kept".into(), ..Scalars::default() };
+    let plain = serde_json::to_string(&x).unwrap();
+    let both = |text: &str| {
+        let streamed = serde_json::from_str::<Scalars>(text).ok();
+        assert_eq!(streamed, tree_parse(text.as_bytes()), "{text}");
+        streamed
+    };
+    for near in ["tex", "text2", "text ", "Text", "ext", "te\\u0078t2"] {
+        let member = format!("\"{near}\":\"no\"");
+        let before = plain.replacen('{', &format!("{{{member},"), 1);
+        let after = format!("{},{member}}}", &plain[..plain.len() - 1]);
+        let inside = plain.replace("\"text\":", &format!("{member},\"text\":"));
+        for text in [before, after, inside] {
+            assert_eq!(both(&text).as_ref(), Some(&x), "{near:?} is not `text`");
+        }
+        let instead = plain.replace("\"text\":", &format!("\"{near}\":"));
+        assert_eq!(both(&instead), None, "{near:?} stands in for `text`");
+    }
+    for spelled in ["\\u0074ext", "te\\u0078t", "tex\\u0074", "\\u0074\\u0065\\u0078\\u0074"] {
+        let text = plain.replace("\"text\":", &format!("\"{spelled}\":"));
+        assert_eq!(both(&text).as_ref(), Some(&x), "{spelled:?} is `text`");
+    }
+}
+
+#[test]
+fn a_skipped_first_field_leaves_no_leading_comma() {
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct LeadSkipped {
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        first: Option<u8>,
+        #[serde(skip)]
+        cache: u8,
+        second: u8,
+        #[serde(default, skip_serializing_if = "Vec::is_empty")]
+        last: Vec<u8>,
+    }
+    #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+    struct OnlySkipped {
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        only: Option<u8>,
+    }
+    for (first, last) in [(None, vec![]), (None, vec![3]), (Some(1), vec![]), (Some(1), vec![3])] {
+        let x = LeadSkipped { first, cache: 0, second: 2, last };
+        for indent in [None, Some(2)] {
+            let written = match indent {
+                None => serde_json::to_string(&x).unwrap(),
+                Some(_) => serde_json::to_string_pretty(&x).unwrap(),
+            };
+            assert_eq!(written, render(&tree_of(&x), indent));
+            assert_eq!(serde_json::from_str::<LeadSkipped>(&written).unwrap(), x);
+        }
+    }
+    let x = LeadSkipped { first: None, cache: 9, second: 2, last: vec![] };
+    assert_eq!(serde_json::to_string(&x).unwrap(), r#"{"second":2}"#);
+    assert_eq!(serde_json::to_string_pretty(&x).unwrap(), "{\n  \"second\": 2\n}");
+    let none = OnlySkipped { only: None };
+    assert_eq!(serde_json::to_string(&none).unwrap(), "{}");
+    assert_eq!(serde_json::to_string_pretty(&none).unwrap(), "{}");
+    let some = OnlySkipped { only: Some(4) };
+    assert_eq!(serde_json::to_string(&some).unwrap(), r#"{"only":4}"#);
 }
 
 #[test]
