@@ -134,7 +134,7 @@ oracle_sweep() {
     DIFFERENTIAL_CASES=4096 cargo test -q --release --offline \
         -p serde_json --test differential
 }
-stage "scheduler and codec oracles (1,024 / 4,096 cases)" oracle_sweep
+stage "oracles at depth (1,024 / 4,096)" oracle_sweep
 # Race stress: the DSM coherence protocol's miss paths once released the
 # directory before installing the page, and lost an invalidation only
 # when a loaded machine preempted a thread inside that window — one run
