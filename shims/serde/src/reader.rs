@@ -377,40 +377,6 @@ impl<'a> JsonReader<'a> {
         Ok(Some(key))
     }
 
-    /// The next member's key as an index into `names`, a struct's field
-    /// names each spelled in quotes (`"name"`), positioned on its value;
-    /// `names.len()` for a key that is none of them, `Ok(None)` has
-    /// consumed the `}`. Field `*next` is tried first, as those bytes;
-    /// any other key is read as [`JsonReader::next_key`] reads it and
-    /// looked up. A match moves `*next` past it.
-    pub fn next_field(
-        &mut self,
-        seq: &mut Seq,
-        names: &[&[u8]],
-        next: &mut usize,
-    ) -> Result<Option<usize>, Error> {
-        if !self.next_entry(seq, b'}')? {
-            return Ok(None);
-        }
-        self.skip_ws();
-        let index = match names.get(*next) {
-            Some(name) if self.bytes()[self.pos..].starts_with(name) => {
-                self.pos += name.len();
-                *next
-            }
-            _ => {
-                let key = self.read_str("string")?;
-                let unquoted = |name: &&[u8]| &name[1..name.len() - 1] == key.as_bytes();
-                names.iter().position(unquoted).unwrap_or(names.len())
-            }
-        };
-        self.colon()?;
-        if index < names.len() {
-            *next = index + 1;
-        }
-        Ok(Some(index))
-    }
-
     /// The next member's key as a typed map key (numbers and bools are
     /// read out of the string); `Ok(None)` has consumed the `}`.
     pub fn next_map_key<K: crate::Deserialize>(

@@ -137,15 +137,10 @@ impl<W: Write> JsonWriter<W> {
         }
     }
 
-    /// A string, escaped. One that needs no escape is copied through
-    /// whole; otherwise plain byte runs are.
+    /// A string, escaped; plain byte runs are copied through whole.
     pub fn str(&mut self, s: &str) {
         self.raw(b"\"");
         let bytes = s.as_bytes();
-        if !bytes.iter().any(|&b| b == b'"' || b == b'\\' || b < 0x20) {
-            self.raw(bytes);
-            return self.raw(b"\"");
-        }
         let mut start = 0;
         for (i, &b) in bytes.iter().enumerate() {
             let escape: &[u8] = match b {
@@ -247,15 +242,13 @@ impl<W: Write> JsonWriter<W> {
     /// pretty, what [`JsonWriter::field`] writes for `name`.
     pub fn key(&mut self, seq: &mut Seq, literal: &'static [u8]) {
         debug_assert!(literal.starts_with(b"\"") && literal.ends_with(b"\":"));
+        self.elem(seq);
         if self.indent.is_some() {
-            self.elem(seq);
             self.raw(&literal[..literal.len() - 1]);
-            return self.colon();
+            self.colon();
+        } else {
+            self.raw(literal);
         }
-        if !std::mem::replace(&mut seq.first, false) {
-            self.raw(b",");
-        }
-        self.raw(literal);
     }
 
     /// A map entry's key: strings pass through, numbers and bools are

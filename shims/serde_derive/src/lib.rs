@@ -15,9 +15,8 @@
 //! concrete types only); a `compile_error!` fires if one slips in.
 //!
 //! Each derive emits one method: `write_json` (tokens straight into a
-//! `JsonWriter`) or `read_json` (straight out of a `JsonReader`). Keys are
-//! byte literals built here: `"name":` for the writer, and the declared
-//! `"name"`s a struct's reader matches a key against by index.
+//! `JsonWriter`) or `read_json` (straight out of a `JsonReader`). The
+//! writer's keys are byte literals built here, `"name":`.
 //! `shims/serde_json/tests/differential.rs` checks every shape.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
@@ -359,7 +358,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 arms.push_str(&format!(
                     "{name}::{vn}{pattern} => {{ let __t = __w.begin_variant({});\n\
                      {payload}\n__w.end_object(__t); }}\n",
-                    key_bytes(vn, ":")
+                    key_bytes(vn)
                 ));
             }
             format!("match self {{\n{arms}}}")
@@ -387,10 +386,10 @@ fn ser_tuple(refs: &[String]) -> String {
     format!("let mut __a = __w.begin_array();\n{writes}__w.end_array(__a);")
 }
 
-/// A `&'static [u8]` expression for `name` in quotes followed by `tail`:
-/// a field or variant name is an identifier, so it needs no escape.
-fn key_bytes(name: &str, tail: &str) -> String {
-    format!("{:?}.as_bytes()", format!("\"{name}\"{tail}"))
+/// A `&'static [u8]` expression for `"name":`: a field or variant name
+/// is an identifier, so it needs no escape.
+fn key_bytes(name: &str) -> String {
+    format!("{:?}.as_bytes()", format!("\"{name}\":"))
 }
 
 /// Statements writing named fields as an object in declaration order;
@@ -401,7 +400,7 @@ fn ser_named(fields: &[Field], access: impl Fn(&Field) -> String) -> String {
         let (n, r) = (&f.name, access(f));
         let write = format!(
             "__w.key(&mut __s, {}); ::serde::Serialize::write_json({r}, __w);\n",
-            key_bytes(n, ":")
+            key_bytes(n)
         );
         match &f.skip_ser_if {
             Some(pred) => out.push_str(&format!("if !{pred}({r}) {{ {write} }}\n")),
@@ -515,25 +514,21 @@ fn de_tuple(ctor: &str, arity: usize) -> String {
     }
 }
 
-/// A block reading named fields into `ctor`, each key as an index into
-/// the declared names: unknown keys are skipped and the first of a
-/// duplicated key wins. Errors name the type by `ctor`.
+/// A block reading named fields into `ctor`: unknown keys are skipped and
+/// the first of a duplicated key wins. Errors name the type by `ctor`.
 fn de_named(ctor: &str, fields: &[Field]) -> String {
     let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
-    let (mut names, mut index) = (String::new(), 0usize);
     for f in fields {
         let n = &f.name;
         if f.skip {
             inits.push_str(&format!("{n}: ::std::default::Default::default(),\n"));
             continue;
         }
-        names.push_str(&format!("{}, ", key_bytes(n, "")));
         slots.push_str(&format!("let mut __f_{n} = ::std::option::Option::None;\n"));
         arms.push_str(&format!(
-            "{index} if __f_{n}.is_none() => __f_{n} = \
+            "{n:?} if __f_{n}.is_none() => __f_{n} = \
              ::std::option::Option::Some(__r.field({ctor:?}, {n:?})?),\n"
         ));
-        index += 1;
         inits.push_str(&match &f.missing {
             Missing::Default => format!("{n}: __f_{n}.unwrap_or_default(),\n"),
             Missing::Call(path) => format!("{n}: __f_{n}.unwrap_or_else({path}),\n"),
@@ -547,10 +542,8 @@ fn de_named(ctor: &str, fields: &[Field]) -> String {
     }
     format!(
         "{{ {slots}let mut __s = __r.begin_object(\"object for {ctor}\")?;\n\
-         const __NAMES: &[&[u8]] = &[{names}];\nlet mut __next = 0;\n\
-         while let ::std::option::Option::Some(__i) = \
-         __r.next_field(&mut __s, __NAMES, &mut __next)? {{\n\
-         match __i {{\n{arms}_ => __r.skip_value()?,\n}}\n}}\n\
+         while let ::std::option::Option::Some(__k) = __r.next_key(&mut __s)? {{\n\
+         match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n}}\n\
          {ctor} {{\n{inits}}} }}"
     )
 }
