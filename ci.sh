@@ -246,8 +246,10 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # 40k-task op with the allocation table as dense rows sharing their names
 # with the AFG and the task classes indexed once per schedule (272 when
 # each site re-indexed them; a name and a share of a tree node per task
-# made it 47,081), incr_churn 154 per monitor event with host-selection
-# outputs as shared dense tables (a per-site re-index made it 8,232).
+# made it 47,081), incr_churn 142 per monitor event with host-selection
+# outputs as shared dense tables and the dirty set and the diff's
+# class-pair memo as scratch the schedule keeps (154 with a heap and a
+# dedup vector per event; a per-site re-index made it 8,232).
 # batch_data, whose 8k tasks form 7,833 task classes, makes 8,177 with
 # the classes indexed once per schedule, one per-class choice list per
 # site table and dataset replica lists borrowed from the catalog view
@@ -256,11 +258,13 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 716 for stream_steady seed 1 and 990 for stream_backlog seed 2 with the
+# 716 for stream_steady seed 1 and 942 for stream_backlog seed 2 with the
 # prediction memo's host-side terms as dense rows per site, one lane list
-# per host-selection call and the task classes indexed once per queued
-# submission. Re-indexing them in every host-selection call made them
-# 827 and 1,142; a host-name `String` per memoised term and a lane vector
+# per host-selection call, the task classes indexed once per queued
+# submission and each queued submission's schedule keeping its `apply`
+# scratch (990 for stream_backlog with a heap and a dedup vector per
+# `apply`). Re-indexing the classes in every host-selection call made
+# them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
 # 17-scenario sweep (~13.1k journal records): 306,351 with the
 # monitoring chain passing its reports and control messages by value,
@@ -276,8 +280,8 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # every record into a `Vec<u8>` and a `String` pair with the resume leg
 # serialising into a buffer, 404,546 (431,736 when the journal also kept
 # each record as a `(String, String)` pair). The ceilings of batch_wide,
-# batch_data, the stream stages and durable_faults sit about halfway
-# between the count and the one before it.
+# batch_data, the stream stages, incr_churn and durable_faults sit about
+# halfway between the count and the one before it.
 #   perf_allocs_at_most <ceiling> <workload> [seed, default 1]
 perf_allocs_at_most() {
     local ceiling=$1 workload=$2 seed=${3:-1} out allocs
@@ -295,7 +299,7 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 1065 stream_backlog 2
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 966 stream_backlog 2
 stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 770 stream_steady
 stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 269 batch_wide
 stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8200 batch_data
@@ -304,7 +308,7 @@ stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8200 batch_data
 # once every host has healed. The smoke absorbs a twentieth of the
 # events into a twentieth of the tasks; the 10k-task, 512-event pass is
 # where a diff that misses a slot or a row rewritten wrongly would show.
-stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 250 incr_churn
+stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 148 incr_churn
 # Full-size durable check: durable_faults asserts, per fault scenario,
 # durable replay == plain replay, zero deputy divergences, and that four
 # kills (three with a torn tail) each recover, replay and resume to the

@@ -177,6 +177,69 @@ impl Afg {
     }
 }
 
+/// Positions of a topological order ([`Afg::topo_order_with`]), one bit
+/// each, drained by one sweep: forward visits a task before its children,
+/// backward before its parents. The contract: a sweep marks only
+/// positions ahead of its cursor, so it visits each marked position once,
+/// in order. [`TopoMarks::reset`] readies it for the next sweep and keeps
+/// the allocation.
+#[derive(Debug, Clone, Default)]
+pub struct TopoMarks {
+    words: Vec<u64>,
+    /// Words before `lo` and from `hi` on are zero.
+    lo: usize,
+    hi: usize,
+}
+
+impl TopoMarks {
+    /// Clear every mark and size the set for positions `0..n`.
+    pub fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        (self.lo, self.hi) = (0, self.words.len());
+    }
+
+    /// Mark position `pos` (idempotent).
+    pub fn mark(&mut self, pos: usize) {
+        let w = pos / 64;
+        debug_assert!(self.lo <= w && w < self.hi, "position {pos} is behind the sweep");
+        self.words[w] |= 1 << (pos % 64);
+    }
+
+    /// How many positions are marked.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Unmark and return the lowest marked position.
+    pub fn pop_forward(&mut self) -> Option<usize> {
+        while self.lo < self.hi {
+            // Re-read the word on every pop: a child may sit in it.
+            let w = self.words[self.lo];
+            if w != 0 {
+                self.words[self.lo] = w & (w - 1);
+                return Some(self.lo * 64 + w.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        None
+    }
+
+    /// Unmark and return the highest marked position.
+    pub fn pop_backward(&mut self) -> Option<usize> {
+        while self.lo < self.hi {
+            let w = self.words[self.hi - 1];
+            if w != 0 {
+                let bit = 63 - w.leading_zeros() as usize;
+                self.words[self.hi - 1] = w & !(1 << bit);
+                return Some((self.hi - 1) * 64 + bit);
+            }
+            self.hi -= 1;
+        }
+        None
+    }
+}
+
 /// CSR-style adjacency index over an [`Afg`]'s edge list.
 ///
 /// [`Afg::in_edges`]/[`Afg::out_edges`] scan the whole edge list per

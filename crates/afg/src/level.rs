@@ -13,10 +13,9 @@
 //! authors' later work, TPDS 2002) uses; the scheduler crate benches both
 //! as an ablation (experiment E9).
 
-use crate::graph::{Afg, EdgeIndex};
+use crate::graph::{Afg, EdgeIndex, TopoMarks};
 use crate::ids::TaskId;
 use crate::task::TaskNode;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Errors from level computation.
@@ -100,19 +99,22 @@ fn node_level(
 /// affected *ancestors* are recomputed instead of re-walking the world.
 ///
 /// Levels flow child → parent, so a change propagates strictly upward
-/// (toward entry nodes). [`LevelTracker::update`] processes dirty tasks
-/// deepest-topological-position first — every child is final before any
-/// parent is recomputed — and stops propagating along any path where the
-/// recomputed level is bit-identical to the stored one. The maintained
-/// vector is therefore always bit-identical to `level_map` run from
-/// scratch (property-tested in the scheduler crate), while touching only
-/// `O(affected ancestors)` nodes.
+/// (toward entry nodes). [`LevelTracker::update`] sweeps the dirty tasks
+/// backward over their topological positions ([`TopoMarks`]) — every
+/// child is final before any parent is recomputed — and stops
+/// propagating along any path where the recomputed level is
+/// bit-identical to the stored one. The maintained vector is therefore
+/// always bit-identical to `level_map` run from scratch (property-tested
+/// in the scheduler crate), while touching only `O(affected ancestors)`
+/// nodes.
 #[derive(Debug, Clone)]
 pub struct LevelTracker {
     levels: Vec<f64>,
-    /// Position of each task in the topological order the tracker was
-    /// built with; drives the deepest-first dirty queue.
+    /// The build-time topological order (position → task) and its inverse.
+    order: Vec<TaskId>,
     topo_pos: Vec<u32>,
+    /// The dirty positions of one update; scratch, reset by every call.
+    marks: TopoMarks,
 }
 
 impl LevelTracker {
@@ -133,7 +135,7 @@ impl LevelTracker {
         for &t in order.iter().rev() {
             levels[t.index()] = node_level(afg, idx, t, &cost, &|_| 0.0, &levels);
         }
-        Ok(LevelTracker { levels, topo_pos })
+        Ok(LevelTracker { levels, order, topo_pos, marks: TopoMarks::default() })
     }
 
     /// The maintained per-task levels, indexed by [`TaskId`].
@@ -158,29 +160,22 @@ impl LevelTracker {
             afg.task_count(),
             "LevelTracker::update on a structurally different graph"
         );
-        // Max-heap on topological position: children (deeper) pop before
-        // their parents, and propagation only ever moves toward smaller
-        // positions, so each task is re-evaluated at most once.
-        let mut heap: BinaryHeap<(u32, TaskId)> = BinaryHeap::new();
-        let mut queued = vec![false; self.levels.len()];
+        // Parents sit before their children, so propagation only marks
+        // positions ahead of the backward sweep: each task is re-evaluated
+        // at most once.
+        self.marks.reset(self.levels.len());
         for &t in changed {
-            if !queued[t.index()] {
-                queued[t.index()] = true;
-                heap.push((self.topo_pos[t.index()], t));
-            }
+            self.marks.mark(self.topo_pos[t.index()] as usize);
         }
         let mut touched = 0usize;
-        while let Some((_, t)) = heap.pop() {
+        while let Some(pos) = self.marks.pop_backward() {
+            let t = self.order[pos];
             touched += 1;
             let fresh = node_level(afg, idx, t, &cost, &|_| 0.0, &self.levels);
             if fresh.to_bits() != self.levels[t.index()].to_bits() {
                 self.levels[t.index()] = fresh;
                 for e in idx.in_edges(afg, t) {
-                    let p = e.from;
-                    if !queued[p.index()] {
-                        queued[p.index()] = true;
-                        heap.push((self.topo_pos[p.index()], p));
-                    }
+                    self.marks.mark(self.topo_pos[e.from.index()] as usize);
                 }
             }
         }

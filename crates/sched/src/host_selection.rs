@@ -119,6 +119,40 @@ impl ChoiceTable {
     pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
+
+    /// Call `changed` for each task of `0..tasks` whose choice differs
+    /// between `self` and `other`: feasible on one side only, other hosts
+    /// (`Arc`'s `==`, a pointer compare first) or other prediction bits, as
+    /// the bit-identity contract counts them. Each (old class, new class)
+    /// pair is compared once, for any two class maps: `memo` (scratch, reset
+    /// here) holds per old class the last new class met and its verdict; a
+    /// pair it does not hold is compared again.
+    pub(crate) fn diff(
+        &self,
+        other: &Self,
+        tasks: usize,
+        memo: &mut Vec<Option<(u32, bool)>>,
+        mut changed: impl FnMut(TaskId),
+    ) {
+        let class = |t: &Self, i: usize| t.0.class_of.get(i).copied().unwrap_or(ABSENT);
+        fn key(c: &TaskHostChoice) -> (&Arc<[String]>, u64) {
+            (&c.hosts, c.predicted_seconds.to_bits())
+        }
+        let same = |a, b| self.choice_at(a).map(key) == other.choice_at(b).map(key);
+        memo.clear();
+        memo.resize(self.0.choices.len(), None);
+        for task in 0..tasks {
+            let (a, b) = (class(self, task), class(other, task));
+            let verdict = match memo.get_mut(a as usize) {
+                Some(&mut Some((seen, verdict))) if seen == b => verdict,
+                Some(slot) => slot.insert((b, same(a, b))).1,
+                None => same(a, b),
+            };
+            if !verdict {
+                changed(TaskId(task as u32));
+            }
+        }
+    }
 }
 
 impl PartialEq for ChoiceTable {
@@ -937,6 +971,95 @@ mod tests {
         let reply =
             crate::federation::SchedMessage::HostSelectionReply { request_id: 7, output: out };
         assert_eq!(reply.wire_bytes(), 199);
+    }
+
+    /// A table over `class_of` with `choices`, as the classed path builds one.
+    fn table(class_of: &[u32], choices: &[Option<TaskHostChoice>]) -> ChoiceTable {
+        ChoiceTable(Arc::new(Choices { class_of: class_of.into(), choices: choices.to_vec() }))
+    }
+
+    /// A choice on `host` with a host list of its own: equal to another
+    /// only by value.
+    fn pick(host: &str, secs: f64) -> Option<TaskHostChoice> {
+        Some(TaskHostChoice { hosts: Arc::new([host.to_string()]), predicted_seconds: secs })
+    }
+
+    /// The tasks of `0..tasks` that `old.diff(new)` reports, asserted equal
+    /// to the tasks a per-task comparison of `get` reports.
+    fn diffed(old: &ChoiceTable, new: &ChoiceTable, tasks: usize) -> Vec<u32> {
+        let mut marked = Vec::new();
+        old.diff(new, tasks, &mut vec![Some((0, true)); 3], |t| marked.push(t.0));
+        let differs = |t: &u32| match (old.get(TaskId(*t)), new.get(TaskId(*t))) {
+            (Some(a), Some(b)) => {
+                a.hosts != b.hosts || a.predicted_seconds.to_bits() != b.predicted_seconds.to_bits()
+            }
+            (a, b) => a.is_some() != b.is_some(),
+        };
+        assert_eq!(marked, (0..tasks as u32).filter(differs).collect::<Vec<_>>());
+        marked
+    }
+
+    #[test]
+    fn diff_over_a_renumbered_class_map_marks_the_changed_classes_members() {
+        let old = table(&[0, 1, 2, 0, 1, 2, 0, 1, 2, 0], &[pick("h0", 1.0), pick("h1", 2.0), None]);
+        // Old class 0 is new class 2, 1 is 0 and 2 is 1.
+        let renumbered = [2, 0, 1, 2, 0, 1, 2, 0, 1, 2];
+        let same = table(&renumbered, &[pick("h1", 2.0), None, pick("h0", 1.0)]);
+        assert_eq!(diffed(&old, &same, 10), [0u32; 0]);
+        let moved = table(&renumbered, &[pick("h1", 2.0), None, pick("h0", 1.5)]);
+        assert_eq!(diffed(&old, &moved, 10), [0, 3, 6, 9]);
+        let signed = table(&[0, 0], &[pick("h0", 0.0)]);
+        assert_eq!(diffed(&signed, &table(&[0, 0], &[pick("h0", -0.0)]), 2), [0, 1]);
+    }
+
+    #[test]
+    fn diff_over_a_split_class_compares_each_new_class() {
+        let one = table(&[0; 8], &[pick("h0", 1.0)]);
+        let split = table(&[0, 1, 0, 1, 0, 1, 1, 0], &[pick("h0", 1.0), pick("h1", 1.0)]);
+        assert_eq!(diffed(&one, &split, 8), [1, 3, 5, 6]);
+        assert_eq!(diffed(&split, &one, 8), [1, 3, 5, 6]);
+    }
+
+    /// A wire table names the tasks it did not list `ABSENT` and ends at
+    /// the last one it did.
+    #[test]
+    fn diff_against_a_wire_table_reads_absent_and_missing_slots_as_infeasible() {
+        let classed = table(&[0, 1, 1, 0, 2, 2], &[pick("h0", 1.0), None, pick("h2", 3.0)]);
+        let choice = r#"{"hosts":["h0"],"predicted_seconds":1.0}"#;
+        let wire: ChoiceTable =
+            serde_json::from_str(&format!(r#"{{"3":{choice},"0":{choice}}}"#)).unwrap();
+        assert_eq!(wire.0.class_of[..], [1, ABSENT, ABSENT, 0]);
+        assert_eq!(diffed(&classed, &wire, 6), [4, 5]);
+        assert_eq!(diffed(&wire, &classed, 6), [4, 5]);
+        let other = r#"{"hosts":["h9"],"predicted_seconds":1.0}"#;
+        let wire: ChoiceTable =
+            serde_json::from_str(&format!(r#"{{"0":{choice},"3":{other}}}"#)).unwrap();
+        assert_eq!(diffed(&classed, &wire, 6), [3, 4, 5]);
+        assert_eq!(diffed(&wire, &classed, 6), [3, 4, 5]);
+    }
+
+    /// Random class maps of random lengths over a pool of choices, some
+    /// equal only by value, some only by `==` on the prediction.
+    #[test]
+    fn diff_matches_a_per_task_comparison_on_random_maps() {
+        let pool = [None, pick("h0", 1.0), pick("h0", 1.0), pick("h1", 1.0), pick("h0", -0.0)];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |below: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 33) % below
+        };
+        for _ in 0..500 {
+            let mut side = || {
+                let choices: Vec<_> =
+                    (0..next(5)).map(|_| pool[next(5) as usize].clone()).collect();
+                let class_of: Vec<u32> = (0..next(13))
+                    .map(|_| if next(6) == 0 { ABSENT } else { next(5) as u32 })
+                    .collect();
+                table(&class_of, &choices)
+            };
+            let (old, new) = (side(), side());
+            diffed(&old, &new, 12);
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!
 //! In [`crate::site_scheduler`]'s walk **without** `spread_critical`,
 //! the decision for a task depends only on (a) the per-site
-//! [`TaskHostChoice`]s for that task and (b) its parents' chosen
-//! *sites* (the transfer term). Level priorities order the walk but
-//! never enter any decision, so *any* topological re-placement order
-//! yields the same table as the level-order walk — decision by
-//! decision, through the shared
+//! [`TaskHostChoice`]s for that task and (b) its
+//! parents' chosen *sites* (the transfer term). Level priorities order
+//! the walk but never enter any decision, so *any* topological
+//! re-placement order yields the same table as the level-order walk —
+//! decision by decision, through the shared
 //! [`choose_site_for_task`](crate::site_scheduler) argmin. That
 //! order-independence is the invariant the incremental path rests on,
 //! and why it refuses `spread_critical` (whose accumulated
@@ -27,19 +27,20 @@
 //! **site** changed. The first is a diff of old against new outputs: a
 //! site whose table is the same allocation as before (every site a
 //! monitor event did not touch) is skipped on one pointer compare, the
-//! others are compared slot by slot. Tasks are
-//! re-decided in topological order via a min-heap on topo position;
-//! a child is enqueued only when its parent's site actually moved, so
-//! an event whose effects dampen out touches O(changed) tasks, not
-//! O(n).
+//! others are diffed per task, comparing each pair of old and new
+//! classes once ([`ChoiceTable::diff`](crate::ChoiceTable)). The dirty
+//! tasks are marked in a bitmap over topological position
+//! ([`TopoMarks`]) and re-decided by one forward sweep of it: a child
+//! sits after its parent, so a mark made during the sweep is always
+//! ahead of it. A child is marked only when its parent's site actually
+//! moved, so an event whose effects dampen out re-decides O(changed)
+//! tasks, not O(n), and the sweep itself reads n/64 words.
 
 use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::data_inputs::DatasetInputs;
 use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
 use crate::site_scheduler::{choose_site_for_task, SchedError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use vdce_afg::{Afg, EdgeIndex, TaskId};
+use vdce_afg::{Afg, EdgeIndex, TaskId, TopoMarks};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_net::TransferCache;
@@ -73,33 +74,17 @@ pub struct IncrementalSchedule {
     ignore_transfer_time: bool,
     xfer: TransferCache,
     idx: EdgeIndex,
+    /// The topological order (position → task) and its inverse.
+    order: Vec<TaskId>,
     topo_pos: Vec<u32>,
     site_of: Vec<SiteId>,
     outputs: Vec<HostSelectionOutput>,
     table: AllocationTable,
-}
-
-/// Same placement content? `to_bits` on the prediction so a `-0.0`/NaN
-/// quirk can never make "changed" and "unchanged" disagree with the
-/// bit-identity contract. `Arc`'s `==` on the host lists is a pointer
-/// compare first, which covers the choices that kept their shared host
-/// list across a re-selection.
-fn choice_eq(a: &TaskHostChoice, b: &TaskHostChoice) -> bool {
-    a.hosts == b.hosts && a.predicted_seconds.to_bits() == b.predicted_seconds.to_bits()
-}
-
-/// Push `t` unless already queued (dedup bitvec; never reset — a popped
-/// task can only be re-reached from a parent, which pops earlier).
-fn enqueue(
-    topo_pos: &[u32],
-    heap: &mut BinaryHeap<Reverse<(u32, TaskId)>>,
-    queued: &mut [bool],
-    t: TaskId,
-) {
-    if !queued[t.index()] {
-        queued[t.index()] = true;
-        heap.push(Reverse((topo_pos[t.index()], t)));
-    }
+    /// Scratch of `apply`, reset by every call (so a poisoned schedule's
+    /// leftovers never reach the next one): the dirty positions, and the
+    /// class-pair memo of [`ChoiceTable::diff`](crate::ChoiceTable).
+    marks: TopoMarks,
+    memo: Vec<Option<(u32, bool)>>,
 }
 
 /// The answering sites of `outputs`, in order.
@@ -131,53 +116,61 @@ impl IncrementalSchedule {
             topo_pos[t.index()] = i as u32;
         }
 
-        let xfer = TransferCache::new(net);
-
-        let mut table = AllocationTable::with_capacity(afg.name.clone(), n);
-        // Entry value never read: every task is decided before any child
-        // reads it (topological order).
-        let mut site_of = vec![SiteId(0); n];
-        let mut parents: Vec<(SiteId, u64)> = Vec::new();
+        let mut inc = IncrementalSchedule {
+            local_site,
+            ignore_transfer_time,
+            xfer: TransferCache::new(net),
+            idx,
+            order: Vec::new(),
+            topo_pos,
+            // Entry value never read: every task is decided before any
+            // child reads it (topological order).
+            site_of: vec![SiteId(0); n],
+            outputs: Vec::new(),
+            table: AllocationTable::with_capacity(afg.name.clone(), n),
+            marks: TopoMarks::default(),
+            memo: Vec::new(),
+        };
+        let mut parents = Vec::new();
         for &task in &order {
-            parents.clear();
-            if !ignore_transfer_time {
-                for e in idx.in_edges(afg, task) {
-                    parents.push((site_of[e.from.index()], e.data_size));
-                }
-            }
-            let best = choose_site_for_task(
+            let (site, choice) = inc.decide(afg, &outputs, task, &mut parents)?;
+            inc.site_of[task.index()] = site;
+            inc.table.insert(TaskPlacement {
                 task,
-                &outputs,
-                &parents,
-                &[],
-                local_site,
-                &mut |a, b, bytes| xfer.transfer_time(a, b, bytes),
-                None,
-            );
-            let node = afg.task(task);
-            let (site, choice, _) = best
-                .ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
-            site_of[task.index()] = site;
-            table.insert(TaskPlacement {
-                task,
-                task_name: node.name.clone(),
+                task_name: afg.task(task).name.clone(),
                 site,
                 hosts: choice.hosts.clone(),
                 predicted_seconds: choice.predicted_seconds,
                 data_sources: Vec::new(),
             });
         }
+        inc.order = order;
+        inc.outputs = outputs;
+        Ok(inc)
+    }
 
-        Ok(IncrementalSchedule {
-            local_site,
-            ignore_transfer_time,
-            xfer,
-            idx,
-            topo_pos,
-            site_of,
-            outputs,
-            table,
-        })
+    /// The walk's decision for `task` under `outputs`, from its parents'
+    /// current sites; `parents` is scratch.
+    fn decide<'o>(
+        &self,
+        afg: &Afg,
+        outputs: &'o [HostSelectionOutput],
+        task: TaskId,
+        parents: &mut Vec<(SiteId, u64)>,
+    ) -> Result<(SiteId, &'o TaskHostChoice), SchedError> {
+        parents.clear();
+        if !self.ignore_transfer_time {
+            for e in self.idx.in_edges(afg, task) {
+                parents.push((self.site_of[e.from.index()], e.data_size));
+            }
+        }
+        let xfer = &mut |a, b, bytes| self.xfer.transfer_time(a, b, bytes);
+        let best = choose_site_for_task(task, outputs, parents, &[], self.local_site, xfer, None);
+        let (site, choice, _) = best.ok_or_else(|| SchedError::NoFeasibleSite {
+            task,
+            name: afg.task(task).name.to_string(),
+        })?;
+        Ok((site, choice))
     }
 
     /// The current allocation table.
@@ -209,53 +202,27 @@ impl IncrementalSchedule {
         // Seed the dirty set: tasks whose own choice changed at any site.
         // A monitor event re-selects one site and hands back clones of
         // the other tables, which one pointer compare recognises; the
-        // rest are diffed slot by slot.
-        let mut heap: BinaryHeap<Reverse<(u32, TaskId)>> = BinaryHeap::new();
-        let mut queued = vec![false; afg.task_count()];
+        // rest are diffed class pair by class pair.
+        self.marks.reset(afg.task_count());
         for (old, new) in self.outputs.iter().zip(&new_outputs) {
             if old.choices.ptr_eq(&new.choices) {
                 continue;
             }
-            for task in afg.task_ids() {
-                let same = match (old.choices.get(task), new.choices.get(task)) {
-                    (Some(a), Some(b)) => choice_eq(a, b),
-                    (None, None) => true,
-                    _ => false,
-                };
-                if !same {
-                    enqueue(&self.topo_pos, &mut heap, &mut queued, task);
-                }
-            }
+            old.choices.diff(&new.choices, afg.task_count(), &mut self.memo, |task| {
+                self.marks.mark(self.topo_pos[task.index()] as usize);
+            });
         }
-        let dirty = heap.len();
+        let dirty = self.marks.count();
 
-        let mut parents: Vec<(SiteId, u64)> = Vec::new();
+        let mut parents = Vec::new();
         let mut replaced = 0usize;
         let mut moved = 0usize;
-        // Topo-order pops: every parent of a popped task — dirty or not —
+        // A forward sweep: every parent of a popped task — dirty or not —
         // already carries its final site in `site_of`.
-        while let Some(Reverse((_, task))) = heap.pop() {
+        while let Some(pos) = self.marks.pop_forward() {
+            let task = self.order[pos];
             replaced += 1;
-            parents.clear();
-            if !self.ignore_transfer_time {
-                for e in self.idx.in_edges(afg, task) {
-                    parents.push((self.site_of[e.from.index()], e.data_size));
-                }
-            }
-            let xfer = &self.xfer;
-            let best = choose_site_for_task(
-                task,
-                &new_outputs,
-                &parents,
-                &[],
-                self.local_site,
-                &mut |a, b, bytes| xfer.transfer_time(a, b, bytes),
-                None,
-            );
-            let node = afg.task(task);
-            let (site, choice, _) = best
-                .ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
-
+            let (site, choice) = self.decide(afg, &new_outputs, task, &mut parents)?;
             let site_changed = self.site_of[task.index()] != site;
             let row = self.table.placement_mut(task).expect("constructed complete");
             if site_changed
@@ -273,7 +240,7 @@ impl IncrementalSchedule {
             // choices were diffed in the seeding pass.
             if site_changed && !self.ignore_transfer_time {
                 for e in self.idx.out_edges(afg, task) {
-                    enqueue(&self.topo_pos, &mut heap, &mut queued, e.to);
+                    self.marks.mark(self.topo_pos[e.to.index()] as usize);
                 }
             }
         }
@@ -428,6 +395,102 @@ mod tests {
         for (a, b) in inc.table().iter().zip(full.iter()) {
             assert_eq!(a.predicted_seconds.to_bits(), b.predicted_seconds.to_bits());
         }
+    }
+
+    /// `repo(linux)` plus one slow Sun host, `sun`.
+    fn repo_with_sun(linux: &[(&str, f64)], sun: &str) -> SiteRepository {
+        let r = repo(linux);
+        r.resources_mut(|db| {
+            db.upsert(ResourceRecord::new(
+                sun,
+                "10.0.0.2",
+                MachineType::SunSolaris,
+                0.2,
+                1,
+                1 << 30,
+                "g0",
+            ))
+        });
+        r
+    }
+
+    /// Source → Sorts → Sink, `len` tasks in all, so task `i` sits at
+    /// topological position `i`; the tasks in `sun_only` run on Sun hosts
+    /// only.
+    fn long_chain(len: u32, sun_only: &[u32]) -> Afg {
+        let lib = TaskLibrary::standard();
+        let mut b = AfgBuilder::new("long", &lib);
+        let mut prev = b.add_task("Source", "src", 100_000).unwrap();
+        for i in 1..len {
+            let kind = if i + 1 == len { "Sink" } else { "Sort" };
+            let t = b.add_task(kind, &format!("t{i}"), 100_000).unwrap();
+            if sun_only.contains(&i) {
+                b.set_machine_type(t, MachineType::SunSolaris).unwrap();
+            }
+            b.connect(prev, 0, t, 0).unwrap();
+            prev = t;
+        }
+        b.build().unwrap()
+    }
+
+    /// Sun-only tasks on both sides of the bitmap's word boundaries at
+    /// positions 64 and 128 lose site 0's Sun host: each moves to site 1
+    /// and drags its children along, so the sweep pops children marked in
+    /// the word it is reading as well as in the next one. Both the event and its
+    /// healing must match a full re-walk, bit for bit.
+    #[test]
+    fn dirty_positions_across_word_boundaries_match_full_rewalk() {
+        let afg = long_chain(150, &[40, 63, 64, 127, 128, 129]);
+        let r0 = repo_with_sun(&[("l0", 2.0), ("l1", 1.0)], "s0");
+        let r1 = repo_with_sun(&[("r0", 1.5)], "s1");
+        let v0 = SiteView::capture(SiteId(0), &r0);
+        let v1 = SiteView::capture(SiteId(1), &r1);
+        let net = NetworkModel::with_defaults(2);
+        let levels = v0.levels(&afg).unwrap();
+        let outputs = outputs_for(&[&v0, &v1], &afg);
+        let initial = full_walk(&afg, &levels, &outputs, &net);
+        let mut inc = IncrementalSchedule::new(&afg, SiteId(0), outputs, &net, false).unwrap();
+        assert!(inc.table().iter().all(|p| p.site == SiteId(0)));
+
+        r0.resources_mut(|db| db.set_status("s0", HostStatus::Down));
+        let v0b = SiteView::capture(SiteId(0), &r0);
+        let down = outputs_for(&[&v0b, &v1], &afg);
+        let delta = inc.apply(&afg, down.clone()).unwrap();
+        assert_eq!(delta, ReschedulingDelta { dirty: 6, replaced: 110, moved: 110 });
+        let full = full_walk(&afg, &levels, &down, &net);
+        assert_eq!(*inc.table(), full);
+        for (a, b) in inc.table().iter().zip(full.iter()) {
+            assert_eq!(a.predicted_seconds.to_bits(), b.predicted_seconds.to_bits());
+        }
+
+        let healed = outputs_for(&[&v0, &v1], &afg);
+        let delta = inc.apply(&afg, healed).unwrap();
+        assert_eq!(delta, ReschedulingDelta { dirty: 6, replaced: 110, moved: 110 });
+        assert_eq!(*inc.table(), initial);
+    }
+
+    /// An `apply` that fails poisons the schedule, but the next call
+    /// starts from fresh scratch: it does not panic, and the failed
+    /// sweep's marks (task 100's seed) do not leak into it.
+    #[test]
+    fn apply_after_a_failed_apply_does_not_panic() {
+        let afg = long_chain(150, &[40, 100]);
+        let r0 = repo_with_sun(&[("l0", 2.0)], "s0");
+        let r1 = repo_with_sun(&[("r0", 1.5)], "s1");
+        let v0 = SiteView::capture(SiteId(0), &r0);
+        let v1 = SiteView::capture(SiteId(1), &r1);
+        let net = NetworkModel::with_defaults(2);
+        let outputs = outputs_for(&[&v0, &v1], &afg);
+        let mut inc =
+            IncrementalSchedule::new(&afg, SiteId(0), outputs.clone(), &net, false).unwrap();
+
+        r0.resources_mut(|db| db.set_status("s0", HostStatus::Down));
+        r1.resources_mut(|db| db.set_status("s1", HostStatus::Down));
+        let v0b = SiteView::capture(SiteId(0), &r0);
+        let v1b = SiteView::capture(SiteId(1), &r1);
+        let err = inc.apply(&afg, outputs_for(&[&v0b, &v1b], &afg));
+        assert!(matches!(err, Err(SchedError::NoFeasibleSite { task: TaskId(40), .. })), "{err:?}");
+        assert_eq!(inc.apply(&afg, outputs), Ok(ReschedulingDelta::default()));
     }
 
     #[test]
