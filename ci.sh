@@ -26,8 +26,8 @@
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
-#      pass and run — under a ceiling (1,065, 770, 269, 8,200, 250 and
-#      312,000). ROADMAP item 4's committed BENCH_perf.json
+#      pass and run — under a ceiling (940, 713, 247, 8,160, 148 and
+#      306,160). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -242,33 +242,39 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # These stages, the stream ones above, incr_churn's and durable_faults'
 # also read `allocs_per_op` off the run's JSON result line. The count is the
 # benchmark's own allocator's, identical in every pass and run, so a
-# ceiling on it has no noise to allow for: batch_wide makes 266 calls per
+# ceiling on it has no noise to allow for: batch_wide makes 227 calls per
 # 40k-task op with the allocation table as dense rows sharing their names
-# with the AFG and the task classes indexed once per schedule (272 when
-# each site re-indexed them; a name and a share of a tree node per task
-# made it 47,081), incr_churn 142 per monitor event with host-selection
-# outputs as shared dense tables and the dirty set and the diff's
-# class-pair memo as scratch the schedule keeps (154 with a heap and a
-# dedup vector per event; a per-site re-index made it 8,232).
-# batch_data, whose 8k tasks form 7,833 task classes, makes 8,177 with
+# with the AFG, the task classes indexed once per schedule, the walk's
+# and the simulator's ready sets as a level rank and a bitset, and the
+# edge index built without cursor copies (266 with ready heaps and two
+# cursor copies per index; 272 when each site re-indexed the classes; a
+# name and a share of a tree node per task made it 47,081), incr_churn
+# 142 per monitor event with host-selection outputs as shared dense
+# tables and the dirty set and the diff's class-pair memo as scratch the
+# schedule keeps (154 with a heap and a dedup vector per event; a
+# per-site re-index made it 8,232).
+# batch_data, whose 8k tasks form 7,833 task classes, makes 8,144 with
 # the classes indexed once per schedule, one per-class choice list per
-# site table and dataset replica lists borrowed from the catalog view
-# (8,230 with a re-index and a per-task slot vector per site; a heap
-# object per class, or a replica-list clone per dataset input, made it
-# 48,240). The stream stages count one arrival (host selection at up to
+# site table, dataset replica lists borrowed from the catalog view and
+# the ready sets and edge index as batch_wide's (8,177 with ready heaps
+# and cursor copies; 8,230 with a re-index and a per-task slot vector
+# per site; a heap object per class, or a replica-list clone per dataset
+# input, made it 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 716 for stream_steady seed 1 and 942 for stream_backlog seed 2 with the
+# 709 for stream_steady seed 1 and 938 for stream_backlog seed 2 with the
 # prediction memo's host-side terms as dense rows per site, one lane list
 # per host-selection call, the task classes indexed once per queued
-# submission and each queued submission's schedule keeping its `apply`
-# scratch (990 for stream_backlog with a heap and a dedup vector per
-# `apply`). Re-indexing the classes in every host-selection call made
+# submission, each queued submission's schedule keeping its `apply`
+# scratch and the edge index built without cursor copies (716 and 942
+# with the copies; 990 for stream_backlog with a heap and a dedup vector
+# per `apply`). Re-indexing the classes in every host-selection call made
 # them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 306,351 with the
-# monitoring chain passing its reports and control messages by value,
-# each record framed once into the journal's log, recovered records
+# 17-scenario sweep (~13.1k journal records): 305,963 with the edge
+# index built without cursor copies (306,351 with them), the monitoring
+# chain passing its reports and control messages by value, each record
+# framed once into the journal's log, recovered records
 # borrowed from the kill image, the resumed state compared with the seal
 # as it streams, re-selection borrowing the site views, the task_run
 # span's fields built only for an enabled trace sink and `to_vec` /
@@ -299,10 +305,10 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 966 stream_backlog 2
-stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 770 stream_steady
-stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 269 batch_wide
-stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8200 batch_data
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 940 stream_backlog 2
+stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 713 stream_steady
+stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 247 batch_wide
+stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8160 batch_data
 # Full-size incremental check: incr_churn compares the standing table
 # with a full re-walk on every 64th event, and with the initial table
 # once every host has healed. The smoke absorbs a twentieth of the
@@ -315,4 +321,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 148 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 312000 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 306160 durable_faults

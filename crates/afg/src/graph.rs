@@ -10,8 +10,6 @@
 use crate::ids::{PortIndex, TaskId};
 use crate::task::TaskNode;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A dataflow edge between an output port of one task and an input port of
 /// another.
@@ -144,18 +142,22 @@ impl Afg {
     pub fn topo_order_with(&self, idx: &EdgeIndex) -> Option<Vec<TaskId>> {
         let n = self.tasks.len();
         let mut deg = self.in_degrees();
-        // Min-id-first frontier as a min-heap: `O(log f)` per task however
-        // wide the ready frontier gets (a 25k-wide layer is routine at
-        // scale), and the pop order is the order a sorted list would give.
-        let mut frontier: BinaryHeap<Reverse<TaskId>> =
-            self.task_ids().filter(|t| deg[t.index()] == 0).map(Reverse).collect();
+        // The ready frontier as a [`ReadySet`] over task ids: the lowest
+        // ready id pops first however wide the frontier gets (a 25k-wide
+        // layer is routine at scale), and a child may have a lower id
+        // than the task that readied it.
+        let mut frontier = ReadySet::new(n);
+        for t in self.task_ids().filter(|t| deg[t.index()] == 0) {
+            frontier.insert(t.index());
+        }
         let mut order = Vec::with_capacity(n);
-        while let Some(Reverse(t)) = frontier.pop() {
+        while let Some(t) = frontier.pop_min() {
+            let t = TaskId(t as u32);
             order.push(t);
             for e in idx.out_edges(self, t) {
                 deg[e.to.index()] -= 1;
                 if deg[e.to.index()] == 0 {
-                    frontier.push(Reverse(e.to));
+                    frontier.insert(e.to.index());
                 }
             }
         }
@@ -240,6 +242,59 @@ impl TopoMarks {
     }
 }
 
+/// A set of positions `0..n` popped lowest first, for ready sets whose
+/// order is *not* topological: [`Afg::topo_order_with`]'s frontier by
+/// task id and the level-ranked ready lists of the site-scheduler walk
+/// and the makespan simulator. The contract, unlike [`TopoMarks`]'s: an
+/// insert may land anywhere, below the last position popped included,
+/// since a child can rank ahead of the task that readied it. One bit per
+/// position sits under one summary bit per 64 positions (set while that
+/// word is non-zero), all in one allocation, so a pop reads a summary
+/// word and a bit word.
+#[derive(Debug, Clone)]
+pub struct ReadySet {
+    /// `n.div_ceil(64)` bit words, then the summary words.
+    words: Vec<u64>,
+    /// Index of the first summary word.
+    summary: usize,
+    /// Summary words before `lo` are zero.
+    lo: usize,
+}
+
+impl ReadySet {
+    /// An empty set of positions `0..n`.
+    pub fn new(n: usize) -> Self {
+        let summary = n.div_ceil(64);
+        ReadySet { words: vec![0; summary + summary.div_ceil(64)], summary, lo: 0 }
+    }
+
+    /// Add position `pos` (idempotent).
+    pub fn insert(&mut self, pos: usize) {
+        let w = pos / 64;
+        self.words[w] |= 1 << (pos % 64);
+        self.words[self.summary + w / 64] |= 1 << (w % 64);
+        self.lo = self.lo.min(w / 64);
+    }
+
+    /// Remove and return the lowest position in the set.
+    pub fn pop_min(&mut self) -> Option<usize> {
+        let (bits, summary) = self.words.split_at_mut(self.summary);
+        while let Some(&s) = summary.get(self.lo) {
+            if s != 0 {
+                let w = self.lo * 64 + s.trailing_zeros() as usize;
+                let word = bits[w];
+                bits[w] = word & (word - 1);
+                if bits[w] == 0 {
+                    summary[self.lo] = s & (s - 1);
+                }
+                return Some(w * 64 + word.trailing_zeros() as usize);
+            }
+            self.lo += 1;
+        }
+        None
+    }
+}
+
 /// CSR-style adjacency index over an [`Afg`]'s edge list.
 ///
 /// [`Afg::in_edges`]/[`Afg::out_edges`] scan the whole edge list per
@@ -284,15 +339,20 @@ impl EdgeIndex {
         }
         let mut in_pos = vec![0u32; e];
         let mut out_pos = vec![0u32; e];
-        let mut in_next = in_off.clone();
-        let mut out_next = out_off.clone();
+        // Fill each group by advancing its own start offset, which leaves
+        // offset `i` at group `i`'s end, i.e. at the old offset `i + 1`;
+        // one shift right restores the offsets without a cursor copy.
         for (p, edge) in afg.edges.iter().enumerate() {
-            let i = &mut in_next[edge.to.index()];
+            let i = &mut in_off[edge.to.index()];
             in_pos[*i as usize] = p as u32;
             *i += 1;
-            let o = &mut out_next[edge.from.index()];
+            let o = &mut out_off[edge.from.index()];
             out_pos[*o as usize] = p as u32;
             *o += 1;
+        }
+        for off in [&mut in_off, &mut out_off] {
+            off.copy_within(0..n, 1);
+            off[0] = 0;
         }
         EdgeIndex { in_off, in_pos, out_off, out_pos }
     }
@@ -439,6 +499,63 @@ mod tests {
     fn in_degrees_count_multi_edges() {
         let g = diamond();
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
+    }
+
+    /// Pop everything left in `set`, lowest first.
+    fn drain(set: &mut ReadySet) -> Vec<usize> {
+        std::iter::from_fn(|| set.pop_min()).collect()
+    }
+
+    #[test]
+    fn ready_set_pops_lowest_first_across_word_and_summary_boundaries() {
+        let mut set = ReadySet::new(8_193);
+        for pos in [8_192, 4_096, 64, 4_095, 63, 0, 64, 8_191] {
+            set.insert(pos);
+        }
+        assert_eq!(drain(&mut set), vec![0, 63, 64, 4_095, 4_096, 8_191, 8_192]);
+        assert_eq!(set.pop_min(), None);
+        assert_eq!(drain(&mut ReadySet::new(0)), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn ready_set_takes_inserts_below_the_last_pop() {
+        let mut set = ReadySet::new(5_000);
+        for pos in [4_096, 4_100, 200] {
+            set.insert(pos);
+        }
+        assert_eq!(set.pop_min(), Some(200));
+        assert_eq!(set.pop_min(), Some(4_096));
+        // Below the last pop: in its word, an earlier word and an earlier
+        // summary word; a duplicate of a member counts once.
+        for pos in [4_097, 4_095, 130, 4_100, 5] {
+            set.insert(pos);
+        }
+        assert_eq!(drain(&mut set), vec![5, 130, 4_095, 4_097, 4_100]);
+    }
+
+    #[test]
+    fn ready_set_matches_a_sorted_set_model() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize % bound
+        };
+        let n = 10_000;
+        let (mut set, mut model) = (ReadySet::new(n), std::collections::BTreeSet::new());
+        for _ in 0..50_000 {
+            if next(3) == 0 {
+                assert_eq!(set.pop_min(), model.pop_first());
+            } else {
+                // Mostly near the lowest member, as a walk readies tasks.
+                let low = model.first().copied().unwrap_or(0);
+                let pos = if next(2) == 0 { next(n) } else { (low + next(300)).min(n - 1) };
+                set.insert(pos);
+                model.insert(pos);
+            }
+        }
+        assert_eq!(drain(&mut set), model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

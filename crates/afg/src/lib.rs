@@ -48,7 +48,7 @@ mod validate;
 
 pub use builder::AfgBuilder;
 pub use document::{AfgDocument, ServiceRequest};
-pub use graph::{Afg, Edge, EdgeIndex, TopoMarks};
+pub use graph::{Afg, Edge, EdgeIndex, ReadySet, TopoMarks};
 pub use ids::{DatasetId, PortIndex, TaskId};
 pub use level::{blevel_map, level_map, LevelError, LevelTracker};
 pub use library::{KernelKind, LibraryEntry, LibraryGroup, TaskLibrary};

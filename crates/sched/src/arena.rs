@@ -10,15 +10,15 @@
 //! indexed by id — host-free times are `Vec<f64>`, placements are
 //! `Vec<u32>`, busy intervals are `Vec<Vec<(f64, f64)>>`.
 //!
-//! [`ReadyKey`] is the heap key of the indexed ready list shared by the
-//! site-scheduler walk and the makespan simulator: pop order is
-//! "highest level first, ties by ascending task id" — exactly the order
-//! the reference linear scan selects, so swapping the `O(n)` scan for
-//! the `O(log n)` heap cannot change any schedule.
+//! [`LevelReady`] is the ready list shared by the site-scheduler walk
+//! and the makespan simulator. The levels are fixed before either runs
+//! (§3), so [`rank`] sorts the tasks once into "highest level first, ties
+//! by ascending task id" — exactly the order the reference linear scan
+//! selects — and the ready set holds ranks in a [`ReadySet`], whose lowest
+//! member is the next task. No pop compares a level.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
-use vdce_afg::TaskId;
+use vdce_afg::{ReadySet, TaskId};
 
 /// Sentinel id for "no host assigned yet" in dense placement arrays.
 pub(crate) const NO_HOST: u32 = u32::MAX;
@@ -61,33 +61,46 @@ impl HostArena {
     }
 }
 
-/// Key of the heap-based ready list: pop order is "highest level first,
-/// ties by ascending task id" — exactly the order the reference path's
-/// linear scan selects. `total_cmp` makes this `Ord` a total order
-/// whatever the levels; the site-scheduler walk refuses a non-finite
-/// level at its entry, so there the order is also the numeric one.
-pub(crate) struct ReadyKey {
-    pub(crate) level: f64,
-    pub(crate) task: TaskId,
-}
-
-impl PartialEq for ReadyKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+/// The tasks of `levels` in ready-list order — highest level first by
+/// `total_cmp`, ties by ascending task id — as rank → task, and its
+/// inverse, task → rank. `total_cmp` makes the order total whatever the
+/// levels (a NaN ranks above every number); the site-scheduler walk
+/// refuses a non-finite level at its entry, so there the order is also
+/// the numeric one.
+pub(crate) fn rank(levels: &[f64]) -> (Vec<TaskId>, Vec<u32>) {
+    let mut by_rank: Vec<TaskId> = (0..levels.len() as u32).map(TaskId).collect();
+    by_rank.sort_unstable_by(|a, b| {
+        levels[b.index()].total_cmp(&levels[a.index()]).then_with(|| a.cmp(b))
+    });
+    let mut rank_of = vec![0u32; levels.len()];
+    for (r, t) in by_rank.iter().enumerate() {
+        rank_of[t.index()] = r as u32;
     }
+    (by_rank, rank_of)
 }
 
-impl Eq for ReadyKey {}
+/// Ready tasks popped in [`rank`] order: the lowest ready rank first.
+/// A child may rank ahead of a task still ready, so the set takes
+/// inserts in any order.
+pub(crate) struct LevelReady {
+    by_rank: Vec<TaskId>,
+    rank_of: Vec<u32>,
+    ready: ReadySet,
+}
 
-impl PartialOrd for ReadyKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl LevelReady {
+    /// An empty ready list over the tasks of `levels`.
+    pub(crate) fn new(levels: &[f64]) -> Self {
+        let (by_rank, rank_of) = rank(levels);
+        LevelReady { by_rank, rank_of, ready: ReadySet::new(levels.len()) }
     }
-}
 
-impl Ord for ReadyKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.level.total_cmp(&other.level).then_with(|| other.task.cmp(&self.task))
+    pub(crate) fn push(&mut self, task: TaskId) {
+        self.ready.insert(self.rank_of[task.index()] as usize);
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<TaskId> {
+        self.ready.pop_min().map(|r| self.by_rank[r])
     }
 }
 
@@ -107,23 +120,30 @@ mod tests {
     }
 
     #[test]
-    fn ready_key_pops_highest_level_then_lowest_id() {
-        let mut h = std::collections::BinaryHeap::new();
-        h.push(ReadyKey { level: 1.0, task: TaskId(7) });
-        h.push(ReadyKey { level: 5.0, task: TaskId(3) });
-        h.push(ReadyKey { level: 5.0, task: TaskId(1) });
-        let order: Vec<TaskId> = std::iter::from_fn(|| h.pop().map(|k| k.task)).collect();
-        assert_eq!(order, vec![TaskId(1), TaskId(3), TaskId(7)]);
+    fn rank_orders_highest_level_then_lowest_id() {
+        let (by_rank, rank_of) = rank(&[1.0, 5.0, 0.5, 5.0, 1.0]);
+        let ids = |v: &[TaskId]| v.iter().map(|t| t.0).collect::<Vec<_>>();
+        assert_eq!(ids(&by_rank), vec![1, 3, 0, 4, 2]);
+        assert_eq!(rank_of, vec![2, 0, 4, 1, 3]);
+        let mut ready = LevelReady::new(&[1.0, 5.0, 0.5, 5.0, 1.0]);
+        for t in [4, 3, 1] {
+            ready.push(TaskId(t));
+        }
+        assert_eq!(ready.pop(), Some(TaskId(1)));
+        // A task readied after a pop may rank ahead of the rest.
+        ready.push(TaskId(0));
+        let rest: Vec<TaskId> = std::iter::from_fn(|| ready.pop()).collect();
+        assert_eq!(rest, vec![TaskId(3), TaskId(0), TaskId(4)]);
     }
 
     #[test]
-    fn ready_key_order_stays_total_under_nan() {
+    fn rank_stays_total_under_nan() {
         // `evaluate` takes caller levels unchecked: a NaN must sort
         // somewhere definite (above every number), not compare equal to
-        // everything and leave the heap's order to its insertion history.
-        let key = |level, task| ReadyKey { level, task: TaskId(task) };
-        assert_eq!(key(f64::NAN, 0).cmp(&key(5.0, 1)), Ordering::Greater);
-        assert_eq!(key(5.0, 1).cmp(&key(f64::NAN, 0)), Ordering::Less);
-        assert_eq!(key(1.0, 2).cmp(&key(5.0, 1)), Ordering::Less);
+        // everything and leave the order to the sort's history.
+        let (by_rank, _) = rank(&[5.0, f64::NAN, 1.0, f64::NAN, f64::INFINITY]);
+        assert_eq!(by_rank, [1, 3, 4, 0, 2].map(TaskId));
+        let (by_rank, _) = rank(&[f64::NEG_INFINITY, -0.0, 0.0, -f64::NAN]);
+        assert_eq!(by_rank, [2, 1, 0, 3].map(TaskId));
     }
 }

@@ -166,11 +166,11 @@ impl IncrementalSchedule {
         }
         let xfer = &mut |a, b, bytes| self.xfer.transfer_time(a, b, bytes);
         let best = choose_site_for_task(task, outputs, parents, &[], self.local_site, xfer, None);
-        let (site, choice, _) = best.ok_or_else(|| SchedError::NoFeasibleSite {
+        let (winner, choice) = best.ok_or_else(|| SchedError::NoFeasibleSite {
             task,
             name: afg.task(task).name.to_string(),
         })?;
-        Ok((site, choice))
+        Ok((outputs[winner].site, choice))
     }
 
     /// The current allocation table.

@@ -17,10 +17,10 @@
 //! - **duration**: the placement's predicted execution time.
 
 use crate::allocation::{AllocationTable, TaskPlacement};
-use crate::arena::ReadyKey;
+use crate::arena::LevelReady;
 use crate::data_inputs::DatasetInputs;
 use crate::site_scheduler::SchedError;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vdce_afg::level::LevelError;
@@ -124,9 +124,10 @@ impl From<LevelError> for EvalError {
 /// through that borrow, and each [`TimedTask`] shares its placement's
 /// `Arc<[String]>` — no host string is copied. Host names become dense
 /// ids once per distinct host list (see `resolve_hosts`), host-free times
-/// live in a flat `Vec<f64>` indexed by id, and the ready set is a
-/// max-heap whose pop order is "highest level first, ties by ascending
-/// task id". A task the walk never reaches means the AFG has a cycle.
+/// live in a flat `Vec<f64>` indexed by id. The ready order is "highest
+/// level first, ties by ascending task id": the tasks are ranked once by
+/// level, and the ready set is a bitset of ranks whose lowest member pops
+/// next. A task the walk never reaches means the AFG has a cycle.
 pub fn evaluate(
     afg: &Afg,
     table: &AllocationTable,
@@ -195,14 +196,13 @@ pub fn evaluate_with_data(
 
     let edge_idx = afg.edge_index();
     let mut remaining = afg.in_degrees();
-    let mut ready: BinaryHeap<ReadyKey> = afg
-        .task_ids()
-        .filter(|t| remaining[t.index()] == 0)
-        .map(|t| ReadyKey { level: levels[t.index()], task: t })
-        .collect();
+    let mut ready = LevelReady::new(levels);
+    for t in afg.task_ids().filter(|t| remaining[t.index()] == 0) {
+        ready.push(t);
+    }
 
     let mut timed = 0usize;
-    while let Some(ReadyKey { task, .. }) = ready.pop() {
+    while let Some(task) = ready.pop() {
         let my_hosts = hosts.of(task);
         let my_site = tasks[task.index()].site;
         let p = placed[task.index()];
@@ -251,7 +251,7 @@ pub fn evaluate_with_data(
             );
             remaining[e.to.index()] -= 1;
             if remaining[e.to.index()] == 0 {
-                ready.push(ReadyKey { level: levels[e.to.index()], task: e.to });
+                ready.push(e.to);
             }
         }
     }

@@ -25,12 +25,12 @@
 //! inter-site message bus in [`federated_schedule`](crate::federated_schedule).
 
 use crate::allocation::{AllocationTable, DataSource, TaskPlacement};
-use crate::arena::ReadyKey;
+use crate::arena::LevelReady;
 use crate::classes::TaskClasses;
 use crate::data_inputs::{DatasetInputs, DsInput};
 use crate::host_selection::{host_selection, select_by_class, HostSelectionOutput, TaskHostChoice};
 use crate::view::SiteView;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use vdce_afg::level::LevelError;
 use vdce_afg::{Afg, DatasetId, TaskId};
@@ -449,34 +449,30 @@ pub fn schedule_with_outputs_data(
     )
 }
 
-/// The ready set of step 6, in both implementations: the reference
-/// linear-scan `Vec` (`O(n)` per pick, as the seed implementation did it)
-/// and a max-[`BinaryHeap`] (`O(log n)` per pick). Both yield tasks
+/// The ready set of step 6, in both implementations, as `sequential`
+/// picks: the reference linear-scan `Vec` (`O(n)` per pick, as the seed
+/// implementation did it) and a [`LevelReady`], the tasks ranked once by
+/// level with the ready ranks in a bitset. Both yield tasks
 /// highest-level-first with ties by ascending id; the property tests
 /// compare the resulting tables for equality.
 enum ReadyList {
     Scan(Vec<TaskId>),
-    Heap(BinaryHeap<ReadyKey>),
+    Ranked(LevelReady),
 }
 
 impl ReadyList {
-    fn new(sequential: bool, entries: Vec<TaskId>, levels: &[f64]) -> Self {
+    fn new(sequential: bool, levels: &[f64]) -> Self {
         if sequential {
-            ReadyList::Scan(entries)
+            ReadyList::Scan(Vec::new())
         } else {
-            ReadyList::Heap(
-                entries
-                    .into_iter()
-                    .map(|t| ReadyKey { level: levels[t.index()], task: t })
-                    .collect(),
-            )
+            ReadyList::Ranked(LevelReady::new(levels))
         }
     }
 
-    fn push(&mut self, task: TaskId, levels: &[f64]) {
+    fn push(&mut self, task: TaskId) {
         match self {
             ReadyList::Scan(v) => v.push(task),
-            ReadyList::Heap(h) => h.push(ReadyKey { level: levels[task.index()], task }),
+            ReadyList::Ranked(r) => r.push(task),
         }
     }
 
@@ -489,7 +485,7 @@ impl ReadyList {
                 })?;
                 Some(v.swap_remove(pos))
             }
-            ReadyList::Heap(h) => h.pop().map(|k| k.task),
+            ReadyList::Ranked(r) => r.pop(),
         }
     }
 }
@@ -516,6 +512,12 @@ fn check_levels(afg: &Afg, levels: &[f64]) -> Result<(), SchedError> {
 /// [`TransferCache`] stays a plain data snapshot (it must remain
 /// `Clone + PartialEq` for the federation protocol), so the counting
 /// happens here at the consultation site rather than inside the cache.
+///
+/// The walk records only which output won each task. The table's rows
+/// are written after it, in one pass in task-id order: cloning a row's
+/// name and hosts bumps two reference counts, and a locked increment
+/// inside the level-ordered loop would stall each of its scattered cache
+/// misses behind the one before.
 #[allow(clippy::too_many_arguments)]
 fn schedule_walk(
     afg: &Afg,
@@ -536,11 +538,9 @@ fn schedule_walk(
     // contract).
     let dsi = DatasetInputs::resolve(afg, data)?;
     let mut xfer_lookups = 0u64;
-    // Compact beside the table's rows: the in-edge loop below reads a
-    // parent's site several times per task.
-    let mut site_of_task: Vec<Option<SiteId>> = vec![None; afg.task_count()];
-    // One slot per task, each row written once, as its task is decided.
-    let mut table = AllocationTable::with_capacity(afg.name.clone(), afg.task_count());
+    // The index into `outputs` of each task's winning site; a parent's
+    // site is read through it.
+    let mut won: Vec<u32> = vec![u32::MAX; afg.task_count()];
 
     // Critical-path spreading (DESIGN.md §11): a task is *critical* when
     // its level is within the top quarter of the level range; the hosts
@@ -553,6 +553,13 @@ fn schedule_walk(
     // Optimised path: snapshot the link matrix once; `transfer_time` on
     // the snapshot is bit-identical to the model's.
     let xfer_cache = if sequential { None } else { Some(TransferCache::new(net)) };
+    let mut xfer_time = |from: SiteId, to: SiteId, bytes: u64| {
+        xfer_lookups += 1;
+        match &xfer_cache {
+            Some(c) => c.transfer_time(from, to, bytes),
+            None => net.transfer_time(from, to, bytes),
+        }
+    };
 
     // Adjacency index: the walk below touches every task's in- and
     // out-edges once; through the scanning accessors that is `O(n·e)`.
@@ -560,22 +567,21 @@ fn schedule_walk(
 
     // Step 6: ready set = entry nodes.
     let mut remaining_parents = afg.in_degrees();
-    let entries = afg.task_ids().filter(|t| remaining_parents[t.index()] == 0).collect();
-    let mut ready = ReadyList::new(sequential, entries, levels);
+    let mut ready = ReadyList::new(sequential, levels);
+    for t in afg.task_ids().filter(|t| remaining_parents[t.index()] == 0) {
+        ready.push(t);
+    }
 
     // (parent site, bytes) per in-edge of the current task, in edge
     // order — resolved once per task instead of once per candidate site.
     let mut parents: Vec<(SiteId, u64)> = Vec::new();
 
     while let Some(task) = ready.pop(levels) {
-        let node = afg.task(task);
-
         parents.clear();
         if !ignore_transfer_time {
             for e in edge_idx.in_edges(afg, task) {
-                let parent_site = site_of_task[e.from.index()]
-                    .expect("parents are placed before children in a DAG walk");
-                parents.push((parent_site, e.data_size));
+                // Parents are decided before children in a DAG walk.
+                parents.push((outputs[won[e.from.index()] as usize].site, e.data_size));
             }
         }
 
@@ -584,16 +590,8 @@ fn schedule_walk(
         // Dataset inputs of this task. Under the transfer ablation the
         // replica term is excluded from the cost (like the parent term),
         // but the chosen source is still recorded for replay.
-        let ds = dsi.for_task(task);
-        let ds_cost: &[DsInput<'_>] = if ignore_transfer_time { &[] } else { ds };
+        let ds_cost: &[DsInput<'_>] = if ignore_transfer_time { &[] } else { dsi.for_task(task) };
 
-        let mut xfer_time = |from: SiteId, to: SiteId, bytes: u64| {
-            xfer_lookups += 1;
-            match &xfer_cache {
-                Some(c) => c.transfer_time(from, to, bytes),
-                None => net.transfer_time(from, to, bytes),
-            }
-        };
         let best = choose_site_for_task(
             task,
             outputs,
@@ -604,28 +602,37 @@ fn schedule_walk(
             if is_critical { spread.as_ref().map(|p| (p, &critical_hosts)) } else { None },
         );
 
-        let (site, choice, _) =
-            best.ok_or_else(|| SchedError::NoFeasibleSite { task, name: node.name.to_string() })?;
+        let (winner, choice) = best.ok_or_else(|| SchedError::NoFeasibleSite {
+            task,
+            name: afg.task(task).name.to_string(),
+        })?;
         if is_critical {
             critical_hosts.extend(choice.hosts.iter().map(String::as_str));
         }
-        site_of_task[task.index()] = Some(site);
-        table.insert(TaskPlacement {
-            task,
-            task_name: node.name.clone(),
-            site,
-            hosts: choice.hosts.clone(),
-            predicted_seconds: choice.predicted_seconds,
-            data_sources: dataset_sources_for_site(ds, site, &mut xfer_time),
-        });
+        won[task.index()] = winner as u32;
 
         // Update the ready set with children whose parents are all placed.
         for e in edge_idx.out_edges(afg, task) {
             remaining_parents[e.to.index()] -= 1;
             if remaining_parents[e.to.index()] == 0 {
-                ready.push(e.to, levels);
+                ready.push(e.to);
             }
         }
+    }
+
+    // One row per decided task, in task-id order.
+    let mut table = AllocationTable::with_capacity(afg.name.clone(), afg.task_count());
+    for (node, &w) in afg.tasks.iter().zip(&won).filter(|(_, &w)| w != u32::MAX) {
+        let out = &outputs[w as usize];
+        let choice = out.choice(node.id).expect("the walk decided the task on this choice");
+        table.insert(TaskPlacement {
+            task: node.id,
+            task_name: node.name.clone(),
+            site: out.site,
+            hosts: choice.hosts.clone(),
+            predicted_seconds: choice.predicted_seconds,
+            data_sources: dataset_sources_for_site(dsi.for_task(node.id), out.site, &mut xfer_time),
+        });
     }
 
     debug_assert_eq!(table.len(), afg.task_count(), "DAG walk must reach every task");
@@ -641,6 +648,7 @@ fn schedule_walk(
 /// local-first/ascending-site-id tie-break. With `spread` set it
 /// additionally tracks the best candidate whose hosts are disjoint from
 /// the accumulated critical hosts and takes it when within tolerance.
+/// Answers the winning output's index in `outputs` and its choice.
 ///
 /// Shared between the full DAG walk above and the O(changed) re-placement
 /// in [`crate::incremental`] — sharing the decision function is what
@@ -653,13 +661,15 @@ pub(crate) fn choose_site_for_task<'a>(
     local_site: SiteId,
     xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
     spread: Option<(&SpreadPolicy, &HashSet<&str>)>,
-) -> Option<(SiteId, &'a TaskHostChoice, f64)> {
-    // `best` is Figure 2's argmin; `best_spread` additionally requires
-    // the chosen hosts to be disjoint from every previously placed
-    // critical task's hosts.
-    let mut best: Option<(SiteId, &'a TaskHostChoice, f64)> = None;
-    let mut best_spread: Option<(SiteId, &'a TaskHostChoice, f64)> = None;
-    for out in outputs {
+) -> Option<(usize, &'a TaskHostChoice)> {
+    // `best` is Figure 2's argmin, as (index into `outputs`, site,
+    // choice, Timetotal); `best_spread` additionally requires the chosen
+    // hosts to be disjoint from every previously placed critical task's
+    // hosts.
+    type Candidate<'c> = Option<(usize, SiteId, &'c TaskHostChoice, f64)>;
+    let mut best: Candidate<'a> = None;
+    let mut best_spread: Candidate<'a> = None;
+    for (i, out) in outputs.iter().enumerate() {
         let Some(choice) = out.choice(task) else { continue };
         let site = out.site;
         // Σ over in-edges of transfer from the parent's site (empty for
@@ -674,33 +684,33 @@ pub(crate) fn choose_site_for_task<'a>(
             xfer += cheapest_ds_source(d, site, xfer_time).1;
         }
         let total = xfer + choice.predicted_seconds;
-        let better = |prev: &Option<(SiteId, &'a TaskHostChoice, f64)>| match prev {
+        let better = |prev: &Candidate<'a>| match prev {
             None => true,
-            Some((bsite, _, btotal)) => {
+            Some((_, bsite, _, btotal)) => {
                 total < btotal - 1e-15
                     || ((total - btotal).abs() <= 1e-15
                         && site_rank(site, local_site) < site_rank(*bsite, local_site))
             }
         };
         if better(&best) {
-            best = Some((site, choice, total));
+            best = Some((i, site, choice, total));
         }
         if let Some((_, critical_hosts)) = spread {
             if choice.hosts.iter().all(|h| !critical_hosts.contains(h.as_str()))
                 && better(&best_spread)
             {
-                best_spread = Some((site, choice, total));
+                best_spread = Some((i, site, choice, total));
             }
         }
     }
     // Recovery-aware preference: take the host-disjoint candidate when
     // it costs at most `policy.tolerance ×` the unconstrained optimum.
-    if let (Some((_, _, btotal)), Some(cand), Some((policy, _))) = (&best, &best_spread, &spread) {
-        if cand.2 <= btotal * policy.tolerance + 1e-15 {
+    if let (Some((.., btotal)), Some(cand), Some((policy, _))) = (&best, &best_spread, &spread) {
+        if cand.3 <= btotal * policy.tolerance + 1e-15 {
             best = Some(*cand);
         }
     }
-    best
+    best.map(|(i, _, choice, _)| (i, choice))
 }
 
 /// Cheapest replica source of one dataset input for a read at `to`:

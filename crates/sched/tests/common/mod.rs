@@ -12,7 +12,8 @@
 //! [`check_shared_selection`] holds selection over one shared task-class
 //! index to the same references; the crate's unit tests run it, since
 //! only they can build an index.
-//! [`Case::random`] draws the cases the property tests feed it;
+//! [`Case::random`] draws the cases the property tests feed it,
+//! [`Case::relabelled`] the ones whose ready order is not topological;
 //! [`Case::palette`] builds the fixed large ones. The crate's unit tests
 //! include this module too, to hold named edge cases to the oracle.
 
@@ -21,6 +22,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -35,7 +37,7 @@ use vdce_net::topology::SiteId;
 use vdce_obs::MetricsRegistry;
 use vdce_predict::cache::PredictCache;
 use vdce_repository::resources::{HostStatus, ResourceRecord};
-use vdce_repository::SiteRepository;
+use vdce_repository::{SiteRepository, TaskPerfDb};
 use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::{
     evaluate, evaluate_with_data, host_selection, host_selection_classed, site_schedule,
@@ -90,8 +92,42 @@ impl Case {
     /// - `k` in 0–3, and a quarter of the time each, the transfer
     ///   ablation and critical-path spreading at one of three tolerances.
     pub fn random(seed: u64) -> Case {
+        Case::drawn(seed, 4)
+    }
+
+    /// A case whose ready order is not topological, as the walk and
+    /// `evaluate` must handle: [`Case::random`]'s draw with layers up to
+    /// 40 tasks wide, the task ids permuted at random (so an edge may run
+    /// from a higher id to a lower one), the local site's view missing
+    /// the `Map` entry (so every `Map` task's level is zero, tied levels
+    /// fall back to id order, and a child can rank ahead of its parent)
+    /// and `k` at least 1, so the remote sites can run `Map`.
+    pub fn relabelled(seed: u64) -> Case {
+        let mut case = Case::drawn(seed, 40);
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let n = case.afg.task_count();
+        let mut new_id: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            new_id.swap(i, rng.gen_range(0..=i));
+        }
+        let afg = &mut case.afg;
+        for t in &mut afg.tasks {
+            t.id = TaskId(new_id[t.id.index()]);
+        }
+        afg.tasks.sort_by_key(|t| t.id);
+        for e in &mut afg.edges {
+            (e.from, e.to) = (TaskId(new_id[e.from.index()]), TaskId(new_id[e.to.index()]));
+        }
+        case.views[0].tasks = tasks_without("Map");
+        case.config.k_neighbours = case.config.k_neighbours.max(1);
+        case.name = format!("relabelled case seed {seed}");
+        case
+    }
+
+    /// The draw behind [`Case::random`], layers up to `width` tasks wide.
+    fn drawn(seed: u64, width: usize) -> Case {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut afg = random_afg(&mut rng);
+        let mut afg = random_afg(&mut rng, width);
         let n = afg.task_count();
         for _ in 0..rng.gen_range(0..4) {
             let t = &mut afg.tasks[rng.gen_range(0..n)];
@@ -187,12 +223,12 @@ fn task_node(id: TaskId, inputs: usize, problem_size: u64) -> TaskNode {
     }
 }
 
-fn random_afg(rng: &mut StdRng) -> Afg {
+fn random_afg(rng: &mut StdRng, width: usize) -> Afg {
     let mut g = Afg::new("prop");
     let mut above = 0..0;
     for layer in 0..rng.gen_range(1..=4) {
         let start = g.tasks.len();
-        for _ in 0..rng.gen_range(1..=4) {
+        for _ in 0..rng.gen_range(1..=width) {
             let id = TaskId(g.tasks.len() as u32);
             let parents = if layer == 0 { 0 } else { rng.gen_range(1..=2usize) };
             g.tasks.push(task_node(id, parents, 1000 + rng.gen_range(0..100_000u64)));
@@ -209,6 +245,24 @@ fn random_afg(rng: &mut StdRng) -> Afg {
         above = start..g.tasks.len();
     }
     g
+}
+
+/// The standard task-performance database without `library_task`'s
+/// entry: a view holding it prices that task's level at zero and cannot
+/// run it.
+fn tasks_without(library_task: &str) -> TaskPerfDb {
+    fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
+        let Value::Object(fields) = value else { panic!("`{key}`'s parent is not an object") };
+        &mut fields.iter_mut().find(|(k, _)| k == key).expect("the field exists").1
+    }
+    let mut db = serde_json::to_value(&TaskPerfDb::standard()).expect("the database serialises");
+    let Value::Object(entries) = field(field(&mut db, "library"), "entries") else {
+        panic!("the library's entries are not an object")
+    };
+    let before = entries.len();
+    entries.retain(|(name, _)| name != library_task);
+    assert_eq!(entries.len() + 1, before, "the standard library has `{library_task}`");
+    serde_json::from_value(&db).expect("the database reads back")
 }
 
 /// Layers of `width` tasks at the four palette sizes; every task below

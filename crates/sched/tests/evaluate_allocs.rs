@@ -6,9 +6,11 @@
 //! used to copy every placement's host names: ~2.5 allocations per
 //! task). `site_schedule` writes one dense row per task that shares its
 //! name with the AFG node and its hosts with the choice, so it too
-//! allocates per call (it used to clone a name and grow a tree per task).
-//! `Afg::topo_order` keeps its frontier in a heap, so a 25k-wide layer
-//! costs `O(log f)` per task, in the same order as before.
+//! allocates per call (it used to clone a name and grow a tree per task);
+//! both rank the tasks by level once and keep the ready ranks in a
+//! bitset, a fixed three arrays. `Afg::topo_order` keeps its frontier in
+//! the same bitset, over task ids, so a 25k-wide layer costs a bit scan
+//! per task, in the same order as before.
 //!
 //! The file installs a counting allocator and holds exactly one `#[test]`,
 //! so no other test allocates beside the measured regions.

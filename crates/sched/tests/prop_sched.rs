@@ -39,6 +39,38 @@ fn the_palette_workload_passes_the_oracle() {
     }
 }
 
+/// The relabelled family does what it is for: in most of its cases the
+/// schedule succeeds although some child ranks ahead of its parent in the
+/// ready order (highest level first, ties by ascending id), across a
+/// 64-task word of the ready set in many of them.
+#[test]
+fn relabelled_cases_rank_children_ahead_of_parents() {
+    let (mut scheduled, mut inverted, mut across_words) = (0, 0, 0);
+    for seed in 0..64 {
+        let case = Case::relabelled(seed);
+        let levels = case.views[0].levels(&case.afg).expect("generated graphs are acyclic");
+        let mut by_rank: Vec<TaskId> = case.afg.task_ids().collect();
+        by_rank.sort_by(|a, b| levels[b.index()].total_cmp(&levels[a.index()]).then(a.cmp(b)));
+        let mut rank = vec![0; by_rank.len()];
+        for (r, t) in by_rank.iter().enumerate() {
+            rank[t.index()] = r;
+        }
+        // Does some child rank in an earlier group of `size` than its parent?
+        let behind = |size: usize| {
+            case.afg.edges.iter().any(|e| rank[e.to.index()] / size < rank[e.from.index()] / size)
+        };
+        if schedule(&case).is_ok() {
+            scheduled += 1;
+            inverted += usize::from(behind(1));
+            across_words += usize::from(behind(64));
+        }
+    }
+    assert!(
+        scheduled >= 40 && inverted >= 16 && across_words >= 8,
+        "{scheduled} {inverted} {across_words}"
+    );
+}
+
 /// A table built by hand for `afg`, one row per task from four `draws`:
 /// a site, one to three hosts out of that site's pool of three (so
 /// children keep landing on their parents' hosts — the free-transfer
@@ -154,6 +186,14 @@ proptest! {
     #[test]
     fn optimized_path_is_bit_identical_to_sequential_reference(seed in any::<u64>()) {
         let _ = check_walks(&Case::random(seed));
+    }
+
+    // The whole oracle on cases whose ready order is not topological: a
+    // child ranked ahead of its parent must still be walked and timed in
+    // the reference's order.
+    #[test]
+    fn relabelled_cases_pass_the_oracle(seed in any::<u64>()) {
+        check_paths(&Case::relabelled(seed));
     }
 
     // Every table the scheduler builds places each task validly and
