@@ -9,9 +9,9 @@
 //! the hot path is a single multiply-add away from the [`LinkParams`].
 //!
 //! The cache evaluates [`LinkParams::transfer_time`] itself, so its
-//! results are bit-identical to the model it snapshots. Like the model
-//! snapshot the schedulers already take from [`super::model::SharedNetworkModel`],
-//! it is frozen: rebuild it per run if link observations may have landed.
+//! results are bit-identical to the model it snapshots. It is a frozen
+//! copy: rebuild it per run if the network monitor may have written link
+//! observations into the model since.
 
 use crate::model::{LinkParams, NetworkModel};
 use crate::topology::SiteId;

@@ -37,6 +37,6 @@ pub mod topology;
 pub use bus::{BusError, Endpoint, MessageBus};
 pub use cache::TransferCache;
 pub use clock::{Clock, RealClock};
-pub use model::{LinkParams, NetworkModel, SharedNetworkModel};
+pub use model::{LinkParams, NetworkModel};
 pub use partition::PartitionState;
 pub use topology::{SiteId, SiteInfo, Topology};

@@ -124,59 +124,6 @@ impl NetworkModel {
     }
 }
 
-/// A live, shared network model: the resource-performance database's
-/// *network* half (§3 lists "resource (machine and network) attributes").
-///
-/// Link monitors feed measured latency/bandwidth samples in via
-/// [`SharedNetworkModel::observe`] (exponentially smoothed); schedulers
-/// take a consistent [`SharedNetworkModel::snapshot`] before each run.
-#[derive(Clone)]
-pub struct SharedNetworkModel {
-    inner: std::sync::Arc<std::sync::RwLock<NetworkModel>>,
-    /// EMA weight of a new sample.
-    alpha: f64,
-}
-
-impl SharedNetworkModel {
-    /// Wrap an initial model; samples are folded in with EMA weight
-    /// `alpha` (0 < alpha ≤ 1).
-    pub fn new(initial: NetworkModel, alpha: f64) -> Self {
-        SharedNetworkModel {
-            inner: std::sync::Arc::new(std::sync::RwLock::new(initial)),
-            alpha: alpha.clamp(1e-6, 1.0),
-        }
-    }
-
-    /// Fold in one measured sample for the (symmetric) link `a`–`b`.
-    pub fn observe(&self, a: SiteId, b: SiteId, latency_s: f64, bandwidth_bps: f64) {
-        if latency_s.is_nan() || latency_s <= 0.0 || bandwidth_bps.is_nan() || bandwidth_bps <= 0.0
-        {
-            return;
-        }
-        let mut m = self.inner.write().unwrap();
-        let old = m.link(a, b);
-        let blend = |old: f64, new: f64| (1.0 - self.alpha) * old + self.alpha * new;
-        m.set_link(
-            a,
-            b,
-            LinkParams::new(
-                blend(old.latency_s, latency_s),
-                blend(old.bandwidth_bps, bandwidth_bps),
-            ),
-        );
-    }
-
-    /// A consistent copy for one scheduling run.
-    pub fn snapshot(&self) -> NetworkModel {
-        self.inner.read().unwrap().clone()
-    }
-
-    /// Current parameters of one link.
-    pub fn link(&self, a: SiteId, b: SiteId) -> LinkParams {
-        self.inner.read().unwrap().link(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,50 +209,6 @@ mod tests {
                 assert!(seen.insert(l.to_bits()), "aliased cell {a},{b}");
             }
         }
-    }
-
-    #[test]
-    fn shared_model_smooths_observations() {
-        let shared = SharedNetworkModel::new(NetworkModel::with_defaults(2), 0.5);
-        let before = shared.link(SiteId(0), SiteId(1));
-        shared.observe(SiteId(0), SiteId(1), before.latency_s * 3.0, before.bandwidth_bps / 3.0);
-        let after = shared.link(SiteId(0), SiteId(1));
-        assert!(after.latency_s > before.latency_s);
-        assert!(after.latency_s < before.latency_s * 3.0, "EMA, not replacement");
-        assert!(after.bandwidth_bps < before.bandwidth_bps);
-        // Repeated observations converge.
-        for _ in 0..32 {
-            shared.observe(SiteId(0), SiteId(1), 0.5, 1e6);
-        }
-        let conv = shared.link(SiteId(0), SiteId(1));
-        assert!((conv.latency_s - 0.5).abs() < 1e-3);
-        assert!((conv.bandwidth_bps - 1e6).abs() / 1e6 < 1e-3);
-    }
-
-    #[test]
-    fn shared_model_rejects_garbage_samples() {
-        let shared = SharedNetworkModel::new(NetworkModel::with_defaults(2), 0.5);
-        let before = shared.link(SiteId(0), SiteId(1));
-        shared.observe(SiteId(0), SiteId(1), -1.0, 1e6);
-        shared.observe(SiteId(0), SiteId(1), 0.1, f64::NAN);
-        shared.observe(SiteId(0), SiteId(1), 0.0, 1e6);
-        assert_eq!(shared.link(SiteId(0), SiteId(1)), before);
-    }
-
-    #[test]
-    fn shared_model_snapshot_is_detached() {
-        let shared = SharedNetworkModel::new(NetworkModel::with_defaults(2), 1.0);
-        let snap = shared.snapshot();
-        shared.observe(SiteId(0), SiteId(1), 9.0, 9.0);
-        assert_ne!(snap.link(SiteId(0), SiteId(1)), shared.link(SiteId(0), SiteId(1)));
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let shared = SharedNetworkModel::new(NetworkModel::with_defaults(2), 1.0);
-        let clone = shared.clone();
-        clone.observe(SiteId(0), SiteId(1), 7.0, 7.0);
-        assert_eq!(shared.link(SiteId(0), SiteId(1)), LinkParams::new(7.0, 7.0));
     }
 
     #[test]

@@ -12,17 +12,17 @@
 //!    to periodically check all hosts in the group by sending echo
 //!    packets to hosts and waiting for their responses. When a failure of
 //!    a host is detected, the Group Manager passes this information to
-//!    the Site Manager." Echo transport is behind [`EchoProbe`];
-//!    [`FlagEcho`] lets tests and experiments kill/revive hosts.
+//!    the Site Manager." Echo transport is behind [`EchoProbe`], handed
+//!    to each echo round; [`FlagEcho`] lets tests and experiments
+//!    kill/revive hosts.
 
 use crate::events::{EventLog, RuntimeEvent};
 use crate::monitor::MonitorReport;
 use crate::site_manager::ControlMessage;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, RwLock};
 
 /// Echo-packet transport.
-pub trait EchoProbe: Send + Sync {
+pub trait EchoProbe {
     /// Does `host` answer an echo packet in time?
     fn echo(&self, host: &str) -> bool;
 }
@@ -31,7 +31,7 @@ pub trait EchoProbe: Send + Sync {
 /// down.
 #[derive(Debug, Default)]
 pub struct FlagEcho {
-    down: RwLock<BTreeSet<String>>,
+    down: BTreeSet<String>,
 }
 
 impl FlagEcho {
@@ -41,19 +41,19 @@ impl FlagEcho {
     }
 
     /// Stop `host` answering echoes.
-    pub fn kill(&self, host: impl Into<String>) {
-        self.down.write().unwrap().insert(host.into());
+    pub fn kill(&mut self, host: impl Into<String>) {
+        self.down.insert(host.into());
     }
 
     /// Let `host` answer echoes again.
-    pub fn revive(&self, host: &str) {
-        self.down.write().unwrap().remove(host);
+    pub fn revive(&mut self, host: &str) {
+        self.down.remove(host);
     }
 }
 
 impl EchoProbe for FlagEcho {
     fn echo(&self, host: &str) -> bool {
-        !self.down.read().unwrap().contains(host)
+        !self.down.contains(host)
     }
 }
 
@@ -80,7 +80,6 @@ pub struct GroupManager {
     threshold: f64,
     last_forwarded: BTreeMap<String, f64>,
     down: BTreeSet<String>,
-    echo: Arc<dyn EchoProbe>,
     log: EventLog,
     stats: GroupStats,
 }
@@ -89,20 +88,13 @@ impl GroupManager {
     /// Manager for `hosts`, forwarding significant changes (absolute
     /// workload delta ≥ `threshold`) and failure events to the Site
     /// Manager.
-    pub fn new(
-        name: impl Into<String>,
-        hosts: Vec<String>,
-        threshold: f64,
-        echo: Arc<dyn EchoProbe>,
-        log: EventLog,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, hosts: Vec<String>, threshold: f64, log: EventLog) -> Self {
         GroupManager {
             name: name.into(),
             hosts,
             threshold,
             last_forwarded: BTreeMap::new(),
             down: BTreeSet::new(),
-            echo,
             log,
             stats: GroupStats::default(),
         }
@@ -140,14 +132,14 @@ impl GroupManager {
         })
     }
 
-    /// One echo round over all hosts at logical time `t`: a failure or
-    /// recovery message for the Site Manager per host that changed state,
-    /// in host order.
-    pub fn probe_hosts(&mut self, t: f64) -> Vec<ControlMessage> {
+    /// One echo round over all hosts through `echo` at logical time `t`:
+    /// a failure or recovery message for the Site Manager per host that
+    /// changed state, in host order.
+    pub fn probe_hosts(&mut self, t: f64, echo: &impl EchoProbe) -> Vec<ControlMessage> {
         self.stats.echo_rounds += 1;
         let mut changed = Vec::new();
         for host in &self.hosts {
-            let alive = self.echo.echo(host);
+            let alive = echo.echo(host);
             let was_down = self.down.contains(host);
             if !alive && !was_down {
                 self.down.insert(host.clone());
@@ -170,11 +162,8 @@ mod tests {
     use super::*;
     use crate::events::EventKind;
 
-    fn mk(threshold: f64) -> (GroupManager, Arc<FlagEcho>) {
-        let echo = Arc::new(FlagEcho::new());
-        let hosts = vec!["a".into(), "b".into()];
-        let gm = GroupManager::new("g0", hosts, threshold, echo.clone(), EventLog::new());
-        (gm, echo)
+    fn mk(threshold: f64) -> GroupManager {
+        GroupManager::new("g0", vec!["a".into(), "b".into()], threshold, EventLog::new())
     }
 
     fn report(host: &str, w: f64) -> MonitorReport {
@@ -191,13 +180,13 @@ mod tests {
 
     #[test]
     fn first_report_always_forwards() {
-        let (mut gm, _) = mk(1.0);
+        let mut gm = mk(1.0);
         assert_eq!(gm.handle_report(0.0, &report("a", 0.0)), update("a", 0.0));
     }
 
     #[test]
     fn small_changes_are_filtered() {
-        let (mut gm, _) = mk(1.0);
+        let mut gm = mk(1.0);
         assert_eq!(gm.handle_report(0.0, &report("a", 2.0)), update("a", 2.0));
         assert_eq!(gm.handle_report(1.0, &report("a", 2.5)), None, "Δ0.5 < 1.0 filtered");
         assert_eq!(gm.handle_report(2.0, &report("a", 1.2)), None, "Δ0.8 < 1.0 filtered");
@@ -207,7 +196,7 @@ mod tests {
 
     #[test]
     fn change_is_measured_against_last_forwarded_not_last_seen() {
-        let (mut gm, _) = mk(1.0);
+        let mut gm = mk(1.0);
         assert!(gm.handle_report(0.0, &report("a", 0.0)).is_some());
         // Creep up in sub-threshold steps; the cumulative drift must
         // eventually fire (because the baseline stays at 0.0).
@@ -217,32 +206,36 @@ mod tests {
 
     #[test]
     fn per_host_baselines_are_independent() {
-        let (mut gm, _) = mk(1.0);
+        let mut gm = mk(1.0);
         gm.handle_report(0.0, &report("a", 5.0));
         assert_eq!(gm.handle_report(0.0, &report("b", 0.0)), update("b", 0.0), "first for b");
     }
 
     #[test]
     fn zero_threshold_forwards_everything() {
-        let (mut gm, _) = mk(0.0);
+        let mut gm = mk(0.0);
         assert_eq!(gm.handle_report(0.0, &report("a", 1.0)), update("a", 1.0));
         assert_eq!(gm.handle_report(1.0, &report("a", 1.0)), update("a", 1.0), "Δ0 ≥ 0");
     }
 
     #[test]
     fn failure_and_recovery_transitions() {
-        let (mut gm, echo) = mk(1.0);
-        assert!(gm.probe_hosts(0.0).is_empty(), "all up initially");
+        let mut gm = mk(1.0);
+        let mut echo = FlagEcho::new();
+        assert!(gm.probe_hosts(0.0, &echo).is_empty(), "all up initially");
         echo.kill("b");
         echo.kill("a");
         let failed = |h: &str| ControlMessage::HostFailure { host: h.into() };
-        assert_eq!(gm.probe_hosts(1.0), vec![failed("a"), failed("b")], "in host order");
+        assert_eq!(gm.probe_hosts(1.0, &echo), vec![failed("a"), failed("b")], "in host order");
         assert!(gm.down.contains("a"));
         // Still down: no duplicate message.
-        assert!(gm.probe_hosts(2.0).is_empty());
+        assert!(gm.probe_hosts(2.0, &echo).is_empty());
         // Recovery.
         echo.revive("a");
-        assert_eq!(gm.probe_hosts(3.0), vec![ControlMessage::HostRecovered { host: "a".into() }]);
+        assert_eq!(
+            gm.probe_hosts(3.0, &echo),
+            vec![ControlMessage::HostRecovered { host: "a".into() }]
+        );
         assert_eq!(gm.down.len(), 1);
         let s = gm.stats();
         assert_eq!(s.failures_detected, 2);
@@ -252,12 +245,12 @@ mod tests {
 
     #[test]
     fn events_are_logged() {
-        let echo = Arc::new(FlagEcho::new());
+        let mut echo = FlagEcho::new();
         let log = EventLog::new();
-        let mut gm = GroupManager::new("g", vec!["a".into()], 0.5, echo.clone(), log.clone());
+        let mut gm = GroupManager::new("g", vec!["a".into()], 0.5, log.clone());
         gm.handle_report(0.0, &report("a", 3.0));
         echo.kill("a");
-        gm.probe_hosts(1.0);
+        gm.probe_hosts(1.0, &echo);
         assert_eq!(log.query(EventKind::WorkloadForwarded).count(), 1);
         assert_eq!(log.snapshot()[1], (1.0, RuntimeEvent::HostFailed { host: "a".into() }));
     }

@@ -7,12 +7,12 @@
 //! Measurement is behind the [`LoadProbe`] trait: [`SyntheticProbe`]
 //! replays injected load traces deterministically (used by tests and the
 //! Figure-4 experiments). The caller drives a daemon with
-//! [`MonitorDaemon::tick`] at each logical time and hands the report it
-//! returns to the Group Manager.
+//! [`MonitorDaemon::tick`] at each logical time, handing it the probe to
+//! measure through, and passes the report it returns to the Group
+//! Manager.
 
 use crate::events::{EventLog, RuntimeEvent};
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
 
 /// One measurement of a host.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +26,7 @@ pub struct MonitorReport {
 }
 
 /// Source of load/memory measurements.
-pub trait LoadProbe: Send + Sync {
+pub trait LoadProbe {
     /// Measure `host` now.
     fn sample(&self, host: &str) -> (f64, u64);
 }
@@ -41,50 +41,43 @@ pub trait LoadProbe: Send + Sync {
 /// [`sample`]: LoadProbe::sample
 #[derive(Debug, Default)]
 pub struct SyntheticProbe {
-    traces: RwLock<BTreeMap<String, Vec<(f64, f64)>>>,
-    time: RwLock<f64>,
-    default_load: RwLock<f64>,
-    default_memory: RwLock<u64>,
+    traces: BTreeMap<String, Vec<(f64, f64)>>,
+    time: f64,
+    default_load: f64,
+    default_memory: u64,
+}
+
+/// The workload of the last step in `steps` at or before `t`; `default`
+/// before the first.
+fn step_at(steps: &[(f64, f64)], t: f64, default: f64) -> f64 {
+    steps.iter().take_while(|(from, _)| *from <= t).last().map_or(default, |(_, l)| *l)
 }
 
 impl SyntheticProbe {
     /// Probe reporting `load` / `memory` for every host until traced.
     pub fn new(load: f64, memory: u64) -> Self {
-        let p = SyntheticProbe::default();
-        *p.default_load.write().unwrap() = load;
-        *p.default_memory.write().unwrap() = memory;
-        p
+        SyntheticProbe { default_load: load, default_memory: memory, ..Self::default() }
     }
 
     /// Install a step trace for one host.
-    pub fn set_trace(&self, host: impl Into<String>, steps: Vec<(f64, f64)>) {
-        self.traces.write().unwrap().insert(host.into(), steps);
+    pub fn set_trace(&mut self, host: impl Into<String>, steps: Vec<(f64, f64)>) {
+        self.traces.insert(host.into(), steps);
     }
 
     /// Advance (or set) the probe's notion of time.
-    pub fn set_time(&self, t: f64) {
-        *self.time.write().unwrap() = t;
+    pub fn set_time(&mut self, t: f64) {
+        self.time = t;
     }
 
     /// Overlay a load spike of `height` on `host` for
     /// `[at, at + duration)`, on top of whatever trace (or default load)
     /// the host already has. Used by the fault-injection harness.
-    pub fn add_spike(&self, host: impl Into<String>, at: f64, height: f64, duration: f64) {
-        let host = host.into();
-        let default = *self.default_load.read().unwrap();
-        let mut traces = self.traces.write().unwrap();
-        let steps = traces.entry(host).or_default();
+    pub fn add_spike(&mut self, host: impl Into<String>, at: f64, height: f64, duration: f64) {
+        let default = self.default_load;
+        let steps = self.traces.entry(host.into()).or_default();
         let end = at + duration;
-        let base = |steps: &[(f64, f64)], t: f64| {
-            steps
-                .iter()
-                .take_while(|(from, _)| *from <= t)
-                .last()
-                .map(|(_, l)| *l)
-                .unwrap_or(default)
-        };
-        let start_level = base(steps, at) + height;
-        let end_level = base(steps, end);
+        let start_level = step_at(steps, at, default) + height;
+        let end_level = step_at(steps, end, default);
         for s in steps.iter_mut() {
             if s.0 > at && s.0 < end {
                 s.1 += height;
@@ -93,28 +86,14 @@ impl SyntheticProbe {
         steps.retain(|(from, _)| *from != at && *from != end);
         steps.push((at, start_level));
         steps.push((end, end_level));
-        steps.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        steps.sort_by(|a, b| a.0.total_cmp(&b.0));
     }
 }
 
 impl LoadProbe for SyntheticProbe {
     fn sample(&self, host: &str) -> (f64, u64) {
-        let t = *self.time.read().unwrap();
-        let load = self
-            .traces
-            .read()
-            .unwrap()
-            .get(host)
-            .map(|steps| {
-                steps
-                    .iter()
-                    .take_while(|(from, _)| *from <= t)
-                    .last()
-                    .map(|(_, l)| *l)
-                    .unwrap_or(*self.default_load.read().unwrap())
-            })
-            .unwrap_or(*self.default_load.read().unwrap());
-        (load, *self.default_memory.read().unwrap())
+        let steps = self.traces.get(host).map_or(&[][..], Vec::as_slice);
+        (step_at(steps, self.time, self.default_load), self.default_memory)
     }
 }
 
@@ -122,20 +101,19 @@ impl LoadProbe for SyntheticProbe {
 pub struct MonitorDaemon {
     /// The monitored host.
     pub host: String,
-    probe: Arc<dyn LoadProbe>,
     log: EventLog,
 }
 
 impl MonitorDaemon {
-    /// Daemon for `host`, measuring through `probe`.
-    pub fn new(host: impl Into<String>, probe: Arc<dyn LoadProbe>, log: EventLog) -> Self {
-        MonitorDaemon { host: host.into(), probe, log }
+    /// Daemon for `host`.
+    pub fn new(host: impl Into<String>, log: EventLog) -> Self {
+        MonitorDaemon { host: host.into(), log }
     }
 
-    /// Take one measurement at logical time `t`: the report for the
-    /// Group Manager.
-    pub fn tick(&self, t: f64) -> MonitorReport {
-        let (workload, available_memory) = self.probe.sample(&self.host);
+    /// Take one measurement through `probe` at logical time `t`: the
+    /// report for the Group Manager.
+    pub fn tick(&self, t: f64, probe: &impl LoadProbe) -> MonitorReport {
+        let (workload, available_memory) = probe.sample(&self.host);
         self.log.emit(t, RuntimeEvent::MonitorSample { host: self.host.clone(), workload });
         MonitorReport { host: self.host.clone(), workload, available_memory }
     }
@@ -147,7 +125,7 @@ mod tests {
 
     #[test]
     fn synthetic_probe_follows_step_trace() {
-        let p = SyntheticProbe::new(0.5, 1 << 20);
+        let mut p = SyntheticProbe::new(0.5, 1 << 20);
         p.set_trace("h", vec![(0.0, 1.0), (10.0, 4.0)]);
         p.set_time(5.0);
         assert_eq!(p.sample("h").0, 1.0);
@@ -159,7 +137,7 @@ mod tests {
 
     #[test]
     fn synthetic_probe_before_first_step_uses_default() {
-        let p = SyntheticProbe::new(0.25, 1);
+        let mut p = SyntheticProbe::new(0.25, 1);
         p.set_trace("h", vec![(5.0, 9.0)]);
         p.set_time(1.0);
         assert_eq!(p.sample("h").0, 0.25);
@@ -167,7 +145,7 @@ mod tests {
 
     #[test]
     fn spike_overlays_default_load() {
-        let p = SyntheticProbe::new(1.0, 1);
+        let mut p = SyntheticProbe::new(1.0, 1);
         p.add_spike("h", 10.0, 5.0, 20.0);
         p.set_time(5.0);
         assert_eq!(p.sample("h").0, 1.0, "before the spike");
@@ -181,7 +159,7 @@ mod tests {
 
     #[test]
     fn spike_overlays_existing_trace_steps() {
-        let p = SyntheticProbe::new(0.0, 1);
+        let mut p = SyntheticProbe::new(0.0, 1);
         p.set_trace("h", vec![(0.0, 1.0), (15.0, 2.0)]);
         p.add_spike("h", 10.0, 4.0, 10.0);
         p.set_time(12.0);
@@ -194,10 +172,10 @@ mod tests {
 
     #[test]
     fn daemon_tick_sends_report_and_logs() {
-        let probe = Arc::new(SyntheticProbe::new(2.0, 77));
+        let probe = SyntheticProbe::new(2.0, 77);
         let log = EventLog::new();
-        let d = MonitorDaemon::new("h0", probe, log.clone());
-        let r = d.tick(1.5);
+        let d = MonitorDaemon::new("h0", log.clone());
+        let r = d.tick(1.5, &probe);
         assert_eq!(r, MonitorReport { host: "h0".into(), workload: 2.0, available_memory: 77 });
         assert_eq!(
             log.snapshot(),

@@ -11,15 +11,12 @@
 //!   enters on a failure report and is **re-admitted on recovery**, so a
 //!   transient outage only excludes the host for the outage window.
 //!
-//! Quarantine membership is consulted by the Application Controller's
-//! threshold gate and by the re-selection path, which is why the type is
-//! interior-mutable: the gate borrows it read-only while the controller's
-//! monitoring loop mutates it.
+//! [`Quarantine`] and [`SiteQuarantine`] are plain values the fault
+//! replay owns: its failure handling admits and re-admits members, and
+//! its re-selection and start paths read them.
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 use std::time::Duration;
 use vdce_net::topology::SiteId;
 
@@ -68,14 +65,11 @@ impl BackoffPolicy {
 /// A set of members currently considered dead, with lifetime counts of
 /// admissions and re-admissions: the one body behind [`Quarantine`] and
 /// [`SiteQuarantine`].
-///
-/// Interior-mutable so the monitoring path can mutate it while gates and
-/// re-selection hold shared references.
 #[derive(Debug, Default)]
 pub struct QuarantineSet<T> {
-    members: RwLock<BTreeSet<T>>,
-    quarantined_total: AtomicU64,
-    readmitted_total: AtomicU64,
+    members: BTreeSet<T>,
+    quarantined_total: u64,
+    readmitted_total: u64,
 }
 
 /// The set of hosts currently considered dead. Counters record lifetime
@@ -92,94 +86,90 @@ pub type Quarantine = QuarantineSet<String>;
 /// re-selection, and its checkpoint replicas count as unreachable.
 pub type SiteQuarantine = QuarantineSet<u16>;
 
-impl<T: Ord + Clone + Default> QuarantineSet<T> {
+impl<T: Ord + Default> QuarantineSet<T> {
     /// Empty quarantine.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Admit `member`, counting it if it was not already in.
-    fn insert(&self, member: T) -> bool {
-        let fresh = self.members.write().unwrap().insert(member);
-        if fresh {
-            self.quarantined_total.fetch_add(1, Ordering::Relaxed);
-        }
+    fn insert(&mut self, member: T) -> bool {
+        let fresh = self.members.insert(member);
+        self.quarantined_total += u64::from(fresh);
         fresh
     }
 
     /// Release `member`, counting it if it was in.
-    fn remove<Q: Ord + ?Sized>(&self, member: &Q) -> bool
+    fn remove<Q: Ord + ?Sized>(&mut self, member: &Q) -> bool
     where
         T: Borrow<Q>,
     {
-        let was_in = self.members.write().unwrap().remove(member);
-        if was_in {
-            self.readmitted_total.fetch_add(1, Ordering::Relaxed);
-        }
+        let was_in = self.members.remove(member);
+        self.readmitted_total += u64::from(was_in);
         was_in
     }
 
-    /// Snapshot of the current membership (sorted).
-    pub fn snapshot(&self) -> BTreeSet<T> {
-        self.members.read().unwrap().clone()
+    /// The current membership (sorted).
+    pub fn members(&self) -> &BTreeSet<T> {
+        &self.members
     }
 
     /// Number of members currently quarantined.
     pub fn len(&self) -> usize {
-        self.members.read().unwrap().len()
+        self.members.len()
     }
 
     /// True when nothing is quarantined.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.members.is_empty()
     }
 
     /// Lifetime count of quarantine admissions.
     pub fn quarantined_total(&self) -> u64 {
-        self.quarantined_total.load(Ordering::Relaxed)
+        self.quarantined_total
     }
 
     /// Lifetime count of re-admissions.
     pub fn readmitted_total(&self) -> u64 {
-        self.readmitted_total.load(Ordering::Relaxed)
+        self.readmitted_total
     }
 }
 
 impl Quarantine {
     /// Record a host failure. Returns `true` if the host was newly
     /// quarantined (false if already present).
-    pub fn quarantine(&self, host: &str) -> bool {
+    pub fn quarantine(&mut self, host: &str) -> bool {
         self.insert(host.to_string())
     }
 
     /// Record a host recovery. Returns `true` if the host was present
     /// and has been re-admitted.
-    pub fn readmit(&self, host: &str) -> bool {
+    pub fn readmit(&mut self, host: &str) -> bool {
         self.remove(host)
     }
 
     /// Is `host` currently quarantined?
     pub fn contains(&self, host: &str) -> bool {
-        self.members.read().unwrap().contains(host)
+        self.members.contains(host)
     }
 }
 
 impl SiteQuarantine {
     /// Record a whole-site failure. Returns `true` if the site was newly
     /// quarantined.
-    pub fn quarantine(&self, site: SiteId) -> bool {
+    pub fn quarantine(&mut self, site: SiteId) -> bool {
         self.insert(site.0)
     }
 
     /// Record a site rejoining. Returns `true` if the site was present
     /// and has been re-admitted.
-    pub fn readmit(&self, site: SiteId) -> bool {
+    pub fn readmit(&mut self, site: SiteId) -> bool {
         self.remove(&site.0)
     }
 
     /// Is `site` currently quarantined?
     pub fn contains(&self, site: SiteId) -> bool {
-        self.members.read().unwrap().contains(&site.0)
+        self.members.contains(&site.0)
     }
 }
 
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn quarantine_admits_once_and_readmits() {
-        let q = Quarantine::new();
+        let mut q = Quarantine::new();
         assert!(q.quarantine("h0"));
         assert!(!q.quarantine("h0"), "double admission is a no-op");
         assert!(q.contains("h0"));
@@ -233,17 +223,17 @@ mod tests {
 
     #[test]
     fn quarantine_readmission_allows_requarantine() {
-        let q = Quarantine::new();
+        let mut q = Quarantine::new();
         q.quarantine("h0");
         q.readmit("h0");
         assert!(q.quarantine("h0"), "host can fail again after recovery");
         assert_eq!(q.quarantined_total(), 2);
-        assert_eq!(q.snapshot().into_iter().collect::<Vec<_>>(), vec!["h0".to_string()]);
+        assert_eq!(q.members().iter().collect::<Vec<_>>(), vec!["h0"]);
     }
 
     #[test]
     fn site_quarantine_mirrors_host_quarantine_semantics() {
-        let q = SiteQuarantine::new();
+        let mut q = SiteQuarantine::new();
         assert!(q.is_empty());
         assert!(q.quarantine(SiteId(2)));
         assert!(!q.quarantine(SiteId(2)), "double admission is a no-op");
@@ -255,6 +245,6 @@ mod tests {
         assert!(q.quarantine(SiteId(2)), "site can fail again after rejoining");
         assert_eq!(q.quarantined_total(), 2);
         assert_eq!(q.readmitted_total(), 1);
-        assert_eq!(q.snapshot().into_iter().collect::<Vec<_>>(), vec![2u16]);
+        assert_eq!(q.members().iter().collect::<Vec<_>>(), vec![&2u16]);
     }
 }

@@ -3,7 +3,6 @@
 
 use crate::metrics::Table;
 use crate::trace;
-use std::sync::Arc;
 use vdce_afg::level::{critical_path, level_map};
 use vdce_afg::Afg;
 use vdce_net::model::NetworkModel;
@@ -12,8 +11,8 @@ use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
-    ControlMessage, EventLog, FlagEcho, GroupManager, LoadProbe, MonitorDaemon, MonitorReport,
-    SiteManager, SyntheticProbe,
+    ControlMessage, EventLog, FlagEcho, GroupManager, MonitorDaemon, MonitorReport, SiteManager,
+    SyntheticProbe,
 };
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
@@ -232,19 +231,17 @@ pub fn run_monitoring_experiment(
     });
     let site_manager = SiteManager::new(SiteId(0), repo);
     let log = EventLog::new();
-    let probe = Arc::new(SyntheticProbe::new(0.0, 1 << 30));
+    let mut probe = SyntheticProbe::new(0.0, 1 << 30);
     for (i, h) in host_names.iter().enumerate() {
         probe.set_trace(
             h.clone(),
             trace::random_walk(seed + i as u64, monitor_period, 10_000, 0.5, 8.0),
         );
     }
-    let echo = Arc::new(FlagEcho::new());
-    let daemons: Vec<MonitorDaemon> = host_names
-        .iter()
-        .map(|h| MonitorDaemon::new(h.clone(), probe.clone() as Arc<dyn LoadProbe>, log.clone()))
-        .collect();
-    let mut gm = GroupManager::new("g0", host_names.clone(), threshold, echo.clone(), log.clone());
+    let mut echo = FlagEcho::new();
+    let daemons: Vec<MonitorDaemon> =
+        host_names.iter().map(|h| MonitorDaemon::new(h.clone(), log.clone())).collect();
+    let mut gm = GroupManager::new("g0", host_names.clone(), threshold, log.clone());
 
     let mut t = 0.0f64;
     let mut next_echo = 0.0f64;
@@ -259,14 +256,14 @@ pub fn run_monitoring_experiment(
             }
         }
         probe.set_time(t);
-        let reports: Vec<MonitorReport> = daemons.iter().map(|d| d.tick(t)).collect();
+        let reports: Vec<MonitorReport> = daemons.iter().map(|d| d.tick(t, &probe)).collect();
         for report in &reports {
             if let Some(msg) = gm.handle_report(t, report) {
                 site_manager.process(&msg);
             }
         }
         if t >= next_echo {
-            for msg in gm.probe_hosts(t) {
+            for msg in gm.probe_hosts(t, &echo) {
                 site_manager.process(&msg);
                 let (ControlMessage::HostFailure { host: changed }
                 | ControlMessage::HostRecovered { host: changed }) = &msg

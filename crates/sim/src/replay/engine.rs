@@ -199,7 +199,6 @@ struct GroundTruth {
 /// on this view.
 struct Detected {
     dead: BTreeSet<String>,
-    partition: PartitionState,
     quarantine: Quarantine,
     site_quarantine: SiteQuarantine,
     /// Per-site Site-Manager role tracker.
@@ -239,6 +238,15 @@ fn stamp(detection: &mut Option<f64>, fault: &Fault, t: f64) -> bool {
         *detection = Some((t - fault.at()).max(0.0));
     }
     first
+}
+
+/// Why a task whose parents are all done does not start this tick.
+enum Held {
+    /// Its placement went stale before it ever started: it goes back to
+    /// waiting.
+    Stale,
+    /// An input sits across a live cut: its floor rises.
+    Blocked,
 }
 
 /// One tick's re-selection inputs: the hosts nothing may move onto
@@ -314,7 +322,6 @@ impl<'a> Replay<'a> {
             truth: GroundTruth::default(),
             seen: Detected {
                 dead: BTreeSet::new(),
-                partition: PartitionState::new(),
                 quarantine: Quarantine::new(),
                 site_quarantine: SiteQuarantine::new(),
                 failover,
@@ -573,7 +580,7 @@ impl<'a> Replay<'a> {
             let dst = SiteId(i as u16);
             if dst == src
                 || self.seen.site_quarantine.contains(dst)
-                || !self.seen.partition.reachable(src, dst, inp.sites)
+                || !self.plane.net_mon.reachability().reachable(src, dst, inp.sites)
             {
                 continue;
             }
@@ -620,7 +627,8 @@ impl<'a> Replay<'a> {
     fn monitor_round(&mut self) {
         let Inputs { plan, cfg, .. } = *self.inp;
         let t = self.t;
-        self.plane.probe.set_time(t);
+        let plane = &mut self.plane;
+        plane.probe.set_time(t);
         let echo_round = t + EPS >= self.next_echo;
         if echo_round {
             self.next_echo += cfg.echo_period;
@@ -629,17 +637,17 @@ impl<'a> Replay<'a> {
         // any report: the event log (and so the journal) holds a site's
         // samples ahead of its forwards.
         let mut reports = Vec::new();
-        for stack in &mut self.plane.stacks {
-            reports.extend(stack.daemons.iter().map(|d| d.tick(t)));
+        for stack in &mut plane.stacks {
+            reports.extend(stack.daemons.iter().map(|d| d.tick(t, &plane.probe)));
             for report in reports.drain(..) {
                 stack.outbox.extend(stack.group.handle_report(t, &report));
             }
             if echo_round {
-                stack.outbox.extend(stack.group.probe_hosts(t));
+                stack.outbox.extend(stack.group.probe_hosts(t, &plane.echo));
             }
         }
-        self.plane.net_mon.tick();
-        self.seen.partition = self.plane.net_mon.reachability();
+        plane.net_mon.tick(&plane.link_probe);
+        let detected = plane.net_mon.reachability();
 
         let detections = &mut self.out.detections;
         for (&i, &applied_at) in &self.attr.degrade_applied {
@@ -650,7 +658,7 @@ impl<'a> Replay<'a> {
         for (&i, &applied_at) in &self.attr.partition_applied {
             let Fault::SitePartition { a, b, .. } = &plan.faults[i] else { continue };
             let due = detections[i].is_none() && t + EPS >= applied_at;
-            let cut = |x: &u16, y: &u16| self.seen.partition.is_severed(SiteId(*x), SiteId(*y));
+            let cut = |x: &u16, y: &u16| detected.is_severed(SiteId(*x), SiteId(*y));
             if due && a.iter().any(|x| b.iter().any(|y| cut(x, y))) {
                 stamp(&mut detections[i], &plan.faults[i], t);
             }
@@ -792,7 +800,7 @@ impl<'a> Replay<'a> {
     /// This tick's [`Reselection`], its views not yet captured.
     fn reselection(&self) -> Reselection {
         Reselection {
-            banned: self.seen.quarantine.snapshot().union(&self.seen.dead).cloned().collect(),
+            banned: self.seen.quarantine.members().union(&self.seen.dead).cloned().collect(),
             views: OnceCell::new(),
         }
     }
@@ -811,6 +819,7 @@ impl<'a> Replay<'a> {
     ) -> Option<(SiteId, TaskHostChoice)> {
         let Inputs { afg, cfg, sites, .. } = *self.inp;
         let site_q = &self.seen.site_quarantine;
+        let partition = self.plane.net_mon.reachability();
         let views = moves
             .views
             .get_or_init(|| self.plane.stacks.iter().map(|s| s.manager.view()).collect());
@@ -822,7 +831,7 @@ impl<'a> Replay<'a> {
         };
         let mut ordered: Vec<&SiteView> = Vec::with_capacity(views.len());
         for v in views {
-            if site_q.contains(v.site) || !self.seen.partition.reachable(anchor, v.site, sites) {
+            if site_q.contains(v.site) || !partition.reachable(anchor, v.site, sites) {
                 continue;
             }
             if v.site == local {
@@ -911,7 +920,6 @@ impl<'a> Replay<'a> {
     /// recovery time.
     fn start_ready(&mut self) {
         let inp = self.inp;
-        let net_now = self.plane.shared_net.snapshot();
         for &task in &inp.by_priority {
             if self.tasks[task.index()].state != TaskState::Pending {
                 continue;
@@ -921,25 +929,28 @@ impl<'a> Replay<'a> {
             if parents().any(|s| *s == TaskState::Failed) {
                 self.tasks[task.index()].state = TaskState::Failed;
             } else if parents().all(|s| matches!(s, TaskState::Completed { .. })) {
-                if let Some(start) = self.start_time(task, &net_now) {
-                    self.start_run(task, start);
+                match self.start_time(task) {
+                    Ok(start) => self.start_run(task, start),
+                    Err(Held::Stale) => {
+                        self.tasks[task.index()].state = TaskState::Waiting { resume_at: self.t };
+                    }
+                    Err(Held::Blocked) => {
+                        let run = &mut self.tasks[task.index()];
+                        run.floor = run.floor.max(self.t + inp.cfg.tick);
+                    }
                 }
             }
         }
     }
 
-    /// When `task`, whose parents are all done, can start — or `None`
-    /// when its placement went stale (it goes back to waiting) or an
-    /// input sits across a live cut (its floor rises).
-    fn start_time(&mut self, task: TaskId, net_now: &NetworkModel) -> Option<f64> {
+    /// When `task`, whose parents are all done, can start, priced on the
+    /// network model as last monitored — or why it is held this tick.
+    fn start_time(&self, task: TaskId) -> Result<f64, Held> {
         let inp = self.inp;
-        let (t, sites) = (self.t, inp.sites);
         let run = &self.tasks[task.index()];
         if run.hosts.iter().any(|h| self.seen.dead.contains(h) || self.seen.quarantine.contains(h))
         {
-            // Placement went stale before the task ever started.
-            self.tasks[task.index()].state = TaskState::Waiting { resume_at: t };
-            return None;
+            return Err(Held::Stale);
         }
         // During a partition each side only starts tasks whose inputs
         // are locally reachable: an in-edge crossing a severed cut
@@ -959,25 +970,23 @@ impl<'a> Replay<'a> {
             blocked |= cut
                 && !same_host
                 && !self.seen.site_quarantine.contains(parent.site)
-                && !self.truth.severed.reachable(parent.site, run.site, sites);
+                && !self.truth.severed.reachable(parent.site, run.site, inp.sites);
             let xfer = if same_host {
                 0.0
             } else {
-                net_now.transfer_time(parent.site, run.site, e.data_size)
+                self.plane.net_mon.model().transfer_time(parent.site, run.site, e.data_size)
             };
             data_ready = data_ready.max(parent.finish + xfer);
         }
         if blocked {
-            let run = &mut self.tasks[task.index()];
-            run.floor = run.floor.max(t + inp.cfg.tick);
-            return None;
+            return Err(Held::Blocked);
         }
         let hosts_ready = run
             .hosts
             .iter()
             .map(|h| self.host_free.get(h).copied().unwrap_or(0.0))
             .fold(0.0f64, f64::max);
-        Some(data_ready.max(hosts_ready).max(run.floor))
+        Ok(data_ready.max(hosts_ready).max(run.floor))
     }
 
     /// Start `task`'s next run at `start`, resuming from the newest

@@ -5,11 +5,13 @@
 //! clock: per-host Monitor daemons sample a `SyntheticProbe`, Group
 //! Managers apply the significant-change filter and echo-probe failure
 //! detection, Site Managers fold control messages into deep-copied site
-//! repositories, and a `NetworkMonitor` folds link probes into a
-//! `SharedNetworkModel`. Faults enter the run exactly where real
-//! faults would: crashes and outages flip the `FlagEcho` the echo
-//! prober watches, link faults override the `SyntheticLinkProbe`, and
-//! load spikes are baked into the monitoring probe's traces.
+//! repositories, and a `NetworkMonitor` writes link probes into the
+//! `NetworkModel` it owns. The control plane owns the three probes and
+//! hands them to those components each tick. Faults enter the run
+//! exactly where real faults would: crashes and outages flip the
+//! `FlagEcho` the echo prober reads, link faults override the
+//! `SyntheticLinkProbe`, and load spikes are baked into the monitoring
+//! probe's traces.
 //!
 //! Recovery is the DESIGN.md §10 state machine: **detect** (echo probe /
 //! monitor report) → **quarantine** (`Quarantine`) → **re-select**

@@ -1,13 +1,11 @@
 //! The control plane a replay drives: the *real* runtime components —
 //! Monitor daemons, Group Managers, Site Managers, the network monitor,
-//! the checkpoint store, the journal — wired to synthetic probes and a
-//! virtual clock.
+//! the checkpoint store, the journal — fed from synthetic probes the
+//! plane owns and driven on a virtual clock.
 
 use super::engine::Inputs;
 use crate::faults::Fault;
 use std::cell::Cell;
-use std::sync::Arc;
-use vdce_net::model::SharedNetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_repository::SiteRepository;
@@ -30,8 +28,9 @@ pub(super) struct SiteStack {
 
 /// Everything the replay drives rather than models. Faults enter through
 /// `echo` (host liveness), `link_probe` (link quality and cuts) and
-/// `probe` (load); what the plane makes of them comes back out through
-/// the stacks' outboxes and `net_mon`.
+/// `probe` (load), which the monitoring round hands to the components
+/// each tick; what the plane makes of them comes back out through the
+/// stacks' outboxes and `net_mon`.
 pub(super) struct ControlPlane {
     /// Disabled unless the replay is durable.
     pub(super) journal: Journal,
@@ -39,10 +38,10 @@ pub(super) struct ControlPlane {
     /// Deep copies of the federation's repositories, one per site.
     pub(super) repos: Vec<SiteRepository>,
     pub(super) stacks: Vec<SiteStack>,
-    pub(super) probe: Arc<SyntheticProbe>,
-    pub(super) echo: Arc<FlagEcho>,
-    pub(super) shared_net: SharedNetworkModel,
-    pub(super) link_probe: Arc<SyntheticLinkProbe>,
+    pub(super) probe: SyntheticProbe,
+    pub(super) echo: FlagEcho,
+    pub(super) link_probe: SyntheticLinkProbe,
+    /// Owns the live network model the replay prices transfers with.
     pub(super) net_mon: NetworkMonitor,
     /// Shared by every re-selection of the run.
     pub(super) cache: PredictCache,
@@ -67,21 +66,19 @@ impl ControlPlane {
         }
 
         // Load spikes are baked into the monitoring probe's traces.
-        let probe = Arc::new(SyntheticProbe::new(0.0, 1 << 30));
+        let mut probe = SyntheticProbe::new(0.0, 1 << 30);
         for f in &inp.plan.faults {
             if let Fault::LoadSpike { host, at, height, duration } = f {
                 probe.add_spike(host.clone(), *at, *height, *duration);
             }
         }
-        let echo = Arc::new(FlagEcho::new());
+        let echo = FlagEcho::new();
         let mut stacks: Vec<SiteStack> = Vec::with_capacity(sites);
         for (i, repo) in repos.iter().enumerate() {
             let site = SiteId(i as u16);
             let hosts = federation.hosts(site);
-            let daemons: Vec<MonitorDaemon> = hosts
-                .iter()
-                .map(|h| MonitorDaemon::new(h.clone(), probe.clone(), log.clone()))
-                .collect();
+            let daemons: Vec<MonitorDaemon> =
+                hosts.iter().map(|h| MonitorDaemon::new(h.clone(), log.clone())).collect();
             let mut manager = SiteManager::new(site, repo.clone());
             if let Some(d) = durable {
                 // The deputy's replica starts from the leader's state at
@@ -93,24 +90,24 @@ impl ControlPlane {
                 format!("s{i}-gm"),
                 hosts,
                 cfg.significance_threshold,
-                echo.clone(),
                 log.clone(),
             );
             stacks.push(SiteStack { manager, group, daemons, outbox: Vec::new() });
         }
 
-        // Network plane: EMA weight 1.0 so the model tracks the probe
-        // exactly; the probe is pre-seeded with every pristine link so
-        // monitor rounds never clobber un-faulted heterogeneous links.
-        let shared_net = SharedNetworkModel::new(federation.net.clone(), 1.0);
-        let link_probe = Arc::new(SyntheticLinkProbe::new(1.0, 1.0));
+        // Network plane: the monitor writes each probe sample into its
+        // model as measured; the probe is pre-seeded with every pristine
+        // link so monitor rounds never clobber un-faulted heterogeneous
+        // links.
+        debug_assert_eq!(federation.net.site_count(), sites);
+        let mut link_probe = SyntheticLinkProbe::new(1.0, 1.0);
         for a in 0..sites as u16 {
             for b in a..sites as u16 {
                 let l = federation.net.link(SiteId(a), SiteId(b));
                 link_probe.set(SiteId(a), SiteId(b), l.latency_s, l.bandwidth_bps);
             }
         }
-        let net_mon = NetworkMonitor::new(shared_net.clone(), link_probe.clone(), sites);
+        let net_mon = NetworkMonitor::new(federation.net.clone());
 
         let store = CheckpointStore::new();
         store.attach_journal(journal.clone());
@@ -121,7 +118,6 @@ impl ControlPlane {
             stacks,
             probe,
             echo,
-            shared_net,
             link_probe,
             net_mon,
             cache: PredictCache::new(),

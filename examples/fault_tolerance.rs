@@ -22,7 +22,6 @@
 //! cargo run --example fault_tolerance
 //! ```
 
-use std::sync::Arc;
 use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
 use vdce_repository::AccessDomain;
@@ -55,11 +54,11 @@ fn main() {
     assert!(r1.allocation.hosts_used().contains(&"fast_but_doomed"));
 
     // --- The fast host dies; a Group Manager detects it ---------------
-    let echo = Arc::new(FlagEcho::new());
+    let mut echo = FlagEcho::new();
     echo.kill("fast_but_doomed");
     let hosts = vec!["fast_but_doomed".into(), "steady".into()];
-    let mut gm = GroupManager::new("campus-g0", hosts, 1.0, echo, EventLog::new());
-    let changed = gm.probe_hosts(0.0);
+    let mut gm = GroupManager::new("campus-g0", hosts, 1.0, EventLog::new());
+    let changed = gm.probe_hosts(0.0, &echo);
     println!("\necho round detected failures: {changed:?}");
     for msg in &changed {
         vdce.site_manager(site).process(msg);

@@ -2,12 +2,11 @@
 //! daemons → group managers → site manager → site repository →
 //! scheduler decisions.
 
-use std::sync::Arc;
 use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
 use vdce_net::topology::SiteId;
 use vdce_repository::AccessDomain;
-use vdce_runtime::{EventLog, FlagEcho, GroupManager, LoadProbe, MonitorDaemon, SyntheticProbe};
+use vdce_runtime::{EventLog, FlagEcho, GroupManager, MonitorDaemon, SyntheticProbe};
 use vdce_sim::run_monitoring_experiment;
 
 fn two_host_env() -> Vdce {
@@ -43,18 +42,16 @@ fn workload_pipeline_redirects_scheduling() {
 
     // Drive the control plane: the fast host gets very busy.
     let log = EventLog::new();
-    let probe = Arc::new(SyntheticProbe::new(0.0, 1 << 30));
+    let mut probe = SyntheticProbe::new(0.0, 1 << 30);
     probe.set_trace("fast", vec![(0.0, 9.0)]);
-    let daemons = ["fast", "slow"]
-        .map(|h| MonitorDaemon::new(h, probe.clone() as Arc<dyn LoadProbe>, log.clone()));
-    let echo = Arc::new(FlagEcho::new());
-    let mut gm = GroupManager::new("campus-g0", vec!["fast".into(), "slow".into()], 0.5, echo, log);
+    let daemons = ["fast", "slow"].map(|h| MonitorDaemon::new(h, log.clone()));
+    let mut gm = GroupManager::new("campus-g0", vec!["fast".into(), "slow".into()], 0.5, log);
     // Several monitoring rounds (smoothed workload needs history).
     let mut applied = 0;
     for t in 0..6 {
         probe.set_time(t as f64);
         for d in &daemons {
-            if let Some(msg) = gm.handle_report(t as f64, &d.tick(t as f64)) {
+            if let Some(msg) = gm.handle_report(t as f64, &d.tick(t as f64, &probe)) {
                 applied += usize::from(v.site_manager(site).process(&msg));
             }
         }
@@ -81,19 +78,19 @@ fn failure_detection_cycles_host_availability() {
     let site = SiteId(0);
     let session = v.login(site, "u", "p").unwrap();
 
-    let echo = Arc::new(FlagEcho::new());
+    let mut echo = FlagEcho::new();
     let hosts = vec!["fast".into(), "slow".into()];
-    let mut gm = GroupManager::new("campus-g0", hosts, 1.0, echo.clone(), EventLog::new());
+    let mut gm = GroupManager::new("campus-g0", hosts, 1.0, EventLog::new());
 
     echo.kill("fast");
-    for msg in gm.probe_hosts(1.0) {
+    for msg in gm.probe_hosts(1.0, &echo) {
         assert!(v.site_manager(site).process(&msg));
     }
     let r = session.submit(&simple_doc()).unwrap();
     assert_eq!(r.allocation.hosts_used(), vec!["slow"]);
 
     echo.revive("fast");
-    for msg in gm.probe_hosts(2.0) {
+    for msg in gm.probe_hosts(2.0, &echo) {
         assert!(v.site_manager(site).process(&msg));
     }
     let r = session.submit(&simple_doc()).unwrap();
@@ -106,7 +103,7 @@ fn failure_detection_cycles_host_availability() {
 #[test]
 fn network_monitoring_redirects_site_choice() {
     use vdce_afg::{AfgBuilder, MachineType as MT, TaskLibrary};
-    use vdce_net::model::{NetworkModel, SharedNetworkModel};
+    use vdce_net::model::NetworkModel;
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
     use vdce_runtime::{NetworkMonitor, SyntheticLinkProbe};
@@ -132,25 +129,23 @@ fn network_monitoring_redirects_site_choice() {
     b.connect(m, 0, k, 0).unwrap();
     let afg = b.build().unwrap();
 
-    let shared = SharedNetworkModel::new(NetworkModel::with_defaults(2), 1.0);
-    let probe = std::sync::Arc::new(SyntheticLinkProbe::new(0.005, 1e7));
+    let mut probe = SyntheticLinkProbe::new(0.005, 1e7);
     // Keep intra-site links fast regardless.
     probe.set(SiteId(0), SiteId(0), 0.0003, 1.25e7);
     probe.set(SiteId(1), SiteId(1), 0.0003, 1.25e7);
-    let monitor = NetworkMonitor::new(shared.clone(), probe.clone(), 2);
+    let mut monitor = NetworkMonitor::new(NetworkModel::with_defaults(2));
     let cfg = SchedulerConfig { k_neighbours: 1, ..SchedulerConfig::default() };
 
     // Healthy WAN: the faster remote site wins the whole chain.
-    monitor.tick();
+    monitor.tick(&probe);
     let healthy =
-        site_schedule(&afg, &local, std::slice::from_ref(&remote), &shared.snapshot(), &cfg)
-            .unwrap();
+        site_schedule(&afg, &local, std::slice::from_ref(&remote), monitor.model(), &cfg).unwrap();
     assert_eq!(healthy.placement(vdce_afg::TaskId(0)).unwrap().site, SiteId(1));
 
     // Congestion hits the WAN; the monitor observes it.
     probe.set(SiteId(0), SiteId(1), 30.0, 1_000.0);
-    monitor.tick();
-    let congested = site_schedule(&afg, &local, &[remote], &shared.snapshot(), &cfg).unwrap();
+    monitor.tick(&probe);
+    let congested = site_schedule(&afg, &local, &[remote], monitor.model(), &cfg).unwrap();
     // Entry task still prefers the faster remote host (Predict only), but
     // the *whole chain stays together* and no placement straddles the
     // congested link — the transfer term pins children to their parent's
