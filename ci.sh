@@ -27,7 +27,7 @@
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
 #      pass and run — under a ceiling (940, 713, 247, 8,160, 148 and
-#      303,910). ROADMAP item 4's committed BENCH_perf.json
+#      294,195). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -271,9 +271,14 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # per `apply`). Re-indexing the classes in every host-selection call made
 # them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 301,857 with the monitoring
-# chain's network model, detected partition and quarantines held as plain
-# values the replay reads in place (305,963 when a shared model, the
+# 17-scenario sweep (~13.1k journal records): 286,533 with the checkpoint
+# store's state written into snapshots by reference, `latest_valid`
+# borrowing the checkpoint it finds and each repository event serialised
+# once for the journal and the deputy (301,857 when every snapshot
+# re-projected the store by clone, every resumed run cloned its
+# checkpoint and a shipped event was cloned and serialised twice), the
+# monitoring chain's network model, detected partition and quarantines
+# held as plain values the replay reads in place (305,963 when a shared model, the
 # detected partition and the host quarantine were each cloned per
 # tick), the edge
 # index built without cursor copies (306,351 with them), the monitoring
@@ -325,4 +330,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 148 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 303910 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 294195 durable_faults

@@ -87,7 +87,7 @@ fn spiked_run(gated: bool) -> (f64, usize, usize) {
     // kernel level — here we keep kernels real and count placement
     // instead; wall time differences come from contention on two hosts
     // vs spreading over six.
-    let outcome = execute(&Execution {
+    let outcome = execute(Execution {
         afg: &afg,
         table: &table,
         dm: &dm,

@@ -191,7 +191,7 @@ impl<'v> Session<'v> {
         let clock = RealClock::new();
         self.log.emit(clock.now(), RuntimeEvent::StartupSignal);
         let (tx, rx) = std::sync::mpsc::channel();
-        let outcome = execute(&Execution {
+        let outcome = execute(Execution {
             afg,
             table: &table,
             dm: &dm,
@@ -215,11 +215,11 @@ impl<'v> Session<'v> {
                 _ => continue,
             };
             if let Some(site) = self.vdce.topology().site_of_host(&host) {
-                self.vdce.site_manager(site).process(&msg);
+                self.vdce.site_manager(site).process(&msg, None);
             } else {
                 // Relocated onto a host the topology doesn't know (merged
                 // repo only) — book it at the home site.
-                self.vdce.site_manager(self.home).process(&msg);
+                self.vdce.site_manager(self.home).process(&msg, None);
             }
         }
 

@@ -4,18 +4,19 @@
 //! up/down transitions, post-run execution measurements — are the
 //! control-plane state a process death would otherwise lose. Each one
 //! is a [`RepoEvent`]: a small serializable value with a pure,
-//! deterministic [`RepoEvent::apply`]. The live [`SiteRepository`]
-//! journals the event *before* applying it
-//! ([`SiteRepository::apply_event`]), so a write-ahead log replay — or
-//! a deputy replica applying the same events in the same order —
-//! reconstructs the exact same databases.
+//! deterministic [`RepoEvent::apply`], the one transition there is. The
+//! live [`SiteRepository`](crate::SiteRepository) journals the event
+//! *before* applying it
+//! ([`apply_event`](crate::SiteRepository::apply_event)) to the same
+//! [`RepositorySnapshot`] value that a write-ahead log replay — or a
+//! deputy replica applying the same events in the same order — rebuilds.
 //!
 //! Rare administrative writes (adding user accounts, registering
 //! executables, host registration) happen at setup time, before a
 //! journal is attached; recovery restores them from the initial
 //! snapshot rather than from events.
 
-use crate::repository::{RepositorySnapshot, SiteRepository};
+use crate::repository::RepositorySnapshot;
 use crate::resources::HostStatus;
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +69,15 @@ impl RepoEvent {
             }
         }
     }
+
+    /// Are the event's numbers finite? JSON spells no NaN or infinity.
+    pub(crate) fn is_finite(&self) -> bool {
+        match self {
+            RepoEvent::RecordSample { workload, .. } => workload.is_finite(),
+            RepoEvent::SetStatus { .. } => true,
+            RepoEvent::RecordExecution { seconds, .. } => seconds.is_finite(),
+        }
+    }
 }
 
 /// The journal payload for the `repo` tag: a [`RepoEvent`] plus the
@@ -81,30 +91,10 @@ pub struct JournaledRepoEvent {
     pub event: RepoEvent,
 }
 
-impl SiteRepository {
-    /// Apply one event through the journaled write path: the event is
-    /// appended to the attached journal (write-ahead) and then applied
-    /// to the live databases via the same transition as
-    /// [`RepoEvent::apply`]. Returns whether the event applied.
-    pub fn apply_event(&self, event: &RepoEvent) -> bool {
-        self.journal_event(event);
-        match event {
-            RepoEvent::RecordSample { host, workload, available_memory } => {
-                self.resources_mut(|db| db.record_sample(host, *workload, *available_memory))
-            }
-            RepoEvent::SetStatus { host, status } => {
-                self.resources_mut(|db| db.set_status(host, *status))
-            }
-            RepoEvent::RecordExecution { task, host, problem_size, seconds } => {
-                self.tasks_mut(|db| db.record_execution(task, host, *problem_size, *seconds))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repository::SiteRepository;
     use crate::resources::ResourceRecord;
     use vdce_afg::MachineType;
 
@@ -144,7 +134,7 @@ mod tests {
             RepoEvent::SetStatus { host: "civet".into(), status: HostStatus::Up },
         ];
         for e in &events {
-            live.apply_event(e);
+            live.apply_event(e.clone(), false);
             e.apply(&mut replayed);
         }
         assert_eq!(live.snapshot(), replayed);

@@ -17,9 +17,10 @@
 //! - [`constraints::TaskConstraintsDb`] — the absolute path of each task
 //!   executable on each host.
 //!
-//! [`repository::SiteRepository`] bundles the four behind a single
-//! thread-safe facade (site managers, group managers and schedulers all
-//! touch it concurrently) and supports JSON snapshots.
+//! [`repository::SiteRepository`] bundles the four, as one
+//! [`RepositorySnapshot`] value behind one lock, into a thread-safe
+//! facade (site managers, group managers and schedulers all touch it
+//! concurrently) and supports JSON snapshots.
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]

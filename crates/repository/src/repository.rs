@@ -2,11 +2,14 @@
 //!
 //! "Each site has a site repository for storing user-accounts information,
 //! task and resource parameters that are used by the scheduler" (§3).
-//! The repository is touched concurrently by the Site Manager (workload
-//! and failure updates, post-run task-performance write-back), the Group
-//! Managers, the Application Scheduler (reads) and administrative tools —
-//! so [`SiteRepository`] is a cheaply cloneable handle around per-database
-//! reader-writer locks.
+//! The repository is touched by the Site Manager (workload and failure
+//! updates, post-run task-performance write-back), the Group Managers,
+//! the Application Scheduler (reads) and administrative tools, from more
+//! than one thread in the threaded runtime — so [`SiteRepository`] is a
+//! cheaply cloneable handle around one reader-writer lock over the four
+//! databases, held as the same [`RepositorySnapshot`] value that WAL
+//! replay and deputy replicas rebuild, with the journal handle beside
+//! it.
 
 use crate::accounts::UserAccountsDb;
 use crate::constraints::TaskConstraintsDb;
@@ -15,8 +18,8 @@ use crate::resources::ResourcePerfDb;
 use crate::tasks::TaskPerfDb;
 use serde::{Deserialize, JsonWriter, Serialize};
 use std::io::Write;
-use std::sync::{Arc, RwLock};
-use vdce_store::{Fnv1a, Journal};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use vdce_store::{fnv1a_json, Journal};
 
 /// A point-in-time snapshot of a site repository (serialisable).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,12 +35,10 @@ pub struct RepositorySnapshot {
 }
 
 struct Inner {
-    accounts: RwLock<UserAccountsDb>,
-    resources: RwLock<ResourcePerfDb>,
-    tasks: RwLock<TaskPerfDb>,
-    constraints: RwLock<TaskConstraintsDb>,
-    /// Write-ahead journal for event-sourced mutations; disabled by
-    /// default, attached per site by the durable control plane.
+    db: RwLock<RepositorySnapshot>,
+    /// Write-ahead journal for event-sourced mutations and the site index
+    /// its `repo` records carry; disabled by default, attached per site
+    /// by the durable control plane.
     journal: RwLock<(u16, Journal)>,
 }
 
@@ -49,9 +50,10 @@ pub struct SiteRepository {
 
 impl std::fmt::Debug for SiteRepository {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let db = self.read();
         f.debug_struct("SiteRepository")
-            .field("users", &self.inner.accounts.read().unwrap().len())
-            .field("hosts", &self.inner.resources.read().unwrap().len())
+            .field("users", &db.accounts.len())
+            .field("hosts", &db.resources.len())
             .finish()
     }
 }
@@ -74,16 +76,17 @@ impl SiteRepository {
     }
 
     /// Rebuild a repository from a snapshot.
-    pub fn from_snapshot(s: RepositorySnapshot) -> Self {
-        SiteRepository {
-            inner: Arc::new(Inner {
-                accounts: RwLock::new(s.accounts),
-                resources: RwLock::new(s.resources),
-                tasks: RwLock::new(s.tasks),
-                constraints: RwLock::new(s.constraints),
-                journal: RwLock::new((0, Journal::disabled())),
-            }),
-        }
+    pub fn from_snapshot(db: RepositorySnapshot) -> Self {
+        let inner = Inner { db: RwLock::new(db), journal: RwLock::new((0, Journal::disabled())) };
+        SiteRepository { inner: Arc::new(inner) }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, RepositorySnapshot> {
+        self.inner.db.read().unwrap()
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, RepositorySnapshot> {
+        self.inner.db.write().unwrap()
     }
 
     /// Attach a control-plane journal. Every subsequent
@@ -94,92 +97,87 @@ impl SiteRepository {
         *self.inner.journal.write().unwrap() = (site, journal);
     }
 
-    /// Append `event` to the attached journal (no-op when disabled).
-    pub(crate) fn journal_event(&self, event: &RepoEvent) {
-        let g = self.inner.journal.read().unwrap();
-        if g.1.is_enabled() {
-            let wire = JournaledRepoEvent { site: g.0, event: event.clone() };
-            let payload = serde_json::to_string(&wire).expect("repo events always serialize");
-            g.1.append("repo", &payload);
+    /// Apply one event through the journaled write path: the event is
+    /// appended to the attached journal (write-ahead) and then applied to
+    /// the databases by [`RepoEvent::apply`], both under the databases'
+    /// write lock.
+    /// Returns whether the event applied and, when `encode` is set or a
+    /// journal is attached, the event's `repo` payload (the text of a
+    /// [`JournaledRepoEvent`]): one text serves the journal and the
+    /// deputy the caller ships it to. An event carrying a NaN or an
+    /// infinity is refused before it is journaled: JSON has no spelling
+    /// for either, so its record could not be replayed.
+    pub fn apply_event(&self, event: RepoEvent, encode: bool) -> (bool, Option<String>) {
+        if !event.is_finite() {
+            return (false, None);
         }
+        let (site, journal) = &*self.inner.journal.read().unwrap();
+        let mut db = self.write();
+        let wire = JournaledRepoEvent { site: *site, event };
+        let payload = (encode || journal.is_enabled())
+            .then(|| serde_json::to_string(&wire).expect("repo events always serialize"));
+        if let Some(payload) = &payload {
+            journal.append("repo", payload);
+        }
+        (wire.event.apply(&mut db), payload)
     }
 
     /// Deterministic fingerprint of the repository's current state —
     /// the hash compared between a leader and its deputy replica.
     pub fn state_hash(&self) -> u64 {
-        let mut w = JsonWriter::new(Fnv1a::new(), None);
-        self.write_snapshot_json(&mut w);
-        w.finish().expect("hashing cannot fail to write").finish()
+        fnv1a_json(&*self.read())
     }
 
-    /// Stream the JSON of [`SiteRepository::snapshot`] — the
-    /// [`RepositorySnapshot`] derive's text, byte for byte — from the live
-    /// databases, each under its read lock in turn, cloning none of them.
+    /// Stream the JSON of [`SiteRepository::snapshot`] from the live
+    /// databases, cloning none of them.
     pub fn write_snapshot_json<W: Write>(&self, w: &mut JsonWriter<W>) {
-        let inner = &*self.inner;
-        let mut obj = w.begin_object();
-        w.key(&mut obj, br#""accounts":"#);
-        inner.accounts.read().unwrap().write_json(w);
-        w.key(&mut obj, br#""resources":"#);
-        inner.resources.read().unwrap().write_json(w);
-        w.key(&mut obj, br#""tasks":"#);
-        inner.tasks.read().unwrap().write_json(w);
-        w.key(&mut obj, br#""constraints":"#);
-        inner.constraints.read().unwrap().write_json(w);
-        w.end_object(obj);
+        self.read().write_json(w);
     }
 
     /// Read access to the user-accounts database.
     pub fn accounts<R>(&self, f: impl FnOnce(&UserAccountsDb) -> R) -> R {
-        f(&self.inner.accounts.read().unwrap())
+        f(&self.read().accounts)
     }
 
     /// Write access to the user-accounts database.
     pub fn accounts_mut<R>(&self, f: impl FnOnce(&mut UserAccountsDb) -> R) -> R {
-        f(&mut self.inner.accounts.write().unwrap())
+        f(&mut self.write().accounts)
     }
 
     /// Read access to the resource-performance database.
     pub fn resources<R>(&self, f: impl FnOnce(&ResourcePerfDb) -> R) -> R {
-        f(&self.inner.resources.read().unwrap())
+        f(&self.read().resources)
     }
 
     /// Write access to the resource-performance database.
     pub fn resources_mut<R>(&self, f: impl FnOnce(&mut ResourcePerfDb) -> R) -> R {
-        f(&mut self.inner.resources.write().unwrap())
+        f(&mut self.write().resources)
     }
 
     /// Read access to the task-performance database.
     pub fn tasks<R>(&self, f: impl FnOnce(&TaskPerfDb) -> R) -> R {
-        f(&self.inner.tasks.read().unwrap())
+        f(&self.read().tasks)
     }
 
     /// Write access to the task-performance database.
     pub fn tasks_mut<R>(&self, f: impl FnOnce(&mut TaskPerfDb) -> R) -> R {
-        f(&mut self.inner.tasks.write().unwrap())
+        f(&mut self.write().tasks)
     }
 
     /// Write access to the task-constraints database.
     pub fn constraints_mut<R>(&self, f: impl FnOnce(&mut TaskConstraintsDb) -> R) -> R {
-        f(&mut self.inner.constraints.write().unwrap())
+        f(&mut self.write().constraints)
     }
 
-    /// Capture a consistent-enough snapshot (each database is internally
-    /// consistent; cross-database atomicity is not required by any VDCE
-    /// component, which all tolerate slightly stale reads — §4.1's
-    /// monitoring updates are themselves periodic).
+    /// A consistent copy of all four databases, detached from later
+    /// writes.
     pub fn snapshot(&self) -> RepositorySnapshot {
-        RepositorySnapshot {
-            accounts: self.inner.accounts.read().unwrap().clone(),
-            resources: self.inner.resources.read().unwrap().clone(),
-            tasks: self.inner.tasks.read().unwrap().clone(),
-            constraints: self.inner.constraints.read().unwrap().clone(),
-        }
+        self.read().clone()
     }
 
     /// Serialise a snapshot to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.snapshot()).expect("snapshot always serialises")
+        serde_json::to_string_pretty(&*self.read()).expect("snapshot always serialises")
     }
 
     /// Restore a repository from JSON produced by [`Self::to_json`].

@@ -13,13 +13,15 @@
 //!   the real executor and the virtual-clock replay consume the same
 //!   plan, so measured overhead and simulated overhead agree by
 //!   construction.
-//! - [`CheckpointStore`] — the durable record: per-task sequences of
-//!   [`TaskCheckpoint`]s, each tagged with the hosts it is stored on.
-//!   Restart asks for [`CheckpointStore::latest_valid`]: the newest
-//!   checkpoint with at least one *reachable* replica — a checkpoint
-//!   whose only copies sit on a crashed or quarantined host is
-//!   unusable, and the store falls back to the next-newest reachable
-//!   one (or nothing, which means restart-from-zero).
+//! - [`CheckpointStore`] — the durable record: the journaled
+//!   [`CheckpointState`] (per-task sequences of [`ControlCheckpoint`]s,
+//!   each tagged with the hosts it is stored on) plus each checkpoint's
+//!   produced-output payloads. Restart asks for
+//!   [`CheckpointStore::latest_valid`]: the newest checkpoint with at
+//!   least one *reachable* replica — a checkpoint whose only copies sit
+//!   on a crashed or quarantined host is unusable, and the store falls
+//!   back to the next-newest reachable one (or nothing, which means
+//!   restart-from-zero).
 //!
 //! Dataflow tasks persist their completed fraction plus produced-output
 //! payloads (so a resumed consumer can re-deliver without re-executing).
@@ -28,7 +30,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use vdce_afg::TaskId;
 use vdce_store::Journal;
 
@@ -242,39 +244,6 @@ impl MtbfEstimator {
     }
 }
 
-/// A persisted snapshot of one task's progress.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskCheckpoint {
-    /// The task.
-    pub task: TaskId,
-    /// Per-task sequence number, assigned by the store.
-    pub seq: u64,
-    /// Completed fraction of the task's work in [0, 1].
-    pub progress: f64,
-    /// Time (clock seconds) the checkpoint was written.
-    pub taken_at: f64,
-    /// Hosts holding a copy; the checkpoint is usable while any one of
-    /// them is reachable.
-    pub stored_on: Vec<String>,
-    /// Produced-output payloads by out-port index (dataflow tasks), so a
-    /// fully checkpointed task can re-deliver without re-executing.
-    pub outputs: BTreeMap<usize, Arc<[u8]>>,
-}
-
-impl TaskCheckpoint {
-    /// Checkpoint of `task` at `progress`, written at `taken_at` with
-    /// copies on `stored_on`.
-    pub fn new(task: TaskId, progress: f64, taken_at: f64, stored_on: Vec<String>) -> Self {
-        TaskCheckpoint { task, seq: 0, progress, taken_at, stored_on, outputs: BTreeMap::new() }
-    }
-
-    /// Attach produced-output payloads.
-    pub(crate) fn with_outputs(mut self, outputs: BTreeMap<usize, Arc<[u8]>>) -> Self {
-        self.outputs = outputs;
-        self
-    }
-}
-
 /// One journaled mutation of the checkpoint store (the `ckpt` journal
 /// tag). Only *control* fields are journaled: produced-output payloads
 /// are data-plane state, re-derivable from task re-execution.
@@ -316,9 +285,9 @@ pub struct ControlCheckpoint {
     pub stored_on: Vec<String>,
 }
 
-/// Pure, serializable projection of a [`CheckpointStore`]'s
-/// control-plane state: the state machine WAL replay and deputy
-/// replicas apply [`CheckpointEvent`]s to.
+/// The control-plane state of a [`CheckpointStore`], serializable: the
+/// state machine the live store and WAL replay apply
+/// [`CheckpointEvent`]s to.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct CheckpointState {
     /// Live checkpoints by task.
@@ -328,9 +297,11 @@ pub struct CheckpointState {
 }
 
 impl CheckpointState {
-    /// Apply one event — the same transition [`CheckpointStore`]'s
-    /// mutating methods perform on their control fields.
-    pub(crate) fn apply(&mut self, event: &CheckpointEvent) {
+    /// Apply one event — the one transition of the checkpoint control
+    /// state, which [`CheckpointStore`] and WAL replay both run. Returns
+    /// whether it changed anything: a replica the checkpoint already has,
+    /// or of a checkpoint that does not exist, is refused.
+    pub(crate) fn apply(&mut self, event: &CheckpointEvent) -> bool {
         match event {
             CheckpointEvent::Record { task, progress, taken_at, stored_on } => {
                 let seqs = self.by_task.entry(*task).or_default();
@@ -342,34 +313,43 @@ impl CheckpointState {
                     stored_on: stored_on.clone(),
                 });
                 self.taken += 1;
+                true
             }
             CheckpointEvent::AddReplica { task, seq, host } => {
-                if let Some(cp) = self
+                let Some(cp) = self
                     .by_task
                     .get_mut(task)
                     .and_then(|cps| cps.iter_mut().find(|cp| cp.seq == *seq))
-                {
-                    if !cp.stored_on.iter().any(|h| h == host) {
-                        cp.stored_on.push(host.clone());
-                    }
+                else {
+                    return false;
+                };
+                let fresh = !cp.stored_on.iter().any(|h| h == host);
+                if fresh {
+                    cp.stored_on.push(host.clone());
                 }
+                fresh
             }
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct StoreInner {
-    by_task: BTreeMap<TaskId, Vec<TaskCheckpoint>>,
-    taken: u64,
-    journal: Journal,
-}
+/// Produced-output payloads of one checkpoint, by out-port index.
+type Outputs = BTreeMap<usize, Arc<[u8]>>;
 
-/// Shared, append-only checkpoint store. Clones share the store (like
-/// [`crate::events::EventLog`]).
-#[derive(Debug, Clone, Default)]
+/// What [`CheckpointStore::latest_valid`] returns for a checkpoint
+/// recorded without outputs.
+static NO_OUTPUTS: Outputs = BTreeMap::new();
+
+/// The append-only checkpoint store: the journaled [`CheckpointState`]
+/// plus each checkpoint's produced-output payloads, keyed by
+/// `(task, seq)`. Dataflow tasks record their outputs so a fully
+/// checkpointed task can re-deliver without re-executing; they are
+/// data-plane state, re-derivable by re-execution, and not journaled.
+#[derive(Debug, Default)]
 pub struct CheckpointStore {
-    inner: Arc<Mutex<StoreInner>>,
+    state: CheckpointState,
+    outputs: BTreeMap<(TaskId, u64), Outputs>,
+    journal: Journal,
 }
 
 impl CheckpointStore {
@@ -381,98 +361,63 @@ impl CheckpointStore {
     /// Attach a control-plane journal: every subsequent mutation is
     /// appended as a [`CheckpointEvent`] (tag `ckpt`) before it is
     /// applied.
-    pub fn attach_journal(&self, journal: Journal) {
-        self.inner.lock().unwrap().journal = journal;
+    pub fn attach_journal(&mut self, journal: Journal) {
+        self.journal = journal;
     }
 
-    fn journal_event(inner: &StoreInner, event: &CheckpointEvent) {
-        if inner.journal.is_enabled() {
+    /// The control state: what snapshots write and recovery rebuilds.
+    pub fn state(&self) -> &CheckpointState {
+        &self.state
+    }
+
+    /// Journal `event` (write-ahead), then apply it.
+    fn apply(&mut self, event: &CheckpointEvent) -> bool {
+        if self.journal.is_enabled() {
             let payload = serde_json::to_string(event).expect("checkpoint events always serialize");
-            inner.journal.append("ckpt", &payload);
+            self.journal.append("ckpt", &payload);
         }
+        self.state.apply(event)
     }
 
-    /// The control-plane projection of the store's current state (what
-    /// recovery and replicas compare against).
-    pub(crate) fn control_state(&self) -> CheckpointState {
-        let inner = self.inner.lock().unwrap();
-        CheckpointState {
-            by_task: inner
-                .by_task
-                .iter()
-                .map(|(task, cps)| {
-                    let control = cps
-                        .iter()
-                        .map(|cp| ControlCheckpoint {
-                            seq: cp.seq,
-                            progress: cp.progress,
-                            taken_at: cp.taken_at,
-                            stored_on: cp.stored_on.clone(),
-                        })
-                        .collect();
-                    (*task, control)
-                })
-                .collect(),
-            taken: inner.taken,
+    /// Persist a checkpoint of `task` at `progress`, written at
+    /// `taken_at`, with copies on `stored_on` and `outputs` (empty for a
+    /// task with nothing to re-deliver); returns the per-task sequence
+    /// number assigned.
+    pub fn record(
+        &mut self,
+        task: TaskId,
+        progress: f64,
+        taken_at: f64,
+        stored_on: Vec<String>,
+        outputs: Outputs,
+    ) -> u64 {
+        self.apply(&CheckpointEvent::Record { task, progress, taken_at, stored_on });
+        let seq = self.state.by_task[&task].len() as u64 - 1;
+        if !outputs.is_empty() {
+            self.outputs.insert((task, seq), outputs);
         }
-    }
-
-    /// Persist `cp`, assigning its per-task sequence number; returns the
-    /// sequence assigned.
-    pub fn record(&self, mut cp: TaskCheckpoint) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        Self::journal_event(
-            &inner,
-            &CheckpointEvent::Record {
-                task: cp.task,
-                progress: cp.progress,
-                taken_at: cp.taken_at,
-                stored_on: cp.stored_on.clone(),
-            },
-        );
-        let seqs = inner.by_task.entry(cp.task).or_default();
-        let seq = seqs.len() as u64;
-        cp.seq = seq;
-        seqs.push(cp);
-        inner.taken += 1;
         seq
     }
 
     /// The newest checkpoint of `task` with at least one reachable
-    /// replica. A checkpoint stored only on unreachable (crashed or
-    /// quarantined) hosts is skipped and the next-newest is considered —
-    /// `None` means restart-from-zero.
+    /// replica, with the outputs recorded with it. A checkpoint stored
+    /// only on unreachable (crashed or quarantined) hosts is skipped and
+    /// the next-newest is considered — `None` means restart-from-zero.
     pub fn latest_valid(
         &self,
         task: TaskId,
         reachable: impl Fn(&str) -> bool,
-    ) -> Option<TaskCheckpoint> {
-        self.inner
-            .lock()
-            .unwrap()
-            .by_task
-            .get(&task)
-            .and_then(|v| v.iter().rev().find(|cp| cp.stored_on.iter().any(|h| reachable(h))))
-            .cloned()
+    ) -> Option<(&ControlCheckpoint, &Outputs)> {
+        let cps = self.state.by_task.get(&task)?;
+        let cp = cps.iter().rev().find(|cp| cp.stored_on.iter().any(|h| reachable(h)))?;
+        Some((cp, self.outputs.get(&(task, cp.seq)).unwrap_or(&NO_OUTPUTS)))
     }
 
     /// Add a replica host to an existing checkpoint of `task` (a
     /// completed cross-site replication transfer). Returns `false` when
-    /// the checkpoint no longer exists (e.g. forgotten after completion)
-    /// or the host already holds a copy.
-    pub fn add_replica(&self, task: TaskId, seq: u64, host: &str) -> bool {
-        let mut inner = self.inner.lock().unwrap();
-        Self::journal_event(
-            &inner,
-            &CheckpointEvent::AddReplica { task, seq, host: host.to_string() },
-        );
-        let Some(cps) = inner.by_task.get_mut(&task) else { return false };
-        let Some(cp) = cps.iter_mut().find(|cp| cp.seq == seq) else { return false };
-        if cp.stored_on.iter().any(|h| h == host) {
-            return false;
-        }
-        cp.stored_on.push(host.to_string());
-        true
+    /// the checkpoint does not exist or the host already holds a copy.
+    pub fn add_replica(&mut self, task: TaskId, seq: u64, host: &str) -> bool {
+        self.apply(&CheckpointEvent::AddReplica { task, seq, host: host.to_string() })
     }
 }
 
@@ -482,6 +427,12 @@ mod tests {
 
     fn tid(i: u32) -> TaskId {
         TaskId(i)
+    }
+
+    /// Record an output-less checkpoint of `task` stored on `hosts`.
+    fn rec(store: &mut CheckpointStore, task: u32, progress: f64, at: f64, hosts: &[&str]) -> u64 {
+        let hosts = hosts.iter().map(|h| h.to_string()).collect();
+        store.record(tid(task), progress, at, hosts, Outputs::new())
     }
 
     #[test]
@@ -524,31 +475,51 @@ mod tests {
 
     #[test]
     fn store_assigns_sequences_and_tracks_totals() {
-        let store = CheckpointStore::new();
-        let s0 = store.record(TaskCheckpoint::new(tid(0), 0.25, 1.0, vec!["a".into()]));
-        let s1 = store.record(TaskCheckpoint::new(tid(0), 0.5, 2.0, vec!["a".into()]));
-        let s2 = store.record(TaskCheckpoint::new(tid(1), 0.25, 1.0, vec!["b".into()]));
+        let mut store = CheckpointStore::new();
+        let s0 = rec(&mut store, 0, 0.25, 1.0, &["a"]);
+        let s1 = rec(&mut store, 0, 0.5, 2.0, &["a"]);
+        let s2 = rec(&mut store, 1, 0.25, 1.0, &["b"]);
         assert_eq!((s0, s1, s2), (0, 1, 0));
-        let state = store.control_state();
+        let state = store.state();
         assert_eq!(state.taken, 3);
         assert_eq!(state.by_task.len(), 2);
-        assert_eq!(store.latest_valid(tid(0), |_| true).unwrap().progress, 0.5);
+        assert_eq!(store.latest_valid(tid(0), |_| true).unwrap().0.progress, 0.5);
     }
 
     #[test]
     fn latest_valid_falls_back_past_unreachable_replicas() {
-        let store = CheckpointStore::new();
-        store.record(TaskCheckpoint::new(tid(0), 0.25, 1.0, vec!["alive".into()]));
-        store.record(TaskCheckpoint::new(tid(0), 0.5, 2.0, vec!["dead".into()]));
+        let mut store = CheckpointStore::new();
+        rec(&mut store, 0, 0.25, 1.0, &["alive"]);
+        rec(&mut store, 0, 0.5, 2.0, &["dead"]);
         // Newest checkpoint sits on the dead host: fall back to 0.25.
-        let cp = store.latest_valid(tid(0), |h| h != "dead").unwrap();
+        let (cp, _) = store.latest_valid(tid(0), |h| h != "dead").unwrap();
         assert_eq!(cp.progress, 0.25);
         // Any replica reachable keeps a checkpoint usable.
-        store.record(TaskCheckpoint::new(tid(0), 0.75, 3.0, vec!["dead".into(), "alive".into()]));
-        let cp = store.latest_valid(tid(0), |h| h != "dead").unwrap();
+        rec(&mut store, 0, 0.75, 3.0, &["dead", "alive"]);
+        let (cp, _) = store.latest_valid(tid(0), |h| h != "dead").unwrap();
         assert_eq!(cp.progress, 0.75);
         // Everything unreachable: restart from zero.
         assert!(store.latest_valid(tid(0), |_| false).is_none());
+    }
+
+    #[test]
+    fn latest_valid_returns_the_outputs_of_the_checkpoint_it_falls_back_to() {
+        let mut store = CheckpointStore::new();
+        let payload = |b: u8| -> Arc<[u8]> { Arc::from(vec![b; 4]) };
+        let older = Outputs::from([(0, payload(1)), (1, payload(2))]);
+        let newer = Outputs::from([(0, payload(9))]);
+        store.record(tid(0), 1.0, 1.0, vec!["alive".into()], older.clone());
+        store.record(tid(0), 1.0, 2.0, vec!["dead".into()], newer.clone());
+        rec(&mut store, 1, 1.0, 3.0, &["alive"]);
+        // The newer checkpoint is unreachable: the older one comes back
+        // with its own outputs, not the newer one's and not none.
+        let (cp, outputs) = store.latest_valid(tid(0), |h| h != "dead").unwrap();
+        assert_eq!((cp.seq, cp.taken_at), (0, 1.0));
+        assert_eq!(*outputs, older);
+        let (cp, outputs) = store.latest_valid(tid(0), |_| true).unwrap();
+        assert_eq!((cp.seq, outputs), (1, &newer));
+        // A checkpoint recorded without outputs has none.
+        assert!(store.latest_valid(tid(1), |_| true).unwrap().1.is_empty());
     }
 
     #[test]
@@ -615,16 +586,16 @@ mod tests {
 
     #[test]
     fn add_replica_extends_stored_on() {
-        let store = CheckpointStore::new();
-        let seq = store.record(TaskCheckpoint::new(tid(0), 0.5, 1.0, vec!["home".into()]));
+        let mut store = CheckpointStore::new();
+        let seq = rec(&mut store, 0, 0.5, 1.0, &["home"]);
         assert!(store.add_replica(tid(0), seq, "remote"));
         assert!(!store.add_replica(tid(0), seq, "remote"), "duplicate replica refused");
         assert!(!store.add_replica(tid(0), 99, "remote"), "unknown sequence refused");
         assert!(!store.add_replica(tid(7), 0, "remote"), "unknown task refused");
-        let cp = store.latest_valid(tid(0), |_| true).unwrap();
+        let (cp, _) = store.latest_valid(tid(0), |_| true).unwrap();
         assert_eq!(cp.stored_on, vec!["home".to_string(), "remote".to_string()]);
         // The replica keeps the checkpoint valid when home is dead.
-        let valid = store.latest_valid(tid(0), |h| h != "home").unwrap();
+        let (valid, _) = store.latest_valid(tid(0), |h| h != "home").unwrap();
         assert_eq!(valid.progress, 0.5);
     }
 
@@ -641,15 +612,6 @@ mod tests {
         assert!(!legacy.adaptive);
         assert!(!legacy.replicate_cross_site);
         assert_eq!(legacy.state_bytes, 0);
-    }
-
-    #[test]
-    fn clones_share_the_store() {
-        let store = CheckpointStore::new();
-        let clone = store.clone();
-        clone.record(TaskCheckpoint::new(tid(3), 1.0, 4.0, vec!["h".into()]));
-        assert_eq!(store.control_state().taken, 1);
-        assert!(store.latest_valid(tid(3), |_| true).is_some());
     }
 
     #[test]
@@ -687,11 +649,11 @@ mod tests {
     #[test]
     fn journaled_store_writes_ahead_and_state_replays() {
         let journal = Journal::enabled(vdce_store::SnapshotPolicy::manual());
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
         store.attach_journal(journal.clone());
-        let seq = store.record(TaskCheckpoint::new(tid(0), 0.5, 1.0, vec!["home".into()]));
+        let seq = rec(&mut store, 0, 0.5, 1.0, &["home"]);
         store.add_replica(tid(0), seq, "remote");
-        store.record(TaskCheckpoint::new(tid(1), 0.25, 2.0, vec!["b".into()]));
+        rec(&mut store, 1, 0.25, 2.0, &["b"]);
         assert_eq!(journal.len(), 3, "every mutation journaled");
 
         // Replaying the journal onto a fresh state reproduces the
@@ -702,7 +664,7 @@ mod tests {
             let event: CheckpointEvent = serde_json::from_str(&payload).unwrap();
             replayed.apply(&event);
         }
-        assert_eq!(replayed, store.control_state());
+        assert_eq!(replayed, *store.state());
         assert_eq!(replayed.taken, 2);
         assert_eq!(replayed.by_task.len(), 2);
         assert_eq!(
@@ -716,27 +678,27 @@ mod tests {
         // A journaled-but-rejected mutation (duplicate replica, unknown
         // task) must replay to the same no-op, or recovery would drift.
         let journal = Journal::enabled(vdce_store::SnapshotPolicy::manual());
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
         store.attach_journal(journal.clone());
-        let seq = store.record(TaskCheckpoint::new(tid(0), 0.5, 1.0, vec!["h".into()]));
+        let seq = rec(&mut store, 0, 0.5, 1.0, &["h"]);
         assert!(!store.add_replica(tid(0), seq, "h"), "duplicate host");
         assert!(!store.add_replica(tid(9), 0, "x"), "unknown task");
         let mut replayed = CheckpointState::default();
         for (_, payload) in journal.history() {
             replayed.apply(&serde_json::from_str(&payload).unwrap());
         }
-        assert_eq!(replayed, store.control_state());
+        assert_eq!(replayed, *store.state());
     }
 
     #[test]
     fn control_state_serializes_deterministically() {
-        let store = CheckpointStore::new();
-        store.record(TaskCheckpoint::new(tid(2), 0.5, 1.5, vec!["a".into()]));
-        store.record(TaskCheckpoint::new(tid(0), 0.25, 1.0, vec!["b".into()]));
-        let s = store.control_state();
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(json, serde_json::to_string(&store.control_state()).unwrap());
+        let mut store = CheckpointStore::new();
+        rec(&mut store, 2, 0.5, 1.5, &["a"]);
+        rec(&mut store, 0, 0.25, 1.0, &["b"]);
+        let s = store.state();
+        let json = serde_json::to_string(s).unwrap();
+        assert_eq!(json, serde_json::to_string(&s.clone()).unwrap());
         let back: CheckpointState = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(back, *s);
     }
 }

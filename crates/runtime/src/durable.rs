@@ -157,9 +157,9 @@ const HEAD_SLACK: usize = 32 << 10;
 
 /// Serialise the live control plane into the bytes of its
 /// [`ControlState`] and their [`fnv1a`] hash — what a snapshot installs
-/// and a seal pins — without building the state: every repository streams
-/// from under its own read locks, and the event log splices the JSON it
-/// already wrote for the journal. [`ControlState::from_bytes`] is the
+/// and a seal pins — without building the state: every repository and the
+/// checkpoint store write the same values the state holds, by reference,
+/// and the event log splices the JSON it already wrote for the journal. [`ControlState::from_bytes`] is the
 /// reader of this format and [`ControlState::to_bytes`] its typed
 /// writer; recovery holds the two writers to the same bytes.
 ///
@@ -185,7 +185,7 @@ pub fn write_snapshot(
     }
     w.end_array(arr);
     w.key(&mut obj, br#""checkpoints":"#);
-    store.control_state().write_json(&mut w);
+    store.state().write_json(&mut w);
     w.key(&mut obj, br#""sites":"#);
     sites.write_json(&mut w);
     w.key(&mut obj, br#""log":"#);
@@ -211,7 +211,9 @@ impl ControlState {
                     e.event.apply(repo);
                 }
             }
-            ControlEvent::Checkpoint(e) => self.checkpoints.apply(e),
+            ControlEvent::Checkpoint(e) => {
+                self.checkpoints.apply(e);
+            }
             ControlEvent::Site(e) => {
                 if let Some(table) = self.sites.get_mut(e.site as usize) {
                     table.apply(&e.event);
@@ -318,15 +320,14 @@ impl DeputyLink {
         DeputyLink { replica: RepoReplica::new(initial), channel: Replicator::new(check_every) }
     }
 
-    /// Ship one repository event to the replica. `leader_hash` is only
-    /// evaluated on hash-check frames.
+    /// Ship one repository event, as its `repo` journal payload, to the
+    /// replica. `leader_hash` is only evaluated on hash-check frames.
     pub(crate) fn ship(
         &mut self,
-        event: &JournaledRepoEvent,
+        payload: &str,
         leader_hash: impl FnOnce() -> u64,
     ) -> Result<(), ReplicationError> {
-        let payload = serde_json::to_string(event).expect("repo events always serialize");
-        self.channel.replicate(&mut self.replica, "repo", &payload, leader_hash)
+        self.channel.replicate(&mut self.replica, "repo", payload, leader_hash)
     }
 
     /// Force a hash check against `leader_hash` now (failover
@@ -491,7 +492,7 @@ mod tests {
         let journal = Journal::enabled(SnapshotPolicy::manual());
         let repo = seeded_repo("h");
         repo.attach_journal(0, journal.clone());
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
         store.attach_journal(journal.clone());
         let log = EventLog::new().with_journal(journal.clone());
         let mut sites =
@@ -504,18 +505,19 @@ mod tests {
         journal.install_snapshot(bytes, hash);
 
         // Mutations, each through its journaled write path.
-        repo.apply_event(&RepoEvent::RecordSample {
-            host: "h".into(),
-            workload: 3.0,
-            available_memory: 1 << 21,
-        });
-        store.record(crate::checkpoint::TaskCheckpoint::new(TaskId(0), 0.5, 1.0, vec!["h".into()]));
+        let event =
+            RepoEvent::RecordSample { host: "h".into(), workload: 3.0, available_memory: 1 << 21 };
+        repo.apply_event(event, false);
+        store.record(TaskId(0), 0.5, 1.0, vec!["h".into()], Default::default());
         log.emit(2.0, RuntimeEvent::HostFailed { host: "h".into() });
         let site_event =
             JournaledSiteEvent { site: 0, event: SiteTableEvent::HostDown { host: "h".into() } };
         journal.append("site", &serde_json::to_string(&site_event).unwrap());
         sites[0].apply(&site_event.event);
-        repo.apply_event(&RepoEvent::SetStatus { host: "h".into(), status: HostStatus::Down });
+        repo.apply_event(
+            RepoEvent::SetStatus { host: "h".into(), status: HostStatus::Down },
+            false,
+        );
 
         // The by-reference writer and the typed one agree on the live
         // state, bytes and hash.
@@ -617,14 +619,75 @@ mod tests {
         ));
     }
 
+    /// NaN and infinity have no JSON spelling: a record carrying one would
+    /// be written as `null` and fail to decode, leaving the journal
+    /// unrecoverable. They are refused where they enter.
+    #[test]
+    fn non_finite_measurements_never_reach_the_journal() {
+        use crate::group::GroupManager;
+        use crate::monitor::{MonitorDaemon, SyntheticProbe};
+        use crate::site_manager::{ControlMessage, SiteManager};
+        let journal = Journal::enabled(SnapshotPolicy::manual());
+        let repo = seeded_repo("h");
+        repo.attach_journal(0, journal.clone());
+        let log = EventLog::new().with_journal(journal.clone());
+        let store = CheckpointStore::new();
+        let (bytes, hash) = write_snapshot(std::slice::from_ref(&repo), &store, &[], &log, 0);
+        journal.install_snapshot(bytes, hash);
+
+        // A NaN probe reading, then a good one, through the monitoring chain.
+        let manager = SiteManager::new(SiteId(0), repo.clone());
+        let mut deputy = DeputyLink::new(repo.snapshot(), 1);
+        let mut probe = SyntheticProbe::new(0.0, 1 << 20);
+        probe.set_trace("h", vec![(0.0, f64::NAN), (1.0, 2.0)]);
+        let daemon = MonitorDaemon::new("h", log.clone());
+        let mut group = GroupManager::new("g", vec!["h".into()], 0.5, log.clone());
+        for t in [0.0, 1.0] {
+            probe.set_time(t);
+            let report = daemon.tick(t, &probe);
+            assert_eq!(report.is_some(), t == 1.0, "the NaN reading is dropped");
+            if let Some(msg) = report.and_then(|r| group.handle_report(t, &r)) {
+                assert!(manager.process(&msg, Some(&mut deputy)));
+            }
+        }
+        // A NaN workload and an infinite execution time sent to the
+        // manager directly.
+        let nan = ControlMessage::WorkloadUpdate {
+            host: "h".into(),
+            workload: f64::NAN,
+            available_memory: 1,
+        };
+        let inf = ControlMessage::ExecutionCompleted {
+            library_task: "Map".into(),
+            host: "h".into(),
+            problem_size: 8,
+            seconds: f64::INFINITY,
+        };
+        assert!(!manager.process(&nan, Some(&mut deputy)));
+        assert!(!manager.process(&inf, Some(&mut deputy)));
+        deputy.check(repo.state_hash()).unwrap();
+
+        let (bytes, hash) = write_snapshot(&[repo], &store, &[], &log, 0);
+        journal.seal(bytes.clone(), hash);
+        let image = journal.image();
+        let recovered = vdce_store::recover(&image).unwrap();
+        let tags: Vec<&str> = recovered.events.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, ["log", "log", "repo"], "one sample, its forward, one update");
+        let mut state = ControlState::from_bytes(&recovered.snapshot.unwrap().state).unwrap();
+        for (tag, payload) in &recovered.events {
+            state.apply(&ControlEvent::decode(tag, payload).unwrap());
+        }
+        assert_eq!(state.to_bytes(), bytes, "recovery reaches the live state");
+    }
+
     #[test]
     fn deputy_stays_in_sync_and_detects_injected_divergence() {
         let repo = seeded_repo("h");
         let mut link = DeputyLink::new(repo.snapshot(), 2);
+        let apply = |workload: f64| repo.apply_event(sample("h", workload).event, true).1.unwrap();
         for i in 0..6 {
-            let wire = sample("h", i as f64);
-            repo.apply_event(&wire.event);
-            link.ship(&wire, || repo.state_hash()).unwrap();
+            let payload = apply(i as f64);
+            link.ship(&payload, || repo.state_hash()).unwrap();
         }
         assert_eq!(link.stats().frames, 6);
         assert_eq!(link.stats().divergences, 0);
@@ -632,10 +695,9 @@ mod tests {
 
         // Inject divergence: corrupt the replica's copy directly.
         link.replica_mut().state_mut().resources.set_status("h", HostStatus::Down);
-        let wire = sample("h", 9.0);
-        repo.apply_event(&wire.event);
+        let payload = apply(9.0);
         let err = loop {
-            if let Err(e) = link.ship(&wire, || repo.state_hash()) {
+            if let Err(e) = link.ship(&payload, || repo.state_hash()) {
                 break e;
             }
         };

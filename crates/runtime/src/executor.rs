@@ -20,14 +20,14 @@
 //! relocate the task to different hosts (threshold rescheduling, §4.1) or
 //! abort it.
 
-use crate::checkpoint::{CheckpointPolicy, CheckpointStore, TaskCheckpoint};
+use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
 use crate::data_manager::{DataManager, DataReceiver, DataSender};
 use crate::events::{EventLog, RuntimeEvent};
 use crate::kernels::run_kernel_parallel;
 use crate::recovery::BackoffPolicy;
 use crate::services::{ConsoleService, IoService};
 use crate::site_manager::ControlMessage;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -141,8 +141,9 @@ impl Default for ExecutorConfig {
 /// validate stored replicas (a checkpoint whose every copy sits on an
 /// unreachable — crashed or quarantined — host is unusable).
 pub struct CheckpointContext<'a> {
-    /// The durable checkpoint store.
-    pub store: &'a CheckpointStore,
+    /// The durable checkpoint store. [`execute`] puts it behind a lock
+    /// for as long as its worker threads run.
+    pub store: &'a mut CheckpointStore,
     /// Is a replica host currently reachable?
     pub reachable: &'a (dyn Fn(&str) -> bool + Sync),
     /// Optional cross-site replica target (DESIGN.md §12): every
@@ -183,11 +184,15 @@ pub struct Execution<'a> {
     /// re-delivers its recorded outputs instead of re-executing), and
     /// successful kernel runs are checkpointed when `config.checkpoint` is
     /// enabled.
-    pub checkpoint: Option<&'a CheckpointContext<'a>>,
+    pub checkpoint: Option<CheckpointContext<'a>>,
 }
 
 /// Execute a scheduled application. See the module docs for semantics.
-pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
+pub fn execute(mut exec: Execution<'_>) -> ExecutionOutcome {
+    // The worker threads are the one place the checkpoint wiring is
+    // shared.
+    let checkpoint = exec.checkpoint.take().map(Mutex::new);
+    let (exec, checkpoint) = (&exec, checkpoint.as_ref());
     let afg = exec.afg;
     let n = afg.task_count();
     let app_id = exec.table as *const _ as u64;
@@ -214,7 +219,7 @@ pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
             let my_out = std::mem::take(&mut task_out[task.index()]);
             let records = &records;
             scope.spawn(move || {
-                let record = run_task(exec, task, my_in, my_out);
+                let record = run_task(exec, checkpoint, task, my_in, my_out);
                 *records[task.index()].lock().unwrap() = Some(record);
             });
         }
@@ -236,11 +241,12 @@ pub fn execute(exec: &Execution<'_>) -> ExecutionOutcome {
 
 fn run_task(
     exec: &Execution<'_>,
+    checkpoint: Option<&Mutex<CheckpointContext<'_>>>,
     task: TaskId,
     inputs: Vec<(usize, DataReceiver)>,
     outputs: Vec<(usize, DataSender)>,
 ) -> TaskRunRecord {
-    let Execution { afg, io, console, gate, log, clock, config, checkpoint, .. } = *exec;
+    let Execution { afg, io, console, gate, log, clock, config, .. } = *exec;
     let placement = exec.table.placement(task).expect("complete table");
     let node = afg.task(task);
     let fail = |start: f64, finish: f64, hosts: Vec<String>, why: String| {
@@ -268,31 +274,19 @@ fn run_task(
     //    tell the difference) and the run is reported as resumed. A
     //    checkpoint whose replicas are all unreachable is skipped by
     //    `latest_valid` and the task runs normally.
-    if let Some(ctx) = checkpoint {
-        if let Some(cp) = ctx.store.latest_valid(task, |h| (ctx.reachable)(h)) {
-            if cp.progress >= 1.0 - 1e-9 {
-                let start = clock.now();
-                log.emit(
-                    start,
-                    RuntimeEvent::TaskResumed {
-                        task,
-                        progress: cp.progress,
-                        host: cp.stored_on.first().cloned().unwrap_or_default(),
-                    },
-                );
-                deliver(&|i| cp.outputs.get(&i).cloned());
-                let finish = clock.now();
-                log.emit(finish, RuntimeEvent::TaskFinished { task, seconds: 0.0 });
-                return TaskRunRecord {
-                    task,
-                    hosts: cp.stored_on.clone(),
-                    start,
-                    finish,
-                    ok: true,
-                    error: None,
-                };
-            }
-        }
+    let resumed = checkpoint.and_then(|ctx| {
+        let ctx = ctx.lock().unwrap();
+        let (cp, outputs) = ctx.store.latest_valid(task, ctx.reachable)?;
+        (cp.progress >= 1.0 - 1e-9).then(|| (cp.progress, cp.stored_on.clone(), outputs.clone()))
+    });
+    if let Some((progress, hosts, outputs)) = resumed {
+        let start = clock.now();
+        let host = hosts.first().cloned().unwrap_or_default();
+        log.emit(start, RuntimeEvent::TaskResumed { task, progress, host });
+        deliver(&|i| outputs.get(&i).cloned());
+        let finish = clock.now();
+        log.emit(finish, RuntimeEvent::TaskFinished { task, seconds: 0.0 });
+        return TaskRunRecord { task, hosts, start, finish, ok: true, error: None };
     }
 
     // 1. Gather inputs: dataflow frames from channels, file/URL payloads
@@ -409,29 +403,17 @@ fn run_task(
         //     produced outputs, stored on the hosts that ran the task, so
         //     a re-execution (crash recovery, app restart) resumes here
         //     instead of re-running the kernel.
-        if let Some(ctx) = checkpoint {
-            if config.checkpoint.is_enabled() {
-                let outputs_map: BTreeMap<usize, Arc<[u8]>> =
-                    out_payloads.iter().cloned().enumerate().collect();
-                let cp =
-                    TaskCheckpoint::new(task, 1.0, finish, hosts.clone()).with_outputs(outputs_map);
-                let seq = ctx.store.record(cp);
-                log.emit(
-                    finish,
-                    RuntimeEvent::CheckpointTaken {
-                        task,
-                        seq,
-                        progress: 1.0,
-                        host: hosts.first().cloned().unwrap_or_default(),
-                    },
-                );
-                if let Some(remote) = &ctx.replicate_to {
-                    if !hosts.contains(remote) && ctx.store.add_replica(task, seq, remote) {
-                        log.emit(
-                            finish,
-                            RuntimeEvent::CheckpointReplicated { task, seq, host: remote.clone() },
-                        );
-                    }
+        if let (Some(ctx), true) = (checkpoint, config.checkpoint.is_enabled()) {
+            let outputs = out_payloads.iter().cloned().enumerate().collect();
+            let mut ctx = ctx.lock().unwrap();
+            let CheckpointContext { store, replicate_to, .. } = &mut *ctx;
+            let seq = store.record(task, 1.0, finish, hosts.clone(), outputs);
+            let host = hosts.first().cloned().unwrap_or_default();
+            log.emit(finish, RuntimeEvent::CheckpointTaken { task, seq, progress: 1.0, host });
+            if let Some(remote) = replicate_to {
+                if !hosts.contains(remote) && store.add_replica(task, seq, remote) {
+                    let host = remote.clone();
+                    log.emit(finish, RuntimeEvent::CheckpointReplicated { task, seq, host });
                 }
             }
         }
@@ -535,7 +517,7 @@ mod tests {
         gate: &dyn StartGate,
     ) -> (ExecutionOutcome, EventLog, IoService) {
         let rig = Rig::new(transport, timeout(Duration::from_secs(5)));
-        let outcome = execute(&Execution { gate, ..rig.execution(afg, table) });
+        let outcome = execute(Execution { gate, ..rig.execution(afg, table) });
         (outcome, rig.log, rig.io)
     }
 
@@ -614,7 +596,7 @@ mod tests {
 
         let rig = Rig::new(Transport::InProc, timeout(Duration::from_millis(300)));
         rig.io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
-        let out = execute(&rig.execution(&afg, &table));
+        let out = execute(rig.execution(&afg, &table));
         assert!(!out.success);
         assert!(!out.records[0].ok);
         assert!(out.records[0].error.as_deref().unwrap().contains("pivot"));
@@ -688,7 +670,7 @@ mod tests {
             },
         );
         let gate = AbortTwice(AtomicU32::new(0));
-        let out = execute(&Execution { gate: &gate, ..rig.execution(&afg, &table) });
+        let out = execute(Execution { gate: &gate, ..rig.execution(&afg, &table) });
         assert!(out.success, "{:?}", out.records);
         // Only the first task hits the aborting window (the gate counter
         // is global), but at least its retries must be in the log.
@@ -712,7 +694,7 @@ mod tests {
                 ..timeout(Duration::from_millis(200))
             },
         );
-        let out = execute(&Execution { gate: &AbortAll, ..rig.execution(&afg, &table) });
+        let out = execute(Execution { gate: &AbortAll, ..rig.execution(&afg, &table) });
         assert!(!out.success);
         assert!(out.records.iter().any(|r| r.error.as_deref() == Some("still down")));
         // Each task burned its full retry budget before failing.
@@ -747,7 +729,7 @@ mod tests {
         );
         rig.io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
         let gate = Hop(AtomicU32::new(0));
-        let out = execute(&Execution { gate: &gate, ..rig.execution(&afg, &table) });
+        let out = execute(Execution { gate: &gate, ..rig.execution(&afg, &table) });
         assert!(!out.success, "singular LU fails on every host");
         assert_eq!(
             rig.log.query(EventKind::TaskMigrated).count(),
@@ -762,7 +744,7 @@ mod tests {
         let table = single_host_table(&afg, "h0");
         let rig = Rig::new(Transport::InProc, ExecutorConfig::default());
         let (tx, rx) = std::sync::mpsc::channel();
-        let out = execute(&Execution { completions: Some(tx), ..rig.execution(&afg, &table) });
+        let out = execute(Execution { completions: Some(tx), ..rig.execution(&afg, &table) });
         assert!(out.success);
         let msgs: Vec<ControlMessage> = rx.try_iter().collect();
         assert_eq!(msgs.len(), 3);
@@ -783,7 +765,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(80));
             console2.resume();
         });
-        let out = execute(&rig.execution(&afg, &table));
+        let out = execute(rig.execution(&afg, &table));
         resumer.join().unwrap();
         assert!(out.success);
         assert!(out.wall_seconds >= 0.0);
@@ -801,20 +783,23 @@ mod tests {
     fn checkpointed_rerun_skips_completed_tasks() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
         let reachable = |_: &str| true;
-        let ctx = CheckpointContext { store: &store, reachable: &reachable, replicate_to: None };
+        let ctx =
+            CheckpointContext { store: &mut store, reachable: &reachable, replicate_to: None };
 
         let rig = Rig::new(Transport::InProc, checkpointing());
-        let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
+        let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
         assert!(out.success, "{:?}", out.records);
-        assert_eq!(store.control_state().taken, 3, "every completed task checkpointed");
+        assert_eq!(store.state().taken, 3, "every completed task checkpointed");
         assert_eq!(rig.log.query(EventKind::CheckpointTaken).count(), 3);
 
         // Second execution with the same store: no completed work is
         // re-executed — every task resumes from its full checkpoint.
         let rig2 = Rig::new(Transport::InProc, checkpointing());
-        let out2 = execute(&Execution { checkpoint: Some(&ctx), ..rig2.execution(&afg, &table) });
+        let ctx =
+            CheckpointContext { store: &mut store, reachable: &reachable, replicate_to: None };
+        let out2 = execute(Execution { checkpoint: Some(ctx), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
         assert_eq!(
             rig2.log.query(EventKind::TaskStarted).count(),
@@ -828,17 +813,17 @@ mod tests {
     fn replicated_checkpoints_survive_home_host_loss() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
 
         // First run replicates every checkpoint to the off-site host r1.
         let rig = Rig::new(Transport::InProc, checkpointing());
         let reachable = |_: &str| true;
         let ctx = CheckpointContext {
-            store: &store,
+            store: &mut store,
             reachable: &reachable,
             replicate_to: Some("r1".into()),
         };
-        let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
+        let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
         assert!(out.success);
         assert_eq!(rig.log.query(EventKind::CheckpointReplicated).count(), 3);
 
@@ -846,8 +831,8 @@ mod tests {
         // the rerun resumes everything instead of re-executing.
         let rig2 = Rig::new(Transport::InProc, checkpointing());
         let h0_down = |h: &str| h != "h0";
-        let ctx2 = CheckpointContext { store: &store, reachable: &h0_down, replicate_to: None };
-        let out2 = execute(&Execution { checkpoint: Some(&ctx2), ..rig2.execution(&afg, &table) });
+        let ctx2 = CheckpointContext { store: &mut store, reachable: &h0_down, replicate_to: None };
+        let out2 = execute(Execution { checkpoint: Some(ctx2), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
         assert_eq!(rig2.log.query(EventKind::TaskStarted).count(), 0);
         assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 3);
@@ -857,21 +842,22 @@ mod tests {
     fn unreachable_checkpoint_replicas_force_reexecution() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
 
         // First run checkpoints everything on h0.
         let rig = Rig::new(Transport::InProc, checkpointing());
         let reachable = |_: &str| true;
-        let ctx = CheckpointContext { store: &store, reachable: &reachable, replicate_to: None };
-        let out = execute(&Execution { checkpoint: Some(&ctx), ..rig.execution(&afg, &table) });
+        let ctx =
+            CheckpointContext { store: &mut store, reachable: &reachable, replicate_to: None };
+        let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
         assert!(out.success);
 
         // h0 "crashed": its checkpoints are unusable, so the rerun
         // executes every task from scratch.
         let rig2 = Rig::new(Transport::InProc, checkpointing());
         let h0_down = |h: &str| h != "h0";
-        let ctx2 = CheckpointContext { store: &store, reachable: &h0_down, replicate_to: None };
-        let out2 = execute(&Execution { checkpoint: Some(&ctx2), ..rig2.execution(&afg, &table) });
+        let ctx2 = CheckpointContext { store: &mut store, reachable: &h0_down, replicate_to: None };
+        let out2 = execute(Execution { checkpoint: Some(ctx2), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
         assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 0);
         assert_eq!(rig2.log.query(EventKind::TaskStarted).count(), 3);

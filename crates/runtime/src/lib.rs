@@ -62,7 +62,7 @@ pub mod submission;
 pub use app_controller::ThresholdGate;
 pub use checkpoint::{
     CheckpointEvent, CheckpointPolicy, CheckpointState, CheckpointStore, ControlCheckpoint,
-    MtbfEstimator, PlannedCheckpoint, RunPlan, TaskCheckpoint,
+    MtbfEstimator, PlannedCheckpoint, RunPlan,
 };
 pub use data_manager::{ChannelId, DataManager, Transport};
 pub use durable::{

@@ -111,11 +111,16 @@ impl MonitorDaemon {
     }
 
     /// Take one measurement through `probe` at logical time `t`: the
-    /// report for the Group Manager.
-    pub fn tick(&self, t: f64, probe: &impl LoadProbe) -> MonitorReport {
+    /// report for the Group Manager. A NaN or infinite workload is no
+    /// measurement and is dropped here, before it reaches the event log
+    /// or the journal (JSON spells neither).
+    pub fn tick(&self, t: f64, probe: &impl LoadProbe) -> Option<MonitorReport> {
         let (workload, available_memory) = probe.sample(&self.host);
+        if !workload.is_finite() {
+            return None;
+        }
         self.log.emit(t, RuntimeEvent::MonitorSample { host: self.host.clone(), workload });
-        MonitorReport { host: self.host.clone(), workload, available_memory }
+        Some(MonitorReport { host: self.host.clone(), workload, available_memory })
     }
 }
 
@@ -176,7 +181,10 @@ mod tests {
         let log = EventLog::new();
         let d = MonitorDaemon::new("h0", log.clone());
         let r = d.tick(1.5, &probe);
-        assert_eq!(r, MonitorReport { host: "h0".into(), workload: 2.0, available_memory: 77 });
+        assert_eq!(
+            r,
+            Some(MonitorReport { host: "h0".into(), workload: 2.0, available_memory: 77 })
+        );
         assert_eq!(
             log.snapshot(),
             vec![(1.5, RuntimeEvent::MonitorSample { host: "h0".into(), workload: 2.0 })]

@@ -29,10 +29,9 @@
 use crate::durable::DeputyLink;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::HostStatus;
-use vdce_repository::{JournaledRepoEvent, RepoEvent, SiteRepository};
+use vdce_repository::{RepoEvent, SiteRepository};
 use vdce_sched::view::SiteView;
 
 /// Control-plane messages flowing up from Group Managers (and from the
@@ -77,27 +76,12 @@ pub struct SiteManager {
     /// Site this manager serves.
     pub site: SiteId,
     repo: SiteRepository,
-    deputy: Option<Mutex<DeputyLink>>,
 }
 
 impl SiteManager {
     /// Manager over `repo` for `site`.
     pub fn new(site: SiteId, repo: SiteRepository) -> Self {
-        SiteManager { site, repo, deputy: None }
-    }
-
-    /// This manager with a deputy replication link attached: every
-    /// repository event [`SiteManager::process`] applies is also shipped
-    /// to the deputy's replica, with periodic state-hash divergence
-    /// checks (DESIGN.md §16).
-    pub fn with_deputy(mut self, deputy: DeputyLink) -> Self {
-        self.deputy = Some(Mutex::new(deputy));
-        self
-    }
-
-    /// The deputy replication link, if one is attached.
-    pub fn deputy(&self) -> Option<&Mutex<DeputyLink>> {
-        self.deputy.as_ref()
+        SiteManager { site, repo }
     }
 
     /// The repository this manager maintains.
@@ -108,10 +92,11 @@ impl SiteManager {
     /// Apply one control message to the site repository through the
     /// event-sourced write path: the message becomes a [`RepoEvent`],
     /// which is journaled (write-ahead, when a journal is attached),
-    /// applied, and shipped to the deputy replica (when one is
-    /// attached). Returns `false` for updates about unknown hosts
-    /// (logged and dropped in the paper's prototype).
-    pub fn process(&self, msg: &ControlMessage) -> bool {
+    /// applied, and shipped to `deputy`'s replica, with its periodic
+    /// state-hash divergence checks (DESIGN.md §16). Returns `false` for
+    /// updates about unknown hosts (logged and dropped in the paper's
+    /// prototype) and for a NaN or infinite measurement.
+    pub fn process(&self, msg: &ControlMessage, deputy: Option<&mut DeputyLink>) -> bool {
         let event = match msg {
             ControlMessage::WorkloadUpdate { host, workload, available_memory } => {
                 RepoEvent::RecordSample {
@@ -135,13 +120,12 @@ impl SiteManager {
                 }
             }
         };
-        let ok = self.repo.apply_event(&event);
-        if let Some(deputy) = &self.deputy {
-            let wire = JournaledRepoEvent { site: self.site.0, event };
+        let (ok, payload) = self.repo.apply_event(event, deputy.is_some());
+        if let (Some(deputy), Some(payload)) = (deputy, payload) {
             // A divergence latches inside the link (surfaced as a typed
             // error there and a metric by the harness); the control
             // message itself still applied locally.
-            let _ = deputy.lock().unwrap().ship(&wire, || self.repo.state_hash());
+            let _ = deputy.ship(&payload, || self.repo.state_hash());
         }
         ok
     }
@@ -329,11 +313,14 @@ mod tests {
     #[test]
     fn workload_update_reaches_repository() {
         let sm = manager();
-        assert!(sm.process(&ControlMessage::WorkloadUpdate {
-            host: "a".into(),
-            workload: 2.5,
-            available_memory: 123,
-        }));
+        assert!(sm.process(
+            &ControlMessage::WorkloadUpdate {
+                host: "a".into(),
+                workload: 2.5,
+                available_memory: 123,
+            },
+            None
+        ));
         sm.repository().resources(|db| {
             let r = db.get("a").unwrap();
             assert_eq!(r.workload, 2.5);
@@ -344,42 +331,51 @@ mod tests {
     #[test]
     fn failure_and_recovery_flip_status() {
         let sm = manager();
-        sm.process(&ControlMessage::HostFailure { host: "a".into() });
+        sm.process(&ControlMessage::HostFailure { host: "a".into() }, None);
         assert!(sm.repository().resources(|db| !db.get("a").unwrap().is_up()));
-        sm.process(&ControlMessage::HostRecovered { host: "a".into() });
+        sm.process(&ControlMessage::HostRecovered { host: "a".into() }, None);
         assert!(sm.repository().resources(|db| db.get("a").unwrap().is_up()));
     }
 
     #[test]
     fn unknown_host_updates_are_dropped() {
         let sm = manager();
-        assert!(!sm.process(&ControlMessage::WorkloadUpdate {
-            host: "ghost".into(),
-            workload: 1.0,
-            available_memory: 1,
-        }));
-        assert!(!sm.process(&ControlMessage::HostFailure { host: "ghost".into() }));
+        assert!(!sm.process(
+            &ControlMessage::WorkloadUpdate {
+                host: "ghost".into(),
+                workload: 1.0,
+                available_memory: 1,
+            },
+            None
+        ));
+        assert!(!sm.process(&ControlMessage::HostFailure { host: "ghost".into() }, None));
     }
 
     #[test]
     fn execution_completion_writes_task_perf_db() {
         let sm = manager();
-        assert!(sm.process(&ControlMessage::ExecutionCompleted {
-            library_task: "Matrix_Multiplication".into(),
-            host: "a".into(),
-            problem_size: 100,
-            seconds: 2.0,
-        }));
+        assert!(sm.process(
+            &ControlMessage::ExecutionCompleted {
+                library_task: "Matrix_Multiplication".into(),
+                host: "a".into(),
+                problem_size: 100,
+                seconds: 2.0,
+            },
+            None
+        ));
         sm.repository().tasks(|db| {
             assert_eq!(db.sample_count("Matrix_Multiplication", "a"), 1);
         });
         // Unknown task name is rejected.
-        assert!(!sm.process(&ControlMessage::ExecutionCompleted {
-            library_task: "Nope".into(),
-            host: "a".into(),
-            problem_size: 100,
-            seconds: 2.0,
-        }));
+        assert!(!sm.process(
+            &ControlMessage::ExecutionCompleted {
+                library_task: "Nope".into(),
+                host: "a".into(),
+                problem_size: 100,
+                seconds: 2.0,
+            },
+            None
+        ));
     }
 
     #[test]

@@ -256,15 +256,16 @@ pub fn run_monitoring_experiment(
             }
         }
         probe.set_time(t);
-        let reports: Vec<MonitorReport> = daemons.iter().map(|d| d.tick(t, &probe)).collect();
+        let reports: Vec<MonitorReport> =
+            daemons.iter().filter_map(|d| d.tick(t, &probe)).collect();
         for report in &reports {
             if let Some(msg) = gm.handle_report(t, report) {
-                site_manager.process(&msg);
+                site_manager.process(&msg, None);
             }
         }
         if t >= next_echo {
             for msg in gm.probe_hosts(t, &echo) {
-                site_manager.process(&msg);
+                site_manager.process(&msg, None);
                 let (ControlMessage::HostFailure { host: changed }
                 | ControlMessage::HostRecovered { host: changed }) = &msg
                 else {

@@ -18,7 +18,7 @@ use vdce_net::PartitionState;
 use vdce_obs::Observer;
 use vdce_runtime::{
     ControlMessage, DurableOptions, FailoverEvent, MtbfEstimator, Quarantine, RuntimeEvent,
-    SiteFailover, SiteQuarantine, SiteTableEvent, TaskCheckpoint,
+    SiteFailover, SiteQuarantine, SiteTableEvent,
 };
 use vdce_sched::{
     reselect_task, site_schedule_observed, AllocationTable, SiteView, TaskHostChoice,
@@ -405,13 +405,15 @@ impl<'a> Replay<'a> {
             for h in &run.hosts {
                 self.host_free.insert(h.clone(), end);
             }
-            self.plane.stacks[run.site.index()].manager.process(
+            let stack = &mut self.plane.stacks[run.site.index()];
+            stack.manager.process(
                 &ControlMessage::ExecutionCompleted {
                     library_task: node.library_task.clone(),
                     host: run.hosts[0].clone(),
                     problem_size: node.problem_size,
                     seconds: run.predicted,
                 },
+                stack.deputy.as_mut(),
             );
         }
     }
@@ -552,7 +554,7 @@ impl<'a> Replay<'a> {
             {
                 stored_on.push(replica.clone());
             }
-            let seq = self.plane.store.record(TaskCheckpoint::new(task, progress, at, stored_on));
+            let seq = self.plane.store.record(task, progress, at, stored_on, Default::default());
             self.out.checkpoints_taken += 1;
             recorded.push((seq, at));
         }
@@ -638,7 +640,7 @@ impl<'a> Replay<'a> {
         // samples ahead of its forwards.
         let mut reports = Vec::new();
         for stack in &mut plane.stacks {
-            reports.extend(stack.daemons.iter().map(|d| d.tick(t, &plane.probe)));
+            reports.extend(stack.daemons.iter().filter_map(|d| d.tick(t, &plane.probe)));
             for report in reports.drain(..) {
                 stack.outbox.extend(stack.group.handle_report(t, &report));
             }
@@ -676,7 +678,7 @@ impl<'a> Replay<'a> {
         let (dead, detections) = (&mut self.seen.dead, &mut self.out.detections);
         for stack in &mut self.plane.stacks {
             for msg in stack.outbox.drain(..) {
-                if !stack.manager.process(&msg) {
+                if !stack.manager.process(&msg, stack.deputy.as_mut()) {
                     continue;
                 }
                 match &msg {
@@ -999,7 +1001,7 @@ impl<'a> Replay<'a> {
         let (down, store) = (&self.truth.down, &self.plane.store);
         let run = &mut self.tasks[task.index()];
         let newest = |usable: &dyn Fn(&str) -> bool| {
-            store.latest_valid(task, usable).map(|cp| cp.progress).unwrap_or(0.0)
+            store.latest_valid(task, usable).map_or(0.0, |(cp, _)| cp.progress)
         };
         let resume = if cfg.checkpoint.is_enabled() {
             newest(&|h| {
@@ -1111,9 +1113,8 @@ impl<'a> Replay<'a> {
             // A forced hash check on every deputy link closes the run: any
             // divergence the per-frame cadence missed latches here, and the
             // channel counters surface as metrics.
-            for (stack, repo) in self.plane.stacks.iter().zip(&self.plane.repos) {
-                if let Some(link) = stack.manager.deputy() {
-                    let mut link = link.lock().unwrap();
+            for (stack, repo) in self.plane.stacks.iter_mut().zip(&self.plane.repos) {
+                if let Some(link) = &mut stack.deputy {
                     let _ = link.check(repo.state_hash());
                     let st = link.stats();
                     obs.metrics.counter_add("store.replication.frames", st.frames);

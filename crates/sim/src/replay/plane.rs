@@ -19,6 +19,9 @@ use vdce_store::Journal;
 /// One site's control-plane stack inside the replay.
 pub(super) struct SiteStack {
     pub(super) manager: SiteManager,
+    /// The deputy the manager ships each repository event to; durable
+    /// replays only.
+    pub(super) deputy: Option<DeputyLink>,
     pub(super) group: GroupManager,
     pub(super) daemons: Vec<MonitorDaemon>,
     /// What the Group Manager sent the Site Manager this tick, in order:
@@ -79,20 +82,17 @@ impl ControlPlane {
             let hosts = federation.hosts(site);
             let daemons: Vec<MonitorDaemon> =
                 hosts.iter().map(|h| MonitorDaemon::new(h.clone(), log.clone())).collect();
-            let mut manager = SiteManager::new(site, repo.clone());
-            if let Some(d) = durable {
-                // The deputy's replica starts from the leader's state at
-                // attach time — before any tick mutates the repository.
-                manager =
-                    manager.with_deputy(DeputyLink::new(repo.snapshot(), d.deputy_check_every));
-            }
+            let manager = SiteManager::new(site, repo.clone());
+            // The deputy's replica starts from the leader's state at
+            // attach time — before any tick mutates the repository.
+            let deputy = durable.map(|d| DeputyLink::new(repo.snapshot(), d.deputy_check_every));
             let group = GroupManager::new(
                 format!("s{i}-gm"),
                 hosts,
                 cfg.significance_threshold,
                 log.clone(),
             );
-            stacks.push(SiteStack { manager, group, daemons, outbox: Vec::new() });
+            stacks.push(SiteStack { manager, deputy, group, daemons, outbox: Vec::new() });
         }
 
         // Network plane: the monitor writes each probe sample into its
@@ -109,7 +109,7 @@ impl ControlPlane {
         }
         let net_mon = NetworkMonitor::new(federation.net.clone());
 
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
         store.attach_journal(journal.clone());
         ControlPlane {
             journal,

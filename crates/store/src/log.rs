@@ -1,10 +1,8 @@
 //! [`AppendLog`] — the shared in-memory append-only buffer.
 //!
-//! Before this crate, three components each hand-rolled the same
-//! `Arc<Mutex<Vec<T>>>` shape: the runtime `EventLog`, the obs
-//! `TraceSink`, and the checkpoint store's record list. This is that
-//! shape, once — clones share the buffer, appends never reorder, and
-//! there is exactly one write path ([`AppendLog::push`]).
+//! The runtime `EventLog` and the obs `TraceSink` share this
+//! `Arc<Mutex<Vec<T>>>` shape: clones share the buffer, appends never
+//! reorder, and there is exactly one write path ([`AppendLog::push`]).
 
 use std::sync::{Arc, Mutex};
 

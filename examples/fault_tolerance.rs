@@ -61,7 +61,7 @@ fn main() {
     let changed = gm.probe_hosts(0.0, &echo);
     println!("\necho round detected failures: {changed:?}");
     for msg in &changed {
-        vdce.site_manager(site).process(msg);
+        vdce.site_manager(site).process(msg, None);
     }
 
     // --- Next submission avoids the dead host --------------------------

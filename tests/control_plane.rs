@@ -51,8 +51,9 @@ fn workload_pipeline_redirects_scheduling() {
     for t in 0..6 {
         probe.set_time(t as f64);
         for d in &daemons {
-            if let Some(msg) = gm.handle_report(t as f64, &d.tick(t as f64, &probe)) {
-                applied += usize::from(v.site_manager(site).process(&msg));
+            let report = d.tick(t as f64, &probe).unwrap();
+            if let Some(msg) = gm.handle_report(t as f64, &report) {
+                applied += usize::from(v.site_manager(site).process(&msg, None));
             }
         }
     }
@@ -84,14 +85,14 @@ fn failure_detection_cycles_host_availability() {
 
     echo.kill("fast");
     for msg in gm.probe_hosts(1.0, &echo) {
-        assert!(v.site_manager(site).process(&msg));
+        assert!(v.site_manager(site).process(&msg, None));
     }
     let r = session.submit(&simple_doc()).unwrap();
     assert_eq!(r.allocation.hosts_used(), vec!["slow"]);
 
     echo.revive("fast");
     for msg in gm.probe_hosts(2.0, &echo) {
-        assert!(v.site_manager(site).process(&msg));
+        assert!(v.site_manager(site).process(&msg, None));
     }
     let r = session.submit(&simple_doc()).unwrap();
     assert_eq!(r.allocation.hosts_used(), vec!["fast"]);
