@@ -44,7 +44,7 @@ const P99_TTP_CEILING_S: f64 = 300.0;
 
 /// `placements_digest` of the acceptance cell: every dispatch and
 /// completion, placement by placement. A change that should not move a
-/// placement must leave it here. ROADMAP item 1's staleness fix
+/// placement must leave it here. ROADMAP item 2's staleness fix
 /// (re-selecting a queued submission at current loads) moves placements
 /// on purpose; it re-records this value in a commit of its own.
 const PLACEMENTS_DIGEST: u64 = 0xb219_4d83_7ddb_8c41;

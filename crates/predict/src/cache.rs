@@ -24,11 +24,14 @@
 //! - one scheduling run (batch): inputs are a frozen `SiteView` snapshot,
 //!   so the memo never changes *what* is returned, only how often the
 //!   model is evaluated;
-//! - one pending submission (stream): a queued submission deliberately
-//!   stays priced at its admission-time loads until it is dispatched;
+//! - one captured view (stream): the service keeps a [`TermTable`] beside
+//!   each site's view, filled by the admissions selecting under it and
+//!   dropped with it; a queued submission holds the tables it was
+//!   admitted under, so it deliberately stays priced at its
+//!   admission-time loads until it is dispatched;
 //! - one replay (sim): re-selections late in a fault replay see loads
 //!   from the first lookup — a known staleness, recorded in ROADMAP
-//!   item 1, not a property anything relies on.
+//!   item 2, not a property anything relies on.
 //!
 //! [`PredictCache`] is `Sync` (interior `RwLock`) so the per-site
 //! fan-out can share one memo. Two workers racing on the same key both
@@ -263,6 +266,61 @@ impl Drop for SiteTerms<'_> {
     fn drop(&mut self) {
         self.cache.hits.fetch_add(self.hits, Ordering::Relaxed);
         self.cache.misses.fetch_add(self.misses, Ordering::Relaxed);
+    }
+}
+
+/// One site's host-side terms under one captured view of it: a row per
+/// library task, a slot per host in view order, each term
+/// `Predictor::host_term` of the host as that view shows it, filled on
+/// first use. The owner numbers the rows (one numbering for every table
+/// it keeps), so a table holds no names, and positions are the view's,
+/// so a table prices hosts of that view's host list only. A plain value,
+/// unlike [`PredictCache`]: its owner scopes it to the view and shares
+/// it by `Arc`.
+#[derive(Debug, Clone)]
+pub struct TermTable {
+    hosts: usize,
+    /// `rows[row * hosts + pos]`, grown to a row when it is first filled.
+    rows: Vec<Option<HostTerm>>,
+}
+
+impl TermTable {
+    /// An empty table over a view of `hosts` hosts.
+    pub fn new(hosts: usize) -> Self {
+        TermTable { hosts, rows: Vec::new() }
+    }
+
+    /// The term in `row` of the host at `pos`, if filled.
+    pub fn get(&self, row: usize, pos: usize) -> Option<HostTerm> {
+        self.rows.get(row * self.hosts + pos).copied().flatten()
+    }
+
+    /// The term in `row`, the row of library task `task`, of `host`, the
+    /// view's host at `pos`: the filled one, else `Predictor::host_term`
+    /// of `host` as the view shows it, kept from now on.
+    pub fn term(
+        &mut self,
+        predictor: &Predictor,
+        tasks: &TaskPerfDb,
+        (row, task): (usize, &str),
+        pos: usize,
+        host: &ResourceRecord,
+    ) -> HostTerm {
+        let at = row * self.hosts + pos;
+        if self.rows.len() <= at {
+            self.rows.resize((row + 1) * self.hosts, None);
+        }
+        *self.rows[at].get_or_insert_with(|| predictor.host_term(tasks, task, host))
+    }
+
+    /// Number of terms filled.
+    pub fn len(&self) -> usize {
+        self.rows.iter().filter(|t| t.is_some()).count()
+    }
+
+    /// Is no term filled?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -553,6 +611,24 @@ mod tests {
         assert_eq!(host_terms(&PredictCache::new(), &p, &db, "Sort", &[&a]), vec![fresh]);
         assert_eq!(host_terms(&cache, &p, &db, "Map", &[&a])[0].load_mult, 4.0);
         assert_eq!(cache.evictions(), 0);
+    }
+
+    /// A term table fills a slot once, at the host as first shown, and
+    /// grows only to the rows its owner numbers.
+    #[test]
+    fn a_term_table_fills_each_slot_once() {
+        let db = TaskPerfDb::standard();
+        let p = Predictor::default();
+        let (mut a, b) = (host("a", 1.0), host("b", 2.0));
+        let mut table = TermTable::new(2);
+        assert_eq!((table.get(1, 1), table.len()), (None, 0));
+        let sort = table.term(&p, &db, (1, "Sort"), 1, &b);
+        assert_eq!(sort, p.host_term(&db, "Sort", &b));
+        assert_eq!((table.get(1, 1), table.get(1, 0), table.get(0, 1)), (Some(sort), None, None));
+        let map = table.term(&p, &db, (0, "Map"), 0, &a);
+        a.workload = 3.0;
+        assert_eq!(table.term(&p, &db, (0, "Map"), 0, &a), map);
+        assert_eq!(table.len(), 2);
     }
 
     #[test]

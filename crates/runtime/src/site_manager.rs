@@ -33,6 +33,7 @@ use vdce_net::topology::SiteId;
 use vdce_repository::resources::HostStatus;
 use vdce_repository::{RepoEvent, SiteRepository};
 use vdce_sched::view::SiteView;
+use vdce_store::Journal;
 
 /// Control-plane messages flowing up from Group Managers (and from the
 /// Application Controller for execution-time write-back).
@@ -87,6 +88,12 @@ impl SiteManager {
     /// The repository this manager maintains.
     pub fn repository(&self) -> &SiteRepository {
         &self.repo
+    }
+
+    /// Journal every later repository event of this manager (and ship it
+    /// to a deputy) tagged with the manager's own site.
+    pub fn attach_journal(&self, journal: Journal) {
+        self.repo.attach_journal(self.site.0, journal);
     }
 
     /// Apply one control message to the site repository through the

@@ -34,7 +34,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use vdce_afg::{Afg, LibraryEntry, TaskId};
 use vdce_net::topology::SiteId;
-use vdce_predict::cache::PredictCache;
+use vdce_predict::cache::{PredictCache, SiteTerms, TermRow};
 use vdce_predict::model::{HostTerm, Predictor};
 use vdce_predict::parallel::{best_node_count, rank_nodes, ParallelModel};
 use vdce_repository::resources::ResourceRecord;
@@ -340,7 +340,8 @@ pub fn host_selection_classed(
     select_by_class(view, afg, &TaskClasses::new(afg), predictor, parallel, cache)
 }
 
-/// [`host_selection_classed`] over `classes`, the index of `afg`.
+/// [`host_selection_classed`] over `classes`, the index of `afg`, its
+/// terms memoised into `cache`.
 pub(crate) fn select_by_class(
     view: &SiteView,
     afg: &Afg,
@@ -349,32 +350,66 @@ pub(crate) fn select_by_class(
     parallel: &ParallelModel,
     cache: &PredictCache,
 ) -> HostSelectionOutput {
-    let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-    let mut terms = cache.site_terms(predictor, &view.tasks, view.site, &all_hosts);
+    let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
+    let terms = cache.site_terms(predictor, &view.tasks, view.site, &hosts);
+    select_priced(view, &hosts, afg, classes, predictor, parallel, terms)
+}
+
+/// Where [`select_priced`] gets the host-side terms of a view: a row per
+/// eligibility group, then a term per row and host of the view.
+pub(crate) trait HostTerms<'t> {
+    /// A group's handle on its library task's terms.
+    type Row: Copy;
+    /// The row of eligibility group `group`, whose library task is `task`.
+    fn row(&mut self, group: usize, task: &'t str) -> Self::Row;
+    /// The term in `row` of `host`, the view's host at position `pos`.
+    fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm;
+}
+
+impl<'t> HostTerms<'t> for SiteTerms<'_> {
+    type Row = TermRow<'t>;
+    fn row(&mut self, _group: usize, task: &'t str) -> TermRow<'t> {
+        SiteTerms::row(self, task)
+    }
+    fn term(&mut self, row: TermRow<'t>, pos: usize, _host: &ResourceRecord) -> HostTerm {
+        SiteTerms::term(self, row, pos)
+    }
+}
+
+/// The body of [`select_by_class`] over `hosts`, the hosts of `view` in
+/// view order, with its host-side terms from `terms`.
+pub(crate) fn select_priced<'t>(
+    view: &SiteView,
+    hosts: &[&ResourceRecord],
+    afg: &'t Afg,
+    classes: &TaskClasses,
+    predictor: &Predictor,
+    parallel: &ParallelModel,
+    mut terms: impl HostTerms<'t>,
+) -> HostSelectionOutput {
     // One shared host list per singleton choice, made on first use.
-    let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; all_hosts.len()];
+    let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; hosts.len()];
     // Every group's lanes, back to back. Room for four groups: a stream
     // submission draws on three library tasks and never regrows it.
-    let mut lanes: Vec<Lane<'_>> =
-        Vec::with_capacity(all_hosts.len() * classes.groups.len().min(4));
+    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(hosts.len() * classes.groups.len().min(4));
     // Per group, its library entry and its range of `lanes`; `None` when
     // the site's task library does not know the library task (nothing can
     // be predicted).
-    let groups: Vec<Option<(&LibraryEntry, Range<usize>)>> = (classes.groups.iter())
-        .map(|&task| {
+    let groups: Vec<Option<(&LibraryEntry, Range<usize>)>> = (classes.groups.iter().enumerate())
+        .map(|(group, &task)| {
             let library_task = &afg.task(task).library_task;
             let entry = view.tasks.entry(library_task)?;
-            let row = terms.row(library_task);
+            let row = terms.row(group, library_task);
             let start = lanes.len();
-            for (slot, &host) in all_hosts.iter().enumerate() {
+            for (slot, &host) in hosts.iter().enumerate() {
                 if eligible(view, afg, task, host) {
-                    lanes.push(Lane { host, slot, term: terms.term(row, slot) });
+                    lanes.push(Lane { host, slot, term: terms.term(row, slot, host) });
                 }
             }
             Some((entry, start..lanes.len()))
         })
         .collect();
-    let mut feasible: Vec<(u32, f64)> = Vec::with_capacity(all_hosts.len());
+    let mut feasible: Vec<(u32, f64)> = Vec::with_capacity(hosts.len());
     let choices = classes.classes.iter().map(|class| {
         let (entry, range) = groups[class.group as usize].as_ref()?;
         let lanes = &lanes[range.clone()];

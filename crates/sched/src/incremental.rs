@@ -40,6 +40,7 @@ use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::data_inputs::DatasetInputs;
 use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
 use crate::site_scheduler::{choose_site_for_task, SchedError};
+use std::sync::Arc;
 use vdce_afg::{Afg, EdgeIndex, TaskId, TopoMarks};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
@@ -72,7 +73,9 @@ pub struct ReschedulingDelta {
 pub struct IncrementalSchedule {
     local_site: SiteId,
     ignore_transfer_time: bool,
-    xfer: TransferCache,
+    /// The link table, shared with every schedule built over the same
+    /// fixed network model.
+    xfer: Arc<TransferCache>,
     idx: EdgeIndex,
     /// The topological order (position → task) and its inverse.
     order: Vec<TaskId>,
@@ -105,6 +108,20 @@ impl IncrementalSchedule {
         net: &NetworkModel,
         ignore_transfer_time: bool,
     ) -> Result<Self, SchedError> {
+        let xfer = Arc::new(TransferCache::new(net));
+        Self::with_links(afg, local_site, outputs, xfer, ignore_transfer_time)
+    }
+
+    /// [`IncrementalSchedule::new`] over `xfer`, a link table of the
+    /// network model already built (a caller whose model never changes
+    /// builds it once).
+    pub(crate) fn with_links(
+        afg: &Afg,
+        local_site: SiteId,
+        outputs: Vec<HostSelectionOutput>,
+        xfer: Arc<TransferCache>,
+        ignore_transfer_time: bool,
+    ) -> Result<Self, SchedError> {
         // No catalog view: a dataset read is refused, as the walk refuses
         // it with `data: None`, so no placement has a dataset term.
         DatasetInputs::resolve(afg, None)?;
@@ -119,7 +136,7 @@ impl IncrementalSchedule {
         let mut inc = IncrementalSchedule {
             local_site,
             ignore_transfer_time,
-            xfer: TransferCache::new(net),
+            xfer,
             idx,
             order: Vec::new(),
             topo_pos,

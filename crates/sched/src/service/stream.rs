@@ -48,16 +48,20 @@
 //! Load feedback: a dispatched run bumps its hosts' workload samples in
 //! the site repository, and prediction inflates linearly with smoothed
 //! workload — so the next arrival's host selection steers around busy
-//! hosts. Completion decays the same samples. A submission already in
-//! the queue keeps the prices of its admission: it owns the prediction
-//! memo that admission filled and is re-selected through it, so while
-//! it waits only host up/down edges move it (see `PendingSub::memo`).
+//! hosts. Completion decays the same samples. Pricing is scoped to a
+//! captured view: beside each site's view the service keeps that view's
+//! host-side terms, filled by the first admission that needs them and
+//! dropped with the view, so an arrival prices only the sites whose
+//! repository changed since the last one. A submission already in the
+//! queue keeps the prices of its admission: it holds the pricing of every
+//! view it was admitted under and is re-selected through it, so while it
+//! waits only host up/down edges move it (see `PendingSub::memo`).
 //! Execution itself is simulated (predicted makespan under the network
 //! model): the service models scheduling and queueing dynamics, not
 //! kernel execution.
 
 use crate::classes::TaskClasses;
-use crate::host_selection::{select_by_class, HostSelectionOutput};
+use crate::host_selection::{select_priced, HostSelectionOutput, HostTerms};
 use crate::incremental::IncrementalSchedule;
 use crate::makespan::evaluate;
 use crate::service::aging::AgingPolicy;
@@ -73,13 +77,14 @@ use std::sync::Arc;
 use vdce_afg::Afg;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_net::TransferCache;
 use vdce_obs::MetricsRegistry;
-use vdce_predict::cache::PredictCache;
-use vdce_predict::model::Predictor;
+use vdce_predict::cache::{FxMap, TermTable};
+use vdce_predict::model::{HostTerm, Predictor};
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::accounts::{AccessDomain, AuthError, UserId};
-use vdce_repository::resources::HostStatus;
-use vdce_repository::SiteRepository;
+use vdce_repository::resources::{HostStatus, ResourceRecord};
+use vdce_repository::{SiteRepository, TaskPerfDb};
 use vdce_store::Fnv1a;
 
 /// Identifier of one submission, assigned by the service in arrival
@@ -207,15 +212,111 @@ struct PendingSub {
     classes: TaskClasses,
     /// Cached per-site host-selection outputs, parallel to `sub.sites`.
     outputs: Vec<HostSelectionOutput>,
-    /// The prediction memo this admission filled. Every re-selection of
-    /// this submission goes through it, so while it waits it stays priced
-    /// at the host loads it was admitted under; it is dropped with the
+    /// The prices of its admission: the pricing of each view it was
+    /// admitted under, shared with that view's other admissions, plus its
+    /// own terms for what none of them priced. Every re-selection of this
+    /// submission goes through it, so while it waits it stays priced at
+    /// the host loads it was admitted under; it is dropped with the
     /// submission's place in the queue (dispatch, or a fault restart,
-    /// which starts a fresh one).
-    memo: PredictCache,
+    /// which is a fresh admission).
+    memo: AdmissionPrices,
     /// Current incremental placement; `None` while infeasible (every
     /// candidate host down).
     inc: Option<IncrementalSchedule>,
+}
+
+/// The prices a queued submission was admitted at.
+struct AdmissionPrices {
+    /// Per eligibility group of its AFG, its library task's row in every
+    /// term table (`StreamService::task_rows`).
+    rows: Box<[u32]>,
+    /// Per site of its domain, in `Admitted::sites` order, the pricing of
+    /// the view its admission selected under. Never written through: a
+    /// later admission under the same view that adds a term copies it.
+    shared: Vec<Arc<TermTable>>,
+    /// Terms no table of `shared` holds, keyed by index into it: a host
+    /// that was down at admission is priced at this submission's first
+    /// refresh that finds it up, and stays at that price for it alone.
+    own: Vec<(usize, TermTable)>,
+}
+
+/// A site's view, captured once per change of its repository, and that
+/// view's pricing. The service never adds or removes a host, so every
+/// view of a site lists the same hosts in the same order and a term
+/// table of one view indexes the hosts of the next.
+struct Captured {
+    view: Arc<SiteView>,
+    /// The host-side terms of `view`, filled by the admissions that
+    /// select under it: a site's prices stay fixed until its repository
+    /// changes, so every admission in between shares them.
+    prices: Arc<TermTable>,
+}
+
+/// `site`'s entry of `views`, captured from `repos` if it is empty.
+fn capture<'v>(
+    views: &'v mut [Option<Captured>],
+    repos: &[SiteRepository],
+    site: SiteId,
+) -> &'v mut Captured {
+    views[site.index()].get_or_insert_with(|| {
+        let view = SiteView::capture(site, &repos[site.index()]);
+        let prices = Arc::new(TermTable::new(view.resources.len()));
+        Captured { view: Arc::new(view), prices }
+    })
+}
+
+/// An admission's terms at one site: the current view's pricing, filled
+/// on a miss.
+struct AdmitTerms<'a> {
+    prices: &'a mut Arc<TermTable>,
+    rows: &'a [u32],
+    predictor: &'a Predictor,
+    tasks: &'a TaskPerfDb,
+}
+
+impl<'t> HostTerms<'t> for AdmitTerms<'_> {
+    type Row = (usize, &'t str);
+    fn row(&mut self, group: usize, task: &'t str) -> Self::Row {
+        (self.rows[group] as usize, task)
+    }
+    fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm {
+        match self.prices.get(row.0, pos) {
+            Some(term) => term,
+            None => Arc::make_mut(self.prices).term(self.predictor, self.tasks, row, pos, host),
+        }
+    }
+}
+
+/// A queued submission's terms at the site at index `at` of its domain:
+/// its admission's, else its own, priced at the current view.
+struct HeldTerms<'a> {
+    admitted: &'a TermTable,
+    own: &'a mut Vec<(usize, TermTable)>,
+    at: usize,
+    hosts: usize,
+    rows: &'a [u32],
+    predictor: &'a Predictor,
+    tasks: &'a TaskPerfDb,
+}
+
+impl<'t> HostTerms<'t> for HeldTerms<'_> {
+    type Row = (usize, &'t str);
+    fn row(&mut self, group: usize, task: &'t str) -> Self::Row {
+        (self.rows[group] as usize, task)
+    }
+    fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm {
+        if let Some(term) = self.admitted.get(row.0, pos) {
+            return term;
+        }
+        let i = match self.own.iter().position(|(at, _)| *at == self.at) {
+            Some(i) => i,
+            None => {
+                self.own.push((self.at, TermTable::new(self.hosts)));
+                self.own.len() - 1
+            }
+        };
+        self.own[i].1.term(self.predictor, self.tasks, row, pos, host)
+    }
 }
 
 /// A dispatched run occupying capacity until its completion event.
@@ -343,6 +444,9 @@ pub struct StreamService {
     cfg: ServiceConfig,
     repos: Vec<SiteRepository>,
     net: NetworkModel,
+    /// The link table of `net`, built once and shared by every placement:
+    /// the model is fixed for the service's life.
+    links: Arc<TransferCache>,
     /// The sites of each access domain, local first, then by distance:
     /// `LocalSite`, `Neighbours`, `Global`. The network model is fixed for
     /// the service's life, so they are ranked once.
@@ -361,7 +465,12 @@ pub struct StreamService {
     site_capacity: Vec<u32>,
     site_inflight: Vec<u32>,
     host_inflight: Vec<BTreeMap<String, u32>>,
-    views: Vec<Option<Arc<SiteView>>>,
+    /// Each site's captured view and its pricing; emptied by
+    /// [`Self::dirty_site`], re-captured on next use.
+    views: Vec<Option<Captured>>,
+    /// The term-table row of each library task an admission has met: one
+    /// numbering for every table.
+    task_rows: FxMap<String, u32>,
 
     events_processed: u64,
     deferred: u64,
@@ -385,10 +494,12 @@ impl StreamService {
             std::iter::once(local).chain(net.nearest_neighbours(local, k)).collect()
         };
         let domains = [domain(0), domain(cfg.k_neighbours), domain(n - 1)];
+        let links = Arc::new(TransferCache::new(&net));
         StreamService {
             cfg,
             repos,
             net,
+            links,
             domains,
             tenants: TenantRegistry::new(),
             predictor: Predictor::default(),
@@ -402,7 +513,8 @@ impl StreamService {
             site_capacity,
             site_inflight: vec![0; n],
             host_inflight: vec![BTreeMap::new(); n],
-            views: vec![None; n],
+            views: (0..n).map(|_| None).collect(),
+            task_rows: FxMap::default(),
             events_processed: 0,
             deferred: 0,
             restarts: 0,
@@ -471,13 +583,11 @@ impl StreamService {
     // -- views and outputs --------------------------------------------
 
     /// The shared view of `site`, re-captured after [`Self::dirty_site`].
-    fn view(&mut self, site: SiteId) -> Arc<SiteView> {
-        let repo = &self.repos[site.index()];
-        self.views[site.index()]
-            .get_or_insert_with(|| Arc::new(SiteView::capture(site, repo)))
-            .clone()
+    fn view(&mut self, site: SiteId) -> &SiteView {
+        &capture(&mut self.views, &self.repos, site).view
     }
 
+    /// Drop `site`'s view and its pricing: its repository changed.
     fn dirty_site(&mut self, site: SiteId) {
         self.views[site.index()] = None;
     }
@@ -491,16 +601,33 @@ impl StreamService {
         self.domains[i].clone()
     }
 
-    /// Host selection for `afg`, indexed as `classes`, at `site`.
-    fn output_for(
-        &mut self,
-        site: SiteId,
-        afg: &Afg,
-        classes: &TaskClasses,
-        memo: &PredictCache,
-    ) -> HostSelectionOutput {
-        let view = self.view(site);
-        select_by_class(&view, afg, classes, &self.predictor, &self.parallel, memo)
+    /// The term-table row of library task `task`.
+    fn task_row(&mut self, task: &str) -> u32 {
+        if let Some(&row) = self.task_rows.get(task) {
+            return row;
+        }
+        let row = self.task_rows.len() as u32;
+        self.task_rows.insert(task.to_string(), row);
+        row
+    }
+
+    /// Host selection for queued `p` at `p.sub.sites[at]`, a changed site:
+    /// the current view, priced as `p` was admitted.
+    fn reselect(&mut self, p: &mut PendingSub, at: usize) -> HostSelectionOutput {
+        let view = &capture(&mut self.views, &self.repos, p.sub.sites[at]).view;
+        let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
+        let memo = &mut p.memo;
+        let terms = HeldTerms {
+            admitted: &memo.shared[at],
+            own: &mut memo.own,
+            at,
+            hosts: hosts.len(),
+            rows: &memo.rows,
+            predictor: &self.predictor,
+            tasks: &view.tasks,
+        };
+        let (afg, classes) = (&p.sub.req.afg, &p.classes);
+        select_priced(view, &hosts, afg, classes, &self.predictor, &self.parallel, terms)
     }
 
     /// The incremental placement of `afg` over per-site `outputs`.
@@ -509,24 +636,34 @@ impl StreamService {
         afg: &Afg,
         outputs: Vec<HostSelectionOutput>,
     ) -> Result<IncrementalSchedule, SchedError> {
-        IncrementalSchedule::new(afg, SiteId(0), outputs, &self.net, false)
+        IncrementalSchedule::with_links(afg, SiteId(0), outputs, self.links.clone(), false)
     }
 
     /// What a submission enters the queue with, on admission and on a
-    /// fault restart, besides `classes` (the index of `afg`): a fresh
-    /// memo, host selection through it at each of `sites`, and the
-    /// placement over those outputs.
+    /// fault restart, besides `classes` (the index of `afg`): host
+    /// selection at each of `sites` through the current view's pricing,
+    /// the placement over those outputs, and the prices it used.
     fn place(
         &mut self,
         afg: &Afg,
         classes: &TaskClasses,
         sites: &[SiteId],
-    ) -> (PredictCache, Vec<HostSelectionOutput>, Result<IncrementalSchedule, SchedError>) {
-        let memo = PredictCache::new();
-        let outputs: Vec<HostSelectionOutput> =
-            sites.iter().map(|&s| self.output_for(s, afg, classes, &memo)).collect();
+    ) -> (AdmissionPrices, Vec<HostSelectionOutput>, Result<IncrementalSchedule, SchedError>) {
+        let rows: Box<[u32]> =
+            classes.groups.iter().map(|&g| self.task_row(&afg.task(g).library_task)).collect();
+        let mut shared = Vec::with_capacity(sites.len());
+        let mut outputs = Vec::with_capacity(sites.len());
+        for &site in sites {
+            let Captured { view, prices } = capture(&mut self.views, &self.repos, site);
+            let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
+            let terms =
+                AdmitTerms { prices, rows: &rows, predictor: &self.predictor, tasks: &view.tasks };
+            let (predictor, parallel) = (&self.predictor, &self.parallel);
+            outputs.push(select_priced(view, &hosts, afg, classes, predictor, parallel, terms));
+            shared.push(prices.clone());
+        }
         let inc = self.schedule(afg, outputs.clone());
-        (memo, outputs, inc)
+        (AdmissionPrices { rows, shared, own: Vec::new() }, outputs, inc)
     }
 
     // -- admission ----------------------------------------------------
@@ -595,7 +732,7 @@ impl StreamService {
         // Broker verdict on the trial placement. Site 0's view is the
         // one host selection just captured.
         let levels = classes
-            .levels(&self.view(SiteId(0)), &req.afg)
+            .levels(self.view(SiteId(0)), &req.afg)
             .expect("submissions are validated acyclic AFGs");
         let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels) else {
             self.reject(RejectReason::NoFeasiblePlacement);
@@ -793,22 +930,18 @@ impl StreamService {
             if !p.sub.sites.iter().any(|s| changed.contains(s)) {
                 continue;
             }
-            let afg = &p.sub.req.afg;
-            let new_outputs: Vec<HostSelectionOutput> = p
-                .sub
-                .sites
-                .iter()
-                .zip(&p.outputs)
-                .map(|(&s, old)| {
-                    if changed.contains(&s) {
-                        self.output_for(s, afg, &p.classes, &p.memo)
+            let new_outputs: Vec<HostSelectionOutput> = (0..p.sub.sites.len())
+                .map(|at| {
+                    if changed.contains(&p.sub.sites[at]) {
+                        self.reselect(p, at)
                     } else {
                         // Unchanged site: the same table again (a
                         // pointer bump), which the apply diff skips.
-                        old.clone()
+                        p.outputs[at].clone()
                     }
                 })
                 .collect();
+            let afg = &p.sub.req.afg;
             let applied = match p.inc.as_mut() {
                 Some(inc) => inc.apply(afg, new_outputs.clone()).is_ok(),
                 None => false,
@@ -1286,8 +1419,13 @@ mod tests {
             let inc = svc.pending[&id].inc.as_ref().expect("feasible");
             inc.table().iter().map(|p| p.predicted_seconds.to_bits()).collect()
         };
-        let memo_entries =
-            |svc: &StreamService| svc.pending.values().map(|p| p.memo.len()).sum::<usize>();
+        let memo_entries = |svc: &StreamService| {
+            let held = |m: &AdmissionPrices| {
+                let own = m.own.iter().map(|(_, t)| t.len()).sum::<usize>();
+                m.shared.iter().map(|t| t.len()).sum::<usize>() + own
+            };
+            svc.pending.values().map(|p| held(&p.memo)).sum::<usize>()
+        };
 
         // One host, one slot: `a` runs, `b` and `c` queue behind it, both
         // priced with `a`'s load on the host (history [1]).
@@ -1318,6 +1456,97 @@ mod tests {
         let report = svc.drain();
         assert_eq!(report.completed, 4);
         assert_eq!((svc.pending_count(), memo_entries(&svc)), (0, 0));
+    }
+
+    /// Admission prices a site once per captured view: a second Global
+    /// admission under clean views shares every table and prices nothing,
+    /// one after `dirty_site` re-prices that site alone, and a library
+    /// task new to a clean view extends its table by a copy, leaving the
+    /// table earlier admissions hold as it was.
+    #[test]
+    fn an_admission_prices_only_the_sites_whose_view_changed() {
+        let mut svc = service();
+        let sites = svc.domain_sites(AccessDomain::Global);
+        let admit =
+            |svc: &mut StreamService, afg: &Afg| svc.place(afg, &TaskClasses::new(afg), &sites).0;
+        let terms = |svc: &StreamService| -> Vec<usize> {
+            svc.views.iter().map(|c| c.as_ref().map_or(0, |c| c.prices.len())).collect()
+        };
+        let same = |a: &AdmissionPrices, b: &AdmissionPrices| -> Vec<bool> {
+            a.shared.iter().zip(&b.shared).map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+        };
+
+        // Source, Sort and Sink on two hosts at each of the two sites.
+        let first = admit(&mut svc, &chain_afg(10_000));
+        assert_eq!(terms(&svc), [6, 6]);
+        let second = admit(&mut svc, &chain_afg(12_000));
+        assert_eq!(terms(&svc), [6, 6], "clean views: no new term");
+        assert_eq!(same(&first, &second), [true, true]);
+
+        svc.dirty_site(SiteId(1));
+        let third = admit(&mut svc, &chain_afg(14_000));
+        assert_eq!(same(&first, &third), [true, false], "only the dirty site is re-priced");
+        assert_eq!(terms(&svc), [6, 6]);
+
+        let lib = TaskLibrary::standard();
+        let mut b = AfgBuilder::new("map", &lib);
+        let (src, map) = (b.add_task("Source", "s", 10_000), b.add_task("Map", "m", 10_000));
+        b.connect(src.unwrap(), 0, map.unwrap(), 0).unwrap();
+        let fourth = admit(&mut svc, &b.build().unwrap());
+        assert_eq!(terms(&svc), [8, 8]);
+        assert_eq!(same(&third, &fourth), [false, false], "a held table is copied, not written");
+        assert_eq!((third.shared[0].len(), third.shared[1].len()), (6, 6));
+    }
+
+    /// Two submissions admitted under one view while a host is down each
+    /// price that host at their own first refresh that finds it up: one
+    /// refresh must not pin the price for the other.
+    #[test]
+    fn a_host_down_at_admission_is_priced_at_each_submissions_own_refresh() {
+        let start = || {
+            let repo = repo(&[("a", 1.0), ("h", 4.0)]);
+            repo.resources_mut(|db| db.set_status("h", HostStatus::Down));
+            let net = NetworkModel::with_defaults(1);
+            let mut svc = StreamService::new(vec![repo], net, ServiceConfig::default());
+            let t = svc
+                .register_tenant("hal", "pw", 5, AccessDomain::Global, Quota::default())
+                .unwrap();
+            svc.submit_at(0.0, req(&svc, t));
+            (svc, t)
+        };
+        // Makespan of one run alone on `a`, to aim events inside it.
+        let m = start().0.drain().horizon_s;
+
+        // Two runs fill both slots of the site, on `a`; `x` and `y` queue
+        // behind them under one view, with `h` down.
+        let (mut svc, t) = start();
+        svc.submit_at(0.0, req(&svc, t));
+        let x = svc.submit_at(0.1 * m, req(&svc, t));
+        let y = svc.submit_at(0.2 * m, req(&svc, t));
+        svc.inject_host_up_at(0.3 * m, SiteId(0), "h");
+        svc.run_until(0.2 * m);
+        assert_eq!((svc.active_count(), svc.pending_count()), (2, 2));
+
+        // `x` is refreshed when `h` comes up, at load 0; `y`, held out of
+        // the queue, at its first refresh after, at load 1.
+        let held = svc.pending.remove(&y).expect("y queued");
+        svc.run_until(0.3 * m);
+        assert_eq!(svc.active_count(), 2);
+        svc.bump_host_load(SiteId(0), "h", 1);
+        svc.pending.insert(y, held);
+        svc.refresh_pending(&BTreeSet::from([SiteId(0)]));
+
+        let on_h = |id: SubmissionId| -> Vec<f64> {
+            let inc = svc.pending[&id].inc.as_ref().expect("feasible");
+            assert!(inc.table().iter().all(|p| p.hosts[..] == ["h".to_string()]));
+            inc.table().iter().map(|p| p.predicted_seconds).collect()
+        };
+        let (x_s, y_s) = (on_h(x), on_h(y));
+        assert_eq!(x_s.len(), 3);
+        for (x_s, y_s) in x_s.iter().zip(&y_s) {
+            // Load multipliers: x 1 + 0, y 1 + 1.
+            assert!((y_s / x_s - 2.0).abs() < 1e-9, "y priced at its own refresh: {x_s} vs {y_s}");
+        }
     }
 
     #[test]

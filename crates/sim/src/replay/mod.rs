@@ -627,6 +627,44 @@ mod tests {
         assert_eq!(obs.metrics.counter("store.journal.records"), opts.journal.len());
     }
 
+    /// Each `repo` record of a durable replay carries the site of the
+    /// Site Manager that applied it — the site of the host it names — and
+    /// every one was shipped to a deputy: a frame is the record's text.
+    #[test]
+    fn repo_records_and_deputy_frames_carry_the_managers_site() {
+        use vdce_obs::Observer;
+        use vdce_repository::{JournaledRepoEvent, RepoEvent};
+        use vdce_store::SnapshotPolicy;
+        let f = small_federation();
+        let afg = small_afg();
+        let est = baseline_makespan(&f, &afg);
+        let cfg = ReplayConfig::scaled_to(est);
+        let host = f.hosts(SiteId(1))[0].clone();
+        let plan = FaultPlan {
+            seed: 7,
+            faults: vec![Fault::TransientOutage { host, at: 0.2 * est, down_for: 8.0 * cfg.tick }],
+        };
+        let opts = DurableOptions::new(SnapshotPolicy::manual(), 8);
+        let obs = Observer::enabled();
+        replay_durable(&f, &afg, &plan, &cfg, &obs, &opts);
+
+        let mut per_site = [0u64; 2];
+        for (tag, payload) in opts.journal.history() {
+            if tag != "repo" {
+                continue;
+            }
+            let wire: JournaledRepoEvent = serde_json::from_str(&payload).unwrap();
+            let (RepoEvent::RecordSample { host, .. }
+            | RepoEvent::SetStatus { host, .. }
+            | RepoEvent::RecordExecution { host, .. }) = &wire.event;
+            assert_eq!(f.topology.site_of_host(host), Some(SiteId(wire.site)), "{payload}");
+            per_site[usize::from(wire.site)] += 1;
+        }
+        assert!(per_site.iter().all(|&n| n > 0), "records per site: {per_site:?}");
+        let frames = obs.metrics.counter("store.replication.frames");
+        assert_eq!(frames, per_site.iter().sum::<u64>());
+    }
+
     /// In each monitoring round every daemon of a site samples before the
     /// site's Group Manager handles any report, so the journal holds a
     /// site's `MonitorSample` entries of a tick ahead of its

@@ -64,9 +64,6 @@ impl ControlPlane {
         // and repeated replays start from identical state.
         let repos: Vec<SiteRepository> =
             federation.repos.iter().map(|r| SiteRepository::from_snapshot(r.snapshot())).collect();
-        for (i, repo) in repos.iter().enumerate() {
-            repo.attach_journal(i as u16, journal.clone());
-        }
 
         // Load spikes are baked into the monitoring probe's traces.
         let mut probe = SyntheticProbe::new(0.0, 1 << 30);
@@ -83,6 +80,7 @@ impl ControlPlane {
             let daemons: Vec<MonitorDaemon> =
                 hosts.iter().map(|h| MonitorDaemon::new(h.clone(), log.clone())).collect();
             let manager = SiteManager::new(site, repo.clone());
+            manager.attach_journal(journal.clone());
             // The deputy's replica starts from the leader's state at
             // attach time — before any tick mutates the repository.
             let deputy = durable.map(|d| DeputyLink::new(repo.snapshot(), d.deputy_check_every));
