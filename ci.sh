@@ -21,13 +21,13 @@
 #      committed BENCH_*.json schema-valid and equal to a fresh run
 #      outside its `wall_clock` section, none missing or stray, and the
 #      claims of every experiment, the correctness gates included
-#   10. the vdce_perf smoke (perf/run.sh --quick)
+#   10. the vdce_perf smoke (perf/run.sh --quick) and perf/'s unit tests
 #   11-16. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
-#      pass and run — under a ceiling (940, 713, 247, 8,160, 148 and
-#      294,195). ROADMAP item 4's committed BENCH_perf.json
+#      pass and run — under a ceiling (931, 666, 247, 8,160, 148 and
+#      286,516). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -225,7 +225,15 @@ stage "experiments (exp --check)" \
 # running every workload's output checks on small inputs here means a
 # renamed entry point or a wrong result breaks CI, not the next
 # benchmark run.
-stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
+# perf/'s own unit tests run here too, after the smoke has built perf/
+# and written its lock file: nothing above compiles them, and
+# `decomposed_pass_equals_one_call_pass_and_checks_hold` holds the
+# traced layer calls to the one-call pass.
+perf_smoke() {
+    bash perf/run.sh --quick
+    cargo test -q --release --offline --locked --manifest-path perf/Cargo.toml
+}
+stage "vdce_perf smoke (--quick)" perf_smoke
 # Full-size stream checks: the smoke above runs the stream workloads
 # scaled down, where their sizing contract (pending_max <= 8 steady,
 # >= 100 backlog) is not checked. A drift in how the service prices or
@@ -273,7 +281,9 @@ stage "vdce_perf smoke (--quick)" bash perf/run.sh --quick
 # per `apply`). Re-indexing the classes in every host-selection call made
 # them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 286,533 with the checkpoint
+# 17-scenario sweep (~13.1k journal records): 286,499 with each site's
+# repository held by its Site Manager alone (286,533 with a vector of the
+# same repositories per replay beside the managers), the checkpoint
 # store's state written into snapshots by reference, `latest_valid`
 # borrowing the checkpoint it finds and each repository event serialised
 # once for the journal and the deputy (301,857 when every snapshot
@@ -332,4 +342,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 148 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 294195 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 286516 durable_faults

@@ -1,7 +1,7 @@
 //! Building and holding a VDCE federation.
 //!
-//! A [`Vdce`] owns, per site, a [`SiteRepository`] and its
-//! [`SiteManager`], plus the federation-wide [`Topology`] and
+//! A [`Vdce`] owns, per site, a [`SiteManager`] and through it the
+//! site's [`SiteRepository`], plus the federation-wide [`Topology`] and
 //! [`NetworkModel`]. Users are registered in the user-accounts database
 //! of every site (the paper's prototype replicated accounts across the
 //! campus sites it spanned).
@@ -33,14 +33,10 @@ impl Default for VdceConfig {
     }
 }
 
-struct SiteState {
-    repo: SiteRepository,
-    manager: SiteManager,
-}
-
 /// A running VDCE federation.
 pub struct Vdce {
-    sites: Vec<SiteState>,
+    /// Per site, its manager, which owns the site's repository.
+    sites: Vec<SiteManager>,
     topology: Topology,
     net: NetworkModel,
     config: VdceConfig,
@@ -90,12 +86,12 @@ impl Vdce {
 
     /// The repository of one site.
     pub fn repository(&self, site: SiteId) -> &SiteRepository {
-        &self.sites[site.index()].repo
+        self.sites[site.index()].repository()
     }
 
     /// The Site Manager of one site.
     pub fn site_manager(&self, site: SiteId) -> &SiteManager {
-        &self.sites[site.index()].manager
+        &self.sites[site.index()]
     }
 
     /// The federation-wide host lock registry: all executions share it,
@@ -206,8 +202,7 @@ impl VdceBuilder {
                     db.add_user(user, pass, *prio, *domain).expect("builder users are unique");
                 }
             });
-            let manager = SiteManager::new(id, repo.clone());
-            sites.push(SiteState { repo, manager });
+            sites.push(SiteManager::new(id, repo));
         }
         let mut net = NetworkModel::with_defaults(self.site_names.len().max(1));
         for (a, b, params) in self.links {

@@ -10,7 +10,7 @@
 //!   [`PredictCache::predict`] / `PredictCache::predict_many`, used by
 //!   re-selection and the baselines, where the same triple recurs;
 //! - host-side terms, keyed on `(site, library task, host)` and held as
-//!   one dense row per site and library task in the site's host order —
+//!   one [`TermTable`] per site in the site's host order —
 //!   [`PredictCache::site_terms`], used by class-batched host selection,
 //!   where problem sizes are continuous and a triple never recurs but a
 //!   term prices every size of a task on its host.
@@ -33,15 +33,16 @@
 //!   from the first lookup — a known staleness, recorded in ROADMAP
 //!   item 2, not a property anything relies on.
 //!
-//! [`PredictCache`] is `Sync` (interior `RwLock`) so the per-site
-//! fan-out can share one memo. Two workers racing on the same key both
-//! compute the same value (the model is deterministic).
+//! Host-side terms have one layout, [`TermTable`], in both scopes that
+//! keep them: the memo holds one per site, realigned by host name when
+//! the site's host list changes, and the stream service one per captured
+//! view. [`PredictCache`] is a single-threaded value: its `&self` methods
+//! borrow a `RefCell`, and no host-selection call re-enters a memo.
 
 use crate::model::{HostTerm, PredictError, Predictor};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockWriteGuard};
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::TaskPerfDb;
@@ -111,9 +112,9 @@ pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// probe, a term hit one vector index.
 #[derive(Debug, Default)]
 pub struct PredictCache {
-    inner: RwLock<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    inner: RefCell<Inner>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 #[derive(Debug, Default)]
@@ -121,80 +122,63 @@ struct Inner {
     task_ids: FxMap<String, u32>,
     host_ids: FxMap<String, u32>,
     map: FxMap<(u32, u64, u32), Result<f64, PredictError>>,
-    /// Every host name a term row is keyed on, back to back.
+    /// Every host name a term table is keyed on, back to back.
     names: String,
-    /// Term rows per site, indexed by `SiteId::index()`. Keying terms on
-    /// the site as well as the host changes nothing a caller sees because
-    /// host names are unique across a federation ([`Topology::add_site`]
-    /// and the site generators enforce this): a memo shared across sites
-    /// still holds one term per `(library task, host)`.
-    ///
-    /// [`Topology::add_site`]: vdce_net::topology::Topology::add_site
-    sites: Vec<TermSite>,
+    /// Per site, indexed by `SiteId::index()`. Keying terms on the site
+    /// as well as the host keeps two sites' terms apart even where their
+    /// host names meet.
+    sites: Vec<SiteTable>,
 }
 
-/// One site's host-side terms: one row per interned library task, one
-/// slot per host the site has shown the memo.
-#[derive(Debug, Default)]
-struct TermSite {
-    /// The byte range in `Inner::names` of each host the site has shown:
-    /// the hosts of the last view that did not lead this list, in view
-    /// order, then any host that view lacked, in their earlier order.
-    hosts: Vec<(u32, u32)>,
-    /// `rows[task * hosts.len() + host]`: the term of interned task `task`
-    /// on host `host`, once looked up.
-    rows: Vec<Option<HostTerm>>,
+/// One site's hosts and terms in a memo: the byte range in
+/// `Inner::names` of each host the site has shown — the hosts of the last
+/// view that did not lead this list, in view order, then any host that
+/// view lacked, in their earlier order — and a row per interned task of
+/// a slot per host in that order.
+type SiteTable = (Box<[(u32, u32)]>, TermTable);
+
+/// Does `view` list the first of `hosts`, ranges into `names`, position
+/// for position?
+fn leads_with(names: &str, hosts: &[(u32, u32)], view: &[&ResourceRecord]) -> bool {
+    view.len() <= hosts.len()
+        && view
+            .iter()
+            .zip(hosts)
+            .all(|(h, &(start, end))| names[start as usize..end as usize] == *h.host_name)
 }
 
-impl TermSite {
-    /// Does `view` list the first of `hosts`, position for position?
-    fn leads_with(&self, names: &str, view: &[&ResourceRecord]) -> bool {
-        view.len() <= self.hosts.len()
-            && view
-                .iter()
-                .zip(&self.hosts)
-                .all(|(h, &(start, end))| names[start as usize..end as usize] == *h.host_name)
+/// Reorder a site's `hosts` and `table`, terms and all, so that `view`
+/// leads them; names the site has not shown before are appended to
+/// `names`.
+fn realign(names: &mut String, (hosts, table): &mut SiteTable, view: &[&ResourceRecord]) {
+    if hosts.is_empty() {
+        // The site's first view: no terms to carry over.
+        *hosts = view.iter().map(|h| append(names, &h.host_name)).collect();
+        *table = TermTable::new(hosts.len());
+        return;
     }
-
-    /// Reorder the hosts, terms and all, so that `view` leads them; names
-    /// this site has not shown before are appended to `names`.
-    fn realign(&mut self, names: &mut String, view: &[&ResourceRecord]) {
-        if self.hosts.is_empty() {
-            // The site's first view: no terms to carry over.
-            self.hosts = view.iter().map(|h| append(names, &h.host_name)).collect();
-            return;
-        }
-        let mut known: FxMap<&str, usize> = self
-            .hosts
-            .iter()
-            .enumerate()
-            .map(|(i, &(start, end))| (&names[start as usize..end as usize], i))
-            .collect();
-        // Old position of each new one; `None` for a name new to the site.
-        let mut order: Vec<Option<usize>> =
-            view.iter().map(|h| known.remove(h.host_name.as_str())).collect();
-        let mut rest: Vec<usize> = known.into_values().collect();
-        rest.sort_unstable();
-        order.extend(rest.into_iter().map(Some));
-        // Only view positions are new.
-        let hosts: Vec<(u32, u32)> = order
-            .iter()
-            .enumerate()
-            .map(|(pos, old)| match *old {
-                Some(i) => self.hosts[i],
-                None => append(names, &view[pos].host_name),
-            })
-            .collect();
-        let stride = self.hosts.len();
-        let tasks = self.rows.len().checked_div(stride).unwrap_or(0);
-        let mut rows = Vec::with_capacity(tasks * hosts.len());
-        for t in 0..tasks {
-            let row = &self.rows[t * stride..][..stride];
-            rows.extend(order.iter().map(|old| old.and_then(|i| row[i])));
-        }
-        self.hosts = hosts;
-        self.rows = rows;
-    }
+    let mut known: FxMap<&str, usize> = hosts
+        .iter()
+        .enumerate()
+        .map(|(i, &(start, end))| (&names[start as usize..end as usize], i))
+        .collect();
+    // Old position of each new one; `None` for a name new to the site.
+    let mut order: Vec<Option<usize>> =
+        view.iter().map(|h| known.remove(h.host_name.as_str())).collect();
+    let mut rest: Vec<usize> = known.into_values().collect();
+    rest.sort_unstable();
+    order.extend(rest.into_iter().map(Some));
+    // Only view positions are new.
+    let realigned: Box<[(u32, u32)]> = order
+        .iter()
+        .enumerate()
+        .map(|(pos, old)| match *old {
+            Some(i) => hosts[i],
+            None => append(names, &view[pos].host_name),
+        })
+        .collect();
+    *hosts = realigned;
+    *table = table.remap(&order);
 }
 
 /// Append `name` to the arena `names`; its byte range there.
@@ -205,79 +189,57 @@ fn append(names: &mut String, name: &str) -> (u32, u32) {
     (start, offset(names.len()))
 }
 
-/// The term rows of one site, aligned with that site's view of its hosts
-/// and write-locked for as long as this lives — one host-selection call.
-/// Made by [`PredictCache::site_terms`]; its lookups count into the
-/// memo's hits and misses when it is dropped.
+/// One site's term table in a memo, aligned with that site's view of its
+/// hosts and borrowed for one host-selection call. Made by
+/// [`PredictCache::site_terms`]; each lookup counts into the memo's hits
+/// or misses.
 pub struct SiteTerms<'a> {
     cache: &'a PredictCache,
-    inner: RwLockWriteGuard<'a, Inner>,
+    task_ids: RefMut<'a, FxMap<String, u32>>,
+    table: RefMut<'a, TermTable>,
     predictor: &'a Predictor,
     tasks: &'a TaskPerfDb,
     hosts: &'a [&'a ResourceRecord],
-    site: usize,
-    hits: u64,
-    misses: u64,
-}
-
-/// A library task's row in a [`SiteTerms`], from [`SiteTerms::row`].
-#[derive(Debug, Clone, Copy)]
-pub struct TermRow<'t> {
-    task: &'t str,
-    /// Index in the site's rows of the task's term on the view's first host.
-    start: usize,
 }
 
 impl SiteTerms<'_> {
     /// The row of `task`, a library task the task-performance database
-    /// knows.
-    pub fn row<'t>(&mut self, task: &'t str) -> TermRow<'t> {
-        let inner = &mut *self.inner;
-        let id = intern(&mut inner.task_ids, task) as usize;
-        let tasks = inner.task_ids.len();
-        let site = &mut inner.sites[self.site];
-        let stride = site.hosts.len();
-        if site.rows.len() < (id + 1) * stride {
+    /// knows, with the task.
+    pub fn row<'t>(&mut self, task: &'t str) -> (usize, &'t str) {
+        let id = intern(&mut self.task_ids, task) as usize;
+        let table = &mut *self.table;
+        if table.rows.len() < (id + 1) * table.hosts {
             // A site's first row makes room for every task interned so
             // far, which every other site of a shared memo already knows.
-            if site.rows.capacity() == 0 {
-                site.rows.reserve_exact(tasks * stride);
+            if table.rows.capacity() == 0 {
+                table.rows.reserve_exact(self.task_ids.len() * table.hosts);
             }
-            site.rows.resize((id + 1) * stride, None);
+            table.rows.resize((id + 1) * table.hosts, None);
         }
-        TermRow { task, start: id * stride }
+        (id, task)
     }
 
     /// The term of `row`'s task on the view's host at position `pos`: the
     /// one this memo gave that pair first, else `Predictor::host_term` of
     /// the host as the view shows it, kept from now on.
-    pub fn term(&mut self, row: TermRow<'_>, pos: usize) -> HostTerm {
-        let slot = &mut self.inner.sites[self.site].rows[row.start + pos];
-        if let Some(term) = *slot {
-            self.hits += 1;
+    pub fn term(&mut self, row: (usize, &str), pos: usize) -> HostTerm {
+        let PredictCache { hits, misses, .. } = self.cache;
+        if let Some(term) = self.table.get(row.0, pos) {
+            hits.set(hits.get() + 1);
             return term;
         }
-        self.misses += 1;
-        *slot.insert(self.predictor.host_term(self.tasks, row.task, self.hosts[pos]))
+        misses.set(misses.get() + 1);
+        self.table.term(self.predictor, self.tasks, row, pos, self.hosts[pos])
     }
 }
 
-impl Drop for SiteTerms<'_> {
-    fn drop(&mut self) {
-        self.cache.hits.fetch_add(self.hits, Ordering::Relaxed);
-        self.cache.misses.fetch_add(self.misses, Ordering::Relaxed);
-    }
-}
-
-/// One site's host-side terms under one captured view of it: a row per
-/// library task, a slot per host in view order, each term
-/// `Predictor::host_term` of the host as that view shows it, filled on
-/// first use. The owner numbers the rows (one numbering for every table
-/// it keeps), so a table holds no names, and positions are the view's,
-/// so a table prices hosts of that view's host list only. A plain value,
-/// unlike [`PredictCache`]: its owner scopes it to the view and shares
-/// it by `Arc`.
-#[derive(Debug, Clone)]
+/// Host-side terms over one list of hosts: a row per library task, a
+/// slot per host, each term `Predictor::host_term` of the host as first
+/// shown, filled on first use. The owner numbers the rows (one numbering
+/// for every table it keeps), so a table holds no names, and positions
+/// are the owner's host order. The stream service keeps one per captured
+/// view and shares it by `Arc`; a [`PredictCache`] keeps one per site.
+#[derive(Debug, Clone, Default)]
 pub struct TermTable {
     hosts: usize,
     /// `rows[row * hosts + pos]`, grown to a row when it is first filled.
@@ -322,6 +284,19 @@ impl TermTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The table over `order.len()` hosts whose host at `pos` is this
+    /// table's host at `order[pos]`, or a host new to it where that is
+    /// `None`; every row keeps its terms.
+    fn remap(&self, order: &[Option<usize>]) -> TermTable {
+        let tasks = self.rows.len().checked_div(self.hosts).unwrap_or(0);
+        let mut rows = Vec::with_capacity(tasks * order.len());
+        for t in 0..tasks {
+            let row = &self.rows[t * self.hosts..][..self.hosts];
+            rows.extend(order.iter().map(|old| old.and_then(|i| row[i])));
+        }
+        TermTable { hosts: order.len(), rows }
+    }
 }
 
 fn intern(ids: &mut FxMap<String, u32>, name: &str) -> u32 {
@@ -350,35 +325,32 @@ impl PredictCache {
         problem_size: u64,
         host: &ResourceRecord,
     ) -> Result<f64, PredictError> {
+        let inner = &mut *self.inner.borrow_mut();
+        if let (Some(&t), Some(&h)) =
+            (inner.task_ids.get(task), inner.host_ids.get(host.host_name.as_str()))
         {
-            let inner = self.inner.read().unwrap();
-            if let (Some(&t), Some(&h)) =
-                (inner.task_ids.get(task), inner.host_ids.get(host.host_name.as_str()))
-            {
-                if let Some(cached) = inner.map.get(&(t, problem_size, h)) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return cached.clone();
-                }
+            if let Some(cached) = inner.map.get(&(t, problem_size, h)) {
+                self.hits.set(self.hits.get() + 1);
+                return cached.clone();
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
         let computed = predictor.predict(tasks, task, problem_size, host);
-        let mut guard = self.inner.write().unwrap();
-        let t = intern(&mut guard.task_ids, task);
-        let h = intern(&mut guard.host_ids, &host.host_name);
-        guard.map.insert((t, problem_size, h), computed.clone());
+        let t = intern(&mut inner.task_ids, task);
+        let h = intern(&mut inner.host_ids, &host.host_name);
+        inner.map.insert((t, problem_size, h), computed.clone());
         computed
     }
 
     /// Batched [`PredictCache::predict`] over every host a ranking will
-    /// consider: one read-lock pass resolves all hits, the misses run
-    /// through the flat [`Predictor::predict_batch`] kernel as one
-    /// slice-in/slice-out batch, then one write-lock pass stores them.
-    /// The cache is probed once per `(task, size)` batch — the per-host
-    /// work inside the read pass is a single small-key map probe.
-    /// Results come back in `hosts` order and are element-wise identical
-    /// to per-host `predict` calls — the batching only amortises the
-    /// locks, the task-name probes, and the task-side model gather.
+    /// consider: one pass resolves all hits, the misses run through the
+    /// flat [`Predictor::predict_batch`] kernel as one slice-in/slice-out
+    /// batch, then one pass stores them. The cache is probed once per
+    /// `(task, size)` batch — the per-host work inside the first pass is
+    /// a single small-key map probe. Results come back in `hosts` order
+    /// and are element-wise identical to per-host `predict` calls — the
+    /// batching only amortises the task-name probes and the task-side
+    /// model gather.
     pub(crate) fn predict_many(
         &self,
         predictor: &Predictor,
@@ -390,43 +362,39 @@ impl PredictCache {
         // Placeholder for not-yet-filled slots; `String::new()` does not
         // allocate, so misses cost no placeholder churn.
         let pending = || Err(PredictError::UnknownTask(String::new()));
+        let inner = &mut *self.inner.borrow_mut();
         let mut out: Vec<Result<f64, PredictError>> = Vec::with_capacity(hosts.len());
         let mut miss_idx: Vec<u32> = Vec::new();
-        {
-            let inner = self.inner.read().unwrap();
-            if let Some(&t) = inner.task_ids.get(task) {
-                for (i, h) in hosts.iter().enumerate() {
-                    let cached = inner
-                        .host_ids
-                        .get(h.host_name.as_str())
-                        .and_then(|&hid| inner.map.get(&(t, problem_size, hid)));
-                    match cached {
-                        Some(c) => out.push(c.clone()),
-                        None => {
-                            out.push(pending());
-                            miss_idx.push(i as u32);
-                        }
+        if let Some(&t) = inner.task_ids.get(task) {
+            for (i, h) in hosts.iter().enumerate() {
+                let cached = inner
+                    .host_ids
+                    .get(h.host_name.as_str())
+                    .and_then(|&hid| inner.map.get(&(t, problem_size, hid)));
+                match cached {
+                    Some(c) => out.push(c.clone()),
+                    None => {
+                        out.push(pending());
+                        miss_idx.push(i as u32);
                     }
                 }
-            } else {
-                out.resize_with(hosts.len(), pending);
-                miss_idx.extend(0..hosts.len() as u32);
             }
+        } else {
+            out.resize_with(hosts.len(), pending);
+            miss_idx.extend(0..hosts.len() as u32);
         }
-        self.hits.fetch_add((hosts.len() - miss_idx.len()) as u64, Ordering::Relaxed);
+        self.hits.set(self.hits.get() + (hosts.len() - miss_idx.len()) as u64);
         if !miss_idx.is_empty() {
-            self.misses.fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
-            // Evaluate outside the lock as one flat batch, then store
-            // under one write lock.
+            self.misses.set(self.misses.get() + miss_idx.len() as u64);
+            // Evaluate as one flat batch, then store.
             let miss_hosts: Vec<&ResourceRecord> =
                 miss_idx.iter().map(|&i| hosts[i as usize]).collect();
             let mut computed = Vec::new();
             predictor.predict_batch(tasks, task, problem_size, &miss_hosts, &mut computed);
-            let mut guard = self.inner.write().unwrap();
-            let t = intern(&mut guard.task_ids, task);
+            let t = intern(&mut inner.task_ids, task);
             for (&i, value) in miss_idx.iter().zip(computed) {
-                let hid = intern(&mut guard.host_ids, &hosts[i as usize].host_name);
-                guard.map.insert((t, problem_size, hid), value.clone());
+                let hid = intern(&mut inner.host_ids, &hosts[i as usize].host_name);
+                inner.map.insert((t, problem_size, hid), value.clone());
                 out[i as usize] = value;
             }
         }
@@ -437,9 +405,9 @@ impl PredictCache {
     /// `hosts`, the site's view of its hosts in view order. When `hosts`
     /// lists the hosts the memo last saw at `site`, position for position
     /// — the normal case, as captures change loads and statuses, not host
-    /// sets — a term is one vector index; otherwise the site's rows are
-    /// first realigned to `hosts` by name. Holds the memo's write lock
-    /// until it is dropped.
+    /// sets — a term is one vector index; otherwise the site's table is
+    /// first realigned to `hosts` by name. Borrows the memo until it is
+    /// dropped.
     pub fn site_terms<'a>(
         &'a self,
         predictor: &'a Predictor,
@@ -447,33 +415,25 @@ impl PredictCache {
         site: SiteId,
         hosts: &'a [&'a ResourceRecord],
     ) -> SiteTerms<'a> {
-        let mut inner = self.inner.write().unwrap();
+        let mut inner = self.inner.borrow_mut();
         let Inner { names, sites, .. } = &mut *inner;
         if sites.len() <= site.index() {
-            sites.resize_with(site.index() + 1, TermSite::default);
+            sites.resize_with(site.index() + 1, Default::default);
         }
         let entry = &mut sites[site.index()];
-        if !entry.leads_with(names, hosts) {
-            entry.realign(names, hosts);
+        if !leads_with(names, &entry.0, hosts) {
+            realign(names, entry, hosts);
         }
-        SiteTerms {
-            cache: self,
-            inner,
-            predictor,
-            tasks,
-            hosts,
-            site: site.index(),
-            hits: 0,
-            misses: 0,
-        }
+        let (task_ids, table) =
+            RefMut::map_split(inner, |i| (&mut i.task_ids, &mut i.sites[site.index()].1));
+        SiteTerms { cache: self, task_ids, table, predictor, tasks, hosts }
     }
 
     /// Number of distinct entries memoised: `(task, size, host)`
     /// predictions plus `(task, host)` terms.
     pub fn len(&self) -> usize {
-        let inner = self.inner.read().unwrap();
-        let terms = inner.sites.iter().flat_map(|s| &s.rows).filter(|t| t.is_some()).count();
-        inner.map.len() + terms
+        let inner = self.inner.borrow();
+        inner.map.len() + inner.sites.iter().map(|(_, table)| table.len()).sum::<usize>()
     }
 
     /// Has nothing been evaluated yet?
@@ -483,12 +443,12 @@ impl PredictCache {
 
     /// Memo hits so far (for benchmark reporting).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Memo misses (= model evaluations) so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Always 0: a memo never evicts (its owner bounds it by scope, see
@@ -613,6 +573,27 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
     }
 
+    /// Terms are kept per site: a host name two sites both show is priced
+    /// at each as that site shows it, and stays pinned there.
+    #[test]
+    fn two_sites_keep_their_own_terms_for_one_host_name() {
+        let db = TaskPerfDb::standard();
+        let p = Predictor::default();
+        let cache = PredictCache::new();
+        let (slow, fast) = (host("h", 1.0), host("h", 4.0));
+        let term = |site, h: &ResourceRecord| {
+            let hosts = [h];
+            let mut terms = cache.site_terms(&p, &db, SiteId(site), &hosts);
+            let row = terms.row("Sort");
+            terms.term(row, 0)
+        };
+        assert_eq!(term(0, &slow), p.host_term(&db, "Sort", &slow));
+        assert_eq!(term(1, &fast), p.host_term(&db, "Sort", &fast));
+        assert_ne!(p.host_term(&db, "Sort", &slow), p.host_term(&db, "Sort", &fast));
+        assert_eq!(term(0, &fast), p.host_term(&db, "Sort", &slow));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 1, 2));
+    }
+
     /// A term table fills a slot once, at the host as first shown, and
     /// grows only to the rows its owner numbers.
     #[test]
@@ -629,20 +610,5 @@ mod tests {
         a.workload = 3.0;
         assert_eq!(table.term(&p, &db, (0, "Map"), 0, &a), map);
         assert_eq!(table.len(), 2);
-    }
-
-    #[test]
-    fn cache_is_shareable_across_threads() {
-        let db = TaskPerfDb::standard();
-        let p = Predictor::default();
-        let cache = PredictCache::new();
-        let hosts: Vec<ResourceRecord> = (0..4).map(|i| host(&format!("h{i}"), 1.0)).collect();
-        std::thread::scope(|s| {
-            for h in &hosts {
-                let (cache, p, db) = (&cache, &p, &db);
-                s.spawn(move || cache.predict(p, db, "Sort", 5000, h).unwrap());
-            }
-        });
-        assert_eq!(cache.len(), 4);
     }
 }

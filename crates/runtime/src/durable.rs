@@ -167,8 +167,8 @@ const HEAD_SLACK: usize = 32 << 10;
 /// previous snapshot's, say): with it the buffer is allocated once and
 /// never doubled, which is what keeps a snapshot from costing twice its
 /// size at the peak. Only sizing depends on it.
-pub fn write_snapshot(
-    repos: &[SiteRepository],
+pub fn write_snapshot<'r>(
+    repos: impl IntoIterator<Item = &'r SiteRepository>,
     store: &CheckpointStore,
     sites: &[SiteFailover],
     log: &EventLog,

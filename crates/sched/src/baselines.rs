@@ -226,30 +226,50 @@ pub fn local_only_schedule(
     Ok(table)
 }
 
-/// Completion time of `task` on `opt` given current host-free times and
-/// parent finishes. `host_of` is the dense per-task placement array
-/// ([`NO_HOST`] = unplaced) and `host_free` the per-host free-time array,
-/// both indexed by [`HostArena`] id — no hashing in the inner loop.
-#[allow(clippy::too_many_arguments)]
-fn completion_time(
-    afg: &Afg,
-    idx: &EdgeIndex,
-    task: TaskId,
-    opt: &Option_<'_>,
-    net: &TransferCache,
-    finish: &[f64],
-    site_of: &[Option<SiteId>],
-    host_of: &[u32],
-    host_free: &[f64],
-) -> f64 {
-    let mut data_ready = 0.0f64;
-    for e in idx.in_edges(afg, task) {
-        let ps = site_of[e.from.index()].expect("parents placed first");
-        let same_host = host_of[e.from.index()] == opt.host_id;
-        let xfer = if same_host { 0.0 } else { net.transfer_time(ps, opt.site, e.data_size) };
-        data_ready = data_ready.max(finish[e.from.index()] + xfer);
+/// Where the tasks placed so far run and when they finish, indexed by
+/// task id ([`NO_HOST`] = unplaced): the dense arrays the placement loops
+/// read instead of hashing host names.
+struct Placed {
+    finish: Vec<f64>,
+    site_of: Vec<Option<SiteId>>,
+    host_of: Vec<u32>,
+}
+
+impl Placed {
+    fn new(tasks: usize) -> Self {
+        Placed {
+            finish: vec![0.0; tasks],
+            site_of: vec![None; tasks],
+            host_of: vec![NO_HOST; tasks],
+        }
     }
-    data_ready.max(host_free[opt.host_id as usize]) + opt.predicted
+
+    /// When every input of `task` can be at `opt`: each parent's finish
+    /// plus its transfer, none from the same host.
+    fn data_ready(
+        &self,
+        afg: &Afg,
+        idx: &EdgeIndex,
+        net: &TransferCache,
+        task: TaskId,
+        opt: &Option_<'_>,
+    ) -> f64 {
+        let mut ready = 0.0f64;
+        for e in idx.in_edges(afg, task) {
+            let ps = self.site_of[e.from.index()].expect("parents placed first");
+            let same_host = self.host_of[e.from.index()] == opt.host_id;
+            let xfer = if same_host { 0.0 } else { net.transfer_time(ps, opt.site, e.data_size) };
+            ready = ready.max(self.finish[e.from.index()] + xfer);
+        }
+        ready
+    }
+
+    fn place(&mut self, task: TaskId, opt: &Option_<'_>, finish: f64) {
+        debug_assert_eq!(self.host_of[task.index()], NO_HOST, "task {task} placed twice");
+        self.finish[task.index()] = finish;
+        self.site_of[task.index()] = Some(opt.site);
+        self.host_of[task.index()] = opt.host_id;
+    }
 }
 
 /// Shared engine for the completion-time heuristics. `pick_max` selects
@@ -269,11 +289,8 @@ fn completion_time_schedule(
     let xfer = TransferCache::new(net);
     let edge_idx = afg.edge_index();
 
-    let n = afg.task_count();
     let mut table = AllocationTable::new(afg.name.clone());
-    let mut finish = vec![0.0f64; n];
-    let mut site_of: Vec<Option<SiteId>> = vec![None; n];
-    let mut host_of: Vec<u32> = vec![NO_HOST; n];
+    let mut placed = Placed::new(afg.task_count());
     let mut host_free: Vec<f64> = vec![0.0; arena.len()];
 
     let mut remaining = afg.in_degrees();
@@ -286,9 +303,8 @@ fn completion_time_schedule(
         for (ri, &task) in ready.iter().enumerate() {
             let mut best: Option<(&Option_<'_>, f64)> = None;
             for opt in &all[task.index()] {
-                let ct = completion_time(
-                    afg, &edge_idx, task, opt, &xfer, &finish, &site_of, &host_of, &host_free,
-                );
+                let ready = placed.data_ready(afg, &edge_idx, &xfer, task, opt);
+                let ct = ready.max(host_free[opt.host_id as usize]) + opt.predicted;
                 if best.as_ref().is_none_or(|(_, b)| ct < *b) {
                     best = Some((opt, ct));
                 }
@@ -306,10 +322,7 @@ fn completion_time_schedule(
         let (ri, opt, ct) = chosen;
         let task = ready.swap_remove(ri);
 
-        debug_assert_eq!(host_of[task.index()], NO_HOST, "task {task} placed twice");
-        finish[task.index()] = ct;
-        site_of[task.index()] = Some(opt.site);
-        host_of[task.index()] = opt.host_id;
+        placed.place(task, opt, ct);
         host_free[opt.host_id as usize] = ct;
         table.insert(placement(afg, task, opt));
 
@@ -352,13 +365,43 @@ pub fn max_min_schedule(
 
 /// HEFT (without insertion): rank tasks by *b-level* (computation + mean
 /// communication along the path to an exit), then assign each task, in
-/// rank order, to the host with the earliest finish time.
+/// rank order, to the host with the earliest finish time, starting it
+/// after the host's last task.
 pub fn heft_schedule(
     afg: &Afg,
     views: &[&SiteView],
     net: &NetworkModel,
     predictor: &Predictor,
     cache: &PredictCache,
+) -> Result<AllocationTable, SchedError> {
+    heft(afg, views, net, predictor, cache, false)
+}
+
+/// HEFT **with insertion**: like [`heft_schedule`] but a task may be
+/// slotted into an earlier idle gap of a host when the gap fits its
+/// execution time — the full algorithm of the authors' TPDS 2002 paper,
+/// as a second-stage ablation over the no-insertion variant.
+pub fn heft_insertion_schedule(
+    afg: &Afg,
+    views: &[&SiteView],
+    net: &NetworkModel,
+    predictor: &Predictor,
+    cache: &PredictCache,
+) -> Result<AllocationTable, SchedError> {
+    heft(afg, views, net, predictor, cache, true)
+}
+
+/// The placement loop of both HEFT variants: each task, in rank order,
+/// to the option finishing earliest, where a task starts on a host in
+/// the first idle gap that fits it (`insertion`) or after the host's
+/// last task.
+fn heft(
+    afg: &Afg,
+    views: &[&SiteView],
+    net: &NetworkModel,
+    predictor: &Predictor,
+    cache: &PredictCache,
+    insertion: bool,
 ) -> Result<AllocationTable, SchedError> {
     let order = heft_order(afg, views, net)?;
 
@@ -367,95 +410,43 @@ pub fn heft_schedule(
     let xfer = TransferCache::new(net);
     let edge_idx = afg.edge_index();
 
-    let n = afg.task_count();
     let mut table = AllocationTable::new(afg.name.clone());
-    let mut finish = vec![0.0f64; n];
-    let mut site_of: Vec<Option<SiteId>> = vec![None; n];
-    let mut host_of: Vec<u32> = vec![NO_HOST; n];
-    let mut host_free: Vec<f64> = vec![0.0; arena.len()];
-
-    for task in order {
-        let mut best: Option<(&Option_<'_>, f64)> = None;
-        for opt in &all[task.index()] {
-            let eft = completion_time(
-                afg, &edge_idx, task, opt, &xfer, &finish, &site_of, &host_of, &host_free,
-            );
-            if best.as_ref().is_none_or(|(_, b)| eft < *b) {
-                best = Some((opt, eft));
-            }
-        }
-        let (opt, eft) = best.ok_or_else(|| no_feasible(afg, task))?;
-        debug_assert_eq!(host_of[task.index()], NO_HOST, "task {task} placed twice");
-        finish[task.index()] = eft;
-        site_of[task.index()] = Some(opt.site);
-        host_of[task.index()] = opt.host_id;
-        host_free[opt.host_id as usize] = eft;
-        table.insert(placement(afg, task, opt));
-    }
-    Ok(table)
-}
-
-/// HEFT **with insertion**: like [`heft_schedule`] but each host keeps
-/// its list of busy intervals and a task may be slotted into an earlier
-/// idle gap when the gap fits its execution time — the full algorithm of
-/// the authors' TPDS 2002 paper, as a second-stage ablation over the
-/// no-insertion variant.
-pub fn heft_insertion_schedule(
-    afg: &Afg,
-    views: &[&SiteView],
-    net: &NetworkModel,
-    predictor: &Predictor,
-    cache: &PredictCache,
-) -> Result<AllocationTable, SchedError> {
-    let order = heft_order(afg, views, net)?;
-
-    let arena = host_arena(views);
-    let all = all_options(afg, views, predictor, cache, &arena);
-    let xfer_cache = TransferCache::new(net);
-    let edge_idx = afg.edge_index();
-
-    let n = afg.task_count();
-    let mut table = AllocationTable::new(afg.name.clone());
-    let mut finish = vec![0.0f64; n];
-    let mut site_of: Vec<Option<SiteId>> = vec![None; n];
-    let mut host_of: Vec<u32> = vec![NO_HOST; n];
+    let mut placed = Placed::new(afg.task_count());
     // Busy intervals per host (arena id), kept sorted by start.
     let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); arena.len()];
 
     for task in order {
         let mut best: Option<(&Option_<'_>, f64, f64)> = None; // (opt, start, finish)
         for opt in &all[task.index()] {
-            // Data-ready time on this option.
-            let mut ready = 0.0f64;
-            for e in edge_idx.in_edges(afg, task) {
-                let ps = site_of[e.from.index()].expect("parents placed first");
-                let same = host_of[e.from.index()] == opt.host_id;
-                let xfer =
-                    if same { 0.0 } else { xfer_cache.transfer_time(ps, opt.site, e.data_size) };
-                ready = ready.max(finish[e.from.index()] + xfer);
-            }
-            // Insertion: earliest gap on the host that fits.
+            let ready = placed.data_ready(afg, &edge_idx, &xfer, task, opt);
             let dur = opt.predicted;
             let slots = &busy[opt.host_id as usize];
-            let mut start = ready;
-            for &(b0, b1) in slots.iter() {
-                if start + dur <= b0 {
-                    break; // fits in the gap before this interval
+            let start = if insertion {
+                // The earliest gap on the host that fits.
+                let mut start = ready;
+                for &(b0, b1) in slots {
+                    if start + dur <= b0 {
+                        break; // fits in the gap before this interval
+                    }
+                    start = start.max(b1);
                 }
-                start = start.max(b1);
-            }
+                start
+            } else {
+                ready.max(slots.last().map_or(0.0, |&(_, end)| end))
+            };
             let eft = start + dur;
             if best.as_ref().is_none_or(|(_, _, bf)| eft < *bf) {
                 best = Some((opt, start, eft));
             }
         }
         let (opt, start, eft) = best.ok_or_else(|| no_feasible(afg, task))?;
-        debug_assert_eq!(host_of[task.index()], NO_HOST, "task {task} placed twice");
-        finish[task.index()] = eft;
-        site_of[task.index()] = Some(opt.site);
-        host_of[task.index()] = opt.host_id;
+        placed.place(task, opt, eft);
         let slots = &mut busy[opt.host_id as usize];
-        let pos = slots.binary_search_by(|(s, _)| s.total_cmp(&start)).unwrap_or_else(|p| p);
+        let pos = if insertion {
+            slots.binary_search_by(|(s, _)| s.total_cmp(&start)).unwrap_or_else(|p| p)
+        } else {
+            slots.len()
+        };
         slots.insert(pos, (start, eft));
         table.insert(placement(afg, task, opt));
     }

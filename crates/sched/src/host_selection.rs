@@ -34,7 +34,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use vdce_afg::{Afg, LibraryEntry, TaskId};
 use vdce_net::topology::SiteId;
-use vdce_predict::cache::{PredictCache, SiteTerms, TermRow};
+use vdce_predict::cache::{PredictCache, SiteTerms};
 use vdce_predict::model::{HostTerm, Predictor};
 use vdce_predict::parallel::{best_node_count, rank_nodes, ParallelModel};
 use vdce_repository::resources::ResourceRecord;
@@ -367,11 +367,11 @@ pub(crate) trait HostTerms<'t> {
 }
 
 impl<'t> HostTerms<'t> for SiteTerms<'_> {
-    type Row = TermRow<'t>;
-    fn row(&mut self, _group: usize, task: &'t str) -> TermRow<'t> {
+    type Row = (usize, &'t str);
+    fn row(&mut self, _group: usize, task: &'t str) -> Self::Row {
         SiteTerms::row(self, task)
     }
-    fn term(&mut self, row: TermRow<'t>, pos: usize, _host: &ResourceRecord) -> HostTerm {
+    fn term(&mut self, row: Self::Row, pos: usize, _host: &ResourceRecord) -> HostTerm {
         SiteTerms::term(self, row, pos)
     }
 }

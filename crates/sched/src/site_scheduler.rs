@@ -60,8 +60,9 @@ pub struct SchedulerConfig {
     /// Run the uncached *reference* strategy: per-task
     /// [`host_selection`], no memoised predict/transfer caches, linear
     /// ready-list scan. `false` (the default) runs the classed strategy
-    /// (class-batched host selection, shared predict cache, heap ready
-    /// list), which is specified to produce a bit-identical
+    /// (class-batched host selection through one prediction memo per
+    /// schedule, the tasks ranked once by level with the ready ones in a
+    /// bitset), which is specified to produce a bit-identical
     /// [`AllocationTable`] (see DESIGN.md, "Reference vs classed
     /// strategy", and the scheduler oracle, `check_paths` in the crate's
     /// `tests/common`).

@@ -1113,9 +1113,9 @@ impl<'a> Replay<'a> {
             // A forced hash check on every deputy link closes the run: any
             // divergence the per-frame cadence missed latches here, and the
             // channel counters surface as metrics.
-            for (stack, repo) in self.plane.stacks.iter_mut().zip(&self.plane.repos) {
+            for stack in &mut self.plane.stacks {
                 if let Some(link) = &mut stack.deputy {
-                    let _ = link.check(repo.state_hash());
+                    let _ = link.check(stack.manager.repository().state_hash());
                     let st = link.stats();
                     obs.metrics.counter_add("store.replication.frames", st.frames);
                     obs.metrics.counter_add("store.replication.hash_checks", st.hash_checks);

@@ -38,8 +38,8 @@ pub(super) struct ControlPlane {
     /// Disabled unless the replay is durable.
     pub(super) journal: Journal,
     pub(super) log: EventLog,
-    /// Deep copies of the federation's repositories, one per site.
-    pub(super) repos: Vec<SiteRepository>,
+    /// One per site; each manager owns a deep copy of the site's
+    /// repository.
     pub(super) stacks: Vec<SiteStack>,
     pub(super) probe: SyntheticProbe,
     pub(super) echo: FlagEcho,
@@ -60,11 +60,6 @@ impl ControlPlane {
         let journal = durable.map_or_else(Journal::disabled, |d| d.journal.clone());
         let log = EventLog::traced(inp.obs.trace.clone()).with_journal(journal.clone());
 
-        // Deep-copy every repository so the caller's federation is untouched
-        // and repeated replays start from identical state.
-        let repos: Vec<SiteRepository> =
-            federation.repos.iter().map(|r| SiteRepository::from_snapshot(r.snapshot())).collect();
-
         // Load spikes are baked into the monitoring probe's traces.
         let mut probe = SyntheticProbe::new(0.0, 1 << 30);
         for f in &inp.plan.faults {
@@ -74,16 +69,19 @@ impl ControlPlane {
         }
         let echo = FlagEcho::new();
         let mut stacks: Vec<SiteStack> = Vec::with_capacity(sites);
-        for (i, repo) in repos.iter().enumerate() {
+        for (i, repo) in federation.repos.iter().enumerate() {
             let site = SiteId(i as u16);
             let hosts = federation.hosts(site);
             let daemons: Vec<MonitorDaemon> =
                 hosts.iter().map(|h| MonitorDaemon::new(h.clone(), log.clone())).collect();
-            let manager = SiteManager::new(site, repo.clone());
+            // A deep copy, so the caller's federation is untouched and
+            // repeated replays start from identical state.
+            let manager = SiteManager::new(site, SiteRepository::from_snapshot(repo.snapshot()));
             manager.attach_journal(journal.clone());
             // The deputy's replica starts from the leader's state at
             // attach time — before any tick mutates the repository.
-            let deputy = durable.map(|d| DeputyLink::new(repo.snapshot(), d.deputy_check_every));
+            let deputy = durable
+                .map(|d| DeputyLink::new(manager.repository().snapshot(), d.deputy_check_every));
             let group = GroupManager::new(
                 format!("s{i}-gm"),
                 hosts,
@@ -112,7 +110,6 @@ impl ControlPlane {
         ControlPlane {
             journal,
             log,
-            repos,
             stacks,
             probe,
             echo,
@@ -128,8 +125,9 @@ impl ControlPlane {
     /// components, with its hash — what a snapshot installs and what the
     /// final seal pins.
     pub(super) fn capture_state(&self, failover: &[SiteFailover]) -> (Vec<u8>, u64) {
+        let repos = self.stacks.iter().map(|s| s.manager.repository());
         let (bytes, hash) =
-            write_snapshot(&self.repos, &self.store, failover, &self.log, self.snapshot_head.get());
+            write_snapshot(repos, &self.store, failover, &self.log, self.snapshot_head.get());
         let log_bytes = self.log.with_journaled_json(<[u8]>::len);
         self.snapshot_head.set(bytes.len().saturating_sub(log_bytes));
         (bytes, hash)
