@@ -26,7 +26,7 @@
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
-#      pass and run — under a ceiling (931, 666, 247, 8,160, 148 and
+#      pass and run — under a ceiling (874, 531, 247, 8,160, 148 and
 #      286,516). ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
@@ -270,8 +270,11 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # input, made it 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 622 for stream_steady seed 1 and 925 for stream_backlog seed 2 with
-# each site's host-side terms priced once per captured view and one link
+# 439 for stream_steady seed 1 and 823 for stream_backlog seed 2 with
+# each site's view captured once per service and its load samples
+# written into that view (622 and 925 when each sample went through the
+# site repository and the next use re-captured the view), each site's
+# host-side terms priced once per load state and one link
 # table per service (709 and 938 with a fresh prediction memo and a copy
 # of the link table per arrival), the terms as dense rows per site, one
 # lane list per host-selection call, the task classes indexed once per
@@ -326,8 +329,8 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 931 stream_backlog 2
-stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 666 stream_steady
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 874 stream_backlog 2
+stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 531 stream_steady
 stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 247 batch_wide
 stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8160 batch_data
 # Full-size incremental check: incr_churn compares the standing table

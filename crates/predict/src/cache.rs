@@ -24,9 +24,10 @@
 //! - one scheduling run (batch): inputs are a frozen `SiteView` snapshot,
 //!   so the memo never changes *what* is returned, only how often the
 //!   model is evaluated;
-//! - one captured view (stream): the service keeps a [`TermTable`] beside
-//!   each site's view, filled by the admissions selecting under it and
-//!   dropped with it; a queued submission holds the tables it was
+//! - one site load state (stream): the service keeps a [`TermTable`]
+//!   beside each site's view, filled by the admissions selecting under it
+//!   and dropped at the site's next load sample; a queued submission
+//!   holds the tables it was
 //!   admitted under, so it deliberately stays priced at its
 //!   admission-time loads until it is dispatched;
 //! - one replay (sim): re-selections late in a fault replay see loads
@@ -35,7 +36,7 @@
 //!
 //! Host-side terms have one layout, [`TermTable`], in both scopes that
 //! keep them: the memo holds one per site, realigned by host name when
-//! the site's host list changes, and the stream service one per captured
+//! the site's host list changes, and the stream service one per site
 //! view. [`PredictCache`] is a single-threaded value: its `&self` methods
 //! borrow a `RefCell`, and no host-selection call re-enters a memo.
 
@@ -237,7 +238,7 @@ impl SiteTerms<'_> {
 /// slot per host, each term `Predictor::host_term` of the host as first
 /// shown, filled on first use. The owner numbers the rows (one numbering
 /// for every table it keeps), so a table holds no names, and positions
-/// are the owner's host order. The stream service keeps one per captured
+/// are the owner's host order. The stream service keeps one per site
 /// view and shares it by `Arc`; a [`PredictCache`] keeps one per site.
 #[derive(Debug, Clone, Default)]
 pub struct TermTable {

@@ -13,9 +13,9 @@
 //! event may mutate per-host load or status, and every mutation is
 //! funnelled through the same path:
 //!
-//! 1. the affected site's [`SiteView`] is re-captured and its
-//!    host-selection output recomputed (only for submissions whose
-//!    domain includes that site);
+//! 1. the affected site's [`SiteView`] takes the change in place and
+//!    its host-selection output is recomputed (only for submissions
+//!    whose domain includes that site);
 //! 2. each pending submission absorbs the new outputs through
 //!    [`IncrementalSchedule::apply`] — re-placing only its affected
 //!    ready set, exactly the `O(changed)` path the monitor events use;
@@ -45,14 +45,18 @@
 //! work past it, so its wait is bounded by the aging ramp plus the
 //! drain of running work (which the broker's makespan cap bounds).
 //!
+//! State: [`StreamService::new`] reads each site's repository once, into
+//! a view the service owns and alone writes; a caller's clone of a
+//! repository handle does not see the service's samples or host states.
+//!
 //! Load feedback: a dispatched run bumps its hosts' workload samples in
-//! the site repository, and prediction inflates linearly with smoothed
+//! its site's view, and prediction inflates linearly with smoothed
 //! workload — so the next arrival's host selection steers around busy
 //! hosts. Completion decays the same samples. Pricing is scoped to a
-//! captured view: beside each site's view the service keeps that view's
-//! host-side terms, filled by the first admission that needs them and
-//! dropped with the view, so an arrival prices only the sites whose
-//! repository changed since the last one. A submission already in the
+//! site's loads: beside each site's view the service keeps its host-side
+//! terms, filled by the first admission that needs them and dropped at
+//! the site's next load sample, so an arrival prices only the sites
+//! whose loads changed since the last one. A submission already in the
 //! queue keeps the prices of its admission: it holds the pricing of every
 //! view it was admitted under and is re-selected through it, so while it
 //! waits only host up/down edges move it (see `PendingSub::memo`).
@@ -240,29 +244,53 @@ struct AdmissionPrices {
     own: Vec<(usize, TermTable)>,
 }
 
-/// A site's view, captured once per change of its repository, and that
-/// view's pricing. The service never adds or removes a host, so every
-/// view of a site lists the same hosts in the same order and a term
-/// table of one view indexes the hosts of the next.
-struct Captured {
-    view: Arc<SiteView>,
-    /// The host-side terms of `view`, filled by the admissions that
-    /// select under it: a site's prices stay fixed until its repository
-    /// changes, so every admission in between shares them.
+/// One site as the service holds it: its view, written by the service
+/// alone, the view's pricing, and its load. The service never adds or
+/// removes a host, so the view lists the same hosts in the same order for
+/// the service's life and a term table of one load state indexes the
+/// hosts of the next.
+struct Site {
+    view: SiteView,
+    /// The host-side terms of `view` at its current loads, filled by the
+    /// admissions that select under it: a site's prices stay fixed until
+    /// its next load sample, so every admission in between shares them.
     prices: Arc<TermTable>,
+    /// Concurrent runs the site sustains: `hosts × SLOTS_PER_HOST`.
+    capacity: u32,
+    /// Runs charged a slot here.
+    inflight: u32,
+    /// Running tasks per host.
+    host_inflight: BTreeMap<String, u32>,
 }
 
-/// `site`'s entry of `views`, captured from `repos` if it is empty.
-fn capture<'v>(
-    views: &'v mut [Option<Captured>],
-    repos: &[SiteRepository],
-    site: SiteId,
-) -> &'v mut Captured {
-    views[site.index()].get_or_insert_with(|| {
-        let view = SiteView::capture(site, &repos[site.index()]);
-        let prices = Arc::new(TermTable::new(view.resources.len()));
-        Captured { view: Arc::new(view), prices }
-    })
+impl Site {
+    fn new(view: SiteView) -> Self {
+        let hosts = view.resources.len();
+        let prices = Arc::new(TermTable::new(hosts));
+        let capacity = hosts as u32 * SLOTS_PER_HOST;
+        Site { view, prices, capacity, inflight: 0, host_inflight: BTreeMap::new() }
+    }
+
+    /// Add `delta` running tasks to `host`'s load, record the new level as
+    /// its workload sample, and drop the prices of the old one.
+    fn bump(&mut self, host: &str, delta: i64) {
+        let bumped = |n: u32| (i64::from(n) + delta).max(0) as u32;
+        let n = match self.host_inflight.get_mut(host) {
+            Some(n) => {
+                *n = bumped(*n);
+                *n
+            }
+            // A host's first bump is the only one that copies its name.
+            None => {
+                self.host_inflight.insert(host.to_string(), bumped(0));
+                bumped(0)
+            }
+        };
+        let db = &mut self.view.resources;
+        let mem = db.get(host).map(|r| r.available_memory).unwrap_or(0);
+        db.record_sample(host, f64::from(n), mem);
+        self.prices = Arc::new(TermTable::new(db.len()));
+    }
 }
 
 /// An admission's terms at one site: the current view's pricing, filled
@@ -442,7 +470,8 @@ impl StreamReport {
 /// The streaming multi-tenant scheduler service. See the module docs.
 pub struct StreamService {
     cfg: ServiceConfig,
-    repos: Vec<SiteRepository>,
+    /// Index = site id; site 0 is the front end.
+    sites: Vec<Site>,
     net: NetworkModel,
     /// The link table of `net`, built once and shared by every placement:
     /// the model is fixed for the service's life.
@@ -462,12 +491,6 @@ pub struct StreamService {
     pending: BTreeMap<SubmissionId, PendingSub>,
     active: BTreeMap<SubmissionId, ActiveRun>,
 
-    site_capacity: Vec<u32>,
-    site_inflight: Vec<u32>,
-    host_inflight: Vec<BTreeMap<String, u32>>,
-    /// Each site's captured view and its pricing; emptied by
-    /// [`Self::dirty_site`], re-captured on next use.
-    views: Vec<Option<Captured>>,
     /// The term-table row of each library task an admission has met: one
     /// numbering for every table.
     task_rows: FxMap<String, u32>,
@@ -483,12 +506,16 @@ pub struct StreamService {
 
 impl StreamService {
     /// Service over `repos` (index = site id; site 0 is the front end)
-    /// connected by `net`.
+    /// connected by `net`. Each repository is read once, into the view
+    /// the service owns from then on (see the module docs).
     pub fn new(repos: Vec<SiteRepository>, net: NetworkModel, cfg: ServiceConfig) -> Self {
         assert!(!repos.is_empty(), "a federation needs at least the local site");
-        let site_capacity: Vec<u32> =
-            repos.iter().map(|r| r.resources(|db| db.len()) as u32 * SLOTS_PER_HOST).collect();
-        let n = repos.len();
+        let sites: Vec<Site> = repos
+            .iter()
+            .enumerate()
+            .map(|(i, repo)| Site::new(SiteView::capture(SiteId(i as u16), repo)))
+            .collect();
+        let n = sites.len();
         let local = SiteId(0);
         let domain = |k: usize| -> Arc<[SiteId]> {
             std::iter::once(local).chain(net.nearest_neighbours(local, k)).collect()
@@ -497,7 +524,7 @@ impl StreamService {
         let links = Arc::new(TransferCache::new(&net));
         StreamService {
             cfg,
-            repos,
+            sites,
             net,
             links,
             domains,
@@ -510,10 +537,6 @@ impl StreamService {
             events: BinaryHeap::new(),
             pending: BTreeMap::new(),
             active: BTreeMap::new(),
-            site_capacity,
-            site_inflight: vec![0; n],
-            host_inflight: vec![BTreeMap::new(); n],
-            views: (0..n).map(|_| None).collect(),
             task_rows: FxMap::default(),
             events_processed: 0,
             deferred: 0,
@@ -582,14 +605,9 @@ impl StreamService {
 
     // -- views and outputs --------------------------------------------
 
-    /// The shared view of `site`, re-captured after [`Self::dirty_site`].
-    fn view(&mut self, site: SiteId) -> &SiteView {
-        &capture(&mut self.views, &self.repos, site).view
-    }
-
-    /// Drop `site`'s view and its pricing: its repository changed.
-    fn dirty_site(&mut self, site: SiteId) {
-        self.views[site.index()] = None;
+    /// The service's view of `site`.
+    fn view(&self, site: SiteId) -> &SiteView {
+        &self.sites[site.index()].view
     }
 
     fn domain_sites(&self, domain: AccessDomain) -> Arc<[SiteId]> {
@@ -613,8 +631,8 @@ impl StreamService {
 
     /// Host selection for queued `p` at `p.sub.sites[at]`, a changed site:
     /// the current view, priced as `p` was admitted.
-    fn reselect(&mut self, p: &mut PendingSub, at: usize) -> HostSelectionOutput {
-        let view = &capture(&mut self.views, &self.repos, p.sub.sites[at]).view;
+    fn reselect(&self, p: &mut PendingSub, at: usize) -> HostSelectionOutput {
+        let view = self.view(p.sub.sites[at]);
         let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
         let memo = &mut p.memo;
         let terms = HeldTerms {
@@ -654,7 +672,7 @@ impl StreamService {
         let mut shared = Vec::with_capacity(sites.len());
         let mut outputs = Vec::with_capacity(sites.len());
         for &site in sites {
-            let Captured { view, prices } = capture(&mut self.views, &self.repos, site);
+            let Site { view, prices, .. } = &mut self.sites[site.index()];
             let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
             let terms =
                 AdmitTerms { prices, rows: &rows, predictor: &self.predictor, tasks: &view.tasks };
@@ -729,8 +747,7 @@ impl StreamService {
             }
         };
 
-        // Broker verdict on the trial placement. Site 0's view is the
-        // one host selection just captured.
+        // Broker verdict on the trial placement.
         let levels = classes
             .levels(self.view(SiteId(0)), &req.afg)
             .expect("submissions are validated acyclic AFGs");
@@ -813,10 +830,7 @@ impl StreamService {
                 }
                 // A placement consumes one slot on *every* site it
                 // touches, so all of them must have room.
-                if c.sites
-                    .iter()
-                    .all(|s| self.site_inflight[s.index()] < self.site_capacity[s.index()])
-                {
+                if c.sites.iter().map(|s| &self.sites[s.index()]).all(|s| s.inflight < s.capacity) {
                     start = Some(i);
                     break;
                 }
@@ -862,11 +876,11 @@ impl StreamService {
 
         let charged = Self::placement_sites(&inc);
         for site in &charged {
-            self.site_inflight[site.index()] += 1;
+            self.sites[site.index()].inflight += 1;
         }
         let hosts: Vec<(SiteId, String)> = hosts.into_iter().collect();
         for (site, host) in &hosts {
-            self.bump_host_load(*site, host, 1);
+            self.sites[site.index()].bump(host, 1);
             changed.insert(*site);
         }
 
@@ -877,39 +891,15 @@ impl StreamService {
         self.active.insert(id, ActiveRun { sub, charged, hosts, finish_s: finish });
     }
 
-    /// Add `delta` running tasks to a host's load and publish the new
-    /// level as a monitor workload sample.
-    fn bump_host_load(&mut self, site: SiteId, host: &str, delta: i64) {
-        let inflight = &mut self.host_inflight[site.index()];
-        let bumped = |n: u32| (i64::from(n) + delta).max(0) as u32;
-        let n = match inflight.get_mut(host) {
-            Some(n) => {
-                *n = bumped(*n);
-                *n
-            }
-            // A host's first bump is the only one that copies its name.
-            None => {
-                inflight.insert(host.to_string(), bumped(0));
-                bumped(0)
-            }
-        };
-        let load = f64::from(n);
-        self.repos[site.index()].resources_mut(|db| {
-            let mem = db.get(host).map(|r| r.available_memory).unwrap_or(0);
-            db.record_sample(host, load, mem);
-        });
-        self.dirty_site(site);
-    }
-
     /// Give back a finished or restarted run's slot on every site it was
     /// charged and its load on every host it held; those hosts' sites
     /// join `changed`.
     fn release(&mut self, run: &ActiveRun, changed: &mut BTreeSet<SiteId>) {
         for site in &run.charged {
-            self.site_inflight[site.index()] -= 1;
+            self.sites[site.index()].inflight -= 1;
         }
         for (site, host) in &run.hosts {
-            self.bump_host_load(*site, host, -1);
+            self.sites[site.index()].bump(host, -1);
             changed.insert(*site);
         }
     }
@@ -924,7 +914,7 @@ impl StreamService {
             return;
         }
         // Out of `self` while it is walked, so each entry can be
-        // re-selected through `&mut self`.
+        // re-selected through `&self`.
         let mut pending = std::mem::take(&mut self.pending);
         for p in pending.values_mut() {
             if !p.sub.sites.iter().any(|s| changed.contains(s)) {
@@ -990,8 +980,9 @@ impl StreamService {
     }
 
     fn handle_host_status(&mut self, site: SiteId, host: &str, status: HostStatus) {
-        self.repos[site.index()].resources_mut(|db| db.set_status(host, status));
-        self.dirty_site(site);
+        // The site's prices stay: a host term reads the host's speed,
+        // measured rates and smoothed workload, never its status.
+        self.sites[site.index()].view.resources.set_status(host, status);
         let mut changed = BTreeSet::from([site]);
 
         // A host going down restarts every run that used it: free its
@@ -1458,11 +1449,11 @@ mod tests {
         assert_eq!((svc.pending_count(), memo_entries(&svc)), (0, 0));
     }
 
-    /// Admission prices a site once per captured view: a second Global
-    /// admission under clean views shares every table and prices nothing,
-    /// one after `dirty_site` re-prices that site alone, and a library
-    /// task new to a clean view extends its table by a copy, leaving the
-    /// table earlier admissions hold as it was.
+    /// Admission prices a site once per load state: a second Global
+    /// admission under unchanged loads shares every table and prices
+    /// nothing, one after a load sample at a site re-prices that site
+    /// alone, and a library task new to a site's prices extends its table
+    /// by a copy, leaving the table earlier admissions hold as it was.
     #[test]
     fn an_admission_prices_only_the_sites_whose_view_changed() {
         let mut svc = service();
@@ -1470,7 +1461,7 @@ mod tests {
         let admit =
             |svc: &mut StreamService, afg: &Afg| svc.place(afg, &TaskClasses::new(afg), &sites).0;
         let terms = |svc: &StreamService| -> Vec<usize> {
-            svc.views.iter().map(|c| c.as_ref().map_or(0, |c| c.prices.len())).collect()
+            svc.sites.iter().map(|s| s.prices.len()).collect()
         };
         let same = |a: &AdmissionPrices, b: &AdmissionPrices| -> Vec<bool> {
             a.shared.iter().zip(&b.shared).map(|(a, b)| Arc::ptr_eq(a, b)).collect()
@@ -1480,12 +1471,13 @@ mod tests {
         let first = admit(&mut svc, &chain_afg(10_000));
         assert_eq!(terms(&svc), [6, 6]);
         let second = admit(&mut svc, &chain_afg(12_000));
-        assert_eq!(terms(&svc), [6, 6], "clean views: no new term");
+        assert_eq!(terms(&svc), [6, 6], "unchanged loads: no new term");
         assert_eq!(same(&first, &second), [true, true]);
 
-        svc.dirty_site(SiteId(1));
+        svc.sites[1].bump("r0", 1);
+        assert_eq!(terms(&svc), [6, 0]);
         let third = admit(&mut svc, &chain_afg(14_000));
-        assert_eq!(same(&first, &third), [true, false], "only the dirty site is re-priced");
+        assert_eq!(same(&first, &third), [true, false], "only the loaded site is re-priced");
         assert_eq!(terms(&svc), [6, 6]);
 
         let lib = TaskLibrary::standard();
@@ -1532,7 +1524,7 @@ mod tests {
         let held = svc.pending.remove(&y).expect("y queued");
         svc.run_until(0.3 * m);
         assert_eq!(svc.active_count(), 2);
-        svc.bump_host_load(SiteId(0), "h", 1);
+        svc.sites[0].bump("h", 1);
         svc.pending.insert(y, held);
         svc.refresh_pending(&BTreeSet::from([SiteId(0)]));
 
@@ -1547,6 +1539,22 @@ mod tests {
             // Load multipliers: x 1 + 0, y 1 + 1.
             assert!((y_s / x_s - 2.0).abs() < 1e-9, "y priced at its own refresh: {x_s} vs {y_s}");
         }
+    }
+
+    /// The service owns the state it is given: its load samples land in
+    /// its own view of a site, never in a repository handle a caller kept.
+    #[test]
+    fn a_kept_repository_handle_does_not_see_the_services_load() {
+        let kept = repo(&[("only", 1.0)]);
+        let before = kept.snapshot().resources;
+        let net = NetworkModel::with_defaults(1);
+        let mut svc = StreamService::new(vec![kept.clone()], net, ServiceConfig::default());
+        let t =
+            svc.register_tenant("ida", "pw", 5, AccessDomain::Global, Quota::default()).unwrap();
+        svc.submit_at(0.0, req(&svc, t));
+        assert_eq!(svc.drain().completed, 1);
+        assert_ne!(svc.sites[0].view.resources, before, "the run's load samples are recorded");
+        assert_eq!(kept.snapshot().resources, before, "the kept handle is as it was");
     }
 
     #[test]

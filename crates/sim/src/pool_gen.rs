@@ -206,7 +206,7 @@ mod tests {
         assert_eq!(views.len(), 4);
         for (i, v) in views.iter().enumerate() {
             assert_eq!(v.site, SiteId(i as u16));
-            assert_eq!(v.up_host_count(), 8);
+            assert_eq!(v.resources.up_hosts().count(), 8);
         }
     }
 
