@@ -130,6 +130,21 @@ impl Fault {
         }
     }
 
+    /// The length of this fault's active window (`down_for` or
+    /// `duration`); `None` for a fault without one, a permanent crash or
+    /// site outage.
+    pub(crate) fn window_mut(&mut self) -> Option<&mut f64> {
+        match self {
+            Fault::TransientOutage { down_for, .. }
+            | Fault::SiteOutage { down_for: Some(down_for), .. } => Some(down_for),
+            Fault::LoadSpike { duration, .. }
+            | Fault::DegradedLink { duration, .. }
+            | Fault::FlakyLink { duration, .. }
+            | Fault::SitePartition { duration, .. } => Some(duration),
+            Fault::HostCrash { .. } | Fault::SiteOutage { down_for: None, .. } => None,
+        }
+    }
+
     /// Is this fault transient, i.e. guaranteed to clear on its own?
     /// Everything except a permanent [`Fault::HostCrash`] and a
     /// permanent [`Fault::SiteOutage`] (`down_for: None`) is.

@@ -26,8 +26,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use vdce_obs::{FieldValue, Observer};
 use vdce_runtime::{CheckpointPolicy, DurableOptions, WorkLedger};
+use vdce_sched::service::stream::StreamReport;
 use vdce_store::SnapshotPolicy;
 
 use crate::arrivals::TraceSpec;
@@ -586,28 +588,72 @@ impl CaseOutcome {
     }
 }
 
-struct Prepared {
+/// One case's runs, each made at most once, when a check first reads it:
+/// the first replay with the work ledger of its trace, a repeat replay,
+/// the durable replay with its kill sweep, and the stream leg's two runs.
+struct Runs<'c> {
+    case: &'c FuzzCase,
     scenario: Scenario,
     cfg: ReplayConfig,
+    /// Trace the first replay? Only [`Invariant::NoLostTasks`] reads the
+    /// ledger, and tracing slows the shrinker's every oracle call.
+    traced: bool,
+    first: OnceCell<(RecoveryReport, Option<WorkLedger>)>,
+    repeat: OnceCell<RecoveryReport>,
+    /// What the durable replay or its kill sweep got wrong, if anything.
+    durable: OnceCell<Option<String>>,
+    streams: [OnceCell<Option<StreamReport>>; 2],
 }
 
-fn prepare(case: &FuzzCase) -> Prepared {
-    let scenario = case.base.build();
-    let (est, _) = schedule_estimate(&scenario);
-    let cfg = case.replay_config(est);
-    Prepared { scenario, cfg }
-}
+impl<'c> Runs<'c> {
+    /// The runs of `case` that checking `invariants` reads.
+    fn new(case: &'c FuzzCase, invariants: &[Invariant]) -> Self {
+        let scenario = case.base.build();
+        let (est, _) = schedule_estimate(&scenario);
+        let cfg = case.replay_config(est);
+        let traced = invariants.contains(&Invariant::NoLostTasks);
+        let (first, repeat, durable) = (OnceCell::new(), OnceCell::new(), OnceCell::new());
+        Runs { case, scenario, cfg, traced, first, repeat, durable, streams: Default::default() }
+    }
 
-fn replay_case(case: &FuzzCase, p: &Prepared, obs: &Observer) -> RecoveryReport {
-    run_fault_scenario(
-        "fuzz",
-        &p.scenario.federation,
-        &p.scenario.afg,
-        &case.plan,
-        &p.cfg,
-        obs,
-        None,
-    )
+    fn replay(&self, obs: &Observer, durable: Option<&DurableOptions>) -> RecoveryReport {
+        let Scenario { federation, afg, .. } = &self.scenario;
+        run_fault_scenario("fuzz", federation, afg, &self.case.plan, &self.cfg, obs, durable)
+    }
+
+    /// The first replay and, if traced, the work ledger rebuilt from its
+    /// trace.
+    fn first(&self) -> &(RecoveryReport, Option<WorkLedger>) {
+        self.first.get_or_init(|| {
+            let obs = if self.traced { Observer::enabled() } else { Observer::disabled() };
+            let report = self.replay(&obs, None);
+            (report, self.traced.then(|| ledger_from_observer(&obs)))
+        })
+    }
+
+    fn repeat(&self) -> &RecoveryReport {
+        self.repeat.get_or_init(|| self.replay(&Observer::disabled(), None))
+    }
+
+    fn durable(&self) -> Option<&String> {
+        let run = || {
+            let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
+            let durable = self.replay(&Observer::disabled(), Some(&opts));
+            if report_json(&durable) != report_json(&self.first().0) {
+                return Some("durable replay diverged from the plain replay".to_string());
+            }
+            let (kills, seed) = (self.case.kills as usize, self.case.seed);
+            let err = verify_recovery(&opts.journal, kills, seed).err();
+            err.map(|e| format!("kill-and-restart recovery failed: {e}"))
+        };
+        self.durable.get_or_init(run).as_ref()
+    }
+
+    /// Run `i` (0 or 1) of the stream leg, if the case has one.
+    fn stream(&self, i: usize) -> Option<&StreamReport> {
+        let run = || self.case.stream.as_ref().map(|leg| run_stream(&leg.to_scenario(), None));
+        self.streams[i].get_or_init(run).as_ref()
+    }
 }
 
 fn report_json(r: &RecoveryReport) -> String {
@@ -628,216 +674,110 @@ pub(crate) fn ledger_from_observer(obs: &Observer) -> WorkLedger {
     }))
 }
 
-fn check_no_lost_tasks(
-    case: &FuzzCase,
-    report: &RecoveryReport,
-    ledger: &WorkLedger,
-    stream_report: Option<&vdce_sched::service::stream::StreamReport>,
-    out: &mut Vec<Violation>,
-) {
-    let v = |detail: String| Violation { invariant: Invariant::NoLostTasks, detail };
-    if report.tasks_failed > 0 {
-        out.push(v(format!("{} replay tasks failed terminally", report.tasks_failed)));
-    }
-    if ledger.lost > 0 {
-        out.push(v(format!(
-            "work ledger lost {} started tasks (started {}, finished {})",
-            ledger.lost, ledger.started, ledger.finished
-        )));
-    }
-    if case.plan.is_all_transient() && !report.recovered_all() {
-        out.push(v("all-transient plan left unrecovered faults".to_string()));
-    }
-    if let Some(sr) = stream_report {
-        if !sr.conservation_ok() {
-            out.push(v(format!(
-                "stream broker lost {} admitted submissions (admitted {}, completed {}, unplaced {})",
-                sr.lost_admitted(),
-                sr.admitted,
-                sr.completed,
-                sr.unplaced
-            )));
-        }
-        if let Some(leg) = &case.stream {
+/// The one check of `invariant`: its violations in `runs`, in the order
+/// found. The sweep ([`check_case`]) reports them all, the shrinker's
+/// oracle ([`check_invariant`]) the first.
+fn violations(runs: &Runs<'_>, invariant: Invariant, profile: &InvariantProfile) -> Vec<Violation> {
+    let case = runs.case;
+    let mut out = Vec::new();
+    let mut fail = |detail: String| out.push(Violation { invariant, detail });
+    match invariant {
+        Invariant::NoLostTasks => {
+            let (report, ledger) = runs.first();
+            let ledger = ledger.as_ref().expect("checking NoLostTasks traces the first replay");
+            if report.tasks_failed > 0 {
+                fail(format!("{} replay tasks failed terminally", report.tasks_failed));
+            }
+            if ledger.lost > 0 {
+                fail(format!(
+                    "work ledger lost {} started tasks (started {}, finished {})",
+                    ledger.lost, ledger.started, ledger.finished
+                ));
+            }
+            if case.plan.is_all_transient() && !report.recovered_all() {
+                fail("all-transient plan left unrecovered faults".to_string());
+            }
+            let (Some(sr), Some(leg)) = (runs.stream(0), &case.stream) else { return out };
+            if !sr.conservation_ok() {
+                fail(format!(
+                    "stream broker lost {} admitted submissions (admitted {}, completed {}, unplaced {})",
+                    sr.lost_admitted(),
+                    sr.admitted,
+                    sr.completed,
+                    sr.unplaced
+                ));
+            }
             if leg.faults.is_all_transient() && sr.unplaced > 0 {
-                out.push(v(format!(
+                fail(format!(
                     "{} admitted submissions unplaced although every stream fault healed",
                     sr.unplaced
-                )));
+                ));
+            }
+        }
+        Invariant::InflationCeiling => {
+            let (inflation, ceiling) =
+                (runs.first().0.inflation, inflation_ceiling(&case.classes, profile));
+            if inflation > ceiling {
+                fail(format!("inflation {inflation:.3}x exceeds ceiling {ceiling:.3}x"));
+            }
+        }
+        Invariant::StarvationBound => {
+            if let Some(sr) = runs.stream(0).filter(|sr| sr.starved_tenants > 0) {
+                fail(sr.worst_wait_excess().map_or_else(
+                    || "starved tenant without a row".to_string(),
+                    |(t, ex)| format!("tenant {t} overshot its aging bound by {ex:.1}s"),
+                ));
+            }
+        }
+        Invariant::ReplayDeterminism => {
+            if report_json(runs.repeat()) != report_json(&runs.first().0) {
+                fail("second replay produced a different recovery report".to_string());
+            }
+            if let (Some(x), Some(y)) = (runs.stream(0), runs.stream(1)) {
+                if x != y {
+                    fail(format!(
+                        "stream replays diverged (digests {:016x} vs {:016x})",
+                        x.placements_digest, y.placements_digest
+                    ));
+                }
+            }
+        }
+        Invariant::DurableRecovery => {
+            if let Some(detail) = runs.durable() {
+                fail(detail.clone());
             }
         }
     }
+    out
 }
 
-/// Check every invariant against one case, sharing replays across
-/// checks. Runs the replay leg up to three times (observed, repeat,
+/// Check every invariant against one case, each run shared by every
+/// check that reads it: the replay leg runs three times (traced, repeat,
 /// durable) and the stream leg twice.
 pub fn check_case(case: &FuzzCase, profile: &InvariantProfile) -> CaseOutcome {
-    let p = prepare(case);
-    let mut violations = Vec::new();
-
-    // One observed replay feeds NoLostTasks, InflationCeiling and the
-    // determinism baseline.
-    let obs = Observer::enabled();
-    let report = replay_case(case, &p, &obs);
-    let ledger = ledger_from_observer(&obs);
-
-    // Stream leg: first run feeds NoLostTasks + StarvationBound, the
-    // second the determinism check.
-    let stream_reports = case.stream.as_ref().map(|leg| {
-        let sc = leg.to_scenario();
-        (run_stream(&sc, None), run_stream(&sc, None))
-    });
-
-    check_no_lost_tasks(
-        case,
-        &report,
-        &ledger,
-        stream_reports.as_ref().map(|(a, _)| a),
-        &mut violations,
-    );
-
-    let ceiling = inflation_ceiling(&case.classes, profile);
-    if report.inflation > ceiling {
-        violations.push(Violation {
-            invariant: Invariant::InflationCeiling,
-            detail: format!("inflation {:.3}x exceeds ceiling {:.3}x", report.inflation, ceiling),
-        });
-    }
-
-    if let Some((first, second)) = &stream_reports {
-        if first.starved_tenants > 0 {
-            let worst = first
-                .worst_wait_excess()
-                .map(|(t, ex)| format!("tenant {t} overshot its aging bound by {ex:.1}s"))
-                .unwrap_or_else(|| "starved tenant without a row".to_string());
-            violations.push(Violation { invariant: Invariant::StarvationBound, detail: worst });
-        }
-        if first != second {
-            violations.push(Violation {
-                invariant: Invariant::ReplayDeterminism,
-                detail: format!(
-                    "stream replays diverged (digests {:016x} vs {:016x})",
-                    first.placements_digest, second.placements_digest
-                ),
-            });
-        }
-    }
-
-    let again = replay_case(case, &p, &Observer::disabled());
-    if report_json(&again) != report_json(&report) {
-        violations.push(Violation {
-            invariant: Invariant::ReplayDeterminism,
-            detail: "second replay produced a different recovery report".to_string(),
-        });
-    }
-
-    if let Some(vio) = check_durable(case, &p, &report) {
-        violations.push(vio);
-    }
-
+    let runs = Runs::new(case, &Invariant::ALL);
+    let violations =
+        Invariant::ALL.iter().flat_map(|&inv| violations(&runs, inv, profile)).collect();
     CaseOutcome {
         seed: case.seed,
         base: case.base.label().to_string(),
         classes: case.classes.iter().map(|c| c.label().to_string()).collect(),
         faults: case.plan.faults.len(),
-        inflation: report.inflation,
-        ceiling,
+        inflation: runs.first().0.inflation,
+        ceiling: inflation_ceiling(&case.classes, profile),
         has_stream: case.stream.is_some(),
         violations,
     }
 }
 
-fn check_durable(case: &FuzzCase, p: &Prepared, plain: &RecoveryReport) -> Option<Violation> {
-    let v = |detail: String| Some(Violation { invariant: Invariant::DurableRecovery, detail });
-    let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-    let durable = run_fault_scenario(
-        "fuzz",
-        &p.scenario.federation,
-        &p.scenario.afg,
-        &case.plan,
-        &p.cfg,
-        &Observer::disabled(),
-        Some(&opts),
-    );
-    if report_json(&durable) != report_json(plain) {
-        return v("durable replay diverged from the plain replay".to_string());
-    }
-    match verify_recovery(&opts.journal, case.kills as usize, case.seed) {
-        Ok(_) => None,
-        Err(e) => v(format!("kill-and-restart recovery failed: {e}")),
-    }
-}
-
-/// Check a single invariant with the minimum work it needs — the
-/// shrinker's evaluation oracle. Returns the violation, if any.
+/// Check a single invariant, making only the runs it reads — the
+/// shrinker's evaluation oracle. Returns the first violation, if any.
 pub fn check_invariant(
     case: &FuzzCase,
     invariant: Invariant,
     profile: &InvariantProfile,
 ) -> Option<Violation> {
-    match invariant {
-        Invariant::NoLostTasks => {
-            let p = prepare(case);
-            let obs = Observer::enabled();
-            let report = replay_case(case, &p, &obs);
-            let ledger = ledger_from_observer(&obs);
-            let stream_report =
-                case.stream.as_ref().map(|leg| run_stream(&leg.to_scenario(), None));
-            let mut out = Vec::new();
-            check_no_lost_tasks(case, &report, &ledger, stream_report.as_ref(), &mut out);
-            out.into_iter().next()
-        }
-        Invariant::InflationCeiling => {
-            let p = prepare(case);
-            let report = replay_case(case, &p, &Observer::disabled());
-            let ceiling = inflation_ceiling(&case.classes, profile);
-            (report.inflation > ceiling).then(|| Violation {
-                invariant: Invariant::InflationCeiling,
-                detail: format!(
-                    "inflation {:.3}x exceeds ceiling {:.3}x",
-                    report.inflation, ceiling
-                ),
-            })
-        }
-        Invariant::StarvationBound => {
-            let leg = case.stream.as_ref()?;
-            let sr = run_stream(&leg.to_scenario(), None);
-            (sr.starved_tenants > 0).then(|| Violation {
-                invariant: Invariant::StarvationBound,
-                detail: sr
-                    .worst_wait_excess()
-                    .map(|(t, ex)| format!("tenant {t} overshot its aging bound by {ex:.1}s"))
-                    .unwrap_or_else(|| "starved tenant without a row".to_string()),
-            })
-        }
-        Invariant::ReplayDeterminism => {
-            let p = prepare(case);
-            let a = replay_case(case, &p, &Observer::disabled());
-            let b = replay_case(case, &p, &Observer::disabled());
-            if report_json(&a) != report_json(&b) {
-                return Some(Violation {
-                    invariant: Invariant::ReplayDeterminism,
-                    detail: "second replay produced a different recovery report".to_string(),
-                });
-            }
-            let leg = case.stream.as_ref()?;
-            let sc = leg.to_scenario();
-            let (x, y) = (run_stream(&sc, None), run_stream(&sc, None));
-            (x != y).then(|| Violation {
-                invariant: Invariant::ReplayDeterminism,
-                detail: format!(
-                    "stream replays diverged (digests {:016x} vs {:016x})",
-                    x.placements_digest, y.placements_digest
-                ),
-            })
-        }
-        Invariant::DurableRecovery => {
-            let p = prepare(case);
-            let plain = replay_case(case, &p, &Observer::disabled());
-            check_durable(case, &p, &plain)
-        }
-    }
+    violations(&Runs::new(case, &[invariant]), invariant, profile).into_iter().next()
 }
 
 // ---------------------------------------------------------------------
@@ -861,59 +801,44 @@ pub struct ShrinkOutcome {
     pub shrunk_faults: usize,
 }
 
-/// Halve one fault's active window, or `None` once it is at the floor.
-fn halve_window(f: &Fault, floor: f64) -> Option<Fault> {
-    let halve = |d: f64| (d > 2.0 * floor).then_some(d / 2.0);
-    match f {
-        Fault::TransientOutage { host, at, down_for } => halve(*down_for)
-            .map(|d| Fault::TransientOutage { host: host.clone(), at: *at, down_for: d }),
-        Fault::LoadSpike { host, at, height, duration } => halve(*duration).map(|d| {
-            Fault::LoadSpike { host: host.clone(), at: *at, height: *height, duration: d }
-        }),
-        Fault::DegradedLink { a, b, at, duration, latency_factor, bandwidth_factor } => {
-            halve(*duration).map(|d| Fault::DegradedLink {
-                a: *a,
-                b: *b,
-                at: *at,
-                duration: d,
-                latency_factor: *latency_factor,
-                bandwidth_factor: *bandwidth_factor,
-            })
-        }
-        Fault::FlakyLink { a, b, at, duration, drop_probability } => {
-            halve(*duration).map(|d| Fault::FlakyLink {
-                a: *a,
-                b: *b,
-                at: *at,
-                duration: d,
-                drop_probability: *drop_probability,
-            })
-        }
-        Fault::SiteOutage { site, at, down_for: Some(d) } => {
-            halve(*d).map(|d| Fault::SiteOutage { site: *site, at: *at, down_for: Some(d) })
-        }
-        Fault::SitePartition { a, b, at, duration } => halve(*duration)
-            .map(|d| Fault::SitePartition { a: a.clone(), b: b.clone(), at: *at, duration: d }),
-        _ => None,
-    }
+/// Shed one site from the larger cell of a partition; `None` once only
+/// one site remains per side.
+fn shed_partition_site(f: &mut Fault) -> Option<()> {
+    let Fault::SitePartition { a, b, .. } = f else { return None };
+    let larger = if a.len() >= b.len() { a } else { b };
+    (larger.len() > 1).then(|| {
+        larger.pop();
+    })
 }
 
-/// Shed one site from the larger cell of a partition, or `None` once
-/// only one site remains per side.
-fn shed_partition_site(f: &Fault) -> Option<Fault> {
-    match f {
-        Fault::SitePartition { a, b, at, duration } if a.len() + b.len() > 2 => {
-            let (mut a, mut b) = (a.clone(), b.clone());
-            if a.len() >= b.len() && a.len() > 1 {
-                a.pop();
-            } else if b.len() > 1 {
-                b.pop();
-            } else {
-                return None;
-            }
-            Some(Fault::SitePartition { a, b, at: *at, duration: *duration })
+/// The case shrunk so far and the oracle calls spent on it.
+struct Shrinker<'p> {
+    cur: FuzzCase,
+    invariant: Invariant,
+    profile: &'p InvariantProfile,
+    max_evals: u32,
+    evals: u32,
+    /// Did this pass keep an edit?
+    changed: bool,
+}
+
+impl Shrinker<'_> {
+    /// Apply `edit` to a copy of the current case and keep the copy if it
+    /// still violates the invariant. An edit that does not apply returns
+    /// `None`; it costs no oracle call, and nothing is tried once the
+    /// budget is spent.
+    fn keep(&mut self, edit: impl FnOnce(&mut FuzzCase) -> Option<()>) -> bool {
+        let mut cand = self.cur.clone();
+        if edit(&mut cand).is_none() || self.evals >= self.max_evals {
+            return false;
         }
-        _ => None,
+        self.evals += 1;
+        let kept = check_invariant(&cand, self.invariant, self.profile).is_some();
+        if kept {
+            self.cur = cand;
+            self.changed = true;
+        }
+        kept
     }
 }
 
@@ -924,7 +849,8 @@ fn shed_partition_site(f: &Fault) -> Option<Fault> {
 /// same (case, invariant, profile) triple always shrinks to the same
 /// reproducer. The pipeline iterates to a fixpoint: ddmin-style chunked
 /// fault drops, per-fault window halving, partition-cell shedding,
-/// stream-leg reduction, kill-count and checkpoint simplification.
+/// stream-leg reduction, kill-count and checkpoint simplification. Each
+/// is one kind of edit, kept while the edited case still violates.
 /// When it exits below `max_evals`, the result is 1-minimal — dropping
 /// any single remaining fault loses the violation.
 pub fn shrink(
@@ -933,39 +859,28 @@ pub fn shrink(
     profile: &InvariantProfile,
     max_evals: u32,
 ) -> ShrinkOutcome {
-    let original_faults = case.plan.faults.len();
     let floor = {
         let (est, _) = schedule_estimate(&case.base.build());
         (est / 64.0).max(1e-3)
     };
-    let mut cur = case.clone();
-    let mut evals = 0u32;
+    let cur = case.clone();
+    let mut s = Shrinker { cur, invariant, profile, max_evals, evals: 0, changed: false };
     let mut passes = 0u32;
-
-    let still_violates = |c: &FuzzCase, evals: &mut u32| -> bool {
-        if *evals >= max_evals {
-            return false;
-        }
-        *evals += 1;
-        check_invariant(c, invariant, profile).is_some()
-    };
 
     loop {
         passes += 1;
-        let mut changed = false;
+        s.changed = false;
 
         // 1. ddmin-style chunked fault drops, coarse to fine.
-        let mut chunk = (cur.plan.faults.len() / 2).max(1);
+        let mut chunk = (s.cur.plan.faults.len() / 2).max(1);
         loop {
             let mut i = 0;
-            while i < cur.plan.faults.len() {
-                let hi = (i + chunk).min(cur.plan.faults.len());
-                let mut cand = cur.clone();
-                cand.plan.faults.drain(i..hi);
-                if still_violates(&cand, &mut evals) {
-                    cur = cand;
-                    changed = true;
-                } else {
+            while i < s.cur.plan.faults.len() {
+                let hi = (i + chunk).min(s.cur.plan.faults.len());
+                if !s.keep(|c| {
+                    c.plan.faults.drain(i..hi);
+                    Some(())
+                }) {
                     i = hi;
                 }
             }
@@ -976,113 +891,53 @@ pub fn shrink(
         }
 
         // 2. Halve fault windows down to one replay tick.
-        let mut i = 0;
-        while i < cur.plan.faults.len() {
-            while let Some(f) = halve_window(&cur.plan.faults[i], floor) {
-                let mut cand = cur.clone();
-                cand.plan.faults[i] = f;
-                if still_violates(&cand, &mut evals) {
-                    cur = cand;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-            i += 1;
+        for i in 0..s.cur.plan.faults.len() {
+            while s.keep(|c| {
+                let d = c.plan.faults[i].window_mut()?;
+                (*d > 2.0 * floor).then(|| *d /= 2.0)
+            }) {}
         }
 
         // 3. Shed partition sites.
-        let mut i = 0;
-        while i < cur.plan.faults.len() {
-            while let Some(f) = shed_partition_site(&cur.plan.faults[i]) {
-                let mut cand = cur.clone();
-                cand.plan.faults[i] = f;
-                if still_violates(&cand, &mut evals) {
-                    cur = cand;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-            i += 1;
+        for i in 0..s.cur.plan.faults.len() {
+            while s.keep(|c| shed_partition_site(&mut c.plan.faults[i])) {}
         }
 
         // 4. Stream leg: drop it whole, else shed its faults and
         //    shrink the burst.
-        if cur.stream.is_some() {
-            let mut cand = cur.clone();
-            cand.stream = None;
-            if still_violates(&cand, &mut evals) {
-                cur = cand;
-                changed = true;
+        s.keep(|c| c.stream.take().map(drop));
+        let mut i = 0;
+        while i < s.cur.stream.as_ref().map_or(0, |l| l.faults.faults.len()) {
+            if !s.keep(|c| {
+                c.stream.as_mut()?.faults.faults.remove(i);
+                Some(())
+            }) {
+                i += 1;
             }
         }
-        if let Some(leg) = cur.stream.clone() {
-            let mut i = 0;
-            while i < cur.stream.as_ref().map_or(0, |l| l.faults.faults.len()) {
-                let mut cand = cur.clone();
-                cand.stream.as_mut().expect("leg present").faults.faults.remove(i);
-                if still_violates(&cand, &mut evals) {
-                    cur = cand;
-                    changed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            let mut trace = leg.trace;
-            while trace.horizon_s > 16.0 {
-                let mut cand = cur.clone();
-                let shorter = TraceSpec { horizon_s: trace.horizon_s / 2.0, ..trace };
-                cand.stream.as_mut().expect("leg present").trace = shorter;
-                if still_violates(&cand, &mut evals) {
-                    cur = cand;
-                    trace = shorter;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-            while trace.tenants > 1 {
-                let mut cand = cur.clone();
-                let fewer = TraceSpec { tenants: trace.tenants / 2, ..trace };
-                cand.stream.as_mut().expect("leg present").trace = fewer;
-                if still_violates(&cand, &mut evals) {
-                    cur = cand;
-                    trace = fewer;
-                    changed = true;
-                } else {
-                    break;
-                }
-            }
-        }
+        while s.keep(|c| {
+            let horizon = &mut c.stream.as_mut()?.trace.horizon_s;
+            (*horizon > 16.0).then(|| *horizon /= 2.0)
+        }) {}
+        while s.keep(|c| {
+            let tenants = &mut c.stream.as_mut()?.trace.tenants;
+            (*tenants > 1).then(|| *tenants /= 2)
+        }) {}
 
         // 5. Kill count to the harness minimum.
-        if cur.kills > 2 {
-            let mut cand = cur.clone();
-            cand.kills = 2;
-            if still_violates(&cand, &mut evals) {
-                cur = cand;
-                changed = true;
-            }
-        }
+        s.keep(|c| (c.kills > 2).then(|| c.kills = 2));
 
         // 6. Checkpointing off.
-        if cur.checkpoint {
-            let mut cand = cur.clone();
-            cand.checkpoint = false;
-            if still_violates(&cand, &mut evals) {
-                cur = cand;
-                changed = true;
-            }
-        }
+        s.keep(|c| c.checkpoint.then(|| c.checkpoint = false));
 
-        if !changed || evals >= max_evals {
+        if !s.changed || s.evals >= max_evals {
             break;
         }
     }
 
-    let shrunk_faults = cur.plan.faults.len();
-    ShrinkOutcome { shrunk: cur, invariant, evals, passes, original_faults, shrunk_faults }
+    let (original_faults, shrunk_faults) = (case.plan.faults.len(), s.cur.plan.faults.len());
+    let Shrinker { cur: shrunk, evals, .. } = s;
+    ShrinkOutcome { shrunk, invariant, evals, passes, original_faults, shrunk_faults }
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! seed did, it is never larger than the parent, and re-shrinking the
 //! same seed reproduces byte-for-byte the same case — so a reproducer
 //! committed to `scenario.rs` can be regenerated from its seed alone.
+//! The sweep and the shrinker's oracle give one verdict per invariant.
 
 use proptest::prelude::*;
-use vdce_sim::{check_case, check_invariant, shrink, FuzzCase, InvariantProfile};
+use vdce_sim::{check_case, check_invariant, shrink, FuzzCase, Invariant, InvariantProfile};
 
 /// Shrink oracle budget per property case; generated plans are ≤ ~20
 /// faults so the pass pipeline converges well inside this.
@@ -40,6 +41,22 @@ fn assert_shrink_contract(seed: u64) {
     assert_eq!(s1.evals, s2.evals, "seed {seed} spent a different eval budget twice");
 }
 
+/// The sweep and the oracle agree: for every invariant, `check_invariant`
+/// flags the case exactly when `check_case` lists a violation of it, and
+/// with its first detail. Under the adversarial profile most seeds
+/// violate `InflationCeiling`, so a verdict or a detail that differs
+/// between the two shows.
+fn assert_sweep_and_oracle_agree(seed: u64) {
+    let case = FuzzCase::generate(seed);
+    let profile = InvariantProfile::adversarial();
+    let swept = check_case(&case, &profile).violations;
+    for inv in Invariant::ALL {
+        let first = swept.iter().find(|v| v.invariant == inv);
+        let oracle = check_invariant(&case, inv, &profile);
+        assert_eq!(oracle.as_ref(), first, "seed {seed}: sweep and oracle disagree on {inv:?}");
+    }
+}
+
 // NOTE: the vendored proptest shim's `proptest!` macro matches `#[test]`
 // literally, so doc comments must live outside the macro blocks.
 
@@ -60,5 +77,14 @@ proptest! {
     #[test]
     fn shrinking_preserves_the_parent_violation(seed in 0u64..256) {
         assert_shrink_contract(seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn the_sweep_and_the_oracle_agree(seed in 0u64..256) {
+        assert_sweep_and_oracle_agree(seed);
     }
 }
