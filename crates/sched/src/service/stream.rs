@@ -59,7 +59,10 @@
 //! whose loads changed since the last one. A submission already in the
 //! queue keeps the prices of its admission: it holds the pricing of every
 //! view it was admitted under and is re-selected through it, so while it
-//! waits only host up/down edges move it (see `PendingSub::memo`).
+//! waits only host up/down edges move it. A host down at its admission it
+//! prices at the first re-selection that finds it up, into its own copy
+//! of that table, with the same fill-on-miss an admission uses (see
+//! `PendingSub::memo`).
 //! Execution itself is simulated (predicted makespan under the network
 //! model): the service models scheduling and queueing dynamics, not
 //! kernel execution.
@@ -217,12 +220,12 @@ struct PendingSub {
     /// Cached per-site host-selection outputs, parallel to `sub.sites`.
     outputs: Vec<HostSelectionOutput>,
     /// The prices of its admission: the pricing of each view it was
-    /// admitted under, shared with that view's other admissions, plus its
-    /// own terms for what none of them priced. Every re-selection of this
-    /// submission goes through it, so while it waits it stays priced at
-    /// the host loads it was admitted under; it is dropped with the
-    /// submission's place in the queue (dispatch, or a fault restart,
-    /// which is a fresh admission).
+    /// admitted under, shared with that view's other admissions until a
+    /// re-selection prices what none of them did and copies it. Every
+    /// re-selection of this submission goes through it, so while it waits
+    /// it stays priced at the host loads it was admitted under; it is
+    /// dropped with the submission's place in the queue (dispatch, or a
+    /// fault restart, which is a fresh admission).
     memo: AdmissionPrices,
     /// Current incremental placement; `None` while infeasible (every
     /// candidate host down).
@@ -235,13 +238,12 @@ struct AdmissionPrices {
     /// term table (`StreamService::task_rows`).
     rows: Box<[u32]>,
     /// Per site of its domain, in `Admitted::sites` order, the pricing of
-    /// the view its admission selected under. Never written through: a
-    /// later admission under the same view that adds a term copies it.
+    /// the view its admission selected under. A shared table is never
+    /// written through: a later admission under the same view that adds a
+    /// term copies it, and so does this submission's first refresh that
+    /// prices a host down at admission, which keeps that price for it
+    /// alone.
     shared: Vec<Arc<TermTable>>,
-    /// Terms no table of `shared` holds, keyed by index into it: a host
-    /// that was down at admission is priced at this submission's first
-    /// refresh that finds it up, and stays at that price for it alone.
-    own: Vec<(usize, TermTable)>,
 }
 
 /// One site as the service holds it: its view, written by the service
@@ -293,8 +295,10 @@ impl Site {
     }
 }
 
-/// An admission's terms at one site: the current view's pricing, filled
-/// on a miss.
+/// A selection's terms at one site, filled on a miss: the current view's
+/// pricing for an admission, a queued submission's admission pricing for
+/// its re-selection. A table shared with another holder is copied on its
+/// first miss.
 struct AdmitTerms<'a> {
     prices: &'a mut Arc<TermTable>,
     rows: &'a [u32],
@@ -312,38 +316,6 @@ impl<'t> HostTerms<'t> for AdmitTerms<'_> {
             Some(term) => term,
             None => Arc::make_mut(self.prices).term(self.predictor, self.tasks, row, pos, host),
         }
-    }
-}
-
-/// A queued submission's terms at the site at index `at` of its domain:
-/// its admission's, else its own, priced at the current view.
-struct HeldTerms<'a> {
-    admitted: &'a TermTable,
-    own: &'a mut Vec<(usize, TermTable)>,
-    at: usize,
-    hosts: usize,
-    rows: &'a [u32],
-    predictor: &'a Predictor,
-    tasks: &'a TaskPerfDb,
-}
-
-impl<'t> HostTerms<'t> for HeldTerms<'_> {
-    type Row = (usize, &'t str);
-    fn row(&mut self, group: usize, task: &'t str) -> Self::Row {
-        (self.rows[group] as usize, task)
-    }
-    fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm {
-        if let Some(term) = self.admitted.get(row.0, pos) {
-            return term;
-        }
-        let i = match self.own.iter().position(|(at, _)| *at == self.at) {
-            Some(i) => i,
-            None => {
-                self.own.push((self.at, TermTable::new(self.hosts)));
-                self.own.len() - 1
-            }
-        };
-        self.own[i].1.term(self.predictor, self.tasks, row, pos, host)
     }
 }
 
@@ -634,16 +606,9 @@ impl StreamService {
     fn reselect(&self, p: &mut PendingSub, at: usize) -> HostSelectionOutput {
         let view = self.view(p.sub.sites[at]);
         let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-        let memo = &mut p.memo;
-        let terms = HeldTerms {
-            admitted: &memo.shared[at],
-            own: &mut memo.own,
-            at,
-            hosts: hosts.len(),
-            rows: &memo.rows,
-            predictor: &self.predictor,
-            tasks: &view.tasks,
-        };
+        let AdmissionPrices { rows, shared } = &mut p.memo;
+        let (prices, predictor) = (&mut shared[at], &self.predictor);
+        let terms = AdmitTerms { prices, rows, predictor, tasks: &view.tasks };
         let (afg, classes) = (&p.sub.req.afg, &p.classes);
         select_priced(view, &hosts, afg, classes, &self.predictor, &self.parallel, terms)
     }
@@ -681,7 +646,7 @@ impl StreamService {
             shared.push(prices.clone());
         }
         let inc = self.schedule(afg, outputs.clone());
-        (AdmissionPrices { rows, shared, own: Vec::new() }, outputs, inc)
+        (AdmissionPrices { rows, shared }, outputs, inc)
     }
 
     // -- admission ----------------------------------------------------
@@ -1411,10 +1376,7 @@ mod tests {
             inc.table().iter().map(|p| p.predicted_seconds.to_bits()).collect()
         };
         let memo_entries = |svc: &StreamService| {
-            let held = |m: &AdmissionPrices| {
-                let own = m.own.iter().map(|(_, t)| t.len()).sum::<usize>();
-                m.shared.iter().map(|t| t.len()).sum::<usize>() + own
-            };
+            let held = |m: &AdmissionPrices| m.shared.iter().map(|t| t.len()).sum::<usize>();
             svc.pending.values().map(|p| held(&p.memo)).sum::<usize>()
         };
 
