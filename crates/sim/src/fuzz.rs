@@ -554,8 +554,9 @@ pub(crate) fn class_ceiling(class: FaultClass) -> f64 {
 
 /// Inflation ceiling of a composition: the worst single-class ceiling
 /// plus 0.75× headroom per extra composed class, scaled by the profile.
+/// The fold starts at 1.0× (no inflation), below every class ceiling.
 pub(crate) fn inflation_ceiling(classes: &[FaultClass], profile: &InvariantProfile) -> f64 {
-    let worst = classes.iter().map(|c| class_ceiling(*c)).fold(4.2f64, f64::max);
+    let worst = classes.iter().map(|c| class_ceiling(*c)).fold(1.0, f64::max);
     let compose = 0.75 * classes.len().saturating_sub(1) as f64;
     1.0 + (worst + compose - 1.0) * profile.inflation_scale
 }
@@ -992,6 +993,14 @@ mod tests {
         let adversarial = inflation_ceiling(&classes, &InvariantProfile::adversarial());
         assert!(standard > 2.0);
         assert!((adversarial - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_composition_is_held_to_its_own_classes_ceilings() {
+        let standard = InvariantProfile::standard();
+        assert_eq!(inflation_ceiling(&[FaultClass::LinkNoise], &standard), 3.0);
+        let composed = [FaultClass::LoadWave, FaultClass::LinkNoise];
+        assert_eq!(inflation_ceiling(&composed, &standard), 6.75);
     }
 
     #[test]
