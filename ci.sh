@@ -10,9 +10,12 @@
 #      integration and prop_* suites plus the shims)
 #   7. the oracles at depth, in release: the scheduler oracle's property
 #      tests (vdce-sched's prop_sched, prop_data and prop_incremental) on
-#      1,024 cases each from a fixed PROPTEST_SEED, and the JSON codec's
-#      differential suite (serde_json's tests/differential.rs) on 4,096
-#      cases per property (DIFFERENTIAL_CASES; 400 under a bare cargo test)
+#      1,024 cases each from a fixed PROPTEST_SEED, the scenario fuzzer's
+#      (vdce-sim's prop_fuzz: the shrink contract, and the sweep and the
+#      shrinker's oracle agreeing on every invariant) on 64 from the same
+#      seed, and the JSON codec's differential suite (serde_json's
+#      tests/differential.rs) on 4,096 cases per property
+#      (DIFFERENTIAL_CASES; 400 under a bare cargo test)
 #   8. the thread-based tests, four copies at a time: vdce-dsm's 50
 #      times, tests/concurrency.rs once, vdce-repository's, the Data
 #      Manager's and the message bus's 50 times
@@ -123,18 +126,22 @@ stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
 # another stream (the shim XORs PROPTEST_SEED into it), in release. All
 # but the allocation-table model test draw their cases from the oracle's
 # generator (`crates/sched/tests/common/`). A failure prints the
-# PROPTEST_CASES that replays it under this seed. The codec's
-# differential suite (writer vs reference renderer, typed read vs read
-# through a `Value`, damaged documents) then runs ten times its default
+# PROPTEST_CASES that replays it under this seed. The scenario fuzzer's
+# properties replay whole fault scenarios per case, so they draw 64
+# (~2.5 s of tests). The codec's differential suite (writer vs reference
+# renderer, typed read vs read through a `Value`, damaged documents)
+# then runs ten times its default
 # case count; each case is its own fixed seed and a failure prints the
 # `check_case` call that replays it.
 oracle_sweep() {
     PROPTEST_CASES=1024 PROPTEST_SEED=35 cargo test -q --release --offline \
         -p vdce-sched --test prop_sched --test prop_data --test prop_incremental
+    PROPTEST_CASES=64 PROPTEST_SEED=35 cargo test -q --release --offline \
+        -p vdce-sim --test prop_fuzz
     DIFFERENTIAL_CASES=4096 cargo test -q --release --offline \
         -p serde_json --test differential
 }
-stage "oracles at depth (1,024 / 4,096)" oracle_sweep
+stage "oracles at depth (1,024 / 64 / 4,096)" oracle_sweep
 # Race stress: the DSM coherence protocol's miss paths once released the
 # directory before installing the page, and lost an invalidation only
 # when a loaded machine preempted a thread inside that window — one run

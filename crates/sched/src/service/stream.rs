@@ -59,10 +59,10 @@
 //! whose loads changed since the last one. A submission already in the
 //! queue keeps the prices of its admission: it holds the pricing of every
 //! view it was admitted under and is re-selected through it, so while it
-//! waits only host up/down edges move it. A host down at its admission it
-//! prices at the first re-selection that finds it up, into its own copy
-//! of that table, with the same fill-on-miss an admission uses (see
-//! `PendingSub::memo`).
+//! waits only host up/down edges move it. A host that was down at its
+//! admission is priced at the first re-selection that finds it up, into
+//! the submission's own copy of that table, by the fill-on-miss an
+//! admission uses (see `PendingSub::memo`).
 //! Execution itself is simulated (predicted makespan under the network
 //! model): the service models scheduling and queueing dynamics, not
 //! kernel execution.

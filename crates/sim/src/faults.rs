@@ -456,6 +456,18 @@ mod tests {
         assert_eq!(back, plan);
     }
 
+    /// Every fault with an end exposes the window that ends it, so the
+    /// shrinker's window halving reaches every kind of fault.
+    #[test]
+    fn every_fault_with_an_end_exposes_its_window() {
+        let mut plan = sample_plan();
+        plan.faults.push(Fault::SiteOutage { site: 0, at: 1.0, down_for: None });
+        let windows: Vec<Option<f64>> =
+            plan.faults.iter_mut().map(|f| f.window_mut().copied()).collect();
+        let want = [None, Some(7.0), Some(9.0), Some(8.0), Some(30.0), Some(6.0), Some(10.0), None];
+        assert_eq!(windows, want);
+    }
+
     #[test]
     fn timeline_is_deterministic_and_sorted() {
         let plan = sample_plan();

@@ -636,7 +636,7 @@ impl<'c> Runs<'c> {
         self.repeat.get_or_init(|| self.replay(&Observer::disabled(), None))
     }
 
-    fn durable(&self) -> Option<&String> {
+    fn durable(&self) -> Option<&str> {
         let run = || {
             let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
             let durable = self.replay(&Observer::disabled(), Some(&opts));
@@ -647,7 +647,7 @@ impl<'c> Runs<'c> {
             let err = verify_recovery(&opts.journal, kills, seed).err();
             err.map(|e| format!("kill-and-restart recovery failed: {e}"))
         };
-        self.durable.get_or_init(run).as_ref()
+        self.durable.get_or_init(run).as_deref()
     }
 
     /// Run `i` (0 or 1) of the stream leg, if the case has one.
@@ -745,7 +745,7 @@ fn violations(runs: &Runs<'_>, invariant: Invariant, profile: &InvariantProfile)
         }
         Invariant::DurableRecovery => {
             if let Some(detail) = runs.durable() {
-                fail(detail.clone());
+                fail(detail.to_string());
             }
         }
     }
