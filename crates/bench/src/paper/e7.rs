@@ -18,8 +18,8 @@ use vdce_obs::Report;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
-    execute, AlwaysProceed, ConsoleService, DataManager, EventKind, EventLog, Execution,
-    ExecutorConfig, HostLockRegistry, IoService, StartGate, ThresholdGate, Transport,
+    execute, AlwaysProceed, ConsoleService, DataManager, EventLog, Execution, ExecutorConfig,
+    HostLockRegistry, IoService, RuntimeEvent, StartGate, ThresholdGate, Transport,
 };
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
@@ -105,7 +105,7 @@ fn spiked_run(gated: bool) -> (f64, usize, usize) {
         checkpoint: None,
     });
     assert!(outcome.success);
-    let rescheds = log.query(EventKind::RescheduleRequested).count();
+    let rescheds = log.count(|e| matches!(e, RuntimeEvent::RescheduleRequested { .. }));
     let on_fast =
         outcome.records.iter().filter(|r| r.hosts.iter().any(|h| h.starts_with("fast"))).count();
     (outcome.wall_seconds, rescheds, on_fast)

@@ -64,6 +64,20 @@ impl FieldValue {
     }
 }
 
+/// The bare value: a string unquoted, a number or bool as `Display`
+/// writes it.
+impl std::fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldValue::Str(s) => f.write_str(s),
+            FieldValue::U64(u) => write!(f, "{u}"),
+            FieldValue::I64(i) => write!(f, "{i}"),
+            FieldValue::F64(x) => write!(f, "{x}"),
+            FieldValue::Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
 impl From<&str> for FieldValue {
     fn from(s: &str) -> Self {
         FieldValue::Str(s.to_string())

@@ -209,7 +209,6 @@ impl DataManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventKind;
 
     fn round_trip(transport: Transport) {
         let dm = DataManager::new(transport, EventLog::new());
@@ -251,7 +250,7 @@ mod tests {
         let dm = DataManager::new(Transport::InProc, log.clone());
         let (_s, _r) = dm.open_all(3, 4).unwrap();
         assert_eq!(dm.setup_acks(), 4);
-        assert_eq!(log.query(EventKind::ChannelReady).count(), 4);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::ChannelReady { .. })), 4);
     }
 
     #[test]

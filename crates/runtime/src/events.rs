@@ -7,8 +7,8 @@
 //! Since the observability redesign the log is also a trace source: an
 //! [`EventLog`] built with [`EventLog::traced`] mirrors every
 //! [`EventLog::emit`] into a `vdce_obs` [`TraceSink`] as a logical-time
-//! trace event, and consumers query it through the typed
-//! [`EventQuery`] API ([`EventLog::query`]).
+//! trace event, and consumers count its entries with
+//! [`EventLog::count`].
 //!
 //! Since the durability redesign (DESIGN.md §16) the log sits on the
 //! `vdce_store` append-only substrate and [`EventLog::emit`] is the
@@ -172,112 +172,33 @@ pub enum RuntimeEvent {
     },
 }
 
-/// Discriminant-only mirror of [`RuntimeEvent`], the key of the typed
-/// [`EventQuery`] API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// [`RuntimeEvent::MonitorSample`].
-    MonitorSample,
-    /// [`RuntimeEvent::WorkloadForwarded`].
-    WorkloadForwarded,
-    /// [`RuntimeEvent::HostFailed`].
-    HostFailed,
-    /// [`RuntimeEvent::HostRecovered`].
-    HostRecovered,
-    /// [`RuntimeEvent::ChannelReady`].
-    ChannelReady,
-    /// [`RuntimeEvent::StartupSignal`].
-    StartupSignal,
-    /// [`RuntimeEvent::TaskStarted`].
-    TaskStarted,
-    /// [`RuntimeEvent::TaskFinished`].
-    TaskFinished,
-    /// [`RuntimeEvent::TaskFailed`].
-    TaskFailed,
-    /// [`RuntimeEvent::RescheduleRequested`].
-    RescheduleRequested,
-    /// [`RuntimeEvent::Suspended`].
-    Suspended,
-    /// [`RuntimeEvent::Resumed`].
-    Resumed,
-    /// [`RuntimeEvent::TaskMigrated`].
-    TaskMigrated,
-    /// [`RuntimeEvent::TaskRetried`].
-    TaskRetried,
-    /// [`RuntimeEvent::CheckpointTaken`].
-    CheckpointTaken,
-    /// [`RuntimeEvent::TaskResumed`].
-    TaskResumed,
-    /// [`RuntimeEvent::HostQuarantined`].
-    HostQuarantined,
-    /// [`RuntimeEvent::HostReadmitted`].
-    HostReadmitted,
-    /// [`RuntimeEvent::SiteManagerFailedOver`].
-    SiteManagerFailedOver,
-    /// [`RuntimeEvent::SiteQuarantined`].
-    SiteQuarantined,
-    /// [`RuntimeEvent::SiteRejoined`].
-    SiteRejoined,
-    /// [`RuntimeEvent::CheckpointReplicated`].
-    CheckpointReplicated,
-}
-
-impl EventKind {
-    /// snake_case name, used as the trace-record name.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            EventKind::MonitorSample => "monitor_sample",
-            EventKind::WorkloadForwarded => "workload_forwarded",
-            EventKind::HostFailed => "host_failed",
-            EventKind::HostRecovered => "host_recovered",
-            EventKind::ChannelReady => "channel_ready",
-            EventKind::StartupSignal => "startup_signal",
-            EventKind::TaskStarted => "task_started",
-            EventKind::TaskFinished => "task_finished",
-            EventKind::TaskFailed => "task_failed",
-            EventKind::RescheduleRequested => "reschedule_requested",
-            EventKind::Suspended => "suspended",
-            EventKind::Resumed => "resumed",
-            EventKind::TaskMigrated => "task_migrated",
-            EventKind::TaskRetried => "task_retried",
-            EventKind::CheckpointTaken => "checkpoint_taken",
-            EventKind::TaskResumed => "task_resumed",
-            EventKind::HostQuarantined => "host_quarantined",
-            EventKind::HostReadmitted => "host_readmitted",
-            EventKind::SiteManagerFailedOver => "site_manager_failed_over",
-            EventKind::SiteQuarantined => "site_quarantined",
-            EventKind::SiteRejoined => "site_rejoined",
-            EventKind::CheckpointReplicated => "checkpoint_replicated",
-        }
-    }
-}
-
 impl RuntimeEvent {
-    /// The event's kind (discriminant).
-    pub(crate) fn kind(&self) -> EventKind {
+    /// snake_case name: the trace-record name and the timeline's event
+    /// column. The one name table; the serde tag is its oracle in tests.
+    pub(crate) fn name(&self) -> &'static str {
         match self {
-            RuntimeEvent::MonitorSample { .. } => EventKind::MonitorSample,
-            RuntimeEvent::WorkloadForwarded { .. } => EventKind::WorkloadForwarded,
-            RuntimeEvent::HostFailed { .. } => EventKind::HostFailed,
-            RuntimeEvent::HostRecovered { .. } => EventKind::HostRecovered,
-            RuntimeEvent::ChannelReady { .. } => EventKind::ChannelReady,
-            RuntimeEvent::StartupSignal => EventKind::StartupSignal,
-            RuntimeEvent::TaskStarted { .. } => EventKind::TaskStarted,
-            RuntimeEvent::TaskFinished { .. } => EventKind::TaskFinished,
-            RuntimeEvent::TaskFailed { .. } => EventKind::TaskFailed,
-            RuntimeEvent::RescheduleRequested { .. } => EventKind::RescheduleRequested,
-            RuntimeEvent::Suspended => EventKind::Suspended,
-            RuntimeEvent::Resumed => EventKind::Resumed,
-            RuntimeEvent::TaskMigrated { .. } => EventKind::TaskMigrated,
-            RuntimeEvent::TaskRetried { .. } => EventKind::TaskRetried,
-            RuntimeEvent::CheckpointTaken { .. } => EventKind::CheckpointTaken,
-            RuntimeEvent::TaskResumed { .. } => EventKind::TaskResumed,
-            RuntimeEvent::HostQuarantined { .. } => EventKind::HostQuarantined,
-            RuntimeEvent::HostReadmitted { .. } => EventKind::HostReadmitted,
-            RuntimeEvent::SiteManagerFailedOver { .. } => EventKind::SiteManagerFailedOver,
-            RuntimeEvent::SiteQuarantined { .. } => EventKind::SiteQuarantined,
-            RuntimeEvent::SiteRejoined { .. } => EventKind::SiteRejoined,
-            RuntimeEvent::CheckpointReplicated { .. } => EventKind::CheckpointReplicated,
+            RuntimeEvent::MonitorSample { .. } => "monitor_sample",
+            RuntimeEvent::WorkloadForwarded { .. } => "workload_forwarded",
+            RuntimeEvent::HostFailed { .. } => "host_failed",
+            RuntimeEvent::HostRecovered { .. } => "host_recovered",
+            RuntimeEvent::ChannelReady { .. } => "channel_ready",
+            RuntimeEvent::StartupSignal => "startup_signal",
+            RuntimeEvent::TaskStarted { .. } => "task_started",
+            RuntimeEvent::TaskFinished { .. } => "task_finished",
+            RuntimeEvent::TaskFailed { .. } => "task_failed",
+            RuntimeEvent::RescheduleRequested { .. } => "reschedule_requested",
+            RuntimeEvent::Suspended => "suspended",
+            RuntimeEvent::Resumed => "resumed",
+            RuntimeEvent::TaskMigrated { .. } => "task_migrated",
+            RuntimeEvent::TaskRetried { .. } => "task_retried",
+            RuntimeEvent::CheckpointTaken { .. } => "checkpoint_taken",
+            RuntimeEvent::TaskResumed { .. } => "task_resumed",
+            RuntimeEvent::HostQuarantined { .. } => "host_quarantined",
+            RuntimeEvent::HostReadmitted { .. } => "host_readmitted",
+            RuntimeEvent::SiteManagerFailedOver { .. } => "site_manager_failed_over",
+            RuntimeEvent::SiteQuarantined { .. } => "site_quarantined",
+            RuntimeEvent::SiteRejoined { .. } => "site_rejoined",
+            RuntimeEvent::CheckpointReplicated { .. } => "checkpoint_replicated",
         }
     }
 
@@ -434,10 +355,10 @@ impl EventLog {
             // them through the sampled path so a `TraceSink::sampled(n)`
             // sink can thin them. Everything else (and
             // the journal above) is always kept.
-            if matches!(event.kind(), EventKind::MonitorSample) {
-                self.trace.hf_event(t, event.kind().name(), event.trace_fields());
+            if matches!(event, RuntimeEvent::MonitorSample { .. }) {
+                self.trace.hf_event(t, event.name(), event.trace_fields());
             } else {
-                self.trace.event(t, event.kind().name(), event.trace_fields());
+                self.trace.event(t, event.name(), event.trace_fields());
             }
         }
         self.entries.push((t, event));
@@ -455,31 +376,17 @@ impl EventLog {
         self.entries.snapshot()
     }
 
-    /// Typed query over events of one [`EventKind`].
-    pub fn query(&self, kind: EventKind) -> EventQuery<'_> {
-        EventQuery { log: self, kind }
-    }
-}
-
-/// The events of one [`EventKind`] in an [`EventLog`].
-///
-/// ```
-/// # use vdce_runtime::{EventKind, EventLog, RuntimeEvent};
-/// let log = EventLog::new();
-/// log.emit(1.5, RuntimeEvent::HostFailed { host: "s0h1".into() });
-/// assert_eq!(log.query(EventKind::HostFailed).count(), 1);
-/// assert_eq!(log.query(EventKind::HostRecovered).count(), 0);
-/// ```
-#[derive(Clone)]
-pub struct EventQuery<'a> {
-    log: &'a EventLog,
-    kind: EventKind,
-}
-
-impl EventQuery<'_> {
-    /// Number of matching events.
-    pub fn count(&self) -> usize {
-        self.log.entries.with(|v| v.iter().filter(|(_, e)| e.kind() == self.kind).count())
+    /// Number of entries whose event satisfies `pred`.
+    ///
+    /// ```
+    /// # use vdce_runtime::{EventLog, RuntimeEvent};
+    /// let log = EventLog::new();
+    /// log.emit(1.5, RuntimeEvent::HostFailed { host: "s0h1".into() });
+    /// assert_eq!(log.count(|e| matches!(e, RuntimeEvent::HostFailed { .. })), 1);
+    /// assert_eq!(log.count(|e| matches!(e, RuntimeEvent::HostRecovered { .. })), 0);
+    /// ```
+    pub fn count(&self, pred: impl Fn(&RuntimeEvent) -> bool) -> usize {
+        self.entries.with(|v| v.iter().filter(|(_, e)| pred(e)).count())
     }
 }
 
@@ -516,9 +423,9 @@ pub struct WorkLedger {
 
 impl WorkLedger {
     /// Build the ledger from a trace-record stream: `(name, task-id)`
-    /// pairs where `name` is the `EventKind::name` snake_case label
-    /// and the id is the record's `task` field (ignored for names that
-    /// carry none). This is the out-of-process path — a consumer
+    /// pairs where `name` is a trace record's name (the snake_case
+    /// `RuntimeEvent` name the log mirrors) and the id is the record's
+    /// `task` field (ignored for names that carry none). This is the out-of-process path — a consumer
     /// holding only the Observer's captured records can audit the run.
     pub fn from_trace_names<'a>(records: impl Iterator<Item = (&'a str, Option<u64>)>) -> Self {
         let mut started = std::collections::BTreeSet::new();
@@ -595,9 +502,10 @@ mod tests {
         log.emit(2.0, RuntimeEvent::HostFailed { host: "b".into() });
         log.emit(3.0, RuntimeEvent::HostRecovered { host: "a".into() });
         log.emit(4.0, RuntimeEvent::TaskStarted { task: TaskId(7), host: "b".into() });
-        assert_eq!(log.query(EventKind::HostFailed).count(), 2);
-        assert_eq!(log.query(EventKind::StartupSignal).count(), 0);
-        assert_eq!(log.query(EventKind::TaskStarted).count(), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::HostFailed { .. })), 2);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::StartupSignal)), 0);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::HostFailed { host } if host == "b")), 1);
     }
 
     /// A journaled log write-ahead-journals every emit under the `log`
@@ -659,34 +567,74 @@ mod tests {
         vdce_obs::validate_jsonl(&sink.to_jsonl()).expect("sampled trace validates");
     }
 
+    /// The serde derive is the oracle for the hand-written schema: for a
+    /// sample of every variant, `name()` is the snake_case of the journal
+    /// JSON's tag and the `trace_fields()` keys are its field names, in
+    /// order. The declared variants are read from this file, so a
+    /// variant added without a sample fails here.
     #[test]
     fn every_kind_has_a_distinct_trace_name() {
-        let kinds = [
-            EventKind::MonitorSample,
-            EventKind::WorkloadForwarded,
-            EventKind::HostFailed,
-            EventKind::HostRecovered,
-            EventKind::ChannelReady,
-            EventKind::StartupSignal,
-            EventKind::TaskStarted,
-            EventKind::TaskFinished,
-            EventKind::TaskFailed,
-            EventKind::RescheduleRequested,
-            EventKind::Suspended,
-            EventKind::Resumed,
-            EventKind::TaskMigrated,
-            EventKind::TaskRetried,
-            EventKind::CheckpointTaken,
-            EventKind::TaskResumed,
-            EventKind::HostQuarantined,
-            EventKind::HostReadmitted,
-            EventKind::SiteManagerFailedOver,
-            EventKind::SiteQuarantined,
-            EventKind::SiteRejoined,
-            EventKind::CheckpointReplicated,
+        use RuntimeEvent as E;
+        let (task, h) = (TaskId(4), || "s0h1".to_string());
+        let samples = [
+            E::MonitorSample { host: h(), workload: 0.5 },
+            E::WorkloadForwarded { host: h(), workload: 1.5 },
+            E::HostFailed { host: h() },
+            E::HostRecovered { host: h() },
+            E::ChannelReady { channel: 2 },
+            E::StartupSignal,
+            E::TaskStarted { task, host: h() },
+            E::TaskFinished { task, seconds: 2.25 },
+            E::TaskFailed { task, reason: "boom".into() },
+            E::RescheduleRequested { task, host: h() },
+            E::Suspended,
+            E::Resumed,
+            E::TaskMigrated { task, from_host: h(), to_host: "s0h2".into() },
+            E::TaskRetried { task, attempt: 1 },
+            E::CheckpointTaken { task, seq: 3, progress: 0.25, host: h() },
+            E::TaskResumed { task, progress: 0.75, host: h() },
+            E::HostQuarantined { host: h() },
+            E::HostReadmitted { host: h() },
+            E::SiteManagerFailedOver { site: 1, from: h(), to: "s1h0".into() },
+            E::SiteQuarantined { site: 1 },
+            E::SiteRejoined { site: 1 },
+            E::CheckpointReplicated { task, seq: 3, host: h() },
         ];
-        let names: std::collections::BTreeSet<&str> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), kinds.len());
+        let src = include_str!("events.rs");
+        let body = &src[src.find("pub enum RuntimeEvent {").unwrap()..];
+        let declared: Vec<&str> = body[..body.find("\n}\n").unwrap()]
+            .lines()
+            .filter_map(|l| l.strip_prefix("    "))
+            .filter(|l| l.starts_with(|c: char| c.is_ascii_uppercase()))
+            .map(|l| l.trim_end_matches([' ', '{', ',']))
+            .collect();
+        let mut tags = Vec::new();
+        for e in &samples {
+            let (tag, keys) = match serde_json::to_value(e).unwrap() {
+                serde_json::Value::String(tag) => (tag, Vec::new()),
+                serde_json::Value::Object(mut o) if o.len() == 1 => match o.remove(0) {
+                    (tag, serde_json::Value::Object(f)) => {
+                        (tag, f.into_iter().map(|kv| kv.0).collect())
+                    }
+                    (tag, v) => panic!("{tag}: not a struct variant: {v:?}"),
+                },
+                other => panic!("not an externally tagged variant: {other:?}"),
+            };
+            let mut snake = String::new();
+            for c in tag.chars() {
+                if c.is_ascii_uppercase() && !snake.is_empty() {
+                    snake.push('_');
+                }
+                snake.push(c.to_ascii_lowercase());
+            }
+            assert_eq!(e.name(), snake, "{tag}");
+            let fields: Vec<String> = e.trace_fields().into_iter().map(|kv| kv.0).collect();
+            assert_eq!(fields, keys, "{tag}: trace fields differ from the serde fields");
+            tags.push(tag);
+        }
+        assert_eq!(tags, declared, "one sample per declared variant, in declaration order");
+        let names: std::collections::BTreeSet<&str> = samples.iter().map(|e| e.name()).collect();
+        assert_eq!(names.len(), samples.len(), "names are distinct");
     }
 
     #[test]

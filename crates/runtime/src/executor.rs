@@ -439,7 +439,6 @@ fn run_task(
 mod tests {
     use super::*;
     use crate::data_manager::Transport;
-    use crate::events::EventKind;
     use crate::kernels::decode_f64s;
     use vdce_afg::{AfgBuilder, IoSpec, TaskLibrary};
     use vdce_net::topology::SiteId;
@@ -539,7 +538,7 @@ mod tests {
         let (out, log, _) = run(&afg, &table, Transport::InProc, &AlwaysProceed);
         assert!(out.success, "records: {:?}", out.records);
         assert_eq!(out.records.len(), 3);
-        assert_eq!(log.query(EventKind::TaskFinished).count(), 3);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::TaskFinished { .. })), 3);
         assert!(out.wall_seconds >= 0.0);
     }
 
@@ -601,7 +600,7 @@ mod tests {
         assert!(!out.records[0].ok);
         assert!(out.records[0].error.as_deref().unwrap().contains("pivot"));
         assert!(!out.records[1].ok, "sink must fail once its producer died");
-        assert_eq!(rig.log.query(EventKind::TaskFailed).count(), 2);
+        assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::TaskFailed { .. })), 2);
     }
 
     #[test]
@@ -623,7 +622,7 @@ mod tests {
         for r in &out.records {
             assert_eq!(r.hosts, vec!["h1".to_string()]);
         }
-        assert_eq!(log.query(EventKind::RescheduleRequested).count(), 3);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::RescheduleRequested { .. })), 3);
     }
 
     #[test]
@@ -674,7 +673,7 @@ mod tests {
         assert!(out.success, "{:?}", out.records);
         // Only the first task hits the aborting window (the gate counter
         // is global), but at least its retries must be in the log.
-        assert!(rig.log.query(EventKind::TaskRetried).count() >= 2);
+        assert!(rig.log.count(|e| matches!(e, RuntimeEvent::TaskRetried { .. })) >= 2);
     }
 
     #[test]
@@ -698,7 +697,7 @@ mod tests {
         assert!(!out.success);
         assert!(out.records.iter().any(|r| r.error.as_deref() == Some("still down")));
         // Each task burned its full retry budget before failing.
-        assert!(rig.log.query(EventKind::TaskRetried).count() >= 2);
+        assert!(rig.log.count(|e| matches!(e, RuntimeEvent::TaskRetried { .. })) >= 2);
     }
 
     #[test]
@@ -732,7 +731,7 @@ mod tests {
         let out = execute(Execution { gate: &gate, ..rig.execution(&afg, &table) });
         assert!(!out.success, "singular LU fails on every host");
         assert_eq!(
-            rig.log.query(EventKind::TaskMigrated).count(),
+            rig.log.count(|e| matches!(e, RuntimeEvent::TaskMigrated { .. })),
             1,
             "one retry on a different host → one migration event"
         );
@@ -769,7 +768,7 @@ mod tests {
         resumer.join().unwrap();
         assert!(out.success);
         assert!(out.wall_seconds >= 0.0);
-        assert_eq!(rig.log.query(EventKind::Resumed).count(), 1);
+        assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::Resumed)), 1);
     }
 
     fn checkpointing() -> ExecutorConfig {
@@ -792,7 +791,7 @@ mod tests {
         let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
         assert!(out.success, "{:?}", out.records);
         assert_eq!(store.state().taken, 3, "every completed task checkpointed");
-        assert_eq!(rig.log.query(EventKind::CheckpointTaken).count(), 3);
+        assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::CheckpointTaken { .. })), 3);
 
         // Second execution with the same store: no completed work is
         // re-executed — every task resumes from its full checkpoint.
@@ -802,11 +801,11 @@ mod tests {
         let out2 = execute(Execution { checkpoint: Some(ctx), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
         assert_eq!(
-            rig2.log.query(EventKind::TaskStarted).count(),
+            rig2.log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })),
             0,
             "no kernel re-executed past its checkpoint"
         );
-        assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 3);
+        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskResumed { .. })), 3);
     }
 
     #[test]
@@ -825,7 +824,7 @@ mod tests {
         };
         let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
         assert!(out.success);
-        assert_eq!(rig.log.query(EventKind::CheckpointReplicated).count(), 3);
+        assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::CheckpointReplicated { .. })), 3);
 
         // h0 crashed, but the replicas on r1 keep every checkpoint valid:
         // the rerun resumes everything instead of re-executing.
@@ -834,8 +833,8 @@ mod tests {
         let ctx2 = CheckpointContext { store: &mut store, reachable: &h0_down, replicate_to: None };
         let out2 = execute(Execution { checkpoint: Some(ctx2), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(rig2.log.query(EventKind::TaskStarted).count(), 0);
-        assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 3);
+        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })), 0);
+        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskResumed { .. })), 3);
     }
 
     #[test]
@@ -859,8 +858,8 @@ mod tests {
         let ctx2 = CheckpointContext { store: &mut store, reachable: &h0_down, replicate_to: None };
         let out2 = execute(Execution { checkpoint: Some(ctx2), ..rig2.execution(&afg, &table) });
         assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(rig2.log.query(EventKind::TaskResumed).count(), 0);
-        assert_eq!(rig2.log.query(EventKind::TaskStarted).count(), 3);
+        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskResumed { .. })), 0);
+        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })), 3);
     }
 
     #[test]

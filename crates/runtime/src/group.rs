@@ -160,7 +160,6 @@ impl GroupManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventKind;
 
     fn mk(threshold: f64) -> GroupManager {
         GroupManager::new("g0", vec!["a".into(), "b".into()], threshold, EventLog::new())
@@ -251,7 +250,7 @@ mod tests {
         gm.handle_report(0.0, &report("a", 3.0));
         echo.kill("a");
         gm.probe_hosts(1.0, &echo);
-        assert_eq!(log.query(EventKind::WorkloadForwarded).count(), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::WorkloadForwarded { .. })), 1);
         assert_eq!(log.snapshot()[1], (1.0, RuntimeEvent::HostFailed { host: "a".into() }));
     }
 }

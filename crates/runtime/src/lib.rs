@@ -69,7 +69,7 @@ pub use durable::{
     write_snapshot, ControlEvent, ControlEventError, ControlState, DeputyLink, DurableOptions,
     JournaledSiteEvent, RepoReplica,
 };
-pub use events::{EventKind, EventLog, EventQuery, LogRecord, RuntimeEvent, WorkLedger};
+pub use events::{EventLog, LogRecord, RuntimeEvent, WorkLedger};
 pub use executor::{
     execute, AlwaysProceed, Execution, ExecutionOutcome, ExecutorConfig, HostLockRegistry,
     StartGate, TaskRunRecord,

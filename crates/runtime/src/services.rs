@@ -201,59 +201,19 @@ impl VisualizationService {
         VisualizationService { log }
     }
 
-    /// CSV timeline: `time,event,detail` rows in event order.
+    /// CSV timeline: `time_s,event,detail` rows in event order. The
+    /// event is the trace-record name and the detail its fields as
+    /// space-joined `key=value` pairs, quoted per RFC 4180 when needed.
     pub fn timeline_csv(&self) -> String {
         let mut out = String::from("time_s,event,detail\n");
         for (t, e) in self.log.snapshot() {
-            let (name, detail) = match &e {
-                RuntimeEvent::MonitorSample { host, workload } => {
-                    ("monitor_sample", format!("{host}:{workload:.2}"))
-                }
-                RuntimeEvent::WorkloadForwarded { host, workload } => {
-                    ("workload_forwarded", format!("{host}:{workload:.2}"))
-                }
-                RuntimeEvent::HostFailed { host } => ("host_failed", host.clone()),
-                RuntimeEvent::HostRecovered { host } => ("host_recovered", host.clone()),
-                RuntimeEvent::ChannelReady { channel } => ("channel_ready", channel.to_string()),
-                RuntimeEvent::StartupSignal => ("startup_signal", String::new()),
-                RuntimeEvent::TaskStarted { task, host } => {
-                    ("task_started", format!("{task}@{host}"))
-                }
-                RuntimeEvent::TaskFinished { task, seconds } => {
-                    ("task_finished", format!("{task}:{seconds:.4}"))
-                }
-                RuntimeEvent::TaskFailed { task, reason } => {
-                    ("task_failed", format!("{task}:{reason}"))
-                }
-                RuntimeEvent::RescheduleRequested { task, host } => {
-                    ("reschedule_requested", format!("{task}@{host}"))
-                }
-                RuntimeEvent::Suspended => ("suspended", String::new()),
-                RuntimeEvent::Resumed => ("resumed", String::new()),
-                RuntimeEvent::TaskMigrated { task, from_host, to_host } => {
-                    ("task_migrated", format!("{task}:{from_host}->{to_host}"))
-                }
-                RuntimeEvent::TaskRetried { task, attempt } => {
-                    ("task_retried", format!("{task}:attempt{attempt}"))
-                }
-                RuntimeEvent::HostQuarantined { host } => ("host_quarantined", host.clone()),
-                RuntimeEvent::HostReadmitted { host } => ("host_readmitted", host.clone()),
-                RuntimeEvent::CheckpointTaken { task, seq, progress, host } => {
-                    ("checkpoint_taken", format!("{task}#{seq}@{host}:{progress:.2}"))
-                }
-                RuntimeEvent::TaskResumed { task, progress, host } => {
-                    ("task_resumed", format!("{task}@{host}:{progress:.2}"))
-                }
-                RuntimeEvent::SiteManagerFailedOver { site, from, to } => {
-                    ("site_manager_failed_over", format!("S{site}:{from}->{to}"))
-                }
-                RuntimeEvent::SiteQuarantined { site } => ("site_quarantined", format!("S{site}")),
-                RuntimeEvent::SiteRejoined { site } => ("site_rejoined", format!("S{site}")),
-                RuntimeEvent::CheckpointReplicated { task, seq, host } => {
-                    ("checkpoint_replicated", format!("{task}#{seq}->{host}"))
-                }
-            };
-            let _ = writeln!(out, "{t:.6},{name},{detail}");
+            let fields: Vec<String> =
+                e.trace_fields().into_iter().map(|(k, v)| format!("{k}={v}")).collect();
+            let mut detail = fields.join(" ");
+            if detail.contains([',', '"', '\n', '\r']) {
+                detail = format!("\"{}\"", detail.replace('"', "\"\""));
+            }
+            let _ = writeln!(out, "{t:.6},{},{detail}", e.name());
         }
         out
     }
@@ -297,7 +257,6 @@ impl VisualizationService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventKind;
     use vdce_afg::TaskId;
 
     #[test]
@@ -367,8 +326,8 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(30));
         console.resume();
         h.join().unwrap();
-        assert_eq!(log.query(EventKind::Suspended).count(), 1);
-        assert_eq!(log.query(EventKind::Resumed).count(), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::Suspended)), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::Resumed)), 1);
     }
 
     #[test]
@@ -377,10 +336,10 @@ mod tests {
         let console = ConsoleService::new(log.clone());
         console.suspend();
         console.suspend();
-        assert_eq!(log.query(EventKind::Suspended).count(), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::Suspended)), 1);
         console.resume();
         console.resume();
-        assert_eq!(log.query(EventKind::Resumed).count(), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::Resumed)), 1);
     }
 
     #[test]
@@ -391,8 +350,59 @@ mod tests {
         let viz = VisualizationService::new(log);
         let csv = viz.timeline_csv();
         assert!(csv.starts_with("time_s,event,detail\n"));
-        assert!(csv.contains("task_started,t0@h0"));
-        assert!(csv.contains("task_finished,t0:1.0000"));
+        assert!(csv.contains("0.500000,task_started,task=0 host=h0\n"));
+        assert!(csv.contains("1.500000,task_finished,task=0 seconds=1\n"));
+    }
+
+    /// The fields of one RFC 4180 row.
+    fn csv_fields(row: &str) -> Vec<String> {
+        let (mut fields, mut field, mut quoted) = (Vec::new(), String::new(), false);
+        let mut chars = row.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' if quoted && chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields.push(std::mem::take(&mut field)),
+                c => field.push(c),
+            }
+        }
+        fields.push(field);
+        fields
+    }
+
+    #[test]
+    fn timeline_keeps_a_failure_reason_with_a_comma_in_one_column() {
+        let reason = crate::kernels::KernelError::BadInput { port: 0, expected: 16, actual: 8 };
+        let log = EventLog::new();
+        log.emit(2.0, RuntimeEvent::TaskFailed { task: TaskId(3), reason: reason.to_string() });
+        let csv = VisualizationService::new(log).timeline_csv();
+        let row = csv.lines().nth(1).unwrap();
+        assert_eq!(
+            csv_fields(row),
+            ["2.000000", "task_failed", "task=3 reason=input 0: expected 16 elements, got 8"]
+        );
+    }
+
+    #[test]
+    fn timeline_doubles_inner_quotes_and_keeps_line_breaks_quoted() {
+        let log = EventLog::new();
+        log.emit(
+            1.0,
+            RuntimeEvent::TaskFailed { task: TaskId(1), reason: "bad \"x\"\nhere".into() },
+        );
+        log.emit(2.0, RuntimeEvent::Suspended);
+        let csv = VisualizationService::new(log).timeline_csv();
+        assert_eq!(
+            csv,
+            "time_s,event,detail\n\
+             1.000000,task_failed,\"task=1 reason=bad \"\"x\"\"\nhere\"\n\
+             2.000000,suspended,\n"
+        );
+        let row = csv.split_once('\n').unwrap().1.rsplit_once("\n2.0").unwrap().0;
+        assert_eq!(csv_fields(row), ["1.000000", "task_failed", "task=1 reason=bad \"x\"\nhere"]);
     }
 
     #[test]
