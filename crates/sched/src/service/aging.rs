@@ -20,7 +20,8 @@
 //! it waits only for running work to drain, which the broker bounds by
 //! rejecting submissions whose estimated makespan exceeds its cap. The
 //! resulting end-to-end bound is [`AgingPolicy::starvation_bound_s`]:
-//! ramp time to the ceiling plus a configured drain grace. The
+//! ramp time to the ceiling plus the broker's makespan cap, since a
+//! freed slot is at most one capped run away. The
 //! `prop_stream` property tests and the `stream` experiment's gate
 //! hold every tenant's observed maximum wait under this bound.
 
@@ -37,16 +38,11 @@ pub struct AgingPolicy {
     pub boost: u32,
     /// Effective-priority cap; reaching it makes a submission urgent.
     pub ceiling: u32,
-    /// Drain allowance added to the ramp time in the starvation bound:
-    /// how long an urgent submission may still wait for running work to
-    /// finish and free capacity. Keep it at or above the broker's
-    /// makespan cap — a freed slot can be at most one capped run away.
-    pub drain_grace_s: f64,
 }
 
 impl Default for AgingPolicy {
     fn default() -> Self {
-        AgingPolicy { step_s: 5.0, boost: 1, ceiling: 64, drain_grace_s: 600.0 }
+        AgingPolicy { step_s: 5.0, boost: 1, ceiling: 64 }
     }
 }
 
@@ -81,10 +77,12 @@ impl AgingPolicy {
     }
 
     /// The gated wait bound for a tenant of `base` priority: aging ramp
-    /// plus the drain grace. A tenant whose submission waits longer than
-    /// this has starved (a gate failure).
-    pub(crate) fn starvation_bound_s(&self, base: u8) -> f64 {
-        self.ramp_s(base) + self.drain_grace_s
+    /// plus `max_makespan_s`, the broker's cap on one run, which an
+    /// urgent submission may still wait for running work to drain. A
+    /// tenant whose submission waits longer than this has starved (a
+    /// gate failure).
+    pub(crate) fn starvation_bound_s(&self, base: u8, max_makespan_s: f64) -> f64 {
+        self.ramp_s(base) + max_makespan_s
     }
 }
 
@@ -94,7 +92,7 @@ mod tests {
 
     #[test]
     fn effective_priority_ramps_in_steps() {
-        let a = AgingPolicy { step_s: 10.0, boost: 2, ceiling: 20, drain_grace_s: 0.0 };
+        let a = AgingPolicy { step_s: 10.0, boost: 2, ceiling: 20 };
         assert_eq!(a.effective_priority(3, 0.0), 3);
         assert_eq!(a.effective_priority(3, 9.99), 3);
         assert_eq!(a.effective_priority(3, 10.0), 5);
@@ -116,16 +114,16 @@ mod tests {
 
     #[test]
     fn ramp_is_zero_at_or_above_ceiling() {
-        let a = AgingPolicy { step_s: 5.0, boost: 1, ceiling: 8, drain_grace_s: 30.0 };
+        let a = AgingPolicy { step_s: 5.0, boost: 1, ceiling: 8 };
         assert_eq!(a.ramp_s(8), 0.0);
         assert_eq!(a.ramp_s(200), 0.0);
-        assert_eq!(a.starvation_bound_s(8), 30.0);
+        assert_eq!(a.starvation_bound_s(8, 30.0), 30.0);
     }
 
     #[test]
     fn starvation_bound_orders_by_priority() {
-        let a = AgingPolicy::default();
-        assert!(a.starvation_bound_s(1) > a.starvation_bound_s(5));
-        assert!(a.starvation_bound_s(5) >= a.drain_grace_s);
+        let (a, cap) = (AgingPolicy::default(), 600.0);
+        assert!(a.starvation_bound_s(1, cap) > a.starvation_bound_s(5, cap));
+        assert!(a.starvation_bound_s(5, cap) >= cap);
     }
 }

@@ -1038,7 +1038,8 @@ impl StreamService {
             for p in self.pending.values().filter(|p| p.sub.req.tenant == id) {
                 max_wait = max_wait.max(self.clock - p.sub.arrival_s);
             }
-            let bound = self.cfg.aging.starvation_bound_s(c.priority);
+            let bound =
+                self.cfg.aging.starvation_bound_s(c.priority, self.cfg.broker.max_makespan_s);
             let starved = max_wait > bound;
             if starved {
                 starved_tenants += 1;
@@ -1517,6 +1518,23 @@ mod tests {
         assert_eq!(svc.drain().completed, 1);
         assert_ne!(svc.sites[0].view.resources, before, "the run's load samples are recorded");
         assert_eq!(kept.snapshot().resources, before, "the kept handle is as it was");
+    }
+
+    #[test]
+    fn wait_bound_is_the_aging_ramp_plus_the_broker_cap() {
+        let repos = vec![repo(&[("l0", 1.0), ("l1", 2.0)]), repo(&[("r0", 3.0), ("r1", 0.5)])];
+        let aging = AgingPolicy { step_s: 2.0, boost: 1, ceiling: 10 };
+        let broker = BrokerPolicy { max_makespan_s: 450.0, ..BrokerPolicy::default() };
+        let cfg = ServiceConfig { aging, broker, ..ServiceConfig::default() };
+        let mut svc = StreamService::new(repos, NetworkModel::with_defaults(2), cfg);
+        let t =
+            svc.register_tenant("bob", "pw", 4, AccessDomain::Global, Quota::default()).unwrap();
+        svc.submit_at(0.0, req(&svc, t));
+        let report = svc.drain();
+        // Six one-priority steps of 2 s from base 4 to the ceiling, then
+        // one capped run.
+        assert_eq!(report.tenants[0].wait_bound_s, 6.0 * 2.0 + 450.0);
+        assert!(!report.tenants[0].starved);
     }
 
     #[test]

@@ -121,7 +121,7 @@ proptest! {
 /// knobs so the starvation bound is a few tens of seconds — far shorter
 /// than the hog pressure window — and a violation is observable.
 fn run_saturation(hog_priority: u8, hog_gap_s: f64, seed: u64) -> vdce_sched::StreamReport {
-    let aging = AgingPolicy { step_s: 0.5, boost: 1, ceiling: 16, drain_grace_s: 30.0 };
+    let aging = AgingPolicy { step_s: 0.5, boost: 1, ceiling: 16 };
     let broker = BrokerPolicy { max_makespan_s: 30.0, ..BrokerPolicy::default() };
     let cfg = ServiceConfig { aging, broker, ..ServiceConfig::default() };
     let fed = build_federation(&FederationSpec {
