@@ -10,7 +10,10 @@
 #      integration and prop_* suites plus the shims)
 #   7. the oracles at depth, in release: the scheduler oracle's property
 #      tests (vdce-sched's prop_sched, prop_data and prop_incremental) on
-#      1,024 cases each from a fixed PROPTEST_SEED, the scenario fuzzer's
+#      1,024 cases each from a fixed PROPTEST_SEED, ten more property
+#      files on 1,024 from the same seed (prop_afg, prop_dsm, prop_net,
+#      prop_predict, prop_repo, prop_kernels, prop_checkpoint,
+#      prop_faults, prop_partition and prop_wal), the scenario fuzzer's
 #      (vdce-sim's prop_fuzz: the shrink contract, and the sweep and the
 #      shrinker's oracle agreeing on every invariant) on 64 from the same
 #      seed, and the JSON codec's differential suite (serde_json's
@@ -128,7 +131,11 @@ stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
 # generator (`crates/sched/tests/common/`). A failure prints the
 # PROPTEST_CASES that replays it under this seed. The scenario fuzzer's
 # properties replay whole fault scenarios per case, so they draw 64
-# (~2.5 s of tests). The codec's differential suite (writer vs reference
+# (~2.5 s of tests). The ten other property files that pass at depth
+# draw 1,024 each from the same seed (~5 s of tests); prop_stream is not
+# among them, since its aging-bound property fails at depth (ROADMAP
+# item 17), and prop_obs holds no properties. The codec's differential
+# suite (writer vs reference
 # renderer, typed read vs read through a `Value`, damaged documents)
 # then runs ten times its default
 # case count; each case is its own fixed seed and a failure prints the
@@ -136,12 +143,18 @@ stage "cargo test --workspace" cargo test --workspace -q --no-fail-fast
 oracle_sweep() {
     PROPTEST_CASES=1024 PROPTEST_SEED=35 cargo test -q --release --offline \
         -p vdce-sched --test prop_sched --test prop_data --test prop_incremental
+    PROPTEST_CASES=1024 PROPTEST_SEED=35 cargo test -q --release --offline \
+        -p vdce-afg --test prop_afg -p vdce-dsm --test prop_dsm \
+        -p vdce-net --test prop_net -p vdce-predict --test prop_predict \
+        -p vdce-repository --test prop_repo -p vdce-runtime --test prop_kernels \
+        -p vdce-sim --test prop_checkpoint --test prop_faults --test prop_partition \
+        -p vdce-store --test prop_wal
     PROPTEST_CASES=64 PROPTEST_SEED=35 cargo test -q --release --offline \
         -p vdce-sim --test prop_fuzz
     DIFFERENTIAL_CASES=4096 cargo test -q --release --offline \
         -p serde_json --test differential
 }
-stage "oracles at depth (1,024 / 64 / 4,096)" oracle_sweep
+stage "oracles at depth (1,024 x 13 / 64 / 4,096)" oracle_sweep
 # Race stress: the DSM coherence protocol's miss paths once released the
 # directory before installing the page, and lost an invalidation only
 # when a loaded machine preempted a thread inside that window — one run
