@@ -26,7 +26,8 @@
 #      (E2, E4, E5, E9) byte-equal to their EXPERIMENTS.md blocks, every
 #      committed BENCH_*.json schema-valid and equal to a fresh run
 #      outside its `wall_clock` section, none missing or stray, and the
-#      claims of every experiment, the correctness gates included
+#      claims of every experiment, the correctness gates included; then
+#      the five examples under examples/, each asserting its output
 #   10. the vdce_perf smoke (perf/run.sh --quick) and perf/'s unit tests
 #   11-16. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
@@ -238,8 +239,19 @@ stage "thread race stress (5 binaries)" thread_stress
 #   and double-replay identity over all 17 fault scenarios (trace).
 # A change that moves a committed number on purpose re-records it with
 # `exp --write <name>`.
-stage "experiments (exp --check)" \
-    cargo run -q --release -p vdce-bench --bin exp -- --check
+# The same stage runs the five examples, each of which asserts what it
+# prints. fault_tolerance is the one program outside `exp` that runs the
+# fault replay's checkpoint-restart and a DSM snapshot/restore end to
+# end; the other four submit through `Session::submit`.
+experiments() {
+    cargo run -q --release --offline -p vdce-bench --bin exp -- --check
+    local example
+    for example in c3i_pipeline editor_roundtrip fault_tolerance parameter_study quickstart; do
+        echo "--- example $example"
+        cargo run -q --release --offline --example "$example" >/dev/null
+    done
+}
+stage "experiments (exp --check) and examples" experiments
 # Benchmark smoke: perf/ is a package of its own that nothing above
 # compiles, and it imports library entry points by name. Building it and
 # running every workload's output checks on small inputs here means a

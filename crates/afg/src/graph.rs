@@ -180,17 +180,16 @@ impl Afg {
 }
 
 /// Positions of a topological order ([`Afg::topo_order_with`]), one bit
-/// each, drained by one sweep: forward visits a task before its children,
-/// backward before its parents. The contract: a sweep marks only
-/// positions ahead of its cursor, so it visits each marked position once,
-/// in order. [`TopoMarks::reset`] readies it for the next sweep and keeps
-/// the allocation.
+/// each, drained by one forward sweep that visits a task before its
+/// children. The contract: a sweep marks only positions ahead of its
+/// cursor, so it visits each marked position once, in order.
+/// [`TopoMarks::reset`] readies it for the next sweep and keeps the
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TopoMarks {
     words: Vec<u64>,
-    /// Words before `lo` and from `hi` on are zero.
+    /// Words before `lo` are zero.
     lo: usize,
-    hi: usize,
 }
 
 impl TopoMarks {
@@ -198,13 +197,13 @@ impl TopoMarks {
     pub fn reset(&mut self, n: usize) {
         self.words.clear();
         self.words.resize(n.div_ceil(64), 0);
-        (self.lo, self.hi) = (0, self.words.len());
+        self.lo = 0;
     }
 
     /// Mark position `pos` (idempotent).
     pub fn mark(&mut self, pos: usize) {
         let w = pos / 64;
-        debug_assert!(self.lo <= w && w < self.hi, "position {pos} is behind the sweep");
+        debug_assert!(self.lo <= w, "position {pos} is behind the sweep");
         self.words[w] |= 1 << (pos % 64);
     }
 
@@ -215,28 +214,13 @@ impl TopoMarks {
 
     /// Unmark and return the lowest marked position.
     pub fn pop_forward(&mut self) -> Option<usize> {
-        while self.lo < self.hi {
+        while let Some(&w) = self.words.get(self.lo) {
             // Re-read the word on every pop: a child may sit in it.
-            let w = self.words[self.lo];
             if w != 0 {
                 self.words[self.lo] = w & (w - 1);
                 return Some(self.lo * 64 + w.trailing_zeros() as usize);
             }
             self.lo += 1;
-        }
-        None
-    }
-
-    /// Unmark and return the highest marked position.
-    pub fn pop_backward(&mut self) -> Option<usize> {
-        while self.lo < self.hi {
-            let w = self.words[self.hi - 1];
-            if w != 0 {
-                let bit = 63 - w.leading_zeros() as usize;
-                self.words[self.hi - 1] = w & !(1 << bit);
-                return Some((self.hi - 1) * 64 + bit);
-            }
-            self.hi -= 1;
         }
         None
     }

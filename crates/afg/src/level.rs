@@ -13,7 +13,7 @@
 //! authors' later work, TPDS 2002) uses; the scheduler crate benches both
 //! as an ablation (experiment E9).
 
-use crate::graph::{Afg, EdgeIndex, TopoMarks};
+use crate::graph::{Afg, EdgeIndex};
 use crate::ids::TaskId;
 use crate::task::TaskNode;
 use std::fmt;
@@ -72,9 +72,7 @@ fn weighted_level(
     Ok(level)
 }
 
-/// One node's level given final child levels — the single fold both the
-/// full walk and [`LevelTracker::update`] run, so incremental recomputes
-/// are bit-identical to a full re-walk by construction.
+/// One node's level given final child levels.
 fn node_level(
     afg: &Afg,
     idx: &EdgeIndex,
@@ -94,105 +92,15 @@ fn node_level(
     own + best
 }
 
-/// Incrementally-maintained [`level_map`] for the O(changed) rescheduling
-/// path: after a cost or out-edge change at a handful of tasks, only the
-/// affected *ancestors* are recomputed instead of re-walking the world.
-///
-/// Levels flow child → parent, so a change propagates strictly upward
-/// (toward entry nodes). [`LevelTracker::update`] sweeps the dirty tasks
-/// backward over their topological positions ([`TopoMarks`]) — every
-/// child is final before any parent is recomputed — and stops
-/// propagating along any path where the recomputed level is
-/// bit-identical to the stored one. The maintained vector is therefore
-/// always bit-identical to `level_map` run from scratch (property-tested
-/// in the scheduler crate), while touching only `O(affected ancestors)`
-/// nodes.
-#[derive(Debug, Clone)]
-pub struct LevelTracker {
-    levels: Vec<f64>,
-    /// The build-time topological order (position → task) and its inverse.
-    order: Vec<TaskId>,
-    topo_pos: Vec<u32>,
-    /// The dirty positions of one update; scratch, reset by every call.
-    marks: TopoMarks,
-}
-
-impl LevelTracker {
-    /// Full initial computation, identical to [`level_map`]. `idx` must
-    /// be the [`EdgeIndex`] of `afg` (callers on the hot path already
-    /// hold one).
-    pub fn new(
-        afg: &Afg,
-        idx: &EdgeIndex,
-        cost: impl Fn(&TaskNode) -> f64,
-    ) -> Result<Self, LevelError> {
-        let order = afg.topo_order_with(idx).ok_or(LevelError::Cyclic)?;
-        let mut topo_pos = vec![0u32; afg.task_count()];
-        for (i, &t) in order.iter().enumerate() {
-            topo_pos[t.index()] = i as u32;
-        }
-        let mut levels = vec![0.0f64; afg.task_count()];
-        for &t in order.iter().rev() {
-            levels[t.index()] = node_level(afg, idx, t, &cost, &|_| 0.0, &levels);
-        }
-        Ok(LevelTracker { levels, order, topo_pos, marks: TopoMarks::default() })
-    }
-
-    /// The maintained per-task levels, indexed by [`TaskId`].
-    pub fn levels(&self) -> &[f64] {
-        &self.levels
-    }
-
-    /// Recompute after the costs or out-edges of `changed` tasks were
-    /// edited (the graph's node/edge *count* and topology order must be
-    /// unchanged — rebuild the tracker for structural growth). Returns
-    /// the number of tasks whose level was re-evaluated, i.e. the size
-    /// of the affected set actually walked.
-    pub fn update(
-        &mut self,
-        afg: &Afg,
-        idx: &EdgeIndex,
-        changed: &[TaskId],
-        cost: impl Fn(&TaskNode) -> f64,
-    ) -> usize {
-        assert_eq!(
-            self.levels.len(),
-            afg.task_count(),
-            "LevelTracker::update on a structurally different graph"
-        );
-        // Parents sit before their children, so propagation only marks
-        // positions ahead of the backward sweep: each task is re-evaluated
-        // at most once.
-        self.marks.reset(self.levels.len());
-        for &t in changed {
-            self.marks.mark(self.topo_pos[t.index()] as usize);
-        }
-        let mut touched = 0usize;
-        while let Some(pos) = self.marks.pop_backward() {
-            let t = self.order[pos];
-            touched += 1;
-            let fresh = node_level(afg, idx, t, &cost, &|_| 0.0, &self.levels);
-            if fresh.to_bits() != self.levels[t.index()].to_bits() {
-                self.levels[t.index()] = fresh;
-                for e in idx.in_edges(afg, t) {
-                    self.marks.mark(self.topo_pos[e.from.index()] as usize);
-                }
-            }
-        }
-        touched
-    }
-}
-
 /// Produce the scheduling priority list: task ids sorted by *descending*
 /// level ("the node with a higher level value will have a higher priority
-/// for scheduling"), ties broken by ascending id for determinism.
+/// for scheduling"), ties broken by ascending id for determinism. The
+/// levels compare by `total_cmp`, so the order is total whatever they
+/// hold: a NaN ranks above every number and `0.0` above `-0.0`.
 pub fn priority_list(levels: &[f64]) -> Vec<TaskId> {
     let mut ids: Vec<TaskId> = (0..levels.len() as u32).map(TaskId).collect();
-    ids.sort_by(|a, b| {
-        levels[b.index()]
-            .partial_cmp(&levels[a.index()])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(b))
+    ids.sort_unstable_by(|a, b| {
+        levels[b.index()].total_cmp(&levels[a.index()]).then_with(|| a.cmp(b))
     });
     ids
 }
@@ -240,6 +148,16 @@ mod tests {
     fn priority_list_breaks_ties_by_id() {
         let levels = vec![2.0, 5.0, 2.0, 5.0];
         assert_eq!(priority_list(&levels), vec![TaskId(1), TaskId(3), TaskId(0), TaskId(2)]);
+    }
+
+    #[test]
+    fn priority_list_is_total_over_nan_signed_zero_and_ties() {
+        // The order the site-scheduler walk and `evaluate` rank by: NaN
+        // above every number, `0.0` above `-0.0`, equal levels by id.
+        let list = |levels: &[f64]| priority_list(levels).iter().map(|t| t.0).collect::<Vec<_>>();
+        assert_eq!(list(&[5.0, f64::NAN, 1.0, f64::NAN, f64::INFINITY]), [1, 3, 4, 0, 2]);
+        assert_eq!(list(&[f64::NEG_INFINITY, -0.0, 0.0, -f64::NAN]), [2, 1, 0, 3]);
+        assert_eq!(list(&[1.0, -0.0, 1.0, 0.0, -0.0, 1.0]), [0, 2, 5, 3, 1, 4]);
     }
 
     #[test]
@@ -301,57 +219,6 @@ mod tests {
     fn critical_path_equals_max_entry_level() {
         let g = chain();
         assert_eq!(critical_path(&g, |_| 1.0).unwrap(), 3.0);
-    }
-
-    #[test]
-    fn tracker_initial_levels_match_level_map() {
-        let g = chain();
-        let idx = g.edge_index();
-        let tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
-        let full = level_map(&g, |_| 1.0).unwrap();
-        assert_eq!(tracker.levels(), &full[..]);
-    }
-
-    #[test]
-    fn tracker_update_matches_full_recompute_bitwise() {
-        let g = chain();
-        let idx = g.edge_index();
-        let mut tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
-        // Cost of the middle task changes; only it and its ancestors move.
-        let new_cost = |t: &TaskNode| if &*t.name == "m" { 7.5 } else { 1.0 };
-        let touched = tracker.update(&g, &idx, &[TaskId(1)], new_cost);
-        let full = level_map(&g, new_cost).unwrap();
-        for (a, b) in tracker.levels().iter().zip(&full) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The exit node is below the change and must not be re-walked.
-        assert_eq!(touched, 2, "middle + entry, not the exit");
-    }
-
-    #[test]
-    fn tracker_stops_propagation_when_level_is_unchanged() {
-        let g = chain();
-        let idx = g.edge_index();
-        let mut tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
-        // "Changing" the exit task to its existing cost re-evaluates it
-        // but propagates nowhere.
-        let touched = tracker.update(&g, &idx, &[TaskId(2)], |_| 1.0);
-        assert_eq!(touched, 1);
-        assert_eq!(tracker.levels(), &level_map(&g, |_| 1.0).unwrap()[..]);
-    }
-
-    #[test]
-    fn tracker_rejects_cycles() {
-        let mut g = chain();
-        g.edges.push(crate::graph::Edge {
-            from: TaskId(2),
-            from_port: crate::ids::PortIndex(0),
-            to: TaskId(0),
-            to_port: crate::ids::PortIndex(0),
-            data_size: 1,
-        });
-        let idx = g.edge_index();
-        assert!(LevelTracker::new(&g, &idx, |_| 1.0).is_err());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use builder::AfgBuilder;
 pub use document::{AfgDocument, ServiceRequest};
 pub use graph::{Afg, Edge, EdgeIndex, ReadySet, TopoMarks};
 pub use ids::{DatasetId, PortIndex, TaskId};
-pub use level::{blevel_map, level_map, LevelError, LevelTracker};
+pub use level::{blevel_map, level_map, LevelError};
 pub use library::{KernelKind, LibraryEntry, LibraryGroup, TaskLibrary};
 pub use render::{render_all_properties, render_flow_graph};
 pub use stats::{shape, GraphShape};

@@ -4,7 +4,7 @@
 //! the CSR offsets, an accidental O(E) scan per task or an O(frontier)
 //! step per ready task would show up first.
 
-use vdce_afg::level::{level_map, LevelTracker};
+use vdce_afg::level::level_map;
 use vdce_afg::{Afg, Edge, IoSpec, KernelKind, PortIndex, TaskId, TaskNode, TaskProperties};
 
 fn node(id: u32, entry: bool) -> TaskNode {
@@ -76,9 +76,6 @@ fn empty_graph_has_empty_index() {
     let idx = g.edge_index();
     assert!(g.topo_order_with(&idx).is_some());
     assert_eq!(level_map(&g, |_| 1.0).unwrap(), Vec::<f64>::new());
-    let mut tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
-    assert!(tracker.levels().is_empty());
-    assert_eq!(tracker.update(&g, &idx, &[], |_| 1.0), 0);
 }
 
 #[test]
@@ -105,32 +102,6 @@ fn ten_k_chain_degrees_and_order() {
 }
 
 #[test]
-fn ten_k_chain_incremental_update_touches_only_ancestors() {
-    let n = 10_000u32;
-    let g = chain(n);
-    let idx = g.edge_index();
-    let mut tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
-
-    // Changing the entry's cost reaches nothing upstream of it.
-    let entry_cost = |t: &TaskNode| if t.id == TaskId(0) { 5.0 } else { 1.0 };
-    assert_eq!(tracker.update(&g, &idx, &[TaskId(0)], entry_cost), 1);
-
-    // Changing a mid-chain task walks exactly its ancestor prefix.
-    let mid = n / 2;
-    let mid_cost = |t: &TaskNode| match t.id {
-        TaskId(0) => 5.0,
-        id if id == TaskId(mid) => 3.0,
-        _ => 1.0,
-    };
-    let touched = tracker.update(&g, &idx, &[TaskId(mid)], mid_cost);
-    assert_eq!(touched, (mid + 1) as usize, "mid task plus its {mid} ancestors");
-    let full = level_map(&g, mid_cost).unwrap();
-    for (i, (a, b)) in tracker.levels().iter().zip(&full).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "level of task {i}");
-    }
-}
-
-#[test]
 fn star_fan_out_preserves_edge_order_and_degrees() {
     let leaves = 5_000u32;
     let g = star(leaves);
@@ -148,14 +119,10 @@ fn star_fan_out_preserves_edge_order_and_degrees() {
         assert_eq!(idx.in_degree(TaskId(i)), 1);
         assert_eq!(idx.out_degree(TaskId(i)), 0);
     }
-    // One leaf's cost change touches only that leaf and the hub.
-    let mut tracker = LevelTracker::new(&g, &idx, |_| 1.0).unwrap();
+    // One leaf's cost reaches the hub and no other leaf.
     let bump = |t: &TaskNode| if t.id == TaskId(17) { 9.0 } else { 1.0 };
-    assert_eq!(tracker.update(&g, &idx, &[TaskId(17)], bump), 2);
-    let full = level_map(&g, bump).unwrap();
-    for (a, b) in tracker.levels().iter().zip(&full) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
+    let levels = level_map(&g, bump).unwrap();
+    assert_eq!((levels[0], levels[17], levels[18]), (10.0, 9.0, 1.0));
 }
 
 #[test]

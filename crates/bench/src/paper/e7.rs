@@ -18,8 +18,8 @@ use vdce_obs::Report;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
-    execute, AlwaysProceed, ConsoleService, DataManager, EventLog, Execution, ExecutorConfig,
-    HostLockRegistry, IoService, RuntimeEvent, StartGate, ThresholdGate, Transport,
+    execute, AlwaysProceed, ConsoleService, DataManager, EventLog, Execution, HostLockRegistry,
+    IoService, RuntimeEvent, StartGate, ThresholdGate, Transport,
 };
 use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
 use vdce_sched::view::SiteView;
@@ -75,8 +75,8 @@ fn spiked_run(gated: bool) -> (f64, usize, usize) {
     let log = EventLog::new();
     let dm = DataManager::new(Transport::InProc, log.clone());
     let io = IoService::new();
-    let console = ConsoleService::new(log.clone());
     let clock = RealClock::new();
+    let console = ConsoleService::new(log.clone(), clock.clone());
     let gate_box: Box<dyn StartGate> = if gated {
         Box::new(ThresholdGate::new(&repo, 4.0, &afg))
     } else {
@@ -97,12 +97,8 @@ fn spiked_run(gated: bool) -> (f64, usize, usize) {
         log: &log,
         clock: &clock,
         completions: None,
-        config: &ExecutorConfig {
-            input_timeout: Duration::from_secs(30),
-            ..ExecutorConfig::default()
-        },
+        input_timeout: Duration::from_secs(30),
         registry: &HostLockRegistry::new(),
-        checkpoint: None,
     });
     assert!(outcome.success);
     let rescheds = log.count(|e| matches!(e, RuntimeEvent::RescheduleRequested { .. }));

@@ -18,14 +18,15 @@
 use crate::env::Vdce;
 use crate::report::RunReport;
 use std::fmt;
+use std::time::Duration;
 use vdce_afg::AfgDocument;
 use vdce_net::topology::SiteId;
 use vdce_net::{Clock, RealClock};
 use vdce_repository::accounts::{AccessDomain, UserAccount};
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
-    execute, ConsoleService, DataManager, EventLog, Execution, ExecutorConfig, IoService,
-    RuntimeEvent, ThresholdGate, VisualizationService,
+    execute, ConsoleService, DataManager, EventLog, Execution, IoService, RuntimeEvent,
+    ThresholdGate, VisualizationService,
 };
 use vdce_sched::evaluate;
 use vdce_sched::site_scheduler::{site_schedule, SchedError, SchedulerConfig};
@@ -86,6 +87,9 @@ pub struct Session<'v> {
     io: IoService,
     console: ConsoleService,
     log: EventLog,
+    /// Started at login: stamps the session's log, its console's
+    /// suspensions and every submission's runs alike.
+    clock: RealClock,
 }
 
 impl<'v> Session<'v> {
@@ -103,13 +107,15 @@ impl<'v> Session<'v> {
             .accounts(|db| db.authenticate(user, password).cloned())
             .map_err(|_| LoginError::AuthenticationFailed)?;
         let log = EventLog::new();
+        let clock = RealClock::new();
         Ok(Session {
             vdce,
             account,
             home: site,
             io: IoService::new(),
-            console: ConsoleService::new(log.clone()),
+            console: ConsoleService::new(log.clone(), clock.clone()),
             log,
+            clock,
         })
     }
 
@@ -188,8 +194,7 @@ impl<'v> Session<'v> {
         });
         let gate = ThresholdGate::new(&merged, self.vdce.config().load_threshold, afg);
         let dm = DataManager::new(self.vdce.config().transport, self.log.clone());
-        let clock = RealClock::new();
-        self.log.emit(clock.now(), RuntimeEvent::StartupSignal);
+        self.log.emit(self.clock.now(), RuntimeEvent::StartupSignal);
         let (tx, rx) = std::sync::mpsc::channel();
         let outcome = execute(Execution {
             afg,
@@ -199,11 +204,10 @@ impl<'v> Session<'v> {
             console: &self.console,
             gate: &gate,
             log: &self.log,
-            clock: &clock,
+            clock: &self.clock,
             completions: Some(tx),
-            config: &ExecutorConfig::default(),
+            input_timeout: Duration::from_secs(30),
             registry: self.vdce.host_locks(),
-            checkpoint: None,
         });
 
         // --- Write-back phase ------------------------------------------
@@ -309,6 +313,43 @@ mod tests {
         let v = federation();
         let session = v.login(SiteId(0), "user_k", "pw").unwrap();
         assert_eq!(session.effective_k(), 1);
+    }
+
+    /// The time of every timeline row naming `event`.
+    fn times_of(csv: &str, event: &str) -> Vec<f64> {
+        csv.lines()
+            .skip(1)
+            .filter_map(|row| row.split_once(','))
+            .filter(|(_, rest)| rest.split(',').next() == Some(event))
+            .map(|(t, _)| t.parse().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn console_and_every_submission_share_the_session_clock() {
+        let last = |csv: &str, event| times_of(csv, event).into_iter().fold(0.0, f64::max);
+        let v = federation();
+        let session = v.login(SiteId(0), "user_k", "pw").unwrap();
+        let first = session.submit(&chain_doc("user_k")).unwrap();
+        let first_done = last(&first.timeline_csv, "task_finished");
+        assert!(first_done > 0.0);
+        // A second submission continues the session's time line.
+        let second = session.submit(&chain_doc("user_k")).unwrap();
+        let startups = times_of(&second.timeline_csv, "startup_signal");
+        assert_eq!(startups.len(), 2);
+        assert!(startups[1] >= first_done, "{startups:?} vs {first_done}");
+        // The console stamps suspend and resume on the same clock.
+        let second_done = last(&second.timeline_csv, "task_finished");
+        session.console().suspend();
+        session.console().resume();
+        let csv = VisualizationService::new(session.log.clone()).timeline_csv();
+        for event in ["suspended", "resumed"] {
+            let t = times_of(&csv, event);
+            assert!(
+                t.len() == 1 && t[0] >= second_done,
+                "{event} at {t:?}, run done at {second_done}"
+            );
+        }
     }
 
     #[test]

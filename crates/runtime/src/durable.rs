@@ -508,7 +508,7 @@ mod tests {
         let event =
             RepoEvent::RecordSample { host: "h".into(), workload: 3.0, available_memory: 1 << 21 };
         repo.apply_event(event, false);
-        store.record(TaskId(0), 0.5, 1.0, vec!["h".into()], Default::default());
+        store.record(TaskId(0), 0.5, 1.0, vec!["h".into()]);
         log.emit(2.0, RuntimeEvent::HostFailed { host: "h".into() });
         let site_event =
             JournaledSiteEvent { site: 0, event: SiteTableEvent::HostDown { host: "h".into() } };

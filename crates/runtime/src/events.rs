@@ -108,26 +108,6 @@ pub enum RuntimeEvent {
         /// Retry attempt number (0-based).
         attempt: u32,
     },
-    /// A checkpoint of a task's progress was persisted.
-    CheckpointTaken {
-        /// The task.
-        task: TaskId,
-        /// Checkpoint sequence number (0-based per task).
-        seq: u64,
-        /// Completed fraction of the task's work in [0, 1].
-        progress: f64,
-        /// Host the checkpoint was written on.
-        host: String,
-    },
-    /// A task resumed from a checkpoint instead of restarting from zero.
-    TaskResumed {
-        /// The task.
-        task: TaskId,
-        /// Completed fraction restored from the checkpoint.
-        progress: f64,
-        /// Host it resumed on.
-        host: String,
-    },
     /// A host entered the dead-host quarantine.
     HostQuarantined {
         /// Host name.
@@ -191,8 +171,6 @@ impl RuntimeEvent {
             RuntimeEvent::Resumed => "resumed",
             RuntimeEvent::TaskMigrated { .. } => "task_migrated",
             RuntimeEvent::TaskRetried { .. } => "task_retried",
-            RuntimeEvent::CheckpointTaken { .. } => "checkpoint_taken",
-            RuntimeEvent::TaskResumed { .. } => "task_resumed",
             RuntimeEvent::HostQuarantined { .. } => "host_quarantined",
             RuntimeEvent::HostReadmitted { .. } => "host_readmitted",
             RuntimeEvent::SiteManagerFailedOver { .. } => "site_manager_failed_over",
@@ -240,15 +218,6 @@ impl RuntimeEvent {
             ],
             RuntimeEvent::TaskRetried { task, attempt } => {
                 vec![f("task", task.0 as u64), f("attempt", *attempt)]
-            }
-            RuntimeEvent::CheckpointTaken { task, seq, progress, host } => vec![
-                f("task", task.0 as u64),
-                f("seq", *seq),
-                f("progress", *progress),
-                f("host", host.as_str()),
-            ],
-            RuntimeEvent::TaskResumed { task, progress, host } => {
-                vec![f("task", task.0 as u64), f("progress", *progress), f("host", host.as_str())]
             }
             RuntimeEvent::SiteManagerFailedOver { site, from, to } => {
                 vec![f("site", *site), f("from", from.as_str()), f("to", to.as_str())]
@@ -591,8 +560,6 @@ mod tests {
             E::Resumed,
             E::TaskMigrated { task, from_host: h(), to_host: "s0h2".into() },
             E::TaskRetried { task, attempt: 1 },
-            E::CheckpointTaken { task, seq: 3, progress: 0.25, host: h() },
-            E::TaskResumed { task, progress: 0.75, host: h() },
             E::HostQuarantined { host: h() },
             E::HostReadmitted { host: h() },
             E::SiteManagerFailedOver { site: 1, from: h(), to: "s1h0".into() },

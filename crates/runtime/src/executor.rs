@@ -18,13 +18,14 @@
 //! The [`StartGate`] hook is the Application Controller's interposition
 //! point: it is consulted immediately before a task launches and may
 //! relocate the task to different hosts (threshold rescheduling, §4.1) or
-//! abort it.
+//! abort it. Each task launches once: a gate abort or a kernel error
+//! fails it and, through its closed channels, its dependents. Recovery
+//! from host faults (retry backoff, checkpoint-restart, replicas) is the
+//! fault replay's, in `vdce_sim`.
 
-use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
 use crate::data_manager::{DataManager, DataReceiver, DataSender};
 use crate::events::{EventLog, RuntimeEvent};
 use crate::kernels::run_kernel_parallel;
-use crate::recovery::BackoffPolicy;
 use crate::services::{ConsoleService, IoService};
 use crate::site_manager::ControlMessage;
 use std::collections::HashMap;
@@ -112,47 +113,6 @@ pub struct ExecutionOutcome {
     pub wall_seconds: f64,
 }
 
-/// Executor tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecutorConfig {
-    /// How long a task waits for each dataflow input before failing.
-    pub input_timeout: Duration,
-    /// Retry schedule for transient failures (gate aborts and kernel
-    /// errors). The default never retries, preserving fail-fast
-    /// semantics; recovery-aware callers opt in.
-    pub retry: BackoffPolicy,
-    /// Checkpoint cadence. Disabled by default; has effect only when an
-    /// execution also supplies a `CheckpointContext`.
-    pub checkpoint: CheckpointPolicy,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            input_timeout: Duration::from_secs(30),
-            retry: BackoffPolicy::none(),
-            checkpoint: CheckpointPolicy::disabled(),
-        }
-    }
-}
-
-/// Checkpoint wiring for one execution: the store checkpoints are
-/// written to and resumed from, plus the reachability predicate used to
-/// validate stored replicas (a checkpoint whose every copy sits on an
-/// unreachable — crashed or quarantined — host is unusable).
-pub struct CheckpointContext<'a> {
-    /// The durable checkpoint store. [`execute`] puts it behind a lock
-    /// for as long as its worker threads run.
-    pub store: &'a mut CheckpointStore,
-    /// Is a replica host currently reachable?
-    pub reachable: &'a (dyn Fn(&str) -> bool + Sync),
-    /// Optional cross-site replica target (DESIGN.md §12): every
-    /// checkpoint this execution records is also stored on this host, so
-    /// the checkpoint survives the loss of the entire site that ran the
-    /// task. `None` keeps checkpoints site-local.
-    pub(crate) replicate_to: Option<String>,
-}
-
 /// Everything one application execution runs against.
 pub struct Execution<'a> {
     /// The application.
@@ -174,25 +134,16 @@ pub struct Execution<'a> {
     /// Receives one [`ControlMessage::ExecutionCompleted`] per host of
     /// each successful task.
     pub completions: Option<Sender<ControlMessage>>,
-    /// Timeouts, retry and checkpoint cadence.
-    pub config: &'a ExecutorConfig,
+    /// How long a task waits for each dataflow input before failing.
+    pub input_timeout: Duration,
     /// Host locks. Share one registry federation-wide so concurrent
     /// application executions serialise on shared hosts.
     pub registry: &'a HostLockRegistry,
-    /// Checkpoint-restart wiring: with a context, each task first consults
-    /// the store for its newest valid checkpoint (a fully checkpointed task
-    /// re-delivers its recorded outputs instead of re-executing), and
-    /// successful kernel runs are checkpointed when `config.checkpoint` is
-    /// enabled.
-    pub checkpoint: Option<CheckpointContext<'a>>,
 }
 
 /// Execute a scheduled application. See the module docs for semantics.
-pub fn execute(mut exec: Execution<'_>) -> ExecutionOutcome {
-    // The worker threads are the one place the checkpoint wiring is
-    // shared.
-    let checkpoint = exec.checkpoint.take().map(Mutex::new);
-    let (exec, checkpoint) = (&exec, checkpoint.as_ref());
+pub fn execute(exec: Execution<'_>) -> ExecutionOutcome {
+    let exec = &exec;
     let afg = exec.afg;
     let n = afg.task_count();
     let app_id = exec.table as *const _ as u64;
@@ -219,7 +170,7 @@ pub fn execute(mut exec: Execution<'_>) -> ExecutionOutcome {
             let my_out = std::mem::take(&mut task_out[task.index()]);
             let records = &records;
             scope.spawn(move || {
-                let record = run_task(exec, checkpoint, task, my_in, my_out);
+                let record = run_task(exec, task, my_in, my_out);
                 *records[task.index()].lock().unwrap() = Some(record);
             });
         }
@@ -241,53 +192,17 @@ pub fn execute(mut exec: Execution<'_>) -> ExecutionOutcome {
 
 fn run_task(
     exec: &Execution<'_>,
-    checkpoint: Option<&Mutex<CheckpointContext<'_>>>,
     task: TaskId,
     inputs: Vec<(usize, DataReceiver)>,
     outputs: Vec<(usize, DataSender)>,
 ) -> TaskRunRecord {
-    let Execution { afg, io, console, gate, log, clock, config, .. } = *exec;
+    let Execution { afg, io, console, gate, log, clock, input_timeout, .. } = *exec;
     let placement = exec.table.placement(task).expect("complete table");
     let node = afg.task(task);
     let fail = |start: f64, finish: f64, hosts: Vec<String>, why: String| {
         log.emit(finish, RuntimeEvent::TaskFailed { task, reason: why.clone() });
         TaskRunRecord { task, hosts, start, finish, ok: false, error: Some(why) }
     };
-    // Deliver the task's outputs, `port` giving each port's payload:
-    // dataflow frames per out-edge, file/URL stores.
-    let deliver = |port: &dyn Fn(usize) -> Option<Arc<[u8]>>| {
-        for (edge_idx, tx) in &outputs {
-            let payload = port(afg.edges[*edge_idx].from_port.index()).unwrap_or_default();
-            if tx.send(payload).is_err() {
-                // Consumer died; its own record will say why.
-            }
-        }
-        for (i, spec) in node.props.outputs.iter().enumerate() {
-            if let Some(data) = port(i) {
-                io.store_output(spec, &data);
-            }
-        }
-    };
-
-    // 0. Checkpoint-restart: a fully checkpointed task never re-executes.
-    //    Its recorded outputs are re-delivered (downstream tasks cannot
-    //    tell the difference) and the run is reported as resumed. A
-    //    checkpoint whose replicas are all unreachable is skipped by
-    //    `latest_valid` and the task runs normally.
-    let resumed = checkpoint.and_then(|ctx| {
-        let ctx = ctx.lock().unwrap();
-        let (cp, outputs) = ctx.store.latest_valid(task, ctx.reachable)?;
-        (cp.progress >= 1.0 - 1e-9).then(|| (cp.progress, cp.stored_on.clone(), outputs.clone()))
-    });
-    if let Some((progress, hosts, outputs)) = resumed {
-        let start = clock.now();
-        let host = hosts.first().cloned().unwrap_or_default();
-        log.emit(start, RuntimeEvent::TaskResumed { task, progress, host });
-        deliver(&|i| outputs.get(&i).cloned());
-        let finish = clock.now();
-        log.emit(finish, RuntimeEvent::TaskFinished { task, seconds: 0.0 });
-        return TaskRunRecord { task, hosts, start, finish, ok: true, error: None };
-    }
 
     // 1. Gather inputs: dataflow frames from channels, file/URL payloads
     //    from the I/O service.
@@ -300,7 +215,7 @@ fn run_task(
     }
     for (edge_idx, rx) in &inputs {
         let edge = &afg.edges[*edge_idx];
-        match rx.recv_timeout(config.input_timeout) {
+        match rx.recv_timeout(input_timeout) {
             Ok(data) => port_payloads[edge.to_port.index()] = Some(data),
             Err(e) => {
                 return fail(
@@ -315,124 +230,71 @@ fn run_task(
     let payloads: Vec<Arc<[u8]>> =
         port_payloads.into_iter().map(|p| p.unwrap_or_default()).collect();
 
-    // Steps 2–5 run under a bounded-retry loop (`config.retry`): a gate
-    // abort or kernel error with retries remaining backs off and goes
-    // around again. The gate is re-consulted on every attempt, so a retry
-    // can come back with `Relocate` — that is the mid-execution
-    // terminate-and-migrate path (§4.1 rescheduling), recorded as
-    // `TaskMigrated` when the host set actually changes between attempts.
-    let mut attempt: u32 = 0;
-    let mut prev_hosts: Option<Vec<String>> = None;
-    loop {
-        // 2. Console checkpoint (suspend) before launching.
-        console.checkpoint();
+    // 2. Wait out a console suspension before launching.
+    console.wait_until_running();
 
-        // 3. Application-Controller start gate (threshold rescheduling).
-        let hosts = match gate.check(task, &placement.hosts) {
-            GateDecision::Proceed => placement.hosts.to_vec(),
-            GateDecision::Relocate(new_hosts) => {
-                log.emit(
-                    clock.now(),
-                    RuntimeEvent::RescheduleRequested {
-                        task,
-                        host: placement.hosts.first().cloned().unwrap_or_default(),
-                    },
-                );
-                new_hosts
-            }
-            GateDecision::Abort(reason) => {
-                if attempt < config.retry.max_retries {
-                    log.emit(clock.now(), RuntimeEvent::TaskRetried { task, attempt });
-                    std::thread::sleep(config.retry.delay_duration(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                return fail(t_wait, clock.now(), placement.hosts.to_vec(), reason);
-            }
-        };
-        if let Some(prev) = &prev_hosts {
-            if *prev != hosts {
-                log.emit(
-                    clock.now(),
-                    RuntimeEvent::TaskMigrated {
-                        task,
-                        from_host: prev.join("+"),
-                        to_host: hosts.join("+"),
-                    },
-                );
-            }
+    // 3. Application-Controller start gate (threshold rescheduling).
+    let hosts = match gate.check(task, &placement.hosts) {
+        GateDecision::Proceed => placement.hosts.to_vec(),
+        GateDecision::Relocate(new_hosts) => {
+            log.emit(
+                clock.now(),
+                RuntimeEvent::RescheduleRequested {
+                    task,
+                    host: placement.hosts.first().cloned().unwrap_or_default(),
+                },
+            );
+            new_hosts
         }
-        prev_hosts = Some(hosts.clone());
-
-        // 4. Acquire host locks in sorted order (deadlock freedom).
-        let mut sorted = hosts.clone();
-        sorted.sort();
-        sorted.dedup();
-        let locks: Vec<Arc<Mutex<()>>> = sorted.iter().map(|h| exec.registry.lock_for(h)).collect();
-        let guards: Vec<_> = locks.iter().map(|l| l.lock().unwrap()).collect();
-
-        // 5. Run the kernel.
-        let start = clock.now();
-        log.emit(start, RuntimeEvent::TaskStarted { task, host: hosts.join("+") });
-        let result = run_kernel_parallel(
-            node.kernel,
-            node.problem_size,
-            &payloads,
-            hosts.len().max(1) as u32,
-        );
-        let finish = clock.now();
-        drop(guards);
-
-        let out_payloads = match result {
-            Ok(p) => p,
-            Err(e) => {
-                if attempt < config.retry.max_retries {
-                    log.emit(finish, RuntimeEvent::TaskRetried { task, attempt });
-                    std::thread::sleep(config.retry.delay_duration(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                return fail(start, finish, hosts, e.to_string());
-            }
-        };
-
-        // 6. Deliver outputs.
-        deliver(&|i| out_payloads.get(i).cloned());
-
-        // 6b. Checkpoint the completed run: progress 1.0 plus the
-        //     produced outputs, stored on the hosts that ran the task, so
-        //     a re-execution (crash recovery, app restart) resumes here
-        //     instead of re-running the kernel.
-        if let (Some(ctx), true) = (checkpoint, config.checkpoint.is_enabled()) {
-            let outputs = out_payloads.iter().cloned().enumerate().collect();
-            let mut ctx = ctx.lock().unwrap();
-            let CheckpointContext { store, replicate_to, .. } = &mut *ctx;
-            let seq = store.record(task, 1.0, finish, hosts.clone(), outputs);
-            let host = hosts.first().cloned().unwrap_or_default();
-            log.emit(finish, RuntimeEvent::CheckpointTaken { task, seq, progress: 1.0, host });
-            if let Some(remote) = replicate_to {
-                if !hosts.contains(remote) && store.add_replica(task, seq, remote) {
-                    let host = remote.clone();
-                    log.emit(finish, RuntimeEvent::CheckpointReplicated { task, seq, host });
-                }
-            }
+        GateDecision::Abort(reason) => {
+            return fail(t_wait, clock.now(), placement.hosts.to_vec(), reason);
         }
+    };
 
-        // 7. Report the measured execution time for task-perf write-back.
-        let seconds = (finish - start).max(0.0);
-        log.emit(finish, RuntimeEvent::TaskFinished { task, seconds });
-        if let Some(tx) = &exec.completions {
-            for host in &hosts {
-                let _ = tx.send(ControlMessage::ExecutionCompleted {
-                    library_task: node.library_task.clone(),
-                    host: host.clone(),
-                    problem_size: node.problem_size,
-                    seconds,
-                });
-            }
+    // 4. Acquire host locks in sorted order (deadlock freedom).
+    let mut sorted = hosts.clone();
+    sorted.sort();
+    sorted.dedup();
+    let locks: Vec<Arc<Mutex<()>>> = sorted.iter().map(|h| exec.registry.lock_for(h)).collect();
+    let guards: Vec<_> = locks.iter().map(|l| l.lock().unwrap()).collect();
+
+    // 5. Run the kernel.
+    let start = clock.now();
+    log.emit(start, RuntimeEvent::TaskStarted { task, host: hosts.join("+") });
+    let result =
+        run_kernel_parallel(node.kernel, node.problem_size, &payloads, hosts.len().max(1) as u32);
+    let finish = clock.now();
+    drop(guards);
+    let out_payloads = match result {
+        Ok(p) => p,
+        Err(e) => return fail(start, finish, hosts, e.to_string()),
+    };
+
+    // 6. Deliver outputs: dataflow frames per out-edge, file/URL stores.
+    for (edge_idx, tx) in &outputs {
+        let port = afg.edges[*edge_idx].from_port.index();
+        if tx.send(out_payloads.get(port).cloned().unwrap_or_default()).is_err() {
+            // Consumer died; its own record will say why.
         }
-        return TaskRunRecord { task, hosts, start, finish, ok: true, error: None };
     }
+    for (spec, data) in node.props.outputs.iter().zip(&out_payloads) {
+        io.store_output(spec, data);
+    }
+
+    // 7. Report the measured execution time for task-perf write-back.
+    let seconds = (finish - start).max(0.0);
+    log.emit(finish, RuntimeEvent::TaskFinished { task, seconds });
+    if let Some(tx) = &exec.completions {
+        for host in &hosts {
+            let _ = tx.send(ControlMessage::ExecutionCompleted {
+                library_task: node.library_task.clone(),
+                host: host.clone(),
+                problem_size: node.problem_size,
+                seconds,
+            });
+        }
+    }
+    TaskRunRecord { task, hosts, start, finish, ok: true, error: None }
 }
 
 #[cfg(test)]
@@ -468,25 +330,24 @@ mod tests {
         console: ConsoleService,
         clock: RealClock,
         registry: HostLockRegistry,
-        config: ExecutorConfig,
     }
 
     impl Rig {
-        fn new(transport: Transport, config: ExecutorConfig) -> Rig {
+        fn new(transport: Transport) -> Rig {
             let log = EventLog::new();
+            let clock = RealClock::new();
             Rig {
                 dm: DataManager::new(transport, log.clone()),
                 io: IoService::new(),
-                console: ConsoleService::new(log.clone()),
-                clock: RealClock::new(),
+                console: ConsoleService::new(log.clone(), clock.clone()),
+                clock,
                 registry: HostLockRegistry::new(),
-                config,
                 log,
             }
         }
 
-        /// An ungated, un-checkpointed execution of `afg` on this rig;
-        /// tests override fields with struct-update syntax.
+        /// An ungated execution of `afg` on this rig with a 5 s input
+        /// timeout; tests override fields with struct-update syntax.
         fn execution<'a>(&'a self, afg: &'a Afg, table: &'a AllocationTable) -> Execution<'a> {
             Execution {
                 afg,
@@ -498,15 +359,10 @@ mod tests {
                 log: &self.log,
                 clock: &self.clock,
                 completions: None,
-                config: &self.config,
+                input_timeout: Duration::from_secs(5),
                 registry: &self.registry,
-                checkpoint: None,
             }
         }
-    }
-
-    fn timeout(input_timeout: Duration) -> ExecutorConfig {
-        ExecutorConfig { input_timeout, ..ExecutorConfig::default() }
     }
 
     fn run(
@@ -515,7 +371,7 @@ mod tests {
         transport: Transport,
         gate: &dyn StartGate,
     ) -> (ExecutionOutcome, EventLog, IoService) {
-        let rig = Rig::new(transport, timeout(Duration::from_secs(5)));
+        let rig = Rig::new(transport);
         let outcome = execute(Execution { gate, ..rig.execution(afg, table) });
         (outcome, rig.log, rig.io)
     }
@@ -593,9 +449,10 @@ mod tests {
         let afg = b.build().unwrap();
         let table = single_host_table(&afg, "h0");
 
-        let rig = Rig::new(Transport::InProc, timeout(Duration::from_millis(300)));
+        let rig = Rig::new(Transport::InProc);
         rig.io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
-        let out = execute(rig.execution(&afg, &table));
+        let input_timeout = Duration::from_millis(300);
+        let out = execute(Execution { input_timeout, ..rig.execution(&afg, &table) });
         assert!(!out.success);
         assert!(!out.records[0].ok);
         assert!(out.records[0].error.as_deref().unwrap().contains("pivot"));
@@ -627,121 +484,31 @@ mod tests {
 
     #[test]
     fn gate_abort_fails_the_task() {
-        struct AbortAll;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        struct AbortAll(AtomicU32);
         impl StartGate for AbortAll {
             fn check(&self, _t: TaskId, _h: &[String]) -> GateDecision {
+                self.0.fetch_add(1, Ordering::SeqCst);
                 GateDecision::Abort("load shed".into())
             }
         }
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let (out, ..) = run(&afg, &table, Transport::InProc, &AbortAll);
+        let gate = AbortAll(AtomicU32::new(0));
+        let (out, log, _) = run(&afg, &table, Transport::InProc, &gate);
         assert!(!out.success);
-        assert!(out.records.iter().any(|r| r.error.as_deref() == Some("load shed")));
-    }
-
-    #[test]
-    fn transient_gate_abort_is_retried_until_it_clears() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        struct AbortTwice(AtomicU32);
-        impl StartGate for AbortTwice {
-            fn check(&self, _t: TaskId, _h: &[String]) -> GateDecision {
-                if self.0.fetch_add(1, Ordering::SeqCst) < 2 {
-                    GateDecision::Abort("host down".into())
-                } else {
-                    GateDecision::Proceed
-                }
-            }
-        }
-        let lib = TaskLibrary::standard();
-        let mut b = AfgBuilder::new("retry", &lib);
-        let s = b.add_task("Source", "s", 50).unwrap();
-        let k = b.add_task("Sink", "k", 50).unwrap();
-        b.connect(s, 0, k, 0).unwrap();
-        let afg = b.build().unwrap();
-        let table = single_host_table(&afg, "h0");
-
-        let rig = Rig::new(
-            Transport::InProc,
-            ExecutorConfig {
-                retry: BackoffPolicy { base_s: 0.001, factor: 1.0, max_s: 0.001, max_retries: 4 },
-                ..timeout(Duration::from_secs(5))
-            },
-        );
-        let gate = AbortTwice(AtomicU32::new(0));
-        let out = execute(Execution { gate: &gate, ..rig.execution(&afg, &table) });
-        assert!(out.success, "{:?}", out.records);
-        // Only the first task hits the aborting window (the gate counter
-        // is global), but at least its retries must be in the log.
-        assert!(rig.log.count(|e| matches!(e, RuntimeEvent::TaskRetried { .. })) >= 2);
-    }
-
-    #[test]
-    fn exhausted_retries_fail_with_the_last_reason() {
-        struct AbortAll;
-        impl StartGate for AbortAll {
-            fn check(&self, _t: TaskId, _h: &[String]) -> GateDecision {
-                GateDecision::Abort("still down".into())
-            }
-        }
-        let afg = chain();
-        let table = single_host_table(&afg, "h0");
-        let rig = Rig::new(
-            Transport::InProc,
-            ExecutorConfig {
-                retry: BackoffPolicy { base_s: 0.001, factor: 1.0, max_s: 0.001, max_retries: 2 },
-                ..timeout(Duration::from_millis(200))
-            },
-        );
-        let out = execute(Execution { gate: &AbortAll, ..rig.execution(&afg, &table) });
-        assert!(!out.success);
-        assert!(out.records.iter().any(|r| r.error.as_deref() == Some("still down")));
-        // Each task burned its full retry budget before failing.
-        assert!(rig.log.count(|e| matches!(e, RuntimeEvent::TaskRetried { .. })) >= 2);
-    }
-
-    #[test]
-    fn retry_relocation_is_logged_as_migration() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        // The LU task fails deterministically (singular input) on any
-        // host; the gate moves it to a different host per attempt, so the
-        // second attempt is a migration.
-        struct Hop(AtomicU32);
-        impl StartGate for Hop {
-            fn check(&self, _t: TaskId, _h: &[String]) -> GateDecision {
-                let n = self.0.fetch_add(1, Ordering::SeqCst);
-                GateDecision::Relocate(vec![format!("h{n}")])
-            }
-        }
-        let lib = TaskLibrary::standard();
-        let mut b = AfgBuilder::new("hop", &lib);
-        let lu = b.add_task("LU_Decomposition", "lu", 2).unwrap();
-        b.set_input(lu, 0, IoSpec::inline_file("/singular.dat", 0)).unwrap();
-        let afg = b.build().unwrap();
-        let table = single_host_table(&afg, "h0");
-        let rig = Rig::new(
-            Transport::InProc,
-            ExecutorConfig {
-                retry: BackoffPolicy { base_s: 0.001, factor: 1.0, max_s: 0.001, max_retries: 1 },
-                ..timeout(Duration::from_millis(200))
-            },
-        );
-        rig.io.put("/singular.dat", crate::kernels::encode_f64s(&[0.0, 1.0, 1.0, 0.0]));
-        let gate = Hop(AtomicU32::new(0));
-        let out = execute(Execution { gate: &gate, ..rig.execution(&afg, &table) });
-        assert!(!out.success, "singular LU fails on every host");
-        assert_eq!(
-            rig.log.count(|e| matches!(e, RuntimeEvent::TaskMigrated { .. })),
-            1,
-            "one retry on a different host → one migration event"
-        );
+        assert_eq!(out.records[0].error.as_deref(), Some("load shed"));
+        // The source fails on its one launch; its consumers fail on the
+        // closed channel without reaching the gate.
+        assert_eq!(gate.0.load(Ordering::SeqCst), 1);
+        assert_eq!(log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })), 0);
     }
 
     #[test]
     fn completions_are_reported_per_host() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let rig = Rig::new(Transport::InProc, ExecutorConfig::default());
+        let rig = Rig::new(Transport::InProc);
         let (tx, rx) = std::sync::mpsc::channel();
         let out = execute(Execution { completions: Some(tx), ..rig.execution(&afg, &table) });
         assert!(out.success);
@@ -757,7 +524,7 @@ mod tests {
     fn suspended_application_waits_for_resume() {
         let afg = chain();
         let table = single_host_table(&afg, "h0");
-        let rig = Rig::new(Transport::InProc, ExecutorConfig::default());
+        let rig = Rig::new(Transport::InProc);
         rig.console.suspend();
         let console2 = rig.console.clone();
         let resumer = std::thread::spawn(move || {
@@ -769,97 +536,6 @@ mod tests {
         assert!(out.success);
         assert!(out.wall_seconds >= 0.0);
         assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::Resumed)), 1);
-    }
-
-    fn checkpointing() -> ExecutorConfig {
-        ExecutorConfig {
-            checkpoint: CheckpointPolicy::every(0.5, 0.0),
-            ..ExecutorConfig::default()
-        }
-    }
-
-    #[test]
-    fn checkpointed_rerun_skips_completed_tasks() {
-        let afg = chain();
-        let table = single_host_table(&afg, "h0");
-        let mut store = CheckpointStore::new();
-        let reachable = |_: &str| true;
-        let ctx =
-            CheckpointContext { store: &mut store, reachable: &reachable, replicate_to: None };
-
-        let rig = Rig::new(Transport::InProc, checkpointing());
-        let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
-        assert!(out.success, "{:?}", out.records);
-        assert_eq!(store.state().taken, 3, "every completed task checkpointed");
-        assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::CheckpointTaken { .. })), 3);
-
-        // Second execution with the same store: no completed work is
-        // re-executed — every task resumes from its full checkpoint.
-        let rig2 = Rig::new(Transport::InProc, checkpointing());
-        let ctx =
-            CheckpointContext { store: &mut store, reachable: &reachable, replicate_to: None };
-        let out2 = execute(Execution { checkpoint: Some(ctx), ..rig2.execution(&afg, &table) });
-        assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(
-            rig2.log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })),
-            0,
-            "no kernel re-executed past its checkpoint"
-        );
-        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskResumed { .. })), 3);
-    }
-
-    #[test]
-    fn replicated_checkpoints_survive_home_host_loss() {
-        let afg = chain();
-        let table = single_host_table(&afg, "h0");
-        let mut store = CheckpointStore::new();
-
-        // First run replicates every checkpoint to the off-site host r1.
-        let rig = Rig::new(Transport::InProc, checkpointing());
-        let reachable = |_: &str| true;
-        let ctx = CheckpointContext {
-            store: &mut store,
-            reachable: &reachable,
-            replicate_to: Some("r1".into()),
-        };
-        let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
-        assert!(out.success);
-        assert_eq!(rig.log.count(|e| matches!(e, RuntimeEvent::CheckpointReplicated { .. })), 3);
-
-        // h0 crashed, but the replicas on r1 keep every checkpoint valid:
-        // the rerun resumes everything instead of re-executing.
-        let rig2 = Rig::new(Transport::InProc, checkpointing());
-        let h0_down = |h: &str| h != "h0";
-        let ctx2 = CheckpointContext { store: &mut store, reachable: &h0_down, replicate_to: None };
-        let out2 = execute(Execution { checkpoint: Some(ctx2), ..rig2.execution(&afg, &table) });
-        assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })), 0);
-        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskResumed { .. })), 3);
-    }
-
-    #[test]
-    fn unreachable_checkpoint_replicas_force_reexecution() {
-        let afg = chain();
-        let table = single_host_table(&afg, "h0");
-        let mut store = CheckpointStore::new();
-
-        // First run checkpoints everything on h0.
-        let rig = Rig::new(Transport::InProc, checkpointing());
-        let reachable = |_: &str| true;
-        let ctx =
-            CheckpointContext { store: &mut store, reachable: &reachable, replicate_to: None };
-        let out = execute(Execution { checkpoint: Some(ctx), ..rig.execution(&afg, &table) });
-        assert!(out.success);
-
-        // h0 "crashed": its checkpoints are unusable, so the rerun
-        // executes every task from scratch.
-        let rig2 = Rig::new(Transport::InProc, checkpointing());
-        let h0_down = |h: &str| h != "h0";
-        let ctx2 = CheckpointContext { store: &mut store, reachable: &h0_down, replicate_to: None };
-        let out2 = execute(Execution { checkpoint: Some(ctx2), ..rig2.execution(&afg, &table) });
-        assert!(out2.success, "{:?}", out2.records);
-        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskResumed { .. })), 0);
-        assert_eq!(rig2.log.count(|e| matches!(e, RuntimeEvent::TaskStarted { .. })), 3);
     }
 
     #[test]

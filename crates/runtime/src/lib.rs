@@ -33,8 +33,8 @@
 //! [`VisualizationService`] are the user-requested I/O, console
 //! (suspend/restart) and visualization services. [`EventLog`] is the
 //! runtime event log the visualization service renders. [`CheckpointStore`]
-//! persists task progress so recovery resumes from the latest valid
-//! checkpoint instead of restarting from zero (DESIGN.md §11).
+//! persists task progress so the fault replay's recovery resumes from the
+//! latest valid checkpoint instead of restarting from zero (DESIGN.md §11).
 //! [`submission`] is the authenticated front door to the streaming
 //! scheduler service (DESIGN.md §15): credentials in, queued
 //! submissions out.
@@ -62,7 +62,7 @@ pub mod submission;
 pub use app_controller::ThresholdGate;
 pub use checkpoint::{
     CheckpointEvent, CheckpointPolicy, CheckpointState, CheckpointStore, ControlCheckpoint,
-    MtbfEstimator, PlannedCheckpoint, RunPlan,
+    PlannedCheckpoint, RunPlan,
 };
 pub use data_manager::{ChannelId, DataManager, Transport};
 pub use durable::{
@@ -71,8 +71,7 @@ pub use durable::{
 };
 pub use events::{EventLog, LogRecord, RuntimeEvent, WorkLedger};
 pub use executor::{
-    execute, AlwaysProceed, Execution, ExecutionOutcome, ExecutorConfig, HostLockRegistry,
-    StartGate, TaskRunRecord,
+    execute, AlwaysProceed, Execution, ExecutionOutcome, HostLockRegistry, StartGate, TaskRunRecord,
 };
 pub use group::{FlagEcho, GroupManager};
 pub use kernels::{

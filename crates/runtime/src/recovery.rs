@@ -4,9 +4,8 @@
 //! tasks"; this module holds the two pieces of state that policy needs
 //! beyond the event streams themselves:
 //!
-//! - [`BackoffPolicy`] — a capped exponential retry schedule shared by
-//!   the real-thread executor (wall-clock sleeps) and the virtual-time
-//!   replay harness (virtual delays), so both honour the same bounds;
+//! - [`BackoffPolicy`] — the capped exponential retry schedule the fault
+//!   replay waits out, in virtual time, before relaunching a task;
 //! - [`Quarantine`] — the set of hosts currently considered dead. A host
 //!   enters on a failure report and is **re-admitted on recovery**, so a
 //!   transient outage only excludes the host for the outage window.
@@ -17,15 +16,13 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::time::Duration;
 use vdce_net::topology::SiteId;
 
 /// Capped exponential backoff for transient-fault retries.
 ///
 /// Delay before retry attempt `n` (0-based) is
 /// `min(base_s * factor^n, max_s)`; after `max_retries` failed attempts
-/// the task is abandoned. Times are in seconds — wall-clock for the
-/// executor, virtual for the replay harness.
+/// the task is abandoned. Times are virtual seconds of the fault replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry, seconds.
@@ -45,20 +42,10 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// A policy that never retries.
-    pub(crate) fn none() -> Self {
-        BackoffPolicy { max_retries: 0, ..BackoffPolicy::default() }
-    }
-
     /// Delay in seconds before retry `attempt` (0-based), capped at
     /// `max_s`.
     pub fn delay(&self, attempt: u32) -> f64 {
         (self.base_s * self.factor.powi(attempt as i32)).min(self.max_s)
-    }
-
-    /// [`delay`](Self::delay) as a [`Duration`] for wall-clock sleeps.
-    pub(crate) fn delay_duration(&self, attempt: u32) -> Duration {
-        Duration::from_secs_f64(self.delay(attempt).max(0.0))
     }
 }
 
@@ -197,11 +184,6 @@ mod tests {
             assert!(d >= p.base_s, "delay never below base");
             assert!(d <= p.max_s, "delay never above cap");
         }
-    }
-
-    #[test]
-    fn none_policy_allows_no_retries() {
-        assert_eq!(BackoffPolicy::none().max_retries, 0);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex};
 use vdce_afg::{IoSpec, KernelKind};
+use vdce_net::Clock;
 
 // ---------------------------------------------------------------------
 // I/O service
@@ -145,26 +146,31 @@ struct ConsoleInner {
 pub struct ConsoleService {
     inner: Arc<ConsoleInner>,
     log: EventLog,
+    /// Stamps `Suspended` / `Resumed`: the clock the run's own events use.
+    clock: Arc<dyn Clock>,
 }
 
 impl ConsoleService {
-    /// A console in the running state.
-    pub fn new(log: EventLog) -> Self {
+    /// A console in the running state, logging to `log` at `clock`'s
+    /// time.
+    pub fn new(log: EventLog, clock: impl Clock + 'static) -> Self {
         ConsoleService {
             inner: Arc::new(ConsoleInner {
                 state: Mutex::new(ConsoleState::Running),
                 cond: Condvar::new(),
             }),
             log,
+            clock: Arc::new(clock),
         }
     }
 
-    /// Suspend the application: tasks block at their next checkpoint.
+    /// Suspend the application: tasks not yet launched block before
+    /// launching until [`ConsoleService::resume`].
     pub fn suspend(&self) {
         let mut s = self.inner.state.lock().unwrap();
         if *s == ConsoleState::Running {
             *s = ConsoleState::Suspended;
-            self.log.emit(0.0, RuntimeEvent::Suspended);
+            self.log.emit(self.clock.now(), RuntimeEvent::Suspended);
         }
     }
 
@@ -173,13 +179,13 @@ impl ConsoleService {
         let mut s = self.inner.state.lock().unwrap();
         if *s == ConsoleState::Suspended {
             *s = ConsoleState::Running;
-            self.log.emit(0.0, RuntimeEvent::Resumed);
+            self.log.emit(self.clock.now(), RuntimeEvent::Resumed);
             self.inner.cond.notify_all();
         }
     }
 
-    /// Task-side checkpoint: blocks while suspended.
-    pub(crate) fn checkpoint(&self) {
+    /// Task side: blocks while suspended.
+    pub(crate) fn wait_until_running(&self) {
         let s = self.inner.state.lock().unwrap();
         let _running = self.inner.cond.wait_while(s, |s| *s == ConsoleState::Suspended).unwrap();
     }
@@ -204,6 +210,10 @@ impl VisualizationService {
     /// CSV timeline: `time_s,event,detail` rows in event order. The
     /// event is the trace-record name and the detail its fields as
     /// space-joined `key=value` pairs, quoted per RFC 4180 when needed.
+    /// The detail column is for reading: a value holding a space or an
+    /// `=` does not split back into its fields. A program that needs the
+    /// fields reads the JSONL trace of a log built with
+    /// [`EventLog::traced`], which carries the same names and fields.
     pub fn timeline_csv(&self) -> String {
         let mut out = String::from("time_s,event,detail\n");
         for (t, e) in self.log.snapshot() {
@@ -318,11 +328,11 @@ mod tests {
     #[test]
     fn console_suspend_resume_cycle() {
         let log = EventLog::new();
-        let console = ConsoleService::new(log.clone());
+        let console = ConsoleService::new(log.clone(), vdce_net::RealClock::new());
         console.suspend();
-        // A blocked checkpoint unblocks on resume.
+        // A blocked task unblocks on resume.
         let c2 = console.clone();
-        let h = std::thread::spawn(move || c2.checkpoint());
+        let h = std::thread::spawn(move || c2.wait_until_running());
         std::thread::sleep(std::time::Duration::from_millis(30));
         console.resume();
         h.join().unwrap();
@@ -333,7 +343,7 @@ mod tests {
     #[test]
     fn suspend_is_idempotent() {
         let log = EventLog::new();
-        let console = ConsoleService::new(log.clone());
+        let console = ConsoleService::new(log.clone(), vdce_net::RealClock::new());
         console.suspend();
         console.suspend();
         assert_eq!(log.count(|e| matches!(e, RuntimeEvent::Suspended)), 1);

@@ -18,6 +18,7 @@
 //! member is the next task. No pop compares a level.
 
 use std::collections::HashMap;
+use vdce_afg::level::priority_list;
 use vdce_afg::{ReadySet, TaskId};
 
 /// Sentinel id for "no host assigned yet" in dense placement arrays.
@@ -61,17 +62,14 @@ impl HostArena {
     }
 }
 
-/// The tasks of `levels` in ready-list order — highest level first by
-/// `total_cmp`, ties by ascending task id — as rank → task, and its
-/// inverse, task → rank. `total_cmp` makes the order total whatever the
-/// levels (a NaN ranks above every number); the site-scheduler walk
+/// The tasks of `levels` in ready-list order — [`priority_list`]'s:
+/// highest level first by `total_cmp`, ties by ascending task id — as
+/// rank → task, and its inverse, task → rank. The order is total whatever
+/// the levels (a NaN ranks above every number); the site-scheduler walk
 /// refuses a non-finite level at its entry, so there the order is also
 /// the numeric one.
 pub(crate) fn rank(levels: &[f64]) -> (Vec<TaskId>, Vec<u32>) {
-    let mut by_rank: Vec<TaskId> = (0..levels.len() as u32).map(TaskId).collect();
-    by_rank.sort_unstable_by(|a, b| {
-        levels[b.index()].total_cmp(&levels[a.index()]).then_with(|| a.cmp(b))
-    });
+    let by_rank = priority_list(levels);
     let mut rank_of = vec![0u32; levels.len()];
     for (r, t) in by_rank.iter().enumerate() {
         rank_of[t.index()] = r as u32;

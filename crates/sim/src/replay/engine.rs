@@ -17,8 +17,8 @@ use vdce_net::topology::SiteId;
 use vdce_net::PartitionState;
 use vdce_obs::Observer;
 use vdce_runtime::{
-    ControlMessage, DurableOptions, FailoverEvent, MtbfEstimator, Quarantine, RuntimeEvent,
-    SiteFailover, SiteQuarantine, SiteTableEvent,
+    ControlMessage, DurableOptions, FailoverEvent, Quarantine, RuntimeEvent, SiteFailover,
+    SiteQuarantine, SiteTableEvent,
 };
 use vdce_sched::{
     reselect_task, site_schedule_observed, AllocationTable, SiteView, TaskHostChoice,
@@ -203,8 +203,6 @@ struct Detected {
     site_quarantine: SiteQuarantine,
     /// Per-site Site-Manager role tracker.
     failover: Vec<SiteFailover>,
-    /// Behind adaptive checkpoint intervals.
-    mtbf: MtbfEstimator,
 }
 
 /// Checkpoint and cross-site replica bookkeeping (DESIGN.md §11, §12)
@@ -325,7 +323,6 @@ impl<'a> Replay<'a> {
                 quarantine: Quarantine::new(),
                 site_quarantine: SiteQuarantine::new(),
                 failover,
-                mtbf: MtbfEstimator::new(0.5),
             },
             tasks,
             host_free: BTreeMap::new(),
@@ -554,7 +551,7 @@ impl<'a> Replay<'a> {
             {
                 stored_on.push(replica.clone());
             }
-            let seq = self.plane.store.record(task, progress, at, stored_on, Default::default());
+            let seq = self.plane.store.record(task, progress, at, stored_on);
             self.out.checkpoints_taken += 1;
             recorded.push((seq, at));
         }
@@ -728,8 +725,7 @@ impl<'a> Replay<'a> {
     /// Step 5. Quarantine newly-dead hosts and re-admit recovered ones;
     /// terminate tasks running on a dead host. Detected deaths also drive
     /// the per-site failover trackers (a deputy takes the Site Manager
-    /// role, or the whole site is quarantined) and the MTBF estimator
-    /// behind adaptive checkpoint intervals.
+    /// role, or the whole site is quarantined).
     fn quarantine_and_failover(&mut self, newly_dead: &[String], newly_alive: &[String]) {
         let t = self.t;
         let log = &self.plane.log;
@@ -751,7 +747,6 @@ impl<'a> Replay<'a> {
                     FailoverEvent::ManagerRestored { .. } | FailoverEvent::SiteRejoined { .. } => {}
                 }
             }
-            self.seen.mtbf.record_failure(t);
         }
         // A site that lost every host in one detection round did not
         // meaningfully fail over — suppress the intermediate promotions
@@ -1001,7 +996,7 @@ impl<'a> Replay<'a> {
         let (down, store) = (&self.truth.down, &self.plane.store);
         let run = &mut self.tasks[task.index()];
         let newest = |usable: &dyn Fn(&str) -> bool| {
-            store.latest_valid(task, usable).map_or(0.0, |(cp, _)| cp.progress)
+            store.latest_valid(task, usable).map_or(0.0, |cp| cp.progress)
         };
         let resume = if cfg.checkpoint.is_enabled() {
             newest(&|h| {
@@ -1013,7 +1008,7 @@ impl<'a> Replay<'a> {
             0.0
         };
         let w = run.predicted.max(0.0);
-        let rplan = cfg.checkpoint.run_plan_adaptive(w, resume, self.seen.mtbf.mtbf());
+        let rplan = cfg.checkpoint.run_plan(w, resume);
         let end = start + rplan.duration;
         for h in &run.hosts {
             self.host_free.insert(h.clone(), end);
