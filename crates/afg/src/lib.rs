@@ -51,7 +51,7 @@ pub use document::{AfgDocument, ServiceRequest};
 pub use graph::{Afg, Edge, EdgeIndex, ReadySet, TopoMarks};
 pub use ids::{DatasetId, PortIndex, TaskId};
 pub use level::{blevel_map, level_map, LevelError};
-pub use library::{KernelKind, LibraryEntry, LibraryGroup, TaskLibrary};
+pub use library::{KernelKind, LibraryEntry, LibraryGroup, TaskCosts, TaskLibrary};
 pub use render::{render_all_properties, render_flow_graph};
 pub use stats::{shape, GraphShape};
 pub use task::{ComputationMode, IoSpec, MachineType, TaskNode, TaskProperties};

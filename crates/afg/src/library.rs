@@ -166,6 +166,46 @@ impl CostPoly {
         }
         v
     }
+
+    /// The model at problem size `n` as a byte count.
+    fn eval_bytes(&self, n: u64) -> u64 {
+        self.eval(n).max(0.0) as u64
+    }
+
+    /// The model's bits: two models with equal bits evaluate to the same
+    /// bits at every problem size.
+    fn bits(&self) -> (u64, u64, bool) {
+        (self.coeff.to_bits(), self.exp.to_bits(), self.log_factor)
+    }
+}
+
+/// The task side of a prediction (§3): a library entry's computation-size
+/// and required-memory models, which with a problem size fix the task's
+/// half of `Predict`. A plain value, so a holder keeps the models it
+/// priced from without borrowing the library.
+#[derive(Debug, Clone, Copy)]
+pub struct TaskCosts {
+    computation: CostPoly,
+    memory: CostPoly,
+}
+
+impl TaskCosts {
+    /// Computation size and required memory at problem size `n`: the
+    /// [`LibraryEntry::computation_size`] and
+    /// [`LibraryEntry::required_memory`] of the entry the models came
+    /// from, bit for bit.
+    pub fn at(&self, n: u64) -> (f64, u64) {
+        (self.computation.eval(n), self.memory.eval_bytes(n))
+    }
+
+    /// Are both models equal bit for bit, so that [`at`](Self::at) gives
+    /// `self` and `other` the same bits at every problem size? A
+    /// coefficient of `0.0` and one of `-0.0` differ here, where `==`
+    /// would call them equal.
+    pub fn same_bits(&self, other: &TaskCosts) -> bool {
+        self.computation.bits() == other.computation.bits()
+            && self.memory.bits() == other.memory.bits()
+    }
 }
 
 /// One entry of a task library: the icon the user drags into the editor,
@@ -208,13 +248,18 @@ impl LibraryEntry {
     /// Bytes emitted per output port at problem size `n`.
     #[inline]
     pub(crate) fn output_size(&self, n: u64) -> u64 {
-        self.output_bytes.eval(n).max(0.0) as u64
+        self.output_bytes.eval_bytes(n)
     }
 
     /// Required memory in bytes at problem size `n`.
     #[inline]
     pub fn required_memory(&self, n: u64) -> u64 {
-        self.memory_bytes.eval(n).max(0.0) as u64
+        self.memory_bytes.eval_bytes(n)
+    }
+
+    /// The computation-size and required-memory models, as a value.
+    pub fn task_costs(&self) -> TaskCosts {
+        TaskCosts { computation: self.computation, memory: self.memory_bytes }
     }
 }
 
@@ -673,6 +718,29 @@ mod tests {
         a.merge(b);
         assert_eq!(a.entries.len(), 1);
         assert_eq!(a.get("X").unwrap().description, "new");
+    }
+
+    /// `TaskCosts::at` is the entry's own pair, bit for bit, and
+    /// `same_bits` tells apart what `==` on the coefficients would not.
+    #[test]
+    fn task_costs_are_the_entrys_costs_and_compare_by_bits() {
+        let lib = TaskLibrary::standard();
+        for e in lib.entries.values() {
+            for n in [0u64, 1, 2, 17, 1024, 20_000_000] {
+                let (flops, memory) = e.task_costs().at(n);
+                assert_eq!(flops.to_bits(), e.computation_size(n).to_bits(), "{}", e.name);
+                assert_eq!(memory, e.required_memory(n), "{}", e.name);
+            }
+            assert!(e.task_costs().same_bits(&e.task_costs()));
+        }
+        let costs = |computation, memory| TaskCosts { computation, memory };
+        let base = costs(CostPoly::poly(2.0, 3.0), CostPoly::constant(64.0));
+        assert!(!base.same_bits(&costs(CostPoly::poly_log(2.0, 3.0), CostPoly::constant(64.0))));
+        assert!(!base.same_bits(&costs(CostPoly::poly(2.0, 3.0), CostPoly::constant(65.0))));
+        let zero = costs(CostPoly::constant(0.0), CostPoly::constant(0.0));
+        let negative_zero = costs(CostPoly::constant(-0.0), CostPoly::constant(0.0));
+        assert!(!zero.same_bits(&negative_zero));
+        assert_ne!(zero.at(5).0.to_bits(), negative_zero.at(5).0.to_bits());
     }
 
     #[test]

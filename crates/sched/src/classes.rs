@@ -12,11 +12,17 @@
 //! index is built once per AFG per schedule and handed to every site's
 //! selection and to the level pass of §3, each of which then prices a
 //! class instead of a task.
+//!
+//! The index also carries each class's task-side costs (computation size
+//! and required memory), computed at the first site that prices the class
+//! and reused at every later site whose library gives its group the same
+//! cost models bit for bit (`vdce_afg::TaskCosts::same_bits`); a site
+//! whose library differs prices the class from its own models.
 
 use crate::view::SiteView;
 use std::sync::Arc;
 use vdce_afg::level::{level_map, LevelError};
-use vdce_afg::{Afg, MachineType, TaskId};
+use vdce_afg::{Afg, MachineType, TaskCosts, TaskId};
 use vdce_predict::cache::FxMap;
 
 /// What the eligibility filter of one task depends on besides the host:
@@ -38,6 +44,20 @@ pub(crate) struct Class {
     pub(crate) problem_size: u64,
     /// Nodes the members ask for (`effective_nodes`).
     pub(crate) requested: u32,
+    /// Computation size and required memory at `problem_size`, under its
+    /// group's `costs`; unset while those are `None`.
+    pub(crate) flops: f64,
+    pub(crate) required: u64,
+}
+
+/// One eligibility group.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Group {
+    /// One member.
+    pub(crate) member: TaskId,
+    /// The library models its classes' task-side costs were last computed
+    /// from; `None` until a site's library first knows its library task.
+    pub(crate) costs: Option<TaskCosts>,
 }
 
 /// The task → class index of one AFG. Owned, so a holder (a pending
@@ -51,8 +71,8 @@ pub(crate) struct TaskClasses {
     pub(crate) class_of: Arc<[u32]>,
     /// Per class.
     pub(crate) classes: Vec<Class>,
-    /// Per eligibility group, one member.
-    pub(crate) groups: Vec<TaskId>,
+    /// Per eligibility group.
+    pub(crate) groups: Vec<Group>,
 }
 
 impl TaskClasses {
@@ -91,11 +111,11 @@ impl TaskClasses {
             .collect();
         let mut classes = vec![Class::default(); class_ids.len()];
         for (&(group, problem_size, requested), &c) in &class_ids {
-            classes[c as usize] = Class { group, problem_size, requested };
+            classes[c as usize] = Class { group, problem_size, requested, ..Class::default() };
         }
-        let mut groups = vec![TaskId(0); group_ids.len()];
-        for &(g, task) in group_ids.values() {
-            groups[g as usize] = task;
+        let mut groups = vec![Group { member: TaskId(0), costs: None }; group_ids.len()];
+        for &(g, member) in group_ids.values() {
+            groups[g as usize].member = member;
         }
         TaskClasses { class_of, classes, groups }
     }
@@ -108,7 +128,7 @@ impl TaskClasses {
         debug_assert_eq!(self.class_of.len(), afg.task_count(), "an index of another graph");
         let cost: Vec<f64> = (self.classes.iter())
             .map(|c| {
-                let library_task = &afg.task(self.groups[c.group as usize]).library_task;
+                let library_task = &afg.task(self.groups[c.group as usize].member).library_task;
                 view.tasks.base_time(library_task, c.problem_size).unwrap_or(0.0)
             })
             .collect();
@@ -119,21 +139,25 @@ impl TaskClasses {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host_selection::select_by_class;
+    use crate::host_selection::{select_by_class, SelectScratch};
     use crate::oracle::{check_shared_selection, Case};
     use vdce_afg::{AfgBuilder, ComputationMode, TaskLibrary};
 
     /// Every site's selection over one index of the AFG, as the site
     /// scheduler runs it, is the one-shot call's and the reference's, on
-    /// 256 random cases and the palette workload over 2 and 8 sites.
+    /// 256 random cases and the palette workload over 2 and 8 sites. One
+    /// scratch serves every site of every case, so it is reused across
+    /// host counts and group counts.
     #[test]
     fn selection_over_a_shared_index_passes_the_oracle() {
         let palette = [Case::palette(1_000, 2), Case::palette(1_000, 8)];
+        let mut scratch = SelectScratch::default();
         for case in (0..256).map(Case::random).chain(palette) {
             let (afg, config) = (&case.afg, &case.config);
-            let classes = TaskClasses::new(afg);
+            let (predictor, parallel) = (&config.predictor, &config.parallel);
+            let mut classes = TaskClasses::new(afg);
             check_shared_selection(&case, |view, memo| {
-                select_by_class(view, afg, &classes, &config.predictor, &config.parallel, memo)
+                select_by_class(view, afg, &mut classes, predictor, parallel, memo, &mut scratch)
             });
         }
     }
@@ -181,6 +205,6 @@ mod tests {
         let group = |t: TaskId| index.classes[class(t) as usize].group;
         assert_eq!((group(size), group(nodes)), (group(base), group(base)));
         assert_eq!(index.groups.len(), 5);
-        assert_eq!(index.groups[group(base) as usize], base);
+        assert_eq!(index.groups[group(base) as usize].member, base);
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::allocation::AllocationTable;
 use crate::classes::TaskClasses;
-use crate::host_selection::HostSelectionOutput;
+use crate::host_selection::{HostSelectionOutput, SelectScratch};
 use crate::site_scheduler::{
     host_selection_for, schedule_with_outputs_data, SchedError, SchedulerConfig,
 };
@@ -68,8 +68,9 @@ pub(crate) fn serve_one(
     let Ok(delivery) = endpoint.recv_timeout(timeout) else { return false };
     match delivery.msg {
         SchedMessage::HostSelectionRequest { request_id, afg } => {
-            let classes = TaskClasses::new(&afg);
-            let output = host_selection_for(view, &afg, &classes, config, &PredictCache::new());
+            let (classes, scratch) = (&mut TaskClasses::new(&afg), &mut SelectScratch::default());
+            let output =
+                host_selection_for(view, &afg, classes, config, &PredictCache::new(), scratch);
             let reply = SchedMessage::HostSelectionReply { request_id, output };
             let bytes = reply.wire_bytes();
             let _ = bus.send(endpoint.site, delivery.from, reply, bytes);
@@ -170,8 +171,9 @@ pub(crate) fn federated_schedule_reachable(
 
     // Step 4 (local half): host selection on the local site, over the
     // task classes the level pass below prices too.
-    let classes = TaskClasses::new(afg);
-    let mut outputs = vec![host_selection_for(local, afg, &classes, config, &PredictCache::new())];
+    let (mut classes, cache) = (TaskClasses::new(afg), PredictCache::new());
+    let scratch = &mut SelectScratch::default();
+    let mut outputs = vec![host_selection_for(local, afg, &mut classes, config, &cache, scratch)];
 
     // Step 5: collect replies.
     let deadline = Instant::now() + reply_timeout;

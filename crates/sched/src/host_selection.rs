@@ -32,7 +32,7 @@ use serde::{Deserialize, JsonReader, JsonWriter, Serialize};
 use std::io::Write;
 use std::ops::Range;
 use std::sync::Arc;
-use vdce_afg::{Afg, LibraryEntry, TaskId};
+use vdce_afg::{Afg, TaskCosts, TaskId};
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::{PredictCache, SiteTerms};
 use vdce_predict::model::{HostTerm, Predictor};
@@ -297,11 +297,37 @@ pub fn host_selection(
 
 /// One eligible host of an eligibility group, with everything `Predict`
 /// needs from it that does not depend on the problem size.
-struct Lane<'a> {
-    host: &'a ResourceRecord,
-    /// Position of `host` in the view, indexing the shared singletons.
+#[derive(Debug)]
+struct Lane {
+    /// Position of the host in the view: its record and one-host list.
     slot: usize,
     term: HostTerm,
+}
+
+/// One eligibility group at the site being selected.
+#[derive(Debug)]
+struct GroupLanes {
+    /// Its range of [`SelectScratch::lanes`].
+    lanes: Range<usize>,
+    /// The site's cost models for the group, where they differ from those
+    /// its classes' task-side costs were computed from: recompute them.
+    recost: Option<TaskCosts>,
+}
+
+/// What one site's selection builds and drops: owned by the caller and
+/// reused across the sites and calls it makes, so a selection allocates
+/// no lanes of its own. It holds host slots, not hosts, and no borrow of
+/// any view; [`select_priced`] clears it before use, so it carries nothing
+/// from one site to the next.
+#[derive(Debug, Default)]
+pub(crate) struct SelectScratch {
+    /// Every group's lanes, back to back.
+    lanes: Vec<Lane>,
+    /// Per group, its lanes and costs; `None` when the site's task
+    /// library does not know the library task (nothing can be predicted).
+    groups: Vec<Option<GroupLanes>>,
+    /// One class's feasible lanes and their predictions.
+    feasible: Vec<(u32, f64)>,
 }
 
 /// The optimised [`host_selection`]: the tasks' classes (see
@@ -322,7 +348,7 @@ struct Lane<'a> {
 ///
 /// This call indexes `afg` itself. The site scheduler and the streaming
 /// service index an AFG once and run the same body at every site they
-/// involve.
+/// involve, which also prices each class's task side once.
 ///
 /// The terms go through `cache`'s term rows for `view.site`
 /// ([`PredictCache::site_terms`]). Within one call that only counts them
@@ -337,99 +363,125 @@ pub fn host_selection_classed(
     parallel: &ParallelModel,
     cache: &PredictCache,
 ) -> HostSelectionOutput {
-    select_by_class(view, afg, &TaskClasses::new(afg), predictor, parallel, cache)
+    let (classes, scratch) = (&mut TaskClasses::new(afg), &mut SelectScratch::default());
+    select_by_class(view, afg, classes, predictor, parallel, cache, scratch)
 }
 
 /// [`host_selection_classed`] over `classes`, the index of `afg`, its
-/// terms memoised into `cache`.
+/// terms memoised into `cache`, in `scratch`.
 pub(crate) fn select_by_class(
     view: &SiteView,
     afg: &Afg,
-    classes: &TaskClasses,
+    classes: &mut TaskClasses,
     predictor: &Predictor,
     parallel: &ParallelModel,
     cache: &PredictCache,
+    scratch: &mut SelectScratch,
 ) -> HostSelectionOutput {
     let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
     let terms = cache.site_terms(predictor, &view.tasks, view.site, &hosts);
-    select_priced(view, &hosts, afg, classes, predictor, parallel, terms)
+    let side = Memoised { terms, lists: vec![None; hosts.len()] };
+    select_priced(view, &hosts, afg, classes, predictor, parallel, side, scratch)
 }
 
-/// Where [`select_priced`] gets the host-side terms of a view: a row per
-/// eligibility group, then a term per row and host of the view.
-pub(crate) trait HostTerms<'t> {
+/// Where [`select_priced`] gets the host side of a view: a row per
+/// eligibility group, a term per row and host, and a host's one-host list.
+pub(crate) trait HostSide<'t> {
     /// A group's handle on its library task's terms.
     type Row: Copy;
     /// The row of eligibility group `group`, whose library task is `task`.
     fn row(&mut self, group: usize, task: &'t str) -> Self::Row;
     /// The term in `row` of `host`, the view's host at position `pos`.
     fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm;
+    /// The list `[host]` for `host`, the view's host at position `pos`,
+    /// shared by every singleton choice of it.
+    fn host_list(&mut self, pos: usize, host: &ResourceRecord) -> Arc<[String]>;
 }
 
-impl<'t> HostTerms<'t> for SiteTerms<'_> {
+/// The batch callers' host side: terms through a memo, and one-host lists
+/// made for this call on first use.
+struct Memoised<'a> {
+    terms: SiteTerms<'a>,
+    lists: Vec<Option<Arc<[String]>>>,
+}
+
+impl<'t> HostSide<'t> for Memoised<'_> {
     type Row = (usize, &'t str);
     fn row(&mut self, _group: usize, task: &'t str) -> Self::Row {
-        SiteTerms::row(self, task)
+        self.terms.row(task)
     }
     fn term(&mut self, row: Self::Row, pos: usize, _host: &ResourceRecord) -> HostTerm {
-        SiteTerms::term(self, row, pos)
+        self.terms.term(row, pos)
+    }
+    fn host_list(&mut self, pos: usize, host: &ResourceRecord) -> Arc<[String]> {
+        self.lists[pos].get_or_insert_with(|| Arc::new([host.host_name.clone()])).clone()
     }
 }
 
 /// The body of [`select_by_class`] over `hosts`, the hosts of `view` in
-/// view order, with its host-side terms from `terms`.
+/// view order, with its host side from `side`, in `scratch`. A class's
+/// task-side costs are recomputed only where `view`'s library gives its
+/// group other cost models than the ones they came from.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn select_priced<'t>(
     view: &SiteView,
     hosts: &[&ResourceRecord],
     afg: &'t Afg,
-    classes: &TaskClasses,
+    classes: &mut TaskClasses,
     predictor: &Predictor,
     parallel: &ParallelModel,
-    mut terms: impl HostTerms<'t>,
+    mut side: impl HostSide<'t>,
+    scratch: &mut SelectScratch,
 ) -> HostSelectionOutput {
-    // One shared host list per singleton choice, made on first use.
-    let mut singletons: Vec<Option<Arc<[String]>>> = vec![None; hosts.len()];
-    // Every group's lanes, back to back. Room for four groups: a stream
-    // submission draws on three library tasks and never regrows it.
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(hosts.len() * classes.groups.len().min(4));
-    // Per group, its library entry and its range of `lanes`; `None` when
-    // the site's task library does not know the library task (nothing can
-    // be predicted).
-    let groups: Vec<Option<(&LibraryEntry, Range<usize>)>> = (classes.groups.iter().enumerate())
-        .map(|(group, &task)| {
-            let library_task = &afg.task(task).library_task;
-            let entry = view.tasks.entry(library_task)?;
-            let row = terms.row(group, library_task);
-            let start = lanes.len();
-            for (slot, &host) in hosts.iter().enumerate() {
-                if eligible(view, afg, task, host) {
-                    lanes.push(Lane { host, slot, term: terms.term(row, slot, host) });
-                }
+    let SelectScratch { lanes, groups, feasible } = scratch;
+    lanes.clear();
+    groups.clear();
+    // Sized once, not grown: room for four groups' lanes (a stream
+    // submission draws on three library tasks), every group, every host.
+    lanes.reserve(hosts.len() * classes.groups.len().min(4));
+    groups.reserve(classes.groups.len());
+    feasible.reserve(hosts.len());
+    for (g, group) in classes.groups.iter_mut().enumerate() {
+        let library_task = &afg.task(group.member).library_task;
+        let Some(entry) = view.tasks.entry(library_task) else {
+            groups.push(None);
+            continue;
+        };
+        let costs = entry.task_costs();
+        let recost = match group.costs {
+            Some(from) if from.same_bits(&costs) => None,
+            _ => Some(costs),
+        };
+        group.costs = Some(costs);
+        let row = side.row(g, library_task);
+        let start = lanes.len();
+        for (slot, &host) in hosts.iter().enumerate() {
+            if eligible(view, afg, group.member, host) {
+                lanes.push(Lane { slot, term: side.term(row, slot, host) });
             }
-            Some((entry, start..lanes.len()))
-        })
-        .collect();
-    let mut feasible: Vec<(u32, f64)> = Vec::with_capacity(hosts.len());
-    let choices = classes.classes.iter().map(|class| {
-        let (entry, range) = groups[class.group as usize].as_ref()?;
+        }
+        groups.push(Some(GroupLanes { lanes: start..lanes.len(), recost }));
+    }
+    let choices = classes.classes.iter_mut().map(|class| {
+        let GroupLanes { lanes: range, recost } = groups[class.group as usize].as_ref()?;
+        if let Some(costs) = recost {
+            (class.flops, class.required) = costs.at(class.problem_size);
+        }
         let lanes = &lanes[range.clone()];
-        let flops = entry.computation_size(class.problem_size);
-        let required = entry.required_memory(class.problem_size);
         feasible.clear();
         for (i, lane) in lanes.iter().enumerate() {
-            if let Ok(t) = predictor.eval(flops, required, lane.term, lane.host) {
+            let host = hosts[lane.slot];
+            if let Ok(t) = predictor.eval(class.flops, class.required, lane.term, host) {
                 feasible.push((i as u32, t));
             }
         }
-        let (p, predicted_seconds) = rank_nodes(parallel, class.requested, &mut feasible)?;
-        let lane = |c: &(u32, f64)| &lanes[c.0 as usize];
+        let (p, predicted_seconds) = rank_nodes(parallel, class.requested, feasible)?;
+        let slot = |c: &(u32, f64)| lanes[c.0 as usize].slot;
         let hosts = if p == 1 {
-            let best = lane(&feasible[0]);
-            singletons[best.slot]
-                .get_or_insert_with(|| Arc::new([best.host.host_name.clone()]))
-                .clone()
+            let best = slot(&feasible[0]);
+            side.host_list(best, hosts[best])
         } else {
-            feasible[..p].iter().map(|c| lane(c).host.host_name.clone()).collect()
+            feasible[..p].iter().map(|c| hosts[slot(c)].host_name.clone()).collect()
         };
         Some(TaskHostChoice { hosts, predicted_seconds })
     });
@@ -440,6 +492,7 @@ pub(crate) fn select_priced<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{same_choices, Case};
     use std::collections::HashMap;
     use vdce_afg::{AfgBuilder, IoSpec, MachineType, TaskLibrary};
     use vdce_repository::resources::{HostStatus, ResourceRecord};
@@ -953,6 +1006,75 @@ mod tests {
         assert_eq!(counts(&memo), (16, 8, 16));
         assert_eq!(lines(&classed(&sites[0], 0, &memo)), lines(&first0));
         assert_eq!(counts(&memo), (16, 16, 16));
+    }
+
+    /// `view` with `task`'s `model` ("computation" or "memory_bytes")
+    /// coefficient set to `coeff`, as site `site`.
+    fn repriced(view: &SiteView, site: u16, task: &str, model: &str, coeff: f64) -> SiteView {
+        let mut tasks = serde_json::to_value(&view.tasks).unwrap();
+        let coeff = serde_json::Value::Number(serde_json::Number::F(coeff));
+        tasks["library"]["entries"][task][model]["coeff"] = coeff;
+        let tasks = serde_json::from_value(&tasks).unwrap();
+        SiteView { site: SiteId(site), tasks, ..view.clone() }
+    }
+
+    /// Sites whose libraries give `Sort` other computation or memory
+    /// models, or a computation coefficient of `-0.0` against one of
+    /// `0.0`: one index and one scratch, visiting them in turn and back,
+    /// price each class's task side from the visited site's own models, so
+    /// each site's selection is its own one-shot selection, bit for bit.
+    #[test]
+    fn task_side_costs_follow_each_sites_library() {
+        let afg = memo_afg();
+        let hosts = (0..4).map(|i| record(&format!("h{i}"), MachineType::LinuxPc, 1.0 + i as f64));
+        let base = view_with(hosts.collect());
+        let (p, pm) = (Predictor::default(), ParallelModel::default());
+        let sites = [
+            SiteView { site: SiteId(1), ..base.clone() },
+            repriced(&base, 2, "Sort", "computation", 7.5),
+            // More memory than any host has: `Sort` cannot run there.
+            repriced(&base, 3, "Sort", "memory_bytes", 1e30),
+            repriced(&base, 4, "Sort", "computation", 0.0),
+            repriced(&base, 5, "Sort", "computation", -0.0),
+            SiteView { site: SiteId(6), ..base.clone() },
+        ];
+        let sort = TaskId(1);
+        let own = |v: &SiteView| host_selection_classed(v, &afg, &p, &pm, &PredictCache::new());
+        assert_ne!(lines(&own(&sites[1])), lines(&own(&sites[0])));
+        assert!(own(&sites[2]).choice(sort).is_none() && own(&sites[0]).choice(sort).is_some());
+        let signs = [3, 4].map(|i| own(&sites[i]).choice(sort).unwrap().predicted_seconds);
+        assert_ne!(signs[0].to_bits(), signs[1].to_bits());
+
+        let (mut classes, mut scratch) = (TaskClasses::new(&afg), SelectScratch::default());
+        let memo = PredictCache::new();
+        for view in sites.iter().chain(sites.iter().rev()) {
+            let got = select_by_class(view, &afg, &mut classes, &p, &pm, &memo, &mut scratch);
+            assert_eq!(lines(&got), lines(&own(view)), "site {}", view.site);
+            assert_eq!(got, host_selection(view, &afg, &p, &pm), "site {}", view.site);
+        }
+    }
+
+    /// One scratch reused across sites of different host counts, AFGs of
+    /// different group counts and views missing a library task gives the
+    /// table a fresh scratch gives, and keeps the lanes of the last site
+    /// only.
+    #[test]
+    fn a_reused_scratch_selects_as_a_fresh_one() {
+        let cases = (0..128).flat_map(|seed| [Case::random(seed), Case::relabelled(seed)]);
+        let mut scratch = SelectScratch::default();
+        for case in cases {
+            let (afg, p, pm) = (&case.afg, &case.config.predictor, &case.config.parallel);
+            for view in &case.views {
+                let mut fresh = SelectScratch::default();
+                let select = |scratch: &mut SelectScratch| {
+                    let (classes, memo) = (&mut TaskClasses::new(afg), &PredictCache::new());
+                    select_by_class(view, afg, classes, p, pm, memo, scratch)
+                };
+                let (got, want) = (select(&mut scratch), select(&mut fresh));
+                same_choices(&got, &want, &case.name, "selection in a reused scratch");
+                assert_eq!(scratch.lanes.len(), fresh.lanes.len(), "{}: lanes kept", case.name);
+            }
+        }
     }
 
     #[test]

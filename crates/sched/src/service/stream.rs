@@ -68,7 +68,7 @@
 //! kernel execution.
 
 use crate::classes::TaskClasses;
-use crate::host_selection::{select_priced, HostSelectionOutput, HostTerms};
+use crate::host_selection::{select_priced, HostSelectionOutput, HostSide, SelectScratch};
 use crate::incremental::IncrementalSchedule;
 use crate::makespan::evaluate;
 use crate::service::aging::AgingPolicy;
@@ -247,16 +247,19 @@ struct AdmissionPrices {
 }
 
 /// One site as the service holds it: its view, written by the service
-/// alone, the view's pricing, and its load. The service never adds or
-/// removes a host, so the view lists the same hosts in the same order for
-/// the service's life and a term table of one load state indexes the
-/// hosts of the next.
+/// alone, the view's pricing, its hosts' one-host lists, and its load. The
+/// service never adds or removes a host, so the view lists the same hosts
+/// in the same order for the service's life and a term table of one load
+/// state indexes the hosts of the next.
 struct Site {
     view: SiteView,
     /// The host-side terms of `view` at its current loads, filled by the
     /// admissions that select under it: a site's prices stay fixed until
     /// its next load sample, so every admission in between shares them.
     prices: Arc<TermTable>,
+    /// `[host]` for each host of `view`, in view order: every singleton
+    /// choice of a host at this site shares its list.
+    lists: Box<[Arc<[String]>]>,
     /// Concurrent runs the site sustains: `hosts × SLOTS_PER_HOST`.
     capacity: u32,
     /// Runs charged a slot here.
@@ -269,8 +272,9 @@ impl Site {
     fn new(view: SiteView) -> Self {
         let hosts = view.resources.len();
         let prices = Arc::new(TermTable::new(hosts));
+        let lists = view.resources.iter().map(|h| Arc::from([h.host_name.clone()])).collect();
         let capacity = hosts as u32 * SLOTS_PER_HOST;
-        Site { view, prices, capacity, inflight: 0, host_inflight: BTreeMap::new() }
+        Site { view, prices, lists, capacity, inflight: 0, host_inflight: BTreeMap::new() }
     }
 
     /// Add `delta` running tasks to `host`'s load, record the new level as
@@ -295,18 +299,20 @@ impl Site {
     }
 }
 
-/// A selection's terms at one site, filled on a miss: the current view's
-/// pricing for an admission, a queued submission's admission pricing for
-/// its re-selection. A table shared with another holder is copied on its
-/// first miss.
+/// A selection's host side at one site: its terms, filled on a miss, from
+/// the current view's pricing for an admission and from a queued
+/// submission's admission pricing for its re-selection (a table shared
+/// with another holder is copied on its first miss), and the site's
+/// one-host lists.
 struct AdmitTerms<'a> {
     prices: &'a mut Arc<TermTable>,
     rows: &'a [u32],
+    lists: &'a [Arc<[String]>],
     predictor: &'a Predictor,
     tasks: &'a TaskPerfDb,
 }
 
-impl<'t> HostTerms<'t> for AdmitTerms<'_> {
+impl<'t> HostSide<'t> for AdmitTerms<'_> {
     type Row = (usize, &'t str);
     fn row(&mut self, group: usize, task: &'t str) -> Self::Row {
         (self.rows[group] as usize, task)
@@ -316,6 +322,9 @@ impl<'t> HostTerms<'t> for AdmitTerms<'_> {
             Some(term) => term,
             None => Arc::make_mut(self.prices).term(self.predictor, self.tasks, row, pos, host),
         }
+    }
+    fn host_list(&mut self, pos: usize, _host: &ResourceRecord) -> Arc<[String]> {
+        self.lists[pos].clone()
     }
 }
 
@@ -455,6 +464,8 @@ pub struct StreamService {
     tenants: TenantRegistry,
     predictor: Predictor,
     parallel: ParallelModel,
+    /// The scratch of every host selection the service runs.
+    scratch: SelectScratch,
 
     clock: f64,
     next_seq: u64,
@@ -503,6 +514,7 @@ impl StreamService {
             tenants: TenantRegistry::new(),
             predictor: Predictor::default(),
             parallel: ParallelModel::default(),
+            scratch: SelectScratch::default(),
             clock: 0.0,
             next_seq: 0,
             next_submission: 0,
@@ -577,11 +589,6 @@ impl StreamService {
 
     // -- views and outputs --------------------------------------------
 
-    /// The service's view of `site`.
-    fn view(&self, site: SiteId) -> &SiteView {
-        &self.sites[site.index()].view
-    }
-
     fn domain_sites(&self, domain: AccessDomain) -> Arc<[SiteId]> {
         let i = match domain {
             AccessDomain::LocalSite => 0,
@@ -601,16 +608,21 @@ impl StreamService {
         row
     }
 
-    /// Host selection for queued `p` at `p.sub.sites[at]`, a changed site:
-    /// the current view, priced as `p` was admitted.
-    fn reselect(&self, p: &mut PendingSub, at: usize) -> HostSelectionOutput {
-        let view = self.view(p.sub.sites[at]);
+    /// Host selection for queued `p` at `p.sub.sites[at]`, a changed site,
+    /// in `scratch`: the current view, priced as `p` was admitted.
+    fn reselect(
+        &self,
+        p: &mut PendingSub,
+        at: usize,
+        scratch: &mut SelectScratch,
+    ) -> HostSelectionOutput {
+        let Site { view, lists, .. } = &self.sites[p.sub.sites[at].index()];
         let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
         let AdmissionPrices { rows, shared } = &mut p.memo;
         let (prices, predictor) = (&mut shared[at], &self.predictor);
-        let terms = AdmitTerms { prices, rows, predictor, tasks: &view.tasks };
-        let (afg, classes) = (&p.sub.req.afg, &p.classes);
-        select_priced(view, &hosts, afg, classes, &self.predictor, &self.parallel, terms)
+        let terms = AdmitTerms { prices, rows, lists, predictor, tasks: &view.tasks };
+        let (afg, classes, parallel) = (&p.sub.req.afg, &mut p.classes, &self.parallel);
+        select_priced(view, &hosts, afg, classes, predictor, parallel, terms, scratch)
     }
 
     /// The incremental placement of `afg` over per-site `outputs`.
@@ -623,26 +635,30 @@ impl StreamService {
     }
 
     /// What a submission enters the queue with, on admission and on a
-    /// fault restart, besides `classes` (the index of `afg`): host
-    /// selection at each of `sites` through the current view's pricing,
-    /// the placement over those outputs, and the prices it used.
+    /// fault restart, besides `classes` (the index of `afg`, which keeps
+    /// the task-side costs this pass computes): host selection at each of
+    /// `sites` through the current view's pricing, the placement over those
+    /// outputs, and the prices it used.
     fn place(
         &mut self,
         afg: &Afg,
-        classes: &TaskClasses,
+        classes: &mut TaskClasses,
         sites: &[SiteId],
     ) -> (AdmissionPrices, Vec<HostSelectionOutput>, Result<IncrementalSchedule, SchedError>) {
-        let rows: Box<[u32]> =
-            classes.groups.iter().map(|&g| self.task_row(&afg.task(g).library_task)).collect();
+        let rows: Box<[u32]> = (classes.groups.iter())
+            .map(|g| self.task_row(&afg.task(g.member).library_task))
+            .collect();
         let mut shared = Vec::with_capacity(sites.len());
         let mut outputs = Vec::with_capacity(sites.len());
+        let (predictor, parallel) = (&self.predictor, &self.parallel);
         for &site in sites {
-            let Site { view, prices, .. } = &mut self.sites[site.index()];
+            let Site { view, prices, lists, .. } = &mut self.sites[site.index()];
             let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-            let terms =
-                AdmitTerms { prices, rows: &rows, predictor: &self.predictor, tasks: &view.tasks };
-            let (predictor, parallel) = (&self.predictor, &self.parallel);
-            outputs.push(select_priced(view, &hosts, afg, classes, predictor, parallel, terms));
+            let terms = AdmitTerms { prices, rows: &rows, lists, predictor, tasks: &view.tasks };
+            let scratch = &mut self.scratch;
+            let output =
+                select_priced(view, &hosts, afg, classes, predictor, parallel, terms, scratch);
+            outputs.push(output);
             shared.push(prices.clone());
         }
         let inc = self.schedule(afg, outputs.clone());
@@ -702,8 +718,8 @@ impl StreamService {
 
         // Trial placement with the real scheduler.
         let sites = self.domain_sites(domain);
-        let classes = TaskClasses::new(&req.afg);
-        let (memo, outputs, inc) = self.place(&req.afg, &classes, &sites);
+        let mut classes = TaskClasses::new(&req.afg);
+        let (memo, outputs, inc) = self.place(&req.afg, &mut classes, &sites);
         let inc = match inc {
             Ok(inc) => inc,
             Err(e) => {
@@ -714,7 +730,7 @@ impl StreamService {
 
         // Broker verdict on the trial placement.
         let levels = classes
-            .levels(self.view(SiteId(0)), &req.afg)
+            .levels(&self.sites[0].view, &req.afg)
             .expect("submissions are validated acyclic AFGs");
         let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels) else {
             self.reject(RejectReason::NoFeasiblePlacement);
@@ -880,7 +896,8 @@ impl StreamService {
         }
         // Out of `self` while it is walked, so each entry can be
         // re-selected through `&self`.
-        let mut pending = std::mem::take(&mut self.pending);
+        let (mut pending, mut scratch) =
+            (std::mem::take(&mut self.pending), std::mem::take(&mut self.scratch));
         for p in pending.values_mut() {
             if !p.sub.sites.iter().any(|s| changed.contains(s)) {
                 continue;
@@ -888,7 +905,7 @@ impl StreamService {
             let new_outputs: Vec<HostSelectionOutput> = (0..p.sub.sites.len())
                 .map(|at| {
                     if changed.contains(&p.sub.sites[at]) {
-                        self.reselect(p, at)
+                        self.reselect(p, at, &mut scratch)
                     } else {
                         // Unchanged site: the same table again (a
                         // pointer bump), which the apply diff skips.
@@ -908,7 +925,7 @@ impl StreamService {
             }
             p.outputs = new_outputs;
         }
-        self.pending = pending;
+        (self.pending, self.scratch) = (pending, scratch);
     }
 
     /// The tail of every event that admits, frees or moves capacity: the
@@ -975,8 +992,8 @@ impl StreamService {
             // run's in-flight completion event goes stale the moment
             // this re-dispatches.
             sub.generation += 1;
-            let classes = TaskClasses::new(&sub.req.afg);
-            let (memo, outputs, inc) = self.place(&sub.req.afg, &classes, &sub.sites);
+            let mut classes = TaskClasses::new(&sub.req.afg);
+            let (memo, outputs, inc) = self.place(&sub.req.afg, &mut classes, &sub.sites);
             self.pending.insert(id, PendingSub { sub, classes, outputs, memo, inc: inc.ok() });
         }
         self.settle(changed);
@@ -1421,8 +1438,9 @@ mod tests {
     fn an_admission_prices_only_the_sites_whose_view_changed() {
         let mut svc = service();
         let sites = svc.domain_sites(AccessDomain::Global);
-        let admit =
-            |svc: &mut StreamService, afg: &Afg| svc.place(afg, &TaskClasses::new(afg), &sites).0;
+        let admit = |svc: &mut StreamService, afg: &Afg| {
+            svc.place(afg, &mut TaskClasses::new(afg), &sites).0
+        };
         let terms = |svc: &StreamService| -> Vec<usize> {
             svc.sites.iter().map(|s| s.prices.len()).collect()
         };

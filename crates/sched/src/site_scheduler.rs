@@ -28,7 +28,9 @@ use crate::allocation::{AllocationTable, DataSource, TaskPlacement};
 use crate::arena::LevelReady;
 use crate::classes::TaskClasses;
 use crate::data_inputs::{DatasetInputs, DsInput};
-use crate::host_selection::{host_selection, select_by_class, HostSelectionOutput, TaskHostChoice};
+use crate::host_selection::{
+    host_selection, select_by_class, HostSelectionOutput, SelectScratch, TaskHostChoice,
+};
 use crate::view::SiteView;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
@@ -116,18 +118,21 @@ impl Default for SchedulerConfig {
 /// the [`host_selection`] reference (which never touches `cache` or
 /// `classes`), otherwise
 /// [`host_selection_classed`](crate::host_selection_classed)'s body runs
-/// over `classes`, the index of `afg`, and memoises into `cache`.
+/// over `classes`, the index of `afg`, memoises into `cache` and works in
+/// `scratch`.
 pub(crate) fn host_selection_for(
     view: &SiteView,
     afg: &Afg,
-    classes: &TaskClasses,
+    classes: &mut TaskClasses,
     config: &SchedulerConfig,
     cache: &PredictCache,
+    scratch: &mut SelectScratch,
 ) -> HostSelectionOutput {
     if config.sequential {
         host_selection(view, afg, &config.predictor, &config.parallel)
     } else {
-        select_by_class(view, afg, classes, &config.predictor, &config.parallel, cache)
+        let (predictor, parallel) = (&config.predictor, &config.parallel);
+        select_by_class(view, afg, classes, predictor, parallel, cache, scratch)
     }
 }
 
@@ -290,7 +295,7 @@ fn schedule_pipeline(
 ) -> Result<AllocationTable, SchedError> {
     // The AFG's task classes, indexed once for the level pass and every
     // involved site's host selection.
-    let classes = TaskClasses::new(afg);
+    let mut classes = TaskClasses::new(afg);
     // Priorities: level of each node on base-processor execution times
     // (task-performance DB of the local site).
     let levels = classes.levels(local, afg)?;
@@ -305,11 +310,12 @@ fn schedule_pipeline(
     }
 
     // Steps 3–5: host selection at every involved site, each against
-    // its own frozen view. One predict cache is shared across every site
-    // (host names are federation-unique).
-    let cache = PredictCache::new();
-    let outputs: Vec<HostSelectionOutput> =
-        involved.iter().map(|v| host_selection_for(v, afg, &classes, config, &cache)).collect();
+    // its own frozen view. One predict cache and one scratch serve every
+    // site (host names are federation-unique).
+    let (cache, mut scratch) = (PredictCache::new(), SelectScratch::default());
+    let outputs: Vec<HostSelectionOutput> = (involved.iter())
+        .map(|v| host_selection_for(v, afg, &mut classes, config, &cache, &mut scratch))
+        .collect();
 
     if let Some(m) = metrics {
         m.counter_add("sched.sites_involved", involved.len() as u64);
@@ -900,8 +906,13 @@ mod tests {
         let net = NetworkModel::with_defaults(1);
         let afg = chain_afg(10_000);
         let config = cfg(0);
-        let classes = TaskClasses::new(&afg);
-        let outputs = [host_selection_for(&local, &afg, &classes, &config, &PredictCache::new())];
+        let outputs = [crate::host_selection_classed(
+            &local,
+            &afg,
+            &config.predictor,
+            &config.parallel,
+            &PredictCache::new(),
+        )];
         let walk = |levels: &[f64], sequential: bool| {
             schedule_with_outputs_data(
                 &afg,

@@ -8,6 +8,8 @@
 //! vdce demo                     run the quickstart scenario
 //! ```
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use vdce_afg::{
     render_all_properties, render_flow_graph, AfgBuilder, AfgDocument, IoSpec, LibraryGroup,
@@ -16,6 +18,26 @@ use vdce_afg::{
 use vdce_core::Vdce;
 use vdce_net::topology::SiteId;
 use vdce_repository::AccessDomain;
+
+/// `println!` that stops the program quietly when the reader has closed
+/// standard output (`vdce demo | head -1`), as a filter does, where
+/// `println!` would panic.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
+fn say(line: fmt::Arguments<'_>) {
+    match writeln!(io::stdout(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing to standard output: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn demo_federation(user: &str) -> Vdce {
     let mut b = Vdce::builder();
@@ -49,9 +71,9 @@ fn cmd_libraries() -> ExitCode {
         LibraryGroup::SignalProcessing,
         LibraryGroup::Generic,
     ] {
-        println!("{group}:");
+        say!("{group}:");
         for e in lib.group(group) {
-            println!("  {:<24} {} in / {} out  {}", e.name, e.in_ports, e.out_ports, e.description);
+            say!("  {:<24} {} in / {} out  {}", e.name, e.in_ports, e.out_ports, e.description);
         }
     }
     ExitCode::SUCCESS
@@ -65,8 +87,8 @@ fn load_doc(path: &str) -> Result<AfgDocument, String> {
 fn cmd_render(path: &str) -> ExitCode {
     match load_doc(path) {
         Ok(doc) => {
-            println!("{}", render_flow_graph(&doc.afg));
-            println!("{}", render_all_properties(&doc.afg));
+            say!("{}", render_flow_graph(&doc.afg));
+            say!("{}", render_all_properties(&doc.afg));
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -95,8 +117,8 @@ fn cmd_submit(path: &str, user: Option<&str>) -> ExitCode {
     };
     match session.submit(&doc) {
         Ok(report) => {
-            println!("{}", report.render());
-            println!("{}", report.gantt);
+            say!("{}", report.render());
+            say!("{}", report.gantt);
             if report.outcome.success {
                 ExitCode::SUCCESS
             } else {
@@ -127,9 +149,9 @@ fn cmd_solve(n: u64) -> ExitCode {
     let doc = AfgDocument::new("operator", b.build().unwrap()).unwrap();
     match session.submit(&doc) {
         Ok(report) => {
-            println!("{}", report.render());
+            say!("{}", report.render());
             let x = session.io().get("/cli/x.dat").expect("solution stored");
-            println!("solved: x has {} components", x.len() / 8);
+            say!("solved: x has {} components", x.len() / 8);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -153,11 +175,11 @@ fn cmd_demo() -> ExitCode {
     b.connect(srt, 0, fuse, 0).unwrap();
     b.connect(fft, 0, fuse, 1).unwrap();
     let doc = AfgDocument::new("operator", b.build().unwrap()).unwrap();
-    println!("{}", render_flow_graph(&doc.afg));
+    say!("{}", render_flow_graph(&doc.afg));
     match session.submit(&doc) {
         Ok(report) => {
-            println!("{}", report.render());
-            println!("{}", report.gantt);
+            say!("{}", report.render());
+            say!("{}", report.gantt);
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -1,7 +1,8 @@
 //! The `vdce` CLI's error contract: success exits 0; every bad
 //! invocation exits non-zero with one line on stderr and no panic.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn vdce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_vdce")).args(args).output().expect("spawn vdce")
@@ -45,4 +46,24 @@ fn submit_reports_a_missing_or_malformed_document() {
 #[test]
 fn unknown_subcommand_is_an_error() {
     assert_clean_failure(&["frobnicate"]);
+}
+
+/// A reader that takes one line and closes the pipe (`vdce demo | head -1`)
+/// stops the demo quietly: no panic text, not the panic exit code 101.
+#[test]
+fn demo_stops_quietly_when_its_reader_closes_the_pipe() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_vdce"))
+        .arg("demo")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn vdce");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(!first.is_empty(), "the demo prints before it runs");
+    // The reader is dropped here: the pipe is closed while the demo runs.
+    let out = child.wait_with_output().expect("wait for vdce");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr:?}");
+    assert_ne!(out.status.code(), Some(101), "stderr: {stderr:?}");
 }
