@@ -282,31 +282,38 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # These stages, the stream ones above, incr_churn's and durable_faults'
 # also read `allocs_per_op` off the run's JSON result line. The count is the
 # benchmark's own allocator's, identical in every pass and run, so a
-# ceiling on it has no noise to allow for: batch_wide makes 219 calls per
+# ceiling on it has no noise to allow for: batch_wide makes 211 calls per
 # 40k-task op with the allocation table as dense rows sharing their names
 # with the AFG, the task classes indexed once per schedule, one
-# host-selection scratch per schedule, the walk's
+# host-selection scratch per schedule, each site's selection collecting
+# no host vector and allocating its choice table once (219 with a host
+# vector and a choice vector inside an `Arc` per site), the walk's
 # and the simulator's ready sets as a level rank and a bitset, and the
 # edge index built without cursor copies (227 with a scratch per site;
 # 266 with ready heaps and two
 # cursor copies per index; 272 when each site re-indexed the classes; a
 # name and a share of a tree node per task made it 47,081), incr_churn
-# 142 per monitor event with host-selection outputs as shared dense
-# tables and the dirty set and the diff's class-pair memo as scratch the
-# schedule keeps (154 with a heap and a dedup vector per event; a
-# per-site re-index made it 8,232).
-# batch_data, whose 8k tasks form 7,833 task classes, makes 8,136 with
+# 140 per monitor event with host-selection outputs as shared dense
+# tables built in one allocation (142 with a host vector and an `Arc`
+# around the choice vector) and the dirty set and the diff's class-pair
+# memo as scratch the schedule keeps (154 with a heap and a dedup vector
+# per event; a per-site re-index made it 8,232).
+# batch_data, whose 8k tasks form 7,833 task classes, makes 8,128 with
 # the classes indexed once per schedule, one host-selection scratch per
 # schedule (8,144 with one per site), one per-class choice list per
-# site table, dataset replica lists borrowed from the catalog view and
+# site table, collected as the table's one allocation (8,136 with a host
+# vector and an `Arc` around it), dataset replica lists borrowed from the catalog view and
 # the ready sets and edge index as batch_wide's (8,177 with ready heaps
 # and cursor copies; 8,230 with a re-index and a per-task slot vector
 # per site; a heap object per class, or a replica-list clone per dataset
 # input, made it 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 205.5 for stream_steady seed 1 and 511 for stream_backlog seed 2 with
-# one host-selection scratch per service, each site's one-host lists
+# 127.7 for stream_steady seed 1 and 406.9 for stream_backlog seed 2
+# with each selection call walking the site's view instead of collecting
+# a host vector and collecting its choices as the table's one allocation
+# (205.5 and 511 with the vector, a choice vector and an `Arc` around
+# it), with one host-selection scratch per service, each site's one-host lists
 # built once and each class's task-side costs computed once per
 # submission (439 and 823 with the scratch, the lists and the costs
 # made again per site per selection), with
@@ -323,7 +330,9 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # per `apply`). Re-indexing the classes in every host-selection call made
 # them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 286,381 with one
+# 17-scenario sweep (~13.1k journal records): 286,217 with each site's
+# selection allocating only its choice table (286,381 with a host vector
+# and an `Arc` around a choice vector), one
 # host-selection scratch per schedule (286,499 with one per site), each site's
 # repository held by its Site Manager alone (286,533 with a vector of the
 # same repositories per replay beside the managers), the checkpoint
@@ -369,20 +378,20 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 667 stream_backlog 2
-stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 322 stream_steady
-stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 223 batch_wide
-stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8140 batch_data
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 459 stream_backlog 2
+stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 167 stream_steady
+stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 215 batch_wide
+stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8132 batch_data
 # Full-size incremental check: incr_churn compares the standing table
 # with a full re-walk on every 64th event, and with the initial table
 # once every host has healed. The smoke absorbs a twentieth of the
 # events into a twentieth of the tasks; the 10k-task, 512-event pass is
 # where a diff that misses a slot or a row rewritten wrongly would show.
-stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 148 incr_churn
+stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 141 incr_churn
 # Full-size durable check: durable_faults asserts, per fault scenario,
 # durable replay == plain replay, zero deputy divergences, and that four
 # kills (three with a torn tail) each recover, replay and resume to the
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 286440 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 286299 durable_faults

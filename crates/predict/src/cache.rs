@@ -140,10 +140,13 @@ type SiteTable = (Box<[(u32, u32)]>, TermTable);
 
 /// Does `view` list the first of `hosts`, ranges into `names`, position
 /// for position?
-fn leads_with(names: &str, hosts: &[(u32, u32)], view: &[&ResourceRecord]) -> bool {
+fn leads_with<'h>(
+    names: &str,
+    hosts: &[(u32, u32)],
+    view: impl ExactSizeIterator<Item = &'h ResourceRecord>,
+) -> bool {
     view.len() <= hosts.len()
         && view
-            .iter()
             .zip(hosts)
             .all(|(h, &(start, end))| names[start as usize..end as usize] == *h.host_name)
 }
@@ -151,10 +154,14 @@ fn leads_with(names: &str, hosts: &[(u32, u32)], view: &[&ResourceRecord]) -> bo
 /// Reorder a site's `hosts` and `table`, terms and all, so that `view`
 /// leads them; names the site has not shown before are appended to
 /// `names`.
-fn realign(names: &mut String, (hosts, table): &mut SiteTable, view: &[&ResourceRecord]) {
+fn realign<'h>(
+    names: &mut String,
+    (hosts, table): &mut SiteTable,
+    mut view: impl Iterator<Item = &'h ResourceRecord> + Clone,
+) {
     if hosts.is_empty() {
         // The site's first view: no terms to carry over.
-        *hosts = view.iter().map(|h| append(names, &h.host_name)).collect();
+        *hosts = view.map(|h| append(names, &h.host_name)).collect();
         *table = TermTable::new(hosts.len());
         return;
     }
@@ -165,17 +172,15 @@ fn realign(names: &mut String, (hosts, table): &mut SiteTable, view: &[&Resource
         .collect();
     // Old position of each new one; `None` for a name new to the site.
     let mut order: Vec<Option<usize>> =
-        view.iter().map(|h| known.remove(h.host_name.as_str())).collect();
+        view.clone().map(|h| known.remove(h.host_name.as_str())).collect();
     let mut rest: Vec<usize> = known.into_values().collect();
     rest.sort_unstable();
     order.extend(rest.into_iter().map(Some));
-    // Only view positions are new.
-    let realigned: Box<[(u32, u32)]> = order
-        .iter()
-        .enumerate()
-        .map(|(pos, old)| match *old {
-            Some(i) => hosts[i],
-            None => append(names, &view[pos].host_name),
+    // The view leads `order`, and only view positions are new.
+    let realigned: Box<[(u32, u32)]> = (order.iter())
+        .map(|old| match (*old, view.next()) {
+            (Some(i), _) => hosts[i],
+            (None, host) => append(names, &host.expect("a new name is a view position").host_name),
         })
         .collect();
     *hosts = realigned;
@@ -200,7 +205,6 @@ pub struct SiteTerms<'a> {
     table: RefMut<'a, TermTable>,
     predictor: &'a Predictor,
     tasks: &'a TaskPerfDb,
-    hosts: &'a [&'a ResourceRecord],
 }
 
 impl SiteTerms<'_> {
@@ -220,17 +224,18 @@ impl SiteTerms<'_> {
         (id, task)
     }
 
-    /// The term of `row`'s task on the view's host at position `pos`: the
-    /// one this memo gave that pair first, else `Predictor::host_term` of
-    /// the host as the view shows it, kept from now on.
-    pub fn term(&mut self, row: (usize, &str), pos: usize) -> HostTerm {
+    /// The term of `row`'s task on `host`, the view's host at position
+    /// `pos`: the one this memo gave that pair first, else
+    /// `Predictor::host_term` of the host as the view shows it, kept from
+    /// now on.
+    pub fn term(&mut self, row: (usize, &str), pos: usize, host: &ResourceRecord) -> HostTerm {
         let PredictCache { hits, misses, .. } = self.cache;
         if let Some(term) = self.table.get(row.0, pos) {
             hits.set(hits.get() + 1);
             return term;
         }
         misses.set(misses.get() + 1);
-        self.table.term(self.predictor, self.tasks, row, pos, self.hosts[pos])
+        self.table.term(self.predictor, self.tasks, row, pos, host)
     }
 }
 
@@ -403,18 +408,18 @@ impl PredictCache {
     }
 
     /// The host-side terms of `site` for one host-selection call over
-    /// `hosts`, the site's view of its hosts in view order. When `hosts`
-    /// lists the hosts the memo last saw at `site`, position for position
-    /// — the normal case, as captures change loads and statuses, not host
-    /// sets — a term is one vector index; otherwise the site's table is
-    /// first realigned to `hosts` by name. Borrows the memo until it is
-    /// dropped.
-    pub fn site_terms<'a>(
+    /// `hosts`, the site's view of its hosts in view order, walked here and
+    /// not kept: a lookup names its host. When `hosts` lists the hosts the
+    /// memo last saw at `site`, position for position — the normal case,
+    /// as captures change loads and statuses, not host sets — a term is
+    /// one vector index; otherwise the site's table is first realigned to
+    /// `hosts` by name. Borrows the memo until it is dropped.
+    pub fn site_terms<'a, 'h>(
         &'a self,
         predictor: &'a Predictor,
         tasks: &'a TaskPerfDb,
         site: SiteId,
-        hosts: &'a [&'a ResourceRecord],
+        hosts: impl ExactSizeIterator<Item = &'h ResourceRecord> + Clone,
     ) -> SiteTerms<'a> {
         let mut inner = self.inner.borrow_mut();
         let Inner { names, sites, .. } = &mut *inner;
@@ -422,12 +427,12 @@ impl PredictCache {
             sites.resize_with(site.index() + 1, Default::default);
         }
         let entry = &mut sites[site.index()];
-        if !leads_with(names, &entry.0, hosts) {
+        if !leads_with(names, &entry.0, hosts.clone()) {
             realign(names, entry, hosts);
         }
         let (task_ids, table) =
             RefMut::map_split(inner, |i| (&mut i.task_ids, &mut i.sites[site.index()].1));
-        SiteTerms { cache: self, task_ids, table, predictor, tasks, hosts }
+        SiteTerms { cache: self, task_ids, table, predictor, tasks }
     }
 
     /// Number of distinct entries memoised: `(task, size, host)`
@@ -547,9 +552,9 @@ mod tests {
         task: &str,
         hosts: &[&ResourceRecord],
     ) -> Vec<HostTerm> {
-        let mut terms = cache.site_terms(p, db, SiteId(0), hosts);
+        let mut terms = cache.site_terms(p, db, SiteId(0), hosts.iter().copied());
         let row = terms.row(task);
-        (0..hosts.len()).map(|pos| terms.term(row, pos)).collect()
+        hosts.iter().enumerate().map(|(pos, h)| terms.term(row, pos, h)).collect()
     }
 
     #[test]
@@ -583,10 +588,9 @@ mod tests {
         let cache = PredictCache::new();
         let (slow, fast) = (host("h", 1.0), host("h", 4.0));
         let term = |site, h: &ResourceRecord| {
-            let hosts = [h];
-            let mut terms = cache.site_terms(&p, &db, SiteId(site), &hosts);
+            let mut terms = cache.site_terms(&p, &db, SiteId(site), [h].into_iter());
             let row = terms.row("Sort");
-            terms.term(row, 0)
+            terms.term(row, 0, h)
         };
         assert_eq!(term(0, &slow), p.host_term(&db, "Sort", &slow));
         assert_eq!(term(1, &fast), p.host_term(&db, "Sort", &fast));

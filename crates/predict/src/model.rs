@@ -137,9 +137,10 @@ impl Predictor {
     }
 
     /// The size-dependent half: feasibility of `required` bytes on
-    /// `host`, then `flops` priced through `term` and the paging penalty.
-    /// Every prediction in the workspace is this product, in this
-    /// operation order, over a `Predictor::host_term` — which is what
+    /// `host`, then `flops` priced through `term` and the paging penalty
+    /// ([`Predictor::price`] over the host's two memory figures, with its
+    /// errors typed). Every prediction in the workspace is that one
+    /// pricing function over a `Predictor::host_term` — which is what
     /// makes the scalar, batched and lane-wise paths bit-identical.
     pub fn eval(
         &self,
@@ -151,23 +152,41 @@ impl Predictor {
         if !host.is_up() {
             return Err(PredictError::HostDown(host.host_name.clone()));
         }
-        if required > host.total_memory {
-            return Err(PredictError::Infeasible {
+        let (total, available) = (host.total_memory, host.available_memory);
+        self.price(flops, required, term, total, available).ok_or_else(|| {
+            PredictError::Infeasible {
                 host: host.host_name.clone(),
-                reason: format!(
-                    "requires {required} B of memory, host has {} B total",
-                    host.total_memory
-                ),
-            });
+                reason: format!("requires {required} B of memory, host has {total} B total"),
+            }
+        })
+    }
+
+    /// `flops` and `required` bytes priced on an up host of
+    /// `total_memory` and `available_memory` bytes, through its `term`:
+    /// `None` where the host can never hold `required`, else the product
+    /// of the term and the paging penalty. Reads nothing else of the
+    /// host and allocates nothing, so a caller that copied those figures
+    /// out of the host record prices exactly as [`Predictor::eval`] does.
+    #[inline]
+    pub fn price(
+        &self,
+        flops: f64,
+        required: u64,
+        term: HostTerm,
+        total_memory: u64,
+        available_memory: u64,
+    ) -> Option<f64> {
+        if required > total_memory {
+            return None;
         }
         // Paging penalty: quadratic in the overcommit ratio.
-        let mem_mult = if required > host.available_memory {
-            let ratio = required as f64 / host.available_memory.max(1) as f64;
+        let mem_mult = if required > available_memory {
+            let ratio = required as f64 / available_memory.max(1) as f64;
             1.0 + self.paging_factor * (ratio - 1.0) * ratio
         } else {
             1.0
         };
-        Ok(flops * term.rate * term.load_mult * mem_mult)
+        Some(flops * term.rate * term.load_mult * mem_mult)
     }
 }
 

@@ -158,7 +158,7 @@ impl ResourcePerfDb {
     }
 
     /// All hosts, in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &ResourceRecord> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &ResourceRecord> + Clone {
         self.hosts.values()
     }
 

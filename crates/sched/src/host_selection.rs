@@ -56,32 +56,28 @@ pub struct TaskHostChoice {
 /// One site's choices for every task of an AFG: task `i`'s class, then
 /// that class's choice, or none where the task cannot run at the site.
 ///
-/// Immutable and reference-counted as a whole: cloning a table (to absorb
-/// a monitor event incrementally, to keep a pending submission's outputs)
-/// is one pointer bump, and two clones are recognisably the same table
+/// Immutable and reference-counted: cloning a table (to absorb a monitor
+/// event incrementally, to keep a pending submission's outputs) is two
+/// pointer bumps, and two clones are recognisably the same table
 /// (`ChoiceTable::ptr_eq`) without looking at a task. The members of a
 /// task class share one entry of the choice list, and every site's table
 /// of one schedule shares one task → class map, so a table holds one
-/// decision per class and nothing per task; the host lists inside are
-/// `Arc`s, so placements still share them. Build a new table to change
-/// one.
+/// decision per class and nothing per task, and building one allocates
+/// its choice list alone; the host lists inside are `Arc`s, so
+/// placements still share them. Build a new table to change one.
 ///
 /// Serialises as the JSON object `{"<task id>": {choice}, ..}` over the
 /// feasible tasks in id order, so equality ignores trailing infeasible
 /// tasks: they do not survive a round trip.
 #[derive(Debug, Clone, Default)]
-pub struct ChoiceTable(Arc<Choices>);
-
-/// The shared body of a [`ChoiceTable`].
-#[derive(Debug, Default)]
-struct Choices {
+pub struct ChoiceTable {
     /// Per task, its index into `choices`: its class in the
     /// [`TaskClasses`] the table was selected over, or the task's own id
     /// where every task is its own class (the reference). A table read
     /// from the wire lists the tasks it received in arrival order and
     /// names the others [`ABSENT`].
     class_of: Arc<[u32]>,
-    choices: Vec<Option<TaskHostChoice>>,
+    choices: Arc<[Option<TaskHostChoice>]>,
 }
 
 /// The index of a task a wire table did not list: past the end of any
@@ -96,12 +92,12 @@ const MAX_WIRE_SLOTS: usize = 1 << 24;
 impl ChoiceTable {
     /// The choice for `task`, if feasible at this site.
     pub fn get(&self, task: TaskId) -> Option<&TaskHostChoice> {
-        self.choice_at(*self.0.class_of.get(task.index())?)
+        self.choice_at(*self.class_of.get(task.index())?)
     }
 
     /// The feasible tasks with their choices, in task-id order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, &TaskHostChoice)> {
-        let classes = self.0.class_of.iter().enumerate();
+        let classes = self.class_of.iter().enumerate();
         classes.filter_map(|(i, &c)| Some((TaskId(i as u32), self.choice_at(c)?)))
     }
 
@@ -111,13 +107,13 @@ impl ChoiceTable {
     }
 
     fn choice_at(&self, class: u32) -> Option<&TaskHostChoice> {
-        self.0.choices.get(class as usize)?.as_ref()
+        self.choices.get(class as usize)?.as_ref()
     }
 
-    /// Are `self` and `other` the same allocation — clones of one table?
+    /// Are `self` and `other` the same allocations — clones of one table?
     /// `true` implies equal; `false` says nothing.
     pub(crate) fn ptr_eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+        Arc::ptr_eq(&self.choices, &other.choices) && Arc::ptr_eq(&self.class_of, &other.class_of)
     }
 
     /// Call `changed` for each task of `0..tasks` whose choice differs
@@ -134,13 +130,13 @@ impl ChoiceTable {
         memo: &mut Vec<Option<(u32, bool)>>,
         mut changed: impl FnMut(TaskId),
     ) {
-        let class = |t: &Self, i: usize| t.0.class_of.get(i).copied().unwrap_or(ABSENT);
+        let class = |t: &Self, i: usize| t.class_of.get(i).copied().unwrap_or(ABSENT);
         fn key(c: &TaskHostChoice) -> (&Arc<[String]>, u64) {
             (&c.hosts, c.predicted_seconds.to_bits())
         }
         let same = |a, b| self.choice_at(a).map(key) == other.choice_at(b).map(key);
         memo.clear();
-        memo.resize(self.0.choices.len(), None);
+        memo.resize(self.choices.len(), None);
         for task in 0..tasks {
             let (a, b) = (class(self, task), class(other, task));
             let verdict = match memo.get_mut(a as usize) {
@@ -193,7 +189,7 @@ impl Deserialize for ChoiceTable {
                 c => choices[c as usize] = choice,
             }
         }
-        Ok(ChoiceTable(Arc::new(Choices { class_of: class_of.into(), choices })))
+        Ok(ChoiceTable { class_of: class_of.into(), choices: choices.into() })
     }
 }
 
@@ -265,7 +261,7 @@ pub fn host_selection(
 ) -> HostSelectionOutput {
     // Collect the site's candidate resource set R once (step 2).
     let all_hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-    let choices: Vec<Option<TaskHostChoice>> = (afg.task_ids())
+    let choices: Arc<[Option<TaskHostChoice>]> = (afg.task_ids())
         .map(|task| {
             let node = afg.task(task);
             let candidates: Vec<&ResourceRecord> =
@@ -291,17 +287,20 @@ pub fn host_selection(
         .collect();
     // Every task its own class.
     let class_of = (0..choices.len() as u32).collect();
-    let choices = ChoiceTable(Arc::new(Choices { class_of, choices }));
-    HostSelectionOutput { site: view.site, choices }
+    HostSelectionOutput { site: view.site, choices: ChoiceTable { class_of, choices } }
 }
 
-/// One eligible host of an eligibility group, with everything `Predict`
-/// needs from it that does not depend on the problem size.
+/// One eligible host of an eligibility group, with everything its price
+/// reads of the host that does not depend on the problem size: its term
+/// and its two memory figures. Eligible hosts are up, so the class loop
+/// prices a lane ([`Predictor::price`]) without its host record.
 #[derive(Debug)]
 struct Lane {
-    /// Position of the host in the view: its record and one-host list.
-    slot: usize,
+    /// Position of the host in the view: its one-host list, its name.
+    slot: u32,
     term: HostTerm,
+    total_memory: u64,
+    available_memory: u64,
 }
 
 /// One eligibility group at the site being selected.
@@ -316,9 +315,9 @@ struct GroupLanes {
 
 /// What one site's selection builds and drops: owned by the caller and
 /// reused across the sites and calls it makes, so a selection allocates
-/// no lanes of its own. It holds host slots, not hosts, and no borrow of
-/// any view; [`select_priced`] clears it before use, so it carries nothing
-/// from one site to the next.
+/// no lanes of its own. It holds host slots and copied host figures, not
+/// hosts, and no borrow of any view; [`select_priced`] clears it before
+/// use, so it carries nothing from one site to the next.
 #[derive(Debug, Default)]
 pub(crate) struct SelectScratch {
     /// Every group's lanes, back to back.
@@ -333,12 +332,13 @@ pub(crate) struct SelectScratch {
 /// The optimised [`host_selection`]: the tasks' classes (see
 /// `TaskClasses`) are indexed once, each eligibility group's candidate
 /// lanes — eligibility filter, library entry, one host-side prediction
-/// term per candidate ([`Predictor::host_term`]) — are built once, back
-/// to back in one lane list, and each class runs one multiply chain per
-/// lane of its group ([`Predictor::eval`]) and the reference's node-count
-/// search ([`rank_nodes`]) once; every member of the class shares the
-/// decision. The terms and the chain are the same code the reference's
-/// `predict` runs, so the outputs are bit-identical by construction.
+/// term per candidate ([`Predictor::host_term`]) beside the candidate's
+/// memory — are built once, back to back in one lane list, and each class
+/// prices every lane of its group ([`Predictor::price`]) and runs the
+/// reference's node-count search ([`rank_nodes`]) once; every member of
+/// the class shares the decision. The terms and the pricing are the code
+/// the reference's `predict` runs, so the outputs are bit-identical by
+/// construction.
 ///
 /// Classes are few where a task library is small: the 40k-task palette
 /// graph of `vdce_perf`'s `batch_wide` has 3 groups and 17 classes.
@@ -378,10 +378,9 @@ pub(crate) fn select_by_class(
     cache: &PredictCache,
     scratch: &mut SelectScratch,
 ) -> HostSelectionOutput {
-    let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
-    let terms = cache.site_terms(predictor, &view.tasks, view.site, &hosts);
-    let side = Memoised { terms, lists: vec![None; hosts.len()] };
-    select_priced(view, &hosts, afg, classes, predictor, parallel, side, scratch)
+    let terms = cache.site_terms(predictor, &view.tasks, view.site, view.resources.iter());
+    let side = Memoised { terms, view, lists: vec![None; view.resources.len()] };
+    select_priced(view, afg, classes, predictor, parallel, side, scratch)
 }
 
 /// Where [`select_priced`] gets the host side of a view: a row per
@@ -393,15 +392,16 @@ pub(crate) trait HostSide<'t> {
     fn row(&mut self, group: usize, task: &'t str) -> Self::Row;
     /// The term in `row` of `host`, the view's host at position `pos`.
     fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm;
-    /// The list `[host]` for `host`, the view's host at position `pos`,
-    /// shared by every singleton choice of it.
-    fn host_list(&mut self, pos: usize, host: &ResourceRecord) -> Arc<[String]>;
+    /// The list `[host]` for the view's host at position `pos`, shared by
+    /// every singleton choice of it.
+    fn host_list(&mut self, pos: usize) -> Arc<[String]>;
 }
 
 /// The batch callers' host side: terms through a memo, and one-host lists
 /// made for this call on first use.
 struct Memoised<'a> {
     terms: SiteTerms<'a>,
+    view: &'a SiteView,
     lists: Vec<Option<Arc<[String]>>>,
 }
 
@@ -410,22 +410,29 @@ impl<'t> HostSide<'t> for Memoised<'_> {
     fn row(&mut self, _group: usize, task: &'t str) -> Self::Row {
         self.terms.row(task)
     }
-    fn term(&mut self, row: Self::Row, pos: usize, _host: &ResourceRecord) -> HostTerm {
-        self.terms.term(row, pos)
+    fn term(&mut self, row: Self::Row, pos: usize, host: &ResourceRecord) -> HostTerm {
+        self.terms.term(row, pos, host)
     }
-    fn host_list(&mut self, pos: usize, host: &ResourceRecord) -> Arc<[String]> {
-        self.lists[pos].get_or_insert_with(|| Arc::new([host.host_name.clone()])).clone()
+    fn host_list(&mut self, pos: usize) -> Arc<[String]> {
+        let view = self.view;
+        self.lists[pos].get_or_insert_with(|| Arc::new([host_name(view, pos)])).clone()
     }
 }
 
-/// The body of [`select_by_class`] over `hosts`, the hosts of `view` in
-/// view order, with its host side from `side`, in `scratch`. A class's
+/// The name of the view's host at position `pos`. A walk to it: only a
+/// chosen host is named, once per call or choice.
+fn host_name(view: &SiteView, pos: usize) -> String {
+    let host = view.resources.iter().nth(pos).expect("a lane's slot is a position in its view");
+    host.host_name.clone()
+}
+
+/// The body of [`select_by_class`] over the hosts of `view` in view
+/// order, with its host side from `side`, in `scratch`. A class's
 /// task-side costs are recomputed only where `view`'s library gives its
-/// group other cost models than the ones they came from.
-#[allow(clippy::too_many_arguments)]
+/// group other cost models than the ones they came from. The output is
+/// one allocation, its choice list; `classes.class_of` is shared.
 pub(crate) fn select_priced<'t>(
     view: &SiteView,
-    hosts: &[&ResourceRecord],
     afg: &'t Afg,
     classes: &mut TaskClasses,
     predictor: &Predictor,
@@ -438,9 +445,10 @@ pub(crate) fn select_priced<'t>(
     groups.clear();
     // Sized once, not grown: room for four groups' lanes (a stream
     // submission draws on three library tasks), every group, every host.
-    lanes.reserve(hosts.len() * classes.groups.len().min(4));
+    let hosts = view.resources.len();
+    lanes.reserve(hosts * classes.groups.len().min(4));
     groups.reserve(classes.groups.len());
-    feasible.reserve(hosts.len());
+    feasible.reserve(hosts);
     for (g, group) in classes.groups.iter_mut().enumerate() {
         let library_task = &afg.task(group.member).library_task;
         let Some(entry) = view.tasks.entry(library_task) else {
@@ -455,38 +463,44 @@ pub(crate) fn select_priced<'t>(
         group.costs = Some(costs);
         let row = side.row(g, library_task);
         let start = lanes.len();
-        for (slot, &host) in hosts.iter().enumerate() {
+        for (slot, host) in view.resources.iter().enumerate() {
             if eligible(view, afg, group.member, host) {
-                lanes.push(Lane { slot, term: side.term(row, slot, host) });
+                lanes.push(Lane {
+                    slot: slot as u32,
+                    term: side.term(row, slot, host),
+                    total_memory: host.total_memory,
+                    available_memory: host.available_memory,
+                });
             }
         }
         groups.push(Some(GroupLanes { lanes: start..lanes.len(), recost }));
     }
+    // One exact-length pass: collected into the table's list directly.
     let choices = classes.classes.iter_mut().map(|class| {
         let GroupLanes { lanes: range, recost } = groups[class.group as usize].as_ref()?;
         if let Some(costs) = recost {
             (class.flops, class.required) = costs.at(class.problem_size);
         }
+        let (flops, required) = (class.flops, class.required);
         let lanes = &lanes[range.clone()];
         feasible.clear();
         for (i, lane) in lanes.iter().enumerate() {
-            let host = hosts[lane.slot];
-            if let Ok(t) = predictor.eval(class.flops, class.required, lane.term, host) {
+            let (total, available) = (lane.total_memory, lane.available_memory);
+            if let Some(t) = predictor.price(flops, required, lane.term, total, available) {
                 feasible.push((i as u32, t));
             }
         }
         let (p, predicted_seconds) = rank_nodes(parallel, class.requested, feasible)?;
-        let slot = |c: &(u32, f64)| lanes[c.0 as usize].slot;
+        let slot = |c: &(u32, f64)| lanes[c.0 as usize].slot as usize;
         let hosts = if p == 1 {
-            let best = slot(&feasible[0]);
-            side.host_list(best, hosts[best])
+            side.host_list(slot(&feasible[0]))
         } else {
-            feasible[..p].iter().map(|c| hosts[slot(c)].host_name.clone()).collect()
+            feasible[..p].iter().map(|c| host_name(view, slot(c))).collect()
         };
         Some(TaskHostChoice { hosts, predicted_seconds })
     });
-    let choices = Choices { class_of: classes.class_of.clone(), choices: choices.collect() };
-    HostSelectionOutput { site: view.site, choices: ChoiceTable(Arc::new(choices)) }
+    let table = ChoiceTable { class_of: classes.class_of.clone(), choices: choices.collect() };
+    HostSelectionOutput { site: view.site, choices: table }
 }
 
 #[cfg(test)]
@@ -1077,6 +1091,108 @@ mod tests {
         }
     }
 
+    /// One site whose hosts sit on the memory edges of `LU_Decomposition`
+    /// at n = 1024, which requires `r` bytes: available at `r - 1`, `r`,
+    /// `r + 1` and 0, total at `r` and `r - 1`. Each edge host `b<i>` gets
+    /// a sequential task pinned to it and a 2-node parallel task over its
+    /// machine type, shared only with a roomy companion `c<i>`; Source and
+    /// Sink see all twelve hosts, all equally fast, so their argmin is a
+    /// tie. The lanes copy the memory figures out of the host records, and
+    /// must price them as the reference prices the records: bit for bit,
+    /// `>` at both edges, and a host with no memory left paged at
+    /// `r / 1`, not divided by zero.
+    #[test]
+    fn lanes_price_memory_boundaries_as_the_reference() {
+        let n = 1024;
+        let lib = TaskLibrary::standard();
+        let r = lib.get("LU_Decomposition").unwrap().required_memory(n);
+        // (available, total) of each edge host.
+        let edges =
+            [(r - 1, 2 * r), (r, 2 * r), (r + 1, 2 * r), (0, 2 * r), (r, r), (r - 1, r - 1)];
+        let mut hosts = Vec::new();
+        for (i, &(available, total)) in edges.iter().enumerate() {
+            let machine = MachineType::CONCRETE[i];
+            let mut edge =
+                ResourceRecord::new(format!("b{i}"), "10.0.0.1", machine, 1.0, 1, total, "g0");
+            edge.available_memory = available;
+            hosts.push(edge);
+            hosts.push(ResourceRecord::new(
+                format!("c{i}"),
+                "10.0.0.2",
+                machine,
+                1.0,
+                1,
+                4 * r,
+                "g0",
+            ));
+        }
+        let view = view_with(hosts);
+
+        let mut b = AfgBuilder::new("edges", &lib);
+        let mut prev = b.add_task("Source", "src", 1000).unwrap();
+        let (mut pinned, mut parallel) = (Vec::new(), Vec::new());
+        for i in 0..edges.len() {
+            let seq = b.add_task("LU_Decomposition", &format!("seq{i}"), n).unwrap();
+            b.set_preferred_host(seq, format!("b{i}")).unwrap();
+            let par = b.add_task("LU_Decomposition", &format!("par{i}"), n).unwrap();
+            b.set_mode(par, vdce_afg::ComputationMode::Parallel).unwrap();
+            b.set_num_nodes(par, 2).unwrap();
+            b.set_machine_type(par, MachineType::CONCRETE[i]).unwrap();
+            b.connect(prev, 0, seq, 0).unwrap();
+            b.connect(seq, 0, par, 0).unwrap();
+            pinned.push(seq);
+            parallel.push(par);
+            prev = par;
+        }
+        let snk = b.add_task("Sink", "snk", 1000).unwrap();
+        b.connect(prev, 0, snk, 0).unwrap();
+        let afg = b.build().unwrap();
+
+        let (p, pm) = (Predictor::default(), ParallelModel::default());
+        let reference = host_selection(&view, &afg, &p, &pm);
+        let classed = host_selection_classed(&view, &afg, &p, &pm, &PredictCache::new());
+        assert_eq!(lines(&classed), lines(&reference));
+        assert_eq!(classed, reference);
+        // Task 11, seq5, is the one infeasible task.
+        assert_eq!(
+            lines(&classed),
+            [
+                "0 b0 0x3f1a36e2eb1c432c",
+                "1 b0 0x4051e54cf652d932",
+                "2 c0+b0 0x4042cba4f7ffe42d",
+                "3 b1 0x4051e54c672874da",
+                "4 b1+c1 0x4042cba4b3fef593",
+                "5 b2 0x4051e54c672874da",
+                "6 b2+c2 0x4042cba4b3fef593",
+                "7 b3 0x4381e54c55432875",
+                "8 c3 0x4051e54c672874da",
+                "9 b4 0x4051e54c672874da",
+                "10 b4+c4 0x4042cba4b3fef593",
+                "12 c5 0x4051e54c672874da",
+                "13 b0 0x3f1a36e2eb1c432c"
+            ]
+        );
+
+        // Never a host that cannot hold the task.
+        let total = |name: &str| view.resources.get(name).unwrap().total_memory;
+        for (t, c) in classed.choices.iter() {
+            let lu = afg.task(t).library_task == "LU_Decomposition";
+            assert!(!lu || c.hosts.iter().all(|h| total(h) >= r), "{t:?} on {:?}", c.hosts);
+        }
+        // The pinned prices: `>` at the total (b4 fits, b5 does not) and at
+        // the available memory (b1 and b2 page no more than b4; b0 pages
+        // by one byte), and b3's ratio is `r`, a finite penalty.
+        let secs = |i: usize| classed.choice(pinned[i]).map(|c| c.predicted_seconds);
+        assert!(secs(5).is_none() && secs(4).is_some());
+        let unpaged = secs(4).unwrap().to_bits();
+        assert_eq!([1, 2].map(|i| secs(i).unwrap().to_bits()), [unpaged; 2]);
+        assert!(secs(0).unwrap() > secs(1).unwrap());
+        assert!(secs(3).unwrap().is_finite() && secs(3).unwrap() > secs(0).unwrap());
+        // A tie between twelve equal hosts goes to the first in view order.
+        assert_eq!(classed.choice(snk).unwrap().hosts.to_vec(), ["b0".to_string()]);
+        assert_eq!(classed.choice(parallel[5]).unwrap().hosts.to_vec(), ["c5".to_string()]);
+    }
+
     #[test]
     fn empty_site_yields_empty_output() {
         let view = view_with(vec![]);
@@ -1132,7 +1248,7 @@ mod tests {
 
     /// A table over `class_of` with `choices`, as the classed path builds one.
     fn table(class_of: &[u32], choices: &[Option<TaskHostChoice>]) -> ChoiceTable {
-        ChoiceTable(Arc::new(Choices { class_of: class_of.into(), choices: choices.to_vec() }))
+        ChoiceTable { class_of: class_of.into(), choices: choices.into() }
     }
 
     /// A choice on `host` with a host list of its own: equal to another
@@ -1185,7 +1301,7 @@ mod tests {
         let choice = r#"{"hosts":["h0"],"predicted_seconds":1.0}"#;
         let wire: ChoiceTable =
             serde_json::from_str(&format!(r#"{{"3":{choice},"0":{choice}}}"#)).unwrap();
-        assert_eq!(wire.0.class_of[..], [1, ABSENT, ABSENT, 0]);
+        assert_eq!(wire.class_of[..], [1, ABSENT, ABSENT, 0]);
         assert_eq!(diffed(&classed, &wire, 6), [4, 5]);
         assert_eq!(diffed(&wire, &classed, 6), [4, 5]);
         let other = r#"{"hosts":["h9"],"predicted_seconds":1.0}"#;

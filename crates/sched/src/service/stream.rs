@@ -323,7 +323,7 @@ impl<'t> HostSide<'t> for AdmitTerms<'_> {
             None => Arc::make_mut(self.prices).term(self.predictor, self.tasks, row, pos, host),
         }
     }
-    fn host_list(&mut self, pos: usize, _host: &ResourceRecord) -> Arc<[String]> {
+    fn host_list(&mut self, pos: usize) -> Arc<[String]> {
         self.lists[pos].clone()
     }
 }
@@ -617,12 +617,11 @@ impl StreamService {
         scratch: &mut SelectScratch,
     ) -> HostSelectionOutput {
         let Site { view, lists, .. } = &self.sites[p.sub.sites[at].index()];
-        let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
         let AdmissionPrices { rows, shared } = &mut p.memo;
         let (prices, predictor) = (&mut shared[at], &self.predictor);
         let terms = AdmitTerms { prices, rows, lists, predictor, tasks: &view.tasks };
         let (afg, classes, parallel) = (&p.sub.req.afg, &mut p.classes, &self.parallel);
-        select_priced(view, &hosts, afg, classes, predictor, parallel, terms, scratch)
+        select_priced(view, afg, classes, predictor, parallel, terms, scratch)
     }
 
     /// The incremental placement of `afg` over per-site `outputs`.
@@ -653,12 +652,9 @@ impl StreamService {
         let (predictor, parallel) = (&self.predictor, &self.parallel);
         for &site in sites {
             let Site { view, prices, lists, .. } = &mut self.sites[site.index()];
-            let hosts: Vec<&ResourceRecord> = view.resources.iter().collect();
             let terms = AdmitTerms { prices, rows: &rows, lists, predictor, tasks: &view.tasks };
             let scratch = &mut self.scratch;
-            let output =
-                select_priced(view, &hosts, afg, classes, predictor, parallel, terms, scratch);
-            outputs.push(output);
+            outputs.push(select_priced(view, afg, classes, predictor, parallel, terms, scratch));
             shared.push(prices.clone());
         }
         let inc = self.schedule(afg, outputs.clone());
