@@ -33,8 +33,8 @@
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
 #      batch_data seed 1, incr_churn seed 1, durable_faults seed 1). Each
 #      also holds `allocs_per_op` — an exact count, identical in every
-#      pass and run — under a ceiling (874, 531, 247, 8,160, 148 and
-#      286,516). ROADMAP item 4's committed BENCH_perf.json
+#      pass and run — under the ceiling its stage names at the end of
+#      this file. ROADMAP item 4's committed BENCH_perf.json
 #      equality gate supersedes these ceilings when the `[benchmark]`
 #      window opens.
 # Run from the repo root: ./ci.sh
@@ -309,8 +309,12 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # input, made it 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 127.7 for stream_steady seed 1 and 406.9 for stream_backlog seed 2
-# with each selection call walking the site's view instead of collecting
+# 122.3 for stream_steady seed 1 and 220.4 for stream_backlog seed 2
+# with a queued submission's outputs held once, by its schedule, and
+# each dispatch candidate's sites listed in one vector its start charges
+# (127.7 and 406.9 when each refresh copied the outputs twice and the
+# sites went through a set per candidate, then again per start), each
+# selection call walking the site's view instead of collecting
 # a host vector and collecting its choices as the table's one allocation
 # (205.5 and 511 with the vector, a choice vector and an `Arc` around
 # it), with one host-selection scratch per service, each site's one-host lists
@@ -378,8 +382,8 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 459 stream_backlog 2
-stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 167 stream_steady
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 314 stream_backlog 2
+stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 125 stream_steady
 stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 215 batch_wide
 stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8132 batch_data
 # Full-size incremental check: incr_churn compares the standing table

@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 use vdce_afg::Afg;
 use vdce_net::model::NetworkModel;
-use vdce_net::topology::SiteId;
 use vdce_net::{Endpoint, MessageBus};
 use vdce_predict::cache::PredictCache;
 
@@ -124,44 +123,11 @@ pub fn federated_schedule(
     config: &SchedulerConfig,
     reply_timeout: Duration,
 ) -> Result<AllocationTable, SchedError> {
-    federated_schedule_reachable(
-        afg,
-        local,
-        bus,
-        local_endpoint,
-        net,
-        config,
-        reply_timeout,
-        |_| true,
-    )
-}
-
-/// [`federated_schedule`] with a reachability filter over the neighbour
-/// set: sites the filter rejects (quarantined by the federation, or on
-/// the far side of a detected partition — see
-/// `vdce_runtime::NetworkMonitor::reachability`) are never multicast to,
-/// so the protocol does not burn its reply window waiting on sites that
-/// cannot answer (DESIGN.md §12).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn federated_schedule_reachable(
-    afg: &Afg,
-    local: &SiteView,
-    bus: &MessageBus<SchedMessage>,
-    local_endpoint: &Endpoint<SchedMessage>,
-    net: &NetworkModel,
-    config: &SchedulerConfig,
-    reply_timeout: Duration,
-    reachable: impl Fn(SiteId) -> bool,
-) -> Result<AllocationTable, SchedError> {
     let request_id = {
         // Unique-enough id per call: address of the afg + task count.
         (afg as *const Afg as u64).wrapping_mul(31).wrapping_add(afg.task_count() as u64)
     };
-    let neighbours: Vec<SiteId> = net
-        .nearest_neighbours(local.site, config.k_neighbours)
-        .into_iter()
-        .filter(|s| reachable(*s))
-        .collect();
+    let neighbours = net.nearest_neighbours(local.site, config.k_neighbours);
 
     // Step 3: multicast the AFG.
     let req = SchedMessage::HostSelectionRequest { request_id, afg: afg.clone() };
@@ -313,34 +279,6 @@ mod tests {
         )
         .unwrap();
         assert!(table.is_complete_for(&afg));
-        assert_eq!(table.sites_used(), vec![SiteId(0)]);
-    }
-
-    #[test]
-    fn unreachable_neighbour_is_never_multicast_to() {
-        let afg = chain_afg(1000);
-        let local = site_view(0, &[("l0", 1.0)]);
-        let net = NetworkModel::with_defaults(2);
-        let config = SchedulerConfig { k_neighbours: 1, ..SchedulerConfig::default() };
-        let bus: MessageBus<SchedMessage> = MessageBus::new();
-        let local_ep = bus.register(SiteId(0));
-        let _silent = bus.register(SiteId(1)); // would time the request out
-        let t0 = Instant::now();
-        let table = federated_schedule_reachable(
-            &afg,
-            &local,
-            &bus,
-            &local_ep,
-            &net,
-            &config,
-            Duration::from_millis(500),
-            |s| s != SiteId(1), // detected-partitioned / quarantined
-        )
-        .unwrap();
-        // The filtered site was skipped outright: no traffic, no waiting
-        // out the reply window.
-        assert!(t0.elapsed() < Duration::from_millis(400));
-        assert_eq!(bus.traffic(SiteId(0), SiteId(1)).bytes, 0);
         assert_eq!(table.sites_used(), vec![SiteId(0)]);
     }
 

@@ -195,6 +195,11 @@ impl IncrementalSchedule {
         &self.table
     }
 
+    /// The per-site host-selection outputs the table was placed from.
+    pub(crate) fn outputs(&self) -> &[HostSelectionOutput] {
+        &self.outputs
+    }
+
     /// Absorb updated host-selection outputs, re-deciding only the
     /// affected tasks. `new_outputs` must cover the same sites in the
     /// same order as construction (a changed federation means a changed

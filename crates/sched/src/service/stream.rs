@@ -18,14 +18,17 @@
 //!    whose domain includes that site);
 //! 2. each pending submission absorbs the new outputs through
 //!    [`IncrementalSchedule::apply`] — re-placing only its affected
-//!    ready set, exactly the `O(changed)` path the monitor events use;
-//! 3. the dispatcher starts as many pending submissions as capacity
-//!    allows, in weighted-fair order.
+//!    ready set, exactly the `O(changed)` path the monitor events use (a
+//!    failed `apply` drops the schedule until a refresh places it again);
+//! 3. the dispatcher starts, in one weighted-fair pass, as many pending
+//!    submissions as capacity allows.
 //!
 //! An admitted submission is one record (`Admitted`) for the rest of its
-//! life: it waits in the pending queue beside its placement state, moves
-//! whole into a run when dispatched, and moves back into the queue if a
-//! host failure restarts that run.
+//! life: it waits in the pending queue beside its placement (whose
+//! schedule keeps the outputs it was placed from), moves whole into a run
+//! when dispatched, and moves back into the queue if a host failure
+//! restarts that run. A tenant's in-flight count is its admitted minus
+//! its completed submissions.
 //!
 //! ## Admission
 //!
@@ -217,8 +220,6 @@ struct PendingSub {
     /// Its AFG's task classes, indexed once when it entered the queue:
     /// every re-selection of this submission runs over them.
     classes: TaskClasses,
-    /// Cached per-site host-selection outputs, parallel to `sub.sites`.
-    outputs: Vec<HostSelectionOutput>,
     /// The prices of its admission: the pricing of each view it was
     /// admitted under, shared with that view's other admissions until a
     /// re-selection prices what none of them did and copies it. Every
@@ -227,8 +228,9 @@ struct PendingSub {
     /// dropped with the submission's place in the queue (dispatch, or a
     /// fault restart, which is a fresh admission).
     memo: AdmissionPrices,
-    /// Current incremental placement; `None` while infeasible (every
-    /// candidate host down).
+    /// Current incremental placement, which also holds the per-site
+    /// outputs it was placed from (parallel to `sub.sites`); `None` while
+    /// infeasible (every candidate host of some task down).
     inc: Option<IncrementalSchedule>,
 }
 
@@ -643,7 +645,7 @@ impl StreamService {
         afg: &Afg,
         classes: &mut TaskClasses,
         sites: &[SiteId],
-    ) -> (AdmissionPrices, Vec<HostSelectionOutput>, Result<IncrementalSchedule, SchedError>) {
+    ) -> (AdmissionPrices, Result<IncrementalSchedule, SchedError>) {
         let rows: Box<[u32]> = (classes.groups.iter())
             .map(|g| self.task_row(&afg.task(g.member).library_task))
             .collect();
@@ -657,8 +659,7 @@ impl StreamService {
             outputs.push(select_priced(view, afg, classes, predictor, parallel, terms, scratch));
             shared.push(prices.clone());
         }
-        let inc = self.schedule(afg, outputs.clone());
-        (AdmissionPrices { rows, shared }, outputs, inc)
+        (AdmissionPrices { rows, shared }, self.schedule(afg, outputs))
     }
 
     // -- admission ----------------------------------------------------
@@ -678,12 +679,6 @@ impl StreamService {
         *self.rejected.entry(reason.label()).or_insert(0) += 1;
     }
 
-    fn tenant_inflight(&self, tenant: UserId) -> u32 {
-        let p = self.pending.values().filter(|p| p.sub.req.tenant == tenant).count();
-        let a = self.active.values().filter(|a| a.sub.req.tenant == tenant).count();
-        (p + a) as u32
-    }
-
     fn handle_arrival(&mut self, id: SubmissionId, req: SubmissionRequest, defers: u32) {
         let now = self.clock;
         let tenant = req.tenant;
@@ -700,8 +695,11 @@ impl StreamService {
         };
         let (base_priority, domain) = (acct.priority, acct.domain);
 
-        // Quota: defer a bounded number of times, then reject.
-        if self.tenant_inflight(tenant) >= self.tenants.quota(tenant).max_inflight {
+        // Quota: defer a bounded number of times, then reject. Every
+        // admitted submission is pending, running or completed, so the
+        // counters give the tenant's in-flight count.
+        let c = &self.counters[&tenant];
+        if c.admitted - c.completed >= u64::from(self.tenants.quota(tenant).max_inflight) {
             if defers < MAX_DEFERS {
                 self.deferred += 1;
                 let retry = EventKind::Arrival { id, req, defers: defers + 1 };
@@ -715,7 +713,7 @@ impl StreamService {
         // Trial placement with the real scheduler.
         let sites = self.domain_sites(domain);
         let mut classes = TaskClasses::new(&req.afg);
-        let (memo, outputs, inc) = self.place(&req.afg, &mut classes, &sites);
+        let (memo, inc) = self.place(&req.afg, &mut classes, &sites);
         let inc = match inc {
             Ok(inc) => inc,
             Err(e) => {
@@ -742,17 +740,11 @@ impl StreamService {
 
         self.counters.entry(tenant).or_default().admitted += 1;
         let sub = Admitted { req, arrival_s: now, base_priority, sites, levels, generation: 0 };
-        self.pending.insert(id, PendingSub { sub, classes, outputs, memo, inc: Some(inc) });
+        self.pending.insert(id, PendingSub { sub, classes, memo, inc: Some(inc) });
         self.settle(BTreeSet::new());
     }
 
     // -- dispatch -----------------------------------------------------
-
-    /// Every distinct site a placement touches, site-id order.
-    fn placement_sites(inc: &IncrementalSchedule) -> Vec<SiteId> {
-        let sites: BTreeSet<SiteId> = inc.table().iter().map(|p| p.site).collect();
-        sites.into_iter().collect()
-    }
 
     /// Start every dispatchable pending submission, weighted-fair order.
     /// Returns the sites whose load changed.
@@ -761,17 +753,17 @@ impl StreamService {
         let now = self.clock;
         // Order: effective priority desc, then earliest deadline,
         // then submission id — all exact integers or fixed floats,
-        // so the sort is replay-stable. Built once per call: pending
-        // placements don't change between starts (refresh_pending runs
-        // after dispatch returns), only slot capacity does, so each
-        // start only re-checks capacity instead of re-sorting.
+        // so the sort is replay-stable. One pass: pending placements
+        // don't change between starts (refresh_pending runs after
+        // dispatch returns), and a start only takes slots, so a candidate
+        // that does not fit now does not fit later in this call.
         struct Cand {
             eff: u32,
             deadline_bits: u64,
             id: SubmissionId,
             urgent: bool,
+            // Every distinct site its placement touches, site-id order.
             sites: Vec<SiteId>,
-            started: bool,
         }
         let mut cands: Vec<Cand> = self
             .pending
@@ -783,43 +775,39 @@ impl StreamService {
                     deadline_bits: p.sub.req.deadline_s.to_bits(),
                     id,
                     urgent: self.cfg.aging.is_urgent(prio, waited),
-                    sites: Self::placement_sites(inc),
-                    started: false,
+                    sites: inc.table().sites_used(),
                 })
             })
             .collect();
         cands.sort_by(|a, b| {
             b.eff.cmp(&a.eff).then(a.deadline_bits.cmp(&b.deadline_bits)).then(a.id.cmp(&b.id))
         });
-        loop {
-            let any_urgent = cands.iter().any(|c| !c.started && c.urgent);
-            let mut start = None;
-            for (i, c) in cands.iter().enumerate() {
-                if c.started {
-                    continue;
-                }
-                if any_urgent && !c.urgent {
-                    // No backfill past fully aged work: younger
-                    // submissions wait until every urgent one has
-                    // started. This is what makes the starvation bound
-                    // hold.
-                    break;
-                }
-                // A placement consumes one slot on *every* site it
-                // touches, so all of them must have room.
-                if c.sites.iter().map(|s| &self.sites[s.index()]).all(|s| s.inflight < s.capacity) {
-                    start = Some(i);
-                    break;
-                }
+        let mut urgent_left = cands.iter().filter(|c| c.urgent).count();
+        for c in cands {
+            if urgent_left > 0 && !c.urgent {
+                // No backfill past fully aged work: younger submissions
+                // wait until every urgent one has started. This is what
+                // makes the starvation bound hold.
+                break;
             }
-            let Some(i) = start else { break };
-            cands[i].started = true;
-            self.start_run(cands[i].id, &mut changed);
+            // A placement consumes one slot on *every* site it touches,
+            // so all of them must have room.
+            if c.sites.iter().map(|s| &self.sites[s.index()]).all(|s| s.inflight < s.capacity) {
+                urgent_left -= usize::from(c.urgent);
+                self.start_run(c.id, c.sites, &mut changed);
+            }
         }
         changed
     }
 
-    fn start_run(&mut self, id: SubmissionId, changed: &mut BTreeSet<SiteId>) {
+    /// Start pending `id`, charging a slot at each of `charged`, the
+    /// distinct sites its placement touches.
+    fn start_run(
+        &mut self,
+        id: SubmissionId,
+        charged: Vec<SiteId>,
+        changed: &mut BTreeSet<SiteId>,
+    ) {
         let p = self.pending.remove(&id).expect("dispatch picked a pending id");
         let (sub, inc) = (p.sub, p.inc.expect("dispatch only picks feasible submissions"));
         let now = self.clock;
@@ -851,7 +839,6 @@ impl StreamService {
             }
         }
 
-        let charged = Self::placement_sites(&inc);
         for site in &charged {
             self.sites[site.index()].inflight += 1;
         }
@@ -898,28 +885,24 @@ impl StreamService {
             if !p.sub.sites.iter().any(|s| changed.contains(s)) {
                 continue;
             }
-            let new_outputs: Vec<HostSelectionOutput> = (0..p.sub.sites.len())
-                .map(|at| {
-                    if changed.contains(&p.sub.sites[at]) {
-                        self.reselect(p, at, &mut scratch)
-                    } else {
-                        // Unchanged site: the same table again (a
-                        // pointer bump), which the apply diff skips.
-                        p.outputs[at].clone()
-                    }
+            // An infeasible submission keeps no outputs: it is re-selected
+            // at every site, and an unchanged site answers as before.
+            let outputs: Vec<HostSelectionOutput> = (0..p.sub.sites.len())
+                .map(|at| match p.inc.as_ref().filter(|_| !changed.contains(&p.sub.sites[at])) {
+                    // Unchanged site: the same table again (a pointer
+                    // bump), which the apply diff skips.
+                    Some(inc) => inc.outputs()[at].clone(),
+                    None => self.reselect(p, at, &mut scratch),
                 })
                 .collect();
             let afg = &p.sub.req.afg;
-            let applied = match p.inc.as_mut() {
-                Some(inc) => inc.apply(afg, new_outputs.clone()).is_ok(),
-                None => false,
+            // A failed `apply` leaves a task with no choice at any site, so
+            // a rebuild from the same outputs would fail too: the poisoned
+            // schedule is dropped and the submission waits as infeasible.
+            p.inc = match p.inc.take() {
+                Some(mut inc) => inc.apply(afg, outputs).ok().map(|_| inc),
+                None => self.schedule(afg, outputs).ok(),
             };
-            if !applied {
-                // Poisoned or previously infeasible: rebuild from the
-                // fresh outputs (stays `None` while still infeasible).
-                p.inc = self.schedule(afg, new_outputs.clone()).ok();
-            }
-            p.outputs = new_outputs;
         }
         (self.pending, self.scratch) = (pending, scratch);
     }
@@ -989,8 +972,8 @@ impl StreamService {
             // this re-dispatches.
             sub.generation += 1;
             let mut classes = TaskClasses::new(&sub.req.afg);
-            let (memo, outputs, inc) = self.place(&sub.req.afg, &mut classes, &sub.sites);
-            self.pending.insert(id, PendingSub { sub, classes, outputs, memo, inc: inc.ok() });
+            let (memo, inc) = self.place(&sub.req.afg, &mut classes, &sub.sites);
+            self.pending.insert(id, PendingSub { sub, classes, memo, inc: inc.ok() });
         }
         self.settle(changed);
     }
@@ -1549,6 +1532,77 @@ mod tests {
         // one capped run.
         assert_eq!(report.tenants[0].wait_bound_s, 6.0 * 2.0 + 450.0);
         assert!(!report.tenants[0].starved);
+    }
+
+    /// No backfill past urgent work: an urgent submission that does not
+    /// fit blocks a younger one that would, which starts with it.
+    #[test]
+    fn an_urgent_submission_that_does_not_fit_blocks_younger_work() {
+        let start = |aging| {
+            let repos = vec![repo(&[("l0", 1.0)]), repo(&[("r0", 4.0)])];
+            let cfg = ServiceConfig { aging, ..ServiceConfig::default() };
+            let mut svc = StreamService::new(repos, NetworkModel::with_defaults(2), cfg);
+            let (local, global) = (AccessDomain::LocalSite, AccessDomain::Global);
+            let [b, u, y] =
+                [("b", 5, local), ("u", 9, local), ("y", 0, global)].map(|(name, prio, dom)| {
+                    svc.register_tenant(name, "pw", prio, dom, Quota::default())
+                });
+            let blocker = svc.submit_at(0.0, req(&svc, b.unwrap()));
+            (svc, blocker, u.unwrap(), y.unwrap())
+        };
+        let m = start(AgingPolicy::default()).0.drain().horizon_s;
+
+        // `b` holds the local site's one slot until `m`. `u`, local only,
+        // queues behind it and turns urgent one aging step later; `y`
+        // stays far below the ceiling until long after `m`.
+        let (mut svc, blocker, u, y) =
+            start(AgingPolicy { step_s: 0.1 * m, boost: 1, ceiling: 10 });
+        let urgent = svc.submit_at(0.1 * m, req(&svc, u));
+        let younger = svc.submit_at(0.5 * m, req(&svc, y));
+        svc.run_until(0.5 * m);
+        // `younger` would fit: it is placed on the remote site alone, whose
+        // one slot is free.
+        let placed = svc.pending[&younger].inc.as_ref().expect("feasible").table().sites_used();
+        assert_eq!((placed, svc.sites[1].inflight), (vec![SiteId(1)], 0));
+        assert_eq!(svc.active.keys().collect::<Vec<_>>(), [&blocker]);
+        assert_eq!(svc.pending.keys().collect::<Vec<_>>(), [&urgent, &younger], "no backfill");
+
+        svc.run_until(m);
+        assert_eq!(svc.active.keys().collect::<Vec<_>>(), [&urgent, &younger]);
+        assert_eq!(svc.drain().completed, 3);
+    }
+
+    /// A queued submission whose only candidate host goes down fails its
+    /// `apply`: it waits with no schedule, is placed again when the host
+    /// comes back, and completes once, never having been restarted.
+    #[test]
+    fn a_queued_submission_whose_only_host_goes_down_waits_for_it() {
+        let start = || {
+            let (repos, net) = (vec![repo(&[("only", 1.0)])], NetworkModel::with_defaults(1));
+            let mut svc = StreamService::new(repos, net, ServiceConfig::default());
+            let [b, q] = ["b", "q"].map(|name| {
+                svc.register_tenant(name, "pw", 5, AccessDomain::Global, Quota::default()).unwrap()
+            });
+            svc.submit_at(0.0, req(&svc, b));
+            (svc, q)
+        };
+        let m = start().0.drain().horizon_s;
+
+        let (mut svc, q) = start();
+        let queued = svc.submit_at(0.1 * m, req(&svc, q));
+        svc.inject_host_down_at(0.2 * m, SiteId(0), "only");
+        svc.inject_host_up_at(0.3 * m, SiteId(0), "only");
+        svc.run_until(0.1 * m);
+        assert!(svc.pending[&queued].inc.is_some(), "queued behind the running one");
+        svc.run_until(0.2 * m);
+        assert!(svc.active.is_empty() && svc.pending[&queued].inc.is_none(), "it waits");
+        svc.run_until(0.3 * m);
+        assert_eq!(svc.active_count(), 1);
+
+        let report = svc.drain();
+        assert_eq!((report.completed, report.unplaced, report.restarts), (2, 0, 1));
+        let row = &report.tenants[1];
+        assert_eq!((row.tenant, row.admitted, row.completed, row.restarts), (q.0, 1, 1, 0));
     }
 
     #[test]
