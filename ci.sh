@@ -309,11 +309,13 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # input, made it 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 122.3 for stream_steady seed 1 and 220.4 for stream_backlog seed 2
-# with a queued submission's outputs held once, by its schedule, and
-# each dispatch candidate's sites listed in one vector its start charges
-# (127.7 and 406.9 when each refresh copied the outputs twice and the
-# sites went through a set per candidate, then again per start), each
+# 122.3 for stream_steady seed 1 and 152.4 for stream_backlog seed 2
+# with a queued submission's outputs held once, by its schedule, and a
+# dispatch candidate's fit read off its table's rows, its sites listed
+# only for the start that charges them (220.4 for stream_backlog when
+# every candidate listed its sites in a vector, started or not; 127.7
+# and 406.9 when each refresh copied the outputs twice and the sites
+# went through a set per candidate, then again per start), each
 # selection call walking the site's view instead of collecting
 # a host vector and collecting its choices as the table's one allocation
 # (205.5 and 511 with the vector, a choice vector and an `Arc` around
@@ -334,7 +336,10 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # per `apply`). Re-indexing the classes in every host-selection call made
 # them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 286,217 with each site's
+# 17-scenario sweep (~13.1k journal records): 285,654 with a replay
+# that has no observer building no metrics (286,217 when each plain
+# replay and each fault-free twin exported into a throwaway registry),
+# each site's
 # selection allocating only its choice table (286,381 with a host vector
 # and an `Arc` around a choice vector), one
 # host-selection scratch per schedule (286,499 with one per site), each site's
@@ -382,7 +387,7 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 314 stream_backlog 2
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 186 stream_backlog 2
 stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 125 stream_steady
 stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 215 batch_wide
 stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8132 batch_data
@@ -398,4 +403,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 141 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 286299 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 285936 durable_faults

@@ -25,7 +25,7 @@ use serde::Serialize;
 use serde_json::{json, Value};
 use vdce_data::{DataView, DatasetCatalog};
 use vdce_obs::{Report, RunArtifact, Table};
-use vdce_sched::{evaluate_with_data, site_schedule_with_data, SchedulerConfig};
+use vdce_sched::{evaluate, site_schedule, SchedRequest, SchedulerConfig};
 use vdce_sim::data::{pipeline_workload, sweep_workload, DataScenario};
 
 /// Required pipeline advantage: data-aware makespan × MARGIN must stay
@@ -59,17 +59,17 @@ fn run_row(scenario: &str, sc: &DataScenario, makespan_s: f64) -> Value {
 /// table (placements + recorded replica sources, byte-exact) and the
 /// evaluated makespan.
 fn schedule(sc: &DataScenario, view: &DataView) -> (String, f64) {
-    let cfg = SchedulerConfig::default();
-    let table =
-        site_schedule_with_data(&sc.afg, &sc.views[0], &sc.views[1..], &sc.net, &cfg, Some(view))
-            .expect("scenario schedules");
+    let (afg, local, remotes, net) = (&sc.afg, &sc.views[0], &sc.views[1..], &sc.net);
+    let (config, data) = (&SchedulerConfig::default(), Some(view));
+    let req = SchedRequest { afg, local, remotes, net, config, data, metrics: None };
+    let table = site_schedule(&req).expect("scenario schedules");
     let levels: Vec<f64> = sc
         .afg
         .tasks
         .iter()
         .map(|t| sc.views[0].tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
         .collect();
-    let sched = evaluate_with_data(&sc.afg, &table, &sc.net, &levels, Some(view))
+    let sched = evaluate(&sc.afg, &table, &sc.net, &levels, Some(view))
         .expect("scheduled scenario evaluates");
     let json = serde_json::to_string(&table).expect("allocation table serialises");
     (json, sched.makespan)

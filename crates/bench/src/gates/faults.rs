@@ -91,10 +91,10 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
 
     let mut reports: Vec<RecoveryReport> = Vec::new();
     for fs in &scenarios {
-        let report = fs.run(&obs, None);
+        let report = fs.run(Some(&obs), None);
         // Determinism gate: the same (scenario, plan, config) triple must
         // replay into a bit-identical report.
-        let again = fs.run(&Observer::disabled(), None);
+        let again = fs.run(None, None);
         claims.check(same_json(&report, &again), || {
             format!("{}: replay is not deterministic", fs.name)
         });

@@ -29,7 +29,7 @@ use crate::exp::{write_file, Claims};
 use serde::Serialize;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
-use vdce_obs::{Observer, Report, RunArtifact, Table};
+use vdce_obs::{Report, RunArtifact, Table};
 use vdce_sim::scenario::fuzz_regression_scenarios;
 use vdce_sim::{
     check_case, check_invariant, shrink, CaseOutcome, FaultClass, FuzzCase, Invariant,
@@ -98,8 +98,8 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
     // the recovery gates.
     let promoted = fuzz_regression_scenarios();
     for fs in &promoted {
-        let a = fs.run(&Observer::disabled(), None);
-        let b = fs.run(&Observer::disabled(), None);
+        let a = fs.run(None, None);
+        let b = fs.run(None, None);
         claims.check(same_json(&a, &b), || format!("{}: two replays differ", fs.name));
         claims.check(a.tasks_failed == 0, || {
             format!("{}: {} task(s) failed", fs.name, a.tasks_failed)
@@ -248,7 +248,7 @@ pub(super) fn hunt(_: &mut Claims) -> String {
         }
         let out = shrink(&case, Invariant::InflationCeiling, &profile, SHRINK_BUDGET);
         let fs = out.shrunk.to_fault_scenario("hunt");
-        let report = fs.run(&Observer::disabled(), None);
+        let report = fs.run(None, None);
         // Promotion gates: lossless, fully recovered, and inside the
         // 4.5x regression bound fuzz-promoted scenarios are pinned to
         // (the hand-written 2.0x crash bound only covers crash faults).

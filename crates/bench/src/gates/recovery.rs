@@ -62,14 +62,13 @@ struct ScenarioRecovery {
 
 pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
     let scenarios = all_fault_scenarios();
-    let obs = Observer::disabled();
     let mut rows: Vec<ScenarioRecovery> = Vec::new();
     let mut churn = None;
 
     for (i, fs) in scenarios.iter().enumerate() {
         let metered = Observer::enabled();
         let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-        let durable_report = fs.run(&metered, Some(&opts));
+        let durable_report = fs.run(Some(&metered), Some(&opts));
         if fs.name == "weibull-churn" {
             // Clones share the underlying store: keep a handle to the
             // longest-history journal for the damaged-WAL fixture.
@@ -77,7 +76,7 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
         }
 
         // Gate 1: durability only observes.
-        let plain_report = fs.run(&obs, None);
+        let plain_report = fs.run(None, None);
         claims.check(same_json(&durable_report, &plain_report), || {
             format!("{}: durable replay perturbed the recovery report", fs.name)
         });
@@ -168,7 +167,7 @@ fn churn_journal(policy: SnapshotPolicy, check_every: u64) -> (DurableOptions, O
     let metered = Observer::enabled();
     let opts =
         DurableOptions { journal: Journal::enabled(policy), deputy_check_every: check_every };
-    fs.run(&metered, Some(&opts));
+    fs.run(Some(&metered), Some(&opts));
     (opts, metered)
 }
 

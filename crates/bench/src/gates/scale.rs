@@ -7,7 +7,7 @@
 //!
 //! - **configs** — `site_schedule` (class-batched host selection + heap
 //!   ready list + SoA walk) timed over tasks × sites. One extra untimed
-//!   [`site_schedule_observed`] run per config must place the same
+//!   run with a metrics registry per config must place the same
 //!   table, and populates the embedded metric snapshot (cache
 //!   statistics).
 //! - **incremental** — a single monitor event (one host marked Down, its
@@ -33,9 +33,7 @@ use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::HostStatus;
-use vdce_sched::site_scheduler::{
-    schedule_with_outputs_data, site_schedule, site_schedule_observed, SchedulerConfig,
-};
+use vdce_sched::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
 use vdce_sched::view::SiteView;
 use vdce_sched::{
     host_selection_classed, AllocationTable, HostSelectionOutput as Output, IncrementalSchedule,
@@ -75,14 +73,22 @@ fn measure_config(tasks: usize, sites: usize, claims: &mut Claims) -> (f64, Metr
     let (local, remotes) = split_views(&views);
     let mut afg = bench_dag(tasks, 42);
     shape_palette_workload(&mut afg);
-    let cfg = SchedulerConfig { k_neighbours: K, ..SchedulerConfig::default() };
+    let config = &SchedulerConfig { k_neighbours: K, ..SchedulerConfig::default() };
+    let req = SchedRequest {
+        afg: &afg,
+        local,
+        remotes,
+        net: &fed.net,
+        config,
+        data: None,
+        metrics: None,
+    };
 
-    let (secs, table) = time_run(reps_for(tasks), || {
-        site_schedule(&afg, local, remotes, &fed.net, &cfg).expect("schedulable benchmark config")
-    });
+    let (secs, table) =
+        time_run(reps_for(tasks), || site_schedule(&req).expect("schedulable benchmark config"));
     let metrics = MetricsRegistry::new();
-    let observed = site_schedule_observed(&afg, local, remotes, &fed.net, &cfg, &metrics)
-        .expect("observed run");
+    let observed =
+        site_schedule(&SchedRequest { metrics: Some(&metrics), ..req }).expect("observed run");
     claims.check(table.len() == afg.task_count() && observed == table, || {
         format!("{tasks} tasks / {sites} sites: incomplete, or the observed run differs")
     });
@@ -143,12 +149,13 @@ fn measure_incremental(
     // Full Figure 2 re-walk over the updated outputs (level recompute
     // included — a from-scratch scheduler pays it on every event).
     let local_view = SiteView::capture(SiteId(0), &fed.repos[0]);
+    let (local, config, net) = (&local_view, &SchedulerConfig::default(), &fed.net);
+    let req =
+        SchedRequest { afg: &afg, local, remotes: &[], net, config, data: None, metrics: None };
     let reps = reps_for(tasks);
     let (full_s, rewalk) = time_run(reps, || {
         let levels = local_view.levels(&afg).expect("acyclic");
-        let (net, out) = (&fed.net, &new_outputs);
-        schedule_with_outputs_data(&afg, &levels, SiteId(0), out, net, false, false, None, None)
-            .expect("schedulable after event")
+        req.walk(&levels, &new_outputs).expect("schedulable after event")
     });
 
     // Incremental absorb: clone the pre-event schedule each rep (outside

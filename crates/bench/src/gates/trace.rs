@@ -21,9 +21,9 @@ const JSONL: &str = "target/exp_trace.jsonl";
 /// With `dump`, the first run's validated JSONL is also written there.
 fn check(fs: &FaultScenario, dump: Option<&str>) -> Result<Vec<String>, String> {
     let obs_a = Observer::enabled();
-    let report_a = fs.run(&obs_a, None);
+    let report_a = fs.run(Some(&obs_a), None);
     let obs_b = Observer::enabled();
-    let report_b = fs.run(&obs_b, None);
+    let report_b = fs.run(Some(&obs_b), None);
 
     let jsonl_a = obs_a.trace.to_jsonl();
     let jsonl_b = obs_b.trace.to_jsonl();

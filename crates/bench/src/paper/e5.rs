@@ -41,7 +41,7 @@ pub(super) fn run(_: &mut Claims) -> String {
             let table = vdce_sched::baselines::round_robin_schedule(&afg, &all, &predictor, &cache)
                 .unwrap();
             let prios = priorities(&afg, order, &all);
-            let sched = evaluate(&afg, &table, &fed.net, &prios).unwrap();
+            let sched = evaluate(&afg, &table, &fed.net, &prios, None).unwrap();
             spans.push(sched.makespan);
         }
         let g = geomean(&spans).unwrap();

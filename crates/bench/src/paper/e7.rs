@@ -21,7 +21,7 @@ use vdce_runtime::{
     execute, AlwaysProceed, ConsoleService, DataManager, EventLog, Execution, HostLockRegistry,
     IoService, RuntimeEvent, StartGate, ThresholdGate, Transport,
 };
-use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
+use vdce_sched::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
 use vdce_sched::view::SiteView;
 use vdce_sim::Table;
 
@@ -59,7 +59,10 @@ fn spiked_run(gated: bool) -> (f64, usize, usize) {
     //    hosts.
     let view = SiteView::capture(SiteId(0), &repo);
     let net = vdce_net::model::NetworkModel::with_defaults(1);
-    let table = site_schedule(&afg, &view, &[], &net, &SchedulerConfig::default()).unwrap();
+    let (local, net, config) = (&view, &net, &SchedulerConfig::default());
+    let req =
+        SchedRequest { afg: &afg, local, remotes: &[], net, config, data: None, metrics: None };
+    let table = site_schedule(&req).unwrap();
 
     // 2. The spike arrives: monitoring floods the repository with load 12
     //    on the fast hosts (simulating external users grabbing them).

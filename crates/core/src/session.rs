@@ -29,7 +29,7 @@ use vdce_runtime::{
     ThresholdGate, VisualizationService,
 };
 use vdce_sched::evaluate;
-use vdce_sched::site_scheduler::{site_schedule, SchedError, SchedulerConfig};
+use vdce_sched::site_scheduler::{site_schedule, SchedError, SchedRequest, SchedulerConfig};
 use vdce_sched::view::SiteView;
 
 /// Login failures.
@@ -168,16 +168,17 @@ impl<'v> Session<'v> {
             .filter(|s| *s != self.home)
             .map(|s| SiteView::capture(s, self.vdce.repository(s)))
             .collect();
-        let cfg =
-            SchedulerConfig { k_neighbours: self.effective_k(), ..SchedulerConfig::default() };
-        let table = site_schedule(afg, &local_view, &remote_views, self.vdce.net(), &cfg)
-            .map_err(SubmitError::Scheduling)?;
+        let config =
+            &SchedulerConfig { k_neighbours: self.effective_k(), ..SchedulerConfig::default() };
+        let (local, remotes, net) = (&local_view, &remote_views[..], self.vdce.net());
+        let req = SchedRequest { afg, local, remotes, net, config, data: None, metrics: None };
+        let table = site_schedule(&req).map_err(SubmitError::Scheduling)?;
 
         // Predicted schedule (for the report's predicted-vs-measured
         // comparison).
         let levels =
             local_view.levels(afg).map_err(|_| SubmitError::Scheduling(SchedError::Cyclic))?;
-        let predicted = evaluate(afg, &table, self.vdce.net(), &levels).ok();
+        let predicted = evaluate(afg, &table, self.vdce.net(), &levels, None).ok();
 
         // --- Execution phase ------------------------------------------
         // Merged repository: the Application Controller's threshold gate

@@ -51,8 +51,8 @@ impl DecayAvg {
     }
 }
 
-/// The task-performance database.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The task-performance database. The default knows no library task.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskPerfDb {
     /// Implementation parameters, by library task name.
     library: TaskLibrary,

@@ -555,7 +555,7 @@ pub fn priorities(afg: &Afg, order: PriorityOrder, views: &[&SiteView]) -> Vec<f
 mod tests {
     use super::*;
     use crate::makespan::evaluate;
-    use crate::site_scheduler::{site_schedule, SchedulerConfig};
+    use crate::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
@@ -684,6 +684,11 @@ mod tests {
         assert!(table.hosts_used().len() >= 4, "RR must touch most hosts");
     }
 
+    /// The simulated makespan of `table`.
+    fn makespan(afg: &Afg, table: AllocationTable, net: &NetworkModel, levels: &[f64]) -> f64 {
+        evaluate(afg, &table, net, levels, None).unwrap().makespan
+    }
+
     #[test]
     fn min_min_beats_random_on_makespan() {
         let (afg, local, remote, net, p) = setup();
@@ -691,21 +696,14 @@ mod tests {
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
         let mm =
-            evaluate(&afg, &min_min_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
-                .unwrap();
+            makespan(&afg, min_min_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels);
         // Average a few random seeds.
         let mut rnd_sum = 0.0;
         for seed in 0..5 {
-            let r = evaluate(
-                &afg,
-                &random_schedule(&afg, &views, &p, seed, &c).unwrap(),
-                &net,
-                &levels,
-            )
-            .unwrap();
-            rnd_sum += r.makespan;
+            let table = random_schedule(&afg, &views, &p, seed, &c).unwrap();
+            rnd_sum += makespan(&afg, table, &net, &levels);
         }
-        assert!(mm.makespan <= rnd_sum / 5.0 * 1.05, "min-min should not lose to random");
+        assert!(mm <= rnd_sum / 5.0 * 1.05, "min-min should not lose to random");
     }
 
     #[test]
@@ -714,22 +712,12 @@ mod tests {
         let c = PredictCache::new();
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
-        let cfg = SchedulerConfig::default();
-        let vdce = evaluate(
-            &afg,
-            &site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &cfg).unwrap(),
-            &net,
-            &levels,
-        )
-        .unwrap();
-        let lo = evaluate(&afg, &local_only_schedule(&afg, &local, &p, &c).unwrap(), &net, &levels)
-            .unwrap();
-        assert!(
-            vdce.makespan <= lo.makespan,
-            "federation must not hurt: vdce {} vs local {}",
-            vdce.makespan,
-            lo.makespan
-        );
+        let (afg, local, net) = (&afg, &local, &net);
+        let (remotes, config) = (std::slice::from_ref(&remote), &SchedulerConfig::default());
+        let req = SchedRequest { afg, local, remotes, net, config, data: None, metrics: None };
+        let vdce = makespan(afg, site_schedule(&req).unwrap(), net, &levels);
+        let lo = makespan(afg, local_only_schedule(afg, local, &p, &c).unwrap(), net, &levels);
+        assert!(vdce <= lo, "federation must not hurt: vdce {vdce} vs local {lo}");
     }
 
     #[test]
@@ -739,12 +727,10 @@ mod tests {
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
         let heft =
-            evaluate(&afg, &heft_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
-                .unwrap();
+            makespan(&afg, heft_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels);
         let mm =
-            evaluate(&afg, &min_min_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
-                .unwrap();
-        assert!(heft.makespan <= mm.makespan * 1.5);
+            makespan(&afg, min_min_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels);
+        assert!(heft <= mm * 1.5);
     }
 
     #[test]
@@ -754,23 +740,12 @@ mod tests {
         let views = [&local, &remote];
         let levels = priorities(&afg, PriorityOrder::Level, &views);
         let plain =
-            evaluate(&afg, &heft_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels)
-                .unwrap();
-        let ins = evaluate(
-            &afg,
-            &heft_insertion_schedule(&afg, &views, &net, &p, &c).unwrap(),
-            &net,
-            &levels,
-        )
-        .unwrap();
+            makespan(&afg, heft_schedule(&afg, &views, &net, &p, &c).unwrap(), &net, &levels);
+        let ins = heft_insertion_schedule(&afg, &views, &net, &p, &c).unwrap();
+        let ins = makespan(&afg, ins, &net, &levels);
         // Insertion can only move tasks earlier in its own cost model;
         // under the shared simulator allow a small tolerance.
-        assert!(
-            ins.makespan <= plain.makespan * 1.25,
-            "insertion {} vs plain {}",
-            ins.makespan,
-            plain.makespan
-        );
+        assert!(ins <= plain * 1.25, "insertion {ins} vs plain {plain}");
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub(crate) struct DatasetInputs<'a> {
 impl<'a> DatasetInputs<'a> {
     /// Resolve every `IoSpec::Dataset` input of `afg` against `data`.
     /// `None` resolves like an empty view: any dataset reference is an
-    /// [`SchedError::UnknownDataset`] — legacy entry points without a
-    /// catalog cannot silently schedule dataset reads for free — so a
+    /// [`SchedError::UnknownDataset`] — a request without a catalog
+    /// cannot silently schedule dataset reads for free — so a
     /// schedule that keeps its inputs resolves against `None` and holds
     /// `DatasetInputs<'static>`.
     pub(crate) fn resolve(afg: &Afg, data: Option<&'a DataView>) -> Result<Self, SchedError> {

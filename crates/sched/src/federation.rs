@@ -15,9 +15,7 @@
 use crate::allocation::AllocationTable;
 use crate::classes::TaskClasses;
 use crate::host_selection::{HostSelectionOutput, SelectScratch};
-use crate::site_scheduler::{
-    host_selection_for, schedule_with_outputs_data, SchedError, SchedulerConfig,
-};
+use crate::site_scheduler::{host_selection_for, SchedError, SchedRequest, SchedulerConfig};
 use crate::view::SiteView;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -162,22 +160,14 @@ pub fn federated_schedule(
 
     // Steps 6–7, with every walk option the config carries.
     let levels = classes.levels(local, afg)?;
-    schedule_with_outputs_data(
-        afg,
-        &levels,
-        local.site,
-        &outputs,
-        net,
-        config.ignore_transfer_time,
-        config.sequential,
-        config.spread_critical.then_some(config.spread),
-        None,
-    )
+    let req = SchedRequest { afg, local, remotes: &[], net, config, data: None, metrics: None };
+    req.walk(&levels, &outputs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::site_scheduler::site_schedule;
     use std::thread;
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_net::topology::SiteId;
@@ -222,13 +212,15 @@ mod tests {
         let config = SchedulerConfig { k_neighbours: 1, ..SchedulerConfig::default() };
 
         // In-process reference.
-        let reference = crate::site_scheduler::site_schedule(
-            &afg,
-            &local,
-            std::slice::from_ref(&remote),
-            &net,
-            &config,
-        )
+        let reference = site_schedule(&SchedRequest {
+            afg: &afg,
+            local: &local,
+            remotes: std::slice::from_ref(&remote),
+            net: &net,
+            config: &config,
+            data: None,
+            metrics: None,
+        })
         .unwrap();
 
         // Bus-based run.

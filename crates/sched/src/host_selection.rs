@@ -352,8 +352,8 @@ pub(crate) struct SelectScratch {
 ///
 /// The terms go through `cache`'s term rows for `view.site`
 /// ([`PredictCache::site_terms`]). Within one call that only counts them
-/// (`cache.hits()` / `cache.misses()`, how `site_schedule_observed`
-/// exports cache statistics); across calls it pins a host's term to the
+/// (`cache.hits()` / `cache.misses()`, how a `site_schedule` with a
+/// metrics registry exports cache statistics); across calls it pins a host's term to the
 /// load it was first seen at — see [`vdce_predict::cache`] for choosing
 /// that scope. One memo may be shared across sites.
 pub fn host_selection_classed(

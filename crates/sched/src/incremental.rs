@@ -39,7 +39,8 @@
 use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::data_inputs::DatasetInputs;
 use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
-use crate::site_scheduler::{choose_site_for_task, SchedError};
+use crate::site_scheduler::SchedError;
+use crate::walk::choose_site_for_task;
 use std::sync::Arc;
 use vdce_afg::{Afg, EdgeIndex, TaskId, TopoMarks};
 use vdce_net::model::NetworkModel;
@@ -61,7 +62,7 @@ pub struct ReschedulingDelta {
 ///
 /// Build one with [`IncrementalSchedule::new`] from the collected
 /// host-selection outputs (the same inputs
-/// [`crate::site_scheduler::schedule_with_outputs_data`] takes, minus the
+/// [`SchedRequest::walk`](crate::SchedRequest::walk) takes, minus the
 /// levels — see the module docs for why levels don't matter), then feed
 /// it updated outputs with [`apply`](IncrementalSchedule::apply) after
 /// each monitor event.
@@ -276,7 +277,7 @@ impl IncrementalSchedule {
 mod tests {
     use super::*;
     use crate::host_selection::host_selection;
-    use crate::site_scheduler::schedule_with_outputs_data;
+    use crate::site_scheduler::{SchedRequest, SchedulerConfig};
     use crate::view::SiteView;
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_predict::model::Predictor;
@@ -327,8 +328,10 @@ mod tests {
         outputs: &[HostSelectionOutput],
         net: &NetworkModel,
     ) -> AllocationTable {
-        schedule_with_outputs_data(afg, levels, SiteId(0), outputs, net, false, false, None, None)
-            .unwrap()
+        let (local, config) =
+            (&SiteView::capture(SiteId(0), &repo(&[])), &SchedulerConfig::default());
+        let req = SchedRequest { afg, local, remotes: &[], net, config, data: None, metrics: None };
+        req.walk(levels, outputs).unwrap()
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod reselect;
 pub mod service;
 pub mod site_scheduler;
 pub mod view;
+mod walk;
 
 // The scheduler oracle of the integration tests (`tests/common`), so a
 // unit test can hold a named edge case to it. It names this crate
@@ -69,14 +70,18 @@ pub use host_selection::{
     host_selection, host_selection_classed, ChoiceTable, HostSelectionOutput, TaskHostChoice,
 };
 pub use incremental::{IncrementalSchedule, ReschedulingDelta};
-pub use makespan::{evaluate, evaluate_with_data, EvalError, Schedule, TimedTask};
+#[allow(deprecated)]
+pub use makespan::evaluate_with_data;
+pub use makespan::{evaluate, EvalError, Schedule, TimedTask};
 pub use reselect::reselect_task;
 pub use service::{
     AgingPolicy, BrokerDecision, BrokerPolicy, Quota, RejectReason, ServiceConfig, StreamReport,
     StreamService, SubmissionId, SubmissionRequest, TenantRegistry, TenantRow,
 };
 pub use site_scheduler::{
-    site_schedule, site_schedule_observed, site_schedule_with_data, validate_dataset_outputs,
-    SchedError, SchedulerConfig, SpreadPolicy,
+    site_schedule, validate_dataset_outputs, SchedError, SchedRequest, SchedulerConfig,
+    SpreadPolicy,
 };
+#[allow(deprecated)]
+pub use site_scheduler::{site_schedule_observed, site_schedule_with_data};
 pub use view::SiteView;

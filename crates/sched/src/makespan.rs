@@ -117,6 +117,16 @@ impl From<LevelError> for EvalError {
 
 /// Simulate `table` for `afg` under `net`. `levels` orders contending
 /// ready tasks (highest first) — pass the same levels the scheduler used.
+/// With a dataset catalog view in `data`, tasks reading catalog datasets
+/// additionally wait for the dataset to arrive from its replica. Replicas
+/// pre-exist (available from `t = 0`), so a dataset read delays its
+/// reader by exactly the transfer time from the serving site. The serving
+/// site is the placement's recorded
+/// [`data_sources`](crate::TaskPlacement::data_sources) entry when
+/// present — replays charge the *same* replica the scheduler priced —
+/// falling back to the cheapest live replica otherwise. `data: None`
+/// resolves like an empty view: a dataset read is a typed
+/// [`EvalError::UnknownDataset`].
 ///
 /// One resolved pass, then one level-ordered walk. The table's rows are
 /// looked up once per task of the AFG into a dense `Vec<&TaskPlacement>`;
@@ -129,23 +139,6 @@ impl From<LevelError> for EvalError {
 /// level, and the ready set is a bitset of ranks whose lowest member pops
 /// next. A task the walk never reaches means the AFG has a cycle.
 pub fn evaluate(
-    afg: &Afg,
-    table: &AllocationTable,
-    net: &NetworkModel,
-    levels: &[f64],
-) -> Result<Schedule, EvalError> {
-    evaluate_with_data(afg, table, net, levels, None)
-}
-
-/// [`evaluate`] with a dataset catalog view: tasks reading catalog
-/// datasets additionally wait for the dataset to arrive from its
-/// replica. Replicas pre-exist (available from `t = 0`), so a dataset
-/// read delays its reader by exactly the transfer time from the serving
-/// site. The serving site is the placement's recorded
-/// [`data_sources`](crate::TaskPlacement::data_sources) entry when
-/// present — replays charge the *same* replica the scheduler priced —
-/// falling back to the cheapest live replica otherwise.
-pub fn evaluate_with_data(
     afg: &Afg,
     table: &AllocationTable,
     net: &NetworkModel,
@@ -264,6 +257,18 @@ pub fn evaluate_with_data(
     Ok(Schedule { tasks, makespan })
 }
 
+/// [`evaluate`] with `data` passed on.
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
+pub fn evaluate_with_data(
+    afg: &Afg,
+    table: &AllocationTable,
+    net: &NetworkModel,
+    levels: &[f64],
+    data: Option<&DataView>,
+) -> Result<Schedule, EvalError> {
+    evaluate(afg, table, net, levels, data)
+}
+
 /// Every placed task's hosts as dense ids: `ids[range_of_task]`.
 struct ResolvedHosts {
     /// `(start, end)` into `ids`, indexed by task.
@@ -351,7 +356,7 @@ mod tests {
         let afg = chain();
         let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 2.0), ("h", 0, 3.0)]);
         let net = NetworkModel::with_defaults(1);
-        let s = evaluate(&afg, &table, &net, &unit_levels(&afg)).unwrap();
+        let s = evaluate(&afg, &table, &net, &unit_levels(&afg), None).unwrap();
         assert!((s.makespan - 6.0).abs() < 1e-12, "no transfer cost on one host");
         assert_eq!(s.tasks[1].start, 1.0);
         assert_eq!(s.tasks[2].start, 3.0);
@@ -363,7 +368,7 @@ mod tests {
         let table = place(&afg, &[("a", 0, 1.0), ("b", 1, 1.0), ("c", 0, 1.0)]);
         let mut net = NetworkModel::with_defaults(2);
         net.set_link(SiteId(0), SiteId(1), LinkParams::new(0.5, 1e12));
-        let s = evaluate(&afg, &table, &net, &unit_levels(&afg)).unwrap();
+        let s = evaluate(&afg, &table, &net, &unit_levels(&afg), None).unwrap();
         // 1 + 0.5 + 1 + 0.5 + 1 = 4 (bandwidth term negligible).
         assert!((s.makespan - 4.0).abs() < 1e-6, "got {}", s.makespan);
     }
@@ -383,12 +388,12 @@ mod tests {
 
         // Both branches on one host: serialised.
         let one = place(&afg, &[("h", 0, 1.0), ("h", 0, 5.0), ("h", 0, 5.0)]);
-        let s1 = evaluate(&afg, &one, &net, &levels).unwrap();
+        let s1 = evaluate(&afg, &one, &net, &levels, None).unwrap();
         assert!((s1.makespan - 11.0).abs() < 1e-12);
 
         // On two hosts: overlapped (plus intra-site transfer).
         let two = place(&afg, &[("h", 0, 1.0), ("h", 0, 5.0), ("g", 0, 5.0)]);
-        let s2 = evaluate(&afg, &two, &net, &levels).unwrap();
+        let s2 = evaluate(&afg, &two, &net, &levels, None).unwrap();
         assert!(s2.makespan < s1.makespan);
     }
 
@@ -407,7 +412,7 @@ mod tests {
         // Give r a higher level than l.
         let mut levels = unit_levels(&afg);
         levels[2] = 100.0;
-        let sched = evaluate(&afg, &table, &net, &levels).unwrap();
+        let sched = evaluate(&afg, &table, &net, &levels, None).unwrap();
         assert!(sched.tasks[2].start < sched.tasks[1].start);
     }
 
@@ -425,7 +430,7 @@ mod tests {
         };
         let net = NetworkModel::with_defaults(1);
         assert_eq!(
-            evaluate(&afg, &table, &net, &unit_levels(&afg)),
+            evaluate(&afg, &table, &net, &unit_levels(&afg), None),
             Err(EvalError::MissingPlacement(TaskId(2)))
         );
     }
@@ -436,14 +441,14 @@ mod tests {
         let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0), ("h", 0, 1.0)]);
         let net = NetworkModel::with_defaults(1);
         for wrong in [vec![], vec![1.0; 2], vec![1.0; 4]] {
-            let err = evaluate(&afg, &table, &net, &wrong).unwrap_err();
+            let err = evaluate(&afg, &table, &net, &wrong, None).unwrap_err();
             assert_eq!(err, EvalError::LevelsLength { expected: 3, got: wrong.len() });
             assert!(err.to_string().contains(&format!("{} entries", wrong.len())), "{err}");
         }
         // Checked before the table is looked at.
         let empty = AllocationTable::new(&afg.name);
         assert_eq!(
-            evaluate(&afg, &empty, &net, &[]),
+            evaluate(&afg, &empty, &net, &[], None),
             Err(EvalError::LevelsLength { expected: 3, got: 0 })
         );
     }
@@ -455,10 +460,10 @@ mod tests {
         afg.edges.push(back);
         let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0), ("h", 0, 1.0)]);
         let net = NetworkModel::with_defaults(1);
-        assert_eq!(evaluate(&afg, &table, &net, &[3.0, 2.0, 1.0]), Err(EvalError::Cyclic));
+        assert_eq!(evaluate(&afg, &table, &net, &[3.0, 2.0, 1.0], None), Err(EvalError::Cyclic));
         let partial = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0)]);
         assert_eq!(
-            evaluate(&afg, &partial, &net, &[3.0, 2.0, 1.0]),
+            evaluate(&afg, &partial, &net, &[3.0, 2.0, 1.0], None),
             Err(EvalError::MissingPlacement(TaskId(2)))
         );
     }
@@ -468,7 +473,7 @@ mod tests {
         let afg = chain();
         let table = place(&afg, &[("h", 0, 1.0), ("h", 0, 1.0), ("h", 0, 1.0)]);
         let net = NetworkModel::with_defaults(1);
-        let s = evaluate(&afg, &table, &net, &unit_levels(&afg)).unwrap();
+        let s = evaluate(&afg, &table, &net, &unit_levels(&afg), None).unwrap();
         assert!((s.slr(3.0) - 1.0).abs() < 1e-12);
         assert!(s.slr(0.0).is_infinite());
     }
@@ -507,14 +512,14 @@ mod tests {
             t
         };
 
-        // The legacy entry point refuses dataset AFGs outright.
+        // Without a catalog view a dataset AFG is refused outright.
         assert_eq!(
-            evaluate(&afg, &table_with(0), &net, &levels),
+            evaluate(&afg, &table_with(0), &net, &levels, None),
             Err(EvalError::UnknownDataset(TaskId(0), vdce_afg::DatasetId(5)))
         );
 
-        let local = evaluate_with_data(&afg, &table_with(0), &net, &levels, Some(&view)).unwrap();
-        let remote = evaluate_with_data(&afg, &table_with(1), &net, &levels, Some(&view)).unwrap();
+        let local = evaluate(&afg, &table_with(0), &net, &levels, Some(&view)).unwrap();
+        let remote = evaluate(&afg, &table_with(1), &net, &levels, Some(&view)).unwrap();
         let intra = net.transfer_time(SiteId(0), SiteId(0), size);
         let wan = net.transfer_time(SiteId(1), SiteId(0), size);
         assert!((local.tasks[0].start - intra).abs() < 1e-9);
@@ -566,7 +571,7 @@ mod tests {
         let net = NetworkModel::with_defaults(1);
         // Make LU (task 1) the higher-priority branch so it grabs b first.
         let levels = vec![10.0, 5.0, 1.0];
-        let s = evaluate(&afg, &table, &net, &levels).unwrap();
+        let s = evaluate(&afg, &table, &net, &levels, None).unwrap();
         // m shares host b with the parallel LU → must wait for it.
         assert!(s.tasks[2].start >= s.tasks[1].finish);
     }

@@ -70,6 +70,7 @@
 //! model): the service models scheduling and queueing dynamics, not
 //! kernel execution.
 
+use crate::allocation::TaskPlacement;
 use crate::classes::TaskClasses;
 use crate::host_selection::{select_priced, HostSelectionOutput, HostSide, SelectScratch};
 use crate::incremental::IncrementalSchedule;
@@ -726,7 +727,7 @@ impl StreamService {
         let levels = classes
             .levels(&self.sites[0].view, &req.afg)
             .expect("submissions are validated acyclic AFGs");
-        let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels) else {
+        let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels, None) else {
             self.reject(RejectReason::NoFeasiblePlacement);
             return;
         };
@@ -762,21 +763,19 @@ impl StreamService {
             deadline_bits: u64,
             id: SubmissionId,
             urgent: bool,
-            // Every distinct site its placement touches, site-id order.
-            sites: Vec<SiteId>,
         }
         let mut cands: Vec<Cand> = self
             .pending
             .iter()
-            .filter_map(|(&id, p)| {
+            .filter(|(_, p)| p.inc.is_some())
+            .map(|(&id, p)| {
                 let (prio, waited) = (p.sub.base_priority, now - p.sub.arrival_s);
-                p.inc.as_ref().map(|inc| Cand {
+                Cand {
                     eff: self.cfg.aging.effective_priority(prio, waited),
                     deadline_bits: p.sub.req.deadline_s.to_bits(),
                     id,
                     urgent: self.cfg.aging.is_urgent(prio, waited),
-                    sites: inc.table().sites_used(),
-                })
+                }
             })
             .collect();
         cands.sort_by(|a, b| {
@@ -791,30 +790,28 @@ impl StreamService {
                 break;
             }
             // A placement consumes one slot on *every* site it touches,
-            // so all of them must have room.
-            if c.sites.iter().map(|s| &self.sites[s.index()]).all(|s| s.inflight < s.capacity) {
+            // so the site of every row must have room.
+            let inc = self.pending[&c.id].inc.as_ref().expect("candidates are placed");
+            let site = |p: &TaskPlacement| &self.sites[p.site.index()];
+            if inc.table().iter().map(site).all(|s| s.inflight < s.capacity) {
                 urgent_left -= usize::from(c.urgent);
-                self.start_run(c.id, c.sites, &mut changed);
+                self.start_run(c.id, &mut changed);
             }
         }
         changed
     }
 
-    /// Start pending `id`, charging a slot at each of `charged`, the
-    /// distinct sites its placement touches.
-    fn start_run(
-        &mut self,
-        id: SubmissionId,
-        charged: Vec<SiteId>,
-        changed: &mut BTreeSet<SiteId>,
-    ) {
+    /// Start pending `id`, charging a slot at each distinct site its
+    /// placement touches.
+    fn start_run(&mut self, id: SubmissionId, changed: &mut BTreeSet<SiteId>) {
         let p = self.pending.remove(&id).expect("dispatch picked a pending id");
         let (sub, inc) = (p.sub, p.inc.expect("dispatch only picks feasible submissions"));
+        let charged = inc.table().sites_used();
         let now = self.clock;
 
         // Timing: simulate the table as-is (before this run's own load
         // feedback — its predictions already include everyone else's).
-        let sched = evaluate(&sub.req.afg, inc.table(), &self.net, &sub.levels)
+        let sched = evaluate(&sub.req.afg, inc.table(), &self.net, &sub.levels, None)
             .expect("placed submissions evaluate");
         let finish = now + sched.makespan;
 
@@ -1229,14 +1226,17 @@ mod tests {
             .unwrap();
         // Flood with simultaneous arrivals; quota 1 admits one at a
         // time, defers the rest, and rejects whoever runs out of
-        // defers while the first still runs.
+        // defers while the first still runs. Here every deferred
+        // arrival gets in before its defers run out: six defers, no
+        // rejection. An in-flight count that ignored completions would
+        // admit one and reject three.
         for _ in 0..4 {
             svc.submit_at(0.0, req(&svc, t));
         }
         let report = svc.drain();
-        assert!(report.deferred > 0, "over-quota arrivals must defer");
-        assert!(report.admitted >= 1);
         assert_eq!(report.submitted, 4);
+        assert_eq!((report.admitted, report.deferred, report.completed), (4, 6, 4));
+        assert_eq!(report.rejected, vec![]);
     }
 
     #[test]

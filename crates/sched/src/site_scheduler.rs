@@ -20,26 +20,23 @@
 //!      Update ready-tasks: remove task_i, add its ready children.
 //! ```
 //!
-//! This module is the *algorithm*; the multicast of steps 3–5 is executed
-//! in-process here (each site's view is already available) and over the
-//! inter-site message bus in [`federated_schedule`](crate::federated_schedule).
+//! This module is the *algorithm*, steps 1–5 in [`site_schedule`]; the
+//! multicast of steps 3–5 is executed in-process here (each site's view
+//! is already available) and over the inter-site message bus in
+//! [`federated_schedule`](crate::federated_schedule). Steps 6–7 are
+//! [`SchedRequest::walk`].
 
-use crate::allocation::{AllocationTable, DataSource, TaskPlacement};
-use crate::arena::LevelReady;
+use crate::allocation::AllocationTable;
 use crate::classes::TaskClasses;
-use crate::data_inputs::{DatasetInputs, DsInput};
-use crate::host_selection::{
-    host_selection, select_by_class, HostSelectionOutput, SelectScratch, TaskHostChoice,
-};
+use crate::host_selection::{host_selection, select_by_class, HostSelectionOutput, SelectScratch};
 use crate::view::SiteView;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use vdce_afg::level::LevelError;
 use vdce_afg::{Afg, DatasetId, TaskId};
 use vdce_data::DataView;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
-use vdce_net::TransferCache;
 use vdce_obs::{MetricsRegistry, PROFILE_PREFIX};
 use vdce_predict::cache::PredictCache;
 use vdce_predict::model::Predictor;
@@ -153,8 +150,8 @@ pub enum SchedError {
         name: String,
     },
     /// A task reads a dataset the supplied catalog view does not know
-    /// (including the case of scheduling a dataset-reading AFG through a
-    /// legacy entry point that provides no view at all).
+    /// (including the case of scheduling a dataset-reading AFG with no
+    /// view at all).
     UnknownDataset {
         /// The reading task.
         task: TaskId,
@@ -246,53 +243,61 @@ impl From<LevelError> for SchedError {
     }
 }
 
-/// Run the site-scheduler algorithm.
-///
-/// `remotes` are the views of *all* reachable remote sites; step 2 picks
-/// the `config.k_neighbours` nearest ones according to `net`. The local
-/// site always participates.
-pub fn site_schedule(
-    afg: &Afg,
-    local: &SiteView,
-    remotes: &[SiteView],
-    net: &NetworkModel,
-    config: &SchedulerConfig,
-) -> Result<AllocationTable, SchedError> {
-    site_schedule_with_data(afg, local, remotes, net, config, None)
+/// One Figure 2 request: what [`site_schedule`] maps and where, plus the
+/// two options, each an `Option` field instead of a function of its own.
+/// [`SchedRequest::walk`] runs steps 6–7 alone over host-selection
+/// outputs already collected.
+#[derive(Clone, Copy)]
+pub struct SchedRequest<'a> {
+    /// The application flow graph to map.
+    pub afg: &'a Afg,
+    /// The local site, which always participates; its task-performance
+    /// database prices the levels.
+    pub local: &'a SiteView,
+    /// The views of *all* reachable remote sites; step 2 picks the
+    /// `config.k_neighbours` nearest ones according to `net`.
+    pub remotes: &'a [SiteView],
+    /// The inter-site network: neighbour distances and transfer times.
+    pub net: &'a NetworkModel,
+    /// The scheduler's tunables.
+    pub config: &'a SchedulerConfig,
+    /// Dataset catalog view. Tasks whose inputs name catalog datasets
+    /// ([`vdce_afg::IoSpec::Dataset`]) are charged `min` over live
+    /// replicas of the transfer from each replica site, on top of Figure
+    /// 2's parent-site dataflow term, and the chosen replica is recorded
+    /// in the placement's
+    /// [`data_sources`](crate::TaskPlacement::data_sources). `None`
+    /// resolves like an empty view: any dataset reference is a typed
+    /// [`SchedError::UnknownDataset`] — dataset reads are never silently
+    /// free.
+    pub data: Option<&'a DataView>,
+    /// Registry the run exports its metrics into. The table is
+    /// bit-identical with or without one. Exported names:
+    ///
+    /// - `sched.sites_involved`, `sched.tasks_placed` — counters, pure
+    ///   functions of the inputs.
+    /// - `sched.predict_cache.entries` / `sched.predict_cache.lookups` —
+    ///   deterministic cache statistics: distinct `(library task, host)`
+    ///   prediction terms memoised, and term lookups (one per eligibility
+    ///   group and candidate host, see
+    ///   [`host_selection_classed`](crate::host_selection_classed)). Host
+    ///   names are unique across the federation, so one [`PredictCache`]
+    ///   is shared across every involved site's host selection without
+    ///   changing any prediction.
+    /// - `sched.transfer_cache.lookups` — transfer-time consultations in
+    ///   the DAG walk (deterministic: the walk is sequential).
+    /// - `profile.sched.predict_cache.hits` / `.misses` / `.hit_rate` —
+    ///   the raw hit/miss split of those term lookups, kept in the
+    ///   [`PROFILE_PREFIX`] namespace, which
+    ///   [`MetricsRegistry::snapshot_deterministic`] excludes, so recorded
+    ///   deterministic snapshots keep their name set.
+    pub metrics: Option<&'a MetricsRegistry>,
 }
 
-/// Data-aware [`site_schedule`]: tasks whose inputs name catalog
-/// datasets ([`vdce_afg::IoSpec::Dataset`]) are charged
-/// `min` over live replicas of the transfer from each replica site, on
-/// top of Figure 2's parent-site dataflow term, and the chosen replica
-/// is recorded in the placement's
-/// [`data_sources`](crate::TaskPlacement::data_sources). `data: None`
-/// resolves like an empty view: any dataset reference is a typed
-/// [`SchedError::UnknownDataset`] — dataset reads are never silently
-/// free.
-pub fn site_schedule_with_data(
-    afg: &Afg,
-    local: &SiteView,
-    remotes: &[SiteView],
-    net: &NetworkModel,
-    config: &SchedulerConfig,
-    data: Option<&DataView>,
-) -> Result<AllocationTable, SchedError> {
-    schedule_pipeline(afg, local, remotes, net, config, data, None)
-}
-
-/// Figure 2 end to end — the one body behind [`site_schedule`],
-/// [`site_schedule_with_data`] and [`site_schedule_observed`]. `metrics`
-/// only adds exports; the table is the same either way.
-fn schedule_pipeline(
-    afg: &Afg,
-    local: &SiteView,
-    remotes: &[SiteView],
-    net: &NetworkModel,
-    config: &SchedulerConfig,
-    data: Option<&DataView>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<AllocationTable, SchedError> {
+/// Run the site-scheduler algorithm, Figure 2 end to end, with the
+/// options `req` carries.
+pub fn site_schedule(req: &SchedRequest<'_>) -> Result<AllocationTable, SchedError> {
+    let SchedRequest { afg, local, remotes, net, config, metrics, .. } = *req;
     // The AFG's task classes, indexed once for the level pass and every
     // involved site's host selection.
     let mut classes = TaskClasses::new(afg);
@@ -331,18 +336,8 @@ fn schedule_pipeline(
         m.gauge_set(&format!("{PROFILE_PREFIX}sched.predict_cache.hit_rate"), rate);
     }
 
-    let table = schedule_walk(
-        afg,
-        &levels,
-        local.site,
-        &outputs,
-        net,
-        config.ignore_transfer_time,
-        config.sequential,
-        config.spread_critical.then_some(config.spread),
-        data,
-        metrics,
-    )?;
+    // Steps 6–7.
+    let table = req.walk(&levels, &outputs)?;
     if let Some(m) = metrics {
         m.counter_add("sched.tasks_placed", table.len() as u64);
     }
@@ -388,29 +383,21 @@ pub fn validate_dataset_outputs(
     Ok(())
 }
 
-/// [`site_schedule`] with observability: identical algorithm and a
-/// bit-identical [`AllocationTable`], plus metrics exported into
-/// `metrics`.
-///
-/// Exported metric names:
-///
-/// - `sched.sites_involved`, `sched.tasks_placed` — counters, pure
-///   functions of the inputs.
-/// - `sched.predict_cache.entries` / `sched.predict_cache.lookups` —
-///   deterministic cache statistics: distinct `(library task, host)`
-///   prediction terms memoised, and term lookups (one per eligibility
-///   group and candidate host, see
-///   [`host_selection_classed`](crate::host_selection_classed)). Host
-///   names are unique across the federation, so one [`PredictCache`] is
-///   shared across every involved site's host selection without
-///   changing any prediction.
-/// - `sched.transfer_cache.lookups` — transfer-time consultations in
-///   the DAG walk (deterministic: the walk is sequential).
-/// - `profile.sched.predict_cache.hits` / `.misses` / `.hit_rate` —
-///   the raw hit/miss split of those term lookups, kept in the
-///   [`PROFILE_PREFIX`] namespace, which
-///   [`MetricsRegistry::snapshot_deterministic`] excludes, so recorded
-///   deterministic snapshots keep their name set.
+/// [`site_schedule`] with [`SchedRequest::data`] set.
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
+pub fn site_schedule_with_data(
+    afg: &Afg,
+    local: &SiteView,
+    remotes: &[SiteView],
+    net: &NetworkModel,
+    config: &SchedulerConfig,
+    data: Option<&DataView>,
+) -> Result<AllocationTable, SchedError> {
+    site_schedule(&SchedRequest { afg, local, remotes, net, config, data, metrics: None })
+}
+
+/// [`site_schedule`] with [`SchedRequest::metrics`] set.
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
 pub fn site_schedule_observed(
     afg: &Afg,
     local: &SiteView,
@@ -419,17 +406,13 @@ pub fn site_schedule_observed(
     config: &SchedulerConfig,
     metrics: &MetricsRegistry,
 ) -> Result<AllocationTable, SchedError> {
-    schedule_pipeline(afg, local, remotes, net, config, None, Some(metrics))
+    let metrics = Some(metrics);
+    site_schedule(&SchedRequest { afg, local, remotes, net, config, data: None, metrics })
 }
 
-/// Steps 6–7 of Figure 2, given the collected host-selection outputs.
-/// Shared by the in-process scheduler above and the bus-based federation
-/// protocol. Takes every option: the transfer-term
-/// ablation, the sequential-reference switch, recovery-aware
-/// critical-path spreading, and a dataset catalog view (see
-/// [`site_schedule_with_data`] for the cost model). Both the sequential
-/// and the optimised scheduler path funnel through the same walk, so the
-/// spreading decision is bit-identical across the two.
+/// [`SchedRequest::walk`] with its three walk options unpacked and an
+/// empty view of `local_site` (the walk reads only its id).
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
 #[allow(clippy::too_many_arguments)]
 pub fn schedule_with_outputs_data(
     afg: &Afg,
@@ -442,340 +425,26 @@ pub fn schedule_with_outputs_data(
     spread: Option<SpreadPolicy>,
     data: Option<&DataView>,
 ) -> Result<AllocationTable, SchedError> {
-    schedule_walk(
-        afg,
-        levels,
-        local_site,
-        outputs,
-        net,
-        ignore_transfer_time,
-        sequential,
-        spread,
-        data,
-        None,
-    )
-}
-
-/// The ready set of step 6, in both implementations, as `sequential`
-/// picks: the reference linear-scan `Vec` (`O(n)` per pick, as the seed
-/// implementation did it) and a [`LevelReady`], the tasks ranked once by
-/// level with the ready ranks in a bitset. Both yield tasks
-/// highest-level-first with ties by ascending id; the property tests
-/// compare the resulting tables for equality.
-enum ReadyList {
-    Scan(Vec<TaskId>),
-    Ranked(LevelReady),
-}
-
-impl ReadyList {
-    fn new(sequential: bool, levels: &[f64]) -> Self {
-        if sequential {
-            ReadyList::Scan(Vec::new())
-        } else {
-            ReadyList::Ranked(LevelReady::new(levels))
-        }
-    }
-
-    fn push(&mut self, task: TaskId) {
-        match self {
-            ReadyList::Scan(v) => v.push(task),
-            ReadyList::Ranked(r) => r.push(task),
-        }
-    }
-
-    fn pop(&mut self, levels: &[f64]) -> Option<TaskId> {
-        match self {
-            ReadyList::Scan(v) => {
-                // Highest level first; ties by ascending id.
-                let (pos, _) = v.iter().enumerate().max_by(|(_, a), (_, b)| {
-                    levels[a.index()].total_cmp(&levels[b.index()]).then(b.cmp(a))
-                })?;
-                Some(v.swap_remove(pos))
-            }
-            ReadyList::Ranked(r) => r.pop(),
-        }
-    }
-}
-
-/// The levels are the caller's ([`schedule_with_outputs_data`] is public):
-/// the ready list indexes them by task and orders by them, so a slice of
-/// the wrong length or a NaN, infinite or negative level is refused before
-/// the walk starts.
-fn check_levels(afg: &Afg, levels: &[f64]) -> Result<(), SchedError> {
-    let tasks = afg.task_count();
-    let invalid = |bad| SchedError::InvalidLevels { tasks, levels: levels.len(), bad };
-    if levels.len() != tasks {
-        return Err(invalid(None));
-    }
-    match levels.iter().position(|l| !(l.is_finite() && *l >= 0.0)) {
-        Some(i) => Err(invalid(Some(TaskId(i as u32)))),
-        None => Ok(()),
-    }
-}
-
-/// The DAG walk of steps 6–7, optionally metered. With `metrics` set it
-/// additionally counts `sched.transfer_cache.lookups` — the walk itself
-/// is sequential, so the count is a pure function of the inputs. The
-/// [`TransferCache`] stays a plain data snapshot (it must remain
-/// `Clone + PartialEq` for the federation protocol), so the counting
-/// happens here at the consultation site rather than inside the cache.
-///
-/// The walk records only which output won each task. The table's rows
-/// are written after it, in one pass in task-id order: cloning a row's
-/// name and hosts bumps two reference counts, and a locked increment
-/// inside the level-ordered loop would stall each of its scattered cache
-/// misses behind the one before.
-#[allow(clippy::too_many_arguments)]
-fn schedule_walk(
-    afg: &Afg,
-    levels: &[f64],
-    local_site: SiteId,
-    outputs: &[HostSelectionOutput],
-    net: &NetworkModel,
-    ignore_transfer_time: bool,
-    sequential: bool,
-    spread: Option<SpreadPolicy>,
-    data: Option<&DataView>,
-    metrics: Option<&MetricsRegistry>,
-) -> Result<AllocationTable, SchedError> {
-    check_levels(afg, levels)?;
-    // Freeze the catalog view into per-task dataset inputs up front:
-    // typed errors surface before any placement, and every task decides
-    // against the same snapshot (the incremental order-independence
-    // contract).
-    let dsi = DatasetInputs::resolve(afg, data)?;
-    let mut xfer_lookups = 0u64;
-    // The index into `outputs` of each task's winning site; a parent's
-    // site is read through it.
-    let mut won: Vec<u32> = vec![u32::MAX; afg.task_count()];
-
-    // Critical-path spreading (DESIGN.md §11): a task is *critical* when
-    // its level is within the top quarter of the level range; the hosts
-    // already serving critical tasks accumulate here (borrowed from the
-    // outputs — the walk never owns host strings).
-    let max_level = levels.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let critical_floor = 0.75 * max_level;
-    let mut critical_hosts: HashSet<&str> = HashSet::new();
-
-    // Optimised path: snapshot the link matrix once; `transfer_time` on
-    // the snapshot is bit-identical to the model's.
-    let xfer_cache = if sequential { None } else { Some(TransferCache::new(net)) };
-    let mut xfer_time = |from: SiteId, to: SiteId, bytes: u64| {
-        xfer_lookups += 1;
-        match &xfer_cache {
-            Some(c) => c.transfer_time(from, to, bytes),
-            None => net.transfer_time(from, to, bytes),
-        }
-    };
-
-    // Adjacency index: the walk below touches every task's in- and
-    // out-edges once; through the scanning accessors that is `O(n·e)`.
-    let edge_idx = afg.edge_index();
-
-    // Step 6: ready set = entry nodes.
-    let mut remaining_parents = afg.in_degrees();
-    let mut ready = ReadyList::new(sequential, levels);
-    for t in afg.task_ids().filter(|t| remaining_parents[t.index()] == 0) {
-        ready.push(t);
-    }
-
-    // (parent site, bytes) per in-edge of the current task, in edge
-    // order — resolved once per task instead of once per candidate site.
-    let mut parents: Vec<(SiteId, u64)> = Vec::new();
-
-    while let Some(task) = ready.pop(levels) {
-        parents.clear();
-        if !ignore_transfer_time {
-            for e in edge_idx.in_edges(afg, task) {
-                // Parents are decided before children in a DAG walk.
-                parents.push((outputs[won[e.from.index()] as usize].site, e.data_size));
-            }
-        }
-
-        let is_critical = spread.is_some() && levels[task.index()] >= critical_floor - 1e-12;
-
-        // Dataset inputs of this task. Under the transfer ablation the
-        // replica term is excluded from the cost (like the parent term),
-        // but the chosen source is still recorded for replay.
-        let ds_cost: &[DsInput<'_>] = if ignore_transfer_time { &[] } else { dsi.for_task(task) };
-
-        let best = choose_site_for_task(
-            task,
-            outputs,
-            &parents,
-            ds_cost,
-            local_site,
-            &mut xfer_time,
-            if is_critical { spread.as_ref().map(|p| (p, &critical_hosts)) } else { None },
-        );
-
-        let (winner, choice) = best.ok_or_else(|| SchedError::NoFeasibleSite {
-            task,
-            name: afg.task(task).name.to_string(),
-        })?;
-        if is_critical {
-            critical_hosts.extend(choice.hosts.iter().map(String::as_str));
-        }
-        won[task.index()] = winner as u32;
-
-        // Update the ready set with children whose parents are all placed.
-        for e in edge_idx.out_edges(afg, task) {
-            remaining_parents[e.to.index()] -= 1;
-            if remaining_parents[e.to.index()] == 0 {
-                ready.push(e.to);
-            }
-        }
-    }
-
-    // One row per decided task, in task-id order.
-    let mut table = AllocationTable::with_capacity(afg.name.clone(), afg.task_count());
-    for (node, &w) in afg.tasks.iter().zip(&won).filter(|(_, &w)| w != u32::MAX) {
-        let out = &outputs[w as usize];
-        let choice = out.choice(node.id).expect("the walk decided the task on this choice");
-        table.insert(TaskPlacement {
-            task: node.id,
-            task_name: node.name.clone(),
-            site: out.site,
-            hosts: choice.hosts.clone(),
-            predicted_seconds: choice.predicted_seconds,
-            data_sources: dataset_sources_for_site(dsi.for_task(node.id), out.site, &mut xfer_time),
-        });
-    }
-
-    debug_assert_eq!(table.len(), afg.task_count(), "DAG walk must reach every task");
-    if let Some(m) = metrics {
-        m.counter_add("sched.transfer_cache.lookups", xfer_lookups);
-    }
-    Ok(table)
-}
-
-/// The argmin of step 7 for one task: probe every involved site's choice
-/// table, add the parents' transfer times via
-/// `xfer_time`, and pick the minimum `Timetotal` with the
-/// local-first/ascending-site-id tie-break. With `spread` set it
-/// additionally tracks the best candidate whose hosts are disjoint from
-/// the accumulated critical hosts and takes it when within tolerance.
-/// Answers the winning output's index in `outputs` and its choice.
-///
-/// Shared between the full DAG walk above and the O(changed) re-placement
-/// in [`crate::incremental`] — sharing the decision function is what
-/// makes the incremental path bit-identical per task.
-pub(crate) fn choose_site_for_task<'a>(
-    task: TaskId,
-    outputs: &'a [HostSelectionOutput],
-    parents: &[(SiteId, u64)],
-    datasets: &[DsInput<'_>],
-    local_site: SiteId,
-    xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
-    spread: Option<(&SpreadPolicy, &HashSet<&str>)>,
-) -> Option<(usize, &'a TaskHostChoice)> {
-    // `best` is Figure 2's argmin, as (index into `outputs`, site,
-    // choice, Timetotal); `best_spread` additionally requires the chosen
-    // hosts to be disjoint from every previously placed critical task's
-    // hosts.
-    type Candidate<'c> = Option<(usize, SiteId, &'c TaskHostChoice, f64)>;
-    let mut best: Candidate<'a> = None;
-    let mut best_spread: Candidate<'a> = None;
-    for (i, out) in outputs.iter().enumerate() {
-        let Some(choice) = out.choice(task) else { continue };
-        let site = out.site;
-        // Σ over in-edges of transfer from the parent's site (empty for
-        // entry tasks and under the ablation: pure Predict).
-        let mut xfer = 0.0;
-        for &(parent_site, bytes) in parents {
-            xfer += xfer_time(parent_site, site, bytes);
-        }
-        // Plus, per dataset input, the *cheapest* live replica's
-        // transfer — the data-aware extension of Timetotal.
-        for d in datasets {
-            xfer += cheapest_ds_source(d, site, xfer_time).1;
-        }
-        let total = xfer + choice.predicted_seconds;
-        let better = |prev: &Candidate<'a>| match prev {
-            None => true,
-            Some((_, bsite, _, btotal)) => {
-                total < btotal - 1e-15
-                    || ((total - btotal).abs() <= 1e-15
-                        && site_rank(site, local_site) < site_rank(*bsite, local_site))
-            }
-        };
-        if better(&best) {
-            best = Some((i, site, choice, total));
-        }
-        if let Some((_, critical_hosts)) = spread {
-            if choice.hosts.iter().all(|h| !critical_hosts.contains(h.as_str()))
-                && better(&best_spread)
-            {
-                best_spread = Some((i, site, choice, total));
-            }
-        }
-    }
-    // Recovery-aware preference: take the host-disjoint candidate when
-    // it costs at most `policy.tolerance ×` the unconstrained optimum.
-    if let (Some((.., btotal)), Some(cand), Some((policy, _))) = (&best, &best_spread, &spread) {
-        if cand.3 <= btotal * policy.tolerance + 1e-15 {
-            best = Some(*cand);
-        }
-    }
-    best.map(|(i, _, choice, _)| (i, choice))
-}
-
-/// Cheapest replica source of one dataset input for a read at `to`:
-/// strict `<` minimum over the replica sites, ties to the first listed
-/// (replica sites are kept ascending, so ties resolve to the lowest
-/// site id). Replica lists are non-empty by construction
-/// ([`DatasetInputs::resolve`] rejects empty ones), so this always
-/// answers. Shared between the cost term in [`choose_site_for_task`]
-/// and the recording in [`dataset_sources_for_site`] so the recorded
-/// source is exactly the one the argmin priced.
-fn cheapest_ds_source(
-    d: &DsInput<'_>,
-    to: SiteId,
-    xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
-) -> (SiteId, f64) {
-    let mut best = (d.sites[0], xfer_time(d.sites[0], to, d.size));
-    for &src in &d.sites[1..] {
-        let t = xfer_time(src, to, d.size);
-        if t < best.1 {
-            best = (src, t);
-        }
-    }
-    best
-}
-
-/// The replica each dataset input is served from once `site` has won
-/// the argmin — what gets recorded in
-/// [`data_sources`](crate::TaskPlacement::data_sources).
-fn dataset_sources_for_site(
-    datasets: &[DsInput<'_>],
-    site: SiteId,
-    xfer_time: &mut dyn FnMut(SiteId, SiteId, u64) -> f64,
-) -> Vec<DataSource> {
-    datasets
-        .iter()
-        .map(|d| DataSource { dataset: d.id, source: cheapest_ds_source(d, site, xfer_time).0 })
-        .collect()
-}
-
-/// Tie-break rank: local site first, then ascending site id.
-fn site_rank(site: SiteId, local: SiteId) -> (u8, u16) {
-    if site == local {
-        (0, site.0)
-    } else {
-        (1, site.0)
-    }
+    let mut config = SchedulerConfig { ignore_transfer_time, sequential, ..Default::default() };
+    (config.spread_critical, config.spread) = (spread.is_some(), spread.unwrap_or_default());
+    let (resources, tasks, constraints) = Default::default();
+    let local = &SiteView { site: local_site, resources, tasks, constraints };
+    let config = &config;
+    SchedRequest { afg, local, remotes: &[], net, config, data, metrics: None }
+        .walk(levels, outputs)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::oracle::{check_paths, Case};
+    use crate::DataSource;
     use vdce_afg::{AfgBuilder, MachineType, TaskLibrary};
     use vdce_net::model::LinkParams;
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
 
-    fn site_view(site: u16, hosts: &[(&str, f64)]) -> SiteView {
+    pub(crate) fn site_view(site: u16, hosts: &[(&str, f64)]) -> SiteView {
         SiteView::capture(SiteId(site), &site_repo(hosts))
     }
 
@@ -798,7 +467,7 @@ mod tests {
     }
 
     /// source -> sort -> sink chain with large dataflow.
-    fn chain_afg(n: u64) -> Afg {
+    pub(crate) fn chain_afg(n: u64) -> Afg {
         let lib = TaskLibrary::standard();
         let mut b = AfgBuilder::new("chain", &lib);
         let s = b.add_task("Source", "src", n).unwrap();
@@ -809,8 +478,75 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn cfg(k: usize) -> SchedulerConfig {
+    pub(crate) fn cfg(k: usize) -> SchedulerConfig {
         SchedulerConfig { k_neighbours: k, ..SchedulerConfig::default() }
+    }
+
+    /// A request with neither option set.
+    pub(crate) fn request<'a>(
+        afg: &'a Afg,
+        local: &'a SiteView,
+        remotes: &'a [SiteView],
+        net: &'a NetworkModel,
+        config: &'a SchedulerConfig,
+    ) -> SchedRequest<'a> {
+        SchedRequest { afg, local, remotes, net, config, data: None, metrics: None }
+    }
+
+    /// The `perf/`-only wrappers answer as the request path with the same
+    /// options, compared bit for bit. The AFG reads a dataset, which a
+    /// walk or an evaluation without a catalog view refuses, so a wrapper
+    /// that dropped `data` fails here; the placed-task counter shows a
+    /// dropped registry, and a dataset whose only replica is local places
+    /// its reader by the transfer-term ablation, which shows a dropped
+    /// walk flag.
+    #[test]
+    #[allow(deprecated)]
+    fn deprecated_wrappers_forward_their_options() {
+        use crate::oracle::{same_schedules, same_tables};
+        let afg = reader_afg(vdce_afg::IoSpec::dataset(DatasetId(7)), 1000);
+        let local = site_view(0, &[("l0", 1.0)]);
+        let remotes = [site_view(1, &[("r0", 10.0)])];
+        let net = NetworkModel::with_defaults(2);
+        let (view, config) = (view_one(7, 1 << 33, &[0]), cfg(1));
+        let data = Some(&view);
+        let req = SchedRequest { data, ..request(&afg, &local, &remotes, &net, &config) };
+        let want = site_schedule(&req);
+        let got = site_schedule_with_data(&afg, &local, &remotes, &net, &config, data);
+        same_tables(&got, &want, "site_schedule_with_data", "wrapper");
+
+        let levels = local.levels(&afg).unwrap();
+        let table = want.unwrap();
+        let got = crate::evaluate_with_data(&afg, &table, &net, &levels, data);
+        let want = crate::evaluate(&afg, &table, &net, &levels, data);
+        same_schedules(&table, &got, &want, "evaluate_with_data");
+
+        let cache = PredictCache::new();
+        let select =
+            |v| crate::host_selection_classed(v, &afg, &config.predictor, &config.parallel, &cache);
+        let outputs = [select(&local), select(&remotes[0])];
+        let mut sites = Vec::new();
+        for ignore in [false, true] {
+            let config =
+                SchedulerConfig { ignore_transfer_time: ignore, spread_critical: true, ..config };
+            let want = SchedRequest { config: &config, ..req }.walk(&levels, &outputs);
+            let (l, o, n, spread) = (&levels, &outputs, &net, Some(config.spread));
+            let got =
+                schedule_with_outputs_data(&afg, l, SiteId(0), o, n, ignore, false, spread, data);
+            same_tables(&got, &want, "schedule_with_outputs_data", "wrapper");
+            sites.push(want.unwrap().placement(TaskId(0)).unwrap().site);
+        }
+        assert_eq!(sites, [SiteId(0), SiteId(1)], "the ablation moves the reader");
+
+        let afg = chain_afg(100_000);
+        let (got_reg, want_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let got = site_schedule_observed(&afg, &local, &remotes, &net, &config, &got_reg);
+        let req = request(&afg, &local, &remotes, &net, &config);
+        let want = site_schedule(&SchedRequest { metrics: Some(&want_reg), ..req });
+        same_tables(&got, &want, "site_schedule_observed", "wrapper");
+        assert_eq!(got_reg.counter("sched.tasks_placed"), 3);
+        let snapshot = |m: &MetricsRegistry| m.snapshot_deterministic().to_json_string();
+        assert_eq!(snapshot(&got_reg), snapshot(&want_reg));
     }
 
     #[test]
@@ -818,7 +554,7 @@ mod tests {
         let local = site_view(0, &[("h0", 1.0), ("h1", 2.0)]);
         let net = NetworkModel::with_defaults(1);
         let afg = chain_afg(10_000);
-        let table = site_schedule(&afg, &local, &[], &net, &cfg(3)).unwrap();
+        let table = site_schedule(&request(&afg, &local, &[], &net, &cfg(3))).unwrap();
         assert!(table.is_complete_for(&afg));
         assert_eq!(table.sites_used(), vec![SiteId(0)]);
         // Every task lands on the faster host.
@@ -833,7 +569,7 @@ mod tests {
         let remote = site_view(1, &[("r0", 20.0)]);
         let net = NetworkModel::with_defaults(2);
         let afg = chain_afg(2_000_000);
-        let table = site_schedule(&afg, &local, &[remote], &net, &cfg(1)).unwrap();
+        let table = site_schedule(&request(&afg, &local, &[remote], &net, &cfg(1))).unwrap();
         assert_eq!(table.placement(TaskId(0)).unwrap().site, SiteId(1));
     }
 
@@ -843,42 +579,8 @@ mod tests {
         let remote = site_view(1, &[("r0", 20.0)]);
         let net = NetworkModel::with_defaults(2);
         let afg = chain_afg(2_000_000);
-        let table = site_schedule(&afg, &local, &[remote], &net, &cfg(0)).unwrap();
+        let table = site_schedule(&request(&afg, &local, &[remote], &net, &cfg(0))).unwrap();
         assert_eq!(table.sites_used(), vec![SiteId(0)]);
-    }
-
-    #[test]
-    fn expensive_transfer_keeps_children_near_parents() {
-        // Remote is 3× faster, but the WAN link is made brutally slow so
-        // the transfer term dominates for non-entry tasks.
-        let local = site_view(0, &[("l0", 1.0)]);
-        let remote = site_view(1, &[("r0", 3.0)]);
-        let mut net = NetworkModel::with_defaults(2);
-        net.set_link(SiteId(0), SiteId(1), LinkParams::new(30.0, 1_000.0));
-        let afg = chain_afg(100_000);
-        let table = site_schedule(&afg, &local, &[remote], &net, &cfg(1)).unwrap();
-        let entry_site = table.placement(TaskId(0)).unwrap().site;
-        // Children follow the entry task's site to dodge the transfer.
-        assert_eq!(table.placement(TaskId(1)).unwrap().site, entry_site);
-        assert_eq!(table.placement(TaskId(2)).unwrap().site, entry_site);
-    }
-
-    #[test]
-    fn cheap_network_lets_tasks_spread_to_faster_sites() {
-        let local = site_view(0, &[("l0", 1.0)]);
-        let remote = site_view(1, &[("r0", 10.0)]);
-        let mut net = NetworkModel::with_defaults(2);
-        // Make every link (including intra-site) essentially free.
-        for a in 0..2u16 {
-            for b in a..2u16 {
-                net.set_link(SiteId(a), SiteId(b), LinkParams::new(1e-6, 1e12));
-            }
-        }
-        let afg = chain_afg(2_000_000);
-        let table = site_schedule(&afg, &local, &[remote], &net, &cfg(1)).unwrap();
-        for p in table.iter() {
-            assert_eq!(p.site, SiteId(1), "free network → all tasks on the fast site");
-        }
     }
 
     #[test]
@@ -892,61 +594,9 @@ mod tests {
         let afg = b.build().unwrap();
         let local = site_view(0, &[("h", 1.0)]);
         let net = NetworkModel::with_defaults(1);
-        let err = site_schedule(&afg, &local, &[], &net, &cfg(0)).unwrap_err();
+        let err = site_schedule(&request(&afg, &local, &[], &net, &cfg(0))).unwrap_err();
         assert!(matches!(err, SchedError::NoFeasibleSite { task, .. } if task == t));
         assert!(err.to_string().contains("`s`"));
-    }
-
-    /// The walk takes its levels from the caller. One per task, finite and
-    /// non-negative, or a typed error — in both ready-list implementations,
-    /// which index the slice by task and order by its values.
-    #[test]
-    fn levels_of_the_wrong_length_or_not_finite_are_refused() {
-        let local = site_view(0, &[("h0", 1.0), ("h1", 2.0)]);
-        let net = NetworkModel::with_defaults(1);
-        let afg = chain_afg(10_000);
-        let config = cfg(0);
-        let outputs = [crate::host_selection_classed(
-            &local,
-            &afg,
-            &config.predictor,
-            &config.parallel,
-            &PredictCache::new(),
-        )];
-        let walk = |levels: &[f64], sequential: bool| {
-            schedule_with_outputs_data(
-                &afg,
-                levels,
-                SiteId(0),
-                &outputs,
-                &net,
-                false,
-                sequential,
-                None,
-                None,
-            )
-        };
-        let good = local.levels(&afg).unwrap();
-        for sequential in [false, true] {
-            assert!(walk(&good, sequential).unwrap().is_complete_for(&afg));
-            // Short (the ready list would index past its end) and long.
-            for wrong in [&good[..2], &[good.as_slice(), &[0.0]].concat()] {
-                let err = walk(wrong, sequential).unwrap_err();
-                let expect = SchedError::InvalidLevels { tasks: 3, levels: wrong.len(), bad: None };
-                assert_eq!(err, expect);
-                assert!(err.to_string().contains(&format!("{} entries", wrong.len())));
-            }
-            // NaN (no numeric order for the ready list), infinite,
-            // negative: the lowest offending task is named.
-            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-                let levels = [good[0], bad, bad];
-                let err = walk(&levels, sequential).unwrap_err();
-                let expect =
-                    SchedError::InvalidLevels { tasks: 3, levels: 3, bad: Some(TaskId(1)) };
-                assert_eq!(err, expect, "level {bad}");
-                assert!(err.to_string().contains("task t1"), "{err}");
-            }
-        }
     }
 
     #[test]
@@ -974,7 +624,7 @@ mod tests {
         });
         let remote = SiteView::capture(SiteId(1), &repo);
         let net = NetworkModel::with_defaults(2);
-        let table = site_schedule(&afg, &local, &[remote], &net, &cfg(1)).unwrap();
+        let table = site_schedule(&request(&afg, &local, &[remote], &net, &cfg(1))).unwrap();
         assert_eq!(table.placement(t).unwrap().site, SiteId(1));
         // The sink follows its parent to site 1: the tiny dataflow is
         // cheaper intra-site than over the WAN link back to site 0.
@@ -993,10 +643,11 @@ mod tests {
         let afg = chain_afg(2_000_000);
         // k=1: only site 1 may be used even though site 2 is faster.
         let table =
-            site_schedule(&afg, &local, &[near.clone(), far.clone()], &net, &cfg(1)).unwrap();
+            site_schedule(&request(&afg, &local, &[near.clone(), far.clone()], &net, &cfg(1)))
+                .unwrap();
         assert!(!table.sites_used().contains(&SiteId(2)));
         // k=2: the far fast site becomes available.
-        let table2 = site_schedule(&afg, &local, &[near, far], &net, &cfg(2)).unwrap();
+        let table2 = site_schedule(&request(&afg, &local, &[near, far], &net, &cfg(2))).unwrap();
         assert!(table2.sites_used().contains(&SiteId(2)));
     }
 
@@ -1007,38 +658,8 @@ mod tests {
         let local = site_view(0, &[("l0", 1.0)]);
         let net = NetworkModel::with_defaults(4);
         let afg = chain_afg(1000);
-        let table = site_schedule(&afg, &local, &[], &net, &cfg(3)).unwrap();
+        let table = site_schedule(&request(&afg, &local, &[], &net, &cfg(3))).unwrap();
         assert!(table.is_complete_for(&afg));
-    }
-
-    #[test]
-    fn transfer_ablation_ignores_parent_locality() {
-        // Remote is barely faster, but the WAN link is slow: the faithful
-        // algorithm keeps children with their parents, the ablated one
-        // chases the faster host across the WAN.
-        let local = site_view(0, &[("l0", 1.0)]);
-        let remote = site_view(1, &[("r0", 1.3)]);
-        let mut net = NetworkModel::with_defaults(2);
-        net.set_link(SiteId(0), SiteId(1), LinkParams::new(5.0, 10_000.0));
-        let afg = chain_afg(100_000);
-        let faithful =
-            site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &cfg(1)).unwrap();
-        let ablated = site_schedule(
-            &afg,
-            &local,
-            &[remote],
-            &net,
-            &SchedulerConfig { k_neighbours: 1, ignore_transfer_time: true, ..cfg(1) },
-        )
-        .unwrap();
-        // Ablated: every task independently picks the faster remote host.
-        for p in ablated.iter() {
-            assert_eq!(p.site, SiteId(1));
-        }
-        // Faithful: after the entry task lands remotely, children stay
-        // with it; crucially the two differ in *why* — verify the
-        // faithful one would not pay the WAN both ways for a local entry.
-        assert!(faithful.is_complete_for(&afg));
     }
 
     #[test]
@@ -1079,18 +700,10 @@ mod tests {
         let afg = chain_afg(100_000);
         let config = cfg(1);
 
-        let plain =
-            site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &config).unwrap();
+        let req = request(&afg, &local, std::slice::from_ref(&remote), &net, &config);
+        let plain = site_schedule(&req).unwrap();
         let metrics = MetricsRegistry::new();
-        let observed = site_schedule_observed(
-            &afg,
-            &local,
-            std::slice::from_ref(&remote),
-            &net,
-            &config,
-            &metrics,
-        )
-        .unwrap();
+        let observed = site_schedule(&SchedRequest { metrics: Some(&metrics), ..req }).unwrap();
         assert_eq!(plain, observed);
         for (pa, pb) in plain.iter().zip(observed.iter()) {
             assert_eq!(pa.predicted_seconds.to_bits(), pb.predicted_seconds.to_bits());
@@ -1113,20 +726,77 @@ mod tests {
         // deterministic snapshot (the bit-identity property test covers
         // the replay engine; this covers the scheduler in isolation).
         let metrics2 = MetricsRegistry::new();
-        site_schedule_observed(
-            &afg,
-            &local,
-            std::slice::from_ref(&remote),
-            &net,
-            &config,
-            &metrics2,
-        )
-        .unwrap();
+        site_schedule(&SchedRequest { metrics: Some(&metrics2), ..req }).unwrap();
         assert_eq!(
             det.to_json_string(),
             metrics2.snapshot_deterministic().to_json_string(),
             "deterministic scheduler metrics must replay bit-identically"
         );
+    }
+
+    #[test]
+    fn expensive_transfer_keeps_children_near_parents() {
+        // Remote is 3× faster, but the WAN link is made brutally slow so
+        // the transfer term dominates for non-entry tasks.
+        let local = site_view(0, &[("l0", 1.0)]);
+        let remote = site_view(1, &[("r0", 3.0)]);
+        let mut net = NetworkModel::with_defaults(2);
+        net.set_link(SiteId(0), SiteId(1), LinkParams::new(30.0, 1_000.0));
+        let afg = chain_afg(100_000);
+        let table = site_schedule(&request(&afg, &local, &[remote], &net, &cfg(1))).unwrap();
+        let entry_site = table.placement(TaskId(0)).unwrap().site;
+        // Children follow the entry task's site to dodge the transfer.
+        assert_eq!(table.placement(TaskId(1)).unwrap().site, entry_site);
+        assert_eq!(table.placement(TaskId(2)).unwrap().site, entry_site);
+    }
+
+    #[test]
+    fn cheap_network_lets_tasks_spread_to_faster_sites() {
+        let local = site_view(0, &[("l0", 1.0)]);
+        let remote = site_view(1, &[("r0", 10.0)]);
+        let mut net = NetworkModel::with_defaults(2);
+        // Make every link (including intra-site) essentially free.
+        for a in 0..2u16 {
+            for b in a..2u16 {
+                net.set_link(SiteId(a), SiteId(b), LinkParams::new(1e-6, 1e12));
+            }
+        }
+        let afg = chain_afg(2_000_000);
+        let table = site_schedule(&request(&afg, &local, &[remote], &net, &cfg(1))).unwrap();
+        for p in table.iter() {
+            assert_eq!(p.site, SiteId(1), "free network → all tasks on the fast site");
+        }
+    }
+
+    #[test]
+    fn transfer_ablation_ignores_parent_locality() {
+        // Remote is barely faster, but the WAN link is slow: the faithful
+        // algorithm keeps children with their parents, the ablated one
+        // chases the faster host across the WAN.
+        let local = site_view(0, &[("l0", 1.0)]);
+        let remote = site_view(1, &[("r0", 1.3)]);
+        let mut net = NetworkModel::with_defaults(2);
+        net.set_link(SiteId(0), SiteId(1), LinkParams::new(5.0, 10_000.0));
+        let afg = chain_afg(100_000);
+        let faithful =
+            site_schedule(&request(&afg, &local, std::slice::from_ref(&remote), &net, &cfg(1)))
+                .unwrap();
+        let ablated = site_schedule(&request(
+            &afg,
+            &local,
+            &[remote],
+            &net,
+            &SchedulerConfig { k_neighbours: 1, ignore_transfer_time: true, ..cfg(1) },
+        ))
+        .unwrap();
+        // Ablated: every task independently picks the faster remote host.
+        for p in ablated.iter() {
+            assert_eq!(p.site, SiteId(1));
+        }
+        // Faithful: after the entry task lands remotely, children stay
+        // with it; crucially the two differ in *why* — verify the
+        // faithful one would not pay the WAN both ways for a local entry.
+        assert!(faithful.is_complete_for(&afg));
     }
 
     /// Two independent critical chains on two equally fast sites over a
@@ -1155,16 +825,17 @@ mod tests {
         }
 
         let plain =
-            site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &cfg(1)).unwrap();
+            site_schedule(&request(&afg, &local, std::slice::from_ref(&remote), &net, &cfg(1)))
+                .unwrap();
         assert_eq!(plain.placement(s0).unwrap().site, plain.placement(s1).unwrap().site);
 
-        let spread = site_schedule(
+        let spread = site_schedule(&request(
             &afg,
             &local,
             std::slice::from_ref(&remote),
             &net,
             &SchedulerConfig { spread_critical: true, ..cfg(1) },
-        )
+        ))
         .unwrap();
         let h0 = &spread.placement(s0).unwrap().hosts;
         let h1 = &spread.placement(s1).unwrap().hosts;
@@ -1179,13 +850,13 @@ mod tests {
         let remote = site_view(1, &[("slow", 1.0)]);
         let net = NetworkModel::with_defaults(2);
         let afg = chain_afg(100_000);
-        let spread = site_schedule(
+        let spread = site_schedule(&request(
             &afg,
             &local,
             &[remote],
             &net,
             &SchedulerConfig { spread_critical: true, ..cfg(1) },
-        )
+        ))
         .unwrap();
         for p in spread.iter() {
             assert_eq!(p.hosts.to_vec(), vec!["fast".to_string()]);
@@ -1218,13 +889,13 @@ mod tests {
             }
         }
 
-        let lenient = site_schedule(
+        let lenient = site_schedule(&request(
             &afg,
             &local,
             std::slice::from_ref(&remote),
             &net,
             &SchedulerConfig { spread_critical: true, ..cfg(1) },
-        )
+        ))
         .unwrap();
         assert_ne!(
             lenient.placement(s0).unwrap().hosts,
@@ -1232,7 +903,7 @@ mod tests {
             "default tolerance accepts the 5%-worse disjoint host"
         );
 
-        let strict = site_schedule(
+        let strict = site_schedule(&request(
             &afg,
             &local,
             std::slice::from_ref(&remote),
@@ -1242,13 +913,91 @@ mod tests {
                 spread: SpreadPolicy { tolerance: 1.0 },
                 ..cfg(1)
             },
-        )
+        ))
         .unwrap();
         assert_eq!(
             strict.placement(s0).unwrap().hosts,
             strict.placement(s1).unwrap().hosts,
             "tolerance 1.0 refuses any cost increase"
         );
+    }
+
+    /// Pins the legacy contract (satellite of DESIGN.md §18): inline
+    /// *file* inputs are charged parent-site-only per Figure 2 — an
+    /// entry task "requires no input" transfer, so the file's size never
+    /// moves the placement. Only `IoSpec::Dataset` inputs get the
+    /// min-over-replicas term.
+    #[test]
+    fn inline_file_inputs_stay_parent_site_only() {
+        let local = site_view(0, &[("l0", 1.0)]);
+        let remote = site_view(1, &[("r0", 10.0)]);
+        let net = NetworkModel::with_defaults(2);
+        let small = reader_afg(vdce_afg::IoSpec::inline_file("/in.dat", 1), 1000);
+        let huge = reader_afg(vdce_afg::IoSpec::inline_file("/in.dat", 1 << 33), 1000);
+        let a =
+            site_schedule(&request(&small, &local, std::slice::from_ref(&remote), &net, &cfg(1)))
+                .unwrap();
+        let b =
+            site_schedule(&request(&huge, &local, std::slice::from_ref(&remote), &net, &cfg(1)))
+                .unwrap();
+        assert_eq!(
+            a.placement(TaskId(0)).unwrap().site,
+            b.placement(TaskId(0)).unwrap().site,
+            "inline file size must not move the placement"
+        );
+        assert!(a.iter().all(|p| p.data_sources.is_empty()));
+    }
+
+    /// The data-aware term: a dataset with its only replica on the slow
+    /// local site pins the reader there (the 8 GiB WAN transfer dwarfs
+    /// the 10× compute advantage), and the placement records which
+    /// replica was charged. The same AFG without a catalog view is a
+    /// typed [`SchedError::UnknownDataset`], never silently free.
+    #[test]
+    fn dataset_replicas_pull_placement_and_are_recorded() {
+        let ds = DatasetId(7);
+        let afg = reader_afg(vdce_afg::IoSpec::dataset(ds), 1000);
+        let local = site_view(0, &[("l0", 1.0)]);
+        let remote = site_view(1, &[("r0", 10.0)]);
+        let net = NetworkModel::with_defaults(2);
+
+        let config = cfg(1);
+        let req = request(&afg, &local, std::slice::from_ref(&remote), &net, &config);
+        let err = site_schedule(&req).unwrap_err();
+        assert_eq!(err, SchedError::UnknownDataset { task: TaskId(0), dataset: ds });
+
+        let pinned = view_one(7, 1 << 33, &[0]);
+        let t = site_schedule(&SchedRequest { data: Some(&pinned), ..req }).unwrap();
+        let p = t.placement(TaskId(0)).unwrap();
+        assert_eq!(p.site, SiteId(0), "sole huge replica pins the reader to its site");
+        assert_eq!(p.data_sources, vec![DataSource { dataset: ds, source: SiteId(0) }]);
+
+        // A second replica on the fast site frees the reader to move
+        // there — and the recorded source moves with it.
+        let replicated = view_one(7, 1 << 33, &[0, 1]);
+        let t2 = site_schedule(&SchedRequest { data: Some(&replicated), ..req }).unwrap();
+        let p2 = t2.placement(TaskId(0)).unwrap();
+        assert_eq!(p2.site, SiteId(1), "replication unlocks the faster site");
+        assert_eq!(p2.data_sources, vec![DataSource { dataset: ds, source: SiteId(1) }]);
+    }
+
+    #[test]
+    fn diamond_parents_all_placed_before_children() {
+        let lib = TaskLibrary::standard();
+        let mut b = AfgBuilder::new("d", &lib);
+        let a = b.add_task("Source", "a", 1000).unwrap();
+        let l = b.add_task("Map", "l", 1000).unwrap();
+        let r = b.add_task("Map", "r", 1000).unwrap();
+        let j = b.add_task("Matrix_Add", "j", 64).unwrap();
+        b.connect(a, 0, l, 0).unwrap();
+        b.connect(a, 0, r, 0).unwrap();
+        b.connect(l, 0, j, 0).unwrap();
+        b.connect(r, 0, j, 1).unwrap();
+        let afg = b.build().unwrap();
+        let local = site_view(0, &[("h0", 1.0), ("h1", 1.0)]);
+        let net = NetworkModel::with_defaults(1);
+        let table = site_schedule(&request(&afg, &local, &[], &net, &cfg(0))).unwrap();
+        assert!(table.is_complete_for(&afg));
     }
 
     /// reader (Map, one input) -> sink, input bound by the caller.
@@ -1273,95 +1022,5 @@ mod tests {
             },
         );
         DataView::from_specs(m)
-    }
-
-    /// Pins the legacy contract (satellite of DESIGN.md §18): inline
-    /// *file* inputs are charged parent-site-only per Figure 2 — an
-    /// entry task "requires no input" transfer, so the file's size never
-    /// moves the placement. Only `IoSpec::Dataset` inputs get the
-    /// min-over-replicas term.
-    #[test]
-    fn inline_file_inputs_stay_parent_site_only() {
-        let local = site_view(0, &[("l0", 1.0)]);
-        let remote = site_view(1, &[("r0", 10.0)]);
-        let net = NetworkModel::with_defaults(2);
-        let small = reader_afg(vdce_afg::IoSpec::inline_file("/in.dat", 1), 1000);
-        let huge = reader_afg(vdce_afg::IoSpec::inline_file("/in.dat", 1 << 33), 1000);
-        let a =
-            site_schedule(&small, &local, std::slice::from_ref(&remote), &net, &cfg(1)).unwrap();
-        let b = site_schedule(&huge, &local, std::slice::from_ref(&remote), &net, &cfg(1)).unwrap();
-        assert_eq!(
-            a.placement(TaskId(0)).unwrap().site,
-            b.placement(TaskId(0)).unwrap().site,
-            "inline file size must not move the placement"
-        );
-        assert!(a.iter().all(|p| p.data_sources.is_empty()));
-    }
-
-    /// The data-aware term: a dataset with its only replica on the slow
-    /// local site pins the reader there (the 8 GiB WAN transfer dwarfs
-    /// the 10× compute advantage), and the placement records which
-    /// replica was charged. The same AFG through the legacy entry point
-    /// is a typed [`SchedError::UnknownDataset`], never silently free.
-    #[test]
-    fn dataset_replicas_pull_placement_and_are_recorded() {
-        let ds = DatasetId(7);
-        let afg = reader_afg(vdce_afg::IoSpec::dataset(ds), 1000);
-        let local = site_view(0, &[("l0", 1.0)]);
-        let remote = site_view(1, &[("r0", 10.0)]);
-        let net = NetworkModel::with_defaults(2);
-
-        let err =
-            site_schedule(&afg, &local, std::slice::from_ref(&remote), &net, &cfg(1)).unwrap_err();
-        assert_eq!(err, SchedError::UnknownDataset { task: TaskId(0), dataset: ds });
-
-        let pinned = view_one(7, 1 << 33, &[0]);
-        let t = site_schedule_with_data(
-            &afg,
-            &local,
-            std::slice::from_ref(&remote),
-            &net,
-            &cfg(1),
-            Some(&pinned),
-        )
-        .unwrap();
-        let p = t.placement(TaskId(0)).unwrap();
-        assert_eq!(p.site, SiteId(0), "sole huge replica pins the reader to its site");
-        assert_eq!(p.data_sources, vec![DataSource { dataset: ds, source: SiteId(0) }]);
-
-        // A second replica on the fast site frees the reader to move
-        // there — and the recorded source moves with it.
-        let replicated = view_one(7, 1 << 33, &[0, 1]);
-        let t2 = site_schedule_with_data(
-            &afg,
-            &local,
-            std::slice::from_ref(&remote),
-            &net,
-            &cfg(1),
-            Some(&replicated),
-        )
-        .unwrap();
-        let p2 = t2.placement(TaskId(0)).unwrap();
-        assert_eq!(p2.site, SiteId(1), "replication unlocks the faster site");
-        assert_eq!(p2.data_sources, vec![DataSource { dataset: ds, source: SiteId(1) }]);
-    }
-
-    #[test]
-    fn diamond_parents_all_placed_before_children() {
-        let lib = TaskLibrary::standard();
-        let mut b = AfgBuilder::new("d", &lib);
-        let a = b.add_task("Source", "a", 1000).unwrap();
-        let l = b.add_task("Map", "l", 1000).unwrap();
-        let r = b.add_task("Map", "r", 1000).unwrap();
-        let j = b.add_task("Matrix_Add", "j", 64).unwrap();
-        b.connect(a, 0, l, 0).unwrap();
-        b.connect(a, 0, r, 0).unwrap();
-        b.connect(l, 0, j, 0).unwrap();
-        b.connect(r, 0, j, 1).unwrap();
-        let afg = b.build().unwrap();
-        let local = site_view(0, &[("h0", 1.0), ("h1", 1.0)]);
-        let net = NetworkModel::with_defaults(1);
-        let table = site_schedule(&afg, &local, &[], &net, &cfg(0)).unwrap();
-        assert!(table.is_complete_for(&afg));
     }
 }

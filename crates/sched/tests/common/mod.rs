@@ -1,7 +1,7 @@
 //! The scheduler's one case generator and its one differential oracle.
 //!
 //! Five paths must place a workload bit for bit alike: the reference walk
-//! (`sequential: true`), the classed walk, `site_schedule_observed`,
+//! (`sequential: true`), the classed walk, `site_schedule` with metrics,
 //! `IncrementalSchedule` built from empty, and the data-aware walk when
 //! every dataset has one replica at the parent site. [`check_paths`]
 //! asserts all of that on one [`Case`], together with Figure 3's classed
@@ -38,12 +38,10 @@ use vdce_obs::MetricsRegistry;
 use vdce_predict::cache::PredictCache;
 use vdce_repository::resources::{HostStatus, ResourceRecord};
 use vdce_repository::{SiteRepository, TaskPerfDb};
-use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::{
-    evaluate, evaluate_with_data, host_selection, host_selection_classed, site_schedule,
-    site_schedule_observed, site_schedule_with_data, AllocationTable, EvalError,
-    HostSelectionOutput, IncrementalSchedule, SchedError, Schedule, SchedulerConfig, SiteView,
-    SpreadPolicy, TimedTask,
+    evaluate, host_selection, host_selection_classed, site_schedule, AllocationTable, EvalError,
+    HostSelectionOutput, IncrementalSchedule, SchedError, SchedRequest, Schedule, SchedulerConfig,
+    SiteView, SpreadPolicy, TimedTask,
 };
 
 /// One scheduling input: an AFG, a federation (site 0 is the local site),
@@ -75,6 +73,14 @@ impl Case {
         let views =
             repos.iter().enumerate().map(|(s, r)| SiteView::capture(SiteId(s as u16), r)).collect();
         Case { name, afg, repos, views, net, data, config }
+    }
+
+    /// The case as a scheduling request: its own configuration and its
+    /// catalog view, no metrics.
+    pub fn request(&self) -> SchedRequest<'_> {
+        let (local, remotes, data) = (&self.views[0], &self.views[1..], Some(&self.data));
+        let (afg, net, config) = (&self.afg, &self.net, &self.config);
+        SchedRequest { afg, local, remotes, net, config, data, metrics: None }
     }
 
     /// The case `seed` draws:
@@ -392,13 +398,16 @@ pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
     // answers as the reference does without one.
     let reference = SchedulerConfig { sequential: true, ..*config };
     let classed = SchedulerConfig { sequential: false, ..*config };
-    let want = site_schedule_with_data(afg, local, remotes, net, &reference, Some(data));
-    let got = site_schedule_with_data(afg, local, remotes, net, &classed, Some(data));
+    let want = site_schedule(&SchedRequest { config: &reference, ..case.request() });
+    let got = site_schedule(&SchedRequest { config: &classed, ..case.request() });
     same_tables(&got, &want, name, "classed walk");
     let metrics = MetricsRegistry::new();
-    let observed = site_schedule_observed(afg, local, remotes, net, &classed, &metrics);
+    let metered =
+        SchedRequest { config: &classed, data: None, metrics: Some(&metrics), ..case.request() };
+    let observed = site_schedule(&metered);
     if case.reads_datasets() {
-        let refused = site_schedule(afg, local, remotes, net, &reference);
+        let refused =
+            site_schedule(&SchedRequest { config: &reference, data: None, ..case.request() });
         same_tables(&observed, &refused, name, "observed pipeline");
     } else {
         same_tables(&observed, &want, name, "observed pipeline");
@@ -418,13 +427,8 @@ pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
         .iter()
         .map(|v| host_selection_classed(v, afg, predictor, parallel, &memo))
         .collect();
-    let walk = |data| {
-        let ignore = config.ignore_transfer_time;
-        let spread = config.spread_critical.then_some(config.spread);
-        schedule_with_outputs_data(
-            afg, &levels, local.site, &outputs, net, ignore, false, spread, data,
-        )
-    };
+    let walk =
+        |data| SchedRequest { config: &classed, data, ..case.request() }.walk(&levels, &outputs);
     same_tables(&walk(Some(data)), &want, name, "walk over collected outputs");
 
     // Incremental from empty: a topological walk through the same argmin,
@@ -498,8 +502,8 @@ pub fn same_choices(got: &HostSelectionOutput, want: &HostSelectionOutput, case:
 /// parent-site-only ablation of any view homed there, recorded sources
 /// and JSON included. A case that reads no dataset has nothing to check.
 pub fn check_primary_only(case: &Case) {
-    let Case { name, afg, views, net, data, config, .. } = case;
-    let (local, remotes) = (&views[0], &views[1..]);
+    let Case { name, afg, views, data, .. } = case;
+    let local = &views[0];
     let ids: Vec<DatasetId> =
         afg.tasks.iter().flat_map(|t| &t.props.inputs).filter_map(IoSpec::dataset_id).collect();
     if ids.is_empty() {
@@ -507,29 +511,28 @@ pub fn check_primary_only(case: &Case) {
     }
     let single = homed_at(data, &ids, local.site, true);
     let primary = homed_at(data, &ids, local.site, false).primary_only();
-    let a = site_schedule_with_data(afg, local, remotes, net, config, Some(&single));
-    let b = site_schedule_with_data(afg, local, remotes, net, config, Some(&primary));
+    let a = site_schedule(&SchedRequest { data: Some(&single), ..case.request() });
+    let b = site_schedule(&SchedRequest { data: Some(&primary), ..case.request() });
     same_tables(&b, &a, name, "primary-only view");
 }
 
-/// `evaluate` and `evaluate_with_data` against [`evaluate_reference`] on
-/// `table`, a table scheduled for `case`, and the timed schedule's
-/// validity.
+/// `evaluate` with and without the catalog view against
+/// [`evaluate_reference`] on `table`, a table scheduled for `case`, and
+/// the timed schedule's validity.
 pub fn check_evaluation(case: &Case, table: &AllocationTable) {
     let Case { name, afg, views, net, data, .. } = case;
     let levels = views[0].levels(afg).expect("generated graphs are acyclic");
-    let timed = evaluate_with_data(afg, table, net, &levels, Some(data));
+    let timed = evaluate(afg, table, net, &levels, Some(data));
     let want = evaluate_reference(afg, table, net, &levels, Some(data));
     same_schedules(table, &timed, &want, name);
-    let plain = evaluate(afg, table, net, &levels);
+    let plain = evaluate(afg, table, net, &levels, None);
     same_schedules(table, &plain, &evaluate_reference(afg, table, net, &levels, None), name);
     check_schedule_valid(afg, &timed.expect("a scheduled table evaluates"), name);
 }
 
 /// `case` scheduled by its own configuration, with its catalog view.
 pub fn schedule(case: &Case) -> Result<AllocationTable, SchedError> {
-    let (local, remotes) = (&case.views[0], &case.views[1..]);
-    site_schedule_with_data(&case.afg, local, remotes, &case.net, &case.config, Some(&case.data))
+    site_schedule(&case.request())
 }
 
 /// The same result, and on success the same rows, predictions compared
@@ -642,7 +645,7 @@ impl PartialEq for Ready {
 
 impl Eq for Ready {}
 
-/// [`evaluate_with_data`] the plain way, over the public API only: the
+/// [`evaluate`] the plain way, over the public API only: the
 /// table looked up by task wherever a row is needed, hosts numbered by
 /// name in task order, a separate acyclicity pass, and each dataset read
 /// resolved through [`DataView::get`]. Same rules: an input arrives at

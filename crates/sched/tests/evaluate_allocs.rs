@@ -26,7 +26,9 @@ use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_repository::resources::ResourceRecord;
 use vdce_repository::SiteRepository;
-use vdce_sched::{evaluate, site_schedule, AllocationTable, SchedulerConfig, SiteView};
+use vdce_sched::{
+    evaluate, site_schedule, AllocationTable, SchedRequest, SchedulerConfig, SiteView,
+};
 
 struct Counting;
 
@@ -113,9 +115,10 @@ fn federation(sites: usize, hosts: usize) -> (Vec<SiteView>, NetworkModel) {
 fn scheduled(tasks: usize) -> (Afg, NetworkModel, AllocationTable, u64) {
     let afg = palette_afg(tasks);
     let (views, net) = federation(4, 12);
-    let (table, allocs) = allocs_of(|| {
-        site_schedule(&afg, &views[0], &views[1..], &net, &SchedulerConfig::default())
-    });
+    let (local, remotes, config) = (&views[0], &views[1..], &SchedulerConfig::default());
+    let req =
+        SchedRequest { afg: &afg, local, remotes, net: &net, config, data: None, metrics: None };
+    let (table, allocs) = allocs_of(|| site_schedule(&req));
     let table = table.expect("the palette AFG schedules");
     let widest = table.iter().map(|p| p.hosts.len()).max();
     assert!(widest >= Some(4), "parallel tasks got at most {widest:?} hosts");
@@ -126,7 +129,7 @@ fn scheduled(tasks: usize) -> (Afg, NetworkModel, AllocationTable, u64) {
 fn evaluate_allocs(tasks: usize) -> u64 {
     let (afg, net, table, _) = scheduled(tasks);
     let levels = level_map(&afg, |t| t.problem_size as f64).expect("layered graphs are acyclic");
-    let (schedule, allocs) = allocs_of(|| evaluate(&afg, &table, &net, &levels));
+    let (schedule, allocs) = allocs_of(|| evaluate(&afg, &table, &net, &levels, None));
     let schedule = schedule.expect("complete tables evaluate");
     assert_eq!(schedule.tasks.len(), tasks);
     assert!(schedule.makespan > 0.0);

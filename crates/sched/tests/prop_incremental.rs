@@ -23,9 +23,10 @@ use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::HostStatus;
 use vdce_repository::SiteRepository;
-use vdce_sched::site_scheduler::schedule_with_outputs_data;
 use vdce_sched::view::SiteView;
-use vdce_sched::{host_selection_classed, HostSelectionOutput, IncrementalSchedule};
+use vdce_sched::{
+    host_selection_classed, HostSelectionOutput, IncrementalSchedule, SchedRequest, SchedulerConfig,
+};
 
 fn capture_outputs(repos: &[SiteRepository], afg: &Afg) -> Vec<HostSelectionOutput> {
     repos
@@ -140,9 +141,11 @@ proptest! {
             }
         }
 
-        let rewalk = schedule_with_outputs_data(
-            &afg, &levels, SiteId(0), &new_outputs, &net, ignore, false, None, None,
-        );
+        let config = &SchedulerConfig { sequential: false, spread_critical: false, ..config };
+        let (local, net) = (&views[0], &net);
+        let req =
+            SchedRequest { afg: &afg, local, remotes: &[], net, config, data: None, metrics: None };
+        let rewalk = req.walk(&levels, &new_outputs);
         let applied = inc.apply(&afg, new_outputs.clone());
         match (rewalk, applied) {
             (Ok(rewalk), Ok(delta)) => {

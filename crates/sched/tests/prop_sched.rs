@@ -21,11 +21,11 @@ use vdce_predict::model::Predictor;
 use vdce_predict::parallel::ParallelModel;
 use vdce_repository::resources::{HostStatus, ResourcePerfDb, ResourceRecord};
 use vdce_repository::{SiteRepository, TaskConstraintsDb, TaskPerfDb};
-use vdce_sched::site_scheduler::{site_schedule_with_data, SchedulerConfig};
+use vdce_sched::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
 use vdce_sched::view::SiteView;
 use vdce_sched::{
-    baselines, evaluate_with_data, host_selection, host_selection_classed, AllocationTable,
-    DataSource, SchedError, TaskPlacement,
+    baselines, evaluate, host_selection, host_selection_classed, AllocationTable, DataSource,
+    SchedError, TaskPlacement,
 };
 
 /// Every placement path against the reference on the palette workload at
@@ -205,7 +205,7 @@ proptest! {
             Ok(table) => {
                 check_table_valid(&case, &table);
                 let levels = case.views[0].levels(&case.afg).unwrap();
-                let timed = evaluate_with_data(&case.afg, &table, &case.net, &levels, Some(&case.data));
+                let timed = evaluate(&case.afg, &table, &case.net, &levels, Some(&case.data));
                 check_schedule_valid(&case.afg, &timed.unwrap(), &case.name);
             }
             // A Sun-only task finds no host where every Sun host is down.
@@ -252,7 +252,7 @@ proptest! {
                 }
             };
             check_table_valid(&case, &table);
-            let schedule = evaluate_with_data(afg, &table, net, &levels, Some(&case.data)).unwrap();
+            let schedule = evaluate(afg, &table, net, &levels, Some(&case.data)).unwrap();
             check_schedule_valid(afg, &schedule, &case.name);
         }
     }
@@ -485,7 +485,7 @@ proptest! {
         }
 
         let levels: Vec<f64> = (0..n).map(|i| f64::from(draws[i % draws.len()] % 5)).collect();
-        let got = evaluate_with_data(&afg, &table, &net, &levels, data);
+        let got = evaluate(&afg, &table, &net, &levels, data);
         let want = evaluate_reference(&afg, &table, &net, &levels, data);
         prop_assert!(back_edge != 0 || want.is_err(), "a cyclic AFG evaluated");
         same_schedules(&table, &got, &want, &format!("seed {seed}"));
@@ -498,8 +498,9 @@ proptest! {
         let case = Case::random(seed);
         let config = SchedulerConfig { k_neighbours: 0, ..case.config };
         let (local, remotes) = (&case.views[0], &case.views[1..]);
-        let data = Some(&case.data);
-        match site_schedule_with_data(&case.afg, local, remotes, &case.net, &config, data) {
+        let (afg, net, data) = (&case.afg, &case.net, Some(&case.data));
+        let req = SchedRequest { afg, local, remotes, net, config: &config, data, metrics: None };
+        match site_schedule(&req) {
             Ok(table) => prop_assert!(table.iter().all(|p| p.site == SiteId(0)), "{}", case.name),
             Err(e) => prop_assert!(matches!(e, SchedError::NoFeasibleSite { .. }), "{}", e),
         }

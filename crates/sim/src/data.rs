@@ -215,27 +215,21 @@ pub fn pipeline_workload(chains: usize, dataset_bytes: u64, seed: u64) -> DataSc
 mod tests {
     use super::*;
     use vdce_data::DataView;
-    use vdce_sched::{evaluate_with_data, site_schedule_with_data, SchedulerConfig};
+    use vdce_sched::{evaluate, site_schedule, SchedRequest, SchedulerConfig};
 
     fn schedule_and_makespan(sc: &DataScenario, view: &DataView) -> (Vec<u64>, f64) {
-        let cfg = SchedulerConfig::default();
-        let table = site_schedule_with_data(
-            &sc.afg,
-            &sc.views[0],
-            &sc.views[1..],
-            &sc.net,
-            &cfg,
-            Some(view),
-        )
-        .expect("workload schedules");
+        let (afg, local, remotes, net) = (&sc.afg, &sc.views[0], &sc.views[1..], &sc.net);
+        let (config, data) = (&SchedulerConfig::default(), Some(view));
+        let req = SchedRequest { afg, local, remotes, net, config, data, metrics: None };
+        let table = site_schedule(&req).expect("workload schedules");
         let levels: Vec<f64> = sc
             .afg
             .tasks
             .iter()
             .map(|t| sc.views[0].tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0))
             .collect();
-        let sched = evaluate_with_data(&sc.afg, &table, &sc.net, &levels, Some(view))
-            .expect("schedules evaluate");
+        let sched =
+            evaluate(&sc.afg, &table, &sc.net, &levels, Some(view)).expect("schedules evaluate");
         let bits = table.iter().map(|p| p.predicted_seconds.to_bits()).collect();
         (bits, sched.makespan)
     }

@@ -38,7 +38,7 @@ use crate::faults::{Fault, FaultPlan, WeibullArrivalSpec};
 use crate::metrics::RecoveryReport;
 use crate::pool_gen::{FederationSpec, WanShape};
 use crate::recovery::verify_recovery;
-use crate::replay::{run_fault_scenario, ReplayConfig};
+use crate::replay::{run_fault_scenario, ReplayConfig, ReplayRequest};
 use crate::scenario::{self, schedule_estimate, FaultScenario, Scenario};
 use crate::stream::{run_stream, StreamScenario};
 
@@ -617,29 +617,30 @@ impl<'c> Runs<'c> {
         Runs { case, scenario, cfg, traced, first, repeat, durable, streams: Default::default() }
     }
 
-    fn replay(&self, obs: &Observer, durable: Option<&DurableOptions>) -> RecoveryReport {
+    fn replay(&self, obs: Option<&Observer>, durable: Option<&DurableOptions>) -> RecoveryReport {
         let Scenario { federation, afg, .. } = &self.scenario;
-        run_fault_scenario("fuzz", federation, afg, &self.case.plan, &self.cfg, obs, durable)
+        let (plan, config) = (&self.case.plan, &self.cfg);
+        run_fault_scenario("fuzz", &ReplayRequest { federation, afg, plan, config, obs, durable })
     }
 
     /// The first replay and, if traced, the work ledger rebuilt from its
     /// trace.
     fn first(&self) -> &(RecoveryReport, Option<WorkLedger>) {
         self.first.get_or_init(|| {
-            let obs = if self.traced { Observer::enabled() } else { Observer::disabled() };
-            let report = self.replay(&obs, None);
-            (report, self.traced.then(|| ledger_from_observer(&obs)))
+            let obs = self.traced.then(Observer::enabled);
+            let report = self.replay(obs.as_ref(), None);
+            (report, obs.as_ref().map(ledger_from_observer))
         })
     }
 
     fn repeat(&self) -> &RecoveryReport {
-        self.repeat.get_or_init(|| self.replay(&Observer::disabled(), None))
+        self.repeat.get_or_init(|| self.replay(None, None))
     }
 
     fn durable(&self) -> Option<&str> {
         let run = || {
             let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-            let durable = self.replay(&Observer::disabled(), Some(&opts));
+            let durable = self.replay(None, Some(&opts));
             if report_json(&durable) != report_json(&self.first().0) {
                 return Some("durable replay diverged from the plain replay".to_string());
             }

@@ -14,7 +14,7 @@ use vdce_runtime::{
     ControlMessage, EventLog, FlagEcho, GroupManager, MonitorDaemon, MonitorReport, SiteManager,
     SyntheticProbe,
 };
-use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
+use vdce_sched::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
 use vdce_sched::view::SiteView;
 use vdce_sched::{baselines, evaluate};
 
@@ -110,13 +110,14 @@ pub fn compare_schedulers(
     let cache = PredictCache::new();
 
     let all_views: Vec<&SiteView> = std::iter::once(local).chain(remotes.iter()).collect();
+    let vdce = |k_neighbours: usize, ignore_transfer_time: bool| {
+        let config = &SchedulerConfig { k_neighbours, ignore_transfer_time, ..Default::default() };
+        site_schedule(&SchedRequest { afg, local, remotes, net, config, data: None, metrics: None })
+    };
     let mut rows = Vec::new();
     for kind in kinds {
         let table = match kind {
-            SchedulerKind::Vdce { k } => {
-                let cfg = SchedulerConfig { k_neighbours: *k, ..SchedulerConfig::default() };
-                site_schedule(afg, local, remotes, net, &cfg)
-            }
+            SchedulerKind::Vdce { k } => vdce(*k, false),
             SchedulerKind::LocalOnly => {
                 baselines::local_only_schedule(afg, local, &predictor, &cache)
             }
@@ -138,17 +139,10 @@ pub fn compare_schedulers(
             SchedulerKind::HeftInsertion => {
                 baselines::heft_insertion_schedule(afg, &all_views, net, &predictor, &cache)
             }
-            SchedulerKind::VdceNoTransfer { k } => {
-                let cfg = SchedulerConfig {
-                    k_neighbours: *k,
-                    ignore_transfer_time: true,
-                    ..SchedulerConfig::default()
-                };
-                site_schedule(afg, local, remotes, net, &cfg)
-            }
+            SchedulerKind::VdceNoTransfer { k } => vdce(*k, true),
         };
         let Ok(table) = table else { continue };
-        let Ok(schedule) = evaluate(afg, &table, net, &levels) else { continue };
+        let Ok(schedule) = evaluate(afg, &table, net, &levels, None) else { continue };
         rows.push(ComparisonRow {
             algorithm: kind.name(),
             makespan: schedule.makespan,

@@ -22,8 +22,8 @@
 //! - [`mod@replay`] — deterministic replay of a fault plan against the real
 //!   runtime control plane, with mid-execution recovery
 //!   (detect → quarantine → re-select → migrate → retry): one `Replay`
-//!   state machine, one method per tick step, behind [`replay()`] /
-//!   `replay_observed` / [`replay_durable`], and [`run_fault_scenario`]
+//!   state machine, one method per tick step, behind
+//!   [`ReplayRequest::run`], and [`run_fault_scenario`]
 //!   folding a faulty replay and its fault-free twin into the
 //!   [`RecoveryReport`] the `faults` experiment records;
 //! - [`arrivals`] — seeded Poisson submission traces for the streaming
@@ -73,6 +73,6 @@ pub use harness::{compare_schedulers, comparison_table, run_monitoring_experimen
 pub use metrics::{geomean, recovery_table, RecoveryReport, Summary, Table};
 pub use pool_gen::{build_federation, Federation, FederationSpec};
 pub use recovery::{verify_kill, verify_recovery, KillReport, RecoverySummary};
-pub use replay::{replay, replay_durable, run_fault_scenario, ReplayConfig, ReplayOutcome};
+pub use replay::{run_fault_scenario, ReplayConfig, ReplayOutcome, ReplayRequest};
 pub use scenario::Scenario;
 pub use stream::{run_stream, StreamScenario};

@@ -1,9 +1,10 @@
 //! Kill-and-restart verification of the durable control plane
 //! (DESIGN.md §16).
 //!
-//! A durable replay ([`crate::replay::replay_durable`]) leaves behind a
-//! sealed [`Journal`]: the full event history, every installed
-//! snapshot, and the final [`ControlState`] pinned at shutdown. This
+//! A durable replay (a [`ReplayRequest`](crate::ReplayRequest) with
+//! `durable` set) leaves behind a sealed [`Journal`]: the full event
+//! history, every installed snapshot, and the final [`ControlState`]
+//! pinned at shutdown. This
 //! harness simulates a Site Manager process death at an arbitrary point
 //! of that run — including mid-write, with a torn final WAL record —
 //! and proves the crash lost nothing:
@@ -255,9 +256,8 @@ mod tests {
     use crate::dag_gen::{layered_random, DagSpec};
     use crate::faults::{Fault, FaultPlan};
     use crate::pool_gen::{build_federation, FederationSpec, WanShape};
-    use crate::replay::{replay_durable, ReplayConfig};
+    use crate::replay::{ReplayConfig, ReplayRequest};
     use vdce_net::topology::SiteId;
-    use vdce_obs::Observer;
     use vdce_runtime::{CheckpointPolicy, DurableOptions};
     use vdce_store::SnapshotPolicy;
 
@@ -279,7 +279,8 @@ mod tests {
         let victim = f.hosts(SiteId(0))[0].clone();
         let plan = FaultPlan { seed: 5, faults: vec![Fault::HostCrash { host: victim, at: 15.0 }] };
         let opts = DurableOptions::new(SnapshotPolicy::every(snapshot_every), 4);
-        replay_durable(&f, &afg, &plan, &cfg, &Observer::disabled(), &opts);
+        let (federation, afg, plan, config) = (&f, &afg, &plan, &cfg);
+        ReplayRequest { federation, afg, plan, config, obs: None, durable: Some(&opts) }.run();
         opts
     }
 

@@ -5,23 +5,21 @@
 //! every recovery decision turns on.
 
 use super::plane::ControlPlane;
-use super::{ReplayConfig, ReplayOutcome};
-use crate::faults::{Fault, FaultEvent, FaultPlan, TimedFaultEvent};
-use crate::pool_gen::Federation;
+use super::{ReplayOutcome, ReplayRequest};
+use crate::faults::{Fault, FaultEvent, TimedFaultEvent};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use vdce_afg::level::priority_list;
-use vdce_afg::{Afg, EdgeIndex, TaskId};
+use vdce_afg::{EdgeIndex, TaskId};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
 use vdce_net::PartitionState;
-use vdce_obs::Observer;
 use vdce_runtime::{
-    ControlMessage, DurableOptions, FailoverEvent, Quarantine, RuntimeEvent, SiteFailover,
-    SiteQuarantine, SiteTableEvent,
+    ControlMessage, FailoverEvent, Quarantine, RuntimeEvent, SiteFailover, SiteQuarantine,
+    SiteTableEvent,
 };
 use vdce_sched::{
-    reselect_task, site_schedule_observed, AllocationTable, SiteView, TaskHostChoice,
+    reselect_task, site_schedule, AllocationTable, SchedRequest, SiteView, TaskHostChoice,
 };
 
 /// Slack for comparing virtual times.
@@ -31,11 +29,7 @@ const EPS: f64 = 1e-9;
 /// changes. Shared by reference, so a step reads it freely while it
 /// mutates the rest of the [`Replay`].
 pub(super) struct Inputs<'a> {
-    pub(super) federation: &'a Federation,
-    pub(super) afg: &'a Afg,
-    pub(super) plan: &'a FaultPlan,
-    pub(super) cfg: &'a ReplayConfig,
-    pub(super) obs: &'a Observer,
+    pub(super) req: ReplayRequest<'a>,
     pub(super) sites: usize,
     /// Host name → owning site.
     host_site: BTreeMap<String, SiteId>,
@@ -53,13 +47,8 @@ pub(super) struct Inputs<'a> {
 }
 
 impl<'a> Inputs<'a> {
-    pub(super) fn new(
-        federation: &'a Federation,
-        afg: &'a Afg,
-        plan: &'a FaultPlan,
-        cfg: &'a ReplayConfig,
-        obs: &'a Observer,
-    ) -> Self {
+    pub(super) fn new(req: &ReplayRequest<'a>) -> Self {
+        let ReplayRequest { federation, afg, plan, config: cfg, obs, .. } = *req;
         let sites = federation.topology.site_count();
         let mut host_site: BTreeMap<String, SiteId> = BTreeMap::new();
         let mut site_hosts_sorted: Vec<Vec<String>> = Vec::with_capacity(sites);
@@ -71,15 +60,11 @@ impl<'a> Inputs<'a> {
         }
 
         let views = federation.views();
-        let table = site_schedule_observed(
-            afg,
-            &views[0],
-            &views[1..],
-            &federation.net,
-            &cfg.scheduler,
-            &obs.metrics,
-        )
-        .expect("replay requires a schedulable AFG");
+        let (local, remotes, net, config) =
+            (&views[0], &views[1..], &federation.net, &cfg.scheduler);
+        let metrics = obs.map(|o| &o.metrics);
+        let sched = SchedRequest { afg, local, remotes, net, config, data: None, metrics };
+        let table = site_schedule(&sched).expect("replay requires a schedulable AFG");
         let levels = views[0].levels(afg).expect("AFG is a DAG");
         let by_priority = priority_list(&levels);
 
@@ -94,11 +79,7 @@ impl<'a> Inputs<'a> {
             })
             .fold(0.0f64, f64::max);
         Inputs {
-            federation,
-            afg,
-            plan,
-            cfg,
-            obs,
+            req: *req,
             sites,
             host_site,
             site_hosts_sorted,
@@ -276,11 +257,9 @@ pub(super) struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    pub(super) fn new(inp: &'a Inputs<'a>, durable: Option<&DurableOptions>) -> Self {
-        let plane = ControlPlane::new(inp, durable);
-        let tasks = inp
-            .afg
-            .task_ids()
+    pub(super) fn new(inp: &'a Inputs<'a>) -> Self {
+        let plane = ControlPlane::new(inp);
+        let tasks = (inp.req.afg.task_ids())
             .map(|t| {
                 let p = inp.table.placement(t).expect("complete table");
                 TaskRun {
@@ -299,9 +278,7 @@ impl<'a> Replay<'a> {
                 }
             })
             .collect();
-        let failover: Vec<SiteFailover> = inp
-            .federation
-            .topology
+        let failover: Vec<SiteFailover> = (inp.req.federation.topology)
             .sites()
             .iter()
             .map(|s| SiteFailover::new(s.id, s.server_host.clone(), &s.hosts))
@@ -329,7 +306,7 @@ impl<'a> Replay<'a> {
             ckpt: CheckpointBook::default(),
             attr: Attribution::default(),
             out: ReplayOutcome {
-                detections: vec![None; inp.plan.faults.len()],
+                detections: vec![None; inp.req.plan.faults.len()],
                 ..ReplayOutcome::default()
             },
             t: 0.0,
@@ -354,7 +331,7 @@ impl<'a> Replay<'a> {
             self.start_ready();
             self.cascade_failures();
             self.snapshot_if_due();
-            self.t += self.inp.cfg.tick;
+            self.t += self.inp.req.config.tick;
         }
         self.finish()
     }
@@ -363,7 +340,7 @@ impl<'a> Replay<'a> {
     /// stop passed.
     fn done(&self) -> bool {
         let all_terminal = self.tasks.iter().all(|r| r.state.is_terminal());
-        (all_terminal && self.t > self.inp.quiesce_t + EPS) || self.t > self.inp.cfg.max_time
+        (all_terminal && self.t > self.inp.quiesce_t + EPS) || self.t > self.inp.req.config.max_time
     }
 
     /// Step 1. Runs whose end is due complete: close the trace span, flush
@@ -371,7 +348,7 @@ impl<'a> Replay<'a> {
     /// time back through the site's manager (§4.1 function 2).
     fn complete_due(&mut self) {
         let inp = self.inp;
-        for task in inp.afg.task_ids() {
+        for task in inp.req.afg.task_ids() {
             let run = &mut self.tasks[task.index()];
             let TaskState::Running { start, end } = run.state else { continue };
             if end > self.t + EPS {
@@ -379,12 +356,12 @@ impl<'a> Replay<'a> {
             }
             run.state = TaskState::Completed { end };
             run.finish = end;
-            let node = inp.afg.task(task);
+            let node = inp.req.afg.task(task);
             // The one place both endpoints of the task's final
             // run are known: close its logical-time span. Its fields
             // are built only for a sink that keeps them.
-            if inp.obs.trace.is_enabled() {
-                inp.obs.trace.span(
+            if let Some(obs) = inp.req.obs.filter(|o| o.trace.is_enabled()) {
+                obs.trace.span(
                     start,
                     end,
                     "task_run",
@@ -420,7 +397,7 @@ impl<'a> Replay<'a> {
     /// into the link probe.
     fn inject_faults(&mut self) {
         let inp = self.inp;
-        let Inputs { federation, sites, .. } = *inp;
+        let Inputs { req: ReplayRequest { federation, .. }, sites, .. } = *inp;
         while let Some(ev) =
             inp.timeline.get(self.attr.next_event).filter(|ev| ev.t <= self.t + EPS)
         {
@@ -507,10 +484,10 @@ impl<'a> Replay<'a> {
     /// tick granularity but `taken_at` keeps the planned (backdated) write
     /// time, so the store is tick-size independent.
     fn flush_running(&mut self, t: f64, hit: impl Fn(&TaskRun) -> bool) {
-        if !self.inp.cfg.checkpoint.is_enabled() {
+        if !self.inp.req.config.checkpoint.is_enabled() {
             return;
         }
-        for task in self.inp.afg.task_ids() {
+        for task in self.inp.req.afg.task_ids() {
             let run = &self.tasks[task.index()];
             if matches!(run.state, TaskState::Running { .. }) && hit(run) {
                 self.flush_checkpoints(task, t);
@@ -555,14 +532,14 @@ impl<'a> Replay<'a> {
             self.out.checkpoints_taken += 1;
             recorded.push((seq, at));
         }
-        if recorded.is_empty() || !inp.cfg.checkpoint.replicate_cross_site {
+        if recorded.is_empty() || !inp.req.config.checkpoint.replicate_cross_site {
             return;
         }
         let src = run.site;
         let Some((cost, dst, host)) = self.replica_target(src) else { return };
         for (seq, write_t) in recorded {
             self.ckpt.pending_replicas.push((write_t + cost, task, seq, src, dst, host.clone()));
-            self.out.replica_bytes += inp.cfg.checkpoint.state_bytes;
+            self.out.replica_bytes += inp.req.config.checkpoint.state_bytes;
         }
     }
 
@@ -573,7 +550,7 @@ impl<'a> Replay<'a> {
     /// one). Returns `(transfer time, site, host)`.
     fn replica_target(&self, src: SiteId) -> Option<(f64, SiteId, &'a String)> {
         let inp = self.inp;
-        let net: &NetworkModel = &inp.federation.net;
+        let net: &NetworkModel = &inp.req.federation.net;
         let mut best: Option<(f64, SiteId, &String)> = None;
         for (i, hosts) in inp.site_hosts_sorted.iter().enumerate() {
             let dst = SiteId(i as u16);
@@ -586,7 +563,7 @@ impl<'a> Replay<'a> {
             let Some(host) = hosts.iter().find(|h| !self.seen.dead.contains(*h)) else {
                 continue;
             };
-            let cost = net.transfer_time(src, dst, inp.cfg.checkpoint.state_bytes);
+            let cost = net.transfer_time(src, dst, inp.req.config.checkpoint.state_bytes);
             if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
                 best = Some((cost, dst, host));
             }
@@ -624,7 +601,7 @@ impl<'a> Replay<'a> {
     /// its own (coarser) period, link probing every tick. Refreshes the
     /// detected partition and charges link faults the monitor now sees.
     fn monitor_round(&mut self) {
-        let Inputs { plan, cfg, .. } = *self.inp;
+        let ReplayRequest { plan, config: cfg, .. } = self.inp.req;
         let t = self.t;
         let plane = &mut self.plane;
         plane.probe.set_time(t);
@@ -668,7 +645,7 @@ impl<'a> Replay<'a> {
     /// observations to plan faults. Returns the hosts whose detected
     /// liveness changed: `(newly dead, newly alive)`.
     fn drain_control(&mut self) -> (Vec<String>, Vec<String>) {
-        let Inputs { plan, cfg, host_site, .. } = self.inp;
+        let Inputs { req: ReplayRequest { plan, config: cfg, .. }, host_site, .. } = self.inp;
         let t = self.t;
         let mut newly_dead: Vec<String> = Vec::new();
         let mut newly_alive: Vec<String> = Vec::new();
@@ -814,7 +791,7 @@ impl<'a> Replay<'a> {
         task: TaskId,
         banned: &BTreeSet<String>,
     ) -> Option<(SiteId, TaskHostChoice)> {
-        let Inputs { afg, cfg, sites, .. } = *self.inp;
+        let Inputs { req: ReplayRequest { afg, config: cfg, .. }, sites, .. } = *self.inp;
         let site_q = &self.seen.site_quarantine;
         let partition = self.plane.net_mon.reachability();
         let views = moves
@@ -863,7 +840,7 @@ impl<'a> Replay<'a> {
                         .manager
                         .repository()
                         .resources(|db| db.get(h).map(|r| r.workload).unwrap_or(0.0))
-                        > inp.cfg.load_threshold
+                        > inp.req.config.load_threshold
                 })
                 .cloned()
                 .collect();
@@ -883,7 +860,7 @@ impl<'a> Replay<'a> {
     /// Step 7. Waiting tasks whose backoff matured: re-select, or back off
     /// again — and fail once the retries are exhausted.
     fn retry_waiting(&mut self, moves: &Reselection) {
-        let Inputs { cfg, by_priority, .. } = self.inp;
+        let Inputs { req: ReplayRequest { config: cfg, .. }, by_priority, .. } = self.inp;
         let t = self.t;
         for &task in by_priority {
             let TaskState::Waiting { resume_at } = self.tasks[task.index()].state else { continue };
@@ -921,8 +898,9 @@ impl<'a> Replay<'a> {
             if self.tasks[task.index()].state != TaskState::Pending {
                 continue;
             }
-            let parents =
-                || inp.edge_idx.in_edges(inp.afg, task).map(|e| &self.tasks[e.from.index()].state);
+            let parents = || {
+                inp.edge_idx.in_edges(inp.req.afg, task).map(|e| &self.tasks[e.from.index()].state)
+            };
             if parents().any(|s| *s == TaskState::Failed) {
                 self.tasks[task.index()].state = TaskState::Failed;
             } else if parents().all(|s| matches!(s, TaskState::Completed { .. })) {
@@ -933,7 +911,7 @@ impl<'a> Replay<'a> {
                     }
                     Err(Held::Blocked) => {
                         let run = &mut self.tasks[task.index()];
-                        run.floor = run.floor.max(self.t + inp.cfg.tick);
+                        run.floor = run.floor.max(self.t + inp.req.config.tick);
                     }
                 }
             }
@@ -961,7 +939,7 @@ impl<'a> Replay<'a> {
         let cut = !self.truth.severed.is_whole();
         let mut blocked = false;
         let mut data_ready = 0.0f64;
-        for e in inp.edge_idx.in_edges(inp.afg, task) {
+        for e in inp.edge_idx.in_edges(inp.req.afg, task) {
             let parent = &self.tasks[e.from.index()];
             let same_host = parent.hosts.iter().any(|h| run.hosts.contains(h));
             blocked |= cut
@@ -992,7 +970,7 @@ impl<'a> Replay<'a> {
     /// survives. The run plan prices in both the skipped work and the
     /// upcoming writes.
     fn start_run(&mut self, task: TaskId, start: f64) {
-        let cfg = self.inp.cfg;
+        let cfg = self.inp.req.config;
         let (down, store) = (&self.truth.down, &self.plane.store);
         let run = &mut self.tasks[task.index()];
         let newest = |usable: &dyn Fn(&str) -> bool| {
@@ -1042,7 +1020,7 @@ impl<'a> Replay<'a> {
         let inp = self.inp;
         loop {
             let mut changed = false;
-            for task in inp.afg.task_ids() {
+            for task in inp.req.afg.task_ids() {
                 let waiting = matches!(
                     self.tasks[task.index()].state,
                     TaskState::Pending | TaskState::Waiting { .. }
@@ -1050,7 +1028,7 @@ impl<'a> Replay<'a> {
                 if waiting
                     && inp
                         .edge_idx
-                        .in_edges(inp.afg, task)
+                        .in_edges(inp.req.afg, task)
                         .any(|e| self.tasks[e.from.index()].state == TaskState::Failed)
                 {
                     self.tasks[task.index()].state = TaskState::Failed;
@@ -1075,7 +1053,8 @@ impl<'a> Replay<'a> {
     /// Fill in what only the final state can tell; a durable run also
     /// closes its deputy links and seals the journal.
     fn finish(mut self) -> ReplayOutcome {
-        let Inputs { afg, plan, obs, .. } = *self.inp;
+        let ReplayRequest { afg, plan, obs, .. } = self.inp.req;
+        let metrics = obs.map(|o| &o.metrics);
         // Anything still in flight past max_time counts as failed.
         for run in &mut self.tasks {
             if !run.state.is_terminal() {
@@ -1111,23 +1090,29 @@ impl<'a> Replay<'a> {
             for stack in &mut self.plane.stacks {
                 if let Some(link) = &mut stack.deputy {
                     let _ = link.check(stack.manager.repository().state_hash());
-                    let st = link.stats();
-                    obs.metrics.counter_add("store.replication.frames", st.frames);
-                    obs.metrics.counter_add("store.replication.hash_checks", st.hash_checks);
-                    obs.metrics.counter_add("store.replication.divergences", st.divergences);
+                    if let Some(m) = metrics {
+                        let st = link.stats();
+                        m.counter_add("store.replication.frames", st.frames);
+                        m.counter_add("store.replication.hash_checks", st.hash_checks);
+                        m.counter_add("store.replication.divergences", st.divergences);
+                    }
                 }
             }
             // Seal the final control-plane state: the recovery harness
             // asserts kill-and-restart reaches these exact bytes.
             let (bytes, hash) = self.plane.capture_state(&self.seen.failover);
             self.plane.journal.seal(bytes, hash);
-            let js = self.plane.journal.stats();
-            obs.metrics.counter_add("store.journal.records", js.records);
-            obs.metrics.counter_add("store.journal.snapshots", js.snapshots);
-            obs.metrics.counter_add("store.journal.wal_bytes_total", js.wal_bytes_total);
+            if let Some(m) = metrics {
+                let js = self.plane.journal.stats();
+                m.counter_add("store.journal.records", js.records);
+                m.counter_add("store.journal.snapshots", js.snapshots);
+                m.counter_add("store.journal.wal_bytes_total", js.wal_bytes_total);
+            }
         }
         self.out.final_hosts = self.tasks.into_iter().map(|r| r.last_hosts).collect();
-        self.out.export_metrics(&obs.metrics);
+        if let Some(m) = metrics {
+            self.out.export_metrics(m);
+        }
         self.out
     }
 
@@ -1135,7 +1120,7 @@ impl<'a> Replay<'a> {
     fn recovered(&self, i: usize) -> bool {
         let (t, tasks_failed) = (self.t, self.out.tasks_failed);
         let detection = self.out.detections[i];
-        match &self.inp.plan.faults[i] {
+        match &self.inp.req.plan.faults[i] {
             Fault::HostCrash { host, at } => {
                 let Some(lat) = detection else { return false };
                 let detect_abs = at + lat;

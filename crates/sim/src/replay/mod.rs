@@ -1,6 +1,6 @@
 //! Deterministic fault replay with mid-execution recovery.
 //!
-//! [`replay`] executes an AFG against a generated [`Federation`] under a
+//! [`ReplayRequest::run`] executes an AFG against a generated [`Federation`] under a
 //! [`FaultPlan`], driving the *real* runtime control plane on a virtual
 //! clock: per-host Monitor daemons sample a `SyntheticProbe`, Group
 //! Managers apply the significant-change filter and echo-probe failure
@@ -38,8 +38,8 @@
 //! yields identical [`ReplayOutcome`]s (checked by the `faults` experiment).
 //!
 //! This module holds what callers see — [`ReplayConfig`],
-//! [`ReplayOutcome`] and the entry points, every one of which is
-//! `Replay::new(..).run()`. `engine` is that state machine: the tick
+//! [`ReplayRequest`], whose `run` is the one `Replay::new(..).run()`,
+//! [`ReplayOutcome`] and [`run_fault_scenario`]. `engine` is that state machine: the tick
 //! loop with one method per step, its fields split into the plan's
 //! ground truth and the control plane's detected view. `plane` builds
 //! the control plane the engine drives.
@@ -201,74 +201,98 @@ impl ReplayOutcome {
     }
 }
 
-/// Replay `afg` on `federation` under `plan`. See the module docs for
-/// the tick pipeline; deterministic in all four arguments.
+/// One replay: `afg` on `federation` under `plan`, plus the two options,
+/// each an `Option` field instead of a function of its own. See the
+/// module docs for the tick pipeline; [`ReplayRequest::run`] is
+/// deterministic in the first four fields, and neither option changes
+/// the outcome.
+#[derive(Clone, Copy)]
+pub struct ReplayRequest<'a> {
+    /// The federation the AFG runs on; its repositories are deep-copied,
+    /// never written.
+    pub federation: &'a Federation,
+    /// The application flow graph to run.
+    pub afg: &'a Afg,
+    /// What goes wrong, and when.
+    pub plan: &'a FaultPlan,
+    /// The replay's tunables.
+    pub config: &'a ReplayConfig,
+    /// Observability: every runtime event mirrored into `obs.trace` at
+    /// its virtual timestamp, scheduler metrics from the initial
+    /// allocation, and the outcome exported into `obs.metrics` via
+    /// `ReplayOutcome::export_metrics`. The outcome is the same bit for
+    /// bit; with a disabled trace sink the mirroring short-circuits.
+    pub obs: Option<&'a Observer>,
+    /// The durable control plane (DESIGN.md §16): every control-plane
+    /// mutation — repository events, checkpoint records, site-table
+    /// transitions, runtime log appends — is journaled write-ahead
+    /// through `durable.journal`, state snapshots are installed on the
+    /// journal's cadence (plus one of the initial state, so recovery
+    /// never depends on re-running setup), each Site Manager ships its
+    /// repository events to a deputy replica with periodic state-hash
+    /// checks, and the final state is sealed for the recovery harness.
+    /// The outcome is bit-identical to the un-journaled replay —
+    /// durability only observes.
+    pub durable: Option<&'a DurableOptions>,
+}
+
+impl ReplayRequest<'_> {
+    /// Run the replay.
+    pub fn run(&self) -> ReplayOutcome {
+        Replay::new(&Inputs::new(self)).run()
+    }
+}
+
+/// [`ReplayRequest::run`] with neither option.
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
 pub fn replay(
     federation: &Federation,
     afg: &Afg,
     plan: &FaultPlan,
-    cfg: &ReplayConfig,
+    config: &ReplayConfig,
 ) -> ReplayOutcome {
-    replay_observed(federation, afg, plan, cfg, &Observer::disabled())
+    ReplayRequest { federation, afg, plan, config, obs: None, durable: None }.run()
 }
 
-/// [`replay`] with observability: the same outcome bit for bit, plus
-/// every runtime event mirrored into `obs.trace` at its virtual
-/// timestamp, scheduler metrics from the initial allocation, and the
-/// outcome exported into `obs.metrics` via
-/// `ReplayOutcome::export_metrics`. With a disabled trace sink this
-/// *is* [`replay`] — the mirroring short-circuits.
+/// [`ReplayRequest::run`] with [`ReplayRequest::obs`] set.
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
 pub fn replay_observed(
     federation: &Federation,
     afg: &Afg,
     plan: &FaultPlan,
-    cfg: &ReplayConfig,
+    config: &ReplayConfig,
     obs: &Observer,
 ) -> ReplayOutcome {
-    Replay::new(&Inputs::new(federation, afg, plan, cfg, obs), None).run()
+    ReplayRequest { federation, afg, plan, config, obs: Some(obs), durable: None }.run()
 }
 
-/// [`replay_observed`] with the durable control plane on (DESIGN.md
-/// §16): every control-plane mutation — repository events, checkpoint
-/// records, site-table transitions, runtime log appends — is journaled
-/// write-ahead through `durable.journal`, state snapshots are installed
-/// on the journal's cadence (plus one of the initial state, so recovery
-/// never depends on re-running setup), each Site Manager ships its
-/// repository events to a deputy replica with periodic state-hash
-/// checks, and the final state is sealed for the recovery harness.
-/// The returned outcome is bit-identical to the un-journaled replay —
-/// durability only observes.
+/// [`ReplayRequest::run`] with both options set.
+#[deprecated(note = "perf/ only; ROADMAP item 4 leaf 2 deletes it")]
 pub fn replay_durable(
     federation: &Federation,
     afg: &Afg,
     plan: &FaultPlan,
-    cfg: &ReplayConfig,
+    config: &ReplayConfig,
     obs: &Observer,
     durable: &DurableOptions,
 ) -> ReplayOutcome {
-    Replay::new(&Inputs::new(federation, afg, plan, cfg, obs), Some(durable)).run()
+    ReplayRequest { federation, afg, plan, config, obs: Some(obs), durable: Some(durable) }.run()
 }
 
 /// Replay `plan` and its fault-free twin, folding both into a
 /// [`RecoveryReport`] (the unit the `faults` experiment records per scenario).
 ///
-/// Only the *faulty* replay is observed and, with `durable`, journaled —
-/// the fault-free twin would interleave a second run's events into the
-/// trace and the WAL and double every counter. Neither changes the
-/// report; after a durable run `durable.journal` holds the full event
-/// history, snapshots, and sealed final state for the kill-and-restart
-/// harness.
-pub fn run_fault_scenario(
-    name: &str,
-    federation: &Federation,
-    afg: &Afg,
-    plan: &FaultPlan,
-    cfg: &ReplayConfig,
-    obs: &Observer,
-    durable: Option<&DurableOptions>,
-) -> RecoveryReport {
-    let baseline = replay(federation, afg, &FaultPlan::empty(), cfg);
-    let faulty = Replay::new(&Inputs::new(federation, afg, plan, cfg, obs), durable).run();
+/// Only the *faulty* replay, `req` itself, is observed and, with
+/// `req.durable`, journaled — the fault-free twin would interleave a
+/// second run's events into the trace and the WAL and double every
+/// counter. Neither changes the report; after a durable run
+/// `durable.journal` holds the full event history, snapshots, and sealed
+/// final state for the kill-and-restart harness.
+pub fn run_fault_scenario(name: &str, req: &ReplayRequest<'_>) -> RecoveryReport {
+    let ReplayRequest { federation, plan, .. } = *req;
+    let empty = FaultPlan::empty();
+    let baseline = ReplayRequest { plan: &empty, obs: None, durable: None, ..*req }.run();
+    let faulty = req.run();
     let faults = plan
         .faults
         .iter()
@@ -325,7 +349,17 @@ mod tests {
     use std::collections::BTreeMap;
     use vdce_net::topology::SiteId;
     use vdce_runtime::ControlState;
-    use vdce_sched::{evaluate, site_schedule};
+    use vdce_sched::{evaluate, site_schedule, AllocationTable, SchedRequest};
+
+    /// A request with neither option set.
+    fn request<'a>(
+        federation: &'a Federation,
+        afg: &'a Afg,
+        plan: &'a FaultPlan,
+        config: &'a ReplayConfig,
+    ) -> ReplayRequest<'a> {
+        ReplayRequest { federation, afg, plan, config, obs: None, durable: None }
+    }
 
     fn small_federation() -> Federation {
         build_federation(&FederationSpec {
@@ -343,12 +377,28 @@ mod tests {
         dag_gen::layered_random(&DagSpec { tasks: 12, width: 3, ..DagSpec::default() }, 5)
     }
 
+    /// The allocation a replay of `afg` on `f` starts from.
+    fn initial_table(f: &Federation, afg: &Afg) -> AllocationTable {
+        let (views, config) = (f.views(), &SchedulerConfig::default());
+        let (local, remotes, net) = (&views[0], &views[1..], &f.net);
+        site_schedule(&SchedRequest { afg, local, remotes, net, config, data: None, metrics: None })
+            .unwrap()
+    }
+
     fn baseline_makespan(f: &Federation, afg: &Afg) -> f64 {
-        let views = f.views();
-        let cfg = SchedulerConfig::default();
-        let table = site_schedule(afg, &views[0], &views[1..], &f.net, &cfg).unwrap();
-        let levels = views[0].levels(afg).unwrap();
-        evaluate(afg, &table, &f.net, &levels).unwrap().makespan
+        let levels = f.views()[0].levels(afg).unwrap();
+        evaluate(afg, &initial_table(f, afg), &f.net, &levels, None).unwrap().makespan
+    }
+
+    /// The host carrying the most placements of the initial allocation,
+    /// ties to the lowest name.
+    fn busiest_host(f: &Federation, afg: &Afg) -> String {
+        let table = initial_table(f, afg);
+        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
+        for h in table.iter().flat_map(|p| p.hosts.iter()) {
+            *counts.entry(h).or_default() += 1;
+        }
+        counts.iter().max_by_key(|(h, c)| (**c, std::cmp::Reverse(**h))).unwrap().0.to_string()
     }
 
     #[test]
@@ -356,7 +406,7 @@ mod tests {
         let f = small_federation();
         let afg = small_afg();
         let est = baseline_makespan(&f, &afg);
-        let out = replay(&f, &afg, &FaultPlan::empty(), &ReplayConfig::scaled_to(est));
+        let out = request(&f, &afg, &FaultPlan::empty(), &ReplayConfig::scaled_to(est)).run();
         assert_eq!(out.tasks_completed, afg.task_count() as u64);
         assert_eq!(out.tasks_failed, 0);
         assert_eq!(out.migrations, 0);
@@ -398,8 +448,8 @@ mod tests {
                 },
             ],
         };
-        let a = replay(&f, &afg, &plan, &cfg);
-        let b = replay(&f, &afg, &plan, &cfg);
+        let a = request(&f, &afg, &plan, &cfg).run();
+        let b = request(&f, &afg, &plan, &cfg).run();
         assert_eq!(a, b, "same (federation, afg, plan, cfg) must replay identically");
     }
 
@@ -410,21 +460,12 @@ mod tests {
         let est = baseline_makespan(&f, &afg);
         let cfg = ReplayConfig::scaled_to(est);
         // Crash the host carrying the most placements mid-run.
-        let views = f.views();
-        let table = site_schedule(&afg, &views[0], &views[1..], &f.net, &cfg.scheduler).unwrap();
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        for p in table.iter() {
-            for h in p.hosts.iter() {
-                *counts.entry(h).or_default() += 1;
-            }
-        }
-        let victim =
-            counts.iter().max_by_key(|(h, c)| (**c, std::cmp::Reverse(**h))).unwrap().0.to_string();
+        let victim = busiest_host(&f, &afg);
         let plan = FaultPlan {
             seed: 1,
             faults: vec![Fault::HostCrash { host: victim.clone(), at: 0.25 * est }],
         };
-        let out = replay(&f, &afg, &plan, &cfg);
+        let out = request(&f, &afg, &plan, &cfg).run();
         assert_eq!(out.tasks_failed, 0, "all tasks must complete despite the crash");
         assert!(out.detections[0].is_some(), "crash must be detected");
         assert_eq!(out.quarantined_at_end, 1, "crashed host stays quarantined");
@@ -452,7 +493,7 @@ mod tests {
             seed: 2,
             faults: vec![Fault::TransientOutage { host, at: 0.2 * est, down_for: 8.0 * cfg.tick }],
         };
-        let out = replay(&f, &afg, &plan, &cfg);
+        let out = request(&f, &afg, &plan, &cfg).run();
         assert_eq!(out.tasks_failed, 0);
         assert_eq!(out.quarantined_at_end, 0, "host must be re-admitted");
         assert!(out.recovered[0]);
@@ -466,7 +507,7 @@ mod tests {
         let f = small_federation();
         let afg = small_afg();
         let est = baseline_makespan(&f, &afg);
-        let out = replay(&f, &afg, &FaultPlan::empty(), &ReplayConfig::scaled_to(est));
+        let out = request(&f, &afg, &FaultPlan::empty(), &ReplayConfig::scaled_to(est)).run();
         assert_eq!(out.checkpoints_taken, 0);
         assert_eq!(out.checkpoint_overhead, 0.0);
         assert!(out.resumed_progress.is_empty());
@@ -487,24 +528,12 @@ mod tests {
             checkpoint: CheckpointPolicy::every(0.1, 0.005),
             ..ReplayConfig::scaled_to(est)
         };
-        let views = f.views();
-        let table =
-            site_schedule(&afg, &views[0], &views[1..], &f.net, &plain_cfg.scheduler).unwrap();
-        let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-        for p in table.iter() {
-            for h in p.hosts.iter() {
-                *counts.entry(h).or_default() += 1;
-            }
-        }
-        let victim =
-            counts.iter().max_by_key(|(h, c)| (**c, std::cmp::Reverse(**h))).unwrap().0.to_string();
+        let victim = busiest_host(&f, &afg);
         let plan =
             FaultPlan { seed: 1, faults: vec![Fault::HostCrash { host: victim, at: 0.25 * est }] };
 
-        let plain =
-            run_fault_scenario("plain", &f, &afg, &plan, &plain_cfg, &Observer::disabled(), None);
-        let ckpt =
-            run_fault_scenario("ckpt", &f, &afg, &plan, &ckpt_cfg, &Observer::disabled(), None);
+        let plain = run_fault_scenario("plain", &request(&f, &afg, &plan, &plain_cfg));
+        let ckpt = run_fault_scenario("ckpt", &request(&f, &afg, &plan, &ckpt_cfg));
 
         assert_eq!(ckpt.tasks_failed, 0);
         assert!(ckpt.checkpoints_taken > 0, "the policy must actually write checkpoints");
@@ -527,8 +556,7 @@ mod tests {
         );
 
         // Determinism extends to the checkpoint machinery.
-        let again =
-            run_fault_scenario("ckpt", &f, &afg, &plan, &ckpt_cfg, &Observer::disabled(), None);
+        let again = run_fault_scenario("ckpt", &request(&f, &afg, &plan, &ckpt_cfg));
         assert_eq!(ckpt, again);
     }
 
@@ -554,12 +582,12 @@ mod tests {
                 .map(|h| Fault::HostCrash { host: h.clone(), at: 0.3 * est })
                 .collect(),
         };
-        let out = replay(&f, &afg, &plan, &cfg);
+        let out = request(&f, &afg, &plan, &cfg).run();
         assert_eq!(out.tasks_failed, 0, "site 1 must absorb the work");
         // Every resumed fraction must be backed by a checkpoint that was
         // actually recorded (no resume exceeds 1.0, none negative).
         assert!(out.resumed_progress.iter().all(|r| (0.0..=1.0).contains(r)));
-        let a = replay(&f, &afg, &plan, &cfg);
+        let a = request(&f, &afg, &plan, &cfg).run();
         assert_eq!(a, out, "deterministic under whole-site loss");
     }
 
@@ -581,10 +609,10 @@ mod tests {
         let plan =
             FaultPlan { seed: 5, faults: vec![Fault::HostCrash { host: victim, at: 0.25 * est }] };
 
-        let plain = replay(&f, &afg, &plan, &cfg);
+        let plain = request(&f, &afg, &plan, &cfg).run();
         let opts = DurableOptions::new(SnapshotPolicy::every(64), 4);
-        let obs = Observer::disabled();
-        let durable = replay_durable(&f, &afg, &plan, &cfg, &obs, &opts);
+        let durable =
+            ReplayRequest { durable: Some(&opts), ..request(&f, &afg, &plan, &cfg) }.run();
         assert_eq!(plain, durable, "journaling must not perturb the replay");
 
         let journal = &opts.journal;
@@ -597,9 +625,52 @@ mod tests {
 
         // Replays are deterministic, so the journal is too.
         let opts2 = DurableOptions::new(SnapshotPolicy::every(64), 4);
-        replay_durable(&f, &afg, &plan, &cfg, &obs, &opts2);
+        ReplayRequest { durable: Some(&opts2), ..request(&f, &afg, &plan, &cfg) }.run();
         assert_eq!(journal.history(), opts2.journal.history());
         assert_eq!(sealed, opts2.journal.final_state().unwrap());
+    }
+
+    /// The `perf/`-only wrappers answer as [`ReplayRequest::run`] with the
+    /// same options: the same outcome, the same trace and metrics, and the
+    /// same journal bytes. A wrapper that dropped `obs` would leave its
+    /// observer empty, one that dropped `durable` its journal.
+    #[test]
+    #[allow(deprecated)]
+    fn deprecated_wrappers_forward_their_options() {
+        use vdce_store::SnapshotPolicy;
+        let f = small_federation();
+        let afg = small_afg();
+        let cfg = ReplayConfig::scaled_to(baseline_makespan(&f, &afg));
+        let host = f.hosts(SiteId(0))[0].clone();
+        let plan = FaultPlan { seed: 3, faults: vec![Fault::HostCrash { host, at: 1.0 }] };
+        let req = request(&f, &afg, &plan, &cfg);
+        let same = |got: &ReplayOutcome, want: &ReplayOutcome| {
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        };
+        let observed = |obs: &Observer| {
+            let metrics = obs.metrics.snapshot_deterministic().to_json_string();
+            (obs.trace.to_jsonl(), metrics)
+        };
+        let journaled = |opts: &DurableOptions| {
+            (opts.journal.history(), opts.journal.final_state().expect("a sealed journal"))
+        };
+        same(&replay(&f, &afg, &plan, &cfg), &req.run());
+
+        let (got_obs, want_obs) = (Observer::enabled(), Observer::enabled());
+        let got = replay_observed(&f, &afg, &plan, &cfg, &got_obs);
+        same(&got, &ReplayRequest { obs: Some(&want_obs), ..req }.run());
+        assert!(want_obs.metrics.counter("replay.tasks_completed") > 0);
+        assert_eq!(observed(&got_obs), observed(&want_obs));
+
+        let opts = || DurableOptions::new(SnapshotPolicy::every(64), 4);
+        let (got_obs, want_obs, got_opts, want_opts) =
+            (Observer::enabled(), Observer::enabled(), opts(), opts());
+        let got = replay_durable(&f, &afg, &plan, &cfg, &got_obs, &got_opts);
+        let want = ReplayRequest { obs: Some(&want_obs), durable: Some(&want_opts), ..req }.run();
+        same(&got, &want);
+        assert!(!want_opts.journal.is_empty());
+        assert_eq!(observed(&got_obs), observed(&want_obs));
+        assert_eq!(journaled(&got_opts), journaled(&want_opts));
     }
 
     /// Metrics contract of the durable replay: replication counters are
@@ -620,7 +691,8 @@ mod tests {
         };
         let opts = DurableOptions::new(SnapshotPolicy::every(128), 8);
         let obs = Observer::enabled();
-        replay_durable(&f, &afg, &plan, &cfg, &obs, &opts);
+        ReplayRequest { obs: Some(&obs), durable: Some(&opts), ..request(&f, &afg, &plan, &cfg) }
+            .run();
         assert!(obs.metrics.counter("store.replication.frames") > 0);
         assert!(obs.metrics.counter("store.replication.hash_checks") > 0);
         assert_eq!(obs.metrics.counter("store.replication.divergences"), 0);
@@ -646,7 +718,8 @@ mod tests {
         };
         let opts = DurableOptions::new(SnapshotPolicy::manual(), 8);
         let obs = Observer::enabled();
-        replay_durable(&f, &afg, &plan, &cfg, &obs, &opts);
+        ReplayRequest { obs: Some(&obs), durable: Some(&opts), ..request(&f, &afg, &plan, &cfg) }
+            .run();
 
         let mut per_site = [0u64; 2];
         for (tag, payload) in opts.journal.history() {
@@ -682,7 +755,7 @@ mod tests {
         let spike = Fault::LoadSpike { host, at: 0.2 * est, height: 6.0, duration: 0.3 * est };
         let plan = FaultPlan { seed: 3, faults: vec![spike] };
         let opts = DurableOptions::new(SnapshotPolicy::manual(), 4);
-        replay_durable(&f, &afg, &plan, &cfg, &Observer::disabled(), &opts);
+        ReplayRequest { obs: None, durable: Some(&opts), ..request(&f, &afg, &plan, &cfg) }.run();
 
         // (tick, site) pairs whose Group Manager has forwarded a report.
         let mut forwarded = BTreeSet::new();
@@ -729,8 +802,8 @@ mod tests {
                 bandwidth_factor: 0.05,
             }],
         };
-        let r1 = run_fault_scenario("unit", &f, &afg, &plan, &cfg, &Observer::disabled(), None);
-        let r2 = run_fault_scenario("unit", &f, &afg, &plan, &cfg, &Observer::disabled(), None);
+        let r1 = run_fault_scenario("unit", &request(&f, &afg, &plan, &cfg));
+        let r2 = run_fault_scenario("unit", &request(&f, &afg, &plan, &cfg));
         let j1 = serde_json::to_string(&r1).unwrap();
         let j2 = serde_json::to_string(&r2).unwrap();
         assert_eq!(j1, j2, "bit-identical reports across replays");

@@ -4,15 +4,16 @@
 //! plane owns and driven on a virtual clock.
 
 use super::engine::Inputs;
+use super::ReplayRequest;
 use crate::faults::Fault;
 use std::cell::Cell;
 use vdce_net::topology::SiteId;
 use vdce_predict::cache::PredictCache;
 use vdce_repository::SiteRepository;
 use vdce_runtime::{
-    write_snapshot, CheckpointStore, ControlEvent, ControlMessage, DeputyLink, DurableOptions,
-    EventLog, FlagEcho, GroupManager, JournaledSiteEvent, MonitorDaemon, NetworkMonitor,
-    SiteFailover, SiteManager, SiteTableEvent, SyntheticLinkProbe, SyntheticProbe,
+    write_snapshot, CheckpointStore, ControlEvent, ControlMessage, DeputyLink, EventLog, FlagEcho,
+    GroupManager, JournaledSiteEvent, MonitorDaemon, NetworkMonitor, SiteFailover, SiteManager,
+    SiteTableEvent, SyntheticLinkProbe, SyntheticProbe,
 };
 use vdce_store::Journal;
 
@@ -55,14 +56,16 @@ pub(super) struct ControlPlane {
 }
 
 impl ControlPlane {
-    pub(super) fn new(inp: &Inputs<'_>, durable: Option<&DurableOptions>) -> ControlPlane {
-        let Inputs { federation, cfg, sites, .. } = *inp;
+    pub(super) fn new(inp: &Inputs<'_>) -> ControlPlane {
+        let ReplayRequest { federation, config: cfg, durable, obs, .. } = inp.req;
+        let sites = inp.sites;
         let journal = durable.map_or_else(Journal::disabled, |d| d.journal.clone());
-        let log = EventLog::traced(inp.obs.trace.clone()).with_journal(journal.clone());
+        let log = obs.map_or_else(EventLog::new, |o| EventLog::traced(o.trace.clone()));
+        let log = log.with_journal(journal.clone());
 
         // Load spikes are baked into the monitoring probe's traces.
         let mut probe = SyntheticProbe::new(0.0, 1 << 30);
-        for f in &inp.plan.faults {
+        for f in &inp.req.plan.faults {
             if let Fault::LoadSpike { host, at, height, duration } = f {
                 probe.add_spike(host.clone(), *at, *height, *duration);
             }

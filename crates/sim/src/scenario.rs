@@ -9,12 +9,12 @@ use crate::dag_gen::{fork_join, gauss_elim, layered_random, DagSpec};
 use crate::faults::{Fault, FaultPlan, WeibullArrivalSpec};
 use crate::metrics::RecoveryReport;
 use crate::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
-use crate::replay::{run_fault_scenario, ReplayConfig};
+use crate::replay::{run_fault_scenario, ReplayConfig, ReplayRequest};
 use std::collections::BTreeMap;
 use vdce_afg::Afg;
 use vdce_obs::Observer;
 use vdce_runtime::{CheckpointPolicy, DurableOptions};
-use vdce_sched::{evaluate, site_schedule, SchedulerConfig};
+use vdce_sched::{evaluate, site_schedule, SchedRequest, SchedulerConfig};
 
 /// A named, reproducible experiment setup.
 pub struct Scenario {
@@ -136,14 +136,13 @@ pub(crate) fn gauss_benchmark() -> Scenario {
 /// crash victims on. Deterministic; ties on placement count go to the
 /// lexicographically smallest host.
 pub fn schedule_estimate(s: &Scenario) -> (f64, String) {
-    let views = s.federation.views();
-    let cfg = SchedulerConfig::default();
-    let table = site_schedule(&s.afg, &views[0], &views[1..], &s.federation.net, &cfg)
-        .expect("named scenarios schedule");
-    let levels = views[0].levels(&s.afg).expect("named scenarios are DAGs");
-    let makespan = evaluate(&s.afg, &table, &s.federation.net, &levels)
-        .expect("complete tables evaluate")
-        .makespan;
+    let (views, afg, net) = (s.federation.views(), &s.afg, &s.federation.net);
+    let (local, remotes, config) = (&views[0], &views[1..], &SchedulerConfig::default());
+    let req = SchedRequest { afg, local, remotes, net, config, data: None, metrics: None };
+    let table = site_schedule(&req).expect("named scenarios schedule");
+    let levels = local.levels(afg).expect("named scenarios are DAGs");
+    let makespan = evaluate(afg, &table, net, &levels, None).expect("complete tables evaluate");
+    let makespan = makespan.makespan;
     let mut counts: BTreeMap<&String, usize> = BTreeMap::new();
     for p in table.iter() {
         for h in p.hosts.iter() {
@@ -177,15 +176,12 @@ impl FaultScenario {
     /// (DESIGN.md §16) and afterwards `durable.journal` holds the sealed
     /// event history for [`crate::recovery::verify_recovery`]. The report
     /// is the same bit for bit whatever `obs` and `durable` are.
-    pub fn run(&self, obs: &Observer, durable: Option<&DurableOptions>) -> RecoveryReport {
+    pub fn run(&self, obs: Option<&Observer>, durable: Option<&DurableOptions>) -> RecoveryReport {
+        let (Scenario { federation, afg, .. }, plan) = (&self.scenario, &self.plan);
+        let config = &self.config;
         run_fault_scenario(
             self.name,
-            &self.scenario.federation,
-            &self.scenario.afg,
-            &self.plan,
-            &self.config,
-            obs,
-            durable,
+            &ReplayRequest { federation, afg, plan, config, obs, durable },
         )
     }
 }
@@ -689,7 +685,7 @@ mod tests {
     #[test]
     fn all_fault_scenarios_recover() {
         for fs in all_fault_scenarios() {
-            let report = fs.run(&Observer::disabled(), None);
+            let report = fs.run(None, None);
             assert_eq!(report.tasks_failed, 0, "{}: tasks failed", fs.name);
             assert!(report.recovered_all(), "{}: not recovered: {:?}", fs.name, report.faults);
             // Hand-written scenarios stay under 2x; fuzzer-promoted
@@ -708,8 +704,8 @@ mod tests {
     #[test]
     fn fuzz_regressions_replay_bit_identically() {
         for fs in fuzz_regression_scenarios() {
-            let a = fs.run(&Observer::disabled(), None);
-            let b = fs.run(&Observer::disabled(), None);
+            let a = fs.run(None, None);
+            let b = fs.run(None, None);
             assert_eq!(a, b, "{}: two replays differ", fs.name);
             assert!(a.inflation > 1.0, "{}: promoted reproducer no longer bites", fs.name);
         }

@@ -18,10 +18,9 @@
 //! — any strict prefix, any flipped byte, a span written twice, absurd
 //! nesting — they return a typed error and never panic.
 
-use vdce_obs::Observer;
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState, DurableOptions};
 use vdce_sim::recovery::verify_recovery;
-use vdce_sim::replay::{replay, replay_durable, ReplayOutcome};
+use vdce_sim::replay::{ReplayOutcome, ReplayRequest};
 use vdce_sim::scenario::{
     all_fault_scenarios, crash_mid_run_checkpointed, site_crash_ckpt_replica, FaultScenario,
 };
@@ -30,15 +29,14 @@ use vdce_store::{fnv1a, Fnv1a, SnapshotPolicy};
 /// The scenario's durable replay as `exp_recovery` configures it.
 fn sealed(fs: &FaultScenario) -> (DurableOptions, ReplayOutcome) {
     let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-    let outcome = replay_durable(
-        &fs.scenario.federation,
-        &fs.scenario.afg,
-        &fs.plan,
-        &fs.config,
-        &Observer::disabled(),
-        &opts,
-    );
+    let outcome = replayed(fs, Some(&opts));
     (opts, outcome)
+}
+
+/// The scenario's replay, unobserved, durable when `durable` is set.
+fn replayed(fs: &FaultScenario, durable: Option<&DurableOptions>) -> ReplayOutcome {
+    let (federation, afg, plan) = (&fs.scenario.federation, &fs.scenario.afg, &fs.plan);
+    ReplayRequest { federation, afg, plan, config: &fs.config, obs: None, durable }.run()
 }
 
 struct Golden {
@@ -309,12 +307,11 @@ fn assert_golden(fs: &FaultScenario, want: &Golden, index: usize) {
     assert_eq!(state.hash(), want.sealed_hash, "{name}: streamed hash of the reparsed seal");
     assert_eq!(state.to_bytes(), seal.state, "{name}: reserialised seal");
 
-    let plain = replay(&fs.scenario.federation, &fs.scenario.afg, &fs.plan, &fs.config);
+    let plain = replayed(fs, None);
     let outcome_fnv = |o: &ReplayOutcome| fnv1a(format!("{o:?}").as_bytes());
     assert_eq!(outcome_fnv(&plain), want.outcome_fnv, "{name}: plain outcome");
     assert_eq!(outcome_fnv(&durable), want.outcome_fnv, "{name}: durable outcome");
-    let report =
-        serde_json::to_string(&fs.run(&Observer::disabled(), None)).expect("reports serialise");
+    let report = serde_json::to_string(&fs.run(None, None)).expect("reports serialise");
     assert_eq!(fnv1a(report.as_bytes()), want.report_fnv, "{name}: recovery report");
 
     // The durable image a restart reads, and every kill report at four

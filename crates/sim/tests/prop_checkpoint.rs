@@ -11,11 +11,10 @@
 
 use proptest::prelude::*;
 use vdce_dsm::DsmRegion;
-use vdce_obs::Observer;
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
-use vdce_sim::replay::{run_fault_scenario, ReplayConfig};
+use vdce_sim::replay::{run_fault_scenario, ReplayConfig, ReplayRequest};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
 use vdce_sim::{Fault, FaultPlan, RecoveryReport};
 
@@ -26,14 +25,10 @@ fn recovery_report(
     plan: &FaultPlan,
     cfg: &ReplayConfig,
 ) -> RecoveryReport {
+    let (federation, afg, config) = (&scenario.federation, &scenario.afg, cfg);
     run_fault_scenario(
         name,
-        &scenario.federation,
-        &scenario.afg,
-        plan,
-        cfg,
-        &Observer::disabled(),
-        None,
+        &ReplayRequest { federation, afg, plan, config, obs: None, durable: None },
     )
 }
 

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
-use vdce_sim::replay::{replay, ReplayConfig};
+use vdce_sim::replay::{ReplayConfig, ReplayRequest};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
 use vdce_sim::{Fault, FaultPlan};
 
@@ -89,7 +89,9 @@ proptest! {
         prop_assert!(faults.iter().all(Fault::is_transient));
         let plan = FaultPlan { seed: plan_seed, faults };
 
-        let out = replay(&scenario.federation, &scenario.afg, &plan, &cfg);
+        let (federation, afg, config) = (&scenario.federation, &scenario.afg, &cfg);
+        let req = ReplayRequest { federation, afg, plan: &plan, config, obs: None, durable: None };
+        let out = req.run();
         prop_assert_eq!(out.tasks_failed, 0, "no task may fail under transient faults");
         prop_assert_eq!(
             out.tasks_completed,
@@ -102,7 +104,7 @@ proptest! {
         );
 
         // Determinism rides along: the same inputs give the same outcome.
-        let again = replay(&scenario.federation, &scenario.afg, &plan, &cfg);
+        let again = req.run();
         prop_assert_eq!(out, again);
     }
 }

@@ -3,7 +3,7 @@
 //! trace JSONL and bit-identical deterministic metric snapshots.
 //!
 //! This is the library-level form of the `trace` experiment's gate: it runs
-//! [`replay_observed`] directly (no fault-free baseline twin), with
+//! [`ReplayRequest::run`] directly (no fault-free baseline twin), with
 //! tracing enabled, across the whole named-scenario catalogue — so the
 //! contract "spans and events are keyed by logical sim time only, and
 //! every metric outside the `profile.` namespace is a pure function of
@@ -11,28 +11,23 @@
 //! subset.
 
 use vdce_obs::{validate_jsonl, Observer};
-use vdce_sim::replay::replay_observed;
-use vdce_sim::scenario::all_fault_scenarios;
+use vdce_sim::replay::{ReplayOutcome, ReplayRequest};
+use vdce_sim::scenario::{all_fault_scenarios, FaultScenario};
+
+/// `fs` replayed into `obs`, without the fault-free twin.
+fn replay_into(fs: &FaultScenario, obs: &Observer) -> ReplayOutcome {
+    let (federation, afg, plan, config) =
+        (&fs.scenario.federation, &fs.scenario.afg, &fs.plan, &fs.config);
+    ReplayRequest { federation, afg, plan, config, obs: Some(obs), durable: None }.run()
+}
 
 #[test]
 fn traces_and_metrics_bit_identical_across_replays() {
     for fs in all_fault_scenarios() {
         let obs_a = Observer::enabled();
-        let out_a = replay_observed(
-            &fs.scenario.federation,
-            &fs.scenario.afg,
-            &fs.plan,
-            &fs.config,
-            &obs_a,
-        );
+        let out_a = replay_into(&fs, &obs_a);
         let obs_b = Observer::enabled();
-        let out_b = replay_observed(
-            &fs.scenario.federation,
-            &fs.scenario.afg,
-            &fs.plan,
-            &fs.config,
-            &obs_b,
-        );
+        let out_b = replay_into(&fs, &obs_b);
 
         let jsonl_a = obs_a.trace.to_jsonl();
         let jsonl_b = obs_b.trace.to_jsonl();
@@ -62,7 +57,7 @@ fn traces_and_metrics_bit_identical_across_replays() {
 fn scheduler_metrics_present_after_observed_replay() {
     let fs = all_fault_scenarios().into_iter().next().expect("catalogue is non-empty");
     let obs = Observer::enabled();
-    replay_observed(&fs.scenario.federation, &fs.scenario.afg, &fs.plan, &fs.config, &obs);
+    replay_into(&fs, &obs);
     for name in [
         "sched.sites_involved",
         "sched.tasks_placed",

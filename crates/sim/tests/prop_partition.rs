@@ -9,11 +9,10 @@
 //!     still has a ground-truth-reachable copy.
 
 use proptest::prelude::*;
-use vdce_obs::Observer;
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
-use vdce_sim::replay::{replay, run_fault_scenario, ReplayConfig};
+use vdce_sim::replay::{run_fault_scenario, ReplayConfig, ReplayRequest};
 use vdce_sim::scenario::{schedule_estimate, Scenario};
 use vdce_sim::{Fault, FaultPlan, RecoveryReport};
 
@@ -24,14 +23,10 @@ fn recovery_report(
     plan: &FaultPlan,
     cfg: &ReplayConfig,
 ) -> RecoveryReport {
+    let (federation, afg, config) = (&scenario.federation, &scenario.afg, cfg);
     run_fault_scenario(
         name,
-        &scenario.federation,
-        &scenario.afg,
-        plan,
-        cfg,
-        &Observer::disabled(),
-        None,
+        &ReplayRequest { federation, afg, plan, config, obs: None, durable: None },
     )
 }
 
@@ -130,7 +125,9 @@ proptest! {
             }],
         };
 
-        let out = replay(&scenario.federation, &scenario.afg, &plan, &cfg);
+        let (federation, afg, config) = (&scenario.federation, &scenario.afg, &cfg);
+        let req = ReplayRequest { federation, afg, plan: &plan, config, obs: None, durable: None };
+        let out = req.run();
         prop_assert_eq!(out.tasks_failed, 0, "survivors must absorb the orphaned work");
         prop_assert_eq!(out.tasks_completed, scenario.afg.tasks.len() as u64);
         for (resumed, best_reachable) in &out.resumes {

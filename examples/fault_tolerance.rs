@@ -91,9 +91,8 @@ fn main() {
     // --- Checkpointed crash recovery (DESIGN.md §11) -------------------
     // The same mid-run crash, twice: restart-from-zero, then with a
     // checkpoint every 10% of a task's work at 0.2% overhead per write.
-    let obs = vdce_obs::Observer::disabled();
-    let plain = vdce_sim::scenario::crash_mid_run().run(&obs, None);
-    let ckpt = vdce_sim::scenario::crash_mid_run_checkpointed().run(&obs, None);
+    let plain = vdce_sim::scenario::crash_mid_run().run(None, None);
+    let ckpt = vdce_sim::scenario::crash_mid_run_checkpointed().run(None, None);
     println!("\n--- checkpointed crash recovery ---");
     println!(
         "restart-from-zero: inflation {:.3}x, {} migrations, every restart from 0%",

@@ -108,7 +108,7 @@ fn network_monitoring_redirects_site_choice() {
     use vdce_repository::resources::ResourceRecord;
     use vdce_repository::SiteRepository;
     use vdce_runtime::{NetworkMonitor, SyntheticLinkProbe};
-    use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
+    use vdce_sched::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
     use vdce_sched::view::SiteView;
 
     let mk_view = |site: u16, host: &str, speed: f64| {
@@ -139,14 +139,17 @@ fn network_monitoring_redirects_site_choice() {
 
     // Healthy WAN: the faster remote site wins the whole chain.
     monitor.tick(&probe);
-    let healthy =
-        site_schedule(&afg, &local, std::slice::from_ref(&remote), monitor.model(), &cfg).unwrap();
+    let (afg, local, remotes, config) = (&afg, &local, &[remote], &cfg);
+    let schedule = |net: &NetworkModel| {
+        site_schedule(&SchedRequest { afg, local, remotes, net, config, data: None, metrics: None })
+    };
+    let healthy = schedule(monitor.model()).unwrap();
     assert_eq!(healthy.placement(vdce_afg::TaskId(0)).unwrap().site, SiteId(1));
 
     // Congestion hits the WAN; the monitor observes it.
     probe.set(SiteId(0), SiteId(1), 30.0, 1_000.0);
     monitor.tick(&probe);
-    let congested = site_schedule(&afg, &local, &[remote], monitor.model(), &cfg).unwrap();
+    let congested = schedule(monitor.model()).unwrap();
     // Entry task still prefers the faster remote host (Predict only), but
     // the *whole chain stays together* and no placement straddles the
     // congested link — the transfer term pins children to their parent's

@@ -6,7 +6,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use vdce_net::topology::SiteId;
 use vdce_net::MessageBus;
-use vdce_sched::site_scheduler::{site_schedule, SchedulerConfig};
+use vdce_sched::site_scheduler::{site_schedule, SchedRequest, SchedulerConfig};
 use vdce_sched::{federated_schedule, RemoteScheduler, SchedMessage};
 use vdce_sim::dag_gen::{layered_random, DagSpec};
 use vdce_sim::pool_gen::{build_federation, FederationSpec};
@@ -37,7 +37,17 @@ fn bus_protocol_reproduces_in_process_schedules_across_workloads() {
         let mut afg = layered_random(&spec, seed);
         let entry = afg.entry_nodes()[0];
         afg.tasks[entry.index()].props.preferred_host = Some(local_host.clone());
-        let reference = site_schedule(&afg, &views[0], &views[1..], &fed.net, &config).unwrap();
+        let (local, remotes, net) = (&views[0], &views[1..], &fed.net);
+        let req = SchedRequest {
+            afg: &afg,
+            local,
+            remotes,
+            net,
+            config: &config,
+            data: None,
+            metrics: None,
+        };
+        let reference = site_schedule(&req).unwrap();
 
         let bus: MessageBus<SchedMessage> = MessageBus::new();
         let local_ep = bus.register(SiteId(0));
