@@ -25,9 +25,10 @@
 #   9. every experiment (exp --check): the deterministic paper tables
 #      (E2, E4, E5, E9) byte-equal to their EXPERIMENTS.md blocks, every
 #      committed BENCH_*.json schema-valid and equal to a fresh run
-#      outside its `wall_clock` section, none missing or stray, and the
-#      claims of every experiment, the correctness gates included; then
-#      the five examples under examples/, each asserting its output
+#      outside its `wall_clock` section, none missing or stray, DESIGN.md's
+#      `surface` block equal to the tree, and the claims of every
+#      experiment, the correctness gates included; then the five
+#      examples under examples/, each asserting its output
 #   10. the vdce_perf smoke (perf/run.sh --quick) and perf/'s unit tests
 #   11-16. the frozen benchmark's full-size checks the smoke scales away
 #      (stream_backlog seed 2, stream_steady seed 1, batch_wide seed 1,
@@ -227,6 +228,10 @@ stage "thread race stress (5 binaries)" thread_stress
 #   BENCH_*.json: each committed file must be schema-valid and equal to
 #   the fresh artifact everywhere outside its `wall_clock` section, and
 #   a missing or stray BENCH_*.json fails the stage.
+# - surface reads crates/*/src: DESIGN.md §4's block (each crate's files,
+#   non-test and `pub fn` line counts, the `pub fn`s no other package
+#   names) must equal it, so a new or narrowed `pub fn` fails the stage
+#   until `exp --write surface` re-records the block.
 # - Every experiment's gates are claims, checked on its full sweep: fault
 #   replay determinism, recovery, the 2x crash bound, the checkpoint
 #   pairs and failover/replica (faults); durable == plain, 12 kills per

@@ -1,23 +1,24 @@
 //! Every experiment in one binary: the ten paper experiments (E1–E10),
-//! the ones behind the committed `BENCH_*.json` files, the trace gate and
-//! the fuzz hunt (`vdce_bench::exp`).
+//! the ones behind the committed `BENCH_*.json` files, the trace gate,
+//! the fuzz hunt and DESIGN.md's `surface` block (`vdce_bench::exp`).
 //!
 //! ```text
 //! exp <name>...            print the reports of the named experiments
 //! exp --all                print every report
-//! exp --check [<name>...]  fail if a golden EXPERIMENTS.md block, or a
-//!                          BENCH_*.json outside its `wall_clock` section,
-//!                          differs from this run, or a BENCH file is
-//!                          missing or stray
-//! exp --write [<name>...]  record those experiments' EXPERIMENTS.md blocks
-//!                          and BENCH_*.json files from this run
+//! exp --check [<name>...]  fail if a golden EXPERIMENTS.md or DESIGN.md
+//!                          block, or a BENCH_*.json outside its
+//!                          `wall_clock` section, differs from this run, or
+//!                          a BENCH file is missing or stray
+//! exp --write [<name>...]  record those experiments' Markdown blocks and
+//!                          BENCH_*.json files from this run
 //! ```
 //!
-//! The flag modes take every experiment when none is named. EXPERIMENTS.md
-//! and the `BENCH_*.json` files are read from and written to the working
-//! directory, so run it from the repo root. Every mode also checks each
-//! experiment's claims and exits 1 when one does not hold; `--write`
-//! records nothing for such an experiment.
+//! The flag modes take every experiment when none is named. EXPERIMENTS.md,
+//! DESIGN.md and the `BENCH_*.json` files are read from and written to the
+//! working directory, so run it from the repo root; `surface` scans the
+//! `crates/*/src` of the workspace the binary was built from. Every mode
+//! also checks each experiment's claims and exits 1 when one does not
+//! hold; `--write` records nothing for such an experiment.
 
 use std::process::exit;
 use vdce_bench::exp::{drive, experiments, find, Experiment, Mode};

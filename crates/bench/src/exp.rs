@@ -2,7 +2,8 @@
 //!
 //! [`experiments`] lists every experiment once, as one function that
 //! checks its claims while it runs and records where its output lives:
-//! an EXPERIMENTS.md block, `BENCH_<name>.json`, or nowhere. In every
+//! a block in a Markdown file (EXPERIMENTS.md for the paper's ten,
+//! DESIGN.md for `surface`), `BENCH_<name>.json`, or nowhere. In every
 //! [`Mode`], [`drive`] fails on a broken claim. [`Mode::Check`] also
 //! compares each output with the committed one (a golden block byte for
 //! byte, a `BENCH_*.json` outside its `wall_clock` section) and writes
@@ -10,6 +11,7 @@
 
 use crate::paper::{self, block, first_difference, splice};
 use serde_json::Value;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 use vdce_obs::RunArtifact;
@@ -26,9 +28,10 @@ pub struct Experiment {
 
 /// Where an experiment's output lives, with the function that makes it.
 pub(crate) enum Output {
-    /// Its EXPERIMENTS.md block: golden text when the experiment is
-    /// [deterministic](Experiment::deterministic), measured otherwise.
-    Block(fn(&mut Claims) -> String),
+    /// Its block in the named Markdown file: golden text when the
+    /// experiment is [deterministic](Experiment::deterministic), measured
+    /// otherwise.
+    Block(&'static str, fn(&mut Claims) -> String),
     /// `BENCH_<name>.json`, beside the printed report.
     Bench(fn(&mut Claims) -> (String, RunArtifact)),
     /// Nowhere: the report is printed only.
@@ -50,7 +53,7 @@ impl Experiment {
     pub fn run(&self) -> Outcome {
         let mut claims = Claims::default();
         let (text, artifact) = match self.output {
-            Output::Block(run) | Output::Nowhere(run) => (run(&mut claims), None),
+            Output::Block(_, run) | Output::Nowhere(run) => (run(&mut claims), None),
             Output::Bench(run) => {
                 let (text, artifact) = run(&mut claims);
                 (text, Some(artifact))
@@ -62,6 +65,14 @@ impl Experiment {
     /// The `BENCH_*.json` file it records, if it records one.
     pub(crate) fn bench_file(&self) -> Option<String> {
         matches!(self.output, Output::Bench(_)).then(|| format!("BENCH_{}.json", self.name))
+    }
+
+    /// The Markdown file that holds its block, if it has one.
+    fn doc(&self) -> Option<&'static str> {
+        match self.output {
+            Output::Block(doc, _) => Some(doc),
+            Output::Bench(_) | Output::Nowhere(_) => None,
+        }
     }
 }
 
@@ -118,19 +129,22 @@ pub enum Mode {
     Write,
 }
 
-const DOC: &str = "EXPERIMENTS.md";
+/// The Markdown files the chosen experiments' blocks live in, by name.
+type Docs = BTreeMap<&'static str, String>;
 
-/// Run `chosen` in `mode` against the EXPERIMENTS.md and `BENCH_*.json`
-/// files in `root`, writing progress to `out`. Returns one line per
-/// failure: a broken claim, a difference, a missing or stray file.
+/// Run `chosen` in `mode` against the Markdown and `BENCH_*.json` files
+/// in `root`, writing progress to `out`. Returns one line per failure: a
+/// broken claim, a difference, a missing or stray file.
 pub fn drive(mode: Mode, chosen: &[&Experiment], root: &Path, out: &mut impl Write) -> Vec<String> {
-    let doc_path = root.join(DOC);
-    let uses_doc = chosen.iter().any(|e| matches!(e.output, Output::Block(_)));
-    let mut doc = String::new();
-    if mode != Mode::Print && uses_doc {
-        match std::fs::read_to_string(&doc_path) {
-            Ok(text) => doc = text,
-            Err(e) => return vec![format!("read {DOC}: {e}")],
+    let mut docs = Docs::new();
+    if mode != Mode::Print {
+        for doc in chosen.iter().filter_map(|e| e.doc()) {
+            if !docs.contains_key(doc) {
+                match std::fs::read_to_string(root.join(doc)) {
+                    Ok(text) => docs.insert(doc, text),
+                    Err(e) => return vec![format!("read {doc}: {e}")],
+                };
+            }
         }
     }
     let mut failures = if mode == Mode::Check { stray_bench_files(root) } else { Vec::new() };
@@ -138,8 +152,8 @@ pub fn drive(mode: Mode, chosen: &[&Experiment], root: &Path, out: &mut impl Wri
         let outcome = e.run();
         let said = match mode {
             Mode::Print => Ok(outcome.text.clone()),
-            Mode::Check => check(e, &outcome, &doc, root),
-            Mode::Write if outcome.broken_claims.is_empty() => record(e, &outcome, &mut doc, root),
+            Mode::Check => check(e, &outcome, &docs, root),
+            Mode::Write if outcome.broken_claims.is_empty() => record(e, &outcome, &mut docs, root),
             Mode::Write => Ok(format!(
                 "{}: not written, {} claim(s) broken\n",
                 e.name,
@@ -153,9 +167,11 @@ pub fn drive(mode: Mode, chosen: &[&Experiment], root: &Path, out: &mut impl Wri
         }
         failures.extend(outcome.broken_claims.into_iter().map(|c| format!("{}: {c}", e.name)));
     }
-    if mode == Mode::Write && uses_doc {
-        if let Err(e) = std::fs::write(&doc_path, &doc) {
-            failures.push(format!("write {DOC}: {e}"));
+    if mode == Mode::Write {
+        for (doc, text) in &docs {
+            if let Err(e) = std::fs::write(root.join(doc), text) {
+                failures.push(format!("write {doc}: {e}"));
+            }
         }
     }
     failures
@@ -163,7 +179,7 @@ pub fn drive(mode: Mode, chosen: &[&Experiment], root: &Path, out: &mut impl Wri
 
 /// `--check` for one experiment: its golden block or its `BENCH_*.json`
 /// against this run.
-fn check(e: &Experiment, out: &Outcome, doc: &str, root: &Path) -> Result<String, String> {
+fn check(e: &Experiment, out: &Outcome, docs: &Docs, root: &Path) -> Result<String, String> {
     let name = e.name;
     if let (Some(artifact), Some(file)) = (&out.artifact, e.bench_file()) {
         let committed = std::fs::read_to_string(root.join(&file))
@@ -177,13 +193,13 @@ fn check(e: &Experiment, out: &Outcome, doc: &str, root: &Path) -> Result<String
             Some(d) => Err(format!("{name}: {file} differs from this run at {d}")),
         };
     }
-    if !(e.deterministic && matches!(e.output, Output::Block(_))) {
+    let Some(doc) = e.doc().filter(|_| e.deterministic) else {
         return Ok(format!("{name}: claims checked\n"));
-    }
-    let want = block(doc, name).ok_or(format!("{name}: no generated block in {DOC}"))?;
+    };
+    let want = block(&docs[doc], name).ok_or(format!("{name}: no generated block in {doc}"))?;
     match first_difference(want, &out.text) {
-        None => Ok(format!("{name}: table equals its {DOC} block\n")),
-        Some(d) => Err(format!("{name}: differs from {DOC}, {d}")),
+        None => Ok(format!("{name}: table equals its {doc} block\n")),
+        Some(d) => Err(format!("{name}: differs from {doc}, {d}")),
     }
 }
 
@@ -221,18 +237,19 @@ fn stray_bench_files(root: &Path) -> Vec<String> {
 }
 
 /// `--write` for one experiment whose claims hold: splice its block into
-/// `doc` or write its `BENCH_*.json`.
-fn record(e: &Experiment, out: &Outcome, doc: &mut String, root: &Path) -> Result<String, String> {
+/// its Markdown file or write its `BENCH_*.json`.
+fn record(e: &Experiment, out: &Outcome, docs: &mut Docs, root: &Path) -> Result<String, String> {
     let name = e.name;
     if let (Some(artifact), Some(file)) = (&out.artifact, e.bench_file()) {
         write_file(root.join(&file), artifact.to_json_pretty() + "\n")?;
         return Ok(format!("{name}: wrote {file}\n"));
     }
-    if !matches!(e.output, Output::Block(_)) {
+    let Some(doc) = e.doc() else {
         return Ok(format!("{name}: records nothing\n"));
-    }
-    *doc = splice(doc, name, &out.text).map_err(|err| format!("{name}: {DOC}: {err}"))?;
-    Ok(format!("{name}: wrote its {DOC} block\n"))
+    };
+    let text = docs.get_mut(doc).expect("drive reads every chosen block's file");
+    *text = splice(text, name, &out.text).map_err(|err| format!("{name}: {doc}: {err}"))?;
+    Ok(format!("{name}: wrote its {doc} block\n"))
 }
 
 #[cfg(test)]

@@ -31,7 +31,9 @@ use vdce_obs::{Observer, Report, RunArtifact};
 use vdce_runtime::CheckpointPolicy;
 use vdce_sim::replay::ReplayConfig;
 use vdce_sim::scenario::{all_fault_scenarios, schedule_estimate, FaultScenario, Scenario};
-use vdce_sim::{recovery_table, Fault, FaultPlan, RecoveryReport};
+use vdce_sim::{
+    recovery_table, run_fault_scenario, Fault, FaultPlan, RecoveryReport, ReplayRequest,
+};
 
 /// The acceptance workload: crash the busiest host of a palette-shaped
 /// DAG (the `scale` workload family) a quarter into the run.
@@ -91,10 +93,11 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
 
     let mut reports: Vec<RecoveryReport> = Vec::new();
     for fs in &scenarios {
-        let report = fs.run(Some(&obs), None);
+        let report =
+            run_fault_scenario(fs.name, &ReplayRequest { obs: Some(&obs), ..fs.request() });
         // Determinism gate: the same (scenario, plan, config) triple must
         // replay into a bit-identical report.
-        let again = fs.run(None, None);
+        let again = run_fault_scenario(fs.name, &fs.request());
         claims.check(same_json(&report, &again), || {
             format!("{}: replay is not deterministic", fs.name)
         });

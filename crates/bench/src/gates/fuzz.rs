@@ -32,8 +32,8 @@ use std::collections::BTreeMap;
 use vdce_obs::{Report, RunArtifact, Table};
 use vdce_sim::scenario::fuzz_regression_scenarios;
 use vdce_sim::{
-    check_case, check_invariant, shrink, CaseOutcome, FaultClass, FuzzCase, Invariant,
-    InvariantProfile,
+    check_case, check_invariant, run_fault_scenario, shrink, CaseOutcome, FaultClass, FuzzCase,
+    Invariant, InvariantProfile,
 };
 
 /// The seed sweep: seeds `0..SEEDS` must run clean under the standard
@@ -98,8 +98,8 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
     // the recovery gates.
     let promoted = fuzz_regression_scenarios();
     for fs in &promoted {
-        let a = fs.run(None, None);
-        let b = fs.run(None, None);
+        let a = run_fault_scenario(fs.name, &fs.request());
+        let b = run_fault_scenario(fs.name, &fs.request());
         claims.check(same_json(&a, &b), || format!("{}: two replays differ", fs.name));
         claims.check(a.tasks_failed == 0, || {
             format!("{}: {} task(s) failed", fs.name, a.tasks_failed)
@@ -248,7 +248,7 @@ pub(super) fn hunt(_: &mut Claims) -> String {
         }
         let out = shrink(&case, Invariant::InflationCeiling, &profile, SHRINK_BUDGET);
         let fs = out.shrunk.to_fault_scenario("hunt");
-        let report = fs.run(None, None);
+        let report = run_fault_scenario(fs.name, &fs.request());
         // Promotion gates: lossless, fully recovered, and inside the
         // 4.5x regression bound fuzz-promoted scenarios are pinned to
         // (the hand-written 2.0x crash bound only covers crash faults).

@@ -1,6 +1,6 @@
 //! The experiments behind the committed `BENCH_<name>.json` files, the
-//! trace-determinism gate and the fuzz hunt, one function each: the
-//! registry's entries after the paper's ten.
+//! trace-determinism gate, the fuzz hunt and DESIGN.md's `surface` block,
+//! one function each: the registry's entries after the paper's ten.
 //!
 //! | name       | records               | what it gates |
 //! |------------|-----------------------|---------------|
@@ -11,6 +11,7 @@
 //! | `recovery` | `BENCH_recovery.json` | durable ≡ plain replay, kill-and-restart, deputies, the `FileWal` fixture |
 //! | `scale`    | `BENCH_scale.json`    | incremental reschedule ≡ full re-walk |
 //! | `stream`   | `BENCH_stream.json`   | double replay, the pinned placements digest, p99 time-to-placement, starvation |
+//! | `surface`  | its DESIGN.md block   | DESIGN.md §4's inventory of files, counts and crate-only `pub fn`s equals the tree |
 //! | `trace`    | nothing               | trace schema and double-replay identity over every fault scenario |
 //!
 //! `scale`, `stream` and `recovery` also time their work; those numbers
@@ -30,10 +31,11 @@ mod fuzz;
 mod recovery;
 mod scale;
 mod stream;
+mod surface;
 mod trace;
 
 /// The registry's entries after the paper's ten, by name.
-pub(crate) static EXPERIMENTS: [Experiment; 8] = [
+pub(crate) static EXPERIMENTS: [Experiment; 9] = [
     Experiment { name: "data", deterministic: true, output: Output::Bench(data::run) },
     Experiment { name: "faults", deterministic: true, output: Output::Bench(faults::run) },
     Experiment { name: "fuzz", deterministic: true, output: Output::Bench(fuzz::run) },
@@ -41,6 +43,11 @@ pub(crate) static EXPERIMENTS: [Experiment; 8] = [
     Experiment { name: "recovery", deterministic: false, output: Output::Bench(recovery::run) },
     Experiment { name: "scale", deterministic: false, output: Output::Bench(scale::run) },
     Experiment { name: "stream", deterministic: false, output: Output::Bench(stream::run) },
+    Experiment {
+        name: "surface",
+        deterministic: true,
+        output: Output::Block("DESIGN.md", surface::run),
+    },
     Experiment { name: "trace", deterministic: true, output: Output::Nowhere(trace::run) },
 ];
 

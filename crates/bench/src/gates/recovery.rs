@@ -35,6 +35,7 @@ use vdce_obs::{MetricsSnapshot, Observer, Report, RunArtifact, Table};
 use vdce_runtime::DurableOptions;
 use vdce_sim::recovery::{verify_kill, verify_recovery};
 use vdce_sim::scenario::all_fault_scenarios;
+use vdce_sim::{run_fault_scenario, ReplayRequest};
 use vdce_store::{read_wal, FileWal, Journal, SnapshotPolicy};
 
 /// Kill points per scenario.
@@ -68,7 +69,10 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
     for (i, fs) in scenarios.iter().enumerate() {
         let metered = Observer::enabled();
         let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-        let durable_report = fs.run(Some(&metered), Some(&opts));
+        let durable_report = run_fault_scenario(
+            fs.name,
+            &ReplayRequest { obs: Some(&metered), durable: Some(&opts), ..fs.request() },
+        );
         if fs.name == "weibull-churn" {
             // Clones share the underlying store: keep a handle to the
             // longest-history journal for the damaged-WAL fixture.
@@ -76,7 +80,7 @@ pub(super) fn run(claims: &mut Claims) -> (String, RunArtifact) {
         }
 
         // Gate 1: durability only observes.
-        let plain_report = fs.run(None, None);
+        let plain_report = run_fault_scenario(fs.name, &fs.request());
         claims.check(same_json(&durable_report, &plain_report), || {
             format!("{}: durable replay perturbed the recovery report", fs.name)
         });
@@ -167,7 +171,10 @@ fn churn_journal(policy: SnapshotPolicy, check_every: u64) -> (DurableOptions, O
     let metered = Observer::enabled();
     let opts =
         DurableOptions { journal: Journal::enabled(policy), deputy_check_every: check_every };
-    fs.run(Some(&metered), Some(&opts));
+    run_fault_scenario(
+        fs.name,
+        &ReplayRequest { obs: Some(&metered), durable: Some(&opts), ..fs.request() },
+    );
     (opts, metered)
 }
 

@@ -13,6 +13,7 @@ use super::same_json;
 use crate::exp::{write_file, Claims};
 use vdce_obs::{validate_jsonl, Observer, Report, Table};
 use vdce_sim::scenario::{all_fault_scenarios, FaultScenario};
+use vdce_sim::{run_fault_scenario, ReplayRequest};
 
 /// Where the first scenario's trace lands.
 const JSONL: &str = "target/exp_trace.jsonl";
@@ -21,9 +22,11 @@ const JSONL: &str = "target/exp_trace.jsonl";
 /// With `dump`, the first run's validated JSONL is also written there.
 fn check(fs: &FaultScenario, dump: Option<&str>) -> Result<Vec<String>, String> {
     let obs_a = Observer::enabled();
-    let report_a = fs.run(Some(&obs_a), None);
+    let report_a =
+        run_fault_scenario(fs.name, &ReplayRequest { obs: Some(&obs_a), ..fs.request() });
     let obs_b = Observer::enabled();
-    let report_b = fs.run(Some(&obs_b), None);
+    let report_b =
+        run_fault_scenario(fs.name, &ReplayRequest { obs: Some(&obs_b), ..fs.request() });
 
     let jsonl_a = obs_a.trace.to_jsonl();
     let jsonl_b = obs_b.trace.to_jsonl();

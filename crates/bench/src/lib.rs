@@ -4,6 +4,7 @@
 
 #![deny(clippy::print_stdout)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod exp;
 mod gates;
@@ -15,7 +16,7 @@ use vdce_sim::pool_gen::{build_federation, Federation, FederationSpec, WanShape}
 
 /// Standard benchmark federation: `sites` × `hosts` hosts, 4× speed
 /// heterogeneity, random WAN, fixed seed.
-pub fn bench_federation(sites: usize, hosts: usize) -> Federation {
+pub(crate) fn bench_federation(sites: usize, hosts: usize) -> Federation {
     build_federation(&FederationSpec {
         sites,
         hosts_per_site: hosts,
@@ -27,13 +28,13 @@ pub fn bench_federation(sites: usize, hosts: usize) -> Federation {
 }
 
 /// Standard benchmark workload: a layered random DAG with `tasks` tasks.
-pub fn bench_dag(tasks: usize, seed: u64) -> vdce_afg::Afg {
+pub(crate) fn bench_dag(tasks: usize, seed: u64) -> vdce_afg::Afg {
     layered_random(&DagSpec { tasks, width: (tasks / 8).max(2), ..DagSpec::default() }, seed)
 }
 
 /// A DAG whose communication scale is multiplied by `ccr_scale` (the CCR
 /// knob of experiment E2/Fig 2).
-pub fn bench_dag_ccr(tasks: usize, ccr_scale: f64, seed: u64) -> vdce_afg::Afg {
+pub(crate) fn bench_dag_ccr(tasks: usize, ccr_scale: f64, seed: u64) -> vdce_afg::Afg {
     let base = DagSpec { tasks, width: (tasks / 8).max(2), ..DagSpec::default() };
     let spec = DagSpec {
         min_bytes: (base.min_bytes as f64 * ccr_scale).max(1.0) as u64,
@@ -44,7 +45,7 @@ pub fn bench_dag_ccr(tasks: usize, ccr_scale: f64, seed: u64) -> vdce_afg::Afg {
 }
 
 /// Split a federation's views into (local, remotes).
-pub fn split_views(views: &[SiteView]) -> (&SiteView, &[SiteView]) {
+pub(crate) fn split_views(views: &[SiteView]) -> (&SiteView, &[SiteView]) {
     (&views[0], &views[1..])
 }
 
@@ -52,12 +53,12 @@ pub fn split_views(views: &[SiteView]) -> (&SiteView, &[SiteView]) {
 /// applications call library solvers at a handful of standard matrix
 /// sizes (Figure 1), so `(library task, problem size, host)` triples
 /// repeat across tasks — the structure the predict memo exploits.
-pub const GRANULARITIES: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
+const GRANULARITIES: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
 
 /// Quantise problem sizes to the granularity palette and flip every
 /// third task to an 8-node parallel implementation. Shared by the
 /// `faults` and `scale` experiments so they run the same workload shape.
-pub fn shape_palette_workload(afg: &mut vdce_afg::Afg) {
+pub(crate) fn shape_palette_workload(afg: &mut vdce_afg::Afg) {
     for (i, t) in afg.tasks.iter_mut().enumerate() {
         t.problem_size = GRANULARITIES[t.problem_size as usize % GRANULARITIES.len()];
         if i % 3 == 0 {

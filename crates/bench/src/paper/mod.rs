@@ -39,18 +39,21 @@ mod fig2;
 mod fig3;
 mod fig4;
 
+/// The file that holds the paper experiments' blocks.
+const DOC: &str = "EXPERIMENTS.md";
+
 /// The ten paper experiments, in EXPERIMENTS.md order.
 pub static EXPERIMENTS: [Experiment; 10] = [
-    Experiment { name: "fig1", deterministic: false, output: Output::Block(fig1::run) },
-    Experiment { name: "fig2", deterministic: true, output: Output::Block(fig2::run) },
-    Experiment { name: "fig3", deterministic: false, output: Output::Block(fig3::run) },
-    Experiment { name: "fig4", deterministic: true, output: Output::Block(fig4::run) },
-    Experiment { name: "e5", deterministic: true, output: Output::Block(e5::run) },
-    Experiment { name: "e6", deterministic: false, output: Output::Block(e6::run) },
-    Experiment { name: "e7", deterministic: false, output: Output::Block(e7::run) },
-    Experiment { name: "e8", deterministic: false, output: Output::Block(e8::run) },
-    Experiment { name: "e9", deterministic: true, output: Output::Block(e9::run) },
-    Experiment { name: "e10", deterministic: false, output: Output::Block(e10::run) },
+    Experiment { name: "fig1", deterministic: false, output: Output::Block(DOC, fig1::run) },
+    Experiment { name: "fig2", deterministic: true, output: Output::Block(DOC, fig2::run) },
+    Experiment { name: "fig3", deterministic: false, output: Output::Block(DOC, fig3::run) },
+    Experiment { name: "fig4", deterministic: true, output: Output::Block(DOC, fig4::run) },
+    Experiment { name: "e5", deterministic: true, output: Output::Block(DOC, e5::run) },
+    Experiment { name: "e6", deterministic: false, output: Output::Block(DOC, e6::run) },
+    Experiment { name: "e7", deterministic: false, output: Output::Block(DOC, e7::run) },
+    Experiment { name: "e8", deterministic: false, output: Output::Block(DOC, e8::run) },
+    Experiment { name: "e9", deterministic: true, output: Output::Block(DOC, e9::run) },
+    Experiment { name: "e10", deterministic: false, output: Output::Block(DOC, e10::run) },
 ];
 
 /// The geomean makespan of each of `kinds` over `dags`, scheduled from
@@ -88,7 +91,8 @@ fn block_range(doc: &str, name: &str) -> Option<std::ops::Range<usize>> {
     Some(start..end)
 }
 
-/// The report text of `name`'s generated block in `doc` (EXPERIMENTS.md).
+/// The report text of `name`'s generated block in `doc`, a Markdown file
+/// (EXPERIMENTS.md, or DESIGN.md for `surface`).
 pub fn block<'a>(doc: &'a str, name: &str) -> Option<&'a str> {
     let fence = &doc[block_range(doc, name)?];
     fence.strip_prefix("```text\n")?.strip_suffix("```\n")

@@ -94,7 +94,9 @@ impl DsmLock {
         Self::default()
     }
 
-    /// Acquire, blocking.
+    /// Acquire, blocking. No other package calls it: it stays `pub` as
+    /// the DSM's lock API for shared-memory applications, held to exact
+    /// read-modify-write counts by `lock_serialises_read_modify_write_on_dsm`.
     pub fn acquire(&self) -> DsmLockGuard<'_> {
         let mut l = self.inner.cond.wait_while(self.inner.locked.lock().unwrap(), |l| *l).unwrap();
         *l = true;

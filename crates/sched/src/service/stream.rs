@@ -1237,6 +1237,24 @@ mod tests {
         assert_eq!(report.submitted, 4);
         assert_eq!((report.admitted, report.deferred, report.completed), (4, 6, 4));
         assert_eq!(report.rejected, vec![]);
+
+        // The same flood behind a first submission that runs longer than
+        // MAX_DEFERS retries DEFER_DELAY_S apart: each later arrival
+        // uses up its defers while the first still runs, and is rejected.
+        let mut svc = service();
+        let t = svc
+            .register_tenant("carol", "pw", 5, AccessDomain::Global, Quota { max_inflight: 1 })
+            .unwrap();
+        let long = SubmissionRequest { afg: chain_afg(10_000_000), ..req(&svc, t) };
+        svc.submit_at(0.0, long);
+        for _ in 0..3 {
+            svc.submit_at(0.0, req(&svc, t));
+        }
+        let report = svc.drain();
+        assert_eq!(report.submitted, 4);
+        assert_eq!((report.admitted, report.deferred, report.completed), (1, 9, 1));
+        assert_eq!(report.rejected, vec![("quota_exhausted".to_string(), 3)]);
+        assert_eq!(report.unplaced, 0);
     }
 
     #[test]

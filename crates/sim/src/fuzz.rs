@@ -617,10 +617,11 @@ impl<'c> Runs<'c> {
         Runs { case, scenario, cfg, traced, first, repeat, durable, streams: Default::default() }
     }
 
-    fn replay(&self, obs: Option<&Observer>, durable: Option<&DurableOptions>) -> RecoveryReport {
+    /// The case's replay as a request with neither option set.
+    fn request(&self) -> ReplayRequest<'_> {
         let Scenario { federation, afg, .. } = &self.scenario;
         let (plan, config) = (&self.case.plan, &self.cfg);
-        run_fault_scenario("fuzz", &ReplayRequest { federation, afg, plan, config, obs, durable })
+        ReplayRequest { federation, afg, plan, config, obs: None, durable: None }
     }
 
     /// The first replay and, if traced, the work ledger rebuilt from its
@@ -628,19 +629,21 @@ impl<'c> Runs<'c> {
     fn first(&self) -> &(RecoveryReport, Option<WorkLedger>) {
         self.first.get_or_init(|| {
             let obs = self.traced.then(Observer::enabled);
-            let report = self.replay(obs.as_ref(), None);
+            let report =
+                run_fault_scenario("fuzz", &ReplayRequest { obs: obs.as_ref(), ..self.request() });
             (report, obs.as_ref().map(ledger_from_observer))
         })
     }
 
     fn repeat(&self) -> &RecoveryReport {
-        self.repeat.get_or_init(|| self.replay(None, None))
+        self.repeat.get_or_init(|| run_fault_scenario("fuzz", &self.request()))
     }
 
     fn durable(&self) -> Option<&str> {
         let run = || {
             let opts = DurableOptions::new(SnapshotPolicy::every(256), 8);
-            let durable = self.replay(None, Some(&opts));
+            let req = ReplayRequest { durable: Some(&opts), ..self.request() };
+            let durable = run_fault_scenario("fuzz", &req);
             if report_json(&durable) != report_json(&self.first().0) {
                 return Some("durable replay diverged from the plain replay".to_string());
             }

@@ -7,13 +7,11 @@
 
 use crate::dag_gen::{fork_join, gauss_elim, layered_random, DagSpec};
 use crate::faults::{Fault, FaultPlan, WeibullArrivalSpec};
-use crate::metrics::RecoveryReport;
 use crate::pool_gen::{build_federation, Federation, FederationSpec, WanShape};
-use crate::replay::{run_fault_scenario, ReplayConfig, ReplayRequest};
+use crate::replay::{ReplayConfig, ReplayRequest};
 use std::collections::BTreeMap;
 use vdce_afg::Afg;
-use vdce_obs::Observer;
-use vdce_runtime::{CheckpointPolicy, DurableOptions};
+use vdce_runtime::CheckpointPolicy;
 use vdce_sched::{evaluate, site_schedule, SchedRequest, SchedulerConfig};
 
 /// A named, reproducible experiment setup.
@@ -170,19 +168,13 @@ pub struct FaultScenario {
 }
 
 impl FaultScenario {
-    /// Replay the plan (and its fault-free twin) into a report. The
-    /// faulty replay is traced into `obs.trace` and metered into
-    /// `obs.metrics`; with `durable` its control plane is journaled
-    /// (DESIGN.md §16) and afterwards `durable.journal` holds the sealed
-    /// event history for [`crate::recovery::verify_recovery`]. The report
-    /// is the same bit for bit whatever `obs` and `durable` are.
-    pub fn run(&self, obs: Option<&Observer>, durable: Option<&DurableOptions>) -> RecoveryReport {
+    /// The replay of this scenario as a request with neither option set.
+    /// Set its `obs` / `durable` fields, then run it with its fault-free
+    /// twin as `run_fault_scenario(self.name, &req)`; the report is the
+    /// same bit for bit whatever the two options are.
+    pub fn request(&self) -> ReplayRequest<'_> {
         let (Scenario { federation, afg, .. }, plan) = (&self.scenario, &self.plan);
-        let config = &self.config;
-        run_fault_scenario(
-            self.name,
-            &ReplayRequest { federation, afg, plan, config, obs, durable },
-        )
+        ReplayRequest { federation, afg, plan, config: &self.config, obs: None, durable: None }
     }
 }
 
@@ -601,6 +593,7 @@ pub fn all_fault_scenarios() -> Vec<FaultScenario> {
 mod tests {
     use super::*;
     use crate::harness::{compare_schedulers, SchedulerKind};
+    use crate::replay::run_fault_scenario;
     use vdce_afg::validate;
 
     /// All named scenarios.
@@ -685,7 +678,7 @@ mod tests {
     #[test]
     fn all_fault_scenarios_recover() {
         for fs in all_fault_scenarios() {
-            let report = fs.run(None, None);
+            let report = run_fault_scenario(fs.name, &fs.request());
             assert_eq!(report.tasks_failed, 0, "{}: tasks failed", fs.name);
             assert!(report.recovered_all(), "{}: not recovered: {:?}", fs.name, report.faults);
             // Hand-written scenarios stay under 2x; fuzzer-promoted
@@ -704,8 +697,8 @@ mod tests {
     #[test]
     fn fuzz_regressions_replay_bit_identically() {
         for fs in fuzz_regression_scenarios() {
-            let a = fs.run(None, None);
-            let b = fs.run(None, None);
+            let a = run_fault_scenario(fs.name, &fs.request());
+            let b = run_fault_scenario(fs.name, &fs.request());
             assert_eq!(a, b, "{}: two replays differ", fs.name);
             assert!(a.inflation > 1.0, "{}: promoted reproducer no longer bites", fs.name);
         }

@@ -20,7 +20,7 @@
 
 use vdce_runtime::{ControlEvent, ControlEventError, ControlState, DurableOptions};
 use vdce_sim::recovery::verify_recovery;
-use vdce_sim::replay::{ReplayOutcome, ReplayRequest};
+use vdce_sim::replay::{run_fault_scenario, ReplayOutcome, ReplayRequest};
 use vdce_sim::scenario::{
     all_fault_scenarios, crash_mid_run_checkpointed, site_crash_ckpt_replica, FaultScenario,
 };
@@ -35,8 +35,7 @@ fn sealed(fs: &FaultScenario) -> (DurableOptions, ReplayOutcome) {
 
 /// The scenario's replay, unobserved, durable when `durable` is set.
 fn replayed(fs: &FaultScenario, durable: Option<&DurableOptions>) -> ReplayOutcome {
-    let (federation, afg, plan) = (&fs.scenario.federation, &fs.scenario.afg, &fs.plan);
-    ReplayRequest { federation, afg, plan, config: &fs.config, obs: None, durable }.run()
+    ReplayRequest { durable, ..fs.request() }.run()
 }
 
 struct Golden {
@@ -311,7 +310,8 @@ fn assert_golden(fs: &FaultScenario, want: &Golden, index: usize) {
     let outcome_fnv = |o: &ReplayOutcome| fnv1a(format!("{o:?}").as_bytes());
     assert_eq!(outcome_fnv(&plain), want.outcome_fnv, "{name}: plain outcome");
     assert_eq!(outcome_fnv(&durable), want.outcome_fnv, "{name}: durable outcome");
-    let report = serde_json::to_string(&fs.run(None, None)).expect("reports serialise");
+    let report = serde_json::to_string(&run_fault_scenario(fs.name, &fs.request()))
+        .expect("reports serialise");
     assert_eq!(fnv1a(report.as_bytes()), want.report_fnv, "{name}: recovery report");
 
     // The durable image a restart reads, and every kill report at four

@@ -163,7 +163,7 @@ impl WalWriter {
     /// Append one record whose payload is the concatenation of `parts`,
     /// without the caller building that concatenation first: the same
     /// image bytes as [`WalWriter::append`] of the joined payload.
-    pub fn append_parts(&mut self, parts: &[&[u8]]) -> u64 {
+    pub(crate) fn append_parts(&mut self, parts: &[&[u8]]) -> u64 {
         frame_into(&mut self.buf, parts);
         let idx = self.records;
         self.records += 1;

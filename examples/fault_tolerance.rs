@@ -26,6 +26,8 @@ use vdce_afg::{AfgBuilder, AfgDocument, MachineType, TaskLibrary};
 use vdce_core::Vdce;
 use vdce_repository::AccessDomain;
 use vdce_runtime::{EventLog, FlagEcho, GroupManager};
+use vdce_sim::run_fault_scenario;
+use vdce_sim::scenario::{crash_mid_run, crash_mid_run_checkpointed, FaultScenario};
 
 fn doc(author: &str) -> AfgDocument {
     let lib = TaskLibrary::standard();
@@ -91,8 +93,9 @@ fn main() {
     // --- Checkpointed crash recovery (DESIGN.md §11) -------------------
     // The same mid-run crash, twice: restart-from-zero, then with a
     // checkpoint every 10% of a task's work at 0.2% overhead per write.
-    let plain = vdce_sim::scenario::crash_mid_run().run(None, None);
-    let ckpt = vdce_sim::scenario::crash_mid_run_checkpointed().run(None, None);
+    let run = |fs: FaultScenario| run_fault_scenario(fs.name, &fs.request());
+    let plain = run(crash_mid_run());
+    let ckpt = run(crash_mid_run_checkpointed());
     println!("\n--- checkpointed crash recovery ---");
     println!(
         "restart-from-zero: inflation {:.3}x, {} migrations, every restart from 0%",
