@@ -287,8 +287,11 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # These stages, the stream ones above, incr_churn's and durable_faults'
 # also read `allocs_per_op` off the run's JSON result line. The count is the
 # benchmark's own allocator's, identical in every pass and run, so a
-# ceiling on it has no noise to allow for: batch_wide makes 211 calls per
-# 40k-task op with the allocation table as dense rows sharing their names
+# ceiling on it has no noise to allow for: batch_wide makes 205 calls per
+# 40k-task op with one edge index per schedule, shared by the level pass
+# and the walk, each level rank held in one buffer (211 with an edge
+# index per level pass and a rank-to-task and a task-to-rank vector per
+# rank), with the allocation table as dense rows sharing their names
 # with the AFG, the task classes indexed once per schedule, one
 # host-selection scratch per schedule, each site's selection collecting
 # no host vector and allocating its choice table once (219 with a host
@@ -303,8 +306,8 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # around the choice vector) and the dirty set and the diff's class-pair
 # memo as scratch the schedule keeps (154 with a heap and a dedup vector
 # per event; a per-site re-index made it 8,232).
-# batch_data, whose 8k tasks form 7,833 task classes, makes 8,128 with
-# the classes indexed once per schedule, one host-selection scratch per
+# batch_data, whose 8k tasks form 7,833 task classes, makes 8,122 with
+# batch_wide's edge index and level ranks (8,128 before them), the classes indexed once per schedule, one host-selection scratch per
 # schedule (8,144 with one per site), one per-class choice list per
 # site table, collected as the table's one allocation (8,136 with a host
 # vector and an `Arc` around it), dataset replica lists borrowed from the catalog view and
@@ -314,8 +317,9 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # input, made it 48,240). The stream stages count one arrival (host selection at up to
 # 64 sites, placement, dispatch) and, for stream_backlog, the
 # re-selection of every queued submission at a site whose load moved:
-# 122.3 for stream_steady seed 1 and 152.4 for stream_backlog seed 2
-# with a queued submission's outputs held once, by its schedule, and a
+# 120.4 for stream_steady seed 1 and 151.3 for stream_backlog seed 2
+# with each level rank held in one buffer (122.3 and 152.4 with two
+# vectors per rank), a queued submission's outputs held once, by its schedule, and a
 # dispatch candidate's fit read off its table's rows, its sites listed
 # only for the start that charges them (220.4 for stream_backlog when
 # every candidate listed its sites in a vector, started or not; 127.7
@@ -341,7 +345,8 @@ stage "vdce_perf smoke (--quick)" perf_smoke
 # per `apply`). Re-indexing the classes in every host-selection call made
 # them 827 and 1,142; a host-name `String` per memoised term and a lane vector
 # per eligibility group, 1,616 and 1,896. durable_faults counts one
-# 17-scenario sweep (~13.1k journal records): 285,654 with a replay
+# 17-scenario sweep (~13.1k journal records): 285,484 with batch_wide's
+# edge index and level ranks (285,654 before them), a replay
 # that has no observer building no metrics (286,217 when each plain
 # replay and each fault-free twin exported into a throwaway registry),
 # each site's
@@ -392,10 +397,10 @@ perf_allocs_at_most() {
     fi
     echo "$workload: allocs_per_op $allocs <= $ceiling"
 }
-stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 186 stream_backlog 2
-stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 125 stream_steady
-stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 215 batch_wide
-stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8132 batch_data
+stage "vdce_perf stream_backlog (seed 2)" perf_allocs_at_most 151.9 stream_backlog 2
+stage "vdce_perf stream_steady (seed 1)" perf_allocs_at_most 121.4 stream_steady
+stage "vdce_perf batch_wide (seed 1)" perf_allocs_at_most 208 batch_wide
+stage "vdce_perf batch_data (seed 1)" perf_allocs_at_most 8125 batch_data
 # Full-size incremental check: incr_churn compares the standing table
 # with a full re-walk on every 64th event, and with the initial table
 # once every host has healed. The smoke absorbs a twentieth of the
@@ -408,4 +413,4 @@ stage "vdce_perf incr_churn (seed 1)" perf_allocs_at_most 141 incr_churn
 # sealed bytes — which is also the one place the live snapshot writer
 # and the typed `ControlState` writer are held to the same bytes. The
 # smoke runs 3 of the 17 scenarios.
-stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 285936 durable_faults
+stage "vdce_perf durable_faults (seed 1)" perf_allocs_at_most 285569 durable_faults

@@ -141,7 +141,7 @@ impl Afg {
     /// that already hold one.
     pub fn topo_order_with(&self, idx: &EdgeIndex) -> Option<Vec<TaskId>> {
         let n = self.tasks.len();
-        let mut deg = self.in_degrees();
+        let mut deg = idx.in_degrees();
         // The ready frontier as a [`ReadySet`] over task ids: the lowest
         // ready id pops first however wide the frontier gets (a 25k-wide
         // layer is routine at scale), and a child may have a lower id
@@ -353,6 +353,12 @@ impl EdgeIndex {
         self.out_pos[a..b].iter().map(move |&p| &afg.edges[p as usize])
     }
 
+    /// In-degree of every task, indexed by task id: [`Afg::in_degrees`]
+    /// read off the offsets instead of a pass over the edge list.
+    pub fn in_degrees(&self) -> Vec<u32> {
+        self.in_off.windows(2).map(|w| w[1] - w[0]).collect()
+    }
+
     /// Number of edges arriving at `id`.
     pub fn in_degree(&self, id: TaskId) -> usize {
         (self.in_off[id.index() + 1] - self.in_off[id.index()]) as usize
@@ -483,6 +489,7 @@ mod tests {
     fn in_degrees_count_multi_edges() {
         let g = diamond();
         assert_eq!(g.in_degrees(), vec![0, 1, 1, 2]);
+        assert_eq!(g.edge_index().in_degrees(), [0, 1, 1, 2]);
     }
 
     /// Pop everything left in `set`, lowest first.

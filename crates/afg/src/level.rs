@@ -42,7 +42,7 @@ impl std::error::Error for LevelError {}
 /// Returned vector is indexed by [`TaskId`]. Exit nodes have
 /// `level == cost(node)`.
 pub fn level_map(afg: &Afg, cost: impl Fn(&TaskNode) -> f64) -> Result<Vec<f64>, LevelError> {
-    weighted_level(afg, cost, |_| 0.0)
+    level_pass(afg, &afg.edge_index(), |t| cost(afg.task(t)), |_| 0.0)
 }
 
 /// Compute the *b-level* of every task: like [`level_map`] but each hop
@@ -53,56 +53,123 @@ pub fn blevel_map(
     cost: impl Fn(&TaskNode) -> f64,
     comm: impl Fn(u64) -> f64,
 ) -> Result<Vec<f64>, LevelError> {
-    weighted_level(afg, cost, comm)
+    level_pass(afg, &afg.edge_index(), |t| cost(afg.task(t)), comm)
 }
 
-fn weighted_level(
+/// The one level body behind [`level_map`] and [`blevel_map`], for a
+/// caller that already holds `afg`'s [`EdgeIndex`] and prices tasks by id
+/// (the site scheduler prices a task by its class and shares the index
+/// with its walk). `comm` prices each hop's bytes; `|_| 0.0` gives
+/// [`level_map`]'s levels, bit for bit.
+pub fn level_pass(
     afg: &Afg,
-    cost: impl Fn(&TaskNode) -> f64,
+    idx: &EdgeIndex,
+    cost: impl Fn(TaskId) -> f64,
     comm: impl Fn(u64) -> f64,
 ) -> Result<Vec<f64>, LevelError> {
-    let idx = afg.edge_index();
-    let order = afg.topo_order_with(&idx).ok_or(LevelError::Cyclic)?;
+    let order = afg.topo_order_with(idx).ok_or(LevelError::Cyclic)?;
     let mut level = vec![0.0f64; afg.task_count()];
     // Walk in reverse topological order so every child is final before its
     // parents are computed.
     for &t in order.iter().rev() {
-        level[t.index()] = node_level(afg, &idx, t, &cost, &comm, &level);
+        let mut best = 0.0f64;
+        for e in idx.out_edges(afg, t) {
+            let via = comm(e.data_size) + level[e.to.index()];
+            if via > best {
+                best = via;
+            }
+        }
+        level[t.index()] = cost(t) + best;
     }
     Ok(level)
 }
 
-/// One node's level given final child levels.
-fn node_level(
-    afg: &Afg,
-    idx: &EdgeIndex,
-    t: TaskId,
-    cost: &impl Fn(&TaskNode) -> f64,
-    comm: &impl Fn(u64) -> f64,
-    level: &[f64],
-) -> f64 {
-    let own = cost(afg.task(t));
-    let mut best = 0.0f64;
-    for e in idx.out_edges(afg, t) {
-        let via = comm(e.data_size) + level[e.to.index()];
-        if via > best {
-            best = via;
-        }
-    }
-    own + best
+/// The scheduling priority list: every task by *descending* level ("the
+/// node with a higher level value will have a higher priority for
+/// scheduling"), ties broken by ascending id for determinism. The levels
+/// compare by `total_cmp`, so the order is total whatever they hold: a
+/// NaN ranks above every number and `0.0` above `-0.0`.
+///
+/// Each task is one integer key, its level's `total_cmp` position
+/// inverted above its id, so one `sort_unstable` of plain integers
+/// ranks the tasks: no comparison reads the level slice, and a 10-task
+/// graph costs an insertion sort. The sorted keys' buffer then holds
+/// both directions of the ranking as `u32`s, so ranking allocates once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PriorityList {
+    /// Four `u32` lanes per slot, position `i` in lane `i % 4` of slot
+    /// `i / 4`: from position 0 the task at each rank, from position
+    /// `rank_at` the rank of each task.
+    slots: Vec<u128>,
+    rank_at: usize,
+    len: usize,
 }
 
-/// Produce the scheduling priority list: task ids sorted by *descending*
-/// level ("the node with a higher level value will have a higher priority
-/// for scheduling"), ties broken by ascending id for determinism. The
-/// levels compare by `total_cmp`, so the order is total whatever they
-/// hold: a NaN ranks above every number and `0.0` above `-0.0`.
-pub fn priority_list(levels: &[f64]) -> Vec<TaskId> {
-    let mut ids: Vec<TaskId> = (0..levels.len() as u32).map(TaskId).collect();
-    ids.sort_unstable_by(|a, b| {
-        levels[b.index()].total_cmp(&levels[a.index()]).then_with(|| a.cmp(b))
-    });
-    ids
+impl PriorityList {
+    /// The task at `rank`; rank 0 has the highest priority.
+    pub fn task(&self, rank: usize) -> TaskId {
+        debug_assert!(rank < self.len);
+        TaskId(self.lane(rank))
+    }
+
+    /// The rank of `task`.
+    pub fn rank(&self, task: TaskId) -> usize {
+        debug_assert!(task.index() < self.len);
+        self.lane(self.rank_at + task.index()) as usize
+    }
+
+    /// The tasks, highest priority first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TaskId> + '_ {
+        (0..self.len).map(|r| self.task(r))
+    }
+
+    fn lane(&self, i: usize) -> u32 {
+        (self.slots[i / 4] >> (i % 4 * 32)) as u32
+    }
+}
+
+/// Rank the tasks of `levels` (indexed by [`TaskId`]) into their
+/// [`PriorityList`].
+pub fn priority_list(levels: &[f64]) -> PriorityList {
+    let len = levels.len();
+    // Both directions of the ranking, four positions to a slot, need
+    // `2 * quads` slots: at most the keys' own, but for one task.
+    let quads = len.div_ceil(4);
+    let mut slots = Vec::with_capacity(len.max(2 * quads));
+    slots.extend(
+        (levels.iter().zip(0u32..))
+            .map(|(&l, id)| u128::from(!total_order_bits(l)) << 32 | u128::from(id)),
+    );
+    slots.sort_unstable();
+    // Sorted, only each key's id (its low 32 bits) is left to read. Pack
+    // them in rank order: position `r` lands in slot `r / 4`, whose key
+    // was read at step `r / 4 <= r`, so no key still to be read is
+    // written.
+    for r in 0..len {
+        let task = slots[r] as u32;
+        let (slot, shift) = (r / 4, r % 4 * 32);
+        let kept = if shift == 0 { 0 } else { slots[slot] };
+        slots[slot] = kept | u128::from(task) << shift;
+    }
+    // Then each task's rank, in zeroed slots after them.
+    slots.truncate(quads);
+    slots.resize(2 * quads, 0);
+    let mut list = PriorityList { slots, rank_at: 4 * quads, len };
+    for r in 0..len {
+        let i = list.rank_at + list.task(r).index();
+        list.slots[i / 4] |= (r as u128) << (i % 4 * 32);
+    }
+    list
+}
+
+/// `x`'s position in [`f64::total_cmp`]'s order as an unsigned integer:
+/// `a.total_cmp(&b) == total_order_bits(a).cmp(&total_order_bits(b))`.
+/// A negative number (sign bit set) flips every bit, so larger
+/// magnitudes sort lower; a positive one sets the sign bit, which puts
+/// it above every negative.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
 /// The *critical path* length of the AFG under `cost`: the maximum level of
@@ -118,6 +185,10 @@ mod tests {
     use super::*;
     use crate::builder::AfgBuilder;
     use crate::library::TaskLibrary;
+
+    fn ranked(levels: &[f64]) -> Vec<u32> {
+        priority_list(levels).iter().map(|t| t.0).collect()
+    }
 
     /// Chain a -> b -> c with unit costs: levels must be 3, 2, 1.
     fn chain() -> Afg {
@@ -141,23 +212,55 @@ mod tests {
     #[test]
     fn priority_list_orders_by_level_descending() {
         let levels = vec![3.0, 2.0, 1.0];
-        assert_eq!(priority_list(&levels), vec![TaskId(0), TaskId(1), TaskId(2)]);
+        assert_eq!(ranked(&levels), [0, 1, 2]);
     }
 
     #[test]
     fn priority_list_breaks_ties_by_id() {
         let levels = vec![2.0, 5.0, 2.0, 5.0];
-        assert_eq!(priority_list(&levels), vec![TaskId(1), TaskId(3), TaskId(0), TaskId(2)]);
+        assert_eq!(ranked(&levels), [1, 3, 0, 2]);
+        let order = priority_list(&levels);
+        assert_eq!(order.task(1), TaskId(3));
+        assert_eq!((0..4).map(|t| order.rank(TaskId(t))).collect::<Vec<_>>(), [2, 0, 3, 1]);
     }
 
     #[test]
     fn priority_list_is_total_over_nan_signed_zero_and_ties() {
         // The order the site-scheduler walk and `evaluate` rank by: NaN
         // above every number, `0.0` above `-0.0`, equal levels by id.
-        let list = |levels: &[f64]| priority_list(levels).iter().map(|t| t.0).collect::<Vec<_>>();
-        assert_eq!(list(&[5.0, f64::NAN, 1.0, f64::NAN, f64::INFINITY]), [1, 3, 4, 0, 2]);
-        assert_eq!(list(&[f64::NEG_INFINITY, -0.0, 0.0, -f64::NAN]), [2, 1, 0, 3]);
-        assert_eq!(list(&[1.0, -0.0, 1.0, 0.0, -0.0, 1.0]), [0, 2, 5, 3, 1, 4]);
+        assert_eq!(ranked(&[5.0, f64::NAN, 1.0, f64::NAN, f64::INFINITY]), [1, 3, 4, 0, 2]);
+        assert_eq!(ranked(&[f64::NEG_INFINITY, -0.0, 0.0, -f64::NAN]), [2, 1, 0, 3]);
+        assert_eq!(ranked(&[1.0, -0.0, 1.0, 0.0, -0.0, 1.0]), [0, 2, 5, 3, 1, 4]);
+    }
+
+    #[test]
+    fn total_order_bits_order_as_total_cmp() {
+        let xs = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_bits(a).cmp(&total_order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -164,6 +164,7 @@ fn parallel_edges_are_each_indexed() {
     assert_eq!(idx.out_degree(TaskId(0)), 2);
     assert_eq!(idx.in_degree(TaskId(1)), 2);
     assert_eq!(g.in_degrees()[1], 2, "in_degrees counts multi-edges");
+    assert_eq!(idx.in_degrees(), [0, 2], "so does the index's");
     let sizes: Vec<u64> = idx.in_edges(&g, TaskId(1)).map(|e| e.data_size).collect();
     assert_eq!(sizes, vec![10, 20]);
 }

@@ -5,8 +5,8 @@
 //! produced), then check the invariants the scheduler relies on.
 
 use proptest::prelude::*;
-use vdce_afg::level::{critical_path, level_map, priority_list};
-use vdce_afg::{validate, Afg, AfgBuilder, TaskLibrary};
+use vdce_afg::level::{blevel_map, critical_path, level_map, level_pass, priority_list};
+use vdce_afg::{validate, Afg, AfgBuilder, TaskId, TaskLibrary, TaskNode};
 
 /// Build a random fan-in-1/fan-out-N layered DAG with `widths` tasks per
 /// layer. Every non-entry task takes exactly one dataflow input from a
@@ -40,7 +40,126 @@ fn layered_afg(widths: &[u8], seeds: &[u8]) -> Afg {
     b.build().expect("builder output must validate")
 }
 
+/// The rank the priority list replaced, kept here as its oracle: a
+/// comparator sort of the ids through the level slice, by descending
+/// `total_cmp`, ties by ascending id.
+fn comparator_order(levels: &[f64]) -> Vec<TaskId> {
+    let mut ids: Vec<TaskId> = (0..levels.len() as u32).map(TaskId).collect();
+    ids.sort_unstable_by(|a, b| {
+        levels[b.index()].total_cmp(&levels[a.index()]).then_with(|| a.cmp(b))
+    });
+    ids
+}
+
+/// `n` levels from `seed`: about half drawn from a palette of duplicates
+/// and edge values (both NaN signs, both zeros, both infinities,
+/// subnormals, the extremes), a quarter small integers (more
+/// duplicates), a quarter arbitrary bit patterns (NaN payloads among
+/// them).
+fn levels_from(n: usize, seed: u64) -> Vec<f64> {
+    const PALETTE: [f64; 12] = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        1.0,
+        -1.0,
+    ];
+    let mut x = seed;
+    let mut next = move || {
+        // splitmix64
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    (0..n)
+        .map(|_| {
+            let r = next();
+            match r % 4 {
+                0 | 1 => PALETTE[(r >> 2) as usize % PALETTE.len()],
+                2 => ((r >> 2) % 8) as f64,
+                _ => f64::from_bits(next()),
+            }
+        })
+        .collect()
+}
+
+/// The level pass before it took ids: costs read through each node,
+/// edges through the scanning accessor, in reverse topological order.
+fn node_keyed_levels(
+    g: &Afg,
+    cost: impl Fn(&TaskNode) -> f64,
+    comm: impl Fn(u64) -> f64,
+) -> Vec<f64> {
+    let mut level = vec![0.0f64; g.task_count()];
+    for &t in g.topo_order().expect("acyclic").iter().rev() {
+        let mut best = 0.0f64;
+        for e in g.out_edges(t) {
+            let via = comm(e.data_size) + level[e.to.index()];
+            if via > best {
+                best = via;
+            }
+        }
+        level[t.index()] = cost(g.task(t)) + best;
+    }
+    level
+}
+
+fn bits(levels: &[f64]) -> Vec<u64> {
+    levels.iter().map(|l| l.to_bits()).collect()
+}
+
+#[test]
+fn priority_list_equals_the_comparator_at_the_size_extremes() {
+    for (n, seed) in [(0, 0), (1, 1), (50_000, 2), (50_000, 3)] {
+        let levels = levels_from(n, seed);
+        assert_eq!(priority_list(&levels).iter().collect::<Vec<_>>(), comparator_order(&levels));
+    }
+}
+
 proptest! {
+    #[test]
+    fn priority_list_equals_the_comparator_order(
+        small in any::<bool>(),
+        n in 0usize..=50_000,
+        seed in any::<u64>(),
+    ) {
+        let levels = levels_from(if small { n % 65 } else { n }, seed);
+        let order = priority_list(&levels);
+        prop_assert_eq!(order.iter().len(), levels.len());
+        prop_assert_eq!(order.iter().collect::<Vec<_>>(), comparator_order(&levels));
+        for (r, t) in order.iter().enumerate() {
+            prop_assert_eq!(order.rank(t), r);
+            prop_assert_eq!(order.task(r), t);
+        }
+    }
+
+    #[test]
+    fn id_keyed_level_pass_equals_the_node_keyed_levels(
+        widths in proptest::collection::vec(1u8..6, 1..6),
+        seeds in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let g = layered_afg(&widths, &seeds);
+        let cost = |t: &TaskNode| 0.25 + (t.problem_size % 7) as f64 / 3.0;
+        let comm = |bytes: u64| bytes as f64 * 1e-3;
+        let plain = node_keyed_levels(&g, cost, |_| 0.0);
+        let with_comm = node_keyed_levels(&g, cost, comm);
+        prop_assert_eq!(bits(&level_map(&g, cost).unwrap()), bits(&plain));
+        prop_assert_eq!(bits(&blevel_map(&g, cost, comm).unwrap()), bits(&with_comm));
+        let idx = g.edge_index();
+        let by_id = |t: TaskId| cost(g.task(t));
+        prop_assert_eq!(bits(&level_pass(&g, &idx, by_id, |_| 0.0).unwrap()), bits(&plain));
+        prop_assert_eq!(bits(&level_pass(&g, &idx, by_id, comm).unwrap()), bits(&with_comm));
+    }
+
     #[test]
     fn builder_output_always_validates(
         widths in proptest::collection::vec(1u8..6, 1..6),
@@ -152,7 +271,7 @@ proptest! {
     ) {
         let g = layered_afg(&widths, &seeds);
         let levels = level_map(&g, |t| t.problem_size as f64).unwrap();
-        let order = priority_list(&levels);
+        let order: Vec<_> = priority_list(&levels).iter().collect();
         for w in order.windows(2) {
             prop_assert!(levels[w[0].index()] >= levels[w[1].index()]);
         }

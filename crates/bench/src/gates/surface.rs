@@ -3,7 +3,8 @@
 //! line counts, and the `pub fn`s no other package names.
 //!
 //! The counts follow the ROADMAP's conventions: a file's non-test lines
-//! are its lines before its first `#[cfg(test)]`, and a `pub fn` line is
+//! are its lines before its test module (the first `#[cfg(test)]` at
+//! column 0 followed by an inline `mod NAME {`), and a `pub fn` line is
 //! one matching `^\s*pub fn`. A `pub fn NAME` outside test code that its
 //! crate defines once is named by no other package when no `.rs` file
 //! outside `crates/<crate>/` holds `NAME` as a word (`target/` and hidden
@@ -22,9 +23,16 @@ struct Source {
 }
 
 impl Source {
-    /// Its lines before its first `#[cfg(test)]`.
+    /// Its lines before its test module: the first `#[cfg(test)]` at
+    /// column 0 that an inline `mod NAME {` follows, of any visibility. An indented one gates
+    /// a test-only item among library code, as does one before an
+    /// `extern crate` or a `mod NAME;`.
     fn non_test(&self) -> impl Iterator<Item = &str> {
-        self.text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        let next = self.text.lines().skip(1);
+        let end = self.text.lines().zip(next).position(|(line, next)| {
+            line == "#[cfg(test)]" && next.contains("mod ") && next.ends_with('{')
+        });
+        self.text.lines().take(end.unwrap_or(usize::MAX))
     }
 }
 
@@ -307,6 +315,16 @@ mod tests {
                    vdce-a  two     lib.rs  (nothing)\n```\n<!-- /exp -->\n";
         assert!(doc.starts_with("## 4\n<!-- exp surface -->\n```text\n") && doc.ends_with(own));
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn non_test_lines_end_at_the_test_module() {
+        let text = "pub fn a() {}\n#[cfg(test)]\nmod oracle;\nimpl A {\n    #[cfg(test)]\n    pub fn b() {}\n\
+                    }\n#[cfg(test)]\npub(crate) mod tests {\n    pub fn c() {}\n}\n";
+        let source = Source { path: String::new(), text: text.to_string() };
+        assert_eq!(source.non_test().count(), 7);
+        let items: Vec<String> = pub_fns(source.non_test()).into_iter().map(|(_, i)| i).collect();
+        assert_eq!(items, ["a", "A::b"]);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //!
 //! [`LevelReady`] is the ready list shared by the site-scheduler walk
 //! and the makespan simulator. The levels are fixed before either runs
-//! (§3), so [`rank`] sorts the tasks once into "highest level first, ties
-//! by ascending task id" — exactly the order the reference linear scan
-//! selects — and the ready set holds ranks in a [`ReadySet`], whose lowest
-//! member is the next task. No pop compares a level.
+//! (§3), so [`priority_list`] ranks the tasks once into "highest level
+//! first, ties by ascending task id" — exactly the order the reference
+//! linear scan selects — and the ready set holds ranks in a [`ReadySet`],
+//! whose lowest member is the next task. No pop compares a level.
 
 use std::collections::HashMap;
-use vdce_afg::level::priority_list;
+use vdce_afg::level::{priority_list, PriorityList};
 use vdce_afg::{ReadySet, TaskId};
 
 /// Sentinel id for "no host assigned yet" in dense placement arrays.
@@ -62,43 +62,29 @@ impl HostArena {
     }
 }
 
-/// The tasks of `levels` in ready-list order — [`priority_list`]'s:
-/// highest level first by `total_cmp`, ties by ascending task id — as
-/// rank → task, and its inverse, task → rank. The order is total whatever
-/// the levels (a NaN ranks above every number); the site-scheduler walk
-/// refuses a non-finite level at its entry, so there the order is also
-/// the numeric one.
-pub(crate) fn rank(levels: &[f64]) -> (Vec<TaskId>, Vec<u32>) {
-    let by_rank = priority_list(levels);
-    let mut rank_of = vec![0u32; levels.len()];
-    for (r, t) in by_rank.iter().enumerate() {
-        rank_of[t.index()] = r as u32;
-    }
-    (by_rank, rank_of)
-}
-
-/// Ready tasks popped in [`rank`] order: the lowest ready rank first.
-/// A child may rank ahead of a task still ready, so the set takes
-/// inserts in any order.
+/// Ready tasks popped in [`priority_list`] order — highest level first by
+/// `total_cmp`, ties by ascending task id: the lowest ready rank first.
+/// The order is total whatever the levels (a NaN ranks above every
+/// number); the site-scheduler walk refuses a non-finite level at its
+/// entry, so there the order is also the numeric one. A child may rank
+/// ahead of a task still ready, so the set takes inserts in any order.
 pub(crate) struct LevelReady {
-    by_rank: Vec<TaskId>,
-    rank_of: Vec<u32>,
+    order: PriorityList,
     ready: ReadySet,
 }
 
 impl LevelReady {
     /// An empty ready list over the tasks of `levels`.
     pub(crate) fn new(levels: &[f64]) -> Self {
-        let (by_rank, rank_of) = rank(levels);
-        LevelReady { by_rank, rank_of, ready: ReadySet::new(levels.len()) }
+        LevelReady { order: priority_list(levels), ready: ReadySet::new(levels.len()) }
     }
 
     pub(crate) fn push(&mut self, task: TaskId) {
-        self.ready.insert(self.rank_of[task.index()] as usize);
+        self.ready.insert(self.order.rank(task));
     }
 
     pub(crate) fn pop(&mut self) -> Option<TaskId> {
-        self.ready.pop_min().map(|r| self.by_rank[r])
+        self.ready.pop_min().map(|r| self.order.task(r))
     }
 }
 
@@ -117,13 +103,20 @@ mod tests {
         assert_eq!(a.len(), 2);
     }
 
+    /// Every task of `levels` pushed at once, popped to the end.
+    fn drained(levels: &[f64]) -> Vec<TaskId> {
+        let mut ready = LevelReady::new(levels);
+        (0..levels.len() as u32).rev().for_each(|t| ready.push(TaskId(t)));
+        std::iter::from_fn(|| ready.pop()).collect()
+    }
+
     #[test]
     fn rank_orders_highest_level_then_lowest_id() {
-        let (by_rank, rank_of) = rank(&[1.0, 5.0, 0.5, 5.0, 1.0]);
-        let ids = |v: &[TaskId]| v.iter().map(|t| t.0).collect::<Vec<_>>();
-        assert_eq!(ids(&by_rank), vec![1, 3, 0, 4, 2]);
-        assert_eq!(rank_of, vec![2, 0, 4, 1, 3]);
-        let mut ready = LevelReady::new(&[1.0, 5.0, 0.5, 5.0, 1.0]);
+        let levels = [1.0, 5.0, 0.5, 5.0, 1.0];
+        assert_eq!(drained(&levels), [1, 3, 0, 4, 2].map(TaskId));
+        let order = &LevelReady::new(&levels).order;
+        assert_eq!((0..5).map(|t| order.rank(TaskId(t))).collect::<Vec<_>>(), [2, 0, 4, 1, 3]);
+        let mut ready = LevelReady::new(&levels);
         for t in [4, 3, 1] {
             ready.push(TaskId(t));
         }
@@ -139,9 +132,8 @@ mod tests {
         // `evaluate` takes caller levels unchecked: a NaN must sort
         // somewhere definite (above every number), not compare equal to
         // everything and leave the order to the sort's history.
-        let (by_rank, _) = rank(&[5.0, f64::NAN, 1.0, f64::NAN, f64::INFINITY]);
-        assert_eq!(by_rank, [1, 3, 4, 0, 2].map(TaskId));
-        let (by_rank, _) = rank(&[f64::NEG_INFINITY, -0.0, 0.0, -f64::NAN]);
-        assert_eq!(by_rank, [2, 1, 0, 3].map(TaskId));
+        let nan = [5.0, f64::NAN, 1.0, f64::NAN, f64::INFINITY];
+        assert_eq!(drained(&nan), [1, 3, 4, 0, 2].map(TaskId));
+        assert_eq!(drained(&[f64::NEG_INFINITY, -0.0, 0.0, -f64::NAN]), [2, 1, 0, 3].map(TaskId));
     }
 }

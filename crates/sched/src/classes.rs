@@ -21,8 +21,8 @@
 
 use crate::view::SiteView;
 use std::sync::Arc;
-use vdce_afg::level::{level_map, LevelError};
-use vdce_afg::{Afg, MachineType, TaskCosts, TaskId};
+use vdce_afg::level::{level_pass, LevelError};
+use vdce_afg::{Afg, EdgeIndex, MachineType, TaskCosts, TaskId};
 use vdce_predict::cache::FxMap;
 
 /// What the eligibility filter of one task depends on besides the host:
@@ -122,9 +122,15 @@ impl TaskClasses {
 
     /// The level priority of every task of `afg` (§3) on `view`'s
     /// base-processor execution times, `base_time` looked up once per
-    /// class; a library task the view does not know costs 0. `afg` is the
-    /// graph the index was built from.
-    pub(crate) fn levels(&self, view: &SiteView, afg: &Afg) -> Result<Vec<f64>, LevelError> {
+    /// class and each task priced by its class id alone; a library task
+    /// the view does not know costs 0. `afg` is the graph the index and
+    /// `idx` were built from.
+    pub(crate) fn levels(
+        &self,
+        view: &SiteView,
+        afg: &Afg,
+        idx: &EdgeIndex,
+    ) -> Result<Vec<f64>, LevelError> {
         debug_assert_eq!(self.class_of.len(), afg.task_count(), "an index of another graph");
         let cost: Vec<f64> = (self.classes.iter())
             .map(|c| {
@@ -132,7 +138,7 @@ impl TaskClasses {
                 view.tasks.base_time(library_task, c.problem_size).unwrap_or(0.0)
             })
             .collect();
-        level_map(afg, |t| cost[self.class_of[t.id.index()] as usize])
+        level_pass(afg, idx, |t| cost[self.class_of[t.index()] as usize], |_| 0.0)
     }
 }
 

@@ -159,9 +159,10 @@ pub fn federated_schedule(
     }
 
     // Steps 6–7, with every walk option the config carries.
-    let levels = classes.levels(local, afg)?;
+    let edge_idx = afg.edge_index();
+    let levels = classes.levels(local, afg, &edge_idx)?;
     let req = SchedRequest { afg, local, remotes: &[], net, config, data: None, metrics: None };
-    req.walk(&levels, &outputs)
+    req.walk_indexed(&levels, &outputs, &edge_idx)
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use crate::allocation::{AllocationTable, TaskPlacement};
 use crate::arena::LevelReady;
 use crate::data_inputs::DatasetInputs;
 use crate::site_scheduler::SchedError;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vdce_afg::level::LevelError;
@@ -28,6 +27,7 @@ use vdce_afg::{Afg, DatasetId, TaskId};
 use vdce_data::DataView;
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
+use vdce_predict::cache::FxMap;
 
 /// Timed placement of one task.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,7 +188,7 @@ pub fn evaluate(
     let mut host_free = vec![0.0f64; hosts.count];
 
     let edge_idx = afg.edge_index();
-    let mut remaining = afg.in_degrees();
+    let mut remaining = edge_idx.in_degrees();
     let mut ready = LevelReady::new(levels);
     for t in afg.task_ids().filter(|t| remaining[t.index()] == 0) {
         ready.push(t);
@@ -294,9 +294,12 @@ impl ResolvedHosts {
 /// allocations with equal names still meet in the name map and get equal
 /// ids, which is all the `same_host` rule and host exclusivity compare.
 /// Ids are assigned in first-seen task order, with or without the memo.
+/// Both maps hash with the Fx hasher: their keys are pointers and host
+/// names the scheduler made, and SipHash's fixed cost per probe was most
+/// of the pass.
 fn resolve_hosts(placed: &[&TaskPlacement]) -> ResolvedHosts {
-    let mut by_name: HashMap<&str, u32> = HashMap::new();
-    let mut by_list: HashMap<*const [String], (u32, u32)> = HashMap::new();
+    let mut by_name: FxMap<&str, u32> = FxMap::default();
+    let mut by_list: FxMap<*const [String], (u32, u32)> = FxMap::default();
     let mut ranges = Vec::with_capacity(placed.len());
     let mut ids: Vec<u32> = Vec::new();
     for p in placed {

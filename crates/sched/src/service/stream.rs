@@ -725,7 +725,7 @@ impl StreamService {
 
         // Broker verdict on the trial placement.
         let levels = classes
-            .levels(&self.sites[0].view, &req.afg)
+            .levels(&self.sites[0].view, &req.afg, &req.afg.edge_index())
             .expect("submissions are validated acyclic AFGs");
         let Ok(sched) = evaluate(&req.afg, inc.table(), &self.net, &levels, None) else {
             self.reject(RejectReason::NoFeasiblePlacement);

@@ -299,11 +299,13 @@ pub struct SchedRequest<'a> {
 pub fn site_schedule(req: &SchedRequest<'_>) -> Result<AllocationTable, SchedError> {
     let SchedRequest { afg, local, remotes, net, config, metrics, .. } = *req;
     // The AFG's task classes, indexed once for the level pass and every
-    // involved site's host selection.
+    // involved site's host selection; its edges, indexed once for the
+    // level pass and the walk.
     let mut classes = TaskClasses::new(afg);
+    let edge_idx = afg.edge_index();
     // Priorities: level of each node on base-processor execution times
     // (task-performance DB of the local site).
-    let levels = classes.levels(local, afg)?;
+    let levels = classes.levels(local, afg, &edge_idx)?;
 
     // Step 2: k nearest neighbour sites that actually sent views.
     let neighbours = net.nearest_neighbours(local.site, config.k_neighbours);
@@ -337,7 +339,7 @@ pub fn site_schedule(req: &SchedRequest<'_>) -> Result<AllocationTable, SchedErr
     }
 
     // Steps 6–7.
-    let table = req.walk(&levels, &outputs)?;
+    let table = req.walk_indexed(&levels, &outputs, &edge_idx)?;
     if let Some(m) = metrics {
         m.counter_add("sched.tasks_placed", table.len() as u64);
     }

@@ -48,7 +48,7 @@ impl SiteView {
     /// tasks the database does not know cost 0. Each task class is
     /// priced once, as the site scheduler prices it.
     pub fn levels(&self, afg: &Afg) -> Result<Vec<f64>, LevelError> {
-        TaskClasses::new(afg).levels(self, afg)
+        TaskClasses::new(afg).levels(self, afg, &afg.edge_index())
     }
 }
 

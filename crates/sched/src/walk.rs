@@ -12,7 +12,7 @@ use crate::data_inputs::{DatasetInputs, DsInput};
 use crate::host_selection::{HostSelectionOutput, TaskHostChoice};
 use crate::site_scheduler::{SchedError, SchedRequest, SpreadPolicy};
 use std::collections::HashSet;
-use vdce_afg::{Afg, TaskId};
+use vdce_afg::{Afg, EdgeIndex, TaskId};
 use vdce_net::topology::SiteId;
 use vdce_net::TransferCache;
 
@@ -41,6 +41,18 @@ impl SchedRequest<'_> {
         &self,
         levels: &[f64],
         outputs: &[HostSelectionOutput],
+    ) -> Result<AllocationTable, SchedError> {
+        self.walk_indexed(levels, outputs, &self.afg.edge_index())
+    }
+
+    /// [`SchedRequest::walk`] over `edge_idx`, the AFG's edge index the
+    /// caller already holds (the site scheduler builds one for its level
+    /// pass and this walk).
+    pub(crate) fn walk_indexed(
+        &self,
+        levels: &[f64],
+        outputs: &[HostSelectionOutput],
+        edge_idx: &EdgeIndex,
     ) -> Result<AllocationTable, SchedError> {
         let SchedRequest { afg, local, net, config, data, metrics, .. } = *self;
         let (local_site, ignore_transfer_time) = (local.site, config.ignore_transfer_time);
@@ -75,12 +87,8 @@ impl SchedRequest<'_> {
             }
         };
 
-        // Adjacency index: the walk below touches every task's in- and
-        // out-edges once; through the scanning accessors that is `O(n·e)`.
-        let edge_idx = afg.edge_index();
-
         // Step 6: ready set = entry nodes.
-        let mut remaining_parents = afg.in_degrees();
+        let mut remaining_parents = edge_idx.in_degrees();
         let mut ready = ReadyList::new(config.sequential, levels);
         for t in afg.task_ids().filter(|t| remaining_parents[t.index()] == 0) {
             ready.push(t);

@@ -26,7 +26,7 @@ use serde_json::Value;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
-use vdce_afg::level::level_map;
+use vdce_afg::level::{blevel_map, level_map, LevelError};
 use vdce_afg::{
     Afg, ComputationMode, DatasetId, Edge, IoSpec, KernelKind, MachineType, PortIndex, TaskId,
     TaskNode, TaskProperties,
@@ -448,20 +448,46 @@ pub fn check_walks(case: &Case) -> Result<AllocationTable, SchedError> {
     got
 }
 
-/// §3's level pass at every site, which prices each task class once,
-/// against `level_map` pricing every task, bit for bit.
+/// §3's level pass at every site, which prices each task class once and
+/// each task by id alone, and `level_map` / `blevel_map`, against the
+/// node-keyed level pass they replaced (every task priced through its
+/// node, edges read through the scanning accessor), bit for bit.
 pub fn check_levels(case: &Case) {
     let Case { name, afg, views, .. } = case;
+    let bits = |l: Result<Vec<f64>, LevelError>| l.map(|l| l.iter().map(|x| x.to_bits()).collect());
+    let comm = |bytes: u64| bytes as f64 * 1e-6;
     for view in views {
-        let cost = |t: &TaskNode| view.tasks.base_time(&t.library_task, t.problem_size);
-        let want = level_map(afg, |t| cost(t).unwrap_or(0.0));
-        let got = view.levels(afg);
-        assert_eq!(got, want, "{name}: levels at site {}", view.site);
-        let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        if let (Ok(got), Ok(want)) = (&got, &want) {
-            assert_eq!(bits(got), bits(want), "{name}: level bits at site {}", view.site);
-        }
+        let cost =
+            |t: &TaskNode| view.tasks.base_time(&t.library_task, t.problem_size).unwrap_or(0.0);
+        let want: Result<Vec<u64>, _> = bits(node_keyed_levels(afg, cost, |_| 0.0));
+        assert_eq!(bits(view.levels(afg)), want, "{name}: levels at site {}", view.site);
+        assert_eq!(bits(level_map(afg, cost)), want, "{name}: level_map at site {}", view.site);
+        let want = bits(node_keyed_levels(afg, cost, comm));
+        let got = bits(blevel_map(afg, cost, comm));
+        assert_eq!(got, want, "{name}: blevel_map at site {}", view.site);
     }
+}
+
+/// The level pass as it read before it took task ids and a shared edge
+/// index: the oracle of [`check_levels`].
+fn node_keyed_levels(
+    afg: &Afg,
+    cost: impl Fn(&TaskNode) -> f64,
+    comm: impl Fn(u64) -> f64,
+) -> Result<Vec<f64>, LevelError> {
+    let order = afg.topo_order().ok_or(LevelError::Cyclic)?;
+    let mut level = vec![0.0f64; afg.task_count()];
+    for &t in order.iter().rev() {
+        let mut best = 0.0f64;
+        for e in afg.out_edges(t) {
+            let via = comm(e.data_size) + level[e.to.index()];
+            if via > best {
+                best = via;
+            }
+        }
+        level[t.index()] = cost(afg.task(t)) + best;
+    }
+    Ok(level)
 }
 
 /// Figure 3 at every site the way the site scheduler runs it, over one

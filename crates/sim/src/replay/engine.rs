@@ -9,7 +9,7 @@ use super::{ReplayOutcome, ReplayRequest};
 use crate::faults::{Fault, FaultEvent, TimedFaultEvent};
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
-use vdce_afg::level::priority_list;
+use vdce_afg::level::{priority_list, PriorityList};
 use vdce_afg::{EdgeIndex, TaskId};
 use vdce_net::model::NetworkModel;
 use vdce_net::topology::SiteId;
@@ -39,7 +39,7 @@ pub(super) struct Inputs<'a> {
     table: AllocationTable,
     /// Task order for the start step: level desc, id asc — the same
     /// contention tie-break `makespan::evaluate` applies.
-    by_priority: Vec<TaskId>,
+    by_priority: PriorityList,
     edge_idx: EdgeIndex,
     timeline: Vec<TimedFaultEvent>,
     /// Virtual time after which no plan fault can still be unfolding.
@@ -829,7 +829,7 @@ impl<'a> Replay<'a> {
     /// when re-selection away from the overloaded hosts succeeds.
     fn evict_overloaded(&mut self, moves: &Reselection) {
         let inp = self.inp;
-        for &task in &inp.by_priority {
+        for task in inp.by_priority.iter() {
             let run = &self.tasks[task.index()];
             let TaskState::Running { start, .. } = run.state else { continue };
             let overloaded: Vec<String> = run
@@ -862,7 +862,7 @@ impl<'a> Replay<'a> {
     fn retry_waiting(&mut self, moves: &Reselection) {
         let Inputs { req: ReplayRequest { config: cfg, .. }, by_priority, .. } = self.inp;
         let t = self.t;
-        for &task in by_priority {
+        for task in by_priority.iter() {
             let TaskState::Waiting { resume_at } = self.tasks[task.index()].state else { continue };
             if resume_at > t + EPS {
                 continue;
@@ -894,7 +894,7 @@ impl<'a> Replay<'a> {
     /// recovery time.
     fn start_ready(&mut self) {
         let inp = self.inp;
-        for &task in &inp.by_priority {
+        for task in inp.by_priority.iter() {
             if self.tasks[task.index()].state != TaskState::Pending {
                 continue;
             }
